@@ -1,10 +1,11 @@
 package client
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/big"
-	"sort"
+	"slices"
 	"time"
 
 	"seabed/internal/ashe"
@@ -74,6 +75,8 @@ type decrypter struct {
 	detKeys  map[string]*det.Key
 	prfEvals uint64
 	codec    idlist.Codec
+	// ranges is asheOf's decode buffer, reused across identifier lists.
+	ranges []idlist.Range
 }
 
 // newDecrypter builds a decrypter over the given key ring and identifier-
@@ -134,38 +137,52 @@ func Decrypt(tr *translate.Translation, res *engine.Result, ring *KeyRing) (*Res
 		}
 		groups = merged
 	}
-	for _, g := range groups {
-		row := Row{}
-		if tr.Client.GroupKey != nil {
-			kv, err := d.groupKey(tr.Client.GroupKey, &g)
+	// Rows, their values and their keys come from one block each per result.
+	// Keys decrypt first: they fix the row order (by group key, for stable
+	// output), and the rows are then built in that order.
+	var keys []Value
+	if tr.Client.GroupKey != nil {
+		keys = make([]Value, len(groups))
+		for gi := range groups {
+			kv, err := d.groupKey(tr.Client.GroupKey, &groups[gi])
 			if err != nil {
 				return nil, err
 			}
-			row.Key = &kv
+			keys[gi] = kv
 		}
-		for _, o := range tr.Client.Outputs {
-			v, err := d.output(tr, &o, &g, row.Key)
-			if err != nil {
-				return nil, err
-			}
-			row.Values = append(row.Values, v)
-		}
-		out.Rows = append(out.Rows, row)
 	}
-	sortRows(out.Rows)
+	nOut := len(tr.Client.Outputs)
+	out.Rows = make([]Row, len(groups))
+	values := make([]Value, len(groups)*nOut)
+	for ri, gi := range keyOrder(keys, len(groups)) {
+		g, row := &groups[gi], &out.Rows[ri]
+		row.Values = values[ri*nOut : (ri+1)*nOut : (ri+1)*nOut]
+		if keys != nil {
+			row.Key = &keys[gi]
+		}
+		for oi := range tr.Client.Outputs {
+			v, err := d.output(tr, &tr.Client.Outputs[oi], g, row.Key)
+			if err != nil {
+				return nil, err
+			}
+			row.Values[oi] = v
+		}
+	}
 	out.ClientTime = time.Since(start)
 	out.PRFEvals = d.prfEvals
 	return out, nil
 }
 
 // asheOf reconstructs an ASHE ciphertext from a server aggregate, decoding
-// the wire-encoded identifier list.
+// the wire-encoded identifier list into the decrypter's range buffer: the
+// ciphertext's list is valid until the next asheOf call (Clone it to keep it).
 func (d *decrypter) asheOf(av *engine.AggValue) (ashe.Ciphertext, error) {
-	ids, err := d.codec.Decode(av.Ashe.Encoded)
+	ranges, err := d.codec.AppendDecode(d.ranges[:0], av.Ashe.Encoded)
 	if err != nil {
 		return ashe.Ciphertext{}, fmt.Errorf("client: decode id list: %v", err)
 	}
-	return ashe.Ciphertext{Body: av.Ashe.Body, IDs: ids}, nil
+	d.ranges = ranges
+	return ashe.Ciphertext{Body: av.Ashe.Body, IDs: idlist.View(ranges)}, nil
 }
 
 // output evaluates one client-plan output for a group.
@@ -179,11 +196,9 @@ func (d *decrypter) output(tr *translate.Translation, o *translate.Output, g *en
 		kv.Name = o.Name
 		return kv, nil
 	case translate.OutPlain:
-		av := g.Aggs[o.Agg]
-		return Value{Name: o.Name, Kind: Int, I64: int64(av.U64)}, nil
+		return Value{Name: o.Name, Kind: Int, I64: int64(g.Aggs[o.Agg].U64)}, nil
 	case translate.OutAsheSum:
-		av := g.Aggs[o.Agg]
-		ct, err := d.asheOf(&av)
+		ct, err := d.asheOf(&g.Aggs[o.Agg])
 		if err != nil {
 			return Value{}, err
 		}
@@ -235,7 +250,7 @@ func (d *decrypter) output(tr *translate.Translation, o *translate.Output, g *en
 		}
 		return Value{Name: o.Name, Kind: Float, F64: v}, nil
 	case translate.OutMinMax:
-		av := g.Aggs[o.Agg]
+		av := &g.Aggs[o.Agg]
 		if len(av.CompanionBytes) > 0 {
 			sk := d.ring.PaillierSK()
 			if sk == nil {
@@ -313,7 +328,7 @@ func (d *decrypter) deflateGroups(tr *translate.Translation, groups []engine.Gro
 					if err != nil {
 						return nil, err
 					}
-					s.ids[i] = ct.IDs
+					s.ids[i] = ct.IDs.Clone()
 				}
 				if av.Kind == engine.AggPaillierSum {
 					s.g.Aggs[i].Pail = new(big.Int).Set(av.Pail)
@@ -436,16 +451,23 @@ func (d *decrypter) scanRow(cols []translate.ScanCol, sr *engine.ScanRow) (Row, 
 	return row, nil
 }
 
-// sortRows orders result rows by group key for stable output.
-func sortRows(rows []Row) {
-	sort.SliceStable(rows, func(a, b int) bool {
-		ka, kb := rows[a].Key, rows[b].Key
-		if ka == nil || kb == nil {
-			return false
-		}
-		if ka.Kind == Str || kb.Kind == Str {
-			return ka.Str < kb.Str
-		}
-		return ka.I64 < kb.I64
-	})
+// keyOrder returns the order result rows take: the n groups' indices sorted
+// stably by decrypted group key (string keys as strings, others as integers),
+// or as they are when the query has no group key. Sorting 4-byte indices
+// rather than the rows keeps the sort's moves free of pointers.
+func keyOrder(keys []Value, n int) []int32 {
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	if keys != nil {
+		slices.SortStableFunc(order, func(a, b int32) int {
+			ka, kb := &keys[a], &keys[b]
+			if ka.Kind == Str || kb.Kind == Str {
+				return cmp.Compare(ka.Str, kb.Str)
+			}
+			return cmp.Compare(ka.I64, kb.I64)
+		})
+	}
+	return order
 }

@@ -122,7 +122,7 @@ func (ts *taskState) execute(ctx context.Context, i0, i1 int) error {
 				cp.aggs[ai].bulk(&ts.pc, &ts.res.single.aggs[ai], &ts.b, startID)
 			}
 		default:
-			ts.accumulateGroups(startID)
+			ts.accumulateGroups(startID, n, i1-hi)
 		}
 	}
 	return nil
@@ -172,20 +172,6 @@ func (ts *taskState) probe() {
 
 // --- group-by path ---
 
-// u64Key is the allocation-free group key for plaintext u64 grouping
-// columns: the value and the inflation suffix (−1 when inflation is off),
-// both comparable, neither touching a string.
-type u64Key struct {
-	v      uint64
-	suffix int32
-}
-
-// strKey is the group key for Str columns and for inflated Bytes columns.
-type strKey struct {
-	s      string
-	suffix int32
-}
-
 // Dense direct-index sizing for u64 group keys. Every u64 grouper starts
 // with denseDefaultEntries slots of key×suffix coverage, so small dimension
 // domains (the SPLASHE shape §4.5 optimizes) index directly even without a
@@ -210,191 +196,141 @@ const (
 	radixMinTable = 1 << 15
 )
 
-// grouper locates the accumulator for each surviving row's group. Plaintext
-// u64 keys are slot-based: a key resolves — through a dense direct index
-// when it lies under the dense span, or an open-addressed robin table
-// otherwise — to a small slot number, and accumulation then runs per batch
-// over (selection, slot) pairs. When every aggregate is lane-eligible
-// (count/sum/sum-of-squares/ASHE-sum/min/max) the accumulators are flat
-// per-aggregate u64 lanes indexed by slot, so the group-by inner loop
-// touches two cache-dense arrays and calls nothing. Str and Bytes keys keep
-// kind-specialized maps: un-inflated byte keys probe a string-keyed map with
-// Go's allocation-free []byte-conversion lookup, paying one string
-// allocation per distinct group, not per row.
+// grouper locates the accumulator for each surviving row's group. Every key
+// kind is slot-based: a key resolves to a small slot number — u64 keys under
+// the dense span through a direct index, every other key (wider u64 values,
+// DET/OPE bytes, strings) through the shared open-addressed slotTable, whose
+// byte keys live in one per-task arena — and accumulation then runs per batch
+// over (selection, slot) pairs. When every aggregate is lane-eligible the
+// accumulators are flat per-aggregate u64 lanes indexed by slot (groupAcc),
+// so the group-by inner loop touches two cache-dense arrays and calls
+// nothing; otherwise each slot holds a generic partial.
 type grouper struct {
-	aggs    []Agg
-	kind    store.Kind
+	t   slotTable
+	acc groupAcc
+	ids []idChains // [aggregate]; the ASHE sums' identifier lists, lane mode
+
 	right   bool
 	inflate int
 	seed    uint64
 
-	// u64 slot machinery. keys maps slot → key; dense maps
-	// key*inflateN+suffix → slot+1 (0 = empty) for keys under denseKeys;
-	// table is the open-addressed fallback, indexed by the top bits of
-	// hashU64Key, holding slot+1.
+	// u64 dense index: dense maps key*inflateN+suffix → slot+1 (0 = empty)
+	// for keys under denseKeys. Unused (denseKeys 0) for other key kinds.
 	inflateN  uint64
 	denseKeys uint64
 	dense     []int32
-	table     []int32
-	shift     uint
-	tableUsed int
-	keys      []u64Key
 
-	// Accumulator storage, one of two modes: flat lanes (rowsLane plus one
-	// u64 lane per aggregate, id-lists alongside for ASHE) when every
-	// aggregate is lane-eligible, or generic per-slot partials otherwise.
-	lanes    bool
-	rowsLane []uint64
-	aggLanes [][]uint64
-	idLanes  [][]idlist.List
-	parts    []*partial
+	// prevSlots is the slot count after the previous batch, and sized records
+	// that reserveRest has made its one reservation.
+	prevSlots int
+	sized     bool
 
-	// Per-batch scratch, sized to batchRows once: resolved slot per
-	// survivor, and the hash path's pending positions/keys/hashes/probe
-	// order.
+	// Per-batch scratch, sized to batchRows once: the resolved slot per
+	// survivor, and for the rows the dense index did not resolve their
+	// position in the batch, key row, suffix and hash, plus the probe order.
 	slots  []int32
 	hpos   []int32
-	hkeys  []u64Key
+	hidx   []int32
+	hsfx   []int32
 	hh     []uint64
 	horder []int32
-
-	str   map[strKey]*partial
-	plain map[string]*partial // Bytes keys, inflation off
 }
 
+// init sizes the slot machinery: for u64 keys the dense index spans
+// min(KeyBound | default, cap/inflate) keys times the suffix domain; the
+// open-addressed table starts at 1 Ki entries; and the per-batch
+// scratch is allocated here once, so the steady-state batch loop allocates
+// nothing.
 func (g *grouper) init(cp *compiledPlan) {
-	g.aggs = cp.pl.Aggs
-	g.kind = groupColKind(cp)
 	g.right = cp.groupCol.isRight()
 	g.seed = cp.seed
+	g.inflateN = 1
 	if cp.pl.GroupBy.Inflate > 1 {
 		g.inflate = cp.pl.GroupBy.Inflate
-	}
-	switch {
-	case g.kind == store.U64:
-		g.initU64(cp)
-	case g.kind == store.Bytes && g.inflate == 0:
-		g.plain = make(map[string]*partial)
-	default:
-		g.str = make(map[strKey]*partial)
-	}
-}
-
-// initU64 sizes the slot machinery: the dense index spans
-// min(KeyBound | default, cap/inflate) keys times the suffix domain, the
-// open-addressed table starts at 1 Ki entries, and the per-batch scratch is
-// allocated here once so the steady-state batch loop allocates nothing.
-func (g *grouper) initU64(cp *compiledPlan) {
-	g.inflateN = 1
-	if g.inflate > 0 {
 		g.inflateN = uint64(g.inflate)
 	}
-	keys := uint64(denseDefaultEntries) / g.inflateN
-	if kb := cp.pl.GroupBy.KeyBound; kb > 0 {
-		keys = kb
+	kind := groupColKind(cp)
+	g.t.init(kind, g.inflate > 0, 0)
+	g.acc.init(cp.pl)
+	if g.acc.lanes {
+		g.ids = make([]idChains, len(cp.pl.Aggs))
 	}
-	if max := uint64(denseMaxEntries) / g.inflateN; keys > max {
-		keys = max
-	}
-	g.denseKeys = keys
-	g.dense = make([]int32, keys*g.inflateN)
-	g.table = make([]int32, 1<<10)
-	g.shift = 64 - 10
-	g.lanes = true
-	for _, a := range g.aggs {
-		switch a.Kind {
-		case AggCount, AggPlainSum, AggPlainSumSq, AggAsheSum, AggPlainMin, AggPlainMax:
-		default:
-			g.lanes = false
+	if kind == store.U64 {
+		keys := uint64(denseDefaultEntries) / g.inflateN
+		if kb := cp.pl.GroupBy.KeyBound; kb > 0 {
+			keys = kb
 		}
-	}
-	if g.lanes {
-		g.aggLanes = make([][]uint64, len(g.aggs))
-		g.idLanes = make([][]idlist.List, len(g.aggs))
+		if max := uint64(denseMaxEntries) / g.inflateN; keys > max {
+			keys = max
+		}
+		g.denseKeys = keys
+		g.dense = make([]int32, keys*g.inflateN)
 	}
 	g.slots = make([]int32, batchRows)
 	g.hpos = make([]int32, batchRows)
-	g.hkeys = make([]u64Key, batchRows)
+	g.hidx = make([]int32, batchRows)
+	g.hsfx = make([]int32, batchRows)
 	g.hh = make([]uint64, batchRows)
 	g.horder = make([]int32, batchRows)
 }
 
-// hashU64Key hashes a u64 group key for the open-addressed table and mixes
-// the inflation suffix so equal values with different suffixes land apart.
-func hashU64Key(k u64Key) uint64 {
-	return splitmix64(k.v ^ uint64(uint32(k.suffix))*0x9e3779b97f4a7c15)
-}
+// reserveMinSlots is the slot count at which a grouper stops doubling its
+// vectors and sizes them for the rest of its task in one step.
+const reserveMinSlots = 1 << 8
 
-// newSlot appends a slot for key and returns its index, growing whichever
-// accumulator storage the grouper runs in.
-func (g *grouper) newSlot(key u64Key) int32 {
-	s := int32(len(g.keys))
-	g.keys = append(g.keys, key)
-	if !g.lanes {
-		g.parts = append(g.parts, newPartial(g.aggs))
-		return s
+// reserveRest sizes the slot vectors, once, for the groups the rest of the
+// task will add. It runs after every batch of batch rows, left of which
+// remain: once the grouper holds reserveMinSlots slots it is on a wide key,
+// so instead of doubling a dozen vectors to megabytes it reserves for new keys
+// continuing to arrive at the rate of the batch just finished (a dense key
+// that filled its slots early adds none, and reserves nothing). A wrong guess
+// costs only the doubling it replaces.
+func (g *grouper) reserveRest(batch, left int) {
+	n, prev := g.t.len(), g.prevSlots
+	g.prevSlots = n
+	if g.sized || prev < reserveMinSlots {
+		return
 	}
-	g.rowsLane = append(g.rowsLane, 0)
-	for ai := range g.aggs {
-		init := uint64(0)
-		if g.aggs[ai].Kind == AggPlainMin {
-			init = ^uint64(0)
-		}
-		g.aggLanes[ai] = append(g.aggLanes[ai], init)
-		if g.aggs[ai].Kind == AggAsheSum {
-			g.idLanes[ai] = append(g.idLanes[ai], idlist.List{})
-		}
+	g.sized = true
+	more := min((n-prev)*left/batch, left)
+	if more == 0 {
+		return
 	}
-	return s
-}
-
-// probeSlot resolves key to its slot through the open-addressed table,
-// inserting a fresh slot on first sight. Linear probing from the hash's
-// high bits; the table doubles at half load.
-func (g *grouper) probeSlot(key u64Key, h uint64) int32 {
-	if g.tableUsed*2 >= len(g.table) {
-		g.growTable()
-	}
-	mask := uint64(len(g.table) - 1)
-	idx := h >> g.shift
-	for {
-		s := g.table[idx]
-		if s == 0 {
-			s = g.newSlot(key) + 1
-			g.table[idx] = s
-			g.tableUsed++
-			return s - 1
+	more += more / 16
+	g.t.reserve(more, g.t.keyLen())
+	g.acc.reserve(more)
+	for ai := range g.ids {
+		if c := &g.ids[ai]; len(c.slots) > 0 {
+			c.nodes = room(c.nodes, len(c.nodes)*more/len(c.slots)) // as many ranges a slot as so far
+			c.slots = room(c.slots, more)
 		}
-		if g.keys[s-1] == key {
-			return s - 1
-		}
-		idx = (idx + 1) & mask
 	}
 }
 
-// growTable doubles the open-addressed table and reinserts every resident
-// slot at its new high-bits position.
-func (g *grouper) growTable() {
-	old := g.table
-	g.table = make([]int32, len(old)*2)
-	g.shift--
-	mask := uint64(len(g.table) - 1)
-	for _, s := range old {
-		if s == 0 {
-			continue
+// addSlot grows the accumulators, and the identifier lists beside them, by
+// the slot the table has just added.
+func (g *grouper) addSlot() {
+	g.acc.addSlot()
+	for ai := range g.ids {
+		if g.acc.aggs[ai].Kind == AggAsheSum {
+			g.ids[ai].addSlot()
 		}
-		idx := hashU64Key(g.keys[s-1]) >> g.shift
-		for g.table[idx] != 0 {
-			idx = (idx + 1) & mask
-		}
-		g.table[idx] = s
 	}
+}
+
+// suffix is the inflation suffix of the row with identifier rowID (−1 when
+// inflation is off): the reference evaluator's per-row assignment.
+func (g *grouper) suffix(rowID uint64) int32 {
+	if g.inflate == 0 {
+		return -1
+	}
+	return int32(splitmix64(g.seed^rowID^0xa5a5) % uint64(g.inflate))
 }
 
 // groupSlots resolves each survivor's group key to a slot in g.slots,
-// parallel to the selection vector. Keys under the dense span index
-// directly; the rest are hashed, radix-partitioned by hash prefix when the
-// table is large, and probed in prefix order so table accesses burst
+// parallel to the selection vector. u64 keys under the dense span index
+// directly; every other key is hashed, radix-partitioned by hash prefix when
+// the table is large, and probed in prefix order so table accesses burst
 // through one cache-resident region at a time. Only the probe order is
 // permuted — the slot vector stays in selection order, so accumulation
 // (and with it id-list append order and min/max tie-breaking) is identical
@@ -402,43 +338,22 @@ func (g *grouper) growTable() {
 func (ts *taskState) groupSlots(startID uint64) {
 	g := &ts.g
 	col := ts.pc.group
-	sel := ts.b.sel
-	slots := g.slots[:len(sel)]
-	miss := 0
-	for k, i := range sel {
-		idx := i
-		if g.right {
-			idx = ts.b.joinAt(k)
-		}
-		v := col.U64[idx]
-		sfx := int32(-1)
-		dk := v * g.inflateN
-		if g.inflate > 0 {
-			sfx = int32(splitmix64(g.seed^(startID+uint64(i))^0xa5a5) % uint64(g.inflate))
-			dk += uint64(sfx)
-		}
-		if v < g.denseKeys {
-			s := g.dense[dk]
-			if s == 0 {
-				s = g.newSlot(u64Key{v: v, suffix: sfx}) + 1
-				g.dense[dk] = s
-			}
-			slots[k] = s - 1
-			continue
-		}
-		key := u64Key{v: v, suffix: sfx}
-		g.hpos[miss] = int32(k)
-		g.hkeys[miss] = key
-		g.hh[miss] = hashU64Key(key)
-		miss++
+	var miss int
+	switch col.Kind {
+	case store.U64:
+		miss = ts.hashU64Keys(startID)
+	case store.Bytes:
+		miss = hashKeys(ts, col.Bytes, startID)
+	default:
+		miss = hashKeys(ts, col.Str, startID)
 	}
-	ts.res.ops.GroupDense += uint64(len(sel) - miss)
+	ts.res.ops.GroupDense += uint64(len(ts.b.sel) - miss)
 	ts.res.ops.GroupHash += uint64(miss)
 	if miss == 0 {
 		return
 	}
 	order := g.horder[:miss]
-	if len(g.table) >= radixMinTable && miss >= radixBuckets {
+	if len(g.t.table) >= radixMinTable && miss >= radixBuckets {
 		ts.res.ops.RadixBatches++
 		var count [radixBuckets + 1]int32
 		for m := 0; m < miss; m++ {
@@ -457,8 +372,85 @@ func (ts *taskState) groupSlots(startID uint64) {
 			order[m] = int32(m)
 		}
 	}
+	switch col.Kind {
+	case store.U64:
+		for _, m := range order {
+			s, fresh := g.t.slotU64(col.U64[g.hidx[m]], g.hsfx[m], g.hh[m])
+			if fresh {
+				g.addSlot()
+			}
+			g.slots[g.hpos[m]] = s
+		}
+	case store.Bytes:
+		probeKeys(g, col.Bytes, order)
+	default:
+		probeKeys(g, col.Str, order)
+	}
+}
+
+// hashU64Keys is groupSlots' first pass for u64 keys: keys under the dense
+// span resolve on the spot, the rest are hashed into the pending vectors. It
+// returns the number pending.
+func (ts *taskState) hashU64Keys(startID uint64) (miss int) {
+	g := &ts.g
+	col := ts.pc.group.U64
+	sel := ts.b.sel
+	slots := g.slots[:len(sel)]
+	dense, denseKeys, inflateN := g.dense, g.denseKeys, g.inflateN
+	for k, i := range sel {
+		idx := i
+		if g.right {
+			idx = ts.b.joinAt(k)
+		}
+		v := col[idx]
+		sfx := g.suffix(startID + uint64(i))
+		if v < denseKeys {
+			dk := v * inflateN
+			if sfx > 0 {
+				dk += uint64(sfx)
+			}
+			s := dense[dk]
+			if s == 0 {
+				g.t.appendU64(v, sfx)
+				g.addSlot()
+				s = int32(g.t.len())
+				dense[dk] = s
+			}
+			slots[k] = s - 1
+			continue
+		}
+		g.hpos[miss], g.hidx[miss], g.hsfx[miss] = int32(k), idx, sfx
+		g.hh[miss] = hashU64(v, sfx)
+		miss++
+	}
+	return miss
+}
+
+// hashKeys is groupSlots' first pass for byte and string keys: every survivor
+// is hashed into the pending vectors.
+func hashKeys[T ~string | ~[]byte](ts *taskState, col []T, startID uint64) int {
+	g := &ts.g
+	for k, i := range ts.b.sel {
+		idx := i
+		if g.right {
+			idx = ts.b.joinAt(k)
+		}
+		sfx := g.suffix(startID + uint64(i))
+		g.hpos[k], g.hidx[k], g.hsfx[k] = int32(k), idx, sfx
+		g.hh[k] = hashKey(col[idx], sfx)
+	}
+	return len(ts.b.sel)
+}
+
+// probeKeys is groupSlots' last pass for byte and string keys: probe the
+// pending rows in the given order.
+func probeKeys[T ~string | ~[]byte](g *grouper, col []T, order []int32) {
 	for _, m := range order {
-		slots[g.hpos[m]] = g.probeSlot(g.hkeys[m], g.hh[m])
+		s, fresh := slotKeyed(&g.t, col[g.hidx[m]], g.hsfx[m], g.hh[m])
+		if fresh {
+			g.addSlot()
+		}
+		g.slots[g.hpos[m]] = s
 	}
 }
 
@@ -470,129 +462,58 @@ func groupColKind(cp *compiledPlan) store.Kind {
 }
 
 // accumulateGroups folds the batch's survivors into their group
-// accumulators. u64 keys take the two-phase slot path: resolve slots
-// (groupSlots), then accumulate over (selection, slot) pairs — lane loops
-// when every aggregate is lane-eligible (accumulateLanes, kernel.go), the
-// compiled row kernels against per-slot partials otherwise. Str/Bytes keys
-// keep the per-row map probe, whose string hashing dominates anyway.
-func (ts *taskState) accumulateGroups(startID uint64) {
-	g := &ts.g
-	if g.kind == store.U64 {
-		ts.groupSlots(startID)
-		if g.lanes {
-			ts.accumulateLanes(startID)
-		} else {
-			ts.accumulateSlots(startID)
-		}
-		return
+// accumulators in two phases: resolve slots (groupSlots), then accumulate
+// over (selection, slot) pairs — lane loops when every aggregate is
+// lane-eligible (accumulateLanes, kernel.go), the compiled row kernels
+// against per-slot partials otherwise. The batch scanned batch rows and left
+// rows remain, which is what reserveRest sizes by.
+func (ts *taskState) accumulateGroups(startID uint64, batch, left int) {
+	ts.groupSlots(startID)
+	if ts.g.acc.lanes {
+		ts.accumulateLanes(startID)
+	} else {
+		ts.accumulateSlots(startID)
 	}
-	col := ts.pc.group
-	for k, i := range ts.b.sel {
-		j := ts.b.joinAt(k)
-		idx := i
-		if g.right {
-			idx = j
-		}
-		rowID := startID + uint64(i)
-		suffix := int32(-1)
-		if g.inflate > 0 {
-			suffix = int32(splitmix64(g.seed^rowID^0xa5a5) % uint64(g.inflate))
-		}
-
-		var p *partial
-		switch {
-		case g.plain != nil:
-			p = g.plain[string(col.Bytes[idx])]
-			if p == nil {
-				p = newPartial(g.aggs)
-				g.plain[string(col.Bytes[idx])] = p
-			}
-		default:
-			key := strKey{suffix: suffix}
-			if g.kind == store.Bytes {
-				key.s = string(col.Bytes[idx])
-			} else {
-				key.s = col.Str[idx]
-			}
-			p = g.str[key]
-			if p == nil {
-				p = newPartial(g.aggs)
-				g.str[key] = p
-			}
-		}
-
-		p.rows++
-		for ai := range ts.cp.aggs {
-			ts.cp.aggs[ai].row(&ts.pc, &p.aggs[ai], i, j, rowID)
-		}
-	}
+	ts.g.reserveRest(batch, left)
 }
 
-// accumulateSlots is the generic u64 accumulation path: per-slot partials
-// fed through the compiled row kernels, for aggregate mixes (Paillier, OPE,
+// accumulateSlots is the generic accumulation path: per-slot partials fed
+// through the compiled row kernels, for aggregate mixes (Paillier, OPE,
 // medians) the flat lanes cannot represent.
 func (ts *taskState) accumulateSlots(startID uint64) {
 	g := &ts.g
 	sel := ts.b.sel
 	slots := g.slots[:len(sel)]
+	parts, rows := g.acc.parts, g.acc.rows
 	for _, s := range slots {
-		g.parts[s].rows++
+		rows[s]++
 	}
 	for ai := range ts.cp.aggs {
 		row := ts.cp.aggs[ai].row
 		for k, i := range sel {
-			row(&ts.pc, &g.parts[slots[k]].aggs[ai], i, ts.b.joinAt(k), startID+uint64(i))
+			row(&ts.pc, &parts[slots[k]].aggs[ai], i, ts.b.joinAt(k), startID+uint64(i))
 		}
 	}
 }
 
-// slotPartial materializes slot s's accumulator as a partial: the partial
-// itself in generic mode, or one assembled from the flat lanes. Called at
-// fold time, once per group per task.
-func (g *grouper) slotPartial(s int) *partial {
-	if !g.lanes {
-		return g.parts[s]
-	}
-	p := &partial{rows: g.rowsLane[s], aggs: make([]aggState, len(g.aggs))}
-	for ai := range g.aggs {
-		st := &p.aggs[ai]
-		st.kind = g.aggs[ai].Kind
-		st.u64 = g.aggLanes[ai][s]
-		switch st.kind {
-		case AggAsheSum:
-			st.ids = g.idLanes[ai][s]
-		case AggPlainMin, AggPlainMax:
-			// A slot exists only because a row hit it, and every group-by row
-			// contributes its aggregate value, so the extreme was seen.
-			st.seen = true
-		}
-	}
-	return p
-}
-
-// fold converts the grouper's slots and typed maps into the map-stage
-// output contract: reducer-bucketed (key, partial) pairs, which the shuffle
-// concatenates per bucket without re-hashing (run.go).
-func (g *grouper) fold(res *mapResult, buckets int) {
-	res.ops.GroupSlots += uint64(len(g.keys) + len(g.str) + len(g.plain))
-	if n := uint64(len(g.table)); g.kind == store.U64 && n > res.ops.GroupTableLen {
+// fold hands the task's groups to the shuffle as they are — the key arena,
+// the lanes and the chained identifier lists, not a heap object per group —
+// partitioned by reducer and priced as shuffle traffic.
+func (g *grouper) fold(res *mapResult, pl *Plan, codec idlist.Codec, buckets int) error {
+	res.ops.GroupSlots += uint64(g.t.len())
+	if n := uint64(len(g.t.table)); n > res.ops.GroupTableLen {
 		res.ops.GroupTableLen = n
 	}
-	res.groups = make([][]keyedPartial, buckets)
-	add := func(k groupKey, p *partial) {
-		b := reducerBucket(k, buckets)
-		res.groups[b] = append(res.groups[b], keyedPartial{key: k, p: p})
+	tg := &taskGroups{keys: g.t.groupKeys, rows: g.acc.rows, vals: g.acc.vals, parts: g.acc.parts}
+	if g.acc.lanes {
+		tg.ids = make([]idLists, len(g.ids))
+		for ai := range g.ids {
+			tg.ids[ai].chains = &g.ids[ai]
+		}
 	}
-	for s := range g.keys {
-		k := g.keys[s]
-		add(groupKey{kind: store.U64, u64: k.v, suffix: int(k.suffix)}, g.slotPartial(s))
-	}
-	for k, p := range g.str {
-		add(groupKey{kind: g.kind, str: k.s, suffix: int(k.suffix)}, p)
-	}
-	for s, p := range g.plain {
-		add(groupKey{kind: store.Bytes, str: s, suffix: -1}, p)
-	}
+	tg.partition(buckets)
+	res.groups = tg
+	return tg.sizeShuffle(pl, codec)
 }
 
 // --- scan path ---
@@ -687,26 +608,20 @@ func (cp *compiledPlan) runMapTask(ctx context.Context, c *Cluster, part *store.
 		return nil, err
 	}
 	if cp.pl.GroupBy != nil && len(cp.pl.Project) == 0 {
-		ts.g.fold(ts.res, c.cfg.Workers)
-	}
-
-	// Worker-side compression of ASHE identifier lists (§4.5): encode here,
-	// inside the measured task, unless the ablation moved it to the driver.
-	if !cp.pl.CompressAtDriver {
-		if ts.res.single != nil {
-			if err := encodePartialIDs(ts.res.single, cp.codec); err != nil {
-				return nil, err
-			}
+		// Worker-side compression of ASHE identifier lists (§4.5) is priced
+		// here, inside the measured task, unless the ablation moved it to the
+		// driver.
+		if err := ts.g.fold(ts.res, cp.pl, cp.codec, c.cfg.Workers); err != nil {
+			return nil, err
 		}
-		for _, kps := range ts.res.groups {
-			for _, kp := range kps {
-				if err := encodePartialIDs(kp.p, cp.codec); err != nil {
-					return nil, err
-				}
-			}
+	}
+	if ts.res.single != nil && !cp.pl.CompressAtDriver {
+		var scratch []byte
+		if err := encodePartialIDs(ts.res.single, cp.codec, &scratch); err != nil {
+			return nil, err
 		}
 	}
 	ts.res.elapsed = time.Since(start)
-	ts.res.bytes = cp.pl.partialBytes(ts.res, cp.codec)
+	ts.res.bytes = cp.pl.partialBytes(ts.res)
 	return ts.res, nil
 }

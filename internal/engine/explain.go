@@ -78,12 +78,15 @@ func (pl *Plan) GroupKeyKind() (kind store.Kind, ok bool) {
 }
 
 // GroupPath predicts which grouping path the executor will take for this
-// plan, using the same sizing rules as the grouper: plaintext u64 keys get a
-// dense direct index over min(KeyBound or the default span, the dense cap)
-// keys times the inflation-suffix domain with an open-addressed hash fallback
-// (radix-partitioned once the table outgrows radixMinTable), un-inflated byte
-// keys a bytes-keyed map, and everything else a string-keyed map. Empty when
-// the plan has no GROUP BY.
+// plan, using the same sizing rules as the grouper. Every key kind resolves to
+// slots: plaintext u64 keys get a dense direct index over min(KeyBound or the
+// default span, the dense cap) keys times the inflation-suffix domain, with
+// the open-addressed slot table as the fallback; byte keys (DET ciphertexts)
+// and string keys intern into the same table, key bytes in a per-task arena.
+// Table probes are radix-partitioned once the table outgrows radixMinTable.
+// The suffix says how the slots accumulate: flat lanes when every aggregate
+// is lane-eligible, a generic partial per slot otherwise. Empty when the plan
+// has no GROUP BY.
 func (pl *Plan) GroupPath() string {
 	gb := pl.GroupBy
 	if gb == nil {
@@ -97,8 +100,11 @@ func (pl *Plan) GroupPath() string {
 	if gb.Inflate > 1 {
 		inflateN = uint64(gb.Inflate)
 	}
-	switch kind {
-	case store.U64:
+	acc := "flat lanes"
+	if !pl.groupLanes() {
+		acc = "per-slot partials"
+	}
+	if kind == store.U64 {
 		keys := uint64(denseDefaultEntries) / inflateN
 		bounded := ""
 		if gb.KeyBound > 0 {
@@ -108,15 +114,15 @@ func (pl *Plan) GroupPath() string {
 		if max := uint64(denseMaxEntries) / inflateN; keys > max {
 			keys = max
 		}
-		return fmt.Sprintf("dense direct-index (%d keys × %d suffixes%s), hash fallback radix-partitioned ≥ %d slots",
-			keys, inflateN, bounded, radixMinTable)
-	case store.Bytes:
-		if inflateN == 1 {
-			return "bytes-keyed map"
-		}
-		return "string-keyed map (inflated byte keys)"
+		return fmt.Sprintf("dense direct-index (%d keys × %d suffixes%s), hash fallback radix-partitioned ≥ %d slots, %s",
+			keys, inflateN, bounded, radixMinTable, acc)
 	}
-	return "string-keyed map"
+	keyed := "byte"
+	if kind == store.Str {
+		keyed = "string"
+	}
+	return fmt.Sprintf("open-addressed slot table (%s keys in a per-task arena), radix-partitioned ≥ %d slots, %s",
+		keyed, radixMinTable, acc)
 }
 
 // JoinIndexKind names the hash index the broadcast join builds over the right

@@ -1,0 +1,1036 @@
+package engine
+
+import (
+	"bytes"
+	"cmp"
+	"fmt"
+	"slices"
+
+	"seabed/internal/idlist"
+	"seabed/internal/store"
+)
+
+// This file holds the group-by machinery every stage shares. A group is a
+// slot: slotTable interns group keys of any kind (u64, DET/OPE bytes, strings,
+// each with an optional inflation suffix) into dense slot numbers, and
+// groupAcc keeps the per-slot accumulators as flat lanes — one []uint64 per
+// aggregate plus arena-chained identifier lists — or, for aggregate mixes the
+// lanes cannot represent (Paillier, OPE extremes, medians), as one partial per
+// slot. The map-side grouper (batch.go) fills a table per task; the task's
+// lanes travel to the reducer as they are (taskGroups); reduceGroups and
+// MergeResults fold inputs of that one form through groupMerger; and only
+// materializeGroups, the last step, builds the public []Group.
+
+// laneKind reports whether an aggregate accumulates in a flat u64 lane.
+func laneKind(k AggKind) bool {
+	switch k {
+	case AggCount, AggPlainSum, AggPlainSumSq, AggAsheSum, AggPlainMin, AggPlainMax:
+		return true
+	}
+	return false
+}
+
+// groupLanes reports whether the plan's groups accumulate in flat lanes: a
+// group-by whose every aggregate is lane-eligible. Every stage derives the
+// choice from the plan alone, so a task's output always has the form its
+// reducer expects. Ungrouped plans keep partials: their single group may have
+// selected no rows, a state lanes do not represent.
+func (pl *Plan) groupLanes() bool {
+	if pl.GroupBy == nil {
+		return false
+	}
+	for _, a := range pl.Aggs {
+		if !laneKind(a.Kind) {
+			return false
+		}
+	}
+	return true
+}
+
+// room returns s with capacity for n more elements, doubling when it must
+// grow. The group-by vectors reach megabytes one element at a time; append's
+// own policy for large slices (about 1.25×) would re-copy them several times
+// over.
+func room[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	out := make([]T, len(s), max(2*cap(s), len(s)+n, 64))
+	copy(out, s)
+	return out
+}
+
+// --- keys and the slot table ---
+
+// groupKeys stores one key per slot, a flat vector per component: the value
+// itself for u64 keys, a span of one shared byte arena for byte and string
+// keys, and the inflation suffix when the plan inflates groups.
+type groupKeys struct {
+	kind     store.Kind
+	inflated bool
+	u64      []uint64 // store.U64: the key per slot
+	off      []int    // other kinds: key s is arena[off[s]:off[s+1]]
+	arena    []byte
+	sfx      []int32 // inflation suffix per slot; unused (suffix −1) unless inflated
+}
+
+func (k *groupKeys) init(kind store.Kind, inflated bool) {
+	*k = groupKeys{kind: kind, inflated: inflated}
+	if kind != store.U64 {
+		k.off = []int{0}
+	}
+}
+
+func (k *groupKeys) len() int {
+	if k.kind == store.U64 {
+		return len(k.u64)
+	}
+	return len(k.off) - 1
+}
+
+// bytesAt returns slot s's byte or string key, aliasing the arena.
+func (k *groupKeys) bytesAt(s int) []byte {
+	return k.arena[k.off[s]:k.off[s+1]:k.off[s+1]]
+}
+
+func (k *groupKeys) suffixAt(s int) int32 {
+	if !k.inflated {
+		return -1
+	}
+	return k.sfx[s]
+}
+
+// keyLen returns the mean length of the byte or string keys held, rounded up.
+func (k *groupKeys) keyLen() int {
+	n := k.len()
+	if n == 0 {
+		return 0
+	}
+	return (len(k.arena) + n - 1) / n
+}
+
+// reserve makes room for n more keys of about keyLen bytes each.
+func (k *groupKeys) reserve(n, keyLen int) {
+	if k.kind == store.U64 {
+		k.u64 = room(k.u64, n)
+	} else {
+		k.off = room(k.off, n)
+		k.arena = room(k.arena, n*keyLen)
+	}
+	if k.inflated {
+		k.sfx = room(k.sfx, n)
+	}
+}
+
+func (k *groupKeys) appendU64(v uint64, sfx int32) {
+	k.u64 = append(room(k.u64, 1), v)
+	if k.inflated {
+		k.sfx = append(room(k.sfx, 1), sfx)
+	}
+}
+
+func appendKey[T ~string | ~[]byte](k *groupKeys, key T, sfx int32) {
+	k.arena = append(room(k.arena, len(key)), key...)
+	k.off = append(room(k.off, 1), len(k.arena))
+	if k.inflated {
+		k.sfx = append(room(k.sfx, 1), sfx)
+	}
+}
+
+// hashU64 hashes a u64 group key for the slot table, mixing the inflation
+// suffix so equal values with different suffixes land apart.
+func hashU64(v uint64, sfx int32) uint64 {
+	return splitmix64(v ^ uint64(uint32(sfx))*0x9e3779b97f4a7c15)
+}
+
+// hashKey hashes a byte or string group key eight bytes at a time — DET
+// ciphertexts are two words — with the suffix and length mixed in.
+func hashKey[T ~string | ~[]byte](k T, sfx int32) uint64 {
+	h := uint64(len(k)) ^ uint64(uint32(sfx))*0x9e3779b97f4a7c15
+	i := 0
+	for ; i+8 <= len(k); i += 8 {
+		w := uint64(k[i]) | uint64(k[i+1])<<8 | uint64(k[i+2])<<16 | uint64(k[i+3])<<24 |
+			uint64(k[i+4])<<32 | uint64(k[i+5])<<40 | uint64(k[i+6])<<48 | uint64(k[i+7])<<56
+		h = (h ^ w) * 0xbf58476d1ce4e5b9
+		h ^= h >> 29
+	}
+	for ; i < len(k); i++ {
+		h = (h ^ uint64(k[i])) * 0x100000001b3
+	}
+	return splitmix64(h)
+}
+
+// slotTable interns group keys into slots: an open-addressed, linear-probing
+// table indexed by the hash's high bits and holding slot+1 (0 = empty), over
+// the groupKeys that map each slot back to its key. It doubles at half load;
+// used counts its entries, which a grouper's dense-indexed slots are not among.
+// Byte and string keys also keep their hash per slot, so probes reject on one
+// word before comparing bytes and growth never re-reads the arena.
+type slotTable struct {
+	groupKeys
+	hash  []uint64
+	table []int32
+	shift uint
+	used  int
+}
+
+// init readies a table expected to hold about expect keys (1 Ki entries at
+// least).
+func (t *slotTable) init(kind store.Kind, inflated bool, expect int) {
+	t.groupKeys.init(kind, inflated)
+	bits := uint(10)
+	for 1<<bits < 2*expect {
+		bits++
+	}
+	t.table = make([]int32, 1<<bits)
+	t.shift = 64 - bits
+}
+
+// reserve makes room for n more slots with keys of about keyLen bytes each.
+func (t *slotTable) reserve(n, keyLen int) {
+	t.groupKeys.reserve(n, keyLen)
+	if t.kind != store.U64 {
+		t.hash = room(t.hash, n)
+	}
+}
+
+// slotU64 resolves a u64 key to its slot, adding one on first sight; fresh
+// tells the caller to grow its per-slot state.
+func (t *slotTable) slotU64(v uint64, sfx int32, h uint64) (s int32, fresh bool) {
+	if t.used*2 >= len(t.table) {
+		t.grow()
+	}
+	mask := uint64(len(t.table) - 1)
+	for idx := h >> t.shift; ; idx = (idx + 1) & mask {
+		s := t.table[idx]
+		if s == 0 {
+			t.appendU64(v, sfx)
+			t.used++
+			t.table[idx] = int32(len(t.u64))
+			return int32(len(t.u64) - 1), true
+		}
+		if t.u64[s-1] == v && t.suffixAt(int(s-1)) == sfx {
+			return s - 1, false
+		}
+	}
+}
+
+// slotKeyed is slotU64 for byte and string keys: a first sight copies the key
+// into the arena.
+func slotKeyed[T ~string | ~[]byte](t *slotTable, key T, sfx int32, h uint64) (s int32, fresh bool) {
+	if t.used*2 >= len(t.table) {
+		t.grow()
+	}
+	mask := uint64(len(t.table) - 1)
+	for idx := h >> t.shift; ; idx = (idx + 1) & mask {
+		s := t.table[idx]
+		if s == 0 {
+			appendKey(&t.groupKeys, key, sfx)
+			t.hash = append(room(t.hash, 1), h)
+			t.used++
+			t.table[idx] = int32(len(t.hash))
+			return int32(len(t.hash) - 1), true
+		}
+		if t.hash[s-1] == h && string(t.bytesAt(int(s-1))) == string(key) && t.suffixAt(int(s-1)) == sfx {
+			return s - 1, false
+		}
+	}
+}
+
+// grow doubles the table and reinserts every resident slot at its new
+// high-bits position.
+func (t *slotTable) grow() {
+	old := t.table
+	t.table = make([]int32, len(old)*2)
+	t.shift--
+	mask := uint64(len(t.table) - 1)
+	for _, s := range old {
+		if s == 0 {
+			continue
+		}
+		var h uint64
+		if t.kind == store.U64 {
+			h = hashU64(t.u64[s-1], t.suffixAt(int(s-1)))
+		} else {
+			h = t.hash[s-1]
+		}
+		idx := h >> t.shift
+		for t.table[idx] != 0 {
+			idx = (idx + 1) & mask
+		}
+		t.table[idx] = s
+	}
+}
+
+// reducerBucket deterministically assigns slot s's key to one of n reducer
+// buckets. Both executors and every shard must agree on the assignment, so it
+// hashes only the key's value material (splitmix64 over u64 keys, FNV-1a over
+// string/byte keys, the inflation suffix mixed in) and never a table's layout.
+func (k *groupKeys) reducerBucket(s, n int) int {
+	if n <= 1 {
+		return 0
+	}
+	h := splitmix64(uint64(int64(k.suffixAt(s))) ^ 0x5eabed)
+	if k.kind == store.U64 {
+		h = splitmix64(h ^ k.u64[s])
+	} else {
+		f := uint64(14695981039346656037)
+		for _, c := range k.bytesAt(s) {
+			f = (f ^ uint64(c)) * 1099511628211
+		}
+		h = splitmix64(h ^ f)
+	}
+	return int(h % uint64(n))
+}
+
+// --- identifier-list lanes ---
+
+// idChains holds one ASHE aggregate's identifier list for every slot of a
+// map task's table. The lists grow a row at a time, interleaved, so a slot's
+// ranges are a linked run of nodes in one shared arena: no list ever
+// allocates on its own.
+type idChains struct {
+	nodes []idNode
+	slots []idSlot
+}
+
+type idNode struct {
+	lo, hi uint64
+	next   int32
+}
+
+// idSlot is one slot's list: its chain, its range count, and its identifier
+// count n (with multiplicity, as idlist.List keeps it).
+type idSlot struct {
+	n          uint64
+	head, tail int32
+	count      int32
+}
+
+func (c *idChains) addSlot() {
+	c.slots = append(room(c.slots, 1), idSlot{head: -1, tail: -1})
+}
+
+// appendID adds one row identifier to slot s, as List.Append does: it extends
+// the last range when it abuts it, and is a range of its own otherwise.
+func (c *idChains) appendID(s int32, id uint64) {
+	sl := &c.slots[s]
+	sl.n++
+	if sl.tail >= 0 {
+		if t := &c.nodes[sl.tail]; id == t.hi+1 && t.hi != ^uint64(0) {
+			t.hi = id
+			return
+		}
+	}
+	at := int32(len(c.nodes))
+	c.nodes = append(room(c.nodes, 1), idNode{lo: id, hi: id, next: -1})
+	if sl.tail < 0 {
+		sl.head = at
+	} else {
+		c.nodes[sl.tail].next = at
+	}
+	sl.tail = at
+	sl.count++
+}
+
+// appendRanges appends slot s's ranges to dst in list order.
+func (c *idChains) appendRanges(dst []idlist.Range, s int) []idlist.Range {
+	for at := c.slots[s].head; at >= 0; at = c.nodes[at].next {
+		dst = append(dst, idlist.Range{Lo: c.nodes[at].lo, Hi: c.nodes[at].hi})
+	}
+	return dst
+}
+
+// idRuns holds one ASHE aggregate's identifier list for every slot of a
+// merge. A merge knows, before it folds, how many ranges each slot's inputs
+// hold between them — a bound no union exceeds — so every slot owns a region
+// of one block, lists grow in place, and the finished lists are views of the
+// block: nothing is copied out.
+type idRuns struct {
+	ranges []idlist.Range
+	slots  []idRun
+}
+
+// idRun is one slot's list: ranges[start:start+len], room to start+size, and
+// its identifier count n (with multiplicity, as idlist.List keeps it). ragged
+// marks a list that is not both sorted by Lo and free of abutting neighbours;
+// merge takes its general path on such a list.
+type idRun struct {
+	n                uint64
+	start, len, size int32
+	ragged           bool
+}
+
+// layout fixes every slot's region from the sizes counted into slots.
+func (r *idRuns) layout() {
+	at := int32(0)
+	for s := range r.slots {
+		r.slots[s].start = at
+		at += r.slots[s].size
+	}
+	r.ranges = make([]idlist.Range, at)
+}
+
+// list returns slot s's list, aliasing the block.
+func (r *idRuns) list(s int) idlist.List {
+	sl := &r.slots[s]
+	return idlist.View(r.ranges[sl.start : sl.start+sl.len])
+}
+
+// set replaces the slot's list with rs, verbatim: List.Clone.
+func (r *idRuns) set(sl *idRun, rs []idlist.Range, n uint64) {
+	sl.n, sl.ragged = n, false
+	sl.len = int32(copy(r.ranges[sl.start:sl.start+sl.size], rs))
+	for i := 1; i < len(rs); i++ {
+		if rs[i].Lo < rs[i-1].Lo || (rs[i].Lo == rs[i-1].Hi+1 && rs[i-1].Hi != ^uint64(0)) {
+			sl.ragged = true
+		}
+	}
+}
+
+// merge unions src into slot s with exactly List.Merge's outcome. Map tasks
+// and shards hold ascending, disjoint identifier runs, so nearly every merge
+// finds src starting at or after the slot's last range — the Lo-ordered merge
+// then emits the slot's ranges unchanged followed by src's, which is an append
+// (each range extending the last when it abuts it). Interleaved inputs
+// (appended batches) take the general merge through scratch.
+func (r *idRuns) merge(s int32, src idlist.List, scratch *[]idlist.Range) {
+	if src.Empty() {
+		return
+	}
+	sl := &r.slots[s]
+	rs := src.Ranges()
+	run := r.ranges[sl.start : sl.start+sl.len : sl.start+sl.size]
+	switch {
+	case sl.n == 0:
+		r.set(sl, rs, src.Len())
+	case !sl.ragged && run[len(run)-1].Lo <= rs[0].Lo:
+		for _, next := range rs {
+			last := &run[len(run)-1]
+			if next.Lo == last.Hi+1 && last.Hi != ^uint64(0) {
+				last.Hi = next.Hi
+				continue
+			}
+			if next.Lo < last.Lo {
+				sl.ragged = true
+			}
+			run = append(run, next)
+		}
+		sl.len = int32(len(run))
+		sl.n += src.Len()
+	default:
+		*scratch = idlist.MergeRanges((*scratch)[:0], run, rs)
+		r.set(sl, *scratch, sl.n+src.Len())
+	}
+}
+
+// --- accumulators ---
+
+// groupAcc is the per-slot accumulator storage beside a slotTable, in one of
+// two modes fixed by the plan (Plan.groupLanes): flat lanes — one u64 lane per
+// aggregate, beside which its owner keeps the ASHE sums' identifier lists
+// (idChains in a map task, idRuns in a merge) — or one generic partial per
+// slot. The row-count lane serves both modes; a slot's partial leaves its own
+// rows field unused.
+type groupAcc struct {
+	aggs  []Agg
+	lanes bool
+	rows  []uint64
+	vals  [][]uint64 // [aggregate][slot], lane mode
+	parts []partial  // [slot], generic mode
+	// states is the block the next generic slots' aggStates are carved from.
+	states []aggState
+}
+
+func (a *groupAcc) init(pl *Plan) {
+	*a = groupAcc{aggs: pl.Aggs, lanes: pl.groupLanes()}
+	if a.lanes {
+		a.vals = make([][]uint64, len(a.aggs))
+	}
+}
+
+// alloc sizes the accumulators for exactly n zeroed slots: what a merge, which
+// knows its slot count before it accumulates, uses in place of addSlot.
+func (a *groupAcc) alloc(n int) {
+	a.rows = make([]uint64, n)
+	if !a.lanes {
+		na := len(a.aggs)
+		a.parts = make([]partial, n)
+		states := make([]aggState, n*na)
+		for s := range a.parts {
+			initPartial(&a.parts[s], a.aggs, states[s*na:(s+1)*na:(s+1)*na])
+		}
+		return
+	}
+	for ai, agg := range a.aggs {
+		a.vals[ai] = make([]uint64, n)
+		if agg.Kind == AggPlainMin {
+			for s := range a.vals[ai] {
+				a.vals[ai][s] = ^uint64(0)
+			}
+		}
+	}
+}
+
+// reserve makes room for n more slots.
+func (a *groupAcc) reserve(n int) {
+	a.rows = room(a.rows, n)
+	if !a.lanes {
+		a.parts = room(a.parts, n)
+		return
+	}
+	for ai := range a.aggs {
+		a.vals[ai] = room(a.vals[ai], n)
+	}
+}
+
+// addSlot grows the accumulators by one zeroed slot.
+func (a *groupAcc) addSlot() {
+	a.rows = append(room(a.rows, 1), 0)
+	if !a.lanes {
+		n := len(a.aggs)
+		if len(a.states) < n {
+			a.states = make([]aggState, 64*n)
+		}
+		a.parts = append(room(a.parts, 1), partial{})
+		initPartial(&a.parts[len(a.parts)-1], a.aggs, a.states[:n:n])
+		a.states = a.states[n:]
+		return
+	}
+	for ai := range a.aggs {
+		zero := uint64(0)
+		if a.aggs[ai].Kind == AggPlainMin {
+			zero = ^uint64(0)
+		}
+		a.vals[ai] = append(room(a.vals[ai], 1), zero)
+	}
+}
+
+// --- the merge input form ---
+
+// taskGroups is a set of groups with distinct keys and their accumulated
+// state: what a map task hands its reducers, what a shard's result converts
+// to at the coordinator, and so the one input form of groupMerger. Its mode
+// (lanes or parts) is the plan's.
+type taskGroups struct {
+	keys  groupKeys
+	rows  []uint64
+	vals  [][]uint64 // lane mode: [aggregate][group]
+	ids   []idLists  // lane mode: [aggregate], empty for non-ASHE aggregates
+	parts []partial  // generic mode
+	// order lists the groups partitioned by reducer: bucket b's groups are
+	// order[start[b]:start[b+1]]. Map tasks only.
+	order []int32
+	start []int32
+	// bytes is the serialized size of the set as shuffle traffic.
+	bytes int
+}
+
+// idLists is one ASHE aggregate's identifier list per group, in whichever
+// form the set's producer already had: a map task's lists stay chained in the
+// grouper's arena, a shard result's (and the reference evaluator's) are
+// idlist.Lists shared with their owner. Exactly one field is set.
+type idLists struct {
+	chains *idChains
+	lists  []idlist.List
+}
+
+// at returns group g's list; a chained list is laid out in scratch, which the
+// returned list aliases until the next call.
+func (l *idLists) at(g int, scratch *[]idlist.Range) idlist.List {
+	if l.chains == nil {
+		return l.lists[g]
+	}
+	*scratch = l.chains.appendRanges((*scratch)[:0], g)
+	return idlist.View(*scratch)
+}
+
+// numRanges returns the range count of group g's list.
+func (l *idLists) numRanges(g int) int {
+	if l.chains == nil {
+		return l.lists[g].NumRanges()
+	}
+	return int(l.chains.slots[g].count)
+}
+
+// bucket returns the groups reducerBucket assigns to reducer b.
+func (tg *taskGroups) bucket(b int) []int32 { return tg.order[tg.start[b]:tg.start[b+1]] }
+
+// partition buckets the groups for n reducers with one counting sort, so the
+// shuffle hands each reducer its share of every task without re-hashing.
+func (tg *taskGroups) partition(n int) {
+	groups := tg.keys.len()
+	of := make([]int32, groups)
+	tg.start = make([]int32, n+1)
+	for s := range of {
+		b := tg.keys.reducerBucket(s, n)
+		of[s] = int32(b)
+		tg.start[b+1]++
+	}
+	for b := 0; b < n; b++ {
+		tg.start[b+1] += tg.start[b]
+	}
+	tg.order = make([]int32, groups)
+	next := slices.Clone(tg.start[:n])
+	for s, b := range of {
+		tg.order[next[b]] = int32(s)
+		next[b]++
+	}
+}
+
+// sizeShuffle computes the set's shuffle size (the same accounting as
+// Plan.partialBytes applies to an ungrouped partial). Unless the plan
+// compresses at the driver, every ASHE identifier list is priced at its
+// worker-compressed size (§4.5) by encoding it into one reused buffer.
+func (tg *taskGroups) sizeShuffle(pl *Plan, codec idlist.Codec) error {
+	n := tg.keys.len()
+	total := 8 * n // row counts
+	if tg.keys.kind == store.U64 {
+		total += 8 * n
+	} else {
+		total += len(tg.keys.arena)
+	}
+	if tg.keys.inflated {
+		for _, sfx := range tg.keys.sfx {
+			if sfx >= 0 {
+				total += 2
+			}
+		}
+	}
+	var scratch []byte
+	if tg.vals == nil { // generic mode
+		for i := range tg.parts {
+			p := &tg.parts[i]
+			if !pl.CompressAtDriver {
+				if err := encodePartialIDs(p, codec, &scratch); err != nil {
+					return err
+				}
+			}
+			total += pl.aggBytes(p)
+		}
+		tg.bytes = total
+		return nil
+	}
+	total += 8 * n * len(pl.Aggs)
+	var ranges []idlist.Range
+	for ai, a := range pl.Aggs {
+		if a.Kind != AggAsheSum {
+			continue
+		}
+		lists := &tg.ids[ai]
+		for g := 0; g < n; g++ {
+			if pl.CompressAtDriver {
+				total += 16 * lists.numRanges(g) // raw ranges on the wire
+				continue
+			}
+			var err error
+			if scratch, err = codec.AppendEncode(scratch[:0], lists.at(g, &ranges)); err != nil {
+				return fmt.Errorf("engine: encode id list: %v", err)
+			}
+			total += len(scratch)
+		}
+	}
+	tg.bytes = total
+	return nil
+}
+
+// taskGroupsFromMap converts the reference evaluator's key-addressed map into
+// the task-output form — the only step of that evaluator that knows about
+// slots and lanes.
+func (pl *Plan) taskGroupsFromMap(groups map[groupKey]*partial, kind store.Kind, inflated bool, buckets int, codec idlist.Codec) (*taskGroups, error) {
+	tg := &taskGroups{rows: make([]uint64, 0, len(groups))}
+	tg.keys.init(kind, inflated)
+	lanes := pl.groupLanes()
+	if lanes {
+		tg.vals = make([][]uint64, len(pl.Aggs))
+		tg.ids = make([]idLists, len(pl.Aggs))
+	} else {
+		tg.parts = make([]partial, 0, len(groups))
+	}
+	for k, p := range groups {
+		if kind == store.U64 {
+			tg.keys.appendU64(k.u64, int32(k.suffix))
+		} else {
+			appendKey(&tg.keys, k.str, int32(k.suffix))
+		}
+		tg.rows = append(tg.rows, p.rows)
+		if !lanes {
+			tg.parts = append(tg.parts, *p)
+			continue
+		}
+		for ai := range p.aggs {
+			tg.vals[ai] = append(tg.vals[ai], p.aggs[ai].u64)
+			if p.aggs[ai].kind == AggAsheSum {
+				tg.ids[ai].lists = append(tg.ids[ai].lists, p.aggs[ai].ids)
+			}
+		}
+	}
+	tg.partition(buckets)
+	return tg, tg.sizeShuffle(pl, codec)
+}
+
+// taskGroupsFromResult converts one shard's result groups back into the
+// merge input form — the inverse of materializeGroups for a Partial plan — so
+// the coordinator's reduce is the engine's own. Field copies only, into one
+// block per component; identifier lists are shared, not copied.
+func (pl *Plan) taskGroupsFromResult(groups []Group) (*taskGroups, error) {
+	n, na := len(groups), len(pl.Aggs)
+	tg := &taskGroups{rows: make([]uint64, n)}
+	// Suffixes ride along always: a result's groups state theirs explicitly.
+	tg.keys.init(groups[0].KeyKind, true)
+	tg.keys.reserve(n, len(groups[0].KeyBytes)+len(groups[0].KeyStr))
+	lanes := pl.groupLanes()
+	var states []aggState
+	if lanes {
+		tg.vals = make([][]uint64, na)
+		tg.ids = make([]idLists, na)
+		for ai, a := range pl.Aggs {
+			tg.vals[ai] = make([]uint64, n)
+			if a.Kind == AggAsheSum {
+				tg.ids[ai].lists = make([]idlist.List, n)
+			}
+		}
+	} else {
+		tg.parts = make([]partial, n)
+		states = make([]aggState, n*na)
+	}
+	for i := range groups {
+		g := &groups[i]
+		if g.KeyKind != tg.keys.kind {
+			return nil, fmt.Errorf("engine: merge: shard groups mix key kinds (%v and %v)", tg.keys.kind, g.KeyKind)
+		}
+		if int(int32(g.Suffix)) != g.Suffix {
+			return nil, fmt.Errorf("engine: merge: shard group suffix %d out of range", g.Suffix)
+		}
+		if len(g.Aggs) != na {
+			return nil, fmt.Errorf("engine: merge: shard group has %d aggregates, want %d", len(g.Aggs), na)
+		}
+		switch g.KeyKind {
+		case store.U64:
+			tg.keys.appendU64(g.KeyU64, int32(g.Suffix))
+		case store.Bytes:
+			appendKey(&tg.keys, g.KeyBytes, int32(g.Suffix))
+		default:
+			appendKey(&tg.keys, g.KeyStr, int32(g.Suffix))
+		}
+		tg.rows[i] = g.Rows
+		if !lanes {
+			p := &tg.parts[i]
+			p.aggs = states[i*na : (i+1)*na : (i+1)*na]
+			if err := pl.fillPartial(p, g); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		for ai := range g.Aggs {
+			av := &g.Aggs[ai]
+			if av.Kind != pl.Aggs[ai].Kind {
+				return nil, fmt.Errorf("engine: merge: aggregate %d kind mismatch (%d vs %d)", ai, av.Kind, pl.Aggs[ai].Kind)
+			}
+			if av.Kind == AggAsheSum {
+				tg.vals[ai][i] = av.Ashe.Body
+				tg.ids[ai].lists[i] = av.Ashe.IDs
+			} else {
+				tg.vals[ai][i] = av.U64
+			}
+		}
+	}
+	return tg, nil
+}
+
+// --- the merge ---
+
+// groupSel is one input of a merge: the groups sel selects from set — all of
+// them when sel is nil.
+type groupSel struct {
+	set *taskGroups
+	sel []int32
+}
+
+func (in groupSel) len() int {
+	if in.sel == nil {
+		return in.set.keys.len()
+	}
+	return len(in.sel)
+}
+
+func (in groupSel) at(i int) int {
+	if in.sel == nil {
+		return i
+	}
+	return int(in.sel[i])
+}
+
+// groupMerger is the one merge of group sets into a slot table: the reduce of
+// a run's map tasks (one merger per reducer bucket) and the coordinator's
+// merge of shard results are both this routine. Lanes add as lanes and
+// identifier lists append as runs; generic slots fold through mergePartial.
+type groupMerger struct {
+	pl      *Plan
+	t       slotTable
+	acc     groupAcc
+	ids     []idRuns       // [aggregate]; used by AggAsheSum in lane mode
+	list    []idlist.Range // a chained input list, laid out for one merge
+	scratch []idlist.Range // idRuns.merge's general path
+
+	// finish's output: the slots' aggregate values, slot-major — identifier
+	// lists viewing ids' blocks, their encodings carved from one arena — and
+	// the groups' serialized size.
+	out   []AggValue
+	bytes int
+}
+
+// mergeGroupSets folds the inputs (at least one, in order) into a new
+// merger, in two passes: intern every input key, which fixes the slot count,
+// then accumulate into vectors allocated at exactly that size — so a merge
+// allocates a fixed number of blocks however many groups it folds.
+func mergeGroupSets(pl *Plan, inputs []groupSel) *groupMerger {
+	m := &groupMerger{pl: pl}
+	m.acc.init(pl)
+	total, largest := 0, 0
+	for _, in := range inputs {
+		total += in.len()
+		largest = max(largest, in.len())
+	}
+	// Every input holds distinct keys, so the largest one is a floor on the
+	// slot count and their sum a ceiling: reserve keys for the floor, size the
+	// table (4 bytes a slot) for the ceiling.
+	keys := &inputs[0].set.keys
+	m.t.init(keys.kind, keys.inflated, total)
+	m.t.reserve(largest, keys.keyLen())
+
+	dst := make([]int32, total) // per input group, its slot
+	at := 0
+	for _, in := range inputs {
+		m.intern(in, dst[at:at+in.len()])
+		at += in.len()
+	}
+	m.acc.alloc(m.t.len())
+	if m.acc.lanes {
+		m.ids = make([]idRuns, len(pl.Aggs))
+		for ai, a := range pl.Aggs {
+			if a.Kind != AggAsheSum {
+				continue
+			}
+			// A slot's region holds as many ranges as its inputs do together.
+			runs := &m.ids[ai]
+			runs.slots = make([]idRun, m.t.len())
+			at = 0
+			for _, in := range inputs {
+				lists := &in.set.ids[ai]
+				for i, d := range dst[at : at+in.len()] {
+					runs.slots[d].size += int32(lists.numRanges(in.at(i)))
+				}
+				at += in.len()
+			}
+			runs.layout()
+		}
+	}
+	at = 0
+	for _, in := range inputs {
+		m.fold(in, dst[at:at+in.len()])
+		at += in.len()
+	}
+	return m
+}
+
+// intern resolves each group of in to its slot in dst, adding slots for keys
+// not seen before.
+func (m *groupMerger) intern(in groupSel, dst []int32) {
+	keys := &in.set.keys
+	for i := range dst {
+		g := in.at(i)
+		sfx := keys.suffixAt(g)
+		if keys.kind == store.U64 {
+			v := keys.u64[g]
+			dst[i], _ = m.t.slotU64(v, sfx, hashU64(v, sfx))
+		} else {
+			key := keys.bytesAt(g)
+			dst[i], _ = slotKeyed(&m.t, key, sfx, hashKey(key, sfx))
+		}
+	}
+}
+
+// fold accumulates the groups of in into the slots dst resolved them to.
+func (m *groupMerger) fold(in groupSel, dst []int32) {
+	rows := m.acc.rows
+	for i, d := range dst {
+		rows[d] += in.set.rows[in.at(i)]
+	}
+	if !m.acc.lanes {
+		for i, d := range dst {
+			mergePartial(m.pl, &m.acc.parts[d], &in.set.parts[in.at(i)])
+		}
+		return
+	}
+	for ai, a := range m.pl.Aggs {
+		lane, src := m.acc.vals[ai], in.set.vals[ai]
+		switch a.Kind {
+		case AggCount, AggPlainSum, AggPlainSumSq:
+			for i, d := range dst {
+				lane[d] += src[in.at(i)]
+			}
+		case AggAsheSum:
+			ids, lists := &m.ids[ai], &in.set.ids[ai]
+			for i, d := range dst {
+				g := in.at(i)
+				lane[d] += src[g]
+				ids.merge(d, lists.at(g, &m.list), &m.scratch)
+			}
+		case AggPlainMin:
+			for i, d := range dst {
+				lane[d] = min(lane[d], src[in.at(i)])
+			}
+		case AggPlainMax:
+			for i, d := range dst {
+				lane[d] = max(lane[d], src[in.at(i)])
+			}
+		}
+	}
+}
+
+// finish converts the merged slots into result aggregate values — encoding
+// ASHE identifier lists for the client, collapsing medians — and totals the
+// groups' serialized size. It is the reducer's last measured step.
+func (m *groupMerger) finish(codec idlist.Codec) error {
+	n, na := m.t.len(), len(m.pl.Aggs)
+	m.out = make([]AggValue, n*na)
+	m.bytes = 8 * n // key + row count, roughly
+	if m.t.kind != store.U64 {
+		m.bytes += len(m.t.arena)
+	}
+	if !m.acc.lanes {
+		for s := range m.acc.parts {
+			b, err := m.pl.finishAggs(&m.acc.parts[s], m.out[s*na:(s+1)*na], codec)
+			if err != nil {
+				return err
+			}
+			m.bytes += b
+		}
+		return nil
+	}
+	m.bytes += 8 * n * na
+	lists, ranges, ids := 0, 0, uint64(0)
+	for ai := range m.ids {
+		lists += len(m.ids[ai].slots)
+		ranges += len(m.ids[ai].ranges)
+		for s := range m.ids[ai].slots {
+			ids += m.ids[ai].slots[s].n
+		}
+	}
+	// One arena for every encoding, started at a guess of what the lists need
+	// (a few bytes per range, or per identifier for short lists) so that it
+	// seldom regrows.
+	enc := make([]byte, 0, 2*lists+4*int(min(ids, uint64(2*ranges))))
+	ends := make([]int, 0, lists) // end of each list's encoding in enc, in fill order
+	for ai, a := range m.pl.Aggs {
+		lane := m.acc.vals[ai]
+		if a.Kind != AggAsheSum {
+			for s, v := range lane {
+				m.out[s*na+ai] = AggValue{Kind: a.Kind, U64: v}
+			}
+			continue
+		}
+		for s, body := range lane {
+			l := m.ids[ai].list(s)
+			var err error
+			if enc, err = codec.AppendEncode(enc, l); err != nil {
+				return fmt.Errorf("engine: encode result id list: %v", err)
+			}
+			ends = append(ends, len(enc))
+			m.out[s*na+ai] = AggValue{Kind: a.Kind, Ashe: AsheAgg{Body: body, IDs: l}}
+		}
+	}
+	// enc has stopped growing: carve each list's encoding out of it.
+	m.bytes += len(enc)
+	k, lo := 0, 0
+	for ai, a := range m.pl.Aggs {
+		if a.Kind != AggAsheSum {
+			continue
+		}
+		for s := 0; s < n; s++ {
+			m.out[s*na+ai].Ashe.Encoded = enc[lo:ends[k]:ends[k]]
+			lo = ends[k]
+			k++
+		}
+	}
+	return nil
+}
+
+// materializeGroups builds the public result from finished mergers whose key
+// sets are disjoint: one []Group in key order (u64 key, then bytes, then
+// string, then suffix — a result has one key kind, so the order is key then
+// suffix), each group's aggregates and key aliasing its merger's blocks. The
+// order comes from sorting 16-byte references to the slots, typed by key
+// kind, not the groups themselves.
+func materializeGroups(ms []*groupMerger) []Group {
+	total := 0
+	for _, m := range ms {
+		total += m.t.len()
+	}
+	if total == 0 {
+		return nil
+	}
+	// ref addresses slot s of merger m; p is the key itself for u64 keys and
+	// its first eight bytes, big-endian, otherwise — so most comparisons never
+	// touch the arenas.
+	type ref struct {
+		p    uint64
+		m, s int32
+	}
+	kind := ms[0].t.kind
+	refs := make([]ref, 0, total)
+	for mi, m := range ms {
+		for s := 0; s < m.t.len(); s++ {
+			r := ref{m: int32(mi), s: int32(s)}
+			if kind == store.U64 {
+				r.p = m.t.u64[s]
+			} else {
+				for i, c := range m.t.bytesAt(s) {
+					if i == 8 {
+						break
+					}
+					r.p |= uint64(c) << (56 - 8*i)
+				}
+			}
+			refs = append(refs, r)
+		}
+	}
+	slices.SortFunc(refs, func(a, b ref) int {
+		if c := cmp.Compare(a.p, b.p); c != 0 {
+			return c
+		}
+		ma, mb := ms[a.m], ms[b.m]
+		if kind != store.U64 {
+			if c := bytes.Compare(ma.t.bytesAt(int(a.s)), mb.t.bytesAt(int(b.s))); c != 0 {
+				return c
+			}
+		}
+		return cmp.Compare(ma.t.suffixAt(int(a.s)), mb.t.suffixAt(int(b.s)))
+	})
+
+	var strs []string // string keys: one string per merger, keys are substrings
+	if kind == store.Str {
+		strs = make([]string, len(ms))
+		for mi, m := range ms {
+			strs[mi] = string(m.t.arena)
+		}
+	}
+	out := make([]Group, total)
+	for i, r := range refs {
+		m, s := ms[r.m], int(r.s)
+		na := len(m.pl.Aggs)
+		g := &out[i]
+		g.KeyKind, g.Suffix, g.Rows = kind, int(m.t.suffixAt(s)), m.acc.rows[s]
+		g.Aggs = m.out[s*na : (s+1)*na : (s+1)*na]
+		switch kind {
+		case store.U64:
+			g.KeyU64 = m.t.u64[s]
+		case store.Bytes:
+			g.KeyBytes = m.t.bytesAt(s)
+		default:
+			g.KeyStr = strs[r.m][m.t.off[s]:m.t.off[s+1]]
+		}
+	}
+	return out
+}

@@ -521,21 +521,21 @@ func (b *batch) joinAt(k int) int32 {
 // for each lane-eligible aggregate, a tight per-kind loop over the
 // (selection, slot) pairs groupSlots resolved, writing straight into the
 // per-slot u64 lanes — one cache-dense array per aggregate, no partial
-// pointer chase and no per-row indirect call. The AggKind switch runs once
-// per aggregate per batch, amortized to noise.
+// pointer chase and no per-row indirect call, whatever the key kind. The
+// AggKind switch runs once per aggregate per batch, amortized to noise.
 func (ts *taskState) accumulateLanes(startID uint64) {
 	g := &ts.g
 	sel := ts.b.sel
 	slots := g.slots[:len(sel)]
-	rows := g.rowsLane
+	rows := g.acc.rows
 	for _, s := range slots {
 		rows[s]++
 	}
-	for ai := range g.aggs {
-		lane := g.aggLanes[ai]
+	for ai := range g.acc.aggs {
+		lane := g.acc.vals[ai]
 		col := ts.pc.aggs[ai]
 		right := ts.cp.aggCols[ai].isRight()
-		switch g.aggs[ai].Kind {
+		switch g.acc.aggs[ai].Kind {
 		case AggCount:
 			for _, s := range slots {
 				lane[s]++
@@ -568,19 +568,19 @@ func (ts *taskState) accumulateLanes(startID uint64) {
 			}
 		case AggAsheSum:
 			u := col.U64
-			ids := g.idLanes[ai]
+			ids := &g.ids[ai]
 			if right {
 				join := ts.b.join
 				for k, i := range sel {
 					s := slots[k]
 					lane[s] += u[join[k]]
-					ids[s].Append(startID + uint64(i))
+					ids.appendID(s, startID+uint64(i))
 				}
 			} else {
 				for k, i := range sel {
 					s := slots[k]
 					lane[s] += u[i]
-					ids[s].Append(startID + uint64(i))
+					ids.appendID(s, startID+uint64(i))
 				}
 			}
 		case AggPlainMin:

@@ -147,8 +147,8 @@ func TestKernelU64GroupKeyAllocFree(t *testing.T) {
 	if err := ts.execute(ctx, 0, n-1); err != nil { // materializes all partials
 		t.Fatal(err)
 	}
-	if len(ts.g.keys) != 1024 {
-		t.Fatalf("u64 grouper holds %d groups, want 1024", len(ts.g.keys))
+	if ts.g.t.len() != 1024 {
+		t.Fatalf("u64 grouper holds %d groups, want 1024", ts.g.t.len())
 	}
 	avg := testing.AllocsPerRun(10, func() {
 		ts.res.rowsSelected = 0
@@ -158,6 +158,43 @@ func TestKernelU64GroupKeyAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("u64 group-key path allocates %.1f allocs per pass in steady state, want 0", avg)
+	}
+}
+
+// TestKernelBytesGroupKeyAllocFree asserts the same for the keys every
+// encrypted GROUP BY has: 16-byte DET ciphertexts intern into slots through
+// the shared table, key bytes in the task's arena, so once every group has a
+// slot the batch loop — hash, radix order, probe, lane accumulation —
+// allocates nothing.
+func TestKernelBytesGroupKeyAllocFree(t *testing.T) {
+	const groups = 4096
+	tbl := detKeyFixture(t, 1<<14, groups, 1, false)
+	pl := &Plan{
+		Table:   tbl,
+		GroupBy: &GroupBy{Col: "k"},
+		Aggs:    []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}, {Kind: AggPlainMax, Col: "v"}},
+	}
+	cp, err := pl.compile(0, idlist.Default)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := cp.newTaskState(tbl.Parts[0])
+	ctx := context.Background()
+	n := tbl.Parts[0].NumRows()
+	if err := ts.execute(ctx, 0, n-1); err != nil { // gives every group its slot
+		t.Fatal(err)
+	}
+	if !ts.g.acc.lanes || ts.g.t.len() != groups {
+		t.Fatalf("byte-keyed grouper: lanes=%v, %d groups, want lanes and %d", ts.g.acc.lanes, ts.g.t.len(), groups)
+	}
+	avg := testing.AllocsPerRun(10, func() {
+		ts.res.rowsSelected = 0
+		if err := ts.execute(ctx, 0, n-1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("byte-keyed group-by path allocates %.1f allocs per pass in steady state, want 0", avg)
 	}
 }
 
@@ -351,6 +388,53 @@ func BenchmarkKernelGroupByU64Wide(b *testing.B) {
 func BenchmarkKernelGroupByU64WideReference(b *testing.B) {
 	tbl := kernelFixture(b, benchRows, 1)
 	rp, err := wideGroupByPlan(tbl).compileReference(idlist.Default)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := NewCluster(Config{Workers: 1})
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportRows(b, benchRows)
+}
+
+// wideBytesGroupByPlan is the encrypted wide GROUP BY: distinct 16-byte DET
+// ciphertext keys, an ASHE sum and a count — the shape no u64 kernel above
+// ever sees, and the one every Seabed-mode GROUP BY executes.
+func wideBytesGroupByPlan(tbl *store.Table) *Plan {
+	return &Plan{
+		Table:   tbl,
+		GroupBy: &GroupBy{Col: "k"},
+		Aggs:    []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggCount}},
+	}
+}
+
+func BenchmarkKernelGroupByBytesWide(b *testing.B) {
+	tbl := detKeyFixture(b, benchRows, benchRows, 1, false)
+	cp, err := wideBytesGroupByPlan(tbl).compile(0, idlist.VBDiff)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := NewCluster(Config{Workers: 1})
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportRows(b, benchRows)
+}
+
+func BenchmarkKernelGroupByBytesWideReference(b *testing.B) {
+	tbl := detKeyFixture(b, benchRows, benchRows, 1, false)
+	rp, err := wideBytesGroupByPlan(tbl).compileReference(idlist.VBDiff)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,22 +1,22 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"seabed/internal/idlist"
-	"seabed/internal/store"
 )
 
 // This file exports the partial-merge step of a scatter-gather deployment:
 // a coordinating proxy fans a Plan out to N shards (each holding a disjoint
 // row range of the logical table), collects one Result per shard, and folds
 // them into the Result a single engine over the whole table would have
-// produced. Shard groups are converted back into the engine's own partial
-// accumulators and folded with the same mergePartial/finishPartial the
-// in-process shuffle+reduce uses, so proxy-side reduce never re-implements
-// aggregation semantics.
+// produced. Shard groups are converted back into the engine's own merge input
+// form (taskGroups) and folded by the same groupMerger the in-process
+// shuffle+reduce uses, so proxy-side reduce never re-implements aggregation
+// semantics.
 //
 // Every merge is exact because Seabed's aggregates are shard-decomposable:
 //
@@ -72,7 +72,7 @@ func MergeResults(pl *Plan, partials []*Result) (*Result, error) {
 		// Shards hold ascending identifier runs, but appended batches
 		// interleave across shards; re-sorting by identifier restores the
 		// single-engine scan order.
-		sort.Slice(out.Scan, func(a, b int) bool { return out.Scan[a].ID < out.Scan[b].ID })
+		slices.SortFunc(out.Scan, func(a, b ScanRow) int { return cmp.Compare(a.ID, b.ID) })
 	} else {
 		groups, bytes, err := mergeGroups(pl, partials, codec)
 		if err != nil {
@@ -88,72 +88,53 @@ func MergeResults(pl *Plan, partials []*Result) (*Result, error) {
 	return out, nil
 }
 
-// mergeGroups buckets every shard's groups by key and folds same-key groups
-// through the engine's own reduce path: each shard group converts back into
-// a partial accumulator, mergePartial folds it, and finishPartial finalizes
-// (encodes merged id-lists, collapses medians) exactly as the in-process
-// reduce does. It returns the merged groups (sorted) with their serialized
-// size.
+// mergeGroups folds every shard's groups through the engine's own reduce:
+// each shard's groups convert back into the merge input form, one groupMerger
+// folds same-key groups (adding lanes, appending identifier-list runs, or
+// merging partials for Paillier/OPE/median mixes) and finishes them (encodes
+// merged id-lists, collapses medians) exactly as an in-process reducer does.
+// It returns the merged groups, in key order, with their serialized size.
 func mergeGroups(pl *Plan, partials []*Result, codec idlist.Codec) ([]Group, int, error) {
 	for i, a := range pl.Aggs {
 		if a.Kind == AggPaillierSum && a.PK == nil {
 			return nil, 0, fmt.Errorf("engine: merge: Paillier aggregate %d without public key", i)
 		}
 	}
-	merged := make(map[groupKey]*partial)
-	var order []groupKey
+	inputs := make([]groupSel, 0, len(partials))
 	for _, r := range partials {
-		for gi := range r.Groups {
-			g := &r.Groups[gi]
-			key := groupKey{kind: g.KeyKind, u64: g.KeyU64, suffix: g.Suffix}
-			switch g.KeyKind {
-			case store.Bytes:
-				key.str = string(g.KeyBytes)
-			case store.Str:
-				key.str = g.KeyStr
-			}
-			src, err := partialFromGroup(pl, g)
-			if err != nil {
-				return nil, 0, err
-			}
-			acc := merged[key]
-			if acc == nil {
-				acc = newPartial(pl.Aggs)
-				merged[key] = acc
-				order = append(order, key)
-			}
-			mergePartial(pl, acc, src)
+		if len(r.Groups) == 0 {
+			continue
 		}
-	}
-
-	out := make([]Group, 0, len(merged))
-	total := 0
-	for _, key := range order {
-		group, bytes, err := pl.finishPartial(merged[key], key, codec)
+		in, err := pl.taskGroupsFromResult(r.Groups)
 		if err != nil {
 			return nil, 0, err
 		}
-		out = append(out, group)
-		total += bytes
+		if len(inputs) > 0 && in.keys.kind != inputs[0].set.keys.kind {
+			return nil, 0, fmt.Errorf("engine: merge: shard groups mix key kinds (%v and %v)", inputs[0].set.keys.kind, in.keys.kind)
+		}
+		inputs = append(inputs, groupSel{set: in})
 	}
-	sort.Slice(out, func(a, b int) bool { return lessGroup(out[a], out[b]) })
-	return out, total, nil
+	if len(inputs) == 0 {
+		return nil, 0, nil
+	}
+	mg := mergeGroupSets(pl, inputs)
+	if err := mg.finish(codec); err != nil {
+		return nil, 0, err
+	}
+	return materializeGroups([]*groupMerger{mg}), mg.bytes, nil
 }
 
-// partialFromGroup converts one shard's result group back into the engine's
-// in-flight accumulator representation — the inverse of finishPartial for a
-// Partial plan — so the coordinator's reduce runs through mergePartial
-// unchanged. Field copies only; no aggregation semantics live here.
-func partialFromGroup(pl *Plan, g *Group) (*partial, error) {
-	if len(g.Aggs) != len(pl.Aggs) {
-		return nil, fmt.Errorf("engine: merge: shard group has %d aggregates, want %d", len(g.Aggs), len(pl.Aggs))
-	}
-	p := &partial{rows: g.Rows, aggs: make([]aggState, len(g.Aggs))}
+// fillPartial loads one shard's result group into p, the engine's in-flight
+// accumulator representation — the inverse of finishAggs for a Partial plan —
+// so the coordinator's reduce runs through mergePartial unchanged. p.aggs
+// must hold one aggState per aggregate. Field copies only; no aggregation
+// semantics live here.
+func (pl *Plan) fillPartial(p *partial, g *Group) error {
 	for i := range g.Aggs {
 		av, st := &g.Aggs[i], &p.aggs[i]
 		st.kind = av.Kind
 		if st.kind != pl.Aggs[i].Kind {
-			return nil, fmt.Errorf("engine: merge: aggregate %d kind mismatch (%d vs %d)", i, av.Kind, pl.Aggs[i].Kind)
+			return fmt.Errorf("engine: merge: aggregate %d kind mismatch (%d vs %d)", i, av.Kind, pl.Aggs[i].Kind)
 		}
 		switch av.Kind {
 		case AggCount, AggPlainSum, AggPlainSumSq:
@@ -163,7 +144,7 @@ func partialFromGroup(pl *Plan, g *Group) (*partial, error) {
 			st.ids = av.Ashe.IDs
 		case AggPaillierSum:
 			if av.Pail == nil {
-				return nil, fmt.Errorf("engine: merge: shard group missing Paillier ciphertext for aggregate %d", i)
+				return fmt.Errorf("engine: merge: shard group missing Paillier ciphertext for aggregate %d", i)
 			}
 			st.pail = av.Pail
 		case AggPlainMin, AggPlainMax:
@@ -182,10 +163,10 @@ func partialFromGroup(pl *Plan, g *Group) (*partial, error) {
 			st.medIDs = av.MedIDs
 			st.medComp = av.MedComp
 		default:
-			return nil, fmt.Errorf("engine: merge: unknown aggregate kind %d", av.Kind)
+			return fmt.Errorf("engine: merge: unknown aggregate kind %d", av.Kind)
 		}
 	}
-	return p, nil
+	return nil
 }
 
 // mergeMetrics combines one shard's metrics into the accumulator: stage

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"seabed/internal/idlist"
 	"seabed/internal/sqlparse"
 	"seabed/internal/store"
 )
@@ -152,4 +153,74 @@ func TestIDRangeScoping(t *testing.T) {
 	if res.Groups[0].Aggs[0].U64 != 0 || res.Metrics.RowsScanned != 0 {
 		t.Fatalf("inverted range scanned %d rows, counted %d", res.Metrics.RowsScanned, res.Groups[0].Aggs[0].U64)
 	}
+}
+
+// wideShardPartials runs the encrypted wide GROUP BY (16-byte DET keys, ASHE
+// sum + count) as three Partial range plans, returning the unscoped plan and
+// the partials a coordinator would gather for it. Every group has rows in
+// every range.
+func wideShardPartials(tb testing.TB, groups int) (*Plan, []*Result) {
+	tb.Helper()
+	tbl := detKeyFixture(tb, 6*groups, groups, 6, false)
+	cl := NewCluster(Config{Workers: 4})
+	mk := func(tbl *store.Table) *Plan {
+		pl := wideBytesGroupByPlan(tbl)
+		pl.Codec = idlist.VBDiff
+		return pl
+	}
+	subs := tbl.SplitRanges(3)
+	partials := make([]*Result, len(subs))
+	for i, sub := range subs {
+		pl := mk(sub)
+		pl.Partial = true
+		pl.Range = &IDRange{Lo: sub.Parts[0].StartID, Hi: sub.EndID()}
+		var err error
+		if partials[i], err = cl.Run(context.Background(), pl); err != nil {
+			tb.Fatal(err)
+		}
+		if len(partials[i].Groups) != groups {
+			tb.Fatalf("range %d holds %d groups, want %d", i, len(partials[i].Groups), groups)
+		}
+	}
+	return mk(tbl), partials
+}
+
+// TestMergeResultsAllocsPerGroup pins the coordinator merge's allocation
+// shape: folding three 16k-group partials allocates a fixed handful of blocks
+// — key arena, lanes, identifier-list arena, one []AggValue, one []Group —
+// not several objects per group.
+func TestMergeResultsAllocsPerGroup(t *testing.T) {
+	const groups = 1 << 14
+	pl, partials := wideShardPartials(t, groups)
+	res, err := MergeResults(pl, partials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Groups) != groups || res.Groups[0].Rows != 6 {
+		t.Fatalf("merged %d groups of %d rows, want %d of 6", len(res.Groups), res.Groups[0].Rows, groups)
+	}
+	avg := testing.AllocsPerRun(5, func() {
+		if _, err := MergeResults(pl, partials); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > groups/64 {
+		t.Fatalf("MergeResults over three %d-group partials makes %.0f allocations, want at most %d", groups, avg, groups/64)
+	}
+}
+
+// BenchmarkMergeResultsWide measures the coordinator's merge of three shards'
+// 16k-group encrypted GROUP BY results: what a fleet query pays between the
+// last shard's frame and decryption.
+func BenchmarkMergeResultsWide(b *testing.B) {
+	const groups = 1 << 14
+	pl, partials := wideShardPartials(b, groups)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MergeResults(pl, partials); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(3*groups)*float64(b.N)/b.Elapsed().Seconds(), "groups/s")
 }

@@ -202,10 +202,10 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 	res.rowsScanned = uint64(i1 - i0 + 1)
 
 	start := time.Now()
-	// The row loop accumulates groups into a key-addressed map; the bucketed
-	// mapResult contract is produced by one bucketGroups conversion after
-	// the loop, keeping the loop itself byte-for-byte the pre-vectorization
-	// interpreter.
+	// The row loop accumulates groups into a key-addressed map; the task-output
+	// form the reducer takes is produced by one taskGroupsFromMap conversion
+	// after the loop, keeping the loop itself byte-for-byte the
+	// pre-vectorization interpreter.
 	var groups map[groupKey]*partial
 	if pl.GroupBy == nil && len(pl.Project) == 0 {
 		res.single = newPartial(pl.Aggs)
@@ -397,27 +397,21 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 		}
 	}
 
-	if groups != nil {
-		res.groups = bucketGroups(groups, c.cfg.Workers)
-	}
-
-	// Worker-side compression of ASHE identifier lists (§4.5): encode here,
+	// Worker-side compression of ASHE identifier lists (§4.5) is priced here,
 	// inside the measured task, unless the ablation moved it to the driver.
-	if !pl.CompressAtDriver {
-		if res.single != nil {
-			if err := encodePartialIDs(res.single, rp.codec); err != nil {
-				return nil, err
-			}
+	if groups != nil {
+		res.groups, err = pl.taskGroupsFromMap(groups, b.group.Kind, inflate > 0, c.cfg.Workers, rp.codec)
+		if err != nil {
+			return nil, err
 		}
-		for _, kps := range res.groups {
-			for _, kp := range kps {
-				if err := encodePartialIDs(kp.p, rp.codec); err != nil {
-					return nil, err
-				}
-			}
+	}
+	if res.single != nil && !pl.CompressAtDriver {
+		var scratch []byte
+		if err := encodePartialIDs(res.single, rp.codec, &scratch); err != nil {
+			return nil, err
 		}
 	}
 	res.elapsed = time.Since(start)
-	res.bytes = pl.partialBytes(res, rp.codec)
+	res.bytes = pl.partialBytes(res)
 	return res, nil
 }

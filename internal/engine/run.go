@@ -365,43 +365,43 @@ func (c *Cluster) reduceSingle(pl *Plan, results []*mapResult, codec idlist.Code
 	for _, r := range results {
 		mergePartial(pl, final, r.single)
 	}
-	group, bytes, err := pl.finishPartial(final, groupKey{kind: store.U64, suffix: -1}, codec)
+	group := Group{KeyKind: store.U64, Suffix: -1, Rows: final.rows, Aggs: make([]AggValue, len(pl.Aggs))}
+	bytes, err := pl.finishAggs(final, group.Aggs, codec)
 	if err != nil {
 		return err
 	}
 	out.Groups = []Group{group}
 	m.DriverTime += time.Since(start)
 	m.ShuffleTime = c.cfg.ShuffleLink.TransferTime(m.ShuffleBytes)
-	m.ResultBytes = bytes
+	m.ResultBytes = 8 + bytes // key + row count, roughly
 	return nil
 }
 
-// reduceGroups merges the map tasks' reducer-bucketed partial groups. The
-// shuffle is a concatenation: every map task already emitted its groups
-// partitioned by reducerBucket (grouper.fold / bucketGroups), so reducer b's
-// input is the task-order concatenation of each task's bucket b — no sort,
-// no per-query key assignment, no re-hashing. One reducer runs per
-// non-empty bucket, on real goroutines bounded by RealParallelism; the
-// reported ReduceTime remains the makespan of the measured reducer
-// durations over the simulated Workers, consistent with the map stage's
-// accounting.
+// reduceGroups merges the map tasks' groups. The shuffle moves nothing: every
+// map task already partitioned its slots by reducerBucket (grouper.fold /
+// taskGroupsFromMap), so reducer b's input is each task's bucket b, in task
+// order, read straight from the task's lanes. One reducer runs per non-empty
+// bucket, on real goroutines bounded by RealParallelism: it folds its share of
+// every task through a groupMerger and finishes the merged slots (encoding
+// identifier lists). The reported ReduceTime remains the makespan of the
+// measured reducer durations over the simulated Workers, consistent with the
+// map stage's accounting. The driver then materializes the result groups, in
+// key order, from the reducers' blocks.
 func (c *Cluster) reduceGroups(pl *Plan, results []*mapResult, codec idlist.Codec, out *Result, m *Metrics) error {
 	nb := c.cfg.Workers
 	if nb < 1 {
 		nb = 1
 	}
-	buckets := make([][]keyedPartial, nb)
+	sizes := make([]int, nb) // groups (with repeats across tasks) per bucket
 	for _, mr := range results {
-		for bi, kps := range mr.groups {
-			if len(kps) > 0 {
-				buckets[bi] = append(buckets[bi], kps...)
-			}
+		for b := range sizes {
+			sizes[b] += len(mr.groups.bucket(b))
 		}
 	}
 	active := make([]int, 0, nb)
-	for bi := range buckets {
-		if len(buckets[bi]) > 0 {
-			active = append(active, bi)
+	for b, n := range sizes {
+		if n > 0 {
+			active = append(active, b)
 		}
 	}
 	reducers := len(active)
@@ -417,80 +417,48 @@ func (c *Cluster) reduceGroups(pl *Plan, results []*mapResult, codec idlist.Code
 
 	// Merge per reducer, in parallel for real. Buckets are disjoint by
 	// construction — a key maps to exactly one bucket, and each map task's
-	// partial for it appears there once, in task order — so reducers share
-	// no accumulator state.
-	type reduced struct {
-		groups []Group
-		bytes  int
-		dur    time.Duration
-		err    error
-	}
-	outs := make([]reduced, len(active))
+	// group for it appears there once — so reducers share no accumulator
+	// state.
+	mergers := make([]*groupMerger, len(active))
+	durations := make([]time.Duration, len(active))
+	errs := make([]error, len(active))
 	par := c.cfg.RealParallelism
 	if par <= 0 {
 		par = runtime.NumCPU()
 	}
 	sem := make(chan struct{}, par)
 	var wg sync.WaitGroup
-	for ri, bi := range active {
+	for ri, b := range active {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(ri, bi int) {
+		go func(ri, b int) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			start := time.Now()
-			o := &outs[ri]
-			merged := make(map[groupKey]*partial)
-			for _, kp := range buckets[bi] {
-				acc := merged[kp.key]
-				if acc == nil {
-					acc = newPartial(pl.Aggs)
-					merged[kp.key] = acc
+			inputs := make([]groupSel, 0, len(results))
+			for _, mr := range results {
+				if sel := mr.groups.bucket(b); len(sel) > 0 {
+					inputs = append(inputs, groupSel{mr.groups, sel})
 				}
-				mergePartial(pl, acc, kp.p)
 			}
-			for k, p := range merged {
-				group, bytes, err := pl.finishPartial(p, k, codec)
-				if err != nil {
-					o.err = err
-					return
-				}
-				o.groups = append(o.groups, group)
-				o.bytes += bytes
-			}
-			o.dur = time.Since(start)
-		}(ri, bi)
+			mg := mergeGroupSets(pl, inputs)
+			mergers[ri], errs[ri] = mg, mg.finish(codec)
+			durations[ri] = time.Since(start)
+		}(ri, b)
 	}
 	wg.Wait()
 
-	durations := make([]time.Duration, len(active))
-	resultBytes := 0
-	for ri := range outs {
-		if outs[ri].err != nil {
-			return outs[ri].err
+	for ri, mg := range mergers {
+		if errs[ri] != nil {
+			return errs[ri]
 		}
-		out.Groups = append(out.Groups, outs[ri].groups...)
-		resultBytes += outs[ri].bytes
-		durations[ri] = outs[ri].dur
+		m.ResultBytes += mg.bytes
 	}
 	m.ReduceTime = makespan(durations, c.cfg.Workers)
-	m.ResultBytes = resultBytes
-	sort.Slice(out.Groups, func(a, b int) bool { return lessGroup(out.Groups[a], out.Groups[b]) })
+	start := time.Now()
+	out.Groups = materializeGroups(mergers)
+	m.DriverTime += time.Since(start)
 	return nil
-}
-
-func lessGroup(a, b Group) bool {
-	if a.KeyU64 != b.KeyU64 {
-		return a.KeyU64 < b.KeyU64
-	}
-	ab, bb := string(a.KeyBytes), string(b.KeyBytes)
-	if ab != bb {
-		return ab < bb
-	}
-	if a.KeyStr != b.KeyStr {
-		return a.KeyStr < b.KeyStr
-	}
-	return a.Suffix < b.Suffix
 }
 
 // mergePartial folds src into dst.
@@ -535,22 +503,11 @@ func mergePartial(pl *Plan, dst, src *partial) {
 	}
 }
 
-// finishPartial converts a merged partial into a result Group, encoding ASHE
-// identifier lists for the client, and returns the group's serialized size.
-func (pl *Plan) finishPartial(p *partial, key groupKey, codec idlist.Codec) (Group, int, error) {
-	g := Group{KeyKind: key.kind, Suffix: key.suffix, Rows: p.rows, Aggs: make([]AggValue, len(p.aggs))}
-	switch key.kind {
-	case store.U64:
-		g.KeyU64 = key.u64
-	case store.Bytes:
-		g.KeyBytes = []byte(key.str)
-	default:
-		g.KeyStr = key.str
-	}
-	bytes := 8 // key + row count, roughly
-	if key.kind != store.U64 {
-		bytes += len(key.str)
-	}
+// finishAggs converts a merged partial's accumulators into result aggregate
+// values in out (one per aggregate), encoding ASHE identifier lists for the
+// client, and returns their serialized size.
+func (pl *Plan) finishAggs(p *partial, out []AggValue, codec idlist.Codec) (int, error) {
+	bytes := 0
 	for i := range p.aggs {
 		st := &p.aggs[i]
 		av := AggValue{Kind: st.kind}
@@ -561,7 +518,7 @@ func (pl *Plan) finishPartial(p *partial, key groupKey, codec idlist.Codec) (Gro
 		case AggAsheSum:
 			enc, err := codec.Encode(st.ids)
 			if err != nil {
-				return Group{}, 0, fmt.Errorf("engine: encode result id list: %v", err)
+				return 0, fmt.Errorf("engine: encode result id list: %v", err)
 			}
 			av.Ashe = AsheAgg{Body: st.u64, IDs: st.ids, Encoded: enc}
 			bytes += 8 + len(enc)
@@ -583,7 +540,7 @@ func (pl *Plan) finishPartial(p *partial, key groupKey, codec idlist.Codec) (Gro
 				break
 			}
 			if n := len(st.medU64); n > 0 {
-				sort.Slice(st.medU64, func(a, b int) bool { return st.medU64[a] < st.medU64[b] })
+				slices.Sort(st.medU64)
 				av.U64 = st.medU64[n/2]
 			}
 			bytes += 8
@@ -598,9 +555,9 @@ func (pl *Plan) finishPartial(p *partial, key groupKey, codec idlist.Codec) (Gro
 			av.Ope, av.ArgID, av.U64 = collapseOpeMedian(st.medOpe, st.medIDs, st.medComp)
 			bytes += len(av.Ope) + 16
 		}
-		g.Aggs[i] = av
+		out[i] = av
 	}
-	return g, bytes, nil
+	return bytes, nil
 }
 
 // collapseOpeMedian selects the middle element of an OPE-encrypted value

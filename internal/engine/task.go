@@ -21,8 +21,9 @@ import (
 // boundaries at exactly the same row granularity as the reference loop.
 const cancelCheckRows = 1 << 16
 
-// groupKey identifies a group within map/reduce bookkeeping. Bytes keys are
-// folded into the string field.
+// groupKey identifies a group in the reference evaluator's key-addressed map
+// (the vectorized executor and the merge keep keys in a slotTable, group.go).
+// Bytes keys are folded into the string field.
 type groupKey struct {
 	kind   store.Kind
 	u64    uint64
@@ -57,33 +58,31 @@ type aggState struct {
 }
 
 func newPartial(aggs []Agg) *partial {
-	p := &partial{aggs: make([]aggState, len(aggs))}
-	for i, a := range aggs {
-		p.aggs[i].kind = a.Kind
-		if a.Kind == AggPaillierSum {
-			p.aggs[i].pail = a.PK.EncryptZero()
-		}
-	}
+	p := &partial{}
+	initPartial(p, aggs, make([]aggState, len(aggs)))
 	return p
 }
 
-// keyedPartial pairs a group key with its in-flight accumulator inside a
-// reducer bucket.
-type keyedPartial struct {
-	key groupKey
-	p   *partial
+// initPartial readies p as an empty accumulator over states, which must hold
+// one zero aggState per aggregate.
+func initPartial(p *partial, aggs []Agg, states []aggState) {
+	p.aggs = states
+	for i, a := range aggs {
+		states[i].kind = a.Kind
+		if a.Kind == AggPaillierSum {
+			states[i].pail = a.PK.EncryptZero()
+		}
+	}
 }
 
 // mapResult is one map task's output.
 type mapResult struct {
 	single *partial
-	// groups is the task's group-by output, already partitioned for the
-	// shuffle: groups[b] holds the (key, partial) pairs reducerBucket assigns
-	// to reducer b, so the reduce stage concatenates per-bucket slices
-	// instead of re-hashing a map per task. Its length is the cluster's
-	// Workers count; a key appears in at most one bucket, and at most once
-	// per task.
-	groups  [][]keyedPartial
+	// groups is the task's group-by output: its key arena and accumulator
+	// lanes as the grouper left them, already partitioned by reducer bucket
+	// for the shuffle (taskGroups, group.go). A key appears at most once per
+	// task.
+	groups  *taskGroups
 	scan    []ScanRow
 	elapsed time.Duration
 	// bytes is the serialized partial size (shuffle traffic).
@@ -94,42 +93,6 @@ type mapResult struct {
 	// OpStats). The reference evaluator leaves it zero except for column
 	// pins/faults, which both executors record in runMapTask's shared path.
 	ops OpStats
-}
-
-// reducerBucket deterministically assigns a group key to one of n reducer
-// buckets. Both executors and every shard must agree on the assignment — it
-// replaces the old sort-all-distinct-keys round-robin — so it hashes only
-// the key's value material (splitmix64 over u64 keys, FNV-1a over
-// string/byte keys, the inflation suffix mixed in) and never map iteration
-// order.
-func reducerBucket(k groupKey, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	h := splitmix64(uint64(int64(k.suffix)) ^ 0x5eabed)
-	if k.kind == store.U64 {
-		h = splitmix64(h ^ k.u64)
-	} else {
-		f := uint64(14695981039346656037)
-		for i := 0; i < len(k.str); i++ {
-			f = (f ^ uint64(k.str[i])) * 1099511628211
-		}
-		h = splitmix64(h ^ f)
-	}
-	return int(h % uint64(n))
-}
-
-// bucketGroups converts a groupKey-keyed map into the reducer-bucketed
-// mapResult contract. The reference evaluator's row loop still accumulates
-// into a map (that loop is behaviorally frozen); this conversion is its only
-// concession to the bucketed shuffle.
-func bucketGroups(groups map[groupKey]*partial, n int) [][]keyedPartial {
-	out := make([][]keyedPartial, n)
-	for k, p := range groups {
-		b := reducerBucket(k, n)
-		out[b] = append(out[b], keyedPartial{key: k, p: p})
-	}
-	return out
 }
 
 // rangeBounds intersects a partition with the plan's optional IDRange frame
@@ -234,76 +197,35 @@ func cmpU64(a, b uint64) int {
 	return 0
 }
 
-// encodePartialIDs compresses ASHE identifier lists at the worker (§4.5);
-// the codec output size rides in the aggState to keep shuffle sizes honest.
-func encodePartialIDs(p *partial, codec idlist.Codec) error {
+// encodePartialIDs prices the worker-side compression of a partial's ASHE
+// identifier lists (§4.5): each list is encoded into the caller's reused
+// scratch buffer and only the encoded size is kept, riding in the aggState to
+// keep shuffle sizes honest. The reducer merges the raw lists; that the
+// encoding round-trips is the idlist codec tests' business.
+func encodePartialIDs(p *partial, codec idlist.Codec, scratch *[]byte) error {
 	for i := range p.aggs {
 		st := &p.aggs[i]
 		if st.kind != AggAsheSum || st.ids.Empty() {
 			continue
 		}
-		enc, err := codec.Encode(st.ids)
+		enc, err := codec.AppendEncode((*scratch)[:0], st.ids)
 		if err != nil {
 			return fmt.Errorf("engine: encode id list: %v", err)
 		}
-		// Decode immediately: the reducer must merge raw lists, and a real
-		// deployment pays exactly this decode on the reduce side.
-		dec, err := codec.Decode(enc)
-		if err != nil {
-			return fmt.Errorf("engine: decode id list: %v", err)
-		}
-		st.ids = dec
+		*scratch = enc
 		st.encodedLen = len(enc)
 	}
 	return nil
 }
 
 // partialBytes estimates the serialized size of a map task's output.
-func (pl *Plan) partialBytes(res *mapResult, codec idlist.Codec) int {
+func (pl *Plan) partialBytes(res *mapResult) int {
 	total := 0
-	addPartial := func(key *groupKey, p *partial) {
-		if key != nil {
-			switch key.kind {
-			case store.U64:
-				total += 8
-			default:
-				total += len(key.str)
-			}
-			if key.suffix >= 0 {
-				total += 2
-			}
-		}
-		total += 8 // row count
-		for i := range p.aggs {
-			st := &p.aggs[i]
-			switch st.kind {
-			case AggCount, AggPlainSum, AggPlainSumSq, AggPlainMin, AggPlainMax:
-				total += 8
-			case AggAsheSum:
-				total += 8
-				if pl.CompressAtDriver {
-					total += 16 * st.ids.NumRanges() // raw ranges on the wire
-				} else {
-					total += st.encodedLen
-				}
-			case AggPaillierSum:
-				total += pl.Aggs[i].PK.CiphertextSize()
-			case AggOpeMin, AggOpeMax:
-				total += len(st.ope)
-			case AggPlainMedian:
-				total += 8 * len(st.medU64)
-			case AggOpeMedian:
-				total += opeMedianBytes(st.medOpe)
-			}
-		}
-	}
 	if res.single != nil {
-		addPartial(nil, res.single)
+		total += 8 + pl.aggBytes(res.single) // row count + aggregates
 	}
-	for _, kps := range res.groups {
-		for i := range kps {
-			addPartial(&kps[i].key, kps[i].p)
-		}
+	if res.groups != nil {
+		total += res.groups.bytes
 	}
 	for _, row := range res.scan {
 		total += 8
@@ -311,6 +233,34 @@ func (pl *Plan) partialBytes(res *mapResult, codec idlist.Codec) int {
 			total += 8
 			total += len(row.Bytes[i])
 			total += len(row.Strs[i])
+		}
+	}
+	return total
+}
+
+// aggBytes is the serialized size of one partial's aggregates.
+func (pl *Plan) aggBytes(p *partial) int {
+	total := 0
+	for i := range p.aggs {
+		st := &p.aggs[i]
+		switch st.kind {
+		case AggCount, AggPlainSum, AggPlainSumSq, AggPlainMin, AggPlainMax:
+			total += 8
+		case AggAsheSum:
+			total += 8
+			if pl.CompressAtDriver {
+				total += 16 * st.ids.NumRanges() // raw ranges on the wire
+			} else {
+				total += st.encodedLen
+			}
+		case AggPaillierSum:
+			total += pl.Aggs[i].PK.CiphertextSize()
+		case AggOpeMin, AggOpeMax:
+			total += len(st.ope)
+		case AggPlainMedian:
+			total += 8 * len(st.medU64)
+		case AggOpeMedian:
+			total += opeMedianBytes(st.medOpe)
 		}
 	}
 	return total

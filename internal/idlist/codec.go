@@ -9,6 +9,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
+	"sync"
 )
 
 // Codec serializes and deserializes identifier lists.
@@ -17,6 +19,36 @@ type Codec interface {
 	Name() string
 	Encode(l List) ([]byte, error)
 	Decode(data []byte) (List, error)
+	// AppendEncode appends l's encoding to dst and returns the extended
+	// buffer: Encode into storage the caller owns, so a loop that only sizes
+	// lists, or packs many into one arena, allocates nothing per list.
+	AppendEncode(dst []byte, l List) ([]byte, error)
+	// AppendDecode appends the ranges of the list encoded in data to dst and
+	// returns the extended slice; the appended ranges are exactly those of
+	// Decode(data), and never coalesce with what dst already held. On error
+	// dst is returned unextended.
+	AppendDecode(dst []Range, data []byte) ([]Range, error)
+}
+
+// decodeList is Decode in terms of AppendDecode, shared by every codec.
+func decodeList(c Codec, data []byte) (List, error) {
+	rs, err := c.AppendDecode(nil, data)
+	if err != nil {
+		return List{}, err
+	}
+	return View(rs), nil
+}
+
+// pushID appends one identifier to the ranges decoded so far (dst[base:]),
+// with List.Append's coalescing: an id that extends the last range grows it.
+func pushID(dst []Range, base int, id uint64) []Range {
+	if k := len(dst); k > base {
+		if last := &dst[k-1]; id == last.Hi+1 && last.Hi != ^uint64(0) {
+			last.Hi = id
+			return dst
+		}
+	}
+	return append(dst, Range{id, id})
 }
 
 // Named codecs matching the encoding progression evaluated in Figure 8.
@@ -56,10 +88,14 @@ func (c rangeVB) Name() string {
 	return "ranges+vb"
 }
 
-// Encode implements Codec: one (Lo, span) varint pair per range,
-// delta-chained from the previous range's Hi in the diff variant.
+// Encode implements Codec.
 func (c rangeVB) Encode(l List) ([]byte, error) {
-	buf := make([]byte, 0, 16+10*len(l.ranges))
+	return c.AppendEncode(make([]byte, 0, 16+10*len(l.ranges)), l)
+}
+
+// AppendEncode implements Codec: one (Lo, span) varint pair per range,
+// delta-chained from the previous range's Hi in the diff variant.
+func (c rangeVB) AppendEncode(buf []byte, l List) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(l.ranges)))
 	var prevHi uint64
 	for _, r := range l.ranges {
@@ -78,43 +114,49 @@ func (c rangeVB) Encode(l List) ([]byte, error) {
 }
 
 // Decode implements Codec, inverting Encode.
-func (c rangeVB) Decode(data []byte) (List, error) {
-	var l List
+func (c rangeVB) Decode(data []byte) (List, error) { return decodeList(c, data) }
+
+// AppendDecode implements Codec.
+func (c rangeVB) AppendDecode(dst []Range, data []byte) ([]Range, error) {
 	n, k := binary.Uvarint(data)
 	if k <= 0 {
-		return l, fmt.Errorf("idlist: %s: bad range count", c.Name())
+		return dst, fmt.Errorf("idlist: %s: bad range count", c.Name())
 	}
 	data = data[k:]
-	l.ranges = make([]Range, 0, n)
+	// A range takes at least two bytes, which bounds what a hostile count can
+	// make the decoder reserve.
+	if n > uint64(len(data))/2 {
+		return dst, fmt.Errorf("idlist: %s: range count %d exceeds payload", c.Name(), n)
+	}
+	base := len(dst)
 	var prevHi uint64
 	for i := uint64(0); i < n; i++ {
 		var lo uint64
 		if c.diff {
 			d, k := binary.Varint(data)
 			if k <= 0 {
-				return List{}, fmt.Errorf("idlist: %s: truncated lo at range %d", c.Name(), i)
+				return dst[:base], fmt.Errorf("idlist: %s: truncated lo at range %d", c.Name(), i)
 			}
 			data = data[k:]
 			lo = prevHi + uint64(d)
 		} else {
 			v, k := binary.Uvarint(data)
 			if k <= 0 {
-				return List{}, fmt.Errorf("idlist: %s: truncated lo at range %d", c.Name(), i)
+				return dst[:base], fmt.Errorf("idlist: %s: truncated lo at range %d", c.Name(), i)
 			}
 			data = data[k:]
 			lo = v
 		}
 		span, k := binary.Uvarint(data)
 		if k <= 0 {
-			return List{}, fmt.Errorf("idlist: %s: truncated span at range %d", c.Name(), i)
+			return dst[:base], fmt.Errorf("idlist: %s: truncated span at range %d", c.Name(), i)
 		}
 		data = data[k:]
 		hi := lo + span
-		l.ranges = append(l.ranges, Range{lo, hi})
-		l.n += span + 1
+		dst = append(dst, Range{lo, hi})
 		prevHi = hi
 	}
-	return l, nil
+	return dst, nil
 }
 
 type vbDiff struct{}
@@ -122,9 +164,13 @@ type vbDiff struct{}
 // Name implements Codec.
 func (vbDiff) Name() string { return "vb+diff" }
 
-// Encode implements Codec: one zig-zag delta varint per identifier.
-func (vbDiff) Encode(l List) ([]byte, error) {
-	buf := make([]byte, 0, 8+int(l.n))
+// Encode implements Codec.
+func (c vbDiff) Encode(l List) ([]byte, error) {
+	return c.AppendEncode(make([]byte, 0, 8+int(l.n)), l)
+}
+
+// AppendEncode implements Codec: one zig-zag delta varint per identifier.
+func (vbDiff) AppendEncode(buf []byte, l List) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, l.n)
 	var prev uint64
 	for _, r := range l.ranges {
@@ -140,25 +186,27 @@ func (vbDiff) Encode(l List) ([]byte, error) {
 }
 
 // Decode implements Codec, inverting Encode.
-func (vbDiff) Decode(data []byte) (List, error) {
+func (c vbDiff) Decode(data []byte) (List, error) { return decodeList(c, data) }
+
+// AppendDecode implements Codec.
+func (vbDiff) AppendDecode(dst []Range, data []byte) ([]Range, error) {
 	n, k := binary.Uvarint(data)
 	if k <= 0 {
-		return List{}, fmt.Errorf("idlist: vb+diff: bad id count")
+		return dst, fmt.Errorf("idlist: vb+diff: bad id count")
 	}
 	data = data[k:]
-	var l List
+	base := len(dst)
 	var prev uint64
 	for i := uint64(0); i < n; i++ {
 		d, k := binary.Varint(data)
 		if k <= 0 {
-			return List{}, fmt.Errorf("idlist: vb+diff: truncated id %d", i)
+			return dst[:base], fmt.Errorf("idlist: vb+diff: truncated id %d", i)
 		}
 		data = data[k:]
-		id := prev + uint64(d)
-		l.Append(id)
-		prev = id
+		prev += uint64(d)
+		dst = pushID(dst, base, prev)
 	}
-	return l, nil
+	return dst, nil
 }
 
 type bitmap struct{}
@@ -166,10 +214,13 @@ type bitmap struct{}
 // Name implements Codec.
 func (bitmap) Name() string { return "bitmap" }
 
-// Encode implements Codec: a base identifier plus one bit per position.
-func (bitmap) Encode(l List) ([]byte, error) {
+// Encode implements Codec.
+func (c bitmap) Encode(l List) ([]byte, error) { return c.AppendEncode(nil, l) }
+
+// AppendEncode implements Codec: a base identifier plus one bit per position.
+func (bitmap) AppendEncode(buf []byte, l List) ([]byte, error) {
 	if l.n == 0 {
-		return binary.AppendUvarint(nil, 0), nil
+		return binary.AppendUvarint(buf, 0), nil
 	}
 	base := l.ranges[0].Lo
 	var hi uint64
@@ -198,7 +249,6 @@ func (bitmap) Encode(l List) ([]byte, error) {
 			}
 		}
 	}
-	buf := make([]byte, 0, 24+8*len(words))
 	buf = binary.AppendUvarint(buf, 1) // non-empty marker
 	buf = binary.AppendUvarint(buf, base)
 	buf = binary.AppendUvarint(buf, uint64(len(words)))
@@ -209,47 +259,40 @@ func (bitmap) Encode(l List) ([]byte, error) {
 }
 
 // Decode implements Codec, inverting Encode.
-func (bitmap) Decode(data []byte) (List, error) {
+func (c bitmap) Decode(data []byte) (List, error) { return decodeList(c, data) }
+
+// AppendDecode implements Codec.
+func (bitmap) AppendDecode(dst []Range, data []byte) ([]Range, error) {
 	marker, k := binary.Uvarint(data)
 	if k <= 0 {
-		return List{}, fmt.Errorf("idlist: bitmap: bad marker")
+		return dst, fmt.Errorf("idlist: bitmap: bad marker")
 	}
 	data = data[k:]
 	if marker == 0 {
-		return List{}, nil
+		return dst, nil
 	}
 	base, k := binary.Uvarint(data)
 	if k <= 0 {
-		return List{}, fmt.Errorf("idlist: bitmap: bad base")
+		return dst, fmt.Errorf("idlist: bitmap: bad base")
 	}
 	data = data[k:]
 	nwords, k := binary.Uvarint(data)
 	if k <= 0 {
-		return List{}, fmt.Errorf("idlist: bitmap: bad word count")
+		return dst, fmt.Errorf("idlist: bitmap: bad word count")
 	}
 	data = data[k:]
-	if uint64(len(data)) < nwords*8 {
-		return List{}, fmt.Errorf("idlist: bitmap: truncated words")
+	if nwords > uint64(len(data))/8 {
+		return dst, fmt.Errorf("idlist: bitmap: truncated words")
 	}
-	var l List
+	first := len(dst)
 	for w := uint64(0); w < nwords; w++ {
 		word := binary.LittleEndian.Uint64(data[w*8:])
 		for word != 0 {
-			bit := uint64(trailingZeros(word))
-			l.Append(base + w*64 + bit)
+			dst = pushID(dst, first, base+w*64+uint64(bits.TrailingZeros64(word)))
 			word &= word - 1
 		}
 	}
-	return l, nil
-}
-
-func trailingZeros(v uint64) int {
-	n := 0
-	for v&1 == 0 {
-		v >>= 1
-		n++
-	}
-	return n
+	return dst, nil
 }
 
 type deflated struct {
@@ -261,35 +304,109 @@ type deflated struct {
 // Name implements Codec.
 func (c deflated) Name() string { return c.name }
 
-// Encode implements Codec: the inner codec's bytes, DEFLATE-compressed.
-func (c deflated) Encode(l List) ([]byte, error) {
-	raw, err := c.inner.Encode(l)
+// A flate.Writer is hundreds of KB of tables that NewWriter zeroes, and a
+// reader tens of KB, so both are pooled and Reset instead of rebuilt per list.
+// raw holds the inner codec's bytes between the two stages of an Encode or a
+// Decode.
+
+// deflater is the pooled state of one deflated Encode.
+type deflater struct {
+	w   *flate.Writer
+	out appendWriter
+	raw []byte
+}
+
+// inflater is the pooled state of one deflated Decode; r implements
+// flate.Resetter.
+type inflater struct {
+	r   io.ReadCloser
+	src bytes.Reader
+	raw []byte
+}
+
+// appendWriter is the io.Writer a pooled flate.Writer compresses into: the
+// caller's buffer, extended in place.
+type appendWriter struct{ buf []byte }
+
+// Write implements io.Writer.
+func (a *appendWriter) Write(p []byte) (int, error) {
+	a.buf = append(a.buf, p...)
+	return len(p), nil
+}
+
+// deflaters pools compressor state per flate level (the index is
+// level − flate.HuffmanOnly); inflaters pools decompressor state.
+var (
+	deflaters [flate.BestCompression - flate.HuffmanOnly + 1]sync.Pool
+	inflaters sync.Pool
+)
+
+// Encode implements Codec.
+func (c deflated) Encode(l List) ([]byte, error) { return c.AppendEncode(nil, l) }
+
+// AppendEncode implements Codec: the inner codec's bytes, DEFLATE-compressed.
+func (c deflated) AppendEncode(dst []byte, l List) ([]byte, error) {
+	pool := &deflaters[c.level-flate.HuffmanOnly]
+	st, _ := pool.Get().(*deflater)
+	if st == nil {
+		st = &deflater{}
+		w, err := flate.NewWriter(&st.out, c.level)
+		if err != nil {
+			return nil, fmt.Errorf("idlist: deflate: %v", err)
+		}
+		st.w = w
+	}
+	raw, err := c.inner.AppendEncode(st.raw[:0], l)
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, c.level)
-	if err != nil {
+	st.raw = raw
+	st.out.buf = dst
+	st.w.Reset(&st.out)
+	if _, err := st.w.Write(raw); err != nil {
 		return nil, fmt.Errorf("idlist: deflate: %v", err)
 	}
-	if _, err := w.Write(raw); err != nil {
+	if err := st.w.Close(); err != nil {
 		return nil, fmt.Errorf("idlist: deflate: %v", err)
 	}
-	if err := w.Close(); err != nil {
-		return nil, fmt.Errorf("idlist: deflate: %v", err)
-	}
-	return buf.Bytes(), nil
+	dst, st.out.buf = st.out.buf, nil
+	pool.Put(st)
+	return dst, nil
 }
 
 // Decode implements Codec, inflating then delegating to the inner codec.
-func (c deflated) Decode(data []byte) (List, error) {
-	r := flate.NewReader(bytes.NewReader(data))
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return List{}, fmt.Errorf("idlist: inflate: %v", err)
+func (c deflated) Decode(data []byte) (List, error) { return decodeList(c, data) }
+
+// AppendDecode implements Codec.
+func (c deflated) AppendDecode(dst []Range, data []byte) ([]Range, error) {
+	st, _ := inflaters.Get().(*inflater)
+	if st == nil {
+		st = &inflater{}
+		st.src.Reset(data)
+		st.r = flate.NewReader(&st.src)
+	} else {
+		st.src.Reset(data)
+		if err := st.r.(flate.Resetter).Reset(&st.src, nil); err != nil {
+			return dst, fmt.Errorf("idlist: inflate: %v", err)
+		}
 	}
-	if err := r.Close(); err != nil {
-		return List{}, fmt.Errorf("idlist: inflate: %v", err)
+	raw := st.raw[:0]
+	for {
+		if len(raw) == cap(raw) {
+			raw = append(raw, 0)[:len(raw)]
+		}
+		n, err := st.r.Read(raw[len(raw):cap(raw)])
+		raw = raw[:len(raw)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return dst, fmt.Errorf("idlist: inflate: %v", err)
+		}
 	}
-	return c.inner.Decode(raw)
+	st.raw = raw
+	out, err := c.inner.AppendDecode(dst, raw)
+	st.src.Reset(nil) // drop the reference to the caller's data
+	inflaters.Put(st)
+	return out, err
 }

@@ -55,6 +55,21 @@ func FromRanges(rs []Range) List {
 	return l
 }
 
+// View wraps a range decomposition as a List without copying it: the list
+// aliases rs, which must not be modified while the list is in use (appending
+// to the list is safe — the slice is capped, so growth reallocates). It is
+// how the engine, the wire decoder and the client carve many lists out of one
+// backing array. Like FromRanges it applies no coalescing or re-sorting;
+// unlike it, an inverted range is counted with wrap-around instead of
+// panicking, because callers hand it ranges decoded from an untrusted peer.
+func View(rs []Range) List {
+	l := List{ranges: rs[:len(rs):len(rs)]}
+	for _, r := range rs {
+		l.n += r.Span()
+	}
+	return l
+}
+
 // FromIDs returns a list containing the given identifiers, which must be in
 // non-decreasing order. Consecutive runs collapse into ranges.
 func FromIDs(ids []uint64) List {
@@ -132,19 +147,28 @@ func (l *List) Merge(other List) {
 		*l = other.Clone()
 		return
 	}
-	merged := make([]Range, 0, len(l.ranges)+len(other.ranges))
-	a, b := l.ranges, other.ranges
-	i, j := 0, 0
+	l.ranges = MergeRanges(make([]Range, 0, len(l.ranges)+len(other.ranges)), l.ranges, other.ranges)
+	l.n += other.n
+}
+
+// MergeRanges appends the Lo-ordered merge of two non-empty lists' range
+// decompositions to dst and returns it — the body of Merge, for callers that
+// keep ranges in storage of their own. Ties take a first; a range that abuts
+// the one before it in the output coalesces into it. dst must not alias a or
+// b.
+func MergeRanges(dst, a, b []Range) []Range {
+	base := len(dst)
 	push := func(r Range) {
-		if k := len(merged); k > 0 {
-			last := &merged[k-1]
+		if k := len(dst); k > base {
+			last := &dst[k-1]
 			if r.Lo == last.Hi+1 && last.Hi != ^uint64(0) {
 				last.Hi = r.Hi
 				return
 			}
 		}
-		merged = append(merged, r)
+		dst = append(dst, r)
 	}
+	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i].Lo <= b[j].Lo {
 			push(a[i])
@@ -160,8 +184,7 @@ func (l *List) Merge(other List) {
 	for ; j < len(b); j++ {
 		push(b[j])
 	}
-	l.ranges = merged
-	l.n += other.n
+	return dst
 }
 
 // IDs expands the list into individual identifiers, with multiplicity. It is

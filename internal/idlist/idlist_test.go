@@ -1,6 +1,8 @@
 package idlist
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -301,5 +303,83 @@ func BenchmarkMerge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := x.Clone()
 		c.Merge(y)
+	}
+}
+
+// TestAppendCodecMatchesEncodeDecode pins the append-style codec methods to
+// the allocating ones: AppendEncode after a prefix yields prefix+Encode, and
+// AppendDecode after existing ranges yields those ranges untouched followed
+// by exactly Decode's — never coalescing across the boundary, even when the
+// first decoded identifier abuts the last range already there. Running every
+// list twice also exercises the pooled Deflate state's reuse.
+func TestAppendCodecMatchesEncodeDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, codec := range AllCodecs() {
+		t.Run(codec.Name(), func(t *testing.T) {
+			for trial := 0; trial < 40; trial++ {
+				l := randomList(rng, rng.Intn(30)+1)
+				want, err := codec.Encode(l)
+				if err != nil {
+					t.Fatalf("encode: %v", err)
+				}
+				prefix := []byte("prefix")
+				got, err := codec.AppendEncode(append([]byte(nil), prefix...), l)
+				if err != nil {
+					t.Fatalf("append-encode: %v", err)
+				}
+				if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+					t.Fatalf("AppendEncode = %x, want prefix + %x", got, want)
+				}
+
+				dec, err := codec.Decode(want)
+				if err != nil {
+					t.Fatalf("decode: %v", err)
+				}
+				first := dec.Ranges()[0].Lo
+				held := []Range{{Lo: first - 1, Hi: first - 1}} // abuts the first decoded id
+				out, err := codec.AppendDecode(held, want)
+				if err != nil {
+					t.Fatalf("append-decode: %v", err)
+				}
+				if out[0] != (Range{Lo: first - 1, Hi: first - 1}) || !View(out[1:]).Equal(dec) {
+					t.Fatalf("AppendDecode = %v, want [%d] then %v", out, first-1, dec)
+				}
+			}
+		})
+	}
+}
+
+// TestAppendDecodeRejectsHostileCounts pins the reservation guards: a few
+// bytes claiming a huge element count fail the decode instead of reserving
+// for it, and a failed decode leaves the caller's ranges as they were.
+func TestAppendDecodeRejectsHostileCounts(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<60)
+	held := []Range{{Lo: 5, Hi: 9}}
+	for _, codec := range []Codec{RangeVB, RangeVBDiff, VBDiff} {
+		out, err := codec.AppendDecode(held, huge)
+		if err == nil {
+			t.Errorf("%s: hostile count accepted", codec.Name())
+		}
+		if len(out) != 1 || out[0] != held[0] {
+			t.Errorf("%s: failed decode changed the caller's ranges: %v", codec.Name(), out)
+		}
+	}
+	words := binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, 1), 0), 1<<61) // marker, base, word count
+	if _, err := Bitmap.AppendDecode(nil, words); err == nil {
+		t.Error("bitmap: hostile word count accepted")
+	}
+}
+
+// TestViewAliasesWithoutCopy pins View's contract: the list reads the
+// caller's ranges, and appending to the list never writes past them.
+func TestViewAliasesWithoutCopy(t *testing.T) {
+	backing := []Range{{Lo: 1, Hi: 3}, {Lo: 7, Hi: 7}, {Lo: 100, Hi: 100}}
+	l := View(backing[:2])
+	if l.Len() != 4 || l.NumRanges() != 2 {
+		t.Fatalf("View = %v (n=%d)", l, l.Len())
+	}
+	l.Append(9)
+	if backing[2] != (Range{Lo: 100, Hi: 100}) {
+		t.Fatalf("appending to a view overwrote the backing array: %v", backing)
 	}
 }

@@ -18,7 +18,7 @@ import (
 // groups, scan rows, metrics, and — on v4 — the daemon's span breakdown for
 // the query trace (nil spans encode as an empty list).
 func EncodeResult(codecName string, res *engine.Result, spans []obs.FlatSpan, version uint64) ([]byte, error) {
-	e := &enc{}
+	e := &enc{buf: make([]byte, 0, resultSizeHint(res))}
 	e.str(codecName)
 
 	e.uint(uint64(len(res.Groups)))
@@ -45,6 +45,23 @@ func EncodeResult(codecName string, res *engine.Result, spans []obs.FlatSpan, ve
 		encodeSpans(e, spans)
 	}
 	return e.buf, nil
+}
+
+// resultSizeHint estimates a result frame's size from its variable-length
+// parts, so a multi-megabyte group-by frame is written into one allocation
+// instead of doubling its way up. A guess only: the frame still grows by
+// append.
+func resultSizeHint(res *engine.Result) int {
+	n := 256
+	for i := range res.Groups {
+		g := &res.Groups[i]
+		n += 16 + len(g.KeyBytes) + len(g.KeyStr)
+		for j := range g.Aggs {
+			av := &g.Aggs[j]
+			n += 32 + len(av.Ashe.Encoded) + 4*av.Ashe.IDs.NumRanges() + len(av.Ope) + len(av.CompanionBytes)
+		}
+	}
+	return n
 }
 
 // encodeSpans appends a v4 span-record section: the daemon's trace breakdown,
@@ -149,26 +166,43 @@ func decodeScanRows(d *dec, dst *[]engine.ScanRow) {
 }
 
 // DecodeResult parses a MsgResult payload framed at the connection's
-// negotiated version.
+// negotiated version. The groups decode into a few blocks per result, not a
+// few allocations per group: one []Group, the aggregates from []AggValue
+// blocks, and every byte field (keys, encoded id-lists, OPE ciphertexts) and
+// id-list range run carved from shared arenas. The result does not alias p.
 func DecodeResult(p []byte, version uint64) (codecName string, res *engine.Result, spans []obs.FlatSpan, err error) {
 	d := newDec(p)
 	codecName = d.str()
 	res = &engine.Result{}
 
 	nGroups := d.uint()
-	for i := uint64(0); i < nGroups && d.err == nil; i++ {
-		var g engine.Group
-		g.KeyKind = store.Kind(d.uint())
-		g.KeyU64 = d.uint()
-		g.KeyBytes = d.bytes()
-		g.KeyStr = d.str()
-		g.Suffix = int(d.int())
-		g.Rows = d.uint()
-		nAggs := d.uint()
-		for j := uint64(0); j < nAggs && d.err == nil; j++ {
-			g.Aggs = append(g.Aggs, decodeAggValue(d))
+	// A group consumes ≥ 7 payload bytes (kind, key u64, two empty keys,
+	// suffix, rows, aggregate count), bounding the allocation.
+	if d.checkCount(nGroups, 7, "groups") && nGroups > 0 {
+		res.Groups = make([]engine.Group, nGroups)
+		// Byte fields are copied, so together they fit in what is left of p.
+		a := resultArena{d: d, bytes: make([]byte, 0, len(p)-d.off)}
+		for i := range res.Groups {
+			g := &res.Groups[i]
+			g.KeyKind = store.Kind(d.uint())
+			g.KeyU64 = d.uint()
+			g.KeyBytes = a.copyBytes()
+			g.KeyStr = d.str()
+			g.Suffix = int(d.int())
+			g.Rows = d.uint()
+			nAggs := d.uint()
+			// An aggregate consumes ≥ 13 payload bytes (see encodeAggValue).
+			if !d.checkCount(nAggs, 13, "aggregates") {
+				break
+			}
+			g.Aggs = a.aggValues(int(nAggs), len(res.Groups)-i)
+			for j := range g.Aggs {
+				a.decodeAggValue(&g.Aggs[j])
+			}
+			if d.err != nil {
+				break
+			}
 		}
-		res.Groups = append(res.Groups, g)
 	}
 
 	decodeScanRows(d, &res.Scan)
@@ -182,6 +216,73 @@ func DecodeResult(p []byte, version uint64) (codecName string, res *engine.Resul
 	}
 	return codecName, res, spans, nil
 }
+
+// resultArena is the block storage of one result's decode. Every reservation
+// is bounded by the payload bytes still unread, so a hostile count cannot make
+// the decoder reserve more than a small multiple of the frame it arrived in.
+type resultArena struct {
+	d      *dec
+	bytes  []byte
+	aggs   []engine.AggValue
+	ranges []idlist.Range
+}
+
+// copyBytes reads a length-prefixed byte field into the arena; like dec.bytes
+// an empty field is nil. The arena's capacity covers every byte field of the
+// payload, so the append never reallocates under earlier fields.
+func (a *resultArena) copyBytes() []byte {
+	d := a.d
+	n := d.uint()
+	if d.err != nil {
+		return nil
+	}
+	if uint64(len(d.buf)-d.off) < n {
+		d.fail("bytes")
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	lo := len(a.bytes)
+	a.bytes = append(a.bytes, d.buf[d.off:d.off+int(n)]...)
+	d.off += int(n)
+	return a.bytes[lo:len(a.bytes):len(a.bytes)]
+}
+
+// aggValues carves n zeroed aggregate values; left is how many groups
+// (this one included) remain, each assumed to want as many, so a uniform
+// result takes one block.
+func (a *resultArena) aggValues(n, left int) []engine.AggValue {
+	if n == 0 {
+		return nil
+	}
+	if len(a.aggs) < n {
+		want := uint64(n) * uint64(left)
+		if most := uint64(len(a.d.buf)-a.d.off) / 13; want > most {
+			want = max(most, uint64(n))
+		}
+		a.aggs = make([]engine.AggValue, want)
+	}
+	out := a.aggs[:n:n]
+	a.aggs = a.aggs[n:]
+	return out
+}
+
+// rangeRun returns an empty run with room for n ranges, carved from a block
+// that doubles as the result asks for more.
+func (a *resultArena) rangeRun(n int) []idlist.Range {
+	if cap(a.ranges)-len(a.ranges) < n {
+		a.ranges = make([]idlist.Range, 0, max(n, 2*cap(a.ranges), 256))
+	}
+	lo := len(a.ranges)
+	a.ranges = a.ranges[:lo+n]
+	return a.ranges[lo : lo : lo+n]
+}
+
+// aggTailEmpty is the encoding of an aggregate value's fields after the ASHE
+// section when none is set: no Paillier ciphertext, an empty OPE ciphertext,
+// ArgID 0, no companion, four empty median collections.
+var aggTailEmpty [8]byte
 
 func encodeAggValue(e *enc, av *engine.AggValue) {
 	e.uint(uint64(av.Kind))
@@ -201,6 +302,14 @@ func encodeAggValue(e *enc, av *engine.AggValue) {
 		prev = r.Lo
 	}
 	e.bytes(av.Ashe.Encoded)
+
+	// What follows is empty on every count, sum and ASHE aggregate — all but
+	// a few of a wide result's values — and then encodes as eight zero bytes.
+	if av.Pail == nil && len(av.Ope) == 0 && av.ArgID == 0 && len(av.CompanionBytes) == 0 &&
+		len(av.MedU64) == 0 && len(av.MedOpe) == 0 && len(av.MedIDs) == 0 && len(av.MedComp) == 0 {
+		e.buf = append(e.buf, aggTailEmpty[:]...)
+		return
+	}
 
 	if av.Pail != nil {
 		e.bool(true)
@@ -234,8 +343,8 @@ func encodeAggValue(e *enc, av *engine.AggValue) {
 	}
 }
 
-func decodeAggValue(d *dec) engine.AggValue {
-	var av engine.AggValue
+func (a *resultArena) decodeAggValue(av *engine.AggValue) {
+	d := a.d
 	av.Kind = engine.AggKind(d.uint())
 	av.U64 = d.uint()
 
@@ -243,7 +352,7 @@ func decodeAggValue(d *dec) engine.AggValue {
 	nRanges := d.uint()
 	// Each range consumes ≥ 2 payload bytes, bounding the allocation.
 	if d.checkCount(nRanges, 2, "id-list ranges") && nRanges > 0 {
-		ranges := make([]idlist.Range, 0, nRanges)
+		ranges := a.rangeRun(int(nRanges))
 		prev := uint64(0)
 		for i := uint64(0); i < nRanges && d.err == nil; i++ {
 			lo := prev + d.uint()
@@ -256,18 +365,23 @@ func decodeAggValue(d *dec) engine.AggValue {
 			prev = lo
 		}
 		if d.err == nil {
-			av.Ashe.IDs = idlist.FromRanges(ranges)
+			av.Ashe.IDs = idlist.View(ranges)
 		}
 	}
-	av.Ashe.Encoded = d.bytes()
+	av.Ashe.Encoded = a.copyBytes()
+
+	if d.err == nil && len(d.buf)-d.off >= len(aggTailEmpty) && [8]byte(d.buf[d.off:d.off+8]) == aggTailEmpty {
+		d.off += len(aggTailEmpty)
+		return
+	}
 
 	if d.bool() {
 		av.Pail = new(big.Int).SetBytes(d.bytes())
 	}
 
-	av.Ope = d.bytes()
+	av.Ope = a.copyBytes()
 	av.ArgID = d.uint()
-	av.CompanionBytes = d.bytes()
+	av.CompanionBytes = a.copyBytes()
 
 	if n := d.uint(); d.checkCount(n, 1, "median u64s") && n > 0 {
 		av.MedU64 = make([]uint64, 0, n)
@@ -278,7 +392,7 @@ func decodeAggValue(d *dec) engine.AggValue {
 	if n := d.uint(); d.checkCount(n, 1, "median opes") && n > 0 {
 		av.MedOpe = make([][]byte, 0, n)
 		for i := uint64(0); i < n && d.err == nil; i++ {
-			av.MedOpe = append(av.MedOpe, d.bytes())
+			av.MedOpe = append(av.MedOpe, a.copyBytes())
 		}
 	}
 	if n := d.uint(); d.checkCount(n, 1, "median ids") && n > 0 {
@@ -293,7 +407,6 @@ func decodeAggValue(d *dec) engine.AggValue {
 			av.MedComp = append(av.MedComp, d.uint())
 		}
 	}
-	return av
 }
 
 func encodeMetrics(e *enc, m *engine.Metrics, version uint64) {

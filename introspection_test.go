@@ -149,6 +149,22 @@ func TestExplainAnalyzeShardedEndToEnd(t *testing.T) {
 	if res.Metrics.Ops.GroupDense+res.Metrics.Ops.GroupHash == 0 {
 		t.Errorf("grouped run counted no grouped rows: %+v", res.Metrics.Ops)
 	}
+
+	// The same query over the encrypted table groups by DET ciphertexts: byte
+	// keys take the slot table like any other key, and the counters say so.
+	res, err = proxy.Query(context.Background(), "EXPLAIN ANALYZE SELECT d, SUM(m) FROM big GROUP BY d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text = res.ExplainText()
+	for _, want := range []string{"path=open-addressed slot table (byte keys", "flat lanes", "rows grouped: dense=0 hash=3000"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("encrypted grouped EXPLAIN ANALYZE missing %q:\n%s", want, text)
+		}
+	}
+	if ops := res.Metrics.Ops; ops.GroupHash != 3000 || ops.GroupSlots == 0 || ops.GroupTableLen == 0 {
+		t.Errorf("byte-keyed rows missed the group counters: %+v", ops)
+	}
 }
 
 // TestDebugKillProxyEndToEnd kills a stalled query through the proxy's

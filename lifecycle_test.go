@@ -50,6 +50,7 @@ func lifecycleProxy(t *testing.T, backend seabed.ClusterBackend) *seabed.Proxy {
 	}}
 	if _, err := proxy.CreatePlan(sch, []string{
 		"SELECT SUM(m) FROM big WHERE d > 15",
+		"SELECT d, SUM(m) FROM big GROUP BY d",
 	}, seabed.PlannerOptions{}); err != nil {
 		t.Fatal(err)
 	}
