@@ -122,7 +122,7 @@ func (ts *taskState) execute(ctx context.Context, i0, i1 int) error {
 				cp.aggs[ai].bulk(&ts.pc, &ts.res.single.aggs[ai], &ts.b, startID)
 			}
 		default:
-			ts.accumulateGroups(startID, n, i1-hi)
+			ts.accumulateGroups(startID)
 		}
 	}
 	return nil
@@ -220,11 +220,6 @@ type grouper struct {
 	denseKeys uint64
 	dense     []int32
 
-	// prevSlots is the slot count after the previous batch, and sized records
-	// that reserveRest has made its one reservation.
-	prevSlots int
-	sized     bool
-
 	// Per-batch scratch, sized to batchRows once: the resolved slot per
 	// survivor, and for the rows the dense index did not resolve their
 	// position in the batch, key row, suffix and hash, plus the probe order.
@@ -272,39 +267,6 @@ func (g *grouper) init(cp *compiledPlan) {
 	g.hsfx = make([]int32, batchRows)
 	g.hh = make([]uint64, batchRows)
 	g.horder = make([]int32, batchRows)
-}
-
-// reserveMinSlots is the slot count at which a grouper stops doubling its
-// vectors and sizes them for the rest of its task in one step.
-const reserveMinSlots = 1 << 8
-
-// reserveRest sizes the slot vectors, once, for the groups the rest of the
-// task will add. It runs after every batch of batch rows, left of which
-// remain: once the grouper holds reserveMinSlots slots it is on a wide key,
-// so instead of doubling a dozen vectors to megabytes it reserves for new keys
-// continuing to arrive at the rate of the batch just finished (a dense key
-// that filled its slots early adds none, and reserves nothing). A wrong guess
-// costs only the doubling it replaces.
-func (g *grouper) reserveRest(batch, left int) {
-	n, prev := g.t.len(), g.prevSlots
-	g.prevSlots = n
-	if g.sized || prev < reserveMinSlots {
-		return
-	}
-	g.sized = true
-	more := min((n-prev)*left/batch, left)
-	if more == 0 {
-		return
-	}
-	more += more / 16
-	g.t.reserve(more, g.t.keyLen())
-	g.acc.reserve(more)
-	for ai := range g.ids {
-		if c := &g.ids[ai]; len(c.slots) > 0 {
-			c.nodes = room(c.nodes, len(c.nodes)*more/len(c.slots)) // as many ranges a slot as so far
-			c.slots = room(c.slots, more)
-		}
-	}
 }
 
 // addSlot grows the accumulators, and the identifier lists beside them, by
@@ -465,16 +427,14 @@ func groupColKind(cp *compiledPlan) store.Kind {
 // accumulators in two phases: resolve slots (groupSlots), then accumulate
 // over (selection, slot) pairs — lane loops when every aggregate is
 // lane-eligible (accumulateLanes, kernel.go), the compiled row kernels
-// against per-slot partials otherwise. The batch scanned batch rows and left
-// rows remain, which is what reserveRest sizes by.
-func (ts *taskState) accumulateGroups(startID uint64, batch, left int) {
+// against per-slot partials otherwise.
+func (ts *taskState) accumulateGroups(startID uint64) {
 	ts.groupSlots(startID)
 	if ts.g.acc.lanes {
 		ts.accumulateLanes(startID)
 	} else {
 		ts.accumulateSlots(startID)
 	}
-	ts.g.reserveRest(batch, left)
 }
 
 // accumulateSlots is the generic accumulation path: per-slot partials fed

@@ -472,18 +472,6 @@ func (a *groupAcc) alloc(n int) {
 	}
 }
 
-// reserve makes room for n more slots.
-func (a *groupAcc) reserve(n int) {
-	a.rows = room(a.rows, n)
-	if !a.lanes {
-		a.parts = room(a.parts, n)
-		return
-	}
-	for ai := range a.aggs {
-		a.vals[ai] = room(a.vals[ai], n)
-	}
-}
-
 // addSlot grows the accumulators by one zeroed slot.
 func (a *groupAcc) addSlot() {
 	a.rows = append(room(a.rows, 1), 0)

@@ -198,6 +198,44 @@ func TestKernelBytesGroupKeyAllocFree(t *testing.T) {
 	}
 }
 
+// TestGrouperMemoryTracksGroupsNotRows pins what a map task's group-by state
+// scales with: on a partition with a hundred times more rows than groups,
+// every per-slot vector holds under twice the groups (room's doubling), never
+// a share of the rows still to come.
+func TestGrouperMemoryTracksGroupsNotRows(t *testing.T) {
+	const rows, groups = 300_000, 3000
+	tbl := detKeyFixture(t, rows, groups, 1, false)
+	pl := &Plan{
+		Table:   tbl,
+		GroupBy: &GroupBy{Col: "k"},
+		Aggs:    []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggCount}},
+	}
+	cp, err := pl.compile(0, idlist.Default)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := cp.newTaskState(tbl.Parts[0])
+	if err := ts.execute(context.Background(), 0, rows-1); err != nil {
+		t.Fatal(err)
+	}
+	g := &ts.g
+	if g.t.len() != groups {
+		t.Fatalf("%d groups, want %d", g.t.len(), groups)
+	}
+	for name, c := range map[string]int{
+		"rows":      cap(g.acc.rows),
+		"lane":      cap(g.acc.vals[0]),
+		"key spans": cap(g.t.off),
+		"hashes":    cap(g.t.hash),
+		"id chains": cap(g.ids[0].slots),
+		"key arena": cap(g.t.arena) / 16,
+	} {
+		if c > 2*groups {
+			t.Errorf("%s: capacity for %d slots with %d groups over %d rows", name, c, groups, rows)
+		}
+	}
+}
+
 // --- benchmarks: vectorized kernels vs the pre-refactor loop ---
 
 const benchRows = 1 << 18

@@ -15,10 +15,15 @@ import (
 
 // Codec serializes and deserializes identifier lists.
 type Codec interface {
-	// Name identifies the codec in benchmark output, e.g. "ranges+vb+diff".
-	Name() string
+	encoding
 	Encode(l List) ([]byte, error)
 	Decode(data []byte) (List, error)
+}
+
+// encoding is what one encoding implements; codec makes a Codec of it.
+type encoding interface {
+	// Name identifies the codec in benchmark output, e.g. "ranges+vb+diff".
+	Name() string
 	// AppendEncode appends l's encoding to dst and returns the extended
 	// buffer: Encode into storage the caller owns, so a loop that only sizes
 	// lists, or packs many into one arena, allocates nothing per list.
@@ -30,8 +35,16 @@ type Codec interface {
 	AppendDecode(dst []Range, data []byte) ([]Range, error)
 }
 
-// decodeList is Decode in terms of AppendDecode, shared by every codec.
-func decodeList(c Codec, data []byte) (List, error) {
+// codec adds Encode and Decode, into fresh storage, to an encoding.
+type codec struct{ encoding }
+
+// Encode implements Codec.
+func (c codec) Encode(l List) ([]byte, error) {
+	return c.AppendEncode(make([]byte, 0, 16+10*len(l.ranges)), l)
+}
+
+// Decode implements Codec, inverting Encode.
+func (c codec) Decode(data []byte) (List, error) {
 	rs, err := c.AppendDecode(nil, data)
 	if err != nil {
 		return List{}, err
@@ -54,19 +67,19 @@ func pushID(dst []Range, base int, id uint64) []Range {
 // Named codecs matching the encoding progression evaluated in Figure 8.
 var (
 	// RangeVB writes ranges with absolute variable-byte bounds ("Ranges & VB").
-	RangeVB Codec = rangeVB{diff: false}
+	RangeVB Codec = codec{rangeVB{diff: false}}
 	// RangeVBDiff adds differential encoding of range bounds ("+Diff").
-	RangeVBDiff Codec = rangeVB{diff: true}
+	RangeVBDiff Codec = codec{rangeVB{diff: true}}
 	// RangeVBDiffDeflateFast adds Deflate optimized for speed ("+Deflate(Fast)").
-	RangeVBDiffDeflateFast Codec = deflated{inner: rangeVB{diff: true}, level: flate.BestSpeed, name: "ranges+vb+diff+deflate(fast)"}
+	RangeVBDiffDeflateFast Codec = codec{deflated{inner: rangeVB{diff: true}, level: flate.BestSpeed, name: "ranges+vb+diff+deflate(fast)"}}
 	// RangeVBDiffDeflateCompact adds Deflate optimized for ratio ("+Deflate(Compact)").
-	RangeVBDiffDeflateCompact Codec = deflated{inner: rangeVB{diff: true}, level: flate.BestCompression, name: "ranges+vb+diff+deflate(compact)"}
+	RangeVBDiffDeflateCompact Codec = codec{deflated{inner: rangeVB{diff: true}, level: flate.BestCompression, name: "ranges+vb+diff+deflate(compact)"}}
 	// VBDiff encodes individual identifiers with differential variable-byte
 	// encoding and no range encoding; Seabed uses it for group-by results
 	// whose sparse lists would bloat under range encoding (§4.5).
-	VBDiff Codec = vbDiff{}
+	VBDiff Codec = codec{vbDiff{}}
 	// Bitmap is the dense-bitmap baseline that "performed poorly" (§6.4).
-	Bitmap Codec = bitmap{}
+	Bitmap Codec = codec{bitmap{}}
 )
 
 // Default is the codec Seabed selects for plain aggregation queries (§6.4):
@@ -80,7 +93,7 @@ func AllCodecs() []Codec {
 
 type rangeVB struct{ diff bool }
 
-// Name implements Codec.
+// Name implements encoding.
 func (c rangeVB) Name() string {
 	if c.diff {
 		return "ranges+vb+diff"
@@ -88,12 +101,7 @@ func (c rangeVB) Name() string {
 	return "ranges+vb"
 }
 
-// Encode implements Codec.
-func (c rangeVB) Encode(l List) ([]byte, error) {
-	return c.AppendEncode(make([]byte, 0, 16+10*len(l.ranges)), l)
-}
-
-// AppendEncode implements Codec: one (Lo, span) varint pair per range,
+// AppendEncode implements encoding: one (Lo, span) varint pair per range,
 // delta-chained from the previous range's Hi in the diff variant.
 func (c rangeVB) AppendEncode(buf []byte, l List) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(l.ranges)))
@@ -113,10 +121,7 @@ func (c rangeVB) AppendEncode(buf []byte, l List) ([]byte, error) {
 	return buf, nil
 }
 
-// Decode implements Codec, inverting Encode.
-func (c rangeVB) Decode(data []byte) (List, error) { return decodeList(c, data) }
-
-// AppendDecode implements Codec.
+// AppendDecode implements encoding.
 func (c rangeVB) AppendDecode(dst []Range, data []byte) ([]Range, error) {
 	n, k := binary.Uvarint(data)
 	if k <= 0 {
@@ -161,15 +166,10 @@ func (c rangeVB) AppendDecode(dst []Range, data []byte) ([]Range, error) {
 
 type vbDiff struct{}
 
-// Name implements Codec.
+// Name implements encoding.
 func (vbDiff) Name() string { return "vb+diff" }
 
-// Encode implements Codec.
-func (c vbDiff) Encode(l List) ([]byte, error) {
-	return c.AppendEncode(make([]byte, 0, 8+int(l.n)), l)
-}
-
-// AppendEncode implements Codec: one zig-zag delta varint per identifier.
+// AppendEncode implements encoding: one zig-zag delta varint per identifier.
 func (vbDiff) AppendEncode(buf []byte, l List) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, l.n)
 	var prev uint64
@@ -185,10 +185,7 @@ func (vbDiff) AppendEncode(buf []byte, l List) ([]byte, error) {
 	return buf, nil
 }
 
-// Decode implements Codec, inverting Encode.
-func (c vbDiff) Decode(data []byte) (List, error) { return decodeList(c, data) }
-
-// AppendDecode implements Codec.
+// AppendDecode implements encoding.
 func (vbDiff) AppendDecode(dst []Range, data []byte) ([]Range, error) {
 	n, k := binary.Uvarint(data)
 	if k <= 0 {
@@ -211,13 +208,10 @@ func (vbDiff) AppendDecode(dst []Range, data []byte) ([]Range, error) {
 
 type bitmap struct{}
 
-// Name implements Codec.
+// Name implements encoding.
 func (bitmap) Name() string { return "bitmap" }
 
-// Encode implements Codec.
-func (c bitmap) Encode(l List) ([]byte, error) { return c.AppendEncode(nil, l) }
-
-// AppendEncode implements Codec: a base identifier plus one bit per position.
+// AppendEncode implements encoding: a base identifier plus one bit per position.
 func (bitmap) AppendEncode(buf []byte, l List) ([]byte, error) {
 	if l.n == 0 {
 		return binary.AppendUvarint(buf, 0), nil
@@ -258,10 +252,7 @@ func (bitmap) AppendEncode(buf []byte, l List) ([]byte, error) {
 	return buf, nil
 }
 
-// Decode implements Codec, inverting Encode.
-func (c bitmap) Decode(data []byte) (List, error) { return decodeList(c, data) }
-
-// AppendDecode implements Codec.
+// AppendDecode implements encoding.
 func (bitmap) AppendDecode(dst []Range, data []byte) ([]Range, error) {
 	marker, k := binary.Uvarint(data)
 	if k <= 0 {
@@ -296,12 +287,12 @@ func (bitmap) AppendDecode(dst []Range, data []byte) ([]Range, error) {
 }
 
 type deflated struct {
-	inner Codec
+	inner encoding
 	level int
 	name  string
 }
 
-// Name implements Codec.
+// Name implements encoding.
 func (c deflated) Name() string { return c.name }
 
 // A flate.Writer is hundreds of KB of tables that NewWriter zeroes, and a
@@ -341,10 +332,7 @@ var (
 	inflaters sync.Pool
 )
 
-// Encode implements Codec.
-func (c deflated) Encode(l List) ([]byte, error) { return c.AppendEncode(nil, l) }
-
-// AppendEncode implements Codec: the inner codec's bytes, DEFLATE-compressed.
+// AppendEncode implements encoding: the inner codec's bytes, DEFLATE-compressed.
 func (c deflated) AppendEncode(dst []byte, l List) ([]byte, error) {
 	pool := &deflaters[c.level-flate.HuffmanOnly]
 	st, _ := pool.Get().(*deflater)
@@ -370,25 +358,48 @@ func (c deflated) AppendEncode(dst []byte, l List) ([]byte, error) {
 		return nil, fmt.Errorf("idlist: deflate: %v", err)
 	}
 	dst, st.out.buf = st.out.buf, nil
+	if cap(st.raw) > maxPooledRaw {
+		st.raw = nil
+	}
 	pool.Put(st)
 	return dst, nil
 }
 
-// Decode implements Codec, inflating then delegating to the inner codec.
-func (c deflated) Decode(data []byte) (List, error) { return decodeList(c, data) }
+// maxInflated bounds what one list may inflate to — what a wire frame could
+// carry uncompressed — so a few hostile KB cannot demand unbounded memory, and
+// maxPooledRaw bounds the raw buffer a pooled inflater or deflater keeps, so
+// one large list does not stay pinned after its query.
+const (
+	maxInflated  = 1 << 30
+	maxPooledRaw = 1 << 20
+)
 
-// AppendDecode implements Codec.
+// AppendDecode implements encoding, inflating then delegating to the inner
+// encoding.
 func (c deflated) AppendDecode(dst []Range, data []byte) ([]Range, error) {
 	st, _ := inflaters.Get().(*inflater)
 	if st == nil {
 		st = &inflater{}
-		st.src.Reset(data)
 		st.r = flate.NewReader(&st.src)
-	} else {
-		st.src.Reset(data)
-		if err := st.r.(flate.Resetter).Reset(&st.src, nil); err != nil {
-			return dst, fmt.Errorf("idlist: inflate: %v", err)
-		}
+	}
+	raw, err := st.inflate(data, maxInflated)
+	out := dst
+	if err == nil {
+		out, err = c.inner.AppendDecode(dst, raw)
+	}
+	st.src.Reset(nil) // drop the reference to the caller's data
+	if cap(st.raw) > maxPooledRaw {
+		st.raw = nil
+	}
+	inflaters.Put(st)
+	return out, err
+}
+
+// inflate decompresses data into st.raw, refusing more than limit bytes.
+func (st *inflater) inflate(data []byte, limit int) ([]byte, error) {
+	st.src.Reset(data)
+	if err := st.r.(flate.Resetter).Reset(&st.src, nil); err != nil {
+		return nil, fmt.Errorf("idlist: inflate: %v", err)
 	}
 	raw := st.raw[:0]
 	for {
@@ -397,16 +408,15 @@ func (c deflated) AppendDecode(dst []Range, data []byte) ([]Range, error) {
 		}
 		n, err := st.r.Read(raw[len(raw):cap(raw)])
 		raw = raw[:len(raw)+n]
+		st.raw = raw
 		if err == io.EOF {
-			break
+			return raw, nil
 		}
 		if err != nil {
-			return dst, fmt.Errorf("idlist: inflate: %v", err)
+			return nil, fmt.Errorf("idlist: inflate: %v", err)
+		}
+		if len(raw) > limit {
+			return nil, fmt.Errorf("idlist: inflate: list exceeds %d bytes", limit)
 		}
 	}
-	st.raw = raw
-	out, err := c.inner.AppendDecode(dst, raw)
-	st.src.Reset(nil) // drop the reference to the caller's data
-	inflaters.Put(st)
-	return out, err
 }

@@ -2,6 +2,7 @@ package idlist
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"math/rand"
 	"reflect"
@@ -367,6 +368,38 @@ func TestAppendDecodeRejectsHostileCounts(t *testing.T) {
 	words := binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, 1), 0), 1<<61) // marker, base, word count
 	if _, err := Bitmap.AppendDecode(nil, words); err == nil {
 		t.Error("bitmap: hostile word count accepted")
+	}
+}
+
+// TestInflateRefusesOversizedList pins the Deflate decoder's bounds: a small
+// payload that inflates past the limit is refused rather than buffered whole,
+// and a buffer past maxPooledRaw does not go back to the pool.
+func TestInflateRefusesOversizedList(t *testing.T) {
+	var bomb bytes.Buffer
+	w, _ := flate.NewWriter(&bomb, flate.BestSpeed)
+	w.Write(make([]byte, 4<<20)) //nolint:errcheck // bytes.Buffer cannot fail
+	w.Close()
+	st := &inflater{}
+	st.r = flate.NewReader(&st.src)
+	if _, err := st.inflate(bomb.Bytes(), 1<<16); err == nil {
+		t.Fatalf("%d bytes inflating to 4 MiB passed a 64 KiB limit", bomb.Len())
+	}
+	if cap(st.raw) > 1<<20 {
+		t.Fatalf("refused list still buffered %d bytes", cap(st.raw))
+	}
+	raw, err := st.inflate(bomb.Bytes(), maxInflated)
+	if err != nil || len(raw) != 4<<20 {
+		t.Fatalf("inflate under the limit: %d bytes, %v", len(raw), err)
+	}
+	// The same payload through the codec (its first byte, a range count of 0,
+	// makes it an empty list): the pooled state must come back small.
+	if _, err := RangeVBDiffDeflateFast.AppendDecode(nil, bomb.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if st, _ := inflaters.Get().(*inflater); st != nil && cap(st.raw) > maxPooledRaw {
+			t.Fatalf("pooled inflater kept %d bytes", cap(st.raw))
+		}
 	}
 }
 

@@ -254,3 +254,25 @@ func TestDecodeResultRejectsHostileFrames(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkEncodeResultWide and BenchmarkDecodeResultWide time the result
+// codec on a 16k-group frame, the unit a wide GROUP BY pays per daemon.
+func BenchmarkEncodeResultWide(b *testing.B) {
+	_, res := wideFrame(b, 1<<14)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := EncodeResult(idlist.VBDiff.Name(), res, nil, Version); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeResultWide(b *testing.B) {
+	p, _ := wideFrame(b, 1<<14)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := DecodeResult(p, Version); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
