@@ -13,8 +13,8 @@ import (
 
 	"seabed/internal/bench"
 	"seabed/internal/engine"
+	"seabed/internal/fleet"
 	"seabed/internal/server"
-	"seabed/internal/shard"
 	"seabed/internal/sqlparse"
 	"seabed/internal/store"
 )
@@ -97,8 +97,8 @@ func BenchmarkGroupBy_WideKeyThroughput(b *testing.B) {
 	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
 }
 
-// BenchmarkStreamedScan_FirstChunkFleet stands up a three-shard loopback
-// fleet and streams a filtered projected scan through shard.RunStream,
+// BenchmarkStreamedScan_FirstChunkFleet stands up a three-daemon loopback
+// fleet (R = 1) and streams a filtered projected scan through RunStream,
 // archiving the merged first-chunk latency against the full gather as
 // custom "first_chunk_ms"/"run_ms" metrics. The acceptance bar for the
 // streaming engine is first-chunk under 10% of the full run: the first
@@ -121,7 +121,7 @@ func BenchmarkStreamedScan_FirstChunkFleet(b *testing.B) {
 		b.Cleanup(func() { srv.Close() })
 		addrs[i] = ln.Addr().String()
 	}
-	sc, err := shard.Dial(addrs)
+	sc, err := fleet.Dial(addrs, fleet.Options{Replicas: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,12 +5,18 @@
 // (internal/engine sets the bar), so an undocumented export is a review
 // failure, caught here in CI rather than in review.
 //
+// It also keeps the comments honest about the documents they cite: a comment
+// naming a Markdown file (README.md, docs/FORMAT.md, …) that does not exist
+// in the repository is a finding, so a citation cannot outlive — or predate —
+// its document.
+//
 // Usage:
 //
 //	doclint [dir ...]        (default: ./internal/... equivalent walk)
 //
-// Each dir is walked recursively; _test.go files and testdata directories
-// are skipped. Exits 1 listing every undocumented export as file:line.
+// Run it from the module root. Each dir is walked recursively; _test.go files
+// and testdata directories are skipped. Exits 1 listing every finding as
+// file:line.
 package main
 
 import (
@@ -21,6 +27,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 )
 
@@ -28,6 +35,11 @@ func main() {
 	roots := os.Args[1:]
 	if len(roots) == 0 {
 		roots = []string{"internal"}
+	}
+	docs, err := markdownFiles(".")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "doclint:", err)
+		os.Exit(2)
 	}
 	var bad []string
 	for _, root := range roots {
@@ -44,7 +56,7 @@ func main() {
 			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return nil
 			}
-			findings, err := lintFile(path)
+			findings, err := lintFile(path, docs)
 			if err != nil {
 				return err
 			}
@@ -60,13 +72,49 @@ func main() {
 		for _, b := range bad {
 			fmt.Println(b)
 		}
-		fmt.Fprintf(os.Stderr, "doclint: %d undocumented exported declarations\n", len(bad))
+		fmt.Fprintf(os.Stderr, "doclint: %d findings\n", len(bad))
 		os.Exit(1)
 	}
 }
 
-// lintFile parses one file and returns a finding per undocumented export.
-func lintFile(path string) ([]string, error) {
+// markdownFiles lists every Markdown file under root, slash-separated and
+// relative to it.
+func markdownFiles(root string) ([]string, error) {
+	var docs []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == ".git" {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".md") {
+			docs = append(docs, filepath.ToSlash(path))
+		}
+		return nil
+	})
+	return docs, err
+}
+
+// mdMention matches a Markdown file name, with any directories written
+// before it, inside a comment.
+var mdMention = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+
+// docExists reports whether a cited name is one of docs, or the tail of one
+// at a directory boundary ("FORMAT.md" cites docs/FORMAT.md).
+func docExists(name string, docs []string) bool {
+	name = strings.TrimPrefix(name, "./")
+	for _, d := range docs {
+		if d == name || strings.HasSuffix(d, "/"+name) {
+			return true
+		}
+	}
+	return false
+}
+
+// lintFile parses one file and returns a finding per undocumented export and
+// per comment citing a Markdown file that is not in docs.
+func lintFile(path string, docs []string) ([]string, error) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 	if err != nil {
@@ -76,6 +124,15 @@ func lintFile(path string) ([]string, error) {
 	report := func(pos token.Pos, what string) {
 		p := fset.Position(pos)
 		out = append(out, fmt.Sprintf("%s:%d: %s", p.Filename, p.Line, what))
+	}
+	for _, group := range f.Comments {
+		for _, c := range group.List {
+			for _, name := range mdMention.FindAllString(c.Text, -1) {
+				if !docExists(name, docs) {
+					report(c.Pos(), "comment cites "+name+", which is not in the repository")
+				}
+			}
+		}
 	}
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {

@@ -8,7 +8,8 @@
 //
 // Without -run, every experiment runs in paper order. Row counts are the
 // paper's divided by -scale (default 10,000); shapes, not absolute numbers,
-// are the reproduction target (see DESIGN.md and EXPERIMENTS.md).
+// are the reproduction target (see README.md, "Paper figures: what is
+// substituted"; benchmark/README.md is the wall-clock benchmark).
 //
 // -cpuprofile and -memprofile write pprof profiles covering the selected
 // experiments, so executor work is measurable without hand-editing: e.g.

@@ -21,7 +21,7 @@ func main() {
 	workers := flag.Int("workers", 8, "simulated cluster workers (embedded mode)")
 	addr := flag.String("addr", "", "address of a running seabed-server; empty runs an embedded cluster")
 	addrs := flag.String("addrs", "", "comma-separated addresses of N seabed-server shards (scatter-gather mode)")
-	replicas := flag.Int("replicas", 0, "with -addrs: replicate each identifier range on R daemons (fleet mode with failover and healing); 0 disables replication")
+	replicas := flag.Int("replicas", 0, "with -addrs: replicate each identifier range on R daemons (failover and healing need R >= 2); 0 means 1, sharding without redundancy")
 	hedge := flag.Float64("hedge", 0, "with -replicas: hedge straggler sub-queries to a second replica once this fraction of ranges has completed, e.g. 0.9; 0 disables hedging")
 	flag.Parse()
 	if *addr != "" && *addrs != "" {
@@ -46,7 +46,10 @@ func run(rows, workers int, addr, addrs string, replicas int, hedge float64) err
 	var cluster seabed.ClusterBackend
 	var where string
 	switch {
-	case addrs != "" && replicas > 0:
+	case addrs != "":
+		if replicas == 0 {
+			replicas = 1
+		}
 		var list []string
 		for _, a := range strings.Split(addrs, ",") {
 			if a = strings.TrimSpace(a); a != "" {
@@ -66,21 +69,6 @@ func run(rows, workers int, addr, addrs string, replicas int, hedge float64) err
 			st := fc.Stats()
 			fmt.Printf("\nfleet mitigation counters: %d hedged sub-queries, %d failovers\n", st.Hedges, st.Failovers)
 		}()
-	case addrs != "":
-		var list []string
-		for _, a := range strings.Split(addrs, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				list = append(list, a)
-			}
-		}
-		sc, err := seabed.DialShardedCluster(list...)
-		if err != nil {
-			return err
-		}
-		defer sc.Close()
-		cluster = sc
-		workers = sc.Workers()
-		where = fmt.Sprintf("%d seabed-server shards at %s (%d workers total)", sc.NumShards(), addrs, workers)
 	case addr != "":
 		rc, err := seabed.DialCluster(addr)
 		if err != nil {

@@ -3,7 +3,7 @@
 //
 //	(a) In-process (fully race-instrumented): a 3-shard fleet of durable
 //	    servers answers a query, one shard stops and restarts over the same
-//	    data directory on the same address, and the same shard.Cluster —
+//	    data directory on the same address, and the same sharded cluster —
 //	    whose pooled sockets to that shard died — returns byte-identical
 //	    rows, with recovery visible in server.Stats.
 //	(b) Subprocess: a real seabed-server daemon is SIGKILLed mid-append

@@ -14,8 +14,8 @@ import (
 	"seabed/internal/workload"
 )
 
-// Ablations covers the design decisions DESIGN.md calls out beyond the
-// paper's own figures: where compression runs, the group-inflation factor,
+// Ablations covers the design decisions README.md ("Execution engine")
+// calls out beyond the paper's own figures: where compression runs, the group-inflation factor,
 // range encoding for group-by results, the PRF packing optimization, and
 // straggler sensitivity.
 func Ablations(cfg Config, w io.Writer) error {

@@ -5,7 +5,9 @@
 // Row counts scale the paper's datasets down by Config.Scale (default
 // 10,000×), preserving ratios between datasets; all comparisons report the
 // shape of the paper's results (who wins, by what factor, where crossovers
-// fall), not absolute seconds. See DESIGN.md §2 for the substitution notes.
+// fall), not absolute seconds. See README.md, "Paper figures: what is
+// substituted", for the substitution notes; benchmark/README.md is the
+// wall-clock fleet benchmark.
 package bench
 
 import (

@@ -10,11 +10,12 @@ import (
 
 // ClusterBackend abstracts the untrusted engine the proxy drives. The
 // in-process *engine.Cluster satisfies it directly; *remote.RemoteCluster
-// satisfies it across a TCP connection to a seabed-server; *shard.Cluster
+// satisfies it across a TCP connection to a seabed-server; *fleet.Cluster
 // satisfies it across N seabed-servers, range-partitioning tables by row
-// identifier and scatter-gathering queries. The same proxy code therefore
-// serves the paper's single-machine evaluation setup, a real client/server
-// deployment, and a horizontally sharded one (§4, §4.5).
+// identifier (each range on R replicas) and scatter-gathering queries. The
+// same proxy code therefore serves the paper's single-machine evaluation
+// setup, a real client/server deployment, and a horizontally sharded one
+// (§4, §4.5).
 //
 // Every request-shaped method takes a context and honors its cancellation
 // and deadline: the in-process engine aborts its worker pool, the remote

@@ -14,7 +14,8 @@ import (
 )
 
 // paillierMaskPoolSize bounds the precomputed r^N masks used when preparing
-// Paillier baseline datasets (DESIGN.md §2 documents this substitution).
+// Paillier baseline datasets (README.md, "Paper figures: what is
+// substituted", item 3).
 const paillierMaskPoolSize = 1024
 
 // Encrypt materializes the physical table for a mode from plaintext source

@@ -407,13 +407,9 @@ func (p *Proxy) finishTrace(root *obs.Span, m *engine.Metrics) {
 				"rows_selected", m.RowsSelected)
 		}
 		if run := root.FindSpan("run"); run != nil {
-			// In-process and sharded backends lay "shard i" children under
-			// run; the replicated fleet lays "range k @ daemon" spans.
-			slowest := run.SlowestChild("shard ")
-			if slowest == nil {
-				slowest = run.SlowestChild("range ")
-			}
-			if slowest != nil {
+			// The fleet lays one "range k @ daemon d" span per scatter
+			// attempt under run.
+			if slowest := run.SlowestChild("range "); slowest != nil {
 				args = append(args, "slowest_shard", slowest.Name())
 			}
 		}
@@ -459,10 +455,10 @@ type QueryResult struct {
 }
 
 // Trace returns the query's span tree: parse/translate/run/decrypt at the
-// proxy, one "shard i" child per scatter target under run, and each daemon's
-// own breakdown (queue wait, map, shuffle, reduce) grafted beneath its rpc
-// span. Trace().FindSpan("run").SlowestChild("shard ") names the straggler
-// that dominated a skewed query (§6.2). For a streamed query the tree is
-// complete only once Rows has been drained; it is nil only for results that
-// never ran a query trace (zero-value QueryResults).
+// proxy, one "range k @ daemon d" child per scatter attempt under run, and
+// each daemon's own breakdown (queue wait, map, shuffle, reduce) grafted
+// beneath its rpc span. Trace().FindSpan("run").SlowestChild("range ") names
+// the straggler that dominated a skewed query (§6.2). For a streamed query
+// the tree is complete only once Rows has been drained; it is nil only for
+// results that never ran a query trace (zero-value QueryResults).
 func (r *QueryResult) Trace() *obs.Span { return r.trace }

@@ -11,9 +11,8 @@
 //     followed by 8-aligned column extents, each with its own CRC, so the
 //     file can be memory-mapped and served in place. Bit rot is detected
 //     at read time — header eagerly at Open, extents lazily at first
-//     fault — never served to a query. Pre-columnar v1 segments (the
-//     framed store.WriteTo serialization) are detected by magic and
-//     still decode eagerly, so old data directories open unchanged.
+//     fault — never served to a query. A file of any other format in a
+//     table directory fails Open with an error naming it.
 //   - Appends journal to a per-table write-ahead log before they are
 //     acknowledged (length-prefixed, checksummed records; fsync per the
 //     configured policy). Past Options.CompactBytes the accumulated batches
@@ -25,7 +24,7 @@
 //     is deleted on Open.
 //
 // Recovery (Open) replays manifest + segments + WAL per table in parallel.
-// v2 segments are mapped, not read: their tables recover as lazy view
+// Segments are mapped, not read: their tables recover as lazy view
 // partitions (store.NewViewPartition) whose columns fault in per query,
 // and only the WAL tail loads eagerly — so boot cost scales with the
 // journal, not the dataset, and Options.MaxResidentBytes bounds how much
@@ -41,7 +40,6 @@
 package durable
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"log/slog"
@@ -280,11 +278,11 @@ func (s *Store) recoverTable(mt manifestTable) (*tableState, *store.Table, Recov
 	var tbl *store.Table
 	for _, seg := range mt.Segments {
 		path := filepath.Join(tdir, seg)
-		part, nRead, nMapped, err := s.openSegment(path)
+		part, nMapped, err := s.openSegment(path)
 		if err != nil {
 			return nil, nil, stats, fmt.Errorf("segment %s: %w", seg, err)
 		}
-		stats.Bytes += nRead + nMapped
+		stats.Bytes += nMapped
 		stats.MappedBytes += nMapped
 		stats.Segments++
 		if tbl == nil {
@@ -679,26 +677,4 @@ func nextSegSeq(segments []string) int {
 		}
 	}
 	return next
-}
-
-// readSegment reads one v1 (framed, row-major) segment file, verifying every
-// frame checksum, and returns the table plus the bytes consumed. New
-// segments are written in the v2 columnar format (segment.go); this reader
-// survives so data directories created before the format change open
-// unchanged.
-func readSegment(path string) (*store.Table, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, 0, err
-	}
-	t, err := store.Read(store.NewFrameReader(bufio.NewReaderSize(f, 1<<16)))
-	if err != nil {
-		return nil, 0, err
-	}
-	return t, st.Size(), nil
 }

@@ -11,16 +11,14 @@ import (
 	"seabed/internal/store"
 )
 
-// Segment format v2: directly-mappable column extents.
+// The segment format: directly-mappable column extents.
 //
-// A v1 segment was the table's row-major store.WriteTo serialization passed
-// through store.FrameWriter — recovery had to decode every byte into heap
-// vectors before the first query. A v2 segment is the same data laid out so
-// the file IS the table: a self-describing header (the per-column offset
-// table) followed by 8-aligned column extents in the shared encoding of
-// store.AppendColumnExtent. Recovery maps the file and builds view
-// partitions; a query faults in just the extents it touches, verified
-// against their CRCs on first use. docs/FORMAT.md is the authoritative spec.
+// A segment is a table laid out so the file IS the table: a self-describing
+// header (the per-column offset table) followed by 8-aligned column extents
+// in the shared encoding of store.AppendColumnExtent. Recovery maps the file
+// and builds view partitions; a query faults in just the extents it touches,
+// verified against their CRCs on first use. docs/FORMAT.md is the
+// authoritative spec.
 //
 // Layout (integers little-endian, fixed width):
 //
@@ -299,7 +297,7 @@ func writeSegment(path string, t *store.Table) (int64, error) {
 	return written, nil
 }
 
-// openColumnarSegment maps a v2 segment file and decodes its directory,
+// openColumnarSegment maps a segment file and decodes its directory,
 // validating the header CRC and every extent's bounds so a torn or truncated
 // segment fails here rather than mid-query.
 func openColumnarSegment(path string) (*mappedSegment, error) {
@@ -319,7 +317,7 @@ func openColumnarSegment(path string) (*mappedSegment, error) {
 func (m *mappedSegment) parseHeader() error {
 	data := m.data
 	if len(data) < 12 || string(data[:4]) != segMagic {
-		return fmt.Errorf("durable: segment %s: bad magic", filepath.Base(m.path))
+		return fmt.Errorf("durable: segment %s: not an SBSG segment (bad magic)", filepath.Base(m.path))
 	}
 	if v := binary.LittleEndian.Uint32(data[4:]); v != segVersion {
 		return fmt.Errorf("durable: segment %s: unsupported version %d", filepath.Base(m.path), v)
@@ -433,37 +431,21 @@ func (d *segDec) str() string {
 	return string(b)
 }
 
-// openSegment opens one segment file in whichever format it carries: v2
-// columnar segments map lazily into view partitions, v1 framed segments (the
-// pre-columnar format, still honored so existing data directories open
-// unchanged) decode eagerly onto the heap. It returns the segment's table,
-// the bytes read eagerly, and the bytes mapped lazily.
-func (s *Store) openSegment(path string) (*store.Table, int64, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	var head [4]byte
-	n, err := f.ReadAt(head[:], 0)
-	f.Close()
-	if err != nil && n < len(segMagic) {
-		return nil, 0, 0, fmt.Errorf("durable: segment %s: read magic: %v", filepath.Base(path), err)
-	}
-	if string(head[:]) != segMagic {
-		t, nRead, err := readSegment(path)
-		return t, nRead, 0, err
-	}
+// openSegment maps one SBSG segment file into lazy view partitions and
+// returns its table and the bytes mapped. Anything else — a foreign file, a
+// torn header — is refused with an error naming the file.
+func (s *Store) openSegment(path string) (*store.Table, int64, error) {
 	m, err := openColumnarSegment(path)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	t, err := m.table(s.res)
 	if err != nil {
 		m.close() //nolint:errcheck // already failing
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	s.mapsMu.Lock()
 	s.maps = append(s.maps, m)
 	s.mapsMu.Unlock()
-	return t, 0, int64(len(m.data)), nil
+	return t, int64(len(m.data)), nil
 }

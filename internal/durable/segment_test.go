@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"seabed/internal/store"
 )
 
 // segPath returns the single committed segment of the only table in dir.
@@ -124,55 +122,30 @@ func TestTruncatedSegmentFailsOpen(t *testing.T) {
 	s3.Close() //nolint:errcheck // read-only reopen
 }
 
-// TestV1SegmentCompat replaces a committed segment's bytes with the
-// pre-columnar v1 format (framed row-major WriteTo); recovery must detect the
-// old magic, decode it eagerly onto the heap, and serve identical rows.
-func TestV1SegmentCompat(t *testing.T) {
+// TestOpenRefusesNonSBSGSegment overwrites a committed segment with bytes in
+// another format — the SBD1 batch serialization a pre-columnar daemon wrote
+// there — and requires Open to fail with an error naming the file, never to
+// serve a table read some other way.
+func TestOpenRefusesNonSBSGSegment(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
-	want := mkTable(t, "x", 1, 150, 3)
-	if err := s.Register("x", want); err != nil {
+	tbl := mkTable(t, "x", 1, 150, 3)
+	if err := s.Register("x", tbl); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Rewrite the segment in the v1 format, as a pre-change daemon would
-	// have left it on disk.
-	seg := segPath(t, dir)
-	f, err := os.Create(seg)
-	if err != nil {
+	if err := os.WriteFile(segPath(t, dir), serialize(t, tbl), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fw := store.NewFrameWriter(f)
-	if _, err := want.WriteTo(fw); err != nil {
-		t.Fatal(err)
+	s2, err := Open(Options{Dir: dir})
+	if err == nil {
+		s2.Close() //nolint:errcheck // test failure path
+		t.Fatal("open served a non-SBSG segment")
 	}
-	if err := fw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := openStore(t, dir)
-	defer s2.Close()
-	rec := s2.Recovery()
-	if rec.MappedBytes != 0 {
-		t.Fatalf("v1 segment reported %d mapped bytes, want 0 (eager read)", rec.MappedBytes)
-	}
-	if rec.Bytes == 0 {
-		t.Fatal("v1 segment reported 0 recovered bytes")
-	}
-	got := s2.Tables()["x"]
-	for _, p := range got.Parts {
-		if p.IsView() {
-			t.Fatal("v1 segment produced a view partition")
-		}
-	}
-	if string(serialize(t, got)) != string(serialize(t, want)) {
-		t.Fatal("v1 recovery differs from registered table")
+	if !strings.Contains(err.Error(), "seg-000001.seg") || !strings.Contains(err.Error(), "SBSG") {
+		t.Fatalf("open error %v does not name the file and the expected format", err)
 	}
 }
 

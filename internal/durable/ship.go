@@ -10,7 +10,7 @@ import (
 	"seabed/internal/store"
 )
 
-// Segment shipping: the daemon-to-daemon replication surface (wire v6).
+// Segment shipping: the daemon-to-daemon replication surface.
 //
 // A table's durable bytes are already replication-ready — immutable,
 // CRC'd SBSG files plus a WAL tail — so shipping a table to a peer is a
@@ -196,7 +196,7 @@ func (s *Store) InstallTable(ref string, files []ShipFile, tail *store.Table) (*
 	// Assemble the installed table the same way recovery would.
 	var tbl *store.Table
 	for _, name := range names {
-		part, _, _, err := s.openSegment(filepath.Join(tdir, name))
+		part, _, err := s.openSegment(filepath.Join(tdir, name))
 		if err != nil {
 			return nil, fmt.Errorf("durable: open installed segment %s: %w", name, err)
 		}

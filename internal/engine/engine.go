@@ -23,8 +23,9 @@
 // Tasks execute for real — the actual cryptography runs — but the reported
 // server latency is computed by a list scheduler that places the measured
 // task durations onto a configured number of simulated workers and adds
-// modeled shuffle time (DESIGN.md §2 explains this substitution for the
-// paper's physical cluster). Map-side results are compressed at the workers
+// modeled shuffle time (README.md, "Paper figures: what is substituted",
+// item 1, explains this substitution for the paper's physical cluster;
+// benchmark/README.md measures wall-clock instead). Map-side results are compressed at the workers
 // by default, the choice §4.5 arrives at.
 package engine
 
@@ -365,8 +366,7 @@ type Metrics struct {
 	// saw rows as soon as the first shard produced any.
 	FirstChunk time.Duration
 	// Ops is the per-operator counter block: which executor paths each
-	// batch actually took. Crosses the wire from protocol v8; older peers
-	// simply report zeroes (stage-level metrics above still arrive).
+	// batch actually took.
 	Ops OpStats
 }
 

@@ -13,7 +13,7 @@ import (
 // shardSplit runs the same plan once over the whole table and once as three
 // Partial, range-scoped shard slices merged with MergeResults, and asserts
 // identical groups and scan rows — the unit-level version of the loopback
-// acceptance test in internal/shard.
+// acceptance test in internal/fleet.
 func shardSplit(t *testing.T, tbl *store.Table, mkPlan func(tbl *store.Table) *Plan) (*Result, *Result) {
 	t.Helper()
 	cl := NewCluster(Config{Workers: 4})

@@ -179,11 +179,10 @@ func splitRangeRef(ref string) (base string, k int, all, ok bool) {
 }
 
 // adopt recovers placement from the daemons themselves: each daemon's table
-// inventory (wire-v6 segment lists) is parsed for per-range refs, and every
-// range's envelope must agree across the replicas serving it. Refs that are
-// neither per-range nor #all — a daemon previously driven by the plain
-// sharded coordinator, say — are rejected, since the fleet cannot know their
-// placement. A fleet of fresh daemons adopts an empty placement.
+// inventory (segment lists) is parsed for per-range refs, and every range's
+// envelope must agree across the replicas serving it. Refs that are neither
+// per-range nor #all — a daemon a solo -addr client uploaded to, say — are
+// rejected, since the fleet cannot know their placement. A fleet of fresh daemons adopts an empty placement.
 func (c *Cluster) adopt(ctx context.Context) error {
 	type seenRange struct {
 		env    engine.IDRange

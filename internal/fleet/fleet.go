@@ -1,16 +1,17 @@
 // Package fleet implements Seabed's replicated, self-healing cluster: a
 // coordinator that satisfies the proxy's ClusterBackend interface over N
 // seabed-server daemons with R-way replication, replica failover, hedged
-// scatter, and daemon-to-daemon healing over the wire-v6 segment-shipping
-// frames.
+// scatter, and daemon-to-daemon healing over the wire's segment-shipping
+// frames. It is the system's one scatter-gather coordinator — the role the
+// Spark driver plays across the paper's physical workers (§4.5, Figures 6–7);
+// R = 1 is plain sharding without redundancy.
 //
 // # Placement
 //
-// Tables are range-partitioned by global row identifier into N contiguous
-// ranges, exactly like internal/shard — but each range is registered on R
-// daemons instead of one, under a per-range ref ("sales@Seabed#r2" is the
-// third identifier range of sales@Seabed). Replicas are placed by chained
-// declustering: range k lives on daemons k, k+1, …, k+R-1 (mod N), so every
+// Tables are range-partitioned by global row identifier into N contiguous,
+// balanced ranges (store.Table.SplitRanges), and each range is registered on
+// R daemons under a per-range ref ("sales@Seabed#r2" is the third identifier
+// range of sales@Seabed). Replicas are placed by chained declustering: range k lives on daemons k, k+1, …, k+R-1 (mod N), so every
 // daemon hosts R ranges, losing any single daemon leaves every range with
 // R-1 live replicas, and the failed daemon's query load spreads over R-1
 // neighbors instead of doubling on one.
@@ -19,13 +20,17 @@
 //
 // Run scatters one envelope-scoped Partial plan per range, each to the
 // range's first live replica, and gathers with engine.MergeResults. A
-// replica that errs mid-query is marked down and the range's plan is
-// re-issued to its next live replica (the failover path), so a daemon crash
-// mid-workload costs a retry, not the query. Separately, once a configured
-// quantile of ranges has completed, every straggling range's plan is
-// re-issued to a second replica and the first result wins (the hedged
-// scatter, the paper's straggler mitigation recast at the replica level):
-// tail latency from one slow daemon collapses to roughly the quantile cut.
+// replica that cannot be reached mid-query (dial, transport or protocol
+// failure) is marked down and the range's plan is re-issued to its next live
+// replica (the failover path), so a daemon crash mid-workload costs a retry,
+// not the query. A replica that answers with an error of its own — a bad
+// plan, an operator's kill — is healthy: the range may try its next replica,
+// but nobody is marked down, and when every replica answered the daemon's
+// error is the query's. Separately, once a configured quantile of ranges has
+// completed, every straggling range's plan is re-issued to a second replica
+// and the first result wins (the hedged scatter, the paper's straggler
+// mitigation recast at the replica level): tail latency from one slow daemon
+// collapses to roughly the quantile cut.
 //
 // # Durable placement and healing
 //
@@ -53,8 +58,10 @@ import (
 	"seabed/internal/store"
 )
 
-// fullSuffix derives the ref under which a join table's unsharded contents
-// are replicated to every daemon (same convention as internal/shard).
+// fullSuffix derives the ref under which a join table's whole contents are
+// replicated to every daemon: an inner join drops unmatched left rows, so
+// every range's sub-query needs the whole right side (Spark's broadcast of
+// the smaller relation).
 const fullSuffix = "#all"
 
 // rangeRef derives the ref under which range k of a table is registered on
@@ -133,7 +140,7 @@ type Cluster struct {
 // Dial connects to every address and builds a replicated fleet over the
 // daemons. Placement comes from the epoch file when Options.EpochPath names
 // an existing one, and is otherwise adopted from the daemons' own per-range
-// table inventories (wire-v6 segment lists) — a fresh fleet adopts an empty
+// table inventories (segment lists) — a fresh fleet adopts an empty
 // placement. Daemons that declare a -shard i/n identity are verified against
 // their list position, and a duplicated address is rejected before any dial.
 // On any failure the already-dialed daemons are closed.

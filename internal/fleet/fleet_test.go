@@ -105,6 +105,34 @@ func TestDialValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "listed twice") {
 		t.Errorf("duplicate address returned %v", err)
 	}
+
+	// Against live daemons declaring -shard i/2: the well-ordered list dials,
+	// a reordered or wrong-sized one is refused by identity, and one dead
+	// endpoint fails the whole dial.
+	_, addrs := startFleetDaemons(t, 2, engine.Config{})
+	c, err := Dial(addrs, Options{Replicas: 1})
+	if err != nil {
+		t.Fatalf("well-ordered fleet rejected: %v", err)
+	}
+	c.Close()
+	if _, err := Dial([]string{addrs[1], addrs[0]}, Options{Replicas: 1}); err == nil ||
+		!strings.Contains(err.Error(), "declares shard") {
+		t.Errorf("reordered fleet returned %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	if _, err := Dial([]string{addrs[0], dead}, Options{Replicas: 1}); err == nil ||
+		!strings.Contains(err.Error(), "dial "+dead) {
+		t.Errorf("dial with a dead endpoint returned %v", err)
+	}
+	if _, err := Dial([]string{addrs[0]}, Options{Replicas: 1}); err == nil ||
+		!strings.Contains(err.Error(), "declares shard") {
+		t.Errorf("wrong fleet size returned %v", err)
+	}
 }
 
 // daemon is one loopback test daemon, restartable at a fixed address.

@@ -9,7 +9,7 @@ import (
 // service. The daemon must be reachable again (restarted, possibly on an
 // empty disk); Heal inventories what it still serves, and for every range it
 // should host but does not — plus every missing #all join broadcast — orders
-// it to pull the table daemon-to-daemon from a live replica over the wire-v6
+// it to pull the table daemon-to-daemon from a live replica over the wire's
 // segment-shipping frames, CRC-verified end to end. Tables the daemon still
 // serves (a durable daemon that recovered its own disk) are left untouched.
 // Once every hosted table is present the daemon is marked up: queries route

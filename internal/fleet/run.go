@@ -9,6 +9,7 @@ import (
 
 	"seabed/internal/engine"
 	"seabed/internal/obs"
+	"seabed/internal/remote"
 	"seabed/internal/wire"
 )
 
@@ -127,12 +128,40 @@ func (c *Cluster) rangeSpan(ctx context.Context, k, d int, hedge, failover bool)
 	return obs.ContextWithSpan(ctx, sp), sp.End
 }
 
+// attemptFailed records a failed attempt on daemon d. "Down" means
+// unreachable: a daemon that could not be dialed, dropped the connection or
+// broke protocol is marked down. One that answered with an error of its own
+// (a *remote.ServerError — a bad plan, an operator's kill) is healthy and
+// stays in the fleet; the range may still try its next replica.
+func (c *Cluster) attemptFailed(d int, err error) {
+	if !answered(err) {
+		c.markDown(d, err)
+	}
+}
+
+// answered reports whether err is a daemon's own reply rather than a failure
+// to reach it.
+func answered(err error) bool {
+	var se *remote.ServerError
+	return errors.As(err, &se)
+}
+
+// exhausted is range k's error once no replica is left to try: the daemon's
+// own error when the last replica answered, the transport failure otherwise.
+func exhausted(k int, last error) error {
+	if answered(last) {
+		return fmt.Errorf("fleet: range %d: %w", k, last)
+	}
+	return fmt.Errorf("fleet: range %d exhausted its replicas: %w", k, last)
+}
+
 // runRange executes one range's plan with failover and hedging: the plan
 // starts on the range's first live replica; an erring replica is marked down
-// and the plan fails over to the next; when hedgeCh closes (enough sibling
-// ranges done) a not-yet-finished range is re-issued to a second replica and
-// the first success wins. Loser attempts are canceled, and their eventual
-// results drain into a buffered channel, so nothing leaks.
+// (when it was unreachable — see attemptFailed) and the plan fails over to
+// the next; when hedgeCh closes (enough sibling ranges done) a
+// not-yet-finished range is re-issued to a second replica and the first
+// success wins. Loser attempts are canceled, and their eventual results
+// drain into a buffered channel, so nothing leaks.
 func (c *Cluster) runRange(ctx context.Context, k int, req *wire.PlanRequest, hedgeCh <-chan struct{}) (*engine.Result, error) {
 	tried := make(map[int]bool)
 	live := c.liveReplicas(k, tried)
@@ -182,13 +211,13 @@ func (c *Cluster) runRange(ctx context.Context, k int, req *wire.PlanRequest, he
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			c.markDown(ar.daemon, ar.err)
+			c.attemptFailed(ar.daemon, ar.err)
 			if pending > 0 {
 				continue // a sibling attempt is still in flight
 			}
 			next := c.liveReplicas(k, tried)
 			if len(next) == 0 {
-				return nil, fmt.Errorf("fleet: range %d exhausted its replicas: %w", k, lastErr)
+				return nil, exhausted(k, lastErr)
 			}
 			c.failovers.Add(1)
 			c.log("failing range over", "range", k, "from", ar.daemon, "to", next[0])
@@ -274,7 +303,9 @@ func (c *Cluster) Run(ctx context.Context, pl *engine.Plan) (*engine.Result, err
 // reached the sink, a retry would duplicate them — so a replica that errs
 // mid-stream after delivery fails the query, while one that errs before its
 // first chunk fails over silently. Hedging never applies to streams for the
-// same reason. Non-scan plans (or a nil sink) defer to Run.
+// same reason. An error raised by the caller's own sink ends the query with
+// that error and says nothing about the daemon. Non-scan plans (or a nil
+// sink) defer to Run.
 func (c *Cluster) RunStream(ctx context.Context, pl *engine.Plan, sink engine.ScanSink) (*engine.Result, error) {
 	if sink == nil || len(pl.Project) == 0 {
 		return c.Run(ctx, pl)
@@ -307,16 +338,18 @@ func (c *Cluster) streamRange(ctx context.Context, k int, req *wire.PlanRequest,
 		live := c.liveReplicas(k, tried)
 		if len(live) == 0 {
 			if lastErr != nil {
-				return nil, fmt.Errorf("fleet: range %d exhausted its replicas: %w", k, lastErr)
+				return nil, exhausted(k, lastErr)
 			}
 			return nil, fmt.Errorf("fleet: range %d has no live replicas", k)
 		}
 		d := live[0]
 		tried[d] = true
 		delivered := false
+		var sinkErr error
 		guard := func(rows []engine.ScanRow) error {
 			delivered = true
-			return sink(rows)
+			sinkErr = sink(rows)
+			return sinkErr
 		}
 		clone := *req
 		plan := *req.Plan
@@ -332,7 +365,10 @@ func (c *Cluster) streamRange(ctx context.Context, k int, req *wire.PlanRequest,
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		c.markDown(d, err)
+		if sinkErr != nil {
+			return nil, sinkErr
+		}
+		c.attemptFailed(d, err)
 		if delivered {
 			return nil, fmt.Errorf("fleet: range %d failed mid-stream after delivering rows (a retry would duplicate them): %w", k, err)
 		}

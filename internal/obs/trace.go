@@ -5,7 +5,7 @@
 // The paper's evaluation (§6.2) attributes tail latency to per-shard skew —
 // GC stragglers on individual Spark workers — which is only visible if every
 // query can say where its time went, per shard. Spans carry that: the proxy
-// mints a trace ID per query, the ID rides the v4 plan frame to each daemon,
+// mints a trace ID per query, the ID rides the plan frame to each daemon,
 // and each daemon ships its own span breakdown (queue wait, map, shuffle,
 // reduce) back in the result frame. Metrics cover the fleet view the paper's
 // Table 5 style accounting needs: request latency by message type, WAL

@@ -193,8 +193,8 @@ func (pk *PublicKey) Unmarshal(data []byte) *big.Int {
 // encrypted quickly. Fresh Paillier encryption costs one |N|-bit modular
 // exponentiation per value (≈ milliseconds); a pool amortizes that across
 // the dataset. Homomorphic-add and decrypt costs — what the latency figures
-// measure — are unaffected. This is a documented substitution (DESIGN.md §2)
-// used only for dataset preparation, never for the Table 1 cost measurement.
+// measure — are unaffected. This is a documented substitution (README.md,
+// "Paper figures: what is substituted", item 3) used only for dataset preparation, never for the Table 1 cost measurement.
 type MaskPool struct {
 	pk    *PublicKey
 	masks []*big.Int

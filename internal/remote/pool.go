@@ -22,9 +22,8 @@ const cancelDrainTimeout = 500 * time.Millisecond
 // Pool is a per-endpoint TCP connection pool speaking the wire protocol: it
 // dials, handshakes, and recycles connections to one seabed-server, and runs
 // single request/response round trips over them. RemoteCluster composes one
-// Pool per endpoint; a sharded deployment (internal/shard) composes N
-// RemoteClusters and therefore N independent pools, so scatter requests to
-// different shards never queue behind one socket or one lock.
+// Pool per endpoint, so a coordinator's scatter requests to different daemons
+// never queue behind one socket or one lock.
 //
 // Every round trip checks a connection out for exclusive use, returns it on
 // success, and discards it on transport errors, so a poisoned socket never
@@ -37,11 +36,6 @@ type Pool struct {
 	// shardIndex/shardCount hold the shard identity the server declared at
 	// handshake (count 0 = none declared).
 	shardIndex, shardCount int
-	// proto is the protocol version negotiated at the first handshake; every
-	// later dial must land on the same one, so request codecs can read it
-	// without a lock — and so a query's frames never change dialect when a
-	// redial swaps the socket out from under it.
-	proto uint64
 
 	mu     sync.Mutex
 	idle   []net.Conn
@@ -49,13 +43,16 @@ type Pool struct {
 }
 
 // DialPool connects to a seabed-server, performs the version handshake, and
-// returns a pool primed with the handshaked connection.
+// returns a pool primed with the handshaked connection. The handshake
+// metadata (worker count, shard identity) is recorded here and only verified
+// by later dials, so it is immutable — readable without a lock — afterwards.
 func DialPool(addr string) (*Pool, error) {
 	p := &Pool{addr: addr}
-	conn, err := p.dialFirst()
+	conn, workers, shardIndex, shardCount, err := p.handshake()
 	if err != nil {
 		return nil, err
 	}
+	p.workers, p.shardIndex, p.shardCount = workers, shardIndex, shardCount
 	p.put(conn)
 	return p, nil
 }
@@ -70,80 +67,28 @@ func (p *Pool) Workers() int { return p.workers }
 // is 0 for a server that declared none.
 func (p *Pool) Shard() (index, count int) { return p.shardIndex, p.shardCount }
 
-// Protocol returns the protocol version negotiated at the first handshake.
-// Request codecs frame plans and results with it.
-func (p *Pool) Protocol() uint64 { return p.proto }
-
-// oldProtocolError reports a pre-v4 server that rejected our Hello outright
-// instead of negotiating. It carries the version the server asked for so the
-// dial path can retry the handshake speaking it.
-type oldProtocolError struct {
-	addr string
-	want uint64
+// ServerError is a request-level failure the daemon reported in a MsgError
+// frame: the daemon was reached, read the request and answered, so it says
+// nothing about the daemon's health. Transport and protocol failures are
+// never ServerErrors.
+type ServerError struct {
+	// Msg is the daemon's message.
+	Msg string
 }
 
 // Error implements error.
-func (e *oldProtocolError) Error() string {
-	return fmt.Sprintf("remote: server %s speaks protocol v%d and does not negotiate", e.addr, e.want)
-}
-
-// parseVersionReject recognizes the version-mismatch MsgError every server
-// build emits ("server: protocol version %d, want %d") and extracts the
-// version the server wants.
-func parseVersionReject(msg string) (want uint64, ok bool) {
-	var got uint64
-	if _, err := fmt.Sscanf(msg, "server: protocol version %d, want %d", &got, &want); err != nil {
-		return 0, false
-	}
-	return want, true
-}
-
-// dialFirst opens the pool's first connection and records the handshake
-// metadata (negotiated protocol, worker count, shard identity). Later dials
-// from the request path only validate the handshake, so the recorded fields
-// stay immutable — and therefore readable without a lock — after DialPool
-// returns.
-//
-// Old daemons are tolerated: a pre-v4 server rejects the v4 Hello with its
-// version-mismatch error rather than negotiating, and the dial retries once
-// speaking the version the server named (if this build still supports it).
-func (p *Pool) dialFirst() (net.Conn, error) {
-	conn, proto, workers, shardIndex, shardCount, err := p.handshake(wire.Version)
-	var old *oldProtocolError
-	if errors.As(err, &old) && old.want >= wire.MinVersion && old.want < wire.Version {
-		conn, proto, workers, shardIndex, shardCount, err = p.handshake(old.want)
-	}
-	if err != nil {
-		return nil, err
-	}
-	p.proto, p.workers, p.shardIndex, p.shardCount = proto, workers, shardIndex, shardCount
-	return conn, nil
-}
+func (e *ServerError) Error() string { return "remote: server: " + e.Msg }
 
 // dial opens and handshakes one connection, verifying the server still
-// declares the shard identity — and still speaks the protocol version —
-// recorded at DialPool. Daemons are restartable (a durable seabed-server
-// comes back on the same address), so a redial may reach a different process
-// than the first handshake did — if that process was restarted with the
-// wrong -shard flag, serving it would silently query misplaced rows, and if
-// it changed protocol dialect mid-pool, in-flight codecs would misframe.
-// Either mismatch fails the dial instead. (An old v3 daemon upgraded in
-// place keeps working: the redial offers v3 and the new server negotiates
-// down to it.)
+// declares the shard identity recorded at DialPool. Daemons are restartable
+// (a durable seabed-server comes back on the same address), so a redial may
+// reach a different process than the first handshake did — if that process
+// was restarted with the wrong -shard flag, serving it would silently query
+// misplaced rows, so the mismatch fails the dial instead.
 func (p *Pool) dial() (net.Conn, error) {
-	conn, proto, _, shardIndex, shardCount, err := p.handshake(p.proto)
+	conn, _, shardIndex, shardCount, err := p.handshake()
 	if err != nil {
-		var old *oldProtocolError
-		if errors.As(err, &old) {
-			return nil, fmt.Errorf("remote: server %s now speaks protocol v%d, but spoke v%d when first dialed (restarted with an older build?)",
-				p.addr, old.want, p.proto)
-		}
 		return nil, err
-	}
-	if proto != p.proto {
-		conn.Close()
-		return nil, fmt.Errorf("remote: server %s now negotiates protocol v%d, but negotiated v%d when first dialed",
-			p.addr, proto, p.proto)
 	}
 	if shardIndex != p.shardIndex || shardCount != p.shardCount {
 		conn.Close()
@@ -153,51 +98,49 @@ func (p *Pool) dial() (net.Conn, error) {
 	return conn, nil
 }
 
-// handshake opens one connection and performs the Hello/Welcome exchange,
-// offering hello as the client's newest version. The returned proto is the
-// version the server negotiated (≤ hello).
-func (p *Pool) handshake(hello uint64) (net.Conn, uint64, int, int, int, error) {
-	conn, err := net.Dial("tcp", p.addr)
+// handshake opens one connection and performs the Hello/Welcome exchange on
+// it.
+func (p *Pool) handshake() (conn net.Conn, workers, shardIndex, shardCount int, err error) {
+	conn, err = net.Dial("tcp", p.addr)
 	if err != nil {
-		return nil, 0, 0, 0, 0, fmt.Errorf("remote: dial %s: %w", p.addr, err)
+		return nil, 0, 0, 0, fmt.Errorf("remote: dial %s: %w", p.addr, err)
 	}
-	if err := wire.WriteFrame(conn, wire.MsgHello, wire.EncodeHelloVersion(hello)); err != nil {
+	workers, shardIndex, shardCount, err = p.hello(conn)
+	if err != nil {
 		conn.Close()
-		return nil, 0, 0, 0, 0, err
+		return nil, 0, 0, 0, err
+	}
+	return conn, workers, shardIndex, shardCount, nil
+}
+
+// hello runs the Hello/Welcome exchange on a fresh connection. A server that
+// answers with any version but wire.Version is refused.
+func (p *Pool) hello(conn net.Conn) (workers, shardIndex, shardCount int, err error) {
+	if err := wire.WriteFrame(conn, wire.MsgHello, wire.EncodeHello()); err != nil {
+		return 0, 0, 0, err
 	}
 	t, payload, err := wire.ReadFrame(conn)
 	if err != nil {
-		conn.Close()
-		return nil, 0, 0, 0, 0, fmt.Errorf("remote: handshake with %s: %w", p.addr, err)
+		return 0, 0, 0, fmt.Errorf("remote: handshake with %s: %w", p.addr, err)
 	}
 	if t == wire.MsgError {
-		conn.Close()
-		msg := wire.DecodeError(payload)
-		if want, ok := parseVersionReject(msg); ok && want < hello {
-			return nil, 0, 0, 0, 0, &oldProtocolError{addr: p.addr, want: want}
-		}
-		return nil, 0, 0, 0, 0, fmt.Errorf("remote: server %s: %s", p.addr, msg)
+		return 0, 0, 0, fmt.Errorf("remote: server %s: %s", p.addr, wire.DecodeError(payload))
 	}
 	if t != wire.MsgWelcome {
-		conn.Close()
-		return nil, 0, 0, 0, 0, fmt.Errorf("remote: handshake with %s: unexpected %v frame", p.addr, t)
+		return 0, 0, 0, fmt.Errorf("remote: handshake with %s: unexpected %v frame", p.addr, t)
 	}
 	version, workers, shardIndex, shardCount, err := wire.DecodeWelcome(payload)
-	if version < wire.MinVersion || version > hello {
-		// Checked before the decode error so an alien server — whose Welcome
-		// may also fail to decode — gets the actionable "speaks protocol vN"
-		// diagnosis instead of the truncated-payload symptom. A version-0
-		// decode failure really is a malformed frame; report it as such.
-		if version != 0 || err == nil {
-			conn.Close()
-			return nil, 0, 0, 0, 0, fmt.Errorf("remote: server %s negotiated protocol v%d, want v%d–v%d", p.addr, version, wire.MinVersion, hello)
-		}
+	// Checked before the decode error so a server of another version — whose
+	// Welcome may also fail to decode — gets the actionable diagnosis instead
+	// of the truncated-payload symptom. A version-0 decode failure really is
+	// a malformed frame; report it as such.
+	if version != wire.Version && (version != 0 || err == nil) {
+		return 0, 0, 0, fmt.Errorf("remote: server %s negotiated protocol v%d, want v%d", p.addr, version, wire.Version)
 	}
 	if err != nil {
-		conn.Close()
-		return nil, 0, 0, 0, 0, err
+		return 0, 0, 0, err
 	}
-	return conn, version, workers, shardIndex, shardCount, nil
+	return workers, shardIndex, shardCount, nil
 }
 
 // get checks a connection out of the pool, dialing a fresh one if none is
@@ -233,8 +176,8 @@ func (p *Pool) put(conn net.Conn) {
 }
 
 // RoundTrip sends one request frame and reads its single response frame.
-// Server-reported failures surface as errors with the server's message; the
-// response type is returned for the caller to validate.
+// Server-reported failures surface as a *ServerError carrying the server's
+// message; the response type is returned for the caller to validate.
 func (p *Pool) RoundTrip(ctx context.Context, reqType wire.MsgType, req []byte) (wire.MsgType, []byte, error) {
 	return p.Exchange(ctx, reqType, req, nil)
 }
@@ -271,7 +214,7 @@ func (p *Pool) Exchange(ctx context.Context, reqType wire.MsgType, req []byte, o
 			return 0, nil, err
 		}
 		if respType == wire.MsgError {
-			return respType, nil, fmt.Errorf("remote: server: %s", wire.DecodeError(payload))
+			return respType, nil, &ServerError{Msg: wire.DecodeError(payload)}
 		}
 		return respType, payload, nil
 	}

@@ -10,8 +10,8 @@
 // behind one socket. Cancellation crosses the wire: when a request's
 // context dies, the pool fires a protocol Cancel frame at the daemon and
 // returns promptly, draining the abandoned exchange in the background of
-// the same call. A sharded deployment (internal/shard) composes one
-// RemoteCluster — and therefore one independent pool — per shard endpoint.
+// the same call. The fleet coordinator (internal/fleet) composes one
+// RemoteCluster — and therefore one independent pool — per daemon.
 package remote
 
 import (
@@ -50,9 +50,9 @@ func Dial(addr string) (*RemoteCluster, error) {
 func (r *RemoteCluster) Workers() int { return r.pool.Workers() }
 
 // Shard returns the shard identity the server declared at handshake (its
-// -shard i/n flag); count is 0 for a server that declared none. Sharded
-// coordinators use it to verify their address list against the fleet's
-// actual layout.
+// -shard i/n flag); count is 0 for a server that declared none. The fleet
+// coordinator uses it to verify its address list against the fleet's actual
+// layout.
 func (r *RemoteCluster) Shard() (index, count int) { return r.pool.Shard() }
 
 // RegisterTable implements ClusterBackend: it ships the table to the server
@@ -108,21 +108,18 @@ func (r *RemoteCluster) refOf(t *store.Table) (string, error) {
 // pointers — tables travel by ref. Like the in-process engine, it records
 // the codec the server actually used in req.Plan.Codec when the request left
 // it nil, so the caller decodes identifier lists with the same one. It is
-// the building block shard coordinators use to address one shard's rows
+// the building block the fleet coordinator uses to address one range's rows
 // without any pointer bookkeeping on the endpoint.
 //
-// Scan rows arrive as chunk frames, columnar on v5+ connections and
-// row-major before: with a non-nil sink each decoded
-// batch is handed over as it lands (the result's Scan stays empty);
+// Scan rows arrive as columnar chunk frames: with a non-nil sink each
+// decoded batch is handed over as it lands (the result's Scan stays empty);
 // otherwise the batches are collected into the result, reproducing the
 // materialized behavior. Canceling ctx fires a Cancel frame at the daemon
 // and returns ctx.Err() promptly.
 func (r *RemoteCluster) RunRequest(ctx context.Context, req *wire.PlanRequest, sink engine.ScanSink) (*engine.Result, error) {
-	proto := r.pool.Protocol()
-	// Trace propagation (v4): stamp the query's trace ID into the plan frame
-	// and wrap the exchange in an rpc span; the daemon's span breakdown from
-	// the result frame is grafted under it. Against a v3 daemon the ID stays
-	// client-side and the rpc span simply has no children.
+	// Trace propagation: stamp the query's trace ID into the plan frame and
+	// wrap the exchange in an rpc span; the daemon's span breakdown from the
+	// result frame is grafted under it.
 	var rpc *obs.Span
 	if parent := obs.SpanFromContext(ctx); parent != nil {
 		req.TraceID = parent.TraceID()
@@ -130,13 +127,13 @@ func (r *RemoteCluster) RunRequest(ctx context.Context, req *wire.PlanRequest, s
 		rpc.SetAttr("addr", r.pool.Addr())
 		defer rpc.End()
 	}
-	payload, err := wire.EncodePlan(req, proto)
+	payload, err := wire.EncodePlan(req, wire.Version)
 	if err != nil {
 		return nil, err
 	}
 	var collected []engine.ScanRow
 	onChunk := func(p []byte) error {
-		rows, err := wire.DecodeScanChunk(p, proto)
+		rows, err := wire.DecodeScanChunk(p, wire.Version)
 		if err != nil {
 			return err
 		}
@@ -153,14 +150,14 @@ func (r *RemoteCluster) RunRequest(ctx context.Context, req *wire.PlanRequest, s
 	if respType != wire.MsgResult {
 		return nil, fmt.Errorf("remote: run: unexpected %v response", respType)
 	}
-	codecName, res, spans, err := wire.DecodeResult(resp, proto)
+	codecName, res, spans, err := wire.DecodeResult(resp, wire.Version)
 	if err != nil {
 		return nil, err
 	}
 	if rpc != nil && len(spans) > 0 {
 		rpc.AttachFlat(spans)
 	}
-	// v3 servers ship every scan row in chunk frames and leave the terminal
+	// Servers ship every scan row in chunk frames and leave the terminal
 	// frame's scan section empty; tolerate rows there anyway.
 	if len(collected) > 0 {
 		res.Scan = append(collected, res.Scan...)

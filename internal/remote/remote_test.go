@@ -6,6 +6,7 @@ package remote_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"net"
 	"reflect"
@@ -347,31 +348,39 @@ func TestUnsyncedTableFails(t *testing.T) {
 	}
 }
 
-// TestDialDiagnosesOldProtocol pins the rolling-upgrade error path: a
-// server speaking an older protocol whose Welcome lacks the newer fields
-// must be reported as a version mismatch, not a truncated-payload decode
-// error.
+// TestDialDiagnosesOldProtocol pins the client half of the frozen handshake:
+// a server that Welcomes any version but wire.Version — older (even one whose
+// Welcome lacks the newer fields) or newer — is reported as a protocol
+// mismatch naming its version, not as a truncated-payload decode error, and
+// is never spoken to.
 func TestDialDiagnosesOldProtocol(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		if _, _, err := wire.ReadFrame(conn); err != nil { // consume the Hello
-			return
-		}
+	welcomes := map[string][]byte{
 		// A v1 Welcome: version varint 1, workers varint 4, nothing else.
-		wire.WriteFrame(conn, wire.MsgWelcome, []byte{1, 4}) //nolint:errcheck // test peer
-	}()
-	_, err = remote.Dial(ln.Addr().String())
-	if err == nil || !strings.Contains(err.Error(), "negotiated protocol v1") {
-		t.Fatalf("err = %v, want a protocol-version diagnosis", err)
+		"negotiated protocol v1":                               {1, 4},
+		fmt.Sprintf("negotiated protocol v%d", wire.Version-1): wire.EncodeWelcome(wire.Version-1, 4, 0, 0),
+		fmt.Sprintf("negotiated protocol v%d", wire.Version+1): wire.EncodeWelcome(wire.Version+1, 4, 0, 0),
+	}
+	for want, welcome := range welcomes {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			if _, _, err := wire.ReadFrame(conn); err != nil { // consume the Hello
+				return
+			}
+			wire.WriteFrame(conn, wire.MsgWelcome, welcome) //nolint:errcheck // test peer
+		}()
+		_, err = remote.Dial(ln.Addr().String())
+		ln.Close()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want a %q diagnosis", err, want)
+		}
 	}
 }
 

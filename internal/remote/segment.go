@@ -7,28 +7,16 @@ import (
 	"seabed/internal/wire"
 )
 
-// Segment shipping RPCs (wire v6): the client half of daemon-to-daemon
+// Segment shipping RPCs: the client half of daemon-to-daemon
 // replication. The fleet coordinator uses them to inventory daemons at
 // adoption time and to order a healed daemon to pull a table from a live
 // replica; a daemon's own pull path reuses the same calls through a
 // transient RemoteCluster aimed at its peer.
 
-// requireProto rejects a v6 call against a pre-v6 peer with a telling error
-// instead of an "unexpected frame" failure from the daemon.
-func (r *RemoteCluster) requireProto(min uint64, what string) error {
-	if p := r.pool.Protocol(); p < min {
-		return fmt.Errorf("remote: %s needs protocol v%d, connection negotiated v%d", what, min, p)
-	}
-	return nil
-}
-
 // TableManifests asks the daemon to inventory its tables for segment
 // shipping. A non-empty ref narrows the answer to that table; empty lists
-// every table. Requires a v6 connection.
+// every table.
 func (r *RemoteCluster) TableManifests(ctx context.Context, ref string) ([]wire.TableManifest, error) {
-	if err := r.requireProto(6, "segment list"); err != nil {
-		return nil, err
-	}
 	respType, resp, err := r.pool.RoundTrip(ctx, wire.MsgSegmentList, wire.EncodeSegmentListReq(ref))
 	if err != nil {
 		return nil, err
@@ -40,12 +28,8 @@ func (r *RemoteCluster) TableManifests(ctx context.Context, ref string) ([]wire.
 }
 
 // FetchSegment pulls one named segment of ref from the daemon. The returned
-// bytes are CRC-verified end to end by the frame decoder. Requires a v6
-// connection.
+// bytes are CRC-verified end to end by the frame decoder.
 func (r *RemoteCluster) FetchSegment(ctx context.Context, ref, name string) (wire.SegmentData, error) {
-	if err := r.requireProto(6, "segment fetch"); err != nil {
-		return wire.SegmentData{}, err
-	}
 	respType, resp, err := r.pool.RoundTrip(ctx, wire.MsgSegmentFetch, wire.EncodeSegmentFetch(ref, name, ""))
 	if err != nil {
 		return wire.SegmentData{}, err
@@ -59,12 +43,8 @@ func (r *RemoteCluster) FetchSegment(ctx context.Context, ref, name string) (wir
 // PullTable instructs the daemon to pull table ref from the peer daemon at
 // from — segment list, segment bytes, WAL tail — verify it, and install it
 // locally. The daemon answers once the table is installed and addressable,
-// so a healed shard is queryable when PullTable returns. Requires a v6
-// connection.
+// so a healed daemon is queryable when PullTable returns.
 func (r *RemoteCluster) PullTable(ctx context.Context, ref, from string) error {
-	if err := r.requireProto(6, "segment pull"); err != nil {
-		return err
-	}
 	if from == "" {
 		return fmt.Errorf("remote: segment pull of %q needs a source daemon address", ref)
 	}

@@ -13,7 +13,7 @@ import (
 	"seabed/internal/wire"
 )
 
-// Segment shipping handlers (wire v6): the daemon half of fleet
+// Segment shipping handlers: the daemon half of fleet
 // replication. A daemon answers MsgSegmentList with the CRC'd inventory of
 // its tables, serves raw segment bytes for single-segment MsgSegmentFetch
 // requests, and — for a fetch naming a source peer — dials that peer
@@ -25,10 +25,7 @@ import (
 
 // handleSegmentList answers a MsgSegmentList request with the manifests of
 // the named table, or of every table when the ref is empty.
-func (s *Server) handleSegmentList(payload []byte, proto uint64) (wire.MsgType, []byte) {
-	if proto < 6 {
-		return wire.MsgError, wire.EncodeError(fmt.Sprintf("server: segment shipping needs protocol v6, connection negotiated v%d", proto))
-	}
+func (s *Server) handleSegmentList(payload []byte) (wire.MsgType, []byte) {
 	ref, err := wire.DecodeSegmentListReq(payload)
 	if err != nil {
 		return wire.MsgError, wire.EncodeError(err.Error())
@@ -95,10 +92,7 @@ func (s *Server) shipManifest(ref string) (wire.TableManifest, error) {
 
 // handleSegmentFetch serves one segment's bytes (empty From), or pulls and
 // installs a whole table from the peer daemon named by From.
-func (s *Server) handleSegmentFetch(payload []byte, proto uint64) (wire.MsgType, []byte) {
-	if proto < 6 {
-		return wire.MsgError, wire.EncodeError(fmt.Sprintf("server: segment shipping needs protocol v6, connection negotiated v%d", proto))
-	}
+func (s *Server) handleSegmentFetch(payload []byte) (wire.MsgType, []byte) {
 	ref, name, from, err := wire.DecodeSegmentFetch(payload)
 	if err != nil {
 		return wire.MsgError, wire.EncodeError(err.Error())

@@ -47,12 +47,6 @@ type Server struct {
 	// clients can verify their address list matches the fleet's layout at
 	// connect time. ShardCount 0 declares none. Set them before Serve.
 	ShardIndex, ShardCount int
-	// MaxProtocol caps the protocol version this server negotiates (0 means
-	// wire.Version). Set to an older version — before Serve — to emulate a
-	// daemon of that vintage, handshake semantics included: a v3 cap rejects
-	// newer Hellos outright, exactly as a real v3 build does, which is how
-	// the interop tests exercise the client's downgrade path.
-	MaxProtocol int
 
 	mu     sync.RWMutex
 	tables map[string]*store.Table
@@ -100,9 +94,8 @@ type Server struct {
 	rowsScanned atomic.Uint64
 	queries     *obs.QueryLog
 
-	// replication counters (wire v6): runs the fleet coordinator marked as
-	// hedges or failovers, and segment bytes shipped to or pulled from peer
-	// daemons.
+	// replication counters: runs the fleet coordinator marked as hedges or
+	// failovers, and segment bytes shipped to or pulled from peer daemons.
 	hedgedRuns   atomic.Uint64
 	failovers    atomic.Uint64
 	replicaFetch atomic.Uint64
@@ -176,7 +169,7 @@ type Stats struct {
 	Errors   uint64
 	// HedgedRuns and Failovers count runs the fleet coordinator marked as
 	// speculative hedges and replica failovers; ReplicaFetchBytes counts
-	// segment bytes shipped to or pulled from peer daemons (wire v6).
+	// segment bytes shipped to or pulled from peer daemons.
 	HedgedRuns        uint64
 	Failovers         uint64
 	ReplicaFetchBytes uint64
@@ -754,31 +747,18 @@ func (s *Server) serveConn(conn net.Conn, quit <-chan struct{}) {
 		s.logErr("handshake decode failed", "peer", peer, "err", err)
 		return
 	}
-	// Negotiate the connection's protocol version: the client's Hello carries
-	// its newest, the Welcome answers with min(client, server). A cap below
-	// v4 reproduces pre-negotiation semantics — those builds rejected every
-	// mismatch, and emulating them any other way would leave the client's
-	// downgrade path untested.
-	maxVer := uint64(wire.Version)
-	if s.MaxProtocol > 0 && uint64(s.MaxProtocol) < maxVer {
-		maxVer = uint64(s.MaxProtocol)
-	}
-	reject := version < wire.MinVersion
-	if maxVer < 4 {
-		reject = version != maxVer
-	}
-	if reject {
+	// There is one protocol version; a client naming any other is told which.
+	if version != wire.Version {
 		wire.WriteFrame(conn, wire.MsgError, //nolint:errcheck // closing anyway
-			wire.EncodeError(fmt.Sprintf("server: protocol version %d, want %d", version, maxVer)))
-		s.logErr("handshake version rejected", "peer", peer, "client_version", version, "max_version", maxVer)
+			wire.EncodeError(fmt.Sprintf("server: protocol version %d, want %d", version, wire.Version)))
+		s.logErr("handshake version rejected", "peer", peer, "client_version", version, "want_version", wire.Version)
 		return
 	}
-	proto := min(version, maxVer)
-	if err := wire.WriteFrame(conn, wire.MsgWelcome, wire.EncodeWelcome(proto, s.cluster.Workers(), s.ShardIndex, s.ShardCount)); err != nil {
+	if err := wire.WriteFrame(conn, wire.MsgWelcome, wire.EncodeWelcome(wire.Version, s.cluster.Workers(), s.ShardIndex, s.ShardCount)); err != nil {
 		s.logErr("handshake write failed", "peer", peer, "err", err)
 		return
 	}
-	s.log("client connected", "peer", peer, "proto", proto)
+	s.log("client connected", "peer", peer, "proto", wire.Version)
 
 	// The reader goroutine owns the connection's read side for the rest of
 	// its life. It stops when the connection errors (including our deferred
@@ -823,9 +803,9 @@ func (s *Server) serveConn(conn net.Conn, quit <-chan struct{}) {
 				s.appends.Add(1)
 				respType, resp = s.handleAppend(f.payload)
 			case wire.MsgSegmentList:
-				respType, resp = s.handleSegmentList(f.payload, proto)
+				respType, resp = s.handleSegmentList(f.payload)
 			case wire.MsgSegmentFetch:
-				respType, resp = s.handleSegmentFetch(f.payload, proto)
+				respType, resp = s.handleSegmentFetch(f.payload)
 			case wire.MsgCancel:
 				// Nothing in flight: the Cancel crossed our response on the
 				// wire. Cancels are never answered, so ignoring it keeps the
@@ -836,7 +816,7 @@ func (s *Server) serveConn(conn net.Conn, quit <-chan struct{}) {
 				// still delivers the run's terminal frame below — a client
 				// canceled by shutdown learns its query's fate — and then
 				// drops the connection.
-				respType, resp, keep = s.serveRun(conn, quit, frames, f, proto)
+				respType, resp, keep = s.serveRun(conn, quit, frames, f)
 			default:
 				respType = wire.MsgError
 				resp = wire.EncodeError(fmt.Sprintf("server: unexpected %v frame", f.t))
@@ -867,7 +847,7 @@ func (s *Server) serveConn(conn net.Conn, quit <-chan struct{}) {
 // cancels the run's context. It returns the terminal response frame and
 // whether the connection should keep serving; ok == false also covers
 // protocol violations (a non-Cancel frame while the run is in flight).
-func (s *Server) serveRun(conn net.Conn, quit <-chan struct{}, frames <-chan frame, f frame, proto uint64) (wire.MsgType, []byte, bool) {
+func (s *Server) serveRun(conn net.Conn, quit <-chan struct{}, frames <-chan frame, f frame) (wire.MsgType, []byte, bool) {
 	s.runs.Add(1)
 	s.runsActive.Add(1)
 	defer s.runsActive.Add(-1)
@@ -880,7 +860,7 @@ func (s *Server) serveRun(conn net.Conn, quit <-chan struct{}, frames <-chan fra
 	}
 	done := make(chan runDone, 1)
 	go func() {
-		respType, resp := s.executeRun(ctx, cancel, conn, f, proto)
+		respType, resp := s.executeRun(ctx, cancel, conn, f)
 		done <- runDone{respType, resp}
 	}()
 
@@ -991,13 +971,13 @@ func (s *Server) handleAppend(payload []byte) (wire.MsgType, []byte) {
 
 // executeRun decodes and runs one plan, writing scan rows to conn as
 // MsgResultChunk frames as the engine produces them, and returns the
-// terminal response frame. On a v4 connection carrying a trace ID the run
-// builds its span breakdown — queue wait, then the engine's stage spans —
-// and ships it in the result frame. cancel is the run's own cancel func,
+// terminal response frame. A run whose plan carries a trace ID builds its
+// span breakdown — queue wait, then the engine's stage spans — and ships it
+// in the result frame. cancel is the run's own cancel func,
 // registered with the live-query registry so /debug/queries/kill reaches
 // the same context MsgCancel does.
-func (s *Server) executeRun(ctx context.Context, cancel context.CancelFunc, conn net.Conn, f frame, proto uint64) (mt wire.MsgType, payload []byte) {
-	req, err := wire.DecodePlan(f.payload, proto)
+func (s *Server) executeRun(ctx context.Context, cancel context.CancelFunc, conn net.Conn, f frame) (mt wire.MsgType, payload []byte) {
+	req, err := wire.DecodePlan(f.payload)
 	if err != nil {
 		return wire.MsgError, wire.EncodeError(err.Error())
 	}
@@ -1016,8 +996,7 @@ func (s *Server) executeRun(ctx context.Context, cancel context.CancelFunc, conn
 		aq.Finish(ferr, recTrace)
 	}()
 
-	// Replica-coordination accounting (v6): a pre-v6 frame decodes both
-	// flags false, so no extra gate is needed.
+	// Replica-coordination accounting.
 	if req.Hedge {
 		s.hedgedRuns.Add(1)
 		s.repStat(req.TableRef).hedged.Add(1)
@@ -1031,7 +1010,7 @@ func (s *Server) executeRun(ctx context.Context, cancel context.CancelFunc, conn
 	// leaving the socket and the run starting — is the paper's §6.2 signal
 	// for an overloaded daemon, distinct from a slow one.
 	var root *obs.Span
-	if proto >= 4 && req.TraceID != 0 {
+	if req.TraceID != 0 {
 		root = obs.NewTraceWithID("daemon", req.TraceID)
 		root.SetAttr("trace", fmt.Sprintf("%016x", req.TraceID))
 		if s.ShardCount > 0 {
@@ -1055,44 +1034,28 @@ func (s *Server) executeRun(ctx context.Context, cancel context.CancelFunc, conn
 	}
 	// Scan plans stream: each batch crosses as its own frame, so the client
 	// decrypts incrementally and a canceled query stops mid-stream instead
-	// of after one giant materialized frame. On v5+ connections each batch
-	// leaves as column extents appended into one reused buffer — the
-	// executor's arenas reach the wire without a row-major re-encode and
-	// without per-row allocations; pre-v5 peers get the row-major framing.
+	// of after one giant materialized frame. Each batch leaves as column
+	// extents appended into one reused buffer — the executor's arenas reach
+	// the wire without a row-major re-encode and without per-row allocations.
 	var sink engine.ScanSink
 	if len(pl.Project) > 0 {
-		if proto >= 5 {
-			kinds, err := engine.ProjectKinds(pl)
+		kinds, err := engine.ProjectKinds(pl)
+		if err != nil {
+			return wire.MsgError, wire.EncodeError(err.Error())
+		}
+		var chunkBuf []byte
+		sink = func(rows []engine.ScanRow) error {
+			var err error
+			chunkBuf, err = wire.AppendScanChunk(chunkBuf[:0], rows, kinds)
 			if err != nil {
-				return wire.MsgError, wire.EncodeError(err.Error())
+				return err
 			}
-			var chunkBuf []byte
-			sink = func(rows []engine.ScanRow) error {
-				var err error
-				chunkBuf, err = wire.AppendScanChunk(chunkBuf[:0], rows, kinds)
-				if err != nil {
-					return err
-				}
-				if err := wire.WriteFrame(conn, wire.MsgResultChunk, chunkBuf); err != nil {
-					return err
-				}
-				s.bytesOut.Add(uint64(len(chunkBuf)) + 5)
-				aq.AddRows(uint64(len(rows)))
-				return nil
+			if err := wire.WriteFrame(conn, wire.MsgResultChunk, chunkBuf); err != nil {
+				return err
 			}
-		} else {
-			sink = func(rows []engine.ScanRow) error {
-				chunk, err := wire.EncodeScanChunk(rows, nil, proto)
-				if err != nil {
-					return err
-				}
-				if err := wire.WriteFrame(conn, wire.MsgResultChunk, chunk); err != nil {
-					return err
-				}
-				s.bytesOut.Add(uint64(len(chunk)) + 5)
-				aq.AddRows(uint64(len(rows)))
-				return nil
-			}
+			s.bytesOut.Add(uint64(len(chunkBuf)) + 5)
+			aq.AddRows(uint64(len(rows)))
+			return nil
 		}
 	}
 	res, err := s.cluster.RunStream(ctx, pl, sink)
@@ -1124,7 +1087,7 @@ func (s *Server) executeRun(ctx context.Context, cancel context.CancelFunc, conn
 		spans = obs.Flatten(root)
 		recTrace = root.String()
 	}
-	resp, err := wire.EncodeResult(codecName, res, spans, proto)
+	resp, err := wire.EncodeResult(codecName, res, spans, wire.Version)
 	if err != nil {
 		return wire.MsgError, wire.EncodeError(err.Error())
 	}

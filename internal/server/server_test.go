@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"strings"
@@ -53,45 +54,24 @@ func handshake(t *testing.T, conn net.Conn) {
 	}
 }
 
+// TestRejectsWrongProtocolVersion pins the frozen handshake: there is one
+// protocol version, and a Hello naming an older or a newer one is answered
+// with the version MsgError, never a Welcome.
 func TestRejectsWrongProtocolVersion(t *testing.T) {
 	_, addr := startServer(t)
-	conn := dialRaw(t, addr)
-	e := wire.EncodeHello()
-	e[0] = 1 // corrupt the version varint to a pre-MinVersion value
-	if err := wire.WriteFrame(conn, wire.MsgHello, e); err != nil {
-		t.Fatal(err)
-	}
-	mt, payload, err := wire.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mt != wire.MsgError || !strings.Contains(wire.DecodeError(payload), "version") {
-		t.Fatalf("got (%v, %q), want a version-mismatch error", mt, wire.DecodeError(payload))
-	}
-}
-
-// TestNegotiatesDownNewerClient pins the forward-compatibility half of the v4
-// handshake: a client offering a version newer than the server's answers with
-// the server's own version in the Welcome rather than a rejection.
-func TestNegotiatesDownNewerClient(t *testing.T) {
-	_, addr := startServer(t)
-	conn := dialRaw(t, addr)
-	if err := wire.WriteFrame(conn, wire.MsgHello, wire.EncodeHelloVersion(wire.Version+3)); err != nil {
-		t.Fatal(err)
-	}
-	mt, payload, err := wire.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mt != wire.MsgWelcome {
-		t.Fatalf("got %v frame, want welcome", mt)
-	}
-	v, _, _, _, err := wire.DecodeWelcome(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != wire.Version {
-		t.Fatalf("negotiated v%d, want v%d", v, wire.Version)
+	for _, v := range []uint64{1, wire.Version - 1, wire.Version + 3} {
+		conn := dialRaw(t, addr)
+		if err := wire.WriteFrame(conn, wire.MsgHello, binary.AppendUvarint(nil, v)); err != nil {
+			t.Fatal(err)
+		}
+		mt, payload, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("server: protocol version %d, want %d", v, wire.Version)
+		if mt != wire.MsgError || wire.DecodeError(payload) != want {
+			t.Fatalf("hello v%d: got (%v, %q), want error %q", v, mt, wire.DecodeError(payload), want)
+		}
 	}
 }
 

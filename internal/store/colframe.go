@@ -9,7 +9,7 @@ import (
 // Column extents: the one column-major encoding Seabed uses from disk to
 // wire. A durable segment file stores each column of each partition as one
 // extent (8-aligned so the file can be memory-mapped and the vectors aliased
-// in place), and a v5 MsgResultChunk carries each projected column of a scan
+// in place), and a MsgResultChunk carries each projected column of a scan
 // batch as one extent (packed, no alignment — the receiving buffer decides).
 // docs/FORMAT.md is the authoritative spec; this file is its implementation.
 //

@@ -8,7 +8,7 @@ import (
 	"seabed/internal/store"
 )
 
-// v5 columnar scan chunks: a MsgResultChunk in the same column-extent
+// Columnar scan chunks: a MsgResultChunk in the same column-extent
 // encoding durable segments use (store.AppendColumnExtent, specified in
 // docs/FORMAT.md), so the server streams the executor's arena batches
 // column-at-a-time instead of re-encoding them row-major. Layout:
@@ -26,23 +26,9 @@ import (
 // values straight into the received frame, so a streamed scan's dominant
 // payload (ciphertext blobs) crosses decode with zero copies.
 
-// EncodeScanChunk builds a MsgResultChunk payload for a connection
-// negotiated at version: columnar extents on v5+, row-major scan rows
-// before. kinds is the plan's projected column kinds in Plan.Project order
-// (engine.ProjectKinds); pre-v5 encodings ignore it.
-func EncodeScanChunk(rows []engine.ScanRow, kinds []store.Kind, version uint64) ([]byte, error) {
-	if version >= 5 {
-		return AppendScanChunk(nil, rows, kinds)
-	}
-	e := &enc{}
-	if err := encodeScanRows(e, rows); err != nil {
-		return nil, err
-	}
-	return e.buf, nil
-}
-
-// AppendScanChunk appends a v5 columnar chunk for rows to buf and returns
-// the extended slice. It allocates only when buf lacks capacity — a server
+// AppendScanChunk appends a columnar chunk for rows to buf and returns the
+// extended slice. kinds is the plan's projected column kinds in Plan.Project
+// order (engine.ProjectKinds). It allocates only when buf lacks capacity — a server
 // streaming a large scan reuses one buffer across chunks, paying zero
 // allocations per row.
 func AppendScanChunk(buf []byte, rows []engine.ScanRow, kinds []store.Kind) ([]byte, error) {
@@ -93,19 +79,13 @@ func AppendScanChunk(buf []byte, rows []engine.ScanRow, kinds []store.Kind) ([]b
 	return buf, nil
 }
 
-// DecodeScanChunk parses a MsgResultChunk payload framed at the
-// connection's negotiated version. The returned rows may alias p (v5 Bytes
-// values point into the frame), so the caller must not reuse p's backing
-// array afterwards — ReadFrame allocates per frame, which satisfies this.
+// DecodeScanChunk parses a MsgResultChunk payload; version must be Version.
+// The returned rows may alias p (Bytes values point into the frame), so the
+// caller must not reuse p's backing array afterwards — ReadFrame allocates
+// per frame, which satisfies this.
 func DecodeScanChunk(p []byte, version uint64) ([]engine.ScanRow, error) {
-	if version < 5 {
-		d := newDec(p)
-		var rows []engine.ScanRow
-		decodeScanRows(d, &rows)
-		if err := d.close("scan chunk"); err != nil {
-			return nil, err
-		}
-		return rows, nil
+	if err := checkVersion(version, "decode scan chunk"); err != nil {
+		return nil, err
 	}
 	d := newDec(p)
 	nRows := d.uint()

@@ -28,7 +28,7 @@ func chunkRows(n int) ([]engine.ScanRow, []store.Kind) {
 func TestColumnarChunkRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 1000} {
 		rows, kinds := chunkRows(n)
-		p, err := EncodeScanChunk(rows, kinds, Version)
+		p, err := AppendScanChunk(nil, rows, kinds)
 		if err != nil {
 			t.Fatalf("encode %d rows: %v", n, err)
 		}
@@ -67,7 +67,7 @@ func TestColumnarChunkZeroCopy(t *testing.T) {
 		Bytes: [][]byte{[]byte("ciphertext")},
 		Strs:  []string{""},
 	}}
-	p, err := EncodeScanChunk(rows, []store.Kind{store.Bytes}, Version)
+	p, err := AppendScanChunk(nil, rows, []store.Kind{store.Bytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestAppendScanChunkNoPerRowAllocs(t *testing.T) {
 
 func TestColumnarChunkRejectsHostilePayloads(t *testing.T) {
 	rows, kinds := chunkRows(8)
-	good, err := EncodeScanChunk(rows, kinds, Version)
+	good, err := AppendScanChunk(nil, rows, kinds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,31 +123,6 @@ func TestColumnarChunkRejectsHostilePayloads(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := DecodeScanChunk(tc.p, Version); err == nil {
 			t.Errorf("%s: decode accepted a hostile payload", tc.name)
-		}
-	}
-}
-
-// TestScanChunkVersionFraming pins the negotiation fallback: the same rows
-// round-trip through both framings, and each decoder rejects the other's
-// bytes (the version is part of the connection state, not the frame).
-func TestScanChunkVersionFraming(t *testing.T) {
-	rows, kinds := chunkRows(16)
-	for _, v := range []uint64{4, 5} {
-		p, err := EncodeScanChunk(rows, kinds, v)
-		if err != nil {
-			t.Fatalf("v%d encode: %v", v, err)
-		}
-		got, err := DecodeScanChunk(p, v)
-		if err != nil {
-			t.Fatalf("v%d decode: %v", v, err)
-		}
-		if len(got) != len(rows) {
-			t.Fatalf("v%d: %d rows, want %d", v, len(got), len(rows))
-		}
-		for i := range got {
-			if got[i].ID != rows[i].ID || !bytes.Equal(got[i].Bytes[1], rows[i].Bytes[1]) {
-				t.Fatalf("v%d: row %d mismatch", v, i)
-			}
 		}
 	}
 }

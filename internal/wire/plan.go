@@ -23,24 +23,25 @@ type PlanRequest struct {
 	// Plan is the plan itself. Its Table and Join.Right pointers are nil in
 	// transit; the server rebinds them from the refs.
 	Plan *engine.Plan
-	// TraceID ties this plan to the proxy-side query trace (v4). Zero means
-	// untraced; on v3 connections it never crosses the wire. It lives on the
-	// request, not the connection, so a pool redial mid-query cannot change
-	// the ID a daemon reports back.
+	// TraceID ties this plan to the proxy-side query trace. Zero means
+	// untraced. It lives on the request, not the connection, so a pool redial
+	// mid-query cannot change the ID a daemon reports back.
 	TraceID uint64
 	// Hedge marks a speculative re-issue of a straggling sub-query to a
-	// replica (v6): the fleet coordinator fired this run while the original
+	// replica: the fleet coordinator fired this run while the original
 	// is still in flight and will keep whichever answers first. Daemons count
 	// hedged runs in Stats.
 	Hedge bool
-	// Failover marks a retry of a sub-query whose original replica failed
-	// (v6). Daemons count failed-over runs in Stats.
+	// Failover marks a retry of a sub-query whose original replica failed.
+	// Daemons count failed-over runs in Stats.
 	Failover bool
 }
 
-// EncodePlan serializes a plan request for a connection negotiated at
-// version.
+// EncodePlan serializes a plan request. version must be Version.
 func EncodePlan(req *PlanRequest, version uint64) ([]byte, error) {
+	if err := checkVersion(version, "encode plan"); err != nil {
+		return nil, err
+	}
 	pl := req.Plan
 	if pl == nil {
 		return nil, fmt.Errorf("wire: encode plan: nil plan")
@@ -95,11 +96,8 @@ func EncodePlan(req *PlanRequest, version uint64) ([]byte, error) {
 	if pl.GroupBy != nil {
 		e.str(pl.GroupBy.Col)
 		e.uint(uint64(pl.GroupBy.Inflate))
-		// Key-domain bound (v7). Older peers simply run the hashed group
-		// path — the bound is a sizing hint, never a correctness contract.
-		if version >= 7 {
-			e.uint(pl.GroupBy.KeyBound)
-		}
+		// Key-domain bound: a sizing hint, never a correctness contract.
+		e.uint(pl.GroupBy.KeyBound)
 	}
 
 	e.uint(uint64(len(pl.Project)))
@@ -114,8 +112,8 @@ func EncodePlan(req *PlanRequest, version uint64) ([]byte, error) {
 	}
 	e.bool(pl.CompressAtDriver)
 
-	// Shard framing (v2): identifier-range scope and partial-result mode, so
-	// one plan frame addresses exactly one shard's rows of the logical table.
+	// Range framing: identifier-range scope and partial-result mode, so one
+	// plan frame addresses exactly one range's rows of the logical table.
 	e.bool(pl.Range != nil)
 	if pl.Range != nil {
 		e.uint(pl.Range.Lo)
@@ -123,24 +121,15 @@ func EncodePlan(req *PlanRequest, version uint64) ([]byte, error) {
 	}
 	e.bool(pl.Partial)
 
-	// Trace propagation (v4). A v3 decoder rejects trailing bytes, so the
-	// field is strictly version-gated.
-	if version >= 4 {
-		e.uint(req.TraceID)
-	}
-
-	// Fleet replication flags (v6), gated like TraceID.
-	if version >= 6 {
-		e.bool(req.Hedge)
-		e.bool(req.Failover)
-	}
+	e.uint(req.TraceID)
+	e.bool(req.Hedge)
+	e.bool(req.Failover)
 	return e.buf, nil
 }
 
-// DecodePlan parses a plan request framed at the connection's negotiated
-// version. The returned plan's Table and Join.Right are nil; the caller
-// resolves TableRef/JoinRef against its registry.
-func DecodePlan(p []byte, version uint64) (*PlanRequest, error) {
+// DecodePlan parses a plan request. The returned plan's Table and Join.Right
+// are nil; the caller resolves TableRef/JoinRef against its registry.
+func DecodePlan(p []byte) (*PlanRequest, error) {
 	d := newDec(p)
 	req := &PlanRequest{Plan: &engine.Plan{}}
 	pl := req.Plan
@@ -194,9 +183,7 @@ func DecodePlan(p []byte, version uint64) (*PlanRequest, error) {
 		pl.GroupBy = &engine.GroupBy{}
 		pl.GroupBy.Col = d.str()
 		pl.GroupBy.Inflate = int(d.uint())
-		if version >= 7 {
-			pl.GroupBy.KeyBound = d.uint()
-		}
+		pl.GroupBy.KeyBound = d.uint()
 	}
 
 	nProject := d.uint()
@@ -210,13 +197,9 @@ func DecodePlan(p []byte, version uint64) (*PlanRequest, error) {
 		pl.Range = &engine.IDRange{Lo: d.uint(), Hi: d.uint()}
 	}
 	pl.Partial = d.bool()
-	if version >= 4 {
-		req.TraceID = d.uint()
-	}
-	if version >= 6 {
-		req.Hedge = d.bool()
-		req.Failover = d.bool()
-	}
+	req.TraceID = d.uint()
+	req.Hedge = d.bool()
+	req.Failover = d.bool()
 	if err := d.close("plan"); err != nil {
 		return nil, err
 	}

@@ -11,13 +11,16 @@ import (
 	"seabed/internal/store"
 )
 
-// EncodeResult serializes a MsgResult payload for a connection negotiated at
-// version: the codec the engine actually used (the client must decode
-// identifier lists with the same one — the in-process path communicates it by
-// mutating the plan, the wire path carries it here) followed by the result's
-// groups, scan rows, metrics, and — on v4 — the daemon's span breakdown for
-// the query trace (nil spans encode as an empty list).
+// EncodeResult serializes a MsgResult payload: the codec the engine actually
+// used (the client must decode identifier lists with the same one — the
+// in-process path communicates it by mutating the plan, the wire path carries
+// it here) followed by the result's groups, scan rows, metrics, and the
+// daemon's span breakdown for the query trace (nil spans encode as an empty
+// list). version must be Version.
 func EncodeResult(codecName string, res *engine.Result, spans []obs.FlatSpan, version uint64) ([]byte, error) {
+	if err := checkVersion(version, "encode result"); err != nil {
+		return nil, err
+	}
 	e := &enc{buf: make([]byte, 0, resultSizeHint(res))}
 	e.str(codecName)
 
@@ -40,10 +43,8 @@ func EncodeResult(codecName string, res *engine.Result, spans []obs.FlatSpan, ve
 		return nil, err
 	}
 
-	encodeMetrics(e, &res.Metrics, version)
-	if version >= 4 {
-		encodeSpans(e, spans)
-	}
+	encodeMetrics(e, &res.Metrics)
+	encodeSpans(e, spans)
 	return e.buf, nil
 }
 
@@ -65,7 +66,7 @@ func resultSizeHint(res *engine.Result) int {
 	return n
 }
 
-// encodeSpans appends a v4 span-record section: the daemon's trace breakdown,
+// encodeSpans appends a span-record section: the daemon's trace breakdown,
 // flattened preorder with depths (obs.Flatten).
 func encodeSpans(e *enc, spans []obs.FlatSpan) {
 	e.uint(uint64(len(spans)))
@@ -87,7 +88,7 @@ func encodeSpans(e *enc, spans []obs.FlatSpan) {
 	}
 }
 
-// decodeSpans parses a v4 span-record section. Counts are hostile-guarded
+// decodeSpans parses a span-record section. Counts are hostile-guarded
 // like every other section; tree-shape sanity (depth sequences) is the
 // client's problem — obs.AttachFlat clamps rather than trusts.
 func decodeSpans(d *dec) []obs.FlatSpan {
@@ -118,8 +119,7 @@ func decodeSpans(d *dec) []obs.FlatSpan {
 	return spans
 }
 
-// encodeScanRows appends a length-prefixed scan-row section, shared by the
-// result frame and the v3 chunk frame.
+// encodeScanRows appends the result frame's length-prefixed scan-row section.
 func encodeScanRows(e *enc, scan []engine.ScanRow) error {
 	e.uint(uint64(len(scan)))
 	for i := range scan {
@@ -166,12 +166,15 @@ func decodeScanRows(d *dec, dst *[]engine.ScanRow) {
 	}
 }
 
-// DecodeResult parses a MsgResult payload framed at the connection's
-// negotiated version. The groups decode into a few blocks per result, not a
+// DecodeResult parses a MsgResult payload; version must be Version. The
+// groups decode into a few blocks per result, not a
 // few allocations per group: one []Group, the aggregates from []AggValue
 // blocks, and every byte field (keys, encoded id-lists, OPE ciphertexts) and
 // id-list range run carved from shared arenas. The result does not alias p.
 func DecodeResult(p []byte, version uint64) (codecName string, res *engine.Result, spans []obs.FlatSpan, err error) {
+	if err := checkVersion(version, "decode result"); err != nil {
+		return "", nil, nil, err
+	}
 	d := newDec(p)
 	codecName = d.str()
 	res = &engine.Result{}
@@ -208,10 +211,8 @@ func DecodeResult(p []byte, version uint64) (codecName string, res *engine.Resul
 
 	decodeScanRows(d, &res.Scan)
 
-	decodeMetrics(d, &res.Metrics, version)
-	if version >= 4 {
-		spans = decodeSpans(d)
-	}
+	decodeMetrics(d, &res.Metrics)
+	spans = decodeSpans(d)
 	if err := d.close("result"); err != nil {
 		return "", nil, nil, err
 	}
@@ -326,7 +327,7 @@ func encodeAggValue(e *enc, av *engine.AggValue) {
 	e.uint(av.ArgID)
 	e.bytes(av.CompanionBytes)
 
-	// Partial-plan median collections (v2): a shard cannot collapse a median
+	// Partial-plan median collections: one range cannot collapse a median
 	// locally, so the collected inputs cross the wire for the coordinator's
 	// merge. All four are empty on non-Partial plans.
 	e.uint(uint64(len(av.MedU64)))
@@ -413,7 +414,7 @@ func (a *resultArena) decodeAggValue(av *engine.AggValue) {
 	}
 }
 
-func encodeMetrics(e *enc, m *engine.Metrics, version uint64) {
+func encodeMetrics(e *enc, m *engine.Metrics) {
 	e.int(int64(m.ServerTime))
 	e.int(int64(m.MapTime))
 	e.int(int64(m.ReduceTime))
@@ -425,33 +426,27 @@ func encodeMetrics(e *enc, m *engine.Metrics, version uint64) {
 	e.int(int64(m.ReduceTasks))
 	e.uint(m.RowsScanned)
 	e.uint(m.RowsSelected)
-	// Per-task duration sample (v4).
-	if version >= 4 {
-		e.int(int64(m.TaskMin))
-		e.int(int64(m.TaskP50))
-		e.int(int64(m.TaskMax))
-	}
-	// Streamed-scan first-chunk latency (v7).
-	if version >= 7 {
-		e.int(int64(m.FirstChunk))
-	}
-	// Per-operator execution counters (v8) — EXPLAIN ANALYZE's payload.
-	if version >= 8 {
-		e.uint(m.Ops.Batches)
-		e.uint(m.Ops.DenseBatches)
-		e.uint(m.Ops.JoinProbed)
-		e.uint(m.Ops.JoinMatched)
-		e.uint(m.Ops.GroupDense)
-		e.uint(m.Ops.GroupHash)
-		e.uint(m.Ops.RadixBatches)
-		e.uint(m.Ops.GroupSlots)
-		e.uint(m.Ops.GroupTableLen)
-		e.uint(m.Ops.ColumnPins)
-		e.uint(m.Ops.ColumnFaults)
-	}
+	// Per-task duration sample.
+	e.int(int64(m.TaskMin))
+	e.int(int64(m.TaskP50))
+	e.int(int64(m.TaskMax))
+	// Streamed-scan first-chunk latency.
+	e.int(int64(m.FirstChunk))
+	// Per-operator execution counters — EXPLAIN ANALYZE's payload.
+	e.uint(m.Ops.Batches)
+	e.uint(m.Ops.DenseBatches)
+	e.uint(m.Ops.JoinProbed)
+	e.uint(m.Ops.JoinMatched)
+	e.uint(m.Ops.GroupDense)
+	e.uint(m.Ops.GroupHash)
+	e.uint(m.Ops.RadixBatches)
+	e.uint(m.Ops.GroupSlots)
+	e.uint(m.Ops.GroupTableLen)
+	e.uint(m.Ops.ColumnPins)
+	e.uint(m.Ops.ColumnFaults)
 }
 
-func decodeMetrics(d *dec, m *engine.Metrics, version uint64) {
+func decodeMetrics(d *dec, m *engine.Metrics) {
 	m.ServerTime = time.Duration(d.int())
 	m.MapTime = time.Duration(d.int())
 	m.ReduceTime = time.Duration(d.int())
@@ -463,25 +458,19 @@ func decodeMetrics(d *dec, m *engine.Metrics, version uint64) {
 	m.ReduceTasks = int(d.int())
 	m.RowsScanned = d.uint()
 	m.RowsSelected = d.uint()
-	if version >= 4 {
-		m.TaskMin = time.Duration(d.int())
-		m.TaskP50 = time.Duration(d.int())
-		m.TaskMax = time.Duration(d.int())
-	}
-	if version >= 7 {
-		m.FirstChunk = time.Duration(d.int())
-	}
-	if version >= 8 {
-		m.Ops.Batches = d.uint()
-		m.Ops.DenseBatches = d.uint()
-		m.Ops.JoinProbed = d.uint()
-		m.Ops.JoinMatched = d.uint()
-		m.Ops.GroupDense = d.uint()
-		m.Ops.GroupHash = d.uint()
-		m.Ops.RadixBatches = d.uint()
-		m.Ops.GroupSlots = d.uint()
-		m.Ops.GroupTableLen = d.uint()
-		m.Ops.ColumnPins = d.uint()
-		m.Ops.ColumnFaults = d.uint()
-	}
+	m.TaskMin = time.Duration(d.int())
+	m.TaskP50 = time.Duration(d.int())
+	m.TaskMax = time.Duration(d.int())
+	m.FirstChunk = time.Duration(d.int())
+	m.Ops.Batches = d.uint()
+	m.Ops.DenseBatches = d.uint()
+	m.Ops.JoinProbed = d.uint()
+	m.Ops.JoinMatched = d.uint()
+	m.Ops.GroupDense = d.uint()
+	m.Ops.GroupHash = d.uint()
+	m.Ops.RadixBatches = d.uint()
+	m.Ops.GroupSlots = d.uint()
+	m.Ops.GroupTableLen = d.uint()
+	m.Ops.ColumnPins = d.uint()
+	m.Ops.ColumnFaults = d.uint()
 }

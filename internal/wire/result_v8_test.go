@@ -40,7 +40,7 @@ func opsResult() *engine.Result {
 	}
 }
 
-// TestResultOpsRoundTripV8 pins the v8 result frame: the full per-operator
+// TestResultOpsRoundTripV8 pins the result frame: the full per-operator
 // counter block survives encode/decode exactly.
 func TestResultOpsRoundTripV8(t *testing.T) {
 	res := opsResult()
@@ -53,47 +53,14 @@ func TestResultOpsRoundTripV8(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Metrics.Ops, res.Metrics.Ops) {
-		t.Fatalf("v8 ops round trip:\n got %+v\nwant %+v", got.Metrics.Ops, res.Metrics.Ops)
+		t.Fatalf("ops round trip:\n got %+v\nwant %+v", got.Metrics.Ops, res.Metrics.Ops)
 	}
 	if !reflect.DeepEqual(got, res) {
-		t.Fatalf("v8 result round trip:\n got %+v\nwant %+v", got, res)
+		t.Fatalf("result round trip:\n got %+v\nwant %+v", got, res)
 	}
 }
 
-// TestResultOpsV7Interop pins backward compatibility: a connection negotiated
-// at v7 (an older peer) frames the same result without the ops block — the
-// decode succeeds, stage-level metrics arrive intact, and the counters simply
-// read zero. A v7 frame must also not leave trailing bytes a v7 decoder
-// would reject.
-func TestResultOpsV7Interop(t *testing.T) {
-	res := opsResult()
-	payload, err := EncodeResult(idlist.Default.Name(), res, nil, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, got, _, err := DecodeResult(payload, 7)
-	if err != nil {
-		t.Fatalf("v7 peer rejected the frame: %v", err)
-	}
-	if got.Metrics.Ops != (engine.OpStats{}) {
-		t.Fatalf("v7 frame carried ops counters: %+v", got.Metrics.Ops)
-	}
-	if got.Metrics.RowsScanned != res.Metrics.RowsScanned ||
-		got.Metrics.FirstChunk != res.Metrics.FirstChunk ||
-		got.Metrics.MapTasks != res.Metrics.MapTasks {
-		t.Fatalf("v7 frame lost stage-level metrics: %+v", got.Metrics)
-	}
-	// The version gate is symmetric: a v7 frame is shorter than a v8 one.
-	v8, err := EncodeResult(idlist.Default.Name(), res, nil, Version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(payload) >= len(v8) {
-		t.Fatalf("v7 frame (%dB) not shorter than v8 (%dB); gate not applied", len(payload), len(v8))
-	}
-}
-
-// TestResultOpsRejectsTruncatedV8 pins the hostile-payload guard: a v8 frame
+// TestResultOpsRejectsTruncatedV8 pins the hostile-payload guard: a frame
 // cut off inside the ops block must fail the decode, not panic or hand the
 // trusted proxy fabricated counters plus a clean error.
 func TestResultOpsRejectsTruncatedV8(t *testing.T) {

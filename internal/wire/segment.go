@@ -5,7 +5,7 @@ import (
 	"hash/crc32"
 )
 
-// Segment shipping (v6) -----------------------------------------------------
+// Segment shipping ----------------------------------------------------------
 //
 // Three frames move a table's durable bytes between daemons without the
 // proxy in the loop. MsgSegmentList inventories tables (names, sizes, CRCs,

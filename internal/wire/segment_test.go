@@ -134,6 +134,9 @@ func TestSegmentFramesRejectHostilePayloads(t *testing.T) {
 	}
 }
 
+// TestPlanHedgeFailoverVersionFraming pins that the fleet flags cross the
+// plan frame, and that the codecs which still take a version argument accept
+// wire.Version and nothing else.
 func TestPlanHedgeFailoverVersionFraming(t *testing.T) {
 	req := &PlanRequest{
 		TableRef: "t",
@@ -142,34 +145,39 @@ func TestPlanHedgeFailoverVersionFraming(t *testing.T) {
 		Hedge:    true,
 		Failover: true,
 	}
-
-	// v6 carries the flags.
-	p, err := EncodePlan(req, 6)
+	p, err := EncodePlan(req, Version)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodePlan(p, 6)
+	got, err := DecodePlan(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Hedge || !got.Failover {
-		t.Fatalf("v6 flags lost: %+v", got)
+	if !got.Hedge || !got.Failover || got.TraceID != 9 {
+		t.Fatalf("flags lost: %+v", got)
 	}
 
-	// v5 must not frame them (a v5 decoder rejects trailing bytes), and a
-	// v5 decode must leave them false.
-	p5, err := EncodePlan(req, 5)
+	res := opsResult()
+	frame, err := EncodeResult("", res, nil, Version)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got5, err := DecodePlan(p5, 5)
+	chunk, err := AppendScanChunk(nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got5.Hedge || got5.Failover {
-		t.Fatalf("v5 decode invented flags: %+v", got5)
-	}
-	if _, err := DecodePlan(p, 5); err == nil {
-		t.Fatal("v6 frame decoded at v5 without error")
+	for _, v := range []uint64{0, Version - 1, Version + 1} {
+		if _, err := EncodePlan(req, v); err == nil {
+			t.Errorf("EncodePlan accepted version %d", v)
+		}
+		if _, err := EncodeResult("", res, nil, v); err == nil {
+			t.Errorf("EncodeResult accepted version %d", v)
+		}
+		if _, _, _, err := DecodeResult(frame, v); err == nil {
+			t.Errorf("DecodeResult accepted version %d", v)
+		}
+		if _, err := DecodeScanChunk(chunk, v); err == nil {
+			t.Errorf("DecodeScanChunk accepted version %d", v)
+		}
 	}
 }

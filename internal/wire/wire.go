@@ -17,13 +17,11 @@
 // A connection opens with a Hello/Welcome version handshake; after that the
 // client sends request frames (MsgRegister, MsgRun) and the server answers
 // each with exactly one terminal response frame (MsgOK, MsgResult, or
-// MsgError). Two exceptions, both introduced in v3 for query lifecycle
-// management: a MsgRun's terminal response may be preceded by any number of
-// MsgResultChunk frames carrying scan rows (column extents on v5+
-// connections, row-major before — see colchunk.go and docs/FORMAT.md), and
-// the client may send MsgCancel
-// while a MsgRun is in flight — Cancel gets no response of its own, the
-// canceled run's terminal frame closes the exchange.
+// MsgError). Two exceptions, both for query lifecycle management: a MsgRun's
+// terminal response may be preceded by any number of MsgResultChunk frames
+// carrying scan rows as column extents (colchunk.go, docs/FORMAT.md), and the
+// client may send MsgCancel while a MsgRun is in flight — Cancel gets no
+// response of its own, the canceled run's terminal frame closes the exchange.
 //
 // # Payloads
 //
@@ -43,41 +41,21 @@ import (
 	"seabed/internal/idlist"
 )
 
-// Version is the newest protocol version this build speaks; MinVersion is the
-// oldest. The Hello/Welcome handshake negotiates within that window: the
-// client's Hello carries its Version, the server answers with
-// min(client, server) — the connection's negotiated version — and both sides
-// frame plans and results accordingly. A peer outside the window is rejected.
-//
-// History: v1 introduced the protocol; v2 added shard-aware plan framing
-// (identifier-range scoping + partial-result mode) and median collections in
-// result frames; v3 added query lifecycle management — the MsgCancel frame
-// (abort the connection's in-flight plan) and chunked scan streaming (a
-// MsgRun answered by zero or more MsgResultChunk frames before its terminal
-// MsgResult/MsgError); v4 added observability — a trace ID in the plan frame
-// and a span breakdown + per-task duration sample in the result frame — and,
-// because v4 fields are negotiated rather than assumed, the first version to
-// tolerate older peers at all; v5 reframed MsgResultChunk as column extents
-// (the same encoding durable segments map — docs/FORMAT.md), deleting the
-// row-major re-encode from the server's streaming path. A v5 peer falls back
-// to row-major chunks when the negotiated version is 4 or below; v6 added
-// fleet replication — segment shipping frames (MsgSegmentList /
-// MsgSegmentFetch / MsgSegmentData let a daemon stream a table's CRC'd
-// segment set plus WAL tail to a peer) and two negotiated plan-frame flags
-// (Hedge, Failover) so daemons can count hedged and failed-over runs; v7
-// added two streaming-engine fields — a group-by key-domain bound in the
-// plan frame (KeyBound, a sizing hint for the executor's flat accumulator)
-// and a first-chunk latency in the result frame's metrics (FirstChunk, how
-// long the streamed scan took to deliver its first rows); v8 added per-
-// operator execution counters to the result frame's metrics (engine.OpStats:
-// batch/path counts, join probe survival, group dense-vs-hash resolution and
-// radix engagement, group-table occupancy, column pins/faults) — the EXPLAIN
-// ANALYZE payload. A v7-or-older peer still gets stage-level metrics; the
-// operator block just reads zero.
-const (
-	Version    = 8
-	MinVersion = 3
-)
+// Version is the protocol version. There is one: the client's Hello carries
+// it, the server's Welcome echoes it, and each side rejects a peer that names
+// any other — the server with a "protocol version %d, want %d" MsgError, the
+// client with a diagnosis naming the version the server answered. Changing a
+// frame means bumping Version and upgrading both sides (docs/FORMAT.md §4.6).
+const Version = 8
+
+// checkVersion guards the codecs that take the connection's version as an
+// argument: nothing branches on it, and any value but Version is an error.
+func checkVersion(version uint64, what string) error {
+	if version != Version {
+		return fmt.Errorf("wire: %s: protocol version %d, want %d", what, version, Version)
+	}
+	return nil
+}
 
 // MaxFrame bounds a frame's payload (1 GiB), protecting both ends from
 // corrupt or hostile length prefixes.
@@ -118,19 +96,19 @@ const (
 	// MsgResultChunk carries one batch of scan rows (server → client),
 	// letting large scans stream instead of materializing in one frame.
 	MsgResultChunk
-	// MsgSegmentList (v6) is both the request and the response of a segment
+	// MsgSegmentList is both the request and the response of a segment
 	// inventory exchange: the request names one table ref (empty = every
 	// table), the response enumerates per-table manifests — segment names,
 	// sizes, CRCs, row counts, and identifier envelopes (segment.go).
 	MsgSegmentList
-	// MsgSegmentFetch (v6) requests segment bytes. With an empty From it asks
+	// MsgSegmentFetch requests segment bytes. With an empty From it asks
 	// the receiving daemon to serve one named segment of a table (answered by
 	// MsgSegmentData); with From set it instructs the receiving daemon to
 	// dial the peer at From, pull the whole table's segments + WAL tail, and
 	// install them locally (answered by MsgOK) — daemon-to-daemon healing
 	// with no proxy re-upload.
 	MsgSegmentFetch
-	// MsgSegmentData (v6) answers a single-segment MsgSegmentFetch: the
+	// MsgSegmentData answers a single-segment MsgSegmentFetch: the
 	// segment name, a CRC-32 (IEEE) over the bytes, and the raw bytes. The
 	// decoder verifies the checksum, so a frame that decodes is end-to-end
 	// intact.
@@ -207,18 +185,10 @@ func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 
 // Handshake payloads ------------------------------------------------------
 
-// EncodeHello builds a MsgHello payload advertising this build's newest
-// version.
+// EncodeHello builds a MsgHello payload: this build's Version.
 func EncodeHello() []byte {
-	return EncodeHelloVersion(Version)
-}
-
-// EncodeHelloVersion builds a MsgHello payload advertising an explicit
-// version — the client's retry path against a pre-v4 server, which rejects
-// rather than negotiates anything above its own version.
-func EncodeHelloVersion(version uint64) []byte {
 	e := &enc{}
-	e.uint(version)
+	e.uint(Version)
 	return e.buf
 }
 
@@ -229,8 +199,8 @@ func DecodeHello(p []byte) (version uint64, err error) {
 	return version, d.close("hello")
 }
 
-// EncodeWelcome builds a MsgWelcome payload. version is the connection's
-// negotiated protocol version. shardIndex/shardCount declare the server's
+// EncodeWelcome builds a MsgWelcome payload. version is the server's protocol
+// version. shardIndex/shardCount declare the server's
 // shard identity (the daemon's -shard i/n flag); shardCount 0 means the
 // server declares none, which clients accept anywhere.
 func EncodeWelcome(version uint64, workers, shardIndex, shardCount int) []byte {

@@ -170,7 +170,7 @@ func TestPlanRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := DecodePlan(payload, Version)
+			got, err := DecodePlan(payload)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -219,7 +219,7 @@ func TestPlanDecodeRejectsUnknownCodec(t *testing.T) {
 	}
 	// The codec name is the penultimate field; corrupt it wholesale by
 	// truncating the payload instead, which must also fail.
-	if _, err := DecodePlan(payload[:len(payload)-1], Version); err == nil {
+	if _, err := DecodePlan(payload[:len(payload)-1]); err == nil {
 		t.Fatal("truncated plan accepted")
 	}
 }
@@ -349,7 +349,7 @@ func TestDecodeResultRejectsOverflowedRange(t *testing.T) {
 	e.uint(0)              // arg id
 	e.bytes(nil)           // companion
 	e.uint(0)              // no scan rows
-	encodeMetrics(e, &engine.Metrics{}, Version)
+	encodeMetrics(e, &engine.Metrics{})
 	if _, _, _, err := DecodeResult(e.buf, Version); err == nil {
 		t.Fatal("overflow-inverted range accepted")
 	}
@@ -427,67 +427,15 @@ func TestRegisterRejectsJunk(t *testing.T) {
 	}
 }
 
-func TestScanChunkRoundTrip(t *testing.T) {
-	// The pre-v5 row-major framing tolerates per-row widths (and must keep
-	// doing so: v3/v4 peers ship such frames); rows here are deliberately
-	// ragged across rows. The v5 columnar path is covered in colchunk_test.go.
-	rows := []engine.ScanRow{
-		{ID: 7, U64s: []uint64{42, 0}, Bytes: [][]byte{nil, {1, 2, 3}}, Strs: []string{"", "x"}},
-		{ID: 9, U64s: []uint64{1}, Bytes: [][]byte{nil}, Strs: []string{"hello"}},
-		{ID: 11},
-	}
-	payload, err := EncodeScanChunk(rows, nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeScanChunk(payload, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, rows) {
-		t.Fatalf("chunk round trip:\n got %+v\nwant %+v", got, rows)
-	}
-	// Empty chunks survive too (a shard whose slice selected nothing).
-	payload, err = EncodeScanChunk(nil, nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := DecodeScanChunk(payload, 4); err != nil || len(got) != 0 {
-		t.Fatalf("empty chunk: (%v, %v)", got, err)
-	}
-}
-
-func TestScanChunkRejectsHostilePayloads(t *testing.T) {
-	// A huge row count over a tiny payload must fail the count guard, not
-	// allocate — on both framings.
-	for _, version := range []uint64{4, 5} {
-		if _, err := DecodeScanChunk([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, version); err == nil {
-			t.Fatalf("v%d: hostile row count accepted", version)
-		}
-	}
-	// Ragged projections are refused at encode time.
-	if _, err := EncodeScanChunk([]engine.ScanRow{{ID: 1, U64s: []uint64{1}}}, nil, 4); err == nil {
-		t.Fatal("ragged scan row encoded")
-	}
-	// Trailing garbage is refused.
-	payload, err := EncodeScanChunk([]engine.ScanRow{{ID: 1}}, nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeScanChunk(append(payload, 0), 4); err == nil {
-		t.Fatal("trailing garbage accepted")
-	}
-}
-
 func TestCancelFrameType(t *testing.T) {
-	// The v3 frame types must keep their identities (they cross processes).
+	// Frame types must keep their identities (they cross processes).
 	if MsgCancel.String() != "cancel" || MsgResultChunk.String() != "result-chunk" {
-		t.Fatalf("v3 frame names: %v, %v", MsgCancel, MsgResultChunk)
+		t.Fatalf("lifecycle frame names: %v, %v", MsgCancel, MsgResultChunk)
 	}
-	if Version != 8 || MinVersion != 3 {
-		t.Fatalf("protocol versions = %d (min %d), want 8 (min 3)", Version, MinVersion)
+	if Version != 8 {
+		t.Fatalf("protocol version = %d, want 8 (a bump must re-capture the golden frames)", Version)
 	}
 	if MsgSegmentList.String() != "segment-list" || MsgSegmentFetch.String() != "segment-fetch" || MsgSegmentData.String() != "segment-data" {
-		t.Fatalf("v6 frame names: %v, %v, %v", MsgSegmentList, MsgSegmentFetch, MsgSegmentData)
+		t.Fatalf("segment frame names: %v, %v, %v", MsgSegmentList, MsgSegmentFetch, MsgSegmentData)
 	}
 }

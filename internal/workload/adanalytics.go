@@ -12,7 +12,8 @@ import (
 // The advertising-analytics application of §6.6: 33 dimensions, 18 measures,
 // hour-of-day group-by queries with 1–12 groups, and 10 sensitive dimensions
 // with skewed value distributions spanning the cardinality range of
-// Figure 10(b). The proprietary dataset is simulated per DESIGN.md §2.
+// Figure 10(b). The proprietary dataset is simulated (README.md, "Paper
+// figures: what is substituted", item 4).
 
 // AdAConfig scales the workload.
 type AdAConfig struct {

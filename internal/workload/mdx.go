@@ -91,7 +91,8 @@ func MDXCounts() CategoryCounts {
 }
 
 // TPCDSReference is the Table 4 "TPC-DS" row, encoded from the paper (the
-// per-query TPC-DS SQL is not reproduced here; DESIGN.md §2 item 5).
+// per-query TPC-DS SQL is not reproduced here; README.md, "Paper figures:
+// what is substituted", item 5).
 var TPCDSReference = CategoryCounts{Total: 99, Server: 69, ClientPre: 2, ClientPost: 25, TwoRound: 3}
 
 // AdLogReference is the Table 4 "Ad Analytics" row: the month-long
@@ -104,8 +105,8 @@ type AdLogQuery struct {
 	Traits planner.QueryTraits
 }
 
-// GenerateAdLog simulates the proprietary month-long query log (DESIGN.md §2
-// item 4): total queries with exactly the production mix of purely-server
+// GenerateAdLog simulates the proprietary month-long query log (README.md,
+// "Paper figures: what is substituted", item 4): total queries with exactly the production mix of purely-server
 // and client-post-processing queries, shuffled deterministically. Running
 // planner.Classify over the result reproduces the Table 4 row.
 func GenerateAdLog(total int, seed int64) []AdLogQuery {

@@ -57,7 +57,6 @@ import (
 	"seabed/internal/remote"
 	"seabed/internal/schema"
 	"seabed/internal/server"
-	"seabed/internal/shard"
 	"seabed/internal/sqlparse"
 	"seabed/internal/store"
 	"seabed/internal/translate"
@@ -81,10 +80,6 @@ type (
 	// RemoteCluster is a ClusterBackend speaking the wire protocol to a
 	// seabed-server daemon.
 	RemoteCluster = remote.RemoteCluster
-	// ShardedCluster is a ClusterBackend that range-partitions tables across
-	// N seabed-server daemons and scatter-gathers every query (merging ASHE,
-	// Paillier, and group-by partials at the trusted proxy).
-	ShardedCluster = shard.Cluster
 	// FleetCluster is a ClusterBackend that range-partitions tables across N
 	// seabed-server daemons with R-way replication: queries fail over to a
 	// live replica when a daemon dies, stragglers are hedged to a second
@@ -113,10 +108,11 @@ type (
 	// materializes them; Trace returns the query's span tree.
 	QueryResult = client.QueryResult
 	// TraceSpan is one span of a query trace: QueryResult.Trace() returns
-	// the root, covering parse through decrypt at the proxy, per-shard
-	// scatter spans, and each daemon's queue/map/shuffle/reduce breakdown.
-	// TraceSpan.SlowestChild("shard ") on the run span names the straggler
-	// that dominated a skewed query (§6.2).
+	// the root, covering parse through decrypt at the proxy, per-range
+	// scatter spans ("range k @ daemon d"), and each daemon's
+	// queue/map/shuffle/reduce breakdown. TraceSpan.SlowestChild("range ")
+	// on the run span names the straggler that dominated a skewed query
+	// (§6.2).
 	TraceSpan = obs.Span
 	// MetricsRegistry is a server's time-series metrics registry
 	// (Server.Metrics); WritePrometheus renders the text exposition that
@@ -211,11 +207,14 @@ func OpenDurableStore(opts DurableOptions) (*DurableStore, error) { return durab
 func DialCluster(addr string) (*RemoteCluster, error) { return remote.Dial(addr) }
 
 // DialShardedCluster connects to N running seabed-server daemons and returns
-// a sharded backend: uploads range-partition across the daemons by row
-// identifier, queries scatter to every shard concurrently, and partial
-// aggregates merge at the proxy (ASHE bodies sum, identifier lists merge,
-// Paillier ciphertexts multiply, group-by partials reduce by key).
-func DialShardedCluster(addrs ...string) (*ShardedCluster, error) { return shard.Dial(addrs) }
+// a sharded backend — the fleet at one replica per range: uploads
+// range-partition across the daemons by row identifier, queries scatter to
+// every range concurrently, and partial aggregates merge at the proxy (ASHE
+// bodies sum, identifier lists merge, Paillier ciphertexts multiply, group-by
+// partials reduce by key).
+func DialShardedCluster(addrs ...string) (*FleetCluster, error) {
+	return fleet.Dial(addrs, fleet.Options{Replicas: 1})
+}
 
 // DialFleet connects to N running seabed-server daemons and returns a
 // replicated fleet backend: every identifier range lives on
