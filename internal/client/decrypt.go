@@ -129,39 +129,47 @@ func Decrypt(tr *translate.Translation, res *engine.Result, ring *KeyRing) (*Res
 		return out, nil
 	}
 
-	groups := res.Groups
-	if tr.Client.Inflated {
-		merged, err := d.deflateGroups(tr, groups)
-		if err != nil {
+	// The result's columns are walked as they are — never a struct per group —
+	// and never written: they may alias a received frame.
+	cols, err := res.Columns()
+	if err != nil {
+		return nil, err
+	}
+	if err := checkCols(tr.Server, cols); err != nil {
+		return nil, err
+	}
+	if tr.Client.Inflated && cols != nil {
+		// §4.5: "the client has to perform the remaining aggregations".
+		if cols, err = engine.DeflateGroups(tr.Server, cols); err != nil {
 			return nil, err
 		}
-		groups = merged
 	}
+	n := cols.Len()
 	// Rows, their values and their keys come from one block each per result.
 	// Keys decrypt first: they fix the row order (by group key, for stable
 	// output), and the rows are then built in that order.
 	var keys []Value
 	if tr.Client.GroupKey != nil {
-		keys = make([]Value, len(groups))
-		for gi := range groups {
-			kv, err := d.groupKey(tr.Client.GroupKey, &groups[gi])
+		keys = make([]Value, n)
+		for g := range keys {
+			kv, err := d.groupKey(tr.Client.GroupKey, cols, g)
 			if err != nil {
 				return nil, err
 			}
-			keys[gi] = kv
+			keys[g] = kv
 		}
 	}
 	nOut := len(tr.Client.Outputs)
-	out.Rows = make([]Row, len(groups))
-	values := make([]Value, len(groups)*nOut)
-	for ri, gi := range keyOrder(keys, len(groups)) {
-		g, row := &groups[gi], &out.Rows[ri]
+	out.Rows = make([]Row, n)
+	values := make([]Value, n*nOut)
+	for ri, gi := range keyOrder(keys, n) {
+		g, row := int(gi), &out.Rows[ri]
 		row.Values = values[ri*nOut : (ri+1)*nOut : (ri+1)*nOut]
 		if keys != nil {
 			row.Key = &keys[gi]
 		}
 		for oi := range tr.Client.Outputs {
-			v, err := d.output(tr, &tr.Client.Outputs[oi], g, row.Key)
+			v, err := d.output(tr, &tr.Client.Outputs[oi], cols, g, row.Key)
 			if err != nil {
 				return nil, err
 			}
@@ -173,20 +181,40 @@ func Decrypt(tr *translate.Translation, res *engine.Result, ring *KeyRing) (*Res
 	return out, nil
 }
 
-// asheOf reconstructs an ASHE ciphertext from a server aggregate, decoding
-// the wire-encoded identifier list into the decrypter's range buffer: the
-// ciphertext's list is valid until the next asheOf call (Clone it to keep it).
-func (d *decrypter) asheOf(av *engine.AggValue) (ashe.Ciphertext, error) {
-	ranges, err := d.codec.AppendDecode(d.ranges[:0], av.Ashe.Encoded)
+// checkCols verifies that a server's group columns have the shape the plan
+// asked for — one column per aggregate, of its kind — so no output below can
+// index a column the untrusted server left out. Lane lengths are the wire
+// decoder's business (every lane holds one word per group).
+func checkCols(pl *engine.Plan, cols *engine.GroupCols) error {
+	if cols == nil {
+		return nil
+	}
+	if len(cols.Aggs) != len(pl.Aggs) {
+		return fmt.Errorf("client: result carries %d aggregates, plan asked for %d (malformed or hostile result)", len(cols.Aggs), len(pl.Aggs))
+	}
+	for i := range cols.Aggs {
+		if cols.Aggs[i].Kind != pl.Aggs[i].Kind {
+			return fmt.Errorf("client: result aggregate %d is %v, plan asked for %v (malformed or hostile result)", i, cols.Aggs[i].Kind, pl.Aggs[i].Kind)
+		}
+	}
+	return nil
+}
+
+// asheOf reconstructs group g's ASHE ciphertext from an aggregate column,
+// decoding the wire-encoded identifier list out of the column's block into the
+// decrypter's range buffer: the ciphertext's list is valid until the next
+// asheOf call.
+func (d *decrypter) asheOf(col *engine.AggCol, g int) (ashe.Ciphertext, error) {
+	ranges, err := d.codec.AppendDecode(d.ranges[:0], col.EncodedIDs(g))
 	if err != nil {
 		return ashe.Ciphertext{}, fmt.Errorf("client: decode id list: %v", err)
 	}
 	d.ranges = ranges
-	return ashe.Ciphertext{Body: av.Ashe.Body, IDs: idlist.View(ranges)}, nil
+	return ashe.Ciphertext{Body: col.Lane[g], IDs: idlist.View(ranges)}, nil
 }
 
-// output evaluates one client-plan output for a group.
-func (d *decrypter) output(tr *translate.Translation, o *translate.Output, g *engine.Group, key *Value) (Value, error) {
+// output evaluates one client-plan output for group g of the columns.
+func (d *decrypter) output(tr *translate.Translation, o *translate.Output, cols *engine.GroupCols, g int, key *Value) (Value, error) {
 	switch o.Kind {
 	case translate.OutGroupKey:
 		if key == nil {
@@ -196,9 +224,13 @@ func (d *decrypter) output(tr *translate.Translation, o *translate.Output, g *en
 		kv.Name = o.Name
 		return kv, nil
 	case translate.OutPlain:
-		return Value{Name: o.Name, Kind: Int, I64: int64(g.Aggs[o.Agg].U64)}, nil
+		col := &cols.Aggs[o.Agg]
+		if col.Lane == nil {
+			return Value{Name: o.Name, Kind: Int, I64: int64(col.Vals[g].U64)}, nil
+		}
+		return Value{Name: o.Name, Kind: Int, I64: int64(col.Lane[g])}, nil
 	case translate.OutAsheSum:
-		ct, err := d.asheOf(&g.Aggs[o.Agg])
+		ct, err := d.asheOf(&cols.Aggs[o.Agg], g)
 		if err != nil {
 			return Value{}, err
 		}
@@ -209,13 +241,13 @@ func (d *decrypter) output(tr *translate.Translation, o *translate.Output, g *en
 		if sk == nil {
 			return Value{}, fmt.Errorf("client: no Paillier key for decryption")
 		}
-		return Value{Name: o.Name, Kind: Int, I64: int64(sk.DecryptU64(g.Aggs[o.Agg].Pail))}, nil
+		return Value{Name: o.Name, Kind: Int, I64: int64(sk.DecryptU64(cols.Aggs[o.Agg].Vals[g].Pail))}, nil
 	case translate.OutAvg:
-		sum, err := d.output(tr, o.AuxSum, g, key)
+		sum, err := d.output(tr, o.AuxSum, cols, g, key)
 		if err != nil {
 			return Value{}, err
 		}
-		cnt, err := d.output(tr, o.AuxCount, g, key)
+		cnt, err := d.output(tr, o.AuxCount, cols, g, key)
 		if err != nil {
 			return Value{}, err
 		}
@@ -224,15 +256,15 @@ func (d *decrypter) output(tr *translate.Translation, o *translate.Output, g *en
 		}
 		return Value{Name: o.Name, Kind: Float, F64: float64(sum.I64) / float64(cnt.I64)}, nil
 	case translate.OutVar, translate.OutStddev:
-		sum, err := d.output(tr, o.AuxSum, g, key)
+		sum, err := d.output(tr, o.AuxSum, cols, g, key)
 		if err != nil {
 			return Value{}, err
 		}
-		sq, err := d.output(tr, o.AuxSq, g, key)
+		sq, err := d.output(tr, o.AuxSq, cols, g, key)
 		if err != nil {
 			return Value{}, err
 		}
-		cnt, err := d.output(tr, o.AuxCount, g, key)
+		cnt, err := d.output(tr, o.AuxCount, cols, g, key)
 		if err != nil {
 			return Value{}, err
 		}
@@ -250,7 +282,7 @@ func (d *decrypter) output(tr *translate.Translation, o *translate.Output, g *en
 		}
 		return Value{Name: o.Name, Kind: Float, F64: v}, nil
 	case translate.OutMinMax:
-		av := &g.Aggs[o.Agg]
+		av := &cols.Aggs[o.Agg].Vals[g]
 		if len(av.CompanionBytes) > 0 {
 			sk := d.ring.PaillierSK()
 			if sk == nil {
@@ -267,18 +299,18 @@ func (d *decrypter) output(tr *translate.Translation, o *translate.Output, g *en
 	return Value{}, fmt.Errorf("client: unknown output kind %d", o.Kind)
 }
 
-// groupKey decrypts a group's key.
-func (d *decrypter) groupKey(gk *translate.GroupKeyPlan, g *engine.Group) (Value, error) {
+// groupKey decrypts group g's key.
+func (d *decrypter) groupKey(gk *translate.GroupKeyPlan, cols *engine.GroupCols, g int) (Value, error) {
 	name := gk.SourceCol
-	if !gk.Det {
-		switch g.KeyKind {
-		case store.U64:
-			return Value{Name: name, Kind: Int, I64: int64(g.KeyU64)}, nil
-		case store.Str:
-			return Value{Name: name, Kind: Str, Str: g.KeyStr}, nil
-		default:
-			return Value{Name: name, Kind: Str, Str: string(g.KeyBytes)}, nil
+	if cols.KeyKind == store.U64 {
+		if gk.Det {
+			return Value{}, fmt.Errorf("client: decrypt group key: result carries integer keys for a DET column")
 		}
+		return Value{Name: name, Kind: Int, I64: int64(cols.KeyU64[g])}, nil
+	}
+	key := cols.KeyBytes(g)
+	if !gk.Det {
+		return Value{Name: name, Kind: Str, Str: string(key)}, nil
 	}
 	keyName := gk.KeyName
 	if keyName == "" {
@@ -286,13 +318,13 @@ func (d *decrypter) groupKey(gk *translate.GroupKeyPlan, g *engine.Group) (Value
 	}
 	dk := d.det(keyName)
 	if gk.StrValues {
-		s, err := dk.DecryptString(g.KeyBytes)
+		s, err := dk.DecryptString(key)
 		if err != nil {
 			return Value{}, fmt.Errorf("client: decrypt group key: %v", err)
 		}
 		return Value{Name: name, Kind: Str, Str: s}, nil
 	}
-	id, err := dk.DecryptU64(g.KeyBytes)
+	id, err := dk.DecryptU64(key)
 	if err != nil {
 		return Value{}, fmt.Errorf("client: decrypt group key: %v", err)
 	}
@@ -303,84 +335,6 @@ func (d *decrypter) groupKey(gk *translate.GroupKeyPlan, g *engine.Group) (Value
 		return Value{Name: name, Kind: Str, Str: gk.Dict[id]}, nil
 	}
 	return Value{Name: name, Kind: Int, I64: int64(id)}, nil
-}
-
-// deflateGroups merges suffix-inflated groups back together (§4.5: "the
-// client has to perform the remaining aggregations").
-func (d *decrypter) deflateGroups(tr *translate.Translation, groups []engine.Group) ([]engine.Group, error) {
-	type slot struct {
-		g   engine.Group
-		ids []idlist.List // decoded ASHE lists per agg
-	}
-	merged := map[string]*slot{}
-	var order []string
-	for _, g := range groups {
-		key := fmt.Sprintf("%d|%s|%s", g.KeyU64, g.KeyBytes, g.KeyStr)
-		s := merged[key]
-		if s == nil {
-			ng := g
-			ng.Suffix = -1
-			ng.Aggs = append([]engine.AggValue(nil), g.Aggs...)
-			s = &slot{g: ng, ids: make([]idlist.List, len(g.Aggs))}
-			for i, av := range g.Aggs {
-				if av.Kind == engine.AggAsheSum {
-					ct, err := d.asheOf(&av)
-					if err != nil {
-						return nil, err
-					}
-					s.ids[i] = ct.IDs.Clone()
-				}
-				if av.Kind == engine.AggPaillierSum {
-					s.g.Aggs[i].Pail = new(big.Int).Set(av.Pail)
-				}
-			}
-			merged[key] = s
-			order = append(order, key)
-			continue
-		}
-		for i, av := range g.Aggs {
-			acc := &s.g.Aggs[i]
-			switch av.Kind {
-			case engine.AggCount, engine.AggPlainSum, engine.AggPlainSumSq:
-				acc.U64 += av.U64
-			case engine.AggAsheSum:
-				ct, err := d.asheOf(&av)
-				if err != nil {
-					return nil, err
-				}
-				acc.Ashe.Body += ct.Body
-				s.ids[i].Merge(ct.IDs)
-			case engine.AggPaillierSum:
-				pk := tr.Server.Aggs[i].PK
-				pk.AddInto(acc.Pail, av.Pail)
-			case engine.AggPlainMin:
-				if av.U64 < acc.U64 {
-					acc.U64 = av.U64
-				}
-			case engine.AggPlainMax:
-				if av.U64 > acc.U64 {
-					acc.U64 = av.U64
-				}
-			}
-		}
-		s.g.Rows += g.Rows
-	}
-	out := make([]engine.Group, 0, len(merged))
-	for _, key := range order {
-		s := merged[key]
-		// Re-encode merged lists so downstream decryption is uniform.
-		for i := range s.g.Aggs {
-			if s.g.Aggs[i].Kind == engine.AggAsheSum {
-				enc, err := d.codec.Encode(s.ids[i])
-				if err != nil {
-					return nil, err
-				}
-				s.g.Aggs[i].Ashe.Encoded = enc
-			}
-		}
-		out = append(out, s.g)
-	}
-	return out, nil
 }
 
 // decryptScan processes scan-mode results.

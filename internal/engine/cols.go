@@ -1,0 +1,332 @@
+package engine
+
+import (
+	"fmt"
+
+	"seabed/internal/idlist"
+	"seabed/internal/store"
+)
+
+// GroupCols is aggregation output as one column set: the form the reducer
+// writes (groupMerger.finish, gatherGroups), the result frame carries extent
+// by extent (internal/wire), the coordinator's merge reads as its input and
+// client.Decrypt walks. Group g's values sit at index g of every column; a
+// query without GROUP BY yields one group with KeyKind store.U64 and key 0.
+// Columns decoded from a result frame alias the frame, so they are read-only.
+type GroupCols struct {
+	KeyKind store.Kind
+	// KeyU64 holds store.U64 keys. Keys of the other kinds share one arena:
+	// key g is KeyArena[KeyOff[g]:KeyOff[g+1]].
+	KeyU64   []uint64
+	KeyOff   []uint64
+	KeyArena []byte
+	// Suffix is the inflation suffix per group; nil when the plan does not
+	// inflate, which reads as suffix −1 everywhere.
+	Suffix []int32
+	Rows   []uint64
+	Aggs   []AggCol
+}
+
+// AggCol is one aggregate's column. Every lane-eligible kind (count, plain
+// sum/sum of squares/min/max, ASHE sum) has its value — for an ASHE sum, the
+// ciphertext body — in Lane; an ASHE sum adds its identifier lists,
+// codec-encoded, as one block; the remaining kinds (Paillier, OPE extremes,
+// medians) keep one AggValue per group in Vals.
+type AggCol struct {
+	Kind AggKind
+	Lane []uint64
+	// Group g's encoded identifier list is IDs[IDOff[g]:IDOff[g+1]].
+	IDs   []byte
+	IDOff []uint64
+	Vals  []AggValue
+}
+
+// Len returns the number of groups.
+func (c *GroupCols) Len() int {
+	if c == nil {
+		return 0
+	}
+	return len(c.Rows)
+}
+
+// KeyBytes returns group g's byte or string key, aliasing the arena.
+func (c *GroupCols) KeyBytes(g int) []byte {
+	return c.KeyArena[c.KeyOff[g]:c.KeyOff[g+1]:c.KeyOff[g+1]]
+}
+
+// EncodedIDs returns group g's codec-encoded identifier list, aliasing the
+// block.
+func (a *AggCol) EncodedIDs(g int) []byte {
+	return a.IDs[a.IDOff[g]:a.IDOff[g+1]:a.IDOff[g+1]]
+}
+
+// newAggCols allocates the columns of n groups for the given aggregates.
+func newAggCols(aggs []Agg, n int) []AggCol {
+	cols := make([]AggCol, len(aggs))
+	for i, a := range aggs {
+		col := &cols[i]
+		col.Kind = a.Kind
+		switch {
+		case a.Kind == AggAsheSum:
+			col.Lane = make([]uint64, n)
+			col.IDOff = make([]uint64, n+1)
+		case LaneKind(a.Kind):
+			col.Lane = make([]uint64, n)
+		default:
+			col.Vals = make([]AggValue, n)
+		}
+	}
+	return cols
+}
+
+// keys views the key column as the merge's key form.
+func (c *GroupCols) keys() groupKeys {
+	return groupKeys{kind: c.KeyKind, inflated: c.Suffix != nil,
+		u64: c.KeyU64, off: c.KeyOff, arena: c.KeyArena, sfx: c.Suffix}
+}
+
+// NumGroups returns the number of groups the result holds, in either form.
+func (r *Result) NumGroups() int {
+	if r.Cols != nil {
+		return r.Cols.Len()
+	}
+	return len(r.Groups)
+}
+
+// View returns the result's groups as rows, building them from Cols on the
+// first call and caching them in Groups. The rows alias the columns.
+func (r *Result) View() []Group {
+	if r.Groups == nil && r.Cols.Len() > 0 {
+		r.Groups = r.Cols.groups()
+	}
+	return r.Groups
+}
+
+// groups builds the row view: one []Group and one []AggValue block.
+func (c *GroupCols) groups() []Group {
+	n, na := c.Len(), len(c.Aggs)
+	out := make([]Group, n)
+	vals := make([]AggValue, n*na)
+	var strs string // string keys are substrings of one copy of the arena
+	if c.KeyKind == store.Str {
+		strs = string(c.KeyArena)
+	}
+	for g := range out {
+		grp := &out[g]
+		grp.KeyKind, grp.Suffix, grp.Rows = c.KeyKind, -1, c.Rows[g]
+		if c.Suffix != nil {
+			grp.Suffix = int(c.Suffix[g])
+		}
+		switch c.KeyKind {
+		case store.U64:
+			grp.KeyU64 = c.KeyU64[g]
+		case store.Bytes:
+			grp.KeyBytes = c.KeyBytes(g)
+		default:
+			grp.KeyStr = strs[c.KeyOff[g]:c.KeyOff[g+1]]
+		}
+		grp.Aggs = vals[g*na : (g+1)*na : (g+1)*na]
+		for ai := range c.Aggs {
+			col, av := &c.Aggs[ai], &grp.Aggs[ai]
+			switch {
+			case col.Kind == AggAsheSum:
+				*av = AggValue{Kind: col.Kind, Ashe: AsheAgg{Body: col.Lane[g], Encoded: col.EncodedIDs(g)}}
+			case col.Lane != nil:
+				*av = AggValue{Kind: col.Kind, U64: col.Lane[g]}
+			default:
+				*av = col.Vals[g]
+			}
+		}
+	}
+	return out
+}
+
+// Columns returns the result's aggregation output as columns, converting a
+// result that holds only Groups — a hand-built one — on the first call and
+// caching the columns in Cols. Such groups must share one key kind and one
+// aggregate list, and carry their ASHE identifier lists encoded.
+func (r *Result) Columns() (*GroupCols, error) {
+	if r.Cols == nil && len(r.Groups) > 0 {
+		cols, err := colsFromGroups(r.Groups)
+		if err != nil {
+			return nil, err
+		}
+		r.Cols = cols
+	}
+	return r.Cols, nil
+}
+
+// colsFromGroups is the inverse of GroupCols.groups.
+func colsFromGroups(groups []Group) (*GroupCols, error) {
+	n, first := len(groups), &groups[0]
+	aggs := make([]Agg, len(first.Aggs))
+	for ai := range aggs {
+		aggs[ai].Kind = first.Aggs[ai].Kind
+	}
+	c := &GroupCols{KeyKind: first.KeyKind, Rows: make([]uint64, n), Aggs: newAggCols(aggs, n)}
+	keys := groupKeys{}
+	keys.init(c.KeyKind, false)
+	for i := range groups {
+		if groups[i].Suffix >= 0 {
+			keys.inflated = true
+		}
+	}
+	keys.reserve(n, len(first.KeyBytes)+len(first.KeyStr))
+	for i := range groups {
+		g := &groups[i]
+		if g.KeyKind != c.KeyKind {
+			return nil, fmt.Errorf("engine: result groups mix key kinds (%v and %v)", c.KeyKind, g.KeyKind)
+		}
+		if g.Suffix < -1 || int(int32(g.Suffix)) != g.Suffix {
+			return nil, fmt.Errorf("engine: result group suffix %d out of range", g.Suffix)
+		}
+		if len(g.Aggs) != len(aggs) {
+			return nil, fmt.Errorf("engine: result group has %d aggregates, want %d", len(g.Aggs), len(aggs))
+		}
+		switch g.KeyKind {
+		case store.U64:
+			keys.appendU64(g.KeyU64, int32(g.Suffix))
+		case store.Bytes:
+			appendKey(&keys, g.KeyBytes, int32(g.Suffix))
+		case store.Str:
+			appendKey(&keys, g.KeyStr, int32(g.Suffix))
+		default:
+			return nil, fmt.Errorf("engine: result group has unknown key kind %d", int(g.KeyKind))
+		}
+		c.Rows[i] = g.Rows
+		for ai := range g.Aggs {
+			av, col := &g.Aggs[ai], &c.Aggs[ai]
+			if av.Kind != col.Kind {
+				return nil, fmt.Errorf("engine: result groups mix kinds of aggregate %d (%v and %v)", ai, col.Kind, av.Kind)
+			}
+			switch {
+			case av.Kind == AggAsheSum:
+				if len(av.Ashe.Encoded) == 0 && !av.Ashe.IDs.Empty() {
+					return nil, fmt.Errorf("engine: result group's ASHE aggregate %d carries an unencoded identifier list", ai)
+				}
+				col.Lane[i] = av.Ashe.Body
+				col.IDs = append(col.IDs, av.Ashe.Encoded...)
+				col.IDOff[i+1] = uint64(len(col.IDs))
+			case col.Lane != nil:
+				col.Lane[i] = av.U64
+			default:
+				col.Vals[i] = *av
+			}
+		}
+	}
+	c.KeyU64, c.KeyOff, c.KeyArena, c.Suffix = keys.u64, keys.off, keys.arena, keys.sfx
+	return c, nil
+}
+
+// taskGroupsFromCols views one shard's result columns as the merge input form
+// — the inverse of gatherGroups for a Partial plan — so the coordinator's
+// reduce is the engine's own. Keys, row counts and lanes are the columns
+// themselves; identifier lists decode once into one block per aggregate; only
+// a plan with generic aggregates builds a partial per group.
+func (pl *Plan) taskGroupsFromCols(c *GroupCols, codec idlist.Codec) (*taskGroups, error) {
+	n := c.Len()
+	if len(c.Aggs) != len(pl.Aggs) {
+		return nil, fmt.Errorf("engine: merge: shard groups have %d aggregates, want %d", len(c.Aggs), len(pl.Aggs))
+	}
+	for ai := range c.Aggs {
+		if c.Aggs[ai].Kind != pl.Aggs[ai].Kind {
+			return nil, fmt.Errorf("engine: merge: aggregate %d kind mismatch (%d vs %d)", ai, c.Aggs[ai].Kind, pl.Aggs[ai].Kind)
+		}
+	}
+	tg := &taskGroups{keys: c.keys(), rows: c.Rows}
+	if pl.groupLanes() {
+		tg.vals = make([][]uint64, len(c.Aggs))
+		tg.ids = make([]idLists, len(c.Aggs))
+		for ai := range c.Aggs {
+			col := &c.Aggs[ai]
+			tg.vals[ai] = col.Lane
+			if col.Kind == AggAsheSum {
+				var err error
+				if tg.ids[ai], err = decodeIDLists(codec, col); err != nil {
+					return nil, err
+				}
+			}
+		}
+		return tg, nil
+	}
+	na := len(pl.Aggs)
+	tg.parts = make([]partial, n)
+	states := make([]aggState, n*na)
+	for g := range tg.parts {
+		p := &tg.parts[g]
+		p.aggs = states[g*na : (g+1)*na : (g+1)*na]
+		if err := fillPartial(p, c, g, codec); err != nil {
+			return nil, err
+		}
+	}
+	return tg, nil
+}
+
+// decodeIDLists decodes an ASHE column's identifier lists into one block of
+// ranges, in group order.
+func decodeIDLists(codec idlist.Codec, col *AggCol) (idLists, error) {
+	n := len(col.Lane)
+	l := idLists{off: make([]int32, n+1)}
+	// A guess at three encoded bytes per range.
+	l.ranges = make([]idlist.Range, 0, len(col.IDs)/3+n)
+	for g := 0; g < n; g++ {
+		var err error
+		if l.ranges, err = codec.AppendDecode(l.ranges, col.EncodedIDs(g)); err != nil {
+			return idLists{}, fmt.Errorf("engine: merge: decode id list: %v", err)
+		}
+		if len(l.ranges) > 1<<31-1 {
+			return idLists{}, fmt.Errorf("engine: merge: shard identifier lists hold more than 2^31 ranges")
+		}
+		l.off[g+1] = int32(len(l.ranges))
+	}
+	return l, nil
+}
+
+// fillPartial loads group g of one shard's result columns into p, the
+// engine's in-flight accumulator representation — the inverse of finishAggs
+// for a Partial plan — so the coordinator's reduce runs through mergePartial
+// unchanged. p.aggs must hold one aggState per aggregate. Field copies and
+// identifier-list decoding only; no aggregation semantics live here.
+func fillPartial(p *partial, c *GroupCols, g int, codec idlist.Codec) error {
+	rows := c.Rows[g]
+	for i := range c.Aggs {
+		col, st := &c.Aggs[i], &p.aggs[i]
+		st.kind = col.Kind
+		switch col.Kind {
+		case AggCount, AggPlainSum, AggPlainSumSq:
+			st.u64 = col.Lane[g]
+		case AggAsheSum:
+			st.u64 = col.Lane[g]
+			ids, err := codec.Decode(col.EncodedIDs(g))
+			if err != nil {
+				return fmt.Errorf("engine: merge: decode id list: %v", err)
+			}
+			st.ids = ids
+		case AggPaillierSum:
+			if col.Vals[g].Pail == nil {
+				return fmt.Errorf("engine: merge: shard group missing Paillier ciphertext for aggregate %d", i)
+			}
+			st.pail = col.Vals[g].Pail
+		case AggPlainMin, AggPlainMax:
+			st.u64 = col.Lane[g]
+			st.seen = rows > 0
+		case AggOpeMin, AggOpeMax:
+			av := &col.Vals[g]
+			st.ope = av.Ope
+			st.argID = av.ArgID
+			st.u64 = av.U64
+			st.compBytes = av.CompanionBytes
+			st.seen = rows > 0 && len(av.Ope) > 0
+		case AggPlainMedian:
+			st.medU64 = col.Vals[g].MedU64
+		case AggOpeMedian:
+			av := &col.Vals[g]
+			st.medOpe = av.MedOpe
+			st.medIDs = av.MedIDs
+			st.medComp = av.MedComp
+		default:
+			return fmt.Errorf("engine: merge: unknown aggregate kind %d", col.Kind)
+		}
+	}
+	return nil
+}

@@ -96,8 +96,8 @@ func diffFixture(t *testing.T, rows, parts int) (*store.Table, *store.Table, *pa
 // Paillier ciphertexts), scan rows, and the non-timing metrics.
 func assertSameResult(t *testing.T, name string, vec, ref *Result) {
 	t.Helper()
-	if !reflect.DeepEqual(vec.Groups, ref.Groups) {
-		t.Errorf("%s: groups diverge\nvectorized: %+v\nreference:  %+v", name, vec.Groups, ref.Groups)
+	if !reflect.DeepEqual(vec.View(), ref.View()) {
+		t.Errorf("%s: groups diverge\nvectorized: %+v\nreference:  %+v", name, vec.View(), ref.View())
 	}
 	if !reflect.DeepEqual(vec.Scan, ref.Scan) {
 		t.Errorf("%s: scan rows diverge (%d vs %d rows)", name, len(vec.Scan), len(ref.Scan))
@@ -384,8 +384,8 @@ func TestDifferentialRadixGroupBy(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
-			if len(vec.Groups) != rows {
-				t.Errorf("%d groups, want %d (every wide key distinct)", len(vec.Groups), rows)
+			if len(vec.View()) != rows {
+				t.Errorf("%d groups, want %d (every wide key distinct)", len(vec.View()), rows)
 			}
 			assertSameResult(t, tc.name, vec, ref)
 		})
@@ -428,11 +428,11 @@ func TestDifferentialInflationSuffixIsolation(t *testing.T) {
 			t.Fatalf("bound=%d reference: %v", bound, err)
 		}
 		assertSameResult(t, fmt.Sprintf("suffix-isolation/bound=%d", bound), vec, ref)
-		if len(vec.Groups) != 2*inflate {
-			t.Fatalf("bound=%d: %d groups, want %d (2 keys × %d suffixes)", bound, len(vec.Groups), 2*inflate, inflate)
+		if len(vec.View()) != 2*inflate {
+			t.Fatalf("bound=%d: %d groups, want %d (2 keys × %d suffixes)", bound, len(vec.View()), 2*inflate, inflate)
 		}
 		var rowsTotal uint64
-		for _, g := range vec.Groups {
+		for _, g := range vec.View() {
 			if g.KeyU64 != 0 && g.KeyU64 != 5 {
 				t.Errorf("bound=%d: unexpected group key %d", bound, g.KeyU64)
 			}
@@ -567,8 +567,8 @@ func TestDifferentialDetKeys(t *testing.T) {
 					t.Fatalf("reference: %v", err)
 				}
 				assertSameResult(t, name, vec, ref)
-				if inflate == 0 && len(vec.Groups) != groups {
-					t.Errorf("%d groups, want %d", len(vec.Groups), groups)
+				if inflate == 0 && len(vec.View()) != groups {
+					t.Errorf("%d groups, want %d", len(vec.View()), groups)
 				}
 				if vec.Metrics.Ops.GroupHash != rows || vec.Metrics.Ops.GroupSlots == 0 || vec.Metrics.Ops.GroupTableLen == 0 {
 					t.Errorf("byte-keyed rows missed the group counters: %+v", vec.Metrics.Ops)
@@ -577,7 +577,7 @@ func TestDifferentialDetKeys(t *testing.T) {
 				// Task counts sum across shard runs; everything else must be what
 				// one engine over the whole table reports.
 				merged, whole := shardSplit(t, tbl, mk)
-				if !reflect.DeepEqual(merged.Groups, whole.Groups) || !reflect.DeepEqual(whole.Groups, vec.Groups) {
+				if !reflect.DeepEqual(merged.View(), whole.View()) || !reflect.DeepEqual(whole.View(), vec.View()) {
 					t.Errorf("%s: merged shard groups diverge from one engine's", name)
 				}
 				if merged.Metrics.ShuffleBytes != whole.Metrics.ShuffleBytes || merged.Metrics.ResultBytes != whole.Metrics.ResultBytes ||

@@ -295,7 +295,9 @@ type AggValue struct {
 // AsheAgg is an aggregated ASHE ciphertext with its encoded identifier list.
 type AsheAgg struct {
 	Body uint64
-	// IDs is the raw identifier list (present until encoding).
+	// IDs is the raw identifier list. Nothing the engine, the wire or the
+	// fleet produces sets it — identifier lists exist once, encoded — so it is
+	// empty in every Result.View; decode Encoded with the plan's codec.
 	IDs idlist.List
 	// Encoded is the codec-compressed list as shipped to the client.
 	Encoded []byte
@@ -425,8 +427,14 @@ func (o *OpStats) merge(src *OpStats) {
 
 // Result is a plan's output.
 type Result struct {
-	// Groups holds aggregation output; a query without GROUP BY yields one
-	// group with KeyKind == store.U64 and Suffix == -1.
+	// Cols holds aggregation output in the columnar form every stage shares
+	// (cols.go); a query without GROUP BY yields one group with KeyKind ==
+	// store.U64 and suffix −1, a grouped query that selected nothing none
+	// (nil).
+	Cols *GroupCols
+	// Groups is the row view of Cols for callers that want one: nil until
+	// View builds it (MergeResults returns with it built). A hand-built
+	// Result may set Groups alone; Columns converts it.
 	Groups []Group
 	// Scan holds scan-mode output.
 	Scan []ScanRow

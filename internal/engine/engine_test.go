@@ -10,6 +10,7 @@ import (
 
 	"seabed/internal/ashe"
 	"seabed/internal/det"
+	"seabed/internal/idlist"
 	"seabed/internal/ope"
 	"seabed/internal/paillier"
 	"seabed/internal/sqlparse"
@@ -51,6 +52,20 @@ func fixture(t *testing.T, rows, parts int) (*store.Table, []uint64, []uint64) {
 	return tbl, vals, dims
 }
 
+// asheCT rebuilds an ASHE ciphertext from a result view's aggregate: results
+// carry identifier lists only encoded, with the plan's resolved codec.
+func asheCT(t *testing.T, codec idlist.Codec, ag AsheAgg) ashe.Ciphertext {
+	t.Helper()
+	if len(ag.Encoded) == 0 {
+		t.Fatal("missing encoded id list")
+	}
+	ids, err := codec.Decode(ag.Encoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ashe.Ciphertext{Body: ag.Body, IDs: ids}
+}
+
 func cluster() *Cluster {
 	return NewCluster(Config{Workers: 4})
 }
@@ -65,7 +80,7 @@ func TestPlainSum(t *testing.T) {
 	for _, v := range vals {
 		want += v
 	}
-	if got := res.Groups[0].Aggs[0].U64; got != want {
+	if got := res.View()[0].Aggs[0].U64; got != want {
 		t.Fatalf("sum = %d, want %d", got, want)
 	}
 	if res.Metrics.RowsScanned != 1000 || res.Metrics.RowsSelected != 1000 {
@@ -83,17 +98,14 @@ func TestAsheSumDecrypts(t *testing.T) {
 	for _, v := range vals {
 		want += v
 	}
-	ag := res.Groups[0].Aggs[0].Ashe
-	got := asheKey.Decrypt(ashe.Ciphertext{Body: ag.Body, IDs: ag.IDs})
+	ct := asheCT(t, idlist.Default, res.View()[0].Aggs[0].Ashe)
+	got := asheKey.Decrypt(ct)
 	if got != want {
 		t.Fatalf("decrypted sum = %d, want %d", got, want)
 	}
 	// All rows selected and ids contiguous: the final list must be 1 range.
-	if ag.IDs.NumRanges() != 1 {
-		t.Fatalf("id ranges = %d, want 1", ag.IDs.NumRanges())
-	}
-	if len(ag.Encoded) == 0 {
-		t.Fatal("missing encoded id list")
+	if ct.IDs.NumRanges() != 1 {
+		t.Fatalf("id ranges = %d, want 1", ct.IDs.NumRanges())
 	}
 }
 
@@ -115,12 +127,11 @@ func TestDetFilter(t *testing.T) {
 			wantN++
 		}
 	}
-	ag := res.Groups[0].Aggs[0].Ashe
-	if got := asheKey.Decrypt(ashe.Ciphertext{Body: ag.Body, IDs: ag.IDs}); got != want {
+	if got := asheKey.Decrypt(asheCT(t, idlist.Default, res.View()[0].Aggs[0].Ashe)); got != want {
 		t.Fatalf("filtered sum = %d, want %d", got, want)
 	}
-	if res.Groups[0].Aggs[1].U64 != wantN {
-		t.Fatalf("count = %d, want %d", res.Groups[0].Aggs[1].U64, wantN)
+	if res.View()[0].Aggs[1].U64 != wantN {
+		t.Fatalf("count = %d, want %d", res.View()[0].Aggs[1].U64, wantN)
 	}
 }
 
@@ -141,7 +152,7 @@ func TestDetFilterNegate(t *testing.T) {
 			want++
 		}
 	}
-	if got := res.Groups[0].Aggs[0].U64; got != want {
+	if got := res.View()[0].Aggs[0].U64; got != want {
 		t.Fatalf("negated count = %d, want %d", got, want)
 	}
 }
@@ -163,7 +174,7 @@ func TestOpeFilter(t *testing.T) {
 			want += v
 		}
 	}
-	if got := res.Groups[0].Aggs[0].U64; got != want {
+	if got := res.View()[0].Aggs[0].U64; got != want {
 		t.Fatalf("ope-filtered sum = %d, want %d", got, want)
 	}
 }
@@ -185,7 +196,7 @@ func TestPlainCmpOperators(t *testing.T) {
 				want++
 			}
 		}
-		if got := res.Groups[0].Aggs[0].U64; got != want {
+		if got := res.View()[0].Aggs[0].U64; got != want {
 			t.Fatalf("op %v: count = %d, want %d", op, got, want)
 		}
 	}
@@ -201,7 +212,7 @@ func TestRandomSelectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := res.Groups[0].Aggs[0].U64
+	got := res.View()[0].Aggs[0].U64
 	if got < 9500 || got > 10500 {
 		t.Fatalf("sel=50%% selected %d of 20000", got)
 	}
@@ -214,7 +225,7 @@ func TestRandomSelectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Groups[0].Aggs[0].U64 != got {
+	if res2.View()[0].Aggs[0].U64 != got {
 		t.Fatal("random selection is not deterministic for a fixed seed")
 	}
 	// Prob 1 selects everything.
@@ -226,8 +237,8 @@ func TestRandomSelectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res3.Groups[0].Aggs[0].U64 != 20000 {
-		t.Fatalf("sel=100%% selected %d of 20000", res3.Groups[0].Aggs[0].U64)
+	if res3.View()[0].Aggs[0].U64 != 20000 {
+		t.Fatalf("sel=100%% selected %d of 20000", res3.View()[0].Aggs[0].U64)
 	}
 }
 
@@ -241,14 +252,14 @@ func TestGroupByPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Groups) != 7 {
-		t.Fatalf("groups = %d, want 7", len(res.Groups))
+	if len(res.View()) != 7 {
+		t.Fatalf("groups = %d, want 7", len(res.View()))
 	}
 	want := map[uint64]uint64{}
 	for i, v := range vals {
 		want[dims[i]] += v
 	}
-	for _, g := range res.Groups {
+	for _, g := range res.View() {
 		if g.Aggs[0].U64 != want[g.KeyU64] {
 			t.Fatalf("group %d sum = %d, want %d", g.KeyU64, g.Aggs[0].U64, want[g.KeyU64])
 		}
@@ -265,20 +276,19 @@ func TestGroupByDetKeysWithAshe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Groups) != 7 {
-		t.Fatalf("groups = %d, want 7", len(res.Groups))
+	if len(res.View()) != 7 {
+		t.Fatalf("groups = %d, want 7", len(res.View()))
 	}
 	want := map[uint64]uint64{}
 	for i, v := range vals {
 		want[dims[i]] += v
 	}
-	for _, g := range res.Groups {
+	for _, g := range res.View() {
 		dim, err := detKey.DecryptU64(g.KeyBytes)
 		if err != nil {
 			t.Fatalf("decrypt group key: %v", err)
 		}
-		ag := g.Aggs[0].Ashe
-		got := asheKey.Decrypt(ashe.Ciphertext{Body: ag.Body, IDs: ag.IDs})
+		got := asheKey.Decrypt(asheCT(t, idlist.VBDiff, g.Aggs[0].Ashe))
 		if got != want[dim] {
 			t.Fatalf("group %d sum = %d, want %d", dim, got, want[dim])
 		}
@@ -295,8 +305,8 @@ func TestGroupInflation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Groups) <= 7 || len(res.Groups) > 28 {
-		t.Fatalf("inflated groups = %d, want in (7, 28]", len(res.Groups))
+	if len(res.View()) <= 7 || len(res.View()) > 28 {
+		t.Fatalf("inflated groups = %d, want in (7, 28]", len(res.View()))
 	}
 	// Client-side de-inflation must recover exact sums.
 	want := map[uint64]uint64{}
@@ -304,7 +314,7 @@ func TestGroupInflation(t *testing.T) {
 		want[dims[i]] += v
 	}
 	got := map[uint64]uint64{}
-	for _, g := range res.Groups {
+	for _, g := range res.View() {
 		if g.Suffix < 0 {
 			t.Fatal("inflated group missing suffix")
 		}
@@ -343,7 +353,7 @@ func TestPaillierSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sk.DecryptU64(res.Groups[0].Aggs[0].Pail); got != want {
+	if got := sk.DecryptU64(res.View()[0].Aggs[0].Pail); got != want {
 		t.Fatalf("paillier sum = %d, want %d", got, want)
 	}
 }
@@ -368,7 +378,7 @@ func TestMinMax(t *testing.T) {
 			max = v
 		}
 	}
-	g := res.Groups[0]
+	g := res.View()[0]
 	if g.Aggs[0].U64 != min || g.Aggs[1].U64 != max {
 		t.Fatalf("plain min/max = %d/%d, want %d/%d", g.Aggs[0].U64, g.Aggs[1].U64, min, max)
 	}
@@ -466,7 +476,7 @@ func TestJoin(t *testing.T) {
 			wantN++
 		}
 	}
-	g := res.Groups[0]
+	g := res.View()[0]
 	if g.Aggs[0].U64 != wantRev || g.Aggs[1].U64 != wantRank || g.Aggs[2].U64 != wantN {
 		t.Fatalf("join aggs = %d/%d/%d, want %d/%d/%d",
 			g.Aggs[0].U64, g.Aggs[1].U64, g.Aggs[2].U64, wantRev, wantRank, wantN)
@@ -571,8 +581,8 @@ func TestCompressAtDriverAblation(t *testing.T) {
 			driver.Metrics.ShuffleBytes, worker.Metrics.ShuffleBytes)
 	}
 	// Both must decrypt identically.
-	wa, da := worker.Groups[0].Aggs[0].Ashe, driver.Groups[0].Aggs[0].Ashe
-	if asheKey.Decrypt(ashe.Ciphertext{Body: wa.Body, IDs: wa.IDs}) != asheKey.Decrypt(ashe.Ciphertext{Body: da.Body, IDs: da.IDs}) {
+	wa, da := worker.View()[0].Aggs[0].Ashe, driver.View()[0].Aggs[0].Ashe
+	if asheKey.Decrypt(asheCT(t, idlist.Default, wa)) != asheKey.Decrypt(asheCT(t, idlist.Default, da)) {
 		t.Fatal("ablation changed the result")
 	}
 }

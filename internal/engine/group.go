@@ -18,11 +18,12 @@ import (
 // lanes cannot represent (Paillier, OPE extremes, medians), as one partial per
 // slot. The map-side grouper (batch.go) fills a table per task; the task's
 // lanes travel to the reducer as they are (taskGroups); reduceGroups and
-// MergeResults fold inputs of that one form through groupMerger; and only
-// materializeGroups, the last step, builds the public []Group.
+// the coordinator's merge fold inputs of that one form through groupMerger;
+// and gatherGroups, the last step, writes the result's columns (GroupCols,
+// cols.go) in key order — the lanes carried the rest of the way.
 
-// laneKind reports whether an aggregate accumulates in a flat u64 lane.
-func laneKind(k AggKind) bool {
+// LaneKind reports whether an aggregate accumulates in a flat u64 lane.
+func LaneKind(k AggKind) bool {
 	switch k {
 	case AggCount, AggPlainSum, AggPlainSumSq, AggAsheSum, AggPlainMin, AggPlainMax:
 		return true
@@ -40,7 +41,7 @@ func (pl *Plan) groupLanes() bool {
 		return false
 	}
 	for _, a := range pl.Aggs {
-		if !laneKind(a.Kind) {
+		if !LaneKind(a.Kind) {
 			return false
 		}
 	}
@@ -64,20 +65,23 @@ func room[T any](s []T, n int) []T {
 
 // groupKeys stores one key per slot, a flat vector per component: the value
 // itself for u64 keys, a span of one shared byte arena for byte and string
-// keys, and the inflation suffix when the plan inflates groups.
+// keys, and the inflation suffix when the plan inflates groups. A slot table's
+// byte and string keys also carry their hash, which travels with a map task's
+// output so its reducer interns them without re-hashing.
 type groupKeys struct {
 	kind     store.Kind
 	inflated bool
 	u64      []uint64 // store.U64: the key per slot
-	off      []int    // other kinds: key s is arena[off[s]:off[s+1]]
+	off      []uint64 // other kinds: key s is arena[off[s]:off[s+1]]
 	arena    []byte
-	sfx      []int32 // inflation suffix per slot; unused (suffix −1) unless inflated
+	sfx      []int32  // inflation suffix per slot; unused (suffix −1) unless inflated
+	hash     []uint64 // other kinds: hashKey of slot s's key and suffix; nil when not kept
 }
 
 func (k *groupKeys) init(kind store.Kind, inflated bool) {
 	*k = groupKeys{kind: kind, inflated: inflated}
 	if kind != store.U64 {
-		k.off = []int{0}
+		k.off = []uint64{0}
 	}
 }
 
@@ -131,7 +135,7 @@ func (k *groupKeys) appendU64(v uint64, sfx int32) {
 
 func appendKey[T ~string | ~[]byte](k *groupKeys, key T, sfx int32) {
 	k.arena = append(room(k.arena, len(key)), key...)
-	k.off = append(room(k.off, 1), len(k.arena))
+	k.off = append(room(k.off, 1), uint64(len(k.arena)))
 	if k.inflated {
 		k.sfx = append(room(k.sfx, 1), sfx)
 	}
@@ -164,11 +168,11 @@ func hashKey[T ~string | ~[]byte](k T, sfx int32) uint64 {
 // table indexed by the hash's high bits and holding slot+1 (0 = empty), over
 // the groupKeys that map each slot back to its key. It doubles at half load;
 // used counts its entries, which a grouper's dense-indexed slots are not among.
-// Byte and string keys also keep their hash per slot, so probes reject on one
-// word before comparing bytes and growth never re-reads the arena.
+// Byte and string keys also keep their hash per slot (groupKeys.hash), so
+// probes reject on one word before comparing bytes and growth never re-reads
+// the arena.
 type slotTable struct {
 	groupKeys
-	hash  []uint64
 	table []int32
 	shift uint
 	used  int
@@ -516,18 +520,19 @@ type taskGroups struct {
 
 // idLists is one ASHE aggregate's identifier list per group, in whichever
 // form the set's producer already had: a map task's lists stay chained in the
-// grouper's arena, a shard result's (and the reference evaluator's) are
-// idlist.Lists shared with their owner. Exactly one field is set.
+// grouper's arena; a shard result's (decodeIDLists) and the reference
+// evaluator's are runs of one block, group g's being ranges[off[g]:off[g+1]].
 type idLists struct {
 	chains *idChains
-	lists  []idlist.List
+	ranges []idlist.Range
+	off    []int32
 }
 
 // at returns group g's list; a chained list is laid out in scratch, which the
 // returned list aliases until the next call.
 func (l *idLists) at(g int, scratch *[]idlist.Range) idlist.List {
 	if l.chains == nil {
-		return l.lists[g]
+		return idlist.View(l.ranges[l.off[g]:l.off[g+1]])
 	}
 	*scratch = l.chains.appendRanges((*scratch)[:0], g)
 	return idlist.View(*scratch)
@@ -536,7 +541,7 @@ func (l *idLists) at(g int, scratch *[]idlist.Range) idlist.List {
 // numRanges returns the range count of group g's list.
 func (l *idLists) numRanges(g int) int {
 	if l.chains == nil {
-		return l.lists[g].NumRanges()
+		return int(l.off[g+1] - l.off[g])
 	}
 	return int(l.chains.slots[g].count)
 }
@@ -649,81 +654,17 @@ func (pl *Plan) taskGroupsFromMap(groups map[groupKey]*partial, kind store.Kind,
 		for ai := range p.aggs {
 			tg.vals[ai] = append(tg.vals[ai], p.aggs[ai].u64)
 			if p.aggs[ai].kind == AggAsheSum {
-				tg.ids[ai].lists = append(tg.ids[ai].lists, p.aggs[ai].ids)
+				l := &tg.ids[ai]
+				if l.off == nil {
+					l.off = make([]int32, 1, len(groups)+1)
+				}
+				l.ranges = append(l.ranges, p.aggs[ai].ids.Ranges()...)
+				l.off = append(l.off, int32(len(l.ranges)))
 			}
 		}
 	}
 	tg.partition(buckets)
 	return tg, tg.sizeShuffle(pl, codec)
-}
-
-// taskGroupsFromResult converts one shard's result groups back into the
-// merge input form — the inverse of materializeGroups for a Partial plan — so
-// the coordinator's reduce is the engine's own. Field copies only, into one
-// block per component; identifier lists are shared, not copied.
-func (pl *Plan) taskGroupsFromResult(groups []Group) (*taskGroups, error) {
-	n, na := len(groups), len(pl.Aggs)
-	tg := &taskGroups{rows: make([]uint64, n)}
-	// Suffixes ride along always: a result's groups state theirs explicitly.
-	tg.keys.init(groups[0].KeyKind, true)
-	tg.keys.reserve(n, len(groups[0].KeyBytes)+len(groups[0].KeyStr))
-	lanes := pl.groupLanes()
-	var states []aggState
-	if lanes {
-		tg.vals = make([][]uint64, na)
-		tg.ids = make([]idLists, na)
-		for ai, a := range pl.Aggs {
-			tg.vals[ai] = make([]uint64, n)
-			if a.Kind == AggAsheSum {
-				tg.ids[ai].lists = make([]idlist.List, n)
-			}
-		}
-	} else {
-		tg.parts = make([]partial, n)
-		states = make([]aggState, n*na)
-	}
-	for i := range groups {
-		g := &groups[i]
-		if g.KeyKind != tg.keys.kind {
-			return nil, fmt.Errorf("engine: merge: shard groups mix key kinds (%v and %v)", tg.keys.kind, g.KeyKind)
-		}
-		if int(int32(g.Suffix)) != g.Suffix {
-			return nil, fmt.Errorf("engine: merge: shard group suffix %d out of range", g.Suffix)
-		}
-		if len(g.Aggs) != na {
-			return nil, fmt.Errorf("engine: merge: shard group has %d aggregates, want %d", len(g.Aggs), na)
-		}
-		switch g.KeyKind {
-		case store.U64:
-			tg.keys.appendU64(g.KeyU64, int32(g.Suffix))
-		case store.Bytes:
-			appendKey(&tg.keys, g.KeyBytes, int32(g.Suffix))
-		default:
-			appendKey(&tg.keys, g.KeyStr, int32(g.Suffix))
-		}
-		tg.rows[i] = g.Rows
-		if !lanes {
-			p := &tg.parts[i]
-			p.aggs = states[i*na : (i+1)*na : (i+1)*na]
-			if err := pl.fillPartial(p, g); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		for ai := range g.Aggs {
-			av := &g.Aggs[ai]
-			if av.Kind != pl.Aggs[ai].Kind {
-				return nil, fmt.Errorf("engine: merge: aggregate %d kind mismatch (%d vs %d)", ai, av.Kind, pl.Aggs[ai].Kind)
-			}
-			if av.Kind == AggAsheSum {
-				tg.vals[ai][i] = av.Ashe.Body
-				tg.ids[ai].lists[i] = av.Ashe.IDs
-			} else {
-				tg.vals[ai][i] = av.U64
-			}
-		}
-	}
-	return tg, nil
 }
 
 // --- the merge ---
@@ -761,10 +702,10 @@ type groupMerger struct {
 	list    []idlist.Range // a chained input list, laid out for one merge
 	scratch []idlist.Range // idRuns.merge's general path
 
-	// finish's output: the slots' aggregate values, slot-major — identifier
-	// lists viewing ids' blocks, their encodings carved from one arena — and
-	// the groups' serialized size.
-	out   []AggValue
+	// finish's output: the slots' aggregate columns, in slot order — lanes
+	// are the accumulators themselves, identifier lists are encoded into one
+	// block per aggregate — and the groups' serialized size.
+	aggs  []AggCol
 	bytes int
 }
 
@@ -784,7 +725,11 @@ func mergeGroupSets(pl *Plan, inputs []groupSel) *groupMerger {
 	// slot count and their sum a ceiling: reserve keys for the floor, size the
 	// table (4 bytes a slot) for the ceiling.
 	keys := &inputs[0].set.keys
-	m.t.init(keys.kind, keys.inflated, total)
+	inflated := false
+	for _, in := range inputs {
+		inflated = inflated || in.set.keys.inflated
+	}
+	m.t.init(keys.kind, inflated, total)
 	m.t.reserve(largest, keys.keyLen())
 
 	dst := make([]int32, total) // per input group, its slot
@@ -823,7 +768,7 @@ func mergeGroupSets(pl *Plan, inputs []groupSel) *groupMerger {
 }
 
 // intern resolves each group of in to its slot in dst, adding slots for keys
-// not seen before.
+// not seen before. A map task's byte keys arrive with the hash its table kept.
 func (m *groupMerger) intern(in groupSel, dst []int32) {
 	keys := &in.set.keys
 	for i := range dst {
@@ -832,10 +777,16 @@ func (m *groupMerger) intern(in groupSel, dst []int32) {
 		if keys.kind == store.U64 {
 			v := keys.u64[g]
 			dst[i], _ = m.t.slotU64(v, sfx, hashU64(v, sfx))
-		} else {
-			key := keys.bytesAt(g)
-			dst[i], _ = slotKeyed(&m.t, key, sfx, hashKey(key, sfx))
+			continue
 		}
+		key := keys.bytesAt(g)
+		var h uint64
+		if keys.hash != nil {
+			h = keys.hash[g]
+		} else {
+			h = hashKey(key, sfx)
+		}
+		dst[i], _ = slotKeyed(&m.t, key, sfx, h)
 	}
 }
 
@@ -877,19 +828,19 @@ func (m *groupMerger) fold(in groupSel, dst []int32) {
 	}
 }
 
-// finish converts the merged slots into result aggregate values — encoding
-// ASHE identifier lists for the client, collapsing medians — and totals the
-// groups' serialized size. It is the reducer's last measured step.
+// finish converts the merged slots into result columns, in slot order —
+// encoding ASHE identifier lists for the client, collapsing medians — and
+// totals the groups' serialized size. It is the reducer's last measured step.
 func (m *groupMerger) finish(codec idlist.Codec) error {
 	n, na := m.t.len(), len(m.pl.Aggs)
-	m.out = make([]AggValue, n*na)
 	m.bytes = 8 * n // key + row count, roughly
 	if m.t.kind != store.U64 {
 		m.bytes += len(m.t.arena)
 	}
 	if !m.acc.lanes {
+		m.aggs = newAggCols(m.pl.Aggs, n)
 		for s := range m.acc.parts {
-			b, err := m.pl.finishAggs(&m.acc.parts[s], m.out[s*na:(s+1)*na], codec)
+			b, err := m.pl.finishAggs(&m.acc.parts[s], m.aggs, s, codec)
 			if err != nil {
 				return err
 			}
@@ -898,63 +849,45 @@ func (m *groupMerger) finish(codec idlist.Codec) error {
 		return nil
 	}
 	m.bytes += 8 * n * na
-	lists, ranges, ids := 0, 0, uint64(0)
-	for ai := range m.ids {
-		lists += len(m.ids[ai].slots)
-		ranges += len(m.ids[ai].ranges)
-		for s := range m.ids[ai].slots {
-			ids += m.ids[ai].slots[s].n
-		}
-	}
-	// One arena for every encoding, started at a guess of what the lists need
-	// (a few bytes per range, or per identifier for short lists) so that it
-	// seldom regrows.
-	enc := make([]byte, 0, 2*lists+4*int(min(ids, uint64(2*ranges))))
-	ends := make([]int, 0, lists) // end of each list's encoding in enc, in fill order
+	m.aggs = make([]AggCol, na)
 	for ai, a := range m.pl.Aggs {
-		lane := m.acc.vals[ai]
+		col := &m.aggs[ai]
+		col.Kind, col.Lane = a.Kind, m.acc.vals[ai]
 		if a.Kind != AggAsheSum {
-			for s, v := range lane {
-				m.out[s*na+ai] = AggValue{Kind: a.Kind, U64: v}
-			}
 			continue
 		}
-		for s, body := range lane {
-			l := m.ids[ai].list(s)
+		// One block for the aggregate's encodings, started at a guess of what
+		// the lists need (a few bytes per range, or per identifier for short
+		// lists) so that it seldom regrows.
+		runs := &m.ids[ai]
+		ids := uint64(0)
+		for s := range runs.slots {
+			ids += runs.slots[s].n
+		}
+		col.IDs = make([]byte, 0, 2*n+4*int(min(ids, uint64(2*len(runs.ranges)))))
+		col.IDOff = make([]uint64, n+1)
+		for s := 0; s < n; s++ {
 			var err error
-			if enc, err = codec.AppendEncode(enc, l); err != nil {
+			if col.IDs, err = codec.AppendEncode(col.IDs, runs.list(s)); err != nil {
 				return fmt.Errorf("engine: encode result id list: %v", err)
 			}
-			ends = append(ends, len(enc))
-			m.out[s*na+ai] = AggValue{Kind: a.Kind, Ashe: AsheAgg{Body: body, IDs: l}}
+			col.IDOff[s+1] = uint64(len(col.IDs))
 		}
-	}
-	// enc has stopped growing: carve each list's encoding out of it.
-	m.bytes += len(enc)
-	k, lo := 0, 0
-	for ai, a := range m.pl.Aggs {
-		if a.Kind != AggAsheSum {
-			continue
-		}
-		for s := 0; s < n; s++ {
-			m.out[s*na+ai].Ashe.Encoded = enc[lo:ends[k]:ends[k]]
-			lo = ends[k]
-			k++
-		}
+		m.bytes += len(col.IDs)
 	}
 	return nil
 }
 
-// materializeGroups builds the public result from finished mergers whose key
-// sets are disjoint: one []Group in key order (u64 key, then bytes, then
-// string, then suffix — a result has one key kind, so the order is key then
-// suffix), each group's aggregates and key aliasing its merger's blocks. The
-// order comes from sorting 16-byte references to the slots, typed by key
-// kind, not the groups themselves.
-func materializeGroups(ms []*groupMerger) []Group {
-	total := 0
+// gatherGroups writes the result columns from finished mergers whose key sets
+// are disjoint: every group of every merger, in key order (u64 key, then
+// bytes, then string, then suffix — a result has one key kind, so the order is
+// key then suffix). The order comes from sorting 16-byte references to the
+// slots, typed by key kind; each column is then gathered through them.
+func gatherGroups(ms []*groupMerger) *GroupCols {
+	total, arena := 0, 0
 	for _, m := range ms {
 		total += m.t.len()
+		arena += len(m.t.arena)
 	}
 	if total == 0 {
 		return nil
@@ -997,27 +930,42 @@ func materializeGroups(ms []*groupMerger) []Group {
 		return cmp.Compare(ma.t.suffixAt(int(a.s)), mb.t.suffixAt(int(b.s)))
 	})
 
-	var strs []string // string keys: one string per merger, keys are substrings
-	if kind == store.Str {
-		strs = make([]string, len(ms))
-		for mi, m := range ms {
-			strs[mi] = string(m.t.arena)
-		}
-	}
-	out := make([]Group, total)
+	pl := ms[0].pl
+	out := &GroupCols{KeyKind: kind, Rows: make([]uint64, total), Aggs: newAggCols(pl.Aggs, total)}
+	var keys groupKeys
+	keys.init(kind, ms[0].t.inflated)
+	keys.reserve(total, (arena+total-1)/total)
 	for i, r := range refs {
 		m, s := ms[r.m], int(r.s)
-		na := len(m.pl.Aggs)
-		g := &out[i]
-		g.KeyKind, g.Suffix, g.Rows = kind, int(m.t.suffixAt(s)), m.acc.rows[s]
-		g.Aggs = m.out[s*na : (s+1)*na : (s+1)*na]
-		switch kind {
-		case store.U64:
-			g.KeyU64 = m.t.u64[s]
-		case store.Bytes:
-			g.KeyBytes = m.t.bytesAt(s)
-		default:
-			g.KeyStr = strs[r.m][m.t.off[s]:m.t.off[s+1]]
+		out.Rows[i] = m.acc.rows[s]
+		if kind == store.U64 {
+			keys.appendU64(m.t.u64[s], m.t.suffixAt(s))
+		} else {
+			appendKey(&keys, m.t.bytesAt(s), m.t.suffixAt(s))
+		}
+	}
+	out.KeyU64, out.KeyOff, out.KeyArena, out.Suffix = keys.u64, keys.off, keys.arena, keys.sfx
+	for ai := range out.Aggs {
+		col := &out.Aggs[ai]
+		if col.Kind == AggAsheSum {
+			block := 0
+			for _, m := range ms {
+				block += len(m.aggs[ai].IDs)
+			}
+			col.IDs = make([]byte, 0, block)
+		}
+		for i, r := range refs {
+			src, s := &ms[r.m].aggs[ai], int(r.s)
+			switch {
+			case col.Kind == AggAsheSum:
+				col.Lane[i] = src.Lane[s]
+				col.IDs = append(col.IDs, src.IDs[src.IDOff[s]:src.IDOff[s+1]]...)
+				col.IDOff[i+1] = uint64(len(col.IDs))
+			case col.Lane != nil:
+				col.Lane[i] = src.Lane[s]
+			default:
+				col.Vals[i] = src.Vals[s]
+			}
 		}
 	}
 	return out

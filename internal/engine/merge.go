@@ -13,7 +13,7 @@ import (
 // a coordinating proxy fans a Plan out to N shards (each holding a disjoint
 // row range of the logical table), collects one Result per shard, and folds
 // them into the Result a single engine over the whole table would have
-// produced. Shard groups are converted back into the engine's own merge input
+// produced. Shard result columns are viewed as the engine's own merge input
 // form (taskGroups) and folded by the same groupMerger the in-process
 // shuffle+reduce uses, so proxy-side reduce never re-implements aggregation
 // semantics.
@@ -36,26 +36,28 @@ import (
 // key, exactly the shuffle+reduce the engine performs between its own map
 // tasks (§4.5).
 
-// MergeResults folds per-shard partial results (in shard order) into the
-// result a single engine over the union of the shards' rows would produce.
-// pl is the original, unscoped plan: its Aggs supply Paillier public keys
-// and merge kinds, and its Codec — which must be the codec the shards
-// actually used — re-encodes merged identifier lists. Shard results must
-// come from Partial plan executions (or be median-free). Metrics are
-// combined scatter-gather style: stage times take the slowest shard (shards
-// run in parallel), byte/task/row counts sum, and the measured merge time is
-// added to DriverTime.
+// MergeResults is Merge for callers that read groups as rows: it returns with
+// the row view (Result.View) built.
 func MergeResults(pl *Plan, partials []*Result) (*Result, error) {
-	start := time.Now()
-	codec := pl.Codec
-	if codec == nil {
-		if pl.GroupBy != nil {
-			codec = idlist.VBDiff
-		} else {
-			codec = idlist.Default
-		}
+	out, err := Merge(pl, partials)
+	if err != nil {
+		return nil, err
 	}
+	out.View()
+	return out, nil
+}
 
+// Merge folds per-shard partial results (in shard order) into the result a
+// single engine over the union of the shards' rows would produce, columns in
+// and columns out. pl is the original, unscoped plan: its Aggs supply Paillier
+// public keys and merge kinds, and its Codec — which must be the codec the
+// shards actually used — decodes the shards' identifier lists and re-encodes
+// the merged ones. Shard results must come from Partial plan executions (or
+// be median-free). Metrics are combined scatter-gather style: stage times
+// take the slowest shard (shards run in parallel), byte/task/row counts sum,
+// and the measured merge time is added to DriverTime.
+func Merge(pl *Plan, partials []*Result) (*Result, error) {
+	start := time.Now()
 	out := &Result{}
 	for i, r := range partials {
 		mergeMetrics(&out.Metrics, &r.Metrics, i == 0)
@@ -74,11 +76,21 @@ func MergeResults(pl *Plan, partials []*Result) (*Result, error) {
 		// single-engine scan order.
 		slices.SortFunc(out.Scan, func(a, b ScanRow) int { return cmp.Compare(a.ID, b.ID) })
 	} else {
-		groups, bytes, err := mergeGroups(pl, partials, codec)
+		sets := make([]*GroupCols, 0, len(partials))
+		for _, r := range partials {
+			c, err := r.Columns()
+			if err != nil {
+				return nil, err
+			}
+			if c.Len() > 0 {
+				sets = append(sets, c)
+			}
+		}
+		cols, bytes, err := mergeGroups(pl, sets)
 		if err != nil {
 			return nil, err
 		}
-		out.Groups = groups
+		out.Cols = cols
 		out.Metrics.ResultBytes = bytes
 	}
 
@@ -88,85 +100,61 @@ func MergeResults(pl *Plan, partials []*Result) (*Result, error) {
 	return out, nil
 }
 
-// mergeGroups folds every shard's groups through the engine's own reduce:
-// each shard's groups convert back into the merge input form, one groupMerger
-// folds same-key groups (adding lanes, appending identifier-list runs, or
-// merging partials for Paillier/OPE/median mixes) and finishes them (encodes
-// merged id-lists, collapses medians) exactly as an in-process reducer does.
-// It returns the merged groups, in key order, with their serialized size.
-func mergeGroups(pl *Plan, partials []*Result, codec idlist.Codec) ([]Group, int, error) {
+// DeflateGroups merges suffix-inflated groups back together (§4.5: "the
+// client has to perform the remaining aggregations"): groups that differ only
+// in their inflation suffix fold into one, through the same merge the shards'
+// results take. pl is the plan that produced c, its Codec resolved.
+func DeflateGroups(pl *Plan, c *GroupCols) (*GroupCols, error) {
+	for _, a := range pl.Aggs {
+		if a.Kind == AggPlainMedian || a.Kind == AggOpeMedian {
+			return nil, fmt.Errorf("engine: deflate: a median cannot be merged from per-suffix medians")
+		}
+	}
+	flat := *c
+	flat.Suffix = nil
+	cols, _, err := mergeGroups(pl, []*GroupCols{&flat})
+	return cols, err
+}
+
+// mergeGroups folds column sets through the engine's own reduce: each set is
+// viewed as merge input, one groupMerger folds same-key groups (adding lanes,
+// appending identifier-list runs, or merging partials for Paillier/OPE/median
+// mixes) and finishes them (encodes merged id-lists, collapses medians)
+// exactly as an in-process reducer does. Within one set keys may repeat. It
+// returns the merged columns, in key order, with their serialized size.
+func mergeGroups(pl *Plan, sets []*GroupCols) (*GroupCols, int, error) {
+	if len(sets) == 0 {
+		return nil, 0, nil
+	}
+	codec := pl.Codec
+	if codec == nil {
+		if pl.GroupBy != nil {
+			codec = idlist.VBDiff
+		} else {
+			codec = idlist.Default
+		}
+	}
 	for i, a := range pl.Aggs {
 		if a.Kind == AggPaillierSum && a.PK == nil {
 			return nil, 0, fmt.Errorf("engine: merge: Paillier aggregate %d without public key", i)
 		}
 	}
-	inputs := make([]groupSel, 0, len(partials))
-	for _, r := range partials {
-		if len(r.Groups) == 0 {
-			continue
+	inputs := make([]groupSel, len(sets))
+	for i, c := range sets {
+		if c.KeyKind != sets[0].KeyKind {
+			return nil, 0, fmt.Errorf("engine: merge: shard groups mix key kinds (%v and %v)", sets[0].KeyKind, c.KeyKind)
 		}
-		in, err := pl.taskGroupsFromResult(r.Groups)
+		in, err := pl.taskGroupsFromCols(c, codec)
 		if err != nil {
 			return nil, 0, err
 		}
-		if len(inputs) > 0 && in.keys.kind != inputs[0].set.keys.kind {
-			return nil, 0, fmt.Errorf("engine: merge: shard groups mix key kinds (%v and %v)", inputs[0].set.keys.kind, in.keys.kind)
-		}
-		inputs = append(inputs, groupSel{set: in})
-	}
-	if len(inputs) == 0 {
-		return nil, 0, nil
+		inputs[i] = groupSel{set: in}
 	}
 	mg := mergeGroupSets(pl, inputs)
 	if err := mg.finish(codec); err != nil {
 		return nil, 0, err
 	}
-	return materializeGroups([]*groupMerger{mg}), mg.bytes, nil
-}
-
-// fillPartial loads one shard's result group into p, the engine's in-flight
-// accumulator representation — the inverse of finishAggs for a Partial plan —
-// so the coordinator's reduce runs through mergePartial unchanged. p.aggs
-// must hold one aggState per aggregate. Field copies only; no aggregation
-// semantics live here.
-func (pl *Plan) fillPartial(p *partial, g *Group) error {
-	for i := range g.Aggs {
-		av, st := &g.Aggs[i], &p.aggs[i]
-		st.kind = av.Kind
-		if st.kind != pl.Aggs[i].Kind {
-			return fmt.Errorf("engine: merge: aggregate %d kind mismatch (%d vs %d)", i, av.Kind, pl.Aggs[i].Kind)
-		}
-		switch av.Kind {
-		case AggCount, AggPlainSum, AggPlainSumSq:
-			st.u64 = av.U64
-		case AggAsheSum:
-			st.u64 = av.Ashe.Body
-			st.ids = av.Ashe.IDs
-		case AggPaillierSum:
-			if av.Pail == nil {
-				return fmt.Errorf("engine: merge: shard group missing Paillier ciphertext for aggregate %d", i)
-			}
-			st.pail = av.Pail
-		case AggPlainMin, AggPlainMax:
-			st.u64 = av.U64
-			st.seen = g.Rows > 0
-		case AggOpeMin, AggOpeMax:
-			st.ope = av.Ope
-			st.argID = av.ArgID
-			st.u64 = av.U64
-			st.compBytes = av.CompanionBytes
-			st.seen = g.Rows > 0 && len(av.Ope) > 0
-		case AggPlainMedian:
-			st.medU64 = av.MedU64
-		case AggOpeMedian:
-			st.medOpe = av.MedOpe
-			st.medIDs = av.MedIDs
-			st.medComp = av.MedComp
-		default:
-			return fmt.Errorf("engine: merge: unknown aggregate kind %d", av.Kind)
-		}
-	}
-	return nil
+	return gatherGroups([]*groupMerger{mg}), mg.bytes, nil
 }
 
 // mergeMetrics combines one shard's metrics into the accumulator: stage

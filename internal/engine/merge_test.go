@@ -106,8 +106,8 @@ func TestMergeResultsMatchesSingleRun(t *testing.T) {
 	for name, mk := range cases {
 		t.Run(name, func(t *testing.T) {
 			got, want := shardSplit(t, tbl, mk)
-			if !reflect.DeepEqual(got.Groups, want.Groups) {
-				t.Errorf("merged groups differ:\n got %+v\nwant %+v", got.Groups, want.Groups)
+			if !reflect.DeepEqual(got.View(), want.View()) {
+				t.Errorf("merged groups differ:\n got %+v\nwant %+v", got.View(), want.View())
 			}
 			if !reflect.DeepEqual(got.Scan, want.Scan) {
 				t.Errorf("merged scan differs:\n got %+v\nwant %+v", got.Scan, want.Scan)
@@ -137,7 +137,7 @@ func TestIDRangeScoping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Groups[0].Aggs[0].U64; got != 30 {
+	if got := res.View()[0].Aggs[0].U64; got != 30 {
 		t.Fatalf("scoped sum = %d, want 30", got)
 	}
 	if res.Metrics.RowsScanned != 30 {
@@ -150,8 +150,8 @@ func TestIDRangeScoping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Groups[0].Aggs[0].U64 != 0 || res.Metrics.RowsScanned != 0 {
-		t.Fatalf("inverted range scanned %d rows, counted %d", res.Metrics.RowsScanned, res.Groups[0].Aggs[0].U64)
+	if res.View()[0].Aggs[0].U64 != 0 || res.Metrics.RowsScanned != 0 {
+		t.Fatalf("inverted range scanned %d rows, counted %d", res.Metrics.RowsScanned, res.View()[0].Aggs[0].U64)
 	}
 }
 
@@ -178,8 +178,8 @@ func wideShardPartials(tb testing.TB, groups int) (*Plan, []*Result) {
 		if partials[i], err = cl.Run(context.Background(), pl); err != nil {
 			tb.Fatal(err)
 		}
-		if len(partials[i].Groups) != groups {
-			tb.Fatalf("range %d holds %d groups, want %d", i, len(partials[i].Groups), groups)
+		if len(partials[i].View()) != groups {
+			tb.Fatalf("range %d holds %d groups, want %d", i, len(partials[i].View()), groups)
 		}
 	}
 	return mk(tbl), partials
@@ -196,8 +196,8 @@ func TestMergeResultsAllocsPerGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Groups) != groups || res.Groups[0].Rows != 6 {
-		t.Fatalf("merged %d groups of %d rows, want %d of 6", len(res.Groups), res.Groups[0].Rows, groups)
+	if len(res.View()) != groups || res.View()[0].Rows != 6 {
+		t.Fatalf("merged %d groups of %d rows, want %d of 6", len(res.View()), res.View()[0].Rows, groups)
 	}
 	avg := testing.AllocsPerRun(5, func() {
 		if _, err := MergeResults(pl, partials); err != nil {

@@ -59,7 +59,7 @@ func TestPlanCacheHitsRepeatedShapes(t *testing.T) {
 	if h, m := c.PlanCacheStats(); h != 1 || m != 1 {
 		t.Fatalf("after repeat: hits=%d misses=%d, want 1/1", h, m)
 	}
-	if !reflect.DeepEqual(first.Groups, second.Groups) {
+	if !reflect.DeepEqual(first.View(), second.View()) {
 		t.Fatal("cached run diverged from compiled run")
 	}
 
@@ -91,8 +91,8 @@ func TestPlanCacheHitsRepeatedShapes(t *testing.T) {
 	if h, m := c.PlanCacheStats(); h != 1 || m != 3 {
 		t.Fatalf("after growth: hits=%d misses=%d, want 1/3", h, m)
 	}
-	wantSum := first.Groups[0].Aggs[0].U64 + 60 + 70
-	if got := res.Groups[0].Aggs[0].U64; got != wantSum {
+	wantSum := first.View()[0].Aggs[0].U64 + 60 + 70
+	if got := res.View()[0].Aggs[0].U64; got != wantSum {
 		t.Fatalf("grown-table sum %d, want %d", got, wantSum)
 	}
 }
@@ -116,7 +116,7 @@ func TestPlanCacheSurvivesCallerMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mutated.Groups[0].Aggs[0].U64 == first.Groups[0].Aggs[0].U64 {
+	if mutated.View()[0].Aggs[0].U64 == first.View()[0].Aggs[0].U64 {
 		t.Fatal("mutated plan returned the original's result")
 	}
 	// The original shape, via a fresh struct, must hit and match run one.
@@ -124,7 +124,7 @@ func TestPlanCacheSurvivesCallerMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(first.Groups, again.Groups) {
+	if !reflect.DeepEqual(first.View(), again.View()) {
 		t.Fatal("cache served mutated kernels for the original shape")
 	}
 	if h, _ := c.PlanCacheStats(); h != 1 {
@@ -177,7 +177,7 @@ func TestPlanCacheJoinAndGroupShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(res.Groups, wants[i].Groups) || !reflect.DeepEqual(res.Scan, wants[i].Scan) {
+		if !reflect.DeepEqual(res.View(), wants[i].View()) || !reflect.DeepEqual(res.Scan, wants[i].Scan) {
 			t.Fatalf("shape %d: cached rerun diverged", i)
 		}
 	}
@@ -305,7 +305,7 @@ func TestPlanCacheClonesFilterBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := first.Groups[0].Aggs[0].U64; got != rows/4 {
+	if got := first.View()[0].Aggs[0].U64; got != rows/4 {
 		t.Fatalf("fixture: valA count %d, want %d", got, rows/4)
 	}
 	copy(buf, valB) // reuse the buffer for the "next query"
@@ -321,7 +321,7 @@ func TestPlanCacheClonesFilterBytes(t *testing.T) {
 	if h, _ := c.PlanCacheStats(); h != 1 {
 		t.Fatalf("original constant did not hit (hits=%d)", h)
 	}
-	if got := again.Groups[0].Aggs[0].U64; got != rows/4 {
+	if got := again.View()[0].Aggs[0].U64; got != rows/4 {
 		t.Fatalf("cached kernel compares against the mutated buffer: count %d, want %d", got, rows/4)
 	}
 }

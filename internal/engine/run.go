@@ -242,18 +242,14 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSi
 	}
 
 	durations := make([]time.Duration, len(results))
-	rng := rand.New(rand.NewSource(int64(c.cfg.Seed) ^ 0x5eabed))
 	for i, r := range results {
-		d := r.elapsed
-		if c.cfg.StragglerProb > 0 && rng.Float64() < c.cfg.StragglerProb {
-			d = time.Duration(float64(d) * c.cfg.StragglerFactor)
-		}
-		durations[i] = d
+		durations[i] = r.elapsed
 		metrics.ShuffleBytes += r.bytes
 		metrics.RowsScanned += r.rowsScanned
 		metrics.RowsSelected += r.rowsSelected
 		metrics.Ops.merge(&r.ops)
 	}
+	injectStragglers(durations, c.cfg.Seed, c.cfg.StragglerProb, c.cfg.StragglerFactor)
 	metrics.MapTasks = len(results)
 	metrics.MapTime = makespan(durations, c.cfg.Workers)
 	metrics.TaskMin, metrics.TaskP50, metrics.TaskMax = taskSample(durations)
@@ -278,6 +274,22 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSi
 		attachStageSpans(sp, &metrics)
 	}
 	return out, nil
+}
+
+// injectStragglers applies Config's straggler model to the map stage's
+// measured task durations, in place: each task, in order, is a straggler with
+// probability prob — drawn from a generator seeded by seed alone, so the picks
+// repeat — and a straggler's duration is multiplied by factor.
+func injectStragglers(durations []time.Duration, seed uint64, prob, factor float64) {
+	if prob <= 0 {
+		return
+	}
+	rng := rand.New(rand.NewSource(int64(seed) ^ 0x5eabed))
+	for i, d := range durations {
+		if rng.Float64() < prob {
+			durations[i] = time.Duration(float64(d) * factor)
+		}
+	}
 }
 
 // taskSample condenses the per-map-task duration distribution to the three
@@ -365,12 +377,12 @@ func (c *Cluster) reduceSingle(pl *Plan, results []*mapResult, codec idlist.Code
 	for _, r := range results {
 		mergePartial(pl, final, r.single)
 	}
-	group := Group{KeyKind: store.U64, Suffix: -1, Rows: final.rows, Aggs: make([]AggValue, len(pl.Aggs))}
-	bytes, err := pl.finishAggs(final, group.Aggs, codec)
+	cols := &GroupCols{KeyKind: store.U64, KeyU64: []uint64{0}, Rows: []uint64{final.rows}, Aggs: newAggCols(pl.Aggs, 1)}
+	bytes, err := pl.finishAggs(final, cols.Aggs, 0, codec)
 	if err != nil {
 		return err
 	}
-	out.Groups = []Group{group}
+	out.Cols = cols
 	m.DriverTime += time.Since(start)
 	m.ShuffleTime = c.cfg.ShuffleLink.TransferTime(m.ShuffleBytes)
 	m.ResultBytes = 8 + bytes // key + row count, roughly
@@ -385,8 +397,8 @@ func (c *Cluster) reduceSingle(pl *Plan, results []*mapResult, codec idlist.Code
 // every task through a groupMerger and finishes the merged slots (encoding
 // identifier lists). The reported ReduceTime remains the makespan of the
 // measured reducer durations over the simulated Workers, consistent with the
-// map stage's accounting. The driver then materializes the result groups, in
-// key order, from the reducers' blocks.
+// map stage's accounting. The driver then gathers the result columns, in key
+// order, from the reducers' blocks.
 func (c *Cluster) reduceGroups(pl *Plan, results []*mapResult, codec idlist.Codec, out *Result, m *Metrics) error {
 	nb := c.cfg.Workers
 	if nb < 1 {
@@ -456,7 +468,7 @@ func (c *Cluster) reduceGroups(pl *Plan, results []*mapResult, codec idlist.Code
 	}
 	m.ReduceTime = makespan(durations, c.cfg.Workers)
 	start := time.Now()
-	out.Groups = materializeGroups(mergers)
+	out.Cols = gatherGroups(mergers)
 	m.DriverTime += time.Since(start)
 	return nil
 }
@@ -503,25 +515,31 @@ func mergePartial(pl *Plan, dst, src *partial) {
 	}
 }
 
-// finishAggs converts a merged partial's accumulators into result aggregate
-// values in out (one per aggregate), encoding ASHE identifier lists for the
-// client, and returns their serialized size.
-func (pl *Plan) finishAggs(p *partial, out []AggValue, codec idlist.Codec) (int, error) {
+// finishAggs writes a merged partial's accumulators into cols as group g —
+// the groups of one column set finish in order, g = 0, 1, … — encoding ASHE
+// identifier lists for the client and collapsing medians, and returns the
+// group's serialized size.
+func (pl *Plan) finishAggs(p *partial, cols []AggCol, g int, codec idlist.Codec) (int, error) {
 	bytes := 0
 	for i := range p.aggs {
-		st := &p.aggs[i]
-		av := AggValue{Kind: st.kind}
+		st, col := &p.aggs[i], &cols[i]
 		switch st.kind {
 		case AggCount, AggPlainSum, AggPlainSumSq, AggPlainMin, AggPlainMax:
-			av.U64 = st.u64
+			col.Lane[g] = st.u64
 			bytes += 8
+			continue
 		case AggAsheSum:
-			enc, err := codec.Encode(st.ids)
-			if err != nil {
+			var err error
+			if col.IDs, err = codec.AppendEncode(col.IDs, st.ids); err != nil {
 				return 0, fmt.Errorf("engine: encode result id list: %v", err)
 			}
-			av.Ashe = AsheAgg{Body: st.u64, IDs: st.ids, Encoded: enc}
-			bytes += 8 + len(enc)
+			col.Lane[g], col.IDOff[g+1] = st.u64, uint64(len(col.IDs))
+			bytes += 8 + int(col.IDOff[g+1]-col.IDOff[g])
+			continue
+		}
+		av := &col.Vals[g]
+		av.Kind = st.kind
+		switch st.kind {
 		case AggPaillierSum:
 			av.Pail = st.pail
 			bytes += pl.Aggs[i].PK.CiphertextSize()
@@ -534,7 +552,7 @@ func (pl *Plan) finishAggs(p *partial, out []AggValue, codec idlist.Codec) (int,
 		case AggPlainMedian:
 			if pl.Partial {
 				// Shard slice: a global median needs every shard's inputs, so
-				// ship the collection and let MergeResults collapse it.
+				// ship the collection and let the coordinator's merge collapse it.
 				av.MedU64 = st.medU64
 				bytes += 8 * len(st.medU64)
 				break
@@ -555,7 +573,6 @@ func (pl *Plan) finishAggs(p *partial, out []AggValue, codec idlist.Codec) (int,
 			av.Ope, av.ArgID, av.U64 = collapseOpeMedian(st.medOpe, st.medIDs, st.medComp)
 			bytes += len(av.Ope) + 16
 		}
-		out[i] = av
 	}
 	return bytes, nil
 }

@@ -550,7 +550,7 @@ func TestFleetConcurrentJoinQueriesAndAppends(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res.Groups[0].Aggs[0].U64
+			return res.View()[0].Aggs[0].U64
 		}
 		if got := count(); got != factRows/2 {
 			t.Fatalf("pre-append join count = %d, want %d", got, factRows/2)
@@ -574,7 +574,7 @@ func TestFleetConcurrentJoinQueriesAndAppends(t *testing.T) {
 						return
 					}
 					// Any consistent snapshot matches between 5 and 10 keys.
-					if n := res.Groups[0].Aggs[0].U64; n < factRows/2 || n > factRows {
+					if n := res.View()[0].Aggs[0].U64; n < factRows/2 || n > factRows {
 						t.Errorf("join count mid-append = %d", n)
 						return
 					}

@@ -19,7 +19,7 @@
 // # Queries: failover and hedged scatter
 //
 // Run scatters one envelope-scoped Partial plan per range, each to the
-// range's first live replica, and gathers with engine.MergeResults. A
+// range's first live replica, and gathers with engine.Merge. A
 // replica that cannot be reached mid-query (dial, transport or protocol
 // failure) is marked down and the range's plan is re-issued to its next live
 // replica (the failover path), so a daemon crash mid-workload costs a retry,

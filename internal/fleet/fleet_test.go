@@ -212,7 +212,7 @@ func mustGroups(t *testing.T, run func(context.Context, *engine.Plan) (*engine.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Groups
+	return res.View()
 }
 
 // TestFleetQueryFailoverAndHeal is the package's acceptance loop: register

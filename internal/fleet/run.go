@@ -230,9 +230,9 @@ func (c *Cluster) runRange(ctx context.Context, k int, req *wire.PlanRequest, he
 // Run implements ClusterBackend: the plan scatters one envelope-scoped
 // Partial sub-query per range — each to the range's first live replica, with
 // error failover and quantile-triggered hedging (see the package comment) —
-// and the partials gather with engine.MergeResults. Like the other backends,
-// Run records the effective identifier-list codec in pl.Codec when the plan
-// left it nil.
+// and the partials gather with engine.Merge, columns in and columns out. Like
+// the other backends, Run records the effective identifier-list codec in
+// pl.Codec when the plan left it nil.
 func (c *Cluster) Run(ctx context.Context, pl *engine.Plan) (*engine.Result, error) {
 	_, reqs, err := c.scatterPlans(ctx, pl)
 	if err != nil {
@@ -294,7 +294,7 @@ func (c *Cluster) Run(ctx context.Context, pl *engine.Plan) (*engine.Result, err
 	if pl.Codec == nil {
 		pl.Codec = reqs[0].Plan.Codec
 	}
-	return engine.MergeResults(pl, results)
+	return engine.Merge(pl, results)
 }
 
 // RunStream implements ClusterBackend. Scan plans stream range by range, in
@@ -325,7 +325,7 @@ func (c *Cluster) RunStream(ctx context.Context, pl *engine.Plan, sink engine.Sc
 	if pl.Codec == nil {
 		pl.Codec = reqs[0].Plan.Codec
 	}
-	return engine.MergeResults(pl, results)
+	return engine.Merge(pl, results)
 }
 
 // streamRange runs one range's scan against its replicas in order, failing

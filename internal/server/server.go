@@ -1067,7 +1067,7 @@ func (s *Server) executeRun(ctx context.Context, cancel context.CancelFunc, conn
 	}
 	s.rowsScanned.Add(res.Metrics.RowsScanned)
 	if len(pl.Project) == 0 {
-		aq.SetRows(uint64(len(res.Groups)))
+		aq.SetRows(uint64(res.NumGroups()))
 	}
 	if res.Metrics.FirstChunk > 0 {
 		s.firstChunk.ObserveDuration(res.Metrics.FirstChunk)

@@ -115,10 +115,11 @@ func DecodeColumnExtent(name string, kind Kind, rows int, data []byte) (Column, 
 	}
 	switch kind {
 	case U64:
-		need := 8 * rows
-		if len(data) < need {
+		// Compared by division: 8*rows overflows for a hostile row count.
+		if rows > len(data)/8 {
 			return c, 0, fmt.Errorf("store: extent %q: %d bytes for %d u64 rows", name, len(data), rows)
 		}
+		need := 8 * rows
 		if rows == 0 {
 			c.U64 = []uint64{}
 			return c, 0, nil
@@ -133,10 +134,10 @@ func DecodeColumnExtent(name string, kind Kind, rows int, data []byte) (Column, 
 		}
 		return c, need, nil
 	case Bytes, Str:
-		offBytes := 8 * (rows + 1)
-		if len(data) < offBytes {
-			return c, 0, fmt.Errorf("store: extent %q: %d bytes for %d offset entries", name, len(data), rows+1)
+		if rows >= len(data)/8 {
+			return c, 0, fmt.Errorf("store: extent %q: %d bytes for %d offset entries", name, len(data), uint64(rows)+1)
 		}
+		offBytes := 8 * (rows + 1)
 		heap := data[offBytes:]
 		prev := binary.LittleEndian.Uint64(data)
 		if prev != 0 {
@@ -168,4 +169,40 @@ func DecodeColumnExtent(name string, kind Kind, rows int, data []byte) (Column, 
 		return c, offBytes + int(prev), nil
 	}
 	return c, 0, fmt.Errorf("store: extent %q: unknown kind %d", name, int(kind))
+}
+
+// AppendBlobExtent appends a Bytes/Str extent whose rows the caller holds
+// flat — row i is heap[off[i]:off[i+1]], with off[0] == 0 and len(off) ==
+// rows+1 — and returns the extended slice: the bytes AppendColumnExtent writes
+// for the same rows, without a slice header per row.
+func AppendBlobExtent(buf []byte, off []uint64, heap []byte) []byte {
+	buf = AppendColumnExtent(buf, &Column{Kind: U64, U64: off})
+	return append(buf, heap[:off[len(off)-1]]...)
+}
+
+// DecodeBlobExtent decodes a Bytes/Str extent of the given row count from the
+// front of data and keeps it flat: the rows+1 offsets (aliasing data when it
+// is aligned, copied otherwise, as a U64 extent's words are) and the heap they
+// index, which always aliases data. The offsets are validated as
+// DecodeColumnExtent validates them — first zero, never decreasing, none past
+// the bytes present — so every heap[off[i]:off[i+1]] is in bounds.
+func DecodeBlobExtent(name string, rows int, data []byte) (off []uint64, heap []byte, n int, err error) {
+	if rows < 0 || rows >= len(data)/8 {
+		return nil, nil, 0, fmt.Errorf("store: extent %q: %d bytes for %d offset entries", name, len(data), uint64(rows)+1)
+	}
+	col, n, err := DecodeColumnExtent(name, U64, rows+1, data)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	off, heap = col.U64, data[n:]
+	if off[0] != 0 {
+		return nil, nil, 0, fmt.Errorf("store: extent %q: first offset %d, want 0", name, off[0])
+	}
+	for i := 1; i < len(off); i++ {
+		if off[i] < off[i-1] || off[i] > uint64(len(heap)) {
+			return nil, nil, 0, fmt.Errorf("store: extent %q: offset %d out of order or past heap (%d after %d, heap %d)",
+				name, i, off[i], off[i-1], len(heap))
+		}
+	}
+	return off, heap[:off[rows]], n + int(off[rows]), nil
 }

@@ -2,11 +2,11 @@ package wire
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"time"
 
 	"seabed/internal/engine"
-	"seabed/internal/idlist"
 	"seabed/internal/obs"
 	"seabed/internal/store"
 )
@@ -14,31 +14,22 @@ import (
 // EncodeResult serializes a MsgResult payload: the codec the engine actually
 // used (the client must decode identifier lists with the same one — the
 // in-process path communicates it by mutating the plan, the wire path carries
-// it here) followed by the result's groups, scan rows, metrics, and the
+// it here) followed by the result's group columns, scan rows, metrics, and the
 // daemon's span breakdown for the query trace (nil spans encode as an empty
 // list). version must be Version.
 func EncodeResult(codecName string, res *engine.Result, spans []obs.FlatSpan, version uint64) ([]byte, error) {
 	if err := checkVersion(version, "encode result"); err != nil {
 		return nil, err
 	}
-	e := &enc{buf: make([]byte, 0, resultSizeHint(res))}
-	e.str(codecName)
-
-	e.uint(uint64(len(res.Groups)))
-	for i := range res.Groups {
-		g := &res.Groups[i]
-		e.uint(uint64(g.KeyKind))
-		e.uint(g.KeyU64)
-		e.bytes(g.KeyBytes)
-		e.str(g.KeyStr)
-		e.int(int64(g.Suffix))
-		e.uint(g.Rows)
-		e.uint(uint64(len(g.Aggs)))
-		for j := range g.Aggs {
-			encodeAggValue(e, &g.Aggs[j])
-		}
+	cols, err := res.Columns()
+	if err != nil {
+		return nil, fmt.Errorf("wire: encode result: %v", err)
 	}
-
+	e := &enc{buf: make([]byte, 0, 512+groupColsSize(cols))}
+	e.str(codecName)
+	if err := encodeGroupCols(e, cols); err != nil {
+		return nil, err
+	}
 	if err := encodeScanRows(e, res.Scan); err != nil {
 		return nil, err
 	}
@@ -48,22 +39,133 @@ func EncodeResult(codecName string, res *engine.Result, spans []obs.FlatSpan, ve
 	return e.buf, nil
 }
 
-// resultSizeHint estimates a result frame's size from its variable-length
-// parts, so a multi-megabyte group-by frame is written into one allocation
-// instead of growing its way up (BenchmarkEncodeResultWide: 4.2 → 1.3 MB and
-// about a third of the time per 16k-group frame). A guess only: the frame
-// still grows by append.
-func resultSizeHint(res *engine.Result) int {
-	n := 256
-	for i := range res.Groups {
-		g := &res.Groups[i]
-		n += 16 + len(g.KeyBytes) + len(g.KeyStr)
-		for j := range g.Aggs {
-			av := &g.Aggs[j]
-			n += 32 + len(av.Ashe.Encoded) + 4*av.Ashe.IDs.NumRanges() + len(av.Ope) + len(av.CompanionBytes)
+// The group section of a result frame is the engine's column set
+// (engine.GroupCols) written column by column in the column-extent encoding
+// durable segments and scan chunks use (store/colframe.go, docs/FORMAT.md):
+//
+//	groups   uvarint; zero ends the section
+//	keyKind  uvarint (store.Kind)
+//	inflated 1 byte: a suffix extent is present
+//	keyLen   uvarint, byte and string keys only: 1 + the length every key
+//	         has, or 0 when lengths differ and the keys travel with offsets
+//	aggs     uvarint, then one uvarint engine.AggKind per aggregate
+//	rows     U64 extent
+//	suffix   U64 extent (two's-complement int32 values), when inflated
+//	keys     U64 extent | groups × (keyLen−1) raw bytes | Bytes extent
+//	per aggregate, in order:
+//	  lane kinds   U64 extent: the value, or an ASHE sum's ciphertext body
+//	  ASHE sums    then a Bytes extent: group g's identifier list, encoded
+//	               with the frame's codec — the only form a list travels in
+//	  other kinds  groups × the value's fields as varints (encodeAggFields)
+//
+// Every extent starts on an 8-byte boundary of the payload (zero bytes fill
+// the gap), so a decoder handed an aligned payload aliases the lanes in place.
+
+// groupColsSize returns the encoded size of c's extents, to within the few
+// header and padding bytes: what a multi-megabyte group-by frame reserves so
+// it is written into one allocation.
+func groupColsSize(c *engine.GroupCols) int {
+	n := c.Len()
+	if n == 0 {
+		return 0
+	}
+	size := 8*n + 8*len(c.KeyU64) + 8*len(c.KeyOff) + len(c.KeyArena) + 8*len(c.Suffix)
+	for i := range c.Aggs {
+		col := &c.Aggs[i]
+		size += 8*len(col.Lane) + 8*len(col.IDOff) + len(col.IDs) + 16 + 32*len(col.Vals)
+	}
+	return size
+}
+
+func encodeGroupCols(e *enc, c *engine.GroupCols) error {
+	n := c.Len()
+	e.uint(uint64(n))
+	if n == 0 {
+		return nil
+	}
+	keyed := c.KeyKind != store.U64
+	if keyed && len(c.KeyOff) != n+1 || !keyed && len(c.KeyU64) != n || c.Suffix != nil && len(c.Suffix) != n {
+		return fmt.Errorf("wire: encode result: key columns do not hold %d groups", n)
+	}
+	e.uint(uint64(c.KeyKind))
+	e.bool(c.Suffix != nil)
+	keyLen := uint64(0)
+	if keyed {
+		keyLen = fixedKeyLen(c.KeyOff)
+		e.uint(keyLen)
+	}
+	e.uint(uint64(len(c.Aggs)))
+	for i := range c.Aggs {
+		e.uint(uint64(c.Aggs[i].Kind))
+	}
+
+	e.lane(c.Rows)
+	if c.Suffix != nil {
+		sfx := make([]uint64, n)
+		for g, v := range c.Suffix {
+			sfx[g] = uint64(int64(v))
+		}
+		e.lane(sfx)
+	}
+	switch {
+	case !keyed:
+		e.lane(c.KeyU64)
+	case keyLen > 0:
+		e.align()
+		e.buf = append(e.buf, c.KeyArena[:c.KeyOff[n]]...)
+	default:
+		e.blob(c.KeyOff, c.KeyArena)
+	}
+	for i := range c.Aggs {
+		col := &c.Aggs[i]
+		ashe := col.Kind == engine.AggAsheSum
+		if ashe && len(col.IDOff) != n+1 || col.Lane != nil && len(col.Lane) != n || col.Lane == nil && len(col.Vals) != n {
+			return fmt.Errorf("wire: encode result: aggregate %d's column does not hold %d groups", i, n)
+		}
+		switch {
+		case ashe:
+			e.lane(col.Lane)
+			e.blob(col.IDOff, col.IDs)
+		case col.Lane != nil:
+			e.lane(col.Lane)
+		default:
+			e.align()
+			for g := range col.Vals {
+				encodeAggFields(e, &col.Vals[g])
+			}
 		}
 	}
-	return n
+	return nil
+}
+
+// fixedKeyLen returns 1 + the length every key has, or 0 when they differ.
+func fixedKeyLen(off []uint64) uint64 {
+	k := off[1]
+	for g := 1; g < len(off); g++ {
+		if off[g]-off[g-1] != k {
+			return 0
+		}
+	}
+	return k + 1
+}
+
+// align pads the frame with zero bytes to the next 8-byte boundary.
+func (e *enc) align() {
+	for len(e.buf)%8 != 0 {
+		e.buf = append(e.buf, 0)
+	}
+}
+
+// lane appends a U64 extent on an 8-byte boundary.
+func (e *enc) lane(v []uint64) {
+	e.align()
+	e.buf = store.AppendColumnExtent(e.buf, &store.Column{Kind: store.U64, U64: v})
+}
+
+// blob appends a Bytes extent, held flat, on an 8-byte boundary.
+func (e *enc) blob(off []uint64, heap []byte) {
+	e.align()
+	e.buf = store.AppendBlobExtent(e.buf, off, heap)
 }
 
 // encodeSpans appends a span-record section: the daemon's trace breakdown,
@@ -167,47 +269,19 @@ func decodeScanRows(d *dec, dst *[]engine.ScanRow) {
 }
 
 // DecodeResult parses a MsgResult payload; version must be Version. The
-// groups decode into a few blocks per result, not a
-// few allocations per group: one []Group, the aggregates from []AggValue
-// blocks, and every byte field (keys, encoded id-lists, OPE ciphertexts) and
-// id-list range run carved from shared arenas. The result does not alias p.
+// groups decode into a fixed handful of allocations however many there are:
+// res.Cols' lanes, key arena and identifier-list blocks alias p (a lane is
+// copied instead when p is not 8-byte aligned), so the caller must leave p's
+// backing array alone afterwards — ReadFrame allocates per frame, which
+// satisfies this. Every length is checked against the bytes present before
+// anything is reserved, and every lane holds exactly one word per group.
 func DecodeResult(p []byte, version uint64) (codecName string, res *engine.Result, spans []obs.FlatSpan, err error) {
 	if err := checkVersion(version, "decode result"); err != nil {
 		return "", nil, nil, err
 	}
 	d := newDec(p)
 	codecName = d.str()
-	res = &engine.Result{}
-
-	nGroups := d.uint()
-	// A group consumes ≥ 7 payload bytes (kind, key u64, two empty keys,
-	// suffix, rows, aggregate count), bounding the allocation.
-	if d.checkCount(nGroups, 7, "groups") && nGroups > 0 {
-		res.Groups = make([]engine.Group, nGroups)
-		// Byte fields are copied, so together they fit in what is left of p.
-		a := resultArena{d: d, bytes: make([]byte, 0, len(p)-d.off)}
-		for i := range res.Groups {
-			g := &res.Groups[i]
-			g.KeyKind = store.Kind(d.uint())
-			g.KeyU64 = d.uint()
-			g.KeyBytes = a.copyBytes()
-			g.KeyStr = d.str()
-			g.Suffix = int(d.int())
-			g.Rows = d.uint()
-			nAggs := d.uint()
-			// An aggregate consumes ≥ 13 payload bytes (see encodeAggValue).
-			if !d.checkCount(nAggs, 13, "aggregates") {
-				break
-			}
-			g.Aggs = a.aggValues(int(nAggs), len(res.Groups)-i)
-			for j := range g.Aggs {
-				a.decodeAggValue(&g.Aggs[j])
-			}
-			if d.err != nil {
-				break
-			}
-		}
-	}
+	res = &engine.Result{Cols: decodeGroupCols(d)}
 
 	decodeScanRows(d, &res.Scan)
 
@@ -219,103 +293,150 @@ func DecodeResult(p []byte, version uint64) (codecName string, res *engine.Resul
 	return codecName, res, spans, nil
 }
 
-// resultArena is the block storage of one result's decode. Every reservation
-// is bounded by the payload bytes still unread, so a hostile count cannot make
-// the decoder reserve more than a small multiple of the frame it arrived in.
-type resultArena struct {
-	d      *dec
-	bytes  []byte
-	aggs   []engine.AggValue
-	ranges []idlist.Range
-}
+// decodeGroupCols parses the group section (see encodeGroupCols); nil for a
+// frame without groups.
+func decodeGroupCols(d *dec) *engine.GroupCols {
+	groups := d.uint()
+	// A group consumes ≥ 8 payload bytes (its row count), bounding every
+	// allocation below.
+	if !d.checkCount(groups, 8, "groups") || groups == 0 {
+		return nil
+	}
+	n := int(groups)
+	c := &engine.GroupCols{KeyKind: store.Kind(d.uint())}
+	if c.KeyKind != store.U64 && c.KeyKind != store.Bytes && c.KeyKind != store.Str {
+		d.fail("group key kind")
+	}
+	inflated := d.bool()
+	keyLen := uint64(0)
+	if c.KeyKind != store.U64 {
+		keyLen = d.uint()
+	}
+	nAggs := d.uint()
+	if !d.checkCount(nAggs, 1, "aggregates") {
+		return nil
+	}
+	c.Aggs = make([]engine.AggCol, nAggs)
+	for i := range c.Aggs {
+		c.Aggs[i].Kind = engine.AggKind(d.uint())
+		if c.Aggs[i].Kind < 0 || c.Aggs[i].Kind > engine.AggOpeMedian {
+			d.fail("aggregate kind")
+		}
+	}
 
-// copyBytes reads a length-prefixed byte field into the arena; like dec.bytes
-// an empty field is nil. The arena's capacity covers every byte field of the
-// payload, so the append never reallocates under earlier fields.
-func (a *resultArena) copyBytes() []byte {
-	d := a.d
-	n := d.uint()
+	c.Rows = d.lane(n, "group rows")
+	if inflated {
+		if words := d.lane(n, "group suffixes"); d.err == nil {
+			c.Suffix = make([]int32, n)
+			for g, w := range words {
+				if v := int64(w); v < -1 || v > math.MaxInt32 {
+					d.fail("group suffix")
+				} else {
+					c.Suffix[g] = int32(v)
+				}
+			}
+		}
+	}
+	switch {
+	case c.KeyKind == store.U64:
+		c.KeyU64 = d.lane(n, "group keys")
+	case keyLen > 0:
+		k := keyLen - 1
+		d.align()
+		if d.err != nil {
+			break
+		}
+		if k > 0 && groups > uint64(len(d.buf)-d.off)/k {
+			d.fail("group keys")
+			break
+		}
+		end := d.off + n*int(k)
+		c.KeyArena = d.buf[d.off:end:end]
+		d.off = end
+		c.KeyOff = make([]uint64, n+1)
+		for g := range c.KeyOff {
+			c.KeyOff[g] = uint64(g) * k
+		}
+	default:
+		c.KeyOff, c.KeyArena = d.blob(n, "group keys")
+	}
+	for i := range c.Aggs {
+		col := &c.Aggs[i]
+		switch {
+		case d.err != nil:
+		case col.Kind == engine.AggAsheSum:
+			col.Lane = d.lane(n, "aggregate lane")
+			col.IDOff, col.IDs = d.blob(n, "identifier lists")
+		case engine.LaneKind(col.Kind):
+			col.Lane = d.lane(n, "aggregate lane")
+		default:
+			d.align()
+			// A value's fields consume ≥ 9 payload bytes (decodeAggFields), but
+			// a decoded value is many times that: the column grows as values
+			// actually arrive, never from the count alone.
+			if !d.checkCount(groups, 9, "aggregate values") {
+				break
+			}
+			col.Vals = make([]engine.AggValue, 0, min(n, 1024))
+			for g := 0; g < n && d.err == nil; g++ {
+				col.Vals = append(col.Vals, engine.AggValue{Kind: col.Kind})
+				decodeAggFields(d, &col.Vals[g])
+			}
+		}
+	}
 	if d.err != nil {
 		return nil
 	}
-	if uint64(len(d.buf)-d.off) < n {
-		d.fail("bytes")
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	lo := len(a.bytes)
-	a.bytes = append(a.bytes, d.buf[d.off:d.off+int(n)]...)
-	d.off += int(n)
-	return a.bytes[lo:len(a.bytes):len(a.bytes)]
+	return c
 }
 
-// aggValues carves n zeroed aggregate values; left is how many groups
-// (this one included) remain, each assumed to want as many, so a uniform
-// result takes one block.
-func (a *resultArena) aggValues(n, left int) []engine.AggValue {
-	if n == 0 {
-		return nil
-	}
-	if len(a.aggs) < n {
-		want := uint64(n) * uint64(left)
-		if most := uint64(len(a.d.buf)-a.d.off) / 13; want > most {
-			want = max(most, uint64(n))
+// align skips the zero bytes that pad the frame to the next 8-byte boundary.
+func (d *dec) align() {
+	for d.err == nil && d.off%8 != 0 {
+		if d.off >= len(d.buf) || d.buf[d.off] != 0 {
+			d.fail("extent padding")
+			return
 		}
-		a.aggs = make([]engine.AggValue, want)
+		d.off++
 	}
-	out := a.aggs[:n:n]
-	a.aggs = a.aggs[n:]
-	return out
 }
 
-// rangeRun returns an empty run with room for n ranges, carved from a block
-// that doubles as the result asks for more.
-func (a *resultArena) rangeRun(n int) []idlist.Range {
-	if cap(a.ranges)-len(a.ranges) < n {
-		a.ranges = make([]idlist.Range, 0, max(n, 2*cap(a.ranges), 256))
+// lane reads a U64 extent of n words from the next 8-byte boundary.
+func (d *dec) lane(n int, what string) []uint64 {
+	d.align()
+	if d.err != nil {
+		return nil
 	}
-	lo := len(a.ranges)
-	a.ranges = a.ranges[:lo+n]
-	return a.ranges[lo : lo : lo+n]
+	col, used, err := store.DecodeColumnExtent(what, store.U64, n, d.buf[d.off:])
+	if err != nil {
+		d.fail(what)
+		return nil
+	}
+	d.off += used
+	return col.U64
 }
 
-// aggTailEmpty is the encoding of an aggregate value's fields after the ASHE
-// section when none is set: no Paillier ciphertext, an empty OPE ciphertext,
-// ArgID 0, no companion, four empty median collections. Encoder and decoder
-// take it in one step (about a fifth of BenchmarkEncodeResultWide and two
-// fifths of BenchmarkDecodeResultWide); TestEncodeResultGolden pins that the
-// bytes are the general path's.
-var aggTailEmpty [8]byte
+// blob reads a Bytes extent of n rows, kept flat, from the next 8-byte
+// boundary: the heap aliases the payload.
+func (d *dec) blob(n int, what string) (off []uint64, heap []byte) {
+	d.align()
+	if d.err != nil {
+		return nil, nil
+	}
+	off, heap, used, err := store.DecodeBlobExtent(what, n, d.buf[d.off:])
+	if err != nil {
+		d.fail(what)
+		return nil, nil
+	}
+	d.off += used
+	return off, heap[:len(heap):len(heap)]
+}
 
-func encodeAggValue(e *enc, av *engine.AggValue) {
-	e.uint(uint64(av.Kind))
+// encodeAggFields writes the fields of an aggregate value that has no lane —
+// a Paillier sum, an OPE extreme, a median — as varints and length-prefixed
+// bytes; its kind is the column's.
+func encodeAggFields(e *enc, av *engine.AggValue) {
 	e.uint(av.U64)
-
-	// ASHE: body, the raw identifier-list ranges, and the codec-compressed
-	// encoding. Shipping the ranges too keeps the decoded AggValue equivalent
-	// to the in-process one (deflateGroups and tests inspect them).
-	e.uint(av.Ashe.Body)
-	ranges := av.Ashe.IDs.Ranges()
-	e.uint(uint64(len(ranges)))
-	prev := uint64(0)
-	for _, r := range ranges {
-		// Differential bounds, the same trick the id-list codecs use (§4.5).
-		e.uint(r.Lo - prev)
-		e.uint(r.Hi - r.Lo)
-		prev = r.Lo
-	}
-	e.bytes(av.Ashe.Encoded)
-
-	// What follows is empty on every count, sum and ASHE aggregate — all but
-	// a few of a wide result's values — and then encodes as eight zero bytes.
-	if av.Pail == nil && len(av.Ope) == 0 && av.ArgID == 0 && len(av.CompanionBytes) == 0 &&
-		len(av.MedU64) == 0 && len(av.MedOpe) == 0 && len(av.MedIDs) == 0 && len(av.MedComp) == 0 {
-		e.buf = append(e.buf, aggTailEmpty[:]...)
-		return
-	}
-
 	if av.Pail != nil {
 		e.bool(true)
 		e.bytes(av.Pail.Bytes())
@@ -348,45 +469,15 @@ func encodeAggValue(e *enc, av *engine.AggValue) {
 	}
 }
 
-func (a *resultArena) decodeAggValue(av *engine.AggValue) {
-	d := a.d
-	av.Kind = engine.AggKind(d.uint())
+func decodeAggFields(d *dec, av *engine.AggValue) {
 	av.U64 = d.uint()
-
-	av.Ashe.Body = d.uint()
-	nRanges := d.uint()
-	// Each range consumes ≥ 2 payload bytes, bounding the allocation.
-	if d.checkCount(nRanges, 2, "id-list ranges") && nRanges > 0 {
-		ranges := a.rangeRun(int(nRanges))
-		prev := uint64(0)
-		for i := uint64(0); i < nRanges && d.err == nil; i++ {
-			lo := prev + d.uint()
-			hi := lo + d.uint()
-			if hi < lo { // span overflowed: hostile or corrupt frame
-				d.fail("id-list range span")
-				break
-			}
-			ranges = append(ranges, idlist.Range{Lo: lo, Hi: hi})
-			prev = lo
-		}
-		if d.err == nil {
-			av.Ashe.IDs = idlist.View(ranges)
-		}
-	}
-	av.Ashe.Encoded = a.copyBytes()
-
-	if d.err == nil && len(d.buf)-d.off >= len(aggTailEmpty) && [8]byte(d.buf[d.off:d.off+8]) == aggTailEmpty {
-		d.off += len(aggTailEmpty)
-		return
-	}
-
 	if d.bool() {
 		av.Pail = new(big.Int).SetBytes(d.bytes())
 	}
 
-	av.Ope = a.copyBytes()
+	av.Ope = d.bytes()
 	av.ArgID = d.uint()
-	av.CompanionBytes = a.copyBytes()
+	av.CompanionBytes = d.bytes()
 
 	if n := d.uint(); d.checkCount(n, 1, "median u64s") && n > 0 {
 		av.MedU64 = make([]uint64, 0, n)
@@ -397,7 +488,7 @@ func (a *resultArena) decodeAggValue(av *engine.AggValue) {
 	if n := d.uint(); d.checkCount(n, 1, "median opes") && n > 0 {
 		av.MedOpe = make([][]byte, 0, n)
 		for i := uint64(0); i < n && d.err == nil; i++ {
-			av.MedOpe = append(av.MedOpe, a.copyBytes())
+			av.MedOpe = append(av.MedOpe, d.bytes())
 		}
 	}
 	if n := d.uint(); d.checkCount(n, 1, "median ids") && n > 0 {

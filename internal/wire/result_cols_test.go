@@ -1,0 +1,542 @@
+package wire
+
+import (
+	"bytes"
+	crand "crypto/rand"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math/big"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"seabed/internal/engine"
+	"seabed/internal/idlist"
+	"seabed/internal/paillier"
+	"seabed/internal/store"
+)
+
+// encodeList encodes an identifier list as result groups carry it.
+func encodeList(t testing.TB, l idlist.List) []byte {
+	enc, err := idlist.VBDiff.Encode(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// goldenResult is a fixed two-group result touching every column form the
+// result frame carries: 16-byte keys (the encrypted GROUP BY shape, sent
+// without offsets), an inflation suffix, an ASHE sum with its identifier-list
+// block, a count lane, and OPE, median and Paillier values in side columns.
+func goldenResult(t testing.TB) *engine.Result {
+	ids := idlist.FromRange(3, 9)
+	ids.Append(12)
+	ids.AppendRange(40, 41)
+	return &engine.Result{
+		Groups: []engine.Group{
+			{KeyKind: store.Bytes, KeyBytes: []byte("0123456789abcdef"), Suffix: -1, Rows: 10,
+				Aggs: []engine.AggValue{
+					{Kind: engine.AggAsheSum, Ashe: engine.AsheAgg{Body: 0xfeedfacecafebeef, Encoded: encodeList(t, ids)}},
+					{Kind: engine.AggCount, U64: 10},
+					{Kind: engine.AggOpeMin, Ope: []byte{9, 8, 7}, ArgID: 31, U64: 5, CompanionBytes: []byte{1, 2}},
+					{Kind: engine.AggPlainMedian, MedU64: []uint64{4, 300, 2}},
+					{Kind: engine.AggOpeMedian, MedOpe: [][]byte{{1}, {2, 2}}, MedIDs: []uint64{5, 6}, MedComp: []uint64{50, 60}},
+					{Kind: engine.AggPaillierSum, Pail: new(big.Int).Lsh(big.NewInt(99), 70)},
+				}},
+			{KeyKind: store.Bytes, KeyBytes: []byte("fedcba9876543210"), Suffix: 2, Rows: 1,
+				Aggs: []engine.AggValue{
+					{Kind: engine.AggAsheSum, Ashe: engine.AsheAgg{Body: 7, Encoded: encodeList(t, idlist.FromRange(77, 77))}},
+					{Kind: engine.AggCount, U64: 1},
+					{Kind: engine.AggOpeMin},
+					{Kind: engine.AggPlainMedian},
+					{Kind: engine.AggOpeMedian},
+					{Kind: engine.AggPaillierSum, Pail: big.NewInt(1)},
+				}},
+		},
+		Metrics: engine.Metrics{
+			ServerTime: 9 * time.Millisecond, MapTime: 5 * time.Millisecond, ReduceTime: 2 * time.Millisecond,
+			ShuffleTime: time.Millisecond, DriverTime: time.Millisecond, ShuffleBytes: 1234, ResultBytes: 567,
+			MapTasks: 8, ReduceTasks: 3, RowsScanned: 1000, RowsSelected: 15,
+			TaskMin: time.Microsecond, TaskP50: 2 * time.Microsecond, TaskMax: 3 * time.Microsecond,
+			Ops: engine.OpStats{Batches: 8, GroupHash: 15, GroupSlots: 3, GroupTableLen: 1024, ColumnPins: 16},
+		},
+	}
+}
+
+// goldenFrame is what EncodeResult(idlist.VBDiff.Name(), goldenResult, nil,
+// Version) emits at v9, captured from the change that made the group section
+// columnar. Read against encodeGroupCols, the section after the codec name
+// ("vb+diff") is:
+//
+//	02 01 01 11 06 | 03 02 07 09 0a 04    2 groups, Bytes keys, inflated, keyLen
+//	                                      16 (+1), 6 aggregates and their kinds
+//	zero padding to offset 24
+//	rows      2 words: 10, 1
+//	suffix    2 words: −1, 2
+//	keys      32 raw bytes, no offsets
+//	agg 0     body lane (2 words), then the identifier-list block: offsets
+//	          0, 11, 14 and 14 heap bytes — each list once, vb+diff-encoded —
+//	          padded to the next boundary
+//	agg 1     count lane: 10, 1
+//	agg 2–5   one side column each: per group the value's fields as varints,
+//	          padded to the next boundary
+//
+// then the scan section (00), the metrics and the span count as at v8.
+const goldenFrame = "0776622b646966660201011106030207090a0400000000000a000000000000000100000000000000ffffffffffffffff0200" +
+	"0000000000003031323334353637383961626364656666656463626139383736353433323130efbefecacefaedfe07000000" +
+	"0000000000000000000000000b000000000000000e000000000000000a06020202020202063802019a0100000a0000000000" +
+	"000001000000000000000500030908071f020102000000000000000000000000000000000000000304ac0202000000000000" +
+	"000000000000000000000000000002010102020202050602323c000000000000000000000000000000010a18c00000000000" +
+	"0000000000000000000000010101000000000000000080d1ca0880ade2048092f40180897a80897aa413ee081006e8070fd0" +
+	"0fa01ff02e0008000000000f00038008100000"
+
+// TestEncodeResultGolden pins the result frame's bytes, that the columnar
+// decoder reads them back to the same groups, and that an identifier list
+// crosses the wire once.
+func TestEncodeResultGolden(t *testing.T) {
+	want, err := hex.DecodeString(goldenFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := goldenResult(t)
+	got, err := EncodeResult(idlist.VBDiff.Name(), res, nil, Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("result frame bytes changed:\n got %x\nwant %x", got, want)
+	}
+	codec, back, _, err := DecodeResult(want, Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if codec != idlist.VBDiff.Name() || !reflect.DeepEqual(back.View(), res.Groups) || back.Metrics != res.Metrics {
+		t.Fatalf("golden frame decoded to\n %+v\nwant\n %+v", back.View(), res.Groups)
+	}
+	for _, g := range res.Groups {
+		if n := bytes.Count(want, g.Aggs[0].Ashe.Encoded); n != 1 {
+			t.Fatalf("encoded identifier list %x appears %d times in the frame, want once", g.Aggs[0].Ashe.Encoded, n)
+		}
+	}
+}
+
+// propKeys are the key columns the round-trip property covers.
+var propKeys = []struct {
+	name string
+	kind store.Kind
+}{{"u64", store.U64}, {"det16", store.Bytes}, {"string", store.Str}}
+
+// propMixes are the aggregate mixes the round-trip property covers; the
+// generic kinds need a Partial plan's uncollapsed medians and a Paillier key.
+func propMixes(pk *paillier.PublicKey) map[string][]engine.Agg {
+	lanes := []engine.Agg{{Kind: engine.AggCount}, {Kind: engine.AggPlainSum}, {Kind: engine.AggPlainMin}, {Kind: engine.AggPlainMax}}
+	generic := []engine.Agg{{Kind: engine.AggPaillierSum, PK: pk}, {Kind: engine.AggOpeMin}, {Kind: engine.AggOpeMax},
+		{Kind: engine.AggPlainMedian}, {Kind: engine.AggOpeMedian}}
+	return map[string][]engine.Agg{
+		"lanes":   lanes,
+		"ashe":    {{Kind: engine.AggAsheSum}, {Kind: engine.AggCount}},
+		"generic": generic,
+		"mixed":   append(append([]engine.Agg{{Kind: engine.AggAsheSum}}, generic...), lanes...),
+	}
+}
+
+// propResult builds shard `shard`'s hand-made result of n groups: keys of the
+// given kind (string keys of varying length, so they travel with offsets),
+// optional inflation suffixes, and values for every aggregate of the mix that
+// depend on group and shard.
+func propResult(t testing.TB, kind store.Kind, inflated bool, aggs []engine.Agg, n, shard int) *engine.Result {
+	res := &engine.Result{Metrics: engine.Metrics{MapTasks: 1 + shard, RowsScanned: uint64(n)}}
+	if n > 0 {
+		res.Groups = make([]engine.Group, 0, n)
+	}
+	vals := make([]engine.AggValue, 0, n*len(aggs))
+	for i := 0; i < n; i++ {
+		g := engine.Group{KeyKind: kind, Suffix: -1, Rows: uint64(1 + i%3), Aggs: vals[len(vals):len(vals):len(vals)+len(aggs)]}
+		vals = vals[:len(vals)+len(aggs)]
+		switch kind {
+		case store.U64:
+			g.KeyU64 = uint64(i) * 2654435761
+		case store.Bytes:
+			g.KeyBytes = []byte(fmt.Sprintf("det-key-%08d", i))
+		default:
+			g.KeyStr = fmt.Sprintf("k%d", i*i)
+		}
+		if inflated {
+			g.Suffix = i % 3
+		}
+		v := uint64(i)*7919 + uint64(shard)
+		for _, a := range aggs {
+			av := engine.AggValue{Kind: a.Kind}
+			switch a.Kind {
+			case engine.AggAsheSum:
+				ids := idlist.FromRange(uint64(1000*shard+3*i+1), uint64(1000*shard+3*i+1))
+				ids.Append(uint64(1000*shard + 3*i + 3))
+				av.Ashe = engine.AsheAgg{Body: v, Encoded: encodeList(t, ids)}
+			case engine.AggPaillierSum:
+				av.Pail = new(big.Int).SetUint64(v + 2)
+			case engine.AggOpeMin, engine.AggOpeMax:
+				av.Ope, av.ArgID, av.U64 = []byte{byte(i), byte(shard), 1}, v+1, v
+				if i%2 == 0 {
+					av.CompanionBytes = []byte{byte(i)}
+				}
+			case engine.AggPlainMedian:
+				av.MedU64 = []uint64{v, v + 1, uint64(shard)}
+			case engine.AggOpeMedian:
+				av.MedOpe, av.MedIDs, av.MedComp = [][]byte{{byte(i)}, {byte(shard), 2}}, []uint64{v, v + 1}, []uint64{5, 6}
+			default:
+				av.U64 = v
+			}
+			g.Aggs = append(g.Aggs, av)
+		}
+		res.Groups = append(res.Groups, g)
+	}
+	return res
+}
+
+// sameGroups is reflect.DeepEqual for two row views, field by field: the
+// property below compares 16k-group views of ten 240-byte values each, which
+// reflection walks a hundred times slower.
+func sameGroups(a, b []engine.Group) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		g, h := &a[i], &b[i]
+		if g.KeyKind != h.KeyKind || g.KeyU64 != h.KeyU64 || !bytes.Equal(g.KeyBytes, h.KeyBytes) || g.KeyStr != h.KeyStr ||
+			g.Suffix != h.Suffix || g.Rows != h.Rows || len(g.Aggs) != len(h.Aggs) {
+			return false
+		}
+		for j := range g.Aggs {
+			x, y := &g.Aggs[j], &h.Aggs[j]
+			if x.Kind != y.Kind || x.U64 != y.U64 || x.Ashe.Body != y.Ashe.Body || !x.Ashe.IDs.Equal(y.Ashe.IDs) ||
+				!bytes.Equal(x.Ashe.Encoded, y.Ashe.Encoded) || (x.Pail == nil) != (y.Pail == nil) || x.Pail != nil && x.Pail.Cmp(y.Pail) != 0 ||
+				!bytes.Equal(x.Ope, y.Ope) || x.ArgID != y.ArgID || !bytes.Equal(x.CompanionBytes, y.CompanionBytes) ||
+				!slices.Equal(x.MedU64, y.MedU64) || !slices.EqualFunc(x.MedOpe, y.MedOpe, bytes.Equal) ||
+				!slices.Equal(x.MedIDs, y.MedIDs) || !slices.Equal(x.MedComp, y.MedComp) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestResultRoundTripProperty is the frame's round-trip property over key
+// kind × inflation × aggregate mix × group count: a decoded frame views as
+// the groups that were encoded, and two shards' decoded frames merge to what
+// the shards' own results merge to.
+func TestResultRoundTripProperty(t *testing.T) {
+	sk, err := paillier.GenerateKey(crand.Reader, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range propKeys {
+		for _, inflated := range []bool{false, true} {
+			for mix, aggs := range propMixes(&sk.PublicKey) {
+				for _, n := range []int{0, 1, 1 << 14} {
+					name := fmt.Sprintf("%s/inflated=%v/%s/%d", key.name, inflated, mix, n)
+					t.Run(name, func(t *testing.T) {
+						pl := &engine.Plan{Aggs: aggs, GroupBy: &engine.GroupBy{Col: "k"}, Partial: true, Codec: idlist.VBDiff}
+						var shards, decoded []*engine.Result
+						for shard := 0; shard < 2; shard++ {
+							res := propResult(t, key.kind, inflated, aggs, n, shard)
+							p, err := EncodeResult(idlist.VBDiff.Name(), res, nil, Version)
+							if err != nil {
+								t.Fatal(err)
+							}
+							codec, back, _, err := DecodeResult(p, Version)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if codec != idlist.VBDiff.Name() || back.Metrics != res.Metrics {
+								t.Fatalf("codec %q, metrics %+v; want %q, %+v", codec, back.Metrics, idlist.VBDiff.Name(), res.Metrics)
+							}
+							if back.Groups != nil {
+								t.Fatal("decode built the row view nobody asked for")
+							}
+							if !sameGroups(back.View(), res.Groups) {
+								t.Fatal("decoded frame does not view as the groups encoded")
+							}
+							// The frame is canonical: what decodes re-encodes to it.
+							again, err := EncodeResult(codec, back, nil, Version)
+							if err != nil || !bytes.Equal(again, p) {
+								t.Fatalf("decoded result re-encodes differently (err %v)", err)
+							}
+							shards, decoded = append(shards, res), append(decoded, back)
+						}
+						want, err := engine.MergeResults(pl, shards)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := engine.MergeResults(pl, decoded)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(want.Groups) != n || !sameGroups(got.Groups, want.Groups) {
+							t.Fatalf("decoded frames merge to %d groups that differ from the %d the shards' results merge to", len(got.Groups), len(want.Groups))
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// wideFrame encodes a result of n byte-keyed ASHE-sum groups: one daemon's
+// share of a wide encrypted GROUP BY.
+func wideFrame(t testing.TB, n int) ([]byte, *engine.Result) {
+	res := propResult(t, store.Bytes, false, []engine.Agg{{Kind: engine.AggAsheSum}}, n, 0)
+	p, err := EncodeResult(idlist.VBDiff.Name(), res, nil, Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, res
+}
+
+// TestDecodeResultAllocsPerGroup pins the columnar decode: a 16k-group frame
+// decodes in a constant handful of allocations — the lanes, the key arena and
+// the identifier-list block are the frame itself.
+func TestDecodeResultAllocsPerGroup(t *testing.T) {
+	const groups = 1 << 14
+	p, want := wideFrame(t, groups)
+	_, got, _, err := DecodeResult(p, Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.View(), want.Groups) {
+		t.Fatal("wide frame did not round-trip")
+	}
+	avg := testing.AllocsPerRun(5, func() {
+		if _, _, _, err := DecodeResult(p, Version); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 24 {
+		t.Fatalf("DecodeResult of a %d-group frame makes %.0f allocations, want at most 24", groups, avg)
+	}
+}
+
+// TestDecodeResultAliasesOrCopies pins the decode contract on both sides of
+// the alignment check: an 8-byte-aligned payload is aliased (the body lane is
+// the frame's own bytes), a misaligned one is copied, and both decode to the
+// same groups.
+func TestDecodeResultAliasesOrCopies(t *testing.T) {
+	p, want := wideFrame(t, 64)
+	shifted := append(make([]byte, 1, len(p)+1), p...)[1:] // same bytes, odd address
+	for name, payload := range map[string][]byte{"aligned": p, "shifted": shifted} {
+		_, got, _, err := DecodeResult(payload, Version)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got.View(), want.Groups) {
+			t.Fatalf("%s payload did not round-trip", name)
+		}
+		lane := got.Cols.Aggs[0].Lane
+		before := lane[0]
+		for i := range payload {
+			payload[i] ^= 0xff
+		}
+		if aliased := lane[0] != before; aliased != (name == "aligned") {
+			t.Fatalf("%s payload: body lane aliases the frame = %v", name, aliased)
+		}
+	}
+}
+
+// FuzzDecodeResult feeds hostile bytes to the result decoder: the proxy
+// decodes results from a server the threat model does not trust, so the
+// decoder must fail cleanly — never panic or over-reserve — and whatever it
+// accepts must hold one word per group in every lane (what client.Decrypt
+// indexes), view without panicking, and survive a re-encode and second decode
+// unchanged. The seed corpus is the valid frames above, truncations of the
+// golden frame, and the hostile frames the unit tests reject.
+func FuzzDecodeResult(f *testing.F) {
+	golden, err := hex.DecodeString(goldenFrame)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for cut := len(golden) - 1; cut > 0; cut /= 2 {
+		f.Add(golden[:cut])
+	}
+	wide, _ := wideFrame(f, 40)
+	f.Add(wide)
+	ops, err := EncodeResult(idlist.Default.Name(), opsResult(), nil, Version)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ops)
+	for _, h := range hostileResultFrames(f) {
+		f.Add(h.frame)
+	}
+
+	f.Fuzz(func(t *testing.T, p []byte) {
+		codec, res, _, err := DecodeResult(p, Version)
+		if err != nil {
+			return
+		}
+		if c := res.Cols; c != nil {
+			n := c.Len()
+			keyed := c.KeyKind != store.U64
+			if n == 0 || keyed && len(c.KeyOff) != n+1 || !keyed && len(c.KeyU64) != n || c.Suffix != nil && len(c.Suffix) != n {
+				t.Fatalf("decoded key columns do not hold %d groups", n)
+			}
+			for i := range c.Aggs {
+				col := &c.Aggs[i]
+				if col.Lane != nil && len(col.Lane) != n || col.Lane == nil && len(col.Vals) != n ||
+					col.Kind == engine.AggAsheSum && (len(col.IDOff) != n+1 || col.IDOff[n] != uint64(len(col.IDs))) {
+					t.Fatalf("decoded aggregate column %d does not hold %d groups", i, n)
+				}
+			}
+		}
+		view := res.View()
+		again, err := EncodeResult(codec, res, nil, Version)
+		if err != nil {
+			return // ragged scan rows decode but do not re-encode
+		}
+		codec2, res2, _, err := DecodeResult(again, Version)
+		if err != nil {
+			t.Fatalf("re-encoded result does not decode: %v", err)
+		}
+		if codec2 != codec || !reflect.DeepEqual(res2.View(), view) || !reflect.DeepEqual(res2.Scan, res.Scan) || res2.Metrics != res.Metrics {
+			t.Fatalf("result changed across encode/decode:\n got %+v\nwant %+v", res2, res)
+		}
+	})
+}
+
+// hostileFrame is one frame a hostile or broken daemon could send, with the
+// decoder check that must reject it.
+type hostileFrame struct {
+	name  string
+	frame []byte
+}
+
+// hostileResultFrames builds result frames that must fail the decode with an
+// error: hostile counts in each section, and a well-formed 4-group ASHE frame
+// broken one way at a time.
+func hostileResultFrames(t testing.TB) []hostileFrame {
+	var out []hostileFrame
+	add := func(name string, build func(e *enc)) {
+		e := &enc{}
+		e.str("")
+		build(e)
+		out = append(out, hostileFrame{name, e.buf})
+	}
+	add("scan projection count larger than the payload", func(e *enc) {
+		e.uint(0)       // no groups
+		e.uint(1)       // one scan row
+		e.uint(7)       // row id
+		e.uint(1 << 62) // hostile projection count
+	})
+	add("group count larger than the payload could hold", func(e *enc) { e.uint(1 << 62) })
+	add("aggregate count larger than the payload", func(e *enc) {
+		e.uint(1) // one group
+		e.uint(0) // u64 keys
+		e.bool(false)
+		e.uint(1 << 62)
+	})
+	add("unknown aggregate kind", func(e *enc) {
+		e.uint(1)
+		e.uint(0)
+		e.bool(false)
+		e.uint(1)
+		e.uint(uint64(engine.AggOpeMedian) + 1)
+		e.lane([]uint64{1}) // rows
+		e.lane([]uint64{7}) // keys
+		e.lane([]uint64{3}) // the unknown aggregate's would-be lane
+	})
+	add("unknown key kind", func(e *enc) {
+		e.uint(1)
+		e.uint(3)
+		e.bool(false)
+	})
+	add("fixed key length times group count exceeds the payload", func(e *enc) {
+		e.uint(2)
+		e.uint(uint64(store.Bytes))
+		e.bool(false)
+		e.uint(1 << 40) // keyLen+1
+		e.uint(0)       // no aggregates
+		e.lane([]uint64{1, 1})
+	})
+	add("suffix outside int32", func(e *enc) {
+		e.uint(1)
+		e.uint(0)
+		e.bool(true)
+		e.uint(0)
+		e.lane([]uint64{1})
+		e.lane([]uint64{1 << 40})
+		e.lane([]uint64{7})
+	})
+
+	// The valid frame the remaining cases break: 4 groups, 16-byte keys, one
+	// ASHE sum. After the codec name and six header bytes its extents sit at
+	// fixed offsets: rows (4 words) at 16, keys (64 bytes) at 48, the body
+	// lane at 112, the list offsets (5 words) at 144, the block at 184.
+	valid, _ := wideFrame(t, 4)
+	const rowsAt, laneAt, offsAt, blockAt = 16, 112, 144, 184
+	if binary.LittleEndian.Uint64(valid[offsAt:]) != 0 || binary.LittleEndian.Uint64(valid[rowsAt:]) != 1 {
+		t.Fatalf("the 4-group frame's layout moved; re-derive the hostile offsets")
+	}
+	mutate := func(name string, edit func(p []byte) []byte) {
+		out = append(out, hostileFrame{name, edit(bytes.Clone(valid))})
+	}
+	mutate("non-monotone list offsets", func(p []byte) []byte {
+		binary.LittleEndian.PutUint64(p[offsAt+8:], 9)
+		binary.LittleEndian.PutUint64(p[offsAt+16:], 4)
+		return p
+	})
+	mutate("list offset past the block", func(p []byte) []byte {
+		binary.LittleEndian.PutUint64(p[offsAt+32:], 1<<40)
+		return p
+	})
+	mutate("first list offset not zero", func(p []byte) []byte {
+		binary.LittleEndian.PutUint64(p[offsAt:], 1)
+		return p
+	})
+	mutate("lane shorter than the group count (a word removed)", func(p []byte) []byte {
+		return append(p[:laneAt], p[laneAt+8:]...)
+	})
+	mutate("lane longer than the group count (a word inserted)", func(p []byte) []byte {
+		return append(p[:laneAt], append(make([]byte, 8), p[laneAt:]...)...)
+	})
+	mutate("extent cut mid-word", func(p []byte) []byte { return p[:laneAt+13] })
+	mutate("block cut short", func(p []byte) []byte { return p[:blockAt+3] })
+	mutate("non-zero padding before an extent", func(p []byte) []byte {
+		p[rowsAt-1] = 1
+		return p
+	})
+	return out
+}
+
+// TestDecodeResultRejectsHostileFrames runs the fuzz seeds' hostile frames as
+// a plain test: each must fail the decode with an error.
+func TestDecodeResultRejectsHostileFrames(t *testing.T) {
+	for _, h := range hostileResultFrames(t) {
+		if _, _, _, err := DecodeResult(h.frame, Version); err == nil {
+			t.Errorf("hostile frame accepted: %s", h.name)
+		}
+	}
+}
+
+// BenchmarkEncodeResultWide and BenchmarkDecodeResultWide time the result
+// codec on a 16k-group frame, the unit a wide GROUP BY pays per daemon.
+func BenchmarkEncodeResultWide(b *testing.B) {
+	_, res := wideFrame(b, 1<<14)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := EncodeResult(idlist.VBDiff.Name(), res, nil, Version); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeResultWide(b *testing.B) {
+	p, _ := wideFrame(b, 1<<14)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := DecodeResult(p, Version); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -234,29 +234,22 @@ func TestResultRoundTrip(t *testing.T) {
 	res := &engine.Result{
 		Groups: []engine.Group{
 			{
-				KeyKind: store.U64, KeyU64: 7, Suffix: -1, Rows: 991,
+				KeyKind: store.Str, KeyStr: "Canada", Suffix: -1, Rows: 991,
 				Aggs: []engine.AggValue{
-					{Kind: engine.AggAsheSum, Ashe: engine.AsheAgg{Body: 0xDEADBEEFCAFE, IDs: ids, Encoded: encoded}},
+					{Kind: engine.AggAsheSum, Ashe: engine.AsheAgg{Body: 0xDEADBEEFCAFE, Encoded: encoded}},
 					{Kind: engine.AggCount, U64: 991},
 					{Kind: engine.AggPaillierSum, Pail: big.NewInt(0).Lsh(big.NewInt(12345), 300)},
-				},
-			},
-			{
-				KeyKind: store.Bytes, KeyBytes: []byte{0xAA, 0xBB}, Suffix: 3, Rows: 2,
-				Aggs: []engine.AggValue{
 					{Kind: engine.AggOpeMax, Ope: []byte{1, 2, 3}, ArgID: 77, U64: 41, CompanionBytes: []byte{9}},
 				},
 			},
-			{KeyKind: store.Str, KeyStr: "Canada", Suffix: -1, Rows: 0, Aggs: []engine.AggValue{{Kind: engine.AggPlainMin}}},
 			{
-				// Partial-plan median collections (shard slices).
-				KeyKind: store.U64, KeyU64: 9, Suffix: -1, Rows: 5,
+				// A group no row reached, and an empty key.
+				KeyKind: store.Str, Suffix: -1, Rows: 0,
 				Aggs: []engine.AggValue{
-					{Kind: engine.AggPlainMedian, MedU64: []uint64{5, 1, 3}},
-					{Kind: engine.AggOpeMedian,
-						MedOpe:  [][]byte{{4, 4}, {1, 1}, {2}},
-						MedIDs:  []uint64{11, 12, 13},
-						MedComp: []uint64{400, 100, 200}},
+					{Kind: engine.AggAsheSum, Ashe: engine.AsheAgg{Encoded: []byte{0}}},
+					{Kind: engine.AggCount},
+					{Kind: engine.AggPaillierSum, Pail: big.NewInt(1)},
+					{Kind: engine.AggOpeMax},
 				},
 			},
 		},
@@ -282,11 +275,28 @@ func TestResultRoundTrip(t *testing.T) {
 	if codecName != idlist.Default.Name() {
 		t.Fatalf("codec name %q, want %q", codecName, idlist.Default.Name())
 	}
-	if !got.Groups[0].Aggs[0].Ashe.IDs.Equal(ids) {
-		t.Fatalf("id list round trip: got %v, want %v", got.Groups[0].Aggs[0].Ashe.IDs, ids)
+	back, err := idlist.Default.Decode(got.View()[0].Aggs[0].Ashe.Encoded)
+	if err != nil || !back.Equal(ids) {
+		t.Fatalf("id list round trip: got %v (err %v), want %v", back, err, ids)
 	}
-	if !reflect.DeepEqual(got, res) {
+	if !reflect.DeepEqual(got.View(), res.Groups) || !reflect.DeepEqual(got.Scan, res.Scan) || got.Metrics != res.Metrics {
 		t.Fatalf("result round trip:\n got %+v\nwant %+v", got, res)
+	}
+}
+
+// TestResultEncodeRejectsMixedGroups pins the columnar form's precondition on
+// hand-built results: one key kind and one aggregate list for every group.
+func TestResultEncodeRejectsMixedGroups(t *testing.T) {
+	count := []engine.AggValue{{Kind: engine.AggCount, U64: 1}}
+	for name, groups := range map[string][]engine.Group{
+		"key kinds":        {{KeyKind: store.U64, Suffix: -1, Aggs: count}, {KeyKind: store.Str, KeyStr: "x", Suffix: -1, Aggs: count}},
+		"aggregate counts": {{KeyKind: store.U64, Suffix: -1, Aggs: count}, {KeyKind: store.U64, KeyU64: 1, Suffix: -1}},
+		"aggregate kinds":  {{KeyKind: store.U64, Suffix: -1, Aggs: count}, {KeyKind: store.U64, KeyU64: 1, Suffix: -1, Aggs: []engine.AggValue{{Kind: engine.AggPlainSum}}}},
+		"unencoded list":   {{KeyKind: store.U64, Suffix: -1, Aggs: []engine.AggValue{{Kind: engine.AggAsheSum, Ashe: engine.AsheAgg{IDs: idlist.FromRange(1, 2)}}}}},
+	} {
+		if _, err := EncodeResult("", &engine.Result{Groups: groups}, nil, Version); err == nil {
+			t.Errorf("groups mixing %s encoded", name)
+		}
 	}
 }
 
@@ -306,52 +316,62 @@ func TestDecodeResultRejectsHostileCounts(t *testing.T) {
 
 	e = &enc{}
 	e.str("")
-	e.uint(1) // one group
-	e.uint(0) // key kind
-	e.uint(0) // key u64
-	e.bytes(nil)
-	e.str("")
-	e.int(-1)       // suffix
-	e.uint(1)       // rows
-	e.uint(1)       // one agg
-	e.uint(0)       // agg kind
-	e.uint(0)       // agg u64
-	e.uint(0)       // ashe body
-	e.uint(1 << 62) // hostile range count
+	e.uint(1 << 62) // hostile group count
 	if _, _, _, err := DecodeResult(e.buf, Version); err == nil {
-		t.Fatal("hostile id-list range count accepted")
+		t.Fatal("hostile group count accepted")
+	}
+
+	// A count the payload could hold as bare lanes, but not as side-column
+	// values: the decoder must not reserve a value per claimed group.
+	e = &enc{}
+	e.str("")
+	e.uint(1 << 20) // groups
+	e.uint(0)       // u64 keys
+	e.bool(false)
+	e.uint(1) // one aggregate
+	e.uint(uint64(engine.AggPaillierSum))
+	e.lane(make([]uint64, 1<<20)) // rows
+	e.lane(make([]uint64, 1<<20)) // keys
+	e.buf = append(e.buf, make([]byte, 9<<20)...)
+	e.buf = e.buf[:len(e.buf)-1] // the last value is cut short
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, _, _, err := DecodeResult(e.buf, Version); err == nil {
+			t.Fatal("truncated side column accepted")
+		}
+	})
+	if allocs > 64 {
+		t.Fatalf("rejecting a truncated side column took %.0f allocations", allocs)
 	}
 }
 
-// TestDecodeResultRejectsOverflowedRange pins the span-overflow guard: a
-// range whose span wraps hi below lo must fail the decode instead of
-// panicking inside idlist.FromRanges.
-func TestDecodeResultRejectsOverflowedRange(t *testing.T) {
-	e := &enc{}
-	e.str("")
-	e.uint(1) // one group
-	e.uint(0)
-	e.uint(0)
-	e.bytes(nil)
-	e.str("")
-	e.int(-1)
-	e.uint(1)
-	e.uint(1) // one agg
-	e.uint(0)
-	e.uint(0)
-	e.uint(0)              // ashe body
-	e.uint(1)              // one range
-	e.uint(10)             // lo delta
-	e.uint(^uint64(0) - 3) // span: hi = 10 + (2^64−4) wraps below lo
-	e.bytes(nil)           // encoded
-	e.bool(false)          // no pail
-	e.bytes(nil)           // ope
-	e.uint(0)              // arg id
-	e.bytes(nil)           // companion
-	e.uint(0)              // no scan rows
-	encodeMetrics(e, &engine.Metrics{})
-	if _, _, _, err := DecodeResult(e.buf, Version); err == nil {
-		t.Fatal("overflow-inverted range accepted")
+// TestDecodeResultRejectsBadListOffsets pins the identifier-list block's
+// guard: offsets that run backwards, or past the block, must fail the decode
+// — a list read through them later would be out of bounds.
+func TestDecodeResultRejectsBadListOffsets(t *testing.T) {
+	for name, offs := range map[string][]uint64{
+		"backwards":      {0, 3, 2},
+		"past the block": {0, 2, 1 << 40},
+		"nonzero first":  {1, 2, 4},
+	} {
+		e := &enc{}
+		e.str("")
+		e.uint(2) // groups
+		e.uint(0) // u64 keys
+		e.bool(false)
+		e.uint(1)
+		e.uint(uint64(engine.AggAsheSum))
+		e.lane([]uint64{1, 1}) // rows
+		e.lane([]uint64{7, 8}) // keys
+		e.lane([]uint64{5, 6}) // bodies
+		e.lane(offs)
+		e.buf = append(e.buf, 0, 0, 0, 0)
+		e.align()
+		e.uint(0) // no scan rows
+		encodeMetrics(e, &engine.Metrics{})
+		e.uint(0) // no spans
+		if _, _, _, err := DecodeResult(e.buf, Version); err == nil {
+			t.Errorf("list offsets running %s accepted", name)
+		}
 	}
 }
 
@@ -432,8 +452,8 @@ func TestCancelFrameType(t *testing.T) {
 	if MsgCancel.String() != "cancel" || MsgResultChunk.String() != "result-chunk" {
 		t.Fatalf("lifecycle frame names: %v, %v", MsgCancel, MsgResultChunk)
 	}
-	if Version != 8 {
-		t.Fatalf("protocol version = %d, want 8 (a bump must re-capture the golden frames)", Version)
+	if Version != 9 {
+		t.Fatalf("protocol version = %d, want 9 (a bump must re-capture the golden frames)", Version)
 	}
 	if MsgSegmentList.String() != "segment-list" || MsgSegmentFetch.String() != "segment-fetch" || MsgSegmentData.String() != "segment-data" {
 		t.Fatalf("segment frame names: %v, %v, %v", MsgSegmentList, MsgSegmentFetch, MsgSegmentData)
