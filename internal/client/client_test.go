@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"seabed/internal/engine"
@@ -521,6 +522,54 @@ func TestMedianGroupBy(t *testing.T) {
 	for i := range wantRows {
 		if gotRows[i].Values[1].I64 != wantRows[i].Values[1].I64 {
 			t.Fatalf("group %d median = %d, want %d", i, gotRows[i].Values[1].I64, wantRows[i].Values[1].I64)
+		}
+	}
+}
+
+// tamperBackend runs plans on a real engine and lets a test rewrite the
+// result's columns before the proxy sees them: the untrusted server.
+type tamperBackend struct {
+	*engine.Cluster
+	tamper func(c *engine.GroupCols)
+}
+
+func (b *tamperBackend) Run(ctx context.Context, pl *engine.Plan) (*engine.Result, error) {
+	res, err := b.Cluster.Run(ctx, pl)
+	if err == nil && res.Cols != nil {
+		b.tamper(res.Cols)
+	}
+	return res, err
+}
+
+func (b *tamperBackend) RunStream(ctx context.Context, pl *engine.Plan, sink engine.ScanSink) (*engine.Result, error) {
+	return b.Run(ctx, pl)
+}
+
+// TestDecryptRejectsMisshapenColumns pins Decrypt's guard on the trust
+// boundary: a server that returns fewer aggregate columns than the plan asked
+// for, or a column of another kind, gets a typed error — Decrypt indexes
+// columns by the plan's aggregate numbers and must never do so blindly.
+func TestDecryptRejectsMisshapenColumns(t *testing.T) {
+	p := salesFixture(t)
+	const sql = "SELECT hour, SUM(revenue), COUNT(*) FROM sales GROUP BY hour"
+	if _, err := p.Query(context.Background(), sql); err != nil {
+		t.Fatal(err)
+	}
+	for name, tamper := range map[string]func(c *engine.GroupCols){
+		"a column dropped": func(c *engine.GroupCols) { c.Aggs = c.Aggs[:len(c.Aggs)-1] },
+		"a column of another kind": func(c *engine.GroupCols) {
+			for i := range c.Aggs {
+				if c.Aggs[i].Kind == engine.AggAsheSum {
+					c.Aggs[i] = engine.AggCol{Kind: engine.AggCount, Lane: c.Aggs[i].Lane}
+				}
+			}
+		},
+	} {
+		hostile := &Proxy{ring: p.ring, Link: p.Link, tables: p.tables,
+			cluster: &tamperBackend{Cluster: engine.NewCluster(engine.Config{Workers: 4}), tamper: tamper}}
+		_, err := hostile.Query(context.Background(), sql)
+		if err == nil || !strings.Contains(err.Error(), "malformed or hostile result") {
+			t.Errorf("%s: err = %v, want a malformed-result error", name, err)
 		}
 	}
 }

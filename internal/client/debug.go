@@ -15,7 +15,8 @@ type fleetHealthServer interface {
 //	/debug/queries       live-query registry + trace flight recorder (JSON):
 //	                     every in-flight Query with its SQL, elapsed time,
 //	                     and rows so far, plus the last N completed traces
-//	/debug/queries/kill  cancel an in-flight query: ?trace=<16-hex trace ID>
+//	/debug/queries/kill  cancel an in-flight query: POST ?trace=<16-hex
+//	                     trace ID>
 //	/debug/fleet         fleet health rollup (only when the proxy's backend
 //	                     is a fleet coordinator): per-daemon liveness and
 //	                     stats, hedge/failover counters, stale ranges

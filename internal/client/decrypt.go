@@ -135,7 +135,7 @@ func Decrypt(tr *translate.Translation, res *engine.Result, ring *KeyRing) (*Res
 	if err != nil {
 		return nil, err
 	}
-	if err := checkCols(tr.Server, cols); err != nil {
+	if err := cols.CheckPlan(tr.Server); err != nil {
 		return nil, err
 	}
 	if tr.Client.Inflated && cols != nil {
@@ -179,25 +179,6 @@ func Decrypt(tr *translate.Translation, res *engine.Result, ring *KeyRing) (*Res
 	out.ClientTime = time.Since(start)
 	out.PRFEvals = d.prfEvals
 	return out, nil
-}
-
-// checkCols verifies that a server's group columns have the shape the plan
-// asked for — one column per aggregate, of its kind — so no output below can
-// index a column the untrusted server left out. Lane lengths are the wire
-// decoder's business (every lane holds one word per group).
-func checkCols(pl *engine.Plan, cols *engine.GroupCols) error {
-	if cols == nil {
-		return nil
-	}
-	if len(cols.Aggs) != len(pl.Aggs) {
-		return fmt.Errorf("client: result carries %d aggregates, plan asked for %d (malformed or hostile result)", len(cols.Aggs), len(pl.Aggs))
-	}
-	for i := range cols.Aggs {
-		if cols.Aggs[i].Kind != pl.Aggs[i].Kind {
-			return fmt.Errorf("client: result aggregate %d is %v, plan asked for %v (malformed or hostile result)", i, cols.Aggs[i].Kind, pl.Aggs[i].Kind)
-		}
-	}
-	return nil
 }
 
 // asheOf reconstructs group g's ASHE ciphertext from an aggregate column,

@@ -60,6 +60,26 @@ func (a *AggCol) EncodedIDs(g int) []byte {
 	return a.IDs[a.IDOff[g]:a.IDOff[g+1]:a.IDOff[g+1]]
 }
 
+// CheckPlan verifies that the columns have the shape pl asked for — one column
+// per aggregate, of its kind — so nothing that indexes them by the plan's
+// aggregate numbers (the merge, client.Decrypt) reads a column an untrusted
+// server left out. A nil set (no groups) passes. That every lane holds one word
+// per group is the wire decoder's business.
+func (c *GroupCols) CheckPlan(pl *Plan) error {
+	if c == nil {
+		return nil
+	}
+	if len(c.Aggs) != len(pl.Aggs) {
+		return fmt.Errorf("engine: result carries %d aggregates, plan asked for %d (malformed or hostile result)", len(c.Aggs), len(pl.Aggs))
+	}
+	for i := range c.Aggs {
+		if c.Aggs[i].Kind != pl.Aggs[i].Kind {
+			return fmt.Errorf("engine: result aggregate %d is %v, plan asked for %v (malformed or hostile result)", i, c.Aggs[i].Kind, pl.Aggs[i].Kind)
+		}
+	}
+	return nil
+}
+
 // newAggCols allocates the columns of n groups for the given aggregates.
 func newAggCols(aggs []Agg, n int) []AggCol {
 	cols := make([]AggCol, len(aggs))
@@ -83,14 +103,6 @@ func newAggCols(aggs []Agg, n int) []AggCol {
 func (c *GroupCols) keys() groupKeys {
 	return groupKeys{kind: c.KeyKind, inflated: c.Suffix != nil,
 		u64: c.KeyU64, off: c.KeyOff, arena: c.KeyArena, sfx: c.Suffix}
-}
-
-// NumGroups returns the number of groups the result holds, in either form.
-func (r *Result) NumGroups() int {
-	if r.Cols != nil {
-		return r.Cols.Len()
-	}
-	return len(r.Groups)
 }
 
 // View returns the result's groups as rows, building them from Cols on the
@@ -144,7 +156,7 @@ func (c *GroupCols) groups() []Group {
 // Columns returns the result's aggregation output as columns, converting a
 // result that holds only Groups — a hand-built one — on the first call and
 // caching the columns in Cols. Such groups must share one key kind and one
-// aggregate list, and carry their ASHE identifier lists encoded.
+// aggregate list.
 func (r *Result) Columns() (*GroupCols, error) {
 	if r.Cols == nil && len(r.Groups) > 0 {
 		cols, err := colsFromGroups(r.Groups)
@@ -201,9 +213,6 @@ func colsFromGroups(groups []Group) (*GroupCols, error) {
 			}
 			switch {
 			case av.Kind == AggAsheSum:
-				if len(av.Ashe.Encoded) == 0 && !av.Ashe.IDs.Empty() {
-					return nil, fmt.Errorf("engine: result group's ASHE aggregate %d carries an unencoded identifier list", ai)
-				}
 				col.Lane[i] = av.Ashe.Body
 				col.IDs = append(col.IDs, av.Ashe.Encoded...)
 				col.IDOff[i+1] = uint64(len(col.IDs))
@@ -225,13 +234,8 @@ func colsFromGroups(groups []Group) (*GroupCols, error) {
 // a plan with generic aggregates builds a partial per group.
 func (pl *Plan) taskGroupsFromCols(c *GroupCols, codec idlist.Codec) (*taskGroups, error) {
 	n := c.Len()
-	if len(c.Aggs) != len(pl.Aggs) {
-		return nil, fmt.Errorf("engine: merge: shard groups have %d aggregates, want %d", len(c.Aggs), len(pl.Aggs))
-	}
-	for ai := range c.Aggs {
-		if c.Aggs[ai].Kind != pl.Aggs[ai].Kind {
-			return nil, fmt.Errorf("engine: merge: aggregate %d kind mismatch (%d vs %d)", ai, c.Aggs[ai].Kind, pl.Aggs[ai].Kind)
-		}
+	if err := c.CheckPlan(pl); err != nil {
+		return nil, err
 	}
 	tg := &taskGroups{keys: c.keys(), rows: c.Rows}
 	if pl.groupLanes() {

@@ -295,11 +295,8 @@ type AggValue struct {
 // AsheAgg is an aggregated ASHE ciphertext with its encoded identifier list.
 type AsheAgg struct {
 	Body uint64
-	// IDs is the raw identifier list. Nothing the engine, the wire or the
-	// fleet produces sets it — identifier lists exist once, encoded — so it is
-	// empty in every Result.View; decode Encoded with the plan's codec.
-	IDs idlist.List
-	// Encoded is the codec-compressed list as shipped to the client.
+	// Encoded is the codec-compressed list as shipped to the client, the only
+	// form a result carries a list in; decode it with the plan's codec.
 	Encoded []byte
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	mrand "math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -520,39 +521,61 @@ func TestSimulatedScalingImprovesWithWorkers(t *testing.T) {
 	}
 }
 
+// TestStragglerInjection pins the straggler model as arithmetic on injected
+// durations, not on two separately clocked runs: with 16 tasks of 1 ms on 16
+// workers, probability 1 and factor 10 stretch the makespan exactly tenfold,
+// probability 0 leaves it alone, and a seed fixes which tasks are picked.
 func TestStragglerInjection(t *testing.T) {
-	tbl, _, _ := fixture(t, 50000, 16)
-	// An OPE filter keeps per-task durations well above timer noise — the
-	// vectorized executor finishes a plain sum over 3k rows in microseconds,
-	// too fast to compare two separately-measured runs reliably.
-	plan := func() *Plan {
-		return &Plan{
-			Table:   tbl,
-			Filters: []Filter{{Kind: FilterOpeCmp, Col: "v_ope", Op: sqlparse.OpGe, Bytes: opeKey.Encrypt(0)}},
-			Aggs:    []Agg{{Kind: AggPlainSum, Col: "v"}},
+	tasks := func() []time.Duration {
+		d := make([]time.Duration, 16)
+		for i := range d {
+			d[i] = time.Millisecond
+		}
+		return d
+	}
+	base := makespan(tasks(), 16)
+
+	all := tasks()
+	injectStragglers(all, 1, 1, 10)
+	if got := makespan(all, 16); got != 10*base {
+		t.Fatalf("every task a 10x straggler: makespan %v, want %v", got, 10*base)
+	}
+
+	none := tasks()
+	injectStragglers(none, 1, 0, 10)
+	if !slices.Equal(none, tasks()) {
+		t.Fatalf("probability 0 changed the durations: %v", none)
+	}
+
+	a, b, other := tasks(), tasks(), tasks()
+	injectStragglers(a, 7, 0.5, 10)
+	injectStragglers(b, 7, 0.5, 10)
+	injectStragglers(other, 8, 0.5, 10)
+	if !slices.Equal(a, b) {
+		t.Fatalf("the same seed picked different stragglers:\n%v\n%v", a, b)
+	}
+	picked := 0
+	for _, d := range a {
+		if d != time.Millisecond && d != 10*time.Millisecond {
+			t.Fatalf("a task is neither untouched nor a 10x straggler: %v", d)
+		}
+		if d == 10*time.Millisecond {
+			picked++
 		}
 	}
-	// One untimed warmup per cluster: the baseline otherwise measures cold
-	// caches while the straggler run measures warm ones, which can eat the
-	// injected 10x.
-	baseCluster := NewCluster(Config{Workers: 16, Seed: 1})
-	if _, err := baseCluster.Run(context.Background(), plan()); err != nil {
-		t.Fatal(err)
+	if picked == 0 || picked == len(a) || slices.Equal(a, other) {
+		t.Fatalf("probability 0.5 picked %d of %d tasks (another seed picked the same: %v)", picked, len(a), slices.Equal(a, other))
 	}
-	base, err := baseCluster.Run(context.Background(), plan())
+
+	// The run feeds its measured durations through the same function.
+	tbl, _, _ := fixture(t, 2000, 4)
+	slow := NewCluster(Config{Workers: 16, Seed: 1, StragglerProb: 1, StragglerFactor: 10})
+	res, err := slow.Run(context.Background(), &Plan{Table: tbl, Aggs: []Agg{{Kind: AggPlainSum, Col: "v"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slowCluster := NewCluster(Config{Workers: 16, Seed: 1, StragglerProb: 1, StragglerFactor: 10})
-	if _, err := slowCluster.Run(context.Background(), plan()); err != nil {
-		t.Fatal(err)
-	}
-	slow, err := slowCluster.Run(context.Background(), plan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slow.Metrics.MapTime < base.Metrics.MapTime*5 {
-		t.Fatalf("stragglers did not slow the stage: %v vs %v", slow.Metrics.MapTime, base.Metrics.MapTime)
+	if res.Metrics.TaskMax <= 0 || res.Metrics.MapTime < res.Metrics.TaskMax {
+		t.Fatalf("straggler run: map time %v, slowest task %v", res.Metrics.MapTime, res.Metrics.TaskMax)
 	}
 }
 

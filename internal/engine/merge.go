@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"time"
-
-	"seabed/internal/idlist"
 )
 
 // This file exports the partial-merge step of a scatter-gather deployment:
@@ -126,14 +124,7 @@ func mergeGroups(pl *Plan, sets []*GroupCols) (*GroupCols, int, error) {
 	if len(sets) == 0 {
 		return nil, 0, nil
 	}
-	codec := pl.Codec
-	if codec == nil {
-		if pl.GroupBy != nil {
-			codec = idlist.VBDiff
-		} else {
-			codec = idlist.Default
-		}
-	}
+	codec := pl.effectiveCodec()
 	for i, a := range pl.Aggs {
 		if a.Kind == AggPaillierSum && a.PK == nil {
 			return nil, 0, fmt.Errorf("engine: merge: Paillier aggregate %d without public key", i)

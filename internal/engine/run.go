@@ -119,16 +119,11 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSi
 			return nil, fmt.Errorf("engine: join key kinds differ (%v left vs %v right)", lk, rk)
 		}
 	}
-	codec := pl.Codec
-	if codec == nil {
-		if pl.GroupBy != nil {
-			codec = idlist.VBDiff // §4.5: no range encoding for group-by
-		} else {
-			codec = idlist.Default
-		}
+	if pl.Codec == nil {
 		// Record the effective codec so the client decodes with the same one.
-		pl.Codec = codec
+		pl.Codec = pl.effectiveCodec()
 	}
+	codec := pl.Codec
 
 	var metrics Metrics
 
@@ -290,6 +285,18 @@ func injectStragglers(durations []time.Duration, seed uint64, prob, factor float
 			durations[i] = time.Duration(float64(d) * factor)
 		}
 	}
+}
+
+// effectiveCodec is the plan's identifier-list codec, or the default for its
+// shape when the plan names none.
+func (pl *Plan) effectiveCodec() idlist.Codec {
+	switch {
+	case pl.Codec != nil:
+		return pl.Codec
+	case pl.GroupBy != nil:
+		return idlist.VBDiff // §4.5: no range encoding for group-by
+	}
+	return idlist.Default
 }
 
 // taskSample condenses the per-map-task duration distribution to the three

@@ -25,12 +25,20 @@ func (q *QueryLog) ServeQueries(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(QueriesPayload{Active: q.Active(), Recent: q.Recent()}) //nolint:errcheck // best-effort debug endpoint
 }
 
-// ServeKill is the /debug/queries/kill?trace=<16-hex> handler: it cancels
-// the named in-flight run through its registered per-run cancel func — the
-// same context a wire MsgCancel reaches — and reports what happened as JSON.
-// 400 for a malformed trace ID, 404 when no killable run holds it.
+// ServeKill is the POST /debug/queries/kill?trace=<16-hex> handler: it
+// cancels the named in-flight run through its registered per-run cancel func
+// — the same context a wire MsgCancel reaches — and reports what happened as
+// JSON. Killing is a side effect, so only POST does it: any other method is
+// answered 405 with an Allow header and nothing is canceled. 400 for a
+// malformed trace ID, 404 when no killable run holds it.
 func (q *QueryLog) ServeKill(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		w.WriteHeader(http.StatusMethodNotAllowed)
+		json.NewEncoder(w).Encode(map[string]any{"killed": false, "error": "kill with POST"}) //nolint:errcheck
+		return
+	}
 	id, err := strconv.ParseUint(r.URL.Query().Get("trace"), 16, 64)
 	if err != nil || id == 0 {
 		w.WriteHeader(http.StatusBadRequest)

@@ -15,7 +15,7 @@ import (
 //	               hits, recovery cost, byte counters)
 //	/stats         the same Stats snapshot the SIGUSR1 dump renders, as JSON
 //	/debug/queries       live-query registry + trace flight recorder (JSON)
-//	/debug/queries/kill  cancel an in-flight run: ?trace=<16-hex trace ID>
+//	/debug/queries/kill  cancel an in-flight run: POST ?trace=<16-hex trace ID>
 //	/debug/pprof/  the standard Go profiles
 //
 // The handler holds no state of its own — every request reads the live

@@ -461,6 +461,7 @@ func (s *Server) initMetrics() {
 		}
 		return float64(b)
 	})
+	obs.RegisterRuntime(r)
 }
 
 // Metrics returns the server's metrics registry. Embedders can register
@@ -1067,7 +1068,7 @@ func (s *Server) executeRun(ctx context.Context, cancel context.CancelFunc, conn
 	}
 	s.rowsScanned.Add(res.Metrics.RowsScanned)
 	if len(pl.Project) == 0 {
-		aq.SetRows(uint64(res.NumGroups()))
+		aq.SetRows(uint64(res.Cols.Len()))
 	}
 	if res.Metrics.FirstChunk > 0 {
 		s.firstChunk.ObserveDuration(res.Metrics.FirstChunk)

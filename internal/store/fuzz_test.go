@@ -122,3 +122,61 @@ func fuzzSeedTables(f *testing.F) []*Table {
 		build("empty", []Column{{Name: "u", Kind: U64}}),
 	}
 }
+
+// FuzzDecodeColumnExtent feeds hostile bytes, kinds and row counts to the
+// column-extent decoder. It sits on three trust boundaries — segment files
+// off disk, scan chunks and (through wire.DecodeResult's lanes and blocks)
+// result frames from an untrusted daemon — so it must reject what it cannot
+// decode with an error: never a panic, never a vector longer than the bytes
+// behind it. Whatever it accepts must hold exactly the rows asked for, alias
+// nothing outside data, re-encode to the bytes consumed, and — for Bytes/Str
+// extents — agree with the flat decoder, DecodeBlobExtent.
+func FuzzDecodeColumnExtent(f *testing.F) {
+	for _, c := range []Column{
+		{Kind: U64, U64: []uint64{1, 2, 1 << 63}},
+		{Kind: Bytes, Bytes: [][]byte{{1}, nil, {2, 3, 4}}},
+		{Kind: Str, Str: []string{"a", "", "bcd"}},
+		{Kind: U64, U64: []uint64{}},
+	} {
+		ext := AppendColumnExtent(nil, &c)
+		f.Add(uint8(c.Kind), int64(c.Len()), ext)
+		f.Add(uint8(c.Kind), int64(c.Len()+1), ext) // one row more than the bytes hold
+		if len(ext) > 3 {
+			f.Add(uint8(c.Kind), int64(c.Len()), ext[:len(ext)-3]) // cut mid-word
+		}
+	}
+	f.Add(uint8(U64), int64(1)<<61, []byte{1, 2, 3, 4, 5, 6, 7, 8})         // 8×rows overflows
+	f.Add(uint8(Bytes), int64(1)<<62, make([]byte, 16))                     // so does 8×(rows+1)
+	f.Add(uint8(Bytes), int64(2), binary.LittleEndian.AppendUint64(nil, 0)) // offsets missing
+	backwards := AppendColumnExtent(nil, &Column{Kind: Bytes, Bytes: [][]byte{{1, 2}, {3}}})
+	binary.LittleEndian.PutUint64(backwards[8:], 3)
+	binary.LittleEndian.PutUint64(backwards[16:], 1)
+	f.Add(uint8(Bytes), int64(2), backwards) // offsets run backwards
+	f.Add(uint8(7), int64(1), make([]byte, 8))
+	f.Add(uint8(U64), int64(-1), make([]byte, 8))
+
+	f.Fuzz(func(t *testing.T, kind uint8, rows int64, data []byte) {
+		if int64(int(rows)) != rows {
+			return
+		}
+		col, n, err := DecodeColumnExtent("fuzz", Kind(kind), int(rows), data)
+		if Kind(kind) == Bytes || Kind(kind) == Str {
+			off, heap, bn, berr := DecodeBlobExtent("fuzz", int(rows), data)
+			if (err == nil) != (berr == nil) {
+				t.Fatalf("DecodeColumnExtent err = %v, DecodeBlobExtent err = %v", err, berr)
+			}
+			if err == nil && (bn != n || len(off) != int(rows)+1 || uint64(len(heap)) != off[rows]) {
+				t.Fatalf("flat decode consumed %d bytes, %d offsets, %d heap bytes; row decode consumed %d of %d rows", bn, len(off), len(heap), n, rows)
+			}
+		}
+		if err != nil {
+			return
+		}
+		if n < 0 || n > len(data) || col.Len() != int(rows) {
+			t.Fatalf("decoded %d rows from %d of %d bytes, asked for %d rows", col.Len(), n, len(data), rows)
+		}
+		if again := AppendColumnExtent(nil, &col); !bytes.Equal(again, data[:n]) {
+			t.Fatalf("accepted extent re-encodes to %x, consumed %x", again, data[:n])
+		}
+	})
+}

@@ -25,7 +25,17 @@ func EncodeResult(codecName string, res *engine.Result, spans []obs.FlatSpan, ve
 	if err != nil {
 		return nil, fmt.Errorf("wire: encode result: %v", err)
 	}
-	e := &enc{buf: make([]byte, 0, 512+groupColsSize(cols))}
+	// Reserve the extents' size, so a multi-megabyte group-by frame is written
+	// into one allocation.
+	size := 512
+	if cols != nil {
+		size += 8*(len(cols.Rows)+len(cols.KeyU64)+len(cols.KeyOff)+len(cols.Suffix)) + len(cols.KeyArena)
+		for i := range cols.Aggs {
+			col := &cols.Aggs[i]
+			size += 8*(len(col.Lane)+len(col.IDOff)) + len(col.IDs) + 32*len(col.Vals) + 16
+		}
+	}
+	e := &enc{buf: make([]byte, 0, size)}
 	e.str(codecName)
 	if err := encodeGroupCols(e, cols); err != nil {
 		return nil, err
@@ -39,44 +49,15 @@ func EncodeResult(codecName string, res *engine.Result, spans []obs.FlatSpan, ve
 	return e.buf, nil
 }
 
-// The group section of a result frame is the engine's column set
-// (engine.GroupCols) written column by column in the column-extent encoding
-// durable segments and scan chunks use (store/colframe.go, docs/FORMAT.md):
-//
-//	groups   uvarint; zero ends the section
-//	keyKind  uvarint (store.Kind)
-//	inflated 1 byte: a suffix extent is present
-//	keyLen   uvarint, byte and string keys only: 1 + the length every key
-//	         has, or 0 when lengths differ and the keys travel with offsets
-//	aggs     uvarint, then one uvarint engine.AggKind per aggregate
-//	rows     U64 extent
-//	suffix   U64 extent (two's-complement int32 values), when inflated
-//	keys     U64 extent | groups × (keyLen−1) raw bytes | Bytes extent
-//	per aggregate, in order:
-//	  lane kinds   U64 extent: the value, or an ASHE sum's ciphertext body
-//	  ASHE sums    then a Bytes extent: group g's identifier list, encoded
-//	               with the frame's codec — the only form a list travels in
-//	  other kinds  groups × the value's fields as varints (encodeAggFields)
-//
-// Every extent starts on an 8-byte boundary of the payload (zero bytes fill
-// the gap), so a decoder handed an aligned payload aliases the lanes in place.
-
-// groupColsSize returns the encoded size of c's extents, to within the few
-// header and padding bytes: what a multi-megabyte group-by frame reserves so
-// it is written into one allocation.
-func groupColsSize(c *engine.GroupCols) int {
-	n := c.Len()
-	if n == 0 {
-		return 0
-	}
-	size := 8*n + 8*len(c.KeyU64) + 8*len(c.KeyOff) + len(c.KeyArena) + 8*len(c.Suffix)
-	for i := range c.Aggs {
-		col := &c.Aggs[i]
-		size += 8*len(col.Lane) + 8*len(col.IDOff) + len(col.IDs) + 16 + 32*len(col.Vals)
-	}
-	return size
-}
-
+// encodeGroupCols appends the group section: the engine's column set written
+// column by column in the column-extent encoding durable segments and scan
+// chunks use (store/colframe.go; docs/FORMAT.md §3.1 specifies the section).
+// A varint header — group count, key kind, inflation flag, fixed key length,
+// aggregate kinds — is followed by the extents in a fixed order: row counts,
+// suffixes, keys, then per aggregate its lane, an ASHE sum's identifier-list
+// block (each list once, encoded with the frame's codec), or a generic kind's
+// values as varint fields. Every extent starts on an 8-byte boundary of the
+// payload, so a decoder handed an aligned payload aliases the lanes in place.
 func encodeGroupCols(e *enc, c *engine.GroupCols) error {
 	n := c.Len()
 	e.uint(uint64(n))
@@ -305,7 +286,7 @@ func decodeGroupCols(d *dec) *engine.GroupCols {
 	n := int(groups)
 	c := &engine.GroupCols{KeyKind: store.Kind(d.uint())}
 	if c.KeyKind != store.U64 && c.KeyKind != store.Bytes && c.KeyKind != store.Str {
-		d.fail("group key kind")
+		d.invalid("group key kind")
 	}
 	inflated := d.bool()
 	keyLen := uint64(0)
@@ -320,7 +301,7 @@ func decodeGroupCols(d *dec) *engine.GroupCols {
 	for i := range c.Aggs {
 		c.Aggs[i].Kind = engine.AggKind(d.uint())
 		if c.Aggs[i].Kind < 0 || c.Aggs[i].Kind > engine.AggOpeMedian {
-			d.fail("aggregate kind")
+			d.invalid("aggregate kind")
 		}
 	}
 
@@ -330,7 +311,7 @@ func decodeGroupCols(d *dec) *engine.GroupCols {
 			c.Suffix = make([]int32, n)
 			for g, w := range words {
 				if v := int64(w); v < -1 || v > math.MaxInt32 {
-					d.fail("group suffix")
+					d.invalid("group suffix")
 				} else {
 					c.Suffix[g] = int32(v)
 				}
@@ -390,11 +371,18 @@ func decodeGroupCols(d *dec) *engine.GroupCols {
 	return c
 }
 
+// invalid latches an error for a field that is present but out of range.
+func (d *dec) invalid(what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("invalid %s at offset %d", what, d.off)
+	}
+}
+
 // align skips the zero bytes that pad the frame to the next 8-byte boundary.
 func (d *dec) align() {
 	for d.err == nil && d.off%8 != 0 {
 		if d.off >= len(d.buf) || d.buf[d.off] != 0 {
-			d.fail("extent padding")
+			d.invalid("extent padding")
 			return
 		}
 		d.off++
@@ -409,7 +397,7 @@ func (d *dec) lane(n int, what string) []uint64 {
 	}
 	col, used, err := store.DecodeColumnExtent(what, store.U64, n, d.buf[d.off:])
 	if err != nil {
-		d.fail(what)
+		d.err = fmt.Errorf("%v (at offset %d)", err, d.off)
 		return nil
 	}
 	d.off += used
@@ -425,7 +413,7 @@ func (d *dec) blob(n int, what string) (off []uint64, heap []byte) {
 	}
 	off, heap, used, err := store.DecodeBlobExtent(what, n, d.buf[d.off:])
 	if err != nil {
-		d.fail(what)
+		d.err = fmt.Errorf("%v (at offset %d)", err, d.off)
 		return nil, nil
 	}
 	d.off += used
@@ -451,20 +439,19 @@ func encodeAggFields(e *enc, av *engine.AggValue) {
 	// Partial-plan median collections: one range cannot collapse a median
 	// locally, so the collected inputs cross the wire for the coordinator's
 	// merge. All four are empty on non-Partial plans.
-	e.uint(uint64(len(av.MedU64)))
-	for _, v := range av.MedU64 {
-		e.uint(v)
-	}
+	e.uints(av.MedU64)
 	e.uint(uint64(len(av.MedOpe)))
 	for _, b := range av.MedOpe {
 		e.bytes(b)
 	}
-	e.uint(uint64(len(av.MedIDs)))
-	for _, v := range av.MedIDs {
-		e.uint(v)
-	}
-	e.uint(uint64(len(av.MedComp)))
-	for _, v := range av.MedComp {
+	e.uints(av.MedIDs)
+	e.uints(av.MedComp)
+}
+
+// uints appends a counted run of uvarints.
+func (e *enc) uints(vs []uint64) {
+	e.uint(uint64(len(vs)))
+	for _, v := range vs {
 		e.uint(v)
 	}
 }
@@ -479,30 +466,29 @@ func decodeAggFields(d *dec, av *engine.AggValue) {
 	av.ArgID = d.uint()
 	av.CompanionBytes = d.bytes()
 
-	if n := d.uint(); d.checkCount(n, 1, "median u64s") && n > 0 {
-		av.MedU64 = make([]uint64, 0, n)
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			av.MedU64 = append(av.MedU64, d.uint())
-		}
-	}
+	av.MedU64 = d.uints("median u64s")
 	if n := d.uint(); d.checkCount(n, 1, "median opes") && n > 0 {
 		av.MedOpe = make([][]byte, 0, n)
 		for i := uint64(0); i < n && d.err == nil; i++ {
 			av.MedOpe = append(av.MedOpe, d.bytes())
 		}
 	}
-	if n := d.uint(); d.checkCount(n, 1, "median ids") && n > 0 {
-		av.MedIDs = make([]uint64, 0, n)
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			av.MedIDs = append(av.MedIDs, d.uint())
-		}
+	av.MedIDs = d.uints("median ids")
+	av.MedComp = d.uints("median companions")
+}
+
+// uints reads a counted run of uvarints (nil when empty); each consumes ≥ 1
+// payload byte, which bounds the allocation a hostile count can demand.
+func (d *dec) uints(what string) []uint64 {
+	n := d.uint()
+	if !d.checkCount(n, 1, what) || n == 0 {
+		return nil
 	}
-	if n := d.uint(); d.checkCount(n, 1, "median companions") && n > 0 {
-		av.MedComp = make([]uint64, 0, n)
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			av.MedComp = append(av.MedComp, d.uint())
-		}
+	vs := make([]uint64, 0, n)
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		vs = append(vs, d.uint())
 	}
+	return vs
 }
 
 func encodeMetrics(e *enc, m *engine.Metrics) {

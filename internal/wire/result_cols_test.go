@@ -154,7 +154,7 @@ func propResult(t testing.TB, kind store.Kind, inflated bool, aggs []engine.Agg,
 	}
 	vals := make([]engine.AggValue, 0, n*len(aggs))
 	for i := 0; i < n; i++ {
-		g := engine.Group{KeyKind: kind, Suffix: -1, Rows: uint64(1 + i%3), Aggs: vals[len(vals):len(vals):len(vals)+len(aggs)]}
+		g := engine.Group{KeyKind: kind, Suffix: -1, Rows: uint64(1 + i%3), Aggs: vals[len(vals) : len(vals) : len(vals)+len(aggs)]}
 		vals = vals[:len(vals)+len(aggs)]
 		switch kind {
 		case store.U64:
@@ -211,7 +211,7 @@ func sameGroups(a, b []engine.Group) bool {
 		}
 		for j := range g.Aggs {
 			x, y := &g.Aggs[j], &h.Aggs[j]
-			if x.Kind != y.Kind || x.U64 != y.U64 || x.Ashe.Body != y.Ashe.Body || !x.Ashe.IDs.Equal(y.Ashe.IDs) ||
+			if x.Kind != y.Kind || x.U64 != y.U64 || x.Ashe.Body != y.Ashe.Body ||
 				!bytes.Equal(x.Ashe.Encoded, y.Ashe.Encoded) || (x.Pail == nil) != (y.Pail == nil) || x.Pail != nil && x.Pail.Cmp(y.Pail) != 0 ||
 				!bytes.Equal(x.Ope, y.Ope) || x.ArgID != y.ArgID || !bytes.Equal(x.CompanionBytes, y.CompanionBytes) ||
 				!slices.Equal(x.MedU64, y.MedU64) || !slices.EqualFunc(x.MedOpe, y.MedOpe, bytes.Equal) ||
@@ -450,6 +450,10 @@ func hostileResultFrames(t testing.TB) []hostileFrame {
 		e.uint(1)
 		e.uint(3)
 		e.bool(false)
+		e.uint(0) // keyLen: offsets
+		e.uint(0) // no aggregates
+		e.lane([]uint64{1})
+		e.blob([]uint64{0, 1}, []byte{'k'})
 	})
 	add("fixed key length times group count exceeds the payload", func(e *enc) {
 		e.uint(2)

@@ -292,7 +292,6 @@ func TestResultEncodeRejectsMixedGroups(t *testing.T) {
 		"key kinds":        {{KeyKind: store.U64, Suffix: -1, Aggs: count}, {KeyKind: store.Str, KeyStr: "x", Suffix: -1, Aggs: count}},
 		"aggregate counts": {{KeyKind: store.U64, Suffix: -1, Aggs: count}, {KeyKind: store.U64, KeyU64: 1, Suffix: -1}},
 		"aggregate kinds":  {{KeyKind: store.U64, Suffix: -1, Aggs: count}, {KeyKind: store.U64, KeyU64: 1, Suffix: -1, Aggs: []engine.AggValue{{Kind: engine.AggPlainSum}}}},
-		"unencoded list":   {{KeyKind: store.U64, Suffix: -1, Aggs: []engine.AggValue{{Kind: engine.AggAsheSum, Ashe: engine.AsheAgg{IDs: idlist.FromRange(1, 2)}}}}},
 	} {
 		if _, err := EncodeResult("", &engine.Result{Groups: groups}, nil, Version); err == nil {
 			t.Errorf("groups mixing %s encoded", name)

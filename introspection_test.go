@@ -28,10 +28,25 @@ func getJSON(t *testing.T, url string, out any) int {
 	if err != nil {
 		t.Fatalf("GET %s: %v", url, err)
 	}
+	return readJSON(t, resp, out)
+}
+
+// postJSON is getJSON with an empty POST: what /debug/queries/kill requires.
+func postJSON(t *testing.T, url string, out any) int {
+	t.Helper()
+	resp, err := http.Post(url, "", nil)
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+	return readJSON(t, resp, out)
+}
+
+func readJSON(t *testing.T, resp *http.Response, out any) int {
+	t.Helper()
 	defer resp.Body.Close() //nolint:errcheck // test
 	if out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("GET %s: decode: %v", url, err)
+			t.Fatalf("%s %s: decode: %v", resp.Request.Method, resp.Request.URL, err)
 		}
 	}
 	return resp.StatusCode
@@ -182,11 +197,26 @@ func TestDebugKillProxyEndToEnd(t *testing.T) {
 	}()
 	trace := waitForActiveQuery(t, dbg.URL)
 
+	// A GET is not a kill: 405 naming the method that is, and the run lives.
+	resp, err := http.Get(dbg.URL + "/debug/queries/kill?trace=" + trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close() //nolint:errcheck // test
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodPost {
+		t.Fatalf("GET kill returned %d with Allow %q, want 405 with Allow POST", resp.StatusCode, resp.Header.Get("Allow"))
+	}
+	var live obs.QueriesPayload
+	getJSON(t, dbg.URL+"/debug/queries", &live)
+	if len(live.Active) != 1 || live.Active[0].TraceID != trace || len(errc) != 0 {
+		t.Fatalf("a GET to the kill endpoint disturbed the run: active=%+v, returned=%d", live.Active, len(errc))
+	}
+
 	killAt := time.Now()
 	var kill struct {
 		Killed bool `json:"killed"`
 	}
-	if code := getJSON(t, dbg.URL+"/debug/queries/kill?trace="+trace, &kill); code != http.StatusOK || !kill.Killed {
+	if code := postJSON(t, dbg.URL+"/debug/queries/kill?trace="+trace, &kill); code != http.StatusOK || !kill.Killed {
 		t.Fatalf("kill returned status=%d killed=%v", code, kill.Killed)
 	}
 	select {
@@ -221,11 +251,11 @@ func TestDebugKillProxyEndToEnd(t *testing.T) {
 		t.Errorf("killed trace %s never entered the flight recorder", trace)
 	}
 	// Killing a gone trace is a 404, not a panic.
-	if code := getJSON(t, dbg.URL+"/debug/queries/kill?trace="+trace, nil); code != http.StatusNotFound {
+	if code := postJSON(t, dbg.URL+"/debug/queries/kill?trace="+trace, nil); code != http.StatusNotFound {
 		t.Errorf("re-kill of a finished trace returned %d, want 404", code)
 	}
 	// A malformed trace ID is a 400.
-	if code := getJSON(t, dbg.URL+"/debug/queries/kill?trace=xyzzy", nil); code != http.StatusBadRequest {
+	if code := postJSON(t, dbg.URL+"/debug/queries/kill?trace=xyzzy", nil); code != http.StatusBadRequest {
 		t.Errorf("malformed trace returned %d, want 400", code)
 	}
 }
@@ -264,7 +294,7 @@ func TestDebugKillDaemonEndToEnd(t *testing.T) {
 	var kill struct {
 		Killed bool `json:"killed"`
 	}
-	if code := getJSON(t, dbg.URL+"/debug/queries/kill?trace="+trace, &kill); code != http.StatusOK || !kill.Killed {
+	if code := postJSON(t, dbg.URL+"/debug/queries/kill?trace="+trace, &kill); code != http.StatusOK || !kill.Killed {
 		t.Fatalf("daemon kill returned status=%d killed=%v", code, kill.Killed)
 	}
 	select {
