@@ -637,6 +637,11 @@ func (pl *Plan) taskGroupsFromMap(groups map[groupKey]*partial, kind store.Kind,
 	if lanes {
 		tg.vals = make([][]uint64, len(pl.Aggs))
 		tg.ids = make([]idLists, len(pl.Aggs))
+		for ai, a := range pl.Aggs {
+			if a.Kind == AggAsheSum {
+				tg.ids[ai].off = make([]int32, 1, len(groups)+1)
+			}
+		}
 	} else {
 		tg.parts = make([]partial, 0, len(groups))
 	}
@@ -655,9 +660,6 @@ func (pl *Plan) taskGroupsFromMap(groups map[groupKey]*partial, kind store.Kind,
 			tg.vals[ai] = append(tg.vals[ai], p.aggs[ai].u64)
 			if p.aggs[ai].kind == AggAsheSum {
 				l := &tg.ids[ai]
-				if l.off == nil {
-					l.off = make([]int32, 1, len(groups)+1)
-				}
 				l.ranges = append(l.ranges, p.aggs[ai].ids.Ranges()...)
 				l.off = append(l.off, int32(len(l.ranges)))
 			}
@@ -947,25 +949,26 @@ func gatherGroups(ms []*groupMerger) *GroupCols {
 	out.KeyU64, out.KeyOff, out.KeyArena, out.Suffix = keys.u64, keys.off, keys.arena, keys.sfx
 	for ai := range out.Aggs {
 		col := &out.Aggs[ai]
-		if col.Kind == AggAsheSum {
-			block := 0
-			for _, m := range ms {
-				block += len(m.aggs[ai].IDs)
+		if col.Lane == nil {
+			for i, r := range refs {
+				col.Vals[i] = ms[r.m].aggs[ai].Vals[r.s]
 			}
-			col.IDs = make([]byte, 0, block)
+			continue
 		}
 		for i, r := range refs {
-			src, s := &ms[r.m].aggs[ai], int(r.s)
-			switch {
-			case col.Kind == AggAsheSum:
-				col.Lane[i] = src.Lane[s]
-				col.IDs = append(col.IDs, src.IDs[src.IDOff[s]:src.IDOff[s+1]]...)
-				col.IDOff[i+1] = uint64(len(col.IDs))
-			case col.Lane != nil:
-				col.Lane[i] = src.Lane[s]
-			default:
-				col.Vals[i] = src.Vals[s]
-			}
+			col.Lane[i] = ms[r.m].aggs[ai].Lane[r.s]
+		}
+		if col.Kind != AggAsheSum {
+			continue
+		}
+		block := 0
+		for _, m := range ms {
+			block += len(m.aggs[ai].IDs)
+		}
+		col.IDs = make([]byte, 0, block)
+		for i, r := range refs {
+			col.IDs = append(col.IDs, ms[r.m].aggs[ai].EncodedIDs(int(r.s))...)
+			col.IDOff[i+1] = uint64(len(col.IDs))
 		}
 	}
 	return out

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -133,6 +134,7 @@ func (c rangeVB) AppendDecode(dst []Range, data []byte) ([]Range, error) {
 	if n > uint64(len(data))/2 {
 		return dst, fmt.Errorf("idlist: %s: range count %d exceeds payload", c.Name(), n)
 	}
+	dst = slices.Grow(dst, int(n)) // exactly what the list needs, in one step
 	base := len(dst)
 	var prevHi uint64
 	for i := uint64(0); i < n; i++ {

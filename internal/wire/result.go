@@ -343,8 +343,10 @@ func decodeGroupCols(d *dec) *engine.GroupCols {
 	}
 	for i := range c.Aggs {
 		col := &c.Aggs[i]
+		if d.err != nil {
+			return nil
+		}
 		switch {
-		case d.err != nil:
 		case col.Kind == engine.AggAsheSum:
 			col.Lane = d.lane(n, "aggregate lane")
 			col.IDOff, col.IDs = d.blob(n, "identifier lists")
