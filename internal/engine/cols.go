@@ -229,9 +229,10 @@ func colsFromGroups(groups []Group) (*GroupCols, error) {
 
 // taskGroupsFromCols views one shard's result columns as the merge input form
 // — the inverse of gatherGroups for a Partial plan — so the coordinator's
-// reduce is the engine's own. Keys, row counts and lanes are the columns
-// themselves; identifier lists decode once into one block per aggregate; only
-// a plan with generic aggregates builds a partial per group.
+// reduce is the engine's own. Keys, row counts, lanes and the identifier-list
+// blocks (still encoded: the merge decodes each list where it merges it) are
+// the columns themselves; only a plan with generic aggregates builds a partial
+// per group.
 func (pl *Plan) taskGroupsFromCols(c *GroupCols, codec idlist.Codec) (*taskGroups, error) {
 	n := c.Len()
 	if err := c.CheckPlan(pl); err != nil {
@@ -245,10 +246,7 @@ func (pl *Plan) taskGroupsFromCols(c *GroupCols, codec idlist.Codec) (*taskGroup
 			col := &c.Aggs[ai]
 			tg.vals[ai] = col.Lane
 			if col.Kind == AggAsheSum {
-				var err error
-				if tg.ids[ai], err = decodeIDLists(codec, col); err != nil {
-					return nil, err
-				}
+				tg.ids[ai] = idLists{enc: col, codec: codec}
 			}
 		}
 		return tg, nil
@@ -264,26 +262,6 @@ func (pl *Plan) taskGroupsFromCols(c *GroupCols, codec idlist.Codec) (*taskGroup
 		}
 	}
 	return tg, nil
-}
-
-// decodeIDLists decodes an ASHE column's identifier lists into one block of
-// ranges, in group order.
-func decodeIDLists(codec idlist.Codec, col *AggCol) (idLists, error) {
-	n := len(col.Lane)
-	l := idLists{off: make([]int32, n+1)}
-	// A guess at three encoded bytes per range.
-	l.ranges = make([]idlist.Range, 0, len(col.IDs)/3+n)
-	for g := 0; g < n; g++ {
-		var err error
-		if l.ranges, err = codec.AppendDecode(l.ranges, col.EncodedIDs(g)); err != nil {
-			return idLists{}, fmt.Errorf("engine: merge: decode id list: %v", err)
-		}
-		if len(l.ranges) > 1<<31-1 {
-			return idLists{}, fmt.Errorf("engine: merge: shard identifier lists hold more than 2^31 ranges")
-		}
-		l.off[g+1] = int32(len(l.ranges))
-	}
-	return l, nil
 }
 
 // fillPartial loads group g of one shard's result columns into p, the

@@ -345,86 +345,62 @@ func (c *idChains) appendRanges(dst []idlist.Range, s int) []idlist.Range {
 	return dst
 }
 
-// idRuns holds one ASHE aggregate's identifier list for every slot of a
-// merge. A merge knows, before it folds, how many ranges each slot's inputs
-// hold between them — a bound no union exceeds — so every slot owns a region
-// of one block, lists grow in place, and the finished lists are views of the
-// block: nothing is copied out.
-type idRuns struct {
-	ranges []idlist.Range
-	slots  []idRun
-}
-
-// idRun is one slot's list: ranges[start:start+len], room to start+size, and
-// its identifier count n (with multiplicity, as idlist.List keeps it). ragged
-// marks a list that is not both sorted by Lo and free of abutting neighbours;
-// merge takes its general path on such a list.
+// idRun is one slot's identifier list while a merge builds it: the slot's
+// input lists merge into one reused buffer, in input order, and the finished
+// list is encoded before the next slot's begins, so a merge holds one decoded
+// list at a time however many groups it folds. n is the identifier count (with
+// multiplicity, as idlist.List keeps it); ragged marks a list that is not both
+// sorted by Lo and free of abutting neighbours, on which merge takes its
+// general path.
 type idRun struct {
-	n                uint64
-	start, len, size int32
-	ragged           bool
+	ranges []idlist.Range
+	n      uint64
+	ragged bool
 }
 
-// layout fixes every slot's region from the sizes counted into slots.
-func (r *idRuns) layout() {
-	at := int32(0)
-	for s := range r.slots {
-		r.slots[s].start = at
-		at += r.slots[s].size
-	}
-	r.ranges = make([]idlist.Range, at)
-}
-
-// list returns slot s's list, aliasing the block.
-func (r *idRuns) list(s int) idlist.List {
-	sl := &r.slots[s]
-	return idlist.View(r.ranges[sl.start : sl.start+sl.len])
-}
-
-// set replaces the slot's list with rs, verbatim: List.Clone.
-func (r *idRuns) set(sl *idRun, rs []idlist.Range, n uint64) {
-	sl.n, sl.ragged = n, false
-	sl.len = int32(copy(r.ranges[sl.start:sl.start+sl.size], rs))
+// set makes rs, n identifiers, the list, verbatim: List.Clone. rs may be the
+// run's own buffer.
+func (r *idRun) set(rs []idlist.Range, n uint64) {
+	r.ranges, r.n, r.ragged = rs, n, false
 	for i := 1; i < len(rs); i++ {
 		if rs[i].Lo < rs[i-1].Lo || (rs[i].Lo == rs[i-1].Hi+1 && rs[i-1].Hi != ^uint64(0)) {
-			sl.ragged = true
+			r.ragged = true
 		}
 	}
 }
 
-// merge unions src into slot s with exactly List.Merge's outcome. Map tasks
+// merge unions src into the list with exactly List.Merge's outcome. Map tasks
 // and shards hold ascending, disjoint identifier runs, so nearly every merge
-// finds src starting at or after the slot's last range — the Lo-ordered merge
-// then emits the slot's ranges unchanged followed by src's, which is an append
+// finds src starting at or after the list's last range — the Lo-ordered merge
+// then emits the list's ranges unchanged followed by src's, which is an append
 // (each range extending the last when it abuts it). Interleaved inputs
-// (appended batches) take the general merge through scratch.
-func (r *idRuns) merge(s int32, src idlist.List, scratch *[]idlist.Range) {
+// (appended batches) take the general merge into scratch, which then trades
+// places with the list's buffer.
+func (r *idRun) merge(src idlist.List, scratch *[]idlist.Range) {
 	if src.Empty() {
 		return
 	}
-	sl := &r.slots[s]
 	rs := src.Ranges()
-	run := r.ranges[sl.start : sl.start+sl.len : sl.start+sl.size]
 	switch {
-	case sl.n == 0:
-		r.set(sl, rs, src.Len())
-	case !sl.ragged && run[len(run)-1].Lo <= rs[0].Lo:
+	case r.n == 0:
+		r.set(append(r.ranges[:0], rs...), src.Len())
+	case !r.ragged && r.ranges[len(r.ranges)-1].Lo <= rs[0].Lo:
 		for _, next := range rs {
-			last := &run[len(run)-1]
+			last := &r.ranges[len(r.ranges)-1]
 			if next.Lo == last.Hi+1 && last.Hi != ^uint64(0) {
 				last.Hi = next.Hi
 				continue
 			}
 			if next.Lo < last.Lo {
-				sl.ragged = true
+				r.ragged = true
 			}
-			run = append(run, next)
+			r.ranges = append(r.ranges, next)
 		}
-		sl.len = int32(len(run))
-		sl.n += src.Len()
+		r.n += src.Len()
 	default:
-		*scratch = idlist.MergeRanges((*scratch)[:0], run, rs)
-		r.set(sl, *scratch, sl.n+src.Len())
+		merged := idlist.MergeRanges((*scratch)[:0], r.ranges, rs)
+		*scratch = r.ranges
+		r.set(merged, r.n+src.Len())
 	}
 }
 
@@ -520,30 +496,57 @@ type taskGroups struct {
 
 // idLists is one ASHE aggregate's identifier list per group, in whichever
 // form the set's producer already had: a map task's lists stay chained in the
-// grouper's arena; a shard result's (decodeIDLists) and the reference
-// evaluator's are runs of one block, group g's being ranges[off[g]:off[g+1]].
+// grouper's arena; the reference evaluator's are runs of one block, group g's
+// being ranges[off[g]:off[g+1]]; a shard result's stay codec-encoded in its
+// column (enc) until the merge reaches them.
 type idLists struct {
 	chains *idChains
 	ranges []idlist.Range
 	off    []int32
+	enc    *AggCol
+	codec  idlist.Codec
 }
 
-// at returns group g's list; a chained list is laid out in scratch, which the
-// returned list aliases until the next call.
-func (l *idLists) at(g int, scratch *[]idlist.Range) idlist.List {
-	if l.chains == nil {
-		return idlist.View(l.ranges[l.off[g]:l.off[g+1]])
+// at returns group g's list; a chained or encoded list is laid out in scratch,
+// which the returned list aliases until the next call.
+func (l *idLists) at(g int, scratch *[]idlist.Range) (idlist.List, error) {
+	switch {
+	case l.chains != nil:
+		*scratch = l.chains.appendRanges((*scratch)[:0], g)
+	case l.enc != nil:
+		rs, err := l.codec.AppendDecode((*scratch)[:0], l.enc.EncodedIDs(g))
+		if err != nil {
+			return idlist.List{}, fmt.Errorf("engine: merge: decode id list: %v", err)
+		}
+		*scratch = rs
+	default:
+		return idlist.View(l.ranges[l.off[g]:l.off[g+1]]), nil
 	}
-	*scratch = l.chains.appendRanges((*scratch)[:0], g)
-	return idlist.View(*scratch)
+	return idlist.View(*scratch), nil
 }
 
-// numRanges returns the range count of group g's list.
+// numRanges returns the range count of group g's list, which a chained or
+// block list knows without laying it out (an encoded one does not: only
+// sizeShuffle asks, and only of a map task's or the reference evaluator's).
 func (l *idLists) numRanges(g int) int {
 	if l.chains == nil {
 		return int(l.off[g+1] - l.off[g])
 	}
 	return int(l.chains.slots[g].count)
+}
+
+// encodedHint guesses the encoded size of group g's list: the encoding itself
+// when the list arrived encoded, else a few bytes per range — or per
+// identifier, for short lists.
+func (l *idLists) encodedHint(g int) int {
+	switch {
+	case l.enc != nil:
+		return int(l.enc.IDOff[g+1] - l.enc.IDOff[g])
+	case l.chains != nil:
+		sl := &l.chains.slots[g]
+		return 2 + 4*int(min(sl.n, 2*uint64(sl.count)))
+	}
+	return 2 + 8*int(l.off[g+1]-l.off[g])
 }
 
 // bucket returns the groups reducerBucket assigns to reducer b.
@@ -616,8 +619,11 @@ func (tg *taskGroups) sizeShuffle(pl *Plan, codec idlist.Codec) error {
 				total += 16 * lists.numRanges(g) // raw ranges on the wire
 				continue
 			}
-			var err error
-			if scratch, err = codec.AppendEncode(scratch[:0], lists.at(g, &ranges)); err != nil {
+			list, err := lists.at(g, &ranges)
+			if err != nil {
+				return err
+			}
+			if scratch, err = codec.AppendEncode(scratch[:0], list); err != nil {
 				return fmt.Errorf("engine: encode id list: %v", err)
 			}
 			total += len(scratch)
@@ -694,15 +700,17 @@ func (in groupSel) at(i int) int {
 
 // groupMerger is the one merge of group sets into a slot table: the reduce of
 // a run's map tasks (one merger per reducer bucket) and the coordinator's
-// merge of shard results are both this routine. Lanes add as lanes and
-// identifier lists append as runs; generic slots fold through mergePartial.
+// merge of shard results are both this routine. Lanes add as lanes; generic
+// slots fold through mergePartial; identifier lists merge slot by slot as
+// finish encodes them.
 type groupMerger struct {
-	pl      *Plan
-	t       slotTable
-	acc     groupAcc
-	ids     []idRuns       // [aggregate]; used by AggAsheSum in lane mode
-	list    []idlist.Range // a chained input list, laid out for one merge
-	scratch []idlist.Range // idRuns.merge's general path
+	pl  *Plan
+	t   slotTable
+	acc groupAcc
+	// The inputs and, per input group in input order, the slot it folded into:
+	// what finish needs to find each slot's identifier lists.
+	inputs []groupSel
+	dst    []int32
 
 	// finish's output: the slots' aggregate columns, in slot order — lanes
 	// are the accumulators themselves, identifier lists are encoded into one
@@ -716,7 +724,7 @@ type groupMerger struct {
 // then accumulate into vectors allocated at exactly that size — so a merge
 // allocates a fixed number of blocks however many groups it folds.
 func mergeGroupSets(pl *Plan, inputs []groupSel) *groupMerger {
-	m := &groupMerger{pl: pl}
+	m := &groupMerger{pl: pl, inputs: inputs}
 	m.acc.init(pl)
 	total, largest := 0, 0
 	for _, in := range inputs {
@@ -734,36 +742,16 @@ func mergeGroupSets(pl *Plan, inputs []groupSel) *groupMerger {
 	m.t.init(keys.kind, inflated, total)
 	m.t.reserve(largest, keys.keyLen())
 
-	dst := make([]int32, total) // per input group, its slot
+	m.dst = make([]int32, total)
 	at := 0
 	for _, in := range inputs {
-		m.intern(in, dst[at:at+in.len()])
+		m.intern(in, m.dst[at:at+in.len()])
 		at += in.len()
 	}
 	m.acc.alloc(m.t.len())
-	if m.acc.lanes {
-		m.ids = make([]idRuns, len(pl.Aggs))
-		for ai, a := range pl.Aggs {
-			if a.Kind != AggAsheSum {
-				continue
-			}
-			// A slot's region holds as many ranges as its inputs do together.
-			runs := &m.ids[ai]
-			runs.slots = make([]idRun, m.t.len())
-			at = 0
-			for _, in := range inputs {
-				lists := &in.set.ids[ai]
-				for i, d := range dst[at : at+in.len()] {
-					runs.slots[d].size += int32(lists.numRanges(in.at(i)))
-				}
-				at += in.len()
-			}
-			runs.layout()
-		}
-	}
 	at = 0
 	for _, in := range inputs {
-		m.fold(in, dst[at:at+in.len()])
+		m.fold(in, m.dst[at:at+in.len()])
 		at += in.len()
 	}
 	return m
@@ -807,16 +795,10 @@ func (m *groupMerger) fold(in groupSel, dst []int32) {
 	for ai, a := range m.pl.Aggs {
 		lane, src := m.acc.vals[ai], in.set.vals[ai]
 		switch a.Kind {
-		case AggCount, AggPlainSum, AggPlainSumSq:
+		case AggCount, AggPlainSum, AggPlainSumSq, AggAsheSum:
+			// An ASHE sum's bodies add here; its identifier lists merge in finish.
 			for i, d := range dst {
 				lane[d] += src[in.at(i)]
-			}
-		case AggAsheSum:
-			ids, lists := &m.ids[ai], &in.set.ids[ai]
-			for i, d := range dst {
-				g := in.at(i)
-				lane[d] += src[g]
-				ids.merge(d, lists.at(g, &m.list), &m.scratch)
 			}
 		case AggPlainMin:
 			for i, d := range dst {
@@ -830,9 +812,38 @@ func (m *groupMerger) fold(in groupSel, dst []int32) {
 	}
 }
 
+// groupRef names group g of a merge's input number in.
+type groupRef struct{ in, g int32 }
+
+// bySlot lists the merge's input groups under the slots they folded into:
+// slot s's are refs[start[s]:start[s+1]], in input order. One counting sort.
+func (m *groupMerger) bySlot() (start []int32, refs []groupRef) {
+	n := m.t.len()
+	start = make([]int32, n+1)
+	for _, d := range m.dst {
+		start[d+1]++
+	}
+	for s := 0; s < n; s++ {
+		start[s+1] += start[s]
+	}
+	refs = make([]groupRef, len(m.dst))
+	next := slices.Clone(start[:n])
+	at := 0
+	for ii, in := range m.inputs {
+		for i := 0; i < in.len(); i++ {
+			d := m.dst[at]
+			refs[next[d]] = groupRef{int32(ii), int32(in.at(i))}
+			next[d]++
+			at++
+		}
+	}
+	return start, refs
+}
+
 // finish converts the merged slots into result columns, in slot order —
-// encoding ASHE identifier lists for the client, collapsing medians — and
-// totals the groups' serialized size. It is the reducer's last measured step.
+// merging and encoding ASHE identifier lists for the client, collapsing
+// medians — and totals the groups' serialized size. It is the reducer's last
+// measured step.
 func (m *groupMerger) finish(codec idlist.Codec) error {
 	n, na := m.t.len(), len(m.pl.Aggs)
 	m.bytes = 8 * n // key + row count, roughly
@@ -852,25 +863,45 @@ func (m *groupMerger) finish(codec idlist.Codec) error {
 	}
 	m.bytes += 8 * n * na
 	m.aggs = make([]AggCol, na)
+	var (
+		start         []int32
+		refs          []groupRef
+		run           idRun
+		list, scratch []idlist.Range // an input list laid out; idRun.merge's general path
+	)
 	for ai, a := range m.pl.Aggs {
 		col := &m.aggs[ai]
 		col.Kind, col.Lane = a.Kind, m.acc.vals[ai]
 		if a.Kind != AggAsheSum {
 			continue
 		}
-		// One block for the aggregate's encodings, started at a guess of what
-		// the lists need (a few bytes per range, or per identifier for short
-		// lists) so that it seldom regrows.
-		runs := &m.ids[ai]
-		ids := uint64(0)
-		for s := range runs.slots {
-			ids += runs.slots[s].n
+		if refs == nil {
+			start, refs = m.bySlot()
 		}
-		col.IDs = make([]byte, 0, 2*n+4*int(min(ids, uint64(2*len(runs.ranges)))))
+		// One block for the aggregate's encodings, started at a guess of what
+		// the lists need so that it seldom regrows.
+		hint := 2 * n
+		for _, in := range m.inputs {
+			lists := &in.set.ids[ai]
+			for i := 0; i < in.len(); i++ {
+				hint += lists.encodedHint(in.at(i))
+			}
+		}
+		col.IDs = make([]byte, 0, hint)
 		col.IDOff = make([]uint64, n+1)
+		// Each slot's list is the merge of its inputs' lists, in input order
+		// (decoded here when they arrived encoded), and is encoded at once.
 		for s := 0; s < n; s++ {
+			run.set(run.ranges[:0], 0)
+			for _, r := range refs[start[s]:start[s+1]] {
+				src, err := m.inputs[r.in].set.ids[ai].at(int(r.g), &list)
+				if err != nil {
+					return err
+				}
+				run.merge(src, &scratch)
+			}
 			var err error
-			if col.IDs, err = codec.AppendEncode(col.IDs, runs.list(s)); err != nil {
+			if col.IDs, err = codec.AppendEncode(col.IDs, idlist.View(run.ranges)); err != nil {
 				return fmt.Errorf("engine: encode result id list: %v", err)
 			}
 			col.IDOff[s+1] = uint64(len(col.IDs))

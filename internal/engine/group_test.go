@@ -7,7 +7,7 @@ import (
 	"seabed/internal/idlist"
 )
 
-// TestIDRunsMergeMatchesListMerge pins the merge's identifier-list lane to
+// TestIDRunsMergeMatchesListMerge pins the merge's identifier-list run to
 // idlist.List.Merge, range for range: ascending disjoint runs (the append
 // fast path), abutting runs that must coalesce, interleaved and overlapping
 // runs (the general path), empty inputs, and lists that arrive unsorted.
@@ -30,6 +30,8 @@ func TestIDRunsMergeMatchesListMerge(t *testing.T) {
 		}
 		return idlist.FromRanges(rs)
 	}
+	var run idRun
+	var scratch []idlist.Range
 	for trial := 0; trial < 2000; trial++ {
 		inputs := make([]idlist.List, 1+rng.Intn(6))
 		for i := range inputs {
@@ -48,17 +50,12 @@ func TestIDRunsMergeMatchesListMerge(t *testing.T) {
 			}
 		}
 		var want idlist.List
-		runs := idRuns{slots: make([]idRun, 1)}
+		run.set(run.ranges[:0], 0) // one run, reused, as finish reuses it
 		for _, in := range inputs {
 			want.Merge(in)
-			runs.slots[0].size += int32(in.NumRanges())
+			run.merge(in, &scratch)
 		}
-		runs.layout()
-		var scratch []idlist.Range
-		for _, in := range inputs {
-			runs.merge(0, in, &scratch)
-		}
-		if got := runs.list(0); !got.Equal(want) {
+		if got := idlist.View(run.ranges); !got.Equal(want) {
 			t.Fatalf("trial %d: merging %v\n got %v (n=%d)\nwant %v (n=%d)", trial, inputs, got, got.Len(), want, want.Len())
 		}
 	}
