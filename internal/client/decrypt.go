@@ -387,22 +387,39 @@ func (d *decrypter) scanRow(cols []translate.ScanCol, sr *engine.ScanRow) (Row, 
 }
 
 // keyOrder returns the order result rows take: the n groups' indices sorted
-// stably by decrypted group key (string keys as strings, others as integers),
-// or as they are when the query has no group key. Sorting 4-byte indices
-// rather than the rows keeps the sort's moves free of pointers.
+// by decrypted group key (string keys as strings, others as integers), equal
+// keys in group order, or as they are when the query has no group key. Integer
+// keys sort beside their indices, so a comparison reads no Value.
 func keyOrder(keys []Value, n int) []int32 {
 	order := make([]int32, n)
 	for i := range order {
 		order[i] = int32(i)
 	}
-	if keys != nil {
-		slices.SortStableFunc(order, func(a, b int32) int {
-			ka, kb := &keys[a], &keys[b]
-			if ka.Kind == Str || kb.Kind == Str {
-				return cmp.Compare(ka.Str, kb.Str)
-			}
-			return cmp.Compare(ka.I64, kb.I64)
+	if n == 0 || keys == nil {
+		return order
+	}
+	if keys[0].Kind == Str {
+		slices.SortFunc(order, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(keys[a].Str, keys[b].Str), cmp.Compare(a, b))
 		})
+		return order
+	}
+	type ref struct {
+		k int64
+		g int32
+	}
+	refs := make([]ref, n)
+	for g := range refs {
+		refs[g] = ref{keys[g].I64, int32(g)}
+	}
+	slices.SortFunc(refs, func(a, b ref) int {
+		if a.k != b.k {
+			return cmp.Compare(a.k, b.k)
+		}
+		return cmp.Compare(a.g, b.g)
+	})
+	for i, r := range refs {
+		order[i] = r.g
 	}
 	return order
 }

@@ -408,9 +408,9 @@ func (r *idRun) merge(src idlist.List, scratch *[]idlist.Range) {
 
 // groupAcc is the per-slot accumulator storage beside a slotTable, in one of
 // two modes fixed by the plan (Plan.groupLanes): flat lanes — one u64 lane per
-// aggregate, beside which its owner keeps the ASHE sums' identifier lists
-// (idChains in a map task, idRuns in a merge) — or one generic partial per
-// slot. The row-count lane serves both modes; a slot's partial leaves its own
+// aggregate, beside which a map task keeps the ASHE sums' identifier lists
+// (idChains; a merge builds them slot by slot in finish) — or one generic
+// partial per slot. The row-count lane serves both modes; a slot's partial leaves its own
 // rows field unused.
 type groupAcc struct {
 	aggs  []Agg
@@ -496,13 +496,11 @@ type taskGroups struct {
 
 // idLists is one ASHE aggregate's identifier list per group, in whichever
 // form the set's producer already had: a map task's lists stay chained in the
-// grouper's arena; the reference evaluator's are runs of one block, group g's
-// being ranges[off[g]:off[g+1]]; a shard result's stay codec-encoded in its
-// column (enc) until the merge reaches them.
+// grouper's arena; the reference evaluator's are lists of their own; a shard
+// result's stay codec-encoded in its column (enc) until the merge reaches them.
 type idLists struct {
 	chains *idChains
-	ranges []idlist.Range
-	off    []int32
+	lists  []idlist.List
 	enc    *AggCol
 	codec  idlist.Codec
 }
@@ -520,17 +518,18 @@ func (l *idLists) at(g int, scratch *[]idlist.Range) (idlist.List, error) {
 		}
 		*scratch = rs
 	default:
-		return idlist.View(l.ranges[l.off[g]:l.off[g+1]]), nil
+		return l.lists[g], nil
 	}
 	return idlist.View(*scratch), nil
 }
 
-// numRanges returns the range count of group g's list, which a chained or
-// block list knows without laying it out (an encoded one does not: only
-// sizeShuffle asks, and only of a map task's or the reference evaluator's).
+// numRanges returns the range count of group g's list, which a chained list
+// or a list of its own knows without being laid out (an encoded one does not:
+// only sizeShuffle asks, and only of a map task's or the reference
+// evaluator's).
 func (l *idLists) numRanges(g int) int {
 	if l.chains == nil {
-		return int(l.off[g+1] - l.off[g])
+		return l.lists[g].NumRanges()
 	}
 	return int(l.chains.slots[g].count)
 }
@@ -546,7 +545,7 @@ func (l *idLists) encodedHint(g int) int {
 		sl := &l.chains.slots[g]
 		return 2 + 4*int(min(sl.n, 2*uint64(sl.count)))
 	}
-	return 2 + 8*int(l.off[g+1]-l.off[g])
+	return 2 + 4*int(min(l.lists[g].Len(), 2*uint64(l.lists[g].NumRanges())))
 }
 
 // bucket returns the groups reducerBucket assigns to reducer b.
@@ -643,11 +642,6 @@ func (pl *Plan) taskGroupsFromMap(groups map[groupKey]*partial, kind store.Kind,
 	if lanes {
 		tg.vals = make([][]uint64, len(pl.Aggs))
 		tg.ids = make([]idLists, len(pl.Aggs))
-		for ai, a := range pl.Aggs {
-			if a.Kind == AggAsheSum {
-				tg.ids[ai].off = make([]int32, 1, len(groups)+1)
-			}
-		}
 	} else {
 		tg.parts = make([]partial, 0, len(groups))
 	}
@@ -665,9 +659,7 @@ func (pl *Plan) taskGroupsFromMap(groups map[groupKey]*partial, kind store.Kind,
 		for ai := range p.aggs {
 			tg.vals[ai] = append(tg.vals[ai], p.aggs[ai].u64)
 			if p.aggs[ai].kind == AggAsheSum {
-				l := &tg.ids[ai]
-				l.ranges = append(l.ranges, p.aggs[ai].ids.Ranges()...)
-				l.off = append(l.off, int32(len(l.ranges)))
+				tg.ids[ai].lists = append(tg.ids[ai].lists, p.aggs[ai].ids)
 			}
 		}
 	}

@@ -28,7 +28,7 @@ func TestIDRunsMergeMatchesListMerge(t *testing.T) {
 				lo = hi + 2 + uint64(rng.Intn(10))
 			}
 		}
-		return idlist.FromRanges(rs)
+		return idlist.View(rs)
 	}
 	var run idRun
 	var scratch []idlist.Range
@@ -45,7 +45,7 @@ func TestIDRunsMergeMatchesListMerge(t *testing.T) {
 						rs[k].Lo += base
 						rs[k].Hi += base
 					}
-					inputs[i] = idlist.FromRanges(rs)
+					inputs[i] = idlist.View(rs)
 				}
 			}
 		}

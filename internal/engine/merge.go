@@ -116,9 +116,9 @@ func DeflateGroups(pl *Plan, c *GroupCols) (*GroupCols, error) {
 
 // mergeGroups folds column sets through the engine's own reduce: each set is
 // viewed as merge input, one groupMerger folds same-key groups (adding lanes,
-// appending identifier-list runs, or merging partials for Paillier/OPE/median
-// mixes) and finishes them (encodes merged id-lists, collapses medians)
-// exactly as an in-process reducer does. Within one set keys may repeat. It
+// or merging partials for Paillier/OPE/median mixes) and finishes them (merges
+// and encodes their id-lists, collapses medians) exactly as an in-process
+// reducer does. Within one set keys may repeat. It
 // returns the merged columns, in key order, with their serialized size.
 func mergeGroups(pl *Plan, sets []*GroupCols) (*GroupCols, int, error) {
 	if len(sets) == 0 {

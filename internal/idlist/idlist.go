@@ -35,32 +35,12 @@ func FromRange(lo, hi uint64) List {
 	return l
 }
 
-// FromRanges reconstructs a list from a previously captured range
-// decomposition (see Ranges), verbatim: no coalescing or re-sorting is
-// applied, so a list survives a Ranges → FromRanges round trip — the wire
-// protocol relies on this. It panics if any range is inverted.
-func FromRanges(rs []Range) List {
-	var l List
-	if len(rs) == 0 {
-		return l
-	}
-	l.ranges = make([]Range, len(rs))
-	for i, r := range rs {
-		if r.Lo > r.Hi {
-			panic(fmt.Sprintf("idlist: FromRanges: range %d [%d, %d] inverted", i, r.Lo, r.Hi))
-		}
-		l.ranges[i] = r
-		l.n += r.Span()
-	}
-	return l
-}
-
 // View wraps a range decomposition as a List without copying it: the list
 // aliases rs, which must not be modified while the list is in use (appending
 // to the list is safe — the slice is capped, so growth reallocates). It is
-// how the engine, the wire decoder and the client carve many lists out of one
-// backing array. Like FromRanges it applies no coalescing or re-sorting;
-// unlike it, an inverted range is counted with wrap-around instead of
+// how the engine and the client carve many lists out of one backing array. It
+// applies no coalescing or re-sorting, so a list survives a Ranges → View
+// round trip, and an inverted range is counted with wrap-around instead of
 // panicking, because callers hand it ranges decoded from an untrusted peer.
 func View(rs []Range) List {
 	l := List{ranges: rs[:len(rs):len(rs)]}
