@@ -263,52 +263,3 @@ func (pl *Plan) taskGroupsFromCols(c *GroupCols, codec idlist.Codec) (*taskGroup
 	}
 	return tg, nil
 }
-
-// fillPartial loads group g of one shard's result columns into p, the
-// engine's in-flight accumulator representation — the inverse of finishAggs
-// for a Partial plan — so the coordinator's reduce runs through mergePartial
-// unchanged. p.aggs must hold one aggState per aggregate. Field copies and
-// identifier-list decoding only; no aggregation semantics live here.
-func fillPartial(p *partial, c *GroupCols, g int, codec idlist.Codec) error {
-	rows := c.Rows[g]
-	for i := range c.Aggs {
-		col, st := &c.Aggs[i], &p.aggs[i]
-		st.kind = col.Kind
-		switch col.Kind {
-		case AggCount, AggPlainSum, AggPlainSumSq:
-			st.u64 = col.Lane[g]
-		case AggAsheSum:
-			st.u64 = col.Lane[g]
-			ids, err := codec.Decode(col.EncodedIDs(g))
-			if err != nil {
-				return fmt.Errorf("engine: merge: decode id list: %v", err)
-			}
-			st.ids = ids
-		case AggPaillierSum:
-			if col.Vals[g].Pail == nil {
-				return fmt.Errorf("engine: merge: shard group missing Paillier ciphertext for aggregate %d", i)
-			}
-			st.pail = col.Vals[g].Pail
-		case AggPlainMin, AggPlainMax:
-			st.u64 = col.Lane[g]
-			st.seen = rows > 0
-		case AggOpeMin, AggOpeMax:
-			av := &col.Vals[g]
-			st.ope = av.Ope
-			st.argID = av.ArgID
-			st.u64 = av.U64
-			st.compBytes = av.CompanionBytes
-			st.seen = rows > 0 && len(av.Ope) > 0
-		case AggPlainMedian:
-			st.medU64 = col.Vals[g].MedU64
-		case AggOpeMedian:
-			av := &col.Vals[g]
-			st.medOpe = av.MedOpe
-			st.medIDs = av.MedIDs
-			st.medComp = av.MedComp
-		default:
-			return fmt.Errorf("engine: merge: unknown aggregate kind %d", col.Kind)
-		}
-	}
-	return nil
-}
