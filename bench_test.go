@@ -21,7 +21,7 @@ import (
 
 // benchCfg keeps each iteration around a second. Workers is left unset so
 // Quick runs inherit engine.DefaultWorkers — benchmarks and an unconfigured
-// engine simulate the same machine.
+// engine partition group-bys alike.
 func benchCfg() bench.Config {
 	return bench.Config{Quick: true, Scale: 50_000, Trials: 1, Seed: 42}
 }

@@ -44,7 +44,7 @@ func run() int {
 	runFlag := flag.String("run", "", "comma-separated experiment names (default: all); use -list to enumerate")
 	list := flag.Bool("list", false, "list experiments and exit")
 	scale := flag.Uint64("scale", 10_000, "divide the paper's row counts by this factor")
-	workers := flag.Int("workers", 100, "simulated cluster worker count (paper: 100 cores)")
+	workers := flag.Int("workers", 100, "modelled cluster worker count (paper: 100 cores); also each engine's reducer buckets")
 	quick := flag.Bool("quick", false, "shrink sweeps and datasets for a fast smoke run")
 	trials := flag.Int("trials", 0, "runs per measured point (0 = default)")
 	seed := flag.Int64("seed", 42, "generator seed")

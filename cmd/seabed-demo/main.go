@@ -18,7 +18,7 @@ import (
 
 func main() {
 	rows := flag.Int("rows", 50_000, "dataset size")
-	workers := flag.Int("workers", 8, "simulated cluster workers (embedded mode)")
+	workers := flag.Int("workers", 8, "reducer buckets of the embedded cluster (embedded mode)")
 	addr := flag.String("addr", "", "address of a running seabed-server; empty runs an embedded cluster")
 	addrs := flag.String("addrs", "", "comma-separated addresses of N seabed-server shards (scatter-gather mode)")
 	replicas := flag.Int("replicas", 0, "with -addrs: replicate each identifier range on R daemons (failover and healing need R >= 2); 0 means 1, sharding without redundancy")
@@ -80,7 +80,7 @@ func run(rows, workers int, addr, addrs string, replicas int, hedge float64) err
 		where = fmt.Sprintf("seabed-server at %s (%d workers)", addr, workers)
 	default:
 		cluster = seabed.NewCluster(seabed.ClusterConfig{Workers: workers})
-		where = fmt.Sprintf("%d simulated workers (embedded)", workers)
+		where = fmt.Sprintf("%d workers (embedded)", workers)
 	}
 
 	fmt.Println("Seabed demo — big data analytics over encrypted datasets")
@@ -238,9 +238,8 @@ func run(rows, workers int, addr, addrs string, replicas int, hedge float64) err
 		if len(encRows) > limit {
 			fmt.Printf("    … %d more groups\n", len(encRows)-limit)
 		}
-		fmt.Printf("    latency: server %.4fs + network %.4fs + client %.4fs = %.4fs (PRF evals: %d)\n",
-			encRes.ServerTime.Seconds(), encRes.NetworkTime.Seconds(),
-			encRes.ClientTime.Seconds(), encRes.TotalTime.Seconds(), encRes.PRFEvals)
+		fmt.Printf("    measured: server %.4fs, client %.4fs, total %.4fs (PRF evals: %d)\n",
+			encRes.ServerTime.Seconds(), encRes.ClientTime.Seconds(), encRes.TotalTime.Seconds(), encRes.PRFEvals)
 	}
 	return nil
 }

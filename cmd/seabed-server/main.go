@@ -135,9 +135,9 @@ func parseShard(s string) (i, n int, err error) {
 
 func main() {
 	addr := flag.String("addr", ":7687", "TCP listen address")
-	workers := flag.Int("workers", engine.DefaultWorkers, "simulated cluster workers (the x-axis of Figure 7)")
+	workers := flag.Int("workers", engine.DefaultWorkers, "reducer buckets per group-by; also what group inflation aims at and a quarter of the proxy's default partition count")
 	parallelism := flag.Int("parallelism", 0, "bound on real task goroutines (0 = NumCPU)")
-	seed := flag.Uint64("seed", 0, "seed for straggler injection and group inflation")
+	seed := flag.Uint64("seed", 0, "seed for group inflation")
 	shard := flag.String("shard", "", "shard identity i/n in a sharded deployment (e.g. 0/3)")
 	metrics := flag.Bool("metrics", false, "print per-connection/table stats on SIGUSR1")
 	metricsFormat := flag.String("metrics-format", "text", "SIGUSR1 stats rendering: text or json")

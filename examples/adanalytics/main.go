@@ -80,7 +80,7 @@ func run(rows int) error {
 	for _, row := range resRows {
 		fmt.Printf("  hour %-2s revenue %s\n", row.Key.Display(), row.Values[1].Display())
 	}
-	fmt.Printf("  latency: %v (server %v, client %v)\n\n", res.TotalTime, res.ServerTime, res.ClientTime)
+	fmt.Printf("  measured: total %v (server %v, client %v)\n\n", res.TotalTime, res.ServerTime, res.ClientTime)
 
 	// The three-system comparison on one query.
 	fmt.Println("system comparison: SELECT hour, SUM(m1) WHERE hour < 4 GROUP BY hour")

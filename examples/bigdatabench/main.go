@@ -74,8 +74,8 @@ func run(visits int) error {
 		line := fmt.Sprintf("%-5s %-10s", q.Name, kind)
 		var resultCount int
 		for _, mode := range modes {
-			// Server-side timing, as in §6.7 ("we do not measure the
-			// client-side cost of any of the compared systems").
+			// Measured server-side time, as in §6.7 ("we do not measure
+			// the client-side cost of any of the compared systems").
 			res, err := proxy.Query(ctx, q.SQL, seabed.WithMode(mode), seabed.WithServerOnly())
 			if err != nil {
 				return fmt.Errorf("%s %v: %v", q.Name, mode, err)

@@ -80,7 +80,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("\nSUM(amount) WHERE region='east' = %s  (expect 650)\n", rows[0].Values[0].Display())
-	fmt.Printf("latency: server %v + network %v + client %v\n",
-		res.ServerTime, res.NetworkTime, res.ClientTime)
+	fmt.Printf("measured: server %v, client %v, total %v\n",
+		res.ServerTime, res.ClientTime, res.TotalTime)
 	return nil
 }

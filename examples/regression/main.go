@@ -93,7 +93,7 @@ func run() error {
 	fmt.Printf("linear regression over %d encrypted rows (one round trip):\n", rows)
 	fmt.Printf("  slope     = %.4f   (true: 3.0)\n", slope)
 	fmt.Printf("  intercept = %.2f  (true: ~500)\n", intercept)
-	fmt.Printf("  server %v, client %v\n", res.ServerTime, res.ClientTime)
+	fmt.Printf("  measured: server %v, client %v\n", res.ServerTime, res.ClientTime)
 
 	if slope < 2.9 || slope > 3.1 {
 		return fmt.Errorf("slope %f deviates from ground truth", slope)

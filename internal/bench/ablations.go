@@ -33,16 +33,16 @@ func Ablations(cfg Config, w io.Writer) error {
 	}
 	const sql = "SELECT SUM(v) FROM synth"
 	sel := client.WithSelectivity(0.5, uint64(cfg.Seed))
-	wDur, wRes, err := medianServer(proxy, sql, cfg.Trials, sel)
+	wDur, wRes, err := medianServer(proxy, cfg.model(), sql, cfg.Trials, sel)
 	if err != nil {
 		return err
 	}
-	dDur, dRes, err := medianServer(proxy, sql, cfg.Trials, sel, client.WithCompressAtDriver())
+	dDur, dRes, err := medianServer(proxy, cfg.model(), sql, cfg.Trials, sel, client.WithCompressAtDriver())
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "  at workers: server=%s shuffleBytes=%d\n", seconds(wDur), wRes.Metrics.ShuffleBytes)
-	fmt.Fprintf(w, "  at driver:  server=%s shuffleBytes=%d\n", seconds(dDur), dRes.Metrics.ShuffleBytes)
+	fmt.Fprintf(w, "  at workers: modelled server=%s shuffleBytes=%d\n", seconds(wDur), wRes.Metrics.ShuffleBytes)
+	fmt.Fprintf(w, "  at driver:  modelled server=%s shuffleBytes=%d\n", seconds(dDur), dRes.Metrics.ShuffleBytes)
 	fmt.Fprintln(w, "  (paper: worker-side wins — parallel compression, less driver bottleneck)")
 
 	// --- 2. Group-inflation factor sweep (§4.5) ---
@@ -61,18 +61,18 @@ func Ablations(cfg Config, w io.Writer) error {
 		if f > 1 {
 			opts = client.WithForceInflate(f)
 		}
-		d, res, err := medianServer(gproxy, gsql, cfg.Trials, opts)
+		d, res, err := medianServer(gproxy, cfg.model(), gsql, cfg.Trials, opts)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "  inflate=%2d: server=%s reducers=%d shuffle=%s\n",
-			f, seconds(d), res.Metrics.ReduceTasks, res.Metrics.ShuffleTime)
+		fmt.Fprintf(w, "  inflate=%2d: modelled server=%s reducers=%d modelled shuffle=%s\n",
+			f, seconds(d), res.Metrics.ReduceTasks, cfg.model().of(&res.Metrics, 0).Shuffle)
 	}
 
 	// --- 3. Range encoding for group-by results (§4.5) ---
 	fmt.Fprintln(w, "\nAblation 3: group-by ID-list codec (range encoding bloats sparse lists)")
 	for _, codec := range []idlist.Codec{idlist.VBDiff, idlist.RangeVBDiff, idlist.RangeVBDiffDeflateFast} {
-		_, res, err := medianServer(gproxy, gsql, 1,
+		_, res, err := medianServer(gproxy, cfg.model(), gsql, 1,
 			client.WithoutInflation(), client.WithCodec(codec))
 		if err != nil {
 			return err
@@ -113,11 +113,10 @@ func Ablations(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	cl := engine.NewCluster(engine.Config{Workers: 16, Seed: uint64(cfg.Seed)})
 	for _, p := range []float64{0, 0.05, 0.2} {
-		cl := engine.NewCluster(engine.Config{
-			Workers: 16, Seed: uint64(cfg.Seed),
-			StragglerProb: p, StragglerFactor: 5,
-		})
+		cm := paperModel(16, cfg.Seed)
+		cm.StragglerProb, cm.StragglerFactor = p, 5
 		var ds []time.Duration
 		var tasks int
 		for t := 0; t < max(cfg.Trials, 3); t++ {
@@ -125,10 +124,10 @@ func Ablations(cfg Config, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			ds = append(ds, res.Metrics.MapTime)
+			ds = append(ds, cm.of(&res.Metrics, 0).Map)
 			tasks = res.Metrics.MapTasks
 		}
-		fmt.Fprintf(w, "  p=%.2f: map makespan=%s over %d tasks (median of %d)\n",
+		fmt.Fprintf(w, "  p=%.2f: modelled map makespan=%s over %d tasks (median of %d)\n",
 			p, seconds(median(ds)), tasks, len(ds))
 	}
 	fmt.Fprintln(w, "  (paper §6.2: stragglers — usually GC — hurt short Seabed/NoEnc jobs most)")

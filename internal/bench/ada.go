@@ -63,9 +63,10 @@ func Fig10a(cfg Config, w io.Writer) error {
 		return err
 	}
 	queries := workload.AdAPerfQueries()
-	fmt.Fprintf(w, "Figure 10a: Ad-Analytics response times (%d rows, %d workers, median of %d)\n",
+	fmt.Fprintf(w, "Figure 10a: Ad-Analytics modelled response times (%d rows, %d modelled workers, median of %d)\n",
 		rows, cfg.Workers, cfg.Trials)
 
+	cm := cfg.model()
 	times := map[translate.Mode][]time.Duration{}
 	var idListBytes, prfEvals, nSeabed uint64
 	for _, q := range queries {
@@ -77,7 +78,7 @@ func Fig10a(cfg Config, w io.Writer) error {
 				if err != nil {
 					return fmt.Errorf("%s %v: %v", q.Name, mode, err)
 				}
-				ds = append(ds, res.TotalTime)
+				ds = append(ds, cm.of(&res.Metrics, res.ClientTime).Total)
 				if mode == translate.Seabed && trial == 0 {
 					idListBytes += uint64(res.Metrics.ResultBytes)
 					prfEvals += res.PRFEvals
@@ -146,9 +147,9 @@ func Fig10b(cfg Config, w io.Writer) error {
 }
 
 // Links reproduces the §6.6 link-sensitivity experiment: the median
-// ad-analytics query under the three client links. Absolute network times
-// are reported alongside the percentage they would add to the paper's
-// median query (17.8 s): the paper's point is that ID lists are small, so a
+// ad-analytics query's result, priced over the three client links by the
+// cost model. Absolute network times are reported alongside the percentage
+// they would add to the paper's median query (17.8 s): the paper's point is that ID lists are small, so a
 // degraded link adds only milliseconds of transfer time that long queries
 // amortize. (At laptop scale our queries last milliseconds, so the same
 // absolute additions look proportionally huge — the absolute numbers are
@@ -159,25 +160,23 @@ func Links(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "§6.6: network cost vs client link (%d rows)\n", rows)
+	fmt.Fprintf(w, "§6.6: modelled network cost vs client link (%d rows)\n", rows)
 	const sql = "SELECT hour, SUM(m0) FROM ada WHERE hour < 8 GROUP BY hour"
 	const paperMedian = 17.8 // seconds, §6.6
-	var baseNet time.Duration
+	res, err := proxy.Query(context.Background(), sql, client.WithExpectedGroups(8))
+	if err != nil {
+		return err
+	}
+	cm := cfg.model()
+	baseNet := cm.of(&res.Metrics, res.ClientTime).Network
 	for _, link := range []netsim.Link{netsim.InCluster, netsim.WAN100, netsim.WAN10} {
-		proxy.Link = link
-		res, err := proxy.Query(context.Background(), sql, client.WithExpectedGroups(8))
-		if err != nil {
-			return err
-		}
-		if baseNet == 0 {
-			baseNet = res.NetworkTime
-		}
-		extra := res.NetworkTime - baseNet
+		cm.ClientLink = link
+		net := cm.of(&res.Metrics, res.ClientTime).Network
+		extra := net - baseNet
 		fmt.Fprintf(w, "%-16s network=%10s result=%6.1fKB  extra vs in-cluster: %8s (+%5.2f%% of the paper's 17.8s median)\n",
-			link, res.NetworkTime, float64(res.Metrics.ResultBytes)/1e3,
+			link, net, float64(res.Metrics.ResultBytes)/1e3,
 			extra, 100*extra.Seconds()/paperMedian)
 	}
-	proxy.Link = netsim.InCluster
 	fmt.Fprintln(w, "(paper: +1% at 100Mbps/10ms, +12% at 10Mbps/100ms — ID lists are small)")
 	return nil
 }

@@ -5,9 +5,11 @@
 // Row counts scale the paper's datasets down by Config.Scale (default
 // 10,000×), preserving ratios between datasets; all comparisons report the
 // shape of the paper's results (who wins, by what factor, where crossovers
-// fall), not absolute seconds. See README.md, "Paper figures: what is
-// substituted", for the substitution notes; benchmark/README.md is the
-// wall-clock fleet benchmark.
+// fall), not absolute seconds. The latency figures print modelled times:
+// costmodel.go schedules each run's measured task durations onto the paper's
+// cluster, and this package is the only one that does. See README.md, "Paper
+// figures: what is substituted", for the substitution notes;
+// benchmark/README.md is the wall-clock fleet benchmark.
 package bench
 
 import (
@@ -30,10 +32,11 @@ type Config struct {
 	// Scale divides the paper's row counts (default 10,000: 1.75 B rows →
 	// 175 k rows). Smaller values mean bigger datasets.
 	Scale uint64
-	// Workers is the simulated cluster size for experiments that do not
-	// sweep it. Defaults to the paper's 100-core cluster for full runs and to
-	// engine.DefaultWorkers under Quick, so `go test -bench` exercises the
-	// same machine an unconfigured engine.Config simulates.
+	// Workers is the cluster size for experiments that do not sweep it: the
+	// cost model's simulated cores and the engine's reducer-bucket count.
+	// Defaults to the paper's 100-core cluster for full runs and to
+	// engine.DefaultWorkers under Quick, so `go test -bench` partitions
+	// group-bys as an unconfigured engine.Config does.
 	Workers int
 	// Quick shrinks sweeps for use under `go test`.
 	Quick bool
@@ -83,14 +86,14 @@ func Experiments() []Experiment {
 		{"table3", "Table 3: ID-list encoding techniques", Table3},
 		{"table4", "Table 4: query support categories", Table4},
 		{"table5", "Table 5: dataset characteristics and storage", Table5},
-		{"fig6", "Figure 6: end-to-end latency vs rows", Fig6},
-		{"fig7", "Figure 7: server latency vs cores", Fig7},
-		{"fig8", "Figure 8: ID-list size and latency vs selectivity; OPE overhead", Fig8},
-		{"fig9a", "Figure 9a: group-by microbenchmark", Fig9a},
-		{"fig9bc", "Figure 9b/9c: Big Data Benchmark", Fig9bc},
-		{"fig10a", "Figure 10a: Ad-Analytics response-time distribution", Fig10a},
+		{"fig6", "Figure 6: end-to-end latency vs rows (modelled)", Fig6},
+		{"fig7", "Figure 7: server latency vs cores (modelled)", Fig7},
+		{"fig8", "Figure 8: ID-list size and modelled latency vs selectivity; OPE overhead", Fig8},
+		{"fig9a", "Figure 9a: group-by microbenchmark (modelled)", Fig9a},
+		{"fig9bc", "Figure 9b/9c: Big Data Benchmark (modelled)", Fig9bc},
+		{"fig10a", "Figure 10a: Ad-Analytics response-time distribution (modelled)", Fig10a},
 		{"fig10b", "Figure 10b: SPLASHE storage overhead", Fig10b},
-		{"links", "§6.6: client link sensitivity", Links},
+		{"links", "§6.6: client link sensitivity (modelled)", Links},
 		{"ablations", "Design ablations (compression site, inflation, codecs, stragglers)", Ablations},
 		{"kernels", "Executor kernel throughput (vectorized vs reference evaluator)", Kernels},
 		{"recovery", "Durable-store recovery throughput (segment load + WAL replay MB/s)", Recovery},

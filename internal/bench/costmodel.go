@@ -1,0 +1,119 @@
+package bench
+
+import (
+	"math/rand"
+	"time"
+
+	"seabed/internal/engine"
+	"seabed/internal/netsim"
+)
+
+// costModel stands in for the paper's testbed (§6.1–6.2, §6.6): a cluster of
+// Workers cores that one run's measured task durations are list-scheduled
+// onto, the per-worker link the shuffle crosses, the link between the cloud
+// and the client, and optionally §6.2's stragglers. It is the only place the
+// repository turns measurements into times no clock took; the system reports
+// wall-clock about itself, and every figure driver that prints a modelled
+// time says so. README.md, "Paper figures: what is substituted", item 1.
+type costModel struct {
+	// Workers is the simulated core count (the x-axis of Figure 7).
+	Workers int
+	// ShuffleLink carries map→reduce traffic, one link per reducer.
+	ShuffleLink netsim.Link
+	// ClientLink carries the result to the proxy (§6.6 degrades it).
+	ClientLink netsim.Link
+	// StragglerProb makes each map task a straggler with that probability
+	// (§6.2 observed GC stragglers), drawn from a generator seeded by Seed
+	// alone so the picks repeat; a straggler's duration is multiplied by
+	// StragglerFactor. Zero disables injection.
+	StragglerProb   float64
+	StragglerFactor float64
+	Seed            uint64
+}
+
+// paperModel is the testbed as the paper ran it: in-cluster links, no
+// injected stragglers.
+func paperModel(workers int, seed int64) costModel {
+	return costModel{Workers: workers, ShuffleLink: netsim.Shuffle, ClientLink: netsim.InCluster, Seed: uint64(seed)}
+}
+
+// model is the testbed an experiment's Config describes.
+func (c Config) model() costModel { return paperModel(c.Workers, c.Seed) }
+
+// modelled is what a costModel makes of one finished run.
+type modelled struct {
+	// Map and Reduce are the stages' makespans over the simulated workers,
+	// Shuffle the transfer between them.
+	Map, Shuffle, Reduce time.Duration
+	// Server is Map + Shuffle + Reduce plus the measured driver time.
+	Server time.Duration
+	// Network is the result's transfer to the client.
+	Network time.Duration
+	// Total is Server + Network plus the measured client time.
+	Total time.Duration
+}
+
+// of models one run from its metrics and the client's measured decryption
+// time. It needs the per-task durations only an in-process engine.Cluster
+// reports (Metrics.MapTaskTimes, ReduceTaskTimes); it is a pure function of
+// its arguments.
+func (c costModel) of(m *engine.Metrics, client time.Duration) modelled {
+	tasks := append([]time.Duration(nil), m.MapTaskTimes...)
+	injectStragglers(tasks, c.Seed, c.StragglerProb, c.StragglerFactor)
+	// The shuffle fans out over the reducers' links in parallel: fewer
+	// reducers means fewer links carrying the same bytes — the §4.5
+	// bottleneck that group inflation exists to fix. Without a reduce stage
+	// the partials stream to the driver over one link.
+	out := modelled{
+		Map:     makespan(tasks, c.Workers),
+		Shuffle: c.ShuffleLink.TransferTime(m.ShuffleBytes / max(m.ReduceTasks, 1)),
+		Reduce:  makespan(m.ReduceTaskTimes, c.Workers),
+		Network: c.ClientLink.TransferTime(m.ResultBytes),
+	}
+	out.Server = out.Map + out.Shuffle + out.Reduce + m.DriverTime
+	out.Total = out.Server + out.Network + client
+	return out
+}
+
+// injectStragglers applies the straggler model to task durations, in place:
+// each task, in order, is a straggler with probability prob — drawn from a
+// generator seeded by seed alone, so the picks repeat — and a straggler's
+// duration is multiplied by factor.
+func injectStragglers(durations []time.Duration, seed uint64, prob, factor float64) {
+	if prob <= 0 {
+		return
+	}
+	rng := rand.New(rand.NewSource(int64(seed) ^ 0x5eabed))
+	for i, d := range durations {
+		if rng.Float64() < prob {
+			durations[i] = time.Duration(float64(d) * factor)
+		}
+	}
+}
+
+// makespan list-schedules the given task durations onto w workers (FIFO,
+// earliest-free-worker) and returns the finishing time.
+func makespan(durations []time.Duration, w int) time.Duration {
+	if len(durations) == 0 {
+		return 0
+	}
+	if w < 1 {
+		w = 1
+	}
+	free := make([]time.Duration, w)
+	var finish time.Duration
+	for _, d := range durations {
+		// Earliest-free worker.
+		min := 0
+		for i := 1; i < w; i++ {
+			if free[i] < free[min] {
+				min = i
+			}
+		}
+		free[min] += d
+		if free[min] > finish {
+			finish = free[min]
+		}
+	}
+	return finish
+}

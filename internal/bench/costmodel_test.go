@@ -1,0 +1,211 @@
+package bench
+
+import (
+	"context"
+	"slices"
+	"testing"
+	"time"
+
+	"seabed/internal/client"
+	"seabed/internal/engine"
+	"seabed/internal/netsim"
+	"seabed/internal/translate"
+)
+
+// millis is a task-duration list in milliseconds.
+func millis(n ...int) []time.Duration {
+	out := make([]time.Duration, len(n))
+	for i, m := range n {
+		out[i] = time.Duration(m) * time.Millisecond
+	}
+	return out
+}
+
+func TestMakespan(t *testing.T) {
+	if got := makespan(nil, 4); got != 0 {
+		t.Fatalf("empty makespan = %v", got)
+	}
+	if got := makespan(millis(10, 10, 10, 10), 4); got != 10*time.Millisecond {
+		t.Fatalf("parallel makespan = %v, want 10ms", got)
+	}
+	if got := makespan(millis(10, 10, 10, 10), 1); got != 40*time.Millisecond {
+		t.Fatalf("serial makespan = %v, want 40ms", got)
+	}
+	if got := makespan(millis(10, 10, 10), 2); got != 20*time.Millisecond {
+		t.Fatalf("2-worker makespan = %v, want 20ms", got)
+	}
+}
+
+// TestStragglerInjection pins the straggler model as arithmetic on injected
+// durations, not on two separately clocked runs: with 16 tasks of 1 ms on 16
+// workers, probability 1 and factor 10 stretch the makespan exactly tenfold,
+// probability 0 leaves it alone, and a seed fixes which tasks are picked.
+func TestStragglerInjection(t *testing.T) {
+	tasks := func() []time.Duration {
+		d := make([]time.Duration, 16)
+		for i := range d {
+			d[i] = time.Millisecond
+		}
+		return d
+	}
+	base := makespan(tasks(), 16)
+
+	all := tasks()
+	injectStragglers(all, 1, 1, 10)
+	if got := makespan(all, 16); got != 10*base {
+		t.Fatalf("every task a 10x straggler: makespan %v, want %v", got, 10*base)
+	}
+
+	none := tasks()
+	injectStragglers(none, 1, 0, 10)
+	if !slices.Equal(none, tasks()) {
+		t.Fatalf("probability 0 changed the durations: %v", none)
+	}
+
+	a, b, other := tasks(), tasks(), tasks()
+	injectStragglers(a, 7, 0.5, 10)
+	injectStragglers(b, 7, 0.5, 10)
+	injectStragglers(other, 8, 0.5, 10)
+	if !slices.Equal(a, b) {
+		t.Fatalf("the same seed picked different stragglers:\n%v\n%v", a, b)
+	}
+	picked := 0
+	for _, d := range a {
+		if d != time.Millisecond && d != 10*time.Millisecond {
+			t.Fatalf("a task is neither untouched nor a 10x straggler: %v", d)
+		}
+		if d == 10*time.Millisecond {
+			picked++
+		}
+	}
+	if picked == 0 || picked == len(a) || slices.Equal(a, other) {
+		t.Fatalf("probability 0.5 picked %d of %d tasks (another seed picked the same: %v)", picked, len(a), slices.Equal(a, other))
+	}
+
+	// The model feeds a run's measured durations through the same function,
+	// and leaves the run's own copy alone.
+	res := synthRun(t, 2_000, 4, "SELECT SUM(v) FROM synth")
+	measured := slices.Clone(res.Metrics.MapTaskTimes)
+	cm := paperModel(16, 1)
+	cm.StragglerProb, cm.StragglerFactor = 1, 10
+	got := cm.of(&res.Metrics, 0)
+	if res.Metrics.TaskMax <= 0 || got.Map < res.Metrics.TaskMax {
+		t.Fatalf("straggler model: map time %v, slowest task %v", got.Map, res.Metrics.TaskMax)
+	}
+	if !slices.Equal(res.Metrics.MapTaskTimes, measured) {
+		t.Fatal("the model rewrote the run's measured task durations")
+	}
+}
+
+// synthRun uploads a §6.1 table of rows rows in parts partitions and runs one
+// query in process, warmed by an untimed first run.
+func synthRun(t *testing.T, rows, parts int, sql string) *client.QueryResult {
+	t.Helper()
+	ResetCaches()
+	t.Cleanup(ResetCaches)
+	cfg := testCfg()
+	cfg.Workers = parts // syntheticProxy uploads one partition per worker
+	proxy, err := syntheticProxy(cfg, rows, 4, translate.Seabed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res *client.QueryResult
+	for range 2 {
+		if res, err = proxy.Query(context.Background(), sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(res.Metrics.MapTaskTimes) != parts {
+		t.Fatalf("run reports %d map task durations, want %d", len(res.Metrics.MapTaskTimes), parts)
+	}
+	return res
+}
+
+// TestSimulatedScalingImprovesWithWorkers: one run's measured tasks finish
+// sooner on eight modelled workers than on one. The OPE filter over 200k rows
+// keeps each task near half a millisecond, where one descheduled task does not
+// outweigh the other 31.
+func TestSimulatedScalingImprovesWithWorkers(t *testing.T) {
+	res := synthRun(t, 200_000, 32, "SELECT SUM(v) FROM synth WHERE o < 1000000")
+	t1 := paperModel(1, 1).of(&res.Metrics, 0).Map
+	t8 := paperModel(8, 1).of(&res.Metrics, 0).Map
+	if t8 >= t1 {
+		t.Fatalf("8 workers (%v) not faster than 1 (%v)", t8, t1)
+	}
+	// Demand at least 2x: uneven tasks keep the ideal 8x out of reach.
+	if float64(t1)/float64(t8) < 2 {
+		t.Fatalf("speedup %.1fx too small for 8 workers over 32 tasks", float64(t1)/float64(t8))
+	}
+}
+
+// TestCostModelPin: on hand-written metrics the model returns exactly what the
+// arithmetic it was lifted from gave when engine.run and Proxy.runQuery did it
+// inline — MapTime and ReduceTime the list-scheduled makespans, ShuffleTime the
+// shuffle link's transfer of one reducer's share, ServerTime their sum with the
+// measured driver time, NetworkTime the client link's transfer of the result,
+// TotalTime server + network + client.
+func TestCostModelPin(t *testing.T) {
+	const (
+		driver = 1500 * time.Microsecond
+		client = 7 * time.Millisecond
+	)
+	m := engine.Metrics{
+		// Twenty map tasks of 1..20 ms. On 16 workers the first sixteen start
+		// at once and tasks 17..20 follow tasks 1..4: the last ends at 4+20.
+		MapTaskTimes:    millis(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20),
+		ReduceTaskTimes: millis(2, 2, 3),
+		ReduceTasks:     3,
+		ShuffleBytes:    3_000_001, // not a multiple of the reducers: the share truncates
+		ResultBytes:     250_000,
+		DriverTime:      driver,
+		// What a clock measured must not leak into the model.
+		ServerTime: time.Hour, MapTime: time.Hour, ReduceTime: time.Hour,
+	}
+	for _, tc := range []struct {
+		workers    int
+		mapT, redT time.Duration
+	}{
+		{1, 210 * time.Millisecond, 7 * time.Millisecond},
+		{16, 24 * time.Millisecond, 3 * time.Millisecond},
+		{100, 20 * time.Millisecond, 3 * time.Millisecond},
+	} {
+		for _, link := range []netsim.Link{netsim.InCluster, netsim.WAN100, netsim.WAN10} {
+			cm := paperModel(tc.workers, 42)
+			cm.ClientLink = link
+			want := modelled{
+				Map:     tc.mapT,
+				Shuffle: netsim.Shuffle.TransferTime(1_000_000),
+				Reduce:  tc.redT,
+				Network: link.TransferTime(250_000),
+			}
+			want.Server = want.Map + want.Shuffle + want.Reduce + driver
+			want.Total = want.Server + want.Network + client
+			if got := cm.of(&m, client); got != want {
+				t.Errorf("%d workers over %v:\n got %+v\nwant %+v", tc.workers, link, got, want)
+			}
+		}
+	}
+
+	// Without a reduce stage one link carries every partial to the driver.
+	m.ReduceTasks, m.ReduceTaskTimes = 0, nil
+	got := paperModel(16, 42).of(&m, 0)
+	if got.Shuffle != netsim.Shuffle.TransferTime(3_000_001) || got.Reduce != 0 {
+		t.Errorf("no reducers: shuffle %v, reduce %v", got.Shuffle, got.Reduce)
+	}
+
+	// The links are the paper's: §6.1's in-cluster placement and §6.6's two
+	// degraded settings, latency plus serialization delay.
+	for _, tc := range []struct {
+		link netsim.Link
+		want time.Duration
+	}{
+		{netsim.InCluster, 500*time.Microsecond + time.Millisecond},
+		{netsim.WAN100, 10*time.Millisecond + 20*time.Millisecond},
+		{netsim.WAN10, 100*time.Millisecond + 200*time.Millisecond},
+		{netsim.Shuffle, 200*time.Microsecond + 2*time.Millisecond},
+	} {
+		if got := tc.link.TransferTime(250_000); got != tc.want {
+			t.Errorf("%v moves 250 kB in %v, want %v", tc.link, got, tc.want)
+		}
+	}
+}

@@ -22,7 +22,7 @@ func Fig6(cfg Config, w io.Writer) error {
 	if cfg.Quick {
 		paperRows = []uint64{250_000_000, 1_750_000_000}
 	}
-	fmt.Fprintf(w, "Figure 6: end-to-end latency vs rows (scaled 1/%d, %d workers, median of %d)\n",
+	fmt.Fprintf(w, "Figure 6: modelled end-to-end latency vs rows (scaled 1/%d, %d modelled workers, median of %d)\n",
 		cfg.Scale, cfg.Workers, cfg.Trials)
 	fmt.Fprintf(w, "%12s %14s %16s %16s %14s\n", "rows", "NoEnc", "ASHE(sel=100%)", "ASHE(sel=50%)", "Paillier")
 
@@ -33,20 +33,20 @@ func Fig6(cfg Config, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		noenc, err := medianQuery(proxy, sql, cfg.Trials, client.WithMode(translate.NoEnc))
+		noenc, err := medianQuery(proxy, cfg.model(), sql, cfg.Trials, client.WithMode(translate.NoEnc))
 		if err != nil {
 			return err
 		}
-		ashe100, err := medianQuery(proxy, sql, cfg.Trials)
+		ashe100, err := medianQuery(proxy, cfg.model(), sql, cfg.Trials)
 		if err != nil {
 			return err
 		}
-		ashe50, err := medianQuery(proxy, sql, cfg.Trials,
+		ashe50, err := medianQuery(proxy, cfg.model(), sql, cfg.Trials,
 			client.WithSelectivity(0.5, uint64(cfg.Seed)))
 		if err != nil {
 			return err
 		}
-		pail, err := medianQuery(proxy, sql, cfg.Trials, client.WithMode(translate.Paillier))
+		pail, err := medianQuery(proxy, cfg.model(), sql, cfg.Trials, client.WithMode(translate.Paillier))
 		if err != nil {
 			return err
 		}
@@ -57,22 +57,25 @@ func Fig6(cfg Config, w io.Writer) error {
 	return nil
 }
 
-// medianQuery runs a query trials times and returns the median total time.
-// The mode rides in opts (client.WithMode); the default is translate.Seabed.
-func medianQuery(p *client.Proxy, sql string, trials int, opts ...client.QueryOption) (time.Duration, error) {
+// medianQuery runs a query trials times and returns the median modelled
+// end-to-end time: cm's server and network times plus the measured client
+// time. The mode rides in opts (client.WithMode); the default is
+// translate.Seabed.
+func medianQuery(p *client.Proxy, cm costModel, sql string, trials int, opts ...client.QueryOption) (time.Duration, error) {
 	ds := make([]time.Duration, 0, trials)
 	for i := 0; i < trials; i++ {
 		res, err := p.Query(context.Background(), sql, opts...)
 		if err != nil {
 			return 0, err
 		}
-		ds = append(ds, res.TotalTime)
+		ds = append(ds, cm.of(&res.Metrics, res.ClientTime).Total)
 	}
 	return median(ds), nil
 }
 
-// medianServer runs a query trials times and returns the median server time.
-func medianServer(p *client.Proxy, sql string, trials int, opts ...client.QueryOption) (time.Duration, *client.QueryResult, error) {
+// medianServer runs a query trials times and returns the median modelled
+// server time under cm, with the last run's result.
+func medianServer(p *client.Proxy, cm costModel, sql string, trials int, opts ...client.QueryOption) (time.Duration, *client.QueryResult, error) {
 	ds := make([]time.Duration, 0, trials)
 	var last *client.QueryResult
 	for i := 0; i < trials; i++ {
@@ -80,14 +83,14 @@ func medianServer(p *client.Proxy, sql string, trials int, opts ...client.QueryO
 		if err != nil {
 			return 0, nil, err
 		}
-		ds = append(ds, res.ServerTime)
+		ds = append(ds, cm.of(&res.Metrics, 0).Server)
 		last = res
 	}
 	return median(ds), last, nil
 }
 
-// Fig7 reproduces Figure 7: server-side latency vs simulated worker count at
-// the full (scaled) 1.75 B-row dataset.
+// Fig7 reproduces Figure 7: modelled server-side latency vs simulated worker
+// count at the full (scaled) 1.75 B-row dataset.
 func Fig7(cfg Config, w io.Writer) error {
 	cfg = cfg.withDefaults()
 	workerSweep := []int{1, 2, 4, 8, 16, 32, 64, 100}
@@ -99,25 +102,26 @@ func Fig7(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "Figure 7: server latency vs workers (%d rows, median of %d)\n", rows, cfg.Trials)
+	fmt.Fprintf(w, "Figure 7: modelled server latency vs modelled workers (%d rows, median of %d)\n", rows, cfg.Trials)
 	fmt.Fprintf(w, "%8s %14s %16s %16s %14s\n", "workers", "NoEnc", "Seabed(100%)", "Seabed(50%)", "Paillier")
 	const sql = "SELECT SUM(v) FROM synth"
 	for _, workers := range workerSweep {
 		proxy := base.WithCluster(engine.NewCluster(engine.Config{Workers: workers, Seed: uint64(cfg.Seed)}))
-		noenc, _, err := medianServer(proxy, sql, cfg.Trials, client.WithMode(translate.NoEnc))
+		cm := paperModel(workers, cfg.Seed)
+		noenc, _, err := medianServer(proxy, cm, sql, cfg.Trials, client.WithMode(translate.NoEnc))
 		if err != nil {
 			return err
 		}
-		s100, _, err := medianServer(proxy, sql, cfg.Trials)
+		s100, _, err := medianServer(proxy, cm, sql, cfg.Trials)
 		if err != nil {
 			return err
 		}
-		s50, _, err := medianServer(proxy, sql, cfg.Trials,
+		s50, _, err := medianServer(proxy, cm, sql, cfg.Trials,
 			client.WithSelectivity(0.5, uint64(cfg.Seed)))
 		if err != nil {
 			return err
 		}
-		pail, _, err := medianServer(proxy, sql, cfg.Trials, client.WithMode(translate.Paillier))
+		pail, _, err := medianServer(proxy, cm, sql, cfg.Trials, client.WithMode(translate.Paillier))
 		if err != nil {
 			return err
 		}
@@ -167,7 +171,7 @@ func Fig8(cfg Config, w io.Writer) error {
 			if sel < 1 {
 				opts = append(opts, client.WithSelectivity(sel, uint64(cfg.Seed)))
 			}
-			dur, res, err := medianServer(proxy, sql, cfg.Trials, opts...)
+			dur, res, err := medianServer(proxy, cfg.model(), sql, cfg.Trials, opts...)
 			if err != nil {
 				return err
 			}
@@ -183,7 +187,7 @@ func Fig8(cfg Config, w io.Writer) error {
 	}
 	fmt.Fprintln(w, "(paper shape: size peaks near sel=50%, collapses at 100% thanks to range encoding)")
 
-	fmt.Fprintf(w, "\nFigure 8b: server response time (s) vs selectivity\n")
+	fmt.Fprintf(w, "\nFigure 8b: modelled server response time (s) vs selectivity\n")
 	fmt.Fprintf(w, "%6s", "sel%")
 	for _, c := range codecs {
 		fmt.Fprintf(w, " %18s", shortCodec(c.Name()))
@@ -197,21 +201,21 @@ func Fig8(cfg Config, w io.Writer) error {
 		fmt.Fprintln(w)
 	}
 
-	fmt.Fprintf(w, "\nFigure 8c: aggregation vs +OPE selection (response time, s)\n")
+	fmt.Fprintf(w, "\nFigure 8c: aggregation vs +OPE selection (modelled server response time, s)\n")
 	fmt.Fprintf(w, "%6s %14s %14s\n", "sel%", "aggregation", "+OPE selection")
 	for _, sel := range sels {
 		var aggOpts []client.QueryOption
 		if sel < 1 {
 			aggOpts = append(aggOpts, client.WithSelectivity(sel, uint64(cfg.Seed)))
 		}
-		agg, _, err := medianServer(proxy, sql, cfg.Trials, aggOpts...)
+		agg, _, err := medianServer(proxy, cfg.model(), sql, cfg.Trials, aggOpts...)
 		if err != nil {
 			return err
 		}
 		// The o column is uniform in [0, 1e6): a threshold at sel·1e6
 		// achieves the same selectivity through an ORE comparison.
 		opeSQL := fmt.Sprintf("SELECT SUM(v) FROM synth WHERE o < %d", int(sel*1_000_000))
-		ope, _, err := medianServer(proxy, opeSQL, cfg.Trials)
+		ope, _, err := medianServer(proxy, cfg.model(), opeSQL, cfg.Trials)
 		if err != nil {
 			return err
 		}

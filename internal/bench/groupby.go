@@ -22,7 +22,7 @@ func Fig9a(cfg Config, w io.Writer) error {
 	if cfg.Quick {
 		groupSweep = []int{10, 1_000}
 	}
-	fmt.Fprintf(w, "Figure 9a: group-by response time vs groups (%d rows, %d workers)\n", rows, cfg.Workers)
+	fmt.Fprintf(w, "Figure 9a: modelled group-by response time vs groups (%d rows, %d modelled workers)\n", rows, cfg.Workers)
 	fmt.Fprintf(w, "%8s %12s %12s %12s %16s\n", "groups", "NoEnc", "Paillier", "Seabed", "Seabed-opt")
 	const sql = "SELECT g, SUM(v) FROM synth GROUP BY g"
 	for _, groups := range groupSweep {
@@ -33,19 +33,19 @@ func Fig9a(cfg Config, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		noenc, err := medianQuery(proxy, sql, cfg.Trials, client.WithMode(translate.NoEnc), client.WithoutInflation())
+		noenc, err := medianQuery(proxy, cfg.model(), sql, cfg.Trials, client.WithMode(translate.NoEnc), client.WithoutInflation())
 		if err != nil {
 			return err
 		}
-		pail, err := medianQuery(proxy, sql, cfg.Trials, client.WithMode(translate.Paillier), client.WithoutInflation())
+		pail, err := medianQuery(proxy, cfg.model(), sql, cfg.Trials, client.WithMode(translate.Paillier), client.WithoutInflation())
 		if err != nil {
 			return err
 		}
-		plain, err := medianQuery(proxy, sql, cfg.Trials, client.WithoutInflation())
+		plain, err := medianQuery(proxy, cfg.model(), sql, cfg.Trials, client.WithoutInflation())
 		if err != nil {
 			return err
 		}
-		opt, err := medianQuery(proxy, sql, cfg.Trials, client.WithExpectedGroups(groups))
+		opt, err := medianQuery(proxy, cfg.model(), sql, cfg.Trials, client.WithExpectedGroups(groups))
 		if err != nil {
 			return err
 		}
@@ -100,19 +100,19 @@ func Fig9bc(cfg Config, w io.Writer) error {
 		return err
 	}
 
-	fmt.Fprintf(w, "Figure 9b/9c: Big Data Benchmark server-side response time (rankings=%d, uservisits=%d, q4=%d rows)\n",
+	fmt.Fprintf(w, "Figure 9b/9c: Big Data Benchmark modelled server-side response time (rankings=%d, uservisits=%d, q4=%d rows)\n",
 		pages, visits, q4rows)
 	fmt.Fprintf(w, "%-5s %12s %12s %12s\n", "query", "NoEnc", "Seabed", "Paillier")
 	for _, q := range workload.BDBQueries() {
-		noenc, _, err := medianServer(proxy, q.SQL, cfg.Trials, client.WithMode(translate.NoEnc), client.WithServerOnly())
+		noenc, _, err := medianServer(proxy, cfg.model(), q.SQL, cfg.Trials, client.WithMode(translate.NoEnc), client.WithServerOnly())
 		if err != nil {
 			return fmt.Errorf("%s NoEnc: %v", q.Name, err)
 		}
-		sbd, _, err := medianServer(proxy, q.SQL, cfg.Trials, client.WithServerOnly())
+		sbd, _, err := medianServer(proxy, cfg.model(), q.SQL, cfg.Trials, client.WithServerOnly())
 		if err != nil {
 			return fmt.Errorf("%s Seabed: %v", q.Name, err)
 		}
-		pail, _, err := medianServer(proxy, q.SQL, cfg.Trials, client.WithMode(translate.Paillier), client.WithServerOnly())
+		pail, _, err := medianServer(proxy, cfg.model(), q.SQL, cfg.Trials, client.WithMode(translate.Paillier), client.WithServerOnly())
 		if err != nil {
 			return fmt.Errorf("%s Paillier: %v", q.Name, err)
 		}

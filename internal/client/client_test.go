@@ -243,7 +243,7 @@ func TestGroupInflationEndToEnd(t *testing.T) {
 // reclusteredProxy rebinds an existing proxy's tables to a new cluster.
 func reclusteredProxy(t *testing.T, p *Proxy, cluster *engine.Cluster) *Proxy {
 	t.Helper()
-	p2 := &Proxy{ring: p.ring, cluster: cluster, Link: p.Link, tables: p.tables}
+	p2 := &Proxy{ring: p.ring, cluster: cluster, tables: p.tables}
 	return p2
 }
 
@@ -279,11 +279,8 @@ func TestQueryMetricsPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ServerTime <= 0 || res.ClientTime <= 0 || res.NetworkTime <= 0 {
+	if res.ServerTime <= 0 || res.ClientTime <= 0 || res.TotalTime <= 0 {
 		t.Fatalf("latency breakdown missing: %+v", res)
-	}
-	if res.TotalTime != res.ServerTime+res.NetworkTime+res.ClientTime {
-		t.Fatal("TotalTime is not the sum of its parts")
 	}
 	if res.Metrics.ResultBytes <= 0 || res.Metrics.RowsScanned == 0 {
 		t.Fatalf("server metrics missing: %+v", res.Metrics)
@@ -565,7 +562,7 @@ func TestDecryptRejectsMisshapenColumns(t *testing.T) {
 			}
 		},
 	} {
-		hostile := &Proxy{ring: p.ring, Link: p.Link, tables: p.tables,
+		hostile := &Proxy{ring: p.ring, tables: p.tables,
 			cluster: &tamperBackend{Cluster: engine.NewCluster(engine.Config{Workers: 4}), tamper: tamper}}
 		_, err := hostile.Query(context.Background(), sql)
 		if err == nil || !strings.Contains(err.Error(), "malformed or hostile result") {

@@ -36,26 +36,21 @@ func (p *Proxy) explainQuery(ctx context.Context, root *obs.Span, sql string, st
 	}
 
 	var m *engine.Metrics
-	qr := &QueryResult{trace: root}
+	var qr *QueryResult
 	if stmt.Analyze {
 		// Run for real. Streaming is forced off so every counter is final
 		// when the plan renders; the run registers in the live-query registry
-		// and records its trace like any other query.
+		// and records its trace like any other query. Its result — metrics,
+		// measured times, trace — is the EXPLAIN's, with the plan as its rows.
 		runOpts := append(append([]QueryOption(nil), opts...),
 			func(qo *queryOptions) { qo.stream = false })
-		base, err := p.runQuery(ctx, root, sql, stmt.Query, runOpts...)
-		if err != nil {
+		if qr, err = p.runQuery(ctx, root, sql, stmt.Query, runOpts...); err != nil {
 			return nil, err
 		}
-		m = &base.Metrics
-		qr.Metrics = base.Metrics
-		qr.PRFEvals = base.PRFEvals
-		qr.ServerTime = base.ServerTime
-		qr.NetworkTime = base.NetworkTime
-		qr.ClientTime = base.ClientTime
-		qr.TotalTime = base.TotalTime
+		m = &qr.Metrics
 	} else {
 		root.End()
+		qr = &QueryResult{trace: root}
 	}
 
 	lines := p.renderExplain(stmt, tr, m)
@@ -111,7 +106,7 @@ func (p *Proxy) renderExplain(stmt *sqlparse.Statement, tr *translate.Translatio
 		attr("%s", l)
 	}
 	if m != nil {
-		attr("server=%v shuffle=%dB result=%dB map_tasks=%d reduce_tasks=%d",
+		attr("server=%v (measured) shuffle=%dB result=%dB map_tasks=%d reduce_tasks=%d",
 			m.ServerTime, m.ShuffleBytes, m.ResultBytes, m.MapTasks, m.ReduceTasks)
 	}
 

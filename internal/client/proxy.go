@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"seabed/internal/engine"
-	"seabed/internal/netsim"
 	"seabed/internal/obs"
 	"seabed/internal/paillier"
 	"seabed/internal/planner"
@@ -26,8 +25,6 @@ import (
 type Proxy struct {
 	ring    *KeyRing
 	cluster ClusterBackend
-	// Link models the server↔client connection (§6.6).
-	Link netsim.Link
 	// Parts is the partition count for uploads (defaults to 4× workers).
 	Parts int
 
@@ -68,8 +65,7 @@ type tableEntry struct {
 }
 
 // NewProxy creates a proxy bound to a cluster backend — the in-process
-// *engine.Cluster or a *remote.RemoteCluster — with the in-cluster client
-// link of the paper's default setup.
+// *engine.Cluster, a *remote.RemoteCluster or a *fleet.Cluster.
 func NewProxy(master []byte, cluster ClusterBackend) (*Proxy, error) {
 	ring, err := NewKeyRing(master)
 	if err != nil {
@@ -78,7 +74,6 @@ func NewProxy(master []byte, cluster ClusterBackend) (*Proxy, error) {
 	return &Proxy{
 		ring:    ring,
 		cluster: cluster,
-		Link:    netsim.InCluster,
 		tables:  &tableSet{m: make(map[string]*tableEntry)},
 		queries: obs.NewQueryLog(0),
 	}, nil
@@ -339,6 +334,9 @@ func (p *Proxy) runQuery(ctx context.Context, root *obs.Span, sql string, q *sql
 	var finMetrics *engine.Metrics
 	defer func() {
 		p.finishTrace(root, finMetrics)
+		if qr != nil {
+			qr.TotalTime = root.Duration()
+		}
 		aq.Finish(err, root.String())
 	}()
 
@@ -350,14 +348,7 @@ func (p *Proxy) runQuery(ctx context.Context, root *obs.Span, sql string, q *sql
 	}
 	finMetrics = &res.Metrics
 	if o.serverOnly {
-		qr := &QueryResult{
-			Metrics:     res.Metrics,
-			ServerTime:  res.Metrics.ServerTime,
-			NetworkTime: p.Link.TransferTime(res.Metrics.ResultBytes),
-			trace:       root,
-		}
-		qr.TotalTime = qr.ServerTime + qr.NetworkTime
-		return qr, nil
+		return &QueryResult{Metrics: res.Metrics, ServerTime: runSpan.Duration(), trace: root}, nil
 	}
 	decSpan := root.StartChild("decrypt")
 	dec, err := Decrypt(tr, res, p.ring)
@@ -366,17 +357,14 @@ func (p *Proxy) runQuery(ctx context.Context, root *obs.Span, sql string, q *sql
 		return nil, err
 	}
 	aq.SetRows(uint64(len(dec.Rows)))
-	qr = &QueryResult{
-		rows:        dec.Rows,
-		Metrics:     dec.Metrics,
-		PRFEvals:    dec.PRFEvals,
-		ServerTime:  res.Metrics.ServerTime,
-		NetworkTime: p.Link.TransferTime(res.Metrics.ResultBytes),
-		ClientTime:  dec.ClientTime,
-		trace:       root,
-	}
-	qr.TotalTime = qr.ServerTime + qr.NetworkTime + qr.ClientTime
-	return qr, nil
+	return &QueryResult{
+		rows:       dec.Rows,
+		Metrics:    dec.Metrics,
+		PRFEvals:   dec.PRFEvals,
+		ServerTime: runSpan.Duration(),
+		ClientTime: dec.ClientTime,
+		trace:      root,
+	}, nil
 }
 
 // finishTrace closes a query's trace root and delivers it: to TraceSink when
@@ -426,7 +414,7 @@ func (p *Proxy) finishTrace(root *obs.Span, m *engine.Metrics) {
 // SyncTables to ship the tables to it.
 func (p *Proxy) WithCluster(cluster ClusterBackend) *Proxy {
 	return &Proxy{
-		ring: p.ring, cluster: cluster, Link: p.Link, Parts: p.Parts,
+		ring: p.ring, cluster: cluster, Parts: p.Parts,
 		SlowQueryThreshold: p.SlowQueryThreshold, SlowQueryLog: p.SlowQueryLog,
 		TraceSink: p.TraceSink,
 		tables:    p.tables,
@@ -434,15 +422,20 @@ func (p *Proxy) WithCluster(cluster ClusterBackend) *Proxy {
 	}
 }
 
-// QueryResult couples a query's decrypted rows with the end-to-end latency
-// breakdown the evaluation reports (§6.2: server, network, client). For a
-// streamed query the breakdown, Metrics, and PRFEvals are populated only
-// once Rows has been drained.
+// QueryResult couples a query's decrypted rows with its measured latency
+// breakdown (§6.2 reports server and client shares). For a streamed query the
+// breakdown, Metrics, and PRFEvals are populated only once Rows has been
+// drained.
 type QueryResult struct {
-	ServerTime  time.Duration
-	NetworkTime time.Duration
-	ClientTime  time.Duration
-	TotalTime   time.Duration
+	// ServerTime is the duration of the trace's run span: the backend's whole
+	// answer as the proxy waited for it, scatter, rpc and merge included.
+	ServerTime time.Duration
+	// ClientTime is the measured decryption and post-processing (§4.6). A
+	// streamed scan decrypts while it runs, so there ClientTime is the drain
+	// and overlaps ServerTime.
+	ClientTime time.Duration
+	// TotalTime is the duration of the trace's root span, parse to decrypt.
+	TotalTime time.Duration
 	// PRFEvals counts the AES operations the decryption performed, the
 	// statistic §6.6 reports.
 	PRFEvals uint64

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"seabed/internal/engine"
-	"seabed/internal/netsim"
 	"seabed/internal/obs"
 	"seabed/internal/translate"
 )
@@ -23,7 +22,6 @@ type rowStream struct {
 	final   chan streamFinal
 	tr      *translate.Translation
 	dec     *decrypter
-	link    netsim.Link
 	drained bool
 	// run is the trace span covering the backend run; finish closes the query
 	// trace (slow-query log, TraceSink, flight recorder) once the stream ends
@@ -50,7 +48,6 @@ func (p *Proxy) streamQuery(ctx context.Context, cancel context.CancelFunc, aq *
 		batches: make(chan []engine.ScanRow, 1),
 		final:   make(chan streamFinal, 1),
 		tr:      tr,
-		link:    p.Link,
 		dec:     newDecrypter(p.ring, tr.Server.Codec),
 		run:     root.StartChild("run"),
 	}
@@ -179,11 +176,10 @@ func (s *rowStream) iterate(qr *QueryResult) iter.Seq2[Row, error] {
 		// per-row work — the price of measuring a pipeline from inside it.
 		qr.Metrics = fin.res.Metrics
 		qr.PRFEvals = s.dec.prfEvals
-		qr.ServerTime = fin.res.Metrics.ServerTime
-		qr.NetworkTime = s.link.TransferTime(fin.res.Metrics.ResultBytes)
 		qr.ClientTime = time.Since(start)
-		qr.TotalTime = qr.ServerTime + qr.NetworkTime + qr.ClientTime
 		s.run.End()
+		qr.ServerTime = s.run.Duration()
 		s.finish(&qr.Metrics, nil)
+		qr.TotalTime = qr.trace.Duration()
 	}
 }

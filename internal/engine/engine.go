@@ -20,13 +20,16 @@
 // pre-vectorization row-at-a-time interpreter is retained behind
 // RunReference (reference.go) for differential testing and benchmarking.
 //
-// Tasks execute for real — the actual cryptography runs — but the reported
-// server latency is computed by a list scheduler that places the measured
-// task durations onto a configured number of simulated workers and adds
-// modeled shuffle time (README.md, "Paper figures: what is substituted",
-// item 1, explains this substitution for the paper's physical cluster;
-// benchmark/README.md measures wall-clock instead). Map-side results are compressed at the workers
-// by default, the choice §4.5 arrives at.
+// Tasks execute for real — the actual cryptography runs — on goroutines
+// bounded by Config.RealParallelism, and every time in Metrics is what a clock
+// measured: the wall of the map stage, of the reduce stage, of the driver's
+// compile and gather, and of the whole run. Config.Workers is not a simulated
+// core count: it is how many reducer buckets a group-by's keys partition into,
+// and so what group inflation aims at. The paper's 100-core cluster is
+// modelled in internal/bench alone, from the per-task durations Metrics
+// carries (README.md, "Paper figures: what is substituted", item 1).
+// Map-side results are compressed at the workers by default, the choice §4.5
+// arrives at.
 package engine
 
 import (
@@ -35,30 +38,22 @@ import (
 	"time"
 
 	"seabed/internal/idlist"
-	"seabed/internal/netsim"
 	"seabed/internal/paillier"
 	"seabed/internal/sqlparse"
 	"seabed/internal/store"
 )
 
-// Config describes the simulated cluster.
+// Config describes a cluster.
 type Config struct {
-	// Workers is the number of simulated worker cores (the x-axis of
-	// Figure 7). Defaults to DefaultWorkers.
+	// Workers is the reducer-bucket count: a group-by's keys partition into
+	// this many buckets, one reducer per non-empty bucket, so it is also the
+	// group count inflation aims at (translate) and the proxy's default
+	// partition count per upload (4× Workers). Defaults to DefaultWorkers.
 	Workers int
-	// RealParallelism bounds the goroutines that actually execute tasks.
-	// Defaults to runtime.NumCPU().
+	// RealParallelism bounds the goroutines that execute tasks. Defaults to
+	// runtime.NumCPU().
 	RealParallelism int
-	// ShuffleLink models the per-worker link carrying map→reduce traffic.
-	// Defaults to netsim.Shuffle.
-	ShuffleLink netsim.Link
-	// StragglerProb optionally makes a task a straggler with the given
-	// probability (§6.2 observed GC stragglers); its simulated duration is
-	// multiplied by StragglerFactor. Zero disables injection.
-	StragglerProb float64
-	// StragglerFactor is the slowdown applied to stragglers (default 5).
-	StragglerFactor float64
-	// Seed drives straggler injection and group inflation.
+	// Seed drives group inflation.
 	Seed uint64
 	// TaskSleep injects a real (wall-clock) delay at the start of every map
 	// task, modeling the I/O stall of a cold HDFS read. The sleep is
@@ -68,10 +63,11 @@ type Config struct {
 	TaskSleep time.Duration
 }
 
-// DefaultWorkers is the worker count used when Config.Workers is unset. It is
-// the single source of truth shared by cmd/seabed-server's -workers default
-// and internal/bench's Quick configuration, so an unconfigured daemon, an
-// embedded cluster, and a `go test -bench` run all simulate the same machine.
+// DefaultWorkers is the reducer-bucket count used when Config.Workers is
+// unset. It is the single source of truth shared by cmd/seabed-server's
+// -workers default and internal/bench's Quick configuration, so an
+// unconfigured daemon, an embedded cluster, and a `go test -bench` run all
+// partition group-bys alike.
 const DefaultWorkers = 16
 
 // Cluster executes plans under a Config.
@@ -87,19 +83,10 @@ func NewCluster(cfg Config) *Cluster {
 	if cfg.Workers <= 0 {
 		cfg.Workers = DefaultWorkers
 	}
-	if cfg.RealParallelism <= 0 {
-		cfg.RealParallelism = 0 // resolved at run time
-	}
-	if cfg.ShuffleLink == (netsim.Link{}) {
-		cfg.ShuffleLink = netsim.Shuffle
-	}
-	if cfg.StragglerFactor == 0 {
-		cfg.StragglerFactor = 5
-	}
 	return &Cluster{cfg: cfg}
 }
 
-// Workers returns the simulated worker count.
+// Workers returns the reducer-bucket count (Config.Workers).
 func (c *Cluster) Workers() int { return c.cfg.Workers }
 
 // RegisterTable satisfies the proxy's cluster-backend contract. The
@@ -324,42 +311,51 @@ type ScanRow struct {
 	Strs  []string
 }
 
-// Metrics reports the simulated and measured costs of a run.
+// Metrics reports the measured costs of a run. Every duration is wall-clock:
+// nothing here is modelled (internal/bench's cost model derives the paper's
+// cluster from MapTaskTimes and ReduceTaskTimes).
 type Metrics struct {
-	// ServerTime is the simulated cluster makespan: map stage + shuffle +
-	// reduce stage + driver merge.
+	// ServerTime is the wall of the whole run. On a merged result it is the
+	// coordinator's: fleet.Cluster sets it to its scatter+merge wall; Merge
+	// alone, which sees no scatter, reports the slowest shard's plus its own
+	// merge.
 	ServerTime time.Duration
-	// MapTime and ReduceTime are the simulated stage makespans.
+	// MapTime is the wall of the map stage, first task launched to last
+	// retired; ReduceTime that of a group-by's reducers (zero otherwise).
+	// Across a shard merge each takes the slowest shard's.
 	MapTime    time.Duration
 	ReduceTime time.Duration
-	// ShuffleTime is the modeled map→reduce transfer time.
-	ShuffleTime time.Duration
-	// DriverTime is the measured driver-side merge (and compression, if
-	// CompressAtDriver).
+	// DriverTime is the driver's own work: compiling the plan, then merging
+	// no-group-by partials or gathering the reducers' columns (and a
+	// coordinator's shard merge, added by Merge).
 	DriverTime time.Duration
 	// ShuffleBytes is the serialized size of all map-side partials.
 	ShuffleBytes int
 	// ResultBytes is the serialized result size sent to the client.
 	ResultBytes int
-	// MapTasks and ReduceTasks count scheduled tasks.
+	// MapTasks and ReduceTasks count executed tasks.
 	MapTasks    int
 	ReduceTasks int
 	// RowsScanned and RowsSelected count input rows and filter survivors.
 	RowsScanned  uint64
 	RowsSelected uint64
 	// TaskMin/TaskP50/TaskMax summarize the per-map-task duration
-	// distribution (straggler multipliers included) instead of dropping it
-	// after the makespan computation — the §6.2 skew signal, bounded to
-	// three numbers per shard. Across a shard merge Min takes the minimum,
-	// Max the maximum, and P50 the worst per-shard median: a conservative
-	// straggler indicator that never under-reports skew.
+	// distribution — the §6.2 skew signal, bounded to three numbers per
+	// shard. Across a shard merge Min takes the minimum, Max the maximum, and
+	// P50 the worst per-shard median: a conservative straggler indicator that
+	// never under-reports skew.
 	TaskMin time.Duration
 	TaskP50 time.Duration
 	TaskMax time.Duration
+	// MapTaskTimes and ReduceTaskTimes are every task's measured duration, in
+	// task order. In-process only: they never cross the wire and a merged
+	// result carries none.
+	MapTaskTimes    []time.Duration
+	ReduceTaskTimes []time.Duration
 	// FirstChunk is the measured wall-clock time from the start of a
 	// streaming run (RunStream with a sink and a projection) to the first
 	// scan chunk delivered to the sink — the latency a client waits before
-	// rows begin flowing, as opposed to ServerTime's full-run makespan. Zero
+	// rows begin flowing, as opposed to ServerTime's full run. Zero
 	// for non-streaming runs and for streams that delivered no rows. Across
 	// a shard merge it takes the minimum non-zero value: the gather's caller
 	// saw rows as soon as the first shard produced any.

@@ -5,9 +5,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	mrand "math/rand"
-	"slices"
 	"testing"
-	"time"
 
 	"seabed/internal/ashe"
 	"seabed/internal/det"
@@ -484,101 +482,6 @@ func TestJoin(t *testing.T) {
 	}
 }
 
-func TestSimulatedScalingImprovesWithWorkers(t *testing.T) {
-	tbl, _, _ := fixture(t, 200000, 32)
-	// The OPE filter keeps each map task's measured duration in the
-	// milliseconds: the vectorized executor runs a bare ASHE sum over 6k
-	// rows in microseconds, where goroutine-scheduling jitter would drown
-	// the simulated-scaling signal. Each cluster also gets one untimed
-	// warmup run so cold caches don't skew the compared measurements.
-	run := func(workers int) *Result {
-		plan := func() *Plan {
-			return &Plan{
-				Table:   tbl,
-				Filters: []Filter{{Kind: FilterOpeCmp, Col: "v_ope", Op: sqlparse.OpGe, Bytes: opeKey.Encrypt(0)}},
-				Aggs:    []Agg{{Kind: AggAsheSum, Col: "v_ashe"}},
-			}
-		}
-		c := NewCluster(Config{Workers: workers})
-		if _, err := c.Run(context.Background(), plan()); err != nil { // warmup
-			t.Fatal(err)
-		}
-		res, err := c.Run(context.Background(), plan())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	t1 := run(1).Metrics.MapTime
-	t8 := run(8).Metrics.MapTime
-	if t8 >= t1 {
-		t.Fatalf("8 workers (%v) not faster than 1 (%v)", t8, t1)
-	}
-	// Demand at least 2x: per-task fixed costs (and race-detector
-	// instrumentation, when enabled) keep the ideal 8x out of reach.
-	if float64(t1)/float64(t8) < 2 {
-		t.Fatalf("speedup %.1fx too small for 8 workers over 32 tasks", float64(t1)/float64(t8))
-	}
-}
-
-// TestStragglerInjection pins the straggler model as arithmetic on injected
-// durations, not on two separately clocked runs: with 16 tasks of 1 ms on 16
-// workers, probability 1 and factor 10 stretch the makespan exactly tenfold,
-// probability 0 leaves it alone, and a seed fixes which tasks are picked.
-func TestStragglerInjection(t *testing.T) {
-	tasks := func() []time.Duration {
-		d := make([]time.Duration, 16)
-		for i := range d {
-			d[i] = time.Millisecond
-		}
-		return d
-	}
-	base := makespan(tasks(), 16)
-
-	all := tasks()
-	injectStragglers(all, 1, 1, 10)
-	if got := makespan(all, 16); got != 10*base {
-		t.Fatalf("every task a 10x straggler: makespan %v, want %v", got, 10*base)
-	}
-
-	none := tasks()
-	injectStragglers(none, 1, 0, 10)
-	if !slices.Equal(none, tasks()) {
-		t.Fatalf("probability 0 changed the durations: %v", none)
-	}
-
-	a, b, other := tasks(), tasks(), tasks()
-	injectStragglers(a, 7, 0.5, 10)
-	injectStragglers(b, 7, 0.5, 10)
-	injectStragglers(other, 8, 0.5, 10)
-	if !slices.Equal(a, b) {
-		t.Fatalf("the same seed picked different stragglers:\n%v\n%v", a, b)
-	}
-	picked := 0
-	for _, d := range a {
-		if d != time.Millisecond && d != 10*time.Millisecond {
-			t.Fatalf("a task is neither untouched nor a 10x straggler: %v", d)
-		}
-		if d == 10*time.Millisecond {
-			picked++
-		}
-	}
-	if picked == 0 || picked == len(a) || slices.Equal(a, other) {
-		t.Fatalf("probability 0.5 picked %d of %d tasks (another seed picked the same: %v)", picked, len(a), slices.Equal(a, other))
-	}
-
-	// The run feeds its measured durations through the same function.
-	tbl, _, _ := fixture(t, 2000, 4)
-	slow := NewCluster(Config{Workers: 16, Seed: 1, StragglerProb: 1, StragglerFactor: 10})
-	res, err := slow.Run(context.Background(), &Plan{Table: tbl, Aggs: []Agg{{Kind: AggPlainSum, Col: "v"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.TaskMax <= 0 || res.Metrics.MapTime < res.Metrics.TaskMax {
-		t.Fatalf("straggler run: map time %v, slowest task %v", res.Metrics.MapTime, res.Metrics.TaskMax)
-	}
-}
-
 func TestCompressAtDriverAblation(t *testing.T) {
 	tbl, _, _ := fixture(t, 50000, 8)
 	worker, err := cluster().Run(context.Background(), &Plan{
@@ -630,27 +533,5 @@ func TestPlanValidation(t *testing.T) {
 		if _, err := cluster().Run(context.Background(), p); err == nil {
 			t.Errorf("case %d: want error", i)
 		}
-	}
-}
-
-func TestMakespan(t *testing.T) {
-	d := func(ms ...int) []time.Duration {
-		out := make([]time.Duration, len(ms))
-		for i, m := range ms {
-			out[i] = time.Duration(m) * time.Millisecond
-		}
-		return out
-	}
-	if got := makespan(nil, 4); got != 0 {
-		t.Fatalf("empty makespan = %v", got)
-	}
-	if got := makespan(d(10, 10, 10, 10), 4); got != 10*time.Millisecond {
-		t.Fatalf("parallel makespan = %v, want 10ms", got)
-	}
-	if got := makespan(d(10, 10, 10, 10), 1); got != 40*time.Millisecond {
-		t.Fatalf("serial makespan = %v, want 40ms", got)
-	}
-	if got := makespan(d(10, 10, 10), 2); got != 20*time.Millisecond {
-		t.Fatalf("2-worker makespan = %v, want 20ms", got)
 	}
 }

@@ -53,9 +53,11 @@ func MergeResults(pl *Plan, partials []*Result) (*Result, error) {
 // public keys and merge kinds, and its Codec — which must be the codec the
 // shards actually used — decodes the shards' identifier lists and re-encodes
 // the merged ones. Shard results must come from Partial plan executions (or
-// be median-free). Metrics are combined scatter-gather style: stage times
-// take the slowest shard (shards run in parallel), byte/task/row counts sum,
-// and the measured merge time is added to DriverTime.
+// be median-free). Metrics are combined scatter-gather style: each stage time
+// and ServerTime take the slowest shard's (shards run in parallel),
+// byte/task/row counts sum, and the merge measured here is added to DriverTime
+// and ServerTime. Merge sees no scatter, so a coordinator that clocked its own
+// (fleet.Cluster) replaces ServerTime with that wall.
 func Merge(pl *Plan, partials []*Result) (*Result, error) {
 	start := time.Now()
 	out := &Result{}
@@ -94,9 +96,9 @@ func Merge(pl *Plan, partials []*Result) (*Result, error) {
 		out.Metrics.ResultBytes = bytes
 	}
 
-	out.Metrics.DriverTime += time.Since(start)
-	out.Metrics.ServerTime = out.Metrics.MapTime + out.Metrics.ShuffleTime +
-		out.Metrics.ReduceTime + out.Metrics.DriverTime
+	merge := time.Since(start)
+	out.Metrics.DriverTime += merge
+	out.Metrics.ServerTime += merge
 	return out, nil
 }
 
@@ -214,9 +216,9 @@ func mergeMetrics(dst, src *Metrics, first bool) {
 			*d = s
 		}
 	}
+	maxDur(&dst.ServerTime, src.ServerTime)
 	maxDur(&dst.MapTime, src.MapTime)
 	maxDur(&dst.ReduceTime, src.ReduceTime)
-	maxDur(&dst.ShuffleTime, src.ShuffleTime)
 	maxDur(&dst.DriverTime, src.DriverTime)
 	dst.ShuffleBytes += src.ShuffleBytes
 	dst.ResultBytes += src.ResultBytes

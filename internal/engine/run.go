@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"slices"
 	"sort"
@@ -95,6 +94,7 @@ func (c *Cluster) RunReference(ctx context.Context, pl *Plan) (*Result, error) {
 // stays nil, and Metrics.FirstChunk records the wall-clock latency to the
 // first delivered chunk.
 func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSink) (*Result, error) {
+	runStart := time.Now()
 	if pl.Table == nil {
 		return nil, errors.New("engine: plan has no table")
 	}
@@ -127,13 +127,13 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSi
 
 	var metrics Metrics
 
-	// Phase 1 — compile (driver side, measured): bind the plan against the
+	// Phase 1 — compile (driver side): bind the plan against the
 	// partition layout, build the typed join index, and lower filters and
 	// aggregates to kernels. Every map task shares the compiled plan, and
 	// repeated query shapes share it across runs through the fingerprint
 	// cache (plancache.go). The reference evaluator compiles fresh every
 	// run, staying an independent oracle for the differential tests.
-	start := time.Now()
+	compileStart := time.Now()
 	var runner mapRunner
 	var err error
 	if reference {
@@ -144,7 +144,7 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSi
 	if err != nil {
 		return nil, err
 	}
-	metrics.DriverTime += time.Since(start)
+	compileTime := time.Since(compileStart)
 
 	// Phase 2 — map stage: one task per partition, executed with bounded
 	// real parallelism, each measured individually. A streaming run also
@@ -152,6 +152,7 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSi
 	// hands each retired task's scan output to the sink while later tasks are
 	// still executing — the first chunk leaves as soon as partition 0
 	// finishes, not after the whole map stage.
+	mapStart := time.Now()
 	parts := pl.Table.Parts
 	results := make([]*mapResult, len(parts))
 	errs := make([]error, len(parts))
@@ -171,7 +172,6 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSi
 		for i := range done {
 			done[i] = make(chan struct{})
 		}
-		runStart := time.Now()
 		go func() {
 			defer close(deliverDone)
 			for i := range done {
@@ -244,47 +244,65 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSi
 		metrics.RowsSelected += r.rowsSelected
 		metrics.Ops.merge(&r.ops)
 	}
-	injectStragglers(durations, c.cfg.Seed, c.cfg.StragglerProb, c.cfg.StragglerFactor)
 	metrics.MapTasks = len(results)
-	metrics.MapTime = makespan(durations, c.cfg.Workers)
+	metrics.MapTaskTimes = durations
 	metrics.TaskMin, metrics.TaskP50, metrics.TaskMax = taskSample(durations)
+	metrics.MapTime = time.Since(mapStart)
 
+	// Phase 3 — reduce (group-by only): one reducer per non-empty bucket.
+	reduceStart := time.Now()
+	grouped := pl.GroupBy != nil
+	var mergers []*groupMerger
+	if grouped {
+		if mergers, err = c.reduceGroups(pl, results, codec, &metrics); err != nil {
+			return nil, err
+		}
+		metrics.ReduceTime = time.Since(reduceStart)
+	}
+
+	// Phase 4 — the driver puts the result together.
+	gatherStart := time.Now()
 	out := &Result{}
 	switch {
+	case grouped:
+		out.Cols = gatherGroups(mergers)
 	case len(pl.Project) > 0:
-		c.reduceScan(pl, results, out, &metrics, sink == nil)
-	case pl.GroupBy == nil:
-		if err := c.reduceSingle(pl, results, codec, out, &metrics); err != nil {
-			return nil, err
+		if sink == nil {
+			out.Scan = gatherScan(results)
 		}
+		metrics.ResultBytes = metrics.ShuffleBytes
 	default:
-		if err := c.reduceGroups(pl, results, codec, out, &metrics); err != nil {
+		if out.Cols, err = mergeSingle(pl, results, codec, &metrics); err != nil {
 			return nil, err
 		}
 	}
+	gatherTime := time.Since(gatherStart)
+	metrics.DriverTime = compileTime + gatherTime
+	metrics.ServerTime = time.Since(runStart)
 
-	metrics.ServerTime = metrics.MapTime + metrics.ShuffleTime + metrics.ReduceTime + metrics.DriverTime
 	out.Metrics = metrics
 	if sp := obs.SpanFromContext(ctx); sp != nil {
-		attachStageSpans(sp, &metrics)
+		// Each stage as the interval a clock took. The driver works twice:
+		// before the map stage and after the last reducer.
+		sp.AddSpan("driver", compileStart, compileTime).SetAttr("phase", "compile")
+		mapSp := sp.AddSpan("map", mapStart, metrics.MapTime)
+		mapSp.SetAttr("tasks", strconv.Itoa(metrics.MapTasks))
+		mapSp.SetAttr("rows_scanned", strconv.FormatUint(metrics.RowsScanned, 10))
+		mapSp.SetAttr("rows_selected", strconv.FormatUint(metrics.RowsSelected, 10))
+		mapSp.SetAttr("task_p50", metrics.TaskP50.String())
+		mapSp.SetAttr("task_max", metrics.TaskMax.String())
+		mapSp.SetAttr("shuffle_bytes", strconv.Itoa(metrics.ShuffleBytes))
+		if metrics.FirstChunk > 0 {
+			mapSp.SetAttr("first_chunk", metrics.FirstChunk.String())
+		}
+		if grouped {
+			sp.AddSpan("reduce", reduceStart, metrics.ReduceTime).SetAttr("tasks", strconv.Itoa(metrics.ReduceTasks))
+		}
+		gatherSp := sp.AddSpan("driver", gatherStart, gatherTime)
+		gatherSp.SetAttr("phase", "gather")
+		gatherSp.SetAttr("result_bytes", strconv.Itoa(metrics.ResultBytes))
 	}
 	return out, nil
-}
-
-// injectStragglers applies Config's straggler model to the map stage's
-// measured task durations, in place: each task, in order, is a straggler with
-// probability prob — drawn from a generator seeded by seed alone, so the picks
-// repeat — and a straggler's duration is multiplied by factor.
-func injectStragglers(durations []time.Duration, seed uint64, prob, factor float64) {
-	if prob <= 0 {
-		return
-	}
-	rng := rand.New(rand.NewSource(int64(seed) ^ 0x5eabed))
-	for i, d := range durations {
-		if rng.Float64() < prob {
-			durations[i] = time.Duration(float64(d) * factor)
-		}
-	}
 }
 
 // effectiveCodec is the plan's identifier-list codec, or the default for its
@@ -311,32 +329,6 @@ func taskSample(durations []time.Duration) (min, p50, max time.Duration) {
 	return sorted[0], sorted[len(sorted)/2], sorted[len(sorted)-1]
 }
 
-// attachStageSpans reports the run's stage breakdown on the active trace
-// span. Stage times are the engine's cost model (makespans and modeled
-// shuffle), not wall-clock intervals, so the spans are laid out sequentially
-// ending now — the shape Table 5's per-stage accounting takes.
-func attachStageSpans(sp *obs.Span, m *Metrics) {
-	base := time.Now().Add(-m.ServerTime)
-	add := func(name string, d time.Duration) *obs.Span {
-		s := sp.AddSpan(name, base, d)
-		base = base.Add(d)
-		return s
-	}
-	mapSp := add("map", m.MapTime)
-	mapSp.SetAttr("tasks", strconv.Itoa(m.MapTasks))
-	mapSp.SetAttr("rows_scanned", strconv.FormatUint(m.RowsScanned, 10))
-	mapSp.SetAttr("rows_selected", strconv.FormatUint(m.RowsSelected, 10))
-	mapSp.SetAttr("task_p50", m.TaskP50.String())
-	mapSp.SetAttr("task_max", m.TaskMax.String())
-	if m.FirstChunk > 0 {
-		mapSp.SetAttr("first_chunk", m.FirstChunk.String())
-	}
-	add("shuffle", m.ShuffleTime).SetAttr("bytes", strconv.Itoa(m.ShuffleBytes))
-	reduceSp := add("reduce", m.ReduceTime)
-	reduceSp.SetAttr("tasks", strconv.Itoa(m.ReduceTasks))
-	add("driver", m.DriverTime).SetAttr("result_bytes", strconv.Itoa(m.ResultBytes))
-}
-
 // RunStream executes a plan like Run, but delivers scan rows to sink in
 // batches of up to ScanChunkRows instead of materializing them in the
 // result (whose Scan field stays nil). For plans without a projection — or
@@ -355,31 +347,24 @@ func (c *Cluster) RunStream(ctx context.Context, pl *Plan, sink ScanSink) (*Resu
 	return c.run(ctx, pl, false, sink)
 }
 
-// reduceScan computes the scan reduce's metrics and, when materialize is
-// set (non-streaming runs), concatenates the scan rows at the driver; a
-// streaming run already delivered them to the sink mid-map.
-func (c *Cluster) reduceScan(pl *Plan, results []*mapResult, out *Result, m *Metrics, materialize bool) {
-	start := time.Now()
-	if materialize {
-		total := 0
-		for _, r := range results {
-			total += len(r.scan)
-		}
-		out.Scan = make([]ScanRow, 0, total)
-		for _, r := range results {
-			out.Scan = append(out.Scan, r.scan...)
-		}
+// gatherScan concatenates the map tasks' scan rows at the driver (a streaming
+// run already delivered them to the sink mid-map).
+func gatherScan(results []*mapResult) []ScanRow {
+	total := 0
+	for _, r := range results {
+		total += len(r.scan)
 	}
-	m.DriverTime += time.Since(start)
-	// Partials stream straight to the driver over one link.
-	m.ShuffleTime = c.cfg.ShuffleLink.TransferTime(m.ShuffleBytes)
-	m.ResultBytes = m.ShuffleBytes
+	scan := make([]ScanRow, 0, total)
+	for _, r := range results {
+		scan = append(scan, r.scan...)
+	}
+	return scan
 }
 
-// reduceSingle merges no-group-by partials at the driver (§4.5: workers send
-// partial results to the driver, which aggregates).
-func (c *Cluster) reduceSingle(pl *Plan, results []*mapResult, codec idlist.Codec, out *Result, m *Metrics) error {
-	start := time.Now()
+// mergeSingle merges no-group-by partials at the driver (§4.5: workers send
+// partial results to the driver, which aggregates) into a one-group column
+// set.
+func mergeSingle(pl *Plan, results []*mapResult, codec idlist.Codec, m *Metrics) (*GroupCols, error) {
 	final := newPartial(pl.Aggs)
 	for _, r := range results {
 		mergePartial(pl, final, r.single)
@@ -387,26 +372,21 @@ func (c *Cluster) reduceSingle(pl *Plan, results []*mapResult, codec idlist.Code
 	cols := &GroupCols{KeyKind: store.U64, KeyU64: []uint64{0}, Rows: []uint64{final.rows}, Aggs: newAggCols(pl.Aggs, 1)}
 	bytes, err := pl.finishAggs(final, cols.Aggs, 0, codec)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	out.Cols = cols
-	m.DriverTime += time.Since(start)
-	m.ShuffleTime = c.cfg.ShuffleLink.TransferTime(m.ShuffleBytes)
 	m.ResultBytes = 8 + bytes // key + row count, roughly
-	return nil
+	return cols, nil
 }
 
 // reduceGroups merges the map tasks' groups. The shuffle moves nothing: every
 // map task already partitioned its slots by reducerBucket (grouper.fold /
 // taskGroupsFromMap), so reducer b's input is each task's bucket b, in task
 // order, read straight from the task's lanes. One reducer runs per non-empty
-// bucket, on real goroutines bounded by RealParallelism: it folds its share of
+// bucket, on goroutines bounded by RealParallelism: it folds its share of
 // every task through a groupMerger and finishes the merged slots (encoding
-// identifier lists). The reported ReduceTime remains the makespan of the
-// measured reducer durations over the simulated Workers, consistent with the
-// map stage's accounting. The driver then gathers the result columns, in key
-// order, from the reducers' blocks.
-func (c *Cluster) reduceGroups(pl *Plan, results []*mapResult, codec idlist.Codec, out *Result, m *Metrics) error {
+// identifier lists). The driver then gathers the result columns, in key
+// order, from the returned reducers' blocks.
+func (c *Cluster) reduceGroups(pl *Plan, results []*mapResult, codec idlist.Codec, m *Metrics) ([]*groupMerger, error) {
 	nb := c.cfg.Workers
 	if nb < 1 {
 		nb = 1
@@ -423,21 +403,12 @@ func (c *Cluster) reduceGroups(pl *Plan, results []*mapResult, codec idlist.Code
 			active = append(active, b)
 		}
 	}
-	reducers := len(active)
-	if reducers < 1 {
-		reducers = 1
-	}
-	m.ReduceTasks = reducers
+	// A group-by that selected nothing still counts one (idle) reducer.
+	m.ReduceTasks = max(len(active), 1)
 
-	// The shuffle fans out over the active reducers' links in parallel:
-	// fewer reducers means fewer links carrying the same bytes — the §4.5
-	// bottleneck that group inflation exists to fix.
-	m.ShuffleTime = c.cfg.ShuffleLink.TransferTime(m.ShuffleBytes / reducers)
-
-	// Merge per reducer, in parallel for real. Buckets are disjoint by
-	// construction — a key maps to exactly one bucket, and each map task's
-	// group for it appears there once — so reducers share no accumulator
-	// state.
+	// Merge per reducer, in parallel. Buckets are disjoint by construction —
+	// a key maps to exactly one bucket, and each map task's group for it
+	// appears there once — so reducers share no accumulator state.
 	mergers := make([]*groupMerger, len(active))
 	durations := make([]time.Duration, len(active))
 	errs := make([]error, len(active))
@@ -469,15 +440,12 @@ func (c *Cluster) reduceGroups(pl *Plan, results []*mapResult, codec idlist.Code
 
 	for ri, mg := range mergers {
 		if errs[ri] != nil {
-			return errs[ri]
+			return nil, errs[ri]
 		}
 		m.ResultBytes += mg.bytes
 	}
-	m.ReduceTime = makespan(durations, c.cfg.Workers)
-	start := time.Now()
-	out.Cols = gatherGroups(mergers)
-	m.DriverTime += time.Since(start)
-	return nil
+	m.ReduceTaskTimes = durations
+	return mergers, nil
 }
 
 // mergePartial folds src into dst.
@@ -604,31 +572,4 @@ func collapseOpeMedian(medOpe [][]byte, medIDs, medComp []uint64) (opeVal []byte
 		comp = medComp[mid]
 	}
 	return opeVal, argID, comp
-}
-
-// makespan list-schedules the given task durations onto w workers (FIFO,
-// earliest-free-worker) and returns the finishing time.
-func makespan(durations []time.Duration, w int) time.Duration {
-	if len(durations) == 0 {
-		return 0
-	}
-	if w < 1 {
-		w = 1
-	}
-	free := make([]time.Duration, w)
-	var finish time.Duration
-	for _, d := range durations {
-		// Earliest-free worker.
-		min := 0
-		for i := 1; i < w; i++ {
-			if free[i] < free[min] {
-				min = i
-			}
-		}
-		free[min] += d
-		if free[min] > finish {
-			finish = free[min]
-		}
-	}
-	return finish
 }

@@ -836,8 +836,9 @@ func TestFleetQueryTraceExposesStraggler(t *testing.T) {
 				t.Fatalf("daemon trace ID %s, want %s:\n%s", id, wantID, root)
 			}
 		}
-		// The daemon breakdown carries the engine's stage spans.
-		for _, name := range []string{"queue", "map", "reduce"} {
+		// The daemon breakdown carries the engine's stage spans (no reduce:
+		// the query has no group-by).
+		for _, name := range []string{"queue", "map", "driver"} {
 			if root.FindSpan(name) == nil {
 				t.Fatalf("daemon breakdown has no %q span:\n%s", name, root)
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"seabed/internal/engine"
 	"seabed/internal/obs"
@@ -234,6 +235,7 @@ func (c *Cluster) runRange(ctx context.Context, k int, req *wire.PlanRequest, he
 // the other backends, Run records the effective identifier-list codec in
 // pl.Codec when the plan left it nil.
 func (c *Cluster) Run(ctx context.Context, pl *engine.Plan) (*engine.Result, error) {
+	start := time.Now()
 	_, reqs, err := c.scatterPlans(ctx, pl)
 	if err != nil {
 		return nil, err
@@ -291,10 +293,22 @@ func (c *Cluster) Run(ctx context.Context, pl *engine.Plan) (*engine.Result, err
 		return nil, first
 	}
 
+	return gather(pl, reqs, results, start)
+}
+
+// gather merges the ranges' partials with engine.Merge and stamps the merged
+// result with the coordinator's own clock: ServerTime is the wall since start,
+// scatter and merge, not something composed from the daemons' reports.
+func gather(pl *engine.Plan, reqs []*wire.PlanRequest, results []*engine.Result, start time.Time) (*engine.Result, error) {
 	if pl.Codec == nil {
 		pl.Codec = reqs[0].Plan.Codec
 	}
-	return engine.Merge(pl, results)
+	out, err := engine.Merge(pl, results)
+	if err != nil {
+		return nil, err
+	}
+	out.Metrics.ServerTime = time.Since(start)
+	return out, nil
 }
 
 // RunStream implements ClusterBackend. Scan plans stream range by range, in
@@ -310,6 +324,7 @@ func (c *Cluster) RunStream(ctx context.Context, pl *engine.Plan, sink engine.Sc
 	if sink == nil || len(pl.Project) == 0 {
 		return c.Run(ctx, pl)
 	}
+	start := time.Now()
 	_, reqs, err := c.scatterPlans(ctx, pl)
 	if err != nil {
 		return nil, err
@@ -322,10 +337,7 @@ func (c *Cluster) RunStream(ctx context.Context, pl *engine.Plan, sink engine.Sc
 		}
 		results[k] = res
 	}
-	if pl.Codec == nil {
-		pl.Codec = reqs[0].Plan.Codec
-	}
-	return engine.Merge(pl, results)
+	return gather(pl, reqs, results, start)
 }
 
 // streamRange runs one range's scan against its replicas in order, failing

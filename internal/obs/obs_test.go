@@ -62,7 +62,7 @@ func TestSpanConcurrent(t *testing.T) {
 }
 
 func TestFlattenAttach(t *testing.T) {
-	root := NewTraceWithID("daemon", 42)
+	root := NewTraceWithID("daemon", 42, time.Now())
 	m := root.AddSpan("map", root.Start().Add(time.Millisecond), 5*time.Millisecond)
 	m.SetAttr("rows", "100")
 	sub := m.StartChild("spill")
@@ -82,7 +82,7 @@ func TestFlattenAttach(t *testing.T) {
 	}
 
 	// Reattach under a client-side span and check the tree shape survives.
-	client := NewTraceWithID("rpc", 42)
+	client := NewTraceWithID("rpc", 42, time.Now())
 	client.AttachFlat(flat)
 	d := client.FindSpan("daemon")
 	if d == nil {
@@ -99,7 +99,7 @@ func TestFlattenAttach(t *testing.T) {
 
 func TestAttachFlatHostileDepths(t *testing.T) {
 	// The server is untrusted: garbled depth sequences must clamp, not panic.
-	root := NewTraceWithID("rpc", 1)
+	root := NewTraceWithID("rpc", 1, time.Now())
 	root.AttachFlat([]FlatSpan{
 		{Depth: 5, Name: "a"},
 		{Depth: -3, Name: "b"},
@@ -111,7 +111,7 @@ func TestAttachFlatHostileDepths(t *testing.T) {
 }
 
 func TestSlowestChild(t *testing.T) {
-	root := NewTraceWithID("run", 7)
+	root := NewTraceWithID("run", 7, time.Now())
 	root.AddSpan("shard 0", root.Start(), 2*time.Millisecond)
 	root.AddSpan("shard 1", root.Start(), 9*time.Millisecond)
 	root.AddSpan("shard 2", root.Start(), 3*time.Millisecond)

@@ -6,8 +6,8 @@
 // GC stragglers on individual Spark workers — which is only visible if every
 // query can say where its time went, per shard. Spans carry that: the proxy
 // mints a trace ID per query, the ID rides the plan frame to each daemon,
-// and each daemon ships its own span breakdown (queue wait, map, shuffle,
-// reduce) back in the result frame. Metrics cover the fleet view the paper's
+// and each daemon ships its own span breakdown (queue wait, map, reduce,
+// driver) back in the result frame. Metrics cover the fleet view the paper's
 // Table 5 style accounting needs: request latency by message type, WAL
 // append/fsync cost, bytes moved.
 //
@@ -52,13 +52,15 @@ func NewTrace(name string) *Span {
 	for id == 0 {
 		id = rand.Uint64()
 	}
-	return NewTraceWithID(name, id)
+	return NewTraceWithID(name, id, time.Now())
 }
 
 // NewTraceWithID starts a root span under an existing trace ID — the daemon
-// side of trace propagation, where the ID arrived in the plan frame.
-func NewTraceWithID(name string, traceID uint64) *Span {
-	return &Span{name: name, traceID: traceID, start: time.Now()}
+// side of trace propagation, where the ID arrived in the plan frame. start is
+// the clock reading the span begins at: the daemon's is the moment the frame
+// left the socket, so the queue wait it reports lies inside it.
+func NewTraceWithID(name string, traceID uint64, start time.Time) *Span {
+	return &Span{name: name, traceID: traceID, start: start}
 }
 
 // Name reports the span's name.
@@ -101,9 +103,9 @@ func (s *Span) StartChild(name string) *Span {
 	return c
 }
 
-// AddSpan attaches an already-measured child — a stage whose wall clock was
-// observed elsewhere (the engine's internal stage times, a remote daemon's
-// breakdown) rather than bracketed by StartChild/End.
+// AddSpan attaches an already-measured child — a stage whose start and
+// duration a clock took elsewhere (the engine's stages, a daemon's queue
+// wait) rather than one bracketed by StartChild/End.
 func (s *Span) AddSpan(name string, start time.Time, dur time.Duration) *Span {
 	c := &Span{name: name, traceID: s.traceID, start: start, dur: dur, ended: true}
 	s.mu.Lock()

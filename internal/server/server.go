@@ -973,7 +973,8 @@ func (s *Server) handleAppend(payload []byte) (wire.MsgType, []byte) {
 // executeRun decodes and runs one plan, writing scan rows to conn as
 // MsgResultChunk frames as the engine produces them, and returns the
 // terminal response frame. A run whose plan carries a trace ID builds its
-// span breakdown — queue wait, then the engine's stage spans — and ships it
+// span breakdown — queue wait, then the engine's stage spans, all inside a
+// root that starts when the frame left the socket — and ships it
 // in the result frame. cancel is the run's own cancel func,
 // registered with the live-query registry so /debug/queries/kill reaches
 // the same context MsgCancel does.
@@ -1012,7 +1013,7 @@ func (s *Server) executeRun(ctx context.Context, cancel context.CancelFunc, conn
 	// for an overloaded daemon, distinct from a slow one.
 	var root *obs.Span
 	if req.TraceID != 0 {
-		root = obs.NewTraceWithID("daemon", req.TraceID)
+		root = obs.NewTraceWithID("daemon", req.TraceID, f.at)
 		root.SetAttr("trace", fmt.Sprintf("%016x", req.TraceID))
 		if s.ShardCount > 0 {
 			root.SetAttr("shard", fmt.Sprintf("%d/%d", s.ShardIndex, s.ShardCount))

@@ -497,7 +497,6 @@ func encodeMetrics(e *enc, m *engine.Metrics) {
 	e.int(int64(m.ServerTime))
 	e.int(int64(m.MapTime))
 	e.int(int64(m.ReduceTime))
-	e.int(int64(m.ShuffleTime))
 	e.int(int64(m.DriverTime))
 	e.int(int64(m.ShuffleBytes))
 	e.int(int64(m.ResultBytes))
@@ -529,7 +528,6 @@ func decodeMetrics(d *dec, m *engine.Metrics) {
 	m.ServerTime = time.Duration(d.int())
 	m.MapTime = time.Duration(d.int())
 	m.ReduceTime = time.Duration(d.int())
-	m.ShuffleTime = time.Duration(d.int())
 	m.DriverTime = time.Duration(d.int())
 	m.ShuffleBytes = int(d.int())
 	m.ResultBytes = int(d.int())

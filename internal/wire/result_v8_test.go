@@ -55,7 +55,7 @@ func TestResultOpsRoundTripV8(t *testing.T) {
 	if !reflect.DeepEqual(got.Metrics.Ops, res.Metrics.Ops) {
 		t.Fatalf("ops round trip:\n got %+v\nwant %+v", got.Metrics.Ops, res.Metrics.Ops)
 	}
-	if !reflect.DeepEqual(got.View(), res.Groups) || got.Metrics != res.Metrics {
+	if !reflect.DeepEqual(got.View(), res.Groups) || !reflect.DeepEqual(got.Metrics, res.Metrics) {
 		t.Fatalf("result round trip:\n got %+v\nwant %+v", got, res)
 	}
 }

@@ -259,8 +259,7 @@ func TestResultRoundTrip(t *testing.T) {
 		},
 		Metrics: engine.Metrics{
 			ServerTime: 123 * time.Millisecond, MapTime: 100 * time.Millisecond,
-			ReduceTime: 13 * time.Millisecond, ShuffleTime: 10 * time.Millisecond,
-			DriverTime: 1 * time.Millisecond, ShuffleBytes: 4096, ResultBytes: 512,
+			ReduceTime: 13 * time.Millisecond, DriverTime: 1 * time.Millisecond, ShuffleBytes: 4096, ResultBytes: 512,
 			MapTasks: 32, ReduceTasks: 4, RowsScanned: 1_000_000, RowsSelected: 993,
 		},
 	}
@@ -279,8 +278,16 @@ func TestResultRoundTrip(t *testing.T) {
 	if err != nil || !back.Equal(ids) {
 		t.Fatalf("id list round trip: got %v (err %v), want %v", back, err, ids)
 	}
-	if !reflect.DeepEqual(got.View(), res.Groups) || !reflect.DeepEqual(got.Scan, res.Scan) || got.Metrics != res.Metrics {
+	if !reflect.DeepEqual(got.View(), res.Groups) || !reflect.DeepEqual(got.Scan, res.Scan) || !reflect.DeepEqual(got.Metrics, res.Metrics) {
 		t.Fatalf("result round trip:\n got %+v\nwant %+v", got, res)
+	}
+
+	// Per-task durations are in-process only: a result that carries them
+	// encodes to the same frame.
+	res.Metrics.MapTaskTimes = []time.Duration{time.Millisecond}
+	res.Metrics.ReduceTaskTimes = []time.Duration{time.Millisecond}
+	if again, err := EncodeResult(idlist.Default.Name(), res, nil, Version); err != nil || !bytes.Equal(again, payload) {
+		t.Fatalf("task durations changed the result frame (err %v)", err)
 	}
 }
 
@@ -451,8 +458,8 @@ func TestCancelFrameType(t *testing.T) {
 	if MsgCancel.String() != "cancel" || MsgResultChunk.String() != "result-chunk" {
 		t.Fatalf("lifecycle frame names: %v, %v", MsgCancel, MsgResultChunk)
 	}
-	if Version != 9 {
-		t.Fatalf("protocol version = %d, want 9 (a bump must re-capture the golden frames)", Version)
+	if Version != 10 {
+		t.Fatalf("protocol version = %d, want 10 (a bump must re-capture the golden frames)", Version)
 	}
 	if MsgSegmentList.String() != "segment-list" || MsgSegmentFetch.String() != "segment-fetch" || MsgSegmentData.String() != "segment-data" {
 		t.Fatalf("segment frame names: %v, %v, %v", MsgSegmentList, MsgSegmentFetch, MsgSegmentData)

@@ -347,7 +347,7 @@ func TestStreamedScanMatchesMaterialized(t *testing.T) {
 		if !reflect.DeepEqual(got, matRows) {
 			t.Fatalf("%s: streamed rows diverge from materialized (%d vs %d rows)", name, len(got), len(matRows))
 		}
-		if streamed.Metrics.RowsScanned == 0 || streamed.ServerTime <= 0 {
+		if streamed.Metrics.RowsScanned == 0 || streamed.ServerTime <= 0 || streamed.TotalTime < streamed.ServerTime {
 			t.Fatalf("%s: post-drain metrics not populated: %+v", name, streamed.Metrics)
 		}
 		// A drained stream is one-shot.

@@ -51,7 +51,6 @@ import (
 	"seabed/internal/engine"
 	"seabed/internal/fleet"
 	"seabed/internal/idlist"
-	"seabed/internal/netsim"
 	"seabed/internal/obs"
 	"seabed/internal/planner"
 	"seabed/internal/remote"
@@ -72,7 +71,8 @@ type (
 	// Cluster is the untrusted server: a Spark-like engine over partitioned
 	// columnar tables (§4.5).
 	Cluster = engine.Cluster
-	// ClusterConfig sizes the simulated cluster.
+	// ClusterConfig sizes the cluster: reducer buckets (Workers) and task
+	// goroutines (RealParallelism).
 	ClusterConfig = engine.Config
 	// ClusterBackend abstracts the engine the proxy drives: an in-process
 	// *Cluster or a *RemoteCluster reaching a seabed-server over TCP.
@@ -136,8 +136,6 @@ type (
 	Table = store.Table
 	// Column is one column vector.
 	Column = store.Column
-	// Link is a modeled network link.
-	Link = netsim.Link
 	// Query is a parsed SQL statement.
 	Query = sqlparse.Query
 )
@@ -168,16 +166,6 @@ const (
 	Bytes = store.Bytes
 	// Str columns hold strings.
 	Str = store.Str
-)
-
-// Predefined network links (§6.1, §6.6).
-var (
-	// LinkInCluster is the default 2 Gbps / 0.5 ms placement.
-	LinkInCluster = netsim.InCluster
-	// LinkWAN100 is the degraded 100 Mbps / 10 ms link.
-	LinkWAN100 = netsim.WAN100
-	// LinkWAN10 is the degraded 10 Mbps / 100 ms link.
-	LinkWAN10 = netsim.WAN10
 )
 
 // NewCluster creates the untrusted server with the given configuration.

@@ -151,9 +151,3 @@ func TestFacadeIDListCodecs(t *testing.T) {
 		t.Fatal("codec family too small")
 	}
 }
-
-func TestFacadeLinks(t *testing.T) {
-	if seabed.LinkWAN10.TransferTime(1000) <= seabed.LinkInCluster.TransferTime(1000) {
-		t.Fatal("link ordering broken")
-	}
-}
