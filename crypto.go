@@ -38,13 +38,17 @@ type DETKey = det.Key
 func NewDETKey(secret []byte) (*DETKey, error) { return det.NewKey(secret) }
 
 // ORE (§4.2, Appendix A.3): the Chenette et al. order-revealing scheme.
+// Encrypt returns a 16-byte ciphertext (64 trits, two bits each);
+// EncryptColumn encrypts a whole column to the same bytes, faster.
 type OREKey = ope.Key
 
 // NewOREKey creates an ORE key from a 16-byte secret.
 func NewOREKey(secret []byte) (*OREKey, error) { return ope.NewKey(secret) }
 
-// ORECompare order-compares two ORE ciphertexts without any key:
-// -1, 0 or +1.
+// ORECompare order-compares two 16-byte ORE ciphertexts without any key:
+// -1, 0 or +1. Bytes of any other length are not a ciphertext: they compare
+// below every ciphertext and equal to each other, so check lengths before
+// trusting an answer about data you did not encrypt.
 func ORECompare(ct1, ct2 []byte) int { return ope.Compare(ct1, ct2) }
 
 // Paillier: the asymmetric baseline CryptDB and Monomi build on.

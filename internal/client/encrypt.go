@@ -177,12 +177,8 @@ func (e *encryptor) columnsFor(cp *planner.ColumnPlan, mode translate.Mode) ([]s
 		if err != nil {
 			return nil, err
 		}
-		ok := e.ring.Ope(cp.Source)
-		cts := make([][]byte, len(vals))
-		for i, v := range vals {
-			cts[i] = ok.Encrypt(v)
-		}
-		out = append(out, store.Column{Name: planner.OpeName(cp.Source), Kind: store.Bytes, Bytes: cts})
+		out = append(out, store.Column{Name: planner.OpeName(cp.Source), Kind: store.Bytes,
+			Bytes: e.ring.Ope(cp.Source).EncryptColumn(vals)})
 	}
 
 	if cp.Splashe != nil {

@@ -77,6 +77,9 @@ func (ts *taskState) execute(ctx context.Context, i0, i1 int) error {
 		if processed&(cancelCheckRows-1) == 0 && processed > 0 && ctx.Err() != nil {
 			return ctx.Err()
 		}
+		if ts.pc.err != nil { // a kernel of the last batch met a malformed value
+			return ts.pc.err
+		}
 		hi := min(lo+batchRows-1, i1)
 		n := hi - lo + 1
 		processed += n
@@ -125,7 +128,7 @@ func (ts *taskState) execute(ctx context.Context, i0, i1 int) error {
 			ts.accumulateGroups(startID)
 		}
 	}
-	return nil
+	return ts.pc.err
 }
 
 // probe runs the broadcast-join hash probe over the batch: unmatched rows

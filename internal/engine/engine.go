@@ -117,7 +117,9 @@ const (
 	// constant.
 	FilterDetEq
 	// FilterOpeCmp order-compares an OPE Bytes column against an encrypted
-	// constant.
+	// constant. Both are ope.CiphertextSize bytes: a constant of another
+	// length fails compilation, a stored value of another length fails the
+	// run, each with an error naming the column.
 	FilterOpeCmp
 	// FilterRandom selects each row independently with probability Prob,
 	// the selectivity model of §6.1.

@@ -5,6 +5,8 @@ import (
 	"crypto/rand"
 	"fmt"
 	mrand "math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"seabed/internal/ashe"
@@ -175,6 +177,60 @@ func TestOpeFilter(t *testing.T) {
 	}
 	if got := res.View()[0].Aggs[0].U64; got != want {
 		t.Fatalf("ope-filtered sum = %d, want %d", got, want)
+	}
+}
+
+// TestOpeWrongLengthIsAnError holds both executors to the fixed-width rule:
+// bytes that are not ope.CiphertextSize long are not a ciphertext, whether
+// they arrive as a filter's constant or sit in a stored column (a data dir
+// written with the 64-byte form, a truncated value). The min-length compare
+// this replaces called an empty constant equal to every row.
+func TestOpeWrongLengthIsAnError(t *testing.T) {
+	tbl, _, _ := fixture(t, 3000, 3)
+	good := opeKey.Encrypt(42)
+	run := map[string]func(context.Context, *Plan) (*Result, error){
+		"vectorized": cluster().Run, "reference": cluster().RunReference,
+	}
+	wantErr := func(t *testing.T, pl *Plan, col string) {
+		t.Helper()
+		for name, exec := range run {
+			if _, err := exec(context.Background(), pl); err == nil || !strings.Contains(err.Error(), col) || !strings.Contains(err.Error(), "OPE") {
+				t.Errorf("%s: err = %v, want an OPE error naming %q", name, err, col)
+			}
+		}
+	}
+
+	for _, c := range [][]byte{nil, {}, good[:15], append(slices.Clone(good), 0), make([]byte, 64)} {
+		for _, op := range []sqlparse.CmpOp{sqlparse.OpEq, sqlparse.OpLe, sqlparse.OpGe, sqlparse.OpLt} {
+			wantErr(t, &Plan{Table: tbl,
+				Filters: []Filter{{Kind: FilterOpeCmp, Col: "v_ope", Op: op, Bytes: c}},
+				Aggs:    []Agg{{Kind: AggCount}}}, "v_ope")
+		}
+	}
+
+	// One stored value of another length, late in the last partition.
+	for _, bad := range [][]byte{{}, good[:15], make([]byte, 64)} {
+		last := tbl.Parts[len(tbl.Parts)-1]
+		col := last.Col("v_ope")
+		at := len(col.Bytes) - 5
+		keep := col.Bytes[at]
+		col.Bytes[at] = bad
+		right := kernelFixture(t, 7, 1)
+		for name, pl := range map[string]*Plan{
+			"filter": {Table: tbl,
+				Filters: []Filter{{Kind: FilterOpeCmp, Col: "v_ope", Op: sqlparse.OpGe, Bytes: good}},
+				Aggs:    []Agg{{Kind: AggCount}}},
+			"filter under a join": {Table: tbl,
+				Join:    &Join{Right: right, LeftCol: "d", RightCol: "d"},
+				Filters: []Filter{{Kind: FilterOpeCmp, Col: "v_ope", Op: sqlparse.OpNe, Bytes: good}},
+				Aggs:    []Agg{{Kind: AggCount}}},
+			"min":             {Table: tbl, Aggs: []Agg{{Kind: AggOpeMin, Col: "v_ope"}}},
+			"max, grouped":    {Table: tbl, GroupBy: &GroupBy{Col: "d"}, Aggs: []Agg{{Kind: AggOpeMax, Col: "v_ope"}}},
+			"median, partial": {Table: tbl, Partial: true, Aggs: []Agg{{Kind: AggOpeMedian, Col: "v_ope"}}},
+		} {
+			t.Run(fmt.Sprintf("%d stored bytes/%s", len(bad), name), func(t *testing.T) { wantErr(t, pl, "v_ope") })
+		}
+		col.Bytes[at] = keep
 	}
 }
 

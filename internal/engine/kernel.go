@@ -28,6 +28,37 @@ type partCols struct {
 	group      *store.Column
 	project    []*store.Column
 	leftKey    *store.Column
+
+	// err is the first malformed stored value a kernel met (kernels return
+	// nothing); the batch loop ends the task with it.
+	err error
+}
+
+// badOpe is the error a run fails with when a stored value of an OPE column
+// is not a ciphertext: comparing it would answer something, and any answer
+// is wrong.
+func badOpe(col *store.Column, ct []byte) error {
+	return fmt.Errorf("engine: column %q holds a %d-byte value where an OPE ciphertext (%d bytes) belongs", col.Name, len(ct), ope.CiphertextSize)
+}
+
+// opeAt returns col's value at row i when it is an OPE ciphertext; when it is
+// not, it fails the task and reports false.
+func (pc *partCols) opeAt(col *store.Column, i int32) ([]byte, bool) {
+	ct := col.Bytes[i]
+	if len(ct) != ope.CiphertextSize {
+		pc.err = badOpe(col, ct)
+		return nil, false
+	}
+	return ct, true
+}
+
+// checkOpeConst rejects an OPE filter whose constant is not a ciphertext;
+// both executors call it when they compile a plan.
+func checkOpeConst(f *Filter) error {
+	if f.Kind == FilterOpeCmp && len(f.Bytes) != ope.CiphertextSize {
+		return fmt.Errorf("engine: filter on column %q: the constant is %d bytes, not an OPE ciphertext (%d bytes)", f.Col, len(f.Bytes), ope.CiphertextSize)
+	}
+	return nil
 }
 
 // batch is the executor's working set for one batchRows-sized slice of a
@@ -59,8 +90,8 @@ type aggKernel struct {
 
 // rowPred lifts a per-row predicate into a predKernel. It is the generic
 // driver for filter kinds whose comparison dominates the call overhead
-// (DET/OPE/string comparisons) and for right-side columns, where every row
-// indexes through the join vector anyway.
+// (string comparisons) and for right-side columns and joined plans, where
+// every row indexes through the join vector anyway.
 func rowPred(match func(pc *partCols, i, j int32, rowID uint64) bool) predKernel {
 	return func(pc *partCols, b *batch, startID uint64) {
 		out := b.sel[:0]
@@ -84,10 +115,12 @@ func rowPred(match func(pc *partCols, i, j int32, rowID uint64) bool) predKernel
 	}
 }
 
-// compileFilter lowers one filter to a predicate kernel. Plain u64
-// comparisons on left-side columns of join-free plans get fully specialized
-// per operator — the hot path of a filtered scan; everything else goes
-// through the rowPred driver with the kind dispatch resolved here, once.
+// compileFilter lowers one filter to a predicate kernel. On left-side columns
+// of join-free plans — the hot path of a filtered scan — plain u64
+// comparisons get fully specialized per operator and DET equality and OPE
+// comparison run as one loop over the column with the compare inlined;
+// everything else goes through the rowPred driver with the kind dispatch
+// resolved here, once.
 func (cp *compiledPlan) compileFilter(fi int, f *Filter) (predKernel, error) {
 	right := cp.filters[fi].isRight() && f.Kind != FilterRandom
 	vectorizable := cp.pl.Join == nil && !right
@@ -158,9 +191,37 @@ func (cp *compiledPlan) compileFilter(fi int, f *Filter) (predKernel, error) {
 		}), nil
 
 	case FilterOpeCmp:
-		want, op := f.Bytes, f.Op
+		if err := checkOpeConst(f); err != nil {
+			return nil, err
+		}
+		hi, lo := ope.Words(f.Bytes)
+		// pass[cmp+1]: the operator resolved once, not per row.
+		pass := [3]bool{cmpMatch(f.Op, -1), cmpMatch(f.Op, 0), cmpMatch(f.Op, 1)}
+		if vectorizable {
+			return func(pc *partCols, b *batch, startID uint64) {
+				col := pc.filters[fi]
+				out := b.sel[:0]
+				for _, i := range b.sel {
+					ct := col.Bytes[i]
+					if len(ct) != ope.CiphertextSize { // opeAt, by hand: it does not inline
+						pc.err = badOpe(col, ct)
+						break
+					}
+					rhi, rlo := ope.Words(ct)
+					if pass[ope.CompareWords(rhi, rlo, hi, lo)+1] {
+						out = append(out, i)
+					}
+				}
+				b.sel = out
+			}, nil
+		}
 		return rowPred(func(pc *partCols, i, j int32, rowID uint64) bool {
-			return cmpMatch(op, ope.Compare(pc.filters[fi].Bytes[pick(i, j, right)], want))
+			ct, ok := pc.opeAt(pc.filters[fi], pick(i, j, right))
+			if !ok {
+				return false
+			}
+			rhi, rlo := ope.Words(ct)
+			return pass[ope.CompareWords(rhi, rlo, hi, lo)+1]
 		}), nil
 	}
 	return nil, fmt.Errorf("engine: unknown filter kind %d", f.Kind)
@@ -432,7 +493,7 @@ func (cp *compiledPlan) compileAgg(ai int, a *Agg) aggKernel {
 	case AggOpeMin:
 		row := func(pc *partCols, st *aggState, i, j int32, rowID uint64) {
 			idx := pick(i, j, right)
-			if v := pc.aggs[ai].Bytes[idx]; !st.seen || ope.Less(v, st.ope) {
+			if v, ok := pc.opeAt(pc.aggs[ai], idx); ok && (!st.seen || ope.Less(v, st.ope)) {
 				st.ope, st.argID, st.seen = v, rowID, true
 				st.takeCompanion(pc.companions[ai], int(idx))
 			}
@@ -442,7 +503,7 @@ func (cp *compiledPlan) compileAgg(ai int, a *Agg) aggKernel {
 	case AggOpeMax:
 		row := func(pc *partCols, st *aggState, i, j int32, rowID uint64) {
 			idx := pick(i, j, right)
-			if v := pc.aggs[ai].Bytes[idx]; !st.seen || ope.Less(st.ope, v) {
+			if v, ok := pc.opeAt(pc.aggs[ai], idx); ok && (!st.seen || ope.Less(st.ope, v)) {
 				st.ope, st.argID, st.seen = v, rowID, true
 				st.takeCompanion(pc.companions[ai], int(idx))
 			}
@@ -474,7 +535,11 @@ func (cp *compiledPlan) compileAgg(ai int, a *Agg) aggKernel {
 	case AggOpeMedian:
 		row := func(pc *partCols, st *aggState, i, j int32, rowID uint64) {
 			idx := pick(i, j, right)
-			st.medOpe = append(st.medOpe, pc.aggs[ai].Bytes[idx])
+			v, ok := pc.opeAt(pc.aggs[ai], idx)
+			if !ok {
+				return
+			}
+			st.medOpe = append(st.medOpe, v)
 			st.medIDs = append(st.medIDs, rowID)
 			if comp := pc.companions[ai]; comp != nil {
 				st.medComp = append(st.medComp, comp.U64[idx])

@@ -34,6 +34,11 @@ type referencePlan struct {
 // counterpart of Plan.compile for the interpreter.
 func (pl *Plan) compileReference(codec idlist.Codec) (*referencePlan, error) {
 	rp := &referencePlan{pl: pl, codec: codec}
+	for fi := range pl.Filters {
+		if err := checkOpeConst(&pl.Filters[fi]); err != nil {
+			return nil, err
+		}
+	}
 	if pl.Join != nil {
 		var err error
 		rp.right, err = flattenRight(pl.Join.Right, pl.Join.RightCols, pl.Join.RightCol)
@@ -281,6 +286,9 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 				if b.filterRight[fi] {
 					j = joinIdx
 				}
+				if len(col.Bytes[j]) != ope.CiphertextSize {
+					return nil, badOpe(col, col.Bytes[j])
+				}
 				if !cmpMatch(f.Op, ope.Compare(col.Bytes[j], f.Bytes)) {
 					ok = false
 				}
@@ -354,6 +362,12 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 			j := i
 			if col != nil && b.aggRight[ai] {
 				j = joinIdx
+			}
+			switch st.kind {
+			case AggOpeMin, AggOpeMax, AggOpeMedian:
+				if len(col.Bytes[j]) != ope.CiphertextSize {
+					return nil, badOpe(col, col.Bytes[j])
+				}
 			}
 			switch st.kind {
 			case AggCount:

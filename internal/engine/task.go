@@ -266,9 +266,8 @@ func (pl *Plan) aggBytes(p *partial) int {
 	return total
 }
 
-// opeMedianBytes sizes a collected OPE median shuffle payload from the
-// actual ciphertext lengths (OPE ciphertexts are variable-length), plus the
-// row identifier and companion value each element carries.
+// opeMedianBytes sizes a collected OPE median shuffle payload: each element's
+// ciphertext plus the row identifier and companion value it carries.
 func opeMedianBytes(medOpe [][]byte) int {
 	total := 0
 	for _, ct := range medOpe {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 
+	"seabed/internal/ope"
 	"seabed/internal/schema"
 	"seabed/internal/splashe"
 	"seabed/internal/sqlparse"
@@ -294,7 +295,7 @@ func (p *Plan) encryptedRowBytes() float64 {
 			n += detWidth(cp.Type)
 		}
 		if cp.Ope {
-			n += 64
+			n += ope.CiphertextSize
 		}
 	}
 	return n

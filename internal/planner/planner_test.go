@@ -129,8 +129,9 @@ func TestNonSensitiveStaysPlain(t *testing.T) {
 func TestStorageBudgetFallsBackToDET(t *testing.T) {
 	// With a tight budget, the higher-cardinality candidate (country, d=4)
 	// must fall back to DET while gender (d=2) fits — lowest cardinality
-	// first (§4.2).
-	p := mustPlan(t, adTable(), adQueries(), Options{MaxStorageOverhead: 2.2})
+	// first (§4.2). The budget sits in the middle of the window where that
+	// holds (1.5 to 2.1) now that an OPE column is 16 bytes per row, not 64.
+	p := mustPlan(t, adTable(), adQueries(), Options{MaxStorageOverhead: 1.8})
 	gender := p.Col("gender")
 	country := p.Col("country")
 	if gender.Splashe == nil {
