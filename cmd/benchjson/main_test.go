@@ -13,6 +13,7 @@ cpu: Test CPU
 BenchmarkTable1_OperationCosts-8   	       1	 123456789 ns/op	  4096 B/op	      42 allocs/op
 BenchmarkFig6_LatencyVsRows-8      	       2	  98765432 ns/op
 BenchmarkKernelFilterSumU64-8      	    2024	    560806 ns/op	 467443508 rows/s	       0 B/op	       0 allocs/op
+BenchmarkFaultInColumn/Fixed16-8   	       1	        62.58 ns/op	        61.70 ns/fault	       0 B/op	       0 allocs/op
 PASS
 ok  	seabed	12.345s
 `
@@ -26,7 +27,7 @@ func TestConvert(t *testing.T) {
 	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Commit != "abc123" || len(rep.Benchmarks) != 3 {
+	if rep.Commit != "abc123" || len(rep.Benchmarks) != 4 {
 		t.Fatalf("report = %+v", rep)
 	}
 	b := rep.Benchmarks[0]
@@ -43,6 +44,10 @@ func TestConvert(t *testing.T) {
 	if k.Name != "BenchmarkKernelFilterSumU64" || k.NsPerOp != 560806 ||
 		k.AllocsPerOp != 0 || k.Extra["rows/s"] != 467443508 {
 		t.Fatalf("benchmark 2 = %+v", k)
+	}
+	// A sub-benchmark keeps its slash-separated name (the fault-in pair).
+	if f := rep.Benchmarks[3]; f.Name != "BenchmarkFaultInColumn/Fixed16" || f.Procs != 8 || f.Extra["ns/fault"] != 61.70 {
+		t.Fatalf("benchmark 3 = %+v", f)
 	}
 }
 

@@ -122,8 +122,8 @@ func run() error {
 	balanced := map[string]uint64{}
 	for _, part := range enc.Parts {
 		col := part.Col("country_det")
-		for _, ct := range col.Bytes {
-			balanced[string(ct)]++
+		for i := 0; i < col.Len(); i++ {
+			balanced[string(col.BytesAt(i))]++
 		}
 	}
 	var min, max uint64 = 1 << 62, 0

@@ -35,15 +35,15 @@ func ColdScan(cfg Config, w io.Writer) error {
 	// dimension, flushed as a single columnar segment.
 	key := ashe.MustNewKey([]byte("bench-key-16byte"))
 	body := make([]uint64, rows)
-	det := make([][]byte, rows)
+	det := make([]byte, 0, 8*rows)
 	for i := 0; i < rows; i++ {
 		id := uint64(i) + 1
 		body[i] = key.EncryptBody(id%100, id)
-		det[i] = []byte{byte(id), byte(id >> 8), byte(id >> 16), byte(id >> 24), 0xC5, 0xC5, 0xC5, 0xC5}
+		det = append(det, byte(id), byte(id>>8), byte(id>>16), byte(id>>24), 0xC5, 0xC5, 0xC5, 0xC5)
 	}
 	tbl, err := store.BuildFrom("cold", []store.Column{
 		{Name: "m_ashe", Kind: store.U64, U64: body},
-		{Name: "d_det", Kind: store.Bytes, Bytes: det},
+		{Name: "d_det", Kind: store.Fixed, Width: 8, Fixed: det},
 	}, parts, 1)
 	if err != nil {
 		return err

@@ -35,15 +35,15 @@ func Recovery(cfg Config, w io.Writer) error {
 	key := ashe.MustNewKey([]byte("bench-key-16byte"))
 	mkBatch := func(startID uint64, n int) (*store.Table, error) {
 		body := make([]uint64, n)
-		det := make([][]byte, n)
+		det := make([]byte, 0, 8*n)
 		for i := 0; i < n; i++ {
 			id := startID + uint64(i)
 			body[i] = key.EncryptBody(id%100, id)
-			det[i] = []byte{byte(id), byte(id >> 8), byte(id >> 16), byte(id >> 24), 0xD3, 0xD3, 0xD3, 0xD3}
+			det = append(det, byte(id), byte(id>>8), byte(id>>16), byte(id>>24), 0xD3, 0xD3, 0xD3, 0xD3)
 		}
 		return store.BuildFrom("rec", []store.Column{
 			{Name: "m_ashe", Kind: store.U64, U64: body},
-			{Name: "d_det", Kind: store.Bytes, Bytes: det},
+			{Name: "d_det", Kind: store.Fixed, Width: 8, Fixed: det},
 		}, max(n/batchRows, 1), startID)
 	}
 

@@ -7,8 +7,10 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"seabed/internal/engine"
+	"seabed/internal/idlist"
 	"seabed/internal/planner"
 	"seabed/internal/schema"
 	"seabed/internal/store"
@@ -273,6 +275,43 @@ func TestScanQueryEndToEnd(t *testing.T) {
 	}
 }
 
+// TestScanRowValuesAreCarvedNotGrown: each row's Values is exactly the
+// projection wide, cut from a backing array shared by its chunk — not a slice
+// grown from nil one append at a time — and a row whose Bytes or Strs is
+// shorter than the plan's projection (an in-process backend checks nothing)
+// is an error, not an index out of range.
+func TestScanRowValuesAreCarvedNotGrown(t *testing.T) {
+	p := salesFixture(t)
+	res, err := p.Query(context.Background(), "SELECT revenue, hour FROM sales WHERE day > 27")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := mustRows(t, res)
+	if len(rows) < 2 {
+		t.Fatalf("scan returned %d rows", len(rows))
+	}
+	for i, r := range rows {
+		if len(r.Values) != 2 || cap(r.Values) != 2 {
+			t.Fatalf("row %d: Values has len %d cap %d, want exactly the 2 projected columns", i, len(r.Values), cap(r.Values))
+		}
+	}
+	if stride := uintptr(unsafe.Pointer(&rows[1].Values[0])) - uintptr(unsafe.Pointer(&rows[0].Values[0])); stride != 2*unsafe.Sizeof(Value{}) {
+		t.Errorf("rows 0 and 1 are %d bytes apart, want neighbours in one backing array", stride)
+	}
+
+	d := newDecrypter(p.ring, idlist.Default)
+	cols := []translate.ScanCol{{Name: "a", Ashe: true, SourceCol: "revenue"}, {Name: "h", Det: true, SourceCol: "hour"}}
+	for name, sr := range map[string]engine.ScanRow{
+		"short Bytes": {ID: 7, U64s: make([]uint64, 2), Bytes: make([][]byte, 1), Strs: make([]string, 2)},
+		"short Strs":  {ID: 7, U64s: make([]uint64, 2), Bytes: make([][]byte, 2)},
+		"short U64s":  {ID: 7, U64s: make([]uint64, 1), Bytes: make([][]byte, 2), Strs: make([]string, 2)},
+	} {
+		if _, err := d.scanRow(cols, &sr, make([]Value, 2)); err == nil || !strings.Contains(err.Error(), "malformed or hostile result") {
+			t.Errorf("%s: err = %v, want a malformed-result error", name, err)
+		}
+	}
+}
+
 func TestQueryMetricsPopulated(t *testing.T) {
 	p := salesFixture(t)
 	res, err := p.Query(context.Background(), "SELECT SUM(revenue) FROM sales WHERE country = 'India'")
@@ -355,8 +394,8 @@ func TestSplasheFrequencyHiding(t *testing.T) {
 		if col == nil {
 			t.Fatal("encrypted table missing balanced country_det column")
 		}
-		for _, ct := range col.Bytes {
-			counts[string(ct)]++
+		for i := 0; i < col.Len(); i++ {
+			counts[string(col.BytesAt(i))]++
 		}
 	}
 	var min, max int

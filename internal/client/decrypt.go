@@ -321,8 +321,10 @@ func (d *decrypter) groupKey(gk *translate.GroupKeyPlan, cols *engine.GroupCols,
 // decryptScan processes scan-mode results.
 func (d *decrypter) decryptScan(tr *translate.Translation, res *engine.Result, out *Result) error {
 	cols := tr.Client.ScanCols
+	vals := make([]Value, len(res.Scan)*len(cols))
+	out.Rows = slices.Grow(out.Rows, len(res.Scan))
 	for i := range res.Scan {
-		row, err := d.scanRow(cols, &res.Scan[i])
+		row, err := d.scanRow(cols, &res.Scan[i], vals[i*len(cols):])
 		if err != nil {
 			return err
 		}
@@ -331,59 +333,58 @@ func (d *decrypter) decryptScan(tr *translate.Translation, res *engine.Result, o
 	return nil
 }
 
-// scanRow decrypts one scan row. It is the unit of work the streaming path
-// (stream.go) applies per row as chunks arrive, and decryptScan's body for
-// materialized results. The row's projection width is validated against the
-// plan before any cell is touched: the wire decoder only checks a row's
-// internal consistency, and an untrusted server must not be able to crash
-// the client with a short row.
-func (d *decrypter) scanRow(cols []translate.ScanCol, sr *engine.ScanRow) (Row, error) {
-	if len(sr.U64s) < len(cols) {
-		return Row{}, fmt.Errorf("client: scan row %d carries %d columns, plan projects %d (malformed or hostile result)",
-			sr.ID, len(sr.U64s), len(cols))
+// scanRow decrypts one scan row into the front of vals, which becomes the
+// row's Values, exactly len(cols) long: the caller hands it the rest of one
+// backing array per chunk of rows, so rows are carved, not grown, as the
+// engine's scan arenas and the wire decoder do on their sides.
+// It is the unit of work the streaming path (stream.go) applies per row as
+// chunks arrive, and decryptScan's body for materialized results. The row's
+// projection width is validated against the plan before any cell is touched:
+// the wire decoder only checks a row's internal consistency, an in-process
+// backend checks nothing, and an untrusted server must not be able to crash
+// the client with a short or ragged row.
+func (d *decrypter) scanRow(cols []translate.ScanCol, sr *engine.ScanRow, vals []Value) (Row, error) {
+	if n := len(cols); len(sr.U64s) < n || len(sr.Bytes) < n || len(sr.Strs) < n {
+		return Row{}, fmt.Errorf("client: scan row %d carries %d/%d/%d columns, plan projects %d (malformed or hostile result)",
+			sr.ID, len(sr.U64s), len(sr.Bytes), len(sr.Strs), n)
 	}
-	row := Row{}
+	vals = vals[:len(cols):len(cols)]
 	for i, sc := range cols {
+		v := &vals[i]
+		*v = Value{Name: sc.Name, Kind: Int}
 		switch {
 		case sc.Pail:
 			sk := d.ring.PaillierSK()
 			if sk == nil {
 				return Row{}, fmt.Errorf("client: no Paillier key for scan decryption")
 			}
-			v := sk.DecryptU64(new(big.Int).SetBytes(sr.Bytes[i]))
-			row.Values = append(row.Values, Value{Name: sc.Name, Kind: Int, I64: int64(v)})
+			v.I64 = int64(sk.DecryptU64(new(big.Int).SetBytes(sr.Bytes[i])))
 		case sc.Ashe:
 			d.prfEvals += 2
-			v := d.ashe(sc.SourceCol).DecryptBody(sr.U64s[i], sr.ID)
-			row.Values = append(row.Values, Value{Name: sc.Name, Kind: Int, I64: int64(v)})
+			v.I64 = int64(d.ashe(sc.SourceCol).DecryptBody(sr.U64s[i], sr.ID))
+		case sc.Det && sc.StrValues:
+			s, err := d.det(sc.SourceCol).DecryptString(sr.Bytes[i])
+			if err != nil {
+				return Row{}, fmt.Errorf("client: scan decrypt: %v", err)
+			}
+			v.Kind, v.Str = Str, s
 		case sc.Det:
-			dk := d.det(sc.SourceCol)
-			if sc.StrValues {
-				s, err := dk.DecryptString(sr.Bytes[i])
-				if err != nil {
-					return Row{}, fmt.Errorf("client: scan decrypt: %v", err)
-				}
-				row.Values = append(row.Values, Value{Name: sc.Name, Kind: Str, Str: s})
-			} else {
-				id, err := dk.DecryptU64(sr.Bytes[i])
-				if err != nil {
-					return Row{}, fmt.Errorf("client: scan decrypt: %v", err)
-				}
-				if len(sc.Dict) > 0 && id < uint64(len(sc.Dict)) {
-					row.Values = append(row.Values, Value{Name: sc.Name, Kind: Str, Str: sc.Dict[id]})
-				} else {
-					row.Values = append(row.Values, Value{Name: sc.Name, Kind: Int, I64: int64(id)})
-				}
+			id, err := d.det(sc.SourceCol).DecryptU64(sr.Bytes[i])
+			if err != nil {
+				return Row{}, fmt.Errorf("client: scan decrypt: %v", err)
 			}
+			if len(sc.Dict) > 0 && id < uint64(len(sc.Dict)) {
+				v.Kind, v.Str = Str, sc.Dict[id]
+			} else {
+				v.I64 = int64(id)
+			}
+		case sr.Strs[i] != "":
+			v.Kind, v.Str = Str, sr.Strs[i]
 		default:
-			if len(sr.Strs) > i && sr.Strs[i] != "" {
-				row.Values = append(row.Values, Value{Name: sc.Name, Kind: Str, Str: sr.Strs[i]})
-			} else {
-				row.Values = append(row.Values, Value{Name: sc.Name, Kind: Int, I64: int64(sr.U64s[i])})
-			}
+			v.I64 = int64(sr.U64s[i])
 		}
 	}
-	return row, nil
+	return Row{Values: vals}, nil
 }
 
 // keyOrder returns the order result rows take: the n groups' indices sorted

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	mrand "math/rand"
 
+	"seabed/internal/det"
+	"seabed/internal/ope"
 	"seabed/internal/paillier"
 	"seabed/internal/planner"
 	"seabed/internal/splashe"
@@ -177,8 +179,8 @@ func (e *encryptor) columnsFor(cp *planner.ColumnPlan, mode translate.Mode) ([]s
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, store.Column{Name: planner.OpeName(cp.Source), Kind: store.Bytes,
-			Bytes: e.ring.Ope(cp.Source).EncryptColumn(vals)})
+		out = append(out, store.Column{Name: planner.OpeName(cp.Source), Kind: store.Fixed,
+			Width: ope.CiphertextSize, Fixed: e.ring.Ope(cp.Source).EncryptColumn(vals)})
 	}
 
 	if cp.Splashe != nil {
@@ -203,32 +205,39 @@ func (e *encryptor) columnsFor(cp *planner.ColumnPlan, mode translate.Mode) ([]s
 
 // detColumn deterministically encrypts one dimension, honoring the
 // dictionary convention (dictionary → DET(id), plain string → DET(string)).
+// Integers and dictionary ids make a Fixed column, one buffer; only
+// undictionaried strings, whose ciphertexts vary in length, make a Bytes one.
 func (e *encryptor) detColumn(cp *planner.ColumnPlan) (store.Column, error) {
 	dk := e.ring.Det(cp.DetKey())
 	c := e.flat[cp.Source]
 	if c == nil {
 		return store.Column{}, fmt.Errorf("client: source table missing column %q", cp.Source)
 	}
-	cts := make([][]byte, e.rows)
+	name := planner.DetName(cp.Source)
+	vals := c.U64
 	switch {
 	case c.Kind == store.Str && len(cp.Dict) > 0:
 		ids, err := e.dimIDs(cp)
 		if err != nil {
 			return store.Column{}, err
 		}
+		vals = make([]uint64, len(ids))
 		for i, id := range ids {
-			cts[i] = dk.EncryptU64(uint64(id))
+			vals[i] = uint64(id)
 		}
 	case c.Kind == store.Str:
+		cts := make([][]byte, e.rows)
 		for i, s := range c.Str {
 			cts[i] = dk.EncryptString(s)
 		}
-	default:
-		for i, v := range c.U64 {
-			cts[i] = dk.EncryptU64(v)
-		}
+		return store.Column{Name: name, Kind: store.Bytes, Bytes: cts}, nil
 	}
-	return store.Column{Name: planner.DetName(cp.Source), Kind: store.Bytes, Bytes: cts}, nil
+	return detU64Column(name, dk, vals), nil
+}
+
+// detU64Column is the Fixed column of vals' DET ciphertexts.
+func detU64Column(name string, dk *det.Key, vals []uint64) store.Column {
+	return store.Column{Name: name, Kind: store.Fixed, Width: det.U64Size, Fixed: dk.EncryptU64Column(vals)}
 }
 
 // splasheColumns splays one dimension: indicator columns, the balanced DET
@@ -273,12 +282,11 @@ func (e *encryptor) splasheColumns(cp *planner.ColumnPlan) ([]store.Column, erro
 		if err != nil {
 			return nil, err
 		}
-		dk := e.ring.Det(cp.Source)
-		cts := make([][]byte, e.rows)
+		vals := make([]uint64, len(detIDs))
 		for i, id := range detIDs {
-			cts[i] = dk.EncryptU64(uint64(id))
+			vals[i] = uint64(id)
 		}
-		out = append(out, store.Column{Name: planner.DetName(cp.Source), Kind: store.Bytes, Bytes: cts})
+		out = append(out, detU64Column(planner.DetName(cp.Source), e.ring.Det(cp.Source), vals))
 	}
 
 	// Splayed measure columns.
@@ -350,14 +358,7 @@ func flatten(t *store.Table) (map[string]*store.Column, error) {
 			if c == nil {
 				return nil, fmt.Errorf("client: partition missing column %q", name)
 			}
-			switch kind {
-			case store.U64:
-				full.U64 = append(full.U64, c.U64...)
-			case store.Bytes:
-				full.Bytes = append(full.Bytes, c.Bytes...)
-			default:
-				full.Str = append(full.Str, c.Str...)
-			}
+			full.AppendRows(c)
 		}
 		out[name] = full
 	}

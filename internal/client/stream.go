@@ -151,8 +151,9 @@ func (s *rowStream) iterate(qr *QueryResult) iter.Seq2[Row, error] {
 		start := time.Now()
 		cols := s.tr.Client.ScanCols
 		for batch := range s.batches {
+			vals := make([]Value, len(batch)*len(cols))
 			for i := range batch {
-				row, err := s.dec.scanRow(cols, &batch[i])
+				row, err := s.dec.scanRow(cols, &batch[i], vals[i*len(cols):])
 				if err != nil {
 					s.run.End()
 					s.finish(nil, err)

@@ -78,11 +78,20 @@ func MustNewKey(secret []byte) *Key {
 // EncryptU64 deterministically encrypts a 64-bit value to a 16-byte
 // ciphertext.
 func (k *Key) EncryptU64(v uint64) []byte {
+	return k.EncryptU64Column([]uint64{v})
+}
+
+// EncryptU64Column encrypts a whole column into one buffer of
+// len(values) × U64Size bytes: value i's ciphertext, byte-equal to
+// EncryptU64(values[i]), sits at i*U64Size.
+func (k *Key) EncryptU64Column(values []uint64) []byte {
+	out := make([]byte, len(values)*U64Size)
 	var in [aes.BlockSize]byte
 	copy(in[:8], k.pad[:])
-	binary.BigEndian.PutUint64(in[8:], v)
-	out := make([]byte, aes.BlockSize)
-	k.block.Encrypt(out, in[:])
+	for i, v := range values {
+		binary.BigEndian.PutUint64(in[8:], v)
+		k.block.Encrypt(out[i*U64Size:(i+1)*U64Size], in[:])
+	}
 	return out
 }
 

@@ -18,16 +18,19 @@ func mkTable(t *testing.T, name string, startID uint64, rows, parts int) *store.
 	u := make([]uint64, rows)
 	b := make([][]byte, rows)
 	s := make([]string, rows)
+	f := make([]byte, 16*rows)
 	for i := range u {
 		id := startID + uint64(i)
 		u[i] = id * 7
 		b[i] = []byte{byte(id), byte(id >> 8), 0xEE}
 		s[i] = fmt.Sprintf("row-%d", id)
+		binary.BigEndian.PutUint64(f[16*i+8:], id) // a 16-byte ciphertext's shape
 	}
 	tbl, err := store.BuildFrom(name, []store.Column{
 		{Name: "u", Kind: store.U64, U64: u},
 		{Name: "b", Kind: store.Bytes, Bytes: b},
 		{Name: "s", Kind: store.Str, Str: s},
+		{Name: "f", Kind: store.Fixed, Width: 16, Fixed: f},
 	}, parts, startID)
 	if err != nil {
 		t.Fatal(err)

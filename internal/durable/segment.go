@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -23,7 +22,7 @@ import (
 // Layout (integers little-endian, fixed width):
 //
 //	magic "SBSG"                     4 B
-//	version                          u32 (= 2)
+//	version                          u32 (= 3)
 //	headerLen                        u32 (bytes, magic through header CRC)
 //	tableName                        u32 length + bytes
 //	numParts                         u32
@@ -34,21 +33,23 @@ import (
 //	  per column:
 //	    name                         u32 length + bytes
 //	    kind                         u8
+//	    width                        u32 (a Fixed column's value size; else 0)
 //	    offset                       u64 (absolute, 8-aligned)
-//	    size                         u64 (extent bytes)
+//	    size                         u64 (extent bytes; rows × width when Fixed)
 //	    crc32                        u32 (IEEE, over the extent bytes)
 //	headerCRC                        u32 (IEEE, over bytes [0, headerLen-4))
 //	padding to 8-byte boundary, then the extents, each padded to 8
 //
 // The header CRC is verified at open — a torn or truncated segment fails
 // loudly there (segments are fsynced before their manifest commit, so unlike
-// a WAL tail a tear is real corruption, not a crash artifact). Extent CRCs
+// a WAL tail a tear is real corruption, not a crash artifact), as does a Fixed
+// column whose extent is not rows × width bytes. Extent CRCs
 // are verified lazily at first fault, so bit rot in a cold column errors the
 // query that would have read it instead of being served.
 
 const (
 	segMagic   = "SBSG"
-	segVersion = 2
+	segVersion = 3
 	// segMaxHeader bounds a declared header length (64 MiB is thousands of
 	// partitions), protecting open from a corrupt prefix.
 	segMaxHeader = 64 << 20
@@ -56,8 +57,7 @@ const (
 
 // segColMeta is one column's directory entry in a mapped segment.
 type segColMeta struct {
-	name     string
-	kind     store.Kind
+	store.ColMeta
 	off      uint64
 	size     uint64
 	crc      uint32
@@ -71,7 +71,7 @@ type segPartMeta struct {
 	cols    []segColMeta
 }
 
-// mappedSegment is an open v2 segment: the file's bytes (memory-mapped where
+// mappedSegment is an open segment: the file's bytes (memory-mapped where
 // the platform supports it, read onto the heap otherwise) plus the decoded
 // directory. Column extents are decoded out of data on demand by the view
 // partitions built over it; data must stay immutable and mapped until close.
@@ -100,17 +100,17 @@ func (l *segPartLoader) LoadColumn(i int) (store.Column, error) {
 	if !cm.verified {
 		if crc32.ChecksumIEEE(ext) != cm.crc {
 			return store.Column{}, fmt.Errorf("durable: segment %s: column %q extent checksum mismatch (bit rot?)",
-				filepath.Base(l.seg.path), cm.name)
+				filepath.Base(l.seg.path), cm.Name)
 		}
 		cm.verified = true
 	}
-	col, n, err := store.DecodeColumnExtent(cm.name, cm.kind, pm.rows, ext)
+	col, n, err := store.DecodeColumnExtent(cm.ColMeta, pm.rows, ext)
 	if err != nil {
 		return store.Column{}, fmt.Errorf("durable: segment %s: %w", filepath.Base(l.seg.path), err)
 	}
 	if uint64(n) != cm.size {
 		return store.Column{}, fmt.Errorf("durable: segment %s: column %q extent decoded %d of %d bytes",
-			filepath.Base(l.seg.path), cm.name, n, cm.size)
+			filepath.Base(l.seg.path), cm.Name, n, cm.size)
 	}
 	return col, nil
 }
@@ -123,7 +123,7 @@ func (m *mappedSegment) table(res *store.Residency) (*store.Table, error) {
 		pm := &m.parts[pi]
 		meta := make([]store.ColMeta, len(pm.cols))
 		for ci, cm := range pm.cols {
-			meta[ci] = store.ColMeta{Name: cm.name, Kind: cm.kind}
+			meta[ci] = cm.ColMeta
 		}
 		parts[pi] = store.NewViewPartition(pm.startID, pm.rows, meta, &segPartLoader{seg: m, pi: pi}, res)
 	}
@@ -153,136 +153,137 @@ type colPlan struct {
 	meta segColMeta
 }
 
-// planSegment pins t resident and lays out its v2 segment: every column's
-// extent plan (offset, size, CRC) plus the emitted directory header. The
-// returned release undoes the pins; callers must invoke it once emission is
-// done. Shared by the streaming file writer and the in-memory encoder so
-// disk bytes and shipped bytes come from one layout.
-func planSegment(t *store.Table) (plans [][]colPlan, head []byte, release func(), err error) {
-	// Pass 1: pin everything resident and size the directory + extents.
+// segLayout is a table pinned resident and laid out as a segment: every
+// column's place in the file (offset, size), the directory's length and the
+// file's. CRCs are filled in as emit walks the extents.
+type segLayout struct {
+	t         *store.Table
+	plans     [][]colPlan
+	headerLen uint64
+	size      uint64
+	release   func() // undoes the pins; call once emission is done
+}
+
+// layoutSegment pins t resident and lays out its segment. Shared by the file
+// writer and the in-memory encoder so disk bytes and shipped bytes come from
+// one layout.
+func layoutSegment(t *store.Table) (*segLayout, error) {
+	l := &segLayout{t: t}
 	var releases []func()
-	release = func() {
+	l.release = func() {
 		for _, r := range releases {
 			r()
 		}
 	}
-	fail := func(err error) ([][]colPlan, []byte, func(), error) {
-		release()
-		return nil, nil, func() {}, err
-	}
-	headerLen := uint64(4 + 4 + 4 + 4 + len(t.Name) + 4) // magic, version, headerLen, name, numParts
+	l.headerLen = uint64(4 + 4 + 4 + 4 + len(t.Name) + 4) // magic, version, headerLen, name, numParts
 	for _, p := range t.Parts {
 		rel, err := p.Pin(nil)
 		if err != nil {
-			return fail(fmt.Errorf("durable: pin partition for segment: %w", err))
+			l.release()
+			return nil, fmt.Errorf("durable: pin partition for segment: %w", err)
 		}
 		releases = append(releases, rel)
-		headerLen += 8 + 8 + 4 // startID, rows, numCols
+		l.headerLen += 8 + 8 + 4 // startID, rows, numCols
 		pc := make([]colPlan, len(p.Cols))
 		for i := range p.Cols {
 			c := &p.Cols[i]
-			headerLen += uint64(4+len(c.Name)) + 1 + 8 + 8 + 4 // name, kind, off, size, crc
-			pc[i] = colPlan{col: c, meta: segColMeta{name: c.Name, kind: c.Kind, size: uint64(store.ColumnExtentSize(c))}}
+			l.headerLen += uint64(4+len(c.Name)) + 1 + 4 + 8 + 8 + 4 // name, kind, width, off, size, crc
+			pc[i] = colPlan{col: c, meta: segColMeta{ColMeta: c.Meta(), size: uint64(store.ColumnExtentSize(c))}}
 		}
-		plans = append(plans, pc)
+		l.plans = append(l.plans, pc)
 	}
-	headerLen += 4 // header CRC
-	off := align8(headerLen)
-	for _, pc := range plans {
+	l.headerLen += 4 // header CRC
+	l.size = align8(l.headerLen)
+	for _, pc := range l.plans {
 		for i := range pc {
-			pc[i].meta.off = off
-			off += align8(pc[i].meta.size)
+			pc[i].meta.off = l.size
+			l.size += align8(pc[i].meta.size)
 		}
 	}
+	return l, nil
+}
 
-	// Pass 2: encode extents (reusing one buffer) to learn their CRCs.
-	var ext []byte
-	for _, pc := range plans {
+// emit hands every extent, in file order, to put — once: a U64 or Fixed
+// column's in-memory vector is its extent and is checksummed and handed over
+// in place, only variable Bytes/Str columns are encoded, into one reused
+// buffer — and then the directory header, which needed the extents' CRCs.
+func (l *segLayout) emit(put func(off uint64, b []byte) error) error {
+	var scratch []byte
+	for _, pc := range l.plans {
 		for i := range pc {
-			ext = store.AppendColumnExtent(ext[:0], pc[i].col)
-			pc[i].meta.crc = crc32.ChecksumIEEE(ext)
-			if uint64(len(ext)) != pc[i].meta.size {
-				return fail(fmt.Errorf("durable: column %q extent encoded %d bytes, sized %d", pc[i].meta.name, len(ext), pc[i].meta.size))
+			m := &pc[i].meta
+			ext, ok := store.ExtentView(pc[i].col)
+			if !ok {
+				scratch = store.AppendColumnExtent(scratch[:0], pc[i].col)
+				ext = scratch
+			}
+			if uint64(len(ext)) != m.size {
+				return fmt.Errorf("durable: column %q extent is %d bytes, sized %d", m.Name, len(ext), m.size)
+			}
+			m.crc = crc32.ChecksumIEEE(ext)
+			if err := put(m.off, ext); err != nil {
+				return err
 			}
 		}
 	}
-
-	// Emit the directory header.
-	head = make([]byte, 0, headerLen)
+	head := make([]byte, 0, l.headerLen)
 	head = append(head, segMagic...)
 	head = binary.LittleEndian.AppendUint32(head, segVersion)
-	head = binary.LittleEndian.AppendUint32(head, uint32(headerLen))
-	head = binary.LittleEndian.AppendUint32(head, uint32(len(t.Name)))
-	head = append(head, t.Name...)
-	head = binary.LittleEndian.AppendUint32(head, uint32(len(t.Parts)))
-	for pi, p := range t.Parts {
+	head = binary.LittleEndian.AppendUint32(head, uint32(l.headerLen))
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(l.t.Name)))
+	head = append(head, l.t.Name...)
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(l.t.Parts)))
+	for pi, p := range l.t.Parts {
 		head = binary.LittleEndian.AppendUint64(head, p.StartID)
 		head = binary.LittleEndian.AppendUint64(head, uint64(p.NumRows()))
-		head = binary.LittleEndian.AppendUint32(head, uint32(len(plans[pi])))
-		for i := range plans[pi] {
-			m := &plans[pi][i].meta
-			head = binary.LittleEndian.AppendUint32(head, uint32(len(m.name)))
-			head = append(head, m.name...)
-			head = append(head, byte(m.kind))
+		head = binary.LittleEndian.AppendUint32(head, uint32(len(l.plans[pi])))
+		for i := range l.plans[pi] {
+			m := &l.plans[pi][i].meta
+			head = binary.LittleEndian.AppendUint32(head, uint32(len(m.Name)))
+			head = append(head, m.Name...)
+			head = append(head, byte(m.Kind))
+			head = binary.LittleEndian.AppendUint32(head, uint32(m.Width))
 			head = binary.LittleEndian.AppendUint64(head, m.off)
 			head = binary.LittleEndian.AppendUint64(head, m.size)
 			head = binary.LittleEndian.AppendUint32(head, m.crc)
 		}
 	}
 	head = binary.LittleEndian.AppendUint32(head, crc32.ChecksumIEEE(head))
-	if uint64(len(head)) != headerLen {
-		return fail(fmt.Errorf("durable: segment header sized %d, emitted %d", headerLen, len(head)))
+	if uint64(len(head)) != l.headerLen {
+		return fmt.Errorf("durable: segment header sized %d, emitted %d", l.headerLen, len(head))
 	}
-	return plans, head, release, nil
+	return put(0, head)
 }
 
-// writeSegment durably writes t as one v2 columnar segment: directory
-// header, then each partition's column extents, 8-aligned, each with its own
-// CRC. The file is fsynced, as is the parent directory, so the segment's
-// name survives with its contents. Returns the bytes written.
+// writeSegment durably writes t as one columnar segment: directory header,
+// then each partition's column extents, 8-aligned, each with its own CRC.
+// The extents go out first, in order, and the header is written over the
+// hole left for it once their CRCs are known; the padding between them is
+// the file's own zero fill. The file is fsynced, as is the parent directory,
+// so the segment's name survives with its contents. Returns the file's size.
 func writeSegment(path string, t *store.Table) (int64, error) {
-	plans, head, release, err := planSegment(t)
+	l, err := layoutSegment(t)
 	if err != nil {
 		return 0, err
 	}
-	defer release()
-	headerLen := uint64(len(head))
-	var ext []byte
-
+	defer l.release()
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, fmt.Errorf("durable: create segment: %w", err)
 	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	var written int64
-	emit := func(b []byte) error {
-		n, err := bw.Write(b)
-		written += int64(n)
-		return err
-	}
-	var pad [8]byte
 	fail := func(err error) (int64, error) {
 		f.Close()
 		return 0, fmt.Errorf("durable: write segment: %w", err)
 	}
-	if err := emit(head); err != nil {
+	// The last extent's padding is past every write: size the file up front.
+	if err := f.Truncate(int64(l.size)); err != nil {
 		return fail(err)
 	}
-	if err := emit(pad[:align8(headerLen)-headerLen]); err != nil {
-		return fail(err)
-	}
-	for _, pc := range plans {
-		for i := range pc {
-			ext = store.AppendColumnExtent(ext[:0], pc[i].col)
-			if err := emit(ext); err != nil {
-				return fail(err)
-			}
-			if err := emit(pad[:align8(pc[i].meta.size)-pc[i].meta.size]); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
+	err = l.emit(func(off uint64, b []byte) error {
+		_, err := f.WriteAt(b, int64(off))
+		return err
+	})
+	if err != nil {
 		return fail(err)
 	}
 	if err := f.Sync(); err != nil {
@@ -294,7 +295,7 @@ func writeSegment(path string, t *store.Table) (int64, error) {
 	if err := syncDir(filepath.Dir(path)); err != nil {
 		return 0, err
 	}
-	return written, nil
+	return int64(l.size), nil
 }
 
 // openColumnarSegment maps a segment file and decodes its directory,
@@ -348,20 +349,28 @@ func (m *mappedSegment) parseHeader() error {
 		}
 		pm.rows = int(rows)
 		for c := uint32(0); c < nCols && d.err == nil; c++ {
-			cm := segColMeta{name: d.str(), kind: store.Kind(d.u8())}
+			cm := segColMeta{ColMeta: store.ColMeta{Name: d.str(), Kind: store.Kind(d.u8()), Width: int(d.u32())}}
 			cm.off = d.u64()
 			cm.size = d.u64()
 			cm.crc = d.u32()
 			if d.err != nil {
 				break
 			}
-			if cm.kind != store.U64 && cm.kind != store.Bytes && cm.kind != store.Str {
+			if cm.Kind != store.U64 && cm.Kind != store.Bytes && cm.Kind != store.Str && cm.Kind != store.Fixed {
 				return fmt.Errorf("durable: segment %s: column %q has unknown kind %d",
-					filepath.Base(m.path), cm.name, int(cm.kind))
+					filepath.Base(m.path), cm.Name, int(cm.Kind))
 			}
 			if cm.off%8 != 0 || cm.off < headerLen || cm.off+cm.size < cm.off || cm.off+cm.size > uint64(len(m.data)) {
 				return fmt.Errorf("durable: segment %s: column %q extent [%d,%d) outside file of %d bytes (truncated?)",
-					filepath.Base(m.path), cm.name, cm.off, cm.off+cm.size, len(m.data))
+					filepath.Base(m.path), cm.Name, cm.off, cm.off+cm.size, len(m.data))
+			}
+			// The width rule, once per extent: a Fixed column's extent is
+			// rows × width bytes exactly (size fits the file, so the division
+			// cannot be fooled by overflow), and no other kind has a width.
+			if fixed := cm.Kind == store.Fixed; fixed != (cm.Width != 0) ||
+				fixed && (cm.size%uint64(cm.Width) != 0 || cm.size/uint64(cm.Width) != rows) {
+				return fmt.Errorf("durable: segment %s: column %q: %v extent of %d bytes for %d rows of width %d",
+					filepath.Base(m.path), cm.Name, cm.Kind, cm.size, rows, cm.Width)
 			}
 			pm.cols = append(pm.cols, cm)
 		}

@@ -1,10 +1,16 @@
 package durable
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"seabed/internal/store"
 )
 
 // segPath returns the single committed segment of the only table in dir.
@@ -13,7 +19,7 @@ func segPath(t *testing.T, dir string) string {
 	return filepath.Join(tableDir(t, dir), "seg-000001.seg")
 }
 
-// TestMappedRecovery pins the v2 segment contract: reopening a store maps the
+// TestMappedRecovery pins the segment contract: reopening a store maps the
 // segment instead of reading it (MappedBytes accounts for the whole file, the
 // recovered partitions are views) and the faulted data is byte-identical to
 // what was registered.
@@ -86,7 +92,7 @@ func TestMappedRecoveryUnderBudget(t *testing.T) {
 	}
 }
 
-// TestTruncatedSegmentFailsOpen cuts a committed v2 segment short at several
+// TestTruncatedSegmentFailsOpen cuts a committed segment short at several
 // points; every truncation must fail at Open (the header CRC or the extent
 // bounds catch it), never be served.
 func TestTruncatedSegmentFailsOpen(t *testing.T) {
@@ -208,5 +214,138 @@ func TestCorruptExtentNamesColumn(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "checksum") || !strings.Contains(err.Error(), "seg-000001.seg") {
 		t.Fatalf("fault error %v does not name the checksum and segment", err)
+	}
+}
+
+// fixedEntry returns the offset of column name's width field in seg's
+// directory (its first partition's entry): name, kind byte, then the u32.
+func fixedEntry(t testing.TB, seg []byte, name string, kind store.Kind) int {
+	t.Helper()
+	entry := binary.LittleEndian.AppendUint32(nil, uint32(len(name)))
+	entry = append(append(entry, name...), byte(kind))
+	at := bytes.Index(seg, entry)
+	if at < 0 {
+		t.Fatalf("no directory entry for column %q", name)
+	}
+	return at + len(entry)
+}
+
+// resealHeader recomputes the header CRC after a directory field was patched,
+// so the patched rule — not the checksum — is what open has to catch.
+func resealHeader(seg []byte) {
+	headerLen := binary.LittleEndian.Uint32(seg[8:])
+	binary.LittleEndian.PutUint32(seg[headerLen-4:], crc32.ChecksumIEEE(seg[:headerLen-4]))
+}
+
+// TestSegmentWidthRuleAtOpen: the wrong-length rule is per extent and runs at
+// open, before any value is read. A Fixed column's directory entry must carry
+// a width ≥ 1 and an extent of exactly rows × width bytes, and no other kind
+// carries a width; a segment that breaks either — header CRC intact — is
+// refused with an error naming the column. So is a version-2 segment.
+func TestSegmentWidthRuleAtOpen(t *testing.T) {
+	good, err := EncodeSegment(mkTable(t, "x", 1, 40, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSegment(good); err != nil {
+		t.Fatal(err)
+	}
+	f, u := fixedEntry(t, good, "f", store.Fixed), fixedEntry(t, good, "u", store.U64)
+	for name, patch := range map[string]func(seg []byte){
+		"width 0":                  func(seg []byte) { binary.LittleEndian.PutUint32(seg[f:], 0) },
+		"width not the extent's":   func(seg []byte) { binary.LittleEndian.PutUint32(seg[f:], 12) },
+		"rows × width ≠ size":      func(seg []byte) { binary.LittleEndian.PutUint32(seg[f:], 8) },
+		"extent one byte short":    func(seg []byte) { binary.LittleEndian.PutUint64(seg[f+12:], 16*40-1) },
+		"extent one byte long":     func(seg []byte) { binary.LittleEndian.PutUint64(seg[f+12:], 16*40+1) },
+		"a width on a u64 column":  func(seg []byte) { binary.LittleEndian.PutUint32(seg[u:], 8) },
+		"fixed declared as bytes":  func(seg []byte) { seg[f-1] = byte(store.Bytes) },
+		"u64 declared as fixed":    func(seg []byte) { seg[u-1] = byte(store.Fixed) },
+		"huge width":               func(seg []byte) { binary.LittleEndian.PutUint32(seg[f:], 1<<31) },
+		"the previous format (v2)": func(seg []byte) { binary.LittleEndian.PutUint32(seg[4:], 2) },
+	} {
+		seg := bytes.Clone(good)
+		patch(seg)
+		resealHeader(seg)
+		want := `column "f"`
+		switch {
+		case strings.Contains(name, "u64"):
+			want = `column "u"`
+		case strings.Contains(name, "v2"):
+			want = "unsupported version 2"
+		}
+		if name == "extent one byte long" { // the last extent: past the file's end
+			seg = append(seg, 0)
+		}
+		if _, err := DecodeSegment(seg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: open's err = %v, want one naming %s", name, err, want)
+		}
+	}
+}
+
+// faultFixture is a one-partition segment of a U64 and a 16-byte Fixed column
+// opened over its bytes, with the loader that faults its columns.
+func faultFixture(tb testing.TB, rows int) *segPartLoader {
+	tb.Helper()
+	tbl, err := store.Build("x", []store.Column{
+		{Name: "u", Kind: store.U64, U64: make([]uint64, rows)},
+		{Name: "f", Kind: store.Fixed, Width: 16, Fixed: make([]byte, 16*rows)},
+	}, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seg, err := EncodeSegment(tbl)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m := &mappedSegment{path: "(test segment)", data: seg}
+	if err := m.parseHeader(); err != nil {
+		tb.Fatal(err)
+	}
+	return &segPartLoader{seg: m, pi: 0}
+}
+
+// TestFaultInFixedColumnIsConstantWork: once its CRC is verified, faulting a
+// fixed-width column out of a mapped segment is O(1) and allocation-free at
+// any row count — the extent is the column's buffer; there is no offset
+// table to walk and no header per row to build.
+func TestFaultInFixedColumnIsConstantWork(t *testing.T) {
+	for _, rows := range []int{10, 100_000} {
+		l := faultFixture(t, rows)
+		if _, err := l.LoadColumn(1); err != nil { // verifies the CRC
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			col, err := l.LoadColumn(1)
+			if err != nil || col.Len() != rows || &col.Fixed[0] != &l.seg.data[l.seg.parts[0].cols[1].off] {
+				t.Fatalf("fault: %d rows, err %v, aliased %v", col.Len(), err, err == nil)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%d rows: a fault of a verified fixed column allocated %.1f times, want 0", rows, allocs)
+		}
+	}
+}
+
+// BenchmarkFaultInColumn measures one column fault out of a mapped segment,
+// CRC already verified: a 16-byte fixed-width column beside a U64 one, 100k
+// rows each. Both alias the mapping, so ns/fault and B/fault do not depend
+// on the row count.
+func BenchmarkFaultInColumn(b *testing.B) {
+	const rows = 100_000
+	l := faultFixture(b, rows)
+	for ci, name := range []string{"U64", "Fixed16"} {
+		if _, err := l.LoadColumn(ci); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				col, err := l.LoadColumn(ci)
+				if err != nil || col.Len() != rows {
+					b.Fatal(fmt.Errorf("fault: %d rows, %v", col.Len(), err))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/fault")
+		})
 	}
 }

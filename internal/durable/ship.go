@@ -20,7 +20,7 @@ import (
 // the verified bytes back down byte-for-byte (same names, same CRCs) and
 // journals the tail, so a healed shard's directory is a faithful replica of
 // its source. Memory-only daemons join the same protocol through
-// EncodeSegment/DecodeSegment, which run the v2 columnar codec against a
+// EncodeSegment/DecodeSegment, which run the columnar codec against a
 // byte slice instead of a file.
 
 // ShipSegment describes one shippable committed segment: file name, size,
@@ -43,40 +43,24 @@ type ShipFile struct {
 	Data []byte
 }
 
-// EncodeSegment encodes t as one v2 columnar segment in memory: the exact
+// EncodeSegment encodes t as one columnar segment in memory: the exact
 // bytes writeSegment would put in a file. It is how a memory-only daemon
 // ships a table to a peer.
 func EncodeSegment(t *store.Table) ([]byte, error) {
-	plans, head, release, err := planSegment(t)
+	l, err := layoutSegment(t)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	headerLen := uint64(len(head))
-	size := align8(headerLen)
-	for _, pc := range plans {
-		for i := range pc {
-			size += align8(pc[i].meta.size)
-		}
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, head...)
-	buf = append(buf, make([]byte, align8(headerLen)-headerLen)...)
-	var ext []byte
-	for _, pc := range plans {
-		for i := range pc {
-			ext = store.AppendColumnExtent(ext[:0], pc[i].col)
-			buf = append(buf, ext...)
-			buf = append(buf, make([]byte, align8(pc[i].meta.size)-pc[i].meta.size)...)
-		}
-	}
-	if uint64(len(buf)) != size {
-		return nil, fmt.Errorf("durable: segment sized %d, encoded %d", size, len(buf))
-	}
-	return buf, nil
+	defer l.release()
+	buf := make([]byte, l.size)
+	err = l.emit(func(off uint64, b []byte) error {
+		copy(buf[off:], b)
+		return nil
+	})
+	return buf, err
 }
 
-// DecodeSegment opens v2 columnar segment bytes without a file: the
+// DecodeSegment opens columnar segment bytes without a file: the
 // directory header is validated (CRC included) and the table is built as
 // lazy view partitions aliasing data, whose column extents are CRC-verified
 // on first touch. data must stay immutable for the table's lifetime.

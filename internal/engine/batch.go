@@ -77,9 +77,6 @@ func (ts *taskState) execute(ctx context.Context, i0, i1 int) error {
 		if processed&(cancelCheckRows-1) == 0 && processed > 0 && ctx.Err() != nil {
 			return ctx.Err()
 		}
-		if ts.pc.err != nil { // a kernel of the last batch met a malformed value
-			return ts.pc.err
-		}
 		hi := min(lo+batchRows-1, i1)
 		n := hi - lo + 1
 		processed += n
@@ -128,7 +125,7 @@ func (ts *taskState) execute(ctx context.Context, i0, i1 int) error {
 			ts.accumulateGroups(startID)
 		}
 	}
-	return ts.pc.err
+	return nil
 }
 
 // probe runs the broadcast-join hash probe over the batch: unmatched rows
@@ -151,10 +148,10 @@ func (ts *taskState) probe() {
 				join = append(join, j)
 			}
 		}
-	case store.Bytes:
+	case store.Bytes, store.Fixed:
 		h := key.joinStr
 		for _, i := range ts.b.sel {
-			if j, ok := h[string(col.Bytes[i])]; ok {
+			if j, ok := h[string(col.BytesAt(int(i)))]; ok {
 				out = append(out, i)
 				join = append(join, j)
 			}
@@ -309,6 +306,8 @@ func (ts *taskState) groupSlots(startID uint64) {
 		miss = ts.hashU64Keys(startID)
 	case store.Bytes:
 		miss = hashKeys(ts, col.Bytes, startID)
+	case store.Fixed:
+		miss = ts.hashFixedKeys(startID)
 	default:
 		miss = hashKeys(ts, col.Str, startID)
 	}
@@ -348,6 +347,14 @@ func (ts *taskState) groupSlots(startID uint64) {
 		}
 	case store.Bytes:
 		probeKeys(g, col.Bytes, order)
+	case store.Fixed:
+		for _, m := range order {
+			s, fresh := slotKeyed(&g.t, col.BytesAt(int(g.hidx[m])), g.hsfx[m], g.hh[m])
+			if fresh {
+				g.addSlot()
+			}
+			g.slots[g.hpos[m]] = s
+		}
 	default:
 		probeKeys(g, col.Str, order)
 	}
@@ -407,6 +414,24 @@ func hashKeys[T ~string | ~[]byte](ts *taskState, col []T, startID uint64) int {
 	return len(ts.b.sel)
 }
 
+// hashFixedKeys is hashKeys for a Fixed column, whose keys are windows of one
+// flat buffer rather than elements of a slice.
+func (ts *taskState) hashFixedKeys(startID uint64) int {
+	g := &ts.g
+	buf, w := ts.pc.group.Fixed, ts.pc.group.Width
+	for k, i := range ts.b.sel {
+		idx := i
+		if g.right {
+			idx = ts.b.joinAt(k)
+		}
+		sfx := g.suffix(startID + uint64(i))
+		g.hpos[k], g.hidx[k], g.hsfx[k] = int32(k), idx, sfx
+		lo := int(idx) * w
+		g.hh[k] = hashKey(buf[lo:lo+w], sfx)
+	}
+	return len(ts.b.sel)
+}
+
 // probeKeys is groupSlots' last pass for byte and string keys: probe the
 // pending rows in the given order.
 func probeKeys[T ~string | ~[]byte](g *grouper, col []T, order []int32) {
@@ -419,11 +444,21 @@ func probeKeys[T ~string | ~[]byte](g *grouper, col []T, order []int32) {
 	}
 }
 
+// groupColKind is the kind group keys take: the group column's, with Fixed
+// keys travelling as Bytes — once copied out of their column into a key arena
+// they are byte strings like any other, and result frames know three kinds.
 func groupColKind(cp *compiledPlan) store.Kind {
 	if cp.groupCol.isRight() {
-		return cp.groupCol.right.Kind
+		return keyKind(cp.groupCol.right.Kind)
 	}
-	return cp.pl.Table.Parts[0].Cols[cp.groupCol.idx].Kind
+	return keyKind(cp.pl.Table.Parts[0].Cols[cp.groupCol.idx].Kind)
+}
+
+func keyKind(k store.Kind) store.Kind {
+	if k == store.Fixed {
+		return store.Bytes
+	}
+	return k
 }
 
 // accumulateGroups folds the batch's survivors into their group
@@ -523,8 +558,8 @@ func (ts *taskState) projectScan(startID uint64) {
 			switch col.Kind {
 			case store.U64:
 				row.U64s[pi] = col.U64[idx]
-			case store.Bytes:
-				row.Bytes[pi] = col.Bytes[idx]
+			case store.Bytes, store.Fixed:
+				row.Bytes[pi] = col.BytesAt(int(idx))
 			default:
 				row.Strs[pi] = col.Str[idx]
 			}

@@ -73,13 +73,13 @@ func (pl *Plan) compile(seed uint64, codec idlist.Codec) (*compiledPlan, error) 
 		}
 		cp.buildJoinIndex(cp.right[pl.Join.RightCol])
 	}
+	if err := pl.checkCipherCols(cp.right); err != nil {
+		return nil, err
+	}
 
 	// All partitions share one column layout (store.Build slices each column,
-	// and appends validate names and kinds), so name resolution against the
-	// first partition holds for every task of the run.
-	if len(pl.Table.Parts) == 0 {
-		return nil, fmt.Errorf("engine: table %q has no partitions", pl.Table.Name)
-	}
+	// and appends validate names, kinds and widths), so name resolution against
+	// the first partition holds for every task of the run.
 	layout := pl.Table.Parts[0]
 	resolve := func(name string) (colRef, error) {
 		if idx := layout.ColIndex(name); idx >= 0 {
@@ -186,10 +186,10 @@ func (cp *compiledPlan) buildJoinIndex(key *store.Column) {
 		for i, v := range key.U64 {
 			cp.joinU64[v] = int32(i)
 		}
-	case store.Bytes:
-		cp.joinStr = make(map[string]int32, len(key.Bytes))
-		for i, b := range key.Bytes {
-			cp.joinStr[string(b)] = int32(i)
+	case store.Bytes, store.Fixed:
+		cp.joinStr = make(map[string]int32, key.Len())
+		for i := 0; i < key.Len(); i++ {
+			cp.joinStr[string(key.BytesAt(i))] = int32(i)
 		}
 	default:
 		cp.joinStr = make(map[string]int32, len(key.Str))

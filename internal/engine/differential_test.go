@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"seabed/internal/durable"
 	"seabed/internal/paillier"
 	"seabed/internal/sqlparse"
 	"seabed/internal/store"
@@ -39,8 +40,7 @@ func diffFixture(t *testing.T, rows, parts int) (*store.Table, *store.Table, *pa
 	wide := make([]uint64, rows)
 	strs := make([]string, rows)
 	asheCol := make([]uint64, rows)
-	detCol := make([][]byte, rows)
-	opeCol := make([][]byte, rows)
+	strDet := make([][]byte, rows) // DET of strings: the one variable-width scheme
 	pailCol := make([][]byte, rows)
 	for i := 0; i < rows; i++ {
 		vals[i] = uint64(i % 97)
@@ -51,8 +51,7 @@ func diffFixture(t *testing.T, rows, parts int) (*store.Table, *store.Table, *pa
 		wide[i] = uint64(i)*0x9e3779b1 + 11
 		strs[i] = fmt.Sprintf("dim-%d", i%5)
 		asheCol[i] = asheKey.EncryptBody(vals[i], uint64(i)+1)
-		detCol[i] = detKey.EncryptU64(dims[i])
-		opeCol[i] = opeKey.Encrypt(vals[i])
+		strDet[i] = detKey.EncryptString(strs[i])
 		pailCol[i] = sk.Marshal(pool.EncryptU64(vals[i]))
 	}
 	tbl, err := store.Build("t", []store.Column{
@@ -61,8 +60,9 @@ func diffFixture(t *testing.T, rows, parts int) (*store.Table, *store.Table, *pa
 		{Name: "w", Kind: store.U64, U64: wide},
 		{Name: "s", Kind: store.Str, Str: strs},
 		{Name: "v_ashe", Kind: store.U64, U64: asheCol},
-		{Name: "d_det", Kind: store.Bytes, Bytes: detCol},
-		{Name: "v_ope", Kind: store.Bytes, Bytes: opeCol},
+		detFixed("d_det", dims),
+		opeFixed("v_ope", vals),
+		{Name: "s_det", Kind: store.Bytes, Bytes: strDet},
 		{Name: "v_pail", Kind: store.Bytes, Bytes: pailCol},
 	}, parts)
 	if err != nil {
@@ -73,16 +73,14 @@ func diffFixture(t *testing.T, rows, parts int) (*store.Table, *store.Table, *pa
 	// plaintext u64 and as DET bytes, with a payload column.
 	const rdims = 5 // leave dims 5 and 6 unmatched so inner-join drops occur
 	rdim := make([]uint64, rdims)
-	rdet := make([][]byte, rdims)
 	rank := make([]uint64, rdims)
 	for i := 0; i < rdims; i++ {
 		rdim[i] = uint64(i)
-		rdet[i] = detKey.EncryptU64(uint64(i))
 		rank[i] = uint64(100 + i*11)
 	}
 	right, err := store.Build("r", []store.Column{
 		{Name: "rdim", Kind: store.U64, U64: rdim},
-		{Name: "rdim_det", Kind: store.Bytes, Bytes: rdet},
+		detFixed("rdim_det", rdim),
 		{Name: "rank", Kind: store.U64, U64: rank},
 	}, 2)
 	if err != nil {
@@ -124,16 +122,16 @@ func TestDifferentialExecutors(t *testing.T) {
 
 	cases := []struct {
 		name string
-		plan func() *Plan
+		plan func(tbl, right *store.Table) *Plan
 	}{
 		// --- NoEnc: plaintext filters and aggregates ---
-		{"noenc/filter-agg", func() *Plan {
+		{"noenc/filter-agg", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl,
 				Filters: []Filter{{Kind: FilterPlainCmp, Col: "v", Op: sqlparse.OpGt, U64: 40}},
 				Aggs: []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount},
 					{Kind: AggPlainSumSq, Col: "v"}, {Kind: AggPlainMin, Col: "v"}, {Kind: AggPlainMax, Col: "v"}}}
 		}},
-		{"noenc/every-op", func() *Plan {
+		{"noenc/every-op", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl,
 				Filters: []Filter{
 					{Kind: FilterPlainCmp, Col: "v", Op: sqlparse.OpGe, U64: 10},
@@ -142,84 +140,84 @@ func TestDifferentialExecutors(t *testing.T) {
 				},
 				Aggs: []Agg{{Kind: AggCount}}}
 		}},
-		{"noenc/str-filter", func() *Plan {
+		{"noenc/str-filter", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl,
 				Filters: []Filter{{Kind: FilterStrCmp, Col: "s", Op: sqlparse.OpGt, Str: "dim-1"}},
 				Aggs:    []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}}}
 		}},
-		{"noenc/random-filter", func() *Plan {
+		{"noenc/random-filter", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl,
 				Filters: []Filter{{Kind: FilterRandom, Prob: 0.37, Seed: 1234}},
 				Aggs:    []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}}}
 		}},
-		{"noenc/group-by-u64", func() *Plan {
+		{"noenc/group-by-u64", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "d"},
 				Aggs: []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}, {Kind: AggPlainMax, Col: "v"}}}
 		}},
-		{"noenc/group-by-str", func() *Plan {
+		{"noenc/group-by-str", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "s"},
 				Aggs: []Agg{{Kind: AggPlainSum, Col: "v"}}}
 		}},
-		{"noenc/group-by-inflated", func() *Plan {
+		{"noenc/group-by-inflated", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "d", Inflate: 4},
 				Aggs: []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}}}
 		}},
 		// Bounded key domains: KeyBound sizes the dense flat-array path
 		// exactly (7), undershoots so keys 3..6 must fall back to the hashed
 		// path (3), and composes with inflation.
-		{"noenc/group-by-bounded", func() *Plan {
+		{"noenc/group-by-bounded", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "d", KeyBound: 7},
 				Aggs: []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}, {Kind: AggPlainMin, Col: "v"}}}
 		}},
-		{"noenc/group-by-bound-undershoot", func() *Plan {
+		{"noenc/group-by-bound-undershoot", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "d", KeyBound: 3},
 				Aggs: []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}, {Kind: AggPlainMax, Col: "v"}}}
 		}},
-		{"noenc/group-by-bounded-inflated", func() *Plan {
+		{"noenc/group-by-bounded-inflated", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "d", KeyBound: 7, Inflate: 4},
 				Aggs: []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}}}
 		}},
 		// Wide keys (every row distinct, values far past the dense span):
 		// the hashed probe path, with lane accumulators, generic per-slot
 		// partials (median is not lane-eligible), and inflation suffixes.
-		{"noenc/group-by-wide", func() *Plan {
+		{"noenc/group-by-wide", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "w"},
 				Aggs: []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}, {Kind: AggPlainMin, Col: "v"}}}
 		}},
-		{"noenc/group-by-wide-median", func() *Plan {
+		{"noenc/group-by-wide-median", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "w"},
 				Aggs: []Agg{{Kind: AggPlainMedian, Col: "v"}, {Kind: AggCount}}}
 		}},
-		{"noenc/group-by-wide-inflated", func() *Plan {
+		{"noenc/group-by-wide-inflated", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "w", Inflate: 2},
 				Aggs: []Agg{{Kind: AggPlainSum, Col: "v"}}}
 		}},
-		{"noenc/median", func() *Plan {
+		{"noenc/median", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl,
 				Filters: []Filter{{Kind: FilterPlainCmp, Col: "d", Op: sqlparse.OpEq, U64: 3}},
 				Aggs:    []Agg{{Kind: AggPlainMedian, Col: "v"}}}
 		}},
-		{"noenc/median-partial", func() *Plan {
+		{"noenc/median-partial", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl, Partial: true,
 				Aggs: []Agg{{Kind: AggPlainMedian, Col: "v"}}}
 		}},
-		{"noenc/scan", func() *Plan {
+		{"noenc/scan", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl,
 				Filters: []Filter{{Kind: FilterPlainCmp, Col: "v", Op: sqlparse.OpGt, U64: 88}},
 				Project: []string{"v", "s", "d"}}
 		}},
-		{"noenc/join", func() *Plan {
+		{"noenc/join", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl,
 				Join: &Join{Right: right, LeftCol: "d", RightCol: "rdim", RightCols: []string{"rank"}},
 				Aggs: []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggPlainSum, Col: "rank"}, {Kind: AggCount}}}
 		}},
-		{"noenc/join-right-filter", func() *Plan {
+		{"noenc/join-right-filter", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl,
 				Join:    &Join{Right: right, LeftCol: "d", RightCol: "rdim", RightCols: []string{"rank"}},
 				Filters: []Filter{{Kind: FilterPlainCmp, Col: "rank", Op: sqlparse.OpGt, U64: 110}},
 				Aggs:    []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}}}
 		}},
-		{"noenc/join-groupby-scan-project-right", func() *Plan {
+		{"noenc/join-groupby-scan-project-right", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl,
 				Join:    &Join{Right: right, LeftCol: "d", RightCol: "rdim", RightCols: []string{"rank"}},
 				Filters: []Filter{{Kind: FilterPlainCmp, Col: "v", Op: sqlparse.OpGt, U64: 90}},
@@ -227,87 +225,110 @@ func TestDifferentialExecutors(t *testing.T) {
 		}},
 
 		// --- Seabed: ASHE sums, DET/OPE filters, OPE extremes and medians ---
-		{"seabed/det-filter-ashe-sum", func() *Plan {
+		{"seabed/det-filter-ashe-sum", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl,
 				Filters: []Filter{{Kind: FilterDetEq, Col: "d_det", Bytes: detKey.EncryptU64(3)}},
 				Aggs:    []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggCount}}}
 		}},
-		{"seabed/det-negate", func() *Plan {
+		{"seabed/det-negate", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl,
 				Filters: []Filter{{Kind: FilterDetEq, Col: "d_det", Bytes: detKey.EncryptU64(3), Negate: true}},
 				Aggs:    []Agg{{Kind: AggAsheSum, Col: "v_ashe"}}}
 		}},
-		{"seabed/ope-filter", func() *Plan {
+		{"seabed/ope-filter", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl,
 				Filters: []Filter{{Kind: FilterOpeCmp, Col: "v_ope", Op: sqlparse.OpLt, Bytes: opeKey.Encrypt(30)}},
 				Aggs:    []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggCount}}}
 		}},
-		{"seabed/group-by-det", func() *Plan {
+		{"seabed/group-by-det", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "d_det"},
 				Aggs: []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggCount}}}
 		}},
-		{"seabed/group-by-det-inflated", func() *Plan {
+		{"seabed/group-by-det-inflated", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "d_det", Inflate: 3},
 				Aggs: []Agg{{Kind: AggAsheSum, Col: "v_ashe"}}}
 		}},
-		{"seabed/group-by-wide-ashe", func() *Plan {
+		{"seabed/group-by-wide-ashe", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "w"},
 				Aggs: []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggCount}}}
 		}},
-		{"seabed/ope-minmax-companion", func() *Plan {
+		{"seabed/ope-minmax-companion", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl,
 				Aggs: []Agg{
 					{Kind: AggOpeMin, Col: "v_ope", Companion: "v_ashe"},
 					{Kind: AggOpeMax, Col: "v_ope", Companion: "d_det"}}}
 		}},
-		{"seabed/ope-median", func() *Plan {
+		{"seabed/ope-median", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl,
 				Filters: []Filter{{Kind: FilterDetEq, Col: "d_det", Bytes: detKey.EncryptU64(1)}},
 				Aggs:    []Agg{{Kind: AggOpeMedian, Col: "v_ope", Companion: "v_ashe"}}}
 		}},
-		{"seabed/ope-median-partial", func() *Plan {
+		{"seabed/ope-median-partial", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl, Partial: true,
 				Aggs: []Agg{{Kind: AggOpeMedian, Col: "v_ope", Companion: "v_ashe"}}}
 		}},
-		{"seabed/scan-encrypted", func() *Plan {
+		{"seabed/scan-encrypted", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl,
 				Filters: []Filter{{Kind: FilterOpeCmp, Col: "v_ope", Op: sqlparse.OpGt, Bytes: opeKey.Encrypt(92)}},
 				Project: []string{"v_ashe", "d_det", "v_ope"}}
 		}},
-		{"seabed/join-det-keys", func() *Plan {
+		{"seabed/join-det-keys", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl,
 				Join: &Join{Right: right, LeftCol: "d_det", RightCol: "rdim_det", RightCols: []string{"rank"}},
 				Aggs: []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggPlainSum, Col: "rank"}}}
 		}},
-		{"seabed/idrange", func() *Plan {
+		// DET of strings is the scheme whose ciphertexts vary in length: its
+		// column stays variable-width Bytes through filter, group-by and scan.
+		{"seabed/det-str-filter", func(tbl, right *store.Table) *Plan {
+			return &Plan{Table: tbl,
+				Filters: []Filter{{Kind: FilterDetEq, Col: "s_det", Bytes: detKey.EncryptString("dim-3"), Negate: true}},
+				Aggs:    []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggCount}}}
+		}},
+		{"seabed/group-by-det-str", func(tbl, right *store.Table) *Plan {
+			return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "s_det"},
+				Aggs: []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggOpeMax, Col: "v_ope", Companion: "s_det"}}}
+		}},
+		{"seabed/scan-det-str", func(tbl, right *store.Table) *Plan {
+			return &Plan{Table: tbl,
+				Filters: []Filter{{Kind: FilterDetEq, Col: "d_det", Bytes: detKey.EncryptU64(6)}},
+				Project: []string{"s_det", "d_det"}}
+		}},
+		{"seabed/join-det-keys-group-right", func(tbl, right *store.Table) *Plan {
+			return &Plan{Table: tbl,
+				Join:    &Join{Right: right, LeftCol: "d_det", RightCol: "rdim_det", RightCols: []string{"rank"}},
+				Filters: []Filter{{Kind: FilterOpeCmp, Col: "v_ope", Op: sqlparse.OpGe, Bytes: opeKey.Encrypt(50)}},
+				GroupBy: &GroupBy{Col: "rdim_det"},
+				Aggs:    []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggOpeMin, Col: "v_ope", Companion: "d_det"}}}
+		}},
+		{"seabed/idrange", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl, Range: &IDRange{Lo: 500, Hi: 2750},
 				Aggs: []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggCount}}}
 		}},
-		{"seabed/idrange-partial-groupby", func() *Plan {
+		{"seabed/idrange-partial-groupby", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl, Range: &IDRange{Lo: 1000, Hi: 3000}, Partial: true,
 				GroupBy: &GroupBy{Col: "d_det"},
 				Aggs:    []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggPlainMedian, Col: "v"}}}
 		}},
-		{"seabed/compress-at-driver", func() *Plan {
+		{"seabed/compress-at-driver", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl, CompressAtDriver: true,
 				Filters: []Filter{{Kind: FilterRandom, Prob: 0.5, Seed: 7}},
 				Aggs:    []Agg{{Kind: AggAsheSum, Col: "v_ashe"}}}
 		}},
 
 		// --- Paillier ---
-		{"paillier/sum", func() *Plan {
+		{"paillier/sum", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl, Aggs: []Agg{{Kind: AggPaillierSum, Col: "v_pail", PK: pk}}}
 		}},
-		{"paillier/filtered-sum", func() *Plan {
+		{"paillier/filtered-sum", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl,
 				Filters: []Filter{{Kind: FilterDetEq, Col: "d_det", Bytes: detKey.EncryptU64(2)}},
 				Aggs:    []Agg{{Kind: AggPaillierSum, Col: "v_pail", PK: pk}, {Kind: AggCount}}}
 		}},
-		{"paillier/group-by", func() *Plan {
+		{"paillier/group-by", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "d"},
 				Aggs: []Agg{{Kind: AggPaillierSum, Col: "v_pail", PK: pk}}}
 		}},
-		{"paillier/group-by-bounded", func() *Plan {
+		{"paillier/group-by-bounded", func(tbl, right *store.Table) *Plan {
 			// Paillier is not lane-eligible: the dense index resolves slots
 			// but accumulation runs the generic per-slot kernels.
 			return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "d", KeyBound: 7},
@@ -315,20 +336,49 @@ func TestDifferentialExecutors(t *testing.T) {
 		}},
 	}
 
+	// Every case runs on heap partitions and on view partitions that fault
+	// their columns in from a segment's bytes — where a Fixed column is the
+	// mapping itself — in both executors; the four results must agree.
+	vtbl, vright := viewOf(t, tbl), viewOf(t, right)
 	c := NewCluster(Config{Workers: 4, Seed: 11})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			vec, err := c.Run(context.Background(), tc.plan())
+			vec, err := c.Run(context.Background(), tc.plan(tbl, right))
 			if err != nil {
 				t.Fatalf("vectorized: %v", err)
 			}
-			ref, err := c.RunReference(context.Background(), tc.plan())
+			ref, err := c.RunReference(context.Background(), tc.plan(tbl, right))
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
 			assertSameResult(t, tc.name, vec, ref)
+			vvec, err := c.Run(context.Background(), tc.plan(vtbl, vright))
+			if err != nil {
+				t.Fatalf("vectorized, view partitions: %v", err)
+			}
+			vref, err := c.RunReference(context.Background(), tc.plan(vtbl, vright))
+			if err != nil {
+				t.Fatalf("reference, view partitions: %v", err)
+			}
+			assertSameResult(t, tc.name+" (view vs heap)", vvec, vec)
+			assertSameResult(t, tc.name+" (view)", vvec, vref)
 		})
 	}
+}
+
+// viewOf returns tbl as a daemon serves it after a restart: encoded as a
+// segment and reopened as view partitions over the segment's bytes.
+func viewOf(tb testing.TB, tbl *store.Table) *store.Table {
+	tb.Helper()
+	seg, err := durable.EncodeSegment(tbl)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	view, err := durable.DecodeSegment(seg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return view
 }
 
 // TestDifferentialRadixGroupBy drives the radix-partitioned probe path,
@@ -496,32 +546,20 @@ func TestDifferentialEmptyCases(t *testing.T) {
 // ASHE and OPE views of one measure.
 func detKeyFixture(tb testing.TB, rows, groups, parts int, withOpe bool) *store.Table {
 	tb.Helper()
-	keyOf := make([][]byte, groups)
-	for g := range keyOf {
-		keyOf[g] = detKey.EncryptU64(uint64(g))
-	}
-	keys := make([][]byte, rows)
+	keys := make([]uint64, rows)
 	vals := make([]uint64, rows)
 	asheCol := make([]uint64, rows)
-	cols := []store.Column{}
-	var opeCol [][]byte
-	if withOpe {
-		opeCol = make([][]byte, rows)
-	}
 	for i := 0; i < rows; i++ {
-		keys[i] = keyOf[(i*7919)%groups]
+		keys[i] = uint64((i * 7919) % groups)
 		vals[i] = uint64(i*31) % 1009
 		asheCol[i] = asheKey.EncryptBody(vals[i], uint64(i)+1)
-		if withOpe {
-			opeCol[i] = opeKey.Encrypt(vals[i])
-		}
 	}
-	cols = append(cols,
-		store.Column{Name: "k", Kind: store.Bytes, Bytes: keys},
-		store.Column{Name: "v", Kind: store.U64, U64: vals},
-		store.Column{Name: "v_ashe", Kind: store.U64, U64: asheCol})
+	cols := []store.Column{
+		detFixed("k", keys),
+		{Name: "v", Kind: store.U64, U64: vals},
+		{Name: "v_ashe", Kind: store.U64, U64: asheCol}}
 	if withOpe {
-		cols = append(cols, store.Column{Name: "v_ope", Kind: store.Bytes, Bytes: opeCol})
+		cols = append(cols, opeFixed("v_ope", vals))
 	}
 	tbl, err := store.Build("det", cols, parts)
 	if err != nil {

@@ -31,26 +31,32 @@ func fixture(t *testing.T, rows, parts int) (*store.Table, []uint64, []uint64) {
 	vals := make([]uint64, rows)
 	dims := make([]uint64, rows)
 	asheCol := make([]uint64, rows)
-	detCol := make([][]byte, rows)
-	opeCol := make([][]byte, rows)
 	for i := 0; i < rows; i++ {
 		vals[i] = uint64(i % 100)
 		dims[i] = uint64(i % 7)
 		asheCol[i] = asheKey.EncryptBody(vals[i], uint64(i)+1)
-		detCol[i] = detKey.EncryptU64(dims[i])
-		opeCol[i] = opeKey.Encrypt(vals[i])
 	}
 	tbl, err := store.Build("t", []store.Column{
 		{Name: "v", Kind: store.U64, U64: vals},
 		{Name: "d", Kind: store.U64, U64: dims},
 		{Name: "v_ashe", Kind: store.U64, U64: asheCol},
-		{Name: "d_det", Kind: store.Bytes, Bytes: detCol},
-		{Name: "v_ope", Kind: store.Bytes, Bytes: opeCol},
+		detFixed("d_det", dims),
+		opeFixed("v_ope", vals),
 	}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tbl, vals, dims
+}
+
+// detFixed and opeFixed are the columns the client uploads for a DET(u64) and
+// an OPE dimension: one flat buffer of 16-byte ciphertexts.
+func detFixed(name string, vals []uint64) store.Column {
+	return store.Column{Name: name, Kind: store.Fixed, Width: det.U64Size, Fixed: detKey.EncryptU64Column(vals)}
+}
+
+func opeFixed(name string, vals []uint64) store.Column {
+	return store.Column{Name: name, Kind: store.Fixed, Width: ope.CiphertextSize, Fixed: opeKey.EncryptColumn(vals)}
 }
 
 // asheCT rebuilds an ASHE ciphertext from a result view's aggregate: results
@@ -183,10 +189,14 @@ func TestOpeFilter(t *testing.T) {
 // TestOpeWrongLengthIsAnError holds both executors to the fixed-width rule:
 // bytes that are not ope.CiphertextSize long are not a ciphertext, whether
 // they arrive as a filter's constant or sit in a stored column (a data dir
-// written with the 64-byte form, a truncated value). The min-length compare
-// this replaces called an empty constant equal to every row.
+// written with the 64-byte form, truncated values, a variable-width column).
+// The min-length compare this replaces called an empty constant equal to
+// every row. The stored side is a rule about the column, checked once when
+// the plan binds — a Fixed column has no per-value length to be wrong — so
+// each stored case swaps the whole v_ope column for one of another layout.
 func TestOpeWrongLengthIsAnError(t *testing.T) {
-	tbl, _, _ := fixture(t, 3000, 3)
+	const rows = 3000
+	tbl, vals, _ := fixture(t, rows, 3)
 	good := opeKey.Encrypt(42)
 	run := map[string]func(context.Context, *Plan) (*Result, error){
 		"vectorized": cluster().Run, "reference": cluster().RunReference,
@@ -208,13 +218,22 @@ func TestOpeWrongLengthIsAnError(t *testing.T) {
 		}
 	}
 
-	// One stored value of another length, late in the last partition.
-	for _, bad := range [][]byte{{}, good[:15], make([]byte, 64)} {
-		last := tbl.Parts[len(tbl.Parts)-1]
-		col := last.Col("v_ope")
-		at := len(col.Bytes) - 5
-		keep := col.Bytes[at]
-		col.Bytes[at] = bad
+	// A v_ope column of another layout: variable-width (here of empty
+	// values), 15 bytes wide, and the 64-byte form data dirs held before the
+	// ciphertext was packed.
+	for _, stored := range []store.Column{
+		{Name: "v_ope", Kind: store.Bytes, Bytes: make([][]byte, rows)},
+		{Name: "v_ope", Kind: store.Fixed, Width: 15, Fixed: make([]byte, 15*rows)},
+		{Name: "v_ope", Kind: store.Fixed, Width: 64, Fixed: make([]byte, 64*rows)},
+	} {
+		dims := make([]uint64, rows)
+		for i := range dims {
+			dims[i] = uint64(i % 7)
+		}
+		tbl, err := store.Build("t", []store.Column{{Name: "v", Kind: store.U64, U64: vals}, {Name: "d", Kind: store.U64, U64: dims}, stored}, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
 		right := kernelFixture(t, 7, 1)
 		for name, pl := range map[string]*Plan{
 			"filter": {Table: tbl,
@@ -228,9 +247,29 @@ func TestOpeWrongLengthIsAnError(t *testing.T) {
 			"max, grouped":    {Table: tbl, GroupBy: &GroupBy{Col: "d"}, Aggs: []Agg{{Kind: AggOpeMax, Col: "v_ope"}}},
 			"median, partial": {Table: tbl, Partial: true, Aggs: []Agg{{Kind: AggOpeMedian, Col: "v_ope"}}},
 		} {
-			t.Run(fmt.Sprintf("%d stored bytes/%s", len(bad), name), func(t *testing.T) { wantErr(t, pl, "v_ope") })
+			t.Run(fmt.Sprintf("%d stored bytes/%s", stored.Width, name), func(t *testing.T) { wantErr(t, pl, "v_ope") })
 		}
-		col.Bytes[at] = keep
+	}
+}
+
+// TestDetFilterWidthIsBound: a DET equality against a fixed-width column
+// needs a constant of that width, and a DET or OPE operator over a column
+// that holds no ciphertexts at all is refused — both when the plan binds, by
+// both executors, naming the column.
+func TestDetFilterWidthIsBound(t *testing.T) {
+	tbl, _, _ := fixture(t, 300, 2)
+	for name, f := range map[string]Filter{
+		"short constant":     {Kind: FilterDetEq, Col: "d_det", Bytes: detKey.EncryptU64(3)[:15]},
+		"string constant":    {Kind: FilterDetEq, Col: "d_det", Bytes: detKey.EncryptString("three")},
+		"plaintext column":   {Kind: FilterDetEq, Col: "d", Bytes: detKey.EncryptU64(3)},
+		"ope over plaintext": {Kind: FilterOpeCmp, Col: "v", Op: sqlparse.OpLt, Bytes: opeKey.Encrypt(3)},
+	} {
+		pl := &Plan{Table: tbl, Filters: []Filter{f}, Aggs: []Agg{{Kind: AggCount}}}
+		for exec, run := range map[string]func(context.Context, *Plan) (*Result, error){"vectorized": cluster().Run, "reference": cluster().RunReference} {
+			if _, err := run(context.Background(), pl); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", f.Col)) {
+				t.Errorf("%s, %s: err = %v, want one naming %q", name, exec, err, f.Col)
+			}
+		}
 	}
 }
 

@@ -58,7 +58,8 @@ func (k AggKind) String() string {
 	return fmt.Sprintf("AggKind(%d)", int(k))
 }
 
-// GroupKeyKind resolves the grouping column's storage kind, looking on the
+// GroupKeyKind resolves the kind the grouping column's keys take (Fixed
+// columns group as Bytes, like groupColKind says), looking on the
 // scan table first and the join's right table second (grouping by a projected
 // right-side column). ok is false when the plan has no grouping or the column
 // resolves on neither side.
@@ -67,11 +68,11 @@ func (pl *Plan) GroupKeyKind() (kind store.Kind, ok bool) {
 		return 0, false
 	}
 	if k, err := pl.Table.ColKind(pl.GroupBy.Col); err == nil {
-		return k, true
+		return keyKind(k), true
 	}
 	if pl.Join != nil && pl.Join.Right != nil {
 		if k, err := pl.Join.Right.ColKind(pl.GroupBy.Col); err == nil {
-			return k, true
+			return keyKind(k), true
 		}
 	}
 	return 0, false
@@ -140,7 +141,7 @@ func (pl *Plan) JoinIndexKind() string {
 	switch kind {
 	case store.U64:
 		return "u64-hash"
-	case store.Bytes:
+	case store.Bytes, store.Fixed:
 		return "bytes-hash"
 	}
 	return "string-hash"

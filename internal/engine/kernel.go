@@ -28,35 +28,64 @@ type partCols struct {
 	group      *store.Column
 	project    []*store.Column
 	leftKey    *store.Column
-
-	// err is the first malformed stored value a kernel met (kernels return
-	// nothing); the batch loop ends the task with it.
-	err error
 }
 
-// badOpe is the error a run fails with when a stored value of an OPE column
-// is not a ciphertext: comparing it would answer something, and any answer
-// is wrong.
-func badOpe(col *store.Column, ct []byte) error {
-	return fmt.Errorf("engine: column %q holds a %d-byte value where an OPE ciphertext (%d bytes) belongs", col.Name, len(ct), ope.CiphertextSize)
-}
-
-// opeAt returns col's value at row i when it is an OPE ciphertext; when it is
-// not, it fails the task and reports false.
-func (pc *partCols) opeAt(col *store.Column, i int32) ([]byte, bool) {
-	ct := col.Bytes[i]
-	if len(ct) != ope.CiphertextSize {
-		pc.err = badOpe(col, ct)
-		return nil, false
+// checkCipherCols holds a plan's ciphertext operators to the layout of the
+// columns they read; both executors call it when they compile a plan, so a
+// wrong length is refused once, at bind, and no kernel checks a value. An OPE
+// comparison (filter, min, max, median) needs a Fixed column of
+// ope.CiphertextSize-byte values and a constant of that size: comparing
+// anything else would answer something, and any answer is wrong. A DET
+// equality reads a Fixed column, whose width its constant must have, or a
+// Bytes one (DET of strings). right is the join's flattened right side.
+func (pl *Plan) checkCipherCols(right map[string]*store.Column) error {
+	if len(pl.Table.Parts) == 0 {
+		return fmt.Errorf("engine: table %q has no partitions", pl.Table.Name)
 	}
-	return ct, true
-}
-
-// checkOpeConst rejects an OPE filter whose constant is not a ciphertext;
-// both executors call it when they compile a plan.
-func checkOpeConst(f *Filter) error {
-	if f.Kind == FilterOpeCmp && len(f.Bytes) != ope.CiphertextSize {
-		return fmt.Errorf("engine: filter on column %q: the constant is %d bytes, not an OPE ciphertext (%d bytes)", f.Col, len(f.Bytes), ope.CiphertextSize)
+	meta := func(name string) (store.ColMeta, error) {
+		if c := pl.Table.Parts[0].Col(name); c != nil {
+			return c.Meta(), nil
+		}
+		if c, ok := right[name]; ok {
+			return c.Meta(), nil
+		}
+		return store.ColMeta{}, fmt.Errorf("engine: unknown column %q", name)
+	}
+	needOpe := func(name string) error {
+		m, err := meta(name)
+		if err == nil && (m.Kind != store.Fixed || m.Width != ope.CiphertextSize) {
+			err = fmt.Errorf("engine: column %q holds %v values of width %d where OPE ciphertexts (fixed, %d bytes) belong",
+				name, m.Kind, m.Width, ope.CiphertextSize)
+		}
+		return err
+	}
+	for fi := range pl.Filters {
+		f := &pl.Filters[fi]
+		switch f.Kind {
+		case FilterOpeCmp:
+			if len(f.Bytes) != ope.CiphertextSize {
+				return fmt.Errorf("engine: filter on column %q: the constant is %d bytes, not an OPE ciphertext (%d bytes)", f.Col, len(f.Bytes), ope.CiphertextSize)
+			}
+			if err := needOpe(f.Col); err != nil {
+				return err
+			}
+		case FilterDetEq:
+			m, err := meta(f.Col)
+			if err != nil {
+				return err
+			}
+			if m.Kind != store.Bytes && (m.Kind != store.Fixed || m.Width != len(f.Bytes)) {
+				return fmt.Errorf("engine: filter on column %q: a %d-byte DET constant against %v values of width %d", f.Col, len(f.Bytes), m.Kind, m.Width)
+			}
+		}
+	}
+	for ai := range pl.Aggs {
+		switch a := &pl.Aggs[ai]; a.Kind {
+		case AggOpeMin, AggOpeMax, AggOpeMedian:
+			if err := needOpe(a.Col); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -174,12 +203,13 @@ func (cp *compiledPlan) compileFilter(fi int, f *Filter) (predKernel, error) {
 
 	case FilterDetEq:
 		want, neg := f.Bytes, f.Negate
-		if vectorizable {
+		if vectorizable && cp.pl.Table.Parts[0].Cols[cp.filters[fi].idx].Kind == store.Fixed {
+			w := len(want) // the column's width: checkCipherCols
 			return func(pc *partCols, b *batch, startID uint64) {
-				col := pc.filters[fi].Bytes
+				buf := pc.filters[fi].Fixed
 				out := b.sel[:0]
 				for _, i := range b.sel {
-					if bytes.Equal(col[i], want) != neg {
+					if lo := int(i) * w; bytes.Equal(buf[lo:lo+w], want) != neg {
 						out = append(out, i)
 					}
 				}
@@ -187,27 +217,19 @@ func (cp *compiledPlan) compileFilter(fi int, f *Filter) (predKernel, error) {
 			}, nil
 		}
 		return rowPred(func(pc *partCols, i, j int32, rowID uint64) bool {
-			return bytes.Equal(pc.filters[fi].Bytes[pick(i, j, right)], want) != neg
+			return bytes.Equal(pc.filters[fi].BytesAt(int(pick(i, j, right))), want) != neg
 		}), nil
 
 	case FilterOpeCmp:
-		if err := checkOpeConst(f); err != nil {
-			return nil, err
-		}
 		hi, lo := ope.Words(f.Bytes)
 		// pass[cmp+1]: the operator resolved once, not per row.
 		pass := [3]bool{cmpMatch(f.Op, -1), cmpMatch(f.Op, 0), cmpMatch(f.Op, 1)}
 		if vectorizable {
 			return func(pc *partCols, b *batch, startID uint64) {
-				col := pc.filters[fi]
+				buf := pc.filters[fi].Fixed
 				out := b.sel[:0]
 				for _, i := range b.sel {
-					ct := col.Bytes[i]
-					if len(ct) != ope.CiphertextSize { // opeAt, by hand: it does not inline
-						pc.err = badOpe(col, ct)
-						break
-					}
-					rhi, rlo := ope.Words(ct)
+					rhi, rlo := ope.Words(buf[int(i)*ope.CiphertextSize:])
 					if pass[ope.CompareWords(rhi, rlo, hi, lo)+1] {
 						out = append(out, i)
 					}
@@ -216,11 +238,7 @@ func (cp *compiledPlan) compileFilter(fi int, f *Filter) (predKernel, error) {
 			}, nil
 		}
 		return rowPred(func(pc *partCols, i, j int32, rowID uint64) bool {
-			ct, ok := pc.opeAt(pc.filters[fi], pick(i, j, right))
-			if !ok {
-				return false
-			}
-			rhi, rlo := ope.Words(ct)
+			rhi, rlo := ope.Words(pc.filters[fi].BytesAt(int(pick(i, j, right))))
 			return pass[ope.CompareWords(rhi, rlo, hi, lo)+1]
 		}), nil
 	}
@@ -493,7 +511,7 @@ func (cp *compiledPlan) compileAgg(ai int, a *Agg) aggKernel {
 	case AggOpeMin:
 		row := func(pc *partCols, st *aggState, i, j int32, rowID uint64) {
 			idx := pick(i, j, right)
-			if v, ok := pc.opeAt(pc.aggs[ai], idx); ok && (!st.seen || ope.Less(v, st.ope)) {
+			if v := pc.aggs[ai].BytesAt(int(idx)); !st.seen || ope.Less(v, st.ope) {
 				st.ope, st.argID, st.seen = v, rowID, true
 				st.takeCompanion(pc.companions[ai], int(idx))
 			}
@@ -503,7 +521,7 @@ func (cp *compiledPlan) compileAgg(ai int, a *Agg) aggKernel {
 	case AggOpeMax:
 		row := func(pc *partCols, st *aggState, i, j int32, rowID uint64) {
 			idx := pick(i, j, right)
-			if v, ok := pc.opeAt(pc.aggs[ai], idx); ok && (!st.seen || ope.Less(st.ope, v)) {
+			if v := pc.aggs[ai].BytesAt(int(idx)); !st.seen || ope.Less(st.ope, v) {
 				st.ope, st.argID, st.seen = v, rowID, true
 				st.takeCompanion(pc.companions[ai], int(idx))
 			}
@@ -535,11 +553,7 @@ func (cp *compiledPlan) compileAgg(ai int, a *Agg) aggKernel {
 	case AggOpeMedian:
 		row := func(pc *partCols, st *aggState, i, j int32, rowID uint64) {
 			idx := pick(i, j, right)
-			v, ok := pc.opeAt(pc.aggs[ai], idx)
-			if !ok {
-				return
-			}
-			st.medOpe = append(st.medOpe, v)
+			st.medOpe = append(st.medOpe, pc.aggs[ai].BytesAt(int(idx)))
 			st.medIDs = append(st.medIDs, rowID)
 			if comp := pc.companions[ai]; comp != nil {
 				st.medComp = append(st.medComp, comp.U64[idx])

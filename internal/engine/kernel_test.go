@@ -275,17 +275,30 @@ func BenchmarkKernelFilterOpe(b *testing.B) {
 	for i := range days {
 		days[i] = uint64(i) * 0x9e3779b1 % 365
 	}
-	tbl, err := store.Build("k", []store.Column{
-		{Name: "day_ope", Kind: store.Bytes, Bytes: opeKey.EncryptColumn(days)},
-	}, 1)
+	benchFilterCount(b, opeFixed("day_ope", days),
+		Filter{Kind: FilterOpeCmp, Col: "day_ope", Op: sqlparse.OpLt, Bytes: opeKey.Encrypt(180)})
+}
+
+// BenchmarkKernelFilterDetEq measures DET equality over a fixed-width column:
+// one of eight values, so an eighth of the rows pass, then a count. The
+// kernel reads value i at i×16 in the column's one buffer. 0 allocs/op.
+func BenchmarkKernelFilterDetEq(b *testing.B) {
+	ids := make([]uint64, benchRows)
+	for i := range ids {
+		ids[i] = uint64(i) * 0x9e3779b1 % 8
+	}
+	benchFilterCount(b, detFixed("id_det", ids),
+		Filter{Kind: FilterDetEq, Col: "id_det", Bytes: detKey.EncryptU64(3)})
+}
+
+// benchFilterCount runs one filter and a count over a one-column partition of
+// benchRows rows: the compiled kernel path alone.
+func benchFilterCount(b *testing.B, col store.Column, f Filter) {
+	tbl, err := store.Build("k", []store.Column{col}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl := &Plan{
-		Table:   tbl,
-		Filters: []Filter{{Kind: FilterOpeCmp, Col: "day_ope", Op: sqlparse.OpLt, Bytes: opeKey.Encrypt(180)}},
-		Aggs:    []Agg{{Kind: AggCount}},
-	}
+	pl := &Plan{Table: tbl, Filters: []Filter{f}, Aggs: []Agg{{Kind: AggCount}}}
 	cp, err := pl.compile(0, idlist.Default)
 	if err != nil {
 		b.Fatal(err)

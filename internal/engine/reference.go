@@ -34,11 +34,6 @@ type referencePlan struct {
 // counterpart of Plan.compile for the interpreter.
 func (pl *Plan) compileReference(codec idlist.Codec) (*referencePlan, error) {
 	rp := &referencePlan{pl: pl, codec: codec}
-	for fi := range pl.Filters {
-		if err := checkOpeConst(&pl.Filters[fi]); err != nil {
-			return nil, err
-		}
-	}
 	if pl.Join != nil {
 		var err error
 		rp.right, err = flattenRight(pl.Join.Right, pl.Join.RightCols, pl.Join.RightCol)
@@ -47,7 +42,7 @@ func (pl *Plan) compileReference(codec idlist.Codec) (*referencePlan, error) {
 		}
 		rp.joinHash = buildJoinHash(rp.right, pl.Join.RightCol)
 	}
-	return rp, nil
+	return rp, pl.checkCipherCols(rp.right)
 }
 
 // boundCols resolves every column a plan references against a partition and
@@ -82,8 +77,8 @@ func hashKeyOf(c *store.Column, i int) string {
 			b[j] = byte(v >> (8 * j))
 		}
 		return string(b[:])
-	case store.Bytes:
-		return string(c.Bytes[i])
+	case store.Bytes, store.Fixed:
+		return string(c.BytesAt(i))
 	default:
 		return c.Str[i]
 	}
@@ -277,7 +272,7 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 				if b.filterRight[fi] {
 					j = joinIdx
 				}
-				if bytes.Equal(col.Bytes[j], f.Bytes) == f.Negate {
+				if bytes.Equal(col.BytesAt(j), f.Bytes) == f.Negate {
 					ok = false
 				}
 			case FilterOpeCmp:
@@ -286,10 +281,7 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 				if b.filterRight[fi] {
 					j = joinIdx
 				}
-				if len(col.Bytes[j]) != ope.CiphertextSize {
-					return nil, badOpe(col, col.Bytes[j])
-				}
-				if !cmpMatch(f.Op, ope.Compare(col.Bytes[j], f.Bytes)) {
+				if !cmpMatch(f.Op, ope.Compare(col.BytesAt(j), f.Bytes)) {
 					ok = false
 				}
 			}
@@ -316,8 +308,8 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 				switch col.Kind {
 				case store.U64:
 					row.U64s[pi] = col.U64[j]
-				case store.Bytes:
-					row.Bytes[pi] = col.Bytes[j]
+				case store.Bytes, store.Fixed:
+					row.Bytes[pi] = col.BytesAt(j)
 				default:
 					row.Strs[pi] = col.Str[j]
 				}
@@ -331,7 +323,7 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 		if pl.GroupBy == nil {
 			pg = res.single
 		} else {
-			key := groupKey{kind: b.group.Kind, suffix: -1}
+			key := groupKey{kind: keyKind(b.group.Kind), suffix: -1}
 			j := i
 			if b.groupRight {
 				j = joinIdx
@@ -339,8 +331,8 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 			switch b.group.Kind {
 			case store.U64:
 				key.u64 = b.group.U64[j]
-			case store.Bytes:
-				key.str = string(b.group.Bytes[j])
+			case store.Bytes, store.Fixed:
+				key.str = string(b.group.BytesAt(j))
 			default:
 				key.str = b.group.Str[j]
 			}
@@ -364,12 +356,6 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 				j = joinIdx
 			}
 			switch st.kind {
-			case AggOpeMin, AggOpeMax, AggOpeMedian:
-				if len(col.Bytes[j]) != ope.CiphertextSize {
-					return nil, badOpe(col, col.Bytes[j])
-				}
-			}
-			switch st.kind {
 			case AggCount:
 				st.u64++
 			case AggPlainSum:
@@ -390,19 +376,19 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 					st.u64, st.seen = col.U64[j], true
 				}
 			case AggOpeMin:
-				if !st.seen || ope.Less(col.Bytes[j], st.ope) {
-					st.ope, st.argID, st.seen = col.Bytes[j], rowID, true
+				if !st.seen || ope.Less(col.BytesAt(j), st.ope) {
+					st.ope, st.argID, st.seen = col.BytesAt(j), rowID, true
 					st.takeCompanion(b.companions[ai], j)
 				}
 			case AggOpeMax:
-				if !st.seen || ope.Less(st.ope, col.Bytes[j]) {
-					st.ope, st.argID, st.seen = col.Bytes[j], rowID, true
+				if !st.seen || ope.Less(st.ope, col.BytesAt(j)) {
+					st.ope, st.argID, st.seen = col.BytesAt(j), rowID, true
 					st.takeCompanion(b.companions[ai], j)
 				}
 			case AggPlainMedian:
 				st.medU64 = append(st.medU64, col.U64[j])
 			case AggOpeMedian:
-				st.medOpe = append(st.medOpe, col.Bytes[j])
+				st.medOpe = append(st.medOpe, col.BytesAt(j))
 				st.medIDs = append(st.medIDs, rowID)
 				if comp := b.companions[ai]; comp != nil {
 					st.medComp = append(st.medComp, comp.U64[j])
@@ -414,7 +400,7 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 	// Worker-side compression of ASHE identifier lists (§4.5) is priced here,
 	// inside the measured task, unless the ablation moved it to the driver.
 	if groups != nil {
-		res.groups, err = pl.taskGroupsFromMap(groups, b.group.Kind, inflate > 0, c.cfg.Workers, rp.codec)
+		res.groups, err = pl.taskGroupsFromMap(groups, keyKind(b.group.Kind), inflate > 0, c.cfg.Workers, rp.codec)
 		if err != nil {
 			return nil, err
 		}

@@ -146,14 +146,7 @@ func flattenRight(t *store.Table, cols []string, key string) (map[string]*store.
 			if c == nil {
 				return nil, fmt.Errorf("engine: join table %q partition missing column %q", t.Name, name)
 			}
-			switch kind {
-			case store.U64:
-				full.U64 = append(full.U64, c.U64...)
-			case store.Bytes:
-				full.Bytes = append(full.Bytes, c.Bytes...)
-			default:
-				full.Str = append(full.Str, c.Str...)
-			}
+			full.AppendRows(c)
 		}
 		out[name] = full
 	}
@@ -281,8 +274,8 @@ func (st *aggState) takeCompanion(comp *store.Column, j int) {
 	if comp == nil {
 		return
 	}
-	if comp.Kind == store.Bytes {
-		st.compBytes = comp.Bytes[j]
+	if comp.Kind != store.U64 {
+		st.compBytes = comp.BytesAt(j)
 		return
 	}
 	st.u64 = comp.U64[j]

@@ -128,21 +128,20 @@ func (k *Key) Encrypt(v uint64) []byte {
 	return ct
 }
 
-// EncryptColumn encrypts a whole column: element i is byte-equal to
-// Encrypt(values[i]). The ciphertexts are carved from one allocation; like
+// EncryptColumn encrypts a whole column into one buffer of
+// len(values) × CiphertextSize bytes: value i's ciphertext, byte-equal to
+// Encrypt(values[i]), sits at i*CiphertextSize. Like
 // ASHE's EncryptColumnParallel the column is split over up to
 // runtime.NumCPU() goroutines, and each encrypts its chunk as one run, so a
 // value costs AES blocks only below the prefix it shares with the value
 // before it — a dimension of small or slowly changing values (days, ages,
 // sorted keys) costs a handful of blocks per value instead of 64.
-func (k *Key) EncryptColumn(values []uint64) [][]byte {
-	arena := make([]byte, len(values)*CiphertextSize)
-	out := make([][]byte, len(values))
+func (k *Key) EncryptColumn(values []uint64) []byte {
+	out := make([]byte, len(values)*CiphertextSize)
 	chunk := func(lo, hi int) {
 		r := run{k: k}
 		for i := lo; i < hi; i++ {
-			out[i] = arena[i*CiphertextSize : (i+1)*CiphertextSize : (i+1)*CiphertextSize]
-			r.next(values[i], out[i])
+			r.next(values[i], out[i*CiphertextSize:(i+1)*CiphertextSize])
 		}
 	}
 	workers := runtime.NumCPU()

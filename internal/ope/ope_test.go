@@ -149,12 +149,13 @@ func TestEncryptColumnMatchesEncrypt(t *testing.T) {
 	}
 	for name, vals := range cases {
 		cts := testKey.EncryptColumn(vals)
-		if len(cts) != len(vals) {
-			t.Fatalf("%s: %d ciphertexts for %d values", name, len(cts), len(vals))
+		if len(cts) != len(vals)*CiphertextSize {
+			t.Fatalf("%s: %d ciphertext bytes for %d values", name, len(cts), len(vals))
 		}
 		for i, v := range vals {
-			if want := testKey.Encrypt(v); !bytes.Equal(cts[i], want) {
-				t.Fatalf("%s: element %d (value %#x) = %x, Encrypt gives %x", name, i, v, cts[i], want)
+			got := cts[i*CiphertextSize : (i+1)*CiphertextSize]
+			if want := testKey.Encrypt(v); !bytes.Equal(got, want) {
+				t.Fatalf("%s: element %d (value %#x) = %x, Encrypt gives %x", name, i, v, got, want)
 			}
 		}
 	}
@@ -318,7 +319,8 @@ func BenchmarkCompare(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSink += Compare(cts[i%256], cts[(i+1)%256])
+				a, c := i%256*CiphertextSize, (i+1)%256*CiphertextSize
+				benchSink += Compare(cts[a:a+CiphertextSize], cts[c:c+CiphertextSize])
 			}
 		})
 	}

@@ -57,6 +57,15 @@ type EncColumn struct {
 	Source string
 }
 
+// detKind is the kind of the column's DET form: integers and dictionary ids
+// encrypt to 16-byte blocks (Fixed); only undictionaried strings vary.
+func (cp *ColumnPlan) detKind() store.Kind {
+	if cp.Type == schema.String && len(cp.Dict) == 0 {
+		return store.Bytes
+	}
+	return store.Fixed
+}
+
 // EncColumns enumerates every physical column of the encrypted table in a
 // deterministic order. The encryption module materializes exactly these; the
 // translator resolves against them.
@@ -82,10 +91,10 @@ func (p *Plan) EncColumns() []EncColumn {
 			add(SquareName(name), store.U64, schema.ASHE, name)
 		}
 		if cp.Det {
-			add(DetName(name), store.Bytes, schema.DET, name)
+			add(DetName(name), cp.detKind(), schema.DET, name)
 		}
 		if cp.Ope {
-			add(OpeName(name), store.Bytes, schema.OPE, name)
+			add(OpeName(name), store.Fixed, schema.OPE, name)
 		}
 		if l := cp.Splashe; l != nil {
 			mode := schema.SplasheBasic
@@ -98,7 +107,7 @@ func (p *Plan) EncColumns() []EncColumn {
 				add(IndName(name, i, others), store.U64, mode, name)
 			}
 			if l.Mode == splashe.Enhanced {
-				add(DetName(name), store.Bytes, schema.DET, name)
+				add(DetName(name), store.Fixed, schema.DET, name) // DET of balanced value ids
 			}
 			for _, m := range cp.SplayedMeasures {
 				for i := 0; i < n; i++ {

@@ -4,9 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"seabed/internal/det"
+	"seabed/internal/ope"
 	"seabed/internal/schema"
 	"seabed/internal/splashe"
 	"seabed/internal/sqlparse"
+	"seabed/internal/store"
 )
 
 func adTable() *schema.Table {
@@ -274,5 +277,55 @@ func TestCategoryString(t *testing.T) {
 	if Server.String() != "S" || ClientPre.String() != "CPre" ||
 		ClientPost.String() != "CPost" || TwoRoundTrips.String() != "2R" {
 		t.Fatal("Category.String broken")
+	}
+}
+
+// TestEstimateIsWhatFixedColumnsStore: for a schema whose encrypted columns
+// are all fixed-width — ASHE words, DET(u64) and OPE ciphertexts — the
+// planner's per-row estimate times the rows is exactly the bytes the columns'
+// extents take (store.ColumnExtentSize, which sizes segments and the
+// benchmark's residency budget). The estimate has counted 16 bytes per DET or
+// OPE value all along; storage spent 8 more on an offset until those columns
+// became one flat buffer.
+func TestEstimateIsWhatFixedColumnsStore(t *testing.T) {
+	tbl := &schema.Table{Name: "ev", Columns: []schema.Column{
+		{Name: "rev", Type: schema.Int64, Sensitive: true},
+		{Name: "clicks", Type: schema.Int64, Sensitive: true},
+		{Name: "uid", Type: schema.Int64, Sensitive: true},
+		{Name: "day", Type: schema.Int64, Sensitive: true},
+	}}
+	p := mustPlan(t, tbl, []*sqlparse.Query{
+		sqlparse.MustParse("SELECT uid, SUM(rev) FROM ev GROUP BY uid"),
+		sqlparse.MustParse("SELECT VAR(clicks) FROM ev WHERE day > 15"),
+		sqlparse.MustParse("SELECT MIN(rev) FROM ev"),
+	}, Options{})
+	const rows = 1000
+	vals := make([]uint64, rows)
+	for i := range vals {
+		vals[i] = uint64(i) * 0x9e3779b1
+	}
+	dk, ok := det.MustNewKey([]byte("0123456789abcdef")), ope.MustNewKey([]byte("0123456789abcdef"))
+	var stored, dets, opes int
+	for _, ec := range p.EncColumns() {
+		c := store.Column{Name: ec.Name, Kind: ec.Kind}
+		switch {
+		case ec.Kind == store.U64:
+			c.U64 = vals
+		case ec.Kind == store.Fixed && ec.Scheme == schema.DET:
+			c.Width, c.Fixed = det.U64Size, dk.EncryptU64Column(vals)
+			dets++
+		case ec.Kind == store.Fixed && ec.Scheme == schema.OPE:
+			c.Width, c.Fixed = ope.CiphertextSize, ok.EncryptColumn(vals)
+			opes++
+		default:
+			t.Fatalf("column %q is %v/%v: not fixed-width", ec.Name, ec.Kind, ec.Scheme)
+		}
+		stored += store.ColumnExtentSize(&c)
+	}
+	if dets == 0 || opes == 0 {
+		t.Fatalf("schema planned %d DET and %d OPE columns, want both", dets, opes)
+	}
+	if est := p.encryptedRowBytes() * rows; est != float64(stored) {
+		t.Errorf("estimate %.0f bytes (%.0f per row), columns store %d", est, p.encryptedRowBytes(), stored)
 	}
 }

@@ -17,6 +17,11 @@ import (
 // no varints, so an extent can be consumed without a sequential scan):
 //
 //	U64:       rows × 8-byte words.
+//	Fixed:     rows × width bytes, the values back to back. The width is not
+//	           in the extent: the container carries it beside the kind (the
+//	           segment's column directory, the SBD1 column header, the scan
+//	           chunk header), and an extent whose size is not rows × width is
+//	           refused whole — there is no per-value length to check.
 //	Bytes/Str: (rows+1) × 8-byte offsets into the blob heap that follows,
 //	           with off[0] == 0 and off[rows] == total blob bytes; row i's
 //	           value is heap[off[i]:off[i+1]]. Offsets are relative to the
@@ -24,10 +29,11 @@ import (
 //
 // Decoding aliases rather than copies wherever the platform allows: a U64
 // extent that is 8-byte-aligned on a little-endian host becomes the []uint64
-// vector itself, and Bytes/Str rows always alias the blob heap. The caller
-// therefore must keep the backing buffer immutable and alive for as long as
-// the decoded column is reachable — exactly the contract a read-only mmap or
-// a received wire frame satisfies.
+// vector itself, a Fixed extent always is the column's buffer (O(1), no
+// allocation, at any alignment), and Bytes/Str rows alias the blob heap. The
+// caller therefore must keep the backing buffer immutable and alive for as
+// long as the decoded column is reachable — exactly the contract a read-only
+// mmap or a received wire frame satisfies.
 
 // hostLittleEndian reports whether this machine can alias little-endian
 // extents in place. Every supported Go platform today is little-endian; the
@@ -42,6 +48,8 @@ func ColumnExtentSize(c *Column) int {
 	switch c.Kind {
 	case U64:
 		return 8 * len(c.U64)
+	case Fixed:
+		return len(c.Fixed)
 	case Bytes:
 		n := 8 * (len(c.Bytes) + 1)
 		for _, b := range c.Bytes {
@@ -57,17 +65,32 @@ func ColumnExtentSize(c *Column) int {
 	}
 }
 
+// ExtentView returns c's extent without encoding anything when the in-memory
+// vector already is the encoding — a Fixed column's buffer, a U64 column's
+// words on a little-endian host — and false otherwise. The bytes alias the
+// column: read them (checksum, write out), never append to them.
+func ExtentView(c *Column) ([]byte, bool) {
+	switch {
+	case c.Kind == Fixed:
+		return c.Fixed, true
+	case c.Kind == U64 && hostLittleEndian:
+		if len(c.U64) == 0 {
+			return nil, true
+		}
+		return unsafe.Slice((*byte)(unsafe.Pointer(&c.U64[0])), 8*len(c.U64)), true
+	}
+	return nil, false
+}
+
 // AppendColumnExtent appends c's extent encoding to buf and returns the
 // extended slice. It allocates only when buf lacks capacity, so an encoder
 // reusing its buffer appends whole columns without per-row allocations.
 func AppendColumnExtent(buf []byte, c *Column) []byte {
+	if raw, ok := ExtentView(c); ok {
+		return append(buf, raw...)
+	}
 	switch c.Kind {
 	case U64:
-		if hostLittleEndian && len(c.U64) > 0 {
-			// The in-memory vector already is the extent encoding.
-			raw := unsafe.Slice((*byte)(unsafe.Pointer(&c.U64[0])), 8*len(c.U64))
-			return append(buf, raw...)
-		}
 		for _, v := range c.U64 {
 			buf = binary.LittleEndian.AppendUint64(buf, v)
 		}
@@ -102,18 +125,30 @@ func aligned8(b []byte) bool {
 	return len(b) == 0 || uintptr(unsafe.Pointer(&b[0]))%8 == 0
 }
 
-// DecodeColumnExtent decodes one extent of the given kind and row count from
-// the front of data, returning the column vectors and the bytes consumed.
-// The returned column aliases data wherever possible (see the package
-// comment above for the immutability contract); lengths and offsets are
-// validated against len(data), never trusted, so a truncated or hostile
+// DecodeColumnExtent decodes one extent of the given layout and row count
+// from the front of data, returning the column vectors and the bytes
+// consumed. The returned column aliases data wherever possible (see the
+// package comment above for the immutability contract); lengths and offsets
+// are validated against len(data), never trusted, so a truncated or hostile
 // buffer yields an error rather than an out-of-bounds vector.
-func DecodeColumnExtent(name string, kind Kind, rows int, data []byte) (Column, int, error) {
+func DecodeColumnExtent(m ColMeta, rows int, data []byte) (Column, int, error) {
+	name, kind := m.Name, m.Kind
 	c := Column{Name: name, Kind: kind}
 	if rows < 0 {
 		return c, 0, fmt.Errorf("store: extent %q: negative row count", name)
 	}
+	if fixed := kind == Fixed; fixed && m.Width < 1 || !fixed && m.Width != 0 {
+		return c, 0, fmt.Errorf("store: extent %q: %v column with value width %d", name, kind, m.Width)
+	}
 	switch kind {
+	case Fixed:
+		// Compared by division: rows*width overflows for a hostile pair.
+		if rows > len(data)/m.Width {
+			return c, 0, fmt.Errorf("store: extent %q: %d bytes for %d values of width %d", name, len(data), rows, m.Width)
+		}
+		need := rows * m.Width
+		c.Width, c.Fixed = m.Width, data[:need:need]
+		return c, need, nil
 	case U64:
 		// Compared by division: 8*rows overflows for a hostile row count.
 		if rows > len(data)/8 {
@@ -190,7 +225,7 @@ func DecodeBlobExtent(name string, rows int, data []byte) (off []uint64, heap []
 	if rows < 0 || rows >= len(data)/8 {
 		return nil, nil, 0, fmt.Errorf("store: extent %q: %d bytes for %d offset entries", name, len(data), uint64(rows)+1)
 	}
-	col, n, err := DecodeColumnExtent(name, U64, rows+1, data)
+	col, n, err := DecodeColumnExtent(ColMeta{Name: name, Kind: U64}, rows+1, data)
 	if err != nil {
 		return nil, nil, 0, err
 	}

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 )
 
 // Binary table serialization. The format plays the role Protobuf-over-HDFS
@@ -19,6 +21,7 @@ import (
 //	    U64:   numRows little-endian 8-byte words
 //	    Bytes: per row: len | bytes
 //	    Str:   per row: len | bytes
+//	    Fixed: width | numRows × width bytes, no per-row length
 
 const magic = "SBD1"
 
@@ -75,6 +78,11 @@ func writePartition(bw *countingWriter, p *Partition) error {
 		case Str:
 			for _, s := range c.Str {
 				writeString(bw, s)
+			}
+		case Fixed:
+			writeUvarint(bw, uint64(c.Width))
+			if _, err := bw.Write(c.Fixed); err != nil {
+				return err
 			}
 		}
 	}
@@ -173,6 +181,18 @@ func Read(r io.Reader) (*Table, error) {
 					}
 					c.Str = append(c.Str, s)
 				}
+			case Fixed:
+				width, err := binary.ReadUvarint(br)
+				if err != nil {
+					return nil, fmt.Errorf("store: column %q: %v", cname, err)
+				}
+				if width < 1 || width > math.MaxInt32 || nRows > math.MaxInt/width {
+					return nil, fmt.Errorf("store: column %q: %d values of width %d", cname, nRows, width)
+				}
+				c.Width = int(width)
+				if c.Fixed, err = readBlob(br, nRows*width); err != nil {
+					return nil, fmt.Errorf("store: column %q: %v", cname, err)
+				}
 			default:
 				return nil, fmt.Errorf("store: column %q: unknown kind %d", cname, kind)
 			}
@@ -195,9 +215,9 @@ func Read(r io.Reader) (*Table, error) {
 				return nil, fmt.Errorf("store: partition %d has %d columns, want %d", pi+1, len(p.Cols), len(ref.Cols))
 			}
 			for ci := range p.Cols {
-				if p.Cols[ci].Name != ref.Cols[ci].Name || p.Cols[ci].Kind != ref.Cols[ci].Kind {
-					return nil, fmt.Errorf("store: partition %d column %d is %q/%v, want %q/%v",
-						pi+1, ci, p.Cols[ci].Name, p.Cols[ci].Kind, ref.Cols[ci].Name, ref.Cols[ci].Kind)
+				if p.Cols[ci].Meta() != ref.Cols[ci].Meta() {
+					return nil, fmt.Errorf("store: partition %d column %d is %+v, want %+v",
+						pi+1, ci, p.Cols[ci].Meta(), ref.Cols[ci].Meta())
 				}
 			}
 		}
@@ -254,25 +274,18 @@ func preallocRows(n uint64) int {
 	return int(min(n, maxPrealloc))
 }
 
-// readBlob reads exactly n declared bytes, growing in bounded chunks so a
-// hostile length cannot force a huge allocation before the stream runs dry.
+// readBlob reads exactly n declared bytes into one buffer, grown in steps of
+// at most maxPrealloc as the bytes arrive, so memory stays proportional to
+// what the stream delivered and a hostile length cannot force a huge
+// allocation before the stream runs dry.
 func readBlob(br *bufio.Reader, n uint64) ([]byte, error) {
-	if n <= maxPrealloc {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
+	buf := make([]byte, 0, min(n, maxPrealloc))
+	for have := uint64(0); have < n; have = uint64(len(buf)) {
+		step := int(min(n-have, maxPrealloc))
+		buf = slices.Grow(buf, step)[:len(buf)+step]
+		if _, err := io.ReadFull(br, buf[have:]); err != nil {
 			return nil, err
 		}
-		return buf, nil
-	}
-	buf := make([]byte, 0, maxPrealloc)
-	var chunk [32 << 10]byte
-	for remaining := n; remaining > 0; {
-		step := min(remaining, uint64(len(chunk)))
-		if _, err := io.ReadFull(br, chunk[:step]); err != nil {
-			return nil, err
-		}
-		buf = append(buf, chunk[:step]...)
-		remaining -= step
 	}
 	return buf, nil
 }

@@ -20,11 +20,15 @@ const (
 	// U64 columns hold 64-bit words: plaintext integers or ASHE ciphertext
 	// bodies.
 	U64 Kind = iota
-	// Bytes columns hold per-row byte strings: DET, OPE, or Paillier
-	// ciphertexts.
+	// Bytes columns hold per-row byte strings of varying length: DET
+	// ciphertexts of strings, Paillier ciphertexts.
 	Bytes
 	// Str columns hold plaintext strings (NoEnc baseline only).
 	Str
+	// Fixed columns hold byte strings of one constant length — DET(u64) and
+	// OPE ciphertexts — as rows × Width bytes in one flat buffer: no offset
+	// table on disk, no slice header per row in memory.
+	Fixed
 )
 
 // String implements fmt.Stringer.
@@ -36,18 +40,25 @@ func (k Kind) String() string {
 		return "bytes"
 	case Str:
 		return "str"
+	case Fixed:
+		return "fixed"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // Column is one column vector within a partition. Exactly one of the value
-// slices is populated, matching Kind.
+// slices is populated, matching Kind; a Fixed column also carries its Width.
 type Column struct {
 	Name  string
 	Kind  Kind
 	U64   []uint64
 	Bytes [][]byte
 	Str   []string
+	// Fixed holds a Fixed column's values back to back: row i is
+	// Fixed[i*Width : (i+1)*Width]. Width is part of the column's layout, like
+	// Kind: every partition of a table carries the same one.
+	Fixed []byte
+	Width int
 }
 
 // Len returns the number of rows in the column.
@@ -57,19 +68,58 @@ func (c *Column) Len() int {
 		return len(c.U64)
 	case Bytes:
 		return len(c.Bytes)
+	case Fixed:
+		if c.Width < 1 {
+			return 0
+		}
+		return len(c.Fixed) / c.Width
 	default:
 		return len(c.Str)
 	}
 }
 
+// BytesAt returns row i of a Bytes or Fixed column. A Fixed column's value is
+// a capacity-clipped window of the flat buffer, so appending to it never
+// writes into the next row.
+func (c *Column) BytesAt(i int) []byte {
+	if c.Kind == Fixed {
+		lo, hi := i*c.Width, (i+1)*c.Width
+		return c.Fixed[lo:hi:hi]
+	}
+	return c.Bytes[i]
+}
+
+// Meta returns the column's layout without its data.
+func (c *Column) Meta() ColMeta { return ColMeta{Name: c.Name, Kind: c.Kind, Width: c.Width} }
+
+// AppendRows appends o's rows to c, a column of o's kind, which takes o's
+// width: how a partitioned column is flattened into one.
+func (c *Column) AppendRows(o *Column) {
+	c.Width = o.Width
+	c.U64 = append(c.U64, o.U64...)
+	c.Bytes = append(c.Bytes, o.Bytes...)
+	c.Str = append(c.Str, o.Str...)
+	c.Fixed = append(c.Fixed, o.Fixed...)
+}
+
+// check rejects a Fixed column whose buffer is not whole values.
+func (c *Column) check() error {
+	if c.Kind == Fixed && (c.Width < 1 || len(c.Fixed)%c.Width != 0) {
+		return fmt.Errorf("store: column %q: %d bytes are not whole values of width %d", c.Name, len(c.Fixed), c.Width)
+	}
+	return nil
+}
+
 // slice returns the column restricted to rows [lo, hi).
 func (c *Column) slice(lo, hi int) Column {
-	out := Column{Name: c.Name, Kind: c.Kind}
+	out := Column{Name: c.Name, Kind: c.Kind, Width: c.Width}
 	switch c.Kind {
 	case U64:
 		out.U64 = c.U64[lo:hi]
 	case Bytes:
 		out.Bytes = c.Bytes[lo:hi]
+	case Fixed:
+		out.Fixed = c.Fixed[lo*c.Width : hi*c.Width]
 	default:
 		out.Str = c.Str[lo:hi]
 	}
@@ -86,6 +136,8 @@ func (c *Column) memBytes() uint64 {
 		for _, b := range c.Bytes {
 			n += uint64(len(b)) + 24 // slice header
 		}
+	case Fixed:
+		n = uint64(len(c.Fixed))
 	default:
 		for _, s := range c.Str {
 			n += uint64(len(s)) + 16 // string header
@@ -167,6 +219,9 @@ func BuildFrom(name string, cols []Column, numParts int, startID uint64) (*Table
 	}
 	rows := -1
 	for i := range cols {
+		if err := cols[i].check(); err != nil {
+			return nil, err
+		}
 		if rows == -1 {
 			rows = cols[i].Len()
 		} else if cols[i].Len() != rows {
@@ -256,6 +311,9 @@ func (t *Table) appendCheck(other *Table) error {
 		ok, _ := other.ColKind(oNames[i])
 		if tk != ok {
 			return fmt.Errorf("store: append: column %q kind mismatch (%v vs %v)", tNames[i], ok, tk)
+		}
+		if tw, ow := t.Parts[0].Cols[i].Width, other.Parts[0].Cols[i].Width; tw != ow {
+			return fmt.Errorf("store: append: column %q holds %d-byte values, the table's are %d bytes", tNames[i], ow, tw)
 		}
 	}
 	// Validate the batch's position even when it holds no rows: an empty

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -408,8 +409,66 @@ func TestCovers(t *testing.T) {
 	}
 }
 
+// TestFixedColumn pins the fixed-width representation: one buffer, a width in
+// the layout, values that are capacity-clipped windows, an extent that is the
+// buffer itself, and a width that appends and builds are held to.
+func TestFixedColumn(t *testing.T) {
+	buf := []byte("aaaabbbbccccdddd")
+	tbl, err := Build("t", []Column{{Name: "f", Kind: Fixed, Width: 4, Fixed: buf}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.NumRows() != 4 || tbl.Parts[1].NumRows() != 2 || tbl.Parts[1].Cols[0].Width != 4 {
+		t.Fatalf("built %d rows, second partition %+v", tbl.NumRows(), tbl.Parts[1].Cols[0])
+	}
+	c := &tbl.Parts[1].Cols[0]
+	if v := c.BytesAt(0); string(v) != "cccc" || cap(v) != 4 {
+		t.Fatalf("BytesAt(0) = %q (cap %d), want cccc clipped to 4", v, cap(v))
+	}
+	if got, want := tbl.MemBytes(), uint64(len(buf)); got != want {
+		t.Errorf("MemBytes = %d, want the buffer's %d: no header per row", got, want)
+	}
+	if got := ColumnExtentSize(c); got != 8 {
+		t.Errorf("ColumnExtentSize = %d, want rows × width = 8: no offset table", got)
+	}
+	if ext, ok := ExtentView(c); !ok || &ext[0] != &c.Fixed[0] || len(ext) != 8 {
+		t.Errorf("ExtentView = %q, %v; want the column's own buffer", ext, ok)
+	}
+
+	var ser bytes.Buffer
+	if _, err := tbl.WriteTo(&ser); err != nil {
+		t.Fatal(err)
+	}
+	if want := len("SBD1") + 2 + 1 + 2*(3+3+1) + len(buf); ser.Len() != want {
+		t.Errorf("serialized to %d bytes, want %d: a width per column, no length per value", ser.Len(), want)
+	}
+	back, err := Read(&ser)
+	if err != nil || !reflect.DeepEqual(back.Parts[1].Cols[0], *c) {
+		t.Fatalf("round trip: %v, column %+v", err, back.Parts[1].Cols)
+	}
+	if shards := tbl.SplitRanges(4); string(shards[3].Parts[0].Cols[0].Fixed) != "dddd" {
+		t.Errorf("SplitRanges sliced the last row as %q", shards[3].Parts[0].Cols[0].Fixed)
+	}
+
+	for _, bad := range []Column{
+		{Name: "f", Kind: Fixed, Width: 0, Fixed: buf},
+		{Name: "f", Kind: Fixed, Width: 3, Fixed: buf},
+	} {
+		if _, err := Build("t", []Column{bad}, 1); err == nil || !strings.Contains(err.Error(), `"f"`) {
+			t.Errorf("Build with width %d over %d bytes: err = %v, want one naming the column", bad.Width, len(bad.Fixed), err)
+		}
+	}
+	batch, err := BuildFrom("t", []Column{{Name: "f", Kind: Fixed, Width: 8, Fixed: buf}}, 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.AppendTable(batch); err == nil || !strings.Contains(err.Error(), `"f"`) {
+		t.Errorf("appended an 8-byte-wide batch to a 4-byte-wide column: err = %v", err)
+	}
+}
+
 func TestKindString(t *testing.T) {
-	if U64.String() != "u64" || Bytes.String() != "bytes" || Str.String() != "str" {
+	if U64.String() != "u64" || Bytes.String() != "bytes" || Str.String() != "str" || Fixed.String() != "fixed" {
 		t.Fatal("Kind.String broken")
 	}
 }

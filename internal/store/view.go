@@ -16,12 +16,16 @@ import (
 // the resident estimate exceeds `-max-resident`. Everything else in the
 // package (layout checks, copy-on-write appends, identifier coverage) treats
 // view and heap partitions identically, because a view partition keeps its
-// Cols slice populated with Name and Kind even while the vectors are absent.
+// Cols slice populated with Name, Kind and Width even while the vectors are
+// absent.
 
-// ColMeta describes one column of a view partition: its layout without data.
+// ColMeta describes one column's layout without data: what a view partition
+// knows before a fault, and what an extent decoder is told about the extent.
 type ColMeta struct {
 	Name string
 	Kind Kind
+	// Width is a Fixed column's value size in bytes; 0 for every other kind.
+	Width int
 }
 
 // ColumnLoader materializes a view partition's columns on demand. Load is
@@ -43,24 +47,27 @@ type partView struct {
 	loaded []bool
 	pins   int
 	bytes  uint64 // resident estimate of currently loaded vectors
+	unpin  func() // the partition's unpin, bound once so a pin allocates nothing
 }
 
 // NewViewPartition returns a partition of `rows` rows whose column vectors
 // load through loader on first pin. The partition's Cols carry the layout
-// (Name, Kind) immediately, so schema operations work without touching data.
+// (Name, Kind, Width) immediately, so schema operations work without touching
+// data.
 // res, if non-nil, tracks the partition's resident bytes and may evict it
 // while unpinned.
 func NewViewPartition(startID uint64, rows int, meta []ColMeta, loader ColumnLoader, res *Residency) *Partition {
 	p := &Partition{StartID: startID}
 	p.Cols = make([]Column, len(meta))
 	for i, m := range meta {
-		p.Cols[i] = Column{Name: m.Name, Kind: m.Kind}
+		p.Cols[i] = Column{Name: m.Name, Kind: m.Kind, Width: m.Width}
 	}
 	p.view = &partView{
 		rows:   rows,
 		loader: loader,
 		res:    res,
 		loaded: make([]bool, len(meta)),
+		unpin:  p.unpin,
 	}
 	return p
 }
@@ -102,10 +109,11 @@ func (p *Partition) PinStats(idxs []int) (release func(), faulted int, err error
 		if col.Len() != v.rows {
 			return fmt.Errorf("store: view column %q loaded %d rows, want %d", p.Cols[i].Name, col.Len(), v.rows)
 		}
-		if col.Kind != p.Cols[i].Kind {
-			return fmt.Errorf("store: view column %q loaded kind %v, want %v", p.Cols[i].Name, col.Kind, p.Cols[i].Kind)
+		if col.Kind != p.Cols[i].Kind || col.Width != p.Cols[i].Width {
+			return fmt.Errorf("store: view column %q loaded as %v/%d, want %v/%d",
+				p.Cols[i].Name, col.Kind, col.Width, p.Cols[i].Kind, p.Cols[i].Width)
 		}
-		p.Cols[i].U64, p.Cols[i].Bytes, p.Cols[i].Str = col.U64, col.Bytes, col.Str
+		p.Cols[i].U64, p.Cols[i].Bytes, p.Cols[i].Str, p.Cols[i].Fixed = col.U64, col.Bytes, col.Str, col.Fixed
 		v.loaded[i] = true
 		faultedBytes += p.Cols[i].memBytes()
 		faultedCols++
@@ -138,7 +146,7 @@ func (p *Partition) PinStats(idxs []int) (release func(), faulted int, err error
 		// partitions to make room, and eviction takes their view locks.
 		v.res.charge(p, faultedBytes, faultedCols)
 	}
-	return p.unpin, faultedCols, nil
+	return v.unpin, faultedCols, nil
 }
 
 // unpin releases one Pin, making the partition evictable again once its pin
@@ -161,7 +169,7 @@ func (p *Partition) dropResident() uint64 {
 		return 0
 	}
 	for i := range p.Cols {
-		p.Cols[i].U64, p.Cols[i].Bytes, p.Cols[i].Str = nil, nil, nil
+		p.Cols[i].U64, p.Cols[i].Bytes, p.Cols[i].Str, p.Cols[i].Fixed = nil, nil, nil, nil
 		v.loaded[i] = false
 	}
 	freed := v.bytes

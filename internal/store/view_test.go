@@ -108,6 +108,50 @@ func TestViewPinErrors(t *testing.T) {
 	if _, err := p4.Pin([]int{1}); err == nil {
 		t.Fatal("pin accepted a kind mismatch")
 	}
+	meta := ColMeta{Name: "d", Kind: Fixed, Width: 16}
+	p5 := NewViewPartition(1, 8, []ColMeta{meta}, &fakeLoader{cols: []Column{{Name: "d", Kind: Fixed, Width: 8, Fixed: make([]byte, 64)}}}, nil)
+	if _, err := p5.Pin(nil); err == nil {
+		t.Fatal("pin accepted a width mismatch")
+	}
+}
+
+// extentLoader serves one Fixed column by decoding its extent, as a mapped
+// segment's loader does once the CRC is verified.
+type extentLoader struct {
+	meta ColMeta
+	rows int
+	ext  []byte
+}
+
+func (l *extentLoader) LoadColumn(int) (Column, error) {
+	col, _, err := DecodeColumnExtent(l.meta, l.rows, l.ext)
+	return col, err
+}
+
+// TestViewPinFixedAllocatesNothing: faulting a fixed-width column is O(1) —
+// the extent is the column's buffer — so a pin that faults allocates nothing,
+// at 10 rows or at 100,000.
+func TestViewPinFixedAllocatesNothing(t *testing.T) {
+	for _, rows := range []int{10, 100_000} {
+		meta := ColMeta{Name: "d", Kind: Fixed, Width: 16}
+		l := &extentLoader{meta: meta, rows: rows, ext: make([]byte, 16*rows)}
+		l.ext[16*(rows-1)] = 0xAB
+		p := NewViewPartition(1, rows, []ColMeta{meta}, l, nil)
+		idxs := []int{0}
+		allocs := testing.AllocsPerRun(100, func() {
+			release, faulted, err := p.PinStats(idxs)
+			if err != nil || faulted != 1 || p.Cols[0].BytesAt(rows - 1)[0] != 0xAB {
+				t.Fatalf("pin: faulted %d, err %v", faulted, err)
+			}
+			release()
+			if p.dropResident() != uint64(16*rows) {
+				t.Fatal("resident bytes of an aliased fixed column are not its extent bytes")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%d rows: a faulting pin allocated %.1f times, want 0", rows, allocs)
+		}
+	}
 }
 
 func TestHeapPartitionPinIsNoop(t *testing.T) {

@@ -64,6 +64,8 @@ func richCatalog(t *testing.T) *testCatalog {
 			c.U64 = []uint64{0}
 		case store.Bytes:
 			c.Bytes = [][]byte{{0}}
+		case store.Fixed:
+			c.Width, c.Fixed = 16, make([]byte, 16)
 		default:
 			c.Str = []string{""}
 		}

@@ -8,18 +8,19 @@ import (
 	"seabed/internal/store"
 )
 
-// chunkRows builds n scan rows over one U64, one Bytes, and one Str column,
-// with per-row value lengths that vary so offset bookkeeping is exercised.
+// chunkRows builds n scan rows over one U64, one Bytes, one Str and one Fixed
+// (4 bytes wide) column, with per-row value lengths that vary in the
+// variable columns so offset bookkeeping is exercised.
 func chunkRows(n int) ([]engine.ScanRow, []store.Kind) {
-	kinds := []store.Kind{store.U64, store.Bytes, store.Str}
+	kinds := []store.Kind{store.U64, store.Bytes, store.Str, store.Fixed}
 	rows := make([]engine.ScanRow, n)
 	for i := range rows {
 		blob := bytes.Repeat([]byte{byte(i)}, i%5)
 		rows[i] = engine.ScanRow{
 			ID:    uint64(i)*3 + 1,
-			U64s:  []uint64{uint64(i) * 0x0101010101010101, 0, 0},
-			Bytes: [][]byte{nil, blob, nil},
-			Strs:  []string{"", "", string(rune('a' + i%26))},
+			U64s:  []uint64{uint64(i) * 0x0101010101010101, 0, 0, 0},
+			Bytes: [][]byte{nil, blob, nil, {0xF0, byte(i), byte(i >> 8), 0x0F}},
+			Strs:  []string{"", "", string(rune('a' + i%26)), ""},
 		}
 	}
 	return rows, kinds
@@ -81,6 +82,32 @@ func TestColumnarChunkZeroCopy(t *testing.T) {
 	}
 }
 
+// TestColumnarChunkFixedValues: a Fixed column's decoded values are windows of
+// the frame, each clipped to its own width — appending to one cannot reach
+// the next row's bytes — and the encoder takes the width from the values,
+// refusing a column whose values disagree or are empty.
+func TestColumnarChunkFixedValues(t *testing.T) {
+	rows, kinds := chunkRows(3)
+	p, err := AppendScanChunk(nil, rows, kinds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeScanChunk(p, Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := got[1].Bytes[3]
+	if len(v) != 4 || cap(v) != 4 || &v[0] != &p[len(p)-8] {
+		t.Fatalf("row 1's fixed value has len %d cap %d, want a 4-byte window of the frame", len(v), cap(v))
+	}
+	for name, bad := range map[string][]byte{"ragged": {1, 2, 3}, "empty": nil} {
+		rows[2].Bytes[3] = bad
+		if _, err := AppendScanChunk(nil, rows, kinds); err == nil {
+			t.Errorf("%s: encoded a fixed-width column whose last value is %d bytes", name, len(bad))
+		}
+	}
+}
+
 // TestAppendScanChunkNoPerRowAllocs pins the encode path's allocation
 // contract: with a primed reusable buffer, streaming a chunk performs zero
 // allocations regardless of row count — the server's sink reuses one buffer
@@ -118,6 +145,10 @@ func TestColumnarChunkRejectsHostilePayloads(t *testing.T) {
 		{"width overflows payload", []byte{2, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 1, 1, 1, 1}},
 		{"unknown kind", append([]byte{1, 1, 0x7F}, make([]byte, 16)...)},
 		{"truncated extents", good[:len(good)-4]},
+		{"fixed column one byte short", good[:len(good)-1]},
+		{"fixed width 0 with rows", append([]byte{1, 1, byte(store.Fixed), 0}, make([]byte, 8)...)},
+		{"fixed width with no rows", []byte{0, 1, byte(store.Fixed), 16}},
+		{"fixed rows × width overflow", append([]byte{2, 1, byte(store.Fixed), 0xFF, 0xFF, 0xFF, 0xFF, 0x07}, make([]byte, 32)...)},
 		{"trailing garbage", append(append([]byte{}, good...), 0xAA, 0xBB)},
 	}
 	for _, tc := range cases {

@@ -9,11 +9,13 @@ import (
 	"seabed/internal/engine"
 	"seabed/internal/idlist"
 	"seabed/internal/sqlparse"
+	"seabed/internal/store"
 )
 
-// The plan-frame and scan-chunk bytes below were captured at the last commit
-// that still negotiated versions (46746d6, framing at v8). "One wire version"
-// froze the protocol there: deleting the version ladder may not move a byte.
+// The plan-frame bytes below were captured at the last commit that still
+// negotiated versions (46746d6, framing at v8). "One wire version" froze the
+// protocol there: deleting the version ladder may not move a byte, and the
+// plan frame has not moved since.
 
 // goldenPlan touches every plan-frame section: a join, filters, aggregates, a
 // bounded and inflated group-by, a range scope, the trace ID and both fleet
@@ -70,11 +72,14 @@ func TestEncodePlanGolden(t *testing.T) {
 	}
 }
 
-const goldenChunkFrame = "0303000102010000000000000004000000000000000700000000000000000000000000000001010101010101010202020202" +
-	"0202020000000000000000000000000000000001000000000000000300000000000000010202000000000000000001000000" +
-	"0000000002000000000000000300000000000000616263"
+// goldenChunkFrame was re-captured at wire v11, which added the Fixed kind and
+// its width to the chunk header; the U64, Bytes and Str extents inside it are
+// byte for byte what the v8 capture held.
+const goldenChunkFrame = "0304000102030401000000000000000400000000000000070000000000000000000000000000000101010101010101020202" +
+	"0202020202000000000000000000000000000000000100000000000000030000000000000001020200000000000000000100" +
+	"00000000000002000000000000000300000000000000616263f000000ff001000ff002000f"
 
-// TestScanChunkGolden pins a three-column (U64, Bytes, Str) scan chunk.
+// TestScanChunkGolden pins a four-column (U64, Bytes, Str, Fixed) scan chunk.
 func TestScanChunkGolden(t *testing.T) {
 	want, err := hex.DecodeString(goldenChunkFrame)
 	if err != nil {
@@ -97,8 +102,39 @@ func TestScanChunkGolden(t *testing.T) {
 	}
 	for i := range rows {
 		if back[i].ID != rows[i].ID || back[i].U64s[0] != rows[i].U64s[0] ||
-			!bytes.Equal(back[i].Bytes[1], rows[i].Bytes[1]) || back[i].Strs[2] != rows[i].Strs[2] {
+			!bytes.Equal(back[i].Bytes[1], rows[i].Bytes[1]) || back[i].Strs[2] != rows[i].Strs[2] ||
+			!bytes.Equal(back[i].Bytes[3], rows[i].Bytes[3]) {
 			t.Fatalf("golden chunk row %d = %+v, want %+v", i, back[i], rows[i])
 		}
+	}
+}
+
+// goldenRegisterFrame pins a register frame — the ref, then the table in
+// store's SBD1 serialization — over one column of each kind: a Fixed column's
+// header carries the width (04) where a Bytes column spends a length per
+// value. Captured at wire v11.
+const goldenRegisterFrame = "0b7440536561626564237230534244310174010104020175000100000000000000020000000000000001620101b002b1b201" +
+	"730201780001660304f000000ff001000f"
+
+func TestEncodeRegisterGolden(t *testing.T) {
+	tbl, err := store.Build("t", []store.Column{
+		{Name: "u", Kind: store.U64, U64: []uint64{1, 2}},
+		{Name: "b", Kind: store.Bytes, Bytes: [][]byte{{0xB0}, {0xB1, 0xB2}}},
+		{Name: "s", Kind: store.Str, Str: []string{"x", ""}},
+		{Name: "f", Kind: store.Fixed, Width: 4, Fixed: []byte{0xF0, 0, 0, 0x0F, 0xF0, 1, 0, 0x0F}},
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := EncodeRegister("t@Seabed#r0", tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(got) != goldenRegisterFrame {
+		t.Fatalf("register frame bytes changed:\n got %x\nwant %s", got, goldenRegisterFrame)
+	}
+	ref, back, err := DecodeRegister(got)
+	if err != nil || ref != "t@Seabed#r0" || !reflect.DeepEqual(back.Parts[0].Cols, tbl.Parts[0].Cols) {
+		t.Fatalf("golden register frame decoded to %q, %+v (%v)", ref, back, err)
 	}
 }

@@ -397,7 +397,7 @@ func (d *dec) lane(n int, what string) []uint64 {
 	if d.err != nil {
 		return nil
 	}
-	col, used, err := store.DecodeColumnExtent(what, store.U64, n, d.buf[d.off:])
+	col, used, err := store.DecodeColumnExtent(store.ColMeta{Name: what, Kind: store.U64}, n, d.buf[d.off:])
 	if err != nil {
 		d.err = fmt.Errorf("%v (at offset %d)", err, d.off)
 		return nil

@@ -458,8 +458,8 @@ func TestCancelFrameType(t *testing.T) {
 	if MsgCancel.String() != "cancel" || MsgResultChunk.String() != "result-chunk" {
 		t.Fatalf("lifecycle frame names: %v, %v", MsgCancel, MsgResultChunk)
 	}
-	if Version != 10 {
-		t.Fatalf("protocol version = %d, want 10 (a bump must re-capture the golden frames)", Version)
+	if Version != 11 {
+		t.Fatalf("protocol version = %d, want 11 (a bump must re-capture the golden frames)", Version)
 	}
 	if MsgSegmentList.String() != "segment-list" || MsgSegmentFetch.String() != "segment-fetch" || MsgSegmentData.String() != "segment-data" {
 		t.Fatalf("segment frame names: %v, %v, %v", MsgSegmentList, MsgSegmentFetch, MsgSegmentData)
