@@ -53,11 +53,32 @@ type modelled struct {
 	Total time.Duration
 }
 
+// workerShuffleBytes models the shuffle of the paper's cluster, where every
+// worker compresses its identifier lists before sending them (§4.5, the choice
+// the paper arrives at). This engine shuffles nothing and so compresses
+// nothing in a map task: a run reports its map output as held, lists raw
+// (Metrics.ShuffleBytes, ShuffleListBytes of it lists). The same ranges —
+// but for the few that coalesce where two tasks' lists meet — are what the
+// run's reducers, or its driver for an ungrouped plan, then really encoded
+// (ResultListBytes), so the model swaps one for the other. It leaves out the
+// codec's fixed cost per list (a Deflate header per task, about 20 bytes).
+// Metrics that carry no list sizes (a remote run's) model as reported.
+func workerShuffleBytes(m *engine.Metrics) int {
+	return m.ShuffleBytes - m.ShuffleListBytes + m.ResultListBytes
+}
+
 // of models one run from its metrics and the client's measured decryption
-// time. It needs the per-task durations only an in-process engine.Cluster
-// reports (Metrics.MapTaskTimes, ReduceTaskTimes); it is a pure function of
-// its arguments.
+// time, its shuffle compressed at the workers (workerShuffleBytes). It needs
+// the per-task durations only an in-process engine.Cluster reports
+// (Metrics.MapTaskTimes, ReduceTaskTimes); it is a pure function of its
+// arguments.
 func (c costModel) of(m *engine.Metrics, client time.Duration) modelled {
+	return c.ofShuffle(m, client, workerShuffleBytes(m))
+}
+
+// ofShuffle is of with the shuffle's size given: m.ShuffleBytes models §4.5's
+// alternative, lists shipped raw and compressed at the driver.
+func (c costModel) ofShuffle(m *engine.Metrics, client time.Duration, shuffleBytes int) modelled {
 	tasks := append([]time.Duration(nil), m.MapTaskTimes...)
 	injectStragglers(tasks, c.Seed, c.StragglerProb, c.StragglerFactor)
 	// The shuffle fans out over the reducers' links in parallel: fewer
@@ -66,7 +87,7 @@ func (c costModel) of(m *engine.Metrics, client time.Duration) modelled {
 	// the partials stream to the driver over one link.
 	out := modelled{
 		Map:     makespan(tasks, c.Workers),
-		Shuffle: c.ShuffleLink.TransferTime(m.ShuffleBytes / max(m.ReduceTasks, 1)),
+		Shuffle: c.ShuffleLink.TransferTime(shuffleBytes / max(m.ReduceTasks, 1)),
 		Reduce:  makespan(m.ReduceTaskTimes, c.Workers),
 		Network: c.ClientLink.TransferTime(m.ResultBytes),
 	}

@@ -209,3 +209,57 @@ func TestCostModelPin(t *testing.T) {
 		}
 	}
 }
+
+// TestCompressAtDriverAblation pins the other number the model produces: the
+// shuffle of a cluster whose workers compress their identifier lists (§4.5).
+// The engine used to price that by encoding every map task's list and
+// discarding the bytes; workerShuffleBytes now derives it from what a finished
+// run carries. On the ablation's query over the synthetic table — a 50 %
+// selection of 50,000 rows — the figures the engine itself reported at the
+// last commit that encoded in map tasks (3d0dbd1) are written out below: the
+// run's map output as held must equal the driver-side figure to the byte (it
+// is the same arithmetic), and the model must land within 3 % of the
+// worker-side one at 8 map tasks and within 10 % at 32, where the per-list
+// codec overhead it leaves out (a Deflate header per task) is four times as
+// much.
+func TestCompressAtDriverAblation(t *testing.T) {
+	for _, tc := range []struct {
+		tasks, atWorkers, atDriver int
+		tolerance                  float64
+	}{
+		{8, 10_315, 200_208, 0.03},
+		{32, 11_423, 200_704, 0.10},
+	} {
+		ResetCaches()
+		t.Cleanup(ResetCaches)
+		cfg := testCfg()
+		cfg.Workers = tc.tasks
+		proxy, err := syntheticProxy(cfg, 50_000, 10, translate.Seabed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := proxy.Query(context.Background(), "SELECT SUM(v) FROM synth", client.WithSelectivity(0.5, uint64(cfg.Seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &res.Metrics
+		if m.MapTasks != tc.tasks || m.ShuffleBytes != tc.atDriver {
+			t.Fatalf("%d tasks hold %d bytes of map output, want %d tasks and %d (lists raw, 16 B a range)", m.MapTasks, m.ShuffleBytes, tc.tasks, tc.atDriver)
+		}
+		if m.ShuffleListBytes != tc.atDriver-16*tc.tasks || m.ResultListBytes != m.ResultBytes-16 {
+			t.Fatalf("list shares %d of %d and %d of %d: everything but a row count and a body per task, and per result, is list",
+				m.ShuffleListBytes, m.ShuffleBytes, m.ResultListBytes, m.ResultBytes)
+		}
+		got := workerShuffleBytes(m)
+		if off := float64(got-tc.atWorkers) / float64(tc.atWorkers); off < -tc.tolerance || off > tc.tolerance {
+			t.Errorf("%d tasks: modelled worker-compressed shuffle %d bytes, the engine priced %d (%+.1f %%, tolerance %.0f %%)",
+				tc.tasks, got, tc.atWorkers, 100*off, 100*tc.tolerance)
+		}
+		// Worker-side compression is what shrinks the shuffle, and the model
+		// charges the link accordingly.
+		cm := cfg.model()
+		if w, d := cm.of(m, 0), cm.ofShuffle(m, 0, m.ShuffleBytes); got >= m.ShuffleBytes/10 || w.Shuffle >= d.Shuffle || w.Map != d.Map {
+			t.Errorf("%d tasks: worker-side shuffle %d B in %v, driver-side %d B in %v", tc.tasks, got, w.Shuffle, m.ShuffleBytes, d.Shuffle)
+		}
+	}
+}

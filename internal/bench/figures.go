@@ -160,8 +160,8 @@ func Fig8(cfg Config, w io.Writer) error {
 	}
 	fmt.Fprintln(w)
 	type cell struct {
-		bytes int
-		dur   time.Duration
+		bytes, shuffle int
+		dur            time.Duration
 	}
 	grid := make(map[string]map[float64]cell)
 	for _, c := range codecs {
@@ -175,7 +175,7 @@ func Fig8(cfg Config, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			grid[c.Name()][sel] = cell{bytes: res.Metrics.ResultBytes, dur: dur}
+			grid[c.Name()][sel] = cell{bytes: res.Metrics.ResultBytes, shuffle: workerShuffleBytes(&res.Metrics), dur: dur}
 		}
 	}
 	for _, sel := range sels {
@@ -200,6 +200,11 @@ func Fig8(cfg Config, w io.Writer) error {
 		}
 		fmt.Fprintln(w)
 	}
+	fmt.Fprintf(w, "modelled worker-compressed shuffle behind those times (KB, default codec):")
+	for _, sel := range sels {
+		fmt.Fprintf(w, " %.0f%%=%.2f", sel*100, float64(grid[idlist.Default.Name()][sel].shuffle)/1e3)
+	}
+	fmt.Fprintln(w)
 
 	fmt.Fprintf(w, "\nFigure 8c: aggregation vs +OPE selection (modelled server response time, s)\n")
 	fmt.Fprintf(w, "%6s %14s %14s\n", "sel%", "aggregation", "+OPE selection")

@@ -24,12 +24,22 @@ var allModes = []translate.Mode{translate.NoEnc, translate.Seabed, translate.Pai
 // ranges.
 func salesFixture(t *testing.T) *Proxy {
 	t.Helper()
-	const rows = 4000
+	return salesProxy(t, 1, allModes...)
+}
+
+// salesProxy is salesFixture at scale × 4,000 rows, uploaded in the given
+// modes.
+func salesProxy(t testing.TB, scale int, modes ...translate.Mode) *Proxy {
+	t.Helper()
+	rows := 4000 * scale
 	rng := rand.New(rand.NewSource(21))
 
 	countries := []string{"USA", "Canada", "India", "Chile", "Japan"}
 	// Skewed: USA/Canada dominate.
 	countryFreq := []uint64{1800, 1500, 250, 250, 200}
+	for v := range countryFreq {
+		countryFreq[v] *= uint64(scale)
+	}
 	genders := []string{"Male", "Female"}
 
 	countryCol := make([]string, 0, rows)
@@ -99,7 +109,7 @@ func salesFixture(t *testing.T) *Proxy {
 	if err := proxy.Ring().EnsurePaillier(256); err != nil { // small key: test speed
 		t.Fatal(err)
 	}
-	if err := proxy.Upload(context.Background(), "sales", src, allModes...); err != nil {
+	if err := proxy.Upload(context.Background(), "sales", src, modes...); err != nil {
 		t.Fatal(err)
 	}
 	return proxy

@@ -113,8 +113,11 @@ func (d *decrypter) det(col string) *det.Key {
 }
 
 // Decrypt executes the client plan over a server result (§4.6). The
-// identifier lists arrive codec-encoded; decoding them is part of the
-// measured client time, exactly as in the paper's cost breakdown.
+// identifier lists of a result decoded from a frame, or handed over by an
+// in-process engine, are codec-encoded, and decoding them is part of the
+// measured client time, exactly as in the paper's cost breakdown; those of a
+// result merged in this process (a fleet's, or inflated groups deflated here)
+// are already decoded and are read where they lie.
 func Decrypt(tr *translate.Translation, res *engine.Result, ring *KeyRing) (*Result, error) {
 	start := time.Now()
 	d := newDecrypter(ring, tr.Server.Codec)
@@ -181,11 +184,14 @@ func Decrypt(tr *translate.Translation, res *engine.Result, ring *KeyRing) (*Res
 	return out, nil
 }
 
-// asheOf reconstructs group g's ASHE ciphertext from an aggregate column,
-// decoding the wire-encoded identifier list out of the column's block into the
-// decrypter's range buffer: the ciphertext's list is valid until the next
-// asheOf call.
+// asheOf reconstructs group g's ASHE ciphertext from an aggregate column: a
+// view of a decoded column's list, or an encoded list decoded out of the
+// column's block into the decrypter's range buffer, where it is valid until the
+// next asheOf call.
 func (d *decrypter) asheOf(col *engine.AggCol, g int) (ashe.Ciphertext, error) {
+	if col.RangeOff != nil {
+		return ashe.Ciphertext{Body: col.Lane[g], IDs: idlist.View(col.DecodedIDs(g))}, nil
+	}
 	ranges, err := d.codec.AppendDecode(d.ranges[:0], col.EncodedIDs(g))
 	if err != nil {
 		return ashe.Ciphertext{}, fmt.Errorf("client: decode id list: %v", err)

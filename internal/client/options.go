@@ -21,7 +21,6 @@ type queryOptions struct {
 	selectivity      float64
 	selSeed          uint64
 	codec            idlist.Codec
-	compressAtDriver bool
 	forceInflate     int
 	serverOnly       bool
 	stream           bool
@@ -79,12 +78,6 @@ func WithSelectivity(prob float64, seed uint64) QueryOption {
 // WithCodec overrides the identifier-list codec (the Figure 8 sweep).
 func WithCodec(c idlist.Codec) QueryOption {
 	return func(o *queryOptions) { o.codec = c }
-}
-
-// WithCompressAtDriver moves result compression from workers to the driver
-// (the §4.5 ablation).
-func WithCompressAtDriver() QueryOption {
-	return func(o *queryOptions) { o.compressAtDriver = true }
 }
 
 // WithServerOnly skips client-side decryption, matching experiments that

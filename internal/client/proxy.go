@@ -317,9 +317,6 @@ func (p *Proxy) runQuery(ctx context.Context, root *obs.Span, sql string, q *sql
 	if o.codec != nil {
 		tr.Server.Codec = o.codec
 	}
-	if o.compressAtDriver {
-		tr.Server.CompressAtDriver = true
-	}
 	if o.forceInflate > 1 && tr.Server.GroupBy != nil {
 		tr.Server.GroupBy.Inflate = o.forceInflate
 		tr.Client.Inflated = true

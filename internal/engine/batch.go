@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"seabed/internal/idlist"
 	"seabed/internal/store"
 )
 
@@ -494,24 +493,29 @@ func (ts *taskState) accumulateSlots(startID uint64) {
 	}
 }
 
-// fold hands the task's groups to the shuffle as they are — the key arena,
-// the lanes and the chained identifier lists, not a heap object per group —
-// partitioned by reducer and priced as shuffle traffic.
-func (g *grouper) fold(res *mapResult, pl *Plan, codec idlist.Codec, buckets int) error {
+// fold hands the task's groups to the shuffle as they are — the key arena and
+// the lanes, not a heap object per group — with the identifier lists laid out
+// one contiguous run per slot and the groups partitioned by reducer. The node
+// arenas the lists grew in go back to the run for its next task.
+func (g *grouper) fold(res *mapResult, pl *Plan, arenas *nodeArenas, buckets int) {
 	res.ops.GroupSlots += uint64(g.t.len())
 	if n := uint64(len(g.t.table)); n > res.ops.GroupTableLen {
 		res.ops.GroupTableLen = n
 	}
-	tg := &taskGroups{keys: g.t.groupKeys, rows: g.acc.rows, vals: g.acc.vals, parts: g.acc.parts}
-	if g.acc.lanes {
-		tg.ids = make([]idLists, len(g.ids))
-		for ai := range g.ids {
-			tg.ids[ai].chains = &g.ids[ai]
+	tg := &taskGroups{keys: g.t.groupKeys, rows: g.acc.rows, vals: g.acc.vals, parts: g.acc.parts,
+		ids: make([]idLists, len(pl.Aggs))}
+	if !g.acc.lanes {
+		tg.asheIDs(pl, g.acc.parts)
+	}
+	for ai := range g.ids { // lane mode
+		if pl.Aggs[ai].Kind == AggAsheSum {
+			tg.ids[ai] = g.ids[ai].layout()
+			arenas.put(g.ids[ai].nodes)
+			g.ids[ai].nodes = nil
 		}
 	}
 	tg.partition(buckets)
 	res.groups = tg
-	return tg.sizeShuffle(pl, codec)
 }
 
 // --- scan path ---
@@ -573,7 +577,7 @@ func (ts *taskState) projectScan(startID uint64) {
 // of the batch loop, so a canceled query abandons even a single huge
 // partition promptly. Binding and compilation are excluded from the
 // measured task duration, matching the reference evaluator's accounting.
-func (cp *compiledPlan) runMapTask(ctx context.Context, c *Cluster, part *store.Partition) (*mapResult, error) {
+func (cp *compiledPlan) runMapTask(ctx context.Context, c *Cluster, part *store.Partition, arenas *nodeArenas) (*mapResult, error) {
 	if c.cfg.TaskSleep > 0 {
 		t := time.NewTimer(c.cfg.TaskSleep)
 		select {
@@ -592,6 +596,11 @@ func (cp *compiledPlan) runMapTask(ctx context.Context, c *Cluster, part *store.
 	}
 	defer release()
 	ts := cp.newTaskState(part)
+	for ai := range ts.g.ids {
+		if cp.pl.Aggs[ai].Kind == AggAsheSum {
+			ts.g.ids[ai].nodes = arenas.get()
+		}
+	}
 	pinned := len(cp.leftIdxs)
 	if cp.leftIdxs == nil {
 		pinned = len(part.Cols)
@@ -606,20 +615,10 @@ func (cp *compiledPlan) runMapTask(ctx context.Context, c *Cluster, part *store.
 		return nil, err
 	}
 	if cp.pl.GroupBy != nil && len(cp.pl.Project) == 0 {
-		// Worker-side compression of ASHE identifier lists (§4.5) is priced
-		// here, inside the measured task, unless the ablation moved it to the
-		// driver.
-		if err := ts.g.fold(ts.res, cp.pl, cp.codec, c.cfg.Workers); err != nil {
-			return nil, err
-		}
-	}
-	if ts.res.single != nil && !cp.pl.CompressAtDriver {
-		var scratch []byte
-		if err := encodePartialIDs(ts.res.single, cp.codec, &scratch); err != nil {
-			return nil, err
-		}
+		// Laying the identifier lists out is the task's last measured step.
+		ts.g.fold(ts.res, cp.pl, arenas, c.cfg.Workers)
 	}
 	ts.res.elapsed = time.Since(start)
-	ts.res.bytes = cp.pl.partialBytes(ts.res)
+	cp.pl.sizeOutput(ts.res)
 	return ts.res, nil
 }

@@ -25,20 +25,34 @@ type GroupCols struct {
 	Suffix []int32
 	Rows   []uint64
 	Aggs   []AggCol
+	// codec is what the row view encodes decoded identifier lists with: set by
+	// the merges that leave them decoded, nil otherwise.
+	codec idlist.Codec
 }
 
 // AggCol is one aggregate's column. Every lane-eligible kind (count, plain
 // sum/sum of squares/min/max, ASHE sum) has its value — for an ASHE sum, the
-// ciphertext body — in Lane; an ASHE sum adds its identifier lists,
-// codec-encoded, as one block; the remaining kinds (Paillier, OPE extremes,
-// medians) keep one AggValue per group in Vals.
+// ciphertext body — in Lane; the remaining kinds (Paillier, OPE extremes,
+// medians) keep one AggValue per group in Vals. An ASHE sum adds its
+// identifier lists in one of two forms, told apart by which offsets are set:
+//
+//   - encoded (IDOff): one block of codec-encoded lists. What a run produces
+//     (its reducers and mergeSingle encode), a result frame carries, and the
+//     wire decoder hands back aliasing the frame.
+//   - decoded (RangeOff): one flat arena of ranges. What a merge whose consumer
+//     is in this process produces — Merge at the fleet coordinator,
+//     DeflateGroups at the proxy — for client.Decrypt to view directly. It is
+//     never framed (wire.EncodeResult refuses it); the row view encodes it.
 type AggCol struct {
 	Kind AggKind
 	Lane []uint64
-	// Group g's encoded identifier list is IDs[IDOff[g]:IDOff[g+1]].
+	// Encoded: group g's list is IDs[IDOff[g]:IDOff[g+1]].
 	IDs   []byte
 	IDOff []uint64
-	Vals  []AggValue
+	// Decoded: group g's list is Ranges[RangeOff[g]:RangeOff[g+1]].
+	Ranges   []idlist.Range
+	RangeOff []uint64
+	Vals     []AggValue
 }
 
 // Len returns the number of groups.
@@ -58,6 +72,12 @@ func (c *GroupCols) KeyBytes(g int) []byte {
 // block.
 func (a *AggCol) EncodedIDs(g int) []byte {
 	return a.IDs[a.IDOff[g]:a.IDOff[g+1]:a.IDOff[g+1]]
+}
+
+// DecodedIDs returns group g's identifier list of a decoded column, aliasing
+// the arena.
+func (a *AggCol) DecodedIDs(g int) []idlist.Range {
+	return a.Ranges[a.RangeOff[g]:a.RangeOff[g+1]:a.RangeOff[g+1]]
 }
 
 // CheckPlan verifies that the columns have the shape pl asked for — one column
@@ -80,19 +100,16 @@ func (c *GroupCols) CheckPlan(pl *Plan) error {
 	return nil
 }
 
-// newAggCols allocates the columns of n groups for the given aggregates.
+// newAggCols allocates the columns of n groups for the given aggregates; an
+// ASHE sum's identifier lists are its producer's to add, in either form.
 func newAggCols(aggs []Agg, n int) []AggCol {
 	cols := make([]AggCol, len(aggs))
 	for i, a := range aggs {
 		col := &cols[i]
 		col.Kind = a.Kind
-		switch {
-		case a.Kind == AggAsheSum:
+		if LaneKind(a.Kind) {
 			col.Lane = make([]uint64, n)
-			col.IDOff = make([]uint64, n+1)
-		case LaneKind(a.Kind):
-			col.Lane = make([]uint64, n)
-		default:
+		} else {
 			col.Vals = make([]AggValue, n)
 		}
 	}
@@ -106,7 +123,9 @@ func (c *GroupCols) keys() groupKeys {
 }
 
 // View returns the result's groups as rows, building them from Cols on the
-// first call and caching them in Groups. The rows alias the columns.
+// first call and caching them in Groups. The rows alias the columns, except
+// that a decoded identifier-list column is encoded for them here — the one
+// place a merged result's lists meet the codec again.
 func (r *Result) View() []Group {
 	if r.Groups == nil && r.Cols.Len() > 0 {
 		r.Groups = r.Cols.groups()
@@ -122,6 +141,12 @@ func (c *GroupCols) groups() []Group {
 	var strs string // string keys are substrings of one copy of the arena
 	if c.KeyKind == store.Str {
 		strs = string(c.KeyArena)
+	}
+	enc := make([]*AggCol, na) // each ASHE column in its encoded form
+	for ai := range c.Aggs {
+		if enc[ai] = &c.Aggs[ai]; enc[ai].RangeOff != nil {
+			enc[ai] = c.encodeIDs(enc[ai])
+		}
 	}
 	for g := range out {
 		grp := &out[g]
@@ -142,13 +167,29 @@ func (c *GroupCols) groups() []Group {
 			col, av := &c.Aggs[ai], &grp.Aggs[ai]
 			switch {
 			case col.Kind == AggAsheSum:
-				*av = AggValue{Kind: col.Kind, Ashe: AsheAgg{Body: col.Lane[g], Encoded: col.EncodedIDs(g)}}
+				*av = AggValue{Kind: col.Kind, Ashe: AsheAgg{Body: col.Lane[g], Encoded: enc[ai].EncodedIDs(g)}}
 			case col.Lane != nil:
 				*av = AggValue{Kind: col.Kind, U64: col.Lane[g]}
 			default:
 				*av = col.Vals[g]
 			}
 		}
+	}
+	return out
+}
+
+// encodeIDs returns the encoded form of a decoded column's identifier lists.
+// The codecs fail only when writing to their output does, which an in-memory
+// buffer never lets happen, so a failure here is a bug and panics.
+func (c *GroupCols) encodeIDs(col *AggCol) *AggCol {
+	n := len(col.RangeOff) - 1
+	out := &AggCol{IDs: make([]byte, 0, 2*n+4*len(col.Ranges)), IDOff: make([]uint64, n+1)}
+	for g := 0; g < n; g++ {
+		var err error
+		if out.IDs, err = c.codec.AppendEncode(out.IDs, idlist.View(col.DecodedIDs(g))); err != nil {
+			panic(fmt.Sprintf("engine: encode id list for the row view: %v", err))
+		}
+		out.IDOff[g+1] = uint64(len(out.IDs))
 	}
 	return out
 }
@@ -176,6 +217,11 @@ func colsFromGroups(groups []Group) (*GroupCols, error) {
 		aggs[ai].Kind = first.Aggs[ai].Kind
 	}
 	c := &GroupCols{KeyKind: first.KeyKind, Rows: make([]uint64, n), Aggs: newAggCols(aggs, n)}
+	for ai := range c.Aggs {
+		if c.Aggs[ai].Kind == AggAsheSum {
+			c.Aggs[ai].IDOff = make([]uint64, n+1)
+		}
+	}
 	keys := groupKeys{}
 	keys.init(c.KeyKind, false)
 	for i := range groups {
@@ -229,8 +275,8 @@ func colsFromGroups(groups []Group) (*GroupCols, error) {
 
 // taskGroupsFromCols views one shard's result columns as the merge input form
 // — the inverse of gatherGroups for a Partial plan — so the coordinator's
-// reduce is the engine's own. Keys, row counts, lanes and the identifier-list
-// blocks (still encoded: the merge decodes each list where it merges it) are
+// reduce is the engine's own. Keys, row counts, lanes and the identifier lists
+// (encoded ones stay so: the merge decodes each list where it merges it) are
 // the columns themselves; only a plan with generic aggregates builds a partial
 // per group.
 func (pl *Plan) taskGroupsFromCols(c *GroupCols, codec idlist.Codec) (*taskGroups, error) {
@@ -238,16 +284,20 @@ func (pl *Plan) taskGroupsFromCols(c *GroupCols, codec idlist.Codec) (*taskGroup
 	if err := c.CheckPlan(pl); err != nil {
 		return nil, err
 	}
-	tg := &taskGroups{keys: c.keys(), rows: c.Rows}
+	tg := &taskGroups{keys: c.keys(), rows: c.Rows, ids: make([]idLists, len(c.Aggs))}
+	for ai := range c.Aggs {
+		switch col := &c.Aggs[ai]; {
+		case col.Kind != AggAsheSum:
+		case col.RangeOff != nil:
+			tg.ids[ai] = idLists{ranges: col.Ranges, off: col.RangeOff}
+		default:
+			tg.ids[ai] = idLists{enc: col, codec: codec}
+		}
+	}
 	if pl.groupLanes() {
 		tg.vals = make([][]uint64, len(c.Aggs))
-		tg.ids = make([]idLists, len(c.Aggs))
 		for ai := range c.Aggs {
-			col := &c.Aggs[ai]
-			tg.vals[ai] = col.Lane
-			if col.Kind == AggAsheSum {
-				tg.ids[ai] = idLists{enc: col, codec: codec}
-			}
+			tg.vals[ai] = c.Aggs[ai].Lane
 		}
 		return tg, nil
 	}
@@ -257,7 +307,7 @@ func (pl *Plan) taskGroupsFromCols(c *GroupCols, codec idlist.Codec) (*taskGroup
 	for g := range tg.parts {
 		p := &tg.parts[g]
 		p.aggs = states[g*na : (g+1)*na : (g+1)*na]
-		if err := fillPartial(p, c, g, codec); err != nil {
+		if err := fillPartial(p, c, g); err != nil {
 			return nil, err
 		}
 	}

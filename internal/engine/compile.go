@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"seabed/internal/idlist"
 	"seabed/internal/store"
 )
 
@@ -32,9 +31,8 @@ func (r colRef) isRight() bool { return r.idx < 0 }
 // batch executor runs. It is immutable after compile and shared by every
 // map task of the run, so tasks on different partitions never rebuild it.
 type compiledPlan struct {
-	pl    *Plan
-	codec idlist.Codec
-	seed  uint64 // cluster seed, drives group inflation
+	pl   *Plan
+	seed uint64 // cluster seed, drives group inflation
 
 	filters    []colRef
 	aggCols    []colRef
@@ -60,10 +58,10 @@ type compiledPlan struct {
 }
 
 // compile binds pl against its table's layout and lowers it to kernels.
-// seed is the cluster seed (group inflation); codec must be the resolved
-// identifier-list codec.
-func (pl *Plan) compile(seed uint64, codec idlist.Codec) (*compiledPlan, error) {
-	cp := &compiledPlan{pl: pl, codec: codec, seed: seed, leftKeyIdx: -1}
+// seed is the cluster seed (group inflation). No identifier-list codec enters:
+// a map task never encodes.
+func (pl *Plan) compile(seed uint64) (*compiledPlan, error) {
+	cp := &compiledPlan{pl: pl, seed: seed, leftKeyIdx: -1}
 
 	if pl.Join != nil {
 		var err error

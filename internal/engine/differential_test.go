@@ -111,19 +111,16 @@ func assertSameResult(t *testing.T, name string, vec, ref *Result) {
 	}
 }
 
-func TestDifferentialExecutors(t *testing.T) {
-	// ~2857 rows per partition: every partition spans multiple 1024-row
-	// batches, so batch-boundary state (selection-vector reuse, arena
-	// refills, per-batch id-list AppendRange runs) is differentially
-	// exercised, not just the single-batch case.
-	const rows, parts = 20000, 7
-	tbl, right, sk := diffFixture(t, rows, parts)
-	pk := &sk.PublicKey
+// diffCase is one query of the differential suite, built over diffFixture's
+// tables.
+type diffCase struct {
+	name string
+	plan func(tbl, right *store.Table) *Plan
+}
 
-	cases := []struct {
-		name string
-		plan func(tbl, right *store.Table) *Plan
-	}{
+// differentialCases lists every query category of the suite.
+func differentialCases(pk *paillier.PublicKey) []diffCase {
+	return []diffCase{
 		// --- NoEnc: plaintext filters and aggregates ---
 		{"noenc/filter-agg", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl,
@@ -309,8 +306,8 @@ func TestDifferentialExecutors(t *testing.T) {
 				GroupBy: &GroupBy{Col: "d_det"},
 				Aggs:    []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggPlainMedian, Col: "v"}}}
 		}},
-		{"seabed/compress-at-driver", func(tbl, right *store.Table) *Plan {
-			return &Plan{Table: tbl, CompressAtDriver: true,
+		{"seabed/random-filter-ashe-sum", func(tbl, right *store.Table) *Plan {
+			return &Plan{Table: tbl,
 				Filters: []Filter{{Kind: FilterRandom, Prob: 0.5, Seed: 7}},
 				Aggs:    []Agg{{Kind: AggAsheSum, Col: "v_ashe"}}}
 		}},
@@ -335,13 +332,22 @@ func TestDifferentialExecutors(t *testing.T) {
 				Aggs: []Agg{{Kind: AggPaillierSum, Col: "v_pail", PK: pk}, {Kind: AggCount}}}
 		}},
 	}
+}
+
+func TestDifferentialExecutors(t *testing.T) {
+	// ~2857 rows per partition: every partition spans multiple 1024-row
+	// batches, so batch-boundary state (selection-vector reuse, arena
+	// refills, per-batch id-list AppendRange runs) is differentially
+	// exercised, not just the single-batch case.
+	const rows, parts = 20000, 7
+	tbl, right, sk := diffFixture(t, rows, parts)
 
 	// Every case runs on heap partitions and on view partitions that fault
 	// their columns in from a segment's bytes — where a Fixed column is the
 	// mapping itself — in both executors; the four results must agree.
 	vtbl, vright := viewOf(t, tbl), viewOf(t, right)
 	c := NewCluster(Config{Workers: 4, Seed: 11})
-	for _, tc := range cases {
+	for _, tc := range differentialCases(&sk.PublicKey) {
 		t.Run(tc.name, func(t *testing.T) {
 			vec, err := c.Run(context.Background(), tc.plan(tbl, right))
 			if err != nil {
@@ -572,7 +578,7 @@ func detKeyFixture(tb testing.TB, rows, groups, parts int, withOpe bool) *store.
 // encrypted GROUP BY takes: 16k groups keyed by 16-byte DET ciphertexts, in
 // lane-eligible and generic (OPE extreme + median) aggregate mixes, inflation
 // on and off, plaintext and encrypted measures. The vectorized executor must
-// match the reference evaluator byte for byte, shuffle and result sizes
+// match the reference evaluator byte for byte, map-output and result sizes
 // included, and so must three Partial range runs folded by MergeResults.
 func TestDifferentialDetKeys(t *testing.T) {
 	const rows, groups, parts = 49152, 1 << 14, 6
@@ -612,16 +618,26 @@ func TestDifferentialDetKeys(t *testing.T) {
 					t.Errorf("byte-keyed rows missed the group counters: %+v", vec.Metrics.Ops)
 				}
 
-				// Task counts sum across shard runs; everything else must be what
-				// one engine over the whole table reports.
-				merged, whole := shardSplit(t, tbl, mk)
+				// Task counts sum across shard runs, and a merged result's bytes are
+				// the shards' results added up (a group in three shards is counted
+				// three times: those bytes reached the coordinator); map output and
+				// rows must be what one engine over the whole table reports.
+				plan, partials, whole := shardRuns(t, c, tbl, mk)
+				merged, err := MergeResults(plan, partials)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if !reflect.DeepEqual(merged.View(), whole.View()) || !reflect.DeepEqual(whole.View(), vec.View()) {
 					t.Errorf("%s: merged shard groups diverge from one engine's", name)
 				}
-				if merged.Metrics.ShuffleBytes != whole.Metrics.ShuffleBytes || merged.Metrics.ResultBytes != whole.Metrics.ResultBytes ||
+				shardBytes := 0
+				for _, p := range partials {
+					shardBytes += p.Metrics.ResultBytes
+				}
+				if merged.Metrics.ShuffleBytes != whole.Metrics.ShuffleBytes || merged.Metrics.ResultBytes != shardBytes ||
 					merged.Metrics.RowsSelected != whole.Metrics.RowsSelected {
-					t.Errorf("%s: merged metrics diverge: shuffle %d vs %d, result %d vs %d, selected %d vs %d", name,
-						merged.Metrics.ShuffleBytes, whole.Metrics.ShuffleBytes, merged.Metrics.ResultBytes, whole.Metrics.ResultBytes,
+					t.Errorf("%s: merged metrics diverge: shuffle %d vs %d, result %d vs the shards' %d, selected %d vs %d", name,
+						merged.Metrics.ShuffleBytes, whole.Metrics.ShuffleBytes, merged.Metrics.ResultBytes, shardBytes,
 						merged.Metrics.RowsSelected, whole.Metrics.RowsSelected)
 				}
 			})

@@ -28,8 +28,9 @@
 // and so what group inflation aims at. The paper's 100-core cluster is
 // modelled in internal/bench alone, from the per-task durations Metrics
 // carries (README.md, "Paper figures: what is substituted", item 1).
-// Map-side results are compressed at the workers by default, the choice §4.5
-// arrives at.
+// Nothing is shuffled between a run's stages, so no map task compresses
+// anything: identifier lists meet the codec where a result is written, and
+// §4.5's worker-compressed shuffle size is internal/bench's to model.
 package engine
 
 import (
@@ -253,9 +254,6 @@ type Plan struct {
 	// idlist.Default for plain aggregation and idlist.VBDiff for group-by
 	// (§4.5).
 	Codec idlist.Codec
-	// CompressAtDriver moves result compression from the workers to the
-	// driver (the ablation of §4.5; default false = compress at workers).
-	CompressAtDriver bool
 }
 
 // AggValue is one aggregate result.
@@ -285,7 +283,7 @@ type AggValue struct {
 type AsheAgg struct {
 	Body uint64
 	// Encoded is the codec-compressed list as shipped to the client, the only
-	// form a result carries a list in; decode it with the plan's codec.
+	// form the row view carries a list in; decode it with the plan's codec.
 	Encoded []byte
 }
 
@@ -331,10 +329,21 @@ type Metrics struct {
 	// no-group-by partials or gathering the reducers' columns (and a
 	// coordinator's shard merge, added by Merge).
 	DriverTime time.Duration
-	// ShuffleBytes is the serialized size of all map-side partials.
+	// ShuffleBytes is the size of the map tasks' output as they hold it: keys,
+	// row counts, accumulators and scan cells, identifier lists raw at 16 bytes
+	// a range. Plain arithmetic — nothing is encoded to take it and nothing is
+	// shuffled — identical in both executors and additive across shards.
 	ShuffleBytes int
-	// ResultBytes is the serialized result size sent to the client.
+	// ResultBytes is the serialized size of the result a run hands its caller
+	// (identifier lists as encoded); on a merged result, the sum of the shards'
+	// — the bytes that reached the coordinator, whose own merge encodes none.
 	ResultBytes int
+	// ShuffleListBytes and ResultListBytes are the identifier lists' share of
+	// the two: the same ranges raw and encoded, from which internal/bench
+	// models §4.5's worker-compressed shuffle. In-process only, like the task
+	// times below.
+	ShuffleListBytes int
+	ResultListBytes  int
 	// MapTasks and ReduceTasks count executed tasks.
 	MapTasks    int
 	ReduceTasks int

@@ -577,37 +577,6 @@ func TestJoin(t *testing.T) {
 	}
 }
 
-func TestCompressAtDriverAblation(t *testing.T) {
-	tbl, _, _ := fixture(t, 50000, 8)
-	worker, err := cluster().Run(context.Background(), &Plan{
-		Table:   tbl,
-		Filters: []Filter{{Kind: FilterRandom, Prob: 0.5, Seed: 5}},
-		Aggs:    []Agg{{Kind: AggAsheSum, Col: "v_ashe"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	driver, err := cluster().Run(context.Background(), &Plan{
-		Table:            tbl,
-		Filters:          []Filter{{Kind: FilterRandom, Prob: 0.5, Seed: 5}},
-		Aggs:             []Agg{{Kind: AggAsheSum, Col: "v_ashe"}},
-		CompressAtDriver: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Raw ranges on the wire are bigger than compressed lists.
-	if driver.Metrics.ShuffleBytes <= worker.Metrics.ShuffleBytes {
-		t.Fatalf("driver-compression shuffle %d should exceed worker-compression %d",
-			driver.Metrics.ShuffleBytes, worker.Metrics.ShuffleBytes)
-	}
-	// Both must decrypt identically.
-	wa, da := worker.View()[0].Aggs[0].Ashe, driver.View()[0].Aggs[0].Ashe
-	if asheKey.Decrypt(asheCT(t, idlist.Default, wa)) != asheKey.Decrypt(asheCT(t, idlist.Default, da)) {
-		t.Fatal("ablation changed the result")
-	}
-}
-
 func TestPlanValidation(t *testing.T) {
 	tbl, _, _ := fixture(t, 10, 1)
 	cases := []*Plan{

@@ -14,13 +14,21 @@ import (
 // slot: slotTable interns group keys of any kind (u64, DET/OPE bytes, strings,
 // each with an optional inflation suffix) into dense slot numbers, and
 // groupAcc keeps the per-slot accumulators as flat lanes — one []uint64 per
-// aggregate plus arena-chained identifier lists — or, for aggregate mixes the
-// lanes cannot represent (Paillier, OPE extremes, medians), as one partial per
-// slot. The map-side grouper (batch.go) fills a table per task; the task's
-// lanes travel to the reducer as they are (taskGroups); reduceGroups and
-// the coordinator's merge fold inputs of that one form through groupMerger;
-// and gatherGroups, the last step, writes the result's columns (GroupCols,
-// cols.go) in key order — the lanes carried the rest of the way.
+// aggregate — or, for aggregate mixes the lanes cannot represent (Paillier, OPE
+// extremes, medians), as one partial per slot. The map-side grouper (batch.go)
+// fills a table per task; the task's lanes travel to the reducer as they are
+// (taskGroups); reduceGroups and the coordinator's merge fold inputs of that
+// one form through groupMerger; and gatherGroups, the last step, writes the
+// result's columns (GroupCols, cols.go) in key order — the lanes carried the
+// rest of the way.
+//
+// An ASHE sum's identifier lists have one life in every mode: built once, a
+// row at a time, by the map task (idChains in lane mode, the slot's partial
+// otherwise); laid out once, at task end, as one contiguous run per slot
+// (idChains.layout); merged slot by slot through one reused buffer (idRun);
+// and passed through the codec only where a result frame is written (a run's
+// reducers, mergeSingle) or read (a shard result's column at the coordinator).
+// A merge whose consumer is in this process leaves them decoded (AggCol).
 
 // LaneKind reports whether an aggregate accumulates in a flat u64 lane.
 func LaneKind(k AggKind) bool {
@@ -290,9 +298,10 @@ func (k *groupKeys) reducerBucket(s, n int) int {
 // --- identifier-list lanes ---
 
 // idChains holds one ASHE aggregate's identifier list for every slot of a
-// map task's table. The lists grow a row at a time, interleaved, so a slot's
-// ranges are a linked run of nodes in one shared arena: no list ever
-// allocates on its own.
+// map task's table while the task runs. The lists grow a row at a time,
+// interleaved, so a range is a node of one shared arena, in arrival order, that
+// names its slot: no list ever allocates on its own, and layout, at task end,
+// writes every slot's ranges side by side.
 type idChains struct {
 	nodes []idNode
 	slots []idSlot
@@ -300,68 +309,67 @@ type idChains struct {
 
 type idNode struct {
 	lo, hi uint64
-	next   int32
+	slot   int32
 }
 
-// idSlot is one slot's list: its chain, its range count, and its identifier
-// count n (with multiplicity, as idlist.List keeps it).
-type idSlot struct {
-	n          uint64
-	head, tail int32
-	count      int32
-}
+// idSlot is one slot's list: its last node (−1 when it has none) and its range
+// count.
+type idSlot struct{ tail, count int32 }
 
 func (c *idChains) addSlot() {
-	c.slots = append(room(c.slots, 1), idSlot{head: -1, tail: -1})
+	c.slots = append(room(c.slots, 1), idSlot{tail: -1})
 }
 
 // appendID adds one row identifier to slot s, as List.Append does: it extends
 // the last range when it abuts it, and is a range of its own otherwise.
 func (c *idChains) appendID(s int32, id uint64) {
 	sl := &c.slots[s]
-	sl.n++
 	if sl.tail >= 0 {
 		if t := &c.nodes[sl.tail]; id == t.hi+1 && t.hi != ^uint64(0) {
 			t.hi = id
 			return
 		}
 	}
-	at := int32(len(c.nodes))
-	c.nodes = append(room(c.nodes, 1), idNode{lo: id, hi: id, next: -1})
-	if sl.tail < 0 {
-		sl.head = at
-	} else {
-		c.nodes[sl.tail].next = at
-	}
-	sl.tail = at
+	sl.tail = int32(len(c.nodes))
 	sl.count++
+	c.nodes = append(room(c.nodes, 1), idNode{lo: id, hi: id, slot: s})
 }
 
-// appendRanges appends slot s's ranges to dst in list order.
-func (c *idChains) appendRanges(dst []idlist.Range, s int) []idlist.Range {
-	for at := c.slots[s].head; at >= 0; at = c.nodes[at].next {
-		dst = append(dst, idlist.Range{Lo: c.nodes[at].lo, Hi: c.nodes[at].hi})
+// layout writes every slot's ranges contiguously, in list order: one counting
+// pass over the slots, then one scatter of the nodes in arrival order (the
+// bySlot idiom). The chains are spent afterwards — each slot's tail serves as
+// its write cursor — and the node arena is free for the run's next task.
+func (c *idChains) layout() idLists {
+	off := make([]uint64, len(c.slots)+1)
+	for s := range c.slots {
+		c.slots[s].tail = int32(off[s])
+		off[s+1] = off[s] + uint64(c.slots[s].count)
 	}
-	return dst
+	ranges := make([]idlist.Range, len(c.nodes))
+	for i := range c.nodes {
+		n := &c.nodes[i]
+		at := &c.slots[n.slot].tail
+		ranges[*at] = idlist.Range{Lo: n.lo, Hi: n.hi}
+		*at++
+	}
+	return idLists{ranges: ranges, off: off}
 }
 
 // idRun is one slot's identifier list while a merge builds it: the slot's
 // input lists merge into one reused buffer, in input order, and the finished
-// list is encoded before the next slot's begins, so a merge holds one decoded
-// list at a time however many groups it folds. n is the identifier count (with
-// multiplicity, as idlist.List keeps it); ragged marks a list that is not both
-// sorted by Lo and free of abutting neighbours, on which merge takes its
-// general path.
+// list is written out — encoded, or copied into a decoded column — before the
+// next slot's begins, so a merge holds one list of its own at a time however
+// many groups it folds. ragged marks a list that is not both sorted by Lo and
+// free of abutting neighbours, on which merge takes its general path.
 type idRun struct {
 	ranges []idlist.Range
-	n      uint64
 	ragged bool
 }
 
-// set makes rs, n identifiers, the list, verbatim: List.Clone. rs may be the
-// run's own buffer.
-func (r *idRun) set(rs []idlist.Range, n uint64) {
-	r.ranges, r.n, r.ragged = rs, n, false
+// set makes rs the list, verbatim: List.Clone. rs may be the run's own
+// buffer.
+func (r *idRun) set(rs []idlist.Range) {
+	r.ranges, r.ragged = rs, false
 	for i := 1; i < len(rs); i++ {
 		if rs[i].Lo < rs[i-1].Lo || (rs[i].Lo == rs[i-1].Hi+1 && rs[i-1].Hi != ^uint64(0)) {
 			r.ragged = true
@@ -369,22 +377,20 @@ func (r *idRun) set(rs []idlist.Range, n uint64) {
 	}
 }
 
-// merge unions src into the list with exactly List.Merge's outcome. Map tasks
-// and shards hold ascending, disjoint identifier runs, so nearly every merge
-// finds src starting at or after the list's last range — the Lo-ordered merge
-// then emits the list's ranges unchanged followed by src's, which is an append
-// (each range extending the last when it abuts it). Interleaved inputs
+// merge unions the list rs into the run with exactly List.Merge's outcome. Map
+// tasks and shards hold ascending, disjoint identifier runs, so nearly every
+// merge finds rs starting at or after the list's last range — the Lo-ordered
+// merge then emits the list's ranges unchanged followed by rs, which is an
+// append (each range extending the last when it abuts it). Interleaved inputs
 // (appended batches) take the general merge into scratch, which then trades
 // places with the list's buffer.
-func (r *idRun) merge(src idlist.List, scratch *[]idlist.Range) {
-	if src.Empty() {
-		return
-	}
-	rs := src.Ranges()
+func (r *idRun) merge(rs []idlist.Range, scratch *[]idlist.Range) {
 	switch {
-	case r.n == 0:
-		r.set(append(r.ranges[:0], rs...), src.Len())
+	case len(rs) == 0:
+	case len(r.ranges) == 0:
+		r.set(append(r.ranges, rs...))
 	case !r.ragged && r.ranges[len(r.ranges)-1].Lo <= rs[0].Lo:
+		r.ranges = slices.Grow(r.ranges, len(rs))
 		for _, next := range rs {
 			last := &r.ranges[len(r.ranges)-1]
 			if next.Lo == last.Hi+1 && last.Hi != ^uint64(0) {
@@ -396,12 +402,18 @@ func (r *idRun) merge(src idlist.List, scratch *[]idlist.Range) {
 			}
 			r.ranges = append(r.ranges, next)
 		}
-		r.n += src.Len()
 	default:
 		merged := idlist.MergeRanges((*scratch)[:0], r.ranges, rs)
 		*scratch = r.ranges
-		r.set(merged, r.n+src.Len())
+		r.set(merged)
 	}
+}
+
+// idWork is the working storage of one identifier-list merge loop: the run,
+// the buffer an encoded input list decodes into, and idRun.merge's scratch.
+type idWork struct {
+	run           idRun
+	list, scratch []idlist.Range
 }
 
 // --- accumulators ---
@@ -484,68 +496,69 @@ type taskGroups struct {
 	keys  groupKeys
 	rows  []uint64
 	vals  [][]uint64 // lane mode: [aggregate][group]
-	ids   []idLists  // lane mode: [aggregate], empty for non-ASHE aggregates
 	parts []partial  // generic mode
+	ids   []idLists  // [aggregate], the zero value for non-ASHE aggregates
 	// order lists the groups partitioned by reducer: bucket b's groups are
 	// order[start[b]:start[b+1]]. Map tasks only.
 	order []int32
 	start []int32
-	// bytes is the serialized size of the set as shuffle traffic.
-	bytes int
 }
 
-// idLists is one ASHE aggregate's identifier list per group, in whichever
-// form the set's producer already had: a map task's lists stay chained in the
-// grouper's arena; the reference evaluator's are lists of their own; a shard
-// result's stay codec-encoded in its column (enc) until the merge reaches them.
+// idLists is one ASHE aggregate's identifier list per group, in the form the
+// set's producer left them: flat, one contiguous run per group (a lane-mode
+// map task's after layout, a decoded result column's); inside the groups'
+// partials (a generic-mode map task's, the reference evaluator's); or
+// codec-encoded in a shard result's column (enc) until the merge reaches them.
 type idLists struct {
-	chains *idChains
-	lists  []idlist.List
+	ranges []idlist.Range // flat: group g's list is ranges[off[g]:off[g+1]]
+	off    []uint64
+	parts  []partial // in partials: group g's list is its aggregate's ids
 	enc    *AggCol
 	codec  idlist.Codec
 }
 
-// at returns group g's list; a chained or encoded list is laid out in scratch,
-// which the returned list aliases until the next call.
-func (l *idLists) at(g int, scratch *[]idlist.Range) (idlist.List, error) {
-	switch {
-	case l.chains != nil:
-		*scratch = l.chains.appendRanges((*scratch)[:0], g)
+// idsAt returns group g's list of aggregate ai: a view of the flat run or of
+// the partial's list, or an encoded list decoded into scratch, which the
+// result then aliases until the next call.
+func (tg *taskGroups) idsAt(ai, g int, scratch *[]idlist.Range) ([]idlist.Range, error) {
+	switch l := &tg.ids[ai]; {
+	case l.off != nil:
+		return l.ranges[l.off[g]:l.off[g+1]], nil
 	case l.enc != nil:
 		rs, err := l.codec.AppendDecode((*scratch)[:0], l.enc.EncodedIDs(g))
 		if err != nil {
-			return idlist.List{}, fmt.Errorf("engine: merge: decode id list: %v", err)
+			return nil, fmt.Errorf("engine: merge: decode id list: %v", err)
 		}
 		*scratch = rs
+		return rs, nil
 	default:
-		return l.lists[g], nil
+		return l.parts[g].aggs[ai].ids.Ranges(), nil
 	}
-	return idlist.View(*scratch), nil
 }
 
-// numRanges returns the range count of group g's list, which a chained list
-// or a list of its own knows without being laid out (an encoded one does not:
-// only sizeShuffle asks, and only of a map task's or the reference
-// evaluator's).
-func (l *idLists) numRanges(g int) int {
-	if l.chains == nil {
-		return l.lists[g].NumRanges()
-	}
-	return int(l.chains.slots[g].count)
-}
-
-// encodedHint guesses the encoded size of group g's list: the encoding itself
-// when the list arrived encoded, else a few bytes per range — or per
-// identifier, for short lists.
-func (l *idLists) encodedHint(g int) int {
-	switch {
+// numRanges returns the range count of group g's list of aggregate ai without
+// laying it out. An encoded list does not know it: a list of n identifiers —
+// the group's rows — has at most n ranges and, under the variable-byte codecs,
+// no fewer bytes, so the smaller of the two bounds it (Deflate can beat the
+// second; the count is a capacity hint there, and exact everywhere else).
+func (tg *taskGroups) numRanges(ai, g int) int {
+	switch l := &tg.ids[ai]; {
+	case l.off != nil:
+		return int(l.off[g+1] - l.off[g])
 	case l.enc != nil:
-		return int(l.enc.IDOff[g+1] - l.enc.IDOff[g])
-	case l.chains != nil:
-		sl := &l.chains.slots[g]
-		return 2 + 4*int(min(sl.n, 2*uint64(sl.count)))
+		return int(min(tg.rows[g], l.enc.IDOff[g+1]-l.enc.IDOff[g]))
+	default:
+		return l.parts[g].aggs[ai].ids.NumRanges()
 	}
-	return 2 + 4*int(min(l.lists[g].Len(), 2*uint64(l.lists[g].NumRanges())))
+}
+
+// encodedHint guesses the encoded size of group g's list of aggregate ai: the
+// encoding itself when the list arrived encoded, else a few bytes per range.
+func (tg *taskGroups) encodedHint(ai, g int) int {
+	if enc := tg.ids[ai].enc; enc != nil {
+		return int(enc.IDOff[g+1] - enc.IDOff[g])
+	}
+	return 2 + 4*tg.numRanges(ai, g)
 }
 
 // bucket returns the groups reducerBucket assigns to reducer b.
@@ -573,13 +586,13 @@ func (tg *taskGroups) partition(n int) {
 	}
 }
 
-// sizeShuffle computes the set's shuffle size (the same accounting as
-// Plan.partialBytes applies to an ungrouped partial). Unless the plan
-// compresses at the driver, every ASHE identifier list is priced at its
-// worker-compressed size (§4.5) by encoding it into one reused buffer.
-func (tg *taskGroups) sizeShuffle(pl *Plan, codec idlist.Codec) error {
+// heldBytes is the set's size as map output, as the task holds it — plain
+// arithmetic, the accounting Plan.sizeOutput applies to an ungrouped partial:
+// keys, row counts, lanes or partials, and identifier lists raw at 16 bytes a
+// range (lists, the second result, is that share).
+func (tg *taskGroups) heldBytes(pl *Plan) (total, lists int) {
 	n := tg.keys.len()
-	total := 8 * n // row counts
+	total = 8 * n // row counts
 	if tg.keys.kind == store.U64 {
 		total += 8 * n
 	} else {
@@ -592,58 +605,33 @@ func (tg *taskGroups) sizeShuffle(pl *Plan, codec idlist.Codec) error {
 			}
 		}
 	}
-	var scratch []byte
-	if tg.vals == nil { // generic mode
+	if tg.vals == nil { // generic mode: the partials hold their lists
 		for i := range tg.parts {
-			p := &tg.parts[i]
-			if !pl.CompressAtDriver {
-				if err := encodePartialIDs(p, codec, &scratch); err != nil {
-					return err
-				}
-			}
-			total += pl.aggBytes(p)
+			t, l := pl.aggBytes(&tg.parts[i])
+			total, lists = total+t, lists+l
 		}
-		tg.bytes = total
-		return nil
+		return total, lists
 	}
 	total += 8 * n * len(pl.Aggs)
-	var ranges []idlist.Range
-	for ai, a := range pl.Aggs {
-		if a.Kind != AggAsheSum {
-			continue
-		}
-		lists := &tg.ids[ai]
-		for g := 0; g < n; g++ {
-			if pl.CompressAtDriver {
-				total += 16 * lists.numRanges(g) // raw ranges on the wire
-				continue
-			}
-			list, err := lists.at(g, &ranges)
-			if err != nil {
-				return err
-			}
-			if scratch, err = codec.AppendEncode(scratch[:0], list); err != nil {
-				return fmt.Errorf("engine: encode id list: %v", err)
-			}
-			total += len(scratch)
+	for ai := range tg.ids {
+		l := &tg.ids[ai]
+		lists += 16 * len(l.ranges)
+		for g := range l.parts { // the reference evaluator's
+			lists += 16 * l.parts[g].aggs[ai].ids.NumRanges()
 		}
 	}
-	tg.bytes = total
-	return nil
+	return total + lists, lists
 }
 
 // taskGroupsFromMap converts the reference evaluator's key-addressed map into
 // the task-output form — the only step of that evaluator that knows about
 // slots and lanes.
-func (pl *Plan) taskGroupsFromMap(groups map[groupKey]*partial, kind store.Kind, inflated bool, buckets int, codec idlist.Codec) (*taskGroups, error) {
-	tg := &taskGroups{rows: make([]uint64, 0, len(groups))}
+func (pl *Plan) taskGroupsFromMap(groups map[groupKey]*partial, kind store.Kind, inflated bool, buckets int) *taskGroups {
+	tg := &taskGroups{rows: make([]uint64, 0, len(groups)), ids: make([]idLists, len(pl.Aggs))}
 	tg.keys.init(kind, inflated)
-	lanes := pl.groupLanes()
-	if lanes {
+	parts := make([]partial, 0, len(groups))
+	if pl.groupLanes() {
 		tg.vals = make([][]uint64, len(pl.Aggs))
-		tg.ids = make([]idLists, len(pl.Aggs))
-	} else {
-		tg.parts = make([]partial, 0, len(groups))
 	}
 	for k, p := range groups {
 		if kind == store.U64 {
@@ -652,19 +640,27 @@ func (pl *Plan) taskGroupsFromMap(groups map[groupKey]*partial, kind store.Kind,
 			appendKey(&tg.keys, k.str, int32(k.suffix))
 		}
 		tg.rows = append(tg.rows, p.rows)
-		if !lanes {
-			tg.parts = append(tg.parts, *p)
-			continue
-		}
-		for ai := range p.aggs {
+		parts = append(parts, *p)
+		for ai := range tg.vals {
 			tg.vals[ai] = append(tg.vals[ai], p.aggs[ai].u64)
-			if p.aggs[ai].kind == AggAsheSum {
-				tg.ids[ai].lists = append(tg.ids[ai].lists, p.aggs[ai].ids)
-			}
 		}
 	}
+	if tg.vals == nil {
+		tg.parts = parts
+	}
+	tg.asheIDs(pl, parts)
 	tg.partition(buckets)
-	return tg, tg.sizeShuffle(pl, codec)
+	return tg
+}
+
+// asheIDs points the set's ASHE aggregates at the identifier lists its groups'
+// partials hold.
+func (tg *taskGroups) asheIDs(pl *Plan, parts []partial) {
+	for ai, a := range pl.Aggs {
+		if a.Kind == AggAsheSum {
+			tg.ids[ai] = idLists{parts: parts}
+		}
+	}
 }
 
 // --- the merge ---
@@ -693,20 +689,25 @@ func (in groupSel) at(i int) int {
 // groupMerger is the one merge of group sets into a slot table: the reduce of
 // a run's map tasks (one merger per reducer bucket) and the coordinator's
 // merge of shard results are both this routine. Lanes add as lanes; generic
-// slots fold through mergePartial; identifier lists merge slot by slot as
-// finish encodes them.
+// slots fold through mergePartial; identifier lists merge slot by slot
+// (mergeIDs) where they are written out: encoded by finish, or decoded, in key
+// order, by gatherGroups.
 type groupMerger struct {
 	pl  *Plan
 	t   slotTable
 	acc groupAcc
-	// The inputs and, per input group in input order, the slot it folded into:
-	// what finish needs to find each slot's identifier lists.
+	// The inputs and, per input group in input order, the slot it folded into;
+	// from them bySlot lists each slot's input groups (refs[start[s]:start[s+1]]),
+	// which is where its identifier lists are.
 	inputs []groupSel
 	dst    []int32
+	start  []int32
+	refs   []groupRef
 
 	// finish's output: the slots' aggregate columns, in slot order — lanes
 	// are the accumulators themselves, identifier lists are encoded into one
-	// block per aggregate — and the groups' serialized size.
+	// block per aggregate or left to gatherGroups — and the groups' serialized
+	// size.
 	aggs  []AggCol
 	bytes int
 }
@@ -809,91 +810,97 @@ type groupRef struct{ in, g int32 }
 
 // bySlot lists the merge's input groups under the slots they folded into:
 // slot s's are refs[start[s]:start[s+1]], in input order. One counting sort.
-func (m *groupMerger) bySlot() (start []int32, refs []groupRef) {
+func (m *groupMerger) bySlot() {
 	n := m.t.len()
-	start = make([]int32, n+1)
+	m.start = make([]int32, n+1)
 	for _, d := range m.dst {
-		start[d+1]++
+		m.start[d+1]++
 	}
 	for s := 0; s < n; s++ {
-		start[s+1] += start[s]
+		m.start[s+1] += m.start[s]
 	}
-	refs = make([]groupRef, len(m.dst))
-	next := slices.Clone(start[:n])
+	m.refs = make([]groupRef, len(m.dst))
+	next := slices.Clone(m.start[:n])
 	at := 0
 	for ii, in := range m.inputs {
 		for i := 0; i < in.len(); i++ {
 			d := m.dst[at]
-			refs[next[d]] = groupRef{int32(ii), int32(in.at(i))}
+			m.refs[next[d]] = groupRef{int32(ii), int32(in.at(i))}
 			next[d]++
 			at++
 		}
 	}
-	return start, refs
 }
 
-// finish converts the merged slots into result columns, in slot order —
-// merging and encoding ASHE identifier lists for the client, collapsing
-// medians — and totals the groups' serialized size. It is the reducer's last
-// measured step.
+// mergeIDs merges slot s's input lists of ASHE aggregate ai into w.run, in
+// input order (decoding those that arrived encoded), and returns the inputs'
+// range count: what the merged list, which only coalesces, cannot exceed.
+func (m *groupMerger) mergeIDs(ai, s int, w *idWork) (ranges int, err error) {
+	if m.refs == nil {
+		m.bySlot()
+	}
+	w.run.set(w.run.ranges[:0])
+	for _, r := range m.refs[m.start[s]:m.start[s+1]] {
+		set := m.inputs[r.in].set
+		ranges += set.numRanges(ai, int(r.g))
+		src, err := set.idsAt(ai, int(r.g), &w.list)
+		if err != nil {
+			return 0, err
+		}
+		w.run.merge(src, &w.scratch)
+	}
+	return ranges, nil
+}
+
+// finish converts the merged slots into result columns, in slot order,
+// collapsing medians, and totals the groups' serialized size. With a codec it
+// also merges and encodes the ASHE identifier lists, for a result a daemon
+// frames: it is then the reducer's last measured step. A nil codec leaves the
+// lists to gatherGroups, which writes them decoded for a consumer in this
+// process.
 func (m *groupMerger) finish(codec idlist.Codec) error {
 	n, na := m.t.len(), len(m.pl.Aggs)
 	m.bytes = 8 * n // key + row count, roughly
 	if m.t.kind != store.U64 {
 		m.bytes += len(m.t.arena)
 	}
-	if !m.acc.lanes {
+	if m.acc.lanes {
+		m.bytes += 8 * n * na
+		m.aggs = make([]AggCol, na)
+		for ai, a := range m.pl.Aggs {
+			m.aggs[ai].Kind, m.aggs[ai].Lane = a.Kind, m.acc.vals[ai]
+		}
+	} else {
 		m.aggs = newAggCols(m.pl.Aggs, n)
 		for s := range m.acc.parts {
-			b, err := m.pl.finishAggs(&m.acc.parts[s], m.aggs, s, codec)
-			if err != nil {
-				return err
-			}
-			m.bytes += b
+			m.bytes += m.pl.finishAggs(&m.acc.parts[s], m.aggs, s)
 		}
+	}
+	if codec == nil {
 		return nil
 	}
-	m.bytes += 8 * n * na
-	m.aggs = make([]AggCol, na)
-	var (
-		start         []int32
-		refs          []groupRef
-		run           idRun
-		list, scratch []idlist.Range // an input list laid out; idRun.merge's general path
-	)
-	for ai, a := range m.pl.Aggs {
+	var w idWork
+	for ai := range m.aggs {
 		col := &m.aggs[ai]
-		col.Kind, col.Lane = a.Kind, m.acc.vals[ai]
-		if a.Kind != AggAsheSum {
+		if col.Kind != AggAsheSum {
 			continue
-		}
-		if refs == nil {
-			start, refs = m.bySlot()
 		}
 		// One block for the aggregate's encodings, started at a guess of what
 		// the lists need so that it seldom regrows.
 		hint := 2 * n
 		for _, in := range m.inputs {
-			lists := &in.set.ids[ai]
 			for i := 0; i < in.len(); i++ {
-				hint += lists.encodedHint(in.at(i))
+				hint += in.set.encodedHint(ai, in.at(i))
 			}
 		}
 		col.IDs = make([]byte, 0, hint)
 		col.IDOff = make([]uint64, n+1)
-		// Each slot's list is the merge of its inputs' lists, in input order
-		// (decoded here when they arrived encoded), and is encoded at once.
 		for s := 0; s < n; s++ {
-			run.set(run.ranges[:0], 0)
-			for _, r := range refs[start[s]:start[s+1]] {
-				src, err := m.inputs[r.in].set.ids[ai].at(int(r.g), &list)
-				if err != nil {
-					return err
-				}
-				run.merge(src, &scratch)
+			if _, err := m.mergeIDs(ai, s, &w); err != nil {
+				return err
 			}
 			var err error
-			if col.IDs, err = codec.AppendEncode(col.IDs, idlist.View(run.ranges)); err != nil {
+			if col.IDs, err = codec.AppendEncode(col.IDs, idlist.View(w.run.ranges)); err != nil {
 				return fmt.Errorf("engine: encode result id list: %v", err)
 			}
 			col.IDOff[s+1] = uint64(len(col.IDs))
@@ -907,15 +914,18 @@ func (m *groupMerger) finish(codec idlist.Codec) error {
 // are disjoint: every group of every merger, in key order (u64 key, then
 // bytes, then string, then suffix — a result has one key kind, so the order is
 // key then suffix). The order comes from sorting 16-byte references to the
-// slots, typed by key kind; each column is then gathered through them.
-func gatherGroups(ms []*groupMerger) *GroupCols {
+// slots, typed by key kind; each column is then gathered through them. Where
+// finish encoded the identifier lists their encodings are copied; where it
+// left them alone each slot's are merged here, once, straight into the decoded
+// column at the group's final place.
+func gatherGroups(ms []*groupMerger) (*GroupCols, error) {
 	total, arena := 0, 0
 	for _, m := range ms {
 		total += m.t.len()
 		arena += len(m.t.arena)
 	}
 	if total == 0 {
-		return nil
+		return nil, nil
 	}
 	// ref addresses slot s of merger m; p is the key itself for u64 keys and
 	// its first eight bytes, big-endian, otherwise — so most comparisons never
@@ -970,6 +980,7 @@ func gatherGroups(ms []*groupMerger) *GroupCols {
 		}
 	}
 	out.KeyU64, out.KeyOff, out.KeyArena, out.Suffix = keys.u64, keys.off, keys.arena, keys.sfx
+	var w idWork
 	for ai := range out.Aggs {
 		col := &out.Aggs[ai]
 		if col.Lane == nil {
@@ -981,18 +992,47 @@ func gatherGroups(ms []*groupMerger) *GroupCols {
 		for i, r := range refs {
 			col.Lane[i] = ms[r.m].aggs[ai].Lane[r.s]
 		}
-		if col.Kind != AggAsheSum {
-			continue
-		}
-		block := 0
-		for _, m := range ms {
-			block += len(m.aggs[ai].IDs)
-		}
-		col.IDs = make([]byte, 0, block)
-		for i, r := range refs {
-			col.IDs = append(col.IDs, ms[r.m].aggs[ai].EncodedIDs(int(r.s))...)
-			col.IDOff[i+1] = uint64(len(col.IDs))
+		switch {
+		case col.Kind != AggAsheSum:
+		case ms[0].aggs[ai].IDOff != nil:
+			block := 0
+			for _, m := range ms {
+				block += len(m.aggs[ai].IDs)
+			}
+			col.IDs = make([]byte, 0, block)
+			col.IDOff = make([]uint64, total+1)
+			for i, r := range refs {
+				col.IDs = append(col.IDs, ms[r.m].aggs[ai].EncodedIDs(int(r.s))...)
+				col.IDOff[i+1] = uint64(len(col.IDs))
+			}
+		default:
+			// The column is allocated when the first list is known, for that
+			// list and the most the lists still to come can need: exactly
+			// right for flat inputs and for a single group, a little over for
+			// encoded ones (taskGroups.numRanges).
+			left := 0
+			for _, m := range ms {
+				for _, in := range m.inputs {
+					for i := 0; i < in.len(); i++ {
+						left += in.set.numRanges(ai, in.at(i))
+					}
+				}
+			}
+			col.RangeOff = make([]uint64, total+1)
+			for i, r := range refs {
+				used, err := ms[r.m].mergeIDs(ai, int(r.s), &w)
+				if err != nil {
+					return nil, err
+				}
+				left -= used
+				if cap(col.Ranges)-len(col.Ranges) < len(w.run.ranges) {
+					col.Ranges = slices.Grow(col.Ranges, len(w.run.ranges)+left)
+				}
+				col.Ranges = append(col.Ranges, w.run.ranges...)
+				col.RangeOff[i+1] = uint64(len(col.Ranges))
+			}
+			col.Ranges = slices.Clip(col.Ranges)
 		}
 	}
-	return out
+	return out, nil
 }

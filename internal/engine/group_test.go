@@ -50,10 +50,10 @@ func TestIDRunsMergeMatchesListMerge(t *testing.T) {
 			}
 		}
 		var want idlist.List
-		run.set(run.ranges[:0], 0) // one run, reused, as finish reuses it
+		run.set(run.ranges[:0]) // one run, reused, as finish reuses it
 		for _, in := range inputs {
 			want.Merge(in)
-			run.merge(in, &scratch)
+			run.merge(in.Ranges(), &scratch)
 		}
 		if got := idlist.View(run.ranges); !got.Equal(want) {
 			t.Fatalf("trial %d: merging %v\n got %v (n=%d)\nwant %v (n=%d)", trial, inputs, got, got.Len(), want, want.Len())

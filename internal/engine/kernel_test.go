@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"seabed/internal/idlist"
 	"seabed/internal/sqlparse"
 	"seabed/internal/store"
 )
@@ -71,7 +70,7 @@ func resetSingle(ts *taskState) {
 // the heap zero times per partition pass.
 func TestKernelU64FilterSumAllocFree(t *testing.T) {
 	tbl := kernelFixture(t, 1<<16, 1)
-	cp, err := filterSumPlan(tbl).compile(0, idlist.Default)
+	cp, err := filterSumPlan(tbl).compile(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +102,7 @@ func TestKernelU64JoinProbeAllocFree(t *testing.T) {
 		Join:  &Join{Right: right, LeftCol: "d", RightCol: "d", RightCols: []string{"v"}},
 		Aggs:  []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}},
 	}
-	cp, err := pl.compile(0, idlist.Default)
+	cp, err := pl.compile(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,7 @@ func TestKernelU64GroupKeyAllocFree(t *testing.T) {
 		GroupBy: &GroupBy{Col: "w"}, // 1024 distinct u64 keys
 		Aggs:    []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}},
 	}
-	cp, err := pl.compile(0, idlist.Default)
+	cp, err := pl.compile(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +173,7 @@ func TestKernelBytesGroupKeyAllocFree(t *testing.T) {
 		GroupBy: &GroupBy{Col: "k"},
 		Aggs:    []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}, {Kind: AggPlainMax, Col: "v"}},
 	}
-	cp, err := pl.compile(0, idlist.Default)
+	cp, err := pl.compile(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +209,7 @@ func TestGrouperMemoryTracksGroupsNotRows(t *testing.T) {
 		GroupBy: &GroupBy{Col: "k"},
 		Aggs:    []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggCount}},
 	}
-	cp, err := pl.compile(0, idlist.Default)
+	cp, err := pl.compile(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +248,7 @@ func reportRows(b *testing.B, rows int) {
 // allocs/op column.
 func BenchmarkKernelFilterSumU64(b *testing.B) {
 	tbl := kernelFixture(b, benchRows, 1)
-	cp, err := filterSumPlan(tbl).compile(0, idlist.Default)
+	cp, err := filterSumPlan(tbl).compile(0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -299,7 +298,7 @@ func benchFilterCount(b *testing.B, col store.Column, f Filter) {
 		b.Fatal(err)
 	}
 	pl := &Plan{Table: tbl, Filters: []Filter{f}, Aggs: []Agg{{Kind: AggCount}}}
-	cp, err := pl.compile(0, idlist.Default)
+	cp, err := pl.compile(0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -321,7 +320,7 @@ func benchFilterCount(b *testing.B, col store.Column, f Filter) {
 // production per-partition cost.
 func BenchmarkKernelFilterSumU64MapTask(b *testing.B) {
 	tbl := kernelFixture(b, benchRows, 1)
-	cp, err := filterSumPlan(tbl).compile(0, idlist.Default)
+	cp, err := filterSumPlan(tbl).compile(0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -330,7 +329,7 @@ func BenchmarkKernelFilterSumU64MapTask(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
+		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -341,7 +340,7 @@ func BenchmarkKernelFilterSumU64MapTask(b *testing.B) {
 // loop on the identical plan and partition.
 func BenchmarkKernelFilterSumU64Reference(b *testing.B) {
 	tbl := kernelFixture(b, benchRows, 1)
-	rp, err := filterSumPlan(tbl).compileReference(idlist.Default)
+	rp, err := filterSumPlan(tbl).compileReference()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -350,7 +349,7 @@ func BenchmarkKernelFilterSumU64Reference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
+		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -366,7 +365,7 @@ func ashePlan(tbl *store.Table) *Plan {
 
 func BenchmarkKernelAsheSum(b *testing.B) {
 	tbl := kernelFixture(b, benchRows, 1)
-	cp, err := ashePlan(tbl).compile(0, idlist.Default)
+	cp, err := ashePlan(tbl).compile(0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -375,7 +374,7 @@ func BenchmarkKernelAsheSum(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
+		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -384,7 +383,7 @@ func BenchmarkKernelAsheSum(b *testing.B) {
 
 func BenchmarkKernelAsheSumReference(b *testing.B) {
 	tbl := kernelFixture(b, benchRows, 1)
-	rp, err := ashePlan(tbl).compileReference(idlist.Default)
+	rp, err := ashePlan(tbl).compileReference()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -393,7 +392,7 @@ func BenchmarkKernelAsheSumReference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
+		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -410,7 +409,7 @@ func groupByPlan(tbl *store.Table) *Plan {
 
 func BenchmarkKernelGroupByU64(b *testing.B) {
 	tbl := kernelFixture(b, benchRows, 1)
-	cp, err := groupByPlan(tbl).compile(0, idlist.Default)
+	cp, err := groupByPlan(tbl).compile(0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -419,7 +418,7 @@ func BenchmarkKernelGroupByU64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
+		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -428,7 +427,7 @@ func BenchmarkKernelGroupByU64(b *testing.B) {
 
 func BenchmarkKernelGroupByU64Reference(b *testing.B) {
 	tbl := kernelFixture(b, benchRows, 1)
-	rp, err := groupByPlan(tbl).compileReference(idlist.Default)
+	rp, err := groupByPlan(tbl).compileReference()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -437,7 +436,7 @@ func BenchmarkKernelGroupByU64Reference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
+		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -457,7 +456,7 @@ func wideGroupByPlan(tbl *store.Table) *Plan {
 
 func BenchmarkKernelGroupByU64Wide(b *testing.B) {
 	tbl := kernelFixture(b, benchRows, 1)
-	cp, err := wideGroupByPlan(tbl).compile(0, idlist.Default)
+	cp, err := wideGroupByPlan(tbl).compile(0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -466,7 +465,7 @@ func BenchmarkKernelGroupByU64Wide(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
+		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -475,7 +474,7 @@ func BenchmarkKernelGroupByU64Wide(b *testing.B) {
 
 func BenchmarkKernelGroupByU64WideReference(b *testing.B) {
 	tbl := kernelFixture(b, benchRows, 1)
-	rp, err := wideGroupByPlan(tbl).compileReference(idlist.Default)
+	rp, err := wideGroupByPlan(tbl).compileReference()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -484,7 +483,7 @@ func BenchmarkKernelGroupByU64WideReference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
+		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -504,16 +503,17 @@ func wideBytesGroupByPlan(tbl *store.Table) *Plan {
 
 func BenchmarkKernelGroupByBytesWide(b *testing.B) {
 	tbl := detKeyFixture(b, benchRows, benchRows, 1, false)
-	cp, err := wideBytesGroupByPlan(tbl).compile(0, idlist.VBDiff)
+	cp, err := wideBytesGroupByPlan(tbl).compile(0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	c := NewCluster(Config{Workers: 1})
 	ctx := context.Background()
+	var arenas nodeArenas // a run's tasks hand the node arena on, as here
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
+		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0], &arenas); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -522,7 +522,7 @@ func BenchmarkKernelGroupByBytesWide(b *testing.B) {
 
 func BenchmarkKernelGroupByBytesWideReference(b *testing.B) {
 	tbl := detKeyFixture(b, benchRows, benchRows, 1, false)
-	rp, err := wideBytesGroupByPlan(tbl).compileReference(idlist.VBDiff)
+	rp, err := wideBytesGroupByPlan(tbl).compileReference()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -531,7 +531,7 @@ func BenchmarkKernelGroupByBytesWideReference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
+		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -549,7 +549,7 @@ func joinPlan(tbl, right *store.Table) *Plan {
 func BenchmarkKernelJoinProbeU64(b *testing.B) {
 	tbl := kernelFixture(b, benchRows, 1)
 	right := kernelFixture(b, 5, 1)
-	cp, err := joinPlan(tbl, right).compile(0, idlist.Default)
+	cp, err := joinPlan(tbl, right).compile(0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -558,7 +558,7 @@ func BenchmarkKernelJoinProbeU64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
+		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -568,7 +568,7 @@ func BenchmarkKernelJoinProbeU64(b *testing.B) {
 func BenchmarkKernelJoinProbeU64Reference(b *testing.B) {
 	tbl := kernelFixture(b, benchRows, 1)
 	right := kernelFixture(b, 5, 1)
-	rp, err := joinPlan(tbl, right).compileReference(idlist.Default)
+	rp, err := joinPlan(tbl, right).compileReference()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -577,7 +577,7 @@ func BenchmarkKernelJoinProbeU64Reference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
+		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -592,7 +592,7 @@ func BenchmarkKernelScanProject(b *testing.B) {
 		Filters: []Filter{{Kind: FilterPlainCmp, Col: "v", Op: sqlparse.OpGt, U64: 90}},
 		Project: []string{"v", "w"},
 	}
-	cp, err := pl.compile(0, idlist.Default)
+	cp, err := pl.compile(0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -601,7 +601,7 @@ func BenchmarkKernelScanProject(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
+		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -615,7 +615,7 @@ func BenchmarkKernelScanProjectReference(b *testing.B) {
 		Filters: []Filter{{Kind: FilterPlainCmp, Col: "v", Op: sqlparse.OpGt, U64: 90}},
 		Project: []string{"v", "w"},
 	}
-	rp, err := pl.compileReference(idlist.Default)
+	rp, err := pl.compileReference()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -624,7 +624,7 @@ func BenchmarkKernelScanProjectReference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
+		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"time"
-
-	"seabed/internal/idlist"
 )
 
 // This file exports the partial-merge step of a scatter-gather deployment:
@@ -16,7 +14,9 @@ import (
 // produced. Shard result columns are viewed as the engine's own merge input
 // form (taskGroups) and folded by the same groupMerger the in-process
 // shuffle+reduce uses, so proxy-side reduce never re-implements aggregation
-// semantics.
+// semantics. One thing differs from a run's reduce: the consumer of a merge is
+// client.Decrypt, in this process, so the merged ASHE identifier lists are
+// left decoded (AggCol) rather than encoded for a frame nobody writes.
 //
 // Every merge is exact because Seabed's aggregates are shard-decomposable:
 //
@@ -37,7 +37,7 @@ import (
 // tasks (§4.5).
 
 // MergeResults is Merge for callers that read groups as rows: it returns with
-// the row view (Result.View) built.
+// the row view (Result.View) built, identifier lists encoded.
 func MergeResults(pl *Plan, partials []*Result) (*Result, error) {
 	out, err := Merge(pl, partials)
 	if err != nil {
@@ -51,13 +51,15 @@ func MergeResults(pl *Plan, partials []*Result) (*Result, error) {
 // single engine over the union of the shards' rows would produce, columns in
 // and columns out. pl is the original, unscoped plan: its Aggs supply Paillier
 // public keys and merge kinds, and its Codec — which must be the codec the
-// shards actually used — decodes the shards' identifier lists and re-encodes
-// the merged ones. Shard results must come from Partial plan executions (or
+// shards actually used — decodes the shards' identifier lists; the merged
+// lists stay decoded. Shard results must come from Partial plan executions (or
 // be median-free). Metrics are combined scatter-gather style: each stage time
 // and ServerTime take the slowest shard's (shards run in parallel),
-// byte/task/row counts sum, and the merge measured here is added to DriverTime
-// and ServerTime. Merge sees no scatter, so a coordinator that clocked its own
-// (fleet.Cluster) replaces ServerTime with that wall.
+// byte/task/row counts sum — ResultBytes is therefore the shards' results
+// added up, the bytes that reached the coordinator — and the merge measured
+// here is added to DriverTime and ServerTime. Merge sees no scatter, so a
+// coordinator that clocked its own (fleet.Cluster) replaces ServerTime with
+// that wall.
 func Merge(pl *Plan, partials []*Result) (*Result, error) {
 	start := time.Now()
 	out := &Result{}
@@ -88,12 +90,10 @@ func Merge(pl *Plan, partials []*Result) (*Result, error) {
 				sets = append(sets, c)
 			}
 		}
-		cols, bytes, err := mergeGroups(pl, sets)
-		if err != nil {
+		var err error
+		if out.Cols, err = mergeGroups(pl, sets); err != nil {
 			return nil, err
 		}
-		out.Cols = cols
-		out.Metrics.ResultBytes = bytes
 	}
 
 	merge := time.Since(start)
@@ -105,7 +105,8 @@ func Merge(pl *Plan, partials []*Result) (*Result, error) {
 // DeflateGroups merges suffix-inflated groups back together (§4.5: "the
 // client has to perform the remaining aggregations"): groups that differ only
 // in their inflation suffix fold into one, through the same merge the shards'
-// results take. pl is the plan that produced c, its Codec resolved.
+// results take — c's identifier lists in either form in, decoded out. pl is
+// the plan that produced c, its Codec resolved.
 func DeflateGroups(pl *Plan, c *GroupCols) (*GroupCols, error) {
 	for _, a := range pl.Aggs {
 		if a.Kind == AggPlainMedian || a.Kind == AggOpeMedian {
@@ -114,64 +115,62 @@ func DeflateGroups(pl *Plan, c *GroupCols) (*GroupCols, error) {
 	}
 	flat := *c
 	flat.Suffix = nil
-	cols, _, err := mergeGroups(pl, []*GroupCols{&flat})
-	return cols, err
+	return mergeGroups(pl, []*GroupCols{&flat})
 }
 
 // mergeGroups folds column sets through the engine's own reduce: each set is
 // viewed as merge input, one groupMerger folds same-key groups (adding lanes,
-// or merging partials for Paillier/OPE/median mixes) and finishes them (merges
-// and encodes their id-lists, collapses medians) exactly as an in-process
-// reducer does. Within one set keys may repeat. It
-// returns the merged columns, in key order, with their serialized size.
-func mergeGroups(pl *Plan, sets []*GroupCols) (*GroupCols, int, error) {
+// or merging partials for Paillier/OPE/median mixes) and finishes them
+// (collapses medians) exactly as an in-process reducer does, and the gather
+// merges their identifier lists into decoded columns. Within one set keys may
+// repeat. It returns the merged columns, in key order.
+func mergeGroups(pl *Plan, sets []*GroupCols) (*GroupCols, error) {
 	if len(sets) == 0 {
-		return nil, 0, nil
+		return nil, nil
 	}
 	codec := pl.effectiveCodec()
 	for i, a := range pl.Aggs {
 		if a.Kind == AggPaillierSum && a.PK == nil {
-			return nil, 0, fmt.Errorf("engine: merge: Paillier aggregate %d without public key", i)
+			return nil, fmt.Errorf("engine: merge: Paillier aggregate %d without public key", i)
 		}
 	}
 	inputs := make([]groupSel, len(sets))
 	for i, c := range sets {
 		if c.KeyKind != sets[0].KeyKind {
-			return nil, 0, fmt.Errorf("engine: merge: shard groups mix key kinds (%v and %v)", sets[0].KeyKind, c.KeyKind)
+			return nil, fmt.Errorf("engine: merge: shard groups mix key kinds (%v and %v)", sets[0].KeyKind, c.KeyKind)
 		}
 		in, err := pl.taskGroupsFromCols(c, codec)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		inputs[i] = groupSel{set: in}
 	}
 	mg := mergeGroupSets(pl, inputs)
-	if err := mg.finish(codec); err != nil {
-		return nil, 0, err
+	if err := mg.finish(nil); err != nil {
+		return nil, err
 	}
-	return gatherGroups([]*groupMerger{mg}), mg.bytes, nil
+	cols, err := gatherGroups([]*groupMerger{mg})
+	if err != nil {
+		return nil, err
+	}
+	cols.codec = codec
+	return cols, nil
 }
 
 // fillPartial loads group g of one shard's result columns into p, the
 // engine's in-flight accumulator representation — the inverse of finishAggs
 // for a Partial plan — so the coordinator's reduce runs through mergePartial
-// unchanged. p.aggs must hold one aggState per aggregate. Field copies and
-// identifier-list decoding only; no aggregation semantics live here.
-func fillPartial(p *partial, c *GroupCols, g int, codec idlist.Codec) error {
+// unchanged. p.aggs must hold one aggState per aggregate. Field copies only —
+// an ASHE sum's identifier list stays in its column for the merge to read
+// (idLists) — and no aggregation semantics live here.
+func fillPartial(p *partial, c *GroupCols, g int) error {
 	rows := c.Rows[g]
 	for i := range c.Aggs {
 		col, st := &c.Aggs[i], &p.aggs[i]
 		st.kind = col.Kind
 		switch col.Kind {
-		case AggCount, AggPlainSum, AggPlainSumSq:
+		case AggCount, AggPlainSum, AggPlainSumSq, AggAsheSum:
 			st.u64 = col.Lane[g]
-		case AggAsheSum:
-			st.u64 = col.Lane[g]
-			ids, err := codec.Decode(col.EncodedIDs(g))
-			if err != nil {
-				return fmt.Errorf("engine: merge: decode id list: %v", err)
-			}
-			st.ids = ids
 		case AggPaillierSum:
 			if col.Vals[g].Pail == nil {
 				return fmt.Errorf("engine: merge: shard group missing Paillier ciphertext for aggregate %d", i)
@@ -203,8 +202,7 @@ func fillPartial(p *partial, c *GroupCols, g int, codec idlist.Codec) error {
 
 // mergeMetrics combines one shard's metrics into the accumulator: stage
 // times take the maximum (shards execute concurrently, so the gather waits
-// for the slowest), sizes and counts sum. ResultBytes is summed here for
-// scan results and recomputed from the merged groups otherwise.
+// for the slowest), sizes and counts sum.
 func mergeMetrics(dst, src *Metrics, first bool) {
 	maxDur := func(d *time.Duration, s time.Duration) {
 		if first || s > *d {
@@ -221,7 +219,9 @@ func mergeMetrics(dst, src *Metrics, first bool) {
 	maxDur(&dst.ReduceTime, src.ReduceTime)
 	maxDur(&dst.DriverTime, src.DriverTime)
 	dst.ShuffleBytes += src.ShuffleBytes
+	dst.ShuffleListBytes += src.ShuffleListBytes
 	dst.ResultBytes += src.ResultBytes
+	dst.ResultListBytes += src.ResultListBytes
 	dst.MapTasks += src.MapTasks
 	dst.ReduceTasks += src.ReduceTasks
 	dst.RowsScanned += src.RowsScanned

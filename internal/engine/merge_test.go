@@ -10,20 +10,16 @@ import (
 	"seabed/internal/store"
 )
 
-// shardSplit runs the same plan once over the whole table and once as three
-// Partial, range-scoped shard slices merged with MergeResults, and asserts
-// identical groups and scan rows — the unit-level version of the loopback
-// acceptance test in internal/fleet.
-func shardSplit(t *testing.T, tbl *store.Table, mkPlan func(tbl *store.Table) *Plan) (*Result, *Result) {
+// shardRuns runs the same plan once over the whole table and once as three
+// Partial, range-scoped shard slices — the sub-queries a coordinator scatters —
+// and returns the unscoped plan to merge them under, the slices' results and
+// the whole-table result.
+func shardRuns(t *testing.T, cl *Cluster, tbl *store.Table, mkPlan func(tbl *store.Table) *Plan) (*Plan, []*Result, *Result) {
 	t.Helper()
-	cl := NewCluster(Config{Workers: 4})
-
-	whole := mkPlan(tbl)
-	want, err := cl.Run(context.Background(), whole)
+	whole, err := cl.Run(context.Background(), mkPlan(tbl))
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	subs := tbl.SplitRanges(3)
 	partials := make([]*Result, len(subs))
 	merged := mkPlan(tbl)
@@ -39,6 +35,16 @@ func shardSplit(t *testing.T, tbl *store.Table, mkPlan func(tbl *store.Table) *P
 		// Every shard resolves the same effective codec; the merge reuses it.
 		merged.Codec = pl.Codec
 	}
+	return merged, partials, whole
+}
+
+// shardSplit merges shardRuns' slices with MergeResults and returns the merged
+// and the whole-table result, for the caller to assert identical groups and
+// scan rows — the unit-level version of the loopback acceptance test in
+// internal/fleet.
+func shardSplit(t *testing.T, tbl *store.Table, mkPlan func(tbl *store.Table) *Plan) (*Result, *Result) {
+	t.Helper()
+	merged, partials, want := shardRuns(t, NewCluster(Config{Workers: 4}), tbl, mkPlan)
 	got, err := MergeResults(merged, partials)
 	if err != nil {
 		t.Fatal(err)

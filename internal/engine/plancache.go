@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"seabed/internal/idlist"
 )
 
 // Plan-compile cache. Compilation (compile.go) binds a plan against its
@@ -79,8 +77,8 @@ func (c *Cluster) PlanCacheStats() (hits, misses uint64) {
 // cached entry must stay valid even if the caller mutates its Plan in
 // place after Run returns (the fingerprint would stop matching the mutated
 // plan, but the cached entry still serves the original shape).
-func (c *Cluster) compiled(pl *Plan, codec idlist.Codec) (*compiledPlan, error) {
-	key := pl.fingerprint(codec)
+func (c *Cluster) compiled(pl *Plan) (*compiledPlan, error) {
+	key := pl.fingerprint()
 	if cp, ok := c.plans.lookup(key); ok {
 		return cp, nil
 	}
@@ -107,7 +105,7 @@ func (c *Cluster) compiled(pl *Plan, codec idlist.Codec) (*compiledPlan, error) 
 		r := *pl.Range
 		clone.Range = &r
 	}
-	cp, err := clone.compile(c.cfg.Seed, codec)
+	cp, err := clone.compile(c.cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +119,7 @@ func (c *Cluster) compiled(pl *Plan, codec idlist.Codec) (*compiledPlan, error) 
 // pointer the value's identity); every scalar field enters by value. Two
 // plans with equal fingerprints are interchangeable for execution: a
 // cached compilation of one runs the other with identical results.
-func (pl *Plan) fingerprint(codec idlist.Codec) string {
+func (pl *Plan) fingerprint() string {
 	var b []byte
 	ptr := func(p any) {
 		b = fmt.Appendf(b, "%p|", p)
@@ -190,9 +188,5 @@ func (pl *Plan) fingerprint(codec idlist.Codec) string {
 	if pl.Partial {
 		b = append(b, 'p')
 	}
-	if pl.CompressAtDriver {
-		b = append(b, 'd')
-	}
-	str(codec.Name())
 	return string(b)
 }

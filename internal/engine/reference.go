@@ -7,7 +7,6 @@ import (
 	"math/big"
 	"time"
 
-	"seabed/internal/idlist"
 	"seabed/internal/ope"
 	"seabed/internal/store"
 )
@@ -20,20 +19,19 @@ import (
 // vectorization speedup. It must stay behaviorally frozen — fix bugs in
 // both executors or in neither.
 
-// referencePlan is the reference evaluator's per-Run state: the plan, its
-// codec, and the flattened right side with a string-keyed join hash (the
-// representation the interpreter always used).
+// referencePlan is the reference evaluator's per-Run state: the plan and the
+// flattened right side with a string-keyed join hash (the representation the
+// interpreter always used).
 type referencePlan struct {
 	pl       *Plan
-	codec    idlist.Codec
 	right    map[string]*store.Column
 	joinHash map[string]int
 }
 
 // compileReference prepares the reference evaluator's run state; it is the
 // counterpart of Plan.compile for the interpreter.
-func (pl *Plan) compileReference(codec idlist.Codec) (*referencePlan, error) {
-	rp := &referencePlan{pl: pl, codec: codec}
+func (pl *Plan) compileReference() (*referencePlan, error) {
+	rp := &referencePlan{pl: pl}
 	if pl.Join != nil {
 		var err error
 		rp.right, err = flattenRight(pl.Join.Right, pl.Join.RightCols, pl.Join.RightCol)
@@ -172,7 +170,7 @@ func (pl *Plan) bind(part *store.Partition, right map[string]*store.Column, join
 // original row-at-a-time loop: per-row switches over FilterKind and AggKind,
 // string-keyed join probes, and string-folded group keys. It observes ctx
 // at the injected I/O stall and once per cancelCheckRows rows.
-func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store.Partition) (*mapResult, error) {
+func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store.Partition, _ *nodeArenas) (*mapResult, error) {
 	pl := rp.pl
 	if c.cfg.TaskSleep > 0 {
 		t := time.NewTimer(c.cfg.TaskSleep)
@@ -397,21 +395,10 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 		}
 	}
 
-	// Worker-side compression of ASHE identifier lists (§4.5) is priced here,
-	// inside the measured task, unless the ablation moved it to the driver.
 	if groups != nil {
-		res.groups, err = pl.taskGroupsFromMap(groups, keyKind(b.group.Kind), inflate > 0, c.cfg.Workers, rp.codec)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if res.single != nil && !pl.CompressAtDriver {
-		var scratch []byte
-		if err := encodePartialIDs(res.single, rp.codec, &scratch); err != nil {
-			return nil, err
-		}
+		res.groups = pl.taskGroupsFromMap(groups, keyKind(b.group.Kind), inflate > 0, c.cfg.Workers)
 	}
 	res.elapsed = time.Since(start)
-	res.bytes = pl.partialBytes(res)
+	pl.sizeOutput(res)
 	return res, nil
 }

@@ -63,7 +63,42 @@ func ProjectKinds(pl *Plan) ([]store.Kind, error) {
 // (compile.go / batch.go) and the retained row-at-a-time referencePlan
 // (reference.go).
 type mapRunner interface {
-	runMapTask(ctx context.Context, c *Cluster, part *store.Partition) (*mapResult, error)
+	runMapTask(ctx context.Context, c *Cluster, part *store.Partition, arenas *nodeArenas) (*mapResult, error)
+}
+
+// nodeArenas recycles the map tasks' identifier-list node arenas
+// (idChains.nodes) within one run: an arena is dead once its task has laid its
+// lists out, so the next task to start takes it over, and a task that finds
+// none starts one the size the last finished task's reached. It belongs to the
+// run — never to the cluster or the process — so nothing outlives the query.
+// A nil *nodeArenas recycles nothing.
+type nodeArenas struct {
+	mu   sync.Mutex
+	free [][]idNode
+	last int
+}
+
+func (a *nodeArenas) get() []idNode {
+	if a == nil {
+		return nil
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if n := len(a.free); n > 0 {
+		nodes := a.free[n-1]
+		a.free = a.free[:n-1]
+		return nodes[:0]
+	}
+	return make([]idNode, 0, a.last)
+}
+
+func (a *nodeArenas) put(nodes []idNode) {
+	if a == nil {
+		return
+	}
+	a.mu.Lock()
+	a.free, a.last = append(a.free, nodes), len(nodes)
+	a.mu.Unlock()
 }
 
 // Run executes a plan and returns its result and cost metrics. Execution is
@@ -137,9 +172,9 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSi
 	var runner mapRunner
 	var err error
 	if reference {
-		runner, err = pl.compileReference(codec)
+		runner, err = pl.compileReference()
 	} else {
-		runner, err = c.compiled(pl, codec)
+		runner, err = c.compiled(pl)
 	}
 	if err != nil {
 		return nil, err
@@ -203,6 +238,7 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSi
 	}
 	sem := make(chan struct{}, par)
 	var wg sync.WaitGroup
+	var arenas nodeArenas
 	for i := range parts {
 		// Abort the pool the moment the context dies: tasks already launched
 		// drain (they observe ctx themselves), unlaunched ones never start.
@@ -214,7 +250,7 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSi
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			results[i], errs[i] = runner.runMapTask(mctx, c, parts[i])
+			results[i], errs[i] = runner.runMapTask(mctx, c, parts[i], &arenas)
 			if done != nil {
 				close(done[i])
 			}
@@ -240,6 +276,7 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSi
 	for i, r := range results {
 		durations[i] = r.elapsed
 		metrics.ShuffleBytes += r.bytes
+		metrics.ShuffleListBytes += r.listBytes
 		metrics.RowsScanned += r.rowsScanned
 		metrics.RowsSelected += r.rowsSelected
 		metrics.Ops.merge(&r.ops)
@@ -265,7 +302,9 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSi
 	out := &Result{}
 	switch {
 	case grouped:
-		out.Cols = gatherGroups(mergers)
+		if out.Cols, err = gatherGroups(mergers); err != nil {
+			return nil, err
+		}
 	case len(pl.Project) > 0:
 		if sink == nil {
 			out.Scan = gatherScan(results)
@@ -363,18 +402,38 @@ func gatherScan(results []*mapResult) []ScanRow {
 
 // mergeSingle merges no-group-by partials at the driver (§4.5: workers send
 // partial results to the driver, which aggregates) into a one-group column
-// set.
+// set. Each ASHE sum's identifier lists fold, in task order, through one
+// buffer reserved at the tasks' range count — so the merge allocates the same
+// few blocks however many tasks there are — and are encoded once.
 func mergeSingle(pl *Plan, results []*mapResult, codec idlist.Codec, m *Metrics) (*GroupCols, error) {
 	final := newPartial(pl.Aggs)
 	for _, r := range results {
 		mergePartial(pl, final, r.single)
 	}
 	cols := &GroupCols{KeyKind: store.U64, KeyU64: []uint64{0}, Rows: []uint64{final.rows}, Aggs: newAggCols(pl.Aggs, 1)}
-	bytes, err := pl.finishAggs(final, cols.Aggs, 0, codec)
-	if err != nil {
-		return nil, err
+	m.ResultBytes = 8 + pl.finishAggs(final, cols.Aggs, 0) // key + row count, roughly
+	var w idWork
+	for ai := range cols.Aggs {
+		col := &cols.Aggs[ai]
+		if col.Kind != AggAsheSum {
+			continue
+		}
+		ranges := 0
+		for _, r := range results {
+			ranges += r.single.aggs[ai].ids.NumRanges()
+		}
+		w.run.set(slices.Grow(w.run.ranges[:0], ranges))
+		for _, r := range results {
+			w.run.merge(r.single.aggs[ai].ids.Ranges(), &w.scratch)
+		}
+		var err error
+		if col.IDs, err = codec.AppendEncode(nil, idlist.View(w.run.ranges)); err != nil {
+			return nil, fmt.Errorf("engine: encode result id list: %v", err)
+		}
+		col.IDOff = []uint64{0, uint64(len(col.IDs))}
+		m.ResultListBytes += len(col.IDs)
 	}
-	m.ResultBytes = 8 + bytes // key + row count, roughly
+	m.ResultBytes += m.ResultListBytes
 	return cols, nil
 }
 
@@ -443,12 +502,15 @@ func (c *Cluster) reduceGroups(pl *Plan, results []*mapResult, codec idlist.Code
 			return nil, errs[ri]
 		}
 		m.ResultBytes += mg.bytes
+		for ai := range mg.aggs {
+			m.ResultListBytes += len(mg.aggs[ai].IDs)
+		}
 	}
 	m.ReduceTaskTimes = durations
 	return mergers, nil
 }
 
-// mergePartial folds src into dst.
+// mergePartial folds src into dst, identifier lists excepted.
 func mergePartial(pl *Plan, dst, src *partial) {
 	if src == nil {
 		return
@@ -457,11 +519,10 @@ func mergePartial(pl *Plan, dst, src *partial) {
 	for i := range dst.aggs {
 		d, s := &dst.aggs[i], &src.aggs[i]
 		switch d.kind {
-		case AggCount, AggPlainSum, AggPlainSumSq:
+		case AggCount, AggPlainSum, AggPlainSumSq, AggAsheSum:
+			// An ASHE sum's bodies add here; its identifier lists merge where
+			// they are written out (mergeSingle, groupMerger.mergeIDs).
 			d.u64 += s.u64
-		case AggAsheSum:
-			d.u64 += s.u64
-			d.ids.Merge(s.ids)
 		case AggPaillierSum:
 			pl.Aggs[i].PK.AddInto(d.pail, s.pail)
 		case AggPlainMin:
@@ -490,26 +551,17 @@ func mergePartial(pl *Plan, dst, src *partial) {
 	}
 }
 
-// finishAggs writes a merged partial's accumulators into cols as group g —
-// the groups of one column set finish in order, g = 0, 1, … — encoding ASHE
-// identifier lists for the client and collapsing medians, and returns the
-// group's serialized size.
-func (pl *Plan) finishAggs(p *partial, cols []AggCol, g int, codec idlist.Codec) (int, error) {
+// finishAggs writes a merged partial's accumulators into cols as group g,
+// collapsing medians, and returns the group's serialized size. An ASHE sum's
+// identifier lists are not the partial's to write: its body goes in the lane
+// and the caller adds the lists (and their size).
+func (pl *Plan) finishAggs(p *partial, cols []AggCol, g int) int {
 	bytes := 0
 	for i := range p.aggs {
 		st, col := &p.aggs[i], &cols[i]
-		switch st.kind {
-		case AggCount, AggPlainSum, AggPlainSumSq, AggPlainMin, AggPlainMax:
+		if col.Lane != nil {
 			col.Lane[g] = st.u64
 			bytes += 8
-			continue
-		case AggAsheSum:
-			var err error
-			if col.IDs, err = codec.AppendEncode(col.IDs, st.ids); err != nil {
-				return 0, fmt.Errorf("engine: encode result id list: %v", err)
-			}
-			col.Lane[g], col.IDOff[g+1] = st.u64, uint64(len(col.IDs))
-			bytes += 8 + int(col.IDOff[g+1]-col.IDOff[g])
 			continue
 		}
 		av := &col.Vals[g]
@@ -549,7 +601,7 @@ func (pl *Plan) finishAggs(p *partial, cols []AggCol, g int, codec idlist.Codec)
 			bytes += len(av.Ope) + 16
 		}
 	}
-	return bytes, nil
+	return bytes
 }
 
 // collapseOpeMedian selects the middle element of an OPE-encrypted value

@@ -13,7 +13,7 @@ import (
 // This file holds the execution state shared by the vectorized executor
 // (compile.go / kernel.go / batch.go) and the retained row-at-a-time
 // reference evaluator (reference.go): aggregate accumulators, map-task
-// output, and the shuffle-size accounting both paths must agree on.
+// output, and the map-output accounting both paths must agree on.
 
 // cancelCheckRows is how often (in rows) a map task polls its context: a
 // power of two so the hot loop's check is one mask and compare. It is a
@@ -52,9 +52,6 @@ type aggState struct {
 	medComp []uint64
 	medIDs  []uint64
 	seen    bool // for min/max: whether any row contributed
-	// encodedLen is the codec-compressed identifier-list size when the
-	// worker compressed it (shuffle accounting).
-	encodedLen int
 }
 
 func newPartial(aggs []Agg) *partial {
@@ -85,10 +82,11 @@ type mapResult struct {
 	groups  *taskGroups
 	scan    []ScanRow
 	elapsed time.Duration
-	// bytes is the serialized partial size (shuffle traffic).
-	bytes        int
-	rowsScanned  uint64
-	rowsSelected uint64
+	// bytes is the output's size as held (Metrics.ShuffleBytes' share),
+	// listBytes the identifier lists' part of it.
+	bytes, listBytes int
+	rowsScanned      uint64
+	rowsSelected     uint64
 	// ops carries the task's per-operator counters (batch-granularity; see
 	// OpStats). The reference evaluator leaves it zero except for column
 	// pins/faults, which both executors record in runMapTask's shared path.
@@ -190,50 +188,30 @@ func cmpU64(a, b uint64) int {
 	return 0
 }
 
-// encodePartialIDs prices the worker-side compression of a partial's ASHE
-// identifier lists (§4.5): each list is encoded into the caller's reused
-// scratch buffer and only the encoded size is kept, riding in the aggState to
-// keep shuffle sizes honest. The reducer merges the raw lists; that the
-// encoding round-trips is the idlist codec tests' business.
-func encodePartialIDs(p *partial, codec idlist.Codec, scratch *[]byte) error {
-	for i := range p.aggs {
-		st := &p.aggs[i]
-		if st.kind != AggAsheSum || st.ids.Empty() {
-			continue
-		}
-		enc, err := codec.AppendEncode((*scratch)[:0], st.ids)
-		if err != nil {
-			return fmt.Errorf("engine: encode id list: %v", err)
-		}
-		*scratch = enc
-		st.encodedLen = len(enc)
-	}
-	return nil
-}
-
-// partialBytes estimates the serialized size of a map task's output.
-func (pl *Plan) partialBytes(res *mapResult) int {
-	total := 0
+// sizeOutput prices a map task's output as the task holds it: plain arithmetic
+// over keys, row counts, accumulators and scan cells, identifier lists raw at
+// 16 bytes a range. No list meets the codec here; nothing is shuffled.
+func (pl *Plan) sizeOutput(res *mapResult) {
 	if res.single != nil {
-		total += 8 + pl.aggBytes(res.single) // row count + aggregates
+		total, lists := pl.aggBytes(res.single)
+		res.bytes, res.listBytes = 8+total, lists // row count + aggregates
 	}
 	if res.groups != nil {
-		total += res.groups.bytes
+		res.bytes, res.listBytes = res.groups.heldBytes(pl)
 	}
 	for _, row := range res.scan {
-		total += 8
+		res.bytes += 8
 		for i := range row.U64s {
-			total += 8
-			total += len(row.Bytes[i])
-			total += len(row.Strs[i])
+			res.bytes += 8
+			res.bytes += len(row.Bytes[i])
+			res.bytes += len(row.Strs[i])
 		}
 	}
-	return total
 }
 
-// aggBytes is the serialized size of one partial's aggregates.
-func (pl *Plan) aggBytes(p *partial) int {
-	total := 0
+// aggBytes is the size of one partial's aggregates as held; lists is the
+// identifier lists' part of it.
+func (pl *Plan) aggBytes(p *partial) (total, lists int) {
 	for i := range p.aggs {
 		st := &p.aggs[i]
 		switch st.kind {
@@ -241,11 +219,7 @@ func (pl *Plan) aggBytes(p *partial) int {
 			total += 8
 		case AggAsheSum:
 			total += 8
-			if pl.CompressAtDriver {
-				total += 16 * st.ids.NumRanges() // raw ranges on the wire
-			} else {
-				total += st.encodedLen
-			}
+			lists += 16 * st.ids.NumRanges()
 		case AggPaillierSum:
 			total += pl.Aggs[i].PK.CiphertextSize()
 		case AggOpeMin, AggOpeMax:
@@ -256,7 +230,7 @@ func (pl *Plan) aggBytes(p *partial) int {
 			total += opeMedianBytes(st.medOpe)
 		}
 	}
-	return total
+	return total + lists, lists
 }
 
 // opeMedianBytes sizes a collected OPE median shuffle payload: each element's

@@ -13,9 +13,10 @@ import (
 )
 
 // The plan-frame bytes below were captured at the last commit that still
-// negotiated versions (46746d6, framing at v8). "One wire version" froze the
-// protocol there: deleting the version ladder may not move a byte, and the
-// plan frame has not moved since.
+// negotiated versions (46746d6, framing at v8) and re-captured at wire v12,
+// which dropped one byte from them: the compress-at-driver flag that followed
+// the codec name (the plan field is gone; no map task compresses). Nothing
+// else in the frame has moved since v8.
 
 // goldenPlan touches every plan-frame section: a join, filters, aggregates, a
 // bounded and inflated group-by, a range scope, the trace ID and both fleet
@@ -34,11 +35,10 @@ func goldenPlan() *PlanRequest {
 				{Kind: engine.AggAsheSum, Col: "rev"},
 				{Kind: engine.AggCount},
 			},
-			GroupBy:          &engine.GroupBy{Col: "tier", Inflate: 3, KeyBound: 4096},
-			Codec:            idlist.VBDiff,
-			CompressAtDriver: true,
-			Range:            &engine.IDRange{Lo: 66667, Hi: 133333},
-			Partial:          true,
+			GroupBy: &engine.GroupBy{Col: "tier", Inflate: 3, KeyBound: 4096},
+			Codec:   idlist.VBDiff,
+			Range:   &engine.IDRange{Lo: 66667, Hi: 133333},
+			Partial: true,
 		},
 		TraceID:  0xfeedfacecafebeef,
 		Hedge:    true,
@@ -48,7 +48,7 @@ func goldenPlan() *PlanRequest {
 
 const goldenPlanFrame = "0c657640536561626564237231010c7573657273405365616265640375696403756964010474696572020303646179030000" +
 	"03090807000000000000000000000207636f756e747279000000030102030100000000000000000002030372657600000200" +
-	"0000010474696572038020000776622b646966660101eb8804d5910801effdfad7ecd9fef6fe010101"
+	"0000010474696572038020000776622b6469666601eb8804d5910801effdfad7ecd9fef6fe010101"
 
 func TestEncodePlanGolden(t *testing.T) {
 	want, err := hex.DecodeString(goldenPlanFrame)

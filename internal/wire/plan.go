@@ -110,7 +110,6 @@ func EncodePlan(req *PlanRequest, version uint64) ([]byte, error) {
 	} else {
 		e.str("")
 	}
-	e.bool(pl.CompressAtDriver)
 
 	// Range framing: identifier-range scope and partial-result mode, so one
 	// plan frame addresses exactly one range's rows of the logical table.
@@ -192,7 +191,6 @@ func DecodePlan(p []byte) (*PlanRequest, error) {
 	}
 
 	codecName := d.str()
-	pl.CompressAtDriver = d.bool()
 	if d.bool() {
 		pl.Range = &engine.IDRange{Lo: d.uint(), Hi: d.uint()}
 	}

@@ -16,7 +16,9 @@ import (
 // in-process path communicates it by mutating the plan, the wire path carries
 // it here) followed by the result's group columns, scan rows, metrics, and the
 // daemon's span breakdown for the query trace (nil spans encode as an empty
-// list). version must be Version.
+// list). version must be Version. A result whose identifier lists are decoded
+// — a merged one, whose consumer is in the merging process — is refused:
+// nothing frames it, and a frame carries lists encoded.
 func EncodeResult(codecName string, res *engine.Result, spans []obs.FlatSpan, version uint64) ([]byte, error) {
 	if err := checkVersion(version, "encode result"); err != nil {
 		return nil, err
@@ -100,6 +102,9 @@ func encodeGroupCols(e *enc, c *engine.GroupCols) error {
 	for i := range c.Aggs {
 		col := &c.Aggs[i]
 		ashe := col.Kind == engine.AggAsheSum
+		if col.RangeOff != nil {
+			return fmt.Errorf("wire: encode result: aggregate %d's identifier lists are decoded (a merged result is not framed)", i)
+		}
 		if ashe && len(col.IDOff) != n+1 || col.Lane != nil && len(col.Lane) != n || col.Lane == nil && len(col.Vals) != n {
 			return fmt.Errorf("wire: encode result: aggregate %d's column does not hold %d groups", i, n)
 		}

@@ -9,6 +9,7 @@ import (
 	"math/big"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -282,6 +283,34 @@ func TestResultRoundTripProperty(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEncodeResultRefusesDecodedColumn: a merged result keeps its identifier
+// lists decoded for the decrypter beside it, and nothing frames one; asking
+// EncodeResult to is an error that names the aggregate, never a frame with the
+// lists left out.
+func TestEncodeResultRefusesDecodedColumn(t *testing.T) {
+	pl := &engine.Plan{Aggs: []engine.Agg{{Kind: engine.AggCount}, {Kind: engine.AggAsheSum, Col: "v"}},
+		GroupBy: &engine.GroupBy{Col: "k"}, Partial: true, Codec: idlist.VBDiff}
+	shards := []*engine.Result{
+		propResult(t, store.U64, false, pl.Aggs, 8, 0),
+		propResult(t, store.U64, false, pl.Aggs, 8, 1),
+	}
+	merged, err := engine.Merge(pl, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if col := &merged.Cols.Aggs[1]; col.RangeOff == nil || col.IDOff != nil {
+		t.Fatal("the merged ASHE column is not decoded")
+	}
+	_, err = EncodeResult(idlist.VBDiff.Name(), merged, nil, Version)
+	if err == nil || !strings.Contains(err.Error(), "aggregate 1's identifier lists are decoded") {
+		t.Fatalf("framing a merged result: %v, want an error naming aggregate 1", err)
+	}
+	// The shards' own results, encoded, frame as ever.
+	if _, err := EncodeResult(idlist.VBDiff.Name(), shards[0], nil, Version); err != nil {
+		t.Fatal(err)
 	}
 }
 

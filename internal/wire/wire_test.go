@@ -142,9 +142,8 @@ func TestPlanRoundTrip(t *testing.T) {
 					{Kind: engine.AggPaillierSum, Col: "revenue_p", PK: testPK},
 					{Kind: engine.AggOpeMax, Col: "day_ope", Companion: "revenue"},
 				},
-				GroupBy:          &engine.GroupBy{Col: "store", Inflate: 7},
-				Codec:            idlist.VBDiff,
-				CompressAtDriver: true,
+				GroupBy: &engine.GroupBy{Col: "store", Inflate: 7},
+				Codec:   idlist.VBDiff,
 			},
 		},
 		"scan": {
@@ -458,8 +457,8 @@ func TestCancelFrameType(t *testing.T) {
 	if MsgCancel.String() != "cancel" || MsgResultChunk.String() != "result-chunk" {
 		t.Fatalf("lifecycle frame names: %v, %v", MsgCancel, MsgResultChunk)
 	}
-	if Version != 11 {
-		t.Fatalf("protocol version = %d, want 11 (a bump must re-capture the golden frames)", Version)
+	if Version != 12 {
+		t.Fatalf("protocol version = %d, want 12 (a bump must re-capture the golden frames)", Version)
 	}
 	if MsgSegmentList.String() != "segment-list" || MsgSegmentFetch.String() != "segment-fetch" || MsgSegmentData.String() != "segment-data" {
 		t.Fatalf("segment frame names: %v, %v, %v", MsgSegmentList, MsgSegmentFetch, MsgSegmentData)

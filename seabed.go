@@ -252,10 +252,6 @@ func WithSelectivity(prob float64, seed uint64) QueryOption {
 // WithCodec overrides the identifier-list codec (the Figure 8 sweep).
 func WithCodec(c idlist.Codec) QueryOption { return client.WithCodec(c) }
 
-// WithCompressAtDriver moves result compression from workers to the driver
-// (the §4.5 ablation).
-func WithCompressAtDriver() QueryOption { return client.WithCompressAtDriver() }
-
 // WithServerOnly skips client-side decryption, matching experiments that
 // measure only server latency (§6.7).
 func WithServerOnly() QueryOption { return client.WithServerOnly() }
