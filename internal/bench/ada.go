@@ -9,7 +9,6 @@ import (
 
 	"seabed/internal/client"
 	"seabed/internal/engine"
-	"seabed/internal/netsim"
 	"seabed/internal/planner"
 	"seabed/internal/translate"
 	"seabed/internal/workload"
@@ -169,12 +168,12 @@ func Links(cfg Config, w io.Writer) error {
 	}
 	cm := cfg.model()
 	baseNet := cm.of(&res.Metrics, res.ClientTime).Network
-	for _, link := range []netsim.Link{netsim.InCluster, netsim.WAN100, netsim.WAN10} {
-		cm.ClientLink = link
+	for _, l := range []link{linkInCluster, linkWAN100, linkWAN10} {
+		cm.ClientLink = l
 		net := cm.of(&res.Metrics, res.ClientTime).Network
 		extra := net - baseNet
 		fmt.Fprintf(w, "%-16s network=%10s result=%6.1fKB  extra vs in-cluster: %8s (+%5.2f%% of the paper's 17.8s median)\n",
-			link, net, float64(res.Metrics.ResultBytes)/1e3,
+			l, net, float64(res.Metrics.ResultBytes)/1e3,
 			extra, 100*extra.Seconds()/paperMedian)
 	}
 	fmt.Fprintln(w, "(paper: +1% at 100Mbps/10ms, +12% at 10Mbps/100ms — ID lists are small)")

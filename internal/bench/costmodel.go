@@ -1,11 +1,11 @@
 package bench
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
 	"seabed/internal/engine"
-	"seabed/internal/netsim"
 )
 
 // costModel stands in for the paper's testbed (§6.1–6.2, §6.6): a cluster of
@@ -19,9 +19,9 @@ type costModel struct {
 	// Workers is the simulated core count (the x-axis of Figure 7).
 	Workers int
 	// ShuffleLink carries map→reduce traffic, one link per reducer.
-	ShuffleLink netsim.Link
+	ShuffleLink link
 	// ClientLink carries the result to the proxy (§6.6 degrades it).
-	ClientLink netsim.Link
+	ClientLink link
 	// StragglerProb makes each map task a straggler with that probability
 	// (§6.2 observed GC stragglers), drawn from a generator seeded by Seed
 	// alone so the picks repeat; a straggler's duration is multiplied by
@@ -34,7 +34,53 @@ type costModel struct {
 // paperModel is the testbed as the paper ran it: in-cluster links, no
 // injected stragglers.
 func paperModel(workers int, seed int64) costModel {
-	return costModel{Workers: workers, ShuffleLink: netsim.Shuffle, ClientLink: netsim.InCluster, Seed: uint64(seed)}
+	return costModel{Workers: workers, ShuffleLink: linkShuffle, ClientLink: linkInCluster, Seed: uint64(seed)}
+}
+
+// link is a modelled network link: a bandwidth and a one-way latency. The
+// paper's testbed places the client inside the Azure cluster (≈2 Gbps,
+// sub-ms), then degrades the link to 100 Mbps/10 ms and 10 Mbps/100 ms to
+// measure sensitivity (§6.1, §6.6); those three operating points and the
+// shuffle's per-worker link are predefined below.
+type link struct {
+	bitsPerSecond float64
+	latency       time.Duration
+}
+
+var (
+	// linkInCluster is the default client placement: a node in the same
+	// cluster (TCP throughput ≈ 2 Gbps).
+	linkInCluster = link{bitsPerSecond: 2e9, latency: 500 * time.Microsecond}
+	// linkWAN100 is the 100 Mbps / 10 ms degraded link of §6.6.
+	linkWAN100 = link{bitsPerSecond: 100e6, latency: 10 * time.Millisecond}
+	// linkWAN10 is the 10 Mbps / 100 ms degraded link of §6.6.
+	linkWAN10 = link{bitsPerSecond: 10e6, latency: 100 * time.Millisecond}
+	// linkShuffle is the per-worker in-cluster link map→reduce traffic takes.
+	linkShuffle = link{bitsPerSecond: 1e9, latency: 200 * time.Microsecond}
+)
+
+// transferTime returns the modelled time to move the given number of bytes
+// across the link: latency plus serialization delay.
+func (l link) transferTime(bytes int) time.Duration {
+	if bytes < 0 {
+		bytes = 0
+	}
+	if l.bitsPerSecond <= 0 {
+		return l.latency
+	}
+	sec := float64(bytes) * 8 / l.bitsPerSecond
+	return l.latency + time.Duration(sec*float64(time.Second))
+}
+
+// String implements fmt.Stringer, e.g. "2.0Gbps/500µs".
+func (l link) String() string {
+	switch {
+	case l.bitsPerSecond >= 1e9:
+		return fmt.Sprintf("%.1fGbps/%v", l.bitsPerSecond/1e9, l.latency)
+	case l.bitsPerSecond >= 1e6:
+		return fmt.Sprintf("%.0fMbps/%v", l.bitsPerSecond/1e6, l.latency)
+	}
+	return fmt.Sprintf("%.0fbps/%v", l.bitsPerSecond, l.latency)
 }
 
 // model is the testbed an experiment's Config describes.
@@ -87,9 +133,9 @@ func (c costModel) ofShuffle(m *engine.Metrics, client time.Duration, shuffleByt
 	// the partials stream to the driver over one link.
 	out := modelled{
 		Map:     makespan(tasks, c.Workers),
-		Shuffle: c.ShuffleLink.TransferTime(shuffleBytes / max(m.ReduceTasks, 1)),
+		Shuffle: c.ShuffleLink.transferTime(shuffleBytes / max(m.ReduceTasks, 1)),
 		Reduce:  makespan(m.ReduceTaskTimes, c.Workers),
-		Network: c.ClientLink.TransferTime(m.ResultBytes),
+		Network: c.ClientLink.transferTime(m.ResultBytes),
 	}
 	out.Server = out.Map + out.Shuffle + out.Reduce + m.DriverTime
 	out.Total = out.Server + out.Network + client

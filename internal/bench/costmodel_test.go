@@ -8,7 +8,6 @@ import (
 
 	"seabed/internal/client"
 	"seabed/internal/engine"
-	"seabed/internal/netsim"
 	"seabed/internal/translate"
 )
 
@@ -169,19 +168,19 @@ func TestCostModelPin(t *testing.T) {
 		{16, 24 * time.Millisecond, 3 * time.Millisecond},
 		{100, 20 * time.Millisecond, 3 * time.Millisecond},
 	} {
-		for _, link := range []netsim.Link{netsim.InCluster, netsim.WAN100, netsim.WAN10} {
+		for _, l := range []link{linkInCluster, linkWAN100, linkWAN10} {
 			cm := paperModel(tc.workers, 42)
-			cm.ClientLink = link
+			cm.ClientLink = l
 			want := modelled{
 				Map:     tc.mapT,
-				Shuffle: netsim.Shuffle.TransferTime(1_000_000),
+				Shuffle: linkShuffle.transferTime(1_000_000),
 				Reduce:  tc.redT,
-				Network: link.TransferTime(250_000),
+				Network: l.transferTime(250_000),
 			}
 			want.Server = want.Map + want.Shuffle + want.Reduce + driver
 			want.Total = want.Server + want.Network + client
 			if got := cm.of(&m, client); got != want {
-				t.Errorf("%d workers over %v:\n got %+v\nwant %+v", tc.workers, link, got, want)
+				t.Errorf("%d workers over %v:\n got %+v\nwant %+v", tc.workers, l, got, want)
 			}
 		}
 	}
@@ -189,23 +188,71 @@ func TestCostModelPin(t *testing.T) {
 	// Without a reduce stage one link carries every partial to the driver.
 	m.ReduceTasks, m.ReduceTaskTimes = 0, nil
 	got := paperModel(16, 42).of(&m, 0)
-	if got.Shuffle != netsim.Shuffle.TransferTime(3_000_001) || got.Reduce != 0 {
+	if got.Shuffle != linkShuffle.transferTime(3_000_001) || got.Reduce != 0 {
 		t.Errorf("no reducers: shuffle %v, reduce %v", got.Shuffle, got.Reduce)
 	}
 
 	// The links are the paper's: §6.1's in-cluster placement and §6.6's two
 	// degraded settings, latency plus serialization delay.
 	for _, tc := range []struct {
-		link netsim.Link
+		link link
 		want time.Duration
 	}{
-		{netsim.InCluster, 500*time.Microsecond + time.Millisecond},
-		{netsim.WAN100, 10*time.Millisecond + 20*time.Millisecond},
-		{netsim.WAN10, 100*time.Millisecond + 200*time.Millisecond},
-		{netsim.Shuffle, 200*time.Microsecond + 2*time.Millisecond},
+		{linkInCluster, 500*time.Microsecond + time.Millisecond},
+		{linkWAN100, 10*time.Millisecond + 20*time.Millisecond},
+		{linkWAN10, 100*time.Millisecond + 200*time.Millisecond},
+		{linkShuffle, 200*time.Microsecond + 2*time.Millisecond},
 	} {
-		if got := tc.link.TransferTime(250_000); got != tc.want {
+		if got := tc.link.transferTime(250_000); got != tc.want {
 			t.Errorf("%v moves 250 kB in %v, want %v", tc.link, got, tc.want)
+		}
+	}
+}
+
+func TestTransferTime(t *testing.T) {
+	l := link{bitsPerSecond: 8e6, latency: 10 * time.Millisecond} // 1 MB/s
+	got := l.transferTime(1 << 20)                                // 1 MiB
+	want := 10*time.Millisecond + time.Duration(float64(1<<20)*8/8e6*float64(time.Second))
+	if got != want {
+		t.Fatalf("transferTime = %v, want %v", got, want)
+	}
+}
+
+func TestTransferTimeZeroBytes(t *testing.T) {
+	if got := linkWAN10.transferTime(0); got != linkWAN10.latency {
+		t.Fatalf("zero-byte transfer = %v, want latency %v", got, linkWAN10.latency)
+	}
+	if got := linkWAN10.transferTime(-5); got != linkWAN10.latency {
+		t.Fatalf("negative bytes = %v, want latency", got)
+	}
+}
+
+func TestTransferTimeDegenerateLink(t *testing.T) {
+	l := link{latency: time.Millisecond}
+	if got := l.transferTime(1 << 30); got != time.Millisecond {
+		t.Fatalf("zero-bandwidth link should cost only latency, got %v", got)
+	}
+}
+
+func TestLinkOrdering(t *testing.T) {
+	// The three paper settings must be strictly ordered for any payload.
+	const payload = 100 << 10
+	if !(linkInCluster.transferTime(payload) < linkWAN100.transferTime(payload)) {
+		t.Fatal("InCluster should beat WAN100")
+	}
+	if !(linkWAN100.transferTime(payload) < linkWAN10.transferTime(payload)) {
+		t.Fatal("WAN100 should beat WAN10")
+	}
+}
+
+func TestLinkString(t *testing.T) {
+	for l, want := range map[link]string{
+		linkInCluster: "2.0Gbps/500µs",
+		linkWAN100:    "100Mbps/10ms",
+		linkWAN10:     "10Mbps/100ms",
+	} {
+		if got := l.String(); got != want {
+			t.Errorf("String = %q, want %q", got, want)
 		}
 	}
 }

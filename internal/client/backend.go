@@ -39,10 +39,8 @@ type ClusterBackend interface {
 	// the in-process engine shares the proxy's table pointer and treats this
 	// as a no-op.
 	AppendTable(ctx context.Context, ref string, batch *store.Table) error
-	// Run executes a physical plan and returns its result. Implementations
-	// must record the effective identifier-list codec in pl.Codec when the
-	// plan left it nil, so the proxy decodes with the codec the engine used.
-	// A canceled context makes Run return ctx.Err() promptly, abandoning the
+	// Run executes a physical plan and returns its result. A canceled
+	// context makes Run return ctx.Err() promptly, abandoning the
 	// server-side work as best the transport allows.
 	Run(ctx context.Context, pl *engine.Plan) (*engine.Result, error)
 	// RunStream executes a scan plan like Run but delivers the matching rows

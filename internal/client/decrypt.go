@@ -80,12 +80,9 @@ type decrypter struct {
 }
 
 // newDecrypter builds a decrypter over the given key ring and identifier-
-// list codec (nil falls back to idlist.Default). Shared by the materialized
-// path (Decrypt) and the streaming path (stream.go).
+// list codec. Shared by the materialized path (Decrypt) and the streaming
+// path (stream.go).
 func newDecrypter(ring *KeyRing, codec idlist.Codec) *decrypter {
-	if codec == nil {
-		codec = idlist.Default
-	}
 	return &decrypter{
 		ring:     ring,
 		asheKeys: make(map[string]*ashe.Key),
@@ -120,7 +117,7 @@ func (d *decrypter) det(col string) *det.Key {
 // are already decoded and are read where they lie.
 func Decrypt(tr *translate.Translation, res *engine.Result, ring *KeyRing) (*Result, error) {
 	start := time.Now()
-	d := newDecrypter(ring, tr.Server.Codec)
+	d := newDecrypter(ring, tr.Server.EffectiveCodec())
 	out := &Result{Metrics: res.Metrics}
 
 	if len(tr.Client.ScanCols) > 0 {

@@ -38,7 +38,7 @@ func (b *splitBackend) Run(ctx context.Context, pl *engine.Plan) (*engine.Result
 		if err != nil {
 			return nil, err
 		}
-		partials[k], pl.Codec = res, scoped.Codec
+		partials[k] = res
 	}
 	merged, err := engine.Merge(pl, partials)
 	if err != nil || !b.view {
@@ -124,7 +124,6 @@ func BenchmarkMergeToDecrypt(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				pl.Codec = scoped.Codec
 				frame, err := wire.EncodeResult(pl.Codec.Name(), res, nil, wire.Version)
 				if err != nil {
 					b.Fatal(err)

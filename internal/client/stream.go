@@ -48,7 +48,7 @@ func (p *Proxy) streamQuery(ctx context.Context, cancel context.CancelFunc, aq *
 		batches: make(chan []engine.ScanRow, 1),
 		final:   make(chan streamFinal, 1),
 		tr:      tr,
-		dec:     newDecrypter(p.ring, tr.Server.Codec),
+		dec:     newDecrypter(p.ring, tr.Server.EffectiveCodec()),
 		run:     root.StartChild("run"),
 	}
 	// A fully drained stream that is then Closed finishes twice; deliver the

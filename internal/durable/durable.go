@@ -6,18 +6,20 @@
 // package plays that role for the daemons, with a design borrowed from
 // log-structured storage engines:
 //
-//   - Registered tables flush as immutable columnar segment files
-//     ("SBSG" v2, specified in docs/FORMAT.md): a CRC'd directory header
-//     followed by 8-aligned column extents, each with its own CRC, so the
-//     file can be memory-mapped and served in place. Bit rot is detected
-//     at read time — header eagerly at Open, extents lazily at first
-//     fault — never served to a query. A file of any other format in a
-//     table directory fails Open with an error naming it.
+//   - Registered tables flush as immutable segment files, each the table's
+//     image (store's one table encoding, "SBSG" v3, specified in
+//     docs/FORMAT.md): a CRC'd directory header followed by 8-aligned
+//     column extents, each with its own CRC, so the file can be
+//     memory-mapped and served in place. Bit rot is detected at read time
+//     — header eagerly at Open, extents lazily at first fault — never
+//     served to a query. A file of any other format in a table directory
+//     fails Open with an error naming it.
 //   - Appends journal to a per-table write-ahead log before they are
-//     acknowledged (length-prefixed, checksummed records; fsync per the
-//     configured policy). Past Options.CompactBytes the accumulated batches
-//     compact into a new segment and the log resets — segments already
-//     written are never rewritten.
+//     acknowledged (length-prefixed, checksummed records, each holding the
+//     batch's image; fsync per the configured policy). Past
+//     Options.CompactBytes the accumulated batches compact into a new
+//     segment and the log resets — segments already written are never
+//     rewritten.
 //   - A versioned manifest, replaced by atomic rename, is the commit
 //     point: it names the live segment set per table. Anything on disk the
 //     manifest doesn't reference is a leftover of a crashed operation and
@@ -40,7 +42,6 @@
 package durable
 
 import (
-	"bytes"
 	"fmt"
 	"log/slog"
 	"os"
@@ -139,8 +140,8 @@ type RecoveryStats struct {
 	// eagerly read bytes plus MappedBytes.
 	Bytes int64
 	// MappedBytes is the subset of Bytes recovery mapped rather than read —
-	// v2 columnar segments whose columns fault in on first query instead of
-	// being decoded at startup.
+	// segments whose columns fault in on first query instead of being
+	// decoded at startup.
 	MappedBytes int64
 	// Duration is recovery wall-clock time, tables recovering in parallel.
 	Duration time.Duration
@@ -450,11 +451,11 @@ func (s *Store) Append(ref string, batch *store.Table) error {
 			ref, batch.Parts[0].StartID, st.endID)
 	}
 	journalStart := time.Now()
-	var buf bytes.Buffer
-	if _, err := batch.WriteTo(&buf); err != nil {
-		return fmt.Errorf("durable: serialize batch: %w", err)
+	img, err := store.AppendImage(nil, batch)
+	if err != nil {
+		return fmt.Errorf("durable: encode batch: %w", err)
 	}
-	if err := st.wal.append(buf.Bytes(), s.opts.Fsync == FsyncAlways, s.opts.BatchBytes); err != nil {
+	if err := st.wal.append(img, s.opts.Fsync == FsyncAlways, s.opts.BatchBytes); err != nil {
 		return err
 	}
 	if s.mAppend != nil {

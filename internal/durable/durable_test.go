@@ -550,6 +550,48 @@ func TestCompactionFailureDoesNotFailAppend(t *testing.T) {
 	}
 }
 
+// parentFormatRecord returns the checked-in WAL holding one record its parent
+// format wrote: a length, a CRC that holds, and a three-row batch in the
+// varint batch serialization that preceded the table image.
+func parentFormatRecord(t *testing.T) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "sbd1-record.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestOpenRefusesParentFormatWALRecord: a WAL record whose checksum holds
+// but whose payload is not a table image — one written before the image was
+// the WAL's payload — is corruption to recovery, not a tear: Open fails with
+// an error naming the record's offset and leaves the log as it found it.
+func TestOpenRefusesParentFormatWALRecord(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	if err := s.Register("x", mkTable(t, "x", 1, 10, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	record := parentFormatRecord(t)
+	if err := os.WriteFile(findWAL(t, dir), record, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(Options{Dir: dir})
+	if err == nil {
+		s2.Close() //nolint:errcheck // test failure path
+		t.Fatal("open replayed a parent-format wal record")
+	}
+	if !strings.Contains(err.Error(), "wal record at offset 0") || !strings.Contains(err.Error(), "not an SBSG image") {
+		t.Fatalf("open error %v does not name the record's offset and the expected format", err)
+	}
+	if raw, err := os.ReadFile(findWAL(t, dir)); err != nil || !bytes.Equal(raw, record) {
+		t.Fatalf("the failed recovery altered the wal (%v)", err)
+	}
+}
+
 // TestOversizedWALRecordRejected checks the append-side record bound: a
 // record the replay path would truncate as a tear must be refused up
 // front, before it is acknowledged.

@@ -129,9 +129,10 @@ func TestTruncatedSegmentFailsOpen(t *testing.T) {
 }
 
 // TestOpenRefusesNonSBSGSegment overwrites a committed segment with bytes in
-// another format — the SBD1 batch serialization a pre-columnar daemon wrote
-// there — and requires Open to fail with an error naming the file, never to
-// serve a table read some other way.
+// another format — the batch serialization a pre-columnar daemon wrote there,
+// taken from the checked-in parent-format WAL record — and requires Open to
+// fail with an error naming the file, never to serve a table read some other
+// way.
 func TestOpenRefusesNonSBSGSegment(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
@@ -142,7 +143,7 @@ func TestOpenRefusesNonSBSGSegment(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(segPath(t, dir), serialize(t, tbl), 0o644); err != nil {
+	if err := os.WriteFile(segPath(t, dir), parentFormatRecord(t)[walHeaderSize:], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(Options{Dir: dir})
@@ -243,10 +244,7 @@ func resealHeader(seg []byte) {
 // carries a width; a segment that breaks either — header CRC intact — is
 // refused with an error naming the column. So is a version-2 segment.
 func TestSegmentWidthRuleAtOpen(t *testing.T) {
-	good, err := EncodeSegment(mkTable(t, "x", 1, 40, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := serialize(t, mkTable(t, "x", 1, 40, 1))
 	if _, err := DecodeSegment(good); err != nil {
 		t.Fatal(err)
 	}
@@ -293,15 +291,16 @@ func faultFixture(tb testing.TB, rows int) *segPartLoader {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	seg, err := EncodeSegment(tbl)
+	seg, err := store.AppendImage(nil, tbl)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dir, err := store.ParseImage(seg)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	m := &mappedSegment{path: "(test segment)", data: seg}
-	if err := m.parseHeader(); err != nil {
-		tb.Fatal(err)
-	}
-	return &segPartLoader{seg: m, pi: 0}
+	return &segPartLoader{seg: m, part: &dir.Parts[0], verified: make([]bool, 2)}
 }
 
 // TestFaultInFixedColumnIsConstantWork: once its CRC is verified, faulting a
@@ -316,7 +315,7 @@ func TestFaultInFixedColumnIsConstantWork(t *testing.T) {
 		}
 		allocs := testing.AllocsPerRun(100, func() {
 			col, err := l.LoadColumn(1)
-			if err != nil || col.Len() != rows || &col.Fixed[0] != &l.seg.data[l.seg.parts[0].cols[1].off] {
+			if err != nil || col.Len() != rows || &col.Fixed[0] != &l.seg.data[l.part.Cols[1].Off] {
 				t.Fatalf("fault: %d rows, err %v, aliased %v", col.Len(), err, err == nil)
 			}
 		})

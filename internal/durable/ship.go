@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"bytes"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -13,15 +12,15 @@ import (
 // Segment shipping: the daemon-to-daemon replication surface.
 //
 // A table's durable bytes are already replication-ready — immutable,
-// CRC'd SBSG files plus a WAL tail — so shipping a table to a peer is a
-// file transfer, not a re-encode: ShipManifest inventories the committed
-// segments and snapshots the uncompacted tail, SegmentBytes serves one
-// segment's raw file bytes, and InstallTable on the receiving daemon writes
-// the verified bytes back down byte-for-byte (same names, same CRCs) and
-// journals the tail, so a healed shard's directory is a faithful replica of
-// its source. Memory-only daemons join the same protocol through
-// EncodeSegment/DecodeSegment, which run the columnar codec against a
-// byte slice instead of a file.
+// CRC'd segment files plus a WAL tail, every one of them a table image — so
+// shipping a table to a peer is a file transfer, not a re-encode:
+// ShipManifest inventories the committed segments and snapshots the
+// uncompacted tail, SegmentBytes serves one segment's raw file bytes, and
+// InstallTable on the receiving daemon writes the verified bytes back down
+// byte-for-byte (same names, same CRCs) and journals the tail, so a healed
+// shard's directory is a faithful replica of its source. Memory-only daemons
+// join the same protocol with an image built in memory (store.AppendImage),
+// which DecodeSegment opens as a segment file's bytes are opened.
 
 // ShipSegment describes one shippable committed segment: file name, size,
 // and CRC-32 (IEEE) over the whole file.
@@ -43,33 +42,14 @@ type ShipFile struct {
 	Data []byte
 }
 
-// EncodeSegment encodes t as one columnar segment in memory: the exact
-// bytes writeSegment would put in a file. It is how a memory-only daemon
-// ships a table to a peer.
-func EncodeSegment(t *store.Table) ([]byte, error) {
-	l, err := layoutSegment(t)
-	if err != nil {
-		return nil, err
-	}
-	defer l.release()
-	buf := make([]byte, l.size)
-	err = l.emit(func(off uint64, b []byte) error {
-		copy(buf[off:], b)
-		return nil
-	})
-	return buf, err
-}
-
-// DecodeSegment opens columnar segment bytes without a file: the
-// directory header is validated (CRC included) and the table is built as
-// lazy view partitions aliasing data, whose column extents are CRC-verified
-// on first touch. data must stay immutable for the table's lifetime.
+// DecodeSegment opens an image's bytes as a segment file's are opened,
+// without a file: the directory is validated (header CRC included) and the
+// table is built as lazy view partitions aliasing data, whose column extents
+// are CRC-verified on first touch. data must stay immutable for the table's
+// lifetime.
 func DecodeSegment(data []byte) (*store.Table, error) {
 	m := &mappedSegment{path: "(shipped segment)", data: data}
-	if err := m.parseHeader(); err != nil {
-		return nil, err
-	}
-	return m.table(store.NewResidency(0))
+	return m.open(store.NewResidency(0))
 }
 
 // ShipManifest inventories ref for segment shipping: the committed segment
@@ -192,11 +172,11 @@ func (s *Store) InstallTable(ref string, files []ShipFile, tail *store.Table) (*
 	}
 	st.endID = tbl.EndID()
 	if tail != nil && tail.NumRows() > 0 {
-		var buf bytes.Buffer
-		if _, err := tail.WriteTo(&buf); err != nil {
-			return nil, fmt.Errorf("durable: serialize shipped wal tail: %w", err)
+		img, err := store.AppendImage(nil, tail)
+		if err != nil {
+			return nil, fmt.Errorf("durable: encode shipped wal tail: %w", err)
 		}
-		if err := st.wal.append(buf.Bytes(), true, s.opts.BatchBytes); err != nil {
+		if err := st.wal.append(img, true, s.opts.BatchBytes); err != nil {
 			return nil, err
 		}
 		if err := tbl.AppendTable(tail); err != nil {

@@ -8,12 +8,12 @@ import (
 	"testing"
 )
 
+// TestEncodeDecodeSegmentRoundTrip: a table's image (WriteTo) is the segment
+// file writeSegment produces for it, byte for byte, and DecodeSegment opens
+// it as that file's bytes are opened.
 func TestEncodeDecodeSegmentRoundTrip(t *testing.T) {
 	tbl := mkTable(t, "ship", 1, 500, 3)
-	data, err := EncodeSegment(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := serialize(t, tbl)
 	got, err := DecodeSegment(data)
 	if err != nil {
 		t.Fatal(err)
@@ -22,8 +22,7 @@ func TestEncodeDecodeSegmentRoundTrip(t *testing.T) {
 		t.Fatal("decoded segment differs from source table")
 	}
 
-	// The in-memory encoding IS the file encoding: writeSegment must emit
-	// the identical bytes.
+	// The image IS the file: writeSegment must emit the identical bytes.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "seg-000001.seg")
 	if _, err := writeSegment(path, tbl); err != nil {
@@ -34,7 +33,7 @@ func TestEncodeDecodeSegmentRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(data, fileBytes) {
-		t.Fatal("EncodeSegment bytes differ from writeSegment file bytes")
+		t.Fatal("WriteTo bytes differ from writeSegment file bytes")
 	}
 
 	// Corruption in the header fails decode immediately.
@@ -147,10 +146,7 @@ func TestInstallTableRejectsBadInput(t *testing.T) {
 	s := openStore(t, t.TempDir())
 	defer s.Close()
 
-	seg, err := EncodeSegment(mkTable(t, "x", 1, 10, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	seg := serialize(t, mkTable(t, "x", 1, 10, 1))
 	// Hostile names must not escape the table directory.
 	for _, name := range []string{"../evil.seg", "wal.log", "seg-1.seg", "@wal", ""} {
 		if _, err := s.InstallTable("x@NoEnc", []ShipFile{{Name: name, Data: seg}}, nil); err == nil {

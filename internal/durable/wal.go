@@ -2,7 +2,6 @@ package durable
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -20,13 +19,15 @@ import (
 //
 //	u32 payload length (LE) | u32 CRC32-IEEE of payload (LE) | payload
 //
-// where the payload is the batch in store.WriteTo serialization — the same
-// header layout as store's segment frames, so one inspection tool reads
-// both. Records are written with a single write() and made durable per the
-// store's fsync policy; recovery replays intact records in order and
-// truncates the log at the first torn or checksum-failing record, which is
-// the crash-consistency contract: a record is either wholly in (it was
-// acknowledged, or raced the crash and wins harmlessly) or wholly dropped.
+// where the payload is the batch's table image (store.AppendImage) — the
+// encoding of a segment file, so one parser reads both. Records are written
+// with a single write() and made durable per the store's fsync policy;
+// recovery replays intact records in order and truncates the log at the
+// first torn or checksum-failing record, which is the crash-consistency
+// contract: a record is either wholly in (it was acknowledged, or raced the
+// crash and wins harmlessly) or wholly dropped. A record whose checksum holds
+// but whose payload is not an image — a record an earlier format wrote — fails
+// recovery with an error naming its offset.
 
 const (
 	walName       = "wal.log"
@@ -187,7 +188,7 @@ func replayWAL(path string) (batches []*store.Table, goodBytes int64, torn bool,
 		if crc32.ChecksumIEEE(payload) != sum {
 			return batches, offset, true, nil
 		}
-		batch, derr := store.Read(bytes.NewReader(payload))
+		batch, derr := store.DecodeImage(payload)
 		if derr != nil {
 			return nil, 0, false, fmt.Errorf("durable: wal record at offset %d passed its checksum but failed to decode: %w", offset, derr)
 		}

@@ -372,11 +372,11 @@ func TestDifferentialExecutors(t *testing.T) {
 	}
 }
 
-// viewOf returns tbl as a daemon serves it after a restart: encoded as a
-// segment and reopened as view partitions over the segment's bytes.
+// viewOf returns tbl as a daemon serves it after a restart: encoded as its
+// image, a segment file's bytes, and reopened as view partitions over them.
 func viewOf(tb testing.TB, tbl *store.Table) *store.Table {
 	tb.Helper()
-	seg, err := durable.EncodeSegment(tbl)
+	seg, err := store.AppendImage(nil, tbl)
 	if err != nil {
 		tb.Fatal(err)
 	}

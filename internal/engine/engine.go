@@ -250,9 +250,9 @@ type Plan struct {
 	// Project switches the plan to scan mode: matching rows are returned
 	// with their global identifiers and these columns' values.
 	Project []string
-	// Codec encodes ASHE identifier lists for transfer. Defaults to
-	// idlist.Default for plain aggregation and idlist.VBDiff for group-by
-	// (§4.5).
+	// Codec encodes ASHE identifier lists for transfer. Nil means
+	// EffectiveCodec's default: idlist.Default for plain aggregation and
+	// idlist.VBDiff for group-by (§4.5).
 	Codec idlist.Codec
 }
 

@@ -7,6 +7,7 @@ import (
 	mrand "math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"seabed/internal/ashe"
@@ -113,6 +114,41 @@ func TestAsheSumDecrypts(t *testing.T) {
 	// All rows selected and ids contiguous: the final list must be 1 range.
 	if ct.IDs.NumRanges() != 1 {
 		t.Fatalf("id ranges = %d, want 1", ct.IDs.NumRanges())
+	}
+}
+
+// TestOnePlanRunsConcurrently: Run only reads its plan — it writes back no
+// codec for a plan that named none — so one plan may run on many goroutines
+// at once, and every run encodes with the plan's EffectiveCodec. Under -race
+// a write-back is a reported race; without it, a codec left in the plan.
+func TestOnePlanRunsConcurrently(t *testing.T) {
+	tbl, _, _ := fixture(t, 1000, 7)
+	c := cluster()
+	for _, pl := range []*Plan{
+		{Table: tbl, Aggs: []Agg{{Kind: AggAsheSum, Col: "v_ashe"}}},
+		{Table: tbl, Aggs: []Agg{{Kind: AggAsheSum, Col: "v_ashe"}}, GroupBy: &GroupBy{Col: "d_det"}},
+	} {
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := c.Run(context.Background(), pl)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, g := range res.View() {
+					if _, err := pl.EffectiveCodec().Decode(g.Aggs[0].Ashe.Encoded); err != nil {
+						t.Errorf("a list does not decode with the plan's codec: %v", err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if pl.Codec != nil {
+			t.Fatalf("Run wrote codec %q into the caller's plan", pl.Codec.Name())
+		}
 	}
 }
 

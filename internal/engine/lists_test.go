@@ -285,7 +285,7 @@ func TestDifferentialMergedLists(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			codec := tc.plan(tbl, right).effectiveCodec()
+			codec := tc.plan(tbl, right).EffectiveCodec()
 			wantLists := asheColumns(t, whole.Cols, codec)
 			wantSums := asheSums(whole.Cols, wantLists)
 			for split, subs := range map[string][]*store.Table{"contiguous": tbl.SplitRanges(3), "interleaved": deal(tbl)} {

@@ -128,7 +128,7 @@ func mergeGroups(pl *Plan, sets []*GroupCols) (*GroupCols, error) {
 	if len(sets) == 0 {
 		return nil, nil
 	}
-	codec := pl.effectiveCodec()
+	codec := pl.EffectiveCodec()
 	for i, a := range pl.Aggs {
 		if a.Kind == AggPaillierSum && a.PK == nil {
 			return nil, fmt.Errorf("engine: merge: Paillier aggregate %d without public key", i)

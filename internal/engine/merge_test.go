@@ -32,8 +32,6 @@ func shardRuns(t *testing.T, cl *Cluster, tbl *store.Table, mkPlan func(tbl *sto
 		if partials[i], err = cl.Run(context.Background(), pl); err != nil {
 			t.Fatal(err)
 		}
-		// Every shard resolves the same effective codec; the merge reuses it.
-		merged.Codec = pl.Codec
 	}
 	return merged, partials, whole
 }

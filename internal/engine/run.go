@@ -154,11 +154,7 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSi
 			return nil, fmt.Errorf("engine: join key kinds differ (%v left vs %v right)", lk, rk)
 		}
 	}
-	if pl.Codec == nil {
-		// Record the effective codec so the client decodes with the same one.
-		pl.Codec = pl.effectiveCodec()
-	}
-	codec := pl.Codec
+	codec := pl.EffectiveCodec()
 
 	var metrics Metrics
 
@@ -344,9 +340,11 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSi
 	return out, nil
 }
 
-// effectiveCodec is the plan's identifier-list codec, or the default for its
-// shape when the plan names none.
-func (pl *Plan) effectiveCodec() idlist.Codec {
+// EffectiveCodec is the plan's identifier-list codec, or the default for its
+// shape when the plan names none: the one definition of that default, which
+// translate.Translate writes into every plan it builds. Nothing writes it back
+// into a plan at run time, so one plan may run any number of times at once.
+func (pl *Plan) EffectiveCodec() idlist.Codec {
 	switch {
 	case pl.Codec != nil:
 		return pl.Codec

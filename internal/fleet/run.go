@@ -84,19 +84,15 @@ func (c *Cluster) liveReplicas(k int, skip map[int]bool) []int {
 type attemptResult struct {
 	daemon int
 	res    *engine.Result
-	req    *wire.PlanRequest // the attempt's cloned request (carries the codec)
 	err    error
 }
 
-// launchAttempt runs req's clone on daemon d under its own cancelable
-// context and delivers the outcome to results. The clone is deep enough that
-// concurrent attempts never share a mutable Plan (RunRequest writes
-// Plan.Codec back).
+// launchAttempt runs a copy of req, flagged as a hedge or failover, on daemon
+// d under its own cancelable context and delivers the outcome to results.
+// Concurrent attempts share req's plan, which RunRequest only reads.
 func (c *Cluster) launchAttempt(ctx context.Context, k, d int, req *wire.PlanRequest, hedge, failover bool, results chan<- attemptResult, wg *sync.WaitGroup) context.CancelFunc {
 	actx, cancel := context.WithCancel(ctx)
 	clone := *req
-	plan := *req.Plan
-	clone.Plan = &plan
 	clone.Hedge = hedge
 	clone.Failover = failover
 	wg.Add(1)
@@ -105,7 +101,7 @@ func (c *Cluster) launchAttempt(ctx context.Context, k, d int, req *wire.PlanReq
 		sctx, done := c.rangeSpan(actx, k, d, hedge, failover)
 		res, err := c.daemons[d].RunRequest(sctx, &clone, nil)
 		done()
-		results <- attemptResult{daemon: d, res: res, req: &clone, err: err}
+		results <- attemptResult{daemon: d, res: res, err: err}
 	}()
 	return cancel
 }
@@ -203,9 +199,6 @@ func (c *Cluster) runRange(ctx context.Context, k int, req *wire.PlanRequest, he
 		case ar := <-results:
 			pending--
 			if ar.err == nil {
-				// Propagate the winning attempt's resolved codec to the
-				// range's base request (runRange's caller owns it).
-				req.Plan.Codec = ar.req.Plan.Codec
 				return ar.res, nil
 			}
 			lastErr = ar.err
@@ -231,9 +224,7 @@ func (c *Cluster) runRange(ctx context.Context, k int, req *wire.PlanRequest, he
 // Run implements ClusterBackend: the plan scatters one envelope-scoped
 // Partial sub-query per range — each to the range's first live replica, with
 // error failover and quantile-triggered hedging (see the package comment) —
-// and the partials gather with engine.Merge, columns in and columns out. Like
-// the other backends, Run records the effective identifier-list codec in
-// pl.Codec when the plan left it nil.
+// and the partials gather with engine.Merge, columns in and columns out.
 func (c *Cluster) Run(ctx context.Context, pl *engine.Plan) (*engine.Result, error) {
 	start := time.Now()
 	_, reqs, err := c.scatterPlans(ctx, pl)
@@ -293,16 +284,13 @@ func (c *Cluster) Run(ctx context.Context, pl *engine.Plan) (*engine.Result, err
 		return nil, first
 	}
 
-	return gather(pl, reqs, results, start)
+	return gather(pl, results, start)
 }
 
 // gather merges the ranges' partials with engine.Merge and stamps the merged
 // result with the coordinator's own clock: ServerTime is the wall since start,
 // scatter and merge, not something composed from the daemons' reports.
-func gather(pl *engine.Plan, reqs []*wire.PlanRequest, results []*engine.Result, start time.Time) (*engine.Result, error) {
-	if pl.Codec == nil {
-		pl.Codec = reqs[0].Plan.Codec
-	}
+func gather(pl *engine.Plan, results []*engine.Result, start time.Time) (*engine.Result, error) {
 	out, err := engine.Merge(pl, results)
 	if err != nil {
 		return nil, err
@@ -337,7 +325,7 @@ func (c *Cluster) RunStream(ctx context.Context, pl *engine.Plan, sink engine.Sc
 		}
 		results[k] = res
 	}
-	return gather(pl, reqs, results, start)
+	return gather(pl, results, start)
 }
 
 // streamRange runs one range's scan against its replicas in order, failing
@@ -364,14 +352,11 @@ func (c *Cluster) streamRange(ctx context.Context, k int, req *wire.PlanRequest,
 			return sinkErr
 		}
 		clone := *req
-		plan := *req.Plan
-		clone.Plan = &plan
 		clone.Failover = failover
 		sctx, done := c.rangeSpan(ctx, k, d, false, failover)
 		res, err := c.daemons[d].RunRequest(sctx, &clone, guard)
 		done()
 		if err == nil {
-			req.Plan.Codec = clone.Plan.Codec
 			return res, nil
 		}
 		if ctx.Err() != nil {

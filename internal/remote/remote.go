@@ -105,11 +105,12 @@ func (r *RemoteCluster) refOf(t *store.Table) (string, error) {
 
 // RunRequest executes a ref-addressed plan request on the server and returns
 // the decoded result. The request's plan must carry nil Table/Join.Right
-// pointers — tables travel by ref. Like the in-process engine, it records
-// the codec the server actually used in req.Plan.Codec when the request left
-// it nil, so the caller decodes identifier lists with the same one. It is
-// the building block the fleet coordinator uses to address one range's rows
-// without any pointer bookkeeping on the endpoint.
+// pointers — tables travel by ref — and is only read, never written, so one
+// request may run on several daemons at once. A result frame whose
+// identifier lists are in any codec but the plan's is refused with a
+// *CodecMismatchError. It is the building block the fleet coordinator uses
+// to address one range's rows without any pointer bookkeeping on the
+// endpoint.
 //
 // Scan rows arrive as columnar chunk frames: with a non-nil sink each
 // decoded batch is handed over as it lands (the result's Scan stays empty);
@@ -162,14 +163,23 @@ func (r *RemoteCluster) RunRequest(ctx context.Context, req *wire.PlanRequest, s
 	if len(collected) > 0 {
 		res.Scan = append(collected, res.Scan...)
 	}
-	if req.Plan.Codec == nil {
-		codec, err := wire.CodecByName(codecName)
-		if err != nil {
-			return nil, err
-		}
-		req.Plan.Codec = codec
+	if want := req.Plan.EffectiveCodec().Name(); codecName != want {
+		return nil, &CodecMismatchError{Plan: want, Frame: codecName}
 	}
 	return res, nil
+}
+
+// CodecMismatchError is a result frame whose identifier lists are encoded
+// with a codec other than the plan's: a daemon that broke protocol, whose
+// lists the proxy would decode wrongly.
+type CodecMismatchError struct {
+	// Plan and Frame name the plan's codec and the one the frame declared.
+	Plan, Frame string
+}
+
+// Error implements error.
+func (e *CodecMismatchError) Error() string {
+	return fmt.Sprintf("remote: result frame's identifier lists are %q, the plan's codec is %q", e.Frame, e.Plan)
 }
 
 // runPlan rewrites a pointer-carrying plan into a ref-addressed request and
@@ -199,20 +209,11 @@ func (r *RemoteCluster) runPlan(ctx context.Context, pl *engine.Plan, sink engin
 	}
 	req.Plan = &tx
 
-	res, err := r.RunRequest(ctx, &req, sink)
-	if err != nil {
-		return nil, err
-	}
-	if pl.Codec == nil {
-		pl.Codec = req.Plan.Codec
-	}
-	return res, nil
+	return r.RunRequest(ctx, &req, sink)
 }
 
 // Run implements ClusterBackend: the plan is rewritten to reference tables
-// by ref, executed on the server, and the decoded result returned. Like the
-// in-process engine, Run records the effective identifier-list codec in
-// pl.Codec so the proxy decodes with the codec the server used.
+// by ref, executed on the server, and the decoded result returned.
 func (r *RemoteCluster) Run(ctx context.Context, pl *engine.Plan) (*engine.Result, error) {
 	return r.runPlan(ctx, pl, nil)
 }

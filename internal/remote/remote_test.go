@@ -6,6 +6,7 @@ package remote_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -16,6 +17,7 @@ import (
 
 	"seabed/internal/client"
 	"seabed/internal/engine"
+	"seabed/internal/idlist"
 	"seabed/internal/planner"
 	"seabed/internal/remote"
 	"seabed/internal/schema"
@@ -394,6 +396,60 @@ func TestDialRejectsDeadServer(t *testing.T) {
 	ln.Close()
 	if _, err := remote.Dial(addr); err == nil {
 		t.Fatal("dialing a closed listener succeeded")
+	}
+}
+
+// TestRunRefusesAForeignCodec: a daemon whose result frame declares an
+// identifier-list codec other than the plan's broke protocol — the proxy
+// would decode its lists wrongly — so RunRequest refuses the frame with a
+// *remote.CodecMismatchError, for a plan that names its codec and for one
+// that leaves it to the default.
+func TestRunRefusesAForeignCodec(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	frame, err := wire.EncodeResult(idlist.Bitmap.Name(), &engine.Result{}, nil, wire.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				if _, _, err := wire.ReadFrame(conn); err != nil { // the Hello
+					return
+				}
+				wire.WriteFrame(conn, wire.MsgWelcome, wire.EncodeWelcome(wire.Version, 4, 0, 0)) //nolint:errcheck // test peer
+				for {
+					if mt, _, err := wire.ReadFrame(conn); err != nil || mt != wire.MsgRun {
+						return
+					}
+					wire.WriteFrame(conn, wire.MsgResult, frame) //nolint:errcheck // test peer
+				}
+			}()
+		}
+	}()
+	rc, err := remote.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	for _, pl := range []*engine.Plan{
+		{Aggs: []engine.Agg{{Kind: engine.AggAsheSum, Col: "m"}}, GroupBy: &engine.GroupBy{Col: "d"}},
+		{Aggs: []engine.Agg{{Kind: engine.AggAsheSum, Col: "m"}}, Codec: idlist.VBDiff},
+	} {
+		_, err := rc.RunRequest(context.Background(), &wire.PlanRequest{TableRef: "t@Seabed", Plan: pl}, nil)
+		var mismatch *remote.CodecMismatchError
+		if !errors.As(err, &mismatch) || mismatch.Frame != idlist.Bitmap.Name() || mismatch.Plan != pl.EffectiveCodec().Name() {
+			t.Errorf("plan codec %q, frame's %q: err = %v, want a *remote.CodecMismatchError naming both",
+				pl.EffectiveCodec().Name(), idlist.Bitmap.Name(), err)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"hash/crc32"
@@ -19,9 +18,10 @@ import (
 // requests, and — for a fetch naming a source peer — dials that peer
 // itself, pulls the table's segments plus WAL tail, verifies every CRC, and
 // installs the result, so a fleet heals daemon-to-daemon without the proxy
-// re-uploading anything. Durable daemons ship their on-disk files
-// byte-for-byte; memory-only daemons synthesize one in-memory SBSG segment
-// (wire.MemSegment) through durable.EncodeSegment.
+// re-uploading anything. Every shipped piece is a table image: durable
+// daemons ship their on-disk segment files byte-for-byte and their WAL tail
+// (wire.WALSegment) as one image built in memory; memory-only daemons ship
+// the whole table as one (wire.MemSegment).
 
 // handleSegmentList answers a MsgSegmentList request with the manifests of
 // the named table, or of every table when the ref is empty.
@@ -69,7 +69,7 @@ func (s *Server) shipManifest(ref string) (wire.TableManifest, error) {
 			m.Segments = append(m.Segments, wire.SegmentInfo{Name: sg.Name, Size: uint64(sg.Size), CRC: sg.CRC})
 		}
 		if tail != nil {
-			data, err := serializeTable(tail)
+			data, err := store.AppendImage(nil, tail)
 			if err != nil {
 				return wire.TableManifest{}, err
 			}
@@ -82,7 +82,7 @@ func (s *Server) shipManifest(ref string) (wire.TableManifest, error) {
 		// range): fall through to the synthesized in-memory segment so the
 		// table — schema, envelope, emptiness and all — still ships.
 	}
-	data, err := durable.EncodeSegment(t)
+	data, err := store.AppendImage(nil, t)
 	if err != nil {
 		return wire.TableManifest{}, err
 	}
@@ -124,7 +124,7 @@ func (s *Server) segmentBytes(ref, name string) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return durable.EncodeSegment(t)
+		return store.AppendImage(nil, t)
 	case s.durable != nil && name == wire.WALSegment:
 		_, tail, err := s.durable.ShipManifest(ref)
 		if err != nil {
@@ -133,7 +133,7 @@ func (s *Server) segmentBytes(ref, name string) ([]byte, error) {
 		if tail == nil {
 			return nil, fmt.Errorf("server: table %q has no wal tail to ship", ref)
 		}
-		return serializeTable(tail)
+		return store.AppendImage(nil, tail)
 	case s.durable != nil:
 		return s.durable.SegmentBytes(ref, name)
 	}
@@ -174,7 +174,7 @@ func (s *Server) pullTable(ref, from string) error {
 		pulled += uint64(len(sd.Data))
 		switch si.Name {
 		case wire.WALSegment:
-			if tail, err = store.Read(bytes.NewReader(sd.Data)); err != nil {
+			if tail, err = store.DecodeImage(sd.Data); err != nil {
 				return fmt.Errorf("server: pull %q: decode wal tail: %w", ref, err)
 			}
 		case wire.MemSegment:
@@ -240,14 +240,4 @@ func (s *Server) pullTable(ref, from string) error {
 	s.repStat(ref).pulledBytes.Add(pulled)
 	s.log("table pulled from peer", "ref", ref, "from", from, "bytes", pulled, "segments", len(ms[0].Segments))
 	return nil
-}
-
-// serializeTable renders a table to its store serialization (the WAL record
-// payload format), the encoding WAL-tail pseudo-segments ship in.
-func serializeTable(t *store.Table) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := t.WriteTo(&buf); err != nil {
-		return nil, fmt.Errorf("server: serialize wal tail: %w", err)
-	}
-	return buf.Bytes(), nil
 }

@@ -1077,12 +1077,9 @@ func (s *Server) executeRun(ctx context.Context, cancel context.CancelFunc, conn
 			root.SetAttr("first_chunk", res.Metrics.FirstChunk.String())
 		}
 	}
-	// Run resolved the effective codec into pl.Codec; the client needs its
-	// name to decode identifier lists.
-	codecName := ""
-	if pl.Codec != nil {
-		codecName = pl.Codec.Name()
-	}
+	// The frame names the codec the run encoded identifier lists with; the
+	// client refuses one that is not its plan's.
+	codecName := pl.EffectiveCodec().Name()
 	var spans []obs.FlatSpan
 	if root != nil {
 		root.End()

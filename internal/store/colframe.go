@@ -7,11 +7,12 @@ import (
 )
 
 // Column extents: the one column-major encoding Seabed uses from disk to
-// wire. A durable segment file stores each column of each partition as one
-// extent (8-aligned so the file can be memory-mapped and the vectors aliased
-// in place), and a MsgResultChunk carries each projected column of a scan
-// batch as one extent (packed, no alignment — the receiving buffer decides).
-// docs/FORMAT.md is the authoritative spec; this file is its implementation.
+// wire. A table image (image.go) stores each column of each partition as one
+// extent (8-aligned so a segment file can be memory-mapped, or a frame
+// received, and the vectors aliased in place), and a MsgResultChunk carries
+// each projected column of a scan batch as one extent (packed, no alignment —
+// the receiving buffer decides). docs/FORMAT.md is the authoritative spec;
+// this file is its implementation.
 //
 // Extent layouts, by column kind (all integers little-endian, fixed width —
 // no varints, so an extent can be consumed without a sequential scan):
@@ -19,9 +20,9 @@ import (
 //	U64:       rows × 8-byte words.
 //	Fixed:     rows × width bytes, the values back to back. The width is not
 //	           in the extent: the container carries it beside the kind (the
-//	           segment's column directory, the SBD1 column header, the scan
-//	           chunk header), and an extent whose size is not rows × width is
-//	           refused whole — there is no per-value length to check.
+//	           image's column directory, the scan chunk header), and an
+//	           extent whose size is not rows × width is refused whole — there
+//	           is no per-value length to check.
 //	Bytes/Str: (rows+1) × 8-byte offsets into the blob heap that follows,
 //	           with off[0] == 0 and off[rows] == total blob bytes; row i's
 //	           value is heap[off[i]:off[i+1]]. Offsets are relative to the

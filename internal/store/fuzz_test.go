@@ -3,50 +3,37 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"strings"
 	"testing"
 )
 
-// FuzzRead feeds hostile bytes to the table decoder. Read sits at two trust
-// boundaries — wire.DecodeRegister hands it network payloads from untrusted
-// clients, and durable recovery hands it segment and WAL bytes off disk —
+// FuzzRead feeds hostile bytes to the table image decoder. It sits at every
+// trust boundary a table crosses — wire.DecodeRegister hands it network
+// payloads from untrusted clients, durable recovery hands it WAL records and
+// segment files off disk, a healing daemon hands it a peer's shipped tail —
 // so it must reject malformed input with an error: never a panic, and never
-// an allocation sized from a declared count the stream doesn't back (the
-// incremental-append discipline in serialize.go). The seed corpus is real
-// serializations of the three upload modes' column shapes (NoEnc strings,
-// Seabed ASHE/DET columns, Paillier ciphertext blobs) plus targeted
-// mutations: truncations, a huge declared row count, a huge blob length, and
-// the Fixed column header's ways to lie (fuzzFixedHeaders).
+// an allocation sized from a declared count the bytes don't back. The seed
+// corpus is real images of the upload modes' column shapes (NoEnc strings,
+// Seabed ASHE/DET columns, Paillier ciphertext blobs), an empty table and a
+// table of no partitions, plus truncations, the directory's ways to lie about
+// an extent (fuzzHostileImages) and the Fixed column's (fuzzFixedHeaders).
 func FuzzRead(f *testing.F) {
 	for _, tbl := range fuzzSeedTables(f) {
-		var buf bytes.Buffer
-		if _, err := tbl.WriteTo(&buf); err != nil {
+		valid, err := AppendImage(nil, tbl)
+		if err != nil {
 			f.Fatal(err)
 		}
-		valid := buf.Bytes()
-		f.Add(append([]byte(nil), valid...))
+		f.Add(valid)
 		// Truncations: torn tails at awkward offsets.
 		for _, cut := range []int{1, len(valid) / 3, len(valid) - 1} {
-			if cut < len(valid) {
-				f.Add(append([]byte(nil), valid[:cut]...))
-			}
+			f.Add(bytes.Clone(valid[:cut]))
 		}
 	}
-	// A header claiming 2^62 rows of a U64 column with no bytes behind it.
-	hostile := []byte(magic)
-	hostile = append(hostile, 1, 't') // name "t"
-	hostile = append(hostile, 1)      // one partition
-	hostile = append(hostile, 1)      // startID 1
-	hostile = append(hostile, 1)      // one column
-	hostile = binary.AppendUvarint(hostile, 1<<62)
-	hostile = append(hostile, 1, 'c', 0) // column "c", kind U64
-	f.Add(append([]byte(nil), hostile...))
-	// A Bytes row declaring a 2^40-byte blob.
-	blob := []byte(magic)
-	blob = append(blob, 1, 't', 1, 1, 1, 1) // name, 1 part, startID, 1 col, 1 row
-	blob = append(blob, 1, 'c', 1)          // column "c", kind Bytes
-	blob = binary.AppendUvarint(blob, 1<<40)
-	f.Add(append([]byte(nil), blob...))
+	for _, h := range fuzzHostileImages() {
+		f.Add(h.data)
+	}
 	for _, h := range fuzzFixedHeaders() {
 		f.Add(h.data)
 	}
@@ -57,8 +44,8 @@ func FuzzRead(f *testing.F) {
 			return
 		}
 		// A successful decode must be internally consistent and must
-		// re-serialize: Read's output feeds straight into the engine and
-		// back onto disk during durable compaction.
+		// re-encode: Read's output feeds straight into the engine and back
+		// onto disk during durable compaction.
 		var rows uint64
 		for _, p := range tbl.Parts {
 			n := p.NumRows()
@@ -79,67 +66,181 @@ func FuzzRead(f *testing.F) {
 		if rows != tbl.NumRows() {
 			t.Fatalf("NumRows %d, partitions hold %d", tbl.NumRows(), rows)
 		}
-		var buf bytes.Buffer
-		if _, err := tbl.WriteTo(&buf); err != nil {
-			t.Fatalf("re-serialize accepted table: %v", err)
+		// An accepted image is laid out canonically: re-encoding it takes
+		// exactly its bytes' room, and re-encoding what that decodes to is
+		// byte-identical.
+		if got := tbl.DiskBytes(); got != uint64(len(data)) {
+			t.Fatalf("accepted a %d-byte image that re-encodes to %d", len(data), got)
 		}
-		again, err := Read(bytes.NewReader(buf.Bytes()))
+		img, err := AppendImage(nil, tbl)
 		if err != nil {
-			t.Fatalf("re-read re-serialized table: %v", err)
+			t.Fatalf("re-encode accepted table: %v", err)
 		}
-		if again.NumRows() != tbl.NumRows() || len(again.Parts) != len(tbl.Parts) {
-			t.Fatalf("round trip drifted: %d rows/%d parts vs %d rows/%d parts",
-				again.NumRows(), len(again.Parts), tbl.NumRows(), len(tbl.Parts))
+		again, err := DecodeImage(img)
+		if err != nil {
+			t.Fatalf("re-read re-encoded table: %v", err)
+		}
+		if twice, err := AppendImage(nil, again); err != nil || !bytes.Equal(twice, img) {
+			t.Fatalf("round trip drifted (%v)", err)
 		}
 	})
 }
 
-// fuzzFixedHeader is one hostile SBD1 stream around a Fixed column, and what
-// Read's error must mention ("" when Read may accept the stream).
-type fuzzFixedHeader struct {
+// rawCol is one column of a hand-assembled image: its directory entry's
+// layout and the extent bytes placed for it. size, when set, is the extent
+// size the directory declares in their place.
+type rawCol struct {
+	meta ColMeta
+	body []byte
+	size uint64
+}
+
+// rawPart is one partition of a hand-assembled image.
+type rawPart struct {
+	startID uint64
+	rows    uint64
+	cols    []rawCol
+}
+
+// rawImage assembles an image table "t" whose directory may lie: the extents
+// are placed back to back, 8-aligned, where the layout puts them, each
+// declared with its body's CRC, and the header is sealed with its true CRC —
+// so what ParseImage or DecodeImage has to catch is the lie itself.
+func rawImage(parts ...rawPart) []byte {
+	dir := ImageDir{Name: "t"}
+	headerLen := uint64(4 + 4 + 4 + 4 + 1 + 4 + 4)
+	for _, p := range parts {
+		headerLen += 8 + 8 + 4
+		for _, c := range p.cols {
+			headerLen += uint64(4+len(c.meta.Name)) + 1 + 4 + 8 + 8 + 4
+		}
+	}
+	var body []byte
+	off := align8(headerLen)
+	for _, p := range parts {
+		pm := ImagePart{StartID: p.startID, Rows: int(p.rows)}
+		for _, c := range p.cols {
+			x := ImageExtent{ColMeta: c.meta, Off: off + uint64(len(body)), Size: uint64(len(c.body)), CRC: crc32.ChecksumIEEE(c.body)}
+			if c.size != 0 {
+				x.Size = c.size
+			}
+			pm.Cols = append(pm.Cols, x)
+			body = append(body, c.body...)
+			body = append(body, make([]byte, align8(uint64(len(body)))-uint64(len(body)))...)
+		}
+		dir.Parts = append(dir.Parts, pm)
+	}
+	img := dir.appendHeader(nil, headerLen)
+	img = append(img, make([]byte, off-headerLen)...)
+	return append(img, body...)
+}
+
+// rawHeader encodes a directory entry's fields the way appendHeader does,
+// for images that carry a declared count with nothing behind it.
+func rawHeader(fields ...any) []byte {
+	b := []byte(imageMagic)
+	b = binary.LittleEndian.AppendUint32(b, imageVersion)
+	b = binary.LittleEndian.AppendUint32(b, 0) // headerLen, set below
+	for _, f := range fields {
+		switch v := f.(type) {
+		case string:
+			b = binary.LittleEndian.AppendUint32(b, uint32(len(v)))
+			b = append(b, v...)
+		case uint32:
+			b = binary.LittleEndian.AppendUint32(b, v)
+		case uint64:
+			b = binary.LittleEndian.AppendUint64(b, v)
+		case Kind:
+			b = append(b, byte(v))
+		}
+	}
+	binary.LittleEndian.PutUint32(b[8:], uint32(len(b)+4))
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// fuzzImage is one hostile image, and what Read's error must mention ("" when
+// Read may accept it).
+type fuzzImage struct {
 	name string
 	data []byte
 	want string
 }
 
-// fuzzFixedHeaders are the ways a Fixed column's header can lie, each a
-// hand-assembled table "t" of one column "c".
-func fuzzFixedHeaders() []fuzzFixedHeader {
-	// part is one partition holding column "c"; a Fixed column's header
-	// carries the width before the body.
-	part := func(startID byte, rows uint64, kind Kind, width uint64, body []byte) []byte {
-		b := []byte{startID, 1} // one column
-		b = binary.AppendUvarint(b, rows)
-		b = append(b, 1, 'c', byte(kind))
-		if kind == Fixed {
-			b = binary.AppendUvarint(b, width)
-		}
-		return append(b, body...)
-	}
-	table := func(parts ...[]byte) []byte {
-		b := append([]byte(magic), 1, 't', byte(len(parts)))
-		for _, p := range parts {
-			b = append(b, p...)
-		}
+// u64Body is the extent of a U64 column holding vals.
+func u64Body(vals ...uint64) []byte {
+	return AppendColumnExtent(nil, &Column{Kind: U64, U64: vals})
+}
+
+// fuzzHostileImages are the ways an image's directory can lie about its
+// extents and its counts, each a table "t" of one column "c" unless the lie
+// needs two partitions.
+func fuzzHostileImages() []fuzzImage {
+	u64 := ColMeta{Name: "c", Kind: U64}
+	valid := rawImage(rawPart{1, 2, []rawCol{{meta: u64, body: u64Body(7, 8)}}})
+	flip := func(at int) []byte {
+		b := bytes.Clone(valid)
+		b[at] ^= 0x01
 		return b
 	}
-	vals := bytes.Repeat([]byte{0xD7}, 12)
-	return []fuzzFixedHeader{
-		{"valid", table(part(1, 3, Fixed, 4, vals)), ""},
-		{"width-zero", table(part(1, 3, Fixed, 0, vals)), `column "c"`},
-		{"rows-times-width-overflows", table(part(1, 1<<40, Fixed, 1<<30, vals)), `column "c"`},
-		{"width-past-int32", table(part(1, 1, Fixed, 1<<40, vals)), `column "c"`},
-		{"one-byte-short", table(part(1, 3, Fixed, 4, vals[:11])), `column "c"`},
-		{"one-byte-long", append(table(part(1, 3, Fixed, 4, vals)), 0xFF), ""}, // Read stops at the table's end
-		{"width-differs-between-partitions", table(part(1, 3, Fixed, 4, vals), part(4, 2, Fixed, 6, vals)), "partition 1 column 0"},
-		{"fixed-where-the-layout-says-variable", table(part(1, 1, Bytes, 0, []byte{1, 0xD7}), part(2, 3, Fixed, 4, vals)), "partition 1 column 0"},
+	// moved declares the extent at offset 8, inside the header, and reseals.
+	moved := bytes.Clone(valid)
+	hl := binary.LittleEndian.Uint32(moved[8:])
+	binary.LittleEndian.PutUint64(moved[hl-4-4-8-8:], 8) // the entry's offset, before size and CRC
+	binary.LittleEndian.PutUint32(moved[hl-4:], crc32.ChecksumIEEE(moved[:hl-4]))
+	return []fuzzImage{
+		{"valid", valid, ""},
+		{"header-crc-mismatch", flip(20), "header checksum"},
+		{"extent-crc-mismatch", flip(len(valid) - 1), `column "c" extent checksum`},
+		{"rows-beyond-the-bytes-present", rawImage(rawPart{1, 3, []rawCol{{meta: u64, body: u64Body(7, 8)}}}), `"c"`},
+		{"extent-past-the-end", rawImage(rawPart{1, 2, []rawCol{{meta: u64, body: u64Body(7, 8), size: 24}}}), `column "c" extent`},
+		{"extent-not-where-the-layout-puts-it", moved, `column "c" extent`},
+		{"bytes-past-the-last-extent", append(bytes.Clone(valid), make([]byte, 8)...), "lays out"},
+		{"divergent-layouts", rawImage(
+			rawPart{1, 2, []rawCol{{meta: u64, body: u64Body(7, 8)}}},
+			rawPart{3, 2, []rawCol{{meta: ColMeta{Name: "d", Kind: U64}, body: u64Body(7, 8)}}},
+		), "partition 1 column 0"},
+		{"partitions-out-of-identifier-order", rawImage(
+			rawPart{5, 2, []rawCol{{meta: u64, body: u64Body(7, 8)}}},
+			rawPart{1, 2, []rawCol{{meta: u64, body: u64Body(7, 8)}}},
+		), "identifiers"},
+		{"huge-u64-row-count-and-no-bytes", rawHeader("t", uint32(1), uint64(1), uint64(1)<<40, uint32(1), "c", U64, uint32(0), uint64(64), uint64(1)<<43, uint32(0)), "declares"},
+		{"huge-partition-count-and-no-bytes", rawHeader("t", uint32(math.MaxUint32)), "truncated header"},
+		{"huge-column-name-length", rawHeader("t", uint32(1), uint64(1), uint64(0), uint32(1), uint32(math.MaxUint32)), "truncated header"},
+		{"unknown-kind", rawImage(rawPart{1, 2, []rawCol{{meta: ColMeta{Name: "c", Kind: 7}, body: u64Body(7, 8)}}}), `column "c" has unknown kind`},
 	}
 }
 
-// TestReadFixedHeaders holds Read to the Fixed column header's rules on the
-// hostile seeds FuzzRead starts from: a lie is an error naming the column (or
-// the partition and column that disagree with the table's layout), never a
-// column whose values run past its buffer.
+// fuzzFixedHeaders are the ways a Fixed column's directory entry can lie,
+// each an image table "t" of one column "c".
+func fuzzFixedHeaders() []fuzzImage {
+	fixed := func(width int) ColMeta { return ColMeta{Name: "c", Kind: Fixed, Width: width} }
+	vals := bytes.Repeat([]byte{0xD7}, 12)
+	one := func(rows uint64, width int, body []byte) []byte {
+		return rawImage(rawPart{1, rows, []rawCol{{meta: fixed(width), body: body}}})
+	}
+	return []fuzzImage{
+		{"fixed-valid", one(3, 4, vals), ""},
+		{"fixed-width-zero", one(3, 0, vals), `column "c"`},
+		{"fixed-rows-times-width-overflows", one(1<<40, 1<<30, vals), "declares"},
+		{"fixed-width-past-int32", one(1, 1<<31, vals), `column "c"`},
+		{"fixed-one-byte-short", one(3, 4, vals[:11]), `column "c"`},
+		{"fixed-one-byte-long", one(3, 4, append(bytes.Clone(vals), 0xFF)), `column "c"`},
+		{"fixed-width-differs-between-partitions", rawImage(
+			rawPart{1, 3, []rawCol{{meta: fixed(4), body: vals}}},
+			rawPart{4, 2, []rawCol{{meta: fixed(6), body: vals}}},
+		), "partition 1 column 0"},
+		{"fixed-where-the-layout-says-variable", rawImage(
+			rawPart{1, 1, []rawCol{{meta: ColMeta{Name: "c", Kind: Bytes}, body: AppendColumnExtent(nil, &Column{Kind: Bytes, Bytes: [][]byte{{0xD7}}})}}},
+			rawPart{2, 3, []rawCol{{meta: fixed(4), body: vals}}},
+		), "partition 1 column 0"},
+	}
+}
+
+// TestReadFixedHeaders holds Read to the Fixed column's rules on the hostile
+// seeds FuzzRead starts from: a lie is an error naming the column (or the
+// partition and column that disagree with the table's layout, or the row
+// count no image could back), never a column whose values run past its
+// buffer.
 func TestReadFixedHeaders(t *testing.T) {
 	for _, h := range fuzzFixedHeaders() {
 		tbl, err := Read(bytes.NewReader(h.data))
@@ -194,8 +295,9 @@ func fuzzSeedTables(f *testing.F) []*Table {
 				bytes.Repeat([]byte{0x01}, 128),
 			}},
 		}),
-		// Degenerate but legal: an empty table.
+		// Degenerate but legal: an empty table, and one of no partitions.
 		build("empty", []Column{{Name: "u", Kind: U64}}),
+		{Name: "none"},
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package store implements Seabed's columnar table storage: partitioned,
-// in-memory column vectors with a compact binary serialization. It plays the
-// role HDFS + Protobuf serialization play in the paper's prototype (§6.1)
-// and provides the disk/memory accounting behind Table 5.
+// in-memory column vectors with one binary encoding, the table image
+// (image.go). It plays the role HDFS + Protobuf serialization play in the
+// paper's prototype (§6.1) and provides the disk/memory accounting behind
+// Table 5.
 //
 // Tables are split into contiguous row partitions. Row identifiers are
 // global, 1-based, and contiguous (partition p covers [StartID, StartID+len)),

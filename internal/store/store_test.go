@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func u64Col(name string, vals ...uint64) Column {
@@ -199,6 +201,128 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Fatal("want error for truncated input")
+	}
+}
+
+// TestImageRoundTrip: Read(WriteTo(t)) is t for every column kind, for
+// partitions with no rows, for a table of no partitions, and for the inverted
+// empty envelope (one empty partition past the table's end) an empty range's
+// shard registers; and the heap columns Read returns alias the image.
+func TestImageRoundTrip(t *testing.T) {
+	all, err := Build("t", []Column{
+		{Name: "u", Kind: U64, U64: []uint64{1, 1 << 63, 3}},
+		{Name: "b", Kind: Bytes, Bytes: [][]byte{{0xB0}, nil, {0xB1, 0xB2}}},
+		{Name: "s", Kind: Str, Str: []string{"x", "", "yz"}},
+		{Name: "f", Kind: Fixed, Width: 2, Fixed: []byte{1, 2, 3, 4, 5, 6}},
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := BuildFrom("t", []Column{
+		{Name: "u", Kind: U64}, {Name: "b", Kind: Bytes}, {Name: "s", Kind: Str}, {Name: "f", Kind: Fixed, Width: 2},
+	}, 3, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown, err := all.WithAppended(empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := all.SplitRanges(5)
+	if shards[4].NumRows() != 0 || shards[4].Parts[0].StartID != all.EndID()+1 {
+		t.Fatalf("fixture: shard 4 is not the inverted empty envelope: %+v", shards[4].Parts[0])
+	}
+	for name, tbl := range map[string]*Table{
+		"every kind":        all,
+		"empty partition":   empty,
+		"empty batch after": grown,
+		"no partitions":     {Name: "none"},
+		"inverted envelope": shards[4],
+	} {
+		var buf bytes.Buffer
+		n, err := tbl.WriteTo(&buf)
+		if err != nil || n != int64(buf.Len()) || uint64(n) != tbl.DiskBytes() {
+			t.Fatalf("%s: WriteTo = %d, %v; buffer %d, DiskBytes %d", name, n, err, buf.Len(), tbl.DiskBytes())
+		}
+		img := buf.Bytes()
+		back, err := Read(bytes.NewReader(img))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if back.Name != tbl.Name || back.NumRows() != tbl.NumRows() || back.EndID() != tbl.EndID() || len(back.Parts) != len(tbl.Parts) {
+			t.Fatalf("%s: read %q, %d rows to %d in %d partitions", name, back.Name, back.NumRows(), back.EndID(), len(back.Parts))
+		}
+		for pi, p := range tbl.Parts {
+			q := back.Parts[pi]
+			if q.StartID != p.StartID || q.IsView() || len(q.Cols) != len(p.Cols) {
+				t.Fatalf("%s: partition %d is %+v", name, pi, q)
+			}
+			for ci := range p.Cols {
+				want, got := &p.Cols[ci], &q.Cols[ci]
+				if got.Meta() != want.Meta() || got.Len() != want.Len() {
+					t.Fatalf("%s: partition %d column %d is %+v, want %+v", name, pi, ci, got, want)
+				}
+				for r := 0; r < want.Len(); r++ {
+					switch want.Kind {
+					case U64:
+						if got.U64[r] != want.U64[r] {
+							t.Fatalf("%s: %q row %d", name, want.Name, r)
+						}
+					case Str:
+						if got.Str[r] != want.Str[r] {
+							t.Fatalf("%s: %q row %d", name, want.Name, r)
+						}
+					default:
+						if !bytes.Equal(got.BytesAt(r), want.BytesAt(r)) {
+							t.Fatalf("%s: %q row %d", name, want.Name, r)
+						}
+					}
+				}
+			}
+		}
+		again, err := AppendImage(nil, back)
+		if err != nil || !bytes.Equal(again, img) {
+			t.Fatalf("%s: the read table re-encodes differently (%v)", name, err)
+		}
+	}
+	img, err := AppendImage(nil, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeImage(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := uintptr(unsafe.Pointer(&img[0])), uintptr(unsafe.Pointer(&img[len(img)-1]))
+	for _, p := range []unsafe.Pointer{unsafe.Pointer(&back.Parts[0].Cols[0].U64[0]), unsafe.Pointer(&back.Parts[0].Cols[3].Fixed[0])} {
+		if uintptr(p) < lo || uintptr(p) > hi {
+			t.Error("decoded U64 and Fixed vectors were copied out of the image")
+		}
+	}
+}
+
+// TestReadRejectsHostileImages: every lie fuzzHostileImages tells — CRCs
+// that do not match, an extent out of bounds or not where the layout puts
+// it, rows the bytes cannot hold, divergent layouts, partitions out of
+// identifier order, counts with nothing behind them — is an error saying
+// what, and none of them costs memory sized from a declared count.
+func TestReadRejectsHostileImages(t *testing.T) {
+	for _, h := range append(fuzzHostileImages(), fuzzFixedHeaders()...) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Read(bytes.NewReader(h.data))
+		runtime.ReadMemStats(&after)
+		switch {
+		case h.want == "":
+			if err != nil {
+				t.Errorf("%s: %v", h.name, err)
+			}
+		case err == nil || !strings.Contains(err.Error(), h.want):
+			t.Errorf("%s: err = %v, want one naming %s", h.name, err, h.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Errorf("%s: reading %d bytes allocated %d", h.name, len(h.data), grew)
+		}
 	}
 }
 
@@ -439,8 +563,10 @@ func TestFixedColumn(t *testing.T) {
 	if _, err := tbl.WriteTo(&ser); err != nil {
 		t.Fatal(err)
 	}
-	if want := len("SBD1") + 2 + 1 + 2*(3+3+1) + len(buf); ser.Len() != want {
-		t.Errorf("serialized to %d bytes, want %d: a width per column, no length per value", ser.Len(), want)
+	// A 125-byte directory (a width per column entry) padded to 128, then the
+	// two partitions' values: no length per value.
+	if want := 128 + len(buf); ser.Len() != want {
+		t.Errorf("image of %d bytes, want %d: a width per column, no length per value", ser.Len(), want)
 	}
 	back, err := Read(&ser)
 	if err != nil || !reflect.DeepEqual(back.Parts[1].Cols[0], *c) {

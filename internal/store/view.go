@@ -196,14 +196,15 @@ func (p *Partition) MemBytes() uint64 {
 // backing segment rather than owning heap vectors.
 func (p *Partition) IsView() bool { return p.view != nil }
 
-// Assemble builds a table directly from pre-built partitions — the recovery
-// path's constructor, where partitions are segment-backed views rather than
-// slices of full-length heap columns. Partitions must share one column layout
-// and appear in strictly increasing, non-overlapping identifier order (gaps
-// allowed, as for shard tables).
+// Assemble builds a table directly from pre-built partitions — the
+// constructor of a decoded image, whose partitions are heap vectors aliasing
+// the image or segment-backed views rather than slices of full-length heap
+// columns. Partitions must share one column layout and appear in strictly
+// increasing, non-overlapping identifier order (gaps allowed, as for shard
+// tables). No partitions is a table with none.
 func Assemble(name string, parts []*Partition) (*Table, error) {
 	if len(parts) == 0 {
-		return nil, fmt.Errorf("store: assemble %q: no partitions", name)
+		return &Table{Name: name}, nil
 	}
 	t := &Table{Name: name, Parts: parts[:1:1], rows: uint64(parts[0].NumRows())}
 	for _, p := range parts[1:] {

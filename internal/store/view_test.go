@@ -347,14 +347,16 @@ func TestViewConcurrentPinsAndAppends(t *testing.T) {
 	}
 }
 
-// TestAssembleRejectsOverlap pins Assemble's identifier ordering contract.
+// TestAssembleRejectsOverlap pins Assemble's identifier ordering contract,
+// and that no partitions assemble into a table of none (an image may hold
+// one).
 func TestAssembleRejectsOverlap(t *testing.T) {
 	a, _ := viewFixture(16, 1, nil)
 	b, _ := viewFixture(16, 10, nil) // overlaps a's [1,16]
 	if _, err := Assemble("bad", []*Partition{a, b}); err == nil {
 		t.Fatal("Assemble accepted overlapping partitions")
 	}
-	if _, err := Assemble("empty", nil); err == nil {
-		t.Fatal("Assemble accepted zero partitions")
+	if tbl, err := Assemble("empty", nil); err != nil || tbl.NumRows() != 0 || len(tbl.Parts) != 0 {
+		t.Fatalf("Assemble of zero partitions = %+v, %v; want a table of none", tbl, err)
 	}
 }

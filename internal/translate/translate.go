@@ -258,6 +258,10 @@ func (t *translator) translate(q *sqlparse.Query) (*Translation, error) {
 			return nil, err
 		}
 	}
+	// The identifier-list codec is chosen once, here, for the plan's shape
+	// (§4.5); every engine it runs on encodes with it and the client decodes
+	// with it.
+	sp.Codec = sp.EffectiveCodec()
 	return tr, nil
 }
 

@@ -109,12 +109,17 @@ func TestScanChunkGolden(t *testing.T) {
 	}
 }
 
-// goldenRegisterFrame pins a register frame — the ref, then the table in
-// store's SBD1 serialization — over one column of each kind: a Fixed column's
-// header carries the width (04) where a Bytes column spends a length per
-// value. Captured at wire v11.
-const goldenRegisterFrame = "0b7440536561626564237230534244310174010104020175000100000000000000020000000000000001620101b002b1b201" +
-	"730201780001660304f000000ff001000f"
+// goldenRegisterFrame pins a register frame — the ref, zero padding to an
+// 8-byte boundary, then the table's image — over one column of each kind: the
+// directory entry of the Fixed column carries its width (04), its extent is the
+// values alone, and the Bytes and Str extents are offsets and a heap.
+// Captured at wire v13.
+const goldenRegisterFrame = "0b7440536561626564237230000000005342534703000000a500000001000000740100000001000000000000000200000000" +
+	"0000000400000001000000750000000000a8000000000000001000000000000000b9ddf60001000000620100000000b80000" +
+	"00000000001b00000000000000a307954901000000730200000000d80000000000000019000000000000008128cc27010000" +
+	"00660304000000f8000000000000000800000000000000f33d020fea4616bf00000001000000000000000200000000000000" +
+	"000000000000000001000000000000000300000000000000b0b1b20000000000000000000000000001000000000000000100" +
+	"0000000000007800000000000000f000000ff001000f"
 
 func TestEncodeRegisterGolden(t *testing.T) {
 	tbl, err := store.Build("t", []store.Column{

@@ -14,17 +14,18 @@ import (
 // the receiving daemon to pull a whole table from a named peer and install
 // it (answered by MsgOK). Two segment names are reserved for state that is
 // not an on-disk file: WALSegment carries a durable table's uncompacted WAL
-// tail, MemSegment carries a memory-only daemon's whole table, both encoded
-// as store table serializations or SBSG bytes (see docs/FORMAT.md).
+// tail, MemSegment carries a memory-only daemon's whole table. Every shipped
+// payload — those two and the segment files — is a table image
+// (store.AppendImage; docs/FORMAT.md §2).
 
 // WALSegment is the reserved pseudo-segment name under which a durable
-// daemon ships its uncompacted WAL tail: the payload is a store table
-// serialization (store.WriteTo bytes) of the pending rows, not an SBSG file.
+// daemon ships its uncompacted WAL tail: the payload is the pending rows'
+// table image, built in memory, not a segment file.
 const WALSegment = "@wal"
 
 // MemSegment is the reserved pseudo-segment name under which a memory-only
-// daemon ships a whole table: the payload is an SBSG v2 columnar segment
-// encoded in memory rather than read from disk.
+// daemon ships a whole table: the payload is the table's image, built in
+// memory rather than read from disk.
 const MemSegment = "@mem"
 
 // SegmentInfo describes one shippable segment of a table: its name (a

@@ -3,8 +3,9 @@
 // untrusted engine running in another process, across a TCP connection.
 //
 // It plays the role the Spark RPC + Protobuf layer plays in the paper's
-// prototype (§6.1) and follows the same serialization style as the columnar
-// store (internal/store): varint-heavy, length-prefixed, no reflection.
+// prototype (§6.1): varint-heavy, length-prefixed payloads, no reflection,
+// with tables and column data carried in the columnar store's fixed-width
+// encodings (internal/store's table image and column extents).
 //
 // # Framing
 //
@@ -29,7 +30,7 @@
 //
 //	plan.go    engine.Plan requests (tables travel by reference, not value)
 //	result.go  engine.Result + engine.Metrics responses
-//	table.go   upload frames wrapping store's table serialization
+//	table.go   upload frames wrapping store's table image
 package wire
 
 import (
@@ -46,7 +47,7 @@ import (
 // any other — the server with a "protocol version %d, want %d" MsgError, the
 // client with a diagnosis naming the version the server answered. Changing a
 // frame means bumping Version and upgrading both sides (docs/FORMAT.md §4.6).
-const Version = 12
+const Version = 13
 
 // checkVersion guards the codecs that take the connection's version as an
 // argument: nothing branches on it, and any value but Version is an error.
@@ -259,7 +260,7 @@ func CodecByName(name string) (idlist.Codec, error) {
 //
 // enc appends to a byte slice; dec consumes one and latches the first error,
 // so codecs read fields unconditionally and check once at the end — the same
-// discipline store's serializer uses.
+// discipline store's image parser uses.
 
 type enc struct{ buf []byte }
 

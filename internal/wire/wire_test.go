@@ -457,8 +457,8 @@ func TestCancelFrameType(t *testing.T) {
 	if MsgCancel.String() != "cancel" || MsgResultChunk.String() != "result-chunk" {
 		t.Fatalf("lifecycle frame names: %v, %v", MsgCancel, MsgResultChunk)
 	}
-	if Version != 12 {
-		t.Fatalf("protocol version = %d, want 12 (a bump must re-capture the golden frames)", Version)
+	if Version != 13 {
+		t.Fatalf("protocol version = %d, want 13 (a bump must re-capture the golden frames)", Version)
 	}
 	if MsgSegmentList.String() != "segment-list" || MsgSegmentFetch.String() != "segment-fetch" || MsgSegmentData.String() != "segment-data" {
 		t.Fatalf("segment frame names: %v, %v, %v", MsgSegmentList, MsgSegmentFetch, MsgSegmentData)
