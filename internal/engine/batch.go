@@ -52,7 +52,11 @@ func (cp *compiledPlan) newTaskState(part *store.Partition) *taskState {
 	case len(pl.Project) > 0:
 		// scan: arena allocated lazily, one chunk at a time
 	case pl.GroupBy == nil:
-		ts.res.single = newPartial(pl.Aggs)
+		// The one-group case: slot 0, keyed U64 0, with no table to find it.
+		ts.g.t.groupKeys.init(store.U64, false)
+		ts.g.t.appendU64(0, -1)
+		ts.g.acc.init(pl.Aggs, true)
+		ts.g.acc.grow(1)
 	default:
 		ts.g.init(cp)
 	}
@@ -71,6 +75,7 @@ func (ts *taskState) execute(ctx context.Context, i0, i1 int) error {
 	// contiguous interval directly (and ASHE id-lists grow by whole ranges).
 	dense := len(cp.preds) == 0 && ts.pc.leftKey == nil && !scan && !grouped
 	processed := 0
+	acc := &ts.g.acc
 
 	for lo := i0; lo <= i1; lo += batchRows {
 		if processed&(cancelCheckRows-1) == 0 && processed > 0 && ctx.Err() != nil {
@@ -84,9 +89,9 @@ func (ts *taskState) execute(ctx context.Context, i0, i1 int) error {
 		if dense {
 			ts.res.ops.DenseBatches++
 			ts.res.rowsSelected += uint64(n)
-			ts.res.single.rows += uint64(n)
+			acc.rows[0] += uint64(n)
 			for ai := range cp.aggs {
-				cp.aggs[ai].dense(&ts.pc, &ts.res.single.aggs[ai], lo, hi, startID)
+				cp.aggs[ai].dense(&ts.pc, acc, lo, hi, startID)
 			}
 			continue
 		}
@@ -116,9 +121,9 @@ func (ts *taskState) execute(ctx context.Context, i0, i1 int) error {
 		case scan:
 			ts.projectScan(startID)
 		case !grouped:
-			ts.res.single.rows += uint64(survivors)
+			acc.rows[0] += uint64(survivors)
 			for ai := range cp.aggs {
-				cp.aggs[ai].bulk(&ts.pc, &ts.res.single.aggs[ai], &ts.b, startID)
+				cp.aggs[ai].bulk(&ts.pc, acc, &ts.b, startID)
 			}
 		default:
 			ts.accumulateGroups(startID)
@@ -200,14 +205,11 @@ const (
 // the dense span through a direct index, every other key (wider u64 values,
 // DET/OPE bytes, strings) through the shared open-addressed slotTable, whose
 // byte keys live in one per-task arena — and accumulation then runs per batch
-// over (selection, slot) pairs. When every aggregate is lane-eligible the
-// accumulators are flat per-aggregate u64 lanes indexed by slot (groupAcc),
-// so the group-by inner loop touches two cache-dense arrays and calls
-// nothing; otherwise each slot holds a generic partial.
+// over (selection, slot) pairs into the accumulators' columns (groupAcc). An
+// ungrouped plan's task keeps its one slot here too, without the table.
 type grouper struct {
 	t   slotTable
 	acc groupAcc
-	ids []idChains // [aggregate]; the ASHE sums' identifier lists, lane mode
 
 	right   bool
 	inflate int
@@ -245,10 +247,7 @@ func (g *grouper) init(cp *compiledPlan) {
 	}
 	kind := groupColKind(cp)
 	g.t.init(kind, g.inflate > 0, 0)
-	g.acc.init(cp.pl)
-	if g.acc.lanes {
-		g.ids = make([]idChains, len(cp.pl.Aggs))
-	}
+	g.acc.init(cp.pl.Aggs, true)
 	if kind == store.U64 {
 		keys := uint64(denseDefaultEntries) / g.inflateN
 		if kb := cp.pl.GroupBy.KeyBound; kb > 0 {
@@ -266,17 +265,6 @@ func (g *grouper) init(cp *compiledPlan) {
 	g.hsfx = make([]int32, batchRows)
 	g.hh = make([]uint64, batchRows)
 	g.horder = make([]int32, batchRows)
-}
-
-// addSlot grows the accumulators, and the identifier lists beside them, by
-// the slot the table has just added.
-func (g *grouper) addSlot() {
-	g.acc.addSlot()
-	for ai := range g.ids {
-		if g.acc.aggs[ai].Kind == AggAsheSum {
-			g.ids[ai].addSlot()
-		}
-	}
 }
 
 // suffix is the inflation suffix of the row with identifier rowID (−1 when
@@ -338,21 +326,13 @@ func (ts *taskState) groupSlots(startID uint64) {
 	switch col.Kind {
 	case store.U64:
 		for _, m := range order {
-			s, fresh := g.t.slotU64(col.U64[g.hidx[m]], g.hsfx[m], g.hh[m])
-			if fresh {
-				g.addSlot()
-			}
-			g.slots[g.hpos[m]] = s
+			g.slots[g.hpos[m]] = g.t.slotU64(col.U64[g.hidx[m]], g.hsfx[m], g.hh[m])
 		}
 	case store.Bytes:
 		probeKeys(g, col.Bytes, order)
 	case store.Fixed:
 		for _, m := range order {
-			s, fresh := slotKeyed(&g.t, col.BytesAt(int(g.hidx[m])), g.hsfx[m], g.hh[m])
-			if fresh {
-				g.addSlot()
-			}
-			g.slots[g.hpos[m]] = s
+			g.slots[g.hpos[m]] = slotKeyed(&g.t, col.BytesAt(int(g.hidx[m])), g.hsfx[m], g.hh[m])
 		}
 	default:
 		probeKeys(g, col.Str, order)
@@ -383,7 +363,6 @@ func (ts *taskState) hashU64Keys(startID uint64) (miss int) {
 			s := dense[dk]
 			if s == 0 {
 				g.t.appendU64(v, sfx)
-				g.addSlot()
 				s = int32(g.t.len())
 				dense[dk] = s
 			}
@@ -435,11 +414,7 @@ func (ts *taskState) hashFixedKeys(startID uint64) int {
 // pending rows in the given order.
 func probeKeys[T ~string | ~[]byte](g *grouper, col []T, order []int32) {
 	for _, m := range order {
-		s, fresh := slotKeyed(&g.t, col[g.hidx[m]], g.hsfx[m], g.hh[m])
-		if fresh {
-			g.addSlot()
-		}
-		g.slots[g.hpos[m]] = s
+		g.slots[g.hpos[m]] = slotKeyed(&g.t, col[g.hidx[m]], g.hsfx[m], g.hh[m])
 	}
 }
 
@@ -460,61 +435,27 @@ func keyKind(k store.Kind) store.Kind {
 	return k
 }
 
-// accumulateGroups folds the batch's survivors into their group
-// accumulators in two phases: resolve slots (groupSlots), then accumulate
-// over (selection, slot) pairs — lane loops when every aggregate is
-// lane-eligible (accumulateLanes, kernel.go), the compiled row kernels
-// against per-slot partials otherwise.
-func (ts *taskState) accumulateGroups(startID uint64) {
-	ts.groupSlots(startID)
-	if ts.g.acc.lanes {
-		ts.accumulateLanes(startID)
-	} else {
-		ts.accumulateSlots(startID)
-	}
-}
-
-// accumulateSlots is the generic accumulation path: per-slot partials fed
-// through the compiled row kernels, for aggregate mixes (Paillier, OPE,
-// medians) the flat lanes cannot represent.
-func (ts *taskState) accumulateSlots(startID uint64) {
-	g := &ts.g
-	sel := ts.b.sel
-	slots := g.slots[:len(sel)]
-	parts, rows := g.acc.parts, g.acc.rows
-	for _, s := range slots {
-		rows[s]++
-	}
-	for ai := range ts.cp.aggs {
-		row := ts.cp.aggs[ai].row
-		for k, i := range sel {
-			row(&ts.pc, &parts[slots[k]].aggs[ai], i, ts.b.joinAt(k), startID+uint64(i))
-		}
-	}
-}
-
-// fold hands the task's groups to the shuffle as they are — the key arena and
-// the lanes, not a heap object per group — with the identifier lists laid out
-// one contiguous run per slot and the groups partitioned by reducer. The node
-// arenas the lists grew in go back to the run for its next task.
+// fold hands the task's groups on as they are — the key arena and the
+// columns, not a heap object per group — with the identifier lists laid out
+// one contiguous run per slot and, for a group-by's shuffle, the groups
+// partitioned by reducer. The node arenas the lists grew in go back to the run
+// for its next task.
 func (g *grouper) fold(res *mapResult, pl *Plan, arenas *nodeArenas, buckets int) {
-	res.ops.GroupSlots += uint64(g.t.len())
-	if n := uint64(len(g.t.table)); n > res.ops.GroupTableLen {
-		res.ops.GroupTableLen = n
-	}
-	tg := &taskGroups{keys: g.t.groupKeys, rows: g.acc.rows, vals: g.acc.vals, parts: g.acc.parts,
-		ids: make([]idLists, len(pl.Aggs))}
-	if !g.acc.lanes {
-		tg.asheIDs(pl, g.acc.parts)
-	}
-	for ai := range g.ids { // lane mode
-		if pl.Aggs[ai].Kind == AggAsheSum {
-			tg.ids[ai] = g.ids[ai].layout()
-			arenas.put(g.ids[ai].nodes)
-			g.ids[ai].nodes = nil
+	tg := &taskGroups{keys: g.t.groupKeys, rows: g.acc.rows, cols: g.acc.cols}
+	for ai := range g.acc.ids {
+		if c := &g.acc.ids[ai]; pl.Aggs[ai].Kind == AggAsheSum {
+			tg.cols[ai].Ranges, tg.cols[ai].RangeOff = c.layout()
+			arenas.put(c.nodes)
+			c.nodes = nil
 		}
 	}
-	tg.partition(buckets)
+	if pl.GroupBy != nil {
+		res.ops.GroupSlots += uint64(g.t.len())
+		if n := uint64(len(g.t.table)); n > res.ops.GroupTableLen {
+			res.ops.GroupTableLen = n
+		}
+		tg.partition(buckets)
+	}
 	res.groups = tg
 }
 
@@ -596,9 +537,9 @@ func (cp *compiledPlan) runMapTask(ctx context.Context, c *Cluster, part *store.
 	}
 	defer release()
 	ts := cp.newTaskState(part)
-	for ai := range ts.g.ids {
+	for ai := range ts.g.acc.ids {
 		if cp.pl.Aggs[ai].Kind == AggAsheSum {
-			ts.g.ids[ai].nodes = arenas.get()
+			ts.g.acc.ids[ai].nodes = arenas.get()
 		}
 	}
 	pinned := len(cp.leftIdxs)
@@ -614,7 +555,7 @@ func (cp *compiledPlan) runMapTask(ctx context.Context, c *Cluster, part *store.
 	if err := ts.execute(ctx, i0, i1); err != nil {
 		return nil, err
 	}
-	if cp.pl.GroupBy != nil && len(cp.pl.Project) == 0 {
+	if len(cp.pl.Project) == 0 {
 		// Laying the identifier lists out is the task's last measured step.
 		ts.g.fold(ts.res, cp.pl, arenas, c.cfg.Workers)
 	}

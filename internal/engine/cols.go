@@ -37,7 +37,7 @@ type GroupCols struct {
 // identifier lists in one of two forms, told apart by which offsets are set:
 //
 //   - encoded (IDOff): one block of codec-encoded lists. What a run produces
-//     (its reducers and mergeSingle encode), a result frame carries, and the
+//     (its reducers and its driver encode), a result frame carries, and the
 //     wire decoder hands back aliasing the frame.
 //   - decoded (RangeOff): one flat arena of ranges. What a merge whose consumer
 //     is in this process produces — Merge at the fleet coordinator,
@@ -273,43 +273,41 @@ func colsFromGroups(groups []Group) (*GroupCols, error) {
 	return c, nil
 }
 
-// taskGroupsFromCols views one shard's result columns as the merge input form
-// — the inverse of gatherGroups for a Partial plan — so the coordinator's
-// reduce is the engine's own. Keys, row counts, lanes and the identifier lists
-// (encoded ones stay so: the merge decodes each list where it merges it) are
-// the columns themselves; only a plan with generic aggregates builds a partial
-// per group.
+// taskGroupsFromCols takes one shard's result columns as the merge input
+// form — the inverse of gatherGroups for a Partial plan — so the coordinator's
+// reduce is the engine's own. Keys, row counts and columns are the shard's
+// own (encoded identifier lists stay so: the merge decodes each list where it
+// merges it). It first refuses what the merge would trip over: a column short
+// of the groups, a Paillier sum with no ciphertext, an OPE median whose
+// identifiers or companions do not pair with its ciphertexts.
 func (pl *Plan) taskGroupsFromCols(c *GroupCols, codec idlist.Codec) (*taskGroups, error) {
-	n := c.Len()
 	if err := c.CheckPlan(pl); err != nil {
 		return nil, err
 	}
-	tg := &taskGroups{keys: c.keys(), rows: c.Rows, ids: make([]idLists, len(c.Aggs))}
+	n := c.Len()
 	for ai := range c.Aggs {
-		switch col := &c.Aggs[ai]; {
-		case col.Kind != AggAsheSum:
-		case col.RangeOff != nil:
-			tg.ids[ai] = idLists{ranges: col.Ranges, off: col.RangeOff}
-		default:
-			tg.ids[ai] = idLists{enc: col, codec: codec}
+		col := &c.Aggs[ai]
+		hostile := func(format string, args ...any) error {
+			return fmt.Errorf("engine: merge: aggregate %d (%v) %s (malformed or hostile result)", ai, col.Kind, fmt.Sprintf(format, args...))
+		}
+		switch {
+		case col.Kind < AggPlainSum || col.Kind > AggOpeMedian:
+			return nil, hostile("is of no known kind")
+		case col.Kind == AggAsheSum && len(col.IDOff) != n+1 && len(col.RangeOff) != n+1:
+			return nil, hostile("holds identifier lists for other than %d groups", n)
+		case LaneKind(col.Kind) && len(col.Lane) != n, !LaneKind(col.Kind) && len(col.Vals) != n:
+			return nil, hostile("holds other than %d groups", n)
+		}
+		for g := range col.Vals {
+			av := &col.Vals[g]
+			switch {
+			case col.Kind == AggPaillierSum && av.Pail == nil:
+				return nil, hostile("of group %d has no Paillier ciphertext", g)
+			case col.Kind == AggOpeMedian && (len(av.MedIDs) != len(av.MedOpe) || len(av.MedComp) != 0 && len(av.MedComp) != len(av.MedOpe)):
+				return nil, hostile("of group %d collects %d ciphertexts with %d identifiers and %d companions",
+					g, len(av.MedOpe), len(av.MedIDs), len(av.MedComp))
+			}
 		}
 	}
-	if pl.groupLanes() {
-		tg.vals = make([][]uint64, len(c.Aggs))
-		for ai := range c.Aggs {
-			tg.vals[ai] = c.Aggs[ai].Lane
-		}
-		return tg, nil
-	}
-	na := len(pl.Aggs)
-	tg.parts = make([]partial, n)
-	states := make([]aggState, n*na)
-	for g := range tg.parts {
-		p := &tg.parts[g]
-		p.aggs = states[g*na : (g+1)*na : (g+1)*na]
-		if err := fillPartial(p, c, g); err != nil {
-			return nil, err
-		}
-	}
-	return tg, nil
+	return &taskGroups{keys: c.keys(), rows: c.Rows, cols: c.Aggs, codec: codec}, nil
 }

@@ -244,8 +244,8 @@ type Plan struct {
 	Range *IDRange
 	// Partial marks the plan as one shard's slice of a scatter-gather query:
 	// collection-valued aggregates (medians) return their collected inputs in
-	// the result instead of collapsing them, so the coordinator can merge
-	// partial results from disjoint row ranges exactly (see MergeResults).
+	// the result instead of collapsing them, so the coordinator can merge the
+	// results of disjoint row ranges exactly (see Merge).
 	Partial bool
 	// Project switches the plan to scan mode: matching rows are returned
 	// with their global identifiers and these columns' values.
@@ -272,7 +272,7 @@ type AggValue struct {
 	// the uncollapsed median inputs of a Partial plan: a median cannot be
 	// computed from per-shard medians, so shards return what they collected
 	// and the coordinator selects over the concatenation (MergeResults).
-	// Empty on non-Partial plans, where finishPartial collapses in place.
+	// Empty on non-Partial plans, whose merge collapses them (finishCol).
 	MedU64  []uint64
 	MedOpe  [][]byte
 	MedIDs  []uint64
@@ -325,8 +325,8 @@ type Metrics struct {
 	// Across a shard merge each takes the slowest shard's.
 	MapTime    time.Duration
 	ReduceTime time.Duration
-	// DriverTime is the driver's own work: compiling the plan, then merging
-	// no-group-by partials or gathering the reducers' columns (and a
+	// DriverTime is the driver's own work: compiling the plan, then folding an
+	// ungrouped plan's map tasks or gathering the reducers' columns (and a
 	// coordinator's shard merge, added by Merge).
 	DriverTime time.Duration
 	// ShuffleBytes is the size of the map tasks' output as they hold it: keys,

@@ -85,9 +85,7 @@ func (pl *Plan) GroupKeyKind() (kind store.Kind, ok bool) {
 // the open-addressed slot table as the fallback; byte keys (DET ciphertexts)
 // and string keys intern into the same table, key bytes in a per-task arena.
 // Table probes are radix-partitioned once the table outgrows radixMinTable.
-// The suffix says how the slots accumulate: flat lanes when every aggregate
-// is lane-eligible, a generic partial per slot otherwise. Empty when the plan
-// has no GROUP BY.
+// Empty when the plan has no GROUP BY.
 func (pl *Plan) GroupPath() string {
 	gb := pl.GroupBy
 	if gb == nil {
@@ -101,10 +99,6 @@ func (pl *Plan) GroupPath() string {
 	if gb.Inflate > 1 {
 		inflateN = uint64(gb.Inflate)
 	}
-	acc := "flat lanes"
-	if !pl.groupLanes() {
-		acc = "per-slot partials"
-	}
 	if kind == store.U64 {
 		keys := uint64(denseDefaultEntries) / inflateN
 		bounded := ""
@@ -115,15 +109,15 @@ func (pl *Plan) GroupPath() string {
 		if max := uint64(denseMaxEntries) / inflateN; keys > max {
 			keys = max
 		}
-		return fmt.Sprintf("dense direct-index (%d keys × %d suffixes%s), hash fallback radix-partitioned ≥ %d slots, %s",
-			keys, inflateN, bounded, radixMinTable, acc)
+		return fmt.Sprintf("dense direct-index (%d keys × %d suffixes%s), hash fallback radix-partitioned ≥ %d slots",
+			keys, inflateN, bounded, radixMinTable)
 	}
 	keyed := "byte"
 	if kind == store.Str {
 		keyed = "string"
 	}
-	return fmt.Sprintf("open-addressed slot table (%s keys in a per-task arena), radix-partitioned ≥ %d slots, %s",
-		keyed, radixMinTable, acc)
+	return fmt.Sprintf("open-addressed slot table (%s keys in a per-task arena), radix-partitioned ≥ %d slots",
+		keyed, radixMinTable)
 }
 
 // JoinIndexKind names the hash index the broadcast join builds over the right

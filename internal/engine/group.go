@@ -5,30 +5,38 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 
 	"seabed/internal/idlist"
+	"seabed/internal/ope"
 	"seabed/internal/store"
 )
 
 // This file holds the group-by machinery every stage shares. A group is a
 // slot: slotTable interns group keys of any kind (u64, DET/OPE bytes, strings,
 // each with an optional inflation suffix) into dense slot numbers, and
-// groupAcc keeps the per-slot accumulators as flat lanes — one []uint64 per
-// aggregate — or, for aggregate mixes the lanes cannot represent (Paillier, OPE
-// extremes, medians), as one partial per slot. The map-side grouper (batch.go)
-// fills a table per task; the task's lanes travel to the reducer as they are
-// (taskGroups); reduceGroups and the coordinator's merge fold inputs of that
-// one form through groupMerger; and gatherGroups, the last step, writes the
-// result's columns (GroupCols, cols.go) in key order — the lanes carried the
-// rest of the way.
+// groupAcc keeps the per-slot accumulators in the result's own column form
+// (AggCol): a flat []uint64 lane for each aggregate that has one, an AggValue
+// per slot for the rest (Paillier, OPE extremes, medians) — chosen by each
+// aggregate's kind, never by the plan. An ungrouped plan is the one-group case,
+// keyed U64 0. The map-side grouper (batch.go) fills a table per task; the
+// task's columns travel to the reducer as they are (taskGroups); reduceGroups,
+// the driver's fold of an ungrouped plan and the coordinator's merge fold
+// inputs of that one form through groupMerger; and gatherGroups, the last
+// step, writes the result's columns (GroupCols, cols.go) in key order — the
+// columns carried the rest of the way.
 //
-// An ASHE sum's identifier lists have one life in every mode: built once, a
-// row at a time, by the map task (idChains in lane mode, the slot's partial
-// otherwise); laid out once, at task end, as one contiguous run per slot
-// (idChains.layout); merged slot by slot through one reused buffer (idRun);
-// and passed through the codec only where a result frame is written (a run's
-// reducers, mergeSingle) or read (a shard result's column at the coordinator).
-// A merge whose consumer is in this process leaves them decoded (AggCol).
+// An ASHE sum's identifier lists have one life: built once, a row or a run at
+// a time, by the map task (idChains); laid out once, at task end, as one
+// contiguous run per slot (idChains.layout); merged slot by slot through one
+// reused buffer (idRun); and passed through the codec only where a result
+// frame is written (a run's reducers and its driver) or read (a shard result's
+// column at the coordinator). A merge whose consumer is in this process leaves
+// them decoded (AggCol).
+//
+// A slot that no row reached — an ungrouped plan's that selected nothing —
+// has row count 0, the identity of every fold: the merge skips it, and it
+// finishes as a plain minimum of 0, an empty OPE extreme and a Paillier 1.
 
 // LaneKind reports whether an aggregate accumulates in a flat u64 lane.
 func LaneKind(k AggKind) bool {
@@ -37,23 +45,6 @@ func LaneKind(k AggKind) bool {
 		return true
 	}
 	return false
-}
-
-// groupLanes reports whether the plan's groups accumulate in flat lanes: a
-// group-by whose every aggregate is lane-eligible. Every stage derives the
-// choice from the plan alone, so a task's output always has the form its
-// reducer expects. Ungrouped plans keep partials: their single group may have
-// selected no rows, a state lanes do not represent.
-func (pl *Plan) groupLanes() bool {
-	if pl.GroupBy == nil {
-		return false
-	}
-	for _, a := range pl.Aggs {
-		if !LaneKind(a.Kind) {
-			return false
-		}
-	}
-	return true
 }
 
 // room returns s with capacity for n more elements, doubling when it must
@@ -206,9 +197,8 @@ func (t *slotTable) reserve(n, keyLen int) {
 	}
 }
 
-// slotU64 resolves a u64 key to its slot, adding one on first sight; fresh
-// tells the caller to grow its per-slot state.
-func (t *slotTable) slotU64(v uint64, sfx int32, h uint64) (s int32, fresh bool) {
+// slotU64 resolves a u64 key to its slot, adding one on first sight.
+func (t *slotTable) slotU64(v uint64, sfx int32, h uint64) int32 {
 	if t.used*2 >= len(t.table) {
 		t.grow()
 	}
@@ -219,17 +209,17 @@ func (t *slotTable) slotU64(v uint64, sfx int32, h uint64) (s int32, fresh bool)
 			t.appendU64(v, sfx)
 			t.used++
 			t.table[idx] = int32(len(t.u64))
-			return int32(len(t.u64) - 1), true
+			return int32(len(t.u64) - 1)
 		}
 		if t.u64[s-1] == v && t.suffixAt(int(s-1)) == sfx {
-			return s - 1, false
+			return s - 1
 		}
 	}
 }
 
 // slotKeyed is slotU64 for byte and string keys: a first sight copies the key
 // into the arena.
-func slotKeyed[T ~string | ~[]byte](t *slotTable, key T, sfx int32, h uint64) (s int32, fresh bool) {
+func slotKeyed[T ~string | ~[]byte](t *slotTable, key T, sfx int32, h uint64) int32 {
 	if t.used*2 >= len(t.table) {
 		t.grow()
 	}
@@ -241,10 +231,10 @@ func slotKeyed[T ~string | ~[]byte](t *slotTable, key T, sfx int32, h uint64) (s
 			t.hash = append(room(t.hash, 1), h)
 			t.used++
 			t.table[idx] = int32(len(t.hash))
-			return int32(len(t.hash) - 1), true
+			return int32(len(t.hash) - 1)
 		}
 		if t.hash[s-1] == h && string(t.bytesAt(int(s-1))) == string(key) && t.suffixAt(int(s-1)) == sfx {
-			return s - 1, false
+			return s - 1
 		}
 	}
 }
@@ -320,39 +310,61 @@ func (c *idChains) addSlot() {
 	c.slots = append(room(c.slots, 1), idSlot{tail: -1})
 }
 
-// appendID adds one row identifier to slot s, as List.Append does: it extends
-// the last range when it abuts it, and is a range of its own otherwise.
-func (c *idChains) appendID(s int32, id uint64) {
+// appendRange adds the identifiers lo..hi to slot s, as List.AppendRange
+// does: it extends the last range when the run abuts it, and is a range of its
+// own otherwise.
+func (c *idChains) appendRange(s int32, lo, hi uint64) {
 	sl := &c.slots[s]
 	if sl.tail >= 0 {
-		if t := &c.nodes[sl.tail]; id == t.hi+1 && t.hi != ^uint64(0) {
-			t.hi = id
+		if t := &c.nodes[sl.tail]; lo == t.hi+1 && t.hi != ^uint64(0) {
+			t.hi = hi
 			return
 		}
 	}
 	sl.tail = int32(len(c.nodes))
 	sl.count++
-	c.nodes = append(room(c.nodes, 1), idNode{lo: id, hi: id, slot: s})
+	c.nodes = append(room(c.nodes, 1), idNode{lo: lo, hi: hi, slot: s})
+}
+
+// appendSel adds a batch's survivors' identifiers to slot s: each run of
+// consecutive identifiers is gathered here and appended whole, with exactly
+// the outcome of appending them one by one.
+func (c *idChains) appendSel(s int32, startID uint64, sel []int32) {
+	if len(sel) == 0 {
+		return
+	}
+	lo := startID + uint64(sel[0])
+	hi := lo
+	for _, i := range sel[1:] {
+		if id := startID + uint64(i); id != hi+1 || hi == ^uint64(0) {
+			c.appendRange(s, lo, hi)
+			lo, hi = id, id
+		} else {
+			hi = id
+		}
+	}
+	c.appendRange(s, lo, hi)
 }
 
 // layout writes every slot's ranges contiguously, in list order: one counting
 // pass over the slots, then one scatter of the nodes in arrival order (the
 // bySlot idiom). The chains are spent afterwards — each slot's tail serves as
-// its write cursor — and the node arena is free for the run's next task.
-func (c *idChains) layout() idLists {
-	off := make([]uint64, len(c.slots)+1)
+// its write cursor — and the node arena is free for the run's next task. The
+// result is a decoded column's lists: slot s's are ranges[off[s]:off[s+1]].
+func (c *idChains) layout() (ranges []idlist.Range, off []uint64) {
+	off = make([]uint64, len(c.slots)+1)
 	for s := range c.slots {
 		c.slots[s].tail = int32(off[s])
 		off[s+1] = off[s] + uint64(c.slots[s].count)
 	}
-	ranges := make([]idlist.Range, len(c.nodes))
+	ranges = make([]idlist.Range, len(c.nodes))
 	for i := range c.nodes {
 		n := &c.nodes[i]
 		at := &c.slots[n.slot].tail
 		ranges[*at] = idlist.Range{Lo: n.lo, Hi: n.hi}
 		*at++
 	}
-	return idLists{ranges: ranges, off: off}
+	return ranges, off
 }
 
 // idRun is one slot's identifier list while a merge builds it: the slot's
@@ -418,145 +430,219 @@ type idWork struct {
 
 // --- accumulators ---
 
-// groupAcc is the per-slot accumulator storage beside a slotTable, in one of
-// two modes fixed by the plan (Plan.groupLanes): flat lanes — one u64 lane per
-// aggregate, beside which a map task keeps the ASHE sums' identifier lists
-// (idChains; a merge builds them slot by slot in finish) — or one generic
-// partial per slot. The row-count lane serves both modes; a slot's partial leaves its own
-// rows field unused.
+// groupAcc is the per-slot accumulator storage beside a slotTable: the row
+// counts and one column per aggregate in the result's own form (AggCol) — a
+// lane for a lane kind, an AggValue per slot for the rest, which the map-side
+// kernels, the merge and the result all read and write as it is. A map task
+// keeps its ASHE sums' identifier lists beside the lanes (ids); a merge builds
+// them slot by slot in finish.
 type groupAcc struct {
-	aggs  []Agg
-	lanes bool
-	rows  []uint64
-	vals  [][]uint64 // [aggregate][slot], lane mode
-	parts []partial  // [slot], generic mode
-	// states is the block the next generic slots' aggStates are carved from.
-	states []aggState
+	aggs []Agg
+	rows []uint64
+	cols []AggCol
+	ids  []idChains // [aggregate]; a map task's, nil when no aggregate is an ASHE sum
 }
 
-func (a *groupAcc) init(pl *Plan) {
-	*a = groupAcc{aggs: pl.Aggs, lanes: pl.groupLanes()}
-	if a.lanes {
-		a.vals = make([][]uint64, len(a.aggs))
+// init readies the accumulators, with no slots, for a plan's aggregates; a map
+// task's (chains) also keep identifier lists.
+func (a *groupAcc) init(aggs []Agg, chains bool) {
+	*a = groupAcc{aggs: aggs, cols: make([]AggCol, len(aggs))}
+	for ai, agg := range aggs {
+		a.cols[ai].Kind = agg.Kind
+		if chains && agg.Kind == AggAsheSum && a.ids == nil {
+			a.ids = make([]idChains, len(aggs))
+		}
 	}
 }
 
-// alloc sizes the accumulators for exactly n zeroed slots: what a merge, which
-// knows its slot count before it accumulates, uses in place of addSlot.
-func (a *groupAcc) alloc(n int) {
-	a.rows = make([]uint64, n)
-	if !a.lanes {
-		na := len(a.aggs)
-		a.parts = make([]partial, n)
-		states := make([]aggState, n*na)
-		for s := range a.parts {
-			initPartial(&a.parts[s], a.aggs, states[s*na:(s+1)*na:(s+1)*na])
-		}
+// grow extends the accumulators, and the identifier lists beside them, to n
+// slots, each new one empty: every lane at its fold's identity (a minimum's is
+// the largest value), every value empty but a Paillier sum's, which starts at
+// the product's identity. A column only ever grows, so the capacity past its
+// length is as make zeroed it, and a new slot is set only where empty is not
+// zero. A map task grows its accumulators to its table once a batch's keys
+// are resolved; a merge, which knows its slot count first, grows them once.
+func (a *groupAcc) grow(n int) {
+	from := len(a.rows)
+	if n <= from {
 		return
 	}
-	for ai, agg := range a.aggs {
-		a.vals[ai] = make([]uint64, n)
-		if agg.Kind == AggPlainMin {
-			for s := range a.vals[ai] {
-				a.vals[ai][s] = ^uint64(0)
+	a.rows = room(a.rows, n-from)[:n]
+	for ai := range a.cols {
+		col := &a.cols[ai]
+		if LaneKind(col.Kind) {
+			col.Lane = room(col.Lane, n-from)[:n]
+			if col.Kind == AggPlainMin {
+				for s := from; s < n; s++ {
+					col.Lane[s] = ^uint64(0)
+				}
+			}
+		} else {
+			col.Vals = room(col.Vals, n-from)[:n]
+			for s := from; s < n; s++ {
+				col.Vals[s].Kind = col.Kind
+				if col.Kind == AggPaillierSum {
+					col.Vals[s].Pail = a.aggs[ai].PK.EncryptZero()
+				}
+			}
+		}
+		if a.ids != nil && col.Kind == AggAsheSum {
+			for range n - from {
+				a.ids[ai].addSlot()
 			}
 		}
 	}
 }
 
-// addSlot grows the accumulators by one zeroed slot.
-func (a *groupAcc) addSlot() {
-	a.rows = append(room(a.rows, 1), 0)
-	if !a.lanes {
-		n := len(a.aggs)
-		if len(a.states) < n {
-			a.states = make([]aggState, 64*n)
+// foldValue folds src into dst for aggregate ai, a kind without a lane: a
+// Paillier product, an OPE extreme — an empty one is unseen, and ties keep the
+// first — or a median's collection.
+func (pl *Plan) foldValue(ai int, dst, src *AggValue) {
+	switch pl.Aggs[ai].Kind {
+	case AggPaillierSum:
+		pl.Aggs[ai].PK.AddInto(dst.Pail, src.Pail)
+	case AggOpeMin:
+		if len(src.Ope) > 0 && (len(dst.Ope) == 0 || ope.Less(src.Ope, dst.Ope)) {
+			dst.Ope, dst.ArgID, dst.U64, dst.CompanionBytes = src.Ope, src.ArgID, src.U64, src.CompanionBytes
 		}
-		a.parts = append(room(a.parts, 1), partial{})
-		initPartial(&a.parts[len(a.parts)-1], a.aggs, a.states[:n:n])
-		a.states = a.states[n:]
-		return
-	}
-	for ai := range a.aggs {
-		zero := uint64(0)
-		if a.aggs[ai].Kind == AggPlainMin {
-			zero = ^uint64(0)
+	case AggOpeMax:
+		if len(src.Ope) > 0 && (len(dst.Ope) == 0 || ope.Less(dst.Ope, src.Ope)) {
+			dst.Ope, dst.ArgID, dst.U64, dst.CompanionBytes = src.Ope, src.ArgID, src.U64, src.CompanionBytes
 		}
-		a.vals[ai] = append(room(a.vals[ai], 1), zero)
+	case AggPlainMedian:
+		dst.MedU64 = append(dst.MedU64, src.MedU64...)
+	case AggOpeMedian:
+		dst.MedOpe = append(dst.MedOpe, src.MedOpe...)
+		dst.MedIDs = append(dst.MedIDs, src.MedIDs...)
+		dst.MedComp = append(dst.MedComp, src.MedComp...)
 	}
+}
+
+// finishCol readies column ai of the merged slots for the result — a plain
+// minimum no row reached reads 0, and a median collapses unless the plan is
+// one shard's slice, whose collection the coordinator's merge needs — and
+// returns the column's serialized size, identifier lists excepted.
+func (pl *Plan) finishCol(ai int, col *AggCol, rows []uint64) int {
+	switch col.Kind {
+	case AggPlainMin:
+		for s, r := range rows {
+			if r == 0 {
+				col.Lane[s] = 0
+			}
+		}
+	case AggPaillierSum:
+		return len(rows) * pl.Aggs[ai].PK.CiphertextSize()
+	}
+	if col.Lane != nil {
+		return 8 * len(rows)
+	}
+	bytes := 0
+	for s := range col.Vals {
+		av := &col.Vals[s]
+		switch col.Kind {
+		case AggOpeMin, AggOpeMax:
+			bytes += len(av.Ope) + 16 + len(av.CompanionBytes)
+		case AggPlainMedian:
+			if pl.Partial {
+				bytes += 8 * len(av.MedU64)
+				continue
+			}
+			if n := len(av.MedU64); n > 0 {
+				slices.Sort(av.MedU64)
+				av.U64 = av.MedU64[n/2]
+			}
+			av.MedU64 = nil
+			bytes += 8
+		case AggOpeMedian:
+			if pl.Partial {
+				bytes += opeMedianBytes(av.MedOpe)
+				continue
+			}
+			av.Ope, av.ArgID, av.U64 = collapseOpeMedian(av.MedOpe, av.MedIDs, av.MedComp)
+			av.MedOpe, av.MedIDs, av.MedComp = nil, nil, nil
+			bytes += len(av.Ope) + 16
+		}
+	}
+	return bytes
+}
+
+// collapseOpeMedian selects the middle element of an OPE-encrypted value
+// collection by order-revealing comparison (Table 6: "Median … Using OPE") —
+// the server needs no key. It returns the winning ciphertext, its row
+// identifier, and its companion value (0 when no companions were collected).
+// medIDs holds one identifier per ciphertext (taskGroupsFromCols refuses a
+// shard's collection that does not).
+func collapseOpeMedian(medOpe [][]byte, medIDs, medComp []uint64) (opeVal []byte, argID, comp uint64) {
+	n := len(medOpe)
+	if n == 0 {
+		return nil, 0, 0
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return ope.Less(medOpe[idx[a]], medOpe[idx[b]]) })
+	mid := idx[n/2]
+	opeVal, argID = medOpe[mid], medIDs[mid]
+	if len(medComp) == n {
+		comp = medComp[mid]
+	}
+	return opeVal, argID, comp
 }
 
 // --- the merge input form ---
 
 // taskGroups is a set of groups with distinct keys and their accumulated
-// state: what a map task hands its reducers, what a shard's result converts
-// to at the coordinator, and so the one input form of groupMerger. Its mode
-// (lanes or parts) is the plan's.
+// state: what a map task hands its reducers or its driver, what a shard's
+// result is viewed as at the coordinator, and so the one input form of
+// groupMerger. Its columns are the result's form: an ASHE sum's lists are
+// decoded (a map task's, laid out) or encoded with codec (a shard result's),
+// and an encoded one is decoded only where the merge reaches it.
 type taskGroups struct {
 	keys  groupKeys
 	rows  []uint64
-	vals  [][]uint64 // lane mode: [aggregate][group]
-	parts []partial  // generic mode
-	ids   []idLists  // [aggregate], the zero value for non-ASHE aggregates
+	cols  []AggCol
+	codec idlist.Codec
 	// order lists the groups partitioned by reducer: bucket b's groups are
-	// order[start[b]:start[b+1]]. Map tasks only.
+	// order[start[b]:start[b+1]]. A group-by's map tasks only.
 	order []int32
 	start []int32
 }
 
-// idLists is one ASHE aggregate's identifier list per group, in the form the
-// set's producer left them: flat, one contiguous run per group (a lane-mode
-// map task's after layout, a decoded result column's); inside the groups'
-// partials (a generic-mode map task's, the reference evaluator's); or
-// codec-encoded in a shard result's column (enc) until the merge reaches them.
-type idLists struct {
-	ranges []idlist.Range // flat: group g's list is ranges[off[g]:off[g+1]]
-	off    []uint64
-	parts  []partial // in partials: group g's list is its aggregate's ids
-	enc    *AggCol
-	codec  idlist.Codec
-}
-
-// idsAt returns group g's list of aggregate ai: a view of the flat run or of
-// the partial's list, or an encoded list decoded into scratch, which the
-// result then aliases until the next call.
+// idsAt returns group g's list of aggregate ai: a view of a decoded column, or
+// an encoded list decoded into scratch, which the result then aliases until
+// the next call.
 func (tg *taskGroups) idsAt(ai, g int, scratch *[]idlist.Range) ([]idlist.Range, error) {
-	switch l := &tg.ids[ai]; {
-	case l.off != nil:
-		return l.ranges[l.off[g]:l.off[g+1]], nil
-	case l.enc != nil:
-		rs, err := l.codec.AppendDecode((*scratch)[:0], l.enc.EncodedIDs(g))
-		if err != nil {
-			return nil, fmt.Errorf("engine: merge: decode id list: %v", err)
-		}
-		*scratch = rs
-		return rs, nil
-	default:
-		return l.parts[g].aggs[ai].ids.Ranges(), nil
+	col := &tg.cols[ai]
+	if col.RangeOff != nil {
+		return col.DecodedIDs(g), nil
 	}
+	rs, err := tg.codec.AppendDecode((*scratch)[:0], col.EncodedIDs(g))
+	if err != nil {
+		return nil, fmt.Errorf("engine: merge: decode id list: %v", err)
+	}
+	*scratch = rs
+	return rs, nil
 }
 
 // numRanges returns the range count of group g's list of aggregate ai without
-// laying it out. An encoded list does not know it: a list of n identifiers —
-// the group's rows — has at most n ranges and, under the variable-byte codecs,
-// no fewer bytes, so the smaller of the two bounds it (Deflate can beat the
+// decoding it. An encoded list does not know it: a list of n identifiers — the
+// group's rows — has at most n ranges and, under the variable-byte codecs, no
+// fewer bytes, so the smaller of the two bounds it (Deflate can beat the
 // second; the count is a capacity hint there, and exact everywhere else).
 func (tg *taskGroups) numRanges(ai, g int) int {
-	switch l := &tg.ids[ai]; {
-	case l.off != nil:
-		return int(l.off[g+1] - l.off[g])
-	case l.enc != nil:
-		return int(min(tg.rows[g], l.enc.IDOff[g+1]-l.enc.IDOff[g]))
-	default:
-		return l.parts[g].aggs[ai].ids.NumRanges()
+	col := &tg.cols[ai]
+	if col.RangeOff != nil {
+		return int(col.RangeOff[g+1] - col.RangeOff[g])
 	}
+	return int(min(tg.rows[g], col.IDOff[g+1]-col.IDOff[g]))
 }
 
 // encodedHint guesses the encoded size of group g's list of aggregate ai: the
 // encoding itself when the list arrived encoded, else a few bytes per range.
 func (tg *taskGroups) encodedHint(ai, g int) int {
-	if enc := tg.ids[ai].enc; enc != nil {
-		return int(enc.IDOff[g+1] - enc.IDOff[g])
+	if col := &tg.cols[ai]; col.IDOff != nil {
+		return int(col.IDOff[g+1] - col.IDOff[g])
 	}
 	return 2 + 4*tg.numRanges(ai, g)
 }
@@ -587,80 +673,52 @@ func (tg *taskGroups) partition(n int) {
 }
 
 // heldBytes is the set's size as map output, as the task holds it — plain
-// arithmetic, the accounting Plan.sizeOutput applies to an ungrouped partial:
-// keys, row counts, lanes or partials, and identifier lists raw at 16 bytes a
-// range (lists, the second result, is that share).
+// arithmetic: keys (an ungrouped plan's one key is implied), row counts,
+// lanes, values, and identifier lists raw at 16 bytes a range (lists, the
+// second result, is that share). Values are sized by their lengths, as
+// finishCol sizes the result: an OPE extreme's ciphertext, a median's
+// collection.
 func (tg *taskGroups) heldBytes(pl *Plan) (total, lists int) {
 	n := tg.keys.len()
 	total = 8 * n // row counts
-	if tg.keys.kind == store.U64 {
-		total += 8 * n
-	} else {
-		total += len(tg.keys.arena)
-	}
-	if tg.keys.inflated {
-		for _, sfx := range tg.keys.sfx {
-			if sfx >= 0 {
-				total += 2
+	if pl.GroupBy != nil {
+		if tg.keys.kind == store.U64 {
+			total += 8 * n
+		} else {
+			total += len(tg.keys.arena)
+		}
+		if tg.keys.inflated {
+			for _, sfx := range tg.keys.sfx {
+				if sfx >= 0 {
+					total += 2
+				}
 			}
 		}
 	}
-	if tg.vals == nil { // generic mode: the partials hold their lists
-		for i := range tg.parts {
-			t, l := pl.aggBytes(&tg.parts[i])
-			total, lists = total+t, lists+l
-		}
-		return total, lists
-	}
-	total += 8 * n * len(pl.Aggs)
-	for ai := range tg.ids {
-		l := &tg.ids[ai]
-		lists += 16 * len(l.ranges)
-		for g := range l.parts { // the reference evaluator's
-			lists += 16 * l.parts[g].aggs[ai].ids.NumRanges()
+	for ai := range tg.cols {
+		switch col := &tg.cols[ai]; col.Kind {
+		case AggPaillierSum:
+			total += n * pl.Aggs[ai].PK.CiphertextSize()
+		case AggOpeMin, AggOpeMax:
+			for s := range col.Vals {
+				total += len(col.Vals[s].Ope)
+			}
+		case AggPlainMedian:
+			for s := range col.Vals {
+				total += 8 * len(col.Vals[s].MedU64)
+			}
+		case AggOpeMedian:
+			for s := range col.Vals {
+				total += opeMedianBytes(col.Vals[s].MedOpe)
+			}
+		case AggAsheSum:
+			lists += 16 * len(col.Ranges)
+			total += 8 * n
+		default:
+			total += 8 * n
 		}
 	}
 	return total + lists, lists
-}
-
-// taskGroupsFromMap converts the reference evaluator's key-addressed map into
-// the task-output form — the only step of that evaluator that knows about
-// slots and lanes.
-func (pl *Plan) taskGroupsFromMap(groups map[groupKey]*partial, kind store.Kind, inflated bool, buckets int) *taskGroups {
-	tg := &taskGroups{rows: make([]uint64, 0, len(groups)), ids: make([]idLists, len(pl.Aggs))}
-	tg.keys.init(kind, inflated)
-	parts := make([]partial, 0, len(groups))
-	if pl.groupLanes() {
-		tg.vals = make([][]uint64, len(pl.Aggs))
-	}
-	for k, p := range groups {
-		if kind == store.U64 {
-			tg.keys.appendU64(k.u64, int32(k.suffix))
-		} else {
-			appendKey(&tg.keys, k.str, int32(k.suffix))
-		}
-		tg.rows = append(tg.rows, p.rows)
-		parts = append(parts, *p)
-		for ai := range tg.vals {
-			tg.vals[ai] = append(tg.vals[ai], p.aggs[ai].u64)
-		}
-	}
-	if tg.vals == nil {
-		tg.parts = parts
-	}
-	tg.asheIDs(pl, parts)
-	tg.partition(buckets)
-	return tg
-}
-
-// asheIDs points the set's ASHE aggregates at the identifier lists its groups'
-// partials hold.
-func (tg *taskGroups) asheIDs(pl *Plan, parts []partial) {
-	for ai, a := range pl.Aggs {
-		if a.Kind == AggAsheSum {
-			tg.ids[ai] = idLists{parts: parts}
-		}
-	}
 }
 
 // --- the merge ---
@@ -687,11 +745,11 @@ func (in groupSel) at(i int) int {
 }
 
 // groupMerger is the one merge of group sets into a slot table: the reduce of
-// a run's map tasks (one merger per reducer bucket) and the coordinator's
-// merge of shard results are both this routine. Lanes add as lanes; generic
-// slots fold through mergePartial; identifier lists merge slot by slot
-// (mergeIDs) where they are written out: encoded by finish, or decoded, in key
-// order, by gatherGroups.
+// a run's map tasks (one merger per reducer bucket), the driver's fold of an
+// ungrouped plan's tasks and the coordinator's merge of shard results are all
+// this routine. Columns fold as columns (lanes add, values through foldValue);
+// identifier lists merge slot by slot (mergeIDs) where they are written out:
+// encoded by finish, or decoded, in key order, by gatherGroups.
 type groupMerger struct {
 	pl  *Plan
 	t   slotTable
@@ -704,11 +762,8 @@ type groupMerger struct {
 	start  []int32
 	refs   []groupRef
 
-	// finish's output: the slots' aggregate columns, in slot order — lanes
-	// are the accumulators themselves, identifier lists are encoded into one
-	// block per aggregate or left to gatherGroups — and the groups' serialized
-	// size.
-	aggs  []AggCol
+	// bytes is the groups' serialized size, which finish totals when it
+	// readies the accumulators' columns for the result.
 	bytes int
 }
 
@@ -718,7 +773,7 @@ type groupMerger struct {
 // allocates a fixed number of blocks however many groups it folds.
 func mergeGroupSets(pl *Plan, inputs []groupSel) *groupMerger {
 	m := &groupMerger{pl: pl, inputs: inputs}
-	m.acc.init(pl)
+	m.acc.init(pl.Aggs, false)
 	total, largest := 0, 0
 	for _, in := range inputs {
 		total += in.len()
@@ -741,7 +796,7 @@ func mergeGroupSets(pl *Plan, inputs []groupSel) *groupMerger {
 		m.intern(in, m.dst[at:at+in.len()])
 		at += in.len()
 	}
-	m.acc.alloc(m.t.len())
+	m.acc.grow(m.t.len())
 	at = 0
 	for _, in := range inputs {
 		m.fold(in, m.dst[at:at+in.len()])
@@ -759,7 +814,7 @@ func (m *groupMerger) intern(in groupSel, dst []int32) {
 		sfx := keys.suffixAt(g)
 		if keys.kind == store.U64 {
 			v := keys.u64[g]
-			dst[i], _ = m.t.slotU64(v, sfx, hashU64(v, sfx))
+			dst[i] = m.t.slotU64(v, sfx, hashU64(v, sfx))
 			continue
 		}
 		key := keys.bytesAt(g)
@@ -769,37 +824,43 @@ func (m *groupMerger) intern(in groupSel, dst []int32) {
 		} else {
 			h = hashKey(key, sfx)
 		}
-		dst[i], _ = slotKeyed(&m.t, key, sfx, h)
+		dst[i] = slotKeyed(&m.t, key, sfx, h)
 	}
 }
 
-// fold accumulates the groups of in into the slots dst resolved them to.
+// fold accumulates the groups of in into the slots dst resolved them to. A
+// group of no rows is the identity: extremes and values skip it.
 func (m *groupMerger) fold(in groupSel, dst []int32) {
+	src := in.set
 	rows := m.acc.rows
 	for i, d := range dst {
-		rows[d] += in.set.rows[in.at(i)]
+		rows[d] += src.rows[in.at(i)]
 	}
-	if !m.acc.lanes {
-		for i, d := range dst {
-			mergePartial(m.pl, &m.acc.parts[d], &in.set.parts[in.at(i)])
-		}
-		return
-	}
-	for ai, a := range m.pl.Aggs {
-		lane, src := m.acc.vals[ai], in.set.vals[ai]
-		switch a.Kind {
+	for ai := range m.acc.cols {
+		to, from := &m.acc.cols[ai], &src.cols[ai]
+		switch to.Kind {
 		case AggCount, AggPlainSum, AggPlainSumSq, AggAsheSum:
 			// An ASHE sum's bodies add here; its identifier lists merge in finish.
 			for i, d := range dst {
-				lane[d] += src[in.at(i)]
+				to.Lane[d] += from.Lane[in.at(i)]
 			}
 		case AggPlainMin:
 			for i, d := range dst {
-				lane[d] = min(lane[d], src[in.at(i)])
+				if g := in.at(i); src.rows[g] > 0 {
+					to.Lane[d] = min(to.Lane[d], from.Lane[g])
+				}
 			}
 		case AggPlainMax:
 			for i, d := range dst {
-				lane[d] = max(lane[d], src[in.at(i)])
+				if g := in.at(i); src.rows[g] > 0 {
+					to.Lane[d] = max(to.Lane[d], from.Lane[g])
+				}
+			}
+		default:
+			for i, d := range dst {
+				if g := in.at(i); src.rows[g] > 0 {
+					m.pl.foldValue(ai, &to.Vals[d], &from.Vals[g])
+				}
 			}
 		}
 	}
@@ -839,11 +900,15 @@ func (m *groupMerger) mergeIDs(ai, s int, w *idWork) (ranges int, err error) {
 	if m.refs == nil {
 		m.bySlot()
 	}
-	w.run.set(w.run.ranges[:0])
-	for _, r := range m.refs[m.start[s]:m.start[s+1]] {
-		set := m.inputs[r.in].set
-		ranges += set.numRanges(ai, int(r.g))
-		src, err := set.idsAt(ai, int(r.g), &w.list)
+	refs := m.refs[m.start[s]:m.start[s+1]]
+	for _, r := range refs {
+		ranges += m.inputs[r.in].set.numRanges(ai, int(r.g))
+	}
+	// Reserved once, at the inputs' count, so the run never regrows however
+	// many inputs feed it.
+	w.run.set(slices.Grow(w.run.ranges[:0], ranges))
+	for _, r := range refs {
+		src, err := m.inputs[r.in].set.idsAt(ai, int(r.g), &w.list)
 		if err != nil {
 			return 0, err
 		}
@@ -852,36 +917,27 @@ func (m *groupMerger) mergeIDs(ai, s int, w *idWork) (ranges int, err error) {
 	return ranges, nil
 }
 
-// finish converts the merged slots into result columns, in slot order,
-// collapsing medians, and totals the groups' serialized size. With a codec it
-// also merges and encodes the ASHE identifier lists, for a result a daemon
-// frames: it is then the reducer's last measured step. A nil codec leaves the
-// lists to gatherGroups, which writes them decoded for a consumer in this
-// process.
+// finish readies the merged slots' columns — the accumulators themselves, in
+// slot order — for the result (finishCol) and totals the groups' serialized
+// size. With a codec it also merges and encodes the ASHE identifier lists, for
+// a result a daemon frames: it is then the reducer's last measured step. A nil
+// codec leaves the lists to gatherGroups, which writes them decoded for a
+// consumer in this process.
 func (m *groupMerger) finish(codec idlist.Codec) error {
-	n, na := m.t.len(), len(m.pl.Aggs)
+	n := m.t.len()
 	m.bytes = 8 * n // key + row count, roughly
 	if m.t.kind != store.U64 {
 		m.bytes += len(m.t.arena)
 	}
-	if m.acc.lanes {
-		m.bytes += 8 * n * na
-		m.aggs = make([]AggCol, na)
-		for ai, a := range m.pl.Aggs {
-			m.aggs[ai].Kind, m.aggs[ai].Lane = a.Kind, m.acc.vals[ai]
-		}
-	} else {
-		m.aggs = newAggCols(m.pl.Aggs, n)
-		for s := range m.acc.parts {
-			m.bytes += m.pl.finishAggs(&m.acc.parts[s], m.aggs, s)
-		}
+	for ai := range m.acc.cols {
+		m.bytes += m.pl.finishCol(ai, &m.acc.cols[ai], m.acc.rows)
 	}
 	if codec == nil {
 		return nil
 	}
 	var w idWork
-	for ai := range m.aggs {
-		col := &m.aggs[ai]
+	for ai := range m.acc.cols {
+		col := &m.acc.cols[ai]
 		if col.Kind != AggAsheSum {
 			continue
 		}
@@ -985,31 +1041,31 @@ func gatherGroups(ms []*groupMerger) (*GroupCols, error) {
 		col := &out.Aggs[ai]
 		if col.Lane == nil {
 			for i, r := range refs {
-				col.Vals[i] = ms[r.m].aggs[ai].Vals[r.s]
+				col.Vals[i] = ms[r.m].acc.cols[ai].Vals[r.s]
 			}
 			continue
 		}
 		for i, r := range refs {
-			col.Lane[i] = ms[r.m].aggs[ai].Lane[r.s]
+			col.Lane[i] = ms[r.m].acc.cols[ai].Lane[r.s]
 		}
 		switch {
 		case col.Kind != AggAsheSum:
-		case ms[0].aggs[ai].IDOff != nil:
+		case ms[0].acc.cols[ai].IDOff != nil:
 			block := 0
 			for _, m := range ms {
-				block += len(m.aggs[ai].IDs)
+				block += len(m.acc.cols[ai].IDs)
 			}
 			col.IDs = make([]byte, 0, block)
 			col.IDOff = make([]uint64, total+1)
 			for i, r := range refs {
-				col.IDs = append(col.IDs, ms[r.m].aggs[ai].EncodedIDs(int(r.s))...)
+				col.IDs = append(col.IDs, ms[r.m].acc.cols[ai].EncodedIDs(int(r.s))...)
 				col.IDOff[i+1] = uint64(len(col.IDs))
 			}
 		default:
 			// The column is allocated when the first list is known, for that
 			// list and the most the lists still to come can need: exactly
-			// right for flat inputs and for a single group, a little over for
-			// encoded ones (taskGroups.numRanges).
+			// right for decoded inputs and for a single group, a little over
+			// for encoded ones (taskGroups.numRanges).
 			left := 0
 			for _, m := range ms {
 				for _, in := range m.inputs {

@@ -13,10 +13,12 @@ import (
 // This file holds the executor's kernels: per-kind, per-operator functions
 // compiled once per Run (compile.go) and invoked once per batch (batch.go).
 // Predicate kernels compact a selection vector in place; accumulator kernels
-// fold the survivors into an aggState, either in one tight loop over the raw
-// column slice (the single-group bulk path) or one row at a time (the
-// group-by path, where rows scatter across partials). Neither path contains
-// a switch over FilterKind or AggKind: the switch ran at compile time.
+// fold the survivors into the accumulators' columns (groupAcc), either in one
+// tight loop over the raw column slice into an ungrouped plan's one slot (bulk,
+// dense) or, for a group-by, over (selection, slot) pairs — per-kind lane loops
+// (accumulateGroups) and, for kinds without a lane, a row kernel per pair.
+// Neither path contains a per-row switch over FilterKind or AggKind: the
+// switch ran at compile time.
 
 // partCols is a compiled plan bound to one partition: the concrete column
 // vectors every kernel reads. Slots mirror the plan's filters/aggs/project
@@ -106,15 +108,17 @@ type batch struct {
 type predKernel func(pc *partCols, b *batch, startID uint64)
 
 // aggKernel accumulates one compiled aggregate. bulk consumes a whole
-// batch's selection vector into a single group's state; row accumulates one
-// survivor (i = left row, j = joined right row or -1) for the group-by
-// path; dense consumes the contiguous row interval [lo, hi] directly — the
-// executor takes that path when a plan has no filters and no join, so every
-// batch survives whole and the selection vector would be the identity.
+// batch's selection vector into an ungrouped plan's one slot; dense consumes
+// the contiguous row interval [lo, hi] into it directly — the executor takes
+// that path when a plan has no filters and no join, so every batch survives
+// whole and the selection vector would be the identity. row accumulates one
+// survivor (i = left row, j = joined right row or -1) into a slot's value: a
+// group-by's path for the kinds without a lane, whose lanes accumulateGroups
+// fills itself.
 type aggKernel struct {
-	bulk  func(pc *partCols, st *aggState, b *batch, startID uint64)
-	row   func(pc *partCols, st *aggState, i, j int32, rowID uint64)
-	dense func(pc *partCols, st *aggState, lo, hi int, startID uint64)
+	bulk  func(pc *partCols, acc *groupAcc, b *batch, startID uint64)
+	dense func(pc *partCols, acc *groupAcc, lo, hi int, startID uint64)
+	row   func(pc *partCols, av *AggValue, i, j int32, rowID uint64)
 }
 
 // rowPred lifts a per-row predicate into a predKernel. It is the generic
@@ -328,29 +332,26 @@ func pick(i, j int32, right bool) int32 {
 	return i
 }
 
-// compileAgg lowers one aggregate to its bulk and row accumulators. The
-// bulk path runs a tight per-kind loop over the raw column slice via the
-// selection vector — the u64 sum kernels allocate nothing.
+// compileAgg lowers one aggregate to its accumulators. The bulk and dense
+// paths run a tight per-kind loop over the raw column slice via the selection
+// vector — the u64 sum kernels allocate nothing.
 func (cp *compiledPlan) compileAgg(ai int, a *Agg) aggKernel {
 	right := cp.aggCols[ai].isRight() && a.Kind != AggCount
 
 	switch a.Kind {
 	case AggCount:
 		return aggKernel{
-			bulk: func(pc *partCols, st *aggState, b *batch, _ uint64) {
-				st.u64 += uint64(len(b.sel))
+			bulk: func(pc *partCols, acc *groupAcc, b *batch, _ uint64) {
+				acc.cols[ai].Lane[0] += uint64(len(b.sel))
 			},
-			row: func(pc *partCols, st *aggState, i, j int32, rowID uint64) {
-				st.u64++
-			},
-			dense: func(pc *partCols, st *aggState, lo, hi int, _ uint64) {
-				st.u64 += uint64(hi - lo + 1)
+			dense: func(pc *partCols, acc *groupAcc, lo, hi int, _ uint64) {
+				acc.cols[ai].Lane[0] += uint64(hi - lo + 1)
 			},
 		}
 
 	case AggPlainSum:
 		return aggKernel{
-			bulk: func(pc *partCols, st *aggState, b *batch, _ uint64) {
+			bulk: func(pc *partCols, acc *groupAcc, b *batch, _ uint64) {
 				col := pc.aggs[ai].U64
 				var s uint64
 				if right {
@@ -362,23 +363,20 @@ func (cp *compiledPlan) compileAgg(ai int, a *Agg) aggKernel {
 						s += col[i]
 					}
 				}
-				st.u64 += s
+				acc.cols[ai].Lane[0] += s
 			},
-			row: func(pc *partCols, st *aggState, i, j int32, rowID uint64) {
-				st.u64 += pc.aggs[ai].U64[pick(i, j, right)]
-			},
-			dense: func(pc *partCols, st *aggState, lo, hi int, _ uint64) {
+			dense: func(pc *partCols, acc *groupAcc, lo, hi int, _ uint64) {
 				var s uint64
 				for _, v := range pc.aggs[ai].U64[lo : hi+1] {
 					s += v
 				}
-				st.u64 += s
+				acc.cols[ai].Lane[0] += s
 			},
 		}
 
 	case AggPlainSumSq:
 		return aggKernel{
-			bulk: func(pc *partCols, st *aggState, b *batch, _ uint64) {
+			bulk: func(pc *partCols, acc *groupAcc, b *batch, _ uint64) {
 				col := pc.aggs[ai].U64
 				var s uint64
 				if right {
@@ -390,201 +388,189 @@ func (cp *compiledPlan) compileAgg(ai int, a *Agg) aggKernel {
 						s += col[i] * col[i]
 					}
 				}
-				st.u64 += s
+				acc.cols[ai].Lane[0] += s
 			},
-			row: func(pc *partCols, st *aggState, i, j int32, rowID uint64) {
-				v := pc.aggs[ai].U64[pick(i, j, right)]
-				st.u64 += v * v
-			},
-			dense: func(pc *partCols, st *aggState, lo, hi int, _ uint64) {
+			dense: func(pc *partCols, acc *groupAcc, lo, hi int, _ uint64) {
 				var s uint64
 				for _, v := range pc.aggs[ai].U64[lo : hi+1] {
 					s += v * v
 				}
-				st.u64 += s
+				acc.cols[ai].Lane[0] += s
 			},
 		}
 
 	case AggAsheSum:
 		return aggKernel{
-			bulk: func(pc *partCols, st *aggState, b *batch, startID uint64) {
+			bulk: func(pc *partCols, acc *groupAcc, b *batch, startID uint64) {
 				col := pc.aggs[ai].U64
+				var s uint64
 				if right {
-					for k, i := range b.sel {
-						st.u64 += col[b.join[k]]
-						st.ids.Append(startID + uint64(i))
+					for _, j := range b.join {
+						s += col[j]
 					}
 				} else {
 					for _, i := range b.sel {
-						st.u64 += col[i]
-						st.ids.Append(startID + uint64(i))
+						s += col[i]
 					}
 				}
-			},
-			row: func(pc *partCols, st *aggState, i, j int32, rowID uint64) {
-				st.u64 += pc.aggs[ai].U64[pick(i, j, right)]
-				st.ids.Append(rowID)
+				acc.cols[ai].Lane[0] += s
+				acc.ids[ai].appendSel(0, startID, b.sel)
 			},
 			// A dense batch's identifiers are one contiguous run, so the
-			// id-list grows by a single range — no per-row Append at all.
-			dense: func(pc *partCols, st *aggState, lo, hi int, startID uint64) {
+			// id-list grows by a single range — no per-row append at all.
+			dense: func(pc *partCols, acc *groupAcc, lo, hi int, startID uint64) {
 				var s uint64
 				for _, v := range pc.aggs[ai].U64[lo : hi+1] {
 					s += v
 				}
-				st.u64 += s
-				st.ids.AppendRange(startID+uint64(lo), startID+uint64(hi))
+				acc.cols[ai].Lane[0] += s
+				acc.ids[ai].appendRange(0, startID+uint64(lo), startID+uint64(hi))
 			},
 		}
 
 	case AggPaillierSum:
 		pk := a.PK
-		row := func(pc *partCols, st *aggState, i, j int32, rowID uint64) {
-			pk.AddInto(st.pail, new(big.Int).SetBytes(pc.aggs[ai].Bytes[pick(i, j, right)]))
-		}
-		return aggKernel{bulk: rowBulk(row), row: row, dense: rowDense(row)}
+		return rowKernel(ai, func(pc *partCols, av *AggValue, i, j int32, rowID uint64) {
+			pk.AddInto(av.Pail, new(big.Int).SetBytes(pc.aggs[ai].Bytes[pick(i, j, right)]))
+		})
 
 	case AggPlainMin:
+		// The lane starts at the largest value (groupAcc.grow), min's identity.
 		return aggKernel{
-			bulk: func(pc *partCols, st *aggState, b *batch, _ uint64) {
-				col := pc.aggs[ai].U64
+			bulk: func(pc *partCols, acc *groupAcc, b *batch, _ uint64) {
+				col, m := pc.aggs[ai].U64, acc.cols[ai].Lane[0]
 				if right {
 					for _, j := range b.join {
-						if v := col[j]; !st.seen || v < st.u64 {
-							st.u64, st.seen = v, true
-						}
+						m = min(m, col[j])
 					}
 				} else {
 					for _, i := range b.sel {
-						if v := col[i]; !st.seen || v < st.u64 {
-							st.u64, st.seen = v, true
-						}
+						m = min(m, col[i])
 					}
 				}
+				acc.cols[ai].Lane[0] = m
 			},
-			row: func(pc *partCols, st *aggState, i, j int32, rowID uint64) {
-				if v := pc.aggs[ai].U64[pick(i, j, right)]; !st.seen || v < st.u64 {
-					st.u64, st.seen = v, true
-				}
-			},
-			dense: func(pc *partCols, st *aggState, lo, hi int, _ uint64) {
+			dense: func(pc *partCols, acc *groupAcc, lo, hi int, _ uint64) {
+				m := acc.cols[ai].Lane[0]
 				for _, v := range pc.aggs[ai].U64[lo : hi+1] {
-					if !st.seen || v < st.u64 {
-						st.u64, st.seen = v, true
-					}
+					m = min(m, v)
 				}
+				acc.cols[ai].Lane[0] = m
 			},
 		}
 
 	case AggPlainMax:
 		return aggKernel{
-			bulk: func(pc *partCols, st *aggState, b *batch, _ uint64) {
-				col := pc.aggs[ai].U64
+			bulk: func(pc *partCols, acc *groupAcc, b *batch, _ uint64) {
+				col, m := pc.aggs[ai].U64, acc.cols[ai].Lane[0]
 				if right {
 					for _, j := range b.join {
-						if v := col[j]; !st.seen || v > st.u64 {
-							st.u64, st.seen = v, true
-						}
+						m = max(m, col[j])
 					}
 				} else {
 					for _, i := range b.sel {
-						if v := col[i]; !st.seen || v > st.u64 {
-							st.u64, st.seen = v, true
-						}
+						m = max(m, col[i])
 					}
 				}
+				acc.cols[ai].Lane[0] = m
 			},
-			row: func(pc *partCols, st *aggState, i, j int32, rowID uint64) {
-				if v := pc.aggs[ai].U64[pick(i, j, right)]; !st.seen || v > st.u64 {
-					st.u64, st.seen = v, true
-				}
-			},
-			dense: func(pc *partCols, st *aggState, lo, hi int, _ uint64) {
+			dense: func(pc *partCols, acc *groupAcc, lo, hi int, _ uint64) {
+				m := acc.cols[ai].Lane[0]
 				for _, v := range pc.aggs[ai].U64[lo : hi+1] {
-					if !st.seen || v > st.u64 {
-						st.u64, st.seen = v, true
-					}
+					m = max(m, v)
 				}
+				acc.cols[ai].Lane[0] = m
 			},
 		}
 
 	case AggOpeMin:
-		row := func(pc *partCols, st *aggState, i, j int32, rowID uint64) {
+		return rowKernel(ai, func(pc *partCols, av *AggValue, i, j int32, rowID uint64) {
 			idx := pick(i, j, right)
-			if v := pc.aggs[ai].BytesAt(int(idx)); !st.seen || ope.Less(v, st.ope) {
-				st.ope, st.argID, st.seen = v, rowID, true
-				st.takeCompanion(pc.companions[ai], int(idx))
+			if v := pc.aggs[ai].BytesAt(int(idx)); len(av.Ope) == 0 || ope.Less(v, av.Ope) {
+				av.Ope, av.ArgID = v, rowID
+				av.takeCompanion(pc.companions[ai], int(idx))
 			}
-		}
-		return aggKernel{bulk: rowBulk(row), row: row, dense: rowDense(row)}
+		})
 
 	case AggOpeMax:
-		row := func(pc *partCols, st *aggState, i, j int32, rowID uint64) {
+		return rowKernel(ai, func(pc *partCols, av *AggValue, i, j int32, rowID uint64) {
 			idx := pick(i, j, right)
-			if v := pc.aggs[ai].BytesAt(int(idx)); !st.seen || ope.Less(st.ope, v) {
-				st.ope, st.argID, st.seen = v, rowID, true
-				st.takeCompanion(pc.companions[ai], int(idx))
+			if v := pc.aggs[ai].BytesAt(int(idx)); len(av.Ope) == 0 || ope.Less(av.Ope, v) {
+				av.Ope, av.ArgID = v, rowID
+				av.takeCompanion(pc.companions[ai], int(idx))
 			}
-		}
-		return aggKernel{bulk: rowBulk(row), row: row, dense: rowDense(row)}
+		})
 
 	case AggPlainMedian:
 		return aggKernel{
-			bulk: func(pc *partCols, st *aggState, b *batch, _ uint64) {
-				col := pc.aggs[ai].U64
+			bulk: func(pc *partCols, acc *groupAcc, b *batch, _ uint64) {
+				col, av := pc.aggs[ai].U64, &acc.cols[ai].Vals[0]
 				if right {
 					for _, j := range b.join {
-						st.medU64 = append(st.medU64, col[j])
+						av.MedU64 = append(av.MedU64, col[j])
 					}
 				} else {
 					for _, i := range b.sel {
-						st.medU64 = append(st.medU64, col[i])
+						av.MedU64 = append(av.MedU64, col[i])
 					}
 				}
 			},
-			row: func(pc *partCols, st *aggState, i, j int32, rowID uint64) {
-				st.medU64 = append(st.medU64, pc.aggs[ai].U64[pick(i, j, right)])
+			dense: func(pc *partCols, acc *groupAcc, lo, hi int, _ uint64) {
+				av := &acc.cols[ai].Vals[0]
+				av.MedU64 = append(av.MedU64, pc.aggs[ai].U64[lo:hi+1]...)
 			},
-			dense: func(pc *partCols, st *aggState, lo, hi int, _ uint64) {
-				st.medU64 = append(st.medU64, pc.aggs[ai].U64[lo:hi+1]...)
+			row: func(pc *partCols, av *AggValue, i, j int32, rowID uint64) {
+				av.MedU64 = append(av.MedU64, pc.aggs[ai].U64[pick(i, j, right)])
 			},
 		}
 
 	case AggOpeMedian:
-		row := func(pc *partCols, st *aggState, i, j int32, rowID uint64) {
+		return rowKernel(ai, func(pc *partCols, av *AggValue, i, j int32, rowID uint64) {
 			idx := pick(i, j, right)
-			st.medOpe = append(st.medOpe, pc.aggs[ai].BytesAt(int(idx)))
-			st.medIDs = append(st.medIDs, rowID)
+			av.MedOpe = append(av.MedOpe, pc.aggs[ai].BytesAt(int(idx)))
+			av.MedIDs = append(av.MedIDs, rowID)
 			if comp := pc.companions[ai]; comp != nil {
-				st.medComp = append(st.medComp, comp.U64[idx])
+				av.MedComp = append(av.MedComp, comp.U64[idx])
 			}
-		}
-		return aggKernel{bulk: rowBulk(row), row: row, dense: rowDense(row)}
+		})
 	}
 	// Unknown kinds accumulate nothing (Plan validation rejects them before
 	// execution reaches here).
-	nop := func(pc *partCols, st *aggState, i, j int32, rowID uint64) {}
-	return aggKernel{bulk: rowBulk(nop), row: nop, dense: rowDense(nop)}
+	return rowKernel(ai, func(pc *partCols, av *AggValue, i, j int32, rowID uint64) {})
 }
 
-// rowBulk lifts a row accumulator into a bulk one for aggregate kinds whose
-// per-row work (OPE comparisons, slice appends) dwarfs the call overhead.
-func rowBulk(row func(pc *partCols, st *aggState, i, j int32, rowID uint64)) func(pc *partCols, st *aggState, b *batch, startID uint64) {
-	return func(pc *partCols, st *aggState, b *batch, startID uint64) {
-		for k, i := range b.sel {
-			row(pc, st, i, b.joinAt(k), startID+uint64(i))
-		}
+// rowKernel lifts a row accumulator into the bulk and dense ones, for kinds
+// whose per-row work (OPE comparisons, big-number products, slice appends)
+// dwarfs the call overhead. Dense batches only exist for join-free plans, so
+// there the joined-row argument is always -1.
+func rowKernel(ai int, row func(pc *partCols, av *AggValue, i, j int32, rowID uint64)) aggKernel {
+	return aggKernel{
+		bulk: func(pc *partCols, acc *groupAcc, b *batch, startID uint64) {
+			av := &acc.cols[ai].Vals[0]
+			for k, i := range b.sel {
+				row(pc, av, i, b.joinAt(k), startID+uint64(i))
+			}
+		},
+		dense: func(pc *partCols, acc *groupAcc, lo, hi int, startID uint64) {
+			av := &acc.cols[ai].Vals[0]
+			for i := lo; i <= hi; i++ {
+				row(pc, av, int32(i), -1, startID+uint64(i))
+			}
+		},
+		row: row,
 	}
 }
 
-// rowDense lifts a row accumulator into a dense-interval one. Dense batches
-// only exist for join-free plans, so the joined-row argument is always -1.
-func rowDense(row func(pc *partCols, st *aggState, i, j int32, rowID uint64)) func(pc *partCols, st *aggState, lo, hi int, startID uint64) {
-	return func(pc *partCols, st *aggState, lo, hi int, startID uint64) {
-		for i := lo; i <= hi; i++ {
-			row(pc, st, int32(i), -1, startID+uint64(i))
-		}
+// takeCompanion records the companion-column value of a new min/max winner.
+func (av *AggValue) takeCompanion(comp *store.Column, j int) {
+	if comp == nil {
+		return
 	}
+	if comp.Kind != store.U64 {
+		av.CompanionBytes = comp.BytesAt(j)
+		return
+	}
+	av.U64 = comp.U64[j]
 }
 
 // joinAt returns the joined right-table row for sel entry k, or -1 when the
@@ -596,25 +582,36 @@ func (b *batch) joinAt(k int) int32 {
 	return b.join[k]
 }
 
-// accumulateLanes runs the flat-lane group accumulators over one batch:
-// for each lane-eligible aggregate, a tight per-kind loop over the
-// (selection, slot) pairs groupSlots resolved, writing straight into the
-// per-slot u64 lanes — one cache-dense array per aggregate, no partial
-// pointer chase and no per-row indirect call, whatever the key kind. The
-// AggKind switch runs once per aggregate per batch, amortized to noise.
-func (ts *taskState) accumulateLanes(startID uint64) {
+// accumulateGroups folds the batch's survivors into their group accumulators
+// in two phases: resolve slots (groupSlots), growing the accumulators to any
+// new ones, then, for each aggregate, one loop over the (selection, slot)
+// pairs. A lane kind's is a tight per-kind
+// loop writing straight into the per-slot u64 lane — one cache-dense array per
+// aggregate, no per-row indirect call, whatever the key kind; the other kinds
+// call their row kernel on the slot's value. The AggKind switch runs once per
+// aggregate per batch, amortized to noise.
+func (ts *taskState) accumulateGroups(startID uint64) {
+	ts.groupSlots(startID)
 	g := &ts.g
+	g.acc.grow(g.t.len())
 	sel := ts.b.sel
 	slots := g.slots[:len(sel)]
 	rows := g.acc.rows
 	for _, s := range slots {
 		rows[s]++
 	}
-	for ai := range g.acc.aggs {
-		lane := g.acc.vals[ai]
+	for ai := range g.acc.cols {
+		lane := g.acc.cols[ai].Lane
+		if lane == nil {
+			row, vals := ts.cp.aggs[ai].row, g.acc.cols[ai].Vals
+			for k, i := range sel {
+				row(&ts.pc, &vals[slots[k]], i, ts.b.joinAt(k), startID+uint64(i))
+			}
+			continue
+		}
 		col := ts.pc.aggs[ai]
 		right := ts.cp.aggCols[ai].isRight()
-		switch g.acc.aggs[ai].Kind {
+		switch g.acc.cols[ai].Kind {
 		case AggCount:
 			for _, s := range slots {
 				lane[s]++
@@ -647,19 +644,19 @@ func (ts *taskState) accumulateLanes(startID uint64) {
 			}
 		case AggAsheSum:
 			u := col.U64
-			ids := &g.ids[ai]
+			ids := &g.acc.ids[ai]
 			if right {
 				join := ts.b.join
 				for k, i := range sel {
 					s := slots[k]
 					lane[s] += u[join[k]]
-					ids.appendID(s, startID+uint64(i))
+					ids.appendRange(s, startID+uint64(i), startID+uint64(i))
 				}
 			} else {
 				for k, i := range sel {
 					s := slots[k]
 					lane[s] += u[i]
-					ids.appendID(s, startID+uint64(i))
+					ids.appendRange(s, startID+uint64(i), startID+uint64(i))
 				}
 			}
 		case AggPlainMin:

@@ -54,13 +54,15 @@ func filterSumPlan(tbl *store.Table) *Plan {
 	}
 }
 
-// resetSingle rewinds a task's single-group accumulators so execute can run
-// again over the same state without reallocating.
+// resetSingle rewinds an ungrouped task's one slot — its row count and the
+// sum and count lanes these benchmarks use — so execute can run again over the
+// same state without reallocating.
 func resetSingle(ts *taskState) {
-	ts.res.single.rows = 0
+	acc := &ts.g.acc
+	acc.rows[0] = 0
 	ts.res.rowsSelected = 0
-	for i := range ts.res.single.aggs {
-		ts.res.single.aggs[i].u64 = 0
+	for i := range acc.cols {
+		acc.cols[i].Lane[0] = 0
 	}
 }
 
@@ -127,8 +129,8 @@ func TestKernelU64JoinProbeAllocFree(t *testing.T) {
 }
 
 // TestKernelU64GroupKeyAllocFree asserts the group-by fast path: u64 group
-// keys never round-trip through strings, so once every group's partial
-// exists, accumulating more rows allocates nothing.
+// keys never round-trip through strings, so once every group's slot exists,
+// accumulating more rows allocates nothing.
 func TestKernelU64GroupKeyAllocFree(t *testing.T) {
 	tbl := kernelFixture(t, 1<<14, 1)
 	pl := &Plan{
@@ -143,7 +145,7 @@ func TestKernelU64GroupKeyAllocFree(t *testing.T) {
 	ts := cp.newTaskState(tbl.Parts[0])
 	ctx := context.Background()
 	n := tbl.Parts[0].NumRows()
-	if err := ts.execute(ctx, 0, n-1); err != nil { // materializes all partials
+	if err := ts.execute(ctx, 0, n-1); err != nil { // gives every group its slot
 		t.Fatal(err)
 	}
 	if ts.g.t.len() != 1024 {
@@ -183,8 +185,8 @@ func TestKernelBytesGroupKeyAllocFree(t *testing.T) {
 	if err := ts.execute(ctx, 0, n-1); err != nil { // gives every group its slot
 		t.Fatal(err)
 	}
-	if !ts.g.acc.lanes || ts.g.t.len() != groups {
-		t.Fatalf("byte-keyed grouper: lanes=%v, %d groups, want lanes and %d", ts.g.acc.lanes, ts.g.t.len(), groups)
+	if ts.g.t.len() != groups {
+		t.Fatalf("byte-keyed grouper holds %d groups, want %d", ts.g.t.len(), groups)
 	}
 	avg := testing.AllocsPerRun(10, func() {
 		ts.res.rowsSelected = 0
@@ -223,10 +225,10 @@ func TestGrouperMemoryTracksGroupsNotRows(t *testing.T) {
 	}
 	for name, c := range map[string]int{
 		"rows":      cap(g.acc.rows),
-		"lane":      cap(g.acc.vals[0]),
+		"lane":      cap(g.acc.cols[0].Lane),
 		"key spans": cap(g.t.off),
 		"hashes":    cap(g.t.hash),
-		"id chains": cap(g.ids[0].slots),
+		"id chains": cap(g.acc.ids[0].slots),
 		"key arena": cap(g.t.arena) / 16,
 	} {
 		if c > 2*groups {
@@ -532,6 +534,38 @@ func BenchmarkKernelGroupByBytesWideReference(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportRows(b, benchRows)
+}
+
+// genericGroupByPlan is TestDifferentialDetKeys' seabed/generic mix over the
+// wide DET keys: an OPE minimum and an OPE median, each with an ASHE
+// companion, beside an ASHE sum — the kinds that accumulate in a value per
+// slot beside the lanes.
+func genericGroupByPlan(tbl *store.Table) *Plan {
+	return &Plan{
+		Table:   tbl,
+		GroupBy: &GroupBy{Col: "k"},
+		Aggs: []Agg{{Kind: AggOpeMin, Col: "v_ope", Companion: "v_ashe"},
+			{Kind: AggOpeMedian, Col: "v_ope", Companion: "v_ashe"}, {Kind: AggAsheSum, Col: "v_ashe"}},
+	}
+}
+
+func BenchmarkKernelGroupByGeneric(b *testing.B) {
+	tbl := detKeyFixture(b, benchRows, benchRows, 1, true)
+	cp, err := genericGroupByPlan(tbl).compile(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := NewCluster(Config{Workers: 1})
+	ctx := context.Background()
+	var arenas nodeArenas
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0], &arenas); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -107,8 +107,8 @@ func TestListsMeetTheCodecOncePerResultList(t *testing.T) {
 	}
 }
 
-// asheTask runs one map task of a lane-mode ASHE group-by over rows rows in
-// groups groups and returns its output.
+// asheTask runs one map task of an ASHE group-by over rows rows in groups
+// groups and returns its output.
 func asheTask(tb testing.TB, rows, groups int, arenas *nodeArenas) *mapResult {
 	tb.Helper()
 	tbl := detKeyFixture(tb, rows, groups, 1, false)
@@ -131,9 +131,9 @@ func TestTaskListsAreViews(t *testing.T) {
 		rows := 4 * groups
 		res := asheTask(t, rows, groups, nil)
 		tg := res.groups
-		lists := &tg.ids[0]
-		if tg.keys.len() != groups || len(lists.off) != groups+1 || len(lists.ranges) != int(lists.off[groups]) {
-			t.Fatalf("%d groups: task holds %d keys, %d offsets over %d ranges", groups, tg.keys.len(), len(lists.off), len(lists.ranges))
+		lists := &tg.cols[0]
+		if tg.keys.len() != groups || len(lists.RangeOff) != groups+1 || len(lists.Ranges) != int(lists.RangeOff[groups]) {
+			t.Fatalf("%d groups: task holds %d keys, %d offsets over %d ranges", groups, tg.keys.len(), len(lists.RangeOff), len(lists.Ranges))
 		}
 		var scratch []idlist.Range
 		var ids uint64
@@ -185,9 +185,9 @@ func wideSumPlan(tbl *store.Table) *Plan {
 		Aggs:    []Agg{{Kind: AggAsheSum, Col: "v_ashe"}}}
 }
 
-// TestMergeSingleAllocsIndependentOfTasks: the ungrouped merge folds every
-// task's list through one buffer, so five times the map tasks cost not one
-// allocation more.
+// TestMergeSingleAllocsIndependentOfTasks: the driver's fold of an ungrouped
+// plan merges every task's list through one buffer, so five times the map
+// tasks cost not one allocation more.
 func TestMergeSingleAllocsIndependentOfTasks(t *testing.T) {
 	allocs := func(parts int) float64 {
 		tbl := detKeyFixture(t, 50_000, 16, parts, false)
@@ -195,14 +195,14 @@ func TestMergeSingleAllocsIndependentOfTasks(t *testing.T) {
 		results := singleTasks(t, tbl, pl)
 		return testing.AllocsPerRun(5, func() {
 			var m Metrics
-			if _, err := mergeSingle(pl, results, pl.Codec, &m); err != nil {
+			if _, err := foldSingle(pl, results, pl.Codec, &m); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	few, many := allocs(5), allocs(25)
 	if few != many || many > 40 {
-		t.Fatalf("mergeSingle allocates %.0f times over 5 task partials and %.0f over 25, want the same small number", few, many)
+		t.Fatalf("foldSingle allocates %.0f times over 5 tasks' outputs and %.0f over 25, want the same small number", few, many)
 	}
 }
 
@@ -251,9 +251,9 @@ func asheSums(c *GroupCols, lists map[int][][]idlist.Range) map[int][]uint64 {
 // demand), compared as range lists, as decrypted sums and as row views. The
 // sub-results come two ways: contiguous ranges, whose lists the merge appends,
 // and partitions dealt round-robin — the shape appended batches give a
-// fleet's shards — whose lists interleave (idRun's general path). Ungrouped
-// cases and aggregate mixes with an OPE extreme take the merge's generic
-// path; inflated cases are also deflated from both column forms.
+// fleet's shards — whose lists interleave (idRun's general path). Inflated
+// cases are also deflated from both column forms. TestDifferentialMergedShards
+// takes every other case through the same merge.
 func TestDifferentialMergedLists(t *testing.T) {
 	const rows, parts = 20000, 7
 	tbl, right, sk := diffFixture(t, rows, parts)
@@ -340,6 +340,36 @@ func TestDifferentialMergedLists(t *testing.T) {
 	}
 }
 
+// TestDifferentialMergedShards: every differential case without a range scope
+// of its own — Paillier products, OPE extremes and medians, plain lanes, scans
+// and joins as well as ASHE sums — run as three contiguous Range+Partial shard
+// slices and folded by Merge, views (and scans) exactly as one engine over the
+// whole table does.
+func TestDifferentialMergedShards(t *testing.T) {
+	tbl, right, sk := diffFixture(t, 20000, 7)
+	cl := NewCluster(Config{Workers: 4, Seed: 11})
+	ran := 0
+	for _, tc := range differentialCases(&sk.PublicKey) {
+		if tc.plan(tbl, right).Range != nil {
+			continue
+		}
+		ran++
+		t.Run(tc.name, func(t *testing.T) {
+			plan, partials, whole := shardRuns(t, cl, tbl, func(tbl *store.Table) *Plan { return tc.plan(tbl, right) })
+			merged, err := Merge(plan, partials)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(merged.View(), whole.View()) || !reflect.DeepEqual(merged.Scan, whole.Scan) {
+				t.Fatalf("three merged shard slices diverge from one engine:\nmerged %+v\nwhole  %+v", merged.View(), whole.View())
+			}
+		})
+	}
+	if ran < 30 {
+		t.Fatalf("only %d differential cases ran through the merge", ran)
+	}
+}
+
 // --- microbenchmarks ---
 
 // BenchmarkMergeSingleWide measures the ungrouped merge at the dashboard's
@@ -354,13 +384,13 @@ func BenchmarkMergeSingleWide(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var m Metrics
-		if _, err := mergeSingle(pl, results, pl.Codec, &m); err != nil {
+		if _, err := foldSingle(pl, results, pl.Codec, &m); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkTaskListsLayout measures what a lane-mode map task pays for its
+// BenchmarkTaskListsLayout measures what a map task pays for its
 // identifier lists from first row to laid out, at 24 slots and at 16,384: the
 // whole task runs (the lists cannot be built without it), with the node arena
 // recycled as a run recycles it across its tasks.

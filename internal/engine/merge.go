@@ -7,16 +7,16 @@ import (
 	"time"
 )
 
-// This file exports the partial-merge step of a scatter-gather deployment:
-// a coordinating proxy fans a Plan out to N shards (each holding a disjoint
-// row range of the logical table), collects one Result per shard, and folds
-// them into the Result a single engine over the whole table would have
-// produced. Shard result columns are viewed as the engine's own merge input
-// form (taskGroups) and folded by the same groupMerger the in-process
-// shuffle+reduce uses, so proxy-side reduce never re-implements aggregation
-// semantics. One thing differs from a run's reduce: the consumer of a merge is
-// client.Decrypt, in this process, so the merged ASHE identifier lists are
-// left decoded (AggCol) rather than encoded for a frame nobody writes.
+// This file exports the merge step of a scatter-gather deployment: a
+// coordinating proxy fans a Plan out to N shards (each holding a disjoint row
+// range of the logical table), collects one Result per shard, and folds them
+// into the Result a single engine over the whole table would have produced.
+// Shard result columns are the engine's own merge input form (taskGroups) as
+// they are, folded by the same groupMerger the in-process shuffle+reduce uses,
+// so proxy-side reduce never re-implements aggregation semantics. One thing
+// differs from a run's reduce: the consumer of a merge is client.Decrypt, in
+// this process, so the merged ASHE identifier lists are left decoded (AggCol)
+// rather than encoded for a frame nobody writes.
 //
 // Every merge is exact because Seabed's aggregates are shard-decomposable:
 //
@@ -28,13 +28,14 @@ import (
 //     the product over all rows.
 //   - Counts, plain sums, and sums of squares are ordinary integer sums.
 //   - Min/max take the extreme of per-shard extremes (OPE comparison needs
-//     no key); shards that selected no rows are skipped.
+//     no key); a group of no rows — an ungrouped shard that selected nothing
+//     — is the identity of every fold and is skipped.
 //   - Medians do NOT decompose, so Partial plans ship each shard's collected
 //     inputs and the coordinator selects over the concatenation.
 //
-// Group-by results concatenate per-shard partial groups and reduce them by
-// key, exactly the shuffle+reduce the engine performs between its own map
-// tasks (§4.5).
+// Group-by results concatenate the shards' groups and reduce them by key,
+// exactly the shuffle+reduce the engine performs between its own map tasks
+// (§4.5); an ungrouped result is the one group keyed 0.
 
 // MergeResults is Merge for callers that read groups as rows: it returns with
 // the row view (Result.View) built, identifier lists encoded.
@@ -47,7 +48,7 @@ func MergeResults(pl *Plan, partials []*Result) (*Result, error) {
 	return out, nil
 }
 
-// Merge folds per-shard partial results (in shard order) into the result a
+// Merge folds the shards' results (in shard order) into the result a
 // single engine over the union of the shards' rows would produce, columns in
 // and columns out. pl is the original, unscoped plan: its Aggs supply Paillier
 // public keys and merge kinds, and its Codec — which must be the codec the
@@ -119,11 +120,11 @@ func DeflateGroups(pl *Plan, c *GroupCols) (*GroupCols, error) {
 }
 
 // mergeGroups folds column sets through the engine's own reduce: each set is
-// viewed as merge input, one groupMerger folds same-key groups (adding lanes,
-// or merging partials for Paillier/OPE/median mixes) and finishes them
-// (collapses medians) exactly as an in-process reducer does, and the gather
-// merges their identifier lists into decoded columns. Within one set keys may
-// repeat. It returns the merged columns, in key order.
+// checked and taken as merge input, one groupMerger folds same-key groups
+// (adding lanes, folding values) and finishes them (collapses medians) exactly
+// as an in-process reducer does, and the gather merges their identifier lists
+// into decoded columns. Within one set keys may repeat. It returns the merged
+// columns, in key order.
 func mergeGroups(pl *Plan, sets []*GroupCols) (*GroupCols, error) {
 	if len(sets) == 0 {
 		return nil, nil
@@ -155,49 +156,6 @@ func mergeGroups(pl *Plan, sets []*GroupCols) (*GroupCols, error) {
 	}
 	cols.codec = codec
 	return cols, nil
-}
-
-// fillPartial loads group g of one shard's result columns into p, the
-// engine's in-flight accumulator representation — the inverse of finishAggs
-// for a Partial plan — so the coordinator's reduce runs through mergePartial
-// unchanged. p.aggs must hold one aggState per aggregate. Field copies only —
-// an ASHE sum's identifier list stays in its column for the merge to read
-// (idLists) — and no aggregation semantics live here.
-func fillPartial(p *partial, c *GroupCols, g int) error {
-	rows := c.Rows[g]
-	for i := range c.Aggs {
-		col, st := &c.Aggs[i], &p.aggs[i]
-		st.kind = col.Kind
-		switch col.Kind {
-		case AggCount, AggPlainSum, AggPlainSumSq, AggAsheSum:
-			st.u64 = col.Lane[g]
-		case AggPaillierSum:
-			if col.Vals[g].Pail == nil {
-				return fmt.Errorf("engine: merge: shard group missing Paillier ciphertext for aggregate %d", i)
-			}
-			st.pail = col.Vals[g].Pail
-		case AggPlainMin, AggPlainMax:
-			st.u64 = col.Lane[g]
-			st.seen = rows > 0
-		case AggOpeMin, AggOpeMax:
-			av := &col.Vals[g]
-			st.ope = av.Ope
-			st.argID = av.ArgID
-			st.u64 = av.U64
-			st.compBytes = av.CompanionBytes
-			st.seen = rows > 0 && len(av.Ope) > 0
-		case AggPlainMedian:
-			st.medU64 = col.Vals[g].MedU64
-		case AggOpeMedian:
-			av := &col.Vals[g]
-			st.medOpe = av.MedOpe
-			st.medIDs = av.MedIDs
-			st.medComp = av.MedComp
-		default:
-			return fmt.Errorf("engine: merge: unknown aggregate kind %d", col.Kind)
-		}
-	}
-	return nil
 }
 
 // mergeMetrics combines one shard's metrics into the accumulator: stage

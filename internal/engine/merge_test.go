@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"seabed/internal/idlist"
@@ -156,6 +157,50 @@ func TestIDRangeScoping(t *testing.T) {
 	}
 	if res.View()[0].Aggs[0].U64 != 0 || res.Metrics.RowsScanned != 0 {
 		t.Fatalf("inverted range scanned %d rows, counted %d", res.Metrics.RowsScanned, res.View()[0].Aggs[0].U64)
+	}
+}
+
+// TestMergeRefusesHostileMedian: a shard's OPE-median collection whose
+// identifiers are fewer than its ciphertexts — or whose companions are
+// neither absent nor one per ciphertext — is refused where shard columns
+// enter the merge, with an error naming the aggregate and the group, grouped
+// and ungrouped, instead of panicking the median's collapse.
+func TestMergeRefusesHostileMedian(t *testing.T) {
+	aggs := []Agg{{Kind: AggCount}, {Kind: AggOpeMedian, Col: "v_ope", Companion: "v_ashe"}}
+	cts := [][]byte{opeKey.Encrypt(3), opeKey.Encrypt(1), opeKey.Encrypt(2)}
+	short := AggValue{Kind: AggOpeMedian, MedOpe: cts, MedIDs: []uint64{7}}
+	badComp := AggValue{Kind: AggOpeMedian, MedOpe: cts, MedIDs: []uint64{7, 8, 9}, MedComp: []uint64{1}}
+	honest := AggValue{Kind: AggOpeMedian, MedOpe: cts[:1], MedIDs: []uint64{4}, MedComp: []uint64{5}}
+	one := func(av AggValue) *GroupCols {
+		n := uint64(len(av.MedOpe))
+		return &GroupCols{KeyKind: store.U64, KeyU64: []uint64{0}, Rows: []uint64{n},
+			Aggs: []AggCol{{Kind: AggCount, Lane: []uint64{n}}, {Kind: AggOpeMedian, Vals: []AggValue{av}}}}
+	}
+	two := func(av AggValue) *GroupCols {
+		return &GroupCols{KeyKind: store.U64, KeyU64: []uint64{4, 5}, Rows: []uint64{1, 3},
+			Aggs: []AggCol{{Kind: AggCount, Lane: []uint64{1, 3}}, {Kind: AggOpeMedian, Vals: []AggValue{honest, av}}}}
+	}
+	for _, tc := range []struct {
+		name  string
+		group *GroupBy
+		cols  *GroupCols
+		want  string
+	}{
+		{"ungrouped", nil, one(short), "aggregate 1 (ope_median) of group 0 collects 3 ciphertexts with 1 identifiers"},
+		{"grouped", &GroupBy{Col: "k"}, two(short), "aggregate 1 (ope_median) of group 1 collects 3 ciphertexts with 1 identifiers"},
+		{"companions", &GroupBy{Col: "k"}, two(badComp), "aggregate 1 (ope_median) of group 1 collects 3 ciphertexts with 3 identifiers and 1 companions"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pl := &Plan{Aggs: aggs, GroupBy: tc.group}
+			honestShard := &Result{Cols: one(honest)}
+			if tc.group != nil {
+				honestShard.Cols.KeyU64[0] = 4
+			}
+			_, err := Merge(pl, []*Result{honestShard, {Cols: tc.cols}})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("merging a hostile median collection: %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

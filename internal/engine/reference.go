@@ -7,6 +7,7 @@ import (
 	"math/big"
 	"time"
 
+	"seabed/internal/idlist"
 	"seabed/internal/ope"
 	"seabed/internal/store"
 )
@@ -18,6 +19,62 @@ import (
 // package's "kernels" experiment) use it as the before-side of the
 // vectorization speedup. It must stay behaviorally frozen — fix bugs in
 // both executors or in neither.
+
+// groupKey identifies a group in the reference evaluator's key-addressed map
+// (the vectorized executor and the merge keep keys in a slotTable, group.go).
+// Bytes keys are folded into the string field.
+type groupKey struct {
+	kind   store.Kind
+	u64    uint64
+	str    string
+	suffix int
+}
+
+// refGroup is the reference evaluator's in-flight aggregate for one group.
+type refGroup struct {
+	rows uint64
+	aggs []refAgg
+}
+
+// refAgg is one aggregate's accumulator in the reference evaluator.
+type refAgg struct {
+	kind      AggKind
+	u64       uint64
+	ids       idlist.List
+	pail      *big.Int
+	ope       []byte
+	compBytes []byte // byte-valued companion of the winning row
+	argID     uint64 // winning row for min/max
+	// median collection: every selected row's key material.
+	medU64  []uint64
+	medOpe  [][]byte
+	medComp []uint64
+	medIDs  []uint64
+	seen    bool // for min/max: whether any row contributed
+}
+
+func newRefGroup(aggs []Agg) *refGroup {
+	p := &refGroup{aggs: make([]refAgg, len(aggs))}
+	for i, a := range aggs {
+		p.aggs[i].kind = a.Kind
+		if a.Kind == AggPaillierSum {
+			p.aggs[i].pail = a.PK.EncryptZero()
+		}
+	}
+	return p
+}
+
+// takeCompanion records the companion-column value of a new min/max winner.
+func (st *refAgg) takeCompanion(comp *store.Column, j int) {
+	if comp == nil {
+		return
+	}
+	if comp.Kind != store.U64 {
+		st.compBytes = comp.BytesAt(j)
+		return
+	}
+	st.u64 = comp.U64[j]
+}
 
 // referencePlan is the reference evaluator's per-Run state: the plan and the
 // flattened right side with a string-keyed join hash (the representation the
@@ -204,11 +261,12 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 	// form the reducer takes is produced by one taskGroupsFromMap conversion
 	// after the loop, keeping the loop itself byte-for-byte the
 	// pre-vectorization interpreter.
-	var groups map[groupKey]*partial
+	var single *refGroup
+	var groups map[groupKey]*refGroup
 	if pl.GroupBy == nil && len(pl.Project) == 0 {
-		res.single = newPartial(pl.Aggs)
+		single = newRefGroup(pl.Aggs)
 	} else if pl.GroupBy != nil {
-		groups = make(map[groupKey]*partial)
+		groups = make(map[groupKey]*refGroup)
 	}
 
 	inflate := 0
@@ -316,10 +374,10 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 			continue
 		}
 
-		// Locate the group partial.
-		var pg *partial
+		// Locate the group's accumulator.
+		var pg *refGroup
 		if pl.GroupBy == nil {
-			pg = res.single
+			pg = single
 		} else {
 			key := groupKey{kind: keyKind(b.group.Kind), suffix: -1}
 			j := i
@@ -339,7 +397,7 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 			}
 			pg = groups[key]
 			if pg == nil {
-				pg = newPartial(pl.Aggs)
+				pg = newRefGroup(pl.Aggs)
 				groups[key] = pg
 			}
 		}
@@ -395,10 +453,63 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 		}
 	}
 
-	if groups != nil {
-		res.groups = pl.taskGroupsFromMap(groups, keyKind(b.group.Kind), inflate > 0, c.cfg.Workers)
+	switch {
+	case groups != nil:
+		res.groups = pl.taskGroupsFromMap(groups, keyKind(b.group.Kind), inflate > 0)
+		res.groups.partition(c.cfg.Workers)
+	case single != nil:
+		res.groups = pl.taskGroupsFromMap(map[groupKey]*refGroup{{kind: store.U64, suffix: -1}: single}, store.U64, false)
 	}
 	res.elapsed = time.Since(start)
 	pl.sizeOutput(res)
 	return res, nil
+}
+
+// taskGroupsFromMap converts the reference evaluator's key-addressed map into
+// the task-output form — the only step of that evaluator that knows about
+// slots and columns. The identifier lists are laid out one run per group, as
+// a vectorized task's are.
+func (pl *Plan) taskGroupsFromMap(groups map[groupKey]*refGroup, kind store.Kind, inflated bool) *taskGroups {
+	var acc groupAcc
+	acc.init(pl.Aggs, false)
+	acc.grow(len(groups))
+	tg := &taskGroups{rows: acc.rows, cols: acc.cols}
+	tg.keys.init(kind, inflated)
+	for ai := range tg.cols {
+		if tg.cols[ai].Kind == AggAsheSum {
+			tg.cols[ai].RangeOff = make([]uint64, 1, len(groups)+1)
+		}
+	}
+	g := 0
+	for k, p := range groups {
+		if kind == store.U64 {
+			tg.keys.appendU64(k.u64, int32(k.suffix))
+		} else {
+			appendKey(&tg.keys, k.str, int32(k.suffix))
+		}
+		tg.rows[g] = p.rows
+		for ai := range p.aggs {
+			st, col := &p.aggs[ai], &tg.cols[ai]
+			switch st.kind {
+			case AggCount, AggPlainSum, AggPlainSumSq, AggPlainMin, AggPlainMax:
+				col.Lane[g] = st.u64
+			case AggAsheSum:
+				col.Lane[g] = st.u64
+				col.Ranges = append(col.Ranges, st.ids.Ranges()...)
+				col.RangeOff = append(col.RangeOff, uint64(len(col.Ranges)))
+			case AggPaillierSum:
+				col.Vals[g].Pail = st.pail
+			case AggOpeMin, AggOpeMax:
+				av := &col.Vals[g]
+				av.Ope, av.ArgID, av.U64, av.CompanionBytes = st.ope, st.argID, st.u64, st.compBytes
+			case AggPlainMedian:
+				col.Vals[g].MedU64 = st.medU64
+			case AggOpeMedian:
+				av := &col.Vals[g]
+				av.MedOpe, av.MedIDs, av.MedComp = st.medOpe, st.medIDs, st.medComp
+			}
+		}
+		g++
+	}
+	return tg
 }

@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"seabed/internal/idlist"
 	"seabed/internal/obs"
-	"seabed/internal/ope"
 	"seabed/internal/store"
 )
 
@@ -307,7 +305,7 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSi
 		}
 		metrics.ResultBytes = metrics.ShuffleBytes
 	default:
-		if out.Cols, err = mergeSingle(pl, results, codec, &metrics); err != nil {
+		if out.Cols, err = foldSingle(pl, results, codec, &metrics); err != nil {
 			return nil, err
 		}
 	}
@@ -398,47 +396,30 @@ func gatherScan(results []*mapResult) []ScanRow {
 	return scan
 }
 
-// mergeSingle merges no-group-by partials at the driver (§4.5: workers send
-// partial results to the driver, which aggregates) into a one-group column
-// set. Each ASHE sum's identifier lists fold, in task order, through one
-// buffer reserved at the tasks' range count — so the merge allocates the same
-// few blocks however many tasks there are — and are encoded once.
-func mergeSingle(pl *Plan, results []*mapResult, codec idlist.Codec, m *Metrics) (*GroupCols, error) {
-	final := newPartial(pl.Aggs)
-	for _, r := range results {
-		mergePartial(pl, final, r.single)
+// foldSingle folds an ungrouped plan's map tasks at the driver (§4.5: workers
+// send their aggregates to the driver, which aggregates them): each task's one
+// group, key 0, through the merge every reducer runs, into the result's one
+// group, its identifier lists encoded once.
+func foldSingle(pl *Plan, results []*mapResult, codec idlist.Codec, m *Metrics) (*GroupCols, error) {
+	inputs := make([]groupSel, len(results))
+	for i, r := range results {
+		inputs[i] = groupSel{set: r.groups}
 	}
-	cols := &GroupCols{KeyKind: store.U64, KeyU64: []uint64{0}, Rows: []uint64{final.rows}, Aggs: newAggCols(pl.Aggs, 1)}
-	m.ResultBytes = 8 + pl.finishAggs(final, cols.Aggs, 0) // key + row count, roughly
-	var w idWork
-	for ai := range cols.Aggs {
-		col := &cols.Aggs[ai]
-		if col.Kind != AggAsheSum {
-			continue
-		}
-		ranges := 0
-		for _, r := range results {
-			ranges += r.single.aggs[ai].ids.NumRanges()
-		}
-		w.run.set(slices.Grow(w.run.ranges[:0], ranges))
-		for _, r := range results {
-			w.run.merge(r.single.aggs[ai].ids.Ranges(), &w.scratch)
-		}
-		var err error
-		if col.IDs, err = codec.AppendEncode(nil, idlist.View(w.run.ranges)); err != nil {
-			return nil, fmt.Errorf("engine: encode result id list: %v", err)
-		}
-		col.IDOff = []uint64{0, uint64(len(col.IDs))}
-		m.ResultListBytes += len(col.IDs)
+	mg := mergeGroupSets(pl, inputs)
+	if err := mg.finish(codec); err != nil {
+		return nil, err
 	}
-	m.ResultBytes += m.ResultListBytes
-	return cols, nil
+	m.ResultBytes = mg.bytes
+	for ai := range mg.acc.cols {
+		m.ResultListBytes += len(mg.acc.cols[ai].IDs)
+	}
+	return &GroupCols{KeyKind: store.U64, KeyU64: mg.t.u64, Rows: mg.acc.rows, Aggs: mg.acc.cols}, nil
 }
 
 // reduceGroups merges the map tasks' groups. The shuffle moves nothing: every
-// map task already partitioned its slots by reducerBucket (grouper.fold /
-// taskGroupsFromMap), so reducer b's input is each task's bucket b, in task
-// order, read straight from the task's lanes. One reducer runs per non-empty
+// map task already partitioned its slots by reducerBucket (taskGroups.partition),
+// so reducer b's input is each task's bucket b, in task order, read straight
+// from the task's columns. One reducer runs per non-empty
 // bucket, on goroutines bounded by RealParallelism: it folds its share of
 // every task through a groupMerger and finishes the merged slots (encoding
 // identifier lists). The driver then gathers the result columns, in key
@@ -500,126 +481,10 @@ func (c *Cluster) reduceGroups(pl *Plan, results []*mapResult, codec idlist.Code
 			return nil, errs[ri]
 		}
 		m.ResultBytes += mg.bytes
-		for ai := range mg.aggs {
-			m.ResultListBytes += len(mg.aggs[ai].IDs)
+		for ai := range mg.acc.cols {
+			m.ResultListBytes += len(mg.acc.cols[ai].IDs)
 		}
 	}
 	m.ReduceTaskTimes = durations
 	return mergers, nil
-}
-
-// mergePartial folds src into dst, identifier lists excepted.
-func mergePartial(pl *Plan, dst, src *partial) {
-	if src == nil {
-		return
-	}
-	dst.rows += src.rows
-	for i := range dst.aggs {
-		d, s := &dst.aggs[i], &src.aggs[i]
-		switch d.kind {
-		case AggCount, AggPlainSum, AggPlainSumSq, AggAsheSum:
-			// An ASHE sum's bodies add here; its identifier lists merge where
-			// they are written out (mergeSingle, groupMerger.mergeIDs).
-			d.u64 += s.u64
-		case AggPaillierSum:
-			pl.Aggs[i].PK.AddInto(d.pail, s.pail)
-		case AggPlainMin:
-			if s.seen && (!d.seen || s.u64 < d.u64) {
-				d.u64, d.seen = s.u64, true
-			}
-		case AggPlainMax:
-			if s.seen && (!d.seen || s.u64 > d.u64) {
-				d.u64, d.seen = s.u64, true
-			}
-		case AggOpeMin:
-			if s.seen && (!d.seen || ope.Less(s.ope, d.ope)) {
-				d.ope, d.argID, d.u64, d.compBytes, d.seen = s.ope, s.argID, s.u64, s.compBytes, true
-			}
-		case AggOpeMax:
-			if s.seen && (!d.seen || ope.Less(d.ope, s.ope)) {
-				d.ope, d.argID, d.u64, d.compBytes, d.seen = s.ope, s.argID, s.u64, s.compBytes, true
-			}
-		case AggPlainMedian:
-			d.medU64 = append(d.medU64, s.medU64...)
-		case AggOpeMedian:
-			d.medOpe = append(d.medOpe, s.medOpe...)
-			d.medIDs = append(d.medIDs, s.medIDs...)
-			d.medComp = append(d.medComp, s.medComp...)
-		}
-	}
-}
-
-// finishAggs writes a merged partial's accumulators into cols as group g,
-// collapsing medians, and returns the group's serialized size. An ASHE sum's
-// identifier lists are not the partial's to write: its body goes in the lane
-// and the caller adds the lists (and their size).
-func (pl *Plan) finishAggs(p *partial, cols []AggCol, g int) int {
-	bytes := 0
-	for i := range p.aggs {
-		st, col := &p.aggs[i], &cols[i]
-		if col.Lane != nil {
-			col.Lane[g] = st.u64
-			bytes += 8
-			continue
-		}
-		av := &col.Vals[g]
-		av.Kind = st.kind
-		switch st.kind {
-		case AggPaillierSum:
-			av.Pail = st.pail
-			bytes += pl.Aggs[i].PK.CiphertextSize()
-		case AggOpeMin, AggOpeMax:
-			av.Ope = st.ope
-			av.ArgID = st.argID
-			av.U64 = st.u64
-			av.CompanionBytes = st.compBytes
-			bytes += len(st.ope) + 16 + len(st.compBytes)
-		case AggPlainMedian:
-			if pl.Partial {
-				// Shard slice: a global median needs every shard's inputs, so
-				// ship the collection and let the coordinator's merge collapse it.
-				av.MedU64 = st.medU64
-				bytes += 8 * len(st.medU64)
-				break
-			}
-			if n := len(st.medU64); n > 0 {
-				slices.Sort(st.medU64)
-				av.U64 = st.medU64[n/2]
-			}
-			bytes += 8
-		case AggOpeMedian:
-			if pl.Partial {
-				av.MedOpe = st.medOpe
-				av.MedIDs = st.medIDs
-				av.MedComp = st.medComp
-				bytes += opeMedianBytes(st.medOpe)
-				break
-			}
-			av.Ope, av.ArgID, av.U64 = collapseOpeMedian(st.medOpe, st.medIDs, st.medComp)
-			bytes += len(av.Ope) + 16
-		}
-	}
-	return bytes
-}
-
-// collapseOpeMedian selects the middle element of an OPE-encrypted value
-// collection by order-revealing comparison (Table 6: "Median … Using OPE") —
-// the server needs no key. It returns the winning ciphertext, its row
-// identifier, and its companion value (0 when no companions were collected).
-func collapseOpeMedian(medOpe [][]byte, medIDs, medComp []uint64) (opeVal []byte, argID, comp uint64) {
-	n := len(medOpe)
-	if n == 0 {
-		return nil, 0, 0
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return ope.Less(medOpe[idx[a]], medOpe[idx[b]]) })
-	mid := idx[n/2]
-	opeVal, argID = medOpe[mid], medIDs[mid]
-	if len(medComp) == n {
-		comp = medComp[mid]
-	}
-	return opeVal, argID, comp
 }

@@ -2,18 +2,16 @@ package engine
 
 import (
 	"fmt"
-	"math/big"
 	"time"
 
-	"seabed/internal/idlist"
 	"seabed/internal/sqlparse"
 	"seabed/internal/store"
 )
 
 // This file holds the execution state shared by the vectorized executor
 // (compile.go / kernel.go / batch.go) and the retained row-at-a-time
-// reference evaluator (reference.go): aggregate accumulators, map-task
-// output, and the map-output accounting both paths must agree on.
+// reference evaluator (reference.go): map-task output and the map-output
+// accounting both paths must agree on.
 
 // cancelCheckRows is how often (in rows) a map task polls its context: a
 // power of two so the hot loop's check is one mask and compare. It is a
@@ -21,64 +19,12 @@ import (
 // boundaries at exactly the same row granularity as the reference loop.
 const cancelCheckRows = 1 << 16
 
-// groupKey identifies a group in the reference evaluator's key-addressed map
-// (the vectorized executor and the merge keep keys in a slotTable, group.go).
-// Bytes keys are folded into the string field.
-type groupKey struct {
-	kind   store.Kind
-	u64    uint64
-	str    string
-	suffix int
-}
-
-// partial is an in-flight aggregate for one group.
-type partial struct {
-	rows uint64
-	aggs []aggState
-}
-
-// aggState is one aggregate's accumulator.
-type aggState struct {
-	kind      AggKind
-	u64       uint64
-	ids       idlist.List
-	pail      *big.Int
-	ope       []byte
-	compBytes []byte // byte-valued companion of the winning row
-	argID     uint64 // winning row for min/max
-	// median collection: every selected row's key material.
-	medU64  []uint64
-	medOpe  [][]byte
-	medComp []uint64
-	medIDs  []uint64
-	seen    bool // for min/max: whether any row contributed
-}
-
-func newPartial(aggs []Agg) *partial {
-	p := &partial{}
-	initPartial(p, aggs, make([]aggState, len(aggs)))
-	return p
-}
-
-// initPartial readies p as an empty accumulator over states, which must hold
-// one zero aggState per aggregate.
-func initPartial(p *partial, aggs []Agg, states []aggState) {
-	p.aggs = states
-	for i, a := range aggs {
-		states[i].kind = a.Kind
-		if a.Kind == AggPaillierSum {
-			states[i].pail = a.PK.EncryptZero()
-		}
-	}
-}
-
 // mapResult is one map task's output.
 type mapResult struct {
-	single *partial
-	// groups is the task's group-by output: its key arena and accumulator
-	// lanes as the grouper left them, already partitioned by reducer bucket
-	// for the shuffle (taskGroups, group.go). A key appears at most once per
-	// task.
+	// groups is the task's aggregation output: its keys and accumulator
+	// columns as the grouper left them (taskGroups, group.go) — an ungrouped
+	// plan's one group keyed 0 — a group-by's already partitioned by reducer
+	// bucket for the shuffle. A key appears at most once per task.
 	groups  *taskGroups
 	scan    []ScanRow
 	elapsed time.Duration
@@ -192,10 +138,6 @@ func cmpU64(a, b uint64) int {
 // over keys, row counts, accumulators and scan cells, identifier lists raw at
 // 16 bytes a range. No list meets the codec here; nothing is shuffled.
 func (pl *Plan) sizeOutput(res *mapResult) {
-	if res.single != nil {
-		total, lists := pl.aggBytes(res.single)
-		res.bytes, res.listBytes = 8+total, lists // row count + aggregates
-	}
 	if res.groups != nil {
 		res.bytes, res.listBytes = res.groups.heldBytes(pl)
 	}
@@ -209,30 +151,6 @@ func (pl *Plan) sizeOutput(res *mapResult) {
 	}
 }
 
-// aggBytes is the size of one partial's aggregates as held; lists is the
-// identifier lists' part of it.
-func (pl *Plan) aggBytes(p *partial) (total, lists int) {
-	for i := range p.aggs {
-		st := &p.aggs[i]
-		switch st.kind {
-		case AggCount, AggPlainSum, AggPlainSumSq, AggPlainMin, AggPlainMax:
-			total += 8
-		case AggAsheSum:
-			total += 8
-			lists += 16 * st.ids.NumRanges()
-		case AggPaillierSum:
-			total += pl.Aggs[i].PK.CiphertextSize()
-		case AggOpeMin, AggOpeMax:
-			total += len(st.ope)
-		case AggPlainMedian:
-			total += 8 * len(st.medU64)
-		case AggOpeMedian:
-			total += opeMedianBytes(st.medOpe)
-		}
-	}
-	return total + lists, lists
-}
-
 // opeMedianBytes sizes a collected OPE median shuffle payload: each element's
 // ciphertext plus the row identifier and companion value it carries.
 func opeMedianBytes(medOpe [][]byte) int {
@@ -241,16 +159,4 @@ func opeMedianBytes(medOpe [][]byte) int {
 		total += len(ct) + 16
 	}
 	return total
-}
-
-// takeCompanion records the companion-column value of a new min/max winner.
-func (st *aggState) takeCompanion(comp *store.Column, j int) {
-	if comp == nil {
-		return
-	}
-	if comp.Kind != store.U64 {
-		st.compBytes = comp.BytesAt(j)
-		return
-	}
-	st.u64 = comp.U64[j]
 }

@@ -281,7 +281,11 @@ func (bitmap) AppendDecode(dst []Range, data []byte) ([]Range, error) {
 	for w := uint64(0); w < nwords; w++ {
 		word := binary.LittleEndian.Uint64(data[w*8:])
 		for word != 0 {
-			dst = pushID(dst, first, base+w*64+uint64(bits.TrailingZeros64(word)))
+			off := w*64 + uint64(bits.TrailingZeros64(word))
+			if off > ^uint64(0)-base {
+				return dst[:first], fmt.Errorf("idlist: bitmap: bit %d past the last identifier", off)
+			}
+			dst = pushID(dst, first, base+off)
 			word &= word - 1
 		}
 	}

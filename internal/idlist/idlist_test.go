@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -415,4 +416,77 @@ func TestViewAliasesWithoutCopy(t *testing.T) {
 	if backing[2] != (Range{Lo: 100, Hi: 100}) {
 		t.Fatalf("appending to a view overwrote the backing array: %v", backing)
 	}
+}
+
+// decodeBound is the most ranges codec c can decode from n bytes: a range
+// costs rangeVB two bytes at least, an identifier costs vbDiff one, a bitmap
+// word holds at most 32 runs, and Deflate expands at most 1032-fold.
+func decodeBound(c Codec, n int) int {
+	switch e := c.(codec).encoding.(type) {
+	case rangeVB:
+		return n / 2
+	case vbDiff:
+		return n
+	case bitmap:
+		return 4 * n
+	case deflated:
+		return decodeBound(codec{e.inner}, 1032*n+64)
+	}
+	panic("decodeBound: unknown codec " + c.Name())
+}
+
+// FuzzAppendDecode runs every codec's decoder over hostile bytes, as the proxy
+// does over identifier lists a daemon sent: no input may panic it; a decode
+// appends at most what the input can hold (decodeBound) and reserves not much
+// more, and a failed one leaves the caller's ranges as they were; and a list a
+// codec accepts re-encodes and decodes to the same ranges. Seeds: each codec's
+// encodings of random lists, and the hostile counts of
+// TestAppendDecodeRejectsHostileCounts.
+func FuzzAppendDecode(f *testing.F) {
+	rng := rand.New(rand.NewSource(11))
+	for _, c := range AllCodecs() {
+		for _, runs := range []int{0, 1, 7, 40} {
+			data, err := c.Encode(randomList(rng, runs))
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
+	}
+	f.Add(binary.AppendUvarint(nil, 1<<60))
+	f.Add(binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, 1), 0), 1<<61))
+	// A bitmap whose word runs past the last identifier.
+	f.Add(append(binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, 1), ^uint64(0)-3), 1), bytes.Repeat([]byte{0xff}, 8)...))
+
+	held := Range{Lo: 5, Hi: 9}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, c := range AllCodecs() {
+			out, err := c.AppendDecode([]Range{held}, data)
+			bound := decodeBound(c, len(data))
+			if cap(out) > 2*(bound+1)+64 {
+				t.Fatalf("%s: %d bytes reserved room for %d ranges", c.Name(), len(data), cap(out))
+			}
+			if len(out) == 0 || out[0] != held {
+				t.Fatalf("%s: the decode changed the caller's ranges: %v", c.Name(), out)
+			}
+			if err != nil {
+				if len(out) != 1 {
+					t.Fatalf("%s: a failed decode appended %d ranges", c.Name(), len(out)-1)
+				}
+				continue
+			}
+			got := out[1:]
+			if len(got) > bound {
+				t.Fatalf("%s: %d bytes decoded to %d ranges, more than they can hold", c.Name(), len(data), len(got))
+			}
+			enc, err := c.AppendEncode(nil, View(got))
+			if err != nil {
+				t.Fatalf("%s: an accepted list does not re-encode: %v", c.Name(), err)
+			}
+			again, err := c.AppendDecode(nil, enc)
+			if err != nil || !slices.Equal(again, got) {
+				t.Fatalf("%s: %v re-encoded decodes to %v (%v)", c.Name(), got, again, err)
+			}
+		}
+	})
 }

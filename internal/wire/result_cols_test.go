@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/big"
+	"os"
 	"reflect"
 	"slices"
 	"strings"
@@ -374,13 +375,81 @@ func TestDecodeResultAliasesOrCopies(t *testing.T) {
 	}
 }
 
+// shortMedianResult is a result a hostile daemon can frame and the decoder
+// accepts: an OPE median whose collection holds three ciphertexts and one
+// identifier — in an ungrouped result's one group, or in the second of two
+// groups.
+func shortMedianResult(grouped bool) *engine.Result {
+	short := engine.AggValue{Kind: engine.AggOpeMedian, MedIDs: []uint64{7},
+		MedOpe: [][]byte{[]byte("ope-ciphertext-3"), []byte("ope-ciphertext-1"), []byte("ope-ciphertext-2")}}
+	if !grouped {
+		return &engine.Result{Cols: &engine.GroupCols{KeyKind: store.U64, KeyU64: []uint64{0}, Rows: []uint64{3},
+			Aggs: []engine.AggCol{{Kind: engine.AggOpeMedian, Vals: []engine.AggValue{short}}}}}
+	}
+	honest := engine.AggValue{Kind: engine.AggOpeMedian, MedIDs: []uint64{4}, MedOpe: [][]byte{[]byte("ope-ciphertext-4")}}
+	return &engine.Result{Cols: &engine.GroupCols{KeyKind: store.U64, KeyU64: []uint64{4, 5}, Rows: []uint64{1, 3},
+		Aggs: []engine.AggCol{{Kind: engine.AggOpeMedian, Vals: []engine.AggValue{honest, short}}}}}
+}
+
+// shortMedianSeed is the checked-in fuzz seed holding shortMedianResult's
+// ungrouped frame.
+const shortMedianSeed = "testdata/fuzz/FuzzDecodeResult/hostile-ope-median-identifiers-short-of-ciphertexts"
+
+// TestShortMedianFrameIsAnError: the frame decodes — every length in it is
+// consistent — but its median collection cannot be collapsed, so merging it is
+// an error naming the aggregate and the group, not a proxy panic. The fuzz
+// seed is that ungrouped frame, byte for byte.
+func TestShortMedianFrameIsAnError(t *testing.T) {
+	for _, grouped := range []bool{false, true} {
+		p, err := EncodeResult(idlist.VBDiff.Name(), shortMedianResult(grouped), nil, Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !grouped {
+			seed, err := os.ReadFile(shortMedianSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", p); string(seed) != want {
+				t.Fatalf("%s is not the short-median frame; rewrite it as\n%s", shortMedianSeed, want)
+			}
+		}
+		codec, res, _, err := DecodeResult(p, Version)
+		if err != nil {
+			t.Fatalf("grouped=%v: the frame does not decode: %v", grouped, err)
+		}
+		_, err = engine.Merge(mergePlan(codec, res.Cols, nil), []*engine.Result{res})
+		want := fmt.Sprintf("aggregate 0 (ope_median) of group %d collects 3 ciphertexts with 1 identifiers", map[bool]int{false: 0, true: 1}[grouped])
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("grouped=%v: merging the frame: %v, want an error containing %q", grouped, err, want)
+		}
+	}
+}
+
+// mergePlan is the plan a coordinator would merge a decoded result under,
+// built from the frame alone: its codec and its columns' aggregate kinds, with
+// pk for Paillier sums. Nil when the codec is one the proxy does not know.
+func mergePlan(codec string, c *engine.GroupCols, pk *paillier.PublicKey) *engine.Plan {
+	ic, err := CodecByName(codec)
+	if err != nil {
+		return nil
+	}
+	pl := &engine.Plan{Codec: ic, Aggs: make([]engine.Agg, len(c.Aggs))}
+	for i := range c.Aggs {
+		pl.Aggs[i] = engine.Agg{Kind: c.Aggs[i].Kind, PK: pk}
+	}
+	return pl
+}
+
 // FuzzDecodeResult feeds hostile bytes to the result decoder: the proxy
 // decodes results from a server the threat model does not trust, so the
 // decoder must fail cleanly — never panic or over-reserve — and whatever it
 // accepts must hold one word per group in every lane (what client.Decrypt
-// indexes), view without panicking, and survive a re-encode and second decode
-// unchanged. The seed corpus is the valid frames above, truncations of the
-// golden frame, and the hostile frames the unit tests reject.
+// indexes), merge — with itself, as two shards — into a result or an error,
+// never a panic, view without panicking, and survive a re-encode and second
+// decode unchanged. The seed corpus is the valid frames above, truncations of
+// the golden frame, the hostile frames the unit tests reject, and (in
+// testdata) a frame that decodes but cannot merge.
 func FuzzDecodeResult(f *testing.F) {
 	golden, err := hex.DecodeString(goldenFrame)
 	if err != nil {
@@ -400,6 +469,10 @@ func FuzzDecodeResult(f *testing.F) {
 	for _, h := range hostileResultFrames(f) {
 		f.Add(h.frame)
 	}
+	sk, err := paillier.GenerateKey(crand.Reader, 128)
+	if err != nil {
+		f.Fatal(err)
+	}
 
 	f.Fuzz(func(t *testing.T, p []byte) {
 		codec, res, _, err := DecodeResult(p, Version)
@@ -418,6 +491,9 @@ func FuzzDecodeResult(f *testing.F) {
 					col.Kind == engine.AggAsheSum && (len(col.IDOff) != n+1 || col.IDOff[n] != uint64(len(col.IDs))) {
 					t.Fatalf("decoded aggregate column %d does not hold %d groups", i, n)
 				}
+			}
+			if pl := mergePlan(codec, c, &sk.PublicKey); pl != nil {
+				_, _ = engine.Merge(pl, []*engine.Result{res, res}) // a result or an error; a panic fails the fuzz
 			}
 		}
 		view := canonPail(res.View())

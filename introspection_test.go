@@ -172,7 +172,7 @@ func TestExplainAnalyzeShardedEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	text = res.ExplainText()
-	for _, want := range []string{"path=open-addressed slot table (byte keys", "flat lanes", "rows grouped: dense=0 hash=3000"} {
+	for _, want := range []string{"path=open-addressed slot table (byte keys in a per-task arena), radix-partitioned ≥ 32768 slots\n", "rows grouped: dense=0 hash=3000"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("encrypted grouped EXPLAIN ANALYZE missing %q:\n%s", want, text)
 		}
