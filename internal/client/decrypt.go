@@ -162,7 +162,11 @@ func Decrypt(tr *translate.Translation, res *engine.Result, ring *KeyRing) (*Res
 	nOut := len(tr.Client.Outputs)
 	out.Rows = make([]Row, n)
 	values := make([]Value, n*nOut)
-	for ri, gi := range keyOrder(keys, n) {
+	order, err := keyOrder(keys, n)
+	if err != nil {
+		return nil, err
+	}
+	for ri, gi := range order {
 		g, row := int(gi), &out.Rows[ri]
 		row.Values = values[ri*nOut : (ri+1)*nOut : (ri+1)*nOut]
 		if keys != nil {
@@ -390,23 +394,40 @@ func (d *decrypter) scanRow(cols []translate.ScanCol, sr *engine.ScanRow, vals [
 	return Row{Values: vals}, nil
 }
 
+// DuplicateKeyError reports a result that holds two groups whose keys
+// decrypt to one value. A merge or deflate folds equal keys together and a
+// run's reducers own disjoint key buckets, so no legitimate result holds them:
+// the server sent a malformed or hostile result.
+type DuplicateKeyError struct {
+	Key Value
+}
+
+// Error names the repeated key.
+func (e *DuplicateKeyError) Error() string {
+	return fmt.Sprintf("client: result holds group key %s twice (malformed or hostile result)", e.Key.Display())
+}
+
 // keyOrder returns the order result rows take: the n groups' indices sorted
-// by decrypted group key (string keys as strings, others as integers), equal
-// keys in group order, or as they are when the query has no group key. Integer
-// keys sort beside their indices, so a comparison reads no Value.
-func keyOrder(keys []Value, n int) []int32 {
+// by decrypted group key (string keys as strings, others as integers), or as
+// they are when the query has no group key. Two groups with one key are a
+// DuplicateKeyError. Integer keys sort beside their indices, so a comparison
+// reads no Value.
+func keyOrder(keys []Value, n int) ([]int32, error) {
 	order := make([]int32, n)
 	for i := range order {
 		order[i] = int32(i)
 	}
 	if n == 0 || keys == nil {
-		return order
+		return order, nil
 	}
 	if keys[0].Kind == Str {
-		slices.SortFunc(order, func(a, b int32) int {
-			return cmp.Or(cmp.Compare(keys[a].Str, keys[b].Str), cmp.Compare(a, b))
-		})
-		return order
+		slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(keys[a].Str, keys[b].Str) })
+		for i := 1; i < n; i++ {
+			if keys[order[i-1]].Str == keys[order[i]].Str {
+				return nil, &DuplicateKeyError{Key: keys[order[i]]}
+			}
+		}
+		return order, nil
 	}
 	type ref struct {
 		k int64
@@ -416,14 +437,12 @@ func keyOrder(keys []Value, n int) []int32 {
 	for g := range refs {
 		refs[g] = ref{keys[g].I64, int32(g)}
 	}
-	slices.SortFunc(refs, func(a, b ref) int {
-		if a.k != b.k {
-			return cmp.Compare(a.k, b.k)
-		}
-		return cmp.Compare(a.g, b.g)
-	})
+	slices.SortFunc(refs, func(a, b ref) int { return cmp.Compare(a.k, b.k) })
 	for i, r := range refs {
+		if i > 0 && refs[i-1].k == r.k {
+			return nil, &DuplicateKeyError{Key: keys[r.g]}
+		}
 		order[i] = r.g
 	}
-	return order
+	return order, nil
 }

@@ -1,7 +1,11 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"reflect"
+	"slices"
 	"testing"
 
 	"seabed/internal/engine"
@@ -89,6 +93,115 @@ func TestDecryptMergedResults(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// shardResults runs sql's plan, translated with opts, Partial on three
+// contiguous identifier ranges of its table, as a fleet's shards would.
+func shardResults(t *testing.T, p *Proxy, cl *engine.Cluster, sql string, mode translate.Mode, opts translate.Options) (*translate.Translation, []*engine.Result) {
+	t.Helper()
+	stmt, err := sqlparse.ParseStatement(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := translate.Translate(stmt.Query, p, p.Ring(), mode, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var partials []*engine.Result
+	for _, sub := range tr.Server.Table.SplitRanges(3) {
+		scoped := *tr.Server
+		scoped.Partial, scoped.Range = true, &engine.IDRange{Lo: sub.Parts[0].StartID, Hi: sub.EndID()}
+		res, err := cl.Run(context.Background(), &scoped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		partials = append(partials, res)
+	}
+	return tr, partials
+}
+
+// TestRowsIgnoreShardOrder pins the contract that lets the engine leave
+// groups in no key order: the coordinator's merge lists groups in the order
+// the shards first name them, and the rows Decrypt makes of it do not depend
+// on that order. The same three shard results are merged forward and in
+// reverse, for a DET-keyed ASHE group-by, a Paillier sum and an inflated
+// group-by that Decrypt deflates. The shards run on one worker, so each has
+// one reducer and lists its groups as its rows first name them — an order
+// that differs from shard to shard, which the merges must then disagree on.
+func TestRowsIgnoreShardOrder(t *testing.T) {
+	p := salesFixture(t)
+	cl := engine.NewCluster(engine.Config{Workers: 1})
+	const gb = "SELECT hour, SUM(revenue), COUNT(*) FROM sales GROUP BY hour"
+	for _, tc := range []struct {
+		name string
+		mode translate.Mode
+		opts translate.Options
+	}{
+		{"det-ashe", translate.Seabed, translate.Options{Workers: 4}},
+		{"paillier", translate.Paillier, translate.Options{Workers: 4}},
+		{"inflated", translate.Seabed, translate.Options{Workers: 24, ExpectedGroups: 6}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, partials := shardResults(t, p, cl, gb, tc.mode, tc.opts)
+			if tc.opts.ExpectedGroups > 0 && !tr.Client.Inflated {
+				t.Fatal("plan is not inflated")
+			}
+			reversed := slices.Clone(partials)
+			slices.Reverse(reversed)
+			var rows [2][]Row
+			var keys [2][]byte
+			for i, order := range [][]*engine.Result{partials, reversed} {
+				merged, err := engine.Merge(tr.Server, order)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys[i] = merged.Cols.KeyArena
+				out, err := Decrypt(tr, merged, p.Ring())
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows[i] = out.Rows
+			}
+			if bytes.Equal(keys[0], keys[1]) {
+				t.Fatal("the reversed merge lists its groups in the same order: the case tests nothing")
+			}
+			if len(rows[0]) != 6 || !reflect.DeepEqual(rows[0], rows[1]) {
+				t.Fatalf("rows depend on shard order:\nforward %+v\nreverse %+v", rows[0], rows[1])
+			}
+		})
+	}
+}
+
+// TestDecryptRefusesDuplicateKeys: a result that holds one DET group key
+// twice — which no merge, deflate or run produces — is a DuplicateKeyError,
+// not two rows. The columns are decrypted directly, as a single daemon's
+// result is.
+func TestDecryptRefusesDuplicateKeys(t *testing.T) {
+	p := salesFixture(t)
+	cl := engine.NewCluster(engine.Config{Workers: 4})
+	tr, partials := shardResults(t, p, cl, "SELECT hour, COUNT(*) FROM sales GROUP BY hour", translate.Seabed, translate.Options{Workers: 4})
+	key := partials[0].Cols.KeyBytes(0)
+	if partials[0].Cols.KeyKind != store.Bytes || len(tr.Server.Aggs) != 1 || tr.Server.Aggs[0].Kind != engine.AggCount {
+		t.Fatalf("fixture: %v keys, aggregates %+v", partials[0].Cols.KeyKind, tr.Server.Aggs)
+	}
+	cols := &engine.GroupCols{
+		KeyKind:  store.Bytes,
+		KeyOff:   []uint64{0, uint64(len(key)), uint64(2 * len(key))},
+		KeyArena: append(slices.Clone(key), key...),
+		Rows:     []uint64{3, 4},
+		Aggs:     []engine.AggCol{{Kind: engine.AggCount, Lane: []uint64{3, 4}}},
+	}
+	_, err := Decrypt(tr, &engine.Result{Cols: cols}, p.Ring())
+	var dup *DuplicateKeyError
+	if !errors.As(err, &dup) || dup.Key.Name != "hour" {
+		t.Fatalf("err = %v, want a DuplicateKeyError naming an hour", err)
+	}
+	// The same key once decrypts.
+	cols.KeyOff, cols.KeyArena, cols.Rows = cols.KeyOff[:2], key, cols.Rows[:1]
+	cols.Aggs[0].Lane = cols.Aggs[0].Lane[:1]
+	if _, err := Decrypt(tr, &engine.Result{Cols: cols}, p.Ring()); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 
 	"seabed/internal/idlist"
 	"seabed/internal/store"
@@ -123,9 +126,11 @@ func (c *GroupCols) keys() groupKeys {
 }
 
 // View returns the result's groups as rows, building them from Cols on the
-// first call and caching them in Groups. The rows alias the columns, except
-// that a decoded identifier-list column is encoded for them here — the one
-// place a merged result's lists meet the codec again.
+// first call and caching them in Groups. It is where the engine's key order is
+// defined: the columns hold groups in no key order, and the rows come out
+// sorted by key (u64 key or key bytes, then suffix). The rows alias the
+// columns, except that a decoded identifier-list column is encoded for them
+// here — the one place a merged result's lists meet the codec again.
 func (r *Result) View() []Group {
 	if r.Groups == nil && r.Cols.Len() > 0 {
 		r.Groups = r.Cols.groups()
@@ -133,7 +138,8 @@ func (r *Result) View() []Group {
 	return r.Groups
 }
 
-// groups builds the row view: one []Group and one []AggValue block.
+// groups builds the row view, in key order: one []Group and one []AggValue
+// block.
 func (c *GroupCols) groups() []Group {
 	n, na := c.Len(), len(c.Aggs)
 	out := make([]Group, n)
@@ -148,8 +154,8 @@ func (c *GroupCols) groups() []Group {
 			enc[ai] = c.encodeIDs(enc[ai])
 		}
 	}
-	for g := range out {
-		grp := &out[g]
+	for i, g := range c.keyOrder() {
+		grp := &out[i]
 		grp.KeyKind, grp.Suffix, grp.Rows = c.KeyKind, -1, c.Rows[g]
 		if c.Suffix != nil {
 			grp.Suffix = int(c.Suffix[g])
@@ -162,7 +168,7 @@ func (c *GroupCols) groups() []Group {
 		default:
 			grp.KeyStr = strs[c.KeyOff[g]:c.KeyOff[g+1]]
 		}
-		grp.Aggs = vals[g*na : (g+1)*na : (g+1)*na]
+		grp.Aggs = vals[i*na : (i+1)*na : (i+1)*na]
 		for ai := range c.Aggs {
 			col, av := &c.Aggs[ai], &grp.Aggs[ai]
 			switch {
@@ -176,6 +182,23 @@ func (c *GroupCols) groups() []Group {
 		}
 	}
 	return out
+}
+
+// keyOrder returns the groups' indices sorted by key: the u64 key or the key
+// bytes, then the suffix.
+func (c *GroupCols) keyOrder() []int {
+	keys := c.keys()
+	order := make([]int, c.Len())
+	for g := range order {
+		order[g] = g
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if keys.kind == store.U64 {
+			return cmp.Or(cmp.Compare(keys.u64[a], keys.u64[b]), cmp.Compare(keys.suffixAt(a), keys.suffixAt(b)))
+		}
+		return cmp.Or(bytes.Compare(keys.bytesAt(a), keys.bytesAt(b)), cmp.Compare(keys.suffixAt(a), keys.suffixAt(b)))
+	})
+	return order
 }
 
 // encodeIDs returns the encoded form of a decoded column's identifier lists.

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"bytes"
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -23,8 +21,8 @@ import (
 // task's columns travel to the reducer as they are (taskGroups); reduceGroups,
 // the driver's fold of an ungrouped plan and the coordinator's merge fold
 // inputs of that one form through groupMerger; and gatherGroups, the last
-// step, writes the result's columns (GroupCols, cols.go) in key order — the
-// columns carried the rest of the way.
+// step, concatenates the mergers' slots into the result's columns (GroupCols,
+// cols.go) — the columns carried the rest of the way, in no key order.
 //
 // An ASHE sum's identifier lists have one life: built once, a row or a run at
 // a time, by the map task (idChains); laid out once, at task end, as one
@@ -749,7 +747,7 @@ func (in groupSel) at(i int) int {
 // ungrouped plan's tasks and the coordinator's merge of shard results are all
 // this routine. Columns fold as columns (lanes add, values through foldValue);
 // identifier lists merge slot by slot (mergeIDs) where they are written out:
-// encoded by finish, or decoded, in key order, by gatherGroups.
+// encoded by finish, or decoded, in slot order, by gatherGroups.
 type groupMerger struct {
 	pl  *Plan
 	t   slotTable
@@ -967,13 +965,12 @@ func (m *groupMerger) finish(codec idlist.Codec) error {
 }
 
 // gatherGroups writes the result columns from finished mergers whose key sets
-// are disjoint: every group of every merger, in key order (u64 key, then
-// bytes, then string, then suffix — a result has one key kind, so the order is
-// key then suffix). The order comes from sorting 16-byte references to the
-// slots, typed by key kind; each column is then gathered through them. Where
-// finish encoded the identifier lists their encodings are copied; where it
-// left them alone each slot's are merged here, once, straight into the decoded
-// column at the group's final place.
+// are disjoint: every group of every merger, concatenated — mergers in order,
+// each one's groups in slot order — in no key order. A result's key order is
+// its reader's: the client orders rows by plaintext key, and Result.View by
+// ciphertext key. Where finish encoded the identifier lists their encodings
+// are copied; where it left them alone each slot's are merged here, once,
+// straight into the decoded column at the group's final place.
 func gatherGroups(ms []*groupMerger) (*GroupCols, error) {
 	total, arena := 0, 0
 	for _, m := range ms {
@@ -983,71 +980,33 @@ func gatherGroups(ms []*groupMerger) (*GroupCols, error) {
 	if total == 0 {
 		return nil, nil
 	}
-	// ref addresses slot s of merger m; p is the key itself for u64 keys and
-	// its first eight bytes, big-endian, otherwise — so most comparisons never
-	// touch the arenas.
-	type ref struct {
-		p    uint64
-		m, s int32
-	}
-	kind := ms[0].t.kind
-	refs := make([]ref, 0, total)
-	for mi, m := range ms {
-		for s := 0; s < m.t.len(); s++ {
-			r := ref{m: int32(mi), s: int32(s)}
-			if kind == store.U64 {
-				r.p = m.t.u64[s]
-			} else {
-				for i, c := range m.t.bytesAt(s) {
-					if i == 8 {
-						break
-					}
-					r.p |= uint64(c) << (56 - 8*i)
-				}
-			}
-			refs = append(refs, r)
-		}
-	}
-	slices.SortFunc(refs, func(a, b ref) int {
-		if c := cmp.Compare(a.p, b.p); c != 0 {
-			return c
-		}
-		ma, mb := ms[a.m], ms[b.m]
-		if kind != store.U64 {
-			if c := bytes.Compare(ma.t.bytesAt(int(a.s)), mb.t.bytesAt(int(b.s))); c != 0 {
-				return c
-			}
-		}
-		return cmp.Compare(ma.t.suffixAt(int(a.s)), mb.t.suffixAt(int(b.s)))
-	})
-
-	pl := ms[0].pl
-	out := &GroupCols{KeyKind: kind, Rows: make([]uint64, total), Aggs: newAggCols(pl.Aggs, total)}
+	kind, pl := ms[0].t.kind, ms[0].pl
+	out := &GroupCols{KeyKind: kind, Rows: make([]uint64, 0, total), Aggs: newAggCols(pl.Aggs, total)}
 	var keys groupKeys
 	keys.init(kind, ms[0].t.inflated)
 	keys.reserve(total, (arena+total-1)/total)
-	for i, r := range refs {
-		m, s := ms[r.m], int(r.s)
-		out.Rows[i] = m.acc.rows[s]
-		if kind == store.U64 {
-			keys.appendU64(m.t.u64[s], m.t.suffixAt(s))
-		} else {
-			appendKey(&keys, m.t.bytesAt(s), m.t.suffixAt(s))
+	for _, m := range ms {
+		at := len(out.Rows)
+		out.Rows = append(out.Rows, m.acc.rows...)
+		for s := range m.t.len() {
+			if kind == store.U64 {
+				keys.appendU64(m.t.u64[s], m.t.suffixAt(s))
+			} else {
+				appendKey(&keys, m.t.bytesAt(s), m.t.suffixAt(s))
+			}
+		}
+		for ai := range out.Aggs {
+			if col := &out.Aggs[ai]; col.Lane != nil {
+				copy(col.Lane[at:], m.acc.cols[ai].Lane)
+			} else {
+				copy(col.Vals[at:], m.acc.cols[ai].Vals)
+			}
 		}
 	}
 	out.KeyU64, out.KeyOff, out.KeyArena, out.Suffix = keys.u64, keys.off, keys.arena, keys.sfx
 	var w idWork
 	for ai := range out.Aggs {
 		col := &out.Aggs[ai]
-		if col.Lane == nil {
-			for i, r := range refs {
-				col.Vals[i] = ms[r.m].acc.cols[ai].Vals[r.s]
-			}
-			continue
-		}
-		for i, r := range refs {
-			col.Lane[i] = ms[r.m].acc.cols[ai].Lane[r.s]
-		}
 		switch {
 		case col.Kind != AggAsheSum:
 		case ms[0].acc.cols[ai].IDOff != nil:
@@ -1056,10 +1015,13 @@ func gatherGroups(ms []*groupMerger) (*GroupCols, error) {
 				block += len(m.acc.cols[ai].IDs)
 			}
 			col.IDs = make([]byte, 0, block)
-			col.IDOff = make([]uint64, total+1)
-			for i, r := range refs {
-				col.IDs = append(col.IDs, ms[r.m].acc.cols[ai].EncodedIDs(int(r.s))...)
-				col.IDOff[i+1] = uint64(len(col.IDs))
+			col.IDOff = make([]uint64, 1, total+1)
+			for _, m := range ms {
+				src, base := &m.acc.cols[ai], uint64(len(col.IDs))
+				col.IDs = append(col.IDs, src.IDs...)
+				for _, off := range src.IDOff[1:] {
+					col.IDOff = append(col.IDOff, base+off)
+				}
 			}
 		default:
 			// The column is allocated when the first list is known, for that
@@ -1074,18 +1036,20 @@ func gatherGroups(ms []*groupMerger) (*GroupCols, error) {
 					}
 				}
 			}
-			col.RangeOff = make([]uint64, total+1)
-			for i, r := range refs {
-				used, err := ms[r.m].mergeIDs(ai, int(r.s), &w)
-				if err != nil {
-					return nil, err
+			col.RangeOff = make([]uint64, 1, total+1)
+			for _, m := range ms {
+				for s := range m.t.len() {
+					used, err := m.mergeIDs(ai, s, &w)
+					if err != nil {
+						return nil, err
+					}
+					left -= used
+					if cap(col.Ranges)-len(col.Ranges) < len(w.run.ranges) {
+						col.Ranges = slices.Grow(col.Ranges, len(w.run.ranges)+left)
+					}
+					col.Ranges = append(col.Ranges, w.run.ranges...)
+					col.RangeOff = append(col.RangeOff, uint64(len(col.Ranges)))
 				}
-				left -= used
-				if cap(col.Ranges)-len(col.Ranges) < len(w.run.ranges) {
-					col.Ranges = slices.Grow(col.Ranges, len(w.run.ranges)+left)
-				}
-				col.Ranges = append(col.Ranges, w.run.ranges...)
-				col.RangeOff[i+1] = uint64(len(col.Ranges))
 			}
 			col.Ranges = slices.Clip(col.Ranges)
 		}

@@ -207,7 +207,8 @@ func TestMergeSingleAllocsIndependentOfTasks(t *testing.T) {
 }
 
 // asheColumns returns every ASHE aggregate's identifier lists of a result, by
-// aggregate and group, decoding the columns that are encoded.
+// aggregate and then group in key order (the columns hold groups in no key
+// order), decoding the columns that are encoded.
 func asheColumns(t *testing.T, c *GroupCols, codec idlist.Codec) map[int][][]idlist.Range {
 	t.Helper()
 	out := map[int][][]idlist.Range{}
@@ -217,16 +218,16 @@ func asheColumns(t *testing.T, c *GroupCols, codec idlist.Codec) map[int][][]idl
 			continue
 		}
 		lists := make([][]idlist.Range, c.Len())
-		for g := range lists {
+		for i, g := range c.keyOrder() {
 			if col.RangeOff != nil {
-				lists[g] = col.DecodedIDs(g)
+				lists[i] = col.DecodedIDs(g)
 				continue
 			}
 			rs, err := codec.AppendDecode(nil, col.EncodedIDs(g))
 			if err != nil {
 				t.Fatal(err)
 			}
-			lists[g] = rs
+			lists[i] = rs
 		}
 		out[ai] = lists
 	}
@@ -234,12 +235,14 @@ func asheColumns(t *testing.T, c *GroupCols, codec idlist.Codec) map[int][][]idl
 }
 
 // asheSums decrypts every ASHE sum of a result as the client does: body and
-// identifier list under the column's key.
+// identifier list under the column's key. The lists are asheColumns', in key
+// order.
 func asheSums(c *GroupCols, lists map[int][][]idlist.Range) map[int][]uint64 {
 	out := map[int][]uint64{}
+	order := c.keyOrder()
 	for ai, ls := range lists {
-		for g, rs := range ls {
-			out[ai] = append(out[ai], asheKey.Decrypt(ashe.Ciphertext{Body: c.Aggs[ai].Lane[g], IDs: idlist.View(rs)}))
+		for i, rs := range ls {
+			out[ai] = append(out[ai], asheKey.Decrypt(ashe.Ciphertext{Body: c.Aggs[ai].Lane[order[i]], IDs: idlist.View(rs)}))
 		}
 	}
 	return out

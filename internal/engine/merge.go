@@ -33,9 +33,11 @@ import (
 //   - Medians do NOT decompose, so Partial plans ship each shard's collected
 //     inputs and the coordinator selects over the concatenation.
 //
-// Group-by results concatenate the shards' groups and reduce them by key,
-// exactly the shuffle+reduce the engine performs between its own map tasks
-// (§4.5); an ungrouped result is the one group keyed 0.
+// Group-by results concatenate the shards' groups and fold same-key groups
+// together, exactly the shuffle+reduce the engine performs between its own map
+// tasks (§4.5); an ungrouped result is the one group keyed 0. The merged groups
+// come out in first-seen order, not key order: the client orders rows by
+// plaintext key, and Result.View by ciphertext key.
 
 // MergeResults is Merge for callers that read groups as rows: it returns with
 // the row view (Result.View) built, identifier lists encoded.
@@ -124,7 +126,7 @@ func DeflateGroups(pl *Plan, c *GroupCols) (*GroupCols, error) {
 // (adding lanes, folding values) and finishes them (collapses medians) exactly
 // as an in-process reducer does, and the gather merges their identifier lists
 // into decoded columns. Within one set keys may repeat. It returns the merged
-// columns, in key order.
+// columns, each key once, in the order the sets first name it.
 func mergeGroups(pl *Plan, sets []*GroupCols) (*GroupCols, error) {
 	if len(sets) == 0 {
 		return nil, nil

@@ -273,3 +273,19 @@ func BenchmarkMergeResultsWide(b *testing.B) {
 	}
 	b.ReportMetric(float64(3*groups)*float64(b.N)/b.Elapsed().Seconds(), "groups/s")
 }
+
+// BenchmarkMergeWide is BenchmarkMergeResultsWide without the row view: what
+// the fleet coordinator runs (engine.Merge), columns in and columns out, the
+// merged identifier lists left decoded for the client.
+func BenchmarkMergeWide(b *testing.B) {
+	const groups = 1 << 14
+	pl, partials := wideShardPartials(b, groups)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Merge(pl, partials); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(3*groups)*float64(b.N)/b.Elapsed().Seconds(), "groups/s")
+}

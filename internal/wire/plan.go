@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 
 	"seabed/internal/engine"
@@ -157,6 +158,9 @@ func DecodePlan(p []byte) (*PlanRequest, error) {
 		f.Negate = d.bool()
 		f.Prob = d.f64()
 		f.Seed = d.uint()
+		if math.IsNaN(f.Prob) {
+			return nil, fmt.Errorf("wire: decode plan: filter %d samples with probability NaN", i)
+		}
 		pl.Filters = append(pl.Filters, f)
 	}
 
@@ -200,6 +204,14 @@ func DecodePlan(p []byte) (*PlanRequest, error) {
 	req.Failover = d.bool()
 	if err := d.close("plan"); err != nil {
 		return nil, err
+	}
+	// What EncodePlan refuses to write is refused here too, so an accepted
+	// plan is one a proxy could have sent.
+	if req.TableRef == "" {
+		return nil, fmt.Errorf("wire: decode plan: empty table ref")
+	}
+	if pl.Join != nil && req.JoinRef == "" {
+		return nil, fmt.Errorf("wire: decode plan: join without a right-table ref")
 	}
 	codec, err := CodecByName(codecName)
 	if err != nil {

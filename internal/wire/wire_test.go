@@ -113,8 +113,11 @@ var testPK = func() *paillier.PublicKey {
 	return &sk.PublicKey
 }()
 
-func TestPlanRoundTrip(t *testing.T) {
-	plans := map[string]*PlanRequest{
+// roundTripPlans are plans of every shape a proxy sends: a bare count, one
+// touching every filter and aggregate field with a join, a scan, and a
+// shard-scoped partial.
+func roundTripPlans() map[string]*PlanRequest {
+	return map[string]*PlanRequest{
 		"minimal": {
 			TableRef: "sales@Seabed",
 			Plan: &engine.Plan{
@@ -163,7 +166,10 @@ func TestPlanRoundTrip(t *testing.T) {
 			},
 		},
 	}
-	for name, req := range plans {
+}
+
+func TestPlanRoundTrip(t *testing.T) {
+	for name, req := range roundTripPlans() {
 		t.Run(name, func(t *testing.T) {
 			payload, err := EncodePlan(req, Version)
 			if err != nil {
@@ -231,16 +237,8 @@ func TestResultRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := &engine.Result{
+		// The groups are in key order, the order the row view gives back.
 		Groups: []engine.Group{
-			{
-				KeyKind: store.Str, KeyStr: "Canada", Suffix: -1, Rows: 991,
-				Aggs: []engine.AggValue{
-					{Kind: engine.AggAsheSum, Ashe: engine.AsheAgg{Body: 0xDEADBEEFCAFE, Encoded: encoded}},
-					{Kind: engine.AggCount, U64: 991},
-					{Kind: engine.AggPaillierSum, Pail: big.NewInt(0).Lsh(big.NewInt(12345), 300)},
-					{Kind: engine.AggOpeMax, Ope: []byte{1, 2, 3}, ArgID: 77, U64: 41, CompanionBytes: []byte{9}},
-				},
-			},
 			{
 				// A group no row reached, and an empty key.
 				KeyKind: store.Str, Suffix: -1, Rows: 0,
@@ -249,6 +247,15 @@ func TestResultRoundTrip(t *testing.T) {
 					{Kind: engine.AggCount},
 					{Kind: engine.AggPaillierSum, Pail: big.NewInt(1)},
 					{Kind: engine.AggOpeMax},
+				},
+			},
+			{
+				KeyKind: store.Str, KeyStr: "Canada", Suffix: -1, Rows: 991,
+				Aggs: []engine.AggValue{
+					{Kind: engine.AggAsheSum, Ashe: engine.AsheAgg{Body: 0xDEADBEEFCAFE, Encoded: encoded}},
+					{Kind: engine.AggCount, U64: 991},
+					{Kind: engine.AggPaillierSum, Pail: big.NewInt(0).Lsh(big.NewInt(12345), 300)},
+					{Kind: engine.AggOpeMax, Ope: []byte{1, 2, 3}, ArgID: 77, U64: 41, CompanionBytes: []byte{9}},
 				},
 			},
 		},
@@ -273,7 +280,7 @@ func TestResultRoundTrip(t *testing.T) {
 	if codecName != idlist.Default.Name() {
 		t.Fatalf("codec name %q, want %q", codecName, idlist.Default.Name())
 	}
-	back, err := idlist.Default.Decode(got.View()[0].Aggs[0].Ashe.Encoded)
+	back, err := idlist.Default.Decode(got.View()[1].Aggs[0].Ashe.Encoded)
 	if err != nil || !back.Equal(ids) {
 		t.Fatalf("id list round trip: got %v (err %v), want %v", back, err, ids)
 	}
