@@ -6,8 +6,9 @@
 //	    one daemon is killed mid-workload and every query still succeeds with
 //	    rows byte-identical to an in-process mirror (replica failover). The
 //	    dead daemon restarts on an empty disk and heals daemon-to-daemon over
-//	    the segment-shipping frames: its recovered segment files match the
-//	    replicas' CRC-for-CRC, writes resume, and results stay identical.
+//	    the segment-shipping frames: its segments are the replicas' bytes,
+//	    tail included, under local names; writes resume, and results stay
+//	    identical.
 //	(b) A fleet with one injected straggler daemon and an armed hedge
 //	    quantile answers with correct rows by re-issuing the straggler's
 //	    sub-query to a second replica — visible in both the coordinator's and
@@ -15,8 +16,10 @@
 package seabed_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"hash/crc32"
 	"net"
 	"path/filepath"
 	"reflect"
@@ -217,29 +220,55 @@ func TestFleetFailoverAndHealEndToEnd(t *testing.T) {
 		t.Fatalf("down set = %v after heal, want empty", st.Down)
 	}
 
-	// CRC-for-CRC: the healed daemon's installed segment files must be the
-	// replicas' committed files exactly — same names, sizes, and whole-file
-	// CRCs. Daemon 1 hosts range 0 (pulled from daemon 0, its co-replica)
-	// and range 1 (pulled from daemon 2).
+	// The healed daemon holds its sources' bytes under local names: its
+	// committed segments are, in (size, CRC) order, the source's committed
+	// segments followed by the source's WAL-tail image, which the heal
+	// committed as one more segment. Daemon 1 hosts range 0 (pulled from
+	// daemon 0, its co-replica) and range 1 (pulled from daemon 2).
+	type piece struct {
+		size int
+		crc  uint32
+	}
+	// pieces lists what d ships for ref as (size, CRC) pairs: its committed
+	// segments, then its WAL tail's image, if it has one.
+	pieces := func(d *seabed.DurableStore, ref string) (ps []piece, tail bool) {
+		segs, pending, err := d.ShipManifest(ref)
+		if err != nil {
+			t.Fatalf("manifest %q: %v", ref, err)
+		}
+		var imgs [][]byte
+		for _, name := range segs {
+			data, err := d.SegmentBytes(ref, name)
+			if err != nil {
+				t.Fatalf("segment %s of %q: %v", name, ref, err)
+			}
+			imgs = append(imgs, data)
+		}
+		if pending != nil {
+			var buf bytes.Buffer
+			if _, err := pending.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			imgs = append(imgs, buf.Bytes())
+		}
+		for _, img := range imgs {
+			ps = append(ps, piece{len(img), crc32.ChecksumIEEE(img)})
+		}
+		return ps, pending != nil
+	}
 	for _, table := range []string{"big@NoEnc", "big@Seabed", "big@Paillier"} {
 		for _, src := range []struct{ k, daemon int }{{0, 0}, {1, 2}} {
 			ref := fmt.Sprintf("%s#r%d", table, src.k)
-			wantSegs, wantTail, err := stores[src.daemon].ShipManifest(ref)
-			if err != nil {
-				t.Fatalf("replica daemon %d manifest %q: %v", src.daemon, ref, err)
-			}
-			if len(wantSegs) == 0 {
+			want, _ := pieces(stores[src.daemon], ref)
+			if len(want) == 0 {
 				t.Fatalf("replica daemon %d ships no segments for %q; fixture broken", src.daemon, ref)
 			}
-			gotSegs, gotTail, err := store1b.ShipManifest(ref)
-			if err != nil {
-				t.Fatalf("healed daemon has no %q: %v", ref, err)
+			got, tail := pieces(store1b, ref)
+			if tail {
+				t.Fatalf("healed %q has a WAL tail; the heal commits every piece", ref)
 			}
-			if !reflect.DeepEqual(gotSegs, wantSegs) {
-				t.Fatalf("healed %q segments %+v do not match replica's %+v", ref, gotSegs, wantSegs)
-			}
-			if (gotTail == nil) != (wantTail == nil) {
-				t.Fatalf("healed %q WAL tail presence diverges from replica", ref)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("healed %q segments %+v are not the replica's pieces %+v", ref, got, want)
 			}
 		}
 	}

@@ -276,25 +276,12 @@ func Open(opts Options) (*Store, error) {
 func (s *Store) recoverTable(mt manifestTable) (*tableState, *store.Table, RecoveryStats, error) {
 	var stats RecoveryStats
 	tdir := filepath.Join(s.opts.Dir, mt.ID)
-	var tbl *store.Table
-	for _, seg := range mt.Segments {
-		path := filepath.Join(tdir, seg)
-		part, nMapped, err := s.openSegment(path)
-		if err != nil {
-			return nil, nil, stats, fmt.Errorf("segment %s: %w", seg, err)
-		}
-		stats.Bytes += nMapped
-		stats.MappedBytes += nMapped
-		stats.Segments++
-		if tbl == nil {
-			tbl = part
-		} else if err := tbl.AppendTable(part); err != nil {
-			return nil, nil, stats, fmt.Errorf("segment %s does not continue its predecessors: %w", seg, err)
-		}
+	tbl, mapped, err := s.openSegments(tdir, mt.Segments)
+	if err != nil {
+		return nil, nil, stats, err
 	}
-	if tbl == nil {
-		return nil, nil, stats, fmt.Errorf("manifest lists no segments")
-	}
+	stats.Segments = len(mt.Segments)
+	stats.Bytes, stats.MappedBytes = mapped, mapped
 
 	walPath := filepath.Join(tdir, walName)
 	batches, goodBytes, torn, err := replayWAL(walPath)
@@ -327,20 +314,59 @@ func (s *Store) recoverTable(mt manifestTable) (*tableState, *store.Table, Recov
 		}
 		stats.WALRecords++
 	}
-	w, err := openWAL(walPath)
-	if err != nil {
-		return nil, nil, stats, err
-	}
-	w.obsFsync = s.mFsync
 	st := &tableState{
 		id:       mt.ID,
 		segments: append([]string(nil), mt.Segments...),
 		nextSeq:  nextSegSeq(mt.Segments),
-		wal:      w,
 		pending:  pending,
 		endID:    tbl.EndID(),
 	}
+	if err := s.openLog(st); err != nil {
+		return nil, nil, stats, err
+	}
 	return st, tbl, stats, nil
+}
+
+// openSegments maps a table's committed segments, in order, and joins them
+// into its table, as recovery opens them. It returns the bytes mapped.
+func (s *Store) openSegments(tdir string, segments []string) (*store.Table, int64, error) {
+	var tbl *store.Table
+	var mapped int64
+	for _, seg := range segments {
+		part, n, err := s.openSegment(filepath.Join(tdir, seg))
+		if err != nil {
+			return nil, 0, fmt.Errorf("segment %s: %w", seg, err)
+		}
+		mapped += n
+		if tbl == nil {
+			tbl = part
+		} else if err := tbl.AppendTable(part); err != nil {
+			return nil, 0, fmt.Errorf("segment %s does not continue its predecessors: %w", seg, err)
+		}
+	}
+	if tbl == nil {
+		return nil, 0, fmt.Errorf("manifest lists no segments")
+	}
+	return tbl, mapped, nil
+}
+
+// openLog opens the table's write-ahead log, creating its directory and log
+// for a fresh table; st.mu is held or st is not yet shared.
+func (s *Store) openLog(st *tableState) error {
+	if st.wal != nil {
+		return nil
+	}
+	tdir := filepath.Join(s.opts.Dir, st.id)
+	if err := os.MkdirAll(tdir, 0o755); err != nil {
+		return fmt.Errorf("durable: create table dir: %w", err)
+	}
+	w, err := openWAL(filepath.Join(tdir, walName))
+	if err != nil {
+		return err
+	}
+	w.obsFsync = s.mFsync
+	st.wal = w
+	return nil
 }
 
 // Tables returns the tables recovered at Open, keyed by ref. The snapshot
@@ -387,19 +413,10 @@ func (s *Store) Register(ref string, t *store.Table) error {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	tdir := filepath.Join(s.opts.Dir, st.id)
-	if st.wal == nil {
-		// Fresh table: create its directory and log.
-		if err := os.MkdirAll(tdir, 0o755); err != nil {
-			return fmt.Errorf("durable: create table dir: %w", err)
-		}
-		w, err := openWAL(filepath.Join(tdir, walName))
-		if err != nil {
-			return err
-		}
-		w.obsFsync = s.mFsync
-		st.wal = w
+	if err := s.openLog(st); err != nil {
+		return err
 	}
+	tdir := filepath.Join(s.opts.Dir, st.id)
 	// Empty the WAL — by folding any journaled batches into a segment of
 	// the *old* contents — before the replacement commits. Ordering is the
 	// crash-safety argument: if the WAL were still holding records when the

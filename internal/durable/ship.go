@@ -2,82 +2,43 @@ package durable
 
 import (
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"seabed/internal/store"
 )
 
 // Segment shipping: the daemon-to-daemon replication surface.
 //
-// A table's durable bytes are already replication-ready — immutable,
-// CRC'd segment files plus a WAL tail, every one of them a table image — so
-// shipping a table to a peer is a file transfer, not a re-encode:
-// ShipManifest inventories the committed segments and snapshots the
-// uncompacted tail, SegmentBytes serves one segment's raw file bytes, and
-// InstallTable on the receiving daemon writes the verified bytes back down
-// byte-for-byte (same names, same CRCs) and journals the tail, so a healed
-// shard's directory is a faithful replica of its source. Memory-only daemons
-// join the same protocol with an image built in memory (store.AppendImage),
-// which DecodeSegment opens as a segment file's bytes are opened.
+// Every piece of a table a daemon ships is a table image: each committed
+// segment file as it lies on disk, and the uncompacted WAL tail as an image
+// built in memory. ShipManifest takes the pieces as one cut; SegmentBytes
+// serves one segment file. On the receiving daemon, InstallTable takes the
+// pieces as images, in order, and names none of them after its peer: it
+// checks that they assemble into one table before anything is written, then
+// commits each as a fresh segment of its own, the tail included. A healed
+// table's directory holds its source's bytes under local names and recovers
+// as any other does.
 
-// ShipSegment describes one shippable committed segment: file name, size,
-// and CRC-32 (IEEE) over the whole file.
-type ShipSegment struct {
-	// Name is the segment's file name (seg-NNNNNN.seg).
-	Name string
-	// Size is the file's byte length.
-	Size int64
-	// CRC is the CRC-32 (IEEE) of the file bytes.
-	CRC uint32
-}
-
-// ShipFile is one incoming segment for InstallTable: a file name and the
-// verified raw bytes to write under it.
-type ShipFile struct {
-	// Name is the segment file name to install (seg-NNNNNN.seg).
-	Name string
-	// Data holds the raw file bytes.
-	Data []byte
-}
-
-// DecodeSegment opens an image's bytes as a segment file's are opened,
-// without a file: the directory is validated (header CRC included) and the
-// table is built as lazy view partitions aliasing data, whose column extents
-// are CRC-verified on first touch. data must stay immutable for the table's
-// lifetime.
-func DecodeSegment(data []byte) (*store.Table, error) {
-	m := &mappedSegment{path: "(shipped segment)", data: data}
-	return m.open(store.NewResidency(0))
-}
-
-// ShipManifest inventories ref for segment shipping: the committed segment
-// files in install order (name, size, whole-file CRC) plus a snapshot of the
-// uncompacted WAL tail (nil when the WAL holds nothing). The file reads run
-// under the table lock, so the manifest is a consistent cut even against
-// concurrent appends and compactions.
-func (s *Store) ShipManifest(ref string) ([]ShipSegment, *store.Table, error) {
+// ShipManifest takes ref's shippable pieces as one cut, under the table lock
+// and reading no bytes: the names of its committed segments in install
+// order, and the rows of its uncompacted WAL tail (nil when the WAL holds
+// none). Committed segments are immutable, so their bytes may be read
+// (SegmentBytes) after the lock is released; one that a later re-register
+// deleted is then refused by name.
+func (s *Store) ShipManifest(ref string) ([]string, *store.Table, error) {
 	st, err := s.stateFor(ref, false)
 	if err != nil {
 		return nil, nil, err
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	tdir := filepath.Join(s.opts.Dir, st.id)
-	segs := make([]ShipSegment, 0, len(st.segments))
-	for _, name := range st.segments {
-		data, err := os.ReadFile(filepath.Join(tdir, name))
-		if err != nil {
-			return nil, nil, fmt.Errorf("durable: read segment for shipping: %w", err)
-		}
-		segs = append(segs, ShipSegment{Name: name, Size: int64(len(data)), CRC: crc32.ChecksumIEEE(data)})
-	}
 	var tail *store.Table
 	if st.pending != nil && st.pending.NumRows() > 0 {
 		tail = st.pending.Snapshot()
 	}
-	return segs, tail, nil
+	return slices.Clone(st.segments), tail, nil
 }
 
 // SegmentBytes serves one committed segment's raw file bytes for shipping.
@@ -101,25 +62,23 @@ func (s *Store) SegmentBytes(ref, name string) ([]byte, error) {
 	return nil, fmt.Errorf("durable: table %q has no live segment %q", ref, name)
 }
 
-// InstallTable installs a shipped table: each incoming segment's raw bytes
-// are written under its original name (fsynced), the manifest commits the
-// set, and the WAL tail — the source's uncompacted rows — is journaled on
-// top, so the installed directory round-trips the source's CRC-for-CRC.
-// The assembled table (segments + tail), ready for the server registry, is
-// returned. To keep the committed-segments-are-immutable invariant, install
+// InstallTable installs a table shipped as images under ref: its source's
+// committed segments and then its WAL tail, in order. Nothing is persisted
+// before it is checked: every image must parse and the images must assemble,
+// in identifier order, into one table (store.DecodeImages), which check, when
+// non-nil, must then accept. Only then is each image written verbatim as a
+// fresh segment from the table's own sequence, and the manifest commits them
+// once — the tail is a committed segment here, mapped at recovery rather
+// than replayed. The table is returned opened as recovery opens it. Install
 // targets must be fresh: a ref that already has committed segments is
-// rejected rather than overwritten in place.
-func (s *Store) InstallTable(ref string, files []ShipFile, tail *store.Table) (*store.Table, error) {
-	if len(files) == 0 {
-		return nil, fmt.Errorf("durable: install of %q ships no segments", ref)
+// refused rather than overwritten, which keeps committed segments immutable.
+func (s *Store) InstallTable(ref string, imgs [][]byte, check func(*store.Table) error) (*store.Table, error) {
+	tbl, err := store.DecodeImages(imgs)
+	if err == nil && check != nil {
+		err = check(tbl)
 	}
-	names := make([]string, len(files))
-	for i, f := range files {
-		var n int
-		if _, err := fmt.Sscanf(f.Name, "seg-%06d.seg", &n); err != nil || segName(n) != f.Name {
-			return nil, fmt.Errorf("durable: install of %q: segment name %q is not a seg-NNNNNN.seg file", ref, f.Name)
-		}
-		names[i] = f.Name
+	if err != nil {
+		return nil, fmt.Errorf("durable: install of %q: %w", ref, err)
 	}
 	st, err := s.stateFor(ref, true)
 	if err != nil {
@@ -130,21 +89,15 @@ func (s *Store) InstallTable(ref string, files []ShipFile, tail *store.Table) (*
 	if len(st.segments) > 0 {
 		return nil, fmt.Errorf("durable: table %q already has committed segments; install targets must be fresh", ref)
 	}
-	tdir := filepath.Join(s.opts.Dir, st.id)
-	if st.wal == nil {
-		if err := os.MkdirAll(tdir, 0o755); err != nil {
-			return nil, fmt.Errorf("durable: create table dir: %w", err)
-		}
-		w, err := openWAL(filepath.Join(tdir, walName))
-		if err != nil {
-			return nil, err
-		}
-		w.obsFsync = s.mFsync
-		st.wal = w
+	if err := s.openLog(st); err != nil {
+		return nil, err
 	}
-	for _, f := range files {
-		if err := writeRawFile(filepath.Join(tdir, f.Name), f.Data); err != nil {
-			return nil, fmt.Errorf("durable: install segment %s: %w", f.Name, err)
+	tdir := filepath.Join(s.opts.Dir, st.id)
+	names := make([]string, len(imgs))
+	for i, img := range imgs {
+		names[i] = segName(st.nextSeq + i)
+		if err := writeRawFile(filepath.Join(tdir, names[i]), img); err != nil {
+			return nil, fmt.Errorf("durable: install segment %s: %w", names[i], err)
 		}
 	}
 	if err := syncDir(tdir); err != nil {
@@ -154,37 +107,12 @@ func (s *Store) InstallTable(ref string, files []ShipFile, tail *store.Table) (*
 		return nil, err
 	}
 	st.segments = names
-	st.nextSeq = nextSegSeq(names)
-	st.pending = nil
-
-	// Assemble the installed table the same way recovery would.
-	var tbl *store.Table
-	for _, name := range names {
-		part, _, err := s.openSegment(filepath.Join(tdir, name))
-		if err != nil {
-			return nil, fmt.Errorf("durable: open installed segment %s: %w", name, err)
-		}
-		if tbl == nil {
-			tbl = part
-		} else if err := tbl.AppendTable(part); err != nil {
-			return nil, fmt.Errorf("durable: installed segment %s does not continue its predecessors: %w", name, err)
-		}
+	st.nextSeq += len(names)
+	tbl, _, err = s.openSegments(tdir, names)
+	if err != nil {
+		return nil, fmt.Errorf("durable: open installed table %q: %w", ref, err)
 	}
 	st.endID = tbl.EndID()
-	if tail != nil && tail.NumRows() > 0 {
-		img, err := store.AppendImage(nil, tail)
-		if err != nil {
-			return nil, fmt.Errorf("durable: encode shipped wal tail: %w", err)
-		}
-		if err := st.wal.append(img, true, s.opts.BatchBytes); err != nil {
-			return nil, err
-		}
-		if err := tbl.AppendTable(tail); err != nil {
-			return nil, fmt.Errorf("durable: shipped wal tail does not continue the segments: %w", err)
-		}
-		st.pending = tail.Snapshot()
-		st.endID = tail.EndID()
-	}
 	return tbl, nil
 }
 

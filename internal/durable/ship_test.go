@@ -2,10 +2,15 @@ package durable
 
 import (
 	"bytes"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+
+	"seabed/internal/store"
 )
 
 // TestEncodeDecodeSegmentRoundTrip: a table's image (WriteTo) is the segment
@@ -44,6 +49,39 @@ func TestEncodeDecodeSegmentRoundTrip(t *testing.T) {
 	}
 }
 
+// shipped is one piece as a listing describes it: size and CRC, no name.
+type shipped struct {
+	size int64
+	crc  uint32
+}
+
+// piece describes one shipped image.
+func piece(data []byte) shipped {
+	return shipped{int64(len(data)), crc32.ChecksumIEEE(data)}
+}
+
+// installedPieces lists ref's committed segments on s as (size, CRC) pairs,
+// and fails if s also holds a WAL tail for it.
+func installedPieces(t *testing.T, s *Store, ref string) []shipped {
+	t.Helper()
+	segs, tail, err := s.ShipManifest(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tail != nil {
+		t.Fatalf("%q has a wal tail of %d rows; an install commits every piece", ref, tail.NumRows())
+	}
+	out := make([]shipped, len(segs))
+	for i, name := range segs {
+		data, err := s.SegmentBytes(ref, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = piece(data)
+	}
+	return out
+}
+
 func TestShipManifestAndInstallRoundTrip(t *testing.T) {
 	srcDir, dstDir := t.TempDir(), t.TempDir()
 	src := openStore(t, srcDir, func(o *Options) { o.CompactBytes = 1 }) // compact every append
@@ -71,97 +109,136 @@ func TestShipManifestAndInstallRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(segs) < 2 {
-		t.Fatalf("want >= 2 committed segments, got %+v", segs)
+		t.Fatalf("want >= 2 committed segments, got %v", segs)
 	}
-	if tail == nil || tail.NumRows() != 50 {
-		t.Fatalf("want 50-row wal tail, got %v", tail)
+	tailImg := serialize(t, tail)
+	if !bytes.Equal(tailImg, serialize(t, tailBatch)) {
+		t.Fatal("shipped wal tail is not the pending batch")
 	}
 
-	// Ship: read each segment's bytes, verify against the manifest CRC.
-	var files []ShipFile
-	for _, sg := range segs {
-		data, err := src.SegmentBytes("big@NoEnc", sg.Name)
+	// Ship: each segment's bytes, then the tail as one more image.
+	var imgs [][]byte
+	for _, name := range segs {
+		data, err := src.SegmentBytes("big@NoEnc", name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if int64(len(data)) != sg.Size || crc32.ChecksumIEEE(data) != sg.CRC {
-			t.Fatalf("segment %s bytes disagree with manifest", sg.Name)
-		}
-		files = append(files, ShipFile{Name: sg.Name, Data: data})
+		imgs = append(imgs, data)
+	}
+	imgs = append(imgs, tailImg)
+	var want []shipped
+	for _, img := range imgs {
+		want = append(want, piece(img))
 	}
 
+	// The install's check sees the assembled table before anything is
+	// written: one that refuses it leaves nothing behind.
 	dst := openStore(t, dstDir)
 	defer dst.Close()
-	installed, err := dst.InstallTable("big@NoEnc", files, tail)
+	if _, err := dst.InstallTable("big@NoEnc", imgs, func(tbl *store.Table) error {
+		return fmt.Errorf("refusing %d rows", tbl.NumRows())
+	}); err == nil || !strings.Contains(err.Error(), "refusing 450 rows") {
+		t.Fatalf("install with a refusing check returned %v", err)
+	}
+	installed, err := dst.InstallTable("big@NoEnc", imgs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The assembled table matches the source's full contents.
-	want := base.Snapshot()
-	if err := want.AppendTable(b1); err != nil {
+	full := base.Snapshot()
+	if err := full.AppendTable(b1); err != nil {
 		t.Fatal(err)
 	}
-	if err := want.AppendTable(tailBatch); err != nil {
+	if err := full.AppendTable(tailBatch); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(serialize(t, installed), serialize(t, want)) {
+	if !bytes.Equal(serialize(t, installed), serialize(t, full)) {
 		t.Fatal("installed table differs from source contents")
 	}
 
-	// CRC-for-CRC: the installed directory's segment files are byte-identical
-	// to the source's, under the same names.
-	dstSegs, dstTail, err := dst.ShipManifest("big@NoEnc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dstSegs) != len(segs) {
-		t.Fatalf("installed %d segments, want %d", len(dstSegs), len(segs))
-	}
-	for i := range segs {
-		if dstSegs[i] != segs[i] {
-			t.Fatalf("segment %d mismatch: installed %+v, source %+v", i, dstSegs[i], segs[i])
-		}
-	}
-	if dstTail == nil || !bytes.Equal(serialize(t, dstTail), serialize(t, tail)) {
-		t.Fatal("installed wal tail differs from shipped tail")
+	// The installed segments are the shipped images, byte for byte and in
+	// order, the tail committed as the last of them.
+	if got := installedPieces(t, dst, "big@NoEnc"); !slices.Equal(got, want) {
+		t.Fatalf("installed segments %+v, want the shipped pieces %+v", got, want)
 	}
 
-	// The install survives a restart: reopen and compare again.
+	// Appends continue past the installed identifiers.
+	if err := dst.Append("big@NoEnc", mkTable(t, "big", 451, 5, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := full.AppendTable(mkTable(t, "big", 451, 5, 1)); err != nil {
+		t.Fatal(err)
+	}
+
+	// The install survives a restart: every segment maps, no WAL record but
+	// the append replays, and the table is the source's plus the append.
 	if err := dst.Close(); err != nil {
 		t.Fatal(err)
 	}
 	re := openStore(t, dstDir)
 	defer re.Close()
+	if st := re.Recovery(); st.Segments != len(imgs) || st.WALRecords != 1 {
+		t.Fatalf("recovered %d segments and %d wal records, want %d and 1", st.Segments, st.WALRecords, len(imgs))
+	}
 	recovered := re.Tables()["big@NoEnc"]
 	if recovered == nil {
 		t.Fatal("installed table missing after reopen")
 	}
-	if !bytes.Equal(serialize(t, recovered), serialize(t, want)) {
+	if !bytes.Equal(serialize(t, recovered), serialize(t, full)) {
 		t.Fatal("recovered installed table differs from source contents")
 	}
 }
 
+// TestInstallTableRejectsBadInput: a shipment that is not one table — a
+// piece that is no image, or images out of identifier order — is refused
+// before anything is committed, so the store reopens and a good install of
+// the same ref then succeeds. Installing over committed segments is refused.
 func TestInstallTableRejectsBadInput(t *testing.T) {
-	s := openStore(t, t.TempDir())
-	defer s.Close()
+	dir := t.TempDir()
+	s := openStore(t, dir)
 
-	seg := serialize(t, mkTable(t, "x", 1, 10, 1))
-	// Hostile names must not escape the table directory.
-	for _, name := range []string{"../evil.seg", "wal.log", "seg-1.seg", "@wal", ""} {
-		if _, err := s.InstallTable("x@NoEnc", []ShipFile{{Name: name, Data: seg}}, nil); err == nil {
-			t.Fatalf("name %q accepted", name)
+	first := serialize(t, mkTable(t, "x", 1, 10, 1))
+	second := serialize(t, mkTable(t, "x", 11, 10, 1))
+	for name, imgs := range map[string][][]byte{
+		"not an image":            {first, []byte("SBSG but not an image")},
+		"out of identifier order": {second, first},
+		"no pieces":               nil,
+	} {
+		if _, err := s.InstallTable("x@NoEnc", imgs, nil); err == nil {
+			t.Fatalf("%s: install accepted", name)
+		}
+		man, err := loadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mt := range man.Tables {
+			if mt.Ref == "x@NoEnc" {
+				t.Fatalf("%s: refused install left a manifest entry %+v", name, mt)
+			}
 		}
 	}
-	if _, err := s.InstallTable("x@NoEnc", nil, nil); err == nil {
-		t.Fatal("empty install accepted")
-	}
 
-	// Installing over a table with committed segments is refused.
-	if err := s.Register("x@NoEnc", mkTable(t, "x", 1, 10, 1)); err != nil {
+	// The store reopens over what the refused installs left behind.
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.InstallTable("x@NoEnc", []ShipFile{{Name: "seg-000001.seg", Data: seg}}, nil); err == nil {
+	s = openStore(t, dir)
+	defer s.Close()
+	if _, ok := s.Tables()["x@NoEnc"]; ok {
+		t.Fatal("a refused install recovered as a table")
+	}
+
+	installed, err := s.InstallTable("x@NoEnc", [][]byte{first, second}, nil)
+	if err != nil {
+		t.Fatalf("good install after refused ones: %v", err)
+	}
+	if installed.NumRows() != 20 || installed.EndID() != 20 {
+		t.Fatalf("installed %d rows ending at %d, want 20 and 20", installed.NumRows(), installed.EndID())
+	}
+
+	// Installing over committed segments is refused.
+	if _, err := s.InstallTable("x@NoEnc", [][]byte{first}, nil); err == nil {
 		t.Fatal("install over committed segments accepted")
 	}
 }

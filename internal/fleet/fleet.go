@@ -40,8 +40,10 @@
 // without an epoch file adopts the placement from the daemons themselves by
 // inventorying their per-range refs over MsgSegmentList. Heal rebuilds a
 // dead daemon from its neighbors: each range the daemon should host is
-// pulled daemon-to-daemon from a live replica (MsgSegmentFetch), segments
-// CRC-verified end to end, without the proxy re-uploading anything.
+// pulled daemon-to-daemon from a live replica (MsgSegmentFetch), every
+// segment checked against its source's listing, without the proxy
+// re-uploading anything; the healed daemon returns to service only once its
+// envelopes cover the placement's.
 package fleet
 
 import (
@@ -307,11 +309,8 @@ func (c *Cluster) Stats() Stats {
 }
 
 // eachReplica runs f concurrently for every (range k, replica daemon d)
-// pair of ks under a shared derived context canceled on first error, and
-// returns the caller's ctx error or the first non-knock-on failure.
+// pair of ks under fanOut; a failure names its range and daemon.
 func (c *Cluster) eachReplica(ctx context.Context, ks []int, f func(ctx context.Context, k, d int) error) error {
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	type slot struct{ k, d int }
 	var slots []slot
 	for _, k := range ks {
@@ -319,17 +318,44 @@ func (c *Cluster) eachReplica(ctx context.Context, ks []int, f func(ctx context.
 			slots = append(slots, slot{k, d})
 		}
 	}
-	errs := make([]error, len(slots))
+	return fanOut(ctx, len(slots), func(ctx context.Context, i int) error {
+		s := slots[i]
+		if err := f(ctx, s.k, s.d); err != nil {
+			return fmt.Errorf("fleet: range %d on daemon %d (%s): %w", s.k, s.d, c.addrs[s.d], err)
+		}
+		return nil
+	})
+}
+
+// eachDaemon runs f concurrently on every daemon under fanOut; a failure
+// names its daemon.
+func (c *Cluster) eachDaemon(ctx context.Context, f func(ctx context.Context, d int) error) error {
+	return fanOut(ctx, len(c.daemons), func(ctx context.Context, d int) error {
+		if err := f(ctx, d); err != nil {
+			return fmt.Errorf("fleet: daemon %d (%s): %w", d, c.addrs[d], err)
+		}
+		return nil
+	})
+}
+
+// fanOut runs f(ctx, i) concurrently for every i in [0, n) under a shared
+// derived context that the first failure cancels, so the siblings stop. It
+// returns the caller's ctx error if that ended the work, and otherwise the
+// first failure that is not a sibling's knock-on cancellation (the first
+// failure of all, if every one is).
+func fanOut(ctx context.Context, n int, f func(ctx context.Context, i int) error) error {
+	gctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i, s := range slots {
+	for i := range n {
 		wg.Add(1)
-		go func(i int, s slot) {
+		go func(i int) {
 			defer wg.Done()
-			if err := f(gctx, s.k, s.d); err != nil {
-				errs[i] = fmt.Errorf("fleet: range %d on daemon %d (%s): %w", s.k, s.d, c.addrs[s.d], err)
+			if errs[i] = f(gctx, i); errs[i] != nil {
 				cancel()
 			}
-		}(i, s)
+		}(i)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
@@ -337,14 +363,11 @@ func (c *Cluster) eachReplica(ctx context.Context, ks []int, f func(ctx context.
 	}
 	var first error
 	for _, err := range errs {
-		if err == nil {
-			continue
+		if err != nil && !errors.Is(err, context.Canceled) {
+			return err
 		}
 		if first == nil {
 			first = err
-		}
-		if !errors.Is(err, context.Canceled) {
-			return err
 		}
 	}
 	return first
@@ -390,11 +413,7 @@ func (c *Cluster) RegisterTable(ctx context.Context, ref string, t *store.Table)
 	}
 	st := &tableState{full: t.Snapshot(), ranges: make([]engine.IDRange, len(subs))}
 	for k, sub := range subs {
-		if sub.NumRows() == 0 {
-			st.ranges[k] = engine.IDRange{Lo: 1, Hi: 0} // empty envelope
-			continue
-		}
-		st.ranges[k] = engine.IDRange{Lo: sub.Parts[0].StartID, Hi: sub.EndID()}
+		st.ranges[k].Lo, st.ranges[k].Hi = sub.Envelope()
 	}
 	c.mu.Lock()
 	c.refs[t] = ref
@@ -435,10 +454,11 @@ func (c *Cluster) AppendTable(ctx context.Context, ref string, batch *store.Tabl
 		if sub.NumRows() == 0 {
 			continue
 		}
+		lo, hi := sub.Envelope()
 		if st.ranges[k].Hi < st.ranges[k].Lo { // first rows this range has seen
-			st.ranges[k].Lo = sub.Parts[0].StartID
+			st.ranges[k].Lo = lo
 		}
-		st.ranges[k].Hi = sub.EndID()
+		st.ranges[k].Hi = hi
 	}
 	allShipped := st.allShipped
 	// Grow the coordinator's snapshot copy-on-write (the join-broadcast
@@ -467,42 +487,6 @@ func (c *Cluster) AppendTable(ctx context.Context, ref string, batch *store.Tabl
 		st.shipMu.Unlock()
 	}
 	return c.persistEpoch()
-}
-
-// eachDaemon runs f concurrently on every daemon under a shared derived
-// context canceled on first error.
-func (c *Cluster) eachDaemon(ctx context.Context, f func(ctx context.Context, d int) error) error {
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]error, len(c.daemons))
-	var wg sync.WaitGroup
-	for d := range c.daemons {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			if err := f(gctx, d); err != nil {
-				errs[d] = fmt.Errorf("fleet: daemon %d (%s): %w", d, c.addrs[d], err)
-				cancel()
-			}
-		}(d)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if first == nil {
-			first = err
-		}
-		if !errors.Is(err, context.Canceled) {
-			return err
-		}
-	}
-	return first
 }
 
 // shipJoinTable replicates a join table's full contents to every daemon

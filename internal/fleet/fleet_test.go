@@ -6,6 +6,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"net"
 	"path/filepath"
 	"reflect"
@@ -288,6 +289,120 @@ func TestFleetQueryFailoverAndHeal(t *testing.T) {
 	want = mustGroups(t, local.Run, countPlan(grown))
 	if got := mustGroups(t, c.Run, countPlan(grown)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("healed fleet diverged:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestFleetHealRefusesLyingReplica: the surviving replica of a range the
+// healed daemon hosts serves a different table under the range's ref. The
+// pull itself is consistent — the replica ships what it lists — but the
+// healed daemon's envelope is not the placement's, so Heal refuses with a
+// *HealError naming the replica and the ref, and the daemon stays down.
+func TestFleetHealRefusesLyingReplica(t *testing.T) {
+	daemons, addrs := startFleetDaemons(t, 3, engine.Config{})
+	c, err := Dial(addrs, Options{Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	tbl := fleetTable(t)
+	if err := c.RegisterTable(ctx, "m@NoEnc", tbl); err != nil {
+		t.Fatal(err)
+	}
+	daemons[1].stop()
+	if _, err := c.Run(ctx, countPlan(tbl)); err != nil { // fails over, marking daemon 1 down
+		t.Fatal(err)
+	}
+
+	// Daemon 0, range 0's other replica, now serves ten rows under its ref.
+	liar, err := remote.Dial(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer liar.Close()
+	other, err := store.Build("m", []store.Column{{Name: "v", Kind: store.U64, U64: make([]uint64, 10)}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := liar.RegisterTable(ctx, "m@NoEnc#r0", other); err != nil {
+		t.Fatal(err)
+	}
+
+	daemons[1] = startDaemonAt(t, addrs[1], 1, 3, engine.Config{})
+	err = c.Heal(ctx, 1)
+	var he *HealError
+	if !errors.As(err, &he) || he.Daemon != 1 || he.Source != addrs[0] || he.Ref != "m@NoEnc#r0" {
+		t.Fatalf("heal from a lying replica returned %v, want a *HealError naming %s and m@NoEnc#r0", err, addrs[0])
+	}
+	if st := c.Stats(); !reflect.DeepEqual(st.Down, []int{1}) {
+		t.Fatalf("down list after a refused heal = %v, want [1]", st.Down)
+	}
+}
+
+// TestFleetHealAfterPartialAppend: a daemon dies during an append that its
+// co-replicas applied. The placement does not record the batch, so the
+// survivors list envelopes past it; Heal pulls those anyway, queries still
+// see only the placement's rows, and the retried append replays onto the
+// survivors and the healed daemon alike.
+func TestFleetHealAfterPartialAppend(t *testing.T) {
+	daemons, addrs := startFleetDaemons(t, 3, engine.Config{})
+	c, err := Dial(addrs, Options{Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	tbl := fleetTable(t)
+	if err := c.RegisterTable(ctx, "m@NoEnc", tbl); err != nil {
+		t.Fatal(err)
+	}
+	local := engine.NewCluster(engine.Config{Workers: 2})
+	want := mustGroups(t, local.Run, countPlan(tbl))
+
+	batch, err := store.BuildFrom("m", []store.Column{{Name: "v", Kind: store.U64, U64: []uint64{4, 5, 6}}}, 1, 91)
+	if err != nil {
+		t.Fatal(err)
+	}
+	daemons[1].stop()
+	if err := c.AppendTable(ctx, "m@NoEnc", batch); err == nil {
+		t.Fatal("append with a dead replica succeeded")
+	}
+	// Whatever the failed append reached, every live replica now holds its
+	// slice (a repeated slice is acknowledged as a replay).
+	subs := batch.SplitRanges(len(addrs))
+	for k, sub := range subs {
+		for _, d := range c.replicaSet(k) {
+			if d != 1 && sub.NumRows() > 0 {
+				if err := c.daemons[d].AppendTable(ctx, rangeRef("m@NoEnc", k), sub); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if got := mustGroups(t, c.Run, countPlan(tbl)); !reflect.DeepEqual(got, want) { // marks daemon 1 down
+		t.Fatalf("fleet after a partial append diverged:\n got %+v\nwant %+v", got, want)
+	}
+
+	daemons[1] = startDaemonAt(t, addrs[1], 1, 3, engine.Config{})
+	if err := c.Heal(ctx, 1); err != nil {
+		t.Fatalf("heal after a partial append: %v", err)
+	}
+	if got := mustGroups(t, c.Run, countPlan(tbl)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("healed fleet diverged before the retry:\n got %+v\nwant %+v", got, want)
+	}
+	if err := c.AppendTable(ctx, "m@NoEnc", batch); err != nil {
+		t.Fatalf("retried append: %v", err)
+	}
+	grown, err := tbl.WithAppended(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock() // re-point the plan's table at the grown snapshot
+	c.refs[grown] = "m@NoEnc"
+	c.mu.Unlock()
+	want = mustGroups(t, local.Run, countPlan(grown))
+	if got := mustGroups(t, c.Run, countPlan(grown)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fleet after the retried append diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
 

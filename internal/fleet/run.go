@@ -246,44 +246,15 @@ func (c *Cluster) Run(ctx context.Context, pl *engine.Plan) (*engine.Result, err
 		}
 	}
 
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	results := make([]*engine.Result, len(reqs))
-	errs := make([]error, len(reqs))
-	var wg sync.WaitGroup
-	for k := range reqs {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			res, err := c.runRange(gctx, k, reqs[k], hedgeCh)
-			results[k], errs[k] = res, err
-			rangeDone()
-			if err != nil {
-				cancel() // abandon the sibling ranges
-			}
-		}(k)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if err := fanOut(ctx, len(reqs), func(ctx context.Context, k int) error {
+		var err error
+		results[k], err = c.runRange(ctx, k, reqs[k], hedgeCh)
+		rangeDone()
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if first == nil {
-			first = err
-		}
-		if !errors.Is(err, context.Canceled) {
-			first = err
-			break
-		}
-	}
-	if first != nil {
-		return nil, first
-	}
-
 	return gather(pl, results, start)
 }
 

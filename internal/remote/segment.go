@@ -41,9 +41,10 @@ func (r *RemoteCluster) FetchSegment(ctx context.Context, ref, name string) (wir
 }
 
 // PullTable instructs the daemon to pull table ref from the peer daemon at
-// from — segment list, segment bytes, WAL tail — verify it, and install it
-// locally. The daemon answers once the table is installed and addressable,
-// so a healed daemon is queryable when PullTable returns.
+// from — its listing, then every listed segment — check the segments against
+// the listing, and install the table. The daemon answers once the table is
+// installed and addressable, so a healed daemon is queryable when PullTable
+// returns.
 func (r *RemoteCluster) PullTable(ctx context.Context, ref, from string) error {
 	if from == "" {
 		return fmt.Errorf("remote: segment pull of %q needs a source daemon address", ref)

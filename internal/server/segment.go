@@ -1,92 +1,101 @@
 package server
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 
-	"seabed/internal/durable"
 	"seabed/internal/remote"
 	"seabed/internal/store"
 	"seabed/internal/wire"
 )
 
-// Segment shipping handlers: the daemon half of fleet
-// replication. A daemon answers MsgSegmentList with the CRC'd inventory of
-// its tables, serves raw segment bytes for single-segment MsgSegmentFetch
-// requests, and — for a fetch naming a source peer — dials that peer
-// itself, pulls the table's segments plus WAL tail, verifies every CRC, and
-// installs the result, so a fleet heals daemon-to-daemon without the proxy
-// re-uploading anything. Every shipped piece is a table image: durable
-// daemons ship their on-disk segment files byte-for-byte and their WAL tail
-// (wire.WALSegment) as one image built in memory; memory-only daemons ship
-// the whole table as one (wire.MemSegment).
+// Segment shipping handlers: the daemon half of fleet replication. A daemon
+// answers MsgSegmentList with an inventory of its tables — refs, rows and
+// identifier envelopes — and, for one named table, the pieces a pull
+// fetches, each with its size and CRC. It serves one piece's bytes for a
+// MsgSegmentFetch, and for a fetch naming a source peer it pulls the table
+// from that peer itself and installs it, so a fleet heals daemon-to-daemon
+// without the proxy re-uploading anything. Every piece is a table image: a
+// durable daemon ships its committed segment files as they lie on disk and
+// its WAL tail (wire.WALSegment) as an image built in memory; a memory-only
+// daemon ships the whole table as one image (wire.MemSegment). The puller
+// takes them all as images, whatever their names.
 
-// handleSegmentList answers a MsgSegmentList request with the manifests of
-// the named table, or of every table when the ref is empty.
+// handleSegmentList answers a MsgSegmentList request. A named table's
+// manifest lists the pieces a pull fetches; the empty ref's answer lists
+// every table's ref, rows and envelope without pieces — an inventory, which
+// reads no table bytes.
 func (s *Server) handleSegmentList(payload []byte) (wire.MsgType, []byte) {
 	ref, err := wire.DecodeSegmentListReq(payload)
 	if err != nil {
 		return wire.MsgError, wire.EncodeError(err.Error())
 	}
-	refs := []string{ref}
-	if ref == "" {
-		refs = s.TableRefs()
-		sort.Strings(refs)
-	}
-	ms := make([]wire.TableManifest, 0, len(refs))
-	for _, ref := range refs {
+	if ref != "" {
 		m, err := s.shipManifest(ref)
 		if err != nil {
 			return wire.MsgError, wire.EncodeError(err.Error())
 		}
-		ms = append(ms, m)
+		return wire.MsgSegmentList, wire.EncodeSegmentList([]wire.TableManifest{m})
 	}
+	s.mu.RLock()
+	ms := make([]wire.TableManifest, 0, len(s.tables))
+	for ref, t := range s.tables {
+		ms = append(ms, inventory(ref, t))
+	}
+	s.mu.RUnlock()
+	slices.SortFunc(ms, func(a, b wire.TableManifest) int { return cmp.Compare(a.Ref, b.Ref) })
 	return wire.MsgSegmentList, wire.EncodeSegmentList(ms)
 }
 
-// shipManifest inventories one table for shipping: identifier envelope plus
-// the segment set a peer should fetch, in install order.
+// inventory is t's manifest without pieces: its ref, rows and identifier
+// envelope.
+func inventory(ref string, t *store.Table) wire.TableManifest {
+	m := wire.TableManifest{Ref: ref, Rows: t.NumRows()}
+	m.StartID, m.EndID = t.Envelope()
+	return m
+}
+
+// shipManifest inventories one table with the pieces a pull fetches, in
+// install order: a durable table's committed segments and then its WAL tail,
+// if any rows are pending; a memory-only daemon's whole table as one image.
+// The registry's table and the durable cut are taken together under tableMu,
+// which keeps appends out, so the pieces hold the rows the inventory counts;
+// the bytes are read and checksummed after it is released.
 func (s *Server) shipManifest(ref string) (wire.TableManifest, error) {
+	s.tableMu.Lock()
 	t, err := s.lookup(ref)
+	var segs []string
+	tail, tailName := t, wire.MemSegment
+	if err == nil && s.durable != nil {
+		tailName = wire.WALSegment
+		segs, tail, err = s.durable.ShipManifest(ref)
+	}
+	s.tableMu.Unlock()
 	if err != nil {
 		return wire.TableManifest{}, err
 	}
-	m := wire.TableManifest{Ref: ref, Rows: t.NumRows()}
-	if m.Rows > 0 {
-		m.StartID = t.Parts[0].StartID
-		m.EndID = t.EndID()
-	} else {
-		m.StartID, m.EndID = 1, 0 // the inverted empty envelope shards use
+	m := inventory(ref, t)
+	piece := func(name string, data []byte) {
+		m.Segments = append(m.Segments, wire.SegmentInfo{Name: name, Size: uint64(len(data)), CRC: crc32.ChecksumIEEE(data)})
 	}
-	if s.durable != nil {
-		segs, tail, err := s.durable.ShipManifest(ref)
+	for _, name := range segs {
+		data, err := s.durable.SegmentBytes(ref, name)
 		if err != nil {
 			return wire.TableManifest{}, err
 		}
-		for _, sg := range segs {
-			m.Segments = append(m.Segments, wire.SegmentInfo{Name: sg.Name, Size: uint64(sg.Size), CRC: sg.CRC})
-		}
-		if tail != nil {
-			data, err := store.AppendImage(nil, tail)
-			if err != nil {
-				return wire.TableManifest{}, err
-			}
-			m.Segments = append(m.Segments, wire.SegmentInfo{Name: wire.WALSegment, Size: uint64(len(data)), CRC: crc32.ChecksumIEEE(data)})
-		}
-		if len(m.Segments) > 0 {
-			return m, nil
-		}
-		// Nothing committed and nothing pending (a just-registered empty
-		// range): fall through to the synthesized in-memory segment so the
-		// table — schema, envelope, emptiness and all — still ships.
+		piece(name, data)
 	}
-	data, err := store.AppendImage(nil, t)
-	if err != nil {
-		return wire.TableManifest{}, err
+	if tail != nil {
+		data, err := store.AppendImage(nil, tail)
+		if err != nil {
+			return wire.TableManifest{}, err
+		}
+		piece(tailName, data)
 	}
-	m.Segments = []wire.SegmentInfo{{Name: wire.MemSegment, Size: uint64(len(data)), CRC: crc32.ChecksumIEEE(data)}}
 	return m, nil
 }
 
@@ -112,20 +121,20 @@ func (s *Server) handleSegmentFetch(payload []byte) (wire.MsgType, []byte) {
 	return wire.MsgSegmentData, wire.EncodeSegmentData(name, data)
 }
 
-// segmentBytes resolves one shippable segment's raw bytes: a committed file,
-// the WAL-tail pseudo-segment, or a memory-only daemon's synthesized table
-// segment.
+// segmentBytes resolves one listed piece's bytes: a memory-only daemon's
+// table image, or a durable daemon's WAL-tail image or committed segment
+// file.
 func (s *Server) segmentBytes(ref, name string) ([]byte, error) {
 	switch {
-	case name == wire.MemSegment:
-		// Memory-only daemons always ship this; durable daemons ship it for
-		// tables with nothing committed and nothing pending (see shipManifest).
+	case s.durable == nil && name == wire.MemSegment:
 		t, err := s.lookup(ref)
 		if err != nil {
 			return nil, err
 		}
 		return store.AppendImage(nil, t)
-	case s.durable != nil && name == wire.WALSegment:
+	case s.durable == nil:
+		return nil, fmt.Errorf("server: memory-only daemon ships %q segments, not %q", wire.MemSegment, name)
+	case name == wire.WALSegment:
 		_, tail, err := s.durable.ShipManifest(ref)
 		if err != nil {
 			return nil, err
@@ -134,110 +143,100 @@ func (s *Server) segmentBytes(ref, name string) ([]byte, error) {
 			return nil, fmt.Errorf("server: table %q has no wal tail to ship", ref)
 		}
 		return store.AppendImage(nil, tail)
-	case s.durable != nil:
-		return s.durable.SegmentBytes(ref, name)
 	}
-	return nil, fmt.Errorf("server: memory-only daemon ships %q segments, not %q", wire.MemSegment, name)
+	return s.durable.SegmentBytes(ref, name)
 }
 
-// pullTable dials the peer daemon at from, pulls table ref — segment list,
-// every segment's bytes (CRC-verified by the frame decoder), and the WAL
-// tail — and installs the result locally: durable daemons write the raw
-// files back down byte-for-byte and journal the tail (durable.InstallTable),
-// memory-only daemons decode onto the heap. The table is addressable in the
-// registry when pullTable returns. The pull runs synchronously on the
-// requesting connection with its own background context; the requester's
-// deadline bounds how long it waits, not how long the transfer runs.
-func (s *Server) pullTable(ref, from string) error {
+// PullError is a refused pull of table Ref from the peer daemon at From: the
+// peer could not be reached or does not serve Ref, a piece's size or CRC is
+// not the listed one, the pieces are not images of one table, or that
+// table's rows or envelope are not the listed ones. Nothing was installed.
+type PullError struct {
+	// Ref is the table pulled, From the peer's address.
+	Ref, From string
+	// Err is why the pull was refused.
+	Err error
+}
+
+// Error names the ref and the peer.
+func (e *PullError) Error() string {
+	return fmt.Sprintf("server: pull %q from %s: %v", e.Ref, e.From, e.Err)
+}
+
+// Unwrap returns why the pull was refused.
+func (e *PullError) Unwrap() error { return e.Err }
+
+// pullTable pulls table ref from the peer daemon at from and installs it. It
+// fetches ref's listing and then every listed piece in order, whatever its
+// name, refusing one whose size or CRC is not the listed one. The pieces are
+// images, and they must assemble in identifier order into a table holding the
+// listed rows and envelope (store.DecodeImages, run once) before anything is
+// installed: a durable daemon checks them inside durable.InstallTable, which
+// then commits them as fresh segments of its own and serves the table
+// mapped; a memory-only daemon keeps the decoded table. The table is
+// addressable in the registry when pullTable returns; any failure is a
+// *PullError. The pull runs synchronously on the requesting connection with
+// its own background context; the requester's deadline bounds how long it
+// waits, not how long the transfer runs.
+func (s *Server) pullTable(ref, from string) (err error) {
+	defer func() {
+		if err != nil {
+			err = &PullError{Ref: ref, From: from, Err: err}
+		}
+	}()
 	src, err := remote.Dial(from)
 	if err != nil {
-		return fmt.Errorf("server: pull %q: dial source %s: %w", ref, from, err)
+		return fmt.Errorf("dial source: %w", err)
 	}
 	defer src.Close()
 	ctx := context.Background()
 	ms, err := src.TableManifests(ctx, ref)
 	if err != nil {
-		return fmt.Errorf("server: pull %q from %s: %w", ref, from, err)
+		return err
 	}
 	if len(ms) != 1 || ms[0].Ref != ref {
-		return fmt.Errorf("server: pull %q: source %s does not serve it", ref, from)
+		return errors.New("source does not serve it")
 	}
-
-	var files []durable.ShipFile
-	var memTable, tail *store.Table
+	m := ms[0]
+	imgs := make([][]byte, len(m.Segments))
 	var pulled uint64
-	for _, si := range ms[0].Segments {
+	for i, si := range m.Segments {
 		sd, err := src.FetchSegment(ctx, ref, si.Name)
 		if err != nil {
-			return fmt.Errorf("server: pull %q from %s: %w", ref, from, err)
+			return err
 		}
-		pulled += uint64(len(sd.Data))
-		switch si.Name {
-		case wire.WALSegment:
-			if tail, err = store.DecodeImage(sd.Data); err != nil {
-				return fmt.Errorf("server: pull %q: decode wal tail: %w", ref, err)
-			}
-		case wire.MemSegment:
-			if memTable, err = durable.DecodeSegment(sd.Data); err != nil {
-				return fmt.Errorf("server: pull %q: decode table segment: %w", ref, err)
-			}
-		default:
-			files = append(files, durable.ShipFile{Name: sd.Name, Data: sd.Data})
+		if size, crc := uint64(len(sd.Data)), crc32.ChecksumIEEE(sd.Data); size != si.Size || crc != si.CRC {
+			return fmt.Errorf("piece %q is %d bytes with CRC %08x, listed as %d bytes with CRC %08x", si.Name, size, crc, si.Size, si.CRC)
 		}
+		imgs[i] = sd.Data
+		pulled += si.Size
+	}
+	listed := func(tbl *store.Table) error {
+		if got := inventory(ref, tbl); got.Rows != m.Rows || got.StartID != m.StartID || got.EndID != m.EndID {
+			return fmt.Errorf("its pieces hold %d rows in [%d, %d], listed as %d rows in [%d, %d]",
+				got.Rows, got.StartID, got.EndID, m.Rows, m.StartID, m.EndID)
+		}
+		return nil
 	}
 
-	// Assemble and install under tableMu, like any other registry mutation.
+	// Assemble, check and install under tableMu, like any other registry
+	// mutation; a durable install checks before it writes a byte.
 	s.tableMu.Lock()
 	defer s.tableMu.Unlock()
 	var tbl *store.Table
-	switch {
-	case s.durable != nil && len(files) > 0:
-		if tbl, err = s.durable.InstallTable(ref, files, tail); err != nil {
-			return err
-		}
-	case s.durable != nil && memTable != nil:
-		// Synthesized-segment source (memory daemon, or a durable peer with
-		// nothing on disk yet): no raw files to mirror, so register the
-		// decoded table durably — the local daemon journals its own copy.
-		if err := s.durable.Register(ref, memTable); err != nil {
-			return err
-		}
-		tbl = memTable
-	case s.durable != nil && tail != nil:
-		// WAL-only source: the whole table is its uncompacted tail.
-		if err := s.durable.Register(ref, tail); err != nil {
-			return err
-		}
-		tbl = tail
-	case memTable != nil:
-		tbl = memTable
-	case len(files) > 0:
-		for _, f := range files {
-			part, err := durable.DecodeSegment(f.Data)
-			if err != nil {
-				return fmt.Errorf("server: pull %q: decode segment %s: %w", ref, f.Name, err)
-			}
-			if tbl == nil {
-				tbl = part
-			} else if err := tbl.AppendTable(part); err != nil {
-				return fmt.Errorf("server: pull %q: segment %s does not continue its predecessors: %w", ref, f.Name, err)
-			}
-		}
-		if tail != nil {
-			if err := tbl.AppendTable(tail); err != nil {
-				return fmt.Errorf("server: pull %q: wal tail does not continue the segments: %w", ref, err)
-			}
-		}
-	case tail != nil:
-		tbl = tail
-	default:
-		return fmt.Errorf("server: pull %q: source %s shipped no segments", ref, from)
+	if s.durable != nil {
+		tbl, err = s.durable.InstallTable(ref, imgs, listed)
+	} else if tbl, err = store.DecodeImages(imgs); err == nil {
+		err = listed(tbl)
+	}
+	if err != nil {
+		return err
 	}
 	s.mu.Lock()
 	s.tables[ref] = tbl
 	s.mu.Unlock()
 	s.replicaFetch.Add(pulled)
 	s.repStat(ref).pulledBytes.Add(pulled)
-	s.log("table pulled from peer", "ref", ref, "from", from, "bytes", pulled, "segments", len(ms[0].Segments))
+	s.log("table pulled from peer", "ref", ref, "from", from, "bytes", pulled, "segments", len(imgs))
 	return nil
 }

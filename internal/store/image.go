@@ -281,6 +281,29 @@ func DecodeImage(data []byte) (*Table, error) {
 	return Assemble(dir.Name, parts)
 }
 
+// DecodeImages decodes a table that arrives as a run of images — a peer's
+// segments and then its WAL tail — each with DecodeImage, and joins them in
+// order into one table. Each image must continue its predecessors in
+// identifier order, as AppendTable requires; an empty run is an error.
+func DecodeImages(imgs [][]byte) (*Table, error) {
+	var t *Table
+	for i, img := range imgs {
+		next, err := DecodeImage(img)
+		if err != nil {
+			return nil, fmt.Errorf("image %d: %w", i, err)
+		}
+		if t == nil {
+			t = next
+		} else if err := t.AppendTable(next); err != nil {
+			return nil, fmt.Errorf("image %d does not continue its predecessors: %w", i, err)
+		}
+	}
+	if t == nil {
+		return nil, errors.New("store: no images")
+	}
+	return t, nil
+}
+
 // Check verifies the extent's CRC against data, the image it was parsed from.
 func (x *ImageExtent) Check(data []byte) error {
 	if crc32.ChecksumIEEE(data[x.Off:x.Off+x.Size]) != x.CRC {

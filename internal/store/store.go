@@ -343,6 +343,19 @@ func (t *Table) EndID() uint64 {
 	return last.StartID + uint64(last.NumRows()) - 1
 }
 
+// Envelope returns the identifiers of the table's first and last rows, or
+// the inverted [1, 0] of a table with none: the identifier range a shard
+// table covers, as the fleet records it and a segment listing reports it.
+// Empty partitions — an empty range's placeholder, say — do not move it.
+func (t *Table) Envelope() (lo, hi uint64) {
+	for _, p := range t.Parts {
+		if p.NumRows() > 0 {
+			return p.StartID, t.EndID()
+		}
+	}
+	return 1, 0
+}
+
 // Snapshot returns a shallow copy of the table: a fresh Parts slice holding
 // the same (immutable) partitions. Appends to either the original or the
 // snapshot never disturb the other, so a coordinator can hold a consistent

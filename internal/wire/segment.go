@@ -8,25 +8,24 @@ import (
 // Segment shipping ----------------------------------------------------------
 //
 // Three frames move a table's durable bytes between daemons without the
-// proxy in the loop. MsgSegmentList inventories tables (names, sizes, CRCs,
-// identifier envelopes); MsgSegmentFetch either asks for one segment's raw
-// bytes (answered by MsgSegmentData, checksummed end-to-end) or instructs
-// the receiving daemon to pull a whole table from a named peer and install
-// it (answered by MsgOK). Two segment names are reserved for state that is
-// not an on-disk file: WALSegment carries a durable table's uncompacted WAL
-// tail, MemSegment carries a memory-only daemon's whole table. Every shipped
-// payload — those two and the segment files — is a table image
-// (store.AppendImage; docs/FORMAT.md §2).
+// proxy in the loop. MsgSegmentList inventories tables: every table's ref,
+// rows and identifier envelope, and for one named table the segments a pull
+// fetches (names, sizes, CRCs). MsgSegmentFetch either asks for one segment's
+// raw bytes (answered by MsgSegmentData, checksummed end-to-end) or
+// instructs the receiving daemon to pull a whole table from a named peer and
+// install it (answered by MsgOK). Every shipped payload is a table image
+// (store.AppendImage; docs/FORMAT.md §2), and a puller takes each as one,
+// whatever its name. Two names are reserved for images a source builds in
+// memory rather than reads from disk: WALSegment carries a durable table's
+// uncompacted WAL tail, MemSegment a memory-only daemon's whole table.
 
-// WALSegment is the reserved pseudo-segment name under which a durable
-// daemon ships its uncompacted WAL tail: the payload is the pending rows'
-// table image, built in memory, not a segment file.
-const WALSegment = "@wal"
-
-// MemSegment is the reserved pseudo-segment name under which a memory-only
-// daemon ships a whole table: the payload is the table's image, built in
-// memory rather than read from disk.
-const MemSegment = "@mem"
+// The reserved segment names: images a source builds in memory.
+const (
+	// WALSegment carries a durable table's uncompacted WAL tail.
+	WALSegment = "@wal"
+	// MemSegment carries a memory-only daemon's whole table.
+	MemSegment = "@mem"
+)
 
 // SegmentInfo describes one shippable segment of a table: its name (a
 // seg-NNNNNN.seg file or a reserved pseudo-segment), its size in bytes, and
@@ -41,16 +40,19 @@ type SegmentInfo struct {
 }
 
 // TableManifest inventories one table for segment shipping: its registry
-// ref, row count, identifier envelope, and segment set in ship order.
+// ref, row count, identifier envelope, and — in a single-table listing — its
+// segment set in ship order. An all-tables listing leaves Segments empty.
 type TableManifest struct {
 	// Ref is the table's registry reference.
 	Ref string
 	// Rows is the table's total row count.
 	Rows uint64
-	// StartID and EndID bound the table's global row identifiers. For an
-	// empty table EndID < StartID (the inverted envelope shards use).
+	// StartID and EndID are the global identifiers of the table's first and
+	// last rows. For an empty table EndID < StartID (the inverted envelope
+	// shards use).
 	StartID, EndID uint64
-	// Segments lists the table's shippable segments in install order.
+	// Segments lists the table's shippable segments in install order; empty
+	// in an all-tables listing.
 	Segments []SegmentInfo
 }
 

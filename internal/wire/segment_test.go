@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"hash/crc32"
 	"reflect"
 	"testing"
@@ -132,6 +133,62 @@ func TestSegmentFramesRejectHostilePayloads(t *testing.T) {
 			t.Errorf("%s: trailing byte accepted", c.name)
 		}
 	}
+}
+
+// FuzzSegmentFrames feeds hostile bytes to the four segment-shipping
+// decoders: a daemon decodes listings and segment data a peer sent it, and
+// list and fetch requests from whoever connects. None may panic, and whatever
+// one accepts must re-encode to a payload that decodes to an equal value —
+// values, not bytes: a varint in the input need not be minimal. The seeds are
+// the round-trip cases above and their truncations.
+func FuzzSegmentFrames(f *testing.F) {
+	seeds := [][]byte{
+		EncodeSegmentList([]TableManifest{
+			{Ref: "big@NoEnc#r0", Rows: 1000, StartID: 1, EndID: 1000, Segments: []SegmentInfo{
+				{Name: "seg-000001.seg", Size: 4096, CRC: 0xdeadbeef},
+				{Name: WALSegment, Size: 128, CRC: 7},
+			}},
+			{Ref: "empty@Seabed#r2", Rows: 0, StartID: 1, EndID: 0},
+		}),
+		EncodeSegmentList(nil),
+		EncodeSegmentListReq(""),
+		EncodeSegmentListReq("big@NoEnc#r1"),
+		EncodeSegmentFetch("t@Seabed#r1", "seg-000002.seg", ""),
+		EncodeSegmentFetch("t@Seabed#r1", "", "127.0.0.1:7687"),
+		EncodeSegmentData("seg-000001.seg", []byte("SBSG-ish segment bytes 0123456789")),
+		EncodeSegmentData(MemSegment, nil),
+	}
+	for _, p := range seeds {
+		f.Add(p)
+		for cut := len(p) - 1; cut > 0; cut /= 2 {
+			f.Add(p[:cut])
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, p []byte) {
+		if ref, err := DecodeSegmentListReq(p); err == nil {
+			if again, err := DecodeSegmentListReq(EncodeSegmentListReq(ref)); err != nil || again != ref {
+				t.Fatalf("list request %q re-decodes to %q, %v", ref, again, err)
+			}
+		}
+		if ms, err := DecodeSegmentList(p); err == nil {
+			if again, err := DecodeSegmentList(EncodeSegmentList(ms)); err != nil || !reflect.DeepEqual(again, ms) {
+				t.Fatalf("listing %+v re-decodes to %+v, %v", ms, again, err)
+			}
+		}
+		if ref, name, from, err := DecodeSegmentFetch(p); err == nil {
+			r, n, fr, err := DecodeSegmentFetch(EncodeSegmentFetch(ref, name, from))
+			if err != nil || r != ref || n != name || fr != from {
+				t.Fatalf("fetch (%q, %q, %q) re-decodes to (%q, %q, %q), %v", ref, name, from, r, n, fr, err)
+			}
+		}
+		if sd, err := DecodeSegmentData(p); err == nil {
+			again, err := DecodeSegmentData(EncodeSegmentData(sd.Name, sd.Data))
+			if err != nil || again.Name != sd.Name || !bytes.Equal(again.Data, sd.Data) {
+				t.Fatalf("segment data %q re-decodes to %q, %v", sd.Name, again.Name, err)
+			}
+		}
+	})
 }
 
 // TestPlanHedgeFailoverVersionFraming pins that the fleet flags cross the

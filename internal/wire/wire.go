@@ -99,15 +99,16 @@ const (
 	MsgResultChunk
 	// MsgSegmentList is both the request and the response of a segment
 	// inventory exchange: the request names one table ref (empty = every
-	// table), the response enumerates per-table manifests — segment names,
-	// sizes, CRCs, row counts, and identifier envelopes (segment.go).
+	// table), the response enumerates per-table manifests — row counts and
+	// identifier envelopes, plus, for one named table, the segment names,
+	// sizes and CRCs a pull fetches (segment.go).
 	MsgSegmentList
 	// MsgSegmentFetch requests segment bytes. With an empty From it asks
 	// the receiving daemon to serve one named segment of a table (answered by
 	// MsgSegmentData); with From set it instructs the receiving daemon to
-	// dial the peer at From, pull the whole table's segments + WAL tail, and
-	// install them locally (answered by MsgOK) — daemon-to-daemon healing
-	// with no proxy re-upload.
+	// dial the peer at From, pull every listed segment of the table — each a
+	// table image — check them against the listing, and install the table
+	// (answered by MsgOK) — daemon-to-daemon healing with no proxy re-upload.
 	MsgSegmentFetch
 	// MsgSegmentData answers a single-segment MsgSegmentFetch: the
 	// segment name, a CRC-32 (IEEE) over the bytes, and the raw bytes. The
