@@ -234,9 +234,11 @@ type grouper struct {
 
 // init sizes the slot machinery: for u64 keys the dense index spans
 // min(KeyBound | default, cap/inflate) keys times the suffix domain; the
-// open-addressed table starts at 1 Ki entries; and the per-batch
-// scratch is allocated here once, so the steady-state batch loop allocates
-// nothing.
+// per-batch scratch is allocated once, so the steady-state batch loop
+// allocates nothing; and the table is sized for the plan's last map task's
+// slots at half load (1 Ki entries at least), the keys, hashes, accumulators
+// and identifier-list slots for those and a quarter more, so that a slightly
+// larger partition fits too.
 func (g *grouper) init(cp *compiledPlan) {
 	g.right = cp.groupCol.isRight()
 	g.seed = cp.seed
@@ -246,8 +248,14 @@ func (g *grouper) init(cp *compiledPlan) {
 		g.inflateN = uint64(g.inflate)
 	}
 	kind := groupColKind(cp)
-	g.t.init(kind, g.inflate > 0, 0)
+	last := int(cp.hint.slots.Load())
+	g.t.init(kind, g.inflate > 0, last)
 	g.acc.init(cp.pl.Aggs, true)
+	if last > 0 {
+		keyLen := (int(cp.hint.keyBytes.Load()) + last - 1) / last
+		g.t.reserve(last+last/4, keyLen)
+		g.acc.reserve(last + last/4)
+	}
 	if kind == store.U64 {
 		keys := uint64(denseDefaultEntries) / g.inflateN
 		if kb := cp.pl.GroupBy.KeyBound; kb > 0 {
@@ -439,8 +447,9 @@ func keyKind(k store.Kind) store.Kind {
 // columns, not a heap object per group — with the identifier lists laid out
 // one contiguous run per slot and, for a group-by's shuffle, the groups
 // partitioned by reducer. The node arenas the lists grew in go back to the run
-// for its next task.
-func (g *grouper) fold(res *mapResult, pl *Plan, arenas *nodeArenas, buckets int) {
+// for its next task, and a group-by's final sizes to the plan for its next run.
+func (g *grouper) fold(res *mapResult, cp *compiledPlan, arenas *nodeArenas, buckets int) {
+	pl := cp.pl
 	tg := &taskGroups{keys: g.t.groupKeys, rows: g.acc.rows, cols: g.acc.cols}
 	for ai := range g.acc.ids {
 		if c := &g.acc.ids[ai]; pl.Aggs[ai].Kind == AggAsheSum {
@@ -454,6 +463,8 @@ func (g *grouper) fold(res *mapResult, pl *Plan, arenas *nodeArenas, buckets int
 		if n := uint64(len(g.t.table)); n > res.ops.GroupTableLen {
 			res.ops.GroupTableLen = n
 		}
+		cp.hint.slots.Store(int64(g.t.len()))
+		cp.hint.keyBytes.Store(int64(len(g.t.arena)))
 		tg.partition(buckets)
 	}
 	res.groups = tg
@@ -557,7 +568,7 @@ func (cp *compiledPlan) runMapTask(ctx context.Context, c *Cluster, part *store.
 	}
 	if len(cp.pl.Project) == 0 {
 		// Laying the identifier lists out is the task's last measured step.
-		ts.g.fold(ts.res, cp.pl, arenas, c.cfg.Workers)
+		ts.g.fold(ts.res, cp, arenas, c.cfg.Workers)
 	}
 	ts.res.elapsed = time.Since(start)
 	cp.pl.sizeOutput(ts.res)

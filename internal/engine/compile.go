@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"seabed/internal/store"
 )
@@ -28,8 +29,8 @@ func (r colRef) isRight() bool { return r.idx < 0 }
 
 // compiledPlan is the once-per-Run compilation of a Plan: resolved column
 // references, a typed join index, and the predicate/accumulator kernels the
-// batch executor runs. It is immutable after compile and shared by every
-// map task of the run, so tasks on different partitions never rebuild it.
+// batch executor runs, shared by every map task of the run so that tasks on
+// different partitions never rebuild it. Only its sizing hint changes.
 type compiledPlan struct {
 	pl   *Plan
 	seed uint64 // cluster seed, drives group inflation
@@ -55,6 +56,15 @@ type compiledPlan struct {
 
 	preds []predKernel
 	aggs  []aggKernel
+	hint  groupHint
+}
+
+// groupHint is the sizes a grouped plan's last run finished at — its last map
+// task's slot count and key-arena bytes (grouper.fold), its reducers' merged
+// slot count (reduceGroups) — which size the next run's vectors. Sizes only:
+// no result depends on them, and the reference evaluator never reads them.
+type groupHint struct {
+	slots, keyBytes, merged atomic.Int64
 }
 
 // compile binds pl against its table's layout and lowers it to kernels.

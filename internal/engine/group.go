@@ -46,9 +46,9 @@ func LaneKind(k AggKind) bool {
 }
 
 // room returns s with capacity for n more elements, doubling when it must
-// grow. The group-by vectors reach megabytes one element at a time; append's
-// own policy for large slices (about 1.25×) would re-copy them several times
-// over.
+// grow: the fallback where no last run sized a group-by (grouper.init). The
+// group-by vectors reach megabytes one element at a time; append's own policy
+// for large slices (about 1.25×) would re-copy them several times over.
 func room[T any](s []T, n int) []T {
 	if cap(s)-len(s) >= n {
 		return s
@@ -263,22 +263,22 @@ func (t *slotTable) grow() {
 }
 
 // reducerBucket deterministically assigns slot s's key to one of n reducer
-// buckets. Both executors and every shard must agree on the assignment, so it
-// hashes only the key's value material (splitmix64 over u64 keys, FNV-1a over
-// string/byte keys, the inflation suffix mixed in) and never a table's layout.
+// buckets: the key's hash modulo n — for a byte or string key the kept hash
+// when the table kept one, else hashKey, which is that same value. Both
+// executors and every shard must agree on the assignment, so the hash covers
+// only the key's material and inflation suffix, never a table's layout.
 func (k *groupKeys) reducerBucket(s, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	h := splitmix64(uint64(int64(k.suffixAt(s))) ^ 0x5eabed)
-	if k.kind == store.U64 {
-		h = splitmix64(h ^ k.u64[s])
-	} else {
-		f := uint64(14695981039346656037)
-		for _, c := range k.bytesAt(s) {
-			f = (f ^ uint64(c)) * 1099511628211
-		}
-		h = splitmix64(h ^ f)
+	var h uint64
+	switch {
+	case k.kind == store.U64:
+		h = hashU64(k.u64[s], k.suffixAt(s))
+	case k.hash != nil:
+		h = k.hash[s]
+	default:
+		h = hashKey(k.bytesAt(s), k.suffixAt(s))
 	}
 	return int(h % uint64(n))
 }
@@ -449,6 +449,23 @@ func (a *groupAcc) init(aggs []Agg, chains bool) {
 		a.cols[ai].Kind = agg.Kind
 		if chains && agg.Kind == AggAsheSum && a.ids == nil {
 			a.ids = make([]idChains, len(aggs))
+		}
+	}
+}
+
+// reserve makes room for n more slots in the row counts, every column and the
+// identifier lists beside them, so that growing to them copies nothing.
+func (a *groupAcc) reserve(n int) {
+	a.rows = room(a.rows, n)
+	for ai := range a.cols {
+		col := &a.cols[ai]
+		if LaneKind(col.Kind) {
+			col.Lane = room(col.Lane, n)
+		} else {
+			col.Vals = room(col.Vals, n)
+		}
+		if a.ids != nil && col.Kind == AggAsheSum {
+			a.ids[ai].slots = room(a.ids[ai].slots, n)
 		}
 	}
 }
@@ -768,8 +785,10 @@ type groupMerger struct {
 // mergeGroupSets folds the inputs (at least one, in order) into a new
 // merger, in two passes: intern every input key, which fixes the slot count,
 // then accumulate into vectors allocated at exactly that size — so a merge
-// allocates a fixed number of blocks however many groups it folds.
-func mergeGroupSets(pl *Plan, inputs []groupSel) *groupMerger {
+// allocates a fixed number of blocks however many groups it folds. hint is the
+// slot count a reducer of the same plan last merged (0 for none): the keys are
+// reserved for it plus a quarter, between the largest input and the total.
+func mergeGroupSets(pl *Plan, inputs []groupSel, hint int) *groupMerger {
 	m := &groupMerger{pl: pl, inputs: inputs}
 	m.acc.init(pl.Aggs, false)
 	total, largest := 0, 0
@@ -778,15 +797,15 @@ func mergeGroupSets(pl *Plan, inputs []groupSel) *groupMerger {
 		largest = max(largest, in.len())
 	}
 	// Every input holds distinct keys, so the largest one is a floor on the
-	// slot count and their sum a ceiling: reserve keys for the floor, size the
-	// table (4 bytes a slot) for the ceiling.
+	// slot count and their sum a ceiling: reserve keys for the floor (or the
+	// hint, if above), size the table (4 bytes a slot) for the ceiling.
 	keys := &inputs[0].set.keys
 	inflated := false
 	for _, in := range inputs {
 		inflated = inflated || in.set.keys.inflated
 	}
 	m.t.init(keys.kind, inflated, total)
-	m.t.reserve(largest, keys.keyLen())
+	m.t.reserve(min(total, max(largest, hint+hint/4)), keys.keyLen())
 
 	m.dst = make([]int32, total)
 	at := 0

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"seabed/internal/sqlparse"
@@ -201,8 +202,9 @@ func TestKernelBytesGroupKeyAllocFree(t *testing.T) {
 
 // TestGrouperMemoryTracksGroupsNotRows pins what a map task's group-by state
 // scales with: on a partition with a hundred times more rows than groups,
-// every per-slot vector holds under twice the groups (room's doubling), never
-// a share of the rows still to come.
+// every per-slot vector holds under twice the groups — room's doubling, on a
+// plan's first run; the last run's count and a quarter after it — never a
+// share of the rows still to come.
 func TestGrouperMemoryTracksGroupsNotRows(t *testing.T) {
 	const rows, groups = 300_000, 3000
 	tbl := detKeyFixture(t, rows, groups, 1, false)
@@ -233,6 +235,56 @@ func TestGrouperMemoryTracksGroupsNotRows(t *testing.T) {
 	} {
 		if c > 2*groups {
 			t.Errorf("%s: capacity for %d slots with %d groups over %d rows", name, c, groups, rows)
+		}
+	}
+}
+
+// TestGrouperSizedFromLastTask: a map task of a compiled plan starts sized by
+// the plan's last task, so over a partition with as many groups as that one
+// its slot table never grows and none of its per-slot vectors — keys, hashes,
+// row counts, lanes, values, identifier-list slots — reallocates.
+func TestGrouperSizedFromLastTask(t *testing.T) {
+	// Two partitions, each holding every group and, at 20 rows a group and
+	// suffix, every suffix of it too.
+	const rows, groups = 120_000, 1000
+	tbl := detKeyFixture(t, rows, groups, 2, false)
+	for _, inflate := range []int{0, 3} {
+		pl := &Plan{Table: tbl, GroupBy: &GroupBy{Col: "k", Inflate: inflate},
+			Aggs: []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggCount}, {Kind: AggPlainMedian, Col: "v"}}}
+		cp, err := pl.compile(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		first, err := cp.runMapTask(ctx, NewCluster(Config{Workers: 4}), tbl.Parts[0], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := cp.newTaskState(tbl.Parts[1])
+		g := &ts.g
+		caps := func() map[string]int {
+			return map[string]int{
+				"table":     len(g.t.table),
+				"key spans": cap(g.t.off),
+				"key arena": cap(g.t.arena),
+				"hashes":    cap(g.t.hash),
+				"suffixes":  cap(g.t.sfx),
+				"rows":      cap(g.acc.rows),
+				"sum lane":  cap(g.acc.cols[0].Lane),
+				"count":     cap(g.acc.cols[1].Lane),
+				"medians":   cap(g.acc.cols[2].Vals),
+				"id chains": cap(g.acc.ids[0].slots),
+			}
+		}
+		sized := caps()
+		if err := ts.execute(ctx, 0, tbl.Parts[1].NumRows()-1); err != nil {
+			t.Fatal(err)
+		}
+		if n := g.t.len(); n != first.groups.keys.len() || n < groups {
+			t.Fatalf("inflate %d: the tasks hold %d and %d groups", inflate, first.groups.keys.len(), n)
+		}
+		if ran := caps(); !reflect.DeepEqual(ran, sized) {
+			t.Errorf("inflate %d: capacities grew during the task\nsized %v\nran   %v", inflate, sized, ran)
 		}
 	}
 }
@@ -538,6 +590,26 @@ func BenchmarkKernelGroupByBytesWideReference(b *testing.B) {
 		}
 	}
 	reportRows(b, benchRows)
+}
+
+// BenchmarkRunGroupByBytesWide is one daemon's share of the fleet benchmark's
+// wide group-by: the encrypted wide GROUP BY through Cluster.Run — map,
+// partition, reduce, gather — over 64 Ki rows in 16 Ki groups on 8
+// partitions, on one Cluster reused across iterations, so the plan cache and
+// the sizing hint it carries behave as a daemon's do.
+func BenchmarkRunGroupByBytesWide(b *testing.B) {
+	const rows = 1 << 16
+	tbl := detKeyFixture(b, rows, 1<<14, 8, false)
+	c := NewCluster(Config{Workers: 4})
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Run(ctx, wideBytesGroupByPlan(tbl)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportRows(b, rows)
 }
 
 // genericGroupByPlan is TestDifferentialDetKeys' seabed/generic mix over the

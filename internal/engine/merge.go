@@ -148,7 +148,7 @@ func mergeGroups(pl *Plan, sets []*GroupCols) (*GroupCols, error) {
 		}
 		inputs[i] = groupSel{set: in}
 	}
-	mg := mergeGroupSets(pl, inputs)
+	mg := mergeGroupSets(pl, inputs, 0)
 	if err := mg.finish(nil); err != nil {
 		return nil, err
 	}

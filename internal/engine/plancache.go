@@ -19,12 +19,15 @@ import (
 //
 // Correctness rests on two properties. First, a compiledPlan is immutable
 // after compile — map tasks only read it — so sharing one across
-// concurrent runs is safe. Second, the fingerprint covers table identity
-// by pointer: tables grow copy-on-write everywhere (server appends,
-// coordinator snapshots), so a table that gained rows is a different
-// pointer and misses the cache, and a cached entry can never serve stale
-// contents. The retained reference evaluator bypasses the cache, keeping
-// the differential suite an independent oracle.
+// concurrent runs is safe. The one exception is its groupHint: atomics each
+// grouped run overwrites with the sizes it finished at, so the next run of
+// the shape reserves its vectors once. A stale or racing hint costs a
+// regrowth, never a different result. Second, the fingerprint covers table
+// identity by pointer: tables grow copy-on-write everywhere (server appends,
+// coordinator snapshots), so a table that gained rows is a different pointer
+// and misses the cache, and a cached entry can never serve stale contents.
+// The retained reference evaluator bypasses the cache, keeping the
+// differential suite an independent oracle.
 
 // planCacheMax bounds the cache. Workloads with more live shapes than this
 // churn the map; when an insert would exceed the bound the cache resets

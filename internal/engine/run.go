@@ -164,11 +164,15 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSi
 	// run, staying an independent oracle for the differential tests.
 	compileStart := time.Now()
 	var runner mapRunner
+	var hint *groupHint // the reference evaluator sizes nothing from a last run
 	var err error
 	if reference {
 		runner, err = pl.compileReference()
 	} else {
-		runner, err = c.compiled(pl)
+		var cp *compiledPlan
+		if cp, err = c.compiled(pl); err == nil {
+			runner, hint = cp, &cp.hint
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -285,7 +289,7 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSi
 	grouped := pl.GroupBy != nil
 	var mergers []*groupMerger
 	if grouped {
-		if mergers, err = c.reduceGroups(pl, results, codec, &metrics); err != nil {
+		if mergers, err = c.reduceGroups(pl, results, codec, hint, &metrics); err != nil {
 			return nil, err
 		}
 		metrics.ReduceTime = time.Since(reduceStart)
@@ -405,7 +409,7 @@ func foldSingle(pl *Plan, results []*mapResult, codec idlist.Codec, m *Metrics) 
 	for i, r := range results {
 		inputs[i] = groupSel{set: r.groups}
 	}
-	mg := mergeGroupSets(pl, inputs)
+	mg := mergeGroupSets(pl, inputs, 0)
 	if err := mg.finish(codec); err != nil {
 		return nil, err
 	}
@@ -422,9 +426,10 @@ func foldSingle(pl *Plan, results []*mapResult, codec idlist.Codec, m *Metrics) 
 // from the task's columns. One reducer runs per non-empty
 // bucket, on goroutines bounded by RealParallelism: it folds its share of
 // every task through a groupMerger and finishes the merged slots (encoding
-// identifier lists). The driver then gathers the result columns, in key
-// order, from the returned reducers' blocks.
-func (c *Cluster) reduceGroups(pl *Plan, results []*mapResult, codec idlist.Codec, m *Metrics) ([]*groupMerger, error) {
+// identifier lists), its keys reserved for the count the plan's reducers last
+// merged (hint; nil for the reference evaluator). The driver then gathers the
+// result columns from the returned reducers' blocks.
+func (c *Cluster) reduceGroups(pl *Plan, results []*mapResult, codec idlist.Codec, hint *groupHint, m *Metrics) ([]*groupMerger, error) {
 	nb := c.cfg.Workers
 	if nb < 1 {
 		nb = 1
@@ -469,7 +474,14 @@ func (c *Cluster) reduceGroups(pl *Plan, results []*mapResult, codec idlist.Code
 					inputs = append(inputs, groupSel{mr.groups, sel})
 				}
 			}
-			mg := mergeGroupSets(pl, inputs)
+			var last int
+			if hint != nil {
+				last = int(hint.merged.Load())
+			}
+			mg := mergeGroupSets(pl, inputs, last)
+			if hint != nil {
+				hint.merged.Store(int64(mg.t.len()))
+			}
 			mergers[ri], errs[ri] = mg, mg.finish(codec)
 			durations[ri] = time.Since(start)
 		}(ri, b)

@@ -66,12 +66,9 @@ func (c *Cluster) loadEpoch() (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("fleet: read epoch file: %w", err)
 	}
-	var f epochFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return false, fmt.Errorf("fleet: parse epoch file %s: %w", c.opts.EpochPath, err)
-	}
-	if f.Format != epochFormat {
-		return false, fmt.Errorf("fleet: epoch file %s has format %d, this build reads %d", c.opts.EpochPath, f.Format, epochFormat)
+	f, err := parseEpoch(data)
+	if err != nil {
+		return false, fmt.Errorf("fleet: epoch file %s: %w", c.opts.EpochPath, err)
 	}
 	if f.Replicas != c.replicas {
 		return false, fmt.Errorf("fleet: epoch file records %d replicas, dialed with %d — remove %s to re-adopt", f.Replicas, c.replicas, c.opts.EpochPath)
@@ -88,9 +85,6 @@ func (c *Cluster) loadEpoch() (bool, error) {
 	defer c.mu.Unlock()
 	c.epoch = f.Epoch
 	for ref, et := range f.Tables {
-		if len(et.Ranges) != len(c.addrs) {
-			return false, fmt.Errorf("fleet: epoch file table %q has %d ranges, fleet has %d daemons", ref, len(et.Ranges), len(c.addrs))
-		}
 		st := &tableState{ranges: make([]engine.IDRange, len(et.Ranges)), allShipped: et.AllShipped}
 		for k, r := range et.Ranges {
 			st.ranges[k] = engine.IDRange{Lo: r.Lo, Hi: r.Hi}
@@ -98,6 +92,25 @@ func (c *Cluster) loadEpoch() (bool, error) {
 		c.tables[ref] = st
 	}
 	return true, nil
+}
+
+// parseEpoch parses an epoch file and checks what it can without a fleet: its
+// format, and that every table places one range per recorded daemon. The
+// caller checks the file against the fleet it dialed.
+func parseEpoch(data []byte) (*epochFile, error) {
+	var f epochFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		return nil, fmt.Errorf("parse: %w", err)
+	}
+	if f.Format != epochFormat {
+		return nil, fmt.Errorf("format %d, this build reads %d", f.Format, epochFormat)
+	}
+	for ref, et := range f.Tables {
+		if len(et.Ranges) != len(f.Addrs) {
+			return nil, fmt.Errorf("table %q has %d ranges for %d daemons", ref, len(et.Ranges), len(f.Addrs))
+		}
+	}
+	return &f, nil
 }
 
 // persistEpoch commits the coordinator's current placement to the epoch

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
 	"seabed/internal/engine"
@@ -128,6 +130,47 @@ func TestAppendScanChunkNoPerRowAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("AppendScanChunk allocated %.1f times per call with a primed buffer, want 0", allocs)
 	}
+}
+
+// FuzzDecodeScanChunk feeds the scan-chunk decoder hostile bytes, as a daemon
+// could send them: it must never panic, and a chunk it accepts holds the row
+// count its header declares, each row one cell per declared column. Seeds are
+// the golden chunk, the round-trip cases' chunks, and truncations of them.
+func FuzzDecodeScanChunk(f *testing.F) {
+	golden, err := hex.DecodeString(goldenChunkFrame)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds := [][]byte{golden}
+	for _, n := range []int{0, 1, 7, 1000} {
+		rows, kinds := chunkRows(n)
+		p, err := AppendScanChunk(nil, rows, kinds)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, p)
+	}
+	for _, p := range seeds {
+		f.Add(p)
+		f.Add(p[:len(p)/2])
+		f.Add(p[:len(p)-1])
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		rows, err := DecodeScanChunk(p, Version)
+		if err != nil {
+			return
+		}
+		nRows, n := binary.Uvarint(p)
+		width, _ := binary.Uvarint(p[n:])
+		if uint64(len(rows)) != nRows {
+			t.Fatalf("accepted a chunk declaring %d rows as %d rows", nRows, len(rows))
+		}
+		for i, r := range rows {
+			if uint64(len(r.U64s)) != width || uint64(len(r.Bytes)) != width || uint64(len(r.Strs)) != width {
+				t.Fatalf("row %d has %d/%d/%d cells, the chunk declares %d columns", i, len(r.U64s), len(r.Bytes), len(r.Strs), width)
+			}
+		}
+	})
 }
 
 func TestColumnarChunkRejectsHostilePayloads(t *testing.T) {
