@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -13,6 +14,7 @@ import (
 	"seabed/internal/idlist"
 	"seabed/internal/planner"
 	"seabed/internal/schema"
+	"seabed/internal/sqlparse"
 	"seabed/internal/store"
 	"seabed/internal/translate"
 )
@@ -287,9 +289,9 @@ func TestScanQueryEndToEnd(t *testing.T) {
 
 // TestScanRowValuesAreCarvedNotGrown: each row's Values is exactly the
 // projection wide, cut from a backing array shared by its chunk — not a slice
-// grown from nil one append at a time — and a row whose Bytes or Strs is
-// shorter than the plan's projection (an in-process backend checks nothing)
-// is an error, not an index out of range.
+// grown from nil one append at a time — and a row narrower than the plan's
+// projection (an in-process backend checks nothing) is an error, not an index
+// out of range.
 func TestScanRowValuesAreCarvedNotGrown(t *testing.T) {
 	p := salesFixture(t)
 	res, err := p.Query(context.Background(), "SELECT revenue, hour FROM sales WHERE day > 27")
@@ -311,14 +313,77 @@ func TestScanRowValuesAreCarvedNotGrown(t *testing.T) {
 
 	d := newDecrypter(p.ring, idlist.Default)
 	cols := []translate.ScanCol{{Name: "a", Ashe: true, SourceCol: "revenue"}, {Name: "h", Det: true, SourceCol: "hour"}}
+	d.resolveScan(cols)
 	for name, sr := range map[string]engine.ScanRow{
-		"short Bytes": {ID: 7, U64s: make([]uint64, 2), Bytes: make([][]byte, 1), Strs: make([]string, 2)},
-		"short Strs":  {ID: 7, U64s: make([]uint64, 2), Bytes: make([][]byte, 2)},
-		"short U64s":  {ID: 7, U64s: make([]uint64, 1), Bytes: make([][]byte, 2), Strs: make([]string, 2)},
+		"one column": (&engine.ScanChunk{IDs: []uint64{7}, Cols: []store.Column{{Kind: store.U64, U64: []uint64{1}}}}).Rows()[0],
+		"no columns": (&engine.ScanChunk{IDs: []uint64{7}}).Rows()[0],
 	} {
 		if _, err := d.scanRow(cols, &sr, make([]Value, 2)); err == nil || !strings.Contains(err.Error(), "malformed or hostile result") {
 			t.Errorf("%s: err = %v, want a malformed-result error", name, err)
 		}
+	}
+}
+
+// zeroIDBackend streams a scan as one row with identifier 0 and the first
+// row's first cell: a daemon handing the proxy a reserved identifier.
+type zeroIDBackend struct{ *engine.Cluster }
+
+func (b zeroIDBackend) RunStream(ctx context.Context, pl *engine.Plan, sink engine.ScanSink) (*engine.Result, error) {
+	sent := false
+	return b.Cluster.RunStream(ctx, pl, func(rows []engine.ScanRow) error {
+		if sent {
+			return nil
+		}
+		sent = true
+		return sink((&engine.ScanChunk{IDs: []uint64{0}, Cols: []store.Column{{Kind: store.U64, U64: []uint64{rows[0].U64(0)}}}}).Rows())
+	})
+}
+
+// TestReservedIdentifierIsAnError: ASHE identifier 0 in a result — an
+// aggregate's list that starts at 0, or a scan row with identifier 0 under an
+// ASHE cell, materialized or streamed — is a ReservedIDError naming the
+// aggregate or the row, not a panic in the ASHE decryption.
+func TestReservedIdentifierIsAnError(t *testing.T) {
+	p := salesFixture(t)
+	cl := engine.NewCluster(engine.Config{Workers: 4})
+	tr, partials := shardResults(t, p, cl, "SELECT SUM(revenue) FROM sales", translate.Seabed, translate.Options{Workers: 4})
+	merged, err := engine.Merge(tr.Server, partials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Cols.Len() != 1 || merged.Cols.Aggs[0].Kind != engine.AggAsheSum {
+		t.Fatalf("fixture: %d groups, aggregates %+v", merged.Cols.Len(), tr.Server.Aggs)
+	}
+	merged.Cols.Aggs[0].Ranges, merged.Cols.Aggs[0].RangeOff = []idlist.Range{{Lo: 0, Hi: 3}}, []uint64{0, 1}
+	var rid *ReservedIDError
+	if _, err := Decrypt(tr, merged, p.Ring()); !errors.As(err, &rid) || !strings.Contains(rid.Where, "aggregate 0") {
+		t.Errorf("aggregate over [0,3]: err = %v, want a ReservedIDError naming aggregate 0", err)
+	}
+
+	const scan = "SELECT revenue FROM sales WHERE day > 29"
+	stmt, err := sqlparse.ParseStatement(scan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	str, err := translate.Translate(stmt.Query, p, p.Ring(), translate.Seabed, translate.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(str.Client.ScanCols) != 1 || !str.Client.ScanCols[0].Ashe {
+		t.Fatalf("fixture: scan columns %+v, want one ASHE column", str.Client.ScanCols)
+	}
+	row := (&engine.ScanChunk{IDs: []uint64{0}, Cols: []store.Column{{Kind: store.U64, U64: []uint64{42}}}}).Rows()
+	if _, err := Decrypt(str, &engine.Result{Scan: row}, p.Ring()); !errors.As(err, &rid) || !strings.Contains(rid.Where, "scan row 0") {
+		t.Errorf("materialized scan row 0: err = %v, want a ReservedIDError naming the row", err)
+	}
+
+	zp := &Proxy{ring: p.ring, cluster: zeroIDBackend{cl}, tables: p.tables}
+	res, err := zp.Query(context.Background(), scan, WithStreaming())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.All(); !errors.As(err, &rid) || !strings.Contains(rid.Where, "scan row 0") {
+		t.Errorf("streamed scan row 0: err = %v, want a ReservedIDError naming the row", err)
 	}
 }
 

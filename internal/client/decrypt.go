@@ -73,10 +73,22 @@ type decrypter struct {
 	ring     *KeyRing
 	asheKeys map[string]*ashe.Key
 	detKeys  map[string]*det.Key
+	// scanAshe and scanDet hold each projected column's key by position.
+	scanAshe []*ashe.Key
+	scanDet  []*det.Key
 	prfEvals uint64
 	codec    idlist.Codec
 	// ranges is asheOf's decode buffer, reused across identifier lists.
 	ranges []idlist.Range
+}
+
+// ReservedIDError reports a result that has the proxy decrypt under ASHE identifier 0, which
+// no row carries (a malformed or hostile result); Where names the aggregate or the scan row.
+type ReservedIDError struct{ Where string }
+
+// Error names the aggregate or the row.
+func (e *ReservedIDError) Error() string {
+	return "client: " + e.Where + " decrypts under the reserved ASHE identifier 0 (malformed or hostile result)"
 }
 
 // newDecrypter builds a decrypter over the given key ring and identifier-
@@ -222,6 +234,9 @@ func (d *decrypter) output(tr *translate.Translation, o *translate.Output, cols 
 		if err != nil {
 			return Value{}, err
 		}
+		if slices.ContainsFunc(ct.IDs.Ranges(), func(r idlist.Range) bool { return r.Lo == 0 }) {
+			return Value{}, &ReservedIDError{Where: fmt.Sprintf("aggregate %d (sum of %s)", o.Agg, o.SourceCol)}
+		}
 		d.prfEvals += ashe.PRFEvalsToDecrypt(ct)
 		return Value{Name: o.Name, Kind: Int, I64: int64(d.ashe(o.SourceCol).Decrypt(ct))}, nil
 	case translate.OutPailSum:
@@ -325,9 +340,24 @@ func (d *decrypter) groupKey(gk *translate.GroupKeyPlan, cols *engine.GroupCols,
 	return Value{Name: name, Kind: Int, I64: int64(id)}, nil
 }
 
+// resolveScan resolves each projected column's ASHE or DET key once per
+// query, by position, so scanRow looks no key up per cell.
+func (d *decrypter) resolveScan(cols []translate.ScanCol) {
+	d.scanAshe, d.scanDet = make([]*ashe.Key, len(cols)), make([]*det.Key, len(cols))
+	for i, sc := range cols {
+		if sc.Ashe {
+			d.scanAshe[i] = d.ashe(sc.SourceCol)
+		}
+		if sc.Det {
+			d.scanDet[i] = d.det(sc.SourceCol)
+		}
+	}
+}
+
 // decryptScan processes scan-mode results.
 func (d *decrypter) decryptScan(tr *translate.Translation, res *engine.Result, out *Result) error {
 	cols := tr.Client.ScanCols
+	d.resolveScan(cols)
 	vals := make([]Value, len(res.Scan)*len(cols))
 	out.Rows = slices.Grow(out.Rows, len(res.Scan))
 	for i := range res.Scan {
@@ -342,18 +372,17 @@ func (d *decrypter) decryptScan(tr *translate.Translation, res *engine.Result, o
 
 // scanRow decrypts one scan row into the front of vals, which becomes the
 // row's Values, exactly len(cols) long: the caller hands it the rest of one
-// backing array per chunk of rows, so rows are carved, not grown, as the
-// engine's scan arenas and the wire decoder do on their sides.
+// backing array per chunk of rows, so rows are carved, not grown; cells are
+// read in place, under the keys resolveScan resolved for cols.
 // It is the unit of work the streaming path (stream.go) applies per row as
 // chunks arrive, and decryptScan's body for materialized results. The row's
-// projection width is validated against the plan before any cell is touched:
-// the wire decoder only checks a row's internal consistency, an in-process
-// backend checks nothing, and an untrusted server must not be able to crash
-// the client with a short or ragged row.
+// width is validated against the plan before any cell is touched, and an ASHE
+// cell's identifier before it is decrypted: an in-process backend checks
+// neither, and an untrusted server must not crash the client with either.
 func (d *decrypter) scanRow(cols []translate.ScanCol, sr *engine.ScanRow, vals []Value) (Row, error) {
-	if n := len(cols); len(sr.U64s) < n || len(sr.Bytes) < n || len(sr.Strs) < n {
-		return Row{}, fmt.Errorf("client: scan row %d carries %d/%d/%d columns, plan projects %d (malformed or hostile result)",
-			sr.ID, len(sr.U64s), len(sr.Bytes), len(sr.Strs), n)
+	if n := len(cols); sr.Width() < n {
+		return Row{}, fmt.Errorf("client: scan row %d carries %d columns, plan projects %d (malformed or hostile result)",
+			sr.ID, sr.Width(), n)
 	}
 	vals = vals[:len(cols):len(cols)]
 	for i, sc := range cols {
@@ -365,18 +394,21 @@ func (d *decrypter) scanRow(cols []translate.ScanCol, sr *engine.ScanRow, vals [
 			if sk == nil {
 				return Row{}, fmt.Errorf("client: no Paillier key for scan decryption")
 			}
-			v.I64 = int64(sk.DecryptU64(new(big.Int).SetBytes(sr.Bytes[i])))
+			v.I64 = int64(sk.DecryptU64(new(big.Int).SetBytes(sr.Bytes(i))))
 		case sc.Ashe:
+			if sr.ID == 0 {
+				return Row{}, &ReservedIDError{Where: fmt.Sprintf("scan row 0 (column %s)", sc.Name)}
+			}
 			d.prfEvals += 2
-			v.I64 = int64(d.ashe(sc.SourceCol).DecryptBody(sr.U64s[i], sr.ID))
+			v.I64 = int64(d.scanAshe[i].DecryptBody(sr.U64(i), sr.ID))
 		case sc.Det && sc.StrValues:
-			s, err := d.det(sc.SourceCol).DecryptString(sr.Bytes[i])
+			s, err := d.scanDet[i].DecryptString(sr.Bytes(i))
 			if err != nil {
 				return Row{}, fmt.Errorf("client: scan decrypt: %v", err)
 			}
 			v.Kind, v.Str = Str, s
 		case sc.Det:
-			id, err := d.det(sc.SourceCol).DecryptU64(sr.Bytes[i])
+			id, err := d.scanDet[i].DecryptU64(sr.Bytes(i))
 			if err != nil {
 				return Row{}, fmt.Errorf("client: scan decrypt: %v", err)
 			}
@@ -385,10 +417,10 @@ func (d *decrypter) scanRow(cols []translate.ScanCol, sr *engine.ScanRow, vals [
 			} else {
 				v.I64 = int64(id)
 			}
-		case sr.Strs[i] != "":
-			v.Kind, v.Str = Str, sr.Strs[i]
+		case sr.Str(i) != "":
+			v.Kind, v.Str = Str, sr.Str(i)
 		default:
-			v.I64 = int64(sr.U64s[i])
+			v.I64 = int64(sr.U64(i))
 		}
 	}
 	return Row{Values: vals}, nil

@@ -150,6 +150,7 @@ func (s *rowStream) iterate(qr *QueryResult) iter.Seq2[Row, error] {
 		defer s.run.End()
 		start := time.Now()
 		cols := s.tr.Client.ScanCols
+		s.dec.resolveScan(cols)
 		for batch := range s.batches {
 			vals := make([]Value, len(batch)*len(cols))
 			for i := range batch {

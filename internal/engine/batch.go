@@ -34,8 +34,8 @@ type taskState struct {
 	joinBuf []int32
 	b       batch
 
-	g     grouper
-	arena scanArena
+	g    grouper
+	scan *ScanChunk
 }
 
 // newTaskState binds the compiled plan to a partition and sizes the
@@ -50,7 +50,7 @@ func (cp *compiledPlan) newTaskState(part *store.Partition) *taskState {
 	pl := cp.pl
 	switch {
 	case len(pl.Project) > 0:
-		// scan: arena allocated lazily, one chunk at a time
+		// scan: the chunk starts with the first survivor
 	case pl.GroupBy == nil:
 		// The one-group case: slot 0, keyed U64 0, with no table to find it.
 		ts.g.t.groupKeys.init(store.U64, false)
@@ -472,55 +472,48 @@ func (g *grouper) fold(res *mapResult, cp *compiledPlan, arenas *nodeArenas, buc
 
 // --- scan path ---
 
-// scanArena backs scan projection output in chunks of up to
-// ScanChunkRows×width values: the per-row value slices of ScanRow are
-// carved from one backing array per chunk instead of three allocations per
-// row. A chunk is sized to the batch that triggers it — a fully surviving
-// batch allocates exactly one streaming chunk's worth, while a selective
-// scan's chunks stay proportional to its survivors, so retained ScanRows
-// never pin arrays much larger than the rows they carry.
-type scanArena struct {
-	u64 []uint64
-	byt [][]byte
-	str []string
-	off int
+// newScanChunk starts a task's scan output: one empty column per projected
+// column, of its kind and width.
+func newScanChunk(project []*store.Column) *ScanChunk {
+	ch := &ScanChunk{Cols: make([]store.Column, len(project))}
+	for j, c := range project {
+		ch.Cols[j] = store.Column{Name: c.Name, Kind: c.Kind, Width: c.Width}
+	}
+	return ch
 }
 
-// projectScan gathers the batch's surviving rows into ScanRows, writing the
-// projected values directly into the arena's current chunk.
-func (ts *taskState) projectScan(startID uint64) {
-	width := len(ts.pc.project)
-	a := &ts.arena
-	if need := len(ts.b.sel) * width; a.off+need > len(a.u64) {
-		a.u64 = make([]uint64, need)
-		a.byt = make([][]byte, need)
-		a.str = make([]string, need)
-		a.off = 0
+// appendCell appends row i of src to dst, a column of src's kind and width:
+// U64 and Fixed values are copied, Bytes and Str values taken by reference.
+func appendCell(dst, src *store.Column, i int) {
+	switch src.Kind {
+	case store.U64:
+		dst.U64 = append(dst.U64, src.U64[i])
+	case store.Fixed:
+		dst.Fixed = append(dst.Fixed, src.Fixed[i*src.Width:(i+1)*src.Width]...)
+	case store.Bytes:
+		dst.Bytes = append(dst.Bytes, src.Bytes[i])
+	default:
+		dst.Str = append(dst.Str, src.Str[i])
 	}
-	for k, i := range ts.b.sel {
-		lo, hi := a.off, a.off+width
-		row := ScanRow{
-			ID:    startID + uint64(i),
-			U64s:  a.u64[lo:hi:hi],
-			Bytes: a.byt[lo:hi:hi],
-			Strs:  a.str[lo:hi:hi],
-		}
-		a.off = hi
-		for pi, col := range ts.pc.project {
-			idx := i
-			if ts.cp.project[pi].isRight() {
-				idx = ts.b.joinAt(k)
+}
+
+// projectScan appends the batch's surviving rows to the task's chunk, column
+// by column.
+func (ts *taskState) projectScan(startID uint64) {
+	if ts.scan == nil {
+		ts.scan = newScanChunk(ts.pc.project)
+	}
+	for _, i := range ts.b.sel {
+		ts.scan.IDs = append(ts.scan.IDs, startID+uint64(i))
+	}
+	for pi, src := range ts.pc.project {
+		dst, right := &ts.scan.Cols[pi], ts.cp.project[pi].isRight()
+		for k, i := range ts.b.sel {
+			if right {
+				i = ts.b.joinAt(k)
 			}
-			switch col.Kind {
-			case store.U64:
-				row.U64s[pi] = col.U64[idx]
-			case store.Bytes, store.Fixed:
-				row.Bytes[pi] = col.BytesAt(int(idx))
-			default:
-				row.Strs[pi] = col.Str[idx]
-			}
+			appendCell(dst, src, int(i))
 		}
-		ts.res.scan = append(ts.res.scan, row)
 	}
 }
 
@@ -569,6 +562,8 @@ func (cp *compiledPlan) runMapTask(ctx context.Context, c *Cluster, part *store.
 	if len(cp.pl.Project) == 0 {
 		// Laying the identifier lists out is the task's last measured step.
 		ts.g.fold(ts.res, cp, arenas, c.cfg.Workers)
+	} else if ts.scan != nil {
+		ts.res.scan = ts.scan.Rows()
 	}
 	ts.res.elapsed = time.Since(start)
 	cp.pl.sizeOutput(ts.res)

@@ -301,14 +301,58 @@ type Group struct {
 	Aggs     []AggValue
 }
 
-// ScanRow is one row returned by a scan plan.
+// ScanChunk holds scan output column-major — one map task's survivors, or one
+// decoded wire chunk: in Plan.Project order, one column of len(IDs) values.
+type ScanChunk struct {
+	IDs  []uint64
+	Cols []store.Column
+}
+
+// Rows returns one cursor per row of the chunk.
+func (c *ScanChunk) Rows() []ScanRow {
+	rows := make([]ScanRow, len(c.IDs))
+	for i, id := range c.IDs {
+		rows[i] = ScanRow{ID: id, chunk: c, row: i}
+	}
+	return rows
+}
+
+// ScanRow is one row returned by a scan plan: its identifier and a cursor into
+// the chunk that holds its cells. Only rows ScanChunk.Rows made can be read.
 type ScanRow struct {
-	ID uint64
-	// U64s and Bytes hold the projected values, in Plan.Project order,
-	// split by column kind (nil entries in the other slice).
-	U64s  []uint64
-	Bytes [][]byte
-	Strs  []string
+	ID    uint64
+	chunk *ScanChunk
+	row   int
+}
+
+// Chunk returns the chunk the row's cells live in.
+func (r ScanRow) Chunk() *ScanChunk { return r.chunk }
+
+// Width returns the row's projected column count.
+func (r ScanRow) Width() int { return len(r.chunk.Cols) }
+
+// U64 returns cell j of a U64 column, and 0 for a column of another kind.
+func (r ScanRow) U64(j int) uint64 {
+	if c := &r.chunk.Cols[j]; c.Kind == store.U64 {
+		return c.U64[r.row]
+	}
+	return 0
+}
+
+// Bytes returns cell j of a Bytes or Fixed column (clipped to its width), nil for another kind.
+func (r ScanRow) Bytes(j int) []byte {
+	if c := &r.chunk.Cols[j]; c.Kind == store.Bytes || c.Kind == store.Fixed {
+		return c.BytesAt(r.row)
+	}
+	return nil
+}
+
+// Str returns cell j of a Str column, and "" for a column of another kind.
+func (r ScanRow) Str(j int) string {
+	if c := &r.chunk.Cols[j]; c.Kind == store.Str {
+		return c.Str[r.row]
+	}
+	return ""
 }
 
 // Metrics reports the measured costs of a run. Every duration is wall-clock:

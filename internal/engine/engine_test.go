@@ -542,8 +542,8 @@ func TestScan(t *testing.T) {
 	}
 	for _, row := range res.Scan {
 		// Per-row ASHE decryption with the row id must match the plain value.
-		if got := asheKey.DecryptBody(row.U64s[1], row.ID); got != row.U64s[0] {
-			t.Fatalf("row %d: ashe %d != plain %d", row.ID, got, row.U64s[0])
+		if got := asheKey.DecryptBody(row.U64(1), row.ID); got != row.U64(0) {
+			t.Fatalf("row %d: ashe %d != plain %d", row.ID, got, row.U64(0))
 		}
 	}
 }

@@ -690,7 +690,8 @@ func BenchmarkKernelJoinProbeU64Reference(b *testing.B) {
 	reportRows(b, benchRows)
 }
 
-// BenchmarkKernelScanProject measures the arena-backed scan projection.
+// BenchmarkKernelScanProject measures the scan projection: a map task's
+// survivors gathered column by column into its one chunk.
 func BenchmarkKernelScanProject(b *testing.B) {
 	tbl := kernelFixture(b, benchRows, 1)
 	pl := &Plan{

@@ -363,7 +363,7 @@ func TestDifferentialMergedShards(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(merged.View(), whole.View()) || !reflect.DeepEqual(merged.Scan, whole.Scan) {
+			if !reflect.DeepEqual(merged.View(), whole.View()) || !reflect.DeepEqual(flatScan(merged.Scan), flatScan(whole.Scan)) {
 				t.Fatalf("three merged shard slices diverge from one engine:\nmerged %+v\nwhole  %+v", merged.View(), whole.View())
 			}
 		})

@@ -114,7 +114,7 @@ func TestMergeResultsMatchesSingleRun(t *testing.T) {
 			if !reflect.DeepEqual(got.View(), want.View()) {
 				t.Errorf("merged groups differ:\n got %+v\nwant %+v", got.View(), want.View())
 			}
-			if !reflect.DeepEqual(got.Scan, want.Scan) {
+			if !reflect.DeepEqual(flatScan(got.Scan), flatScan(want.Scan)) {
 				t.Errorf("merged scan differs:\n got %+v\nwant %+v", got.Scan, want.Scan)
 			}
 			if got.Metrics.RowsScanned != want.Metrics.RowsScanned {

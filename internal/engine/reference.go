@@ -263,6 +263,7 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 	// pre-vectorization interpreter.
 	var single *refGroup
 	var groups map[groupKey]*refGroup
+	var scan *ScanChunk // the task's survivors, one chunk as a vectorized task's
 	if pl.GroupBy == nil && len(pl.Project) == 0 {
 		single = newRefGroup(pl.Aggs)
 	} else if pl.GroupBy != nil {
@@ -352,25 +353,17 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 
 		// Scan mode: project and continue.
 		if len(pl.Project) > 0 {
-			row := ScanRow{ID: rowID,
-				U64s:  make([]uint64, len(b.project)),
-				Bytes: make([][]byte, len(b.project)),
-				Strs:  make([]string, len(b.project))}
+			if scan == nil {
+				scan = newScanChunk(b.project)
+			}
+			scan.IDs = append(scan.IDs, rowID)
 			for pi, col := range b.project {
 				j := i
 				if b.projectRight[pi] {
 					j = joinIdx
 				}
-				switch col.Kind {
-				case store.U64:
-					row.U64s[pi] = col.U64[j]
-				case store.Bytes, store.Fixed:
-					row.Bytes[pi] = col.BytesAt(j)
-				default:
-					row.Strs[pi] = col.Str[j]
-				}
+				appendCell(&scan.Cols[pi], col, j)
 			}
-			res.scan = append(res.scan, row)
 			continue
 		}
 
@@ -459,6 +452,8 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 		res.groups.partition(c.cfg.Workers)
 	case single != nil:
 		res.groups = pl.taskGroupsFromMap(map[groupKey]*refGroup{{kind: store.U64, suffix: -1}: single}, store.U64, false)
+	case scan != nil:
+		res.scan = scan.Rows()
 	}
 	res.elapsed = time.Since(start)
 	pl.sizeOutput(res)

@@ -25,12 +25,12 @@ type ScanSink func(rows []ScanRow) error
 // It is also the executor's batch size (batchRows): at 1024 rows the
 // selection vector stays L1-resident while per-batch overhead amortizes
 // away, and one fully surviving batch fills exactly one streaming chunk, so
-// the scan arena, the sink contract, and the wire frame all share a unit.
+// the executor's batch, the sink contract, and the wire frame share a unit.
 const ScanChunkRows = 1024
 
 // ProjectKinds resolves the physical kinds of a plan's projected columns,
-// in Plan.Project order: what a columnar chunk encoder needs, since a
-// ScanRow's cells are ambiguous (empty values look alike across kinds).
+// in Plan.Project order: what a columnar chunk encoder checks rows against
+// and writes into the chunk header.
 // Names resolve against the scanned table first, then the join's right
 // table, mirroring the executor's own resolution order.
 func ProjectKinds(pl *Plan) ([]store.Kind, error) {
@@ -304,8 +304,11 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSi
 			return nil, err
 		}
 	case len(pl.Project) > 0:
-		if sink == nil {
-			out.Scan = gatherScan(results)
+		if sink == nil { // every survivor is a row; a stream already delivered them
+			out.Scan = make([]ScanRow, 0, metrics.RowsSelected)
+			for _, r := range results {
+				out.Scan = append(out.Scan, r.scan...)
+			}
 		}
 		metrics.ResultBytes = metrics.ShuffleBytes
 	default:
@@ -375,29 +378,15 @@ func taskSample(durations []time.Duration) (min, p50, max time.Duration) {
 // rows are handed to the sink as soon as that partition's task retires, in
 // partition order, while later tasks are still executing — so the first
 // chunk arrives long before the run's terminal metrics, at the latency
-// Metrics.FirstChunk records. The executor's scan kernels project into
-// ScanChunkRows-sized arena chunks (batch.go), so the batches handed to
-// sink reference whole backing arrays rather than row-sized allocations. A
-// sink error cancels the remaining map tasks and is returned as-is.
+// Metrics.FirstChunk records. Each map task projects its survivors into one
+// ScanChunk, column by column (batch.go), and the batches handed to sink are
+// cursors into it. A sink error cancels the remaining map tasks and is
+// returned as-is.
 func (c *Cluster) RunStream(ctx context.Context, pl *Plan, sink ScanSink) (*Result, error) {
 	if sink == nil || len(pl.Project) == 0 {
 		return c.run(ctx, pl, false, nil)
 	}
 	return c.run(ctx, pl, false, sink)
-}
-
-// gatherScan concatenates the map tasks' scan rows at the driver (a streaming
-// run already delivered them to the sink mid-map).
-func gatherScan(results []*mapResult) []ScanRow {
-	total := 0
-	for _, r := range results {
-		total += len(r.scan)
-	}
-	scan := make([]ScanRow, 0, total)
-	for _, r := range results {
-		scan = append(scan, r.scan...)
-	}
-	return scan
 }
 
 // foldSingle folds an ungrouped plan's map tasks at the driver (§4.5: workers

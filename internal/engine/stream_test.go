@@ -8,11 +8,86 @@ import (
 	"time"
 
 	"seabed/internal/sqlparse"
+	"seabed/internal/store"
 )
 
 // Mid-map streaming tests: RunStream must deliver exactly the rows Run
 // materializes, in the same order, in sink batches of at most ScanChunkRows —
 // and must deliver the first batch while later map tasks are still running.
+
+// flatRow is a scan row as comparable values: its identifier and, per
+// projected column, the cell as each accessor reads it.
+type flatRow struct {
+	ID    uint64
+	U64s  []uint64
+	Bytes []string
+	Strs  []string
+}
+
+// flatScan reads rows through their cursors, so two scans compare equal by
+// their cells whichever chunks hold them.
+func flatScan(rows []ScanRow) []flatRow {
+	out := make([]flatRow, len(rows))
+	for i, r := range rows {
+		w := r.Width()
+		f := flatRow{ID: r.ID, U64s: make([]uint64, w), Bytes: make([]string, w), Strs: make([]string, w)}
+		for j := 0; j < w; j++ {
+			f.U64s[j], f.Bytes[j], f.Strs[j] = r.U64(j), string(r.Bytes(j)), r.Str(j)
+		}
+		out[i] = f
+	}
+	return out
+}
+
+// TestScanRowsAreChunkCursors: a map task's survivors are one chunk, column
+// by column in projection order — U64 and Fixed values copied, Bytes and Str
+// values the table's own — and each row a cursor into it whose accessors read
+// the zero value on a column of another kind.
+func TestScanRowsAreChunkCursors(t *testing.T) {
+	fixed := make([]byte, 16*6)
+	for i := range fixed {
+		fixed[i] = byte(i)
+	}
+	tbl, err := store.Build("t", []store.Column{
+		{Name: "u", Kind: store.U64, U64: []uint64{1, 2, 3, 4, 5, 6}},
+		{Name: "f", Kind: store.Fixed, Width: 16, Fixed: fixed},
+		{Name: "b", Kind: store.Bytes, Bytes: [][]byte{{1}, {2}, {3}, {4}, {5}, {6}}},
+		{Name: "s", Kind: store.Str, Str: []string{"a", "b", "c", "d", "e", "f"}},
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []func(context.Context, *Plan) (*Result, error){NewCluster(Config{}).Run, NewCluster(Config{}).RunReference} {
+		res, err := run(context.Background(), &Plan{Table: tbl,
+			Filters: []Filter{{Kind: FilterPlainCmp, Col: "u", Op: sqlparse.OpNe, U64: 2}},
+			Project: []string{"s", "u", "f", "b"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Scan) != 5 {
+			t.Fatalf("scan returned %d rows, want 5", len(res.Scan))
+		}
+		first, second := res.Scan[0].Chunk(), res.Scan[2].Chunk()
+		if res.Scan[1].Chunk() != first || first == second || len(first.IDs) != 2 || len(second.IDs) != 3 {
+			t.Fatalf("rows are not one chunk per task: %d and %d identifiers", len(first.IDs), len(second.IDs))
+		}
+		for j, want := range []store.Kind{store.Str, store.U64, store.Fixed, store.Bytes} {
+			if c := first.Cols[j]; c.Kind != want || c.Len() != 2 || want == store.Fixed && c.Width != 16 {
+				t.Fatalf("chunk column %d is %v of %d values, want %v of 2", j, c.Kind, c.Len(), want)
+			}
+		}
+		r := res.Scan[1] // row 3, partition 0's second survivor
+		if r.ID != 3 || r.Width() != 4 || r.Str(0) != "c" || r.U64(1) != 3 || r.Bytes(2)[0] != 32 || r.Bytes(3)[0] != 3 {
+			t.Fatalf("row %d reads %q %d %v %v", r.ID, r.Str(0), r.U64(1), r.Bytes(2), r.Bytes(3))
+		}
+		if r.U64(0) != 0 || r.Bytes(1) != nil || r.Str(2) != "" || r.U64(3) != 0 {
+			t.Fatal("an accessor on a column of another kind read a value")
+		}
+		if &r.Bytes(2)[0] == &fixed[32] || &r.Bytes(3)[0] != &tbl.Parts[0].Cols[2].Bytes[2][0] {
+			t.Fatal("the chunk aliases the table's Fixed values or copies its Bytes values")
+		}
+	}
+}
 
 // TestRunStreamEquivalence asserts the streaming contract against the
 // materialized scan for single- and multi-partition tables: concatenating
@@ -45,7 +120,7 @@ func TestRunStreamEquivalence(t *testing.T) {
 		if res.Scan != nil {
 			t.Errorf("parts=%d: streamed result materialized %d scan rows, want nil", parts, len(res.Scan))
 		}
-		if !reflect.DeepEqual(got, want.Scan) {
+		if !reflect.DeepEqual(flatScan(got), flatScan(want.Scan)) {
 			t.Errorf("parts=%d: streamed rows diverge from materialized scan (%d vs %d rows)",
 				parts, len(got), len(want.Scan))
 		}

@@ -26,7 +26,7 @@ type mapResult struct {
 	// plan's one group keyed 0 — a group-by's already partitioned by reducer
 	// bucket for the shuffle. A key appears at most once per task.
 	groups  *taskGroups
-	scan    []ScanRow
+	scan    []ScanRow // a scan's survivors: cursors into the task's one chunk
 	elapsed time.Duration
 	// bytes is the output's size as held (Metrics.ShuffleBytes' share),
 	// listBytes the identifier lists' part of it.
@@ -141,12 +141,17 @@ func (pl *Plan) sizeOutput(res *mapResult) {
 	if res.groups != nil {
 		res.bytes, res.listBytes = res.groups.heldBytes(pl)
 	}
-	for _, row := range res.scan {
-		res.bytes += 8
-		for i := range row.U64s {
-			res.bytes += 8
-			res.bytes += len(row.Bytes[i])
-			res.bytes += len(row.Strs[i])
+	if len(res.scan) > 0 { // a task's one chunk: 8 bytes a row, 8 and the value a cell
+		ch := res.scan[0].chunk
+		res.bytes += 8 * len(ch.IDs) * (1 + len(ch.Cols))
+		for _, c := range ch.Cols {
+			res.bytes += len(c.Fixed)
+			for _, b := range c.Bytes {
+				res.bytes += len(b)
+			}
+			for _, s := range c.Str {
+				res.bytes += len(s)
+			}
 		}
 	}
 }

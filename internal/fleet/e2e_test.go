@@ -663,18 +663,18 @@ func TestFleetStreamedScan(t *testing.T) {
 			t.Fatalf("streamed %d rows, materialized %d", len(got), len(want.Scan))
 		}
 		for i := range got {
-			if got[i].ID != want.Scan[i].ID ||
-				!reflect.DeepEqual(got[i].U64s, want.Scan[i].U64s) ||
-				!reflect.DeepEqual(got[i].Strs, want.Scan[i].Strs) ||
-				string(got[i].Bytes[2]) != string(want.Scan[i].Bytes[2]) {
-				t.Fatalf("row %d diverges:\nstreamed     %+v\nmaterialized %+v", i, got[i], want.Scan[i])
+			g, w := got[i], want.Scan[i]
+			if g.ID != w.ID || g.Width() != 3 || w.Width() != 3 || g.U64(0) != w.U64(0) || g.Str(1) != w.Str(1) || string(g.Bytes(2)) != string(w.Bytes(2)) {
+				t.Fatalf("row %d diverges: streamed id %d (%d, %q, %q), materialized id %d (%d, %q, %q)",
+					i, g.ID, g.U64(0), g.Str(1), g.Bytes(2), w.ID, w.U64(0), w.Str(1), w.Bytes(2))
 			}
 		}
 		// Spot-check against the source so both paths aren't wrong alike:
 		// identifier 102 is source row 101 (v = 101, the first row past the
 		// filter).
-		if first := got[0]; first.ID != 102 || first.U64s[0] != 101 || first.Strs[1] != tags[101] || len(first.Bytes[2]) != 101%4 {
-			t.Fatalf("first streamed row = %+v, want id 102, v 101, tag %q, %d blob bytes", first, tags[101], 101%4)
+		if first := got[0]; first.ID != 102 || first.U64(0) != 101 || first.Str(1) != tags[101] || len(first.Bytes(2)) != 101%4 {
+			t.Fatalf("first streamed row = id %d (%d, %q, %q), want id 102, v 101, tag %q, %d blob bytes",
+				first.ID, first.U64(0), first.Str(1), first.Bytes(2), tags[101], 101%4)
 		}
 		if res.Metrics.FirstChunk <= 0 {
 			t.Errorf("merged FirstChunk = %v, want > 0 (daemon mid-map streaming)", res.Metrics.FirstChunk)

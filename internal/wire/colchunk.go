@@ -11,7 +11,7 @@ import (
 
 // Columnar scan chunks: a MsgResultChunk in the same column-extent
 // encoding durable segments use (store.AppendColumnExtent, specified in
-// docs/FORMAT.md), so the server streams the executor's arena batches
+// docs/FORMAT.md), so the server streams the executor's column chunks
 // column-at-a-time instead of re-encoding them row-major. Layout:
 //
 //	rows     uvarint
@@ -25,44 +25,53 @@ import (
 //	         (no alignment: wire buffers land at arbitrary offsets anyway,
 //	         and the decoder's copy fallback covers unaligned u64 extents)
 //
-// The decoder carves the rows out of per-chunk arenas and aliases Bytes
-// values straight into the received frame — a Fixed column's are
-// capacity-clipped windows of its extent — so a streamed scan's dominant
-// payload (ciphertext blobs) crosses decode with zero copies.
+// The decoder decodes each extent once into one engine.ScanChunk that
+// aliases the frame — Bytes and Str values point into it, a Fixed column is
+// its extent — and hands out cursors into that chunk, so a streamed scan's
+// dominant payload (ciphertext blobs) crosses decode with zero copies.
 
 // AppendScanChunk appends a columnar chunk for rows to buf and returns the
 // extended slice. kinds is the plan's projected column kinds in Plan.Project
-// order (engine.ProjectKinds). It allocates only when buf lacks capacity — a server
-// streaming a large scan reuses one buffer across chunks, paying zero
-// allocations per row.
+// order (engine.ProjectKinds). The rows may span chunks: each chunk's width,
+// kinds and Fixed widths are checked once, and each column is gathered through
+// the rows' cursors. It allocates only when buf lacks capacity — a server
+// streaming a large scan reuses one buffer, paying zero allocations per row.
 func AppendScanChunk(buf []byte, rows []engine.ScanRow, kinds []store.Kind) ([]byte, error) {
 	width := len(kinds)
+	var first, last *engine.ScanChunk
 	for i := range rows {
-		r := &rows[i]
-		if len(r.U64s) != width || len(r.Bytes) != width || len(r.Strs) != width {
-			return nil, fmt.Errorf("wire: encode chunk: scan row %d has ragged projections (%d/%d/%d, want %d)",
-				i, len(r.U64s), len(r.Bytes), len(r.Strs), width)
+		ch := rows[i].Chunk()
+		if i > 0 && ch == last {
+			continue
 		}
+		if rows[i].Width() != width {
+			return nil, fmt.Errorf("wire: encode chunk: scan row %d has %d columns, want %d", i, rows[i].Width(), width)
+		}
+		if i == 0 {
+			first = ch
+		}
+		for j, k := range kinds {
+			c := &ch.Cols[j]
+			if c.Kind != k {
+				return nil, fmt.Errorf("wire: encode chunk: column %d of scan row %d is %v, want %v", j, i, c.Kind, k)
+			}
+			if k == store.Fixed && (c.Width < 1 || c.Width != first.Cols[j].Width) {
+				return nil, fmt.Errorf("wire: encode chunk: fixed-width column %d is %d bytes wide in row %d, %d in row 0", j, c.Width, i, first.Cols[j].Width)
+			}
+		}
+		last = ch
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(rows)))
 	buf = binary.AppendUvarint(buf, uint64(width))
 	for j, k := range kinds {
 		buf = append(buf, byte(k))
-		if k != store.Fixed {
-			continue
-		}
-		// A Fixed column's width is its values' one length.
-		w := 0
-		for i := range rows {
-			n := len(rows[i].Bytes[j])
-			if i == 0 {
-				w = n
+		if k == store.Fixed {
+			w := 0
+			if len(rows) > 0 {
+				w = first.Cols[j].Width
 			}
-			if n != w || n == 0 {
-				return nil, fmt.Errorf("wire: encode chunk: fixed-width column %d holds a %d-byte value in row %d, after %d-byte ones", j, n, i, w)
-			}
+			buf = binary.AppendUvarint(buf, uint64(w))
 		}
-		buf = binary.AppendUvarint(buf, uint64(w))
 	}
 	for i := range rows {
 		buf = binary.LittleEndian.AppendUint64(buf, rows[i].ID)
@@ -71,31 +80,22 @@ func AppendScanChunk(buf []byte, rows []engine.ScanRow, kinds []store.Kind) ([]b
 		switch k {
 		case store.U64:
 			for i := range rows {
-				buf = binary.LittleEndian.AppendUint64(buf, rows[i].U64s[j])
+				buf = binary.LittleEndian.AppendUint64(buf, rows[i].U64(j))
 			}
 		case store.Fixed:
 			for i := range rows {
-				buf = append(buf, rows[i].Bytes[j]...)
+				buf = append(buf, rows[i].Bytes(j)...)
 			}
-		case store.Bytes:
+		case store.Bytes, store.Str:
+			// The other kind's accessor reads empty: a cell is its Bytes and its Str.
 			var off uint64
 			buf = binary.LittleEndian.AppendUint64(buf, 0)
 			for i := range rows {
-				off += uint64(len(rows[i].Bytes[j]))
+				off += uint64(len(rows[i].Bytes(j)) + len(rows[i].Str(j)))
 				buf = binary.LittleEndian.AppendUint64(buf, off)
 			}
 			for i := range rows {
-				buf = append(buf, rows[i].Bytes[j]...)
-			}
-		case store.Str:
-			var off uint64
-			buf = binary.LittleEndian.AppendUint64(buf, 0)
-			for i := range rows {
-				off += uint64(len(rows[i].Strs[j]))
-				buf = binary.LittleEndian.AppendUint64(buf, off)
-			}
-			for i := range rows {
-				buf = append(buf, rows[i].Strs[j]...)
+				buf = append(append(buf, rows[i].Bytes(j)...), rows[i].Str(j)...)
 			}
 		default:
 			return nil, fmt.Errorf("wire: encode chunk: column %d has unknown kind %d", j, int(k))
@@ -105,9 +105,9 @@ func AppendScanChunk(buf []byte, rows []engine.ScanRow, kinds []store.Kind) ([]b
 }
 
 // DecodeScanChunk parses a MsgResultChunk payload; version must be Version.
-// The returned rows may alias p (Bytes values point into the frame), so the
-// caller must not reuse p's backing array afterwards — ReadFrame allocates
-// per frame, which satisfies this.
+// The returned rows are cursors into one chunk that aliases p (Bytes values
+// point into the frame), so the caller must not reuse p's backing array
+// afterwards — ReadFrame allocates per frame, which satisfies this.
 func DecodeScanChunk(p []byte, version uint64) ([]engine.ScanRow, error) {
 	if err := checkVersion(version, "decode scan chunk"); err != nil {
 		return nil, err
@@ -120,10 +120,10 @@ func DecodeScanChunk(p []byte, version uint64) ([]engine.ScanRow, error) {
 	if !d.checkCount(nRows, 8, "scan rows") || !d.checkCount(width, 1, "scan columns") {
 		return nil, d.close("scan chunk")
 	}
-	cols := make([]store.ColMeta, width)
+	cols := make([]store.Column, width)
 	perRow := uint64(8) // extent bytes a row costs at least: its id, then per column
 	for j := range cols {
-		cols[j] = store.ColMeta{Name: "chunk column", Kind: store.Kind(d.uint())}
+		cols[j] = store.Column{Name: "chunk column", Kind: store.Kind(d.uint())}
 		switch k := cols[j].Kind; {
 		case d.err != nil:
 		case k == store.Fixed:
@@ -152,47 +152,17 @@ func DecodeScanChunk(p []byte, version uint64) ([]engine.ScanRow, error) {
 		return nil, fmt.Errorf("wire: decode scan chunk: %v", err)
 	}
 	ext = ext[n:]
-	// One arena per value slice: rows share backing arrays, carved per row
-	// below, exactly like the executor's scan arenas on the sending side.
-	u64s := make([]uint64, rows*int(width))
-	byts := make([][]byte, rows*int(width))
-	strs := make([]string, rows*int(width))
-	for j := 0; j < int(width); j++ {
+	for j := range cols {
 		if rows == 0 && cols[j].Kind == store.Fixed {
 			continue // no rows, no width, no bytes
 		}
-		col, n, err := store.DecodeColumnExtent(cols[j], rows, ext)
-		if err != nil {
+		if cols[j], n, err = store.DecodeColumnExtent(cols[j].Meta(), rows, ext); err != nil {
 			return nil, fmt.Errorf("wire: decode scan chunk: column %d: %v", j, err)
 		}
 		ext = ext[n:]
-		switch col.Kind {
-		case store.U64:
-			for i := 0; i < rows; i++ {
-				u64s[i*int(width)+j] = col.U64[i]
-			}
-		case store.Bytes, store.Fixed:
-			for i := 0; i < rows; i++ {
-				byts[i*int(width)+j] = col.BytesAt(i)
-			}
-		case store.Str:
-			for i := 0; i < rows; i++ {
-				strs[i*int(width)+j] = col.Str[i]
-			}
-		}
 	}
 	if len(ext) != 0 {
 		return nil, fmt.Errorf("wire: decode scan chunk: %d trailing bytes", len(ext))
 	}
-	out := make([]engine.ScanRow, rows)
-	w := int(width)
-	for i := 0; i < rows; i++ {
-		out[i] = engine.ScanRow{
-			ID:    ids.U64[i],
-			U64s:  u64s[i*w : (i+1)*w : (i+1)*w],
-			Bytes: byts[i*w : (i+1)*w : (i+1)*w],
-			Strs:  strs[i*w : (i+1)*w : (i+1)*w],
-		}
-	}
-	return out, nil
+	return (&engine.ScanChunk{IDs: ids.U64, Cols: cols}).Rows(), nil
 }

@@ -101,10 +101,8 @@ func TestScanChunkGolden(t *testing.T) {
 		t.Fatalf("golden chunk decoded to %d rows, want %d", len(back), len(rows))
 	}
 	for i := range rows {
-		if back[i].ID != rows[i].ID || back[i].U64s[0] != rows[i].U64s[0] ||
-			!bytes.Equal(back[i].Bytes[1], rows[i].Bytes[1]) || back[i].Strs[2] != rows[i].Strs[2] ||
-			!bytes.Equal(back[i].Bytes[3], rows[i].Bytes[3]) {
-			t.Fatalf("golden chunk row %d = %+v, want %+v", i, back[i], rows[i])
+		if diff := sameCells(back[i], rows[i]); diff != "" {
+			t.Fatalf("golden chunk: %s", diff)
 		}
 	}
 }

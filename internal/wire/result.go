@@ -42,10 +42,7 @@ func EncodeResult(codecName string, res *engine.Result, spans []obs.FlatSpan, ve
 	if err := encodeGroupCols(e, cols); err != nil {
 		return nil, err
 	}
-	if err := encodeScanRows(e, res.Scan); err != nil {
-		return nil, err
-	}
-
+	encodeScanRows(e, res.Scan)
 	encodeMetrics(e, &res.Metrics)
 	encodeSpans(e, spans)
 	return e.buf, nil
@@ -207,51 +204,63 @@ func decodeSpans(d *dec) []obs.FlatSpan {
 	return spans
 }
 
-// encodeScanRows appends the result frame's length-prefixed scan-row section.
-func encodeScanRows(e *enc, scan []engine.ScanRow) error {
+// encodeScanRows appends the result frame's length-prefixed scan-row section:
+// per row its identifier, its width, and per cell the three accessors' values.
+func encodeScanRows(e *enc, scan []engine.ScanRow) {
 	e.uint(uint64(len(scan)))
-	for i := range scan {
-		r := &scan[i]
+	for _, r := range scan {
 		e.uint(r.ID)
-		n := len(r.U64s)
-		if len(r.Bytes) != n || len(r.Strs) != n {
-			return fmt.Errorf("wire: encode result: scan row %d has ragged projections (%d/%d/%d)",
-				i, len(r.U64s), len(r.Bytes), len(r.Strs))
-		}
-		e.uint(uint64(n))
-		for j := 0; j < n; j++ {
-			e.uint(r.U64s[j])
-			e.bytes(r.Bytes[j])
-			e.str(r.Strs[j])
+		e.uint(uint64(r.Width()))
+		for j := 0; j < r.Width(); j++ {
+			e.uint(r.U64(j))
+			e.bytes(r.Bytes(j))
+			e.str(r.Str(j))
 		}
 	}
-	return nil
 }
 
-// decodeScanRows parses a scan-row section into dst.
-func decodeScanRows(d *dec, dst *[]engine.ScanRow) {
+// decodeScanRows parses a scan-row section into one chunk typed by its first
+// row — a cell holding bytes is Bytes, one holding a string Str, any other
+// U64 — and returns its cursors, refusing a later row of another width or kind.
+func decodeScanRows(d *dec) []engine.ScanRow {
 	nScan := d.uint()
+	if nScan == 0 {
+		return nil
+	}
+	ch := &engine.ScanChunk{}
 	for i := uint64(0); i < nScan && d.err == nil; i++ {
-		var r engine.ScanRow
-		r.ID = d.uint()
+		ch.IDs = append(ch.IDs, d.uint())
 		n := d.uint()
 		// Each projected cell consumes ≥ 3 payload bytes, bounding the
 		// allocation a hostile count can demand.
 		if !d.checkCount(n, 3, "scan columns") {
 			break
 		}
-		if d.err == nil && n > 0 {
-			r.U64s = make([]uint64, n)
-			r.Bytes = make([][]byte, n)
-			r.Strs = make([]string, n)
-			for j := uint64(0); j < n && d.err == nil; j++ {
-				r.U64s[j] = d.uint()
-				r.Bytes[j] = d.bytes()
-				r.Strs[j] = d.str()
+		if i == 0 {
+			ch.Cols = make([]store.Column, n)
+		} else if n != uint64(len(ch.Cols)) {
+			d.invalid("scan row width")
+		}
+		for j := 0; j < len(ch.Cols) && d.err == nil; j++ {
+			u, b, s, c := d.uint(), d.bytes(), d.str(), &ch.Cols[j]
+			if i == 0 && len(b) > 0 {
+				c.Kind = store.Bytes
+			} else if i == 0 && s != "" {
+				c.Kind = store.Str
+			}
+			switch {
+			case c.Kind == store.U64 && len(b) == 0 && s == "":
+				c.U64 = append(c.U64, u)
+			case c.Kind == store.Bytes && u == 0 && s == "":
+				c.Bytes = append(c.Bytes, b)
+			case c.Kind == store.Str && u == 0 && len(b) == 0:
+				c.Str = append(c.Str, s)
+			default:
+				d.invalid("scan cell kind")
 			}
 		}
-		*dst = append(*dst, r)
 	}
+	return ch.Rows() // discarded when d.err is set
 }
 
 // DecodeResult parses a MsgResult payload; version must be Version. The
@@ -269,7 +278,7 @@ func DecodeResult(p []byte, version uint64) (codecName string, res *engine.Resul
 	codecName = d.str()
 	res = &engine.Result{Cols: decodeGroupCols(d)}
 
-	decodeScanRows(d, &res.Scan)
+	res.Scan = decodeScanRows(d)
 
 	decodeMetrics(d, &res.Metrics)
 	spans = decodeSpans(d)

@@ -509,7 +509,7 @@ func FuzzDecodeResult(f *testing.F) {
 		view := canonPail(res.View())
 		again, err := EncodeResult(codec, res, nil, Version)
 		if err != nil {
-			return // ragged scan rows decode but do not re-encode
+			t.Fatalf("decoded result does not re-encode: %v", err)
 		}
 		codec2, res2, _, err := DecodeResult(again, Version)
 		if err != nil {

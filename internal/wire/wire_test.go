@@ -259,10 +259,12 @@ func TestResultRoundTrip(t *testing.T) {
 				},
 			},
 		},
-		Scan: []engine.ScanRow{
-			{ID: 1, U64s: []uint64{42, 0}, Bytes: [][]byte{nil, {5, 6}}, Strs: []string{"", ""}},
-			{ID: 2, U64s: []uint64{0, 0}, Bytes: [][]byte{nil, nil}, Strs: []string{"x", "y"}},
-		},
+		// The first row types each column of the decoded chunk.
+		Scan: (&engine.ScanChunk{IDs: []uint64{1, 2}, Cols: []store.Column{
+			{Kind: store.U64, U64: []uint64{42, 0}},
+			{Kind: store.Bytes, Bytes: [][]byte{{5, 6}, nil}},
+			{Kind: store.Str, Str: []string{"x", ""}},
+		}}).Rows(),
 		Metrics: engine.Metrics{
 			ServerTime: 123 * time.Millisecond, MapTime: 100 * time.Millisecond,
 			ReduceTime: 13 * time.Millisecond, DriverTime: 1 * time.Millisecond, ShuffleBytes: 4096, ResultBytes: 512,
@@ -284,8 +286,13 @@ func TestResultRoundTrip(t *testing.T) {
 	if err != nil || !back.Equal(ids) {
 		t.Fatalf("id list round trip: got %v (err %v), want %v", back, err, ids)
 	}
-	if !reflect.DeepEqual(got.View(), res.Groups) || !reflect.DeepEqual(got.Scan, res.Scan) || !reflect.DeepEqual(got.Metrics, res.Metrics) {
+	if !reflect.DeepEqual(got.View(), res.Groups) || len(got.Scan) != len(res.Scan) || !reflect.DeepEqual(got.Metrics, res.Metrics) {
 		t.Fatalf("result round trip:\n got %+v\nwant %+v", got, res)
+	}
+	for i := range res.Scan {
+		if diff := sameCells(got.Scan[i], res.Scan[i]); diff != "" {
+			t.Fatalf("scan round trip: %s", diff)
+		}
 	}
 
 	// Per-task durations are in-process only: a result that carries them
@@ -407,10 +414,52 @@ func TestAppendFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestResultEncodeRejectsRaggedScanRows: scan rows must agree on their shape.
+// The chunk encoder refuses rows whose chunk's width or kinds disagree with
+// the plan's kinds; the result frame's scan section, typed by its first row,
+// refuses a later row of another width or kind.
 func TestResultEncodeRejectsRaggedScanRows(t *testing.T) {
-	res := &engine.Result{Scan: []engine.ScanRow{{ID: 1, U64s: []uint64{1, 2}, Bytes: [][]byte{nil}, Strs: []string{"", ""}}}}
-	if _, err := EncodeResult("", res, nil, Version); err == nil {
-		t.Fatal("ragged scan row accepted")
+	_, kinds := chunkRows(0)
+	rows := chunkRowsFrom(1, 3) // every cell of row 1 holds a value, so it types every column
+	for name, k := range map[string][]store.Kind{
+		"narrower": kinds[:3],
+		"wider":    append(kinds, store.U64),
+		"kinds":    {store.U64, store.Str, store.Bytes, store.Fixed},
+	} {
+		if _, err := AppendScanChunk(nil, rows, k); err == nil {
+			t.Errorf("%s: encoded a chunk whose columns disagree with the plan's kinds", name)
+		}
+	}
+	narrow := (&engine.ScanChunk{IDs: []uint64{9}, Cols: []store.Column{{Kind: store.U64, U64: []uint64{1}}}}).Rows()
+	for name, scan := range map[string][]engine.ScanRow{"one width": rows, "two widths": append(rows, narrow...)} {
+		p, err := EncodeResult("", &engine.Result{Scan: scan}, nil, Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := DecodeResult(p, Version); (err == nil) != (name == "one width") {
+			t.Errorf("%s: decode err = %v", name, err)
+		}
+	}
+	for name, second := range map[string]func(e *enc){
+		"width": func(e *enc) { e.uint(2); e.uint(0) },
+		"kind":  func(e *enc) { e.uint(2); e.uint(1); e.uint(0); e.bytes([]byte{1}); e.str("") },
+		"cell":  func(e *enc) { e.uint(2); e.uint(1); e.uint(5); e.bytes(nil); e.str("s") },
+	} {
+		e := &enc{}
+		e.str("") // codec name
+		e.uint(0) // no groups
+		e.uint(2) // two scan rows, the first one U64 cell
+		e.uint(1)
+		e.uint(1)
+		e.uint(7)
+		e.bytes(nil)
+		e.str("")
+		second(e)
+		encodeMetrics(e, &engine.Metrics{})
+		e.uint(0) // no spans
+		if _, _, _, err := DecodeResult(e.buf, Version); err == nil {
+			t.Errorf("%s: decoded a second scan row unlike the first", name)
+		}
 	}
 }
 
