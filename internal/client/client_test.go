@@ -318,7 +318,7 @@ func TestScanRowValuesAreCarvedNotGrown(t *testing.T) {
 		"one column": (&engine.ScanChunk{IDs: []uint64{7}, Cols: []store.Column{{Kind: store.U64, U64: []uint64{1}}}}).Rows()[0],
 		"no columns": (&engine.ScanChunk{IDs: []uint64{7}}).Rows()[0],
 	} {
-		if _, err := d.scanRow(cols, &sr, make([]Value, 2)); err == nil || !strings.Contains(err.Error(), "malformed or hostile result") {
+		if _, err := d.scanRows(cols, []engine.ScanRow{sr}); err == nil || !strings.Contains(err.Error(), "malformed or hostile result") {
 			t.Errorf("%s: err = %v, want a malformed-result error", name, err)
 		}
 	}

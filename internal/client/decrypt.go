@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/big"
 	"slices"
+	"sync"
 	"time"
 
 	"seabed/internal/ashe"
@@ -61,8 +62,9 @@ type Result struct {
 	Rows []Row
 	// ClientTime is the measured decryption + post-processing time (§4.6).
 	ClientTime time.Duration
-	// PRFEvals counts the AES operations the decryption performed, the
-	// statistic §6.6 reports.
+	// PRFEvals counts the PRF values the decryption computed, the statistic
+	// §6.6 reports: two per identifier range decrypted pointwise, and every
+	// value in a pad's span (ashe.Pad.Evals).
 	PRFEvals uint64
 	// Metrics echoes the server-side metrics.
 	Metrics engine.Metrics
@@ -73,13 +75,53 @@ type decrypter struct {
 	ring     *KeyRing
 	asheKeys map[string]*ashe.Key
 	detKeys  map[string]*det.Key
-	// scanAshe and scanDet hold each projected column's key by position.
+	// scanAshe holds each projected ASHE column's key by position, and
+	// scanCell every other column's decryption, both picked by resolveScan.
 	scanAshe []*ashe.Key
-	scanDet  []*det.Key
+	scanCell []cellFunc
 	prfEvals uint64
 	codec    idlist.Codec
-	// ranges is asheOf's decode buffer, reused across identifier lists.
+	// sums holds each ASHE aggregate column's decrypted group sums, by
+	// aggregate, from the first output that reads the column; they live in
+	// scratch.sums.
+	sums [][]uint64
+	// scratch is the pooled memory the ASHE columns decrypt in, taken at
+	// first use and returned by release.
+	scratch *padScratch
+}
+
+// cellFunc decrypts cell j of a scan row into v, which holds the column's
+// name and Kind Int.
+type cellFunc func(sr *engine.ScanRow, j int, v *Value) error
+
+// padScratch is the memory ASHE columns decrypt in: a pad, an encoded
+// column's identifier lists decoded back to back, and the group sums. A dense
+// group-by's run to megabytes, so they are pooled across queries.
+type padScratch struct {
+	pad    ashe.Pad
 	ranges []idlist.Range
+	off    []uint64
+	sums   []uint64
+}
+
+var padPool = sync.Pool{New: func() any { return new(padScratch) }}
+
+// scratchBuf returns the decrypter's scratch, taking one from the pool at
+// first use.
+func (d *decrypter) scratchBuf() *padScratch {
+	if d.scratch == nil {
+		d.scratch = padPool.Get().(*padScratch)
+	}
+	return d.scratch
+}
+
+// release returns the scratch to the pool. Nothing the decrypter handed out
+// may point into it: sums are copied into Values before it is called.
+func (d *decrypter) release() {
+	if d.scratch != nil {
+		padPool.Put(d.scratch)
+		d.scratch, d.sums = nil, nil
+	}
 }
 
 // ReservedIDError reports a result that has the proxy decrypt under ASHE identifier 0, which
@@ -130,6 +172,7 @@ func (d *decrypter) det(col string) *det.Key {
 func Decrypt(tr *translate.Translation, res *engine.Result, ring *KeyRing) (*Result, error) {
 	start := time.Now()
 	d := newDecrypter(ring, tr.Server.EffectiveCodec())
+	defer d.release()
 	out := &Result{Metrics: res.Metrics}
 
 	if len(tr.Client.ScanCols) > 0 {
@@ -197,20 +240,62 @@ func Decrypt(tr *translate.Translation, res *engine.Result, ring *KeyRing) (*Res
 	return out, nil
 }
 
-// asheOf reconstructs group g's ASHE ciphertext from an aggregate column: a
-// view of a decoded column's list, or an encoded list decoded out of the
-// column's block into the decrypter's range buffer, where it is valid until the
-// next asheOf call.
-func (d *decrypter) asheOf(col *engine.AggCol, g int) (ashe.Ciphertext, error) {
-	if col.RangeOff != nil {
-		return ashe.Ciphertext{Body: col.Lane[g], IDs: idlist.View(col.DecodedIDs(g))}, nil
+// asheSums returns every group's decrypted sum of ASHE aggregate column agg,
+// decrypting the whole column the first time an output reads it (§3.2). The
+// lists are all read first: a decoded column's in place, an encoded one's
+// decoded back to back. Identifier 0 is refused before any PRF value is
+// computed. The column then decrypts against one sweep of F over the span of
+// its lists (ashe.SumLists) when every list is sweepable — ascending, as
+// every run writes them — and ashe.PadPays says that costs less than the two
+// PRF values per range the lists need pointwise; so lists decoded by a merge
+// and the same lists off a frame decrypt the same way, with the same
+// PRFEvals.
+func (d *decrypter) asheSums(o *translate.Output, cols *engine.GroupCols) ([]uint64, error) {
+	col, n, sc := &cols.Aggs[o.Agg], cols.Len(), d.scratchBuf()
+	if d.sums == nil {
+		d.sums = make([][]uint64, len(cols.Aggs))
+		sc.sums = slices.Grow(sc.sums[:0], n*len(cols.Aggs))[:n*len(cols.Aggs)]
 	}
-	ranges, err := d.codec.AppendDecode(d.ranges[:0], col.EncodedIDs(g))
-	if err != nil {
-		return ashe.Ciphertext{}, fmt.Errorf("client: decode id list: %v", err)
+	if sums := d.sums[o.Agg]; sums != nil {
+		return sums, nil
 	}
-	d.ranges = ranges
-	return ashe.Ciphertext{Body: col.Lane[g], IDs: idlist.View(ranges)}, nil
+	ranges, off := col.Ranges, col.RangeOff
+	if off == nil {
+		sc.ranges, sc.off = sc.ranges[:0], append(sc.off[:0], 0)
+		for g := 0; g < n; g++ {
+			var err error
+			if sc.ranges, err = d.codec.AppendDecode(sc.ranges, col.EncodedIDs(g)); err != nil {
+				return nil, fmt.Errorf("client: decode id list: %v", err)
+			}
+			sc.off = append(sc.off, uint64(len(sc.ranges)))
+		}
+		ranges, off = sc.ranges, sc.off
+	}
+	lo, hi, sweepable, total := uint64(math.MaxUint64), uint64(0), true, uint64(0)
+	for g := 0; g < n; g++ {
+		list := ranges[off[g]:off[g+1]]
+		for _, r := range list {
+			if r.Lo == 0 {
+				return nil, &ReservedIDError{Where: fmt.Sprintf("aggregate %d (sum of %s)", o.Agg, o.SourceCol)}
+			}
+			lo, hi = min(lo, r.Lo), max(hi, r.Hi)
+		}
+		sweepable = sweepable && ashe.Sweepable(list)
+		total += uint64(len(list))
+	}
+	k, sums := d.ashe(o.SourceCol), sc.sums[o.Agg*n:(o.Agg+1)*n:(o.Agg+1)*n]
+	if sweepable && total > 0 && ashe.PadPays(lo, hi, 2*total) {
+		copy(sums, col.Lane[:n])
+		k.SumLists(&sc.pad, sums, ranges, off[:n+1], lo, hi)
+		d.prfEvals += sc.pad.Evals()
+	} else {
+		d.prfEvals += 2 * total
+		for g := range sums {
+			sums[g] = k.Decrypt(ashe.Ciphertext{Body: col.Lane[g], IDs: idlist.View(ranges[off[g]:off[g+1]])})
+		}
+	}
+	d.sums[o.Agg] = sums
+	return sums, nil
 }
 
 // output evaluates one client-plan output for group g of the columns.
@@ -230,15 +315,11 @@ func (d *decrypter) output(tr *translate.Translation, o *translate.Output, cols 
 		}
 		return Value{Name: o.Name, Kind: Int, I64: int64(col.Lane[g])}, nil
 	case translate.OutAsheSum:
-		ct, err := d.asheOf(&cols.Aggs[o.Agg], g)
+		sums, err := d.asheSums(o, cols)
 		if err != nil {
 			return Value{}, err
 		}
-		if slices.ContainsFunc(ct.IDs.Ranges(), func(r idlist.Range) bool { return r.Lo == 0 }) {
-			return Value{}, &ReservedIDError{Where: fmt.Sprintf("aggregate %d (sum of %s)", o.Agg, o.SourceCol)}
-		}
-		d.prfEvals += ashe.PRFEvalsToDecrypt(ct)
-		return Value{Name: o.Name, Kind: Int, I64: int64(d.ashe(o.SourceCol).Decrypt(ct))}, nil
+		return Value{Name: o.Name, Kind: Int, I64: int64(sums[g])}, nil
 	case translate.OutPailSum:
 		sk := d.ring.PaillierSK()
 		if sk == nil {
@@ -340,16 +421,58 @@ func (d *decrypter) groupKey(gk *translate.GroupKeyPlan, cols *engine.GroupCols,
 	return Value{Name: name, Kind: Int, I64: int64(id)}, nil
 }
 
-// resolveScan resolves each projected column's ASHE or DET key once per
-// query, by position, so scanRow looks no key up per cell.
+// resolveScan picks, once per query, how each projected column decrypts: an
+// ASHE column's key, by position, for scanRows' column pass, and for every
+// other column the function that decrypts one of its cells, so no cell looks
+// a key up or switches on its kind.
 func (d *decrypter) resolveScan(cols []translate.ScanCol) {
-	d.scanAshe, d.scanDet = make([]*ashe.Key, len(cols)), make([]*det.Key, len(cols))
+	d.scanAshe, d.scanCell = make([]*ashe.Key, len(cols)), make([]cellFunc, len(cols))
 	for i, sc := range cols {
-		if sc.Ashe {
+		switch {
+		case sc.Pail:
+			sk := d.ring.PaillierSK()
+			d.scanCell[i] = func(sr *engine.ScanRow, j int, v *Value) error {
+				if sk == nil {
+					return fmt.Errorf("client: no Paillier key for scan decryption")
+				}
+				v.I64 = int64(sk.DecryptU64(new(big.Int).SetBytes(sr.Bytes(j))))
+				return nil
+			}
+		case sc.Ashe:
 			d.scanAshe[i] = d.ashe(sc.SourceCol)
-		}
-		if sc.Det {
-			d.scanDet[i] = d.det(sc.SourceCol)
+		case sc.Det && sc.StrValues:
+			dk := d.det(sc.SourceCol)
+			d.scanCell[i] = func(sr *engine.ScanRow, j int, v *Value) error {
+				s, err := dk.DecryptString(sr.Bytes(j))
+				if err != nil {
+					return fmt.Errorf("client: scan decrypt: %v", err)
+				}
+				v.Kind, v.Str = Str, s
+				return nil
+			}
+		case sc.Det:
+			dk, dict := d.det(sc.SourceCol), sc.Dict
+			d.scanCell[i] = func(sr *engine.ScanRow, j int, v *Value) error {
+				id, err := dk.DecryptU64(sr.Bytes(j))
+				if err != nil {
+					return fmt.Errorf("client: scan decrypt: %v", err)
+				}
+				if id < uint64(len(dict)) {
+					v.Kind, v.Str = Str, dict[id]
+				} else {
+					v.I64 = int64(id)
+				}
+				return nil
+			}
+		default:
+			d.scanCell[i] = func(sr *engine.ScanRow, j int, v *Value) error {
+				if s := sr.Str(j); s != "" {
+					v.Kind, v.Str = Str, s
+				} else {
+					v.I64 = int64(sr.U64(j))
+				}
+				return nil
+			}
 		}
 	}
 }
@@ -358,72 +481,91 @@ func (d *decrypter) resolveScan(cols []translate.ScanCol) {
 func (d *decrypter) decryptScan(tr *translate.Translation, res *engine.Result, out *Result) error {
 	cols := tr.Client.ScanCols
 	d.resolveScan(cols)
-	vals := make([]Value, len(res.Scan)*len(cols))
-	out.Rows = slices.Grow(out.Rows, len(res.Scan))
-	for i := range res.Scan {
-		row, err := d.scanRow(cols, &res.Scan[i], vals[i*len(cols):])
-		if err != nil {
-			return err
-		}
-		out.Rows = append(out.Rows, row)
+	vals, err := d.scanRows(cols, res.Scan)
+	if err != nil {
+		return err
+	}
+	out.Rows = make([]Row, len(res.Scan))
+	for i := range out.Rows {
+		out.Rows[i] = scanRow(vals, len(cols), i)
 	}
 	return nil
 }
 
-// scanRow decrypts one scan row into the front of vals, which becomes the
-// row's Values, exactly len(cols) long: the caller hands it the rest of one
-// backing array per chunk of rows, so rows are carved, not grown; cells are
-// read in place, under the keys resolveScan resolved for cols.
-// It is the unit of work the streaming path (stream.go) applies per row as
-// chunks arrive, and decryptScan's body for materialized results. The row's
-// width is validated against the plan before any cell is touched, and an ASHE
-// cell's identifier before it is decrypted: an in-process backend checks
-// neither, and an untrusted server must not crash the client with either.
-func (d *decrypter) scanRow(cols []translate.ScanCol, sr *engine.ScanRow, vals []Value) (Row, error) {
-	if n := len(cols); sr.Width() < n {
-		return Row{}, fmt.Errorf("client: scan row %d carries %d columns, plan projects %d (malformed or hostile result)",
-			sr.ID, sr.Width(), n)
-	}
-	vals = vals[:len(cols):len(cols)]
-	for i, sc := range cols {
-		v := &vals[i]
-		*v = Value{Name: sc.Name, Kind: Int}
-		switch {
-		case sc.Pail:
-			sk := d.ring.PaillierSK()
-			if sk == nil {
-				return Row{}, fmt.Errorf("client: no Paillier key for scan decryption")
-			}
-			v.I64 = int64(sk.DecryptU64(new(big.Int).SetBytes(sr.Bytes(i))))
-		case sc.Ashe:
-			if sr.ID == 0 {
-				return Row{}, &ReservedIDError{Where: fmt.Sprintf("scan row 0 (column %s)", sc.Name)}
-			}
-			d.prfEvals += 2
-			v.I64 = int64(d.scanAshe[i].DecryptBody(sr.U64(i), sr.ID))
-		case sc.Det && sc.StrValues:
-			s, err := d.scanDet[i].DecryptString(sr.Bytes(i))
-			if err != nil {
-				return Row{}, fmt.Errorf("client: scan decrypt: %v", err)
-			}
-			v.Kind, v.Str = Str, s
-		case sc.Det:
-			id, err := d.scanDet[i].DecryptU64(sr.Bytes(i))
-			if err != nil {
-				return Row{}, fmt.Errorf("client: scan decrypt: %v", err)
-			}
-			if len(sc.Dict) > 0 && id < uint64(len(sc.Dict)) {
-				v.Kind, v.Str = Str, sc.Dict[id]
-			} else {
-				v.I64 = int64(id)
-			}
-		case sr.Str(i) != "":
-			v.Kind, v.Str = Str, sr.Str(i)
-		default:
-			v.I64 = int64(sr.U64(i))
+// scanRow is row i of the values scanRows decrypted, n columns a row.
+func scanRow(vals []Value, n, i int) Row {
+	return Row{Values: vals[i*n : (i+1)*n : (i+1)*n]}
+}
+
+// scanRows decrypts scan rows, under the columns resolveScan resolved, into
+// one backing array of values, row-major: the unit of work the streaming path
+// (stream.go) applies per chunk as chunks arrive, and decryptScan's body for
+// materialized results. scanRow carves a row's Values from it, exactly
+// len(cols) long.
+//
+// The rows decrypt column by column, ScanChunkRows rows at a time. A window
+// of an ASHE column decrypts against one pad over its identifiers' span
+// [min, max] when ashe.PadPays says that costs less than the two PRF values
+// a row needs pointwise, which a chunk's ascending identifiers make the common
+// case. Every row's width is validated against the plan, and its identifier
+// against the reserved 0 when an ASHE column is projected, before any cell is
+// touched or pad computed: an in-process backend checks neither, and an
+// untrusted server must not crash the client with either.
+func (d *decrypter) scanRows(cols []translate.ScanCol, batch []engine.ScanRow) ([]Value, error) {
+	n := len(cols)
+	asheCol := slices.IndexFunc(d.scanAshe, func(k *ashe.Key) bool { return k != nil })
+	for i := range batch {
+		sr := &batch[i]
+		if sr.Width() < n {
+			return nil, fmt.Errorf("client: scan row %d carries %d columns, plan projects %d (malformed or hostile result)",
+				sr.ID, sr.Width(), n)
+		}
+		if sr.ID == 0 && asheCol >= 0 {
+			return nil, &ReservedIDError{Where: fmt.Sprintf("scan row 0 (column %s)", cols[asheCol].Name)}
 		}
 	}
-	return Row{Values: vals}, nil
+	vals := make([]Value, len(batch)*n)
+	for j, sc := range cols {
+		for i := range batch {
+			vals[i*n+j] = Value{Name: sc.Name, Kind: Int}
+		}
+		if d.scanAshe[j] != nil {
+			continue
+		}
+		for i := range batch {
+			if err := d.scanCell[j](&batch[i], j, &vals[i*n+j]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	defer d.release()
+	for w := 0; w < len(batch); w += engine.ScanChunkRows {
+		win := batch[w:min(w+engine.ScanChunkRows, len(batch))]
+		lo, hi := uint64(math.MaxUint64), uint64(0)
+		for i := range win {
+			lo, hi = min(lo, win[i].ID), max(hi, win[i].ID)
+		}
+		padded := ashe.PadPays(lo, hi, 2*uint64(len(win)))
+		for j, k := range d.scanAshe {
+			if k == nil {
+				continue
+			}
+			if !padded {
+				d.prfEvals += 2 * uint64(len(win))
+				for i := range win {
+					vals[(w+i)*n+j].I64 = int64(k.DecryptBody(win[i].U64(j), win[i].ID))
+				}
+				continue
+			}
+			pad := &d.scratchBuf().pad
+			k.Fill(pad, lo, hi)
+			d.prfEvals += pad.Evals()
+			for i := range win {
+				vals[(w+i)*n+j].I64 = int64(win[i].U64(j) + pad.Delta(win[i].ID))
+			}
+		}
+	}
+	return vals, nil
 }
 
 // DuplicateKeyError reports a result that holds two groups whose keys

@@ -149,7 +149,7 @@ func (e *encryptor) columnsFor(cp *planner.ColumnPlan, mode translate.Mode) ([]s
 		} else {
 			name := planner.AsheName(cp.Source)
 			out = append(out, store.Column{Name: name, Kind: store.U64,
-				U64: e.ring.Ashe(name).EncryptColumnParallel(vals, e.startID)})
+				U64: e.ring.Ashe(name).EncryptColumn(vals, e.startID)})
 		}
 		if cp.Square {
 			sq := make([]uint64, len(vals))
@@ -161,7 +161,7 @@ func (e *encryptor) columnsFor(cp *planner.ColumnPlan, mode translate.Mode) ([]s
 			} else {
 				name := planner.SquareName(cp.Source)
 				out = append(out, store.Column{Name: name, Kind: store.U64,
-					U64: e.ring.Ashe(name).EncryptColumnParallel(sq, e.startID)})
+					U64: e.ring.Ashe(name).EncryptColumn(sq, e.startID)})
 			}
 		}
 	}
@@ -271,7 +271,7 @@ func (e *encryptor) splasheColumns(cp *planner.ColumnPlan) ([]store.Column, erro
 		}
 		name := planner.IndName(cp.Source, col, others)
 		out = append(out, store.Column{Name: name, Kind: store.U64,
-			U64: e.ring.Ashe(name).EncryptColumnParallel(vals, e.startID)})
+			U64: e.ring.Ashe(name).EncryptColumn(vals, e.startID)})
 	}
 
 	// Balanced DET column (enhanced only).
@@ -317,7 +317,7 @@ func (e *encryptor) splasheColumns(cp *planner.ColumnPlan) ([]store.Column, erro
 			}
 			name := planner.SplayName(base, cp.Source, col, others)
 			out = append(out, store.Column{Name: name, Kind: store.U64,
-				U64: e.ring.Ashe(name).EncryptColumnParallel(vals, e.startID)})
+				U64: e.ring.Ashe(name).EncryptColumn(vals, e.startID)})
 		}
 		return nil
 	}

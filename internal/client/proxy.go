@@ -433,8 +433,9 @@ type QueryResult struct {
 	ClientTime time.Duration
 	// TotalTime is the duration of the trace's root span, parse to decrypt.
 	TotalTime time.Duration
-	// PRFEvals counts the AES operations the decryption performed, the
-	// statistic §6.6 reports.
+	// PRFEvals counts the PRF values the decryption computed, the statistic
+	// §6.6 reports: two per identifier range decrypted pointwise, and every
+	// value in a pad's span (ashe.Pad.Evals).
 	PRFEvals uint64
 	// Metrics echoes the server-side metrics.
 	Metrics engine.Metrics

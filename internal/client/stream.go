@@ -152,16 +152,15 @@ func (s *rowStream) iterate(qr *QueryResult) iter.Seq2[Row, error] {
 		cols := s.tr.Client.ScanCols
 		s.dec.resolveScan(cols)
 		for batch := range s.batches {
-			vals := make([]Value, len(batch)*len(cols))
+			vals, err := s.dec.scanRows(cols, batch)
+			if err != nil {
+				s.run.End()
+				s.finish(nil, err)
+				yield(Row{}, err)
+				return
+			}
 			for i := range batch {
-				row, err := s.dec.scanRow(cols, &batch[i], vals[i*len(cols):])
-				if err != nil {
-					s.run.End()
-					s.finish(nil, err)
-					yield(Row{}, err)
-					return
-				}
-				if !yield(row, nil) {
+				if !yield(scanRow(vals, len(cols), i), nil) {
 					return
 				}
 			}

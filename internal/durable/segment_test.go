@@ -3,6 +3,7 @@ package durable
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -153,6 +154,82 @@ func TestOpenRefusesNonSBSGSegment(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "seg-000001.seg") || !strings.Contains(err.Error(), "SBSG") {
 		t.Fatalf("open error %v does not name the file and the expected format", err)
+	}
+}
+
+// stampVersion3 rewrites an image as the previous version wrote its header:
+// version word 3, header CRC resealed, every other byte as it was.
+func stampVersion3(img []byte) {
+	binary.LittleEndian.PutUint32(img[4:], 3)
+	resealHeader(img)
+}
+
+// TestOpenRefusesVersion3Segment: a segment written before ASHE values were
+// re-encoded (SBSG version 3) holds bodies this proxy would decrypt to wrong
+// sums, so Open refuses it with an error naming the file and the version,
+// never serving it.
+func TestOpenRefusesVersion3Segment(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	if err := s.Register("x", mkTable(t, "x", 1, 150, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.ReadFile(segPath(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stampVersion3(seg)
+	if err := os.WriteFile(segPath(t, dir), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(Options{Dir: dir})
+	if err == nil {
+		s2.Close() //nolint:errcheck // test failure path
+		t.Fatal("open served a version-3 segment")
+	}
+	var ve *store.VersionError
+	if !errors.As(err, &ve) || !strings.Contains(err.Error(), "seg-000001.seg") || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("open error %v does not name the file and version 3", err)
+	}
+}
+
+// TestOpenRefusesVersion3WALRecord: the same for a WAL record whose payload is
+// a version-3 image, record CRC intact: Open fails naming the log and the
+// version, and leaves the log as it found it.
+func TestOpenRefusesVersion3WALRecord(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	if err := s.Register("x", mkTable(t, "x", 1, 10, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := store.AppendImage(nil, mkTable(t, "x", 11, 10, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stampVersion3(img)
+	record := binary.LittleEndian.AppendUint32(nil, uint32(len(img)))
+	record = binary.LittleEndian.AppendUint32(record, crc32.ChecksumIEEE(img))
+	record = append(record, img...)
+	if err := os.WriteFile(findWAL(t, dir), record, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(Options{Dir: dir})
+	if err == nil {
+		s2.Close() //nolint:errcheck // test failure path
+		t.Fatal("open replayed a version-3 wal record")
+	}
+	var ve *store.VersionError
+	if !errors.As(err, &ve) || !strings.Contains(err.Error(), walName) || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("open error %v does not name the log and version 3", err)
+	}
+	if raw, err := os.ReadFile(findWAL(t, dir)); err != nil || !bytes.Equal(raw, record) {
+		t.Fatalf("the failed recovery altered the wal (%v)", err)
 	}
 }
 

@@ -190,7 +190,7 @@ func replayWAL(path string) (batches []*store.Table, goodBytes int64, torn bool,
 		}
 		batch, derr := store.DecodeImage(payload)
 		if derr != nil {
-			return nil, 0, false, fmt.Errorf("durable: wal record at offset %d passed its checksum but failed to decode: %w", offset, derr)
+			return nil, 0, false, fmt.Errorf("durable: wal record at offset %d of %s passed its checksum but failed to decode: %w", offset, path, derr)
 		}
 		batches = append(batches, batch)
 		offset += walHeaderSize + int64(length)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"seabed/internal/store"
@@ -482,38 +483,58 @@ func newScanChunk(project []*store.Column) *ScanChunk {
 	return ch
 }
 
-// appendCell appends row i of src to dst, a column of src's kind and width:
-// U64 and Fixed values are copied, Bytes and Str values taken by reference.
-func appendCell(dst, src *store.Column, i int) {
+// gather appends src's rows at idx to dst, a column of src's kind and width,
+// growing dst once: U64 and Fixed values are copied, Bytes and Str values
+// taken by reference. The kind is resolved once per call, not per row.
+func gather(dst, src *store.Column, idx []int32) {
 	switch src.Kind {
 	case store.U64:
-		dst.U64 = append(dst.U64, src.U64[i])
+		out := slices.Grow(dst.U64, len(idx))
+		for _, i := range idx {
+			out = append(out, src.U64[i])
+		}
+		dst.U64 = out
 	case store.Fixed:
-		dst.Fixed = append(dst.Fixed, src.Fixed[i*src.Width:(i+1)*src.Width]...)
+		w := src.Width
+		out := slices.Grow(dst.Fixed, len(idx)*w)
+		for _, i := range idx {
+			out = append(out, src.Fixed[int(i)*w:int(i+1)*w]...)
+		}
+		dst.Fixed = out
 	case store.Bytes:
-		dst.Bytes = append(dst.Bytes, src.Bytes[i])
+		out := slices.Grow(dst.Bytes, len(idx))
+		for _, i := range idx {
+			out = append(out, src.Bytes[i])
+		}
+		dst.Bytes = out
 	default:
-		dst.Str = append(dst.Str, src.Str[i])
+		out := slices.Grow(dst.Str, len(idx))
+		for _, i := range idx {
+			out = append(out, src.Str[i])
+		}
+		dst.Str = out
 	}
 }
 
 // projectScan appends the batch's surviving rows to the task's chunk, column
-// by column.
+// by column: a left column gathers the selection vector's rows, a right one
+// the join's matches for them.
 func (ts *taskState) projectScan(startID uint64) {
 	if ts.scan == nil {
 		ts.scan = newScanChunk(ts.pc.project)
 	}
-	for _, i := range ts.b.sel {
-		ts.scan.IDs = append(ts.scan.IDs, startID+uint64(i))
+	sel := ts.b.sel
+	ids := slices.Grow(ts.scan.IDs, len(sel))
+	for _, i := range sel {
+		ids = append(ids, startID+uint64(i))
 	}
+	ts.scan.IDs = ids
 	for pi, src := range ts.pc.project {
-		dst, right := &ts.scan.Cols[pi], ts.cp.project[pi].isRight()
-		for k, i := range ts.b.sel {
-			if right {
-				i = ts.b.joinAt(k)
-			}
-			appendCell(dst, src, int(i))
+		idx := sel
+		if ts.cp.project[pi].isRight() {
+			idx = ts.b.join[:len(sel)]
 		}
+		gather(&ts.scan.Cols[pi], src, idx)
 	}
 }
 

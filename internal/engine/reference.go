@@ -264,6 +264,7 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 	var single *refGroup
 	var groups map[groupKey]*refGroup
 	var scan *ScanChunk // the task's survivors, one chunk as a vectorized task's
+	var scanRows, scanJoins []int32
 	if pl.GroupBy == nil && len(pl.Project) == 0 {
 		single = newRefGroup(pl.Aggs)
 	} else if pl.GroupBy != nil {
@@ -351,19 +352,14 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 		}
 		res.rowsSelected++
 
-		// Scan mode: project and continue.
+		// Scan mode: note the row (and its join match) and continue; the
+		// survivors are projected after the loop.
 		if len(pl.Project) > 0 {
 			if scan == nil {
 				scan = newScanChunk(b.project)
 			}
 			scan.IDs = append(scan.IDs, rowID)
-			for pi, col := range b.project {
-				j := i
-				if b.projectRight[pi] {
-					j = joinIdx
-				}
-				appendCell(&scan.Cols[pi], col, j)
-			}
+			scanRows, scanJoins = append(scanRows, int32(i)), append(scanJoins, int32(joinIdx))
 			continue
 		}
 
@@ -453,6 +449,13 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 	case single != nil:
 		res.groups = pl.taskGroupsFromMap(map[groupKey]*refGroup{{kind: store.U64, suffix: -1}: single}, store.U64, false)
 	case scan != nil:
+		for pi, col := range b.project {
+			idx := scanRows
+			if b.projectRight[pi] {
+				idx = scanJoins
+			}
+			gather(&scan.Cols[pi], col, idx)
+		}
 		res.scan = scan.Rows()
 	}
 	res.elapsed = time.Since(start)

@@ -130,9 +130,8 @@ func (k *Key) Encrypt(v uint64) []byte {
 
 // EncryptColumn encrypts a whole column into one buffer of
 // len(values) × CiphertextSize bytes: value i's ciphertext, byte-equal to
-// Encrypt(values[i]), sits at i*CiphertextSize. Like
-// ASHE's EncryptColumnParallel the column is split over up to
-// runtime.NumCPU() goroutines, and each encrypts its chunk as one run, so a
+// Encrypt(values[i]), sits at i*CiphertextSize. The column is split over up
+// to runtime.NumCPU() goroutines, and each encrypts its chunk as one run, so a
 // value costs AES blocks only below the prefix it shares with the value
 // before it — a dimension of small or slowly changing values (days, ages,
 // sorted keys) costs a handful of blocks per value instead of 64.

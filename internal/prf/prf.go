@@ -1,12 +1,22 @@
 // Package prf implements the keyed pseudo-random function used by Seabed's
-// encryption schemes (ASHE, SPLASHE, DET, ORE).
+// ASHE scheme (§3.1).
 //
 // The PRF is built from AES-128 used as a pseudo-random permutation, exactly
 // as the paper suggests in §3.1 ("Another choice is AES, when used as a
-// pseudo-random permutation"). A single AES operation produces a 128-bit
-// block; following the packing optimization of §4.3, one block yields two
-// 64-bit pseudo-random outputs (or four 32-bit outputs), so sequential
-// evaluations F(i), F(i+1) cost one AES operation per two identifiers.
+// pseudo-random permutation"). Identifier id is evaluated in the AES block
+// whose input is the 128-bit big-endian integer id >> 1; following the
+// packing optimization of §4.3, that block yields two 64-bit outputs, its
+// high half for the even identifier and its low half for the odd one.
+//
+// Consecutive identifier pairs are therefore consecutive counter blocks, and
+// there are two ways to evaluate the one function:
+//
+//   - U64, Delta and RangeDelta evaluate single identifiers, one AES call per
+//     block, caching the last block so ascending pairs cost one call;
+//   - Fill evaluates a span of identifiers as one AES-CTR keystream, which
+//     crypto/aes pipelines several blocks at a time, and Span.Next continues
+//     that keystream over the identifiers that follow, so a sweep over a
+//     long span holds one window of it at a time.
 //
 // On amd64 Go's crypto/aes uses the AES-NI hardware instructions, which is
 // the same acceleration the paper's C++ module relies on.
@@ -17,6 +27,7 @@ import (
 	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // KeySize is the PRF key length in bytes (AES-128).
@@ -86,19 +97,6 @@ func (p *PRF) U64(id uint64) uint64 {
 	return p.cachedLo
 }
 
-// U32Quad returns the four 32-bit pseudo-random values packed into the AES
-// block with the given counter. It exposes the 4×32-bit packing mode of §4.3
-// for 32-bit measure columns.
-func (p *PRF) U32Quad(ctr uint64) [4]uint32 {
-	if !p.valid || p.cachedCtr != ctr {
-		p.fill(ctr)
-	}
-	return [4]uint32{
-		uint32(p.cachedHi >> 32), uint32(p.cachedHi),
-		uint32(p.cachedLo >> 32), uint32(p.cachedLo),
-	}
-}
-
 // Delta returns F_k(id) - F_k(id-1), the pseudo-random pad ASHE adds to a
 // plaintext (Appendix A.1 calls this F'). Arithmetic is mod 2^64.
 func (p *PRF) Delta(id uint64) uint64 {
@@ -119,11 +117,59 @@ func (p *PRF) RangeDelta(lo, hi uint64) uint64 {
 	return high - low
 }
 
+// fill encrypts counter block ctr, the 128-bit big-endian integer 0⁶⁴ ‖ ctr.
 func (p *PRF) fill(ctr uint64) {
-	binary.BigEndian.PutUint64(p.in[:8], ctr)
+	binary.BigEndian.PutUint64(p.in[8:], ctr)
 	p.block.Encrypt(p.out[:], p.in[:])
 	p.cachedCtr = ctr
 	p.cachedHi = binary.BigEndian.Uint64(p.out[:8])
 	p.cachedLo = binary.BigEndian.Uint64(p.out[8:])
 	p.valid = true
+}
+
+// Span holds F_k over a span of identifiers: the AES-CTR keystream of the
+// span's counter blocks, read in place as big-endian words. Next moves it to
+// the identifiers that follow, continuing the keystream, so a sweep over any
+// number of windows is one AES-CTR pass. Its buffer is reused by the next
+// Fill or Next, so one Span serves any number of spans.
+type Span struct {
+	base uint64 // the even identifier whose value the keystream starts with
+	ks   []byte
+	ctr  cipher.Stream
+}
+
+// Fill computes F_k(lo) … F_k(hi) into s (lo ≤ hi) with one keystream over
+// counter blocks lo>>1 … hi>>1. The caller bounds hi − lo: the span holds
+// eight bytes per identifier.
+func (p *PRF) Fill(s *Span, lo, hi uint64) {
+	base := lo &^ 1
+	var iv [aes.BlockSize]byte
+	binary.BigEndian.PutUint64(iv[8:], base>>1)
+	s.ctr, s.base = cipher.NewCTR(p.block, iv[:]), base
+	s.fill(int((hi-base)/2 + 1))
+}
+
+// Next moves s to the 2·blocks identifiers after the last it held, the next
+// blocks of its keystream.
+func (s *Span) Next(blocks int) {
+	s.base += uint64(len(s.ks) / 8)
+	s.fill(blocks)
+}
+
+// End returns the last identifier s holds. It is odd: a span holds whole
+// blocks.
+func (s *Span) End() uint64 { return s.base + uint64(len(s.ks)/8) - 1 }
+
+func (s *Span) fill(blocks int) {
+	n := blocks * aes.BlockSize
+	// Grow as append does, so spans that creep up (a table being appended
+	// to) reallocate now and then, not at every fill.
+	s.ks = slices.Grow(s.ks[:0], n)[:n]
+	clear(s.ks)
+	s.ctr.XORKeyStream(s.ks, s.ks)
+}
+
+// At returns F_k(id) for an identifier s holds.
+func (s *Span) At(id uint64) uint64 {
+	return binary.BigEndian.Uint64(s.ks[(id-s.base)*8:])
 }

@@ -107,18 +107,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestU32QuadMatchesU64(t *testing.T) {
-	p := MustNew(testKey)
-	for ctr := uint64(0); ctr < 64; ctr++ {
-		q := p.U32Quad(ctr)
-		hi := p.U64(2 * ctr)
-		lo := p.U64(2*ctr + 1)
-		if uint64(q[0])<<32|uint64(q[1]) != hi || uint64(q[2])<<32|uint64(q[3]) != lo {
-			t.Fatalf("U32Quad(%d) inconsistent with U64 outputs", ctr)
-		}
-	}
-}
-
 func TestOutputsLookUniform(t *testing.T) {
 	// Crude sanity check: count bits set over many outputs; expect close to half.
 	p := MustNew(testKey)
@@ -155,4 +143,100 @@ func BenchmarkU64Random(b *testing.B) {
 		sink += p.U64(uint64(i) * 2654435761)
 	}
 	_ = sink
+}
+
+// TestKnownAnswers pins F_k(0…3) under a fixed key: the counter-block
+// encoding (docs/FORMAT.md §1.6) decides every stored ASHE body, so a change
+// to it must be deliberate. Identifiers 0 and 1 are the high and low halves of
+// AES_k(0¹²⁸), identifiers 2 and 3 those of AES_k(0¹²⁷ ‖ 1).
+func TestKnownAnswers(t *testing.T) {
+	want := []uint64{0x0b9b15da4b44a0f5, 0x151dcfc4c01f35d5, 0x01b04c381a66e4e9, 0x4590d25fb0335aec}
+	p := MustNew(testKey)
+	var s Span
+	p.Fill(&s, 0, 3)
+	for id, w := range want {
+		if got := p.U64(uint64(id)); got != w {
+			t.Errorf("U64(%d) = %#x, want %#x", id, got, w)
+		}
+		if got := s.At(uint64(id)); got != w {
+			t.Errorf("span F(%d) = %#x, want %#x", id, got, w)
+		}
+	}
+}
+
+// TestFillMatchesU64: a span's keystream is the single-block path's values,
+// whatever the parity of its ends and its length, and a reused span holds
+// only its last fill.
+func TestFillMatchesU64(t *testing.T) {
+	p, ref := MustNew(testKey), MustNew(testKey)
+	var s Span
+	for _, span := range [][2]uint64{{0, 0}, {0, 1}, {1, 1}, {1, 2}, {2, 9}, {3, 10}, {5, 200}, {1 << 40, 1<<40 + 1000}, {7, 7}, {1<<63 - 3, 1<<63 + 4}} {
+		p.Fill(&s, span[0], span[1])
+		for id := span[0]; id <= span[1]; id++ {
+			if got, want := s.At(id), ref.U64(id); got != want {
+				t.Fatalf("span [%d,%d]: F(%d) = %#x, want %#x", span[0], span[1], id, got, want)
+			}
+		}
+	}
+	f := func(lo uint64, n uint16) bool {
+		hi := lo + uint64(n)%300
+		if hi < lo {
+			return true
+		}
+		p.Fill(&s, lo, hi)
+		for id := lo; id <= hi; id++ {
+			if s.At(id) != ref.U64(id) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNextContinuesKeystream: a span moved on by Next holds the identifiers
+// after its last, whatever the parity of the first fill's ends, so a sweep of
+// windows reads F exactly as the single-block path computes it.
+func TestNextContinuesKeystream(t *testing.T) {
+	p, ref := MustNew(testKey), MustNew(testKey)
+	var s Span
+	for _, first := range [][2]uint64{{0, 0}, {1, 6}, {2, 3}, {7, 100}} {
+		p.Fill(&s, first[0], first[1])
+		next := first[0]
+		for _, blocks := range []int{1, 3, 64, 2} {
+			for ; next <= s.End(); next++ {
+				if got, want := s.At(next), ref.U64(next); got != want {
+					t.Fatalf("sweep from %v: F(%d) = %#x, want %#x", first, next, got, want)
+				}
+			}
+			if s.End()%2 != 1 {
+				t.Fatalf("sweep from %v: span ends at even %d", first, s.End())
+			}
+			s.Next(blocks)
+			if s.End() != next+uint64(2*blocks)-1 {
+				t.Fatalf("sweep from %v: Next(%d) ends at %d, want %d", first, blocks, s.End(), next+uint64(2*blocks)-1)
+			}
+		}
+	}
+}
+
+// BenchmarkSpan measures the span path: F over 4096 consecutive identifiers
+// per fill, read back through At, reported in identifiers per second.
+func BenchmarkSpan(b *testing.B) {
+	const n = 4096
+	p := MustNew(testKey)
+	var s Span
+	b.ReportAllocs()
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		lo := uint64(i) * n
+		p.Fill(&s, lo, lo+n-1)
+		for id := lo; id < lo+n; id++ {
+			sink += s.At(id)
+		}
+	}
+	_ = sink
+	b.ReportMetric(float64(b.N)*n/b.Elapsed().Seconds(), "ids/s")
 }

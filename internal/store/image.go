@@ -24,7 +24,7 @@ import (
 // Layout (integers little-endian, fixed width):
 //
 //	magic "SBSG"                     4 B
-//	version                          u32 (= 3)
+//	version                          u32 (= 4)
 //	headerLen                        u32 (bytes, magic through header CRC)
 //	tableName                        u32 length + bytes
 //	numParts                         u32
@@ -53,11 +53,20 @@ import (
 
 const (
 	imageMagic   = "SBSG"
-	imageVersion = 3
+	imageVersion = 4
 	// imageMaxHeader bounds a declared header length (64 MiB is thousands of
 	// partitions), protecting a parse from a corrupt prefix.
 	imageMaxHeader = 64 << 20
 )
+
+// VersionError reports an image of a version this reader does not implement.
+// Versions 2 and 3 are the ones a reader meets: version 3 laid its columns out
+// as version 4 does, but its ASHE values were padded under the previous PRF
+// encoding (docs/FORMAT.md §1.6), so it is refused, never decrypted.
+type VersionError struct{ Version uint32 }
+
+// Error names the version.
+func (e *VersionError) Error() string { return fmt.Sprintf("store: unsupported version %d", e.Version) }
 
 // ImageExtent is one column's directory entry: its layout and where its
 // extent lies in the image.
@@ -334,7 +343,7 @@ func ParseImage(data []byte) (*ImageDir, error) {
 		return nil, errors.New("store: not an SBSG image (bad magic)")
 	}
 	if v := binary.LittleEndian.Uint32(data[4:]); v != imageVersion {
-		return nil, fmt.Errorf("store: unsupported version %d", v)
+		return nil, &VersionError{Version: v}
 	}
 	headerLen := uint64(binary.LittleEndian.Uint32(data[8:]))
 	if headerLen < 20 || headerLen > imageMaxHeader || headerLen > uint64(len(data)) {

@@ -2,7 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -201,6 +204,25 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Fatal("want error for truncated input")
+	}
+}
+
+// TestReadRefusesVersion3: an image of the previous version, header CRC
+// intact, is refused by its version before anything else is read. Version 4
+// changed no byte of the layout, only what an ASHE U64 value holds
+// (docs/FORMAT.md §1.6), so reading a version-3 image would decrypt wrongly.
+func TestReadRefusesVersion3(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := testTable(t, 20, 2).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	binary.LittleEndian.PutUint32(img[4:], 3)
+	headerLen := binary.LittleEndian.Uint32(img[8:])
+	binary.LittleEndian.PutUint32(img[headerLen-4:], crc32.ChecksumIEEE(img[:headerLen-4]))
+	var ve *VersionError
+	if _, err := Read(bytes.NewReader(img)); !errors.As(err, &ve) || ve.Version != 3 || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("Read of a version-3 image: err = %v, want a VersionError naming version 3", err)
 	}
 }
 

@@ -111,11 +111,13 @@ func TestScanChunkGolden(t *testing.T) {
 // 8-byte boundary, then the table's image — over one column of each kind: the
 // directory entry of the Fixed column carries its width (04), its extent is the
 // values alone, and the Bytes and Str extents are offsets and a heap.
-// Captured at wire v13.
-const goldenRegisterFrame = "0b7440536561626564237230000000005342534703000000a500000001000000740100000001000000000000000200000000" +
+// Captured at wire v13, image version 4. Against the version-3 capture only
+// the image's version word (frame byte 20: 03 → 04) and the header CRC that
+// covers it (frame bytes 177–180: ea4616bf → 7e492130) changed.
+const goldenRegisterFrame = "0b7440536561626564237230000000005342534704000000a500000001000000740100000001000000000000000200000000" +
 	"0000000400000001000000750000000000a8000000000000001000000000000000b9ddf60001000000620100000000b80000" +
 	"00000000001b00000000000000a307954901000000730200000000d80000000000000019000000000000008128cc27010000" +
-	"00660304000000f8000000000000000800000000000000f33d020fea4616bf00000001000000000000000200000000000000" +
+	"00660304000000f8000000000000000800000000000000f33d020f7e49213000000001000000000000000200000000000000" +
 	"000000000000000001000000000000000300000000000000b0b1b20000000000000000000000000001000000000000000100" +
 	"0000000000007800000000000000f000000ff001000f"
 
