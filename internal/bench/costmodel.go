@@ -108,6 +108,8 @@ type modelled struct {
 // run's reducers, or its driver for an ungrouped plan, then really encoded
 // (ResultListBytes), so the model swaps one for the other. It leaves out the
 // codec's fixed cost per list (a Deflate header per task, about 20 bytes).
+// A bucketed group-by's map output holds rows, not lists (ShuffleListBytes
+// 0): it models as those buckets plus the lists its reducers encoded.
 // Metrics that carry no list sizes (a remote run's) model as reported.
 func workerShuffleBytes(m *engine.Metrics) int {
 	return m.ShuffleBytes - m.ShuffleListBytes + m.ResultListBytes

@@ -2,9 +2,11 @@ package engine
 
 import (
 	"context"
+	"math"
 	"slices"
 	"time"
 
+	"seabed/internal/idlist"
 	"seabed/internal/store"
 )
 
@@ -37,17 +39,19 @@ type taskState struct {
 
 	g    grouper
 	scan *ScanChunk
+
+	// A bucketed group-by's map task appends each survivor to route[b], the
+	// bucket of reducer b, instead of grouping it; a reducer grouping its
+	// bucket reads each batch's key hashes from carried instead of hashing
+	// them again (groupBucket).
+	route   []rowBucket
+	carried []uint64
 }
 
 // newTaskState binds the compiled plan to a partition and sizes the
 // workspace the plan's shape needs.
 func (cp *compiledPlan) newTaskState(part *store.Partition) *taskState {
-	ts := &taskState{cp: cp, part: part, res: &mapResult{}}
-	cp.bindPart(part, &ts.pc)
-	ts.selBuf = make([]int32, batchRows)
-	if cp.pl.Join != nil {
-		ts.joinBuf = make([]int32, 0, batchRows)
-	}
+	ts := cp.bindTask(part)
 	pl := cp.pl
 	switch {
 	case len(pl.Project) > 0:
@@ -59,7 +63,47 @@ func (cp *compiledPlan) newTaskState(part *store.Partition) *taskState {
 		ts.g.acc.init(pl.Aggs, true)
 		ts.g.acc.grow(1)
 	default:
-		ts.g.init(cp)
+		ts.g.init(cp, int(cp.hint.slots.Load()))
+	}
+	return ts
+}
+
+// bindTask starts a map task's state: the plan bound to the partition, and the
+// batch's selection and join vectors.
+func (cp *compiledPlan) bindTask(part *store.Partition) *taskState {
+	ts := &taskState{cp: cp, part: part, res: &mapResult{}}
+	cp.bindPart(part, &ts.pc)
+	ts.selBuf = make([]int32, batchRows)
+	if cp.pl.Join != nil {
+		ts.joinBuf = make([]int32, 0, batchRows)
+	}
+	return ts
+}
+
+// newRouteState binds the compiled plan to a partition for a bucketed
+// group-by's map task: the batch buffers, the key hashing, and one row bucket
+// per reducer, each sized for its share of the task's rows. The buckets share
+// one block per vector; a bucket that outgrows its share moves out on its own.
+func (cp *compiledPlan) newRouteState(part *store.Partition, buckets, rows int) *taskState {
+	ts := cp.bindTask(part)
+	ts.g.initKeys(cp)
+	// A share is binomial: its mean and four deviations hold it but for
+	// about one bucket in thirty thousand.
+	mean := float64(max(rows, 0)) / float64(buckets)
+	per := int(mean + 4*math.Sqrt(mean) + 1)
+	rowIdx, hash := make([]int32, buckets*per), make([]uint64, buckets*per)
+	var join []int32
+	if cp.pl.Join != nil {
+		join = make([]int32, buckets*per)
+	}
+	ts.route = make([]rowBucket, buckets)
+	for b := range ts.route {
+		lo, hi := b*per, (b+1)*per
+		bk := &ts.route[b]
+		bk.rows, bk.hash = rowIdx[lo:lo:hi], hash[lo:lo:hi]
+		if join != nil {
+			bk.join = join[lo:lo:hi]
+		}
 	}
 	return ts
 }
@@ -126,6 +170,8 @@ func (ts *taskState) execute(ctx context.Context, i0, i1 int) error {
 			for ai := range cp.aggs {
 				cp.aggs[ai].bulk(&ts.pc, acc, &ts.b, startID)
 			}
+		case ts.route != nil:
+			ts.routeRows(startID)
 		default:
 			ts.accumulateGroups(startID)
 		}
@@ -236,26 +282,19 @@ type grouper struct {
 // init sizes the slot machinery: for u64 keys the dense index spans
 // min(KeyBound | default, cap/inflate) keys times the suffix domain; the
 // per-batch scratch is allocated once, so the steady-state batch loop
-// allocates nothing; and the table is sized for the plan's last map task's
-// slots at half load (1 Ki entries at least), the keys, hashes, accumulators
-// and identifier-list slots for those and a quarter more, so that a slightly
-// larger partition fits too.
-func (g *grouper) init(cp *compiledPlan) {
-	g.right = cp.groupCol.isRight()
-	g.seed = cp.seed
-	g.inflateN = 1
-	if cp.pl.GroupBy.Inflate > 1 {
-		g.inflate = cp.pl.GroupBy.Inflate
-		g.inflateN = uint64(g.inflate)
-	}
+// allocates nothing; and the table is sized for expect slots — what the plan's
+// last run held in a map task's table, or in a reducer's for a reducer — at
+// half load (1 Ki entries at least), the keys, hashes, accumulators and
+// identifier-list slots for those and a quarter more, so that a slightly
+// larger partition or bucket fits too.
+func (g *grouper) init(cp *compiledPlan, expect int) {
+	g.initKeys(cp)
 	kind := groupColKind(cp)
-	last := int(cp.hint.slots.Load())
-	g.t.init(kind, g.inflate > 0, last)
+	g.t.init(kind, g.inflate > 0, expect)
 	g.acc.init(cp.pl.Aggs, true)
-	if last > 0 {
-		keyLen := (int(cp.hint.keyBytes.Load()) + last - 1) / last
-		g.t.reserve(last+last/4, keyLen)
-		g.acc.reserve(last + last/4)
+	if expect > 0 {
+		g.t.reserve(expect+expect/4, int(cp.hint.keyLen.Load()))
+		g.acc.reserve(expect + expect/4)
 	}
 	if kind == store.U64 {
 		keys := uint64(denseDefaultEntries) / g.inflateN
@@ -268,12 +307,26 @@ func (g *grouper) init(cp *compiledPlan) {
 		g.denseKeys = keys
 		g.dense = make([]int32, keys*g.inflateN)
 	}
+	g.horder = make([]int32, batchRows)
+}
+
+// initKeys readies what hashing a row's group key takes: the key's side, the
+// inflation suffix's parameters and the per-batch hash scratch. With no dense
+// index (denseKeys 0), hashPass hashes every survivor's key, which is all a
+// bucketed map task asks of it.
+func (g *grouper) initKeys(cp *compiledPlan) {
+	g.right = cp.groupCol.isRight()
+	g.seed = cp.seed
+	g.inflateN = 1
+	if cp.pl.GroupBy.Inflate > 1 {
+		g.inflate = cp.pl.GroupBy.Inflate
+		g.inflateN = uint64(g.inflate)
+	}
 	g.slots = make([]int32, batchRows)
 	g.hpos = make([]int32, batchRows)
 	g.hidx = make([]int32, batchRows)
 	g.hsfx = make([]int32, batchRows)
 	g.hh = make([]uint64, batchRows)
-	g.horder = make([]int32, batchRows)
 }
 
 // suffix is the inflation suffix of the row with identifier rowID (−1 when
@@ -296,17 +349,7 @@ func (g *grouper) suffix(rowID uint64) int32 {
 func (ts *taskState) groupSlots(startID uint64) {
 	g := &ts.g
 	col := ts.pc.group
-	var miss int
-	switch col.Kind {
-	case store.U64:
-		miss = ts.hashU64Keys(startID)
-	case store.Bytes:
-		miss = hashKeys(ts, col.Bytes, startID)
-	case store.Fixed:
-		miss = ts.hashFixedKeys(startID)
-	default:
-		miss = hashKeys(ts, col.Str, startID)
-	}
+	miss := ts.hashPass(startID)
 	ts.res.ops.GroupDense += uint64(len(ts.b.sel) - miss)
 	ts.res.ops.GroupHash += uint64(miss)
 	if miss == 0 {
@@ -348,6 +391,23 @@ func (ts *taskState) groupSlots(startID uint64) {
 	}
 }
 
+// hashPass is groupSlots' first pass: it resolves the survivors whose u64 key
+// lies under the dense span and gathers every other survivor's position, key
+// row, suffix and key hash into the pending vectors — the hash taken from
+// ts.carried where the rows arrived with it. It returns the number pending.
+func (ts *taskState) hashPass(startID uint64) int {
+	switch col := ts.pc.group; col.Kind {
+	case store.U64:
+		return ts.hashU64Keys(startID)
+	case store.Bytes:
+		return hashKeys(ts, col.Bytes, startID)
+	case store.Fixed:
+		return ts.hashFixedKeys(startID)
+	default:
+		return hashKeys(ts, col.Str, startID)
+	}
+}
+
 // hashU64Keys is groupSlots' first pass for u64 keys: keys under the dense
 // span resolve on the spot, the rest are hashed into the pending vectors. It
 // returns the number pending.
@@ -379,7 +439,11 @@ func (ts *taskState) hashU64Keys(startID uint64) (miss int) {
 			continue
 		}
 		g.hpos[miss], g.hidx[miss], g.hsfx[miss] = int32(k), idx, sfx
-		g.hh[miss] = hashU64(v, sfx)
+		if ts.carried != nil {
+			g.hh[miss] = ts.carried[k]
+		} else {
+			g.hh[miss] = hashU64(v, sfx)
+		}
 		miss++
 	}
 	return miss
@@ -396,7 +460,11 @@ func hashKeys[T ~string | ~[]byte](ts *taskState, col []T, startID uint64) int {
 		}
 		sfx := g.suffix(startID + uint64(i))
 		g.hpos[k], g.hidx[k], g.hsfx[k] = int32(k), idx, sfx
-		g.hh[k] = hashKey(col[idx], sfx)
+		if ts.carried != nil {
+			g.hh[k] = ts.carried[k]
+		} else {
+			g.hh[k] = hashKey(col[idx], sfx)
+		}
 	}
 	return len(ts.b.sel)
 }
@@ -413,8 +481,12 @@ func (ts *taskState) hashFixedKeys(startID uint64) int {
 		}
 		sfx := g.suffix(startID + uint64(i))
 		g.hpos[k], g.hidx[k], g.hsfx[k] = int32(k), idx, sfx
-		lo := int(idx) * w
-		g.hh[k] = hashKey(buf[lo:lo+w], sfx)
+		if ts.carried != nil {
+			g.hh[k] = ts.carried[k]
+		} else {
+			lo := int(idx) * w
+			g.hh[k] = hashKey(buf[lo:lo+w], sfx)
+		}
 	}
 	return len(ts.b.sel)
 }
@@ -425,6 +497,90 @@ func probeKeys[T ~string | ~[]byte](g *grouper, col []T, order []int32) {
 	for _, m := range order {
 		g.slots[g.hpos[m]] = slotKeyed(&g.t, col[g.hidx[m]], g.hsfx[m], g.hh[m])
 	}
+}
+
+// routeRows appends the batch's survivors to their reducers' buckets. Each
+// survivor's group key is hashed once, as a reducer's slot table hashes it
+// (hashPass, with no dense index to resolve it first); the hash modulo the
+// reducer count picks its bucket — reducerBucket's rule, so each reducer
+// groups exactly the keys a per-task run hands it — and travels with the row.
+func (ts *taskState) routeRows(startID uint64) {
+	ts.hashPass(startID)
+	n := uint64(len(ts.route))
+	hh := ts.g.hh
+	for k, i := range ts.b.sel {
+		h := hh[k]
+		bk := &ts.route[h%n]
+		bk.rows = append(bk.rows, i)
+		bk.hash = append(bk.hash, h)
+		if ts.b.join != nil {
+			bk.join = append(bk.join, ts.b.join[k])
+		}
+	}
+	ts.res.ops.GroupRouted += uint64(len(ts.b.sel))
+}
+
+// groupBucket is reducer b of a bucketed group-by: one grouper over bucket
+// b's rows from every map task, in task order, with the accumulator kernels
+// bound to each task's partition in turn — its columns still pinned. A
+// table's partitions hold ascending, disjoint identifier runs (store.Assemble
+// and AppendTable refuse any other), and each task keeps its rows in order, so
+// a group's rows arrive in identifier order and its identifier lists grow
+// already merged: finishChains only lays them out and encodes them. The
+// grouper is sized once, for the slots a reducer of the plan last held, and
+// each list arena — the run's next free one (arenas) — holds the bucket's row
+// count, which its ranges cannot outnumber. The reducer polls ctx every
+// cancelCheckRows rows, from its first.
+func (cp *compiledPlan) groupBucket(ctx context.Context, tasks []*mapResult, b int, codec idlist.Codec, arenas *nodeArenas) (*groupMerger, *OpStats, error) {
+	ts := &taskState{cp: cp, res: &mapResult{}}
+	ts.g.init(cp, int(cp.hint.merged.Load()))
+	rows := 0
+	for _, r := range tasks {
+		rows += len(r.routed[b].rows)
+	}
+	for ai := range ts.g.acc.ids {
+		if cp.pl.Aggs[ai].Kind == AggAsheSum {
+			ts.g.acc.ids[ai].nodes = arenas.get(rows)
+		}
+	}
+	grouped, poll := 0, 0
+	for _, r := range tasks {
+		bk := &r.routed[b]
+		if len(bk.rows) == 0 {
+			continue
+		}
+		ts.part = r.part
+		cp.bindPart(r.part, &ts.pc)
+		for lo := 0; lo < len(bk.rows); lo += batchRows {
+			if grouped >= poll {
+				if err := ctx.Err(); err != nil {
+					return nil, nil, err
+				}
+				poll += cancelCheckRows
+			}
+			hi := min(lo+batchRows, len(bk.rows))
+			ts.b.sel, ts.b.join, ts.carried = bk.rows[lo:hi], nil, bk.hash[lo:hi]
+			if bk.join != nil {
+				ts.b.join = bk.join[lo:hi]
+			}
+			ts.accumulateGroups(r.part.StartID)
+			grouped += hi - lo
+		}
+	}
+	ts.res.ops.GroupSlots = uint64(ts.g.t.len())
+	ts.res.ops.GroupTableLen = uint64(len(ts.g.t.table))
+	cp.hint.keyLen.Store(int64(ts.g.t.keyLen()))
+	ids := ts.g.acc.ids
+	mg := &groupMerger{pl: cp.pl, t: ts.g.t, acc: ts.g.acc}
+	if err := mg.finishChains(codec); err != nil {
+		return nil, nil, err
+	}
+	for ai := range ids {
+		if ids[ai].nodes != nil {
+			arenas.put(ids[ai].nodes)
+		}
+	}
+	return mg, &ts.res.ops, nil
 }
 
 // groupColKind is the kind group keys take: the group column's, with Fixed
@@ -465,7 +621,7 @@ func (g *grouper) fold(res *mapResult, cp *compiledPlan, arenas *nodeArenas, buc
 			res.ops.GroupTableLen = n
 		}
 		cp.hint.slots.Store(int64(g.t.len()))
-		cp.hint.keyBytes.Store(int64(len(g.t.arena)))
+		cp.hint.keyLen.Store(int64(g.t.keyLen()))
 		tg.partition(buckets)
 	}
 	res.groups = tg
@@ -538,12 +694,21 @@ func (ts *taskState) projectScan(startID uint64) {
 	}
 }
 
-// runMapTask executes the compiled plan's map stage on one partition. It
-// observes ctx at the injected I/O stall and once per cancelCheckRows rows
-// of the batch loop, so a canceled query abandons even a single huge
-// partition promptly. Binding and compilation are excluded from the
-// measured task duration, matching the reference evaluator's accounting.
+// runMapTask executes the compiled plan's map stage on one partition, a
+// group-by's into a table of the task's own. It observes ctx at the injected
+// I/O stall and once per cancelCheckRows rows of the batch loop, so a
+// canceled query abandons even a single huge partition promptly. Binding and
+// compilation are excluded from the measured task duration, matching the
+// reference evaluator's accounting.
 func (cp *compiledPlan) runMapTask(ctx context.Context, c *Cluster, part *store.Partition, arenas *nodeArenas) (*mapResult, error) {
+	return cp.mapTask(ctx, c, part, arenas, false)
+}
+
+// mapTask is runMapTask, or with route the map task of a bucketed group-by:
+// its survivors go to their reducers' buckets (routeRows) and the partition
+// stays pinned, for the reducers read its columns; the result's release
+// unpins it (run calls it once the reducers finish, on every path).
+func (cp *compiledPlan) mapTask(ctx context.Context, c *Cluster, part *store.Partition, arenas *nodeArenas, route bool) (*mapResult, error) {
 	if c.cfg.TaskSleep > 0 {
 		t := time.NewTimer(c.cfg.TaskSleep)
 		select {
@@ -560,11 +725,22 @@ func (cp *compiledPlan) runMapTask(ctx context.Context, c *Cluster, part *store.
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	ts := cp.newTaskState(part)
-	for ai := range ts.g.acc.ids {
-		if cp.pl.Aggs[ai].Kind == AggAsheSum {
-			ts.g.acc.ids[ai].nodes = arenas.get()
+	held := false
+	defer func() {
+		if !held {
+			release()
+		}
+	}()
+	i0, i1 := rangeBounds(part, cp.pl.Range)
+	var ts *taskState
+	if route {
+		ts = cp.newRouteState(part, c.buckets(), i1-i0+1)
+	} else {
+		ts = cp.newTaskState(part)
+		for ai := range ts.g.acc.ids {
+			if cp.pl.Aggs[ai].Kind == AggAsheSum {
+				ts.g.acc.ids[ai].nodes = arenas.get(0)
+			}
 		}
 	}
 	pinned := len(cp.leftIdxs)
@@ -573,17 +749,20 @@ func (cp *compiledPlan) runMapTask(ctx context.Context, c *Cluster, part *store.
 	}
 	ts.res.ops.ColumnPins = uint64(pinned)
 	ts.res.ops.ColumnFaults = uint64(faulted)
-	i0, i1 := rangeBounds(part, cp.pl.Range)
 	ts.res.rowsScanned = uint64(i1 - i0 + 1)
 
 	start := time.Now()
 	if err := ts.execute(ctx, i0, i1); err != nil {
 		return nil, err
 	}
-	if len(cp.pl.Project) == 0 {
+	switch {
+	case route:
+		ts.res.routed, ts.res.part, ts.res.release = ts.route, part, release
+		held = true
+	case len(cp.pl.Project) == 0:
 		// Laying the identifier lists out is the task's last measured step.
-		ts.g.fold(ts.res, cp, arenas, c.cfg.Workers)
-	} else if ts.scan != nil {
+		ts.g.fold(ts.res, cp, arenas, c.buckets())
+	case ts.scan != nil:
 		ts.res.scan = ts.scan.Rows()
 	}
 	ts.res.elapsed = time.Since(start)

@@ -59,12 +59,42 @@ type compiledPlan struct {
 	hint  groupHint
 }
 
-// groupHint is the sizes a grouped plan's last run finished at — its last map
-// task's slot count and key-arena bytes (grouper.fold), its reducers' merged
-// slot count (reduceGroups) — which size the next run's vectors. Sizes only:
-// no result depends on them, and the reference evaluator never reads them.
+// groupHint is what a grouped plan's last run measured. Its sizes — the last
+// map task's slot count (grouper.fold), the mean key length, the slot count a
+// reducer last held — size the next run's vectors. Its shape — the rows the
+// run selected, its result groups and its map tasks — picks the next run's
+// strategy (bucketed). No result depends on either, and the reference
+// evaluator never reads them.
 type groupHint struct {
-	slots, keyBytes, merged atomic.Int64
+	slots, keyLen, merged atomic.Int64
+	rows, groups, tasks   atomic.Int64
+}
+
+// bucketRowsPerGroupTask is the rows per group per map task, N ÷ (G × T), below
+// which a group-by's map tasks bucket rows instead of grouping them: there a
+// task's table merges little, and its reducer interns every (task, group)
+// pair again. BenchmarkRunGroupByBytes places it: 64 Ki rows of 16-byte DET
+// keys with an ASHE sum, on 8 partitions and 4 reducers, so 8192 ÷ G rows per
+// group per task, each strategy in its steady state (2-core Xeon, two sweeps
+// of 3 × 60 runs). Per-task tables lead by 10–25 % at 32 and 16 rows per
+// group per task; at 8 the two are within 3 %; bucketed rows lead by 18–44 %
+// at 4, 2× at 1 and 1.8–2× at 0.5, wide_gb's shape. They cross near 8.
+const bucketRowsPerGroupTask = 8.0
+
+// bucketed applies the rule to the plan's last run. A plan's first run has no
+// measure and keeps per-task tables; either strategy records the next one.
+func (h *groupHint) bucketed() bool {
+	g, t := h.groups.Load(), h.tasks.Load()
+	return g > 0 && float64(h.rows.Load()) < bucketRowsPerGroupTask*float64(g)*float64(t)
+}
+
+// measure records a finished grouped run's shape and its reducers' largest
+// slot count.
+func (h *groupHint) measure(rows uint64, groups, tasks, merged int) {
+	h.rows.Store(int64(rows))
+	h.groups.Store(int64(groups))
+	h.tasks.Store(int64(tasks))
+	h.merged.Store(int64(merged))
 }
 
 // compile binds pl against its table's layout and lowers it to kernels.

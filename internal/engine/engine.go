@@ -90,6 +90,10 @@ func NewCluster(cfg Config) *Cluster {
 // Workers returns the reducer-bucket count (Config.Workers).
 func (c *Cluster) Workers() int { return c.cfg.Workers }
 
+// buckets is the reducer-bucket count a run partitions a group-by into: at
+// least one, whatever Config a zero Cluster carries.
+func (c *Cluster) buckets() int { return max(c.cfg.Workers, 1) }
+
 // RegisterTable satisfies the proxy's cluster-backend contract. The
 // in-process engine receives plans that reference tables by pointer, so
 // there is nothing to ship; remote backends (internal/remote) use the same
@@ -375,8 +379,11 @@ type Metrics struct {
 	DriverTime time.Duration
 	// ShuffleBytes is the size of the map tasks' output as they hold it: keys,
 	// row counts, accumulators and scan cells, identifier lists raw at 16 bytes
-	// a range. Plain arithmetic — nothing is encoded to take it and nothing is
-	// shuffled — identical in both executors and additive across shards.
+	// a range — or, in a group-by whose map tasks bucket rows (OpStats.
+	// GroupRouted), the buckets: 4 bytes a row, 4 more with a join, 8 for the
+	// key hash. Plain arithmetic — nothing is encoded to take it and nothing is
+	// shuffled — identical in both executors when both keep per-task tables,
+	// and additive across shards.
 	ShuffleBytes int
 	// ResultBytes is the serialized size of the result a run hands its caller
 	// (identifier lists as encoded); on a merged result, the sum of the shards'
@@ -403,8 +410,9 @@ type Metrics struct {
 	TaskP50 time.Duration
 	TaskMax time.Duration
 	// MapTaskTimes and ReduceTaskTimes are every task's measured duration, in
-	// task order. In-process only: they never cross the wire and a merged
-	// result carries none.
+	// task order: a reducer's covers its merge, or in a bucketed group-by the
+	// grouping of its bucket's rows. In-process only: they never cross the
+	// wire and a merged result carries none.
 	MapTaskTimes    []time.Duration
 	ReduceTaskTimes []time.Duration
 	// FirstChunk is the measured wall-clock time from the start of a
@@ -443,10 +451,16 @@ type OpStats struct {
 	// RadixBatches counts batches whose hash-path probes engaged radix
 	// partitioning (table ≥ radixMinTable and ≥ radixBuckets misses).
 	RadixBatches uint64
-	// GroupSlots totals distinct group slots across tasks (occupancy);
+	// GroupSlots totals distinct group slots across the tables that grouped
+	// rows — the map tasks', or a bucketed run's reducers' (occupancy);
 	// GroupTableLen is the largest open-addressed table capacity seen.
 	GroupSlots    uint64
 	GroupTableLen uint64
+	// GroupRouted counts rows a group-by's map tasks bucketed by key hash for
+	// their reducers to group, instead of grouping them in a table of their
+	// own (0 when every task kept a table). In-process and per daemon: it does
+	// not cross the wire.
+	GroupRouted uint64
 	// ColumnPins counts columns pinned resident for map tasks;
 	// ColumnFaults counts the pins that had to materialize the column from
 	// its backing segment (store.Residency pressure attributed per query).
@@ -469,6 +483,7 @@ func (o *OpStats) merge(src *OpStats) {
 	if src.GroupTableLen > o.GroupTableLen {
 		o.GroupTableLen = src.GroupTableLen
 	}
+	o.GroupRouted += src.GroupRouted
 	o.ColumnPins += src.ColumnPins
 	o.ColumnFaults += src.ColumnFaults
 }

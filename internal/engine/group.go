@@ -17,20 +17,27 @@ import (
 // (AggCol): a flat []uint64 lane for each aggregate that has one, an AggValue
 // per slot for the rest (Paillier, OPE extremes, medians) — chosen by each
 // aggregate's kind, never by the plan. An ungrouped plan is the one-group case,
-// keyed U64 0. The map-side grouper (batch.go) fills a table per task; the
-// task's columns travel to the reducer as they are (taskGroups); reduceGroups,
-// the driver's fold of an ungrouped plan and the coordinator's merge fold
-// inputs of that one form through groupMerger; and gatherGroups, the last
-// step, concatenates the mergers' slots into the result's columns (GroupCols,
+// keyed U64 0. A group-by runs one of two ways, picked per run from the plan's
+// last run (groupHint.bucketed). Where a map task sees each group many times,
+// the grouper (batch.go) fills a table per task; the task's columns travel to
+// the reducer as they are (taskGroups); reduceGroups, the driver's fold of an
+// ungrouped plan and the coordinator's merge fold inputs of that one form
+// through groupMerger. Where it sees each group about once, the task's table
+// would merge nothing: the task buckets its rows by key hash instead
+// (rowBucket), and each reducer runs one grouper over its bucket's rows from
+// every task (groupBucket). Either way gatherGroups, the last step,
+// concatenates the reducers' slots into the result's columns (GroupCols,
 // cols.go) — the columns carried the rest of the way, in no key order.
 //
-// An ASHE sum's identifier lists have one life: built once, a row or a run at
-// a time, by the map task (idChains); laid out once, at task end, as one
-// contiguous run per slot (idChains.layout); merged slot by slot through one
-// reused buffer (idRun); and passed through the codec only where a result
-// frame is written (a run's reducers and its driver) or read (a shard result's
-// column at the coordinator). A merge whose consumer is in this process leaves
-// them decoded (AggCol).
+// An ASHE sum's identifier lists have one life, in either strategy: built
+// once, a row or a run at a time, in identifier order, by whichever grouper
+// holds the group (idChains); laid out once as one contiguous run per slot
+// (idChains.layout); and passed through the codec only where a result frame is
+// written (a run's reducers and its driver) or read (a shard result's column at
+// the coordinator). Per-task lists are merged slot by slot on the way, through
+// one reused buffer (idRun); a reducer that grouped rows built its lists
+// already merged, as the rows of each group reach it in identifier order. A
+// merge whose consumer is in this process leaves them decoded (AggCol).
 //
 // A slot that no row reached — an ungrouped plan's that selected nothing —
 // has row count 0, the identity of every fold: the merge skips it, and it
@@ -265,8 +272,9 @@ func (t *slotTable) grow() {
 // reducerBucket deterministically assigns slot s's key to one of n reducer
 // buckets: the key's hash modulo n — for a byte or string key the kept hash
 // when the table kept one, else hashKey, which is that same value. Both
-// executors and every shard must agree on the assignment, so the hash covers
-// only the key's material and inflation suffix, never a table's layout.
+// executors, both strategies (a bucketed map task routes each row by the same
+// hash: routeRows) and every shard must agree on the assignment, so the hash
+// covers only the key's material and inflation suffix, never a table's layout.
 func (k *groupKeys) reducerBucket(s, n int) int {
 	if n <= 1 {
 		return 0
@@ -286,10 +294,12 @@ func (k *groupKeys) reducerBucket(s, n int) int {
 // --- identifier-list lanes ---
 
 // idChains holds one ASHE aggregate's identifier list for every slot of a
-// map task's table while the task runs. The lists grow a row at a time,
+// grouper's table — a map task's, or a bucketed run's reducer's — while it
+// groups. The lists grow a row at a time,
 // interleaved, so a range is a node of one shared arena, in arrival order, that
 // names its slot: no list ever allocates on its own, and layout, at task end,
-// writes every slot's ranges side by side.
+// writes every slot's ranges side by side. Rows reach a grouper in
+// identifier order, so each list is ascending and coalesced as it grows.
 type idChains struct {
 	nodes []idNode
 	slots []idSlot
@@ -605,6 +615,17 @@ func collapseOpeMedian(medOpe [][]byte, medIDs, medComp []uint64) (opeVal []byte
 	return opeVal, argID, comp
 }
 
+// --- the bucketed strategy's map output ---
+
+// rowBucket is one reducer's share of a bucketed group-by's map task: the
+// task's survivors whose key hashes to the reducer, in row order — each one's
+// row in the task's partition, its joined right-table row (nil without a
+// join), and its key's hash, which the reducer's slot table takes as it is.
+type rowBucket struct {
+	rows, join []int32
+	hash       []uint64
+}
+
 // --- the merge input form ---
 
 // taskGroups is a set of groups with distinct keys and their accumulated
@@ -764,7 +785,9 @@ func (in groupSel) at(i int) int {
 // ungrouped plan's tasks and the coordinator's merge of shard results are all
 // this routine. Columns fold as columns (lanes add, values through foldValue);
 // identifier lists merge slot by slot (mergeIDs) where they are written out:
-// encoded by finish, or decoded, in slot order, by gatherGroups.
+// encoded by finish, or decoded, in slot order, by gatherGroups. A bucketed
+// run's reducer, which merges nothing, hands its grouper's table and
+// accumulators to gatherGroups in the same form (groupBucket, finishChains).
 type groupMerger struct {
 	pl  *Plan
 	t   slotTable
@@ -934,13 +957,10 @@ func (m *groupMerger) mergeIDs(ai, s int, w *idWork) (ranges int, err error) {
 	return ranges, nil
 }
 
-// finish readies the merged slots' columns — the accumulators themselves, in
+// finishCols readies the slots' columns — the accumulators themselves, in
 // slot order — for the result (finishCol) and totals the groups' serialized
-// size. With a codec it also merges and encodes the ASHE identifier lists, for
-// a result a daemon frames: it is then the reducer's last measured step. A nil
-// codec leaves the lists to gatherGroups, which writes them decoded for a
-// consumer in this process.
-func (m *groupMerger) finish(codec idlist.Codec) error {
+// size, identifier lists excepted.
+func (m *groupMerger) finishCols() {
 	n := m.t.len()
 	m.bytes = 8 * n // key + row count, roughly
 	if m.t.kind != store.U64 {
@@ -949,6 +969,16 @@ func (m *groupMerger) finish(codec idlist.Codec) error {
 	for ai := range m.acc.cols {
 		m.bytes += m.pl.finishCol(ai, &m.acc.cols[ai], m.acc.rows)
 	}
+}
+
+// finish readies the merged slots' columns for the result (finishCols). With a
+// codec it also merges and encodes the ASHE identifier lists, for a result a
+// daemon frames: it is then the reducer's last measured step. A nil codec
+// leaves the lists to gatherGroups, which writes them decoded for a consumer
+// in this process.
+func (m *groupMerger) finish(codec idlist.Codec) error {
+	m.finishCols()
+	n := m.t.len()
 	if codec == nil {
 		return nil
 	}
@@ -980,6 +1010,34 @@ func (m *groupMerger) finish(codec idlist.Codec) error {
 		}
 		m.bytes += len(col.IDs)
 	}
+	return nil
+}
+
+// finishChains is finish for a reducer that grouped rows (groupBucket), whose
+// accumulators are its grouper's: each ASHE sum's lists grew already merged in
+// its idChains, so they are laid out once and encoded, slot by slot, into one
+// block started at a few bytes a range.
+func (m *groupMerger) finishChains(codec idlist.Codec) error {
+	m.finishCols()
+	for ai := range m.acc.ids {
+		col := &m.acc.cols[ai]
+		if col.Kind != AggAsheSum {
+			continue
+		}
+		ranges, off := m.acc.ids[ai].layout()
+		n := len(off) - 1
+		col.IDs = make([]byte, 0, 2*n+4*len(ranges))
+		col.IDOff = make([]uint64, n+1)
+		for s := 0; s < n; s++ {
+			var err error
+			if col.IDs, err = codec.AppendEncode(col.IDs, idlist.View(ranges[off[s]:off[s+1]])); err != nil {
+				return fmt.Errorf("engine: encode result id list: %v", err)
+			}
+			col.IDOff[s+1] = uint64(len(col.IDs))
+		}
+		m.bytes += len(col.IDs)
+	}
+	m.acc.ids = nil
 	return nil
 }
 

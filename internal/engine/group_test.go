@@ -12,7 +12,8 @@ import (
 )
 
 // TestReducerBucketsAgree: the vectorized and the reference map task, over
-// the same partition, send every group to the same reducer bucket — for u64
+// the same partition, send every group to the same reducer bucket, and a
+// bucketed map task every row to its group's — for u64
 // keys (under the dense span and past it), DET keys in a Fixed column,
 // variable-width DET bytes and strings, each with inflation off and on. The
 // vectorized task buckets its byte keys by the hash its table kept, the
@@ -79,6 +80,39 @@ func TestReducerBucketsAgree(t *testing.T) {
 			got, want := bucketOf(vec.groups), bucketOf(ref.groups)
 			if len(got) < groups || !reflect.DeepEqual(got, want) {
 				t.Errorf("%s, inflate %d: the executors bucket %d and %d groups differently", col, inflate, len(got), len(want))
+			}
+
+			// A bucketed map task routes every row to the bucket its key's
+			// group goes to.
+			routed, err := cp.mapTask(ctx, c, tbl.Parts[0], nil, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			routed.release()
+			var keys grouper
+			keys.initKeys(cp)
+			n := 0
+			for bk, rb := range routed.routed {
+				for _, i := range rb.rows {
+					key := fmt.Sprint(keys.suffix(tbl.Parts[0].StartID+uint64(i)), "/")
+					switch col {
+					case "u":
+						key += fmt.Sprint(u[i])
+					case "k":
+						key += string(tbl.Parts[0].Cols[1].BytesAt(int(i)))
+					case "b":
+						key += string(b[i])
+					default:
+						key += s[i]
+					}
+					if got[key] != bk {
+						t.Fatalf("%s, inflate %d: row %d routed to bucket %d, its group to %d", col, inflate, i, bk, got[key])
+					}
+					n++
+				}
+			}
+			if n != rows {
+				t.Errorf("%s, inflate %d: %d of %d rows routed", col, inflate, n, rows)
 			}
 		}
 	}

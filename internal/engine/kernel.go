@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/big"
+	"math/bits"
 
 	"seabed/internal/ope"
 	"seabed/internal/sqlparse"
@@ -229,17 +230,7 @@ func (cp *compiledPlan) compileFilter(fi int, f *Filter) (predKernel, error) {
 		// pass[cmp+1]: the operator resolved once, not per row.
 		pass := [3]bool{cmpMatch(f.Op, -1), cmpMatch(f.Op, 0), cmpMatch(f.Op, 1)}
 		if vectorizable {
-			return func(pc *partCols, b *batch, startID uint64) {
-				buf := pc.filters[fi].Fixed
-				out := b.sel[:0]
-				for _, i := range b.sel {
-					rhi, rlo := ope.Words(buf[int(i)*ope.CiphertextSize:])
-					if pass[ope.CompareWords(rhi, rlo, hi, lo)+1] {
-						out = append(out, i)
-					}
-				}
-				b.sel = out
-			}, nil
+			return opeCmpKernel(fi, pass, hi, lo), nil
 		}
 		return rowPred(func(pc *partCols, i, j int32, rowID uint64) bool {
 			rhi, rlo := ope.Words(pc.filters[fi].BytesAt(int(pick(i, j, right))))
@@ -321,6 +312,77 @@ func plainCmpKernel(fi int, op sqlparse.CmpOp, c uint64) (predKernel, error) {
 			b.join = b.join[:0]
 		}
 	}, nil
+}
+
+// opeCmpKernel is the OPE range filter on a left-side column of a join-free
+// plan, without a branch on any row's answer: a 16-entry table indexed by the
+// row's and the constant's trits at their first difference (opeWordPair) says
+// whether the row passes. Every row index is written and the output advances
+// by the entry, 0 or 1. Rows go two at a time, so the two lookups overlap
+// instead of queueing behind each other's output position. A differing trit
+// pair answers as ope.CompareWords does, (x+3−y) % 3 — hostile code-3 trits
+// included; equal ciphertexts read a diagonal entry, which answers "equal".
+//
+// It is not inlined: inlined into compileFilter, its loop would be compiled
+// under that large function's inlining budget, with opeWordPair and even
+// bits.LeadingZeros64 left as calls — a third slower.
+//
+//go:noinline
+func opeCmpKernel(fi int, pass [3]bool, hi, lo uint64) predKernel {
+	var keep [16]uint8 // bytes: an int table costs a third of the kernel's speed
+	for x := range 4 {
+		for y := range 4 {
+			cmp := 0
+			if x != y {
+				cmp = -1
+				if (x+3-y)%3 == 1 {
+					cmp = 1
+				}
+			}
+			if pass[cmp+1] {
+				keep[x<<2|y] = 1
+			}
+		}
+	}
+	return func(pc *partCols, b *batch, _ uint64) {
+		buf := pc.filters[fi].Fixed
+		sel := b.sel
+		n, k := 0, 0
+		for ; k+1 < len(sel); k += 2 {
+			i0, i1 := sel[k], sel[k+1]
+			x0, y0 := opeWordPair(buf[int(i0)*ope.CiphertextSize:], hi, lo)
+			x1, y1 := opeWordPair(buf[int(i1)*ope.CiphertextSize:], hi, lo)
+			s0 := uint(62-bits.LeadingZeros64(x0^y0)&^1) & 63
+			s1 := uint(62-bits.LeadingZeros64(x1^y1)&^1) & 63
+			keep0 := int(keep[(x0>>s0&3)<<2|y0>>s0&3])
+			keep1 := int(keep[(x1>>s1&3)<<2|y1>>s1&3])
+			sel[n] = i0
+			n += keep0
+			sel[n] = i1
+			n += keep1
+		}
+		if k < len(sel) {
+			i := sel[k]
+			x, y := opeWordPair(buf[int(i)*ope.CiphertextSize:], hi, lo)
+			s := uint(62-bits.LeadingZeros64(x^y)&^1) & 63
+			sel[n] = i
+			n += int(keep[(x>>s&3)<<2|y>>s&3])
+		}
+		b.sel = sel[:n]
+	}
+}
+
+// opeWordPair picks the words opeCmpKernel compares: a ciphertext's high word
+// and the constant's, or their low words where the high words agree — a
+// branch that follows the column's value domain, not each row's answer. The
+// kernel's shift is that of the first differing trit of the pair; equal
+// ciphertexts have none, and it wraps to 62, where the two trits are equal.
+func opeWordPair(ct []byte, hi, lo uint64) (x, y uint64) {
+	rhi, rlo := ope.Words(ct)
+	if rhi == hi {
+		return rlo, lo
+	}
+	return rhi, hi
 }
 
 // pick maps a (left row, joined row) pair to the index a column reads,

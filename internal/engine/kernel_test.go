@@ -2,9 +2,14 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"seabed/internal/ope"
 	"seabed/internal/sqlparse"
 	"seabed/internal/store"
 )
@@ -332,6 +337,21 @@ func BenchmarkKernelFilterOpe(b *testing.B) {
 		Filter{Kind: FilterOpeCmp, Col: "day_ope", Op: sqlparse.OpLt, Bytes: opeKey.Encrypt(180)})
 }
 
+// BenchmarkKernelFilterOpeShuffled is BenchmarkKernelFilterOpe over the same
+// day-of-year values in random order. Rows there pass in a pattern that
+// repeats every 365, which a branch predictor learns; here it cannot, and a
+// filter that branched on each answer would pay a mispredict on about every
+// other row.
+func BenchmarkKernelFilterOpeShuffled(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	days := make([]uint64, benchRows)
+	for i := range days {
+		days[i] = uint64(rng.Intn(365))
+	}
+	benchFilterCount(b, opeFixed("day_ope", days),
+		Filter{Kind: FilterOpeCmp, Col: "day_ope", Op: sqlparse.OpLt, Bytes: opeKey.Encrypt(180)})
+}
+
 // BenchmarkKernelFilterDetEq measures DET equality over a fixed-width column:
 // one of eight values, so an eighth of the rows pass, then a count. The
 // kernel reads value i at i×16 in the column's one buffer. 0 allocs/op.
@@ -594,14 +614,19 @@ func BenchmarkKernelGroupByBytesWideReference(b *testing.B) {
 
 // BenchmarkRunGroupByBytesWide is one daemon's share of the fleet benchmark's
 // wide group-by: the encrypted wide GROUP BY through Cluster.Run — map,
-// partition, reduce, gather — over 64 Ki rows in 16 Ki groups on 8
-// partitions, on one Cluster reused across iterations, so the plan cache and
-// the sizing hint it carries behave as a daemon's do.
+// shuffle, reduce, gather — over 64 Ki rows in 16 Ki groups on 8 partitions,
+// on one Cluster reused across iterations, so the plan cache and the last run
+// it keeps behave as a daemon's do. One untimed run first leaves that last
+// run, so even a single timed iteration sees the steady state: at about half
+// a row per group per map task, bucketed rows.
 func BenchmarkRunGroupByBytesWide(b *testing.B) {
 	const rows = 1 << 16
 	tbl := detKeyFixture(b, rows, 1<<14, 8, false)
 	c := NewCluster(Config{Workers: 4})
 	ctx := context.Background()
+	if _, err := c.Run(ctx, wideBytesGroupByPlan(tbl)); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -610,6 +635,38 @@ func BenchmarkRunGroupByBytesWide(b *testing.B) {
 		}
 	}
 	reportRows(b, rows)
+}
+
+// BenchmarkRunGroupByBytes is the sweep behind bucketRowsPerGroupTask: the
+// encrypted GROUP BY of BenchmarkRunGroupByBytesWide — 64 Ki rows on 8
+// partitions, so N ÷ (G × T) is 8192 ÷ G — at 1 Ki to 64 Ki groups, in each
+// group-by strategy, pinned. Where the two rows/s cross is where the rule
+// switches.
+func BenchmarkRunGroupByBytes(b *testing.B) {
+	const rows = 1 << 16
+	for groups := 1 << 8; groups <= 1<<16; groups <<= 1 {
+		tbl := detKeyFixture(b, rows, groups, 8, false)
+		for _, st := range []struct {
+			name     string
+			strategy groupStrategy
+		}{{"tables", groupTables}, {"buckets", groupBuckets}} {
+			b.Run(fmt.Sprintf("groups=%d/%s", groups, st.name), func(b *testing.B) {
+				c := NewCluster(Config{Workers: 4})
+				ctx := context.Background()
+				if _, err := c.run(ctx, wideBytesGroupByPlan(tbl), false, nil, st.strategy); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := c.run(ctx, wideBytesGroupByPlan(tbl), false, nil, st.strategy); err != nil {
+						b.Fatal(err)
+					}
+				}
+				reportRows(b, rows)
+			})
+		}
+	}
 }
 
 // genericGroupByPlan is TestDifferentialDetKeys' seabed/generic mix over the
@@ -736,4 +793,73 @@ func BenchmarkKernelScanProjectReference(b *testing.B) {
 		}
 	}
 	reportRows(b, benchRows)
+}
+
+// TestOpeFilterKernelTrits holds the branch-free OPE range filter to
+// ope.CompareWords, the row-at-a-time comparison: every one of the 16 trit
+// pairs (row, constant) — hostile code-3 trits among them — at first
+// differences low, middle and high in each word, and equal ciphertexts, under
+// every operator.
+func TestOpeFilterKernelTrits(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	ops := []sqlparse.CmpOp{sqlparse.OpEq, sqlparse.OpNe, sqlparse.OpLt, sqlparse.OpLe, sqlparse.OpGt, sqlparse.OpGe}
+	for _, inLo := range []bool{false, true} {
+		for _, trit := range []uint{0, 1, 15, 30, 31} {
+			for y := uint64(0); y < 4; y++ {
+				// The constant has trit y at the position; each row agrees with it
+				// above, holds trit x there, and anything below.
+				shift := 2 * trit
+				chi, clo := rng.Uint64(), rng.Uint64()
+				word := &chi
+				if inLo {
+					word = &clo
+				}
+				*word = *word&^(3<<shift) | y<<shift
+				var rows [][2]uint64
+				for x := uint64(0); x < 4; x++ {
+					for range 3 {
+						rhi, rlo := chi, rng.Uint64()
+						rw := &rhi
+						if inLo {
+							rw = &rlo
+						}
+						above := ^uint64(0) << shift << 2 // the trits above the position
+						*rw = *word&above | x<<shift | rng.Uint64()&(1<<shift-1)
+						rows = append(rows, [2]uint64{rhi, rlo})
+					}
+				}
+				rows = append(rows, [2]uint64{chi, clo}) // equal ciphertexts
+				col := store.Column{Name: "o", Kind: store.Fixed, Width: ope.CiphertextSize}
+				for _, r := range rows {
+					col.Fixed = binary.BigEndian.AppendUint64(col.Fixed, r[0])
+					col.Fixed = binary.BigEndian.AppendUint64(col.Fixed, r[1])
+				}
+				tbl, err := store.Build("o", []store.Column{col}, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				constant := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, chi), clo)
+				for _, op := range ops {
+					cp, err := (&Plan{Table: tbl, Aggs: []Agg{{Kind: AggCount}},
+						Filters: []Filter{{Kind: FilterOpeCmp, Col: "o", Op: op, Bytes: constant}}}).compile(0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ts := cp.newTaskState(tbl.Parts[0])
+					b := batch{}
+					var want []int32
+					for i, r := range rows {
+						b.sel = append(b.sel, int32(i))
+						if cmpMatch(op, ope.CompareWords(r[0], r[1], chi, clo)) {
+							want = append(want, int32(i))
+						}
+					}
+					cp.preds[0](&ts.pc, &b, tbl.Parts[0].StartID)
+					if !slices.Equal(b.sel, want) {
+						t.Errorf("lo=%v trit %d, constant trit %d, %v: kernel keeps %v, CompareWords %v", inLo, trit, y, op, b.sel, want)
+					}
+				}
+			}
+		}
+	}
 }

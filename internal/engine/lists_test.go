@@ -84,7 +84,7 @@ func TestListsMeetTheCodecOncePerResultList(t *testing.T) {
 				t.Fatalf("one run over %d map tasks: %d encodes and %d decodes, want %d (one per result list) and 0", parts, e, d, tc.lists)
 			}
 
-			plan, partials, _ := shardRuns(t, cl, tbl, func(tbl *store.Table) *Plan { return tc.plan(tbl, codec) })
+			plan, partials, _ := shardRuns(t, cl, tbl, func(tbl *store.Table) *Plan { return tc.plan(tbl, codec) }, groupAuto)
 			codec.encodes.Store(0)
 			merged, err := Merge(plan, partials)
 			if err != nil {
@@ -358,7 +358,7 @@ func TestDifferentialMergedShards(t *testing.T) {
 		}
 		ran++
 		t.Run(tc.name, func(t *testing.T) {
-			plan, partials, whole := shardRuns(t, cl, tbl, func(tbl *store.Table) *Plan { return tc.plan(tbl, right) })
+			plan, partials, whole := shardRuns(t, cl, tbl, func(tbl *store.Table) *Plan { return tc.plan(tbl, right) }, groupAuto)
 			merged, err := Merge(plan, partials)
 			if err != nil {
 				t.Fatal(err)

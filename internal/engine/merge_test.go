@@ -13,11 +13,11 @@ import (
 
 // shardRuns runs the same plan once over the whole table and once as three
 // Partial, range-scoped shard slices — the sub-queries a coordinator scatters —
-// and returns the unscoped plan to merge them under, the slices' results and
-// the whole-table result.
-func shardRuns(t *testing.T, cl *Cluster, tbl *store.Table, mkPlan func(tbl *store.Table) *Plan) (*Plan, []*Result, *Result) {
+// every run in the given group-by strategy, and returns the unscoped plan to
+// merge them under, the slices' results and the whole-table result.
+func shardRuns(t *testing.T, cl *Cluster, tbl *store.Table, mkPlan func(tbl *store.Table) *Plan, strategy groupStrategy) (*Plan, []*Result, *Result) {
 	t.Helper()
-	whole, err := cl.Run(context.Background(), mkPlan(tbl))
+	whole, err := cl.run(context.Background(), mkPlan(tbl), false, nil, strategy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func shardRuns(t *testing.T, cl *Cluster, tbl *store.Table, mkPlan func(tbl *sto
 		if sub.NumRows() > 0 {
 			pl.Range = &IDRange{Lo: sub.Parts[0].StartID, Hi: sub.EndID()}
 		}
-		if partials[i], err = cl.Run(context.Background(), pl); err != nil {
+		if partials[i], err = cl.run(context.Background(), pl, false, nil, strategy); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -43,7 +43,7 @@ func shardRuns(t *testing.T, cl *Cluster, tbl *store.Table, mkPlan func(tbl *sto
 // internal/fleet.
 func shardSplit(t *testing.T, tbl *store.Table, mkPlan func(tbl *store.Table) *Plan) (*Result, *Result) {
 	t.Helper()
-	merged, partials, want := shardRuns(t, NewCluster(Config{Workers: 4}), tbl, mkPlan)
+	merged, partials, want := shardRuns(t, NewCluster(Config{Workers: 4}), tbl, mkPlan, groupAuto)
 	got, err := MergeResults(merged, partials)
 	if err != nil {
 		t.Fatal(err)

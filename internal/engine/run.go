@@ -64,30 +64,32 @@ type mapRunner interface {
 	runMapTask(ctx context.Context, c *Cluster, part *store.Partition, arenas *nodeArenas) (*mapResult, error)
 }
 
-// nodeArenas recycles the map tasks' identifier-list node arenas
-// (idChains.nodes) within one run: an arena is dead once its task has laid its
-// lists out, so the next task to start takes it over, and a task that finds
-// none starts one the size the last finished task's reached. It belongs to the
-// run — never to the cluster or the process — so nothing outlives the query.
-// A nil *nodeArenas recycles nothing.
+// nodeArenas recycles the identifier-list node arenas (idChains.nodes) of a
+// run's map tasks, or of a bucketed run's reducers, within the run: an arena is
+// dead once its lists are laid out, so the next task or reducer to start takes
+// it over, and one that finds none starts one the size the last finished one
+// reached, or the size it asks for if larger. It belongs to the run — never to
+// the cluster or the process — so nothing outlives the query. A nil
+// *nodeArenas recycles nothing.
 type nodeArenas struct {
 	mu   sync.Mutex
 	free [][]idNode
 	last int
 }
 
-func (a *nodeArenas) get() []idNode {
+// get returns an empty arena with room for atLeast nodes.
+func (a *nodeArenas) get(atLeast int) []idNode {
 	if a == nil {
-		return nil
+		return make([]idNode, 0, atLeast)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if n := len(a.free); n > 0 {
+	if n := len(a.free); n > 0 && cap(a.free[n-1]) >= atLeast {
 		nodes := a.free[n-1]
 		a.free = a.free[:n-1]
 		return nodes[:0]
 	}
-	return make([]idNode, 0, a.last)
+	return make([]idNode, 0, max(a.last, atLeast))
 }
 
 func (a *nodeArenas) put(nodes []idNode) {
@@ -107,7 +109,7 @@ func (a *nodeArenas) put(nodes []idNode) {
 // periodically within them; when it is canceled the worker pool drains and
 // Run returns ctx.Err().
 func (c *Cluster) Run(ctx context.Context, pl *Plan) (*Result, error) {
-	return c.run(ctx, pl, false, nil)
+	return c.run(ctx, pl, false, nil, groupAuto)
 }
 
 // RunReference executes a plan with the retained row-at-a-time reference
@@ -117,16 +119,33 @@ func (c *Cluster) Run(ctx context.Context, pl *Plan) (*Result, error) {
 // testing and as the before-side of kernel benchmarks; production paths
 // (server, shards) always use Run.
 func (c *Cluster) RunReference(ctx context.Context, pl *Plan) (*Result, error) {
-	return c.run(ctx, pl, true, nil)
+	return c.run(ctx, pl, true, nil, groupAuto)
 }
+
+// groupStrategy is how a group-by's map tasks hand their rows to the reducers.
+// Run picks it per run (groupAuto); the package's tests and benchmarks pin it
+// to compare the two.
+type groupStrategy int
+
+const (
+	// groupAuto applies the rule to the plan's last run (groupHint.bucketed).
+	groupAuto groupStrategy = iota
+	// groupTables: each map task groups its rows in a table of its own, and
+	// each reducer merges its share of every task's groups.
+	groupTables
+	// groupBuckets: each map task buckets its rows by key hash, and each
+	// reducer groups its bucket's rows once (groupBucket).
+	groupBuckets
+)
 
 // run is the shared body behind Run, RunReference, and RunStream. A non-nil
 // sink turns a projection plan into a streaming run: each map task's scan
 // output is handed to the sink as soon as that task retires (in partition
 // order, so the stream is globally identifier-ordered), the result's Scan
 // stays nil, and Metrics.FirstChunk records the wall-clock latency to the
-// first delivered chunk.
-func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSink) (*Result, error) {
+// first delivered chunk. strategy picks a group-by's; the reference evaluator
+// keeps per-task tables.
+func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSink, strategy groupStrategy) (*Result, error) {
 	runStart := time.Now()
 	if pl.Table == nil {
 		return nil, errors.New("engine: plan has no table")
@@ -164,18 +183,20 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSi
 	// run, staying an independent oracle for the differential tests.
 	compileStart := time.Now()
 	var runner mapRunner
-	var hint *groupHint // the reference evaluator sizes nothing from a last run
+	var cp *compiledPlan // the reference evaluator sizes nothing from a last run
 	var err error
 	if reference {
 		runner, err = pl.compileReference()
-	} else {
-		var cp *compiledPlan
-		if cp, err = c.compiled(pl); err == nil {
-			runner, hint = cp, &cp.hint
-		}
+	} else if cp, err = c.compiled(pl); err == nil {
+		runner = cp
 	}
 	if err != nil {
 		return nil, err
+	}
+	grouped := pl.GroupBy != nil
+	routed := false
+	if grouped && cp != nil {
+		routed = strategy == groupBuckets || strategy == groupAuto && cp.hint.bucketed()
 	}
 	compileTime := time.Since(compileStart)
 
@@ -237,6 +258,20 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSi
 	sem := make(chan struct{}, par)
 	var wg sync.WaitGroup
 	var arenas nodeArenas
+	// A bucketed run's map tasks leave their partitions pinned for the
+	// reducers; whatever path the run leaves by, every pin is released — after
+	// the reducers on success, at once on an error or a cancellation. Until
+	// then those partitions are safe from eviction, so the run may hold a
+	// daemon above its residency budget (store.Residency is a watermark).
+	unpin := func() {
+		for _, r := range results {
+			if r != nil && r.release != nil {
+				r.release()
+				r.release = nil
+			}
+		}
+	}
+	defer unpin()
 	for i := range parts {
 		// Abort the pool the moment the context dies: tasks already launched
 		// drain (they observe ctx themselves), unlaunched ones never start.
@@ -248,7 +283,11 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSi
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			results[i], errs[i] = runner.runMapTask(mctx, c, parts[i], &arenas)
+			if routed {
+				results[i], errs[i] = cp.mapTask(mctx, c, parts[i], nil, true)
+			} else {
+				results[i], errs[i] = runner.runMapTask(mctx, c, parts[i], &arenas)
+			}
 			if done != nil {
 				close(done[i])
 			}
@@ -286,13 +325,21 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference bool, sink ScanSi
 
 	// Phase 3 — reduce (group-by only): one reducer per non-empty bucket.
 	reduceStart := time.Now()
-	grouped := pl.GroupBy != nil
 	var mergers []*groupMerger
 	if grouped {
-		if mergers, err = c.reduceGroups(pl, results, codec, hint, &metrics); err != nil {
+		if mergers, err = c.reduceGroups(ctx, pl, cp, routed, results, codec, &arenas, &metrics); err != nil {
 			return nil, err
 		}
 		metrics.ReduceTime = time.Since(reduceStart)
+		unpin()
+		if cp != nil {
+			groups, merged := 0, 0
+			for _, mg := range mergers {
+				groups += mg.t.len()
+				merged = max(merged, mg.t.len())
+			}
+			cp.hint.measure(metrics.RowsSelected, groups, len(results), merged)
+		}
 	}
 
 	// Phase 4 — the driver puts the result together.
@@ -384,9 +431,9 @@ func taskSample(durations []time.Duration) (min, p50, max time.Duration) {
 // returned as-is.
 func (c *Cluster) RunStream(ctx context.Context, pl *Plan, sink ScanSink) (*Result, error) {
 	if sink == nil || len(pl.Project) == 0 {
-		return c.run(ctx, pl, false, nil)
+		return c.run(ctx, pl, false, nil, groupAuto)
 	}
-	return c.run(ctx, pl, false, sink)
+	return c.run(ctx, pl, false, sink, groupAuto)
 }
 
 // foldSingle folds an ungrouped plan's map tasks at the driver (§4.5: workers
@@ -409,24 +456,28 @@ func foldSingle(pl *Plan, results []*mapResult, codec idlist.Codec, m *Metrics) 
 	return &GroupCols{KeyKind: store.U64, KeyU64: mg.t.u64, Rows: mg.acc.rows, Aggs: mg.acc.cols}, nil
 }
 
-// reduceGroups merges the map tasks' groups. The shuffle moves nothing: every
-// map task already partitioned its slots by reducerBucket (taskGroups.partition),
-// so reducer b's input is each task's bucket b, in task order, read straight
-// from the task's columns. One reducer runs per non-empty
-// bucket, on goroutines bounded by RealParallelism: it folds its share of
-// every task through a groupMerger and finishes the merged slots (encoding
-// identifier lists), its keys reserved for the count the plan's reducers last
-// merged (hint; nil for the reference evaluator). The driver then gathers the
-// result columns from the returned reducers' blocks.
-func (c *Cluster) reduceGroups(pl *Plan, results []*mapResult, codec idlist.Codec, hint *groupHint, m *Metrics) ([]*groupMerger, error) {
-	nb := c.cfg.Workers
-	if nb < 1 {
-		nb = 1
-	}
-	sizes := make([]int, nb) // groups (with repeats across tasks) per bucket
+// reduceGroups runs a group-by's reducers, one per non-empty bucket, on
+// goroutines bounded by RealParallelism. The shuffle moves nothing: reducer b
+// reads its share of every map task, in task order, where the task left it.
+// Per-task tables were already partitioned by reducerBucket
+// (taskGroups.partition), and the reducer folds its share of each through a
+// groupMerger, its keys reserved for the slots a reducer of the plan last
+// held, and merges and encodes the identifier lists (finish). A bucketed run's
+// tasks routed their rows by the same rule, and the reducer groups its
+// bucket's rows once (groupBucket); its counters join the run's. Either way
+// ReduceTaskTimes is each reducer's wall, and the driver then gathers the
+// result columns from the returned reducers' blocks. cp is nil for the
+// reference evaluator, which never buckets.
+func (c *Cluster) reduceGroups(ctx context.Context, pl *Plan, cp *compiledPlan, routed bool, results []*mapResult, codec idlist.Codec, arenas *nodeArenas, m *Metrics) ([]*groupMerger, error) {
+	nb := c.buckets()
+	sizes := make([]int, nb) // rows, or groups with repeats across tasks, per bucket
 	for _, mr := range results {
 		for b := range sizes {
-			sizes[b] += len(mr.groups.bucket(b))
+			if routed {
+				sizes[b] += len(mr.routed[b].rows)
+			} else {
+				sizes[b] += len(mr.groups.bucket(b))
+			}
 		}
 	}
 	active := make([]int, 0, nb)
@@ -438,15 +489,20 @@ func (c *Cluster) reduceGroups(pl *Plan, results []*mapResult, codec idlist.Code
 	// A group-by that selected nothing still counts one (idle) reducer.
 	m.ReduceTasks = max(len(active), 1)
 
-	// Merge per reducer, in parallel. Buckets are disjoint by construction —
-	// a key maps to exactly one bucket, and each map task's group for it
-	// appears there once — so reducers share no accumulator state.
+	// Reduce per bucket, in parallel. Buckets are disjoint by construction —
+	// a key maps to exactly one bucket, and each map task's group (or rows)
+	// for it appear there alone — so reducers share no accumulator state.
 	mergers := make([]*groupMerger, len(active))
+	ops := make([]*OpStats, len(active))
 	durations := make([]time.Duration, len(active))
 	errs := make([]error, len(active))
 	par := c.cfg.RealParallelism
 	if par <= 0 {
 		par = runtime.NumCPU()
+	}
+	var last int
+	if cp != nil {
+		last = int(cp.hint.merged.Load())
 	}
 	sem := make(chan struct{}, par)
 	var wg sync.WaitGroup
@@ -457,21 +513,18 @@ func (c *Cluster) reduceGroups(pl *Plan, results []*mapResult, codec idlist.Code
 			defer wg.Done()
 			defer func() { <-sem }()
 			start := time.Now()
-			inputs := make([]groupSel, 0, len(results))
-			for _, mr := range results {
-				if sel := mr.groups.bucket(b); len(sel) > 0 {
-					inputs = append(inputs, groupSel{mr.groups, sel})
+			if routed {
+				mergers[ri], ops[ri], errs[ri] = cp.groupBucket(ctx, results, b, codec, arenas)
+			} else {
+				inputs := make([]groupSel, 0, len(results))
+				for _, mr := range results {
+					if sel := mr.groups.bucket(b); len(sel) > 0 {
+						inputs = append(inputs, groupSel{mr.groups, sel})
+					}
 				}
+				mg := mergeGroupSets(pl, inputs, last)
+				mergers[ri], errs[ri] = mg, mg.finish(codec)
 			}
-			var last int
-			if hint != nil {
-				last = int(hint.merged.Load())
-			}
-			mg := mergeGroupSets(pl, inputs, last)
-			if hint != nil {
-				hint.merged.Store(int64(mg.t.len()))
-			}
-			mergers[ri], errs[ri] = mg, mg.finish(codec)
 			durations[ri] = time.Since(start)
 		}(ri, b)
 	}
@@ -480,6 +533,9 @@ func (c *Cluster) reduceGroups(pl *Plan, results []*mapResult, codec idlist.Code
 	for ri, mg := range mergers {
 		if errs[ri] != nil {
 			return nil, errs[ri]
+		}
+		if ops[ri] != nil {
+			m.Ops.merge(ops[ri])
 		}
 		m.ResultBytes += mg.bytes
 		for ai := range mg.acc.cols {

@@ -25,7 +25,13 @@ type mapResult struct {
 	// columns as the grouper left them (taskGroups, group.go) — an ungrouped
 	// plan's one group keyed 0 — a group-by's already partitioned by reducer
 	// bucket for the shuffle. A key appears at most once per task.
-	groups  *taskGroups
+	groups *taskGroups
+	// routed is a bucketed group-by's output instead: the task's survivors,
+	// one rowBucket per reducer, rows of part — whose columns stay pinned
+	// until release is called, once the reducers have grouped them.
+	routed  []rowBucket
+	part    *store.Partition
+	release func()
 	scan    []ScanRow // a scan's survivors: cursors into the task's one chunk
 	elapsed time.Duration
 	// bytes is the output's size as held (Metrics.ShuffleBytes' share),
@@ -136,10 +142,15 @@ func cmpU64(a, b uint64) int {
 
 // sizeOutput prices a map task's output as the task holds it: plain arithmetic
 // over keys, row counts, accumulators and scan cells, identifier lists raw at
-// 16 bytes a range. No list meets the codec here; nothing is shuffled.
+// 16 bytes a range — or over a bucketed task's rows, 4 bytes each for the row
+// and the joined row and 8 for the hash. No list meets the codec here; nothing
+// is shuffled.
 func (pl *Plan) sizeOutput(res *mapResult) {
 	if res.groups != nil {
 		res.bytes, res.listBytes = res.groups.heldBytes(pl)
+	}
+	for _, bk := range res.routed {
+		res.bytes += 4*len(bk.rows) + 4*len(bk.join) + 8*len(bk.hash)
 	}
 	if len(res.scan) > 0 { // a task's one chunk: 8 bytes a row, 8 and the value a cell
 		ch := res.scan[0].chunk

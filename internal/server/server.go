@@ -93,6 +93,10 @@ type Server struct {
 	// + trace flight recorder behind /debug/queries.
 	rowsScanned atomic.Uint64
 	queries     *obs.QueryLog
+	// groupRouted totals the rows completed group-bys bucketed by key hash
+	// for their reducers (engine.OpStats.GroupRouted), which no result frame
+	// carries.
+	groupRouted atomic.Uint64
 
 	// replication counters: runs the fleet coordinator marked as hedges or
 	// failovers, and segment bytes shipped to or pulled from peer daemons.
@@ -181,6 +185,10 @@ type Stats struct {
 	// PlanCacheHits/Misses report the engine's compiled-plan cache: a proxy
 	// issuing repeated query shapes should see the hit counter climb.
 	PlanCacheHits, PlanCacheMisses uint64
+	// GroupRoutedRows counts the rows completed group-bys routed to their
+	// reducers by key hash instead of grouping them per map task: a wide
+	// group-by whose last run found about one row per group per task.
+	GroupRoutedRows uint64
 	// Recovery reports what the durable store rebuilt at boot (zero without
 	// a -data-dir).
 	Recovery durable.RecoveryStats
@@ -202,6 +210,8 @@ func (s *Server) Stats() Stats {
 		RunsActive: int(s.runsActive.Load()),
 		Canceled:   s.canceled.Load(),
 		Errors:     s.reqErrors.Load(),
+
+		GroupRoutedRows: s.groupRouted.Load(),
 
 		HedgedRuns:        s.hedgedRuns.Load(),
 		Failovers:         s.failovers.Load(),
@@ -317,6 +327,7 @@ func (st Stats) MarshalJSON() ([]byte, error) {
 		ResidentBytes   uint64        `json:"resident_bytes"`
 		PlanCacheHits   uint64        `json:"plan_cache_hits"`
 		PlanCacheMisses uint64        `json:"plan_cache_misses"`
+		GroupRouted     uint64        `json:"group_routed_rows"`
 		Recovery        recoveryJSON  `json:"recovery"`
 		Residency       residencyJSON `json:"residency"`
 		Tables          []tableJSON   `json:"tables"`
@@ -336,6 +347,7 @@ func (st Stats) MarshalJSON() ([]byte, error) {
 		ResidentBytes:   st.ResidentBytes,
 		PlanCacheHits:   st.PlanCacheHits,
 		PlanCacheMisses: st.PlanCacheMisses,
+		GroupRouted:     st.GroupRoutedRows,
 		Recovery: recoveryJSON{
 			Tables:          st.Recovery.Tables,
 			Segments:        st.Recovery.Segments,
@@ -1068,6 +1080,7 @@ func (s *Server) executeRun(ctx context.Context, cancel context.CancelFunc, conn
 		return wire.MsgError, wire.EncodeError(err.Error())
 	}
 	s.rowsScanned.Add(res.Metrics.RowsScanned)
+	s.groupRouted.Add(res.Metrics.Ops.GroupRouted)
 	if len(pl.Project) == 0 {
 		aq.SetRows(uint64(res.Cols.Len()))
 	}
