@@ -47,7 +47,10 @@ type ClusterBackend interface {
 	// to sink in batches instead of materializing them in the result, so a
 	// large scan is never resident in one buffer on the client. For plans
 	// without a projection (or a nil sink) it behaves exactly like Run. A
-	// sink error aborts the run and is returned as-is.
+	// sink error aborts the run and is returned as-is. A fleet runs each
+	// range through the one attempt loop Run uses, visiting ranges in range
+	// order: a stream is never hedged, and a range that has delivered rows
+	// does not fail over (its error fails the query).
 	RunStream(ctx context.Context, pl *engine.Plan, sink engine.ScanSink) (*engine.Result, error)
 }
 

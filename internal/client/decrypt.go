@@ -186,15 +186,13 @@ func Decrypt(tr *translate.Translation, res *engine.Result, ring *KeyRing) (*Res
 
 	// The result's columns are walked as they are — never a struct per group —
 	// and never written: they may alias a received frame.
-	cols, err := res.Columns()
-	if err != nil {
-		return nil, err
-	}
+	cols := res.Cols
 	if err := cols.CheckPlan(tr.Server); err != nil {
 		return nil, err
 	}
 	if tr.Client.Inflated && cols != nil {
 		// §4.5: "the client has to perform the remaining aggregations".
+		var err error
 		if cols, err = engine.DeflateGroups(tr.Server, cols); err != nil {
 			return nil, err
 		}

@@ -19,11 +19,9 @@ import (
 // process: it deals the table's partitions round-robin into three
 // sub-tables — the shape appended batches give a fleet's shards, so the
 // sub-results' identifier lists interleave — runs the plan Partial on each
-// and merges. With view set it hands the merged result over as rows, whose
-// lists the row view encodes, instead of as the decoded columns Merge leaves.
+// and merges, handing over the decoded columns Merge leaves.
 type splitBackend struct {
 	*engine.Cluster
-	view bool
 }
 
 func (b *splitBackend) Run(ctx context.Context, pl *engine.Plan) (*engine.Result, error) {
@@ -44,17 +42,12 @@ func (b *splitBackend) Run(ctx context.Context, pl *engine.Plan) (*engine.Result
 		}
 		partials[k] = res
 	}
-	merged, err := engine.Merge(pl, partials)
-	if err != nil || !b.view {
-		return merged, err
-	}
-	return &engine.Result{Groups: merged.View(), Scan: merged.Scan, Metrics: merged.Metrics}, nil
+	return engine.Merge(pl, partials)
 }
 
 // TestDecryptMergedResults: the rows Decrypt makes of a merged result's
-// decoded identifier lists are the rows it makes of the same lists encoded —
-// by one engine over the whole table, and by the merged result's row view —
-// for plain and filtered sums, quadratic aggregates (two ASHE sums over one
+// decoded identifier lists are the rows it makes of the same lists encoded by
+// one engine over the whole table, for plain and filtered sums, quadratic aggregates (two ASHE sums over one
 // list), a DET group-by, an inflated group-by (DeflateGroups reading decoded
 // columns) and an aggregate mix on the merge's generic path.
 func TestDecryptMergedResults(t *testing.T) {
@@ -62,8 +55,7 @@ func TestDecryptMergedResults(t *testing.T) {
 	ctx := context.Background()
 	one := engine.NewCluster(engine.Config{Workers: 24})
 	whole := reclusteredProxy(t, p, one)
-	decoded := &Proxy{ring: p.ring, cluster: &splitBackend{Cluster: one}, tables: p.tables}
-	viewed := &Proxy{ring: p.ring, cluster: &splitBackend{Cluster: one, view: true}, tables: p.tables}
+	merged := &Proxy{ring: p.ring, cluster: &splitBackend{Cluster: one}, tables: p.tables}
 	for _, sql := range []string{
 		"SELECT SUM(revenue) FROM sales",
 		"SELECT SUM(revenue) FROM sales WHERE day > 15",
@@ -82,15 +74,13 @@ func TestDecryptMergedResults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", sql, err)
 			}
-			for name, px := range map[string]*Proxy{"decoded columns": decoded, "row view": viewed} {
-				got, err := px.Query(ctx, sql, opts...)
-				if err != nil {
-					t.Fatalf("%s over %s (inflate %d): %v", sql, name, inflate, err)
-				}
-				assertSameRows(t, sql+" over "+name, translate.Seabed, mustRows(t, want), mustRows(t, got))
-				if got.PRFEvals != want.PRFEvals {
-					t.Errorf("%s over %s (inflate %d): %d PRF evaluations, one engine's result took %d", sql, name, inflate, got.PRFEvals, want.PRFEvals)
-				}
+			got, err := merged.Query(ctx, sql, opts...)
+			if err != nil {
+				t.Fatalf("%s (inflate %d): %v", sql, inflate, err)
+			}
+			assertSameRows(t, sql, translate.Seabed, mustRows(t, want), mustRows(t, got))
+			if got.PRFEvals != want.PRFEvals {
+				t.Errorf("%s (inflate %d): %d PRF evaluations, one engine's result took %d", sql, inflate, got.PRFEvals, want.PRFEvals)
 			}
 		}
 	}

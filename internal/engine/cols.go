@@ -217,85 +217,6 @@ func (c *GroupCols) encodeIDs(col *AggCol) *AggCol {
 	return out
 }
 
-// Columns returns the result's aggregation output as columns, converting a
-// result that holds only Groups — a hand-built one — on the first call and
-// caching the columns in Cols. Such groups must share one key kind and one
-// aggregate list.
-func (r *Result) Columns() (*GroupCols, error) {
-	if r.Cols == nil && len(r.Groups) > 0 {
-		cols, err := colsFromGroups(r.Groups)
-		if err != nil {
-			return nil, err
-		}
-		r.Cols = cols
-	}
-	return r.Cols, nil
-}
-
-// colsFromGroups is the inverse of GroupCols.groups.
-func colsFromGroups(groups []Group) (*GroupCols, error) {
-	n, first := len(groups), &groups[0]
-	aggs := make([]Agg, len(first.Aggs))
-	for ai := range aggs {
-		aggs[ai].Kind = first.Aggs[ai].Kind
-	}
-	c := &GroupCols{KeyKind: first.KeyKind, Rows: make([]uint64, n), Aggs: newAggCols(aggs, n)}
-	for ai := range c.Aggs {
-		if c.Aggs[ai].Kind == AggAsheSum {
-			c.Aggs[ai].IDOff = make([]uint64, n+1)
-		}
-	}
-	keys := groupKeys{}
-	keys.init(c.KeyKind, false)
-	for i := range groups {
-		if groups[i].Suffix >= 0 {
-			keys.inflated = true
-		}
-	}
-	keys.reserve(n, len(first.KeyBytes)+len(first.KeyStr))
-	for i := range groups {
-		g := &groups[i]
-		if g.KeyKind != c.KeyKind {
-			return nil, fmt.Errorf("engine: result groups mix key kinds (%v and %v)", c.KeyKind, g.KeyKind)
-		}
-		if g.Suffix < -1 || int(int32(g.Suffix)) != g.Suffix {
-			return nil, fmt.Errorf("engine: result group suffix %d out of range", g.Suffix)
-		}
-		if len(g.Aggs) != len(aggs) {
-			return nil, fmt.Errorf("engine: result group has %d aggregates, want %d", len(g.Aggs), len(aggs))
-		}
-		switch g.KeyKind {
-		case store.U64:
-			keys.appendU64(g.KeyU64, int32(g.Suffix))
-		case store.Bytes:
-			appendKey(&keys, g.KeyBytes, int32(g.Suffix))
-		case store.Str:
-			appendKey(&keys, g.KeyStr, int32(g.Suffix))
-		default:
-			return nil, fmt.Errorf("engine: result group has unknown key kind %d", int(g.KeyKind))
-		}
-		c.Rows[i] = g.Rows
-		for ai := range g.Aggs {
-			av, col := &g.Aggs[ai], &c.Aggs[ai]
-			if av.Kind != col.Kind {
-				return nil, fmt.Errorf("engine: result groups mix kinds of aggregate %d (%v and %v)", ai, col.Kind, av.Kind)
-			}
-			switch {
-			case av.Kind == AggAsheSum:
-				col.Lane[i] = av.Ashe.Body
-				col.IDs = append(col.IDs, av.Ashe.Encoded...)
-				col.IDOff[i+1] = uint64(len(col.IDs))
-			case col.Lane != nil:
-				col.Lane[i] = av.U64
-			default:
-				col.Vals[i] = *av
-			}
-		}
-	}
-	c.KeyU64, c.KeyOff, c.KeyArena, c.Suffix = keys.u64, keys.off, keys.arena, keys.sfx
-	return c, nil
-}
-
 // taskGroupsFromCols takes one shard's result columns as the merge input
 // form — the inverse of gatherGroups for a Partial plan — so the coordinator's
 // reduce is the engine's own. Keys, row counts and columns are the shard's

@@ -495,9 +495,9 @@ type Result struct {
 	// store.U64 and suffix −1, a grouped query that selected nothing none
 	// (nil).
 	Cols *GroupCols
-	// Groups is the row view of Cols for callers that want one: nil until
-	// View builds it (MergeResults returns with it built). A hand-built
-	// Result may set Groups alone; Columns converts it.
+	// Groups is the row view of Cols, an output only: nil until View builds
+	// it (MergeResults returns with it built). Nothing reads it as input;
+	// every stage reads Cols.
 	Groups []Group
 	// Scan holds scan-mode output.
 	Scan []ScanRow

@@ -85,12 +85,8 @@ func Merge(pl *Plan, partials []*Result) (*Result, error) {
 	} else {
 		sets := make([]*GroupCols, 0, len(partials))
 		for _, r := range partials {
-			c, err := r.Columns()
-			if err != nil {
-				return nil, err
-			}
-			if c.Len() > 0 {
-				sets = append(sets, c)
+			if r.Cols.Len() > 0 {
+				sets = append(sets, r.Cols)
 			}
 		}
 		var err error

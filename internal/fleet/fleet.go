@@ -32,6 +32,15 @@
 // mitigation recast at the replica level): tail latency from one slow daemon
 // collapses to roughly the quantile cut.
 //
+// Every range runs through one attempt loop (runRange), for Run and
+// RunStream alike. RunStream visits a scan's ranges in range order, each
+// range's chunks flowing to the caller's sink as they arrive. A stream is
+// never hedged, and a range fails over only while it has delivered nothing:
+// once its rows have reached the sink, a retry would deliver them twice, so
+// an error after delivery fails the query. A scan row outside the range its
+// daemon was asked to scan is a lie, refused as an *OutOfRangeError naming
+// the daemon: the query fails, with no failover and nobody marked down.
+//
 // # Durable placement and healing
 //
 // The coordinator's placement — range envelopes per table, replica count,

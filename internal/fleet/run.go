@@ -80,30 +80,71 @@ func (c *Cluster) liveReplicas(k int, skip map[int]bool) []int {
 	return live
 }
 
-// attemptResult is one replica attempt's outcome for a range.
+// attemptResult is one replica attempt's outcome for a range. final is an
+// error that ends the query as it is, with no failover and nobody marked
+// down: the caller's sink's own, or an *OutOfRangeError.
 type attemptResult struct {
 	daemon int
 	res    *engine.Result
 	err    error
+	final  error
 }
 
-// launchAttempt runs a copy of req, flagged as a hedge or failover, on daemon
-// d under its own cancelable context and delivers the outcome to results.
-// Concurrent attempts share req's plan, which RunRequest only reads.
-func (c *Cluster) launchAttempt(ctx context.Context, k, d int, req *wire.PlanRequest, hedge, failover bool, results chan<- attemptResult, wg *sync.WaitGroup) context.CancelFunc {
-	actx, cancel := context.WithCancel(ctx)
+// attempt runs a copy of req, flagged as a hedge or failover, on daemon d.
+// Concurrent attempts share req's plan, which RunRequest only reads. Every
+// scan row the daemon returns is checked against the range before sink sees
+// it or the result keeps it; delivered records that sink has seen rows.
+func (c *Cluster) attempt(ctx context.Context, k, d int, req *wire.PlanRequest, hedge, failover bool, sink engine.ScanSink, delivered *atomic.Bool) attemptResult {
 	clone := *req
-	clone.Hedge = hedge
-	clone.Failover = failover
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		sctx, done := c.rangeSpan(actx, k, d, hedge, failover)
-		res, err := c.daemons[d].RunRequest(sctx, &clone, nil)
-		done()
-		results <- attemptResult{daemon: d, res: res, err: err}
-	}()
-	return cancel
+	clone.Hedge, clone.Failover = hedge, failover
+	ar := attemptResult{daemon: d}
+	var guard engine.ScanSink
+	if sink != nil {
+		guard = func(rows []engine.ScanRow) error {
+			if ar.final = c.checkRange(k, d, req.Plan.Range, rows); ar.final == nil {
+				delivered.Store(true)
+				ar.final = sink(rows)
+			}
+			return ar.final
+		}
+	}
+	sctx, done := c.rangeSpan(ctx, k, d, hedge, failover)
+	ar.res, ar.err = c.daemons[d].RunRequest(sctx, &clone, guard)
+	done()
+	if ar.err == nil {
+		ar.final = c.checkRange(k, d, req.Plan.Range, ar.res.Scan)
+	}
+	return ar
+}
+
+// OutOfRangeError is a scan row whose identifier lies outside the range its
+// daemon was asked to scan. A daemon scans only its plan's Range, so the row
+// is a lie: the daemon answered, so it is not marked down, and the query
+// fails rather than failing over.
+type OutOfRangeError struct {
+	// Range is the range's index; Daemon and Addr name the daemon that
+	// returned the row.
+	Range, Daemon int
+	Addr          string
+	// ID is the row's identifier, Lo and Hi the range's inclusive bounds.
+	ID, Lo, Hi uint64
+}
+
+// Error implements error.
+func (e *OutOfRangeError) Error() string {
+	return fmt.Sprintf("fleet: range %d: daemon %d (%s) returned scan row %d outside the range's identifiers [%d, %d]",
+		e.Range, e.Daemon, e.Addr, e.ID, e.Lo, e.Hi)
+}
+
+// checkRange refuses the first row whose identifier lies outside rg, the
+// inclusive range daemon d scanned for range k.
+func (c *Cluster) checkRange(k, d int, rg *engine.IDRange, rows []engine.ScanRow) error {
+	for i := range rows {
+		if id := rows[i].ID; id < rg.Lo || id > rg.Hi {
+			return &OutOfRangeError{Range: k, Daemon: d, Addr: c.addrs[d], ID: id, Lo: rg.Lo, Hi: rg.Hi}
+		}
+	}
+	return nil
 }
 
 // rangeSpan opens a per-attempt scatter span ("range k @ daemon d", suffixed
@@ -159,7 +200,14 @@ func exhausted(k int, last error) error {
 // not-yet-finished range is re-issued to a second replica and the first
 // success wins. Loser attempts are canceled, and their eventual results
 // drain into a buffered channel, so nothing leaks.
-func (c *Cluster) runRange(ctx context.Context, k int, req *wire.PlanRequest, hedgeCh <-chan struct{}) (*engine.Result, error) {
+//
+// With a sink, the attempt streams the range's scan rows to it, and the
+// caller passes a nil hedgeCh: a stream is never hedged. Failover is only
+// safe while the range has delivered nothing — once rows have reached the
+// sink a retry would duplicate them — so an attempt's error after delivery
+// fails the query. An error of the sink's own, or a row outside the range,
+// ends the query as it is and marks nobody down.
+func (c *Cluster) runRange(ctx context.Context, k int, req *wire.PlanRequest, hedgeCh <-chan struct{}, sink engine.ScanSink) (*engine.Result, error) {
 	tried := make(map[int]bool)
 	live := c.liveReplicas(k, tried)
 	if len(live) == 0 {
@@ -177,9 +225,16 @@ func (c *Cluster) runRange(ctx context.Context, k int, req *wire.PlanRequest, he
 		wg.Wait()
 	}()
 
+	var delivered atomic.Bool
 	launch := func(d int, hedge, failover bool) {
 		tried[d] = true
-		cancels = append(cancels, c.launchAttempt(ctx, k, d, req, hedge, failover, results, &wg))
+		actx, cancel := context.WithCancel(ctx)
+		cancels = append(cancels, cancel)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results <- c.attempt(actx, k, d, req, hedge, failover, sink, &delivered)
+		}()
 	}
 	launch(live[0], false, false)
 	pending := 1
@@ -198,14 +253,20 @@ func (c *Cluster) runRange(ctx context.Context, k int, req *wire.PlanRequest, he
 			}
 		case ar := <-results:
 			pending--
-			if ar.err == nil {
+			if ar.err == nil && ar.final == nil {
 				return ar.res, nil
 			}
-			lastErr = ar.err
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
+			if ar.final != nil {
+				return nil, ar.final
+			}
+			lastErr = ar.err
 			c.attemptFailed(ar.daemon, ar.err)
+			if delivered.Load() {
+				return nil, fmt.Errorf("fleet: range %d failed mid-stream after delivering rows (a retry would duplicate them): %w", k, ar.err)
+			}
 			if pending > 0 {
 				continue // a sibling attempt is still in flight
 			}
@@ -226,10 +287,40 @@ func (c *Cluster) runRange(ctx context.Context, k int, req *wire.PlanRequest, he
 // error failover and quantile-triggered hedging (see the package comment) —
 // and the partials gather with engine.Merge, columns in and columns out.
 func (c *Cluster) Run(ctx context.Context, pl *engine.Plan) (*engine.Result, error) {
+	return c.run(ctx, pl, nil)
+}
+
+// RunStream implements ClusterBackend. Scan plans stream range by range, in
+// range order: each range's chunks flow to sink as they arrive, through the
+// same per-range attempt loop Run uses, never hedged, and failing over only
+// while the range has delivered nothing (see runRange). An error raised by
+// the caller's own sink ends the query with that error and says nothing
+// about the daemon. Non-scan plans (or a nil sink) run as Run does.
+func (c *Cluster) RunStream(ctx context.Context, pl *engine.Plan, sink engine.ScanSink) (*engine.Result, error) {
+	if len(pl.Project) == 0 {
+		sink = nil
+	}
+	return c.run(ctx, pl, sink)
+}
+
+// run is Run and RunStream: scatter; then fan the ranges out concurrently
+// (no sink) or visit them in range order (a stream); then gather.
+func (c *Cluster) run(ctx context.Context, pl *engine.Plan, sink engine.ScanSink) (*engine.Result, error) {
 	start := time.Now()
 	_, reqs, err := c.scatterPlans(ctx, pl)
 	if err != nil {
 		return nil, err
+	}
+	results := make([]*engine.Result, len(reqs))
+	if sink != nil {
+		// One range at a time, in range order: the sink sees range 0's rows,
+		// then range 1's, and so on.
+		for k := range reqs {
+			if results[k], err = c.runRange(ctx, k, reqs[k], nil, sink); err != nil {
+				return nil, err
+			}
+		}
+		return gather(pl, results, start)
 	}
 
 	// The hedge trigger: hedgeCh closes once `trigger` ranges have completed,
@@ -245,11 +336,9 @@ func (c *Cluster) Run(ctx context.Context, pl *engine.Plan) (*engine.Result, err
 			close(hedgeCh)
 		}
 	}
-
-	results := make([]*engine.Result, len(reqs))
 	if err := fanOut(ctx, len(reqs), func(ctx context.Context, k int) error {
 		var err error
-		results[k], err = c.runRange(ctx, k, reqs[k], hedgeCh)
+		results[k], err = c.runRange(ctx, k, reqs[k], hedgeCh, nil)
 		rangeDone()
 		return err
 	}); err != nil {
@@ -268,81 +357,4 @@ func gather(pl *engine.Plan, results []*engine.Result, start time.Time) (*engine
 	}
 	out.Metrics.ServerTime = time.Since(start)
 	return out, nil
-}
-
-// RunStream implements ClusterBackend. Scan plans stream range by range, in
-// range order: each range's chunks flow to sink as they arrive. Failover is
-// only safe while a range has delivered nothing — once rows for a range have
-// reached the sink, a retry would duplicate them — so a replica that errs
-// mid-stream after delivery fails the query, while one that errs before its
-// first chunk fails over silently. Hedging never applies to streams for the
-// same reason. An error raised by the caller's own sink ends the query with
-// that error and says nothing about the daemon. Non-scan plans (or a nil
-// sink) defer to Run.
-func (c *Cluster) RunStream(ctx context.Context, pl *engine.Plan, sink engine.ScanSink) (*engine.Result, error) {
-	if sink == nil || len(pl.Project) == 0 {
-		return c.Run(ctx, pl)
-	}
-	start := time.Now()
-	_, reqs, err := c.scatterPlans(ctx, pl)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]*engine.Result, len(reqs))
-	for k := range reqs {
-		res, err := c.streamRange(ctx, k, reqs[k], sink)
-		if err != nil {
-			return nil, err
-		}
-		results[k] = res
-	}
-	return gather(pl, results, start)
-}
-
-// streamRange runs one range's scan against its replicas in order, failing
-// over only while the sink has seen none of the range's rows.
-func (c *Cluster) streamRange(ctx context.Context, k int, req *wire.PlanRequest, sink engine.ScanSink) (*engine.Result, error) {
-	tried := make(map[int]bool)
-	var lastErr error
-	failover := false
-	for {
-		live := c.liveReplicas(k, tried)
-		if len(live) == 0 {
-			if lastErr != nil {
-				return nil, exhausted(k, lastErr)
-			}
-			return nil, fmt.Errorf("fleet: range %d has no live replicas", k)
-		}
-		d := live[0]
-		tried[d] = true
-		delivered := false
-		var sinkErr error
-		guard := func(rows []engine.ScanRow) error {
-			delivered = true
-			sinkErr = sink(rows)
-			return sinkErr
-		}
-		clone := *req
-		clone.Failover = failover
-		sctx, done := c.rangeSpan(ctx, k, d, false, failover)
-		res, err := c.daemons[d].RunRequest(sctx, &clone, guard)
-		done()
-		if err == nil {
-			return res, nil
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if sinkErr != nil {
-			return nil, sinkErr
-		}
-		c.attemptFailed(d, err)
-		if delivered {
-			return nil, fmt.Errorf("fleet: range %d failed mid-stream after delivering rows (a retry would duplicate them): %w", k, err)
-		}
-		lastErr = err
-		failover = true
-		c.failovers.Add(1)
-		c.log("failing streamed range over", "range", k, "from", d)
-	}
 }

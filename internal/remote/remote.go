@@ -158,11 +158,9 @@ func (r *RemoteCluster) RunRequest(ctx context.Context, req *wire.PlanRequest, s
 	if rpc != nil && len(spans) > 0 {
 		rpc.AttachFlat(spans)
 	}
-	// Servers ship every scan row in chunk frames and leave the terminal
-	// frame's scan section empty; tolerate rows there anyway.
-	if len(collected) > 0 {
-		res.Scan = append(collected, res.Scan...)
-	}
+	// Scan rows arrive only in chunk frames: a materialized scan is the
+	// chunks collected.
+	res.Scan = collected
 	if want := req.Plan.EffectiveCodec().Name(); codecName != want {
 		return nil, &CodecMismatchError{Plan: want, Frame: codecName}
 	}

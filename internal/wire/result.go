@@ -14,19 +14,20 @@ import (
 // EncodeResult serializes a MsgResult payload: the codec the engine actually
 // used (the client must decode identifier lists with the same one — the
 // in-process path communicates it by mutating the plan, the wire path carries
-// it here) followed by the result's group columns, scan rows, metrics, and the
-// daemon's span breakdown for the query trace (nil spans encode as an empty
-// list). version must be Version. A result whose identifier lists are decoded
-// — a merged one, whose consumer is in the merging process — is refused:
-// nothing frames it, and a frame carries lists encoded.
+// it here) followed by the result's group columns, an empty scan section,
+// metrics, and the daemon's span breakdown for the query trace (nil spans
+// encode as an empty list). version must be Version. Scan rows travel only in
+// MsgResultChunk frames, so a result that carries Scan rows is refused. So is
+// one whose identifier lists are decoded — a merged one, whose consumer is in
+// the merging process: nothing frames it, and a frame carries lists encoded.
 func EncodeResult(codecName string, res *engine.Result, spans []obs.FlatSpan, version uint64) ([]byte, error) {
 	if err := checkVersion(version, "encode result"); err != nil {
 		return nil, err
 	}
-	cols, err := res.Columns()
-	if err != nil {
-		return nil, fmt.Errorf("wire: encode result: %v", err)
+	if len(res.Scan) > 0 {
+		return nil, fmt.Errorf("wire: encode result: %d scan rows (scan rows travel in chunk frames)", len(res.Scan))
 	}
+	cols := res.Cols
 	// Reserve the extents' size, so a multi-megabyte group-by frame is written
 	// into one allocation.
 	size := 512
@@ -42,7 +43,7 @@ func EncodeResult(codecName string, res *engine.Result, spans []obs.FlatSpan, ve
 	if err := encodeGroupCols(e, cols); err != nil {
 		return nil, err
 	}
-	encodeScanRows(e, res.Scan)
+	e.uint(0) // the scan section: always empty
 	encodeMetrics(e, &res.Metrics)
 	encodeSpans(e, spans)
 	return e.buf, nil
@@ -204,67 +205,8 @@ func decodeSpans(d *dec) []obs.FlatSpan {
 	return spans
 }
 
-// encodeScanRows appends the result frame's length-prefixed scan-row section:
-// per row its identifier, its width, and per cell the three accessors' values.
-func encodeScanRows(e *enc, scan []engine.ScanRow) {
-	e.uint(uint64(len(scan)))
-	for _, r := range scan {
-		e.uint(r.ID)
-		e.uint(uint64(r.Width()))
-		for j := 0; j < r.Width(); j++ {
-			e.uint(r.U64(j))
-			e.bytes(r.Bytes(j))
-			e.str(r.Str(j))
-		}
-	}
-}
-
-// decodeScanRows parses a scan-row section into one chunk typed by its first
-// row — a cell holding bytes is Bytes, one holding a string Str, any other
-// U64 — and returns its cursors, refusing a later row of another width or kind.
-func decodeScanRows(d *dec) []engine.ScanRow {
-	nScan := d.uint()
-	if nScan == 0 {
-		return nil
-	}
-	ch := &engine.ScanChunk{}
-	for i := uint64(0); i < nScan && d.err == nil; i++ {
-		ch.IDs = append(ch.IDs, d.uint())
-		n := d.uint()
-		// Each projected cell consumes ≥ 3 payload bytes, bounding the
-		// allocation a hostile count can demand.
-		if !d.checkCount(n, 3, "scan columns") {
-			break
-		}
-		if i == 0 {
-			ch.Cols = make([]store.Column, n)
-		} else if n != uint64(len(ch.Cols)) {
-			d.invalid("scan row width")
-		}
-		for j := 0; j < len(ch.Cols) && d.err == nil; j++ {
-			u, b, s, c := d.uint(), d.bytes(), d.str(), &ch.Cols[j]
-			if i == 0 && len(b) > 0 {
-				c.Kind = store.Bytes
-			} else if i == 0 && s != "" {
-				c.Kind = store.Str
-			}
-			switch {
-			case c.Kind == store.U64 && len(b) == 0 && s == "":
-				c.U64 = append(c.U64, u)
-			case c.Kind == store.Bytes && u == 0 && s == "":
-				c.Bytes = append(c.Bytes, b)
-			case c.Kind == store.Str && u == 0 && len(b) == 0:
-				c.Str = append(c.Str, s)
-			default:
-				d.invalid("scan cell kind")
-			}
-		}
-	}
-	return ch.Rows() // discarded when d.err is set
-}
-
-// DecodeResult parses a MsgResult payload; version must be Version. The
-// groups decode into a fixed handful of allocations however many there are:
+// DecodeResult parses a MsgResult payload; version must be Version. A frame
+// whose scan section holds any row is refused. The groups decode into a fixed handful of allocations however many there are:
 // res.Cols' lanes, key arena and identifier-list blocks alias p (a lane is
 // copied instead when p is not 8-byte aligned), so the caller must leave p's
 // backing array alone afterwards — ReadFrame allocates per frame, which
@@ -277,9 +219,9 @@ func DecodeResult(p []byte, version uint64) (codecName string, res *engine.Resul
 	d := newDec(p)
 	codecName = d.str()
 	res = &engine.Result{Cols: decodeGroupCols(d)}
-
-	res.Scan = decodeScanRows(d)
-
+	if d.uint() != 0 { // scan rows travel only in chunk frames
+		d.invalid("scan row count")
+	}
 	decodeMetrics(d, &res.Metrics)
 	spans = decodeSpans(d)
 	if err := d.close("result"); err != nil {

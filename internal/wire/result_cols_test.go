@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"cmp"
 	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
@@ -30,6 +29,17 @@ func encodeList(t testing.TB, l idlist.List) []byte {
 	return enc
 }
 
+// listBlock lays encoded identifier lists end to end as an ASHE column's
+// block, returning the block and its offsets.
+func listBlock(lists ...[]byte) (ids []byte, off []uint64) {
+	off = []uint64{0}
+	for _, l := range lists {
+		ids = append(ids, l...)
+		off = append(off, uint64(len(ids)))
+	}
+	return ids, off
+}
+
 // goldenResult is a fixed two-group result touching every column form the
 // result frame carries: 16-byte keys (the encrypted GROUP BY shape, sent
 // without offsets), an inflation suffix, an ASHE sum with its identifier-list
@@ -38,26 +48,30 @@ func goldenResult(t testing.TB) *engine.Result {
 	ids := idlist.FromRange(3, 9)
 	ids.Append(12)
 	ids.AppendRange(40, 41)
+	block, off := listBlock(encodeList(t, ids), encodeList(t, idlist.FromRange(77, 77)))
 	return &engine.Result{
-		Groups: []engine.Group{
-			{KeyKind: store.Bytes, KeyBytes: []byte("0123456789abcdef"), Suffix: -1, Rows: 10,
-				Aggs: []engine.AggValue{
-					{Kind: engine.AggAsheSum, Ashe: engine.AsheAgg{Body: 0xfeedfacecafebeef, Encoded: encodeList(t, ids)}},
-					{Kind: engine.AggCount, U64: 10},
+		Cols: &engine.GroupCols{
+			KeyKind:  store.Bytes,
+			KeyOff:   []uint64{0, 16, 32},
+			KeyArena: []byte("0123456789abcdeffedcba9876543210"),
+			Suffix:   []int32{-1, 2},
+			Rows:     []uint64{10, 1},
+			Aggs: []engine.AggCol{
+				{Kind: engine.AggAsheSum, Lane: []uint64{0xfeedfacecafebeef, 7}, IDs: block, IDOff: off},
+				{Kind: engine.AggCount, Lane: []uint64{10, 1}},
+				{Kind: engine.AggOpeMin, Vals: []engine.AggValue{
 					{Kind: engine.AggOpeMin, Ope: []byte{9, 8, 7}, ArgID: 31, U64: 5, CompanionBytes: []byte{1, 2}},
+					{Kind: engine.AggOpeMin}}},
+				{Kind: engine.AggPlainMedian, Vals: []engine.AggValue{
 					{Kind: engine.AggPlainMedian, MedU64: []uint64{4, 300, 2}},
+					{Kind: engine.AggPlainMedian}}},
+				{Kind: engine.AggOpeMedian, Vals: []engine.AggValue{
 					{Kind: engine.AggOpeMedian, MedOpe: [][]byte{{1}, {2, 2}}, MedIDs: []uint64{5, 6}, MedComp: []uint64{50, 60}},
+					{Kind: engine.AggOpeMedian}}},
+				{Kind: engine.AggPaillierSum, Vals: []engine.AggValue{
 					{Kind: engine.AggPaillierSum, Pail: new(big.Int).Lsh(big.NewInt(99), 70)},
-				}},
-			{KeyKind: store.Bytes, KeyBytes: []byte("fedcba9876543210"), Suffix: 2, Rows: 1,
-				Aggs: []engine.AggValue{
-					{Kind: engine.AggAsheSum, Ashe: engine.AsheAgg{Body: 7, Encoded: encodeList(t, idlist.FromRange(77, 77))}},
-					{Kind: engine.AggCount, U64: 1},
-					{Kind: engine.AggOpeMin},
-					{Kind: engine.AggPlainMedian},
-					{Kind: engine.AggOpeMedian},
-					{Kind: engine.AggPaillierSum, Pail: big.NewInt(1)},
-				}},
+					{Kind: engine.AggPaillierSum, Pail: big.NewInt(1)}}},
+			},
 		},
 		Metrics: engine.Metrics{
 			ServerTime: 9 * time.Millisecond, MapTime: 5 * time.Millisecond, ReduceTime: 2 * time.Millisecond,
@@ -117,12 +131,12 @@ func TestEncodeResultGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if codec != idlist.VBDiff.Name() || !reflect.DeepEqual(back.View(), res.Groups) || !reflect.DeepEqual(back.Metrics, res.Metrics) {
-		t.Fatalf("golden frame decoded to\n %+v\nwant\n %+v", back.View(), res.Groups)
+	if codec != idlist.VBDiff.Name() || !reflect.DeepEqual(back.View(), res.View()) || !reflect.DeepEqual(back.Metrics, res.Metrics) {
+		t.Fatalf("golden frame decoded to\n %+v\nwant\n %+v", back.View(), res.View())
 	}
-	for _, g := range res.Groups {
-		if n := bytes.Count(want, g.Aggs[0].Ashe.Encoded); n != 1 {
-			t.Fatalf("encoded identifier list %x appears %d times in the frame, want once", g.Aggs[0].Ashe.Encoded, n)
+	for g := range res.Cols.Len() {
+		if l := res.Cols.Aggs[0].EncodedIDs(g); bytes.Count(want, l) != 1 {
+			t.Fatalf("encoded identifier list %x appears %d times in the frame, want once", l, bytes.Count(want, l))
 		}
 	}
 }
@@ -153,32 +167,50 @@ func propMixes(pk *paillier.PublicKey) map[string][]engine.Agg {
 // depend on group and shard.
 func propResult(t testing.TB, kind store.Kind, inflated bool, aggs []engine.Agg, n, shard int) *engine.Result {
 	res := &engine.Result{Metrics: engine.Metrics{MapTasks: 1 + shard, RowsScanned: uint64(n)}}
-	if n > 0 {
-		res.Groups = make([]engine.Group, 0, n)
+	if n == 0 {
+		return res
 	}
-	vals := make([]engine.AggValue, 0, n*len(aggs))
+	c := &engine.GroupCols{KeyKind: kind, Rows: make([]uint64, n), Aggs: make([]engine.AggCol, len(aggs))}
+	if kind != store.U64 {
+		c.KeyOff = make([]uint64, 1, n+1)
+	}
+	if inflated {
+		c.Suffix = make([]int32, n)
+	}
+	for ai, a := range aggs {
+		c.Aggs[ai].Kind = a.Kind
+		if a.Kind == engine.AggAsheSum {
+			c.Aggs[ai].IDOff = make([]uint64, 1, n+1)
+		}
+	}
 	for i := 0; i < n; i++ {
-		g := engine.Group{KeyKind: kind, Suffix: -1, Rows: uint64(1 + i%3), Aggs: vals[len(vals) : len(vals) : len(vals)+len(aggs)]}
-		vals = vals[:len(vals)+len(aggs)]
 		switch kind {
 		case store.U64:
-			g.KeyU64 = uint64(i) * 2654435761
+			c.KeyU64 = append(c.KeyU64, uint64(i)*2654435761)
 		case store.Bytes:
-			g.KeyBytes = []byte(fmt.Sprintf("det-key-%08d", i))
+			c.KeyArena = fmt.Appendf(c.KeyArena, "det-key-%08d", i)
 		default:
-			g.KeyStr = fmt.Sprintf("k%d", i*i)
+			c.KeyArena = fmt.Appendf(c.KeyArena, "k%d", i*i)
+		}
+		if kind != store.U64 {
+			c.KeyOff = append(c.KeyOff, uint64(len(c.KeyArena)))
 		}
 		if inflated {
-			g.Suffix = i % 3
+			c.Suffix[i] = int32(i % 3)
 		}
+		c.Rows[i] = uint64(1 + i%3)
 		v := uint64(i)*7919 + uint64(shard)
-		for _, a := range aggs {
-			av := engine.AggValue{Kind: a.Kind}
-			switch a.Kind {
+		for ai := range c.Aggs {
+			col := &c.Aggs[ai]
+			av := engine.AggValue{Kind: col.Kind}
+			switch col.Kind {
 			case engine.AggAsheSum:
 				ids := idlist.FromRange(uint64(1000*shard+3*i+1), uint64(1000*shard+3*i+1))
 				ids.Append(uint64(1000*shard + 3*i + 3))
-				av.Ashe = engine.AsheAgg{Body: v, Encoded: encodeList(t, ids)}
+				col.Lane = append(col.Lane, v)
+				col.IDs = append(col.IDs, encodeList(t, ids)...)
+				col.IDOff = append(col.IDOff, uint64(len(col.IDs)))
+				continue
 			case engine.AggPaillierSum:
 				av.Pail = new(big.Int).SetUint64(v + 2)
 			case engine.AggOpeMin, engine.AggOpeMax:
@@ -191,12 +223,13 @@ func propResult(t testing.TB, kind store.Kind, inflated bool, aggs []engine.Agg,
 			case engine.AggOpeMedian:
 				av.MedOpe, av.MedIDs, av.MedComp = [][]byte{{byte(i)}, {byte(shard), 2}}, []uint64{v, v + 1}, []uint64{5, 6}
 			default:
-				av.U64 = v
+				col.Lane = append(col.Lane, v)
+				continue
 			}
-			g.Aggs = append(g.Aggs, av)
+			col.Vals = append(col.Vals, av)
 		}
-		res.Groups = append(res.Groups, g)
 	}
+	res.Cols = c
 	return res
 }
 
@@ -225,15 +258,6 @@ func sameGroups(a, b []engine.Group) bool {
 		}
 	}
 	return true
-}
-
-// byKey returns a sorted copy of hand-built groups, in the key order View
-// promises: the u64 key, the key bytes or the key string, then the suffix.
-func byKey(gs []engine.Group) []engine.Group {
-	return slices.SortedFunc(slices.Values(gs), func(a, b engine.Group) int {
-		return cmp.Or(cmp.Compare(a.KeyU64, b.KeyU64), bytes.Compare(a.KeyBytes, b.KeyBytes),
-			strings.Compare(a.KeyStr, b.KeyStr), cmp.Compare(a.Suffix, b.Suffix))
-	})
 }
 
 // TestResultRoundTripProperty is the frame's round-trip property over key
@@ -269,7 +293,7 @@ func TestResultRoundTripProperty(t *testing.T) {
 							if back.Groups != nil {
 								t.Fatal("decode built the row view nobody asked for")
 							}
-							if !sameGroups(back.View(), byKey(res.Groups)) {
+							if !sameGroups(back.View(), res.View()) {
 								t.Fatal("decoded frame does not view as the groups encoded")
 							}
 							// The frame is canonical: what decodes re-encodes to it.
@@ -346,7 +370,7 @@ func TestDecodeResultAllocsPerGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.View(), want.Groups) {
+	if !reflect.DeepEqual(got.View(), want.View()) {
 		t.Fatal("wide frame did not round-trip")
 	}
 	avg := testing.AllocsPerRun(5, func() {
@@ -371,7 +395,7 @@ func TestDecodeResultAliasesOrCopies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !reflect.DeepEqual(got.View(), want.Groups) {
+		if !reflect.DeepEqual(got.View(), want.View()) {
 			t.Fatalf("%s payload did not round-trip", name)
 		}
 		lane := got.Cols.Aggs[0].Lane
@@ -459,7 +483,8 @@ func mergePlan(codec string, c *engine.GroupCols, pk *paillier.PublicKey) *engin
 // never a panic, view without panicking, and survive a re-encode and second
 // decode unchanged. The seed corpus is the valid frames above, truncations of
 // the golden frame, the hostile frames the unit tests reject, and (in
-// testdata) a frame that decodes but cannot merge.
+// testdata) a frame that decodes but cannot merge and one whose scan section
+// holds a row, which the decoder refuses.
 func FuzzDecodeResult(f *testing.F) {
 	golden, err := hex.DecodeString(goldenFrame)
 	if err != nil {

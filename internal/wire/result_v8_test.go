@@ -15,10 +15,8 @@ import (
 // cleanly by accident.
 func opsResult() *engine.Result {
 	return &engine.Result{
-		Groups: []engine.Group{
-			{KeyKind: store.U64, KeyU64: 7, Suffix: -1, Rows: 3,
-				Aggs: []engine.AggValue{{Kind: engine.AggCount, U64: 3}}},
-		},
+		Cols: &engine.GroupCols{KeyKind: store.U64, KeyU64: []uint64{7}, Rows: []uint64{3},
+			Aggs: []engine.AggCol{{Kind: engine.AggCount, Lane: []uint64{3}}}},
 		Metrics: engine.Metrics{
 			ServerTime: 5 * time.Millisecond, MapTasks: 4, ReduceTasks: 1,
 			RowsScanned: 9000, RowsSelected: 1234,
@@ -55,7 +53,7 @@ func TestResultOpsRoundTripV8(t *testing.T) {
 	if !reflect.DeepEqual(got.Metrics.Ops, res.Metrics.Ops) {
 		t.Fatalf("ops round trip:\n got %+v\nwant %+v", got.Metrics.Ops, res.Metrics.Ops)
 	}
-	if !reflect.DeepEqual(got.View(), res.Groups) || !reflect.DeepEqual(got.Metrics, res.Metrics) {
+	if !reflect.DeepEqual(got.View(), res.View()) || !reflect.DeepEqual(got.Metrics, res.Metrics) {
 		t.Fatalf("result round trip:\n got %+v\nwant %+v", got, res)
 	}
 }

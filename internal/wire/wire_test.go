@@ -3,9 +3,12 @@ package wire
 import (
 	"bytes"
 	crand "crypto/rand"
+	"fmt"
 	"io"
 	"math/big"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -236,35 +239,26 @@ func TestResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	block, off := listBlock([]byte{0}, encoded)
 	res := &engine.Result{
-		// The groups are in key order, the order the row view gives back.
-		Groups: []engine.Group{
-			{
-				// A group no row reached, and an empty key.
-				KeyKind: store.Str, Suffix: -1, Rows: 0,
-				Aggs: []engine.AggValue{
-					{Kind: engine.AggAsheSum, Ashe: engine.AsheAgg{Encoded: []byte{0}}},
-					{Kind: engine.AggCount},
+		// Two string-keyed groups; the first is one no row reached, with an
+		// empty key.
+		Cols: &engine.GroupCols{
+			KeyKind:  store.Str,
+			KeyOff:   []uint64{0, 0, 6},
+			KeyArena: []byte("Canada"),
+			Rows:     []uint64{0, 991},
+			Aggs: []engine.AggCol{
+				{Kind: engine.AggAsheSum, Lane: []uint64{0, 0xDEADBEEFCAFE}, IDs: block, IDOff: off},
+				{Kind: engine.AggCount, Lane: []uint64{0, 991}},
+				{Kind: engine.AggPaillierSum, Vals: []engine.AggValue{
 					{Kind: engine.AggPaillierSum, Pail: big.NewInt(1)},
+					{Kind: engine.AggPaillierSum, Pail: big.NewInt(0).Lsh(big.NewInt(12345), 300)}}},
+				{Kind: engine.AggOpeMax, Vals: []engine.AggValue{
 					{Kind: engine.AggOpeMax},
-				},
-			},
-			{
-				KeyKind: store.Str, KeyStr: "Canada", Suffix: -1, Rows: 991,
-				Aggs: []engine.AggValue{
-					{Kind: engine.AggAsheSum, Ashe: engine.AsheAgg{Body: 0xDEADBEEFCAFE, Encoded: encoded}},
-					{Kind: engine.AggCount, U64: 991},
-					{Kind: engine.AggPaillierSum, Pail: big.NewInt(0).Lsh(big.NewInt(12345), 300)},
-					{Kind: engine.AggOpeMax, Ope: []byte{1, 2, 3}, ArgID: 77, U64: 41, CompanionBytes: []byte{9}},
-				},
+					{Kind: engine.AggOpeMax, Ope: []byte{1, 2, 3}, ArgID: 77, U64: 41, CompanionBytes: []byte{9}}}},
 			},
 		},
-		// The first row types each column of the decoded chunk.
-		Scan: (&engine.ScanChunk{IDs: []uint64{1, 2}, Cols: []store.Column{
-			{Kind: store.U64, U64: []uint64{42, 0}},
-			{Kind: store.Bytes, Bytes: [][]byte{{5, 6}, nil}},
-			{Kind: store.Str, Str: []string{"x", ""}},
-		}}).Rows(),
 		Metrics: engine.Metrics{
 			ServerTime: 123 * time.Millisecond, MapTime: 100 * time.Millisecond,
 			ReduceTime: 13 * time.Millisecond, DriverTime: 1 * time.Millisecond, ShuffleBytes: 4096, ResultBytes: 512,
@@ -286,13 +280,8 @@ func TestResultRoundTrip(t *testing.T) {
 	if err != nil || !back.Equal(ids) {
 		t.Fatalf("id list round trip: got %v (err %v), want %v", back, err, ids)
 	}
-	if !reflect.DeepEqual(got.View(), res.Groups) || len(got.Scan) != len(res.Scan) || !reflect.DeepEqual(got.Metrics, res.Metrics) {
+	if !reflect.DeepEqual(got.View(), res.View()) || got.Scan != nil || !reflect.DeepEqual(got.Metrics, res.Metrics) {
 		t.Fatalf("result round trip:\n got %+v\nwant %+v", got, res)
-	}
-	for i := range res.Scan {
-		if diff := sameCells(got.Scan[i], res.Scan[i]); diff != "" {
-			t.Fatalf("scan round trip: %s", diff)
-		}
 	}
 
 	// Per-task durations are in-process only: a result that carries them
@@ -301,21 +290,6 @@ func TestResultRoundTrip(t *testing.T) {
 	res.Metrics.ReduceTaskTimes = []time.Duration{time.Millisecond}
 	if again, err := EncodeResult(idlist.Default.Name(), res, nil, Version); err != nil || !bytes.Equal(again, payload) {
 		t.Fatalf("task durations changed the result frame (err %v)", err)
-	}
-}
-
-// TestResultEncodeRejectsMixedGroups pins the columnar form's precondition on
-// hand-built results: one key kind and one aggregate list for every group.
-func TestResultEncodeRejectsMixedGroups(t *testing.T) {
-	count := []engine.AggValue{{Kind: engine.AggCount, U64: 1}}
-	for name, groups := range map[string][]engine.Group{
-		"key kinds":        {{KeyKind: store.U64, Suffix: -1, Aggs: count}, {KeyKind: store.Str, KeyStr: "x", Suffix: -1, Aggs: count}},
-		"aggregate counts": {{KeyKind: store.U64, Suffix: -1, Aggs: count}, {KeyKind: store.U64, KeyU64: 1, Suffix: -1}},
-		"aggregate kinds":  {{KeyKind: store.U64, Suffix: -1, Aggs: count}, {KeyKind: store.U64, KeyU64: 1, Suffix: -1, Aggs: []engine.AggValue{{Kind: engine.AggPlainSum}}}},
-	} {
-		if _, err := EncodeResult("", &engine.Result{Groups: groups}, nil, Version); err == nil {
-			t.Errorf("groups mixing %s encoded", name)
-		}
 	}
 }
 
@@ -414,13 +388,35 @@ func TestAppendFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResultEncodeRejectsRaggedScanRows: scan rows must agree on their shape.
-// The chunk encoder refuses rows whose chunk's width or kinds disagree with
-// the plan's kinds; the result frame's scan section, typed by its first row,
-// refuses a later row of another width or kind.
-func TestResultEncodeRejectsRaggedScanRows(t *testing.T) {
+// rowMajorSeed is the checked-in fuzz seed holding rowMajorFrame.
+const rowMajorSeed = "testdata/fuzz/FuzzDecodeResult/refused-row-major-scan-row"
+
+// rowMajorFrame is a result frame with one scan row in the row-major
+// encoding the result frame's scan section once held: per row its
+// identifier, its width, and per cell a uvarint, a byte string and a string.
+func rowMajorFrame() []byte {
+	e := &enc{}
+	e.str("") // codec name
+	e.uint(0) // no groups
+	e.uint(1) // one scan row
+	e.uint(7) // its identifier
+	e.uint(1) // one cell
+	e.uint(42)
+	e.bytes(nil)
+	e.str("")
+	encodeMetrics(e, &engine.Metrics{})
+	e.uint(0) // no spans
+	return e.buf
+}
+
+// TestScanRowsTravelOnlyInChunks: scan rows cross the wire in chunk frames
+// and nowhere else. The chunk encoder refuses rows whose chunks' width or
+// kinds disagree with the plan's kinds; EncodeResult refuses a result that
+// carries scan rows; and DecodeResult refuses a frame whose scan section
+// counts any row — the row-major frame checked in as a fuzz seed among them.
+func TestScanRowsTravelOnlyInChunks(t *testing.T) {
 	_, kinds := chunkRows(0)
-	rows := chunkRowsFrom(1, 3) // every cell of row 1 holds a value, so it types every column
+	rows := chunkRowsFrom(1, 3)
 	for name, k := range map[string][]store.Kind{
 		"narrower": kinds[:3],
 		"wider":    append(kinds, store.U64),
@@ -430,36 +426,36 @@ func TestResultEncodeRejectsRaggedScanRows(t *testing.T) {
 			t.Errorf("%s: encoded a chunk whose columns disagree with the plan's kinds", name)
 		}
 	}
-	narrow := (&engine.ScanChunk{IDs: []uint64{9}, Cols: []store.Column{{Kind: store.U64, U64: []uint64{1}}}}).Rows()
-	for name, scan := range map[string][]engine.ScanRow{"one width": rows, "two widths": append(rows, narrow...)} {
-		p, err := EncodeResult("", &engine.Result{Scan: scan}, nil, Version)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := DecodeResult(p, Version); (err == nil) != (name == "one width") {
-			t.Errorf("%s: decode err = %v", name, err)
+
+	for name, res := range map[string]*engine.Result{
+		"scan rows":             {Scan: rows},
+		"scan rows with groups": {Scan: rows, Cols: opsResult().Cols},
+	} {
+		if _, err := EncodeResult("", res, nil, Version); err == nil || !strings.Contains(err.Error(), "2 scan rows") {
+			t.Errorf("%s: EncodeResult returned %v, want a refusal counting 2 scan rows", name, err)
 		}
 	}
-	for name, second := range map[string]func(e *enc){
-		"width": func(e *enc) { e.uint(2); e.uint(0) },
-		"kind":  func(e *enc) { e.uint(2); e.uint(1); e.uint(0); e.bytes([]byte{1}); e.str("") },
-		"cell":  func(e *enc) { e.uint(2); e.uint(1); e.uint(5); e.bytes(nil); e.str("s") },
-	} {
-		e := &enc{}
-		e.str("") // codec name
-		e.uint(0) // no groups
-		e.uint(2) // two scan rows, the first one U64 cell
-		e.uint(1)
-		e.uint(1)
-		e.uint(7)
-		e.bytes(nil)
-		e.str("")
-		second(e)
-		encodeMetrics(e, &engine.Metrics{})
-		e.uint(0) // no spans
-		if _, _, _, err := DecodeResult(e.buf, Version); err == nil {
-			t.Errorf("%s: decoded a second scan row unlike the first", name)
-		}
+
+	frame := rowMajorFrame()
+	seed, err := os.ReadFile(rowMajorSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", frame); string(seed) != want {
+		t.Fatalf("%s is not the row-major frame; rewrite it as\n%s", rowMajorSeed, want)
+	}
+	if _, _, _, err := DecodeResult(frame, Version); err == nil || !strings.Contains(err.Error(), "scan row count") {
+		t.Fatalf("row-major scan row: DecodeResult returned %v, want a refused scan row count", err)
+	}
+	// The same frame with the count 0 and no row is a valid empty result.
+	e := &enc{}
+	e.str("")
+	e.uint(0)
+	e.uint(0)
+	encodeMetrics(e, &engine.Metrics{})
+	e.uint(0)
+	if _, res, _, err := DecodeResult(e.buf, Version); err != nil || res.Cols != nil || res.Scan != nil {
+		t.Fatalf("empty result frame: %+v, %v", res, err)
 	}
 }
 
