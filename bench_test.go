@@ -42,24 +42,21 @@ func runExperiment(b *testing.B, name string) {
 	}
 }
 
-func BenchmarkTable1_OperationCosts(b *testing.B)      { runExperiment(b, "table1") }
-func BenchmarkTable2_QueryTranslation(b *testing.B)    { runExperiment(b, "table2") }
-func BenchmarkTable3_IDListEncodings(b *testing.B)     { runExperiment(b, "table3") }
-func BenchmarkTable4_QueryCategories(b *testing.B)     { runExperiment(b, "table4") }
-func BenchmarkTable5_DatasetSizes(b *testing.B)        { runExperiment(b, "table5") }
-func BenchmarkFig6_LatencyVsRows(b *testing.B)         { runExperiment(b, "fig6") }
-func BenchmarkFig7_LatencyVsWorkers(b *testing.B)      { runExperiment(b, "fig7") }
-func BenchmarkFig8_SelectivitySweep(b *testing.B)      { runExperiment(b, "fig8") }
-func BenchmarkFig9a_GroupByMicrobench(b *testing.B)    { runExperiment(b, "fig9a") }
-func BenchmarkFig9bc_BigDataBenchmark(b *testing.B)    { runExperiment(b, "fig9bc") }
-func BenchmarkFig10a_AdAnalyticsLatency(b *testing.B)  { runExperiment(b, "fig10a") }
-func BenchmarkFig10b_SplasheStorage(b *testing.B)      { runExperiment(b, "fig10b") }
-func BenchmarkLinks_ClientLinkSweep(b *testing.B)      { runExperiment(b, "links") }
-func BenchmarkAblations_DesignChoices(b *testing.B)    { runExperiment(b, "ablations") }
-func BenchmarkKernels_ExecutorThroughput(b *testing.B) { runExperiment(b, "kernels") }
-func BenchmarkRecovery_DurableReplay(b *testing.B)     { runExperiment(b, "recovery") }
-func BenchmarkColdScan_MappedSegments(b *testing.B)    { runExperiment(b, "coldscan") }
-func BenchmarkHedge_StragglerMitigation(b *testing.B)  { runExperiment(b, "hedge") }
+func BenchmarkTable1_OperationCosts(b *testing.B)     { runExperiment(b, "table1") }
+func BenchmarkTable2_QueryTranslation(b *testing.B)   { runExperiment(b, "table2") }
+func BenchmarkTable3_IDListEncodings(b *testing.B)    { runExperiment(b, "table3") }
+func BenchmarkTable4_QueryCategories(b *testing.B)    { runExperiment(b, "table4") }
+func BenchmarkTable5_DatasetSizes(b *testing.B)       { runExperiment(b, "table5") }
+func BenchmarkFig6_LatencyVsRows(b *testing.B)        { runExperiment(b, "fig6") }
+func BenchmarkFig7_LatencyVsWorkers(b *testing.B)     { runExperiment(b, "fig7") }
+func BenchmarkFig8_SelectivitySweep(b *testing.B)     { runExperiment(b, "fig8") }
+func BenchmarkFig9a_GroupByMicrobench(b *testing.B)   { runExperiment(b, "fig9a") }
+func BenchmarkFig9bc_BigDataBenchmark(b *testing.B)   { runExperiment(b, "fig9bc") }
+func BenchmarkFig10a_AdAnalyticsLatency(b *testing.B) { runExperiment(b, "fig10a") }
+func BenchmarkFig10b_SplasheStorage(b *testing.B)     { runExperiment(b, "fig10b") }
+func BenchmarkLinks_ClientLinkSweep(b *testing.B)     { runExperiment(b, "links") }
+func BenchmarkAblations_DesignChoices(b *testing.B)   { runExperiment(b, "ablations") }
+func BenchmarkHedge_StragglerMitigation(b *testing.B) { runExperiment(b, "hedge") }
 
 // BenchmarkGroupBy_WideKeyThroughput drives the engine's hashed group path
 // end to end — every row its own sparse key, so the grouper runs the

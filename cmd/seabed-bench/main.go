@@ -3,31 +3,27 @@
 //
 // Usage:
 //
-//	seabed-bench [-run name[,name...]] [-scale N] [-workers N] [-quick] [-trials N]
-//	             [-cpuprofile out.pprof] [-memprofile out.pprof] [-trace]
+//	seabed-bench [-run name[,name...]] [-scale N] [-workers N] [-quick] [-trials N] [-seed N] [-trace]
 //
-// Without -run, every experiment runs in paper order. Row counts are the
-// paper's divided by -scale (default 10,000); shapes, not absolute numbers,
-// are the reproduction target (see README.md, "Paper figures: what is
-// substituted"; benchmark/README.md is the wall-clock benchmark).
-//
-// -cpuprofile and -memprofile write pprof profiles covering the selected
-// experiments, so executor work is measurable without hand-editing: e.g.
-//
-//	seabed-bench -run kernels -cpuprofile cpu.pprof
-//	go tool pprof cpu.pprof
+// Without -run, every experiment runs in paper order: one per table and
+// figure, plus links, ablations and hedge. Row counts are the paper's divided
+// by -scale; shapes, not absolute numbers, are the reproduction target (see
+// README.md, "Paper figures: what is substituted"; benchmark/README.md is the
+// wall-clock benchmark). -scale, -workers, -trials and -seed left at 0 take
+// bench.Config's defaults; -quick picks smaller ones for -workers and -trials.
 //
 // -trace prints the slowest query's span tree (parse/translate/run/decrypt,
 // plus the engine's stage breakdown) after each experiment, so a regression
-// in one experiment points at its slowest stage without a re-run.
+// in one experiment points at its slowest stage without a re-run. To profile
+// an experiment, run its testing.B wrapper in the root package, e.g.
+//
+//	go test -run '^$' -bench BenchmarkFig6 -cpuprofile cpu.pprof .
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -35,21 +31,13 @@ import (
 )
 
 func main() {
-	os.Exit(run())
-}
-
-// run carries the real main so profile writers and other defers execute
-// before the process exits.
-func run() int {
 	runFlag := flag.String("run", "", "comma-separated experiment names (default: all); use -list to enumerate")
 	list := flag.Bool("list", false, "list experiments and exit")
-	scale := flag.Uint64("scale", 10_000, "divide the paper's row counts by this factor")
-	workers := flag.Int("workers", 100, "modelled cluster worker count (paper: 100 cores); also each engine's reducer buckets")
+	scale := flag.Uint64("scale", 0, "divide the paper's row counts by this factor (0 = default)")
+	workers := flag.Int("workers", 0, "modelled cluster worker count, also each engine's reducer buckets (0 = default)")
 	quick := flag.Bool("quick", false, "shrink sweeps and datasets for a fast smoke run")
 	trials := flag.Int("trials", 0, "runs per measured point (0 = default)")
-	seed := flag.Int64("seed", 42, "generator seed")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile (post-GC) to this file on exit")
+	seed := flag.Int64("seed", 0, "generator seed (0 = default)")
 	trace := flag.Bool("trace", false, "print the slowest query's span tree after each experiment")
 	flag.Parse()
 
@@ -57,7 +45,7 @@ func run() int {
 		for _, e := range bench.Experiments() {
 			fmt.Printf("%-10s %s\n", e.Name, e.Title)
 		}
-		return 0
+		return
 	}
 
 	cfg := bench.Config{Scale: *scale, Workers: *workers, Quick: *quick, Trials: *trials, Seed: *seed}
@@ -72,42 +60,10 @@ func run() int {
 			e, ok := bench.Find(strings.TrimSpace(name))
 			if !ok {
 				fmt.Fprintf(os.Stderr, "seabed-bench: unknown experiment %q (use -list)\n", name)
-				return 2
+				os.Exit(2)
 			}
 			selected = append(selected, e)
 		}
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seabed-bench: -cpuprofile: %v\n", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "seabed-bench: -cpuprofile: %v\n", err)
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "seabed-bench: -cpuprofile: %v\n", err)
-			}
-		}()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "seabed-bench: -memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows retained allocations
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "seabed-bench: -memprofile: %v\n", err)
-			}
-		}()
 	}
 
 	for i, e := range selected {
@@ -118,7 +74,7 @@ func run() int {
 		start := time.Now()
 		if err := e.Run(cfg, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "seabed-bench: %s: %v\n", e.Name, err)
-			return 1
+			os.Exit(1)
 		}
 		if *trace {
 			if sp := bench.TakeSlowestTrace(); sp != nil {
@@ -127,5 +83,4 @@ func run() int {
 		}
 		fmt.Printf("--- %s done in %.1fs ---\n", e.Name, time.Since(start).Seconds())
 	}
-	return 0
 }

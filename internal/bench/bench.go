@@ -1,6 +1,7 @@
 // Package bench implements Seabed's evaluation (§6): one driver per table
-// and figure of the paper, shared by cmd/seabed-bench and the repository's
-// testing.B benchmarks.
+// and figure of the paper, plus links (§6.6's client-link sweep), ablations
+// and hedge, shared by cmd/seabed-bench and the repository's testing.B
+// benchmarks.
 //
 // Row counts scale the paper's datasets down by Config.Scale (default
 // 10,000×), preserving ratios between datasets; all comparisons report the
@@ -95,9 +96,6 @@ func Experiments() []Experiment {
 		{"fig10b", "Figure 10b: SPLASHE storage overhead", Fig10b},
 		{"links", "§6.6: client link sensitivity (modelled)", Links},
 		{"ablations", "Design ablations (compression site, inflation, codecs, stragglers)", Ablations},
-		{"kernels", "Executor kernel throughput (vectorized vs reference evaluator)", Kernels},
-		{"recovery", "Durable-store recovery throughput (segment load + WAL replay MB/s)", Recovery},
-		{"coldscan", "Mapped-segment scan throughput (cold fault-in vs resident; first-chunk latency)", ColdScan},
 		{"hedge", "Hedged scatter vs a straggling replica (p50/p99, hedged vs unhedged)", Hedge},
 	}
 }

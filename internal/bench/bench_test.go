@@ -14,8 +14,8 @@ func testCfg() Config {
 
 func TestExperimentRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 18 {
-		t.Fatalf("experiments = %d, want 18", len(exps))
+	if len(exps) != 15 {
+		t.Fatalf("experiments = %d, want 15", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
@@ -56,8 +56,6 @@ func TestEveryExperimentRuns(t *testing.T) {
 		"fig10b":    "enhanced",
 		"links":     "10Mbps",
 		"ablations": "packing speedup",
-		"kernels":   "vectorized=",
-		"recovery":  "wal replay",
 		"hedge":     "straggler cost",
 	}
 	cfg := testCfg()

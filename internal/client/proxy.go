@@ -267,17 +267,11 @@ func (p *Proxy) Query(ctx context.Context, sql string, opts ...QueryOption) (*Qu
 	return p.runQuery(ctx, root, sql, stmt.Query, opts...)
 }
 
-// RunQuery is Query over a pre-parsed statement.
-func (p *Proxy) RunQuery(ctx context.Context, q *sqlparse.Query, opts ...QueryOption) (*QueryResult, error) {
-	return p.runQuery(ctx, obs.NewTrace("query"), "", q, opts...)
-}
-
 // runQuery executes a parsed statement under an open query trace. The trace
 // root spans parse (when Query minted it) through decrypt; it is finished —
 // ended, offered to TraceSink, slow-query-logged, and recorded by the
 // flight recorder — when the result is complete: at return for materialized
-// results, at drain for streams. sql is the registry fingerprint ("" for
-// pre-parsed statements).
+// results, at drain for streams. sql is the registry fingerprint.
 func (p *Proxy) runQuery(ctx context.Context, root *obs.Span, sql string, q *sqlparse.Query, opts ...QueryOption) (qr *QueryResult, err error) {
 	o := applyOptions(opts)
 	// kill is the per-query cancel the live-query registry holds: the kill
@@ -291,9 +285,6 @@ func (p *Proxy) runQuery(ctx context.Context, root *obs.Span, sql string, q *sql
 		var tcancel context.CancelFunc
 		ctx, tcancel = context.WithTimeout(ctx, o.timeout)
 		cancel = func() { tcancel(); kill() }
-	}
-	if sql == "" {
-		sql = "(pre-parsed query)"
 	}
 	p.queries.SetSlowThreshold(p.SlowQueryThreshold)
 	aq := p.queries.Start(root.TraceID(), sql, kill)

@@ -387,9 +387,6 @@ func (s *Store) Recovery() RecoveryStats {
 	return s.stats
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.opts.Dir }
-
 // Residency returns the store's resident-budget manager: the live counters
 // behind Options.MaxResidentBytes (faults, evictions, resident bytes), which
 // the server surfaces through Stats and the obs registry.

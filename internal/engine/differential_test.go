@@ -160,10 +160,10 @@ func viewAsheSums(t *testing.T, pl *Plan, r *Result) [][]uint64 {
 func bothStrategies(t *testing.T, c *Cluster, name string, mk func() *Plan, ref *Result) (tables, buckets *Result) {
 	t.Helper()
 	var err error
-	if tables, err = c.run(context.Background(), mk(), false, nil, groupTables); err != nil {
+	if tables, err = c.run(context.Background(), mk(), nil, nil, groupTables); err != nil {
 		t.Fatalf("%s: per-task tables: %v", name, err)
 	}
-	if buckets, err = c.run(context.Background(), mk(), false, nil, groupBuckets); err != nil {
+	if buckets, err = c.run(context.Background(), mk(), nil, nil, groupBuckets); err != nil {
 		t.Fatalf("%s: bucketed: %v", name, err)
 	}
 	assertSameResult(t, name+" (per-task tables)", tables, ref)

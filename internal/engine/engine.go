@@ -17,8 +17,9 @@
 // probe and predicate kernels compact in place; accumulators then consume
 // the survivors in tight loops over the raw column slices, with zero
 // steady-state allocations on the u64 filter/sum/group-key paths. The
-// pre-vectorization row-at-a-time interpreter is retained behind
-// RunReference (reference.go) for differential testing and benchmarking.
+// pre-vectorization row-at-a-time interpreter is retained as test code
+// (RunReference, reference_test.go), the oracle of the differential tests
+// and the before-side of the kernel benchmarks.
 //
 // Tasks execute for real — the actual cryptography runs — on goroutines
 // bounded by Config.RealParallelism, and every time in Metrics is what a clock

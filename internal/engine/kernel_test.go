@@ -653,13 +653,13 @@ func BenchmarkRunGroupByBytes(b *testing.B) {
 			b.Run(fmt.Sprintf("groups=%d/%s", groups, st.name), func(b *testing.B) {
 				c := NewCluster(Config{Workers: 4})
 				ctx := context.Background()
-				if _, err := c.run(ctx, wideBytesGroupByPlan(tbl), false, nil, st.strategy); err != nil {
+				if _, err := c.run(ctx, wideBytesGroupByPlan(tbl), nil, nil, st.strategy); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := c.run(ctx, wideBytesGroupByPlan(tbl), false, nil, st.strategy); err != nil {
+					if _, err := c.run(ctx, wideBytesGroupByPlan(tbl), nil, nil, st.strategy); err != nil {
 						b.Fatal(err)
 					}
 				}

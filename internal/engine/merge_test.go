@@ -17,7 +17,7 @@ import (
 // merge them under, the slices' results and the whole-table result.
 func shardRuns(t *testing.T, cl *Cluster, tbl *store.Table, mkPlan func(tbl *store.Table) *Plan, strategy groupStrategy) (*Plan, []*Result, *Result) {
 	t.Helper()
-	whole, err := cl.run(context.Background(), mkPlan(tbl), false, nil, strategy)
+	whole, err := cl.run(context.Background(), mkPlan(tbl), nil, nil, strategy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func shardRuns(t *testing.T, cl *Cluster, tbl *store.Table, mkPlan func(tbl *sto
 		if sub.NumRows() > 0 {
 			pl.Range = &IDRange{Lo: sub.Parts[0].StartID, Hi: sub.EndID()}
 		}
-		if partials[i], err = cl.run(context.Background(), pl, false, nil, strategy); err != nil {
+		if partials[i], err = cl.run(context.Background(), pl, nil, nil, strategy); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,12 +13,20 @@ import (
 )
 
 // This file retains the pre-vectorization row-at-a-time interpreter as a
-// straight-line reference evaluator. It is not a production path: the
-// differential tests run every query category through both executors and
-// demand identical results, and the kernel benchmarks (and the bench
-// package's "kernels" experiment) use it as the before-side of the
-// vectorization speedup. It must stay behaviorally frozen — fix bugs in
-// both executors or in neither.
+// straight-line reference evaluator. It is test code, linked into no binary:
+// the differential tests run every query category through both executors and
+// demand identical results, and the BenchmarkKernel*Reference benchmarks use
+// it as the before-side of the vectorization speedup. It must stay
+// behaviorally frozen — fix bugs in both executors or in neither.
+
+// RunReference executes a plan with the reference evaluator instead of the
+// vectorized executor. Results and cost accounting are identical by
+// construction — the differential tests enforce it — but the map stage
+// interprets the plan per row, and the plan compiles fresh every run,
+// bypassing the plan cache.
+func (c *Cluster) RunReference(ctx context.Context, pl *Plan) (*Result, error) {
+	return c.run(ctx, pl, func(pl *Plan) (mapRunner, error) { return pl.compileReference() }, nil, groupAuto)
+}
 
 // groupKey identifies a group in the reference evaluator's key-addressed map
 // (the vectorized executor and the merge keep keys in a slotTable, group.go).

@@ -89,7 +89,7 @@ func TestBucketedRunOverBudget(t *testing.T) {
 
 	// While it runs, a bucketed run holds every partition it read: the budget
 	// is overshot until the reducers finish, and by that run alone.
-	if _, err := c.run(ctx, mk(), false, nil, groupBuckets); err != nil {
+	if _, err := c.run(ctx, mk(), nil, nil, groupBuckets); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Residency().Stats(); st.ResidentBytes <= pinBudget {
@@ -139,7 +139,7 @@ func TestBucketedRunReleasesPinsOnTaskError(t *testing.T) {
 	res := store.NewResidency(pinBudget)
 	tbl := viewTable(t, heap, res, pinnedParts-1)
 	c := NewCluster(Config{Workers: 4, RealParallelism: 1})
-	_, err := c.run(context.Background(), wideBytesGroupByPlan(tbl), false, nil, groupBuckets)
+	_, err := c.run(context.Background(), wideBytesGroupByPlan(tbl), nil, nil, groupBuckets)
 	if err == nil || err.Error() != "column unreadable" {
 		t.Fatalf("the run returned %v, want the failed task's error", err)
 	}
@@ -188,7 +188,7 @@ func TestBucketedRunReleasesPinsOnCancel(t *testing.T) {
 			t.Fatalf("partition %d is resident before the run", i)
 		}
 	}
-	_, err := c.run(ctx, wideBytesGroupByPlan(tbl), false, nil, groupBuckets)
+	_, err := c.run(ctx, wideBytesGroupByPlan(tbl), nil, nil, groupBuckets)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("the run returned %v, want context.Canceled", err)
 	}

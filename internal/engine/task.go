@@ -10,7 +10,7 @@ import (
 
 // This file holds the execution state shared by the vectorized executor
 // (compile.go / kernel.go / batch.go) and the retained row-at-a-time
-// reference evaluator (reference.go): map-task output and the map-output
+// reference evaluator (reference_test.go): map-task output and the map-output
 // accounting both paths must agree on.
 
 // cancelCheckRows is how often (in rows) a map task polls its context: a

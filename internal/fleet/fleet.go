@@ -264,9 +264,6 @@ func (c *Cluster) NumDaemons() int { return len(c.daemons) }
 // Replicas returns the replication factor R.
 func (c *Cluster) Replicas() int { return c.replicas }
 
-// Addrs returns the daemon addresses, in placement order.
-func (c *Cluster) Addrs() []string { return append([]string(nil), c.addrs...) }
-
 // Workers implements ClusterBackend: under normal operation each range's
 // sub-query runs on its distinct primary daemon, so per-query capacity is
 // the daemons' summed workers, same as an unreplicated sharded cluster.

@@ -50,16 +50,6 @@ func View(rs []Range) List {
 	return l
 }
 
-// FromIDs returns a list containing the given identifiers, which must be in
-// non-decreasing order. Consecutive runs collapse into ranges.
-func FromIDs(ids []uint64) List {
-	var l List
-	for _, id := range ids {
-		l.Append(id)
-	}
-	return l
-}
-
 // Append adds a single identifier. Appending ids in ascending order is the
 // fast path: an id that extends the last range costs no allocation.
 func (l *List) Append(id uint64) {

@@ -98,12 +98,6 @@ func LatencyBuckets() []float64 {
 	}
 }
 
-// SizeBuckets is the default bucket layout for byte-size histograms: 256 B to
-// 1 GiB, ×8 per step.
-func SizeBuckets() []float64 {
-	return []float64{256, 2048, 16384, 131072, 1048576, 8388608, 67108864, 536870912}
-}
-
 // Labels name a metric's dimensions ({shard="2"}, {type="run"}). Instruments
 // are registered once at startup, so the map allocation never touches a hot
 // path.

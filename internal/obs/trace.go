@@ -139,13 +139,6 @@ func (s *Span) Attr(key string) string {
 	return ""
 }
 
-// Attrs returns a copy of the span's annotations.
-func (s *Span) Attrs() []Attr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Attr(nil), s.attrs...)
-}
-
 // Children returns a copy of the span's child list, in start order.
 func (s *Span) Children() []*Span {
 	s.mu.Lock()

@@ -364,22 +364,6 @@ func (t *Table) Snapshot() *Table {
 	return &Table{Name: t.Name, Parts: append([]*Partition(nil), t.Parts...), rows: t.rows}
 }
 
-// TailParts returns a table holding t's partitions from index n on, shared
-// with t. It is the delta an append-only replica needs when the first n
-// partitions were already shipped: copy-on-write appends extend a table by
-// whole partitions, so the prefix is immutable and the tail is the growth.
-func (t *Table) TailParts(n int) *Table {
-	tail := &Table{Name: t.Name}
-	if n < 0 {
-		n = 0
-	}
-	for _, p := range t.Parts[min(n, len(t.Parts)):] {
-		tail.Parts = append(tail.Parts, p)
-		tail.rows += uint64(p.NumRows())
-	}
-	return tail
-}
-
 // Covers reports whether every identifier in [lo, hi] is present in the
 // table. Partitions are ordered by StartID (appends are monotone), so one
 // forward sweep suffices. It is how a server distinguishes a replayed append
