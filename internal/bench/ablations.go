@@ -34,8 +34,11 @@ func Ablations(cfg Config, w io.Writer) error {
 	const sql = "SELECT SUM(v) FROM synth"
 	// One run gives both: its map output as held is the shuffle of the
 	// driver-side variant, and the model prices the worker-side one from what
-	// the same lists really encoded to (workerShuffleBytes).
-	_, res, err := medianServer(proxy, cfg.model(), sql, cfg.Trials, client.WithSelectivity(0.5, uint64(cfg.Seed)))
+	// the same lists really encoded to (workerShuffleBytes) under the paper's
+	// compression, Deflate (the default codec would write this 50 % selection
+	// as a bitmap).
+	_, res, err := medianServer(proxy, cfg.model(), sql, cfg.Trials,
+		client.WithSelectivity(0.5, uint64(cfg.Seed)), client.WithCodec(idlist.RangeVBDiffDeflateFast))
 	if err != nil {
 		return err
 	}

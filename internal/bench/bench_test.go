@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -117,5 +118,26 @@ func TestSyntheticProxyCache(t *testing.T) {
 func TestSeconds(t *testing.T) {
 	if seconds(1500*time.Millisecond) != "1.5000s" {
 		t.Fatalf("seconds = %q", seconds(1500*time.Millisecond))
+	}
+}
+
+// TestFig8DefaultShuffleColumn: Figure 8's codec sweep includes the default
+// codec, so the line of worker-compressed shuffle sizes under it reads a
+// measured size at every selectivity — not a missing sweep entry printed as 0.
+func TestFig8DefaultShuffleColumn(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Fig8(testCfg(), &buf); err != nil {
+		t.Fatal(err)
+	}
+	_, line, ok := strings.Cut(buf.String(), "(KB, default codec):")
+	line, _, _ = strings.Cut(line, "\n")
+	if !ok || len(strings.Fields(line)) == 0 {
+		t.Fatalf("no default-codec shuffle line in:\n%s", buf.String())
+	}
+	for _, cell := range strings.Fields(line) {
+		_, kb, _ := strings.Cut(cell, "=")
+		if v, err := strconv.ParseFloat(kb, 64); err != nil || v <= 0 {
+			t.Errorf("default-codec shuffle %q: want a size above 0 KB", cell)
+		}
 	}
 }

@@ -150,6 +150,7 @@ func Fig8(cfg Config, w io.Writer) error {
 		idlist.RangeVBDiff,
 		idlist.RangeVBDiffDeflateCompact,
 		idlist.RangeVBDiffDeflateFast,
+		idlist.Default,
 	}
 	const sql = "SELECT SUM(v) FROM synth"
 
@@ -242,6 +243,8 @@ func shortCodec(name string) string {
 		return "+Deflate(Fast)"
 	case "vb+diff":
 		return "VB+Diff"
+	case "adaptive":
+		return "Adaptive"
 	}
 	return name
 }

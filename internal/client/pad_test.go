@@ -261,8 +261,9 @@ func (b chunkBackend) RunStream(ctx context.Context, pl *engine.Plan, sink engin
 
 // TestReservedIdentifierOnPadPaths: identifier 0 is refused on the paths that
 // would otherwise compute a pad from F(−1) — a dense column whose one list
-// starts at 0, in either form, and a dense scan chunk holding identifier 0,
-// materialized and streamed — with a ReservedIDError, not a panic.
+// starts at 0, in either form or as a bitmap, and a dense scan chunk holding
+// identifier 0, materialized and streamed — with a ReservedIDError, not a
+// panic.
 func TestReservedIdentifierOnPadPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	k := padRing.Ashe("c")
@@ -281,6 +282,23 @@ func TestReservedIdentifierOnPadPaths(t *testing.T) {
 		if d.prfEvals != 0 {
 			t.Errorf("dense column under %s: %d PRF values computed before the refusal", codec.Name(), d.prfEvals)
 		}
+	}
+
+	// A dense list from identifier 0, which the default codec writes as a
+	// bitmap (mode byte 1, docs/FORMAT.md §3.2) and decodes — the codec has
+	// no reason to refuse identifier 0 — is refused here.
+	var dense idlist.List
+	for id := uint64(0); id < 20_000; id++ {
+		if id == 0 || rng.Intn(2) == 0 {
+			dense.Append(id)
+		}
+	}
+	cols, _ := padCols(t, k, padShape{name: "bitmap from 0", lists: [][]idlist.Range{dense.Ranges()}}, idlist.Default)
+	if mode := cols.Aggs[0].EncodedIDs(0)[0]; mode != 1 {
+		t.Fatalf("fixture: the default codec wrote mode %d, want a bitmap", mode)
+	}
+	if _, err := newDecrypter(padRing, idlist.Default).asheSums(&translate.Output{Agg: 0, SourceCol: "c"}, cols); !errors.As(err, &rid) || !strings.Contains(rid.Where, "aggregate 0") {
+		t.Errorf("bitmap from identifier 0: err = %v, want a ReservedIDError naming aggregate 0", err)
 	}
 
 	p := salesFixture(t)

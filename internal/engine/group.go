@@ -665,13 +665,19 @@ func (tg *taskGroups) idsAt(ai, g int, scratch *[]idlist.Range) ([]idlist.Range,
 // decoding it. An encoded list does not know it: a list of n identifiers — the
 // group's rows — has at most n ranges and, under the variable-byte codecs, no
 // fewer bytes, so the smaller of the two bounds it (Deflate can beat the
-// second; the count is a capacity hint there, and exact everywhere else).
+// second; the count is a capacity hint there, and exact everywhere else). A
+// bitmap spends under a byte a range, so its runs are counted instead
+// (idlist.NumRanges).
 func (tg *taskGroups) numRanges(ai, g int) int {
 	col := &tg.cols[ai]
 	if col.RangeOff != nil {
 		return int(col.RangeOff[g+1] - col.RangeOff[g])
 	}
-	return int(min(tg.rows[g], col.IDOff[g+1]-col.IDOff[g]))
+	bound := col.IDOff[g+1] - col.IDOff[g]
+	if n, ok := idlist.NumRanges(tg.codec, col.EncodedIDs(g)); ok {
+		bound = uint64(n)
+	}
+	return int(min(tg.rows[g], bound))
 }
 
 // encodedHint guesses the encoded size of group g's list of aggregate ai: the

@@ -1,6 +1,8 @@
 // ID-list encodings (§4.5, Table 3). Seabed's default aggregation codec is
-// the composition Range + VB + Diff + Deflate(fast); group-by results use
-// VB + Diff without ranges because their per-group lists are sparse.
+// the composition Range + VB + Diff + Deflate(fast), or a word bitmap for a
+// list dense enough that the bitmap is smaller (adaptive.go); group-by
+// results use VB + Diff without ranges because their per-group lists are
+// sparse.
 package idlist
 
 import (
@@ -9,7 +11,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/bits"
 	"slices"
 	"sync"
 )
@@ -81,15 +82,20 @@ var (
 	VBDiff Codec = codec{vbDiff{}}
 	// Bitmap is the dense-bitmap baseline that "performed poorly" (§6.4).
 	Bitmap Codec = codec{bitmap{}}
+	// Adaptive writes each list as RangeVBDiffDeflateFast's bytes or, when
+	// the list is dense enough that it is smaller, as a word bitmap.
+	Adaptive Codec = codec{adaptive{}}
 )
 
-// Default is the codec Seabed selects for plain aggregation queries (§6.4):
-// range encoding, VB, differential encoding, and Deflate optimized for speed.
-var Default = RangeVBDiffDeflateFast
+// Default is the codec Seabed selects for plain aggregation queries. It is
+// §6.4's choice — range encoding, VB, differential encoding, and Deflate
+// optimized for speed — for every list but a dense one, which travels as a
+// bitmap when that is smaller (Adaptive).
+var Default = Adaptive
 
 // AllCodecs lists every codec in the Figure 8 sweep order.
 func AllCodecs() []Codec {
-	return []Codec{RangeVB, RangeVBDiff, RangeVBDiffDeflateCompact, RangeVBDiffDeflateFast, VBDiff, Bitmap}
+	return []Codec{RangeVB, RangeVBDiff, RangeVBDiffDeflateCompact, RangeVBDiffDeflateFast, VBDiff, Bitmap, Adaptive}
 }
 
 type rangeVB struct{ diff bool }
@@ -208,90 +214,6 @@ func (vbDiff) AppendDecode(dst []Range, data []byte) ([]Range, error) {
 	return dst, nil
 }
 
-type bitmap struct{}
-
-// Name implements encoding.
-func (bitmap) Name() string { return "bitmap" }
-
-// AppendEncode implements encoding: a base identifier plus one bit per position.
-func (bitmap) AppendEncode(buf []byte, l List) ([]byte, error) {
-	if l.n == 0 {
-		return binary.AppendUvarint(buf, 0), nil
-	}
-	base := l.ranges[0].Lo
-	var hi uint64
-	for _, r := range l.ranges {
-		if r.Lo < base {
-			base = r.Lo
-		}
-		if r.Hi > hi {
-			hi = r.Hi
-		}
-	}
-	span := hi - base + 1
-	if span > 1<<33 {
-		return nil, fmt.Errorf("idlist: bitmap: span %d too large", span)
-	}
-	words := make([]uint64, (span+63)/64)
-	for _, r := range l.ranges {
-		for id := r.Lo; ; id++ {
-			off := id - base
-			if words[off/64]&(1<<(off%64)) != 0 {
-				return nil, fmt.Errorf("idlist: bitmap: duplicate id %d (bitmaps have set semantics)", id)
-			}
-			words[off/64] |= 1 << (off % 64)
-			if id == r.Hi {
-				break
-			}
-		}
-	}
-	buf = binary.AppendUvarint(buf, 1) // non-empty marker
-	buf = binary.AppendUvarint(buf, base)
-	buf = binary.AppendUvarint(buf, uint64(len(words)))
-	for _, w := range words {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
-	}
-	return buf, nil
-}
-
-// AppendDecode implements encoding.
-func (bitmap) AppendDecode(dst []Range, data []byte) ([]Range, error) {
-	marker, k := binary.Uvarint(data)
-	if k <= 0 {
-		return dst, fmt.Errorf("idlist: bitmap: bad marker")
-	}
-	data = data[k:]
-	if marker == 0 {
-		return dst, nil
-	}
-	base, k := binary.Uvarint(data)
-	if k <= 0 {
-		return dst, fmt.Errorf("idlist: bitmap: bad base")
-	}
-	data = data[k:]
-	nwords, k := binary.Uvarint(data)
-	if k <= 0 {
-		return dst, fmt.Errorf("idlist: bitmap: bad word count")
-	}
-	data = data[k:]
-	if nwords > uint64(len(data))/8 {
-		return dst, fmt.Errorf("idlist: bitmap: truncated words")
-	}
-	first := len(dst)
-	for w := uint64(0); w < nwords; w++ {
-		word := binary.LittleEndian.Uint64(data[w*8:])
-		for word != 0 {
-			off := w*64 + uint64(bits.TrailingZeros64(word))
-			if off > ^uint64(0)-base {
-				return dst[:first], fmt.Errorf("idlist: bitmap: bit %d past the last identifier", off)
-			}
-			dst = pushID(dst, first, base+off)
-			word &= word - 1
-		}
-	}
-	return dst, nil
-}
-
 type deflated struct {
 	inner encoding
 	level int
@@ -308,9 +230,10 @@ func (c deflated) Name() string { return c.name }
 
 // deflater is the pooled state of one deflated Encode.
 type deflater struct {
-	w   *flate.Writer
-	out appendWriter
-	raw []byte
+	w     *flate.Writer
+	out   appendWriter
+	count byteCounter
+	raw   []byte
 }
 
 // inflater is the pooled state of one deflated Decode; r implements
@@ -331,6 +254,15 @@ func (a *appendWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// byteCounter is the io.Writer that only sizes a DEFLATE stream.
+type byteCounter int
+
+// Write implements io.Writer.
+func (n *byteCounter) Write(p []byte) (int, error) {
+	*n += byteCounter(len(p))
+	return len(p), nil
+}
+
 // deflaters pools compressor state per flate level (the index is
 // level − flate.HuffmanOnly); inflaters pools decompressor state.
 var (
@@ -340,35 +272,73 @@ var (
 
 // AppendEncode implements encoding: the inner codec's bytes, DEFLATE-compressed.
 func (c deflated) AppendEncode(dst []byte, l List) ([]byte, error) {
-	pool := &deflaters[c.level-flate.HuffmanOnly]
-	st, _ := pool.Get().(*deflater)
-	if st == nil {
-		st = &deflater{}
-		w, err := flate.NewWriter(&st.out, c.level)
-		if err != nil {
-			return nil, fmt.Errorf("idlist: deflate: %v", err)
-		}
-		st.w = w
-	}
-	raw, err := c.inner.AppendEncode(st.raw[:0], l)
+	st, err := c.deflater()
 	if err != nil {
 		return nil, err
 	}
-	st.raw = raw
+	defer c.release(st)
+	if st.raw, err = c.inner.AppendEncode(st.raw[:0], l); err != nil {
+		return nil, err
+	}
 	st.out.buf = dst
-	st.w.Reset(&st.out)
-	if _, err := st.w.Write(raw); err != nil {
+	if err := st.compress(&st.out); err != nil {
+		return nil, err
+	}
+	return st.out.buf, nil
+}
+
+// deflatedLen returns the length of l's encoding, which it counts instead of
+// keeping.
+func (c deflated) deflatedLen(l List) (int, error) {
+	st, err := c.deflater()
+	if err != nil {
+		return 0, err
+	}
+	defer c.release(st)
+	if st.raw, err = c.inner.AppendEncode(st.raw[:0], l); err != nil {
+		return 0, err
+	}
+	st.count = 0
+	if err := st.compress(&st.count); err != nil {
+		return 0, err
+	}
+	return int(st.count), nil
+}
+
+// deflater takes compressor state at c's level from its pool.
+func (c deflated) deflater() (*deflater, error) {
+	if st, _ := deflaters[c.level-flate.HuffmanOnly].Get().(*deflater); st != nil {
+		return st, nil
+	}
+	st := &deflater{}
+	w, err := flate.NewWriter(&st.out, c.level)
+	if err != nil {
 		return nil, fmt.Errorf("idlist: deflate: %v", err)
 	}
-	if err := st.w.Close(); err != nil {
-		return nil, fmt.Errorf("idlist: deflate: %v", err)
-	}
-	dst, st.out.buf = st.out.buf, nil
+	st.w = w
+	return st, nil
+}
+
+// release returns st to its pool, holding no caller's buffer and no large
+// one of its own.
+func (c deflated) release(st *deflater) {
+	st.out.buf = nil
 	if cap(st.raw) > maxPooledRaw {
 		st.raw = nil
 	}
-	pool.Put(st)
-	return dst, nil
+	deflaters[c.level-flate.HuffmanOnly].Put(st)
+}
+
+// compress writes st.raw's DEFLATE stream to w.
+func (st *deflater) compress(w io.Writer) error {
+	st.w.Reset(w)
+	if _, err := st.w.Write(st.raw); err != nil {
+		return fmt.Errorf("idlist: deflate: %v", err)
+	}
+	if err := st.w.Close(); err != nil {
+		return fmt.Errorf("idlist: deflate: %v", err)
+	}
+	return nil
 }
 
 // maxInflated bounds what one list may inflate to — what a wire frame could

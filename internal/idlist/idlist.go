@@ -4,6 +4,15 @@
 // encoding, variable-byte (VB) encoding, differential encoding, Deflate
 // compression, and a bitmap baseline.
 //
+// The default codec for aggregation, Adaptive, departs from §6.4's choice —
+// ranges, VB, diff and Deflate(fast) — only for dense lists. §6.4 set bitmaps
+// aside because sparse lists bloat them; but a list that selects a large
+// share of its span at random is a short range every few identifiers, which
+// Deflate cannot code in much under a bit an identifier, while a word bitmap
+// spends exactly one. So each list travels as whichever of the two is
+// smaller (docs/FORMAT.md §3.2), the per-container choice of Roaring bitmaps
+// made per list.
+//
 // A List is a multiset of 64-bit identifiers held as ordered inclusive
 // ranges. Multiset semantics matter: ASHE's homomorphic addition unions the
 // identifier multisets of its operands, and decryption must add

@@ -420,7 +420,8 @@ func TestViewAliasesWithoutCopy(t *testing.T) {
 
 // decodeBound is the most ranges codec c can decode from n bytes: a range
 // costs rangeVB two bytes at least, an identifier costs vbDiff one, a bitmap
-// word holds at most 32 runs, and Deflate expands at most 1032-fold.
+// word holds at most 32 runs, Deflate expands at most 1032-fold, and an
+// adaptive list is one of the last two.
 func decodeBound(c Codec, n int) int {
 	switch e := c.(codec).encoding.(type) {
 	case rangeVB:
@@ -431,6 +432,8 @@ func decodeBound(c Codec, n int) int {
 		return 4 * n
 	case deflated:
 		return decodeBound(codec{e.inner}, 1032*n+64)
+	case adaptive:
+		return max(decodeBound(RangeVBDiffDeflateFast, n), 4*n)
 	}
 	panic("decodeBound: unknown codec " + c.Name())
 }
@@ -440,8 +443,9 @@ func decodeBound(c Codec, n int) int {
 // appends at most what the input can hold (decodeBound) and reserves not much
 // more, and a failed one leaves the caller's ranges as they were; and a list a
 // codec accepts re-encodes and decodes to the same ranges. Seeds: each codec's
-// encodings of random lists, and the hostile counts of
-// TestAppendDecodeRejectsHostileCounts.
+// encodings of random lists, the hostile counts of
+// TestAppendDecodeRejectsHostileCounts, and the adaptive codec's hostile
+// bitmaps (TestAdaptiveRefusesHostileBitmaps).
 func FuzzAppendDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
 	for _, c := range AllCodecs() {
@@ -457,6 +461,9 @@ func FuzzAppendDecode(f *testing.F) {
 	f.Add(binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, 1), 0), 1<<61))
 	// A bitmap whose word runs past the last identifier.
 	f.Add(append(binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, 1), ^uint64(0)-3), 1), bytes.Repeat([]byte{0xff}, 8)...))
+	for _, data := range hostileBitmaps() {
+		f.Add(data)
+	}
 
 	held := Range{Lo: 5, Hi: 9}
 	f.Fuzz(func(t *testing.T, data []byte) {
