@@ -14,10 +14,10 @@
 // contiguous identifier range [lo, hi] collapses to F(hi) − F(lo−1): two PRF
 // evaluations per range regardless of length (§3.2). Identifier lists are
 // managed by package idlist, which stores them as ranges for exactly this
-// reason. Identifiers dense over a span instead — a column of many groups'
-// lists, a window of scan rows, an upload's column — decrypt or encrypt
+// reason. Identifiers dense over a span instead — a result's identifier
+// section, a window of scan rows, an upload's column — decrypt or encrypt
 // against F over the whole span, computed as one AES-CTR keystream (package
-// prf) and read a window at a time (SumLists, EncryptColumn) or whole (Pad).
+// prf) and read a window at a time (SumParts, EncryptColumn) or whole (Pad).
 //
 // Identifier 0 is reserved: decrypting it would require F(−1), which wraps.
 // Seabed assigns row identifiers starting at 1 (§4.2).
@@ -127,16 +127,11 @@ func (a *Ciphertext) AccumulateBody(body uint64, id uint64) {
 	a.IDs.Append(id)
 }
 
-// sweepWindow and maxSweepWindow bound how many identifiers a sweep of F
-// holds at a time: at least 32 KiB of keystream, which stays in the L1/L2
-// cache while it is read, and at most 512 KiB. The cap costs a column of 16k
-// short lists over 200k identifiers ≈ 0.7 ms against sweeping it as one
-// 1.6 MB window (2.4 vs 1.7 ms on a 2-core Xeon), and keeps the pad, which
-// the proxy pools per concurrent query, a third of the size.
-const (
-	sweepWindow    = 4096
-	maxSweepWindow = 1 << 16
-)
+// sweepWindow is how many identifiers a sweep of F holds at a time: 32 KiB
+// of keystream, which stays in the L1/L2 cache while it is read. A sweep keeps
+// one cursor per part (SumParts), a handful, so a window costs a few visits
+// however many groups the sums are for.
+const sweepWindow = 4096
 
 // EncryptColumn encrypts values under consecutive identifiers starting at
 // startID (which must be ≥ 1) and returns the ciphertext bodies. Consecutive
@@ -167,62 +162,83 @@ func (k *Key) EncryptColumn(values []uint64, startID uint64) []uint64 {
 	return out
 }
 
-// SumLists decrypts many ASHE sums against one sweep of F. sums[g] holds the
-// body of the ciphertext whose list is ranges[off[g]:off[g+1]], and gains
-// F(r.Hi) − F(r.Lo−1) for each of its ranges r (§3.2), which makes it the
-// plaintext sum. F is computed once over [lo−1, hi], the lists' span, as one
-// AES-CTR keystream read in ascending windows, and each list keeps a cursor
-// into its endpoints, so p holds one window at a time. Every list must be
-// Sweepable and inside [lo, hi]; the caller bounds the span (PadPays).
-// Afterwards p.Evals counts the span's values.
-func (k *Key) SumLists(p *Pad, sums []uint64, ranges []idlist.Range, off []uint64, lo, hi uint64) {
+// Part is one identifier section as a sweep reads it: the selected
+// identifiers, as ranges, and the runs that hand them out to groups in list
+// order (idlist.Run) — Runs[0].Len identifiers to group Runs[0].Group, the
+// next Runs[1].Len to Runs[1].Group, and so on. Every run holds at least one
+// identifier, and the runs hold exactly the identifiers of Ranges. A part
+// without runs hands them all to Group.
+type Part struct {
+	Ranges []idlist.Range
+	Runs   []idlist.Run
+	Group  int32
+}
+
+// cursor is a sweep's walk over one part's pieces (idlist.Pieces). A piece
+// [lo, hi] of group g adds F(hi) − F(lo−1) to g's sum (§3.2); open marks a
+// piece whose F(lo−1) is already subtracted while its F(hi) waits for a later
+// window.
+type cursor struct {
+	idlist.Pieces
+	open bool
+}
+
+// Pieces counts the part's pieces without computing a PRF value.
+func (p Part) Pieces() (n uint64) {
+	var c idlist.Pieces
+	for c.Reset(p.Ranges, p.Runs, p.Group); !c.Done(); n++ {
+		lo, hi, _ := c.Piece()
+		c.Next(lo, hi)
+	}
+	return n
+}
+
+// SumParts decrypts many ASHE sums against one sweep of F. sums[g] holds the
+// body of group g's ciphertext, whose identifiers are the parts' pieces of
+// group g, and gains F(hi) − F(lo−1) for each such piece [lo, hi] (§3.2),
+// which makes it the plaintext sum. F is computed once over [lo−1, hi], the
+// parts' union span, as one AES-CTR keystream read in ascending windows, and
+// each part keeps one cursor into its pieces, so p holds one window at a time
+// and a sweep costs the same however many groups share the parts. Parts may
+// interleave — appended batches spread one range of identifiers over every
+// shard — as long as each is Sweepable and inside [lo, hi], and every group a
+// run names indexes sums; the caller bounds the span (PadPays). Afterwards
+// p.Evals counts the span's values.
+func (k *Key) SumParts(p *Pad, sums []uint64, parts []Part, lo, hi uint64) {
 	if lo == 0 {
 		panic("ashe: identifier 0 is reserved")
 	}
-	// Every window visits every list, and with many lists a visit is a cache
-	// miss (its cursor, its next range). Windows of 16 × span × lists /
-	// endpoints identifiers keep the visits below one per 16 endpoints,
-	// within [sweepWindow, maxSweepWindow]; the span is cut into equal
-	// windows. A column of a few long lists (a dense group-by) holds
-	// sweepWindow at a time; one of many short lists (a wide group-by) the
-	// largest window.
-	n := len(sums)
-	p.cur = slices.Grow(p.cur[:0], n)[:n]
-	cur := p.cur
-	clear(cur)
-	span, window := hi-lo+2, uint64(sweepWindow)
-	if ends := 2 * (off[n] - off[0]); ends > 0 {
-		window = max(window, 16*span*uint64(n)/ends)
+	p.cur = slices.Grow(p.cur[:0], len(parts))[:len(parts)]
+	for i := range parts {
+		p.cur[i] = cursor{}
+		p.cur[i].Reset(parts[i].Ranges, parts[i].Runs, parts[i].Group)
 	}
-	window = min(window, maxSweepWindow)
-	windows := (span + window - 1) / window
-	window = ((span+windows-1)/windows + 2) &^ 1
+	span := hi - lo + 2
+	windows := (span + sweepWindow - 1) / sweepWindow
+	window := ((span+windows-1)/windows + 2) &^ 1
 	s, base := &p.s, (lo-1)&^1
 	p.lo, p.hi = lo, hi
 	k.f.Fill(s, lo-1, base+min(window-1, hi-base)) // no overflow near 2⁶⁴
 	for {
 		end := s.End()
-		for g := range n {
-			// cur[g] counts list g's endpoints read: 2i when its ranges
-			// before i are done, 2i+1 when range i's Lo−1 is read too.
-			list, c := ranges[off[g]:off[g+1]], cur[g]
-			i := c / 2
-			if c%2 == 1 {
-				if list[i].Hi > end {
-					continue
+		for i := range p.cur {
+			c := &p.cur[i]
+			for !c.Done() {
+				plo, phi, g := c.Piece()
+				if !c.open {
+					if plo-1 > end {
+						break
+					}
+					sums[g] -= s.At(plo - 1)
+					c.open = true
 				}
-				sums[g] += s.At(list[i].Hi)
-				i++
+				if phi > end {
+					break
+				}
+				sums[g] += s.At(phi)
+				c.open = false
+				c.Next(plo, phi)
 			}
-			for ; i < len(list) && list[i].Hi <= end; i++ {
-				sums[g] += s.At(list[i].Hi) - s.At(list[i].Lo-1)
-			}
-			c = 2 * i
-			if i < len(list) && list[i].Lo-1 <= end {
-				sums[g] -= s.At(list[i].Lo - 1)
-				c++
-			}
-			cur[g] = c
 		}
 		if end >= hi {
 			return
@@ -231,8 +247,28 @@ func (k *Key) SumLists(p *Pad, sums []uint64, ranges []idlist.Range, off []uint6
 	}
 }
 
-// Sweepable reports whether SumLists can read a list: its ranges ascend
-// without overlapping, so their endpoints Lo−1, Hi, Lo−1, Hi, … never fall.
+// SumPieces decrypts the same sums as SumParts with two PRF values per piece,
+// computed one by one: what a sparse section costs less as (PadPays against
+// twice Pieces). Parts need not be Sweepable. It returns the number of
+// pieces.
+func (k *Key) SumPieces(sums []uint64, parts []Part) (pieces uint64) {
+	var c idlist.Pieces
+	for _, part := range parts {
+		for c.Reset(part.Ranges, part.Runs, part.Group); !c.Done(); pieces++ {
+			lo, hi, g := c.Piece()
+			if lo == 0 {
+				panic("ashe: identifier 0 is reserved")
+			}
+			sums[g] += k.f.RangeDelta(lo, hi)
+			c.Next(lo, hi)
+		}
+	}
+	return pieces
+}
+
+// Sweepable reports whether SumParts can read a part's list: its ranges
+// ascend without overlapping, so their endpoints Lo−1, Hi, Lo−1, Hi, … never
+// fall.
 func Sweepable(list []idlist.Range) bool {
 	for i, r := range list {
 		if r.Lo > r.Hi || i > 0 && r.Lo <= list[i-1].Hi {
@@ -261,11 +297,11 @@ func PadPays(lo, hi, values uint64) bool {
 
 // Pad holds F_k over [lo−1, hi], the values decrypting any identifiers in
 // [lo, hi] needs, computed as one keystream. Its buffers are reused by the
-// next Fill or SumLists, so one Pad serves any number of spans.
+// next Fill or SumParts, so one Pad serves any number of spans.
 type Pad struct {
 	s      prf.Span
 	lo, hi uint64
-	cur    []int // SumLists' cursor per list
+	cur    []cursor // SumParts' cursor per part
 }
 
 // Fill computes the pad of identifiers [lo, hi] under k. Identifier 0 is
@@ -279,7 +315,7 @@ func (k *Key) Fill(p *Pad, lo, hi uint64) {
 	p.lo, p.hi = lo, hi
 }
 
-// Evals reports how many PRF values the last Fill or SumLists computed.
+// Evals reports how many PRF values the last Fill or SumParts computed.
 func (p *Pad) Evals() uint64 { return p.hi - p.lo + 2 }
 
 // Delta returns F_k(id) − F_k(id−1) for id in [lo, hi]: the pad that

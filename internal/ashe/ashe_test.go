@@ -1,7 +1,9 @@
 package ashe
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -203,33 +205,64 @@ func TestPadMatchesPointwise(t *testing.T) {
 	}
 }
 
-// sweepLists deals the identifiers from start, kept one in stride, in runs of
-// up to maxRun, to n lists: every list ascends without overlapping.
-func sweepLists(rng *rand.Rand, n int, start, span uint64, stride, maxRun int) ([]idlist.Range, []uint64) {
-	lists := make([][]idlist.Range, n)
+// sweepParts deals the identifiers from start, kept one in stride, in
+// stretches of up to maxRun, to nParts parts, a block of stretches at a time,
+// so that the parts' spans interleave as appended batches make shards' do.
+// Each part then hands its identifiers, in order, to n groups in runs of up to
+// maxRun, or, one part in three, all to one group without runs. It returns the
+// parts and each group's identifiers as one list.
+func sweepParts(rng *rand.Rand, n, nParts int, start, span uint64, stride, maxRun int) ([]Part, []idlist.List) {
+	parts := make([]Part, nParts)
+	p := 0
 	for id := start; id < start+span; {
 		run := uint64(1 + rng.Intn(maxRun))
 		if rng.Intn(stride) == 0 {
-			g := rng.Intn(n)
-			lists[g] = append(lists[g], idlist.Range{Lo: id, Hi: min(id+run-1, start+span-1)})
+			parts[p].Ranges = append(parts[p].Ranges, idlist.Range{Lo: id, Hi: min(id+run-1, start+span-1)})
 		}
-		id += run + 1 // a gap, so no two ranges of one list abut
+		id += run + 1 // a gap, so no two ranges of one part abut
+		if rng.Intn(16) == 0 {
+			p = rng.Intn(nParts)
+		}
 	}
-	var ranges []idlist.Range
-	off := []uint64{0}
-	for _, l := range lists {
-		ranges = append(ranges, l...)
-		off = append(off, uint64(len(ranges)))
+	type piece struct {
+		g      int
+		lo, hi uint64
 	}
-	return ranges, off
+	var pieces []piece
+	for pi := range parts {
+		part := &parts[pi]
+		ids := idlist.View(part.Ranges).IDs()
+		if rng.Intn(3) == 0 { // a part of one group
+			part.Group = int32(rng.Intn(n))
+			for _, id := range ids {
+				pieces = append(pieces, piece{int(part.Group), id, id})
+			}
+			continue
+		}
+		for len(ids) > 0 {
+			r := idlist.Run{Len: uint32(min(1+rng.Intn(maxRun), len(ids))), Group: int32(rng.Intn(n))}
+			part.Runs = append(part.Runs, r)
+			for _, id := range ids[:r.Len] {
+				pieces = append(pieces, piece{int(r.Group), id, id})
+			}
+			ids = ids[r.Len:]
+		}
+	}
+	slices.SortFunc(pieces, func(a, b piece) int { return cmp.Compare(a.lo, b.lo) })
+	lists := make([]idlist.List, n)
+	for _, pc := range pieces {
+		lists[pc.g].AppendRange(pc.lo, pc.hi)
+	}
+	return parts, lists
 }
 
-// TestSumListsMatchesDecrypt: a sweep decrypts every list to what Decrypt
-// gives it, for 1, 24 and 16k lists, from identifier 1 (F(0)) or later, over
-// spans shorter than a window and crossing many, ending on odd and even
-// identifiers, with lists empty, singletons or runs; and its evaluations are
-// the span's.
-func TestSumListsMatchesDecrypt(t *testing.T) {
+// TestSumPartsMatchesDecrypt: a sweep over parts decrypts every group to what
+// Decrypt gives its list, for 1, 24 and 16k groups and 1 to 3 parts whose
+// spans interleave, from identifier 1 (F(0)) or later, over spans shorter
+// than a window and crossing many, ending on odd and even identifiers, with
+// groups empty, singletons or runs; its evaluations are the span's; and the
+// pointwise walk (SumPieces) gives the same sums.
+func TestSumPartsMatchesDecrypt(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var pad Pad
 	for trial := 0; trial < 40; trial++ {
@@ -239,27 +272,31 @@ func TestSumListsMatchesDecrypt(t *testing.T) {
 		if n == 16_384 {
 			span = 200_000
 		}
-		ranges, off := sweepLists(rng, n, start, span, 1+rng.Intn(4), 1+rng.Intn(6))
-		if len(ranges) == 0 {
-			continue
-		}
-		lo, hi := ranges[0].Lo, ranges[0].Hi
-		sums, want := make([]uint64, n), make([]uint64, n)
-		for g := range sums {
-			list := ranges[off[g]:off[g+1]]
-			for _, r := range list {
+		parts, lists := sweepParts(rng, n, 1+rng.Intn(3), start, span, 1+rng.Intn(4), 1+rng.Intn(6))
+		lo, hi := uint64(1<<64-1), uint64(0)
+		for _, p := range parts {
+			if !Sweepable(p.Ranges) {
+				t.Fatalf("trial %d: a part is not sweepable: %v", trial, p.Ranges)
+			}
+			for _, r := range p.Ranges {
 				lo, hi = min(lo, r.Lo), max(hi, r.Hi)
 			}
-			if !Sweepable(list) {
-				t.Fatalf("trial %d: list %d not sweepable: %v", trial, g, list)
-			}
-			sums[g] = rng.Uint64()
-			want[g] = testKey.Decrypt(Ciphertext{Body: sums[g], IDs: idlist.View(list)})
 		}
-		testKey.SumLists(&pad, sums, ranges, off, lo, hi)
+		if lo > hi {
+			continue
+		}
+		sums, pointwise, want := make([]uint64, n), make([]uint64, n), make([]uint64, n)
 		for g := range sums {
-			if sums[g] != want[g] {
-				t.Fatalf("trial %d (%d lists over [%d,%d]): list %d sums to %#x, Decrypt gives %#x", trial, n, lo, hi, g, sums[g], want[g])
+			sums[g] = rng.Uint64()
+			pointwise[g] = sums[g]
+			want[g] = testKey.Decrypt(Ciphertext{Body: sums[g], IDs: lists[g]})
+		}
+		testKey.SumParts(&pad, sums, parts, lo, hi)
+		testKey.SumPieces(pointwise, parts)
+		for g := range sums {
+			if sums[g] != want[g] || pointwise[g] != want[g] {
+				t.Fatalf("trial %d (%d groups, %d parts over [%d,%d]): group %d sums to %#x swept and %#x pointwise, Decrypt gives %#x",
+					trial, n, len(parts), lo, hi, g, sums[g], pointwise[g], want[g])
 			}
 		}
 		if pad.Evals() != hi-lo+2 {
@@ -269,11 +306,14 @@ func TestSumListsMatchesDecrypt(t *testing.T) {
 	// Identifiers at the top of the range, as a hostile result may hold:
 	// window ends must not wrap past 2⁶⁴.
 	top := []idlist.Range{{Lo: 1<<64 - 3000, Hi: 1<<64 - 2990}, {Lo: 1<<64 - 7, Hi: 1<<64 - 1}}
-	sums := []uint64{42}
-	want := testKey.Decrypt(Ciphertext{Body: 42, IDs: idlist.View(top)})
-	testKey.SumLists(&pad, sums, top, []uint64{0, 2}, top[0].Lo, top[1].Hi)
-	if sums[0] != want {
-		t.Fatalf("lists at the top of the identifier range: %#x, Decrypt gives %#x", sums[0], want)
+	sums := []uint64{42, 43}
+	want := []uint64{
+		testKey.Decrypt(Ciphertext{Body: 42, IDs: idlist.View([]idlist.Range{top[0], {Lo: 1<<64 - 7, Hi: 1<<64 - 5}})}),
+		testKey.Decrypt(Ciphertext{Body: 43, IDs: idlist.FromRange(1<<64-4, 1<<64-1)}),
+	}
+	testKey.SumParts(&pad, sums, []Part{{Ranges: top, Runs: []idlist.Run{{Len: 14, Group: 0}, {Len: 4, Group: 1}}}}, top[0].Lo, top[1].Hi)
+	if sums[0] != want[0] || sums[1] != want[1] {
+		t.Fatalf("a part at the top of the identifier range: %#x, Decrypt gives %#x", sums, want)
 	}
 	if got := testKey.EncryptColumn([]uint64{1, 2, 3}, 1<<64-3); got[2] != testKey.EncryptBody(3, 1<<64-1) {
 		t.Fatalf("EncryptColumn ending at identifier 2⁶⁴−1: body %#x, want %#x", got[2], testKey.EncryptBody(3, 1<<64-1))
@@ -437,35 +477,32 @@ func BenchmarkEncryptColumn(b *testing.B) {
 }
 
 // BenchmarkPadDecrypt prices the two ways to decrypt the shape of a dense
-// group-by: singleton ranges, one identifier in three (so odd and even), dealt
-// to 24 lists over a 200,000-identifier span. "point" reports ns per PRF
-// value (two per range); "pad" sweeps the span once and reports ns per
+// group-by: one identifier in three (so odd and even) over a
+// 200,000-identifier span, dealt to 24 groups in turn, as one part of
+// singleton ranges and runs. "point" reports ns per PRF value (two per piece,
+// SumPieces); "pad" sweeps the span once (SumParts) and reports ns per
 // identifier of it, keystream and lookups included. Their ratio is
 // padIDsPerValue.
 func BenchmarkPadDecrypt(b *testing.B) {
-	const span, stride, lists = 200_000, 3, 24
-	var ranges []idlist.Range
-	off := []uint64{0}
-	for g := uint64(0); g < lists; g++ {
-		for id := 1 + stride*g; id <= span; id += stride * lists {
-			ranges = append(ranges, idlist.Range{Lo: id, Hi: id})
-		}
-		off = append(off, uint64(len(ranges)))
+	const span, stride, groups = 200_000, 3, 24
+	var part Part
+	for id := uint64(1); id <= span; id += stride {
+		part.Ranges = append(part.Ranges, idlist.Range{Lo: id, Hi: id})
+		part.Runs = append(part.Runs, idlist.Run{Len: 1, Group: int32(len(part.Runs) % groups)})
 	}
-	sums := make([]uint64, lists)
+	parts := []Part{part}
+	sums := make([]uint64, groups)
 	b.Run("point", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			for g := range sums {
-				sums[g] = testKey.Decrypt(Ciphertext{IDs: idlist.View(ranges[off[g]:off[g+1]])})
-			}
+			testKey.SumPieces(sums, parts)
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*len(ranges)), "ns/value")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*len(part.Ranges)), "ns/value")
 	})
 	b.Run("pad", func(b *testing.B) {
 		var pad Pad
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			testKey.SumLists(&pad, sums, ranges, off, 1, ranges[len(ranges)-1].Hi)
+			testKey.SumParts(&pad, sums, parts, 1, part.Ranges[len(part.Ranges)-1].Hi)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pad.Evals()), "ns/id")
 	})

@@ -102,15 +102,16 @@ type modelled struct {
 // workerShuffleBytes models the shuffle of the paper's cluster, where every
 // worker compresses its identifier lists before sending them (§4.5, the choice
 // the paper arrives at). This engine shuffles nothing and so compresses
-// nothing in a map task: a run reports its map output as held, lists raw
-// (Metrics.ShuffleBytes, ShuffleListBytes of it lists). The same ranges —
-// but for the few that coalesce where two tasks' lists meet — are what the
-// run's reducers, or its driver for an ungrouped plan, then really encoded
+// nothing in a map task: a run reports its map output as held, the
+// identifiers it keeps for the result's identifier section raw
+// (Metrics.ShuffleBytes, ShuffleListBytes of it those). The same identifiers
+// — but for the few ranges that coalesce where two tasks meet — are what the
+// run's driver then really encoded, as one list and, for a group-by, its runs
 // (ResultListBytes), so the model swaps one for the other. It leaves out the
 // codec's fixed cost per list (a Deflate header per task, about 20 bytes).
-// A bucketed group-by's map output holds rows, not lists (ShuffleListBytes
-// 0): it models as those buckets plus the lists its reducers encoded.
-// Metrics that carry no list sizes (a remote run's) model as reported.
+// A bucketed group-by's map output holds rows beside those identifiers: it
+// models as the buckets plus the section. Metrics that carry no list sizes (a
+// remote run's) model as reported.
 func workerShuffleBytes(m *engine.Metrics) int {
 	return m.ShuffleBytes - m.ShuffleListBytes + m.ResultListBytes
 }

@@ -354,7 +354,11 @@ func TestReservedIdentifierIsAnError(t *testing.T) {
 	if merged.Cols.Len() != 1 || merged.Cols.Aggs[0].Kind != engine.AggAsheSum {
 		t.Fatalf("fixture: %d groups, aggregates %+v", merged.Cols.Len(), tr.Server.Aggs)
 	}
-	merged.Cols.Aggs[0].Ranges, merged.Cols.Aggs[0].RangeOff = []idlist.Range{{Lo: 0, Hi: 3}}, []uint64{0, 1}
+	zero, err := tr.Server.EffectiveCodec().Encode(idlist.FromRange(0, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged.Cols.IDs = []engine.IDPart{{Selected: 4, List: zero, Groups: 1}}
 	var rid *ReservedIDError
 	if _, err := Decrypt(tr, merged, p.Ring()); !errors.As(err, &rid) || !strings.Contains(rid.Where, "aggregate 0") {
 		t.Errorf("aggregate over [0,3]: err = %v, want a ReservedIDError naming aggregate 0", err)

@@ -63,7 +63,9 @@ type Result struct {
 	// ClientTime is the measured decryption + post-processing time (§4.6).
 	ClientTime time.Duration
 	// PRFEvals counts the PRF values the decryption computed, the statistic
-	// §6.6 reports: two per identifier range decrypted pointwise, and every
+	// §6.6 reports: two per piece decrypted pointwise — a stretch of
+	// identifiers in one range of a section's list and one of its runs
+	// (ashe.SumPieces), one range of an ungrouped result's list — and every
 	// value in a pad's span (ashe.Pad.Evals).
 	PRFEvals uint64
 	// Metrics echoes the server-side metrics.
@@ -85,6 +87,9 @@ type decrypter struct {
 	// aggregate, from the first output that reads the column; they live in
 	// scratch.sums.
 	sums [][]uint64
+	// sec is the result's identifier section, decoded at the first ASHE sum
+	// an output reads and shared by all of them.
+	sec *section
 	// scratch is the pooled memory the ASHE columns decrypt in, taken at
 	// first use and returned by release.
 	scratch *padScratch
@@ -94,14 +99,28 @@ type decrypter struct {
 // name and Kind Int.
 type cellFunc func(sr *engine.ScanRow, j int, v *Value) error
 
-// padScratch is the memory ASHE columns decrypt in: a pad, an encoded
-// column's identifier lists decoded back to back, and the group sums. A dense
-// group-by's run to megabytes, so they are pooled across queries.
+// padScratch is the memory ASHE columns decrypt in: a pad, the identifier
+// section's parts decoded back to back — their lists' ranges, their runs and
+// the parts viewing them — and the group sums. A dense group-by's run to
+// megabytes, so they are pooled across queries.
 type padScratch struct {
 	pad    ashe.Pad
 	ranges []idlist.Range
-	off    []uint64
+	runs   []idlist.Run
+	parts  []ashe.Part
 	sums   []uint64
+	sec    section
+}
+
+// section is a result's identifier section as the ASHE sums read it: its parts
+// decoded, the union span [lo, hi] of their identifiers, whether every part's
+// list is Sweepable, and what computing its pieces' PRF values one by one
+// costs: two a piece (ashe.Part.Pieces).
+type section struct {
+	parts     []ashe.Part
+	lo, hi    uint64
+	sweepable bool
+	values    uint64
 }
 
 var padPool = sync.Pool{New: func() any { return new(padScratch) }}
@@ -120,7 +139,7 @@ func (d *decrypter) scratchBuf() *padScratch {
 func (d *decrypter) release() {
 	if d.scratch != nil {
 		padPool.Put(d.scratch)
-		d.scratch, d.sums = nil, nil
+		d.scratch, d.sums, d.sec = nil, nil, nil
 	}
 }
 
@@ -163,12 +182,10 @@ func (d *decrypter) det(col string) *det.Key {
 	return k
 }
 
-// Decrypt executes the client plan over a server result (§4.6). The
-// identifier lists of a result decoded from a frame, or handed over by an
-// in-process engine, are codec-encoded, and decoding them is part of the
-// measured client time, exactly as in the paper's cost breakdown; those of a
-// result merged in this process (a fleet's, or inflated groups deflated here)
-// are already decoded and are read where they lie.
+// Decrypt executes the client plan over a server result (§4.6). The result's
+// identifier section — one part from a daemon or an in-process engine, one per
+// shard from a fleet's merge — arrives codec-encoded, and decoding it is part
+// of the measured client time, exactly as in the paper's cost breakdown.
 func Decrypt(tr *translate.Translation, res *engine.Result, ring *KeyRing) (*Result, error) {
 	start := time.Now()
 	d := newDecrypter(ring, tr.Server.EffectiveCodec())
@@ -239,15 +256,12 @@ func Decrypt(tr *translate.Translation, res *engine.Result, ring *KeyRing) (*Res
 }
 
 // asheSums returns every group's decrypted sum of ASHE aggregate column agg,
-// decrypting the whole column the first time an output reads it (§3.2). The
-// lists are all read first: a decoded column's in place, an encoded one's
-// decoded back to back. Identifier 0 is refused before any PRF value is
-// computed. The column then decrypts against one sweep of F over the span of
-// its lists (ashe.SumLists) when every list is sweepable — ascending, as
-// every run writes them — and ashe.PadPays says that costs less than the two
-// PRF values per range the lists need pointwise; so lists decoded by a merge
-// and the same lists off a frame decrypt the same way, with the same
-// PRFEvals.
+// decrypting the whole column the first time an output reads it (§3.2),
+// against the result's identifier section (decodeSection). The column
+// decrypts against one sweep of F over the section's span (ashe.SumParts)
+// when every part's list is sweepable — ascending, as every run writes them —
+// and ashe.PadPays says that costs less than the two PRF values per piece the
+// parts need pointwise (ashe.SumPieces).
 func (d *decrypter) asheSums(o *translate.Output, cols *engine.GroupCols) ([]uint64, error) {
 	col, n, sc := &cols.Aggs[o.Agg], cols.Len(), d.scratchBuf()
 	if d.sums == nil {
@@ -257,43 +271,74 @@ func (d *decrypter) asheSums(o *translate.Output, cols *engine.GroupCols) ([]uin
 	if sums := d.sums[o.Agg]; sums != nil {
 		return sums, nil
 	}
-	ranges, off := col.Ranges, col.RangeOff
-	if off == nil {
-		sc.ranges, sc.off = sc.ranges[:0], append(sc.off[:0], 0)
-		for g := 0; g < n; g++ {
-			var err error
-			if sc.ranges, err = d.codec.AppendDecode(sc.ranges, col.EncodedIDs(g)); err != nil {
-				return nil, fmt.Errorf("client: decode id list: %v", err)
-			}
-			sc.off = append(sc.off, uint64(len(sc.ranges)))
+	if d.sec == nil {
+		if err := d.decodeSection(o, cols); err != nil {
+			return nil, err
 		}
-		ranges, off = sc.ranges, sc.off
 	}
-	lo, hi, sweepable, total := uint64(math.MaxUint64), uint64(0), true, uint64(0)
-	for g := 0; g < n; g++ {
-		list := ranges[off[g]:off[g+1]]
-		for _, r := range list {
-			if r.Lo == 0 {
-				return nil, &ReservedIDError{Where: fmt.Sprintf("aggregate %d (sum of %s)", o.Agg, o.SourceCol)}
-			}
-			lo, hi = min(lo, r.Lo), max(hi, r.Hi)
-		}
-		sweepable = sweepable && ashe.Sweepable(list)
-		total += uint64(len(list))
-	}
+	sec := d.sec
 	k, sums := d.ashe(o.SourceCol), sc.sums[o.Agg*n:(o.Agg+1)*n:(o.Agg+1)*n]
-	if sweepable && total > 0 && ashe.PadPays(lo, hi, 2*total) {
-		copy(sums, col.Lane[:n])
-		k.SumLists(&sc.pad, sums, ranges, off[:n+1], lo, hi)
+	copy(sums, col.Lane[:n])
+	if sec.sweepable && sec.lo <= sec.hi && ashe.PadPays(sec.lo, sec.hi, sec.values) {
+		k.SumParts(&sc.pad, sums, sec.parts, sec.lo, sec.hi)
 		d.prfEvals += sc.pad.Evals()
 	} else {
-		d.prfEvals += 2 * total
-		for g := range sums {
-			sums[g] = k.Decrypt(ashe.Ciphertext{Body: col.Lane[g], IDs: idlist.View(ranges[off[g]:off[g+1]])})
-		}
+		d.prfEvals += 2 * k.SumPieces(sums, sec.parts)
 	}
 	d.sums[o.Agg] = sums
 	return sums, nil
+}
+
+// decodeSection decodes the columns' identifier section once, into the
+// scratch, for every ASHE sum: each part's list back to back into one block of
+// ranges and its runs, their tags mapped to these columns' groups, into
+// another (engine.IDPart.AppendRuns checks them). Before any PRF value is
+// computed it refuses identifier 0, naming the aggregate o that asked, and a
+// list that does not hold exactly the identifiers its runs hand out.
+func (d *decrypter) decodeSection(o *translate.Output, cols *engine.GroupCols) error {
+	sc := d.scratchBuf()
+	sc.sec = section{lo: math.MaxUint64, sweepable: true}
+	sec := &sc.sec
+	sc.ranges, sc.runs = sc.ranges[:0], sc.runs[:0]
+	bounds := make([][2]int, len(cols.IDs)) // each part's ranges and runs end
+	for i := range cols.IDs {
+		p := &cols.IDs[i]
+		from := len(sc.ranges)
+		var err error
+		if sc.ranges, err = d.codec.AppendDecode(sc.ranges, p.List); err != nil {
+			return fmt.Errorf("client: decode id list: %v", err)
+		}
+		runsFrom := len(sc.runs)
+		if sc.runs, err = p.AppendRuns(sc.runs); err != nil {
+			return fmt.Errorf("client: %v", err)
+		}
+		list, held := sc.ranges[from:], uint64(0)
+		for _, r := range list {
+			if r.Lo == 0 {
+				return &ReservedIDError{Where: fmt.Sprintf("aggregate %d (sum of %s)", o.Agg, o.SourceCol)}
+			}
+			if r.Lo > r.Hi || r.Span() > p.Selected-held {
+				return fmt.Errorf("client: identifier section part %d lists more than its %d identifiers (malformed or hostile result)", i, p.Selected)
+			}
+			held += r.Span()
+			sec.lo, sec.hi = min(sec.lo, r.Lo), max(sec.hi, r.Hi)
+		}
+		if held != p.Selected {
+			return fmt.Errorf("client: identifier section part %d lists %d of its %d identifiers (malformed or hostile result)", i, held, p.Selected)
+		}
+		sec.sweepable = sec.sweepable && ashe.Sweepable(list)
+		sec.values += 2 * ashe.Part{Ranges: list, Runs: sc.runs[runsFrom:], Group: p.WholeGroup()}.Pieces()
+		bounds[i] = [2]int{len(sc.ranges), len(sc.runs)}
+	}
+	sc.parts = sc.parts[:0]
+	r0, u0 := 0, 0
+	for i, b := range bounds {
+		sc.parts = append(sc.parts, ashe.Part{Ranges: sc.ranges[r0:b[0]:b[0]], Runs: sc.runs[u0:b[1]:b[1]], Group: cols.IDs[i].WholeGroup()})
+		r0, u0 = b[0], b[1]
+	}
+	sec.parts = sc.parts
+	d.sec = sec
+	return nil
 }
 
 // output evaluates one client-plan output for group g of the columns.
@@ -582,8 +627,8 @@ func (e *DuplicateKeyError) Error() string {
 // keyOrder returns the order result rows take: the n groups' indices sorted
 // by decrypted group key (string keys as strings, others as integers), or as
 // they are when the query has no group key. Two groups with one key are a
-// DuplicateKeyError. Integer keys sort beside their indices, so a comparison
-// reads no Value.
+// DuplicateKeyError. Integer keys sort beside their indices by radix
+// (sortKeyRefs), so no comparison reads a Value or calls a function.
 func keyOrder(keys []Value, n int) ([]int32, error) {
 	order := make([]int32, n)
 	for i := range order {
@@ -601,15 +646,11 @@ func keyOrder(keys []Value, n int) ([]int32, error) {
 		}
 		return order, nil
 	}
-	type ref struct {
-		k int64
-		g int32
-	}
-	refs := make([]ref, n)
+	refs := make([]keyRef, n)
 	for g := range refs {
-		refs[g] = ref{keys[g].I64, int32(g)}
+		refs[g] = keyRef{uint64(keys[g].I64) ^ 1<<63, int32(g)}
 	}
-	slices.SortFunc(refs, func(a, b ref) int { return cmp.Compare(a.k, b.k) })
+	refs = sortKeyRefs(refs)
 	for i, r := range refs {
 		if i > 0 && refs[i-1].k == r.k {
 			return nil, &DuplicateKeyError{Key: keys[r.g]}
@@ -617,4 +658,39 @@ func keyOrder(keys []Value, n int) ([]int32, error) {
 		order[i] = r.g
 	}
 	return order, nil
+}
+
+// keyRef is an integer group key beside its group: the key with its sign bit
+// flipped, so that unsigned order is the keys' signed order.
+type keyRef struct {
+	k uint64
+	g int32
+}
+
+// sortKeyRefs sorts refs by key with a least-significant-byte-first radix
+// sort, eight counting passes at most: a pass whose byte every key shares —
+// the high bytes of small keys — is skipped. It returns the sorted slice,
+// which is refs or a buffer of its length.
+func sortKeyRefs(refs []keyRef) []keyRef {
+	tmp := make([]keyRef, len(refs))
+	for shift := uint(0); shift < 64; shift += 8 {
+		var count [256]int
+		for _, r := range refs {
+			count[byte(r.k>>shift)]++
+		}
+		if count[byte(refs[0].k>>shift)] == len(refs) {
+			continue
+		}
+		at := 0
+		for b, c := range count {
+			count[b], at = at, at+c
+		}
+		for _, r := range refs {
+			b := byte(r.k >> shift)
+			tmp[count[b]] = r
+			count[b]++
+		}
+		refs, tmp = tmp, refs
+	}
+	return refs
 }

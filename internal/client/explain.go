@@ -106,7 +106,7 @@ func (p *Proxy) renderExplain(stmt *sqlparse.Statement, tr *translate.Translatio
 		attr("%s", l)
 	}
 	if m != nil {
-		// shuffle: the map tasks' output as held, identifier lists raw; result:
+		// shuffle: the map tasks' output as held, identifiers raw; result:
 		// the result as serialized — over a fleet, the shards' results added up.
 		attr("server=%v (measured) shuffle=%dB (map output as held) result=%dB (as serialized) map_tasks=%d reduce_tasks=%d",
 			m.ServerTime, m.ShuffleBytes, m.ResultBytes, m.MapTasks, m.ReduceTasks)

@@ -2,8 +2,11 @@ package client
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
+	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -18,10 +21,12 @@ import (
 // splitBackend answers as a three-daemon fleet's coordinator does, in
 // process: it deals the table's partitions round-robin into three
 // sub-tables — the shape appended batches give a fleet's shards, so the
-// sub-results' identifier lists interleave — runs the plan Partial on each
-// and merges, handing over the decoded columns Merge leaves.
+// sub-results' identifier sections interleave — runs the plan Partial on each
+// and merges, handing over the three sections as Merge leaves them, one part
+// each. parts is the partition count it last dealt.
 type splitBackend struct {
 	*engine.Cluster
+	parts int
 }
 
 func (b *splitBackend) Run(ctx context.Context, pl *engine.Plan) (*engine.Result, error) {
@@ -32,6 +37,7 @@ func (b *splitBackend) Run(ctx context.Context, pl *engine.Plan) (*engine.Result
 	for i, p := range pl.Table.Parts {
 		subs[i%3].Parts = append(subs[i%3].Parts, p)
 	}
+	b.parts = len(pl.Table.Parts)
 	partials := make([]*engine.Result, len(subs))
 	for k, sub := range subs {
 		scoped := *pl
@@ -45,17 +51,23 @@ func (b *splitBackend) Run(ctx context.Context, pl *engine.Plan) (*engine.Result
 	return engine.Merge(pl, partials)
 }
 
-// TestDecryptMergedResults: the rows Decrypt makes of a merged result's
-// decoded identifier lists are the rows it makes of the same lists encoded by
-// one engine over the whole table, for plain and filtered sums, quadratic aggregates (two ASHE sums over one
-// list), a DET group-by, an inflated group-by (DeflateGroups reading decoded
-// columns) and an aggregate mix on the merge's generic path.
+// TestDecryptMergedResults: the rows Decrypt makes of a merged result — three
+// interleaved section parts, each with its tags mapped to the merged groups —
+// are the rows it makes of one engine's one-part section over the whole
+// table, for plain and filtered sums, quadratic aggregates (two ASHE sums over
+// one section), a DET group-by, an inflated group-by (DeflateGroups
+// renumbering the parts again) and an aggregate mix on the merge's generic
+// path. The PRF count is the single run's when the decryption sweeps a pad,
+// whose span the parts share; taken a piece at a time it may exceed it by two
+// values an ASHE sum for each place the deal cut a range of the single run's
+// list, one partition from the next.
 func TestDecryptMergedResults(t *testing.T) {
 	p := salesFixture(t)
 	ctx := context.Background()
 	one := engine.NewCluster(engine.Config{Workers: 24})
 	whole := reclusteredProxy(t, p, one)
-	merged := &Proxy{ring: p.ring, cluster: &splitBackend{Cluster: one}, tables: p.tables}
+	split := &splitBackend{Cluster: one}
+	merged := &Proxy{ring: p.ring, cluster: split, tables: p.tables}
 	for _, sql := range []string{
 		"SELECT SUM(revenue) FROM sales",
 		"SELECT SUM(revenue) FROM sales WHERE day > 15",
@@ -79,8 +91,8 @@ func TestDecryptMergedResults(t *testing.T) {
 				t.Fatalf("%s (inflate %d): %v", sql, inflate, err)
 			}
 			assertSameRows(t, sql, translate.Seabed, mustRows(t, want), mustRows(t, got))
-			if got.PRFEvals != want.PRFEvals {
-				t.Errorf("%s (inflate %d): %d PRF evaluations, one engine's result took %d", sql, inflate, got.PRFEvals, want.PRFEvals)
+			if slack := 2 * 2 * uint64(split.parts-1); got.PRFEvals < want.PRFEvals || got.PRFEvals > want.PRFEvals+slack {
+				t.Errorf("%s (inflate %d): %d PRF evaluations, one engine's result took %d (+ at most %d)", sql, inflate, got.PRFEvals, want.PRFEvals, slack)
 			}
 		}
 	}
@@ -257,5 +269,53 @@ func BenchmarkMergeToDecrypt(b *testing.B) {
 				b.Fatal("decrypted no rows")
 			}
 		})
+	}
+}
+
+// TestKeyOrderSortsSignedKeys: integer group keys come out in signed order —
+// negative, small, wide and extreme keys, so every byte of the radix sort
+// takes a pass or is skipped — with each row's group beside its key, as a
+// comparison sort orders them; and a key twice is a DuplicateKeyError naming
+// it.
+func TestKeyOrderSortsSignedKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 2, 24, 300, 20_000} {
+		for _, spread := range []int64{50_000, 1 << 40, math.MaxInt64} {
+			seen := map[int64]bool{}
+			keys := make([]Value, 0, n)
+			for len(keys) < n {
+				k := rng.Int63n(spread)
+				if rng.Intn(2) == 0 {
+					k = -k - 1
+				}
+				if len(keys) == 0 && n > 2 {
+					k = math.MinInt64
+				}
+				if !seen[k] {
+					seen[k] = true
+					keys = append(keys, Value{Kind: Int, I64: k})
+				}
+			}
+			order, err := keyOrder(keys, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]int32, n)
+			for i := range want {
+				want[i] = int32(i)
+			}
+			slices.SortFunc(want, func(a, b int32) int { return cmp.Compare(keys[a].I64, keys[b].I64) })
+			if !slices.Equal(order, want) {
+				t.Fatalf("%d keys over ±%d: order differs from a comparison sort", n, spread)
+			}
+			if n < 2 {
+				continue
+			}
+			dup := append(slices.Clone(keys), keys[n/2])
+			var de *DuplicateKeyError
+			if _, err := keyOrder(dup, n+1); !errors.As(err, &de) || de.Key.I64 != keys[n/2].I64 {
+				t.Fatalf("%d keys with one twice: %v, want a DuplicateKeyError naming %d", n, err, keys[n/2].I64)
+			}
+		}
 	}
 }

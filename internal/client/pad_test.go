@@ -1,10 +1,14 @@
 package client
 
 import (
+	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -23,7 +27,7 @@ var padRing = MustNewKeyRing([]byte("pad-property-master-secret"))
 // padValue is the plaintext every fixture encrypts under identifier id.
 func padValue(id uint64) uint64 { return id*2654435761 + 7 }
 
-// padShape is one draw of an ASHE aggregate column's identifier lists.
+// padShape is one draw of a result's per-group identifier lists.
 type padShape struct {
 	name  string
 	lists [][]idlist.Range
@@ -50,61 +54,113 @@ func randomShape(rng *rand.Rand, groups int, start, n uint64, stride, maxRun int
 	return padShape{name: fmt.Sprintf("%d groups from %d over %d, 1 in %d, runs ≤ %d", groups, start, n, stride, maxRun), lists: lists}
 }
 
-// padCols lays a shape out as a result's column set, in the decoded form or
-// encoded under codec, each group's body the ASHE sum of its identifiers'
-// padValues, and returns the plaintext sums.
-func padCols(t *testing.T, k *ashe.Key, s padShape, codec idlist.Codec) (*engine.GroupCols, []uint64) {
+// tagged is one identifier of a section and its group.
+type tagged struct {
+	id uint64
+	g  int
+}
+
+// padParts deals a shape's identifiers, in identifier order, to nParts parts
+// a stretch of a few hundred at a time — so the parts' spans interleave, as
+// the sections a fleet merges from appended batches do — each part's in
+// identifier order.
+func padParts(s padShape, nParts int) [][]tagged {
+	var all []tagged
+	for g, list := range s.lists {
+		for _, id := range idlist.View(list).IDs() {
+			all = append(all, tagged{id, g})
+		}
+	}
+	slices.SortStableFunc(all, func(a, b tagged) int { return cmp.Compare(a.id, b.id) })
+	parts := make([][]tagged, nParts)
+	for i := 0; i < len(all); i += 300 {
+		p := (i / 300) % nParts
+		parts[p] = append(parts[p], all[i:min(i+300, len(all))]...)
+	}
+	return parts
+}
+
+// padCols lays a shape out as a result's column set — one ASHE sum whose
+// group bodies are the sums of their identifiers' padValues, and an
+// identifier section of the given parts, each list encoded with codec and its
+// runs packed as docs/FORMAT.md §3.1 says — and returns the plaintext sums.
+func padCols(t *testing.T, k *ashe.Key, s padShape, codec idlist.Codec, parts [][]tagged) (*engine.GroupCols, []uint64) {
 	t.Helper()
 	n := len(s.lists)
 	col := engine.AggCol{Kind: engine.AggAsheSum, Lane: make([]uint64, n)}
 	want := make([]uint64, n)
-	if codec == nil {
-		col.RangeOff = []uint64{0}
-	} else {
-		col.IDOff = []uint64{0}
-	}
-	for g, list := range s.lists {
-		for _, r := range list {
-			for id := max(r.Lo, 1); id <= r.Hi; id++ { // no body can be had under 0
-				col.Lane[g] += k.EncryptBody(padValue(id), id)
-				want[g] += padValue(id)
+	cols := &engine.GroupCols{KeyKind: store.U64, KeyU64: make([]uint64, n), Rows: make([]uint64, n), Codec: codec}
+	for _, part := range parts {
+		var list idlist.List
+		p := engine.IDPart{Selected: uint64(len(part)), Groups: n}
+		for i, x := range part {
+			list.Append(x.id)
+			if x.id > 0 { // no body can be had under 0
+				col.Lane[x.g] += k.EncryptBody(padValue(x.id), x.id)
+				want[x.g] += padValue(x.id)
+			}
+			if n > 1 && (i+1 == len(part) || part[i+1].g != x.g) {
+				p.Runs = packRun(p.Runs, uint64(i-runStart(part, i)+1), x.g, n)
 			}
 		}
-		if codec == nil {
-			col.Ranges = append(col.Ranges, list...)
-			col.RangeOff = append(col.RangeOff, uint64(len(col.Ranges)))
-			continue
-		}
 		var err error
-		if col.IDs, err = codec.AppendEncode(col.IDs, idlist.View(list)); err != nil {
+		if p.List, err = codec.Encode(list); err != nil {
 			t.Fatal(err)
 		}
-		col.IDOff = append(col.IDOff, uint64(len(col.IDs)))
+		cols.IDs = append(cols.IDs, p)
 	}
-	return &engine.GroupCols{KeyKind: store.U64, KeyU64: make([]uint64, n), Rows: make([]uint64, n), Aggs: []engine.AggCol{col}}, want
+	cols.Aggs = []engine.AggCol{col}
+	return cols, want
+}
+
+// packRun appends a run of n identifiers of group tag, in a part of groups
+// groups, packed as docs/FORMAT.md §3.1 lays it out: a little-endian word of
+// ⌈(b + 2) / 8⌉ bytes, b the bits groups − 1 takes, holding the tag and above
+// it min(n, 4) − 1, and for n ≥ 4 a uvarint of n − 4.
+func packRun(dst []byte, n uint64, tag, groups int) []byte {
+	b := bits.Len(uint(groups - 1))
+	w := uint64(tag) | (min(n, 4)-1)<<b
+	for i := 0; i < (b+9)/8; i++ {
+		dst = append(dst, byte(w>>(8*i)))
+	}
+	if n >= 4 {
+		dst = binary.AppendUvarint(dst, n-4)
+	}
+	return dst
+}
+
+// runStart is the index of the first identifier of the run part[i] ends.
+func runStart(part []tagged, i int) int {
+	for i > 0 && part[i-1].g == part[i].g {
+		i--
+	}
+	return i
 }
 
 // padSums decrypts the column through the proxy's group path and reports the
-// sums, the PRF values computed and whether it swept a pad.
-func padSums(t *testing.T, cols *engine.GroupCols, codec idlist.Codec, s padShape) ([]uint64, uint64, bool) {
+// sums and the PRF values computed, checking them against the rule: one pad
+// over the parts' span when every part's list is sweepable and the pad pays
+// against two values a piece — a stretch of identifiers in one range and one
+// run — else those two values a piece.
+func padSums(t *testing.T, cols *engine.GroupCols, codec idlist.Codec, s padShape, parts [][]tagged) ([]uint64, uint64, bool) {
 	t.Helper()
-	if codec == nil {
-		codec = idlist.Default
-	}
 	d := newDecrypter(padRing, codec)
 	sums, err := d.asheSums(&translate.Output{Agg: 0, SourceCol: "c"}, cols)
 	if err != nil {
 		t.Fatalf("%s: %v", s.name, err)
 	}
-	lo, hi, ranges, sweepable := uint64(1<<64-1), uint64(0), uint64(0), true
-	for _, list := range s.lists {
-		for _, r := range list {
-			lo, hi, ranges = min(lo, r.Lo), max(hi, r.Hi), ranges+1
+	lo, hi, pieces, sweepable := uint64(1<<64-1), uint64(0), uint64(0), true
+	for _, part := range parts {
+		for i, x := range part {
+			lo, hi = min(lo, x.id), max(hi, x.id)
+			if i == 0 || x.g != part[i-1].g || x.id != part[i-1].id+1 {
+				pieces++
+			}
+			sweepable = sweepable && (i == 0 || x.id > part[i-1].id)
 		}
-		sweepable = sweepable && ashe.Sweepable(list)
 	}
-	padded := ranges > 0 && sweepable && ashe.PadPays(lo, hi, 2*ranges)
-	want := 2 * ranges
+	padded := pieces > 0 && sweepable && ashe.PadPays(lo, hi, 2*pieces)
+	want := 2 * pieces
 	if padded {
 		want = hi - lo + 2
 	}
@@ -119,8 +175,9 @@ func padSums(t *testing.T, cols *engine.GroupCols, codec idlist.Codec, s padShap
 // identifier 1 (so F(0)) or later, starting and ending on odd and even
 // identifiers and crossing the sweep's windows; 24 groups and 16k — an ASHE
 // aggregate column decrypts to its plaintext sums whether it sweeps one pad
-// over its span or takes the per-range PRF, and a decoded column and the same
-// lists encoded take the same path with the same PRF count.
+// over its section or takes the PRF a piece at a time, whether the section is
+// one part or three interleaved ones, and under every codec with the same PRF
+// count.
 func TestPadDecryptMatchesPointwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	k := padRing.Ashe("c")
@@ -131,7 +188,7 @@ func TestPadDecryptMatchesPointwise(t *testing.T) {
 		{name: "empty groups", lists: [][]idlist.Range{nil, {{Lo: 3, Hi: 3}}, nil}},
 		randomShape(rng, 24, 1, 200_000, 1, 1),    // the dense group-by: singletons
 		randomShape(rng, 16_384, 1, 60_000, 1, 1), // the wide group-by
-		randomShape(rng, 24, 1, 50_000, 1, 2_000), // long runs: per-range PRF
+		randomShape(rng, 24, 1, 50_000, 1, 2_000), // long runs: PRF a piece
 		randomShape(rng, 24, 2, 9_001, 3, 4),
 		randomShape(rng, 5, 1, 40_000, 40, 1), // too sparse for a pad
 	}
@@ -143,29 +200,35 @@ func TestPadDecryptMatchesPointwise(t *testing.T) {
 	}
 	var pads, points int
 	for _, s := range shapes {
-		cols, want := padCols(t, k, s, nil)
-		got, evals, padded := padSums(t, cols, nil, s)
-		for g := range want {
-			if got[g] != want[g] {
-				t.Fatalf("%s: group %d decrypts to %d, want %d (pad %v)", s.name, g, got[g], want[g], padded)
-			}
-		}
-		if padded {
-			pads++
-		} else {
-			points++
-		}
-		for _, codec := range []idlist.Codec{idlist.RangeVB, idlist.RangeVBDiffDeflateFast} {
-			ecols, _ := padCols(t, k, s, codec)
-			egot, eevals, epadded := padSums(t, ecols, codec, s)
-			if !slices.Equal(egot, got) || eevals != evals || epadded != padded {
-				t.Fatalf("%s under %s: sums equal %v, %d PRF values (pad %v); decoded took %d (pad %v)",
-					s.name, codec.Name(), slices.Equal(egot, got), eevals, epadded, evals, padded)
+		var got []uint64
+		for _, nParts := range []int{1, 3} {
+			parts := padParts(s, nParts)
+			var evals uint64
+			for ci, codec := range []idlist.Codec{idlist.Default, idlist.RangeVB, idlist.RangeVBDiffDeflateFast} {
+				cols, want := padCols(t, k, s, codec, parts)
+				sums, e, padded := padSums(t, cols, codec, s, parts)
+				for g := range want {
+					if sums[g] != want[g] {
+						t.Fatalf("%s, %d parts under %s: group %d decrypts to %d, want %d (pad %v)", s.name, nParts, codec.Name(), g, sums[g], want[g], padded)
+					}
+				}
+				if got != nil && !slices.Equal(sums, got) || ci > 0 && e != evals {
+					t.Fatalf("%s, %d parts under %s: %d PRF values, %d under the default codec", s.name, nParts, codec.Name(), e, evals)
+				}
+				got, evals = sums, e
+				if ci > 0 {
+					continue
+				}
+				if padded {
+					pads++
+				} else {
+					points++
+				}
 			}
 		}
 	}
 	if pads < 5 || points < 3 {
-		t.Fatalf("%d shapes took the pad and %d the per-range PRF: the property needs both", pads, points)
+		t.Fatalf("%d decryptions took the pad and %d the PRF a piece: the property needs both", pads, points)
 	}
 }
 
@@ -260,21 +323,22 @@ func (b chunkBackend) RunStream(ctx context.Context, pl *engine.Plan, sink engin
 }
 
 // TestReservedIdentifierOnPadPaths: identifier 0 is refused on the paths that
-// would otherwise compute a pad from F(−1) — a dense column whose one list
-// starts at 0, in either form or as a bitmap, and a dense scan chunk holding
-// identifier 0, materialized and streamed — with a ReservedIDError, not a
-// panic.
+// would otherwise compute a pad from F(−1) — a dense section whose list starts
+// at 0, in one part or the last of three, under either codec or as a bitmap,
+// and a dense scan chunk holding identifier 0, materialized and streamed —
+// with a ReservedIDError, not a panic.
 func TestReservedIdentifierOnPadPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	k := padRing.Ashe("c")
 	s := randomShape(rng, 24, 1, 5_000, 1, 1)
 	s.lists[5] = append([]idlist.Range{{Lo: 0, Hi: 0}}, s.lists[5]...)
 	var rid *ReservedIDError
-	for _, codec := range []idlist.Codec{nil, idlist.RangeVBDiff} {
-		cols, _ := padCols(t, k, padShape{name: s.name, lists: s.lists}, codec)
-		if codec == nil {
-			codec = idlist.Default
-		}
+	for _, tc := range []struct {
+		codec idlist.Codec
+		parts int
+	}{{idlist.Default, 1}, {idlist.RangeVBDiff, 1}, {idlist.Default, 3}} {
+		codec := tc.codec
+		cols, _ := padCols(t, k, s, codec, padParts(s, tc.parts))
 		d := newDecrypter(padRing, codec)
 		if _, err := d.asheSums(&translate.Output{Agg: 0, SourceCol: "c"}, cols); !errors.As(err, &rid) || !strings.Contains(rid.Where, "aggregate 0") {
 			t.Errorf("dense column under %s with a list from 0: err = %v, want a ReservedIDError naming aggregate 0", codec.Name(), err)
@@ -293,8 +357,9 @@ func TestReservedIdentifierOnPadPaths(t *testing.T) {
 			dense.Append(id)
 		}
 	}
-	cols, _ := padCols(t, k, padShape{name: "bitmap from 0", lists: [][]idlist.Range{dense.Ranges()}}, idlist.Default)
-	if mode := cols.Aggs[0].EncodedIDs(0)[0]; mode != 1 {
+	bitmap := padShape{name: "bitmap from 0", lists: [][]idlist.Range{dense.Ranges()}}
+	cols, _ := padCols(t, k, bitmap, idlist.Default, padParts(bitmap, 1))
+	if mode := cols.IDs[0].List[0]; mode != 1 {
 		t.Fatalf("fixture: the default codec wrote mode %d, want a bitmap", mode)
 	}
 	if _, err := newDecrypter(padRing, idlist.Default).asheSums(&translate.Output{Agg: 0, SourceCol: "c"}, cols); !errors.As(err, &rid) || !strings.Contains(rid.Where, "aggregate 0") {
@@ -326,6 +391,43 @@ func TestReservedIdentifierOnPadPaths(t *testing.T) {
 	}
 	if _, err := res.All(); !errors.As(err, &rid) || !strings.Contains(rid.Where, "scan row 0") {
 		t.Errorf("streamed dense chunk holding id 0: err = %v, want a ReservedIDError naming the row", err)
+	}
+}
+
+// TestEverySelectedIdentifierIsBounded: a part that selects every identifier
+// but 0 — one range of 2^64−1, a few bytes on the wire — decrypts in one
+// group with two PRF values and a few kilobytes, holding no runs; spread
+// over three groups it needs runs longer than a Run holds, and is refused
+// before any PRF value.
+func TestEverySelectedIdentifierIsBounded(t *testing.T) {
+	every, err := idlist.Default.Encode(idlist.FromRange(1, 1<<64-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		groups int
+		runs   []byte
+	}{
+		{1, nil},
+		{3, packRun(packRun(nil, 1<<63, 0, 3), 1<<63-1, 2, 3)},
+	} {
+		cols := &engine.GroupCols{KeyKind: store.U64, KeyU64: make([]uint64, tc.groups), Rows: make([]uint64, tc.groups), Codec: idlist.Default,
+			Aggs: []engine.AggCol{{Kind: engine.AggAsheSum, Lane: []uint64{5, 6, 7}[:tc.groups]}},
+			IDs:  []engine.IDPart{{Selected: 1<<64 - 1, List: every, Runs: tc.runs, Groups: tc.groups}}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d := newDecrypter(padRing, idlist.Default)
+		_, err := d.asheSums(&translate.Output{Agg: 0, SourceCol: "c"}, cols)
+		runtime.ReadMemStats(&after)
+		switch {
+		case tc.groups == 1 && (err != nil || d.prfEvals != 2):
+			t.Errorf("one group: %d PRF values (%v), want 2", d.prfEvals, err)
+		case tc.groups > 1 && (err == nil || !strings.Contains(err.Error(), "malformed or hostile result") || d.prfEvals != 0):
+			t.Errorf("%d groups: err = %v after %d PRF values, want a refusal before any", tc.groups, err, d.prfEvals)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("%d groups: decrypting allocated %d bytes", tc.groups, alloc)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"seabed/internal/idlist"
 	"seabed/internal/store"
 )
 
@@ -60,7 +59,7 @@ func (cp *compiledPlan) newTaskState(part *store.Partition) *taskState {
 		// The one-group case: slot 0, keyed U64 0, with no table to find it.
 		ts.g.t.groupKeys.init(store.U64, false)
 		ts.g.t.appendU64(0, -1)
-		ts.g.acc.init(pl.Aggs, true)
+		ts.g.acc.init(pl.Aggs)
 		ts.g.acc.grow(1)
 	default:
 		ts.g.init(cp, int(cp.hint.slots.Load()))
@@ -117,7 +116,7 @@ func (ts *taskState) execute(ctx context.Context, i0, i1 int) error {
 	grouped := cp.pl.GroupBy != nil
 	// With no predicates and no join every batch survives whole, so the
 	// selection vector would be the identity: the dense kernels consume the
-	// contiguous interval directly (and ASHE id-lists grow by whole ranges).
+	// contiguous interval directly (and the identifiers grow by whole ranges).
 	dense := len(cp.preds) == 0 && ts.pc.leftKey == nil && !scan && !grouped
 	processed := 0
 	acc := &ts.g.acc
@@ -137,6 +136,9 @@ func (ts *taskState) execute(ctx context.Context, i0, i1 int) error {
 			acc.rows[0] += uint64(n)
 			for ai := range cp.aggs {
 				cp.aggs[ai].dense(&ts.pc, acc, lo, hi, startID)
+			}
+			if cp.ashe {
+				ts.res.ids = appendRange(ts.res.ids, startID+uint64(lo), startID+uint64(hi))
 			}
 			continue
 		}
@@ -161,6 +163,9 @@ func (ts *taskState) execute(ctx context.Context, i0, i1 int) error {
 		if survivors == 0 {
 			continue
 		}
+		if cp.ashe {
+			ts.res.ids = appendSel(ts.res.ids, startID, ts.b.sel)
+		}
 
 		switch {
 		case scan:
@@ -174,6 +179,9 @@ func (ts *taskState) execute(ctx context.Context, i0, i1 int) error {
 			ts.routeRows(startID)
 		default:
 			ts.accumulateGroups(startID)
+			if cp.ashe {
+				ts.res.tags = append(ts.res.tags, ts.g.slots[:survivors]...)
+			}
 		}
 	}
 	return nil
@@ -291,7 +299,7 @@ func (g *grouper) init(cp *compiledPlan, expect int) {
 	g.initKeys(cp)
 	kind := groupColKind(cp)
 	g.t.init(kind, g.inflate > 0, expect)
-	g.acc.init(cp.pl.Aggs, true)
+	g.acc.init(cp.pl.Aggs)
 	if expect > 0 {
 		g.t.reserve(expect+expect/4, int(cp.hint.keyLen.Load()))
 		g.acc.reserve(expect + expect/4)
@@ -344,7 +352,7 @@ func (g *grouper) suffix(rowID uint64) int32 {
 // the table is large, and probed in prefix order so table accesses burst
 // through one cache-resident region at a time. Only the probe order is
 // permuted — the slot vector stays in selection order, so accumulation
-// (and with it id-list append order and min/max tie-breaking) is identical
+// (and with it the survivors' slot order and min/max tie-breaking) is identical
 // to the reference evaluator's row order.
 func (ts *taskState) groupSlots(startID uint64) {
 	g := &ts.g
@@ -504,17 +512,23 @@ func probeKeys[T ~string | ~[]byte](g *grouper, col []T, order []int32) {
 // (hashPass, with no dense index to resolve it first); the hash modulo the
 // reducer count picks its bucket — reducerBucket's rule, so each reducer
 // groups exactly the keys a per-task run hands it — and travels with the row.
+// With an ASHE sum the task also records each survivor's bucket, in order,
+// for the identifier section.
 func (ts *taskState) routeRows(startID uint64) {
 	ts.hashPass(startID)
 	n := uint64(len(ts.route))
 	hh := ts.g.hh
 	for k, i := range ts.b.sel {
 		h := hh[k]
-		bk := &ts.route[h%n]
+		b := h % n
+		bk := &ts.route[b]
 		bk.rows = append(bk.rows, i)
 		bk.hash = append(bk.hash, h)
 		if ts.b.join != nil {
 			bk.join = append(bk.join, ts.b.join[k])
+		}
+		if ts.cp.ashe {
+			ts.res.tags = append(ts.res.tags, int32(b))
 		}
 	}
 	ts.res.ops.GroupRouted += uint64(len(ts.b.sel))
@@ -522,27 +536,14 @@ func (ts *taskState) routeRows(startID uint64) {
 
 // groupBucket is reducer b of a bucketed group-by: one grouper over bucket
 // b's rows from every map task, in task order, with the accumulator kernels
-// bound to each task's partition in turn — its columns still pinned. A
-// table's partitions hold ascending, disjoint identifier runs (store.Assemble
-// and AppendTable refuse any other), and each task keeps its rows in order, so
-// a group's rows arrive in identifier order and its identifier lists grow
-// already merged: finishChains only lays them out and encodes them. The
-// grouper is sized once, for the slots a reducer of the plan last held, and
-// each list arena — the run's next free one (arenas) — holds the bucket's row
-// count, which its ranges cannot outnumber. The reducer polls ctx every
-// cancelCheckRows rows, from its first.
-func (cp *compiledPlan) groupBucket(ctx context.Context, tasks []*mapResult, b int, codec idlist.Codec, arenas *nodeArenas) (*groupMerger, *OpStats, error) {
+// bound to each task's partition in turn — its columns still pinned. With an
+// ASHE sum it hands back each row's slot beside the row (rowBucket.slots),
+// from which the driver numbers the row's group in the identifier section.
+// The grouper is sized once, for the slots a reducer of the plan last held.
+// The reducer polls ctx every cancelCheckRows rows, from its first.
+func (cp *compiledPlan) groupBucket(ctx context.Context, tasks []*mapResult, b int) (*groupMerger, *OpStats, error) {
 	ts := &taskState{cp: cp, res: &mapResult{}}
 	ts.g.init(cp, int(cp.hint.merged.Load()))
-	rows := 0
-	for _, r := range tasks {
-		rows += len(r.routed[b].rows)
-	}
-	for ai := range ts.g.acc.ids {
-		if cp.pl.Aggs[ai].Kind == AggAsheSum {
-			ts.g.acc.ids[ai].nodes = arenas.get(rows)
-		}
-	}
 	grouped, poll := 0, 0
 	for _, r := range tasks {
 		bk := &r.routed[b]
@@ -551,6 +552,9 @@ func (cp *compiledPlan) groupBucket(ctx context.Context, tasks []*mapResult, b i
 		}
 		ts.part = r.part
 		cp.bindPart(r.part, &ts.pc)
+		if cp.ashe {
+			bk.slots = make([]int32, 0, len(bk.rows))
+		}
 		for lo := 0; lo < len(bk.rows); lo += batchRows {
 			if grouped >= poll {
 				if err := ctx.Err(); err != nil {
@@ -564,22 +568,17 @@ func (cp *compiledPlan) groupBucket(ctx context.Context, tasks []*mapResult, b i
 				ts.b.join = bk.join[lo:hi]
 			}
 			ts.accumulateGroups(r.part.StartID)
+			if cp.ashe {
+				bk.slots = append(bk.slots, ts.g.slots[:hi-lo]...)
+			}
 			grouped += hi - lo
 		}
 	}
 	ts.res.ops.GroupSlots = uint64(ts.g.t.len())
 	ts.res.ops.GroupTableLen = uint64(len(ts.g.t.table))
 	cp.hint.keyLen.Store(int64(ts.g.t.keyLen()))
-	ids := ts.g.acc.ids
 	mg := &groupMerger{pl: cp.pl, t: ts.g.t, acc: ts.g.acc}
-	if err := mg.finishChains(codec); err != nil {
-		return nil, nil, err
-	}
-	for ai := range ids {
-		if ids[ai].nodes != nil {
-			arenas.put(ids[ai].nodes)
-		}
-	}
+	mg.finishCols()
 	return mg, &ts.res.ops, nil
 }
 
@@ -601,21 +600,12 @@ func keyKind(k store.Kind) store.Kind {
 }
 
 // fold hands the task's groups on as they are — the key arena and the
-// columns, not a heap object per group — with the identifier lists laid out
-// one contiguous run per slot and, for a group-by's shuffle, the groups
-// partitioned by reducer. The node arenas the lists grew in go back to the run
-// for its next task, and a group-by's final sizes to the plan for its next run.
-func (g *grouper) fold(res *mapResult, cp *compiledPlan, arenas *nodeArenas, buckets int) {
-	pl := cp.pl
+// columns, not a heap object per group — and, for a group-by's shuffle, the
+// groups partitioned by reducer; a group-by's final sizes go to the plan for
+// its next run.
+func (g *grouper) fold(res *mapResult, cp *compiledPlan, buckets int) {
 	tg := &taskGroups{keys: g.t.groupKeys, rows: g.acc.rows, cols: g.acc.cols}
-	for ai := range g.acc.ids {
-		if c := &g.acc.ids[ai]; pl.Aggs[ai].Kind == AggAsheSum {
-			tg.cols[ai].Ranges, tg.cols[ai].RangeOff = c.layout()
-			arenas.put(c.nodes)
-			c.nodes = nil
-		}
-	}
-	if pl.GroupBy != nil {
+	if cp.pl.GroupBy != nil {
 		res.ops.GroupSlots += uint64(g.t.len())
 		if n := uint64(len(g.t.table)); n > res.ops.GroupTableLen {
 			res.ops.GroupTableLen = n
@@ -700,15 +690,15 @@ func (ts *taskState) projectScan(startID uint64) {
 // canceled query abandons even a single huge partition promptly. Binding and
 // compilation are excluded from the measured task duration, matching the
 // reference evaluator's accounting.
-func (cp *compiledPlan) runMapTask(ctx context.Context, c *Cluster, part *store.Partition, arenas *nodeArenas) (*mapResult, error) {
-	return cp.mapTask(ctx, c, part, arenas, false)
+func (cp *compiledPlan) runMapTask(ctx context.Context, c *Cluster, part *store.Partition) (*mapResult, error) {
+	return cp.mapTask(ctx, c, part, false)
 }
 
 // mapTask is runMapTask, or with route the map task of a bucketed group-by:
 // its survivors go to their reducers' buckets (routeRows) and the partition
 // stays pinned, for the reducers read its columns; the result's release
 // unpins it (run calls it once the reducers finish, on every path).
-func (cp *compiledPlan) mapTask(ctx context.Context, c *Cluster, part *store.Partition, arenas *nodeArenas, route bool) (*mapResult, error) {
+func (cp *compiledPlan) mapTask(ctx context.Context, c *Cluster, part *store.Partition, route bool) (*mapResult, error) {
 	if c.cfg.TaskSleep > 0 {
 		t := time.NewTimer(c.cfg.TaskSleep)
 		select {
@@ -737,11 +727,6 @@ func (cp *compiledPlan) mapTask(ctx context.Context, c *Cluster, part *store.Par
 		ts = cp.newRouteState(part, c.buckets(), i1-i0+1)
 	} else {
 		ts = cp.newTaskState(part)
-		for ai := range ts.g.acc.ids {
-			if cp.pl.Aggs[ai].Kind == AggAsheSum {
-				ts.g.acc.ids[ai].nodes = arenas.get(0)
-			}
-		}
 	}
 	pinned := len(cp.leftIdxs)
 	if cp.leftIdxs == nil {
@@ -750,6 +735,10 @@ func (cp *compiledPlan) mapTask(ctx context.Context, c *Cluster, part *store.Par
 	ts.res.ops.ColumnPins = uint64(pinned)
 	ts.res.ops.ColumnFaults = uint64(faulted)
 	ts.res.rowsScanned = uint64(i1 - i0 + 1)
+	if cp.ashe && cp.pl.GroupBy != nil {
+		// A survivor's slot or bucket a row at most, reserved once.
+		ts.res.tags = make([]int32, 0, max(i1-i0+1, 0))
+	}
 
 	start := time.Now()
 	if err := ts.execute(ctx, i0, i1); err != nil {
@@ -760,8 +749,7 @@ func (cp *compiledPlan) mapTask(ctx context.Context, c *Cluster, part *store.Par
 		ts.res.routed, ts.res.part, ts.res.release = ts.route, part, release
 		held = true
 	case len(cp.pl.Project) == 0:
-		// Laying the identifier lists out is the task's last measured step.
-		ts.g.fold(ts.res, cp, arenas, c.buckets())
+		ts.g.fold(ts.res, cp, c.buckets())
 	case ts.scan != nil:
 		ts.res.scan = ts.scan.Rows()
 	}

@@ -10,12 +10,14 @@ import (
 	"seabed/internal/store"
 )
 
-// GroupCols is aggregation output as one column set: the form the reducer
-// writes (groupMerger.finish, gatherGroups), the result frame carries extent
-// by extent (internal/wire), the coordinator's merge reads as its input and
+// GroupCols is aggregation output as one column set: the form the reducers
+// write (gatherGroups), the result frame carries extent by extent
+// (internal/wire), the coordinator's merge reads as its input and
 // client.Decrypt walks. Group g's values sit at index g of every column; a
 // query without GROUP BY yields one group with KeyKind store.U64 and key 0.
-// Columns decoded from a result frame alias the frame, so they are read-only.
+// Beside the columns sits the identifier section its ASHE sums share (IDs,
+// ids.go). Columns decoded from a result frame alias the frame, so they are
+// read-only.
 type GroupCols struct {
 	KeyKind store.Kind
 	// KeyU64 holds store.U64 keys. Keys of the other kinds share one arena:
@@ -28,34 +30,23 @@ type GroupCols struct {
 	Suffix []int32
 	Rows   []uint64
 	Aggs   []AggCol
-	// codec is what the row view encodes decoded identifier lists with: set by
-	// the merges that leave them decoded, nil otherwise.
-	codec idlist.Codec
+	// IDs is the identifier section, when an aggregate is an ASHE sum: one
+	// part as a run writes it, one per input in a merged result.
+	IDs []IDPart
+	// Codec is the codec the section's lists are encoded with; nil when not
+	// known (a frame naming a codec this build lacks).
+	Codec idlist.Codec
 }
 
 // AggCol is one aggregate's column. Every lane-eligible kind (count, plain
 // sum/sum of squares/min/max, ASHE sum) has its value — for an ASHE sum, the
 // ciphertext body — in Lane; the remaining kinds (Paillier, OPE extremes,
-// medians) keep one AggValue per group in Vals. An ASHE sum adds its
-// identifier lists in one of two forms, told apart by which offsets are set:
-//
-//   - encoded (IDOff): one block of codec-encoded lists. What a run produces
-//     (its reducers and its driver encode), a result frame carries, and the
-//     wire decoder hands back aliasing the frame.
-//   - decoded (RangeOff): one flat arena of ranges. What a merge whose consumer
-//     is in this process produces — Merge at the fleet coordinator,
-//     DeflateGroups at the proxy — for client.Decrypt to view directly. It is
-//     never framed (wire.EncodeResult refuses it); the row view encodes it.
+// medians) keep one AggValue per group in Vals. An ASHE sum's identifiers are
+// the columns' section (GroupCols.IDs).
 type AggCol struct {
 	Kind AggKind
 	Lane []uint64
-	// Encoded: group g's list is IDs[IDOff[g]:IDOff[g+1]].
-	IDs   []byte
-	IDOff []uint64
-	// Decoded: group g's list is Ranges[RangeOff[g]:RangeOff[g+1]].
-	Ranges   []idlist.Range
-	RangeOff []uint64
-	Vals     []AggValue
+	Vals []AggValue
 }
 
 // Len returns the number of groups.
@@ -71,23 +62,13 @@ func (c *GroupCols) KeyBytes(g int) []byte {
 	return c.KeyArena[c.KeyOff[g]:c.KeyOff[g+1]:c.KeyOff[g+1]]
 }
 
-// EncodedIDs returns group g's codec-encoded identifier list, aliasing the
-// block.
-func (a *AggCol) EncodedIDs(g int) []byte {
-	return a.IDs[a.IDOff[g]:a.IDOff[g+1]:a.IDOff[g+1]]
-}
-
-// DecodedIDs returns group g's identifier list of a decoded column, aliasing
-// the arena.
-func (a *AggCol) DecodedIDs(g int) []idlist.Range {
-	return a.Ranges[a.RangeOff[g]:a.RangeOff[g+1]:a.RangeOff[g+1]]
-}
-
 // CheckPlan verifies that the columns have the shape pl asked for — one column
-// per aggregate, of its kind — so nothing that indexes them by the plan's
-// aggregate numbers (the merge, client.Decrypt) reads a column an untrusted
-// server left out. A nil set (no groups) passes. That every lane holds one word
-// per group is the wire decoder's business.
+// per aggregate, of its kind, and an identifier section when an aggregate is
+// an ASHE sum, whose parts index these groups — so nothing that indexes them by
+// the plan's aggregate numbers or a part's tags (the merge, client.Decrypt)
+// reads a column an untrusted server left out. A nil set (no groups) passes.
+// That every lane holds one word per group is the wire decoder's business, and
+// that a part's runs cover its list the section's reader's.
 func (c *GroupCols) CheckPlan(pl *Plan) error {
 	if c == nil {
 		return nil
@@ -99,12 +80,14 @@ func (c *GroupCols) CheckPlan(pl *Plan) error {
 		if c.Aggs[i].Kind != pl.Aggs[i].Kind {
 			return fmt.Errorf("engine: result aggregate %d is %v, plan asked for %v (malformed or hostile result)", i, c.Aggs[i].Kind, pl.Aggs[i].Kind)
 		}
+		if c.Aggs[i].Kind == AggAsheSum && len(c.IDs) == 0 {
+			return fmt.Errorf("engine: result aggregate %d is an ASHE sum without an identifier section (malformed or hostile result)", i)
+		}
 	}
-	return nil
+	return checkParts(c.IDs, c.Len())
 }
 
-// newAggCols allocates the columns of n groups for the given aggregates; an
-// ASHE sum's identifier lists are its producer's to add, in either form.
+// newAggCols allocates the columns of n groups for the given aggregates.
 func newAggCols(aggs []Agg, n int) []AggCol {
 	cols := make([]AggCol, len(aggs))
 	for i, a := range aggs {
@@ -129,8 +112,11 @@ func (c *GroupCols) keys() groupKeys {
 // first call and caching them in Groups. It is where the engine's key order is
 // defined: the columns hold groups in no key order, and the rows come out
 // sorted by key (u64 key or key bytes, then suffix). The rows alias the
-// columns, except that a decoded identifier-list column is encoded for them
-// here — the one place a merged result's lists meet the codec again.
+// columns, except that each ASHE sum's list is rebuilt per group from the
+// identifier section and encoded with the columns' codec — the one place a
+// group has a list of its own. A section that cannot be rebuilt (no codec, or
+// a part that does not decode or cover its list) leaves those lists nil; the
+// client, which reads the section itself, refuses such a result.
 func (r *Result) View() []Group {
 	if r.Groups == nil && r.Cols.Len() > 0 {
 		r.Groups = r.Cols.groups()
@@ -148,10 +134,11 @@ func (c *GroupCols) groups() []Group {
 	if c.KeyKind == store.Str {
 		strs = string(c.KeyArena)
 	}
-	enc := make([]*AggCol, na) // each ASHE column in its encoded form
+	var lists [][]byte
 	for ai := range c.Aggs {
-		if enc[ai] = &c.Aggs[ai]; enc[ai].RangeOff != nil {
-			enc[ai] = c.encodeIDs(enc[ai])
+		if c.Aggs[ai].Kind == AggAsheSum {
+			lists, _ = c.groupLists()
+			break
 		}
 	}
 	for i, g := range c.keyOrder() {
@@ -173,7 +160,10 @@ func (c *GroupCols) groups() []Group {
 			col, av := &c.Aggs[ai], &grp.Aggs[ai]
 			switch {
 			case col.Kind == AggAsheSum:
-				*av = AggValue{Kind: col.Kind, Ashe: AsheAgg{Body: col.Lane[g], Encoded: enc[ai].EncodedIDs(g)}}
+				*av = AggValue{Kind: col.Kind, Ashe: AsheAgg{Body: col.Lane[g]}}
+				if lists != nil {
+					av.Ashe.Encoded = lists[g]
+				}
 			case col.Lane != nil:
 				*av = AggValue{Kind: col.Kind, U64: col.Lane[g]}
 			default:
@@ -201,30 +191,14 @@ func (c *GroupCols) keyOrder() []int {
 	return order
 }
 
-// encodeIDs returns the encoded form of a decoded column's identifier lists.
-// The codecs fail only when writing to their output does, which an in-memory
-// buffer never lets happen, so a failure here is a bug and panics.
-func (c *GroupCols) encodeIDs(col *AggCol) *AggCol {
-	n := len(col.RangeOff) - 1
-	out := &AggCol{IDs: make([]byte, 0, 2*n+4*len(col.Ranges)), IDOff: make([]uint64, n+1)}
-	for g := 0; g < n; g++ {
-		var err error
-		if out.IDs, err = c.codec.AppendEncode(out.IDs, idlist.View(col.DecodedIDs(g))); err != nil {
-			panic(fmt.Sprintf("engine: encode id list for the row view: %v", err))
-		}
-		out.IDOff[g+1] = uint64(len(out.IDs))
-	}
-	return out
-}
-
 // taskGroupsFromCols takes one shard's result columns as the merge input
 // form — the inverse of gatherGroups for a Partial plan — so the coordinator's
 // reduce is the engine's own. Keys, row counts and columns are the shard's
-// own (encoded identifier lists stay so: the merge decodes each list where it
-// merges it). It first refuses what the merge would trip over: a column short
-// of the groups, a Paillier sum with no ciphertext, an OPE median whose
-// identifiers or companions do not pair with its ciphertexts.
-func (pl *Plan) taskGroupsFromCols(c *GroupCols, codec idlist.Codec) (*taskGroups, error) {
+// own; its identifier section is the merge's to renumber, not to read. It
+// first refuses what the merge would trip over: a column short of the groups,
+// a Paillier sum with no ciphertext, an OPE median whose identifiers or
+// companions do not pair with its ciphertexts.
+func (pl *Plan) taskGroupsFromCols(c *GroupCols) (*taskGroups, error) {
 	if err := c.CheckPlan(pl); err != nil {
 		return nil, err
 	}
@@ -237,8 +211,6 @@ func (pl *Plan) taskGroupsFromCols(c *GroupCols, codec idlist.Codec) (*taskGroup
 		switch {
 		case col.Kind < AggPlainSum || col.Kind > AggOpeMedian:
 			return nil, hostile("is of no known kind")
-		case col.Kind == AggAsheSum && len(col.IDOff) != n+1 && len(col.RangeOff) != n+1:
-			return nil, hostile("holds identifier lists for other than %d groups", n)
 		case LaneKind(col.Kind) && len(col.Lane) != n, !LaneKind(col.Kind) && len(col.Vals) != n:
 			return nil, hostile("holds other than %d groups", n)
 		}
@@ -253,5 +225,5 @@ func (pl *Plan) taskGroupsFromCols(c *GroupCols, codec idlist.Codec) (*taskGroup
 			}
 		}
 	}
-	return &taskGroups{keys: c.keys(), rows: c.Rows, cols: c.Aggs, codec: codec}, nil
+	return &taskGroups{keys: c.keys(), rows: c.Rows, cols: c.Aggs}, nil
 }

@@ -57,6 +57,10 @@ type compiledPlan struct {
 	preds []predKernel
 	aggs  []aggKernel
 	hint  groupHint
+	// ashe is set when an aggregate is an ASHE sum: map tasks then keep their
+	// survivors' identifiers, and a group-by's each survivor's slot or bucket,
+	// for the result's identifier section (ids.go).
+	ashe bool
 }
 
 // groupHint is what a grouped plan's last run measured. Its sizes — the last
@@ -101,7 +105,7 @@ func (h *groupHint) measure(rows uint64, groups, tasks, merged int) {
 // seed is the cluster seed (group inflation). No identifier-list codec enters:
 // a map task never encodes.
 func (pl *Plan) compile(seed uint64) (*compiledPlan, error) {
-	cp := &compiledPlan{pl: pl, seed: seed, leftKeyIdx: -1}
+	cp := &compiledPlan{pl: pl, seed: seed, leftKeyIdx: -1, ashe: hasAshe(pl)}
 
 	if pl.Join != nil {
 		var err error

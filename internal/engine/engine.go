@@ -5,7 +5,8 @@
 // and broadcast equi-join — with one map task per partition and a shuffle +
 // reduce stage for group-by queries, mirroring the paper's Spark deployment.
 // Aggregation understands plaintext values, ASHE ciphertexts (sum bodies,
-// merge identifier lists), and Paillier ciphertexts (modular products), so
+// one identifier section for all of a plan's sums), and Paillier ciphertexts
+// (modular products), so
 // the NoEnc / Seabed / Paillier comparisons of §6 all run through the same
 // code path.
 //
@@ -30,8 +31,9 @@
 // modelled in internal/bench alone, from the per-task durations Metrics
 // carries (README.md, "Paper figures: what is substituted", item 1).
 // Nothing is shuffled between a run's stages, so no map task compresses
-// anything: identifier lists meet the codec where a result is written, and
-// §4.5's worker-compressed shuffle size is internal/bench's to model.
+// anything: the identifier section meets the codec where a result is
+// written, and §4.5's worker-compressed shuffle size is internal/bench's to
+// model.
 package engine
 
 import (
@@ -255,9 +257,8 @@ type Plan struct {
 	// Project switches the plan to scan mode: matching rows are returned
 	// with their global identifiers and these columns' values.
 	Project []string
-	// Codec encodes ASHE identifier lists for transfer. Nil means
-	// EffectiveCodec's default: idlist.Default for plain aggregation and
-	// idlist.VBDiff for group-by (§4.5).
+	// Codec encodes the result's identifier list (ids.go) for transfer. Nil
+	// means EffectiveCodec's default, idlist.Default, for every plan.
 	Codec idlist.Codec
 }
 
@@ -379,21 +380,24 @@ type Metrics struct {
 	// coordinator's shard merge, added by Merge).
 	DriverTime time.Duration
 	// ShuffleBytes is the size of the map tasks' output as they hold it: keys,
-	// row counts, accumulators and scan cells, identifier lists raw at 16 bytes
-	// a range — or, in a group-by whose map tasks bucket rows (OpStats.
-	// GroupRouted), the buckets: 4 bytes a row, 4 more with a join, 8 for the
-	// key hash. Plain arithmetic — nothing is encoded to take it and nothing is
+	// row counts, accumulators and scan cells — or, in a group-by whose map
+	// tasks bucket rows (OpStats.GroupRouted), the buckets: 4 bytes a row, 4
+	// more with a join, 8 for the key hash — and what they keep for the
+	// identifier section (ShuffleListBytes). Plain arithmetic — nothing is encoded to take it and nothing is
 	// shuffled — identical in both executors when both keep per-task tables,
 	// and additive across shards.
 	ShuffleBytes int
 	// ResultBytes is the serialized size of the result a run hands its caller
-	// (identifier lists as encoded); on a merged result, the sum of the shards'
-	// — the bytes that reached the coordinator, whose own merge encodes none.
+	// (its identifier section as encoded); on a merged result, the sum of the
+	// shards' — the bytes that reached the coordinator, whose own merge
+	// encodes none.
 	ResultBytes int
-	// ShuffleListBytes and ResultListBytes are the identifier lists' share of
-	// the two: the same ranges raw and encoded, from which internal/bench
-	// models §4.5's worker-compressed shuffle. In-process only, like the task
-	// times below.
+	// ShuffleListBytes and ResultListBytes are the identifier section's share
+	// of the two: what the map tasks kept for it — their survivors'
+	// identifiers raw at 16 bytes a range and, in a group-by, 4 bytes a
+	// survivor for its slot or bucket — and the section as encoded, list and
+	// runs. internal/bench models §4.5's worker-compressed shuffle from them.
+	// In-process only, like the task times below.
 	ShuffleListBytes int
 	ResultListBytes  int
 	// MapTasks and ReduceTasks count executed tasks.

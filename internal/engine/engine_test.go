@@ -418,7 +418,7 @@ func TestGroupByDetKeysWithAshe(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decrypt group key: %v", err)
 		}
-		got := asheKey.Decrypt(asheCT(t, idlist.VBDiff, g.Aggs[0].Ashe))
+		got := asheKey.Decrypt(asheCT(t, idlist.Default, g.Aggs[0].Ashe))
 		if got != want[dim] {
 			t.Fatalf("group %d sum = %d, want %d", dim, got, want[dim])
 		}

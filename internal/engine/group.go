@@ -1,11 +1,10 @@
 package engine
 
 import (
-	"fmt"
+	"encoding/binary"
 	"slices"
 	"sort"
 
-	"seabed/internal/idlist"
 	"seabed/internal/ope"
 	"seabed/internal/store"
 )
@@ -29,15 +28,10 @@ import (
 // concatenates the reducers' slots into the result's columns (GroupCols,
 // cols.go) — the columns carried the rest of the way, in no key order.
 //
-// An ASHE sum's identifier lists have one life, in either strategy: built
-// once, a row or a run at a time, in identifier order, by whichever grouper
-// holds the group (idChains); laid out once as one contiguous run per slot
-// (idChains.layout); and passed through the codec only where a result frame is
-// written (a run's reducers and its driver) or read (a shard result's column at
-// the coordinator). Per-task lists are merged slot by slot on the way, through
-// one reused buffer (idRun); a reducer that grouped rows built its lists
-// already merged, as the rows of each group reach it in identifier order. A
-// merge whose consumer is in this process leaves them decoded (AggCol).
+// No group keeps identifiers. A run's ASHE sums share one identifier section
+// (ids.go): each map task keeps its survivors' identifiers and each one's slot
+// or bucket, and the driver writes the section once the reducers have
+// numbered the groups.
 //
 // A slot that no row reached — an ungrouped plan's that selected nothing —
 // has row count 0, the identity of every fold: the merge skips it, and it
@@ -152,14 +146,14 @@ func hashU64(v uint64, sfx int32) uint64 {
 }
 
 // hashKey hashes a byte or string group key eight bytes at a time — DET
-// ciphertexts are two words — with the suffix and length mixed in.
+// ciphertexts are two words — with the suffix and length mixed in. Each word
+// is one little-endian load: for a []byte key the conversion is the slice
+// itself, and a string key's eight bytes convert on the stack.
 func hashKey[T ~string | ~[]byte](k T, sfx int32) uint64 {
 	h := uint64(len(k)) ^ uint64(uint32(sfx))*0x9e3779b97f4a7c15
 	i := 0
 	for ; i+8 <= len(k); i += 8 {
-		w := uint64(k[i]) | uint64(k[i+1])<<8 | uint64(k[i+2])<<16 | uint64(k[i+3])<<24 |
-			uint64(k[i+4])<<32 | uint64(k[i+5])<<40 | uint64(k[i+6])<<48 | uint64(k[i+7])<<56
-		h = (h ^ w) * 0xbf58476d1ce4e5b9
+		h = (h ^ binary.LittleEndian.Uint64([]byte(k[i:i+8]))) * 0xbf58476d1ce4e5b9
 		h ^= h >> 29
 	}
 	for ; i < len(k); i++ {
@@ -291,180 +285,28 @@ func (k *groupKeys) reducerBucket(s, n int) int {
 	return int(h % uint64(n))
 }
 
-// --- identifier-list lanes ---
-
-// idChains holds one ASHE aggregate's identifier list for every slot of a
-// grouper's table — a map task's, or a bucketed run's reducer's — while it
-// groups. The lists grow a row at a time,
-// interleaved, so a range is a node of one shared arena, in arrival order, that
-// names its slot: no list ever allocates on its own, and layout, at task end,
-// writes every slot's ranges side by side. Rows reach a grouper in
-// identifier order, so each list is ascending and coalesced as it grows.
-type idChains struct {
-	nodes []idNode
-	slots []idSlot
-}
-
-type idNode struct {
-	lo, hi uint64
-	slot   int32
-}
-
-// idSlot is one slot's list: its last node (−1 when it has none) and its range
-// count.
-type idSlot struct{ tail, count int32 }
-
-func (c *idChains) addSlot() {
-	c.slots = append(room(c.slots, 1), idSlot{tail: -1})
-}
-
-// appendRange adds the identifiers lo..hi to slot s, as List.AppendRange
-// does: it extends the last range when the run abuts it, and is a range of its
-// own otherwise.
-func (c *idChains) appendRange(s int32, lo, hi uint64) {
-	sl := &c.slots[s]
-	if sl.tail >= 0 {
-		if t := &c.nodes[sl.tail]; lo == t.hi+1 && t.hi != ^uint64(0) {
-			t.hi = hi
-			return
-		}
-	}
-	sl.tail = int32(len(c.nodes))
-	sl.count++
-	c.nodes = append(room(c.nodes, 1), idNode{lo: lo, hi: hi, slot: s})
-}
-
-// appendSel adds a batch's survivors' identifiers to slot s: each run of
-// consecutive identifiers is gathered here and appended whole, with exactly
-// the outcome of appending them one by one.
-func (c *idChains) appendSel(s int32, startID uint64, sel []int32) {
-	if len(sel) == 0 {
-		return
-	}
-	lo := startID + uint64(sel[0])
-	hi := lo
-	for _, i := range sel[1:] {
-		if id := startID + uint64(i); id != hi+1 || hi == ^uint64(0) {
-			c.appendRange(s, lo, hi)
-			lo, hi = id, id
-		} else {
-			hi = id
-		}
-	}
-	c.appendRange(s, lo, hi)
-}
-
-// layout writes every slot's ranges contiguously, in list order: one counting
-// pass over the slots, then one scatter of the nodes in arrival order (the
-// bySlot idiom). The chains are spent afterwards — each slot's tail serves as
-// its write cursor — and the node arena is free for the run's next task. The
-// result is a decoded column's lists: slot s's are ranges[off[s]:off[s+1]].
-func (c *idChains) layout() (ranges []idlist.Range, off []uint64) {
-	off = make([]uint64, len(c.slots)+1)
-	for s := range c.slots {
-		c.slots[s].tail = int32(off[s])
-		off[s+1] = off[s] + uint64(c.slots[s].count)
-	}
-	ranges = make([]idlist.Range, len(c.nodes))
-	for i := range c.nodes {
-		n := &c.nodes[i]
-		at := &c.slots[n.slot].tail
-		ranges[*at] = idlist.Range{Lo: n.lo, Hi: n.hi}
-		*at++
-	}
-	return ranges, off
-}
-
-// idRun is one slot's identifier list while a merge builds it: the slot's
-// input lists merge into one reused buffer, in input order, and the finished
-// list is written out — encoded, or copied into a decoded column — before the
-// next slot's begins, so a merge holds one list of its own at a time however
-// many groups it folds. ragged marks a list that is not both sorted by Lo and
-// free of abutting neighbours, on which merge takes its general path.
-type idRun struct {
-	ranges []idlist.Range
-	ragged bool
-}
-
-// set makes rs the list, verbatim: List.Clone. rs may be the run's own
-// buffer.
-func (r *idRun) set(rs []idlist.Range) {
-	r.ranges, r.ragged = rs, false
-	for i := 1; i < len(rs); i++ {
-		if rs[i].Lo < rs[i-1].Lo || (rs[i].Lo == rs[i-1].Hi+1 && rs[i-1].Hi != ^uint64(0)) {
-			r.ragged = true
-		}
-	}
-}
-
-// merge unions the list rs into the run with exactly List.Merge's outcome. Map
-// tasks and shards hold ascending, disjoint identifier runs, so nearly every
-// merge finds rs starting at or after the list's last range — the Lo-ordered
-// merge then emits the list's ranges unchanged followed by rs, which is an
-// append (each range extending the last when it abuts it). Interleaved inputs
-// (appended batches) take the general merge into scratch, which then trades
-// places with the list's buffer.
-func (r *idRun) merge(rs []idlist.Range, scratch *[]idlist.Range) {
-	switch {
-	case len(rs) == 0:
-	case len(r.ranges) == 0:
-		r.set(append(r.ranges, rs...))
-	case !r.ragged && r.ranges[len(r.ranges)-1].Lo <= rs[0].Lo:
-		r.ranges = slices.Grow(r.ranges, len(rs))
-		for _, next := range rs {
-			last := &r.ranges[len(r.ranges)-1]
-			if next.Lo == last.Hi+1 && last.Hi != ^uint64(0) {
-				last.Hi = next.Hi
-				continue
-			}
-			if next.Lo < last.Lo {
-				r.ragged = true
-			}
-			r.ranges = append(r.ranges, next)
-		}
-	default:
-		merged := idlist.MergeRanges((*scratch)[:0], r.ranges, rs)
-		*scratch = r.ranges
-		r.set(merged)
-	}
-}
-
-// idWork is the working storage of one identifier-list merge loop: the run,
-// the buffer an encoded input list decodes into, and idRun.merge's scratch.
-type idWork struct {
-	run           idRun
-	list, scratch []idlist.Range
-}
-
 // --- accumulators ---
 
 // groupAcc is the per-slot accumulator storage beside a slotTable: the row
 // counts and one column per aggregate in the result's own form (AggCol) — a
 // lane for a lane kind, an AggValue per slot for the rest, which the map-side
-// kernels, the merge and the result all read and write as it is. A map task
-// keeps its ASHE sums' identifier lists beside the lanes (ids); a merge builds
-// them slot by slot in finish.
+// kernels, the merge and the result all read and write as it is.
 type groupAcc struct {
 	aggs []Agg
 	rows []uint64
 	cols []AggCol
-	ids  []idChains // [aggregate]; a map task's, nil when no aggregate is an ASHE sum
 }
 
-// init readies the accumulators, with no slots, for a plan's aggregates; a map
-// task's (chains) also keep identifier lists.
-func (a *groupAcc) init(aggs []Agg, chains bool) {
+// init readies the accumulators, with no slots, for a plan's aggregates.
+func (a *groupAcc) init(aggs []Agg) {
 	*a = groupAcc{aggs: aggs, cols: make([]AggCol, len(aggs))}
 	for ai, agg := range aggs {
 		a.cols[ai].Kind = agg.Kind
-		if chains && agg.Kind == AggAsheSum && a.ids == nil {
-			a.ids = make([]idChains, len(aggs))
-		}
 	}
 }
 
-// reserve makes room for n more slots in the row counts, every column and the
-// identifier lists beside them, so that growing to them copies nothing.
+// reserve makes room for n more slots in the row counts and every column, so
+// that growing to them copies nothing.
 func (a *groupAcc) reserve(n int) {
 	a.rows = room(a.rows, n)
 	for ai := range a.cols {
@@ -474,16 +316,12 @@ func (a *groupAcc) reserve(n int) {
 		} else {
 			col.Vals = room(col.Vals, n)
 		}
-		if a.ids != nil && col.Kind == AggAsheSum {
-			a.ids[ai].slots = room(a.ids[ai].slots, n)
-		}
 	}
 }
 
-// grow extends the accumulators, and the identifier lists beside them, to n
-// slots, each new one empty: every lane at its fold's identity (a minimum's is
-// the largest value), every value empty but a Paillier sum's, which starts at
-// the product's identity. A column only ever grows, so the capacity past its
+// grow extends the accumulators to n slots, each new one empty: every lane at
+// its fold's identity (a minimum's is the largest value), every value empty
+// but a Paillier sum's, which starts at the product's identity. A column only ever grows, so the capacity past its
 // length is as make zeroed it, and a new slot is set only where empty is not
 // zero. A map task grows its accumulators to its table once a batch's keys
 // are resolved; a merge, which knows its slot count first, grows them once.
@@ -509,11 +347,6 @@ func (a *groupAcc) grow(n int) {
 				if col.Kind == AggPaillierSum {
 					col.Vals[s].Pail = a.aggs[ai].PK.EncryptZero()
 				}
-			}
-		}
-		if a.ids != nil && col.Kind == AggAsheSum {
-			for range n - from {
-				a.ids[ai].addSlot()
 			}
 		}
 	}
@@ -546,7 +379,7 @@ func (pl *Plan) foldValue(ai int, dst, src *AggValue) {
 // finishCol readies column ai of the merged slots for the result — a plain
 // minimum no row reached reads 0, and a median collapses unless the plan is
 // one shard's slice, whose collection the coordinator's merge needs — and
-// returns the column's serialized size, identifier lists excepted.
+// returns the column's serialized size.
 func (pl *Plan) finishCol(ai int, col *AggCol, rows []uint64) int {
 	switch col.Kind {
 	case AggPlainMin:
@@ -621,9 +454,12 @@ func collapseOpeMedian(medOpe [][]byte, medIDs, medComp []uint64) (opeVal []byte
 // task's survivors whose key hashes to the reducer, in row order — each one's
 // row in the task's partition, its joined right-table row (nil without a
 // join), and its key's hash, which the reducer's slot table takes as it is.
+// The reducer hands back each row's slot in its table (slots), from which the
+// driver numbers the row's group in the identifier section.
 type rowBucket struct {
 	rows, join []int32
 	hash       []uint64
+	slots      []int32
 }
 
 // --- the merge input form ---
@@ -631,62 +467,19 @@ type rowBucket struct {
 // taskGroups is a set of groups with distinct keys and their accumulated
 // state: what a map task hands its reducers or its driver, what a shard's
 // result is viewed as at the coordinator, and so the one input form of
-// groupMerger. Its columns are the result's form: an ASHE sum's lists are
-// decoded (a map task's, laid out) or encoded with codec (a shard result's),
-// and an encoded one is decoded only where the merge reaches it.
+// groupMerger. Its columns are the result's form.
 type taskGroups struct {
-	keys  groupKeys
-	rows  []uint64
-	cols  []AggCol
-	codec idlist.Codec
+	keys groupKeys
+	rows []uint64
+	cols []AggCol
 	// order lists the groups partitioned by reducer: bucket b's groups are
 	// order[start[b]:start[b+1]]. A group-by's map tasks only.
 	order []int32
 	start []int32
-}
-
-// idsAt returns group g's list of aggregate ai: a view of a decoded column, or
-// an encoded list decoded into scratch, which the result then aliases until
-// the next call.
-func (tg *taskGroups) idsAt(ai, g int, scratch *[]idlist.Range) ([]idlist.Range, error) {
-	col := &tg.cols[ai]
-	if col.RangeOff != nil {
-		return col.DecodedIDs(g), nil
-	}
-	rs, err := tg.codec.AppendDecode((*scratch)[:0], col.EncodedIDs(g))
-	if err != nil {
-		return nil, fmt.Errorf("engine: merge: decode id list: %v", err)
-	}
-	*scratch = rs
-	return rs, nil
-}
-
-// numRanges returns the range count of group g's list of aggregate ai without
-// decoding it. An encoded list does not know it: a list of n identifiers — the
-// group's rows — has at most n ranges and, under the variable-byte codecs, no
-// fewer bytes, so the smaller of the two bounds it (Deflate can beat the
-// second; the count is a capacity hint there, and exact everywhere else). A
-// bitmap spends under a byte a range, so its runs are counted instead
-// (idlist.NumRanges).
-func (tg *taskGroups) numRanges(ai, g int) int {
-	col := &tg.cols[ai]
-	if col.RangeOff != nil {
-		return int(col.RangeOff[g+1] - col.RangeOff[g])
-	}
-	bound := col.IDOff[g+1] - col.IDOff[g]
-	if n, ok := idlist.NumRanges(tg.codec, col.EncodedIDs(g)); ok {
-		bound = uint64(n)
-	}
-	return int(min(tg.rows[g], bound))
-}
-
-// encodedHint guesses the encoded size of group g's list of aggregate ai: the
-// encoding itself when the list arrived encoded, else a few bytes per range.
-func (tg *taskGroups) encodedHint(ai, g int) int {
-	if col := &tg.cols[ai]; col.IDOff != nil {
-		return int(col.IDOff[g+1] - col.IDOff[g])
-	}
-	return 2 + 4*tg.numRanges(ai, g)
+	// remap numbers each group in the run's result, once the reducers have
+	// merged them (groupSection); the driver reads it to write the identifier
+	// section.
+	remap []int32
 }
 
 // bucket returns the groups reducerBucket assigns to reducer b.
@@ -715,14 +508,12 @@ func (tg *taskGroups) partition(n int) {
 }
 
 // heldBytes is the set's size as map output, as the task holds it — plain
-// arithmetic: keys (an ungrouped plan's one key is implied), row counts,
-// lanes, values, and identifier lists raw at 16 bytes a range (lists, the
-// second result, is that share). Values are sized by their lengths, as
-// finishCol sizes the result: an OPE extreme's ciphertext, a median's
-// collection.
-func (tg *taskGroups) heldBytes(pl *Plan) (total, lists int) {
+// arithmetic: keys (an ungrouped plan's one key is implied), row counts, lanes
+// and values. Values are sized by their lengths, as finishCol sizes the
+// result: an OPE extreme's ciphertext, a median's collection.
+func (tg *taskGroups) heldBytes(pl *Plan) int {
 	n := tg.keys.len()
-	total = 8 * n // row counts
+	total := 8 * n // row counts
 	if pl.GroupBy != nil {
 		if tg.keys.kind == store.U64 {
 			total += 8 * n
@@ -753,14 +544,11 @@ func (tg *taskGroups) heldBytes(pl *Plan) (total, lists int) {
 			for s := range col.Vals {
 				total += opeMedianBytes(col.Vals[s].MedOpe)
 			}
-		case AggAsheSum:
-			lists += 16 * len(col.Ranges)
-			total += 8 * n
 		default:
 			total += 8 * n
 		}
 	}
-	return total + lists, lists
+	return total
 }
 
 // --- the merge ---
@@ -789,22 +577,17 @@ func (in groupSel) at(i int) int {
 // groupMerger is the one merge of group sets into a slot table: the reduce of
 // a run's map tasks (one merger per reducer bucket), the driver's fold of an
 // ungrouped plan's tasks and the coordinator's merge of shard results are all
-// this routine. Columns fold as columns (lanes add, values through foldValue);
-// identifier lists merge slot by slot (mergeIDs) where they are written out:
-// encoded by finish, or decoded, in slot order, by gatherGroups. A bucketed
-// run's reducer, which merges nothing, hands its grouper's table and
-// accumulators to gatherGroups in the same form (groupBucket, finishChains).
+// this routine. Columns fold as columns (lanes add, values through foldValue).
+// A bucketed run's reducer, which merges nothing, hands its grouper's table
+// and accumulators to gatherGroups in the same form (groupBucket).
 type groupMerger struct {
 	pl  *Plan
 	t   slotTable
 	acc groupAcc
-	// The inputs and, per input group in input order, the slot it folded into;
-	// from them bySlot lists each slot's input groups (refs[start[s]:start[s+1]]),
-	// which is where its identifier lists are.
+	// The inputs and, per input group in input order, the slot it folded into:
+	// how each input group is numbered in the result.
 	inputs []groupSel
 	dst    []int32
-	start  []int32
-	refs   []groupRef
 
 	// bytes is the groups' serialized size, which finish totals when it
 	// readies the accumulators' columns for the result.
@@ -819,7 +602,7 @@ type groupMerger struct {
 // reserved for it plus a quarter, between the largest input and the total.
 func mergeGroupSets(pl *Plan, inputs []groupSel, hint int) *groupMerger {
 	m := &groupMerger{pl: pl, inputs: inputs}
-	m.acc.init(pl.Aggs, false)
+	m.acc.init(pl.Aggs)
 	total, largest := 0, 0
 	for _, in := range inputs {
 		total += in.len()
@@ -886,7 +669,6 @@ func (m *groupMerger) fold(in groupSel, dst []int32) {
 		to, from := &m.acc.cols[ai], &src.cols[ai]
 		switch to.Kind {
 		case AggCount, AggPlainSum, AggPlainSumSq, AggAsheSum:
-			// An ASHE sum's bodies add here; its identifier lists merge in finish.
 			for i, d := range dst {
 				to.Lane[d] += from.Lane[in.at(i)]
 			}
@@ -912,60 +694,9 @@ func (m *groupMerger) fold(in groupSel, dst []int32) {
 	}
 }
 
-// groupRef names group g of a merge's input number in.
-type groupRef struct{ in, g int32 }
-
-// bySlot lists the merge's input groups under the slots they folded into:
-// slot s's are refs[start[s]:start[s+1]], in input order. One counting sort.
-func (m *groupMerger) bySlot() {
-	n := m.t.len()
-	m.start = make([]int32, n+1)
-	for _, d := range m.dst {
-		m.start[d+1]++
-	}
-	for s := 0; s < n; s++ {
-		m.start[s+1] += m.start[s]
-	}
-	m.refs = make([]groupRef, len(m.dst))
-	next := slices.Clone(m.start[:n])
-	at := 0
-	for ii, in := range m.inputs {
-		for i := 0; i < in.len(); i++ {
-			d := m.dst[at]
-			m.refs[next[d]] = groupRef{int32(ii), int32(in.at(i))}
-			next[d]++
-			at++
-		}
-	}
-}
-
-// mergeIDs merges slot s's input lists of ASHE aggregate ai into w.run, in
-// input order (decoding those that arrived encoded), and returns the inputs'
-// range count: what the merged list, which only coalesces, cannot exceed.
-func (m *groupMerger) mergeIDs(ai, s int, w *idWork) (ranges int, err error) {
-	if m.refs == nil {
-		m.bySlot()
-	}
-	refs := m.refs[m.start[s]:m.start[s+1]]
-	for _, r := range refs {
-		ranges += m.inputs[r.in].set.numRanges(ai, int(r.g))
-	}
-	// Reserved once, at the inputs' count, so the run never regrows however
-	// many inputs feed it.
-	w.run.set(slices.Grow(w.run.ranges[:0], ranges))
-	for _, r := range refs {
-		src, err := m.inputs[r.in].set.idsAt(ai, int(r.g), &w.list)
-		if err != nil {
-			return 0, err
-		}
-		w.run.merge(src, &w.scratch)
-	}
-	return ranges, nil
-}
-
 // finishCols readies the slots' columns — the accumulators themselves, in
 // slot order — for the result (finishCol) and totals the groups' serialized
-// size, identifier lists excepted.
+// size, the identifier section excepted.
 func (m *groupMerger) finishCols() {
 	n := m.t.len()
 	m.bytes = 8 * n // key + row count, roughly
@@ -977,91 +708,20 @@ func (m *groupMerger) finishCols() {
 	}
 }
 
-// finish readies the merged slots' columns for the result (finishCols). With a
-// codec it also merges and encodes the ASHE identifier lists, for a result a
-// daemon frames: it is then the reducer's last measured step. A nil codec
-// leaves the lists to gatherGroups, which writes them decoded for a consumer
-// in this process.
-func (m *groupMerger) finish(codec idlist.Codec) error {
-	m.finishCols()
-	n := m.t.len()
-	if codec == nil {
-		return nil
-	}
-	var w idWork
-	for ai := range m.acc.cols {
-		col := &m.acc.cols[ai]
-		if col.Kind != AggAsheSum {
-			continue
-		}
-		// One block for the aggregate's encodings, started at a guess of what
-		// the lists need so that it seldom regrows.
-		hint := 2 * n
-		for _, in := range m.inputs {
-			for i := 0; i < in.len(); i++ {
-				hint += in.set.encodedHint(ai, in.at(i))
-			}
-		}
-		col.IDs = make([]byte, 0, hint)
-		col.IDOff = make([]uint64, n+1)
-		for s := 0; s < n; s++ {
-			if _, err := m.mergeIDs(ai, s, &w); err != nil {
-				return err
-			}
-			var err error
-			if col.IDs, err = codec.AppendEncode(col.IDs, idlist.View(w.run.ranges)); err != nil {
-				return fmt.Errorf("engine: encode result id list: %v", err)
-			}
-			col.IDOff[s+1] = uint64(len(col.IDs))
-		}
-		m.bytes += len(col.IDs)
-	}
-	return nil
-}
-
-// finishChains is finish for a reducer that grouped rows (groupBucket), whose
-// accumulators are its grouper's: each ASHE sum's lists grew already merged in
-// its idChains, so they are laid out once and encoded, slot by slot, into one
-// block started at a few bytes a range.
-func (m *groupMerger) finishChains(codec idlist.Codec) error {
-	m.finishCols()
-	for ai := range m.acc.ids {
-		col := &m.acc.cols[ai]
-		if col.Kind != AggAsheSum {
-			continue
-		}
-		ranges, off := m.acc.ids[ai].layout()
-		n := len(off) - 1
-		col.IDs = make([]byte, 0, 2*n+4*len(ranges))
-		col.IDOff = make([]uint64, n+1)
-		for s := 0; s < n; s++ {
-			var err error
-			if col.IDs, err = codec.AppendEncode(col.IDs, idlist.View(ranges[off[s]:off[s+1]])); err != nil {
-				return fmt.Errorf("engine: encode result id list: %v", err)
-			}
-			col.IDOff[s+1] = uint64(len(col.IDs))
-		}
-		m.bytes += len(col.IDs)
-	}
-	m.acc.ids = nil
-	return nil
-}
-
 // gatherGroups writes the result columns from finished mergers whose key sets
-// are disjoint: every group of every merger, concatenated — mergers in order,
-// each one's groups in slot order — in no key order. A result's key order is
-// its reader's: the client orders rows by plaintext key, and Result.View by
-// ciphertext key. Where finish encoded the identifier lists their encodings
-// are copied; where it left them alone each slot's are merged here, once,
-// straight into the decoded column at the group's final place.
-func gatherGroups(ms []*groupMerger) (*GroupCols, error) {
+// are disjoint: every group of every merger, concatenated — mergers in order
+// (nil ones, reducers of empty buckets, skipped), each one's groups in slot
+// order — in no key order. A result's key order is its reader's: the client
+// orders rows by plaintext key, and Result.View by ciphertext key.
+func gatherGroups(ms []*groupMerger) *GroupCols {
+	ms = slices.DeleteFunc(slices.Clone(ms), func(m *groupMerger) bool { return m == nil })
 	total, arena := 0, 0
 	for _, m := range ms {
 		total += m.t.len()
 		arena += len(m.t.arena)
 	}
 	if total == 0 {
-		return nil, nil
+		return nil
 	}
 	kind, pl := ms[0].t.kind, ms[0].pl
 	out := &GroupCols{KeyKind: kind, Rows: make([]uint64, 0, total), Aggs: newAggCols(pl.Aggs, total)}
@@ -1087,55 +747,5 @@ func gatherGroups(ms []*groupMerger) (*GroupCols, error) {
 		}
 	}
 	out.KeyU64, out.KeyOff, out.KeyArena, out.Suffix = keys.u64, keys.off, keys.arena, keys.sfx
-	var w idWork
-	for ai := range out.Aggs {
-		col := &out.Aggs[ai]
-		switch {
-		case col.Kind != AggAsheSum:
-		case ms[0].acc.cols[ai].IDOff != nil:
-			block := 0
-			for _, m := range ms {
-				block += len(m.acc.cols[ai].IDs)
-			}
-			col.IDs = make([]byte, 0, block)
-			col.IDOff = make([]uint64, 1, total+1)
-			for _, m := range ms {
-				src, base := &m.acc.cols[ai], uint64(len(col.IDs))
-				col.IDs = append(col.IDs, src.IDs...)
-				for _, off := range src.IDOff[1:] {
-					col.IDOff = append(col.IDOff, base+off)
-				}
-			}
-		default:
-			// The column is allocated when the first list is known, for that
-			// list and the most the lists still to come can need: exactly
-			// right for decoded inputs and for a single group, a little over
-			// for encoded ones (taskGroups.numRanges).
-			left := 0
-			for _, m := range ms {
-				for _, in := range m.inputs {
-					for i := 0; i < in.len(); i++ {
-						left += in.set.numRanges(ai, in.at(i))
-					}
-				}
-			}
-			col.RangeOff = make([]uint64, 1, total+1)
-			for _, m := range ms {
-				for s := range m.t.len() {
-					used, err := m.mergeIDs(ai, s, &w)
-					if err != nil {
-						return nil, err
-					}
-					left -= used
-					if cap(col.Ranges)-len(col.Ranges) < len(w.run.ranges) {
-						col.Ranges = slices.Grow(col.Ranges, len(w.run.ranges)+left)
-					}
-					col.Ranges = append(col.Ranges, w.run.ranges...)
-					col.RangeOff = append(col.RangeOff, uint64(len(col.Ranges)))
-				}
-			}
-			col.Ranges = slices.Clip(col.Ranges)
-		}
-	}
-	return out, nil
+	return out
 }

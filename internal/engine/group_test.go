@@ -3,11 +3,9 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 
-	"seabed/internal/idlist"
 	"seabed/internal/store"
 )
 
@@ -69,11 +67,11 @@ func TestReducerBucketsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vec, err := cp.runMapTask(ctx, c, tbl.Parts[0], nil)
+			vec, err := cp.runMapTask(ctx, c, tbl.Parts[0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := rp.runMapTask(ctx, c, tbl.Parts[0], nil)
+			ref, err := rp.runMapTask(ctx, c, tbl.Parts[0])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +82,7 @@ func TestReducerBucketsAgree(t *testing.T) {
 
 			// A bucketed map task routes every row to the bucket its key's
 			// group goes to.
-			routed, err := cp.mapTask(ctx, c, tbl.Parts[0], nil, true)
+			routed, err := cp.mapTask(ctx, c, tbl.Parts[0], true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,56 +116,49 @@ func TestReducerBucketsAgree(t *testing.T) {
 	}
 }
 
-// TestIDRunsMergeMatchesListMerge pins the merge's identifier-list run to
-// idlist.List.Merge, range for range: ascending disjoint runs (the append
-// fast path), abutting runs that must coalesce, interleaved and overlapping
-// runs (the general path), empty inputs, and lists that arrive unsorted.
-func TestIDRunsMergeMatchesListMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	randomList := func() idlist.List {
-		var rs []idlist.Range
-		lo := uint64(rng.Intn(40))
-		for k := rng.Intn(5); k > 0; k-- {
-			hi := lo + uint64(rng.Intn(4))
-			rs = append(rs, idlist.Range{Lo: lo, Hi: hi})
-			switch rng.Intn(4) {
-			case 0:
-				lo = hi + 1 // abuts: coalesces when merged, not when cloned
-			case 1:
-				lo = uint64(rng.Intn(40)) // anywhere: overlapping or out of order
-			default:
-				lo = hi + 2 + uint64(rng.Intn(10))
-			}
+// TestHashKeyPinned pins hashKey's values, byte and string keys alike: the
+// hash picks a group's reducer (reducerBucket), which every executor, strategy
+// and shard must agree on, so a faster hashKey must not move one. The values
+// are the byte-at-a-time hash's, before keys were read eight bytes at a load.
+func TestHashKeyPinned(t *testing.T) {
+	for _, tc := range []struct {
+		key  string
+		sfx  int32
+		want uint64
+	}{
+		{"", -1, 0xbeeb67eaf1fc5e61},
+		{"", 5, 0x53cb9f0c747ea2ea},
+		{"a", -1, 0x2f06c1752bacc68a},
+		{"a", 0, 0x11636999f96bbf8},
+		{"0123456", -1, 0x5a6f7f5b255c6f13},
+		{"01234567", -1, 0x3932c90a8e1f23ac},
+		{"01234567", 5, 0x4d6569d9d9dcbd0c},
+		{"0123456789abcdef", -1, 0x5a3a767cdef80f99},
+		{"0123456789abcdef", 0, 0x814cbd9eee1e7610},
+		{"0123456789abcdef\x00\xff", -1, 0xb386ed7bbf3bd420},
+		{"0123456789abcdef\x00\xff", 5, 0xe3e8a4f8c8e27d5d},
+		{"DET ciphertext!!", -1, 0xea7e2bc56dd7b441},
+		{"DET ciphertext!!", 5, 0xcc3817254e96db34},
+	} {
+		if got := hashKey([]byte(tc.key), tc.sfx); got != tc.want {
+			t.Errorf("hashKey([]byte(%q), %d) = %#x, want %#x", tc.key, tc.sfx, got, tc.want)
 		}
-		return idlist.View(rs)
-	}
-	var run idRun
-	var scratch []idlist.Range
-	for trial := 0; trial < 2000; trial++ {
-		inputs := make([]idlist.List, 1+rng.Intn(6))
-		for i := range inputs {
-			inputs[i] = randomList()
-			if trial%2 == 0 && i > 0 { // ascending shards: mostly the fast path
-				shift := inputs[i-1].Ranges()
-				if len(shift) > 0 && rng.Intn(8) > 0 {
-					base := shift[len(shift)-1].Hi + uint64(rng.Intn(3))
-					rs := append([]idlist.Range(nil), inputs[i].Ranges()...)
-					for k := range rs {
-						rs[k].Lo += base
-						rs[k].Hi += base
-					}
-					inputs[i] = idlist.View(rs)
-				}
-			}
-		}
-		var want idlist.List
-		run.set(run.ranges[:0]) // one run, reused, as finish reuses it
-		for _, in := range inputs {
-			want.Merge(in)
-			run.merge(in.Ranges(), &scratch)
-		}
-		if got := idlist.View(run.ranges); !got.Equal(want) {
-			t.Fatalf("trial %d: merging %v\n got %v (n=%d)\nwant %v (n=%d)", trial, inputs, got, got.Len(), want, want.Len())
+		if got := hashKey(tc.key, tc.sfx); got != tc.want {
+			t.Errorf("hashKey(%q, %d) = %#x, want %#x", tc.key, tc.sfx, got, tc.want)
 		}
 	}
+}
+
+// BenchmarkHashKey times hashKey on 16-byte keys, a DET ciphertext's length.
+func BenchmarkHashKey(b *testing.B) {
+	keys := make([][]byte, 1024)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("%016x", i*2654435761))
+	}
+	var sink uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += hashKey(keys[i&1023], -1)
+	}
+	_ = sink
 }

@@ -411,7 +411,10 @@ func (cp *compiledPlan) compileAgg(ai int, a *Agg) aggKernel {
 			},
 		}
 
-	case AggPlainSum:
+	case AggPlainSum, AggAsheSum:
+		// An ASHE sum's bodies add mod 2^64 like plain values (§3.1); the
+		// identifiers they cover are the task's, kept once for every ASHE sum
+		// (taskState.execute).
 		return aggKernel{
 			bulk: func(pc *partCols, acc *groupAcc, b *batch, _ uint64) {
 				col := pc.aggs[ai].U64
@@ -458,35 +461,6 @@ func (cp *compiledPlan) compileAgg(ai int, a *Agg) aggKernel {
 					s += v * v
 				}
 				acc.cols[ai].Lane[0] += s
-			},
-		}
-
-	case AggAsheSum:
-		return aggKernel{
-			bulk: func(pc *partCols, acc *groupAcc, b *batch, startID uint64) {
-				col := pc.aggs[ai].U64
-				var s uint64
-				if right {
-					for _, j := range b.join {
-						s += col[j]
-					}
-				} else {
-					for _, i := range b.sel {
-						s += col[i]
-					}
-				}
-				acc.cols[ai].Lane[0] += s
-				acc.ids[ai].appendSel(0, startID, b.sel)
-			},
-			// A dense batch's identifiers are one contiguous run, so the
-			// id-list grows by a single range — no per-row append at all.
-			dense: func(pc *partCols, acc *groupAcc, lo, hi int, startID uint64) {
-				var s uint64
-				for _, v := range pc.aggs[ai].U64[lo : hi+1] {
-					s += v
-				}
-				acc.cols[ai].Lane[0] += s
-				acc.ids[ai].appendRange(0, startID+uint64(lo), startID+uint64(hi))
 			},
 		}
 
@@ -678,7 +652,7 @@ func (ts *taskState) accumulateGroups(startID uint64) {
 			for _, s := range slots {
 				lane[s]++
 			}
-		case AggPlainSum:
+		case AggPlainSum, AggAsheSum:
 			u := col.U64
 			if right {
 				join := ts.b.join
@@ -702,23 +676,6 @@ func (ts *taskState) accumulateGroups(startID uint64) {
 				for k, i := range sel {
 					v := u[i]
 					lane[slots[k]] += v * v
-				}
-			}
-		case AggAsheSum:
-			u := col.U64
-			ids := &g.acc.ids[ai]
-			if right {
-				join := ts.b.join
-				for k, i := range sel {
-					s := slots[k]
-					lane[s] += u[join[k]]
-					ids.appendRange(s, startID+uint64(i), startID+uint64(i))
-				}
-			} else {
-				for k, i := range sel {
-					s := slots[k]
-					lane[s] += u[i]
-					ids.appendRange(s, startID+uint64(i), startID+uint64(i))
 				}
 			}
 		case AggPlainMin:

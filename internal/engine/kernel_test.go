@@ -235,7 +235,6 @@ func TestGrouperMemoryTracksGroupsNotRows(t *testing.T) {
 		"lane":      cap(g.acc.cols[0].Lane),
 		"key spans": cap(g.t.off),
 		"hashes":    cap(g.t.hash),
-		"id chains": cap(g.acc.ids[0].slots),
 		"key arena": cap(g.t.arena) / 16,
 	} {
 		if c > 2*groups {
@@ -247,7 +246,7 @@ func TestGrouperMemoryTracksGroupsNotRows(t *testing.T) {
 // TestGrouperSizedFromLastTask: a map task of a compiled plan starts sized by
 // the plan's last task, so over a partition with as many groups as that one
 // its slot table never grows and none of its per-slot vectors — keys, hashes,
-// row counts, lanes, values, identifier-list slots — reallocates.
+// row counts, lanes, values — reallocates.
 func TestGrouperSizedFromLastTask(t *testing.T) {
 	// Two partitions, each holding every group and, at 20 rows a group and
 	// suffix, every suffix of it too.
@@ -261,7 +260,7 @@ func TestGrouperSizedFromLastTask(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := context.Background()
-		first, err := cp.runMapTask(ctx, NewCluster(Config{Workers: 4}), tbl.Parts[0], nil)
+		first, err := cp.runMapTask(ctx, NewCluster(Config{Workers: 4}), tbl.Parts[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +277,6 @@ func TestGrouperSizedFromLastTask(t *testing.T) {
 				"sum lane":  cap(g.acc.cols[0].Lane),
 				"count":     cap(g.acc.cols[1].Lane),
 				"medians":   cap(g.acc.cols[2].Vals),
-				"id chains": cap(g.acc.ids[0].slots),
 			}
 		}
 		sized := caps()
@@ -403,7 +401,7 @@ func BenchmarkKernelFilterSumU64MapTask(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
+		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -423,7 +421,7 @@ func BenchmarkKernelFilterSumU64Reference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
+		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -448,7 +446,7 @@ func BenchmarkKernelAsheSum(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
+		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -466,7 +464,7 @@ func BenchmarkKernelAsheSumReference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
+		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -492,7 +490,7 @@ func BenchmarkKernelGroupByU64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
+		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -510,7 +508,7 @@ func BenchmarkKernelGroupByU64Reference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
+		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -539,7 +537,7 @@ func BenchmarkKernelGroupByU64Wide(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
+		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -557,7 +555,7 @@ func BenchmarkKernelGroupByU64WideReference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
+		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -583,11 +581,10 @@ func BenchmarkKernelGroupByBytesWide(b *testing.B) {
 	}
 	c := NewCluster(Config{Workers: 1})
 	ctx := context.Background()
-	var arenas nodeArenas // a run's tasks hand the node arena on, as here
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0], &arenas); err != nil {
+		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -605,7 +602,7 @@ func BenchmarkKernelGroupByBytesWideReference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
+		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -690,11 +687,10 @@ func BenchmarkKernelGroupByGeneric(b *testing.B) {
 	}
 	c := NewCluster(Config{Workers: 1})
 	ctx := context.Background()
-	var arenas nodeArenas
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0], &arenas); err != nil {
+		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -721,7 +717,7 @@ func BenchmarkKernelJoinProbeU64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
+		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -740,7 +736,7 @@ func BenchmarkKernelJoinProbeU64Reference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
+		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -765,7 +761,7 @@ func BenchmarkKernelScanProject(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
+		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -788,7 +784,7 @@ func BenchmarkKernelScanProjectReference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0], nil); err != nil {
+		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -12,9 +13,10 @@ import (
 	"seabed/internal/store"
 )
 
-// This file pins the life of an ASHE identifier list: built once by the map
-// task, laid out once at task end, merged through one buffer, and passed
-// through the codec only where a result frame is written or read.
+// This file pins the life of a result's identifier section: kept by each map
+// task as its survivors' identifiers and slots, written once by the driver —
+// one list through the codec — renumbered, never read, by the coordinator's
+// merge, and cut into per-group lists only by the row view.
 
 // countingCodec counts the calls an identifier-list codec receives. Reducers
 // encode in parallel, so the counters are atomic.
@@ -47,11 +49,12 @@ func (c countingCodec) Decode(data []byte) (idlist.List, error) {
 	return c.Codec.Decode(data)
 }
 
-// TestListsMeetTheCodecOncePerResultList: a run encodes each list of its
-// result once — one for an ungrouped sum, groups × ASHE aggregates for a
-// group-by — however many map tasks fed it, and never decodes; the
-// coordinator's merge of three Range+Partial sub-results decodes each shard
-// list once and encodes nothing, until somebody asks for the row view.
+// TestListsMeetTheCodecOncePerResultList: a run encodes one list for its whole
+// result — ungrouped or grouped, however many ASHE sums share it and map tasks
+// fed it — and never decodes; the coordinator's merge of three Range+Partial
+// sub-results neither decodes nor encodes anything, keeping each shard's
+// section as a part; and the row view decodes each part once and encodes one
+// list per group, shared by the ASHE sums.
 func TestListsMeetTheCodecOncePerResultList(t *testing.T) {
 	const rows, parts, groups = 20000, 7, 7 // d has 7 values
 	tbl, _, _ := diffFixture(t, rows, parts)
@@ -66,7 +69,7 @@ func TestListsMeetTheCodecOncePerResultList(t *testing.T) {
 				Filters: []Filter{{Kind: FilterRandom, Prob: 0.5, Seed: 7}},
 				Aggs:    []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggCount}}}
 		}},
-		{"grouped", 2 * groups, func(tbl *store.Table, codec idlist.Codec) *Plan {
+		{"grouped", groups, func(tbl *store.Table, codec idlist.Codec) *Plan {
 			return &Plan{Table: tbl, Codec: codec, GroupBy: &GroupBy{Col: "d_det"},
 				Aggs: []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggCount}, {Kind: AggAsheSum, Col: "v_ashe"}}}
 		}},
@@ -80,8 +83,8 @@ func TestListsMeetTheCodecOncePerResultList(t *testing.T) {
 			if _, err := cl.Run(context.Background(), tc.plan(tbl, codec)); err != nil {
 				t.Fatal(err)
 			}
-			if e, d := codec.encodes.Load(), codec.decodes.Load(); e != tc.lists || d != 0 {
-				t.Fatalf("one run over %d map tasks: %d encodes and %d decodes, want %d (one per result list) and 0", parts, e, d, tc.lists)
+			if e, d := codec.encodes.Load(), codec.decodes.Load(); e != 1 || d != 0 {
+				t.Fatalf("one run over %d map tasks: %d encodes and %d decodes, want 1 (the result's one list) and 0", parts, e, d)
 			}
 
 			plan, partials, _ := shardRuns(t, cl, tbl, func(tbl *store.Table) *Plan { return tc.plan(tbl, codec) }, groupAuto)
@@ -90,72 +93,62 @@ func TestListsMeetTheCodecOncePerResultList(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if e, d := codec.encodes.Load(), codec.decodes.Load(); e != 0 || d != 3*tc.lists {
-				t.Fatalf("Merge of three sub-results: %d encodes and %d decodes, want 0 and %d", e, d, 3*tc.lists)
-			}
-			for ai := range merged.Cols.Aggs {
-				if col := &merged.Cols.Aggs[ai]; col.Kind == AggAsheSum && (col.RangeOff == nil || col.IDOff != nil) {
-					t.Fatalf("merged aggregate %d is not a decoded column", ai)
-				}
+			if e, d := codec.encodes.Load(), codec.decodes.Load(); e != 0 || d != 0 || len(merged.Cols.IDs) != 3 {
+				t.Fatalf("Merge of three sub-results: %d encodes, %d decodes and %d parts, want 0, 0 and 3", e, d, len(merged.Cols.IDs))
 			}
 			merged.View()
-			merged.View() // cached: the view encodes when it is built, once
-			if e := codec.encodes.Load(); e != tc.lists {
-				t.Fatalf("the row view encoded %d lists, want %d", e, tc.lists)
+			merged.View() // cached: the view decodes and encodes when it is built, once
+			if e, d := codec.encodes.Load(), codec.decodes.Load(); e != tc.lists || d != 3 {
+				t.Fatalf("the row view encoded %d lists and decoded %d, want %d (one a group) and 3 (one a part)", e, d, tc.lists)
 			}
 		})
 	}
 }
 
 // asheTask runs one map task of an ASHE group-by over rows rows in groups
-// groups and returns its output.
-func asheTask(tb testing.TB, rows, groups int, arenas *nodeArenas) *mapResult {
+// groups and returns its output and the compiled plan.
+func asheTask(tb testing.TB, rows, groups int) *mapResult {
 	tb.Helper()
 	tbl := detKeyFixture(tb, rows, groups, 1, false)
 	cp, err := wideBytesGroupByPlan(tbl).compile(0)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	res, err := cp.runMapTask(context.Background(), NewCluster(Config{Workers: 4}), tbl.Parts[0], arenas)
+	res, err := cp.runMapTask(context.Background(), NewCluster(Config{Workers: 4}), tbl.Parts[0])
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return res
 }
 
-// TestTaskListsAreViews: once a task has laid its lists out, reading one is a
-// view — no walk, no scratch copy, no allocation — at 24 slots and at 16,384,
-// and every slot's run holds exactly the identifiers its rows had, in order.
-func TestTaskListsAreViews(t *testing.T) {
+// TestTaskKeepsSectionInput: a grouped ASHE map task keeps, for the identifier
+// section, exactly its survivors' identifiers — ascending, coalesced ranges —
+// and beside each, in row order, the slot of its group in the task's table, at
+// 24 slots and at 16,384.
+func TestTaskKeepsSectionInput(t *testing.T) {
 	for _, groups := range []int{24, 1 << 14} {
 		rows := 4 * groups
-		res := asheTask(t, rows, groups, nil)
+		res := asheTask(t, rows, groups)
 		tg := res.groups
-		lists := &tg.cols[0]
-		if tg.keys.len() != groups || len(lists.RangeOff) != groups+1 || len(lists.Ranges) != int(lists.RangeOff[groups]) {
-			t.Fatalf("%d groups: task holds %d keys, %d offsets over %d ranges", groups, tg.keys.len(), len(lists.RangeOff), len(lists.Ranges))
+		if tg.keys.len() != groups || len(res.tags) != rows {
+			t.Fatalf("%d groups: task holds %d keys and %d slots for %d rows", groups, tg.keys.len(), len(res.tags), rows)
 		}
-		var scratch []idlist.Range
-		var ids uint64
-		if avg := testing.AllocsPerRun(3, func() {
-			ids = 0
-			for g := 0; g < groups; g++ {
-				rs, err := tg.idsAt(0, g, &scratch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, r := range rs {
-					if r.Lo > r.Hi || i > 0 && r.Lo <= rs[i-1].Hi+1 {
-						t.Fatalf("%d groups: slot %d's run is not ascending, coalesced ranges: %v", groups, g, rs)
-					}
-					ids += r.Span()
-				}
+		ids := uint64(0)
+		for i, r := range res.ids {
+			if r.Lo > r.Hi || i > 0 && r.Lo <= res.ids[i-1].Hi+1 {
+				t.Fatalf("%d groups: the task's identifiers are not ascending, coalesced ranges: %v", groups, res.ids)
 			}
-		}); avg != 0 {
-			t.Errorf("%d groups: reading every list of a finished task allocates %.0f times, want 0", groups, avg)
+			ids += r.Span()
 		}
 		if ids != uint64(rows) {
-			t.Errorf("%d groups: the lists hold %d identifiers, want %d", groups, ids, rows)
+			t.Errorf("%d groups: the task keeps %d identifiers, want %d", groups, ids, rows)
+		}
+		rowsOf := make([]uint64, groups)
+		for _, s := range res.tags {
+			rowsOf[s]++
+		}
+		if !reflect.DeepEqual(rowsOf, tg.rows) {
+			t.Errorf("%d groups: the slots kept count %v rows a group, the table %v", groups, rowsOf, tg.rows)
 		}
 	}
 }
@@ -170,7 +163,7 @@ func singleTasks(tb testing.TB, tbl *store.Table, pl *Plan) []*mapResult {
 	cl := NewCluster(Config{Workers: 4})
 	results := make([]*mapResult, len(tbl.Parts))
 	for i, part := range tbl.Parts {
-		if results[i], err = cp.runMapTask(context.Background(), cl, part, nil); err != nil {
+		if results[i], err = cp.runMapTask(context.Background(), cl, part); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -186,8 +179,8 @@ func wideSumPlan(tbl *store.Table) *Plan {
 }
 
 // TestMergeSingleAllocsIndependentOfTasks: the driver's fold of an ungrouped
-// plan merges every task's list through one buffer, so five times the map
-// tasks cost not one allocation more.
+// plan writes every task's identifiers into one list, reserved once, so five
+// times the map tasks cost not one allocation more.
 func TestMergeSingleAllocsIndependentOfTasks(t *testing.T) {
 	allocs := func(parts int) float64 {
 		tbl := detKeyFixture(t, 50_000, 16, parts, false)
@@ -206,42 +199,60 @@ func TestMergeSingleAllocsIndependentOfTasks(t *testing.T) {
 	}
 }
 
-// asheColumns returns every ASHE aggregate's identifier lists of a result, by
-// aggregate and then group in key order (the columns hold groups in no key
-// order), decoding the columns that are encoded.
-func asheColumns(t *testing.T, c *GroupCols, codec idlist.Codec) map[int][][]idlist.Range {
+// groupIDs returns each group's identifiers in a result's section, groups in
+// key order (the columns hold them in no key order), expanded one by one
+// from each part's decoded list and runs — an oracle apart from the row view.
+func groupIDs(t *testing.T, c *GroupCols, codec idlist.Codec) [][]idlist.Range {
 	t.Helper()
-	out := map[int][][]idlist.Range{}
-	for ai := range c.Aggs {
-		col := &c.Aggs[ai]
-		if col.Kind != AggAsheSum {
-			continue
+	if err := checkParts(c.IDs, c.Len()); err != nil {
+		t.Fatal(err)
+	}
+	byGroup := make([][]uint64, c.Len())
+	for pi := range c.IDs {
+		p := &c.IDs[pi]
+		list, err := codec.Decode(p.List)
+		if err != nil {
+			t.Fatal(err)
 		}
-		lists := make([][]idlist.Range, c.Len())
-		for i, g := range c.keyOrder() {
-			if col.RangeOff != nil {
-				lists[i] = col.DecodedIDs(g)
-				continue
-			}
-			rs, err := codec.AppendDecode(nil, col.EncodedIDs(g))
-			if err != nil {
-				t.Fatal(err)
-			}
-			lists[i] = rs
+		runs, err := p.AppendRuns(nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		out[ai] = lists
+		ids := list.IDs()
+		if len(runs) == 0 { // a part of one group
+			runs = []idlist.Run{{Len: uint32(len(ids)), Group: p.WholeGroup()}}
+		}
+		for _, r := range runs {
+			byGroup[r.Group] = append(byGroup[r.Group], ids[:r.Len]...)
+			ids = ids[r.Len:]
+		}
+		if len(ids) != 0 {
+			t.Fatalf("part %d: %d identifiers past its runs", pi, len(ids))
+		}
+	}
+	out := make([][]idlist.Range, c.Len())
+	for i, g := range c.keyOrder() {
+		slices.Sort(byGroup[g])
+		var l idlist.List
+		for _, id := range byGroup[g] {
+			l.Append(id)
+		}
+		out[i] = l.Ranges()
 	}
 	return out
 }
 
-// asheSums decrypts every ASHE sum of a result as the client does: body and
-// identifier list under the column's key. The lists are asheColumns', in key
-// order.
-func asheSums(c *GroupCols, lists map[int][][]idlist.Range) map[int][]uint64 {
+// asheSums decrypts every ASHE sum of a result as the client does, each group
+// pointwise: body and identifier list under the column's key. The lists are
+// groupIDs', in key order.
+func asheSums(c *GroupCols, lists [][]idlist.Range) map[int][]uint64 {
 	out := map[int][]uint64{}
 	order := c.keyOrder()
-	for ai, ls := range lists {
-		for i, rs := range ls {
+	for ai := range c.Aggs {
+		if c.Aggs[ai].Kind != AggAsheSum {
+			continue
+		}
+		for i, rs := range lists {
 			out[ai] = append(out[ai], asheKey.Decrypt(ashe.Ciphertext{Body: c.Aggs[ai].Lane[order[i]], IDs: idlist.View(rs)}))
 		}
 	}
@@ -249,14 +260,15 @@ func asheSums(c *GroupCols, lists map[int][][]idlist.Range) map[int][]uint64 {
 }
 
 // TestDifferentialMergedLists: for every differential case with an ASHE sum,
-// one engine over the whole table ≡ engine.Merge of three sub-results
-// (decoded columns) ≡ the same through MergeResults().View() (encoded on
-// demand), compared as range lists, as decrypted sums and as row views. The
-// sub-results come two ways: contiguous ranges, whose lists the merge appends,
-// and partitions dealt round-robin — the shape appended batches give a
-// fleet's shards — whose lists interleave (idRun's general path). Inflated
-// cases are also deflated from both column forms. TestDifferentialMergedShards
-// takes every other case through the same merge.
+// one engine over the whole table ≡ engine.Merge of three sub-results (one
+// section part each, renumbered) ≡ the same through MergeResults().View()
+// (per-group lists rebuilt on demand), compared as per-group identifier
+// lists, as decrypted sums and as row views. The sub-results come two ways:
+// contiguous ranges, whose parts follow one another, and partitions dealt
+// round-robin — the shape appended batches give a fleet's shards — whose parts
+// interleave. Inflated cases are also deflated from the merged and the
+// single-run section. TestDifferentialMergedShards takes every other case
+// through the same merge.
 func TestDifferentialMergedLists(t *testing.T) {
 	const rows, parts = 20000, 7
 	tbl, right, sk := diffFixture(t, rows, parts)
@@ -289,7 +301,7 @@ func TestDifferentialMergedLists(t *testing.T) {
 				t.Fatal(err)
 			}
 			codec := tc.plan(tbl, right).EffectiveCodec()
-			wantLists := asheColumns(t, whole.Cols, codec)
+			wantLists := groupIDs(t, whole.Cols, codec)
 			wantSums := asheSums(whole.Cols, wantLists)
 			for split, subs := range map[string][]*store.Table{"contiguous": tbl.SplitRanges(3), "interleaved": deal(tbl)} {
 				partials := make([]*Result, len(subs))
@@ -305,7 +317,7 @@ func TestDifferentialMergedLists(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotLists := asheColumns(t, merged.Cols, codec)
+				gotLists := groupIDs(t, merged.Cols, codec)
 				if !reflect.DeepEqual(gotLists, wantLists) {
 					t.Fatalf("%s: merged identifier lists diverge from one engine's", split)
 				}
@@ -322,18 +334,20 @@ func TestDifferentialMergedLists(t *testing.T) {
 				if plan.GroupBy == nil || plan.GroupBy.Inflate < 2 {
 					continue
 				}
-				// Deflating takes a decoded column as readily as an encoded one.
-				fromDecoded, err := DeflateGroups(plan, merged.Cols)
+				// Deflating renumbers a merged section's parts as readily as a
+				// single run's one part.
+				fromMerged, err := DeflateGroups(plan, merged.Cols)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fromEncoded, err := DeflateGroups(plan, whole.Cols)
+				fromWhole, err := DeflateGroups(plan, whole.Cols)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if fromDecoded.Len() >= merged.Cols.Len() || !reflect.DeepEqual((&Result{Cols: fromDecoded}).View(), (&Result{Cols: fromEncoded}).View()) {
-					t.Fatalf("%s: deflating %d decoded groups gives %d, diverging from the encoded column's %d",
-						split, merged.Cols.Len(), fromDecoded.Len(), fromEncoded.Len())
+				if fromMerged.Len() >= merged.Cols.Len() || !reflect.DeepEqual((&Result{Cols: fromMerged}).View(), (&Result{Cols: fromWhole}).View()) ||
+					!reflect.DeepEqual(asheSums(fromMerged, groupIDs(t, fromMerged, codec)), asheSums(fromWhole, groupIDs(t, fromWhole, codec))) {
+					t.Fatalf("%s: deflating %d merged groups gives %d, diverging from the single run's %d",
+						split, merged.Cols.Len(), fromMerged.Len(), fromWhole.Len())
 				}
 			}
 		})
@@ -375,9 +389,9 @@ func TestDifferentialMergedShards(t *testing.T) {
 
 // --- microbenchmarks ---
 
-// BenchmarkMergeSingleWide measures the ungrouped merge at the dashboard's
-// wide sum: 25 task lists of a 72 %-selected 200k-row column folded through
-// one buffer and encoded once.
+// BenchmarkMergeSingleWide measures the ungrouped fold at the dashboard's
+// wide sum: 25 tasks' identifiers of a 72 %-selected 200k-row column written
+// into one list and encoded once.
 func BenchmarkMergeSingleWide(b *testing.B) {
 	tbl := detKeyFixture(b, 200_000, 16, 25, false)
 	pl := wideSumPlan(tbl)
@@ -393,11 +407,10 @@ func BenchmarkMergeSingleWide(b *testing.B) {
 	}
 }
 
-// BenchmarkTaskListsLayout measures what a map task pays for its
-// identifier lists from first row to laid out, at 24 slots and at 16,384: the
-// whole task runs (the lists cannot be built without it), with the node arena
-// recycled as a run recycles it across its tasks.
-func BenchmarkTaskListsLayout(b *testing.B) {
+// BenchmarkTaskSectionInput measures a grouped ASHE map task, which keeps its
+// survivors' identifiers and slots for the section, from first row to last,
+// at 24 slots and at 16,384.
+func BenchmarkTaskSectionInput(b *testing.B) {
 	for _, groups := range []int{24, 1 << 14} {
 		b.Run(fmt.Sprintf("slots=%d", groups), func(b *testing.B) {
 			const rows = 1 << 16
@@ -407,15 +420,36 @@ func BenchmarkTaskListsLayout(b *testing.B) {
 				b.Fatal(err)
 			}
 			cl, ctx := NewCluster(Config{Workers: 4}), context.Background()
-			var arenas nodeArenas
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cp.runMapTask(ctx, cl, tbl.Parts[0], &arenas); err != nil {
+				if _, err := cp.runMapTask(ctx, cl, tbl.Parts[0]); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
 		})
 	}
+}
+
+// BenchmarkAppendRuns measures reading a wide group-by's runs: one daemon's
+// share of 200k rows over 16,384 groups, nearly every run one identifier —
+// what the result decoder checks and the client decodes.
+func BenchmarkAppendRuns(b *testing.B) {
+	const groups, rows = 1 << 14, 66_667
+	var runs []byte
+	for i := range rows {
+		runs = appendRun(runs, 1, int(splitmix64(uint64(i))%groups), tagBits(groups))
+	}
+	p := IDPart{Selected: rows, Runs: runs, Groups: groups}
+	dst := make([]idlist.Run, 0, rows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if dst, err = p.AppendRuns(dst[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/run")
 }

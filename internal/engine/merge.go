@@ -13,16 +13,17 @@ import (
 // into the Result a single engine over the whole table would have produced.
 // Shard result columns are the engine's own merge input form (taskGroups) as
 // they are, folded by the same groupMerger the in-process shuffle+reduce uses,
-// so proxy-side reduce never re-implements aggregation semantics. One thing
-// differs from a run's reduce: the consumer of a merge is client.Decrypt, in
-// this process, so the merged ASHE identifier lists are left decoded (AggCol)
-// rather than encoded for a frame nobody writes.
+// so proxy-side reduce never re-implements aggregation semantics. The shards'
+// identifier sections are not merged at all: each stays encoded, a part of
+// the merged section with the map from its tags to the merged groups, for
+// client.Decrypt to decode where it decrypts (ids.go).
 //
 // Every merge is exact because Seabed's aggregates are shard-decomposable:
 //
 //   - ASHE sums commute: an ASHE ciphertext is (Σ values mod 2^64, id-list),
 //     and addition unions identifier multisets, so summing per-shard bodies
-//     and merging per-shard id-lists equals encrypting the global sum (§4.2).
+//     and taking the union of per-shard sections equals encrypting the global
+//     sum (§4.2).
 //   - Paillier sums commute: E(a)·E(b) mod N² = E(a+b), and modular
 //     multiplication is associative, so the product of per-shard products is
 //     the product over all rows.
@@ -40,7 +41,8 @@ import (
 // plaintext key, and Result.View by ciphertext key.
 
 // MergeResults is Merge for callers that read groups as rows: it returns with
-// the row view (Result.View) built, identifier lists encoded.
+// the row view (Result.View) built, each group's identifier list rebuilt and
+// encoded.
 func MergeResults(pl *Plan, partials []*Result) (*Result, error) {
 	out, err := Merge(pl, partials)
 	if err != nil {
@@ -54,8 +56,8 @@ func MergeResults(pl *Plan, partials []*Result) (*Result, error) {
 // single engine over the union of the shards' rows would produce, columns in
 // and columns out. pl is the original, unscoped plan: its Aggs supply Paillier
 // public keys and merge kinds, and its Codec — which must be the codec the
-// shards actually used — decodes the shards' identifier lists; the merged
-// lists stay decoded. Shard results must come from Partial plan executions (or
+// shards actually used — is the merged columns'; no list is decoded. Shard
+// results must come from Partial plan executions (or
 // be median-free). Metrics are combined scatter-gather style: each stage time
 // and ServerTime take the slowest shard's (shards run in parallel),
 // byte/task/row counts sum — ResultBytes is therefore the shards' results
@@ -104,8 +106,8 @@ func Merge(pl *Plan, partials []*Result) (*Result, error) {
 // DeflateGroups merges suffix-inflated groups back together (§4.5: "the
 // client has to perform the remaining aggregations"): groups that differ only
 // in their inflation suffix fold into one, through the same merge the shards'
-// results take — c's identifier lists in either form in, decoded out. pl is
-// the plan that produced c, its Codec resolved.
+// results take — c's identifier section renumbered, not read. pl is the plan
+// that produced c, its Codec resolved.
 func DeflateGroups(pl *Plan, c *GroupCols) (*GroupCols, error) {
 	for _, a := range pl.Aggs {
 		if a.Kind == AggPlainMedian || a.Kind == AggOpeMedian {
@@ -118,16 +120,16 @@ func DeflateGroups(pl *Plan, c *GroupCols) (*GroupCols, error) {
 }
 
 // mergeGroups folds column sets through the engine's own reduce: each set is
-// checked and taken as merge input, one groupMerger folds same-key groups
+// checked and taken as merge input, and one groupMerger folds same-key groups
 // (adding lanes, folding values) and finishes them (collapses medians) exactly
-// as an in-process reducer does, and the gather merges their identifier lists
-// into decoded columns. Within one set keys may repeat. It returns the merged
-// columns, each key once, in the order the sets first name it.
+// as an in-process reducer does. Each set's identifier section joins the
+// merged one part for part, its tags mapped to the merged groups. Within one
+// set keys may repeat. It returns the merged columns, each key once, in the
+// order the sets first name it.
 func mergeGroups(pl *Plan, sets []*GroupCols) (*GroupCols, error) {
 	if len(sets) == 0 {
 		return nil, nil
 	}
-	codec := pl.EffectiveCodec()
 	for i, a := range pl.Aggs {
 		if a.Kind == AggPaillierSum && a.PK == nil {
 			return nil, fmt.Errorf("engine: merge: Paillier aggregate %d without public key", i)
@@ -138,21 +140,21 @@ func mergeGroups(pl *Plan, sets []*GroupCols) (*GroupCols, error) {
 		if c.KeyKind != sets[0].KeyKind {
 			return nil, fmt.Errorf("engine: merge: shard groups mix key kinds (%v and %v)", sets[0].KeyKind, c.KeyKind)
 		}
-		in, err := pl.taskGroupsFromCols(c, codec)
+		in, err := pl.taskGroupsFromCols(c)
 		if err != nil {
 			return nil, err
 		}
 		inputs[i] = groupSel{set: in}
 	}
 	mg := mergeGroupSets(pl, inputs, 0)
-	if err := mg.finish(nil); err != nil {
-		return nil, err
+	mg.finishCols()
+	cols := gatherGroups([]*groupMerger{mg})
+	cols.Codec = pl.EffectiveCodec()
+	at := 0
+	for _, c := range sets {
+		cols.IDs = append(cols.IDs, remapParts(c.IDs, mg.dst[at:at+c.Len()])...)
+		at += c.Len()
 	}
-	cols, err := gatherGroups([]*groupMerger{mg})
-	if err != nil {
-		return nil, err
-	}
-	cols.codec = codec
 	return cols, nil
 }
 

@@ -51,6 +51,12 @@ func shardSplit(t *testing.T, tbl *store.Table, mkPlan func(tbl *store.Table) *P
 	return got, want
 }
 
+// TestMergeResultsMatchesSingleRun: three Partial range slices merged view as
+// one engine over the whole table does. With an ASHE sum — one or two sharing
+// the section, grouped or not, filtered or not — the single run's section is
+// one part, and the merged one the three slices' parts, unread: their
+// selected counts add up to the single run's, and each maps its tags to the
+// merged groups.
 func TestMergeResultsMatchesSingleRun(t *testing.T) {
 	const rows = 999
 	vals := make([]uint64, rows)
@@ -90,6 +96,12 @@ func TestMergeResultsMatchesSingleRun(t *testing.T) {
 				Aggs:    []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggAsheSum, Col: "v"}},
 				GroupBy: &GroupBy{Col: "g"}}
 		},
+		"group-by-two-ashe-filtered": func(tbl *store.Table) *Plan {
+			return &Plan{Table: tbl,
+				Filters: []Filter{{Kind: FilterPlainCmp, Col: "v", Op: sqlparse.OpGt, U64: 300}},
+				Aggs:    []Agg{{Kind: AggAsheSum, Col: "v"}, {Kind: AggCount}, {Kind: AggAsheSum, Col: "idx"}},
+				GroupBy: &GroupBy{Col: "g"}}
+		},
 		"filtered-empty-shards": func(tbl *store.Table) *Plan {
 			// Only rows 1..3 match: the later shards select nothing, so the
 			// merge must honor the "seen" semantics for min/max.
@@ -119,6 +131,25 @@ func TestMergeResultsMatchesSingleRun(t *testing.T) {
 			}
 			if got.Metrics.RowsScanned != want.Metrics.RowsScanned {
 				t.Errorf("rows scanned = %d, want %d", got.Metrics.RowsScanned, want.Metrics.RowsScanned)
+			}
+			if !hasAshe(mk(tbl)) {
+				if got.Cols != nil && len(got.Cols.IDs) != 0 {
+					t.Errorf("a merge without an ASHE sum carries %d section parts", len(got.Cols.IDs))
+				}
+				return
+			}
+			if len(want.Cols.IDs) != 1 || len(got.Cols.IDs) != 3 {
+				t.Fatalf("sections of %d parts merged and %d single, want 3 and 1", len(got.Cols.IDs), len(want.Cols.IDs))
+			}
+			selected := uint64(0)
+			for _, p := range got.Cols.IDs {
+				selected += p.Selected
+				if p.Remap == nil || len(p.Remap) != p.Groups {
+					t.Errorf("a merged part maps %d of its %d tags", len(p.Remap), p.Groups)
+				}
+			}
+			if selected != want.Cols.IDs[0].Selected || selected != want.Metrics.RowsSelected {
+				t.Errorf("the merged parts select %d identifiers, the single run %d of %d rows", selected, want.Cols.IDs[0].Selected, want.Metrics.RowsSelected)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"slices"
 	"time"
 
 	"seabed/internal/idlist"
@@ -48,7 +49,6 @@ type refGroup struct {
 type refAgg struct {
 	kind      AggKind
 	u64       uint64
-	ids       idlist.List
 	pail      *big.Int
 	ope       []byte
 	compBytes []byte // byte-valued companion of the winning row
@@ -235,7 +235,7 @@ func (pl *Plan) bind(part *store.Partition, right map[string]*store.Column, join
 // original row-at-a-time loop: per-row switches over FilterKind and AggKind,
 // string-keyed join probes, and string-folded group keys. It observes ctx
 // at the injected I/O stall and once per cancelCheckRows rows.
-func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store.Partition, _ *nodeArenas) (*mapResult, error) {
+func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store.Partition) (*mapResult, error) {
 	pl := rp.pl
 	if c.cfg.TaskSleep > 0 {
 		t := time.NewTimer(c.cfg.TaskSleep)
@@ -273,6 +273,11 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 	var groups map[groupKey]*refGroup
 	var scan *ScanChunk // the task's survivors, one chunk as a vectorized task's
 	var scanRows, scanJoins []int32
+	// With an ASHE sum, the survivors' identifiers and each one's group, in row
+	// order, for the identifier section (taskGroupsFromMap numbers the groups).
+	var ids idlist.List
+	var survivors []*refGroup
+	keepIDs := slices.ContainsFunc(pl.Aggs, func(a Agg) bool { return a.Kind == AggAsheSum })
 	if pl.GroupBy == nil && len(pl.Project) == 0 {
 		single = newRefGroup(pl.Aggs)
 	} else if pl.GroupBy != nil {
@@ -399,6 +404,10 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 			}
 		}
 		pg.rows++
+		if keepIDs {
+			ids.Append(rowID)
+			survivors = append(survivors, pg)
+		}
 
 		// Accumulate aggregates.
 		for ai := range pl.Aggs {
@@ -417,7 +426,6 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 				st.u64 += col.U64[j] * col.U64[j]
 			case AggAsheSum:
 				st.u64 += col.U64[j]
-				st.ids.Append(rowID)
 			case AggPaillierSum:
 				pl.Aggs[ai].PK.AddInto(st.pail, new(big.Int).SetBytes(col.Bytes[j]))
 			case AggPlainMin:
@@ -452,10 +460,17 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 
 	switch {
 	case groups != nil:
-		res.groups = pl.taskGroupsFromMap(groups, keyKind(b.group.Kind), inflate > 0)
+		var slot map[*refGroup]int32
+		res.groups, slot = pl.taskGroupsFromMap(groups, keyKind(b.group.Kind), inflate > 0)
 		res.groups.partition(c.cfg.Workers)
+		if keepIDs {
+			res.tags = make([]int32, len(survivors))
+			for k, pg := range survivors {
+				res.tags[k] = slot[pg]
+			}
+		}
 	case single != nil:
-		res.groups = pl.taskGroupsFromMap(map[groupKey]*refGroup{{kind: store.U64, suffix: -1}: single}, store.U64, false)
+		res.groups, _ = pl.taskGroupsFromMap(map[groupKey]*refGroup{{kind: store.U64, suffix: -1}: single}, store.U64, false)
 	case scan != nil:
 		for pi, col := range b.project {
 			idx := scanRows
@@ -466,6 +481,7 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 		}
 		res.scan = scan.Rows()
 	}
+	res.ids = ids.Ranges()
 	res.elapsed = time.Since(start)
 	pl.sizeOutput(res)
 	return res, nil
@@ -473,21 +489,17 @@ func (rp *referencePlan) runMapTask(ctx context.Context, c *Cluster, part *store
 
 // taskGroupsFromMap converts the reference evaluator's key-addressed map into
 // the task-output form — the only step of that evaluator that knows about
-// slots and columns. The identifier lists are laid out one run per group, as
-// a vectorized task's are.
-func (pl *Plan) taskGroupsFromMap(groups map[groupKey]*refGroup, kind store.Kind, inflated bool) *taskGroups {
+// slots and columns — and returns each group's slot in it.
+func (pl *Plan) taskGroupsFromMap(groups map[groupKey]*refGroup, kind store.Kind, inflated bool) (*taskGroups, map[*refGroup]int32) {
 	var acc groupAcc
-	acc.init(pl.Aggs, false)
+	acc.init(pl.Aggs)
 	acc.grow(len(groups))
 	tg := &taskGroups{rows: acc.rows, cols: acc.cols}
 	tg.keys.init(kind, inflated)
-	for ai := range tg.cols {
-		if tg.cols[ai].Kind == AggAsheSum {
-			tg.cols[ai].RangeOff = make([]uint64, 1, len(groups)+1)
-		}
-	}
+	slot := make(map[*refGroup]int32, len(groups))
 	g := 0
 	for k, p := range groups {
+		slot[p] = int32(g)
 		if kind == store.U64 {
 			tg.keys.appendU64(k.u64, int32(k.suffix))
 		} else {
@@ -497,12 +509,8 @@ func (pl *Plan) taskGroupsFromMap(groups map[groupKey]*refGroup, kind store.Kind
 		for ai := range p.aggs {
 			st, col := &p.aggs[ai], &tg.cols[ai]
 			switch st.kind {
-			case AggCount, AggPlainSum, AggPlainSumSq, AggPlainMin, AggPlainMax:
+			case AggCount, AggPlainSum, AggPlainSumSq, AggAsheSum, AggPlainMin, AggPlainMax:
 				col.Lane[g] = st.u64
-			case AggAsheSum:
-				col.Lane[g] = st.u64
-				col.Ranges = append(col.Ranges, st.ids.Ranges()...)
-				col.RangeOff = append(col.RangeOff, uint64(len(col.Ranges)))
 			case AggPaillierSum:
 				col.Vals[g].Pail = st.pail
 			case AggOpeMin, AggOpeMax:
@@ -517,5 +525,5 @@ func (pl *Plan) taskGroupsFromMap(groups map[groupKey]*refGroup, kind store.Kind
 		}
 		g++
 	}
-	return tg
+	return tg, slot
 }

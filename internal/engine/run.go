@@ -61,44 +61,7 @@ func ProjectKinds(pl *Plan) ([]store.Kind, error) {
 // that serves queries; the package's tests add the row-at-a-time
 // referencePlan (reference_test.go) as their oracle.
 type mapRunner interface {
-	runMapTask(ctx context.Context, c *Cluster, part *store.Partition, arenas *nodeArenas) (*mapResult, error)
-}
-
-// nodeArenas recycles the identifier-list node arenas (idChains.nodes) of a
-// run's map tasks, or of a bucketed run's reducers, within the run: an arena is
-// dead once its lists are laid out, so the next task or reducer to start takes
-// it over, and one that finds none starts one the size the last finished one
-// reached, or the size it asks for if larger. It belongs to the run — never to
-// the cluster or the process — so nothing outlives the query. A nil
-// *nodeArenas recycles nothing.
-type nodeArenas struct {
-	mu   sync.Mutex
-	free [][]idNode
-	last int
-}
-
-// get returns an empty arena with room for atLeast nodes.
-func (a *nodeArenas) get(atLeast int) []idNode {
-	if a == nil {
-		return make([]idNode, 0, atLeast)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if n := len(a.free); n > 0 && cap(a.free[n-1]) >= atLeast {
-		nodes := a.free[n-1]
-		a.free = a.free[:n-1]
-		return nodes[:0]
-	}
-	return make([]idNode, 0, max(a.last, atLeast))
-}
-
-func (a *nodeArenas) put(nodes []idNode) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	a.free, a.last = append(a.free, nodes), len(nodes)
-	a.mu.Unlock()
+	runMapTask(ctx context.Context, c *Cluster, part *store.Partition) (*mapResult, error)
 }
 
 // Run executes a plan and returns its result and cost metrics. Execution is
@@ -249,7 +212,6 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 	}
 	sem := make(chan struct{}, par)
 	var wg sync.WaitGroup
-	var arenas nodeArenas
 	// A bucketed run's map tasks leave their partitions pinned for the
 	// reducers; whatever path the run leaves by, every pin is released — after
 	// the reducers on success, at once on an error or a cancellation. Until
@@ -276,9 +238,9 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 			defer wg.Done()
 			defer func() { <-sem }()
 			if routed {
-				results[i], errs[i] = cp.mapTask(mctx, c, parts[i], nil, true)
+				results[i], errs[i] = cp.mapTask(mctx, c, parts[i], true)
 			} else {
-				results[i], errs[i] = runner.runMapTask(mctx, c, parts[i], &arenas)
+				results[i], errs[i] = runner.runMapTask(mctx, c, parts[i])
 			}
 			if done != nil {
 				close(done[i])
@@ -319,7 +281,7 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 	reduceStart := time.Now()
 	var mergers []*groupMerger
 	if grouped {
-		if mergers, err = c.reduceGroups(ctx, pl, cp, routed, results, codec, &arenas, &metrics); err != nil {
+		if mergers, err = c.reduceGroups(ctx, pl, cp, routed, results, &metrics); err != nil {
 			return nil, err
 		}
 		metrics.ReduceTime = time.Since(reduceStart)
@@ -327,8 +289,10 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 		if cp != nil {
 			groups, merged := 0, 0
 			for _, mg := range mergers {
-				groups += mg.t.len()
-				merged = max(merged, mg.t.len())
+				if mg != nil {
+					groups += mg.t.len()
+					merged = max(merged, mg.t.len())
+				}
 			}
 			cp.hint.measure(metrics.RowsSelected, groups, len(results), merged)
 		}
@@ -339,8 +303,15 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 	out := &Result{}
 	switch {
 	case grouped:
-		if out.Cols, err = gatherGroups(mergers); err != nil {
-			return nil, err
+		out.Cols = gatherGroups(mergers)
+		if out.Cols != nil && hasAshe(pl) {
+			var part IDPart
+			if part, err = groupSection(results, mergers, routed, out.Cols.Len(), codec); err != nil {
+				return nil, err
+			}
+			out.Cols.IDs = []IDPart{part}
+			metrics.ResultListBytes = len(part.List) + len(part.Runs)
+			metrics.ResultBytes += metrics.ResultListBytes
 		}
 	case len(pl.Project) > 0:
 		if sink == nil { // every survivor is a row; a stream already delivered them
@@ -354,6 +325,9 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 		if out.Cols, err = foldSingle(pl, results, codec, &metrics); err != nil {
 			return nil, err
 		}
+	}
+	if out.Cols != nil {
+		out.Cols.Codec = codec
 	}
 	gatherTime := time.Since(gatherStart)
 	metrics.DriverTime = compileTime + gatherTime
@@ -384,18 +358,23 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 	return out, nil
 }
 
-// EffectiveCodec is the plan's identifier-list codec, or the default for its
-// shape when the plan names none: the one definition of that default, which
-// translate.Translate writes into every plan it builds. Nothing writes it back
-// into a plan at run time, so one plan may run any number of times at once.
+// EffectiveCodec is the plan's identifier-list codec, or idlist.Default when
+// the plan names none: the one definition of that default, which
+// translate.Translate writes into every plan it builds. A group-by's result
+// encodes one list of its selection too (ids.go), so the default does not
+// depend on the plan's shape. Nothing writes it back into a plan at run time,
+// so one plan may run any number of times at once.
 func (pl *Plan) EffectiveCodec() idlist.Codec {
-	switch {
-	case pl.Codec != nil:
+	if pl.Codec != nil {
 		return pl.Codec
-	case pl.GroupBy != nil:
-		return idlist.VBDiff // §4.5: no range encoding for group-by
 	}
 	return idlist.Default
+}
+
+// hasAshe reports whether an aggregate of pl is an ASHE sum: whether its
+// result carries an identifier section.
+func hasAshe(pl *Plan) bool {
+	return slices.ContainsFunc(pl.Aggs, func(a Agg) bool { return a.Kind == AggAsheSum })
 }
 
 // taskSample condenses the per-map-task duration distribution to the three
@@ -431,36 +410,48 @@ func (c *Cluster) RunStream(ctx context.Context, pl *Plan, sink ScanSink) (*Resu
 // foldSingle folds an ungrouped plan's map tasks at the driver (§4.5: workers
 // send their aggregates to the driver, which aggregates them): each task's one
 // group, key 0, through the merge every reducer runs, into the result's one
-// group, its identifier lists encoded once.
+// group, and the tasks' identifiers, in partition order, into its section's
+// one list, encoded once.
 func foldSingle(pl *Plan, results []*mapResult, codec idlist.Codec, m *Metrics) (*GroupCols, error) {
 	inputs := make([]groupSel, len(results))
+	ranges := 0
 	for i, r := range results {
 		inputs[i] = groupSel{set: r.groups}
+		ranges += len(r.ids)
 	}
 	mg := mergeGroupSets(pl, inputs, 0)
-	if err := mg.finish(codec); err != nil {
-		return nil, err
-	}
+	mg.finishCols()
 	m.ResultBytes = mg.bytes
-	for ai := range mg.acc.cols {
-		m.ResultListBytes += len(mg.acc.cols[ai].IDs)
+	cols := &GroupCols{KeyKind: store.U64, KeyU64: mg.t.u64, Rows: mg.acc.rows, Aggs: mg.acc.cols}
+	if hasAshe(pl) {
+		w := newSectionWriter(1, ranges)
+		for _, r := range results {
+			w.add(r.ids, nil)
+		}
+		part, err := w.finish(codec)
+		if err != nil {
+			return nil, err
+		}
+		cols.IDs = []IDPart{part}
+		m.ResultListBytes = len(part.List)
+		m.ResultBytes += m.ResultListBytes
 	}
-	return &GroupCols{KeyKind: store.U64, KeyU64: mg.t.u64, Rows: mg.acc.rows, Aggs: mg.acc.cols}, nil
+	return cols, nil
 }
 
 // reduceGroups runs a group-by's reducers, one per non-empty bucket, on
-// goroutines bounded by RealParallelism. The shuffle moves nothing: reducer b
-// reads its share of every map task, in task order, where the task left it.
-// Per-task tables were already partitioned by reducerBucket
-// (taskGroups.partition), and the reducer folds its share of each through a
-// groupMerger, its keys reserved for the slots a reducer of the plan last
-// held, and merges and encodes the identifier lists (finish). A bucketed run's
-// tasks routed their rows by the same rule, and the reducer groups its
-// bucket's rows once (groupBucket); its counters join the run's. Either way
-// ReduceTaskTimes is each reducer's wall, and the driver then gathers the
-// result columns from the returned reducers' blocks. cp is nil for the
-// reference evaluator, which never buckets.
-func (c *Cluster) reduceGroups(ctx context.Context, pl *Plan, cp *compiledPlan, routed bool, results []*mapResult, codec idlist.Codec, arenas *nodeArenas, m *Metrics) ([]*groupMerger, error) {
+// goroutines bounded by RealParallelism, and returns them by bucket (nil for
+// an empty one). The shuffle moves nothing: reducer b reads its share of every
+// map task, in task order, where the task left it. Per-task tables were
+// already partitioned by reducerBucket (taskGroups.partition), and the reducer
+// folds its share of each through a groupMerger, its keys reserved for the
+// slots a reducer of the plan last held. A bucketed run's tasks routed their
+// rows by the same rule, and the reducer groups its bucket's rows once
+// (groupBucket); its counters join the run's. Either way ReduceTaskTimes is
+// each reducer's wall, and the driver then gathers the result columns from
+// the returned reducers' blocks. cp is nil for the reference evaluator, which
+// never buckets.
+func (c *Cluster) reduceGroups(ctx context.Context, pl *Plan, cp *compiledPlan, routed bool, results []*mapResult, m *Metrics) ([]*groupMerger, error) {
 	nb := c.buckets()
 	sizes := make([]int, nb) // rows, or groups with repeats across tasks, per bucket
 	for _, mr := range results {
@@ -506,7 +497,7 @@ func (c *Cluster) reduceGroups(ctx context.Context, pl *Plan, cp *compiledPlan, 
 			defer func() { <-sem }()
 			start := time.Now()
 			if routed {
-				mergers[ri], ops[ri], errs[ri] = cp.groupBucket(ctx, results, b, codec, arenas)
+				mergers[ri], ops[ri], errs[ri] = cp.groupBucket(ctx, results, b)
 			} else {
 				inputs := make([]groupSel, 0, len(results))
 				for _, mr := range results {
@@ -515,13 +506,15 @@ func (c *Cluster) reduceGroups(ctx context.Context, pl *Plan, cp *compiledPlan, 
 					}
 				}
 				mg := mergeGroupSets(pl, inputs, last)
-				mergers[ri], errs[ri] = mg, mg.finish(codec)
+				mg.finishCols()
+				mergers[ri] = mg
 			}
 			durations[ri] = time.Since(start)
 		}(ri, b)
 	}
 	wg.Wait()
 
+	byBucket := make([]*groupMerger, nb)
 	for ri, mg := range mergers {
 		if errs[ri] != nil {
 			return nil, errs[ri]
@@ -530,10 +523,8 @@ func (c *Cluster) reduceGroups(ctx context.Context, pl *Plan, cp *compiledPlan, 
 			m.Ops.merge(ops[ri])
 		}
 		m.ResultBytes += mg.bytes
-		for ai := range mg.acc.cols {
-			m.ResultListBytes += len(mg.acc.cols[ai].IDs)
-		}
+		byBucket[active[ri]] = mg
 	}
 	m.ReduceTaskTimes = durations
-	return mergers, nil
+	return byBucket, nil
 }

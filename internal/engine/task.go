@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"seabed/internal/idlist"
 	"seabed/internal/sqlparse"
 	"seabed/internal/store"
 )
@@ -29,13 +30,19 @@ type mapResult struct {
 	// routed is a bucketed group-by's output instead: the task's survivors,
 	// one rowBucket per reducer, rows of part — whose columns stay pinned
 	// until release is called, once the reducers have grouped them.
-	routed  []rowBucket
+	routed []rowBucket
+	// ids and tags are what the task keeps for the identifier section when an
+	// aggregate is an ASHE sum: its survivors' identifiers, ascending, and in a
+	// group-by each survivor's slot in groups (or, routed, its bucket), in the
+	// same order.
+	ids     []idlist.Range
+	tags    []int32
 	part    *store.Partition
 	release func()
 	scan    []ScanRow // a scan's survivors: cursors into the task's one chunk
 	elapsed time.Duration
 	// bytes is the output's size as held (Metrics.ShuffleBytes' share),
-	// listBytes the identifier lists' part of it.
+	// listBytes the identifiers' part of it.
 	bytes, listBytes int
 	rowsScanned      uint64
 	rowsSelected     uint64
@@ -141,14 +148,17 @@ func cmpU64(a, b uint64) int {
 }
 
 // sizeOutput prices a map task's output as the task holds it: plain arithmetic
-// over keys, row counts, accumulators and scan cells, identifier lists raw at
-// 16 bytes a range — or over a bucketed task's rows, 4 bytes each for the row
-// and the joined row and 8 for the hash. No list meets the codec here; nothing
-// is shuffled.
+// over keys, row counts, accumulators and scan cells, or over a bucketed
+// task's rows, 4 bytes each for the row and the joined row and 8 for the hash;
+// and the identifiers it kept for the section, raw at 16 bytes a range and 4
+// a survivor's slot or bucket (listBytes). No list meets the codec here;
+// nothing is shuffled.
 func (pl *Plan) sizeOutput(res *mapResult) {
 	if res.groups != nil {
-		res.bytes, res.listBytes = res.groups.heldBytes(pl)
+		res.bytes = res.groups.heldBytes(pl)
 	}
+	res.listBytes = 16*len(res.ids) + 4*len(res.tags)
+	res.bytes += res.listBytes
 	for _, bk := range res.routed {
 		res.bytes += 4*len(bk.rows) + 4*len(bk.join) + 8*len(bk.hash)
 	}

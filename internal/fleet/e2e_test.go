@@ -373,37 +373,8 @@ func TestFleetAppendRouting(t *testing.T) {
 	eachR(t, func(t *testing.T, r int) {
 		local := fixture(t) // appends grow the shared tables: one fixture per R
 		twin, daemons := fleetTwin(t, local, r)
-
-		// The batch must roughly match the planned value distribution so
-		// enhanced SPLASHE balancing has dummy rows to work with (§3.5);
-		// mirror the fixture's skew at half its size.
 		const batchRows = 1000
-		country := make([]string, 0, batchRows)
-		for v, c := range []int{450, 375, 63, 62, 50} {
-			for i := 0; i < c; i++ {
-				country = append(country, []string{"USA", "Canada", "India", "Chile", "Japan"}[v])
-			}
-		}
-		rng := rand.New(rand.NewSource(31))
-		rng.Shuffle(len(country), func(a, b int) { country[a], country[b] = country[b], country[a] })
-		u64s := func(f func(i int) uint64) []uint64 {
-			out := make([]uint64, batchRows)
-			for i := range out {
-				out[i] = f(i)
-			}
-			return out
-		}
-		batch, err := store.Build("sales", []store.Column{
-			{Name: "revenue", Kind: store.U64, U64: u64s(func(i int) uint64 { return uint64(rng.Intn(10000)) })},
-			{Name: "clicks", Kind: store.U64, U64: u64s(func(i int) uint64 { return uint64(rng.Intn(50)) })},
-			{Name: "country", Kind: store.Str, Str: country},
-			{Name: "day", Kind: store.U64, U64: u64s(func(i int) uint64 { return uint64(rng.Intn(31) + 1) })},
-			{Name: "hour", Kind: store.U64, U64: u64s(func(i int) uint64 { return uint64(rng.Intn(6)) })},
-			{Name: "store", Kind: store.U64, U64: u64s(func(i int) uint64 { return uint64(rng.Intn(8)) })},
-		}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		batch := salesBatch(t, rand.New(rand.NewSource(31)))
 		// Append through the fleet-bound proxy: the encrypted batch splits
 		// into per-range identifier slices on the wire and also grows the
 		// shared local tables, so the in-process twin sees the same data.
@@ -448,6 +419,96 @@ func TestFleetAppendRouting(t *testing.T) {
 		}
 		if total != uint64(r)*enc.NumRows() {
 			t.Errorf("%q rows across daemons = %d, want %d", ref, total, uint64(r)*enc.NumRows())
+		}
+	})
+}
+
+// salesBatch builds a 1,000-row batch for the sales fixture. It must roughly
+// match the planned value distribution so enhanced SPLASHE balancing has dummy
+// rows to work with (§3.5), so it mirrors the fixture's skew at half its size.
+func salesBatch(t *testing.T, rng *rand.Rand) *store.Table {
+	t.Helper()
+	const batchRows = 1000
+	country := make([]string, 0, batchRows)
+	for v, c := range []int{450, 375, 63, 62, 50} {
+		for i := 0; i < c; i++ {
+			country = append(country, []string{"USA", "Canada", "India", "Chile", "Japan"}[v])
+		}
+	}
+	rng.Shuffle(len(country), func(a, b int) { country[a], country[b] = country[b], country[a] })
+	u64s := func(f func(i int) uint64) []uint64 {
+		out := make([]uint64, batchRows)
+		for i := range out {
+			out[i] = f(i)
+		}
+		return out
+	}
+	batch, err := store.Build("sales", []store.Column{
+		{Name: "revenue", Kind: store.U64, U64: u64s(func(i int) uint64 { return uint64(rng.Intn(10000)) })},
+		{Name: "clicks", Kind: store.U64, U64: u64s(func(i int) uint64 { return uint64(rng.Intn(50)) })},
+		{Name: "country", Kind: store.Str, Str: country},
+		{Name: "day", Kind: store.U64, U64: u64s(func(i int) uint64 { return uint64(rng.Intn(31) + 1) })},
+		{Name: "hour", Kind: store.U64, U64: u64s(func(i int) uint64 { return uint64(rng.Intn(6)) })},
+		{Name: "store", Kind: store.U64, U64: u64s(func(i int) uint64 { return uint64(rng.Intn(8)) })},
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return batch
+}
+
+// TestFleetGroupedSumsAcrossAppends: grouped ASHE sums stay exact as appends
+// interleave the ranges. AppendTable splits every batch across the ranges, so
+// after each append every daemon's identifiers interleave with the others',
+// and the merged identifier section is three parts whose spans overlap. After
+// each of three appends, group-bys by a plain and a DET key, filtered and
+// not, with one and two ASHE sums, and an inflated group-by that the client
+// deflates, decrypt to the in-process engine's rows, at R=1 and R=2 — never
+// with fewer PRF values: the parts share its span, and only add pieces.
+func TestFleetGroupedSumsAcrossAppends(t *testing.T) {
+	queries := []struct {
+		sql  string
+		opts []client.QueryOption
+	}{
+		{"SELECT hour, SUM(revenue) FROM sales GROUP BY hour", nil},
+		{"SELECT country, SUM(revenue), AVG(clicks) FROM sales GROUP BY country", nil},
+		{"SELECT hour, SUM(revenue) FROM sales WHERE day > 15 GROUP BY hour", nil},
+		{"SELECT hour, VAR(clicks) FROM sales GROUP BY hour", nil},
+		{"SELECT hour, SUM(revenue) FROM sales GROUP BY hour", []client.QueryOption{client.WithExpectedGroups(6), client.WithForceInflate(3)}},
+	}
+	eachR(t, func(t *testing.T, r int) {
+		local := fixture(t) // appends grow the shared tables: one fixture per R
+		twin, _ := fleetTwin(t, local, r)
+		rng := rand.New(rand.NewSource(int64(41 + r)))
+		for round := 0; round < 3; round++ {
+			if err := twin.Append(context.Background(), "sales", salesBatch(t, rng), translate.Seabed); err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range queries {
+				opts := append([]client.QueryOption{client.WithMode(translate.Seabed)}, q.opts...)
+				want, err := local.Query(context.Background(), q.sql, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := twin.Query(context.Background(), q.sql, opts...)
+				if err != nil {
+					t.Fatalf("round %d %q: %v", round, q.sql, err)
+				}
+				wantRows, err := want.All()
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotRows, err := got.All()
+				if err != nil {
+					t.Fatalf("round %d %q: %v", round, q.sql, err)
+				}
+				if !reflect.DeepEqual(gotRows, wantRows) {
+					t.Errorf("round %d %q: fleet rows differ\n got %+v\nwant %+v", round, q.sql, gotRows, wantRows)
+				}
+				if got.PRFEvals < want.PRFEvals {
+					t.Errorf("round %d %q: %d PRF values, fewer than the in-process engine's %d over the same span", round, q.sql, got.PRFEvals, want.PRFEvals)
+				}
+			}
 		}
 	})
 }

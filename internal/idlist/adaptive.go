@@ -157,17 +157,3 @@ func (adaptive) AppendDecode(dst []Range, data []byte) ([]Range, error) {
 	}
 	return dst, fmt.Errorf("idlist: adaptive: unknown mode %d", data[0])
 }
-
-// NumRanges returns the number of ranges the list c encoded as data decodes
-// to, when that is known without decoding it: for a Default list in bitmap
-// mode, the runs its words hold. ok is false for any other list.
-func NumRanges(c Codec, data []byte) (n int, ok bool) {
-	cc, _ := c.(codec)
-	if _, dense := cc.encoding.(adaptive); !dense || len(data) == 0 || data[0] != modeBitmap {
-		return 0, false
-	}
-	if _, words, _, err := wordsOf("adaptive", data[1:]); err == nil {
-		return countRuns(words), true
-	}
-	return 0, false
-}

@@ -47,8 +47,7 @@ func selections(span uint64, seed int64) []selection {
 // encoder deflates the whole list to one long enough that it samples, every
 // list round-trips to its own ranges, none comes out more than its mode byte
 // over RangeVBDiffDeflateFast's bytes, and a random selection of 20–80 %
-// comes out strictly smaller. NumRanges counts a bitmap's ranges exactly and
-// declines a deflated list.
+// comes out strictly smaller.
 func TestDefaultDensity(t *testing.T) {
 	if Default != Adaptive {
 		t.Fatalf("Default is %s, want %s", Default.Name(), Adaptive.Name())
@@ -62,9 +61,6 @@ func TestDefaultDensity(t *testing.T) {
 			dec, err := Adaptive.Decode(enc)
 			if err != nil || !dec.Equal(s.l) {
 				t.Fatalf("span %d %s: decoded to %d ranges (%v), want %d", span, s.name, dec.NumRanges(), err, s.l.NumRanges())
-			}
-			if n, ok := NumRanges(Adaptive, enc); ok != (enc[0] == modeBitmap) || ok && n != s.l.NumRanges() {
-				t.Errorf("span %d %s: mode %d, NumRanges = %d, %v; want %d, true for a bitmap only", span, s.name, enc[0], n, ok, s.l.NumRanges())
 			}
 			deflated, err := RangeVBDiffDeflateFast.Encode(s.l)
 			if err != nil {

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"sync"
 )
@@ -263,10 +264,18 @@ func (n *byteCounter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// deflaters pools compressor state per flate level (the index is
-// level − flate.HuffmanOnly); inflaters pools decompressor state.
+// deflaters holds idle compressor state per flate level (the index is
+// level − flate.HuffmanOnly), up to one per processor: a channel, not a
+// sync.Pool, because a row view encodes thousands of short lists in a row and
+// a Pool under the race detector drops a quarter of what it is given, each
+// drop a flate.Writer rebuilt. inflaters pools decompressor state.
 var (
-	deflaters [flate.BestCompression - flate.HuffmanOnly + 1]sync.Pool
+	deflaters = func() (d [flate.BestCompression - flate.HuffmanOnly + 1]chan *deflater) {
+		for i := range d {
+			d[i] = make(chan *deflater, runtime.GOMAXPROCS(0))
+		}
+		return d
+	}()
 	inflaters sync.Pool
 )
 
@@ -307,8 +316,10 @@ func (c deflated) deflatedLen(l List) (int, error) {
 
 // deflater takes compressor state at c's level from its pool.
 func (c deflated) deflater() (*deflater, error) {
-	if st, _ := deflaters[c.level-flate.HuffmanOnly].Get().(*deflater); st != nil {
+	select {
+	case st := <-deflaters[c.level-flate.HuffmanOnly]:
 		return st, nil
+	default:
 	}
 	st := &deflater{}
 	w, err := flate.NewWriter(&st.out, c.level)
@@ -326,7 +337,10 @@ func (c deflated) release(st *deflater) {
 	if cap(st.raw) > maxPooledRaw {
 		st.raw = nil
 	}
-	deflaters[c.level-flate.HuffmanOnly].Put(st)
+	select {
+	case deflaters[c.level-flate.HuffmanOnly] <- st:
+	default:
+	}
 }
 
 // compress writes st.raw's DEFLATE stream to w.

@@ -20,7 +20,10 @@
 // [6,9]) coalesce; ranges that overlap (genuine duplicates) are preserved.
 package idlist
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Range is an inclusive identifier interval [Lo, Hi].
 type Range struct {
@@ -29,6 +32,79 @@ type Range struct {
 
 // Span returns the number of identifiers the range covers.
 func (r Range) Span() uint64 { return r.Hi - r.Lo + 1 }
+
+// Run is a stretch of a list's identifiers, taken in list order, that one
+// group holds: the next Len identifiers belong to group Group. A grouped
+// result tags its one list of selected identifiers with runs instead of
+// carrying a list per group (docs/FORMAT.md §3.1). Eight bytes, so a proxy
+// decoding a wide group-by's runs holds half what it would at 64-bit fields;
+// a result of one group has no runs, and a longer run is refused.
+type Run struct {
+	Len   uint32
+	Group int32
+}
+
+// MaxRun is the most identifiers one Run holds.
+const MaxRun = 1<<32 - 1
+
+// Pieces walks a list's ranges and the runs over them together, a piece at a
+// time: a piece is a stretch of identifiers [lo, hi] that lies in one range
+// and one run, so it belongs to one group. Every run must hold at least one
+// identifier, and the runs as many identifiers as the ranges; Done reports
+// the end of whichever ends first. Without runs, each range is one piece of
+// the group Reset names. The zero value is exhausted.
+type Pieces struct {
+	ranges []Range
+	runs   []Run
+	r, run int
+	pos    uint64 // the next identifier of ranges[r]
+	left   uint64 // identifiers left in runs[run]; without runs, all of them
+	group  int32  // runs[run]'s group; without runs, every range's
+}
+
+// Reset starts the walk at the first piece of ranges and runs, or, with no
+// runs, of ranges all in group.
+func (c *Pieces) Reset(ranges []Range, runs []Run, group int32) {
+	*c = Pieces{ranges: ranges, runs: runs, left: math.MaxUint64, group: group}
+	if len(ranges) > 0 {
+		c.pos = ranges[0].Lo
+	}
+	if len(runs) > 0 {
+		c.left, c.group = uint64(runs[0].Len), runs[0].Group
+	}
+}
+
+// Done reports whether every piece has been walked.
+func (c *Pieces) Done() bool {
+	return c.r >= len(c.ranges) || len(c.runs) > 0 && c.run >= len(c.runs)
+}
+
+// Piece returns the current piece and its group: from where the walk stands
+// to the end of its range or of its run, whichever comes first.
+func (c *Pieces) Piece() (lo, hi uint64, group int32) {
+	lo, hi = c.pos, c.ranges[c.r].Hi
+	if c.left-1 < hi-lo {
+		hi = lo + c.left - 1
+	}
+	return lo, hi, c.group
+}
+
+// Next moves past the piece [lo, hi] that Piece returned.
+func (c *Pieces) Next(lo, hi uint64) {
+	c.left -= hi - lo + 1
+	if hi == c.ranges[c.r].Hi {
+		if c.r++; c.r < len(c.ranges) {
+			c.pos = c.ranges[c.r].Lo
+		}
+	} else {
+		c.pos = hi + 1
+	}
+	if c.left == 0 {
+		if c.run++; c.run < len(c.runs) {
+			c.left, c.group = uint64(c.runs[c.run].Len), c.runs[c.run].Group
+		}
+	}
+}
 
 // List is a multiset of identifiers stored as ranges ordered by Lo.
 // The zero value is an empty list ready to use.
@@ -126,16 +202,15 @@ func (l *List) Merge(other List) {
 		*l = other.Clone()
 		return
 	}
-	l.ranges = MergeRanges(make([]Range, 0, len(l.ranges)+len(other.ranges)), l.ranges, other.ranges)
+	l.ranges = mergeRanges(make([]Range, 0, len(l.ranges)+len(other.ranges)), l.ranges, other.ranges)
 	l.n += other.n
 }
 
-// MergeRanges appends the Lo-ordered merge of two non-empty lists' range
-// decompositions to dst and returns it — the body of Merge, for callers that
-// keep ranges in storage of their own. Ties take a first; a range that abuts
-// the one before it in the output coalesces into it. dst must not alias a or
-// b.
-func MergeRanges(dst, a, b []Range) []Range {
+// mergeRanges appends the Lo-ordered merge of two non-empty lists' range
+// decompositions to dst and returns it — the body of Merge. Ties take a first;
+// a range that abuts the one before it in the output coalesces into it. dst
+// must not alias a or b.
+func mergeRanges(dst, a, b []Range) []Range {
 	base := len(dst)
 	push := func(r Range) {
 		if k := len(dst); k > base {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"time"
 
 	"seabed/internal/engine"
@@ -12,14 +13,12 @@ import (
 )
 
 // EncodeResult serializes a MsgResult payload: the codec the engine actually
-// used (the client must decode identifier lists with the same one — the
+// used (the client must decode the identifier section with the same one — the
 // in-process path communicates it by mutating the plan, the wire path carries
 // it here) followed by the result's group columns, an empty scan section,
 // metrics, and the daemon's span breakdown for the query trace (nil spans
 // encode as an empty list). version must be Version. Scan rows travel only in
-// MsgResultChunk frames, so a result that carries Scan rows is refused. So is
-// one whose identifier lists are decoded — a merged one, whose consumer is in
-// the merging process: nothing frames it, and a frame carries lists encoded.
+// MsgResultChunk frames, so a result that carries Scan rows is refused.
 func EncodeResult(codecName string, res *engine.Result, spans []obs.FlatSpan, version uint64) ([]byte, error) {
 	if err := checkVersion(version, "encode result"); err != nil {
 		return nil, err
@@ -35,7 +34,10 @@ func EncodeResult(codecName string, res *engine.Result, spans []obs.FlatSpan, ve
 		size += 8*(len(cols.Rows)+len(cols.KeyU64)+len(cols.KeyOff)+len(cols.Suffix)) + len(cols.KeyArena)
 		for i := range cols.Aggs {
 			col := &cols.Aggs[i]
-			size += 8*(len(col.Lane)+len(col.IDOff)) + len(col.IDs) + 32*len(col.Vals) + 16
+			size += 8*len(col.Lane) + 32*len(col.Vals) + 16
+		}
+		for i := range cols.IDs {
+			size += len(cols.IDs[i].List) + len(cols.IDs[i].Runs) + 32
 		}
 	}
 	e := &enc{buf: make([]byte, 0, size)}
@@ -54,10 +56,10 @@ func EncodeResult(codecName string, res *engine.Result, spans []obs.FlatSpan, ve
 // chunks use (store/colframe.go; docs/FORMAT.md §3.1 specifies the section).
 // A varint header — group count, key kind, inflation flag, fixed key length,
 // aggregate kinds — is followed by the extents in a fixed order: row counts,
-// suffixes, keys, then per aggregate its lane, an ASHE sum's identifier-list
-// block (each list once, encoded with the frame's codec), or a generic kind's
-// values as varint fields. Every extent starts on an 8-byte boundary of the
-// payload, so a decoder handed an aligned payload aliases the lanes in place.
+// suffixes, keys, then per aggregate its lane or a generic kind's values as
+// varint fields. Every extent starts on an 8-byte boundary of the payload, so
+// a decoder handed an aligned payload aliases the lanes in place. The
+// identifier section every ASHE sum shares follows, unaligned (encodeIDs).
 func encodeGroupCols(e *enc, c *engine.GroupCols) error {
 	n := c.Len()
 	e.uint(uint64(n))
@@ -99,24 +101,39 @@ func encodeGroupCols(e *enc, c *engine.GroupCols) error {
 	}
 	for i := range c.Aggs {
 		col := &c.Aggs[i]
-		ashe := col.Kind == engine.AggAsheSum
-		if col.RangeOff != nil {
-			return fmt.Errorf("wire: encode result: aggregate %d's identifier lists are decoded (a merged result is not framed)", i)
-		}
-		if ashe && len(col.IDOff) != n+1 || col.Lane != nil && len(col.Lane) != n || col.Lane == nil && len(col.Vals) != n {
+		if col.Lane != nil && len(col.Lane) != n || col.Lane == nil && len(col.Vals) != n {
 			return fmt.Errorf("wire: encode result: aggregate %d's column does not hold %d groups", i, n)
 		}
-		switch {
-		case ashe:
+		if col.Lane != nil {
 			e.lane(col.Lane)
-			e.blob(col.IDOff, col.IDs)
-		case col.Lane != nil:
-			e.lane(col.Lane)
-		default:
-			e.align()
-			for g := range col.Vals {
-				encodeAggFields(e, &col.Vals[g])
-			}
+			continue
+		}
+		e.align()
+		for g := range col.Vals {
+			encodeAggFields(e, &col.Vals[g])
+		}
+	}
+	return encodeIDs(e, c)
+}
+
+// encodeIDs appends the identifier section (docs/FORMAT.md §3.1): its part
+// count, then per part the selected count, the list as the engine encoded it,
+// and — with more than one group — the packed runs, tagged with the frame's
+// groups. Only a run's result frames: a merged result, whose parts map their
+// tags to its groups (engine.IDPart.Remap), is the proxy's to decrypt, and is
+// refused.
+func encodeIDs(e *enc, c *engine.GroupCols) error {
+	n := c.Len()
+	e.uint(uint64(len(c.IDs)))
+	for i := range c.IDs {
+		p := &c.IDs[i]
+		if p.Remap != nil || p.Groups != n {
+			return fmt.Errorf("wire: encode result: identifier section part %d tags %d groups of %d, or is a merged result's", i, p.Groups, n)
+		}
+		e.uint(p.Selected)
+		e.bytes(p.List)
+		if n > 1 {
+			e.bytes(p.Runs)
 		}
 	}
 	return nil
@@ -206,12 +223,15 @@ func decodeSpans(d *dec) []obs.FlatSpan {
 }
 
 // DecodeResult parses a MsgResult payload; version must be Version. A frame
-// whose scan section holds any row is refused. The groups decode into a fixed handful of allocations however many there are:
-// res.Cols' lanes, key arena and identifier-list blocks alias p (a lane is
-// copied instead when p is not 8-byte aligned), so the caller must leave p's
-// backing array alone afterwards — ReadFrame allocates per frame, which
-// satisfies this. Every length is checked against the bytes present before
-// anything is reserved, and every lane holds exactly one word per group.
+// whose scan section holds any row is refused. The groups decode into a fixed
+// handful of allocations however many there are: res.Cols' lanes, key arena
+// and identifier section alias p (a lane is copied instead when p is not
+// 8-byte aligned), so the caller must leave p's backing array alone afterwards
+// — ReadFrame allocates per frame, which satisfies this. Every length is
+// checked against the bytes present before anything is reserved, every lane
+// holds exactly one word per group, and every run of the identifier section
+// is checked (engine.IDPart.Check). The columns' codec is the one the frame
+// names, nil when this build has none by that name.
 func DecodeResult(p []byte, version uint64) (codecName string, res *engine.Result, spans []obs.FlatSpan, err error) {
 	if err := checkVersion(version, "decode result"); err != nil {
 		return "", nil, nil, err
@@ -219,6 +239,9 @@ func DecodeResult(p []byte, version uint64) (codecName string, res *engine.Resul
 	d := newDec(p)
 	codecName = d.str()
 	res = &engine.Result{Cols: decodeGroupCols(d)}
+	if res.Cols != nil {
+		res.Cols.Codec, _ = CodecByName(codecName)
+	}
 	if d.uint() != 0 { // scan rows travel only in chunk frames
 		d.invalid("scan row count")
 	}
@@ -303,9 +326,6 @@ func decodeGroupCols(d *dec) *engine.GroupCols {
 			return nil
 		}
 		switch {
-		case col.Kind == engine.AggAsheSum:
-			col.Lane = d.lane(n, "aggregate lane")
-			col.IDOff, col.IDs = d.blob(n, "identifier lists")
 		case engine.LaneKind(col.Kind):
 			col.Lane = d.lane(n, "aggregate lane")
 		default:
@@ -326,7 +346,64 @@ func decodeGroupCols(d *dec) *engine.GroupCols {
 	if d.err != nil {
 		return nil
 	}
+	c.IDs = decodeIDs(d, c)
+	if d.err != nil {
+		return nil
+	}
 	return c
+}
+
+// decodeIDs parses the identifier section (see encodeIDs): one part or more
+// when an aggregate is an ASHE sum, none otherwise, each part's list and runs
+// aliasing the payload and its runs checked — none cut short or tagged past
+// the groups, and the runs adding up to exactly its selected count.
+func decodeIDs(d *dec, c *engine.GroupCols) []engine.IDPart {
+	n := c.Len()
+	parts := d.uint()
+	// A part consumes ≥ 2 payload bytes (its count and its list's length).
+	if !d.checkCount(parts, 2, "identifier section parts") {
+		return nil
+	}
+	ashe := slices.ContainsFunc(c.Aggs, func(a engine.AggCol) bool { return a.Kind == engine.AggAsheSum })
+	if ashe != (parts > 0) {
+		d.invalid("identifier section part count")
+		return nil
+	}
+	if parts == 0 {
+		return nil
+	}
+	out := make([]engine.IDPart, 0, parts)
+	for i := uint64(0); i < parts && d.err == nil; i++ {
+		p := engine.IDPart{Selected: d.uint(), List: d.view("identifier list"), Groups: n}
+		if n > 1 {
+			p.Runs = d.view("identifier runs")
+		}
+		if d.err != nil {
+			break
+		}
+		if err := p.Check(); err != nil {
+			d.err = fmt.Errorf("%v (part %d, before offset %d)", err, i, d.off)
+			break
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// view reads a length-prefixed byte string, aliasing the payload.
+func (d *dec) view(what string) []byte {
+	n := d.uint()
+	if d.err != nil {
+		return nil
+	}
+	if uint64(len(d.buf)-d.off) < n {
+		d.fail(what)
+		return nil
+	}
+	end := d.off + int(n)
+	v := d.buf[d.off:end:end]
+	d.off = end
+	return v
 }
 
 // invalid latches an error for a field that is present but out of range.

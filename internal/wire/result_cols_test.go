@@ -2,13 +2,16 @@ package wire
 
 import (
 	"bytes"
+	"cmp"
 	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"os"
 	"reflect"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -20,35 +23,64 @@ import (
 	"seabed/internal/store"
 )
 
-// encodeList encodes an identifier list as result groups carry it.
-func encodeList(t testing.TB, l idlist.List) []byte {
-	enc, err := idlist.VBDiff.Encode(l)
+// packRun appends a run of n identifiers of group tag, in a part of groups
+// groups, packed by hand as docs/FORMAT.md §3.1 lays it out: a little-endian
+// word of ⌈(b + 2) / 8⌉ bytes, b the bits groups − 1 takes, holding the tag
+// and above it min(n, 4) − 1, and for n ≥ 4 a uvarint of n − 4.
+func packRun(dst []byte, n uint64, tag, groups int) []byte {
+	b := bits.Len(uint(groups - 1))
+	w := uint64(tag) | (min(n, 4)-1)<<b
+	for i := 0; i < (b+9)/8; i++ {
+		dst = append(dst, byte(w>>(8*i)))
+	}
+	if n >= 4 {
+		dst = binary.AppendUvarint(dst, n-4)
+	}
+	return dst
+}
+
+// idSection builds a result's identifier section by hand: ids[g] holds group
+// g's identifiers; the list holds all of them, ascending, encoded with codec,
+// and the runs hand them out in that order (packRun).
+func idSection(t testing.TB, codec idlist.Codec, ids [][]uint64) engine.IDPart {
+	type tagged struct {
+		id uint64
+		g  int
+	}
+	var all []tagged
+	for g, l := range ids {
+		for _, id := range l {
+			all = append(all, tagged{id, g})
+		}
+	}
+	slices.SortStableFunc(all, func(a, b tagged) int { return cmp.Compare(a.id, b.id) })
+	var list idlist.List
+	for _, x := range all {
+		list.Append(x.id)
+	}
+	enc, err := codec.Encode(list)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return enc
-}
-
-// listBlock lays encoded identifier lists end to end as an ASHE column's
-// block, returning the block and its offsets.
-func listBlock(lists ...[]byte) (ids []byte, off []uint64) {
-	off = []uint64{0}
-	for _, l := range lists {
-		ids = append(ids, l...)
-		off = append(off, uint64(len(ids)))
+	p := engine.IDPart{Selected: uint64(len(all)), List: enc, Groups: len(ids)}
+	if len(ids) > 1 {
+		for i := 0; i < len(all); {
+			j := i
+			for j < len(all) && all[j].g == all[i].g {
+				j++
+			}
+			p.Runs = packRun(p.Runs, uint64(j-i), all[i].g, len(ids))
+			i = j
+		}
 	}
-	return ids, off
+	return p
 }
 
 // goldenResult is a fixed two-group result touching every column form the
 // result frame carries: 16-byte keys (the encrypted GROUP BY shape, sent
-// without offsets), an inflation suffix, an ASHE sum with its identifier-list
-// block, a count lane, and OPE, median and Paillier values in side columns.
+// without offsets), an inflation suffix, an ASHE sum, a count lane, OPE,
+// median and Paillier values in side columns, and the identifier section.
 func goldenResult(t testing.TB) *engine.Result {
-	ids := idlist.FromRange(3, 9)
-	ids.Append(12)
-	ids.AppendRange(40, 41)
-	block, off := listBlock(encodeList(t, ids), encodeList(t, idlist.FromRange(77, 77)))
 	return &engine.Result{
 		Cols: &engine.GroupCols{
 			KeyKind:  store.Bytes,
@@ -57,7 +89,7 @@ func goldenResult(t testing.TB) *engine.Result {
 			Suffix:   []int32{-1, 2},
 			Rows:     []uint64{10, 1},
 			Aggs: []engine.AggCol{
-				{Kind: engine.AggAsheSum, Lane: []uint64{0xfeedfacecafebeef, 7}, IDs: block, IDOff: off},
+				{Kind: engine.AggAsheSum, Lane: []uint64{0xfeedfacecafebeef, 7}},
 				{Kind: engine.AggCount, Lane: []uint64{10, 1}},
 				{Kind: engine.AggOpeMin, Vals: []engine.AggValue{
 					{Kind: engine.AggOpeMin, Ope: []byte{9, 8, 7}, ArgID: 31, U64: 5, CompanionBytes: []byte{1, 2}},
@@ -72,6 +104,8 @@ func goldenResult(t testing.TB) *engine.Result {
 					{Kind: engine.AggPaillierSum, Pail: new(big.Int).Lsh(big.NewInt(99), 70)},
 					{Kind: engine.AggPaillierSum, Pail: big.NewInt(1)}}},
 			},
+			IDs:   []engine.IDPart{idSection(t, idlist.VBDiff, [][]uint64{{3, 4, 5, 6, 7, 8, 9, 12, 40, 41}, {77}})},
+			Codec: idlist.VBDiff,
 		},
 		Metrics: engine.Metrics{
 			ServerTime: 9 * time.Millisecond, MapTime: 5 * time.Millisecond, ReduceTime: 2 * time.Millisecond,
@@ -84,9 +118,10 @@ func goldenResult(t testing.TB) *engine.Result {
 }
 
 // goldenFrame is what EncodeResult(idlist.VBDiff.Name(), goldenResult, nil,
-// Version) emits at v10: the group section as captured at v9, when it became
-// columnar, and the metrics block without the modelled shuffle time. Read
-// against encodeGroupCols, the section after the codec name ("vb+diff") is:
+// Version) emits at v14, which moved the ASHE sums' identifiers out of the
+// aggregate columns into one identifier section after them; everything before
+// it is as captured at v10. Read against encodeGroupCols, the section after
+// the codec name ("vb+diff") is:
 //
 //	02 01 01 11 06 | 03 02 07 09 0a 04    2 groups, Bytes keys, inflated, keyLen
 //	                                      16 (+1), 6 aggregates and their kinds
@@ -94,22 +129,24 @@ func goldenResult(t testing.TB) *engine.Result {
 //	rows      2 words: 10, 1
 //	suffix    2 words: −1, 2
 //	keys      32 raw bytes, no offsets
-//	agg 0     body lane (2 words), then the identifier-list block: offsets
-//	          0, 11, 14 and 14 heap bytes — each list once, vb+diff-encoded —
-//	          padded to the next boundary
+//	agg 0     body lane (2 words)
 //	agg 1     count lane: 10, 1
 //	agg 2–5   one side column each: per group the value's fields as varints,
 //	          padded to the next boundary
+//	ids       01 | 0b | 0c 0b 06 02 … 48 | 03 06 06 01
+//	          one part; 11 identifiers selected; the 12-byte vb+diff list of
+//	          3–9, 12, 40, 41, 77; 3 bytes of runs, one-byte words of a 1-bit
+//	          tag and a 2-bit length code: 10 identifiers of group 0 (word 06,
+//	          code 3: uvarint 10 − 4 follows), then 1 of group 1 (word 01)
 //
 // then the scan section (00), the metrics (every engine.Metrics field that
 // crosses the wire, in encodeMetrics order) and the span count.
 const goldenFrame = "0776622b646966660201011106030207090a0400000000000a000000000000000100000000000000ffffffffffffffff0200" +
 	"0000000000003031323334353637383961626364656666656463626139383736353433323130efbefecacefaedfe07000000" +
-	"0000000000000000000000000b000000000000000e000000000000000a06020202020202063802019a0100000a0000000000" +
-	"000001000000000000000500030908071f020102000000000000000000000000000000000000000304ac0202000000000000" +
-	"000000000000000000000000000002010102020202050602323c000000000000000000000000000000010a18c00000000000" +
-	"0000000000000000000000010101000000000000000080d1ca0880ade2048092f40180897aa413ee081006e8070fd00fa01f" +
-	"f02e0008000000000f00038008100000"
+	"000000000a0000000000000001000000000000000500030908071f0201020000000000000000000000000000000000000003" +
+	"04ac0202000000000000000000000000000000000000000002010102020202050602323c0000000000000000000000000000" +
+	"00010a18c00000000000000000000000000000000001010100000000000000010b0c0b060202020202020638024803060601" +
+	"0080d1ca0880ade2048092f40180897aa413ee081006e8070fd00fa01ff02e0008000000000f00038008100000"
 
 // TestEncodeResultGolden pins the result frame's bytes, that the columnar
 // decoder reads them back to the same groups, and that an identifier list
@@ -134,10 +171,8 @@ func TestEncodeResultGolden(t *testing.T) {
 	if codec != idlist.VBDiff.Name() || !reflect.DeepEqual(back.View(), res.View()) || !reflect.DeepEqual(back.Metrics, res.Metrics) {
 		t.Fatalf("golden frame decoded to\n %+v\nwant\n %+v", back.View(), res.View())
 	}
-	for g := range res.Cols.Len() {
-		if l := res.Cols.Aggs[0].EncodedIDs(g); bytes.Count(want, l) != 1 {
-			t.Fatalf("encoded identifier list %x appears %d times in the frame, want once", l, bytes.Count(want, l))
-		}
+	if l := res.Cols.IDs[0].List; bytes.Count(want, l) != 1 {
+		t.Fatalf("the encoded identifier list %x appears %d times in the frame, want once", l, bytes.Count(want, l))
 	}
 }
 
@@ -163,24 +198,26 @@ func propMixes(pk *paillier.PublicKey) map[string][]engine.Agg {
 
 // propResult builds shard `shard`'s hand-made result of n groups: keys of the
 // given kind (string keys of varying length, so they travel with offsets),
-// optional inflation suffixes, and values for every aggregate of the mix that
-// depend on group and shard.
+// optional inflation suffixes, values for every aggregate of the mix that
+// depend on group and shard, and with an ASHE sum the identifier section that
+// gives group i identifiers 1000·shard + 3i + 1 and + 3.
 func propResult(t testing.TB, kind store.Kind, inflated bool, aggs []engine.Agg, n, shard int) *engine.Result {
 	res := &engine.Result{Metrics: engine.Metrics{MapTasks: 1 + shard, RowsScanned: uint64(n)}}
 	if n == 0 {
 		return res
 	}
-	c := &engine.GroupCols{KeyKind: kind, Rows: make([]uint64, n), Aggs: make([]engine.AggCol, len(aggs))}
+	c := &engine.GroupCols{KeyKind: kind, Rows: make([]uint64, n), Aggs: make([]engine.AggCol, len(aggs)), Codec: idlist.VBDiff}
 	if kind != store.U64 {
 		c.KeyOff = make([]uint64, 1, n+1)
 	}
 	if inflated {
 		c.Suffix = make([]int32, n)
 	}
+	var ids [][]uint64
 	for ai, a := range aggs {
 		c.Aggs[ai].Kind = a.Kind
-		if a.Kind == engine.AggAsheSum {
-			c.Aggs[ai].IDOff = make([]uint64, 1, n+1)
+		if a.Kind == engine.AggAsheSum && ids == nil {
+			ids = make([][]uint64, n)
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -205,11 +242,8 @@ func propResult(t testing.TB, kind store.Kind, inflated bool, aggs []engine.Agg,
 			av := engine.AggValue{Kind: col.Kind}
 			switch col.Kind {
 			case engine.AggAsheSum:
-				ids := idlist.FromRange(uint64(1000*shard+3*i+1), uint64(1000*shard+3*i+1))
-				ids.Append(uint64(1000*shard + 3*i + 3))
+				ids[i] = []uint64{uint64(1000*shard + 3*i + 1), uint64(1000*shard + 3*i + 3)}
 				col.Lane = append(col.Lane, v)
-				col.IDs = append(col.IDs, encodeList(t, ids)...)
-				col.IDOff = append(col.IDOff, uint64(len(col.IDs)))
 				continue
 			case engine.AggPaillierSum:
 				av.Pail = new(big.Int).SetUint64(v + 2)
@@ -228,6 +262,9 @@ func propResult(t testing.TB, kind store.Kind, inflated bool, aggs []engine.Agg,
 			}
 			col.Vals = append(col.Vals, av)
 		}
+	}
+	if ids != nil {
+		c.IDs = []engine.IDPart{idSection(t, idlist.VBDiff, ids)}
 	}
 	res.Cols = c
 	return res
@@ -321,31 +358,40 @@ func TestResultRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestEncodeResultRefusesDecodedColumn: a merged result keeps its identifier
-// lists decoded for the decrypter beside it, and nothing frames one; asking
-// EncodeResult to is an error that names the aggregate, never a frame with the
-// lists left out.
-func TestEncodeResultRefusesDecodedColumn(t *testing.T) {
+// TestEncodeResultRefusesMergedSections: a merged result's identifier section
+// is one part per shard, each with its tags mapped to the merged groups. Only
+// a run's result crosses the wire — the proxy decrypts a merged one where it
+// was merged — so EncodeResult refuses it, as it refuses a part tagging
+// another group count than the frame's.
+func TestEncodeResultRefusesMergedSections(t *testing.T) {
 	pl := &engine.Plan{Aggs: []engine.Agg{{Kind: engine.AggCount}, {Kind: engine.AggAsheSum, Col: "v"}},
 		GroupBy: &engine.GroupBy{Col: "k"}, Partial: true, Codec: idlist.VBDiff}
 	shards := []*engine.Result{
 		propResult(t, store.U64, false, pl.Aggs, 8, 0),
-		propResult(t, store.U64, false, pl.Aggs, 8, 1),
+		propResult(t, store.U64, false, pl.Aggs, 5, 1),
+	}
+	for _, s := range shards {
+		if _, err := EncodeResult(idlist.VBDiff.Name(), s, nil, Version); err != nil {
+			t.Fatalf("a run's result: %v", err)
+		}
 	}
 	merged, err := engine.Merge(pl, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if col := &merged.Cols.Aggs[1]; col.RangeOff == nil || col.IDOff != nil {
-		t.Fatal("the merged ASHE column is not decoded")
+	if len(merged.Cols.IDs) != 2 || merged.Cols.IDs[1].Remap == nil {
+		t.Fatalf("the merged section holds %d parts, want 2 remapped ones", len(merged.Cols.IDs))
 	}
-	_, err = EncodeResult(idlist.VBDiff.Name(), merged, nil, Version)
-	if err == nil || !strings.Contains(err.Error(), "aggregate 1's identifier lists are decoded") {
-		t.Fatalf("framing a merged result: %v, want an error naming aggregate 1", err)
+	if _, err := EncodeResult(idlist.VBDiff.Name(), merged, nil, Version); err == nil {
+		t.Error("a merged result framed")
 	}
-	// The shards' own results, encoded, frame as ever.
-	if _, err := EncodeResult(idlist.VBDiff.Name(), shards[0], nil, Version); err != nil {
-		t.Fatal(err)
+	wrong := *shards[0]
+	cols := *wrong.Cols
+	cols.IDs = []engine.IDPart{cols.IDs[0]}
+	cols.IDs[0].Groups++
+	wrong.Cols = &cols
+	if _, err := EncodeResult(idlist.VBDiff.Name(), &wrong, nil, Version); err == nil {
+		t.Error("a part tagging more groups than the frame holds framed")
 	}
 }
 
@@ -362,7 +408,7 @@ func wideFrame(t testing.TB, n int) ([]byte, *engine.Result) {
 
 // TestDecodeResultAllocsPerGroup pins the columnar decode: a 16k-group frame
 // decodes in a constant handful of allocations — the lanes, the key arena and
-// the identifier-list block are the frame itself.
+// the identifier section are the frame itself.
 func TestDecodeResultAllocsPerGroup(t *testing.T) {
 	const groups = 1 << 14
 	p, want := wideFrame(t, groups)
@@ -479,12 +525,13 @@ func mergePlan(codec string, c *engine.GroupCols, pk *paillier.PublicKey) *engin
 // decodes results from a server the threat model does not trust, so the
 // decoder must fail cleanly — never panic or over-reserve — and whatever it
 // accepts must hold one word per group in every lane (what client.Decrypt
-// indexes), merge — with itself, as two shards — into a result or an error,
-// never a panic, view without panicking, and survive a re-encode and second
-// decode unchanged. The seed corpus is the valid frames above, truncations of
-// the golden frame, the hostile frames the unit tests reject, and (in
-// testdata) a frame that decodes but cannot merge and one whose scan section
-// holds a row, which the decoder refuses.
+// indexes) and an identifier section whose runs are checked, merge — with
+// itself, as two shards — into a result or an error, never a panic, view
+// without panicking, and survive a re-encode and second decode unchanged. The
+// seed corpus is the valid frames above, truncations of the golden frame, the
+// hostile frames the unit tests reject and the section frames that decode
+// (sectionFrames), and (in testdata) the same, a frame that decodes but cannot
+// merge and one whose scan section holds a row, which the decoder refuses.
 func FuzzDecodeResult(f *testing.F) {
 	golden, err := hex.DecodeString(goldenFrame)
 	if err != nil {
@@ -502,6 +549,9 @@ func FuzzDecodeResult(f *testing.F) {
 	}
 	f.Add(ops)
 	for _, h := range hostileResultFrames(f) {
+		f.Add(h.frame)
+	}
+	for _, h := range sectionFrames(f) {
 		f.Add(h.frame)
 	}
 	sk, err := paillier.GenerateKey(crand.Reader, 128)
@@ -523,8 +573,13 @@ func FuzzDecodeResult(f *testing.F) {
 			for i := range c.Aggs {
 				col := &c.Aggs[i]
 				if col.Lane != nil && len(col.Lane) != n || col.Lane == nil && len(col.Vals) != n ||
-					col.Kind == engine.AggAsheSum && (len(col.IDOff) != n+1 || col.IDOff[n] != uint64(len(col.IDs))) {
+					col.Kind == engine.AggAsheSum && len(c.IDs) == 0 {
 					t.Fatalf("decoded aggregate column %d does not hold %d groups", i, n)
+				}
+			}
+			for i := range c.IDs {
+				if p := &c.IDs[i]; p.Groups != n || p.Remap != nil || p.Check() != nil {
+					t.Fatalf("decoded identifier section part %d is not %d groups' checked runs", i, n)
 				}
 			}
 			if pl := mergePlan(codec, c, &sk.PublicKey); pl != nil {
@@ -628,31 +683,18 @@ func hostileResultFrames(t testing.TB) []hostileFrame {
 		e.lane([]uint64{7})
 	})
 
-	// The valid frame the remaining cases break: 4 groups, 16-byte keys, one
-	// ASHE sum. After the codec name and six header bytes its extents sit at
-	// fixed offsets: rows (4 words) at 16, keys (64 bytes) at 48, the body
-	// lane at 112, the list offsets (5 words) at 144, the block at 184.
+	// The valid frame the next cases break: 4 groups, 16-byte keys, one ASHE
+	// sum. After the codec name and six header bytes its extents sit at fixed
+	// offsets: rows (4 words) at 16, keys (64 bytes) at 48, the body lane at
+	// 112; the identifier section follows the lane, its list 4 bytes in.
 	valid, _ := wideFrame(t, 4)
-	const rowsAt, laneAt, offsAt, blockAt = 16, 112, 144, 184
-	if binary.LittleEndian.Uint64(valid[offsAt:]) != 0 || binary.LittleEndian.Uint64(valid[rowsAt:]) != 1 {
+	const rowsAt, laneAt, sectionAt = 16, 112, 144
+	if binary.LittleEndian.Uint64(valid[rowsAt:]) != 1 || valid[sectionAt] != 1 || valid[sectionAt+1] != 8 {
 		t.Fatalf("the 4-group frame's layout moved; re-derive the hostile offsets")
 	}
 	mutate := func(name string, edit func(p []byte) []byte) {
 		out = append(out, hostileFrame{name, edit(bytes.Clone(valid))})
 	}
-	mutate("non-monotone list offsets", func(p []byte) []byte {
-		binary.LittleEndian.PutUint64(p[offsAt+8:], 9)
-		binary.LittleEndian.PutUint64(p[offsAt+16:], 4)
-		return p
-	})
-	mutate("list offset past the block", func(p []byte) []byte {
-		binary.LittleEndian.PutUint64(p[offsAt+32:], 1<<40)
-		return p
-	})
-	mutate("first list offset not zero", func(p []byte) []byte {
-		binary.LittleEndian.PutUint64(p[offsAt:], 1)
-		return p
-	})
 	mutate("lane shorter than the group count (a word removed)", func(p []byte) []byte {
 		return append(p[:laneAt], p[laneAt+8:]...)
 	})
@@ -660,12 +702,132 @@ func hostileResultFrames(t testing.TB) []hostileFrame {
 		return append(p[:laneAt], append(make([]byte, 8), p[laneAt:]...)...)
 	})
 	mutate("extent cut mid-word", func(p []byte) []byte { return p[:laneAt+13] })
-	mutate("block cut short", func(p []byte) []byte { return p[:blockAt+3] })
+	mutate("list cut short", func(p []byte) []byte { return p[:sectionAt+5] })
 	mutate("non-zero padding before an extent", func(p []byte) []byte {
 		p[rowsAt-1] = 1
 		return p
 	})
+	mutate("trailing byte after the frame", func(p []byte) []byte { return append(p, 0) })
+
+	// Sections of a 3-group frame (tags take two bits, so tag 3 is written
+	// and refused) over identifiers 1..3: each breaks the part one way.
+	section := func(name string, aggs []engine.AggKind, write func(e *enc)) {
+		out = append(out, hostileFrame{name, sectionFrame(aggs, write)})
+	}
+	asheSum := []engine.AggKind{engine.AggAsheSum}
+	list := []byte{3, 2, 2, 2} // vb+diff: identifiers 1, 2, 3
+	runs := func(e *enc, selected uint64, runs ...[2]uint64) {
+		e.uint(1) // one part
+		e.uint(selected)
+		e.bytes(list)
+		var b []byte
+		for _, r := range runs { // length, tag
+			b = packRun(b, r[0], int(r[1]), 3)
+		}
+		e.bytes(b)
+	}
+	section("run tag at or above the group count", asheSum, func(e *enc) { runs(e, 3, [2]uint64{2, 0}, [2]uint64{1, 3}) })
+	section("runs summing past the selected count", asheSum, func(e *enc) { runs(e, 3, [2]uint64{2, 0}, [2]uint64{2, 1}) })
+	section("runs short of the selected count", asheSum, func(e *enc) { runs(e, 3, [2]uint64{1, 0}, [2]uint64{1, 1}) })
+	section("run cut short", asheSum, func(e *enc) {
+		e.uint(1)
+		e.uint(3)
+		e.bytes(list)
+		e.bytes([]byte{1 | 3<<2, 0x80}) // a long run's word, its length's uvarint cut
+	})
+	section("no identifier section for an ASHE sum", asheSum, func(e *enc) { e.uint(0) })
+	section("identifier section without an ASHE sum", []engine.AggKind{engine.AggCount}, func(e *enc) { runs(e, 3, [2]uint64{3, 0}) })
+	section("section part count larger than the payload", asheSum, func(e *enc) { e.uint(1 << 40) })
+	out = append(out, hostileFrame{"run longer than a Run holds", sectionFrameOf(idlist.Default, 3, asheSum, func(e *enc) {
+		e.uint(1) // 2^64−1 identifiers in two runs
+		e.uint(1<<64 - 1)
+		e.bytes(everyList(t))
+		e.bytes(packRun(packRun(nil, 1<<63, 0, 3), 1<<63-1, 2, 3))
+	})})
+	section("list longer than the payload", asheSum, func(e *enc) {
+		e.uint(1)
+		e.uint(3)
+		e.uint(1 << 40)
+	})
 	return out
+}
+
+// sectionFrame is a result frame of three U64-keyed groups, one row each, its
+// lists in vb+diff, with one aggregate of each kind given — a lane apiece —
+// whose identifier section write writes.
+func sectionFrame(aggs []engine.AggKind, write func(e *enc)) []byte {
+	return sectionFrameOf(idlist.VBDiff, 3, aggs, write)
+}
+
+// sectionFrameOf is sectionFrame with the codec and group count given: group g
+// has key 7+g and an aggregate body of 5+g.
+func sectionFrameOf(codec idlist.Codec, groups int, aggs []engine.AggKind, write func(e *enc)) []byte {
+	e := &enc{}
+	e.str(codec.Name())
+	e.uint(uint64(groups))
+	e.uint(uint64(store.U64))
+	e.bool(false)
+	e.uint(uint64(len(aggs)))
+	for _, k := range aggs {
+		e.uint(uint64(k))
+	}
+	rows, keys, bodies := make([]uint64, groups), make([]uint64, groups), make([]uint64, groups)
+	for g := range groups {
+		rows[g], keys[g], bodies[g] = 1, 7+uint64(g), 5+uint64(g)
+	}
+	e.lane(rows)
+	e.lane(keys)
+	for range aggs {
+		e.lane(bodies)
+	}
+	write(e)
+	e.uint(0) // no scan rows
+	encodeMetrics(e, &engine.Metrics{})
+	e.uint(0) // no spans
+	return e.buf
+}
+
+// sectionFrames are section frames the decoder accepts and the client refuses
+// or reads with care: a list holding the reserved identifier 0, a list whose
+// identifiers descend, which no daemon writes and no sweep can read, and a
+// part of one group selecting every identifier but 0 — one range, 2^64−1
+// identifiers — which decodes to no runs at all.
+func sectionFrames(t testing.TB) []hostileFrame {
+	asheSum := []engine.AggKind{engine.AggAsheSum}
+	part := func(ids ...uint64) func(e *enc) {
+		return func(e *enc) {
+			var l []byte
+			l = binary.AppendUvarint(l, uint64(len(ids)))
+			prev := uint64(0)
+			for _, id := range ids {
+				l = binary.AppendVarint(l, int64(id-prev))
+				prev = id
+			}
+			e.uint(1)
+			e.uint(uint64(len(ids)))
+			e.bytes(l)
+			e.bytes([]byte{0, 1, 2}) // one identifier to each group: words 0, 1, 2
+		}
+	}
+	every := func(e *enc) { // a one-group part of 2^64−1 identifiers
+		e.uint(1)
+		e.uint(1<<64 - 1)
+		e.bytes(everyList(t))
+	}
+	return []hostileFrame{
+		{"selected list holding identifier 0", sectionFrame(asheSum, part(0, 1, 2))},
+		{"non-ascending selected list", sectionFrame(asheSum, part(9, 4, 6))},
+		{"every identifier selected in one group", sectionFrameOf(idlist.Default, 1, asheSum, every)},
+	}
+}
+
+// everyList is the default codec's list of every identifier but 0.
+func everyList(t testing.TB) []byte {
+	l, err := idlist.Default.Encode(idlist.FromRange(1, 1<<64-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 // TestDecodeResultRejectsHostileFrames runs the fuzz seeds' hostile frames as
@@ -674,6 +836,39 @@ func TestDecodeResultRejectsHostileFrames(t *testing.T) {
 	for _, h := range hostileResultFrames(t) {
 		if _, _, _, err := DecodeResult(h.frame, Version); err == nil {
 			t.Errorf("hostile frame accepted: %s", h.name)
+		}
+	}
+}
+
+// TestResultSeedsAreCheckedIn: every hostile frame and section frame above is
+// in the checked-in corpus (testdata/fuzz/FuzzDecodeResult, named after it),
+// byte for byte, so the CI fuzz smoke starts from the frames this file
+// builds; and the section frames decode — identifier 0 and a descending list
+// are the client's to refuse or read pointwise.
+func TestResultSeedsAreCheckedIn(t *testing.T) {
+	slug := regexp.MustCompile(`[^a-z0-9]+`)
+	for _, h := range append(hostileResultFrames(t), sectionFrames(t)...) {
+		path := "testdata/fuzz/FuzzDecodeResult/hostile-" + strings.Trim(slug.ReplaceAllString(strings.ToLower(h.name), "-"), "-")
+		seed, err := os.ReadFile(path)
+		if err != nil {
+			t.Errorf("%s: %v", h.name, err)
+			continue
+		}
+		if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", h.frame); string(seed) != want {
+			t.Errorf("%s is not the %q frame; rewrite it as\n%s", path, h.name, want)
+		}
+	}
+	for _, h := range sectionFrames(t) {
+		_, res, _, err := DecodeResult(h.frame, Version)
+		if err != nil {
+			t.Errorf("%s: %v", h.name, err)
+			continue
+		}
+		for i := range res.Cols.IDs { // a Run a packed run's word at most
+			p := &res.Cols.IDs[i]
+			if runs, err := p.AppendRuns(nil); err != nil || len(runs) > len(p.Runs) {
+				t.Errorf("%s: part %d decodes to %d runs from %d bytes (%v)", h.name, i, len(runs), len(p.Runs), err)
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math/big"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -235,11 +236,6 @@ func TestPlanDecodeRejectsUnknownCodec(t *testing.T) {
 func TestResultRoundTrip(t *testing.T) {
 	ids := idlist.FromRange(10, 1000)
 	ids.Merge(idlist.FromRange(500, 600)) // overlapping: duplicates preserved
-	encoded, err := idlist.Default.Encode(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	block, off := listBlock([]byte{0}, encoded)
 	res := &engine.Result{
 		// Two string-keyed groups; the first is one no row reached, with an
 		// empty key.
@@ -249,7 +245,7 @@ func TestResultRoundTrip(t *testing.T) {
 			KeyArena: []byte("Canada"),
 			Rows:     []uint64{0, 991},
 			Aggs: []engine.AggCol{
-				{Kind: engine.AggAsheSum, Lane: []uint64{0, 0xDEADBEEFCAFE}, IDs: block, IDOff: off},
+				{Kind: engine.AggAsheSum, Lane: []uint64{0, 0xDEADBEEFCAFE}},
 				{Kind: engine.AggCount, Lane: []uint64{0, 991}},
 				{Kind: engine.AggPaillierSum, Vals: []engine.AggValue{
 					{Kind: engine.AggPaillierSum, Pail: big.NewInt(1)},
@@ -258,6 +254,8 @@ func TestResultRoundTrip(t *testing.T) {
 					{Kind: engine.AggOpeMax},
 					{Kind: engine.AggOpeMax, Ope: []byte{1, 2, 3}, ArgID: 77, U64: 41, CompanionBytes: []byte{9}}}},
 			},
+			IDs:   []engine.IDPart{idSection(t, idlist.Default, [][]uint64{nil, ids.IDs()})},
+			Codec: idlist.Default,
 		},
 		Metrics: engine.Metrics{
 			ServerTime: 123 * time.Millisecond, MapTime: 100 * time.Millisecond,
@@ -277,7 +275,7 @@ func TestResultRoundTrip(t *testing.T) {
 		t.Fatalf("codec name %q, want %q", codecName, idlist.Default.Name())
 	}
 	back, err := idlist.Default.Decode(got.View()[1].Aggs[0].Ashe.Encoded)
-	if err != nil || !back.Equal(ids) {
+	if err != nil || !slices.Equal(back.IDs(), slices.Sorted(slices.Values(ids.IDs()))) {
 		t.Fatalf("id list round trip: got %v (err %v), want %v", back, err, ids)
 	}
 	if !reflect.DeepEqual(got.View(), res.View()) || got.Scan != nil || !reflect.DeepEqual(got.Metrics, res.Metrics) {
@@ -337,33 +335,20 @@ func TestDecodeResultRejectsHostileCounts(t *testing.T) {
 	}
 }
 
-// TestDecodeResultRejectsBadListOffsets pins the identifier-list block's
-// guard: offsets that run backwards, or past the block, must fail the decode
-// — a list read through them later would be out of bounds.
+// TestDecodeResultRejectsBadListOffsets pins the identifier section's length
+// guards: a list or a run block whose length runs past the payload, and a
+// part count the payload cannot hold, must fail the decode — a list read
+// through them later would be out of bounds.
 func TestDecodeResultRejectsBadListOffsets(t *testing.T) {
-	for name, offs := range map[string][]uint64{
-		"backwards":      {0, 3, 2},
-		"past the block": {0, 2, 1 << 40},
-		"nonzero first":  {1, 2, 4},
+	for name, write := range map[string]func(e *enc){
+		"list past the payload":    func(e *enc) { e.uint(1); e.uint(2); e.uint(1 << 40) },
+		"runs past the payload":    func(e *enc) { e.uint(1); e.uint(2); e.bytes([]byte{2, 2, 2}); e.uint(1 << 40) },
+		"parts past the payload":   func(e *enc) { e.uint(1 << 40) },
+		"list cut at its length":   func(e *enc) { e.uint(1); e.uint(2); e.uint(3) },
+		"section missing entirely": func(e *enc) {},
 	} {
-		e := &enc{}
-		e.str("")
-		e.uint(2) // groups
-		e.uint(0) // u64 keys
-		e.bool(false)
-		e.uint(1)
-		e.uint(uint64(engine.AggAsheSum))
-		e.lane([]uint64{1, 1}) // rows
-		e.lane([]uint64{7, 8}) // keys
-		e.lane([]uint64{5, 6}) // bodies
-		e.lane(offs)
-		e.buf = append(e.buf, 0, 0, 0, 0)
-		e.align()
-		e.uint(0) // no scan rows
-		encodeMetrics(e, &engine.Metrics{})
-		e.uint(0) // no spans
-		if _, _, _, err := DecodeResult(e.buf, Version); err == nil {
-			t.Errorf("list offsets running %s accepted", name)
+		if _, _, _, err := DecodeResult(sectionFrame([]engine.AggKind{engine.AggAsheSum}, write), Version); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }
@@ -509,8 +494,8 @@ func TestCancelFrameType(t *testing.T) {
 	if MsgCancel.String() != "cancel" || MsgResultChunk.String() != "result-chunk" {
 		t.Fatalf("lifecycle frame names: %v, %v", MsgCancel, MsgResultChunk)
 	}
-	if Version != 13 {
-		t.Fatalf("protocol version = %d, want 13 (a bump must re-capture the golden frames)", Version)
+	if Version != 14 {
+		t.Fatalf("protocol version = %d, want 14 (a bump must re-capture the golden frames)", Version)
 	}
 	if MsgSegmentList.String() != "segment-list" || MsgSegmentFetch.String() != "segment-fetch" || MsgSegmentData.String() != "segment-data" {
 		t.Fatalf("segment frame names: %v, %v, %v", MsgSegmentList, MsgSegmentFetch, MsgSegmentData)
