@@ -45,9 +45,9 @@
 //
 //	seabed-demo -addrs localhost:7687,localhost:7688,localhost:7689 -replicas 2 -hedge 0.9
 //
-// With -metrics, the daemon prints per-connection and per-table statistics
-// on SIGUSR1 — `kill -USR1 $(pidof seabed-server)` shows whether shards
-// stayed balanced; -metrics-format selects the rendering (text or json).
+// On SIGUSR1 the daemon writes its stats snapshot to stderr as one JSON
+// line — `kill -USR1 $(pidof seabed-server)` shows whether shards stayed
+// balanced.
 //
 // With -debug-addr the daemon serves its debug plane over HTTP on a second
 // listener: /metrics (Prometheus text exposition of request, WAL, and
@@ -139,8 +139,6 @@ func main() {
 	parallelism := flag.Int("parallelism", 0, "bound on real task goroutines (0 = NumCPU)")
 	seed := flag.Uint64("seed", 0, "seed for group inflation")
 	shard := flag.String("shard", "", "shard identity i/n in a sharded deployment (e.g. 0/3)")
-	metrics := flag.Bool("metrics", false, "print per-connection/table stats on SIGUSR1")
-	metricsFormat := flag.String("metrics-format", "text", "SIGUSR1 stats rendering: text or json")
 	debugAddr := flag.String("debug-addr", "", "HTTP debug listener (/metrics exposition, /stats JSON, /debug/pprof/); empty = disabled")
 	quiet := flag.Bool("quiet", false, "suppress per-connection logging")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget before connections are force-closed")
@@ -162,10 +160,6 @@ func main() {
 	maxResidentBytes, err := parseByteSize(*maxResident)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "seabed-server: -max-resident:", err)
-		os.Exit(2)
-	}
-	if *metricsFormat != "text" && *metricsFormat != "json" {
-		fmt.Fprintf(os.Stderr, "seabed-server: -metrics-format %q: want text or json\n", *metricsFormat)
 		os.Exit(2)
 	}
 	label := "seabed-server"
@@ -205,9 +199,7 @@ func main() {
 			"wal_records", r.WALRecords, "torn_tails", r.TornTails,
 			"bytes", r.Bytes, "mapped_bytes", r.MappedBytes, "duration", r.Duration)
 	}
-	if *metrics {
-		watchMetrics(srv, logger, *metricsFormat)
-	}
+	watchStats(srv, logger)
 	if *debugAddr != "" {
 		dln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {

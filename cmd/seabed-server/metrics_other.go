@@ -8,7 +8,5 @@ import (
 	"seabed/internal/server"
 )
 
-// watchMetrics is a no-op where SIGUSR1 does not exist.
-func watchMetrics(_ *server.Server, logger *slog.Logger, _ string) {
-	logger.Warn("-metrics requires a unix platform (SIGUSR1); ignoring")
-}
+// watchStats is a no-op where SIGUSR1 does not exist.
+func watchStats(*server.Server, *slog.Logger) {}

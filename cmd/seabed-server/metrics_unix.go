@@ -12,25 +12,20 @@ import (
 	"seabed/internal/server"
 )
 
-// watchMetrics prints a stats snapshot whenever the daemon receives SIGUSR1
-// (the -metrics flag), rendered per -metrics-format: "text" is the
-// human-oriented multi-line dump, "json" the same snapshot in the
-// machine-stable field names Stats.MarshalJSON defines.
-func watchMetrics(srv *server.Server, logger *slog.Logger, format string) {
+// watchStats writes a stats snapshot to stderr as one JSON line whenever the
+// daemon receives SIGUSR1 — the same encoding the debug listener's /stats
+// serves.
+func watchStats(srv *server.Server, logger *slog.Logger) {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGUSR1)
 	go func() {
 		for range sig {
-			if format == "json" {
-				b, err := json.Marshal(srv.Stats())
-				if err != nil {
-					logger.Warn("marshal stats", "err", err)
-					continue
-				}
-				os.Stderr.Write(append(b, '\n')) //nolint:errcheck // best-effort dump
+			b, err := json.Marshal(srv.Stats())
+			if err != nil {
+				logger.Warn("marshal stats", "err", err)
 				continue
 			}
-			logger.Info("stats", "snapshot", srv.Stats().String())
+			os.Stderr.Write(append(b, '\n')) //nolint:errcheck // best-effort dump
 		}
 	}()
 }

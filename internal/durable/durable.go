@@ -130,21 +130,21 @@ func (o Options) withDefaults() Options {
 type RecoveryStats struct {
 	// Tables and Segments count what was recovered; WALRecords counts
 	// replayed append batches.
-	Tables     int
-	Segments   int
-	WALRecords int
+	Tables     int `json:"tables"`
+	Segments   int `json:"segments"`
+	WALRecords int `json:"wal_records"`
 	// TornTails counts WALs truncated at a torn or checksum-failing tail
 	// record (at most one tear per table).
-	TornTails int
+	TornTails int `json:"torn_tails"`
 	// Bytes is the total segment + WAL bytes recovery made addressable:
 	// eagerly read bytes plus MappedBytes.
-	Bytes int64
+	Bytes int64 `json:"bytes"`
 	// MappedBytes is the subset of Bytes recovery mapped rather than read —
 	// segments whose columns fault in on first query instead of being
 	// decoded at startup.
-	MappedBytes int64
+	MappedBytes int64 `json:"mapped_bytes"`
 	// Duration is recovery wall-clock time, tables recovering in parallel.
-	Duration time.Duration
+	Duration time.Duration `json:"duration_ns"`
 }
 
 // tableState is one table's mutable durable state.

@@ -70,7 +70,7 @@ func (pc *planCache) store(key string, cp *compiledPlan) {
 }
 
 // PlanCacheStats reports the cluster's compiled-plan cache hit/miss
-// counters (surfaced by server.Stats and the SIGUSR1 metrics dump).
+// counters (surfaced by server.Stats).
 func (c *Cluster) PlanCacheStats() (hits, misses uint64) {
 	return c.plans.hits.Load(), c.plans.misses.Load()
 }

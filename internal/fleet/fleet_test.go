@@ -7,7 +7,10 @@ package fleet
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -530,5 +533,43 @@ func TestAdoptionFromDaemons(t *testing.T) {
 	}
 	if !reflect.DeepEqual(st.ranges, wantRanges) {
 		t.Fatalf("adopted envelopes %v, want %v", st.ranges, wantRanges)
+	}
+}
+
+// TestHealthBoundsStatsBody: a daemon's /stats body is untrusted. One over
+// maxStatsBody, or one that is not a stats snapshot, leaves that daemon's
+// Stats nil while the wire probe still reports it live, and the rollup
+// answers for every daemon.
+func TestHealthBoundsStatsBody(t *testing.T) {
+	daemons, addrs := startFleetDaemons(t, 3, engine.Config{})
+	honest := httptest.NewServer(daemons[0].srv.DebugHandler())
+	t.Cleanup(honest.Close)
+	oversized := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		// Well-formed JSON, so only the size bound refuses it.
+		io.WriteString(w, `{"runs":7,"pad":"`+strings.Repeat("x", maxStatsBody)+`"}`) //nolint:errcheck // client may hang up
+	}))
+	t.Cleanup(oversized.Close)
+	malformed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, `{"runs":`) //nolint:errcheck // test server
+	}))
+	t.Cleanup(malformed.Close)
+	debug := []string{honest.Listener.Addr().String(), oversized.Listener.Addr().String(), malformed.Listener.Addr().String()}
+
+	c, err := Dial(addrs, Options{Replicas: 1, DebugAddrs: debug})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	h := c.Health(context.Background())
+	if h.Live != 3 {
+		t.Fatalf("live = %d, want 3: %+v", h.Live, h.Daemons)
+	}
+	if h.Daemons[0].Stats == nil {
+		t.Fatal("honest daemon's stats missing from the rollup")
+	}
+	for _, i := range []int{1, 2} {
+		if d := h.Daemons[i]; !d.Live || d.Stats != nil {
+			t.Fatalf("daemon %d: live=%v stats=%+v, want live with no stats", i, d.Live, d.Stats)
+		}
 	}
 }

@@ -3,44 +3,21 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"sync"
 	"time"
+
+	"seabed/internal/server"
 )
 
 // healthProbeTimeout bounds each per-daemon health probe (wire inventory and
 // optional HTTP /stats poll) so one hung daemon cannot stall the rollup.
 const healthProbeTimeout = 2 * time.Second
 
-// DaemonStats mirrors the subset of a daemon's /stats JSON snapshot the
-// health rollup consumes. Field names follow the snake_case contract of the
-// daemon's stats endpoint (server.Stats.MarshalJSON), which is what this
-// struct decodes.
-type DaemonStats struct {
-	// Runs / RunsActive / Canceled / Errors are the daemon's lifetime plan
-	// counters and its in-flight count.
-	Runs       uint64 `json:"runs"`
-	RunsActive int    `json:"runs_active"`
-	Canceled   uint64 `json:"canceled"`
-	Errors     uint64 `json:"errors"`
-	// HedgedRuns and Failovers count coordinator-marked speculative and
-	// failover runs this daemon absorbed; ReplicaFetchBytes counts segment
-	// bytes it shipped to or pulled from peers.
-	HedgedRuns        uint64 `json:"hedged_runs"`
-	Failovers         uint64 `json:"failovers"`
-	ReplicaFetchBytes uint64 `json:"replica_fetch_bytes"`
-	// TableCount and ResidentBytes size the daemon's registry.
-	TableCount    int    `json:"table_count"`
-	ResidentBytes uint64 `json:"resident_bytes"`
-	// Residency is the mapped-segment budget: how hard the daemon's working
-	// set is pressing against -max-resident.
-	Residency struct {
-		BudgetBytes   uint64 `json:"budget_bytes"`
-		ResidentBytes uint64 `json:"resident_bytes"`
-		ColumnFaults  uint64 `json:"column_faults"`
-		Evictions     uint64 `json:"evictions"`
-	} `json:"residency"`
-}
+// maxStatsBody bounds the /stats body the rollup reads from a daemon. The
+// daemon is untrusted; a snapshot of thousands of tables is well under it.
+const maxStatsBody = 4 << 20
 
 // DaemonHealth is one daemon's slice of a FleetHealth snapshot.
 type DaemonHealth struct {
@@ -60,7 +37,7 @@ type DaemonHealth struct {
 	Tables int `json:"tables"`
 	// Stats is the daemon's own /stats snapshot; nil when the fleet was
 	// dialed without debug addresses or the HTTP poll failed.
-	Stats *DaemonStats `json:"stats,omitempty"`
+	Stats *server.Stats `json:"stats,omitempty"`
 }
 
 // RangeHealth reports one table range whose replicas disagree — the
@@ -211,8 +188,9 @@ func (c *Cluster) staleRanges(endIDs []map[string]uint64) []RangeHealth {
 }
 
 // pollStats fetches and decodes one daemon's /stats snapshot; nil on any
-// failure (the rollup reports liveness from the wire probe, not from here).
-func pollStats(ctx context.Context, debugAddr string) *DaemonStats {
+// failure, a malformed body or one over maxStatsBody included (the rollup
+// reports liveness from the wire probe, not from here).
+func pollStats(ctx context.Context, debugAddr string) *server.Stats {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+debugAddr+"/stats", nil)
 	if err != nil {
 		return nil
@@ -225,8 +203,12 @@ func pollStats(ctx context.Context, debugAddr string) *DaemonStats {
 	if resp.StatusCode != http.StatusOK {
 		return nil
 	}
-	var st DaemonStats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxStatsBody+1))
+	if err != nil || len(body) > maxStatsBody {
+		return nil
+	}
+	var st server.Stats
+	if err := json.Unmarshal(body, &st); err != nil {
 		return nil
 	}
 	return &st

@@ -13,7 +13,7 @@ import (
 //	/metrics       Prometheus text exposition of the server's registry
 //	               (request latency histograms, WAL fsync latency, plan-cache
 //	               hits, recovery cost, byte counters)
-//	/stats         the same Stats snapshot the SIGUSR1 dump renders, as JSON
+//	/stats         the Stats snapshot as JSON, the encoding SIGUSR1 dumps
 //	/debug/queries       live-query registry + trace flight recorder (JSON)
 //	/debug/queries/kill  cancel an in-flight run: POST ?trace=<16-hex trace ID>
 //	/debug/pprof/  the standard Go profiles

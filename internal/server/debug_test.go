@@ -3,9 +3,12 @@ package server
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"seabed/internal/durable"
 	"seabed/internal/engine"
 	"seabed/internal/obs"
 	"seabed/internal/store"
@@ -133,6 +136,62 @@ func TestDebugHandlerStats(t *testing.T) {
 	}
 	if len(got.Tables) != 1 || got.Tables[0].Ref != "t@NoEnc" || got.Tables[0].Rows != 3 {
 		t.Fatalf("tables = %+v, want t@NoEnc with 3 rows", got.Tables)
+	}
+}
+
+// TestStatsJSONKeys pins the snapshot's JSON key paths: the json tags are the
+// contract /stats, the SIGUSR1 dump and the fleet rollup share, so a renamed
+// field must fail here rather than silently break a reader.
+func TestStatsJSONKeys(t *testing.T) {
+	st := Stats{
+		ConnsTotal: 1, Runs: 1, TableCount: 1,
+		Recovery:  durable.RecoveryStats{Tables: 1, Duration: time.Millisecond},
+		Residency: store.ResidencyStats{BudgetBytes: 1 << 20},
+		Tables:    []TableStat{{Ref: "t@NoEnc", Rows: 3, Parts: 1}},
+	}
+	b, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v any
+	if err := json.Unmarshal(b, &v); err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		switch x := v.(type) {
+		case map[string]any:
+			for k, e := range x {
+				if path != "" {
+					k = path + "." + k
+				}
+				walk(k, e)
+			}
+		case []any:
+			for _, e := range x {
+				walk(path+"[]", e)
+			}
+		default:
+			paths = append(paths, path)
+		}
+	}
+	walk("", v)
+	slices.Sort(paths)
+	want := []string{
+		"appends", "canceled", "conns_active", "conns_total", "errors", "failovers",
+		"group_routed_rows", "hedged_runs", "plan_cache_hits", "plan_cache_misses",
+		"recovery.bytes", "recovery.duration_ns", "recovery.mapped_bytes", "recovery.segments",
+		"recovery.tables", "recovery.torn_tails", "recovery.wal_records",
+		"registers", "replica_fetch_bytes",
+		"residency.budget_bytes", "residency.column_faults", "residency.evicted_bytes",
+		"residency.evictions", "residency.resident_bytes",
+		"resident_bytes", "runs", "runs_active", "table_count",
+		"tables[].bytes", "tables[].failover_runs", "tables[].hedged_runs", "tables[].parts",
+		"tables[].pulled_bytes", "tables[].ref", "tables[].rows", "tables[].shipped_bytes",
+	}
+	if !slices.Equal(paths, want) {
+		t.Fatalf("stats JSON key paths\n got %v\nwant %v", paths, want)
 	}
 }
 

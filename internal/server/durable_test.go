@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"seabed/internal/durable"
@@ -104,9 +105,10 @@ func TestServerDurableRegistryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStatsStringSurfacesDurability checks the SIGUSR1 dump carries the new
-// counters.
-func TestStatsStringSurfacesDurability(t *testing.T) {
+// TestStatsJSONSurfacesDurability checks the snapshot's JSON encoding — what
+// /stats serves and SIGUSR1 dumps — carries the registry, plan-cache and
+// recovery counters.
+func TestStatsJSONSurfacesDurability(t *testing.T) {
 	st := Stats{
 		TableCount:      2,
 		ResidentBytes:   3 << 20,
@@ -114,10 +116,25 @@ func TestStatsStringSurfacesDurability(t *testing.T) {
 		PlanCacheMisses: 3,
 		Recovery:        durable.RecoveryStats{Tables: 2, Segments: 4, WALRecords: 9, Bytes: 1 << 20, Duration: 1},
 	}
-	out := st.String()
-	for _, want := range []string{"tables=2", "resident=3.0MiB", "plan-cache=7/3", "recovered 2 tables", "9 wal records"} {
-		if !bytes.Contains([]byte(out), []byte(want)) {
-			t.Fatalf("stats dump %q misses %q", out, want)
-		}
+	b, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		TableCount      int    `json:"table_count"`
+		ResidentBytes   uint64 `json:"resident_bytes"`
+		PlanCacheHits   uint64 `json:"plan_cache_hits"`
+		PlanCacheMisses uint64 `json:"plan_cache_misses"`
+		Recovery        struct {
+			Tables     int `json:"tables"`
+			WALRecords int `json:"wal_records"`
+		} `json:"recovery"`
+	}
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.TableCount != 2 || got.ResidentBytes != 3<<20 || got.PlanCacheHits != 7 || got.PlanCacheMisses != 3 ||
+		got.Recovery.Tables != 2 || got.Recovery.WALRecords != 9 {
+		t.Fatalf("stats JSON %s decodes to %+v", b, got)
 	}
 }

@@ -17,13 +17,11 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,8 +76,8 @@ type Server struct {
 	pendingStop bool
 	stopped     bool
 
-	// counters behind Stats (cmd/seabed-server's -metrics flag and the shard
-	// balance assertions of the loopback tests).
+	// counters behind Stats (the /stats endpoint, the SIGUSR1 dump, and the
+	// shard balance assertions of the loopback tests).
 	connsTotal atomic.Uint64
 	registers  atomic.Uint64
 	appends    atomic.Uint64
@@ -121,20 +119,20 @@ type Server struct {
 
 // TableStat describes one registered table for monitoring.
 type TableStat struct {
-	Ref   string
-	Rows  uint64
-	Parts int
+	Ref   string `json:"ref"`
+	Rows  uint64 `json:"rows"`
+	Parts int    `json:"parts"`
 	// Bytes is the table's estimated resident memory.
-	Bytes uint64
+	Bytes uint64 `json:"bytes"`
 	// HedgedRuns and FailoverRuns count runs the fleet coordinator re-issued
 	// to this daemon for the table (speculative hedges and replica
 	// failovers); ShippedBytes and PulledBytes count segment bytes served to
 	// and pulled from peer daemons for it. Together they are the table's
 	// replica health as seen from this daemon.
-	HedgedRuns   uint64
-	FailoverRuns uint64
-	ShippedBytes uint64
-	PulledBytes  uint64
+	HedgedRuns   uint64 `json:"hedged_runs"`
+	FailoverRuns uint64 `json:"failover_runs"`
+	ShippedBytes uint64 `json:"shipped_bytes"`
+	PulledBytes  uint64 `json:"pulled_bytes"`
 }
 
 // repStat is one table's live replication counters.
@@ -158,45 +156,48 @@ func (s *Server) repStat(ref string) *repStat {
 // per-request counters plus the size of every registered table. A sharded
 // deployment compares Rows across daemons to check shard balance; the
 // cancellation tests watch RunsActive fall back to zero after a mid-query
-// cancel to prove the slot was freed.
+// cancel to prove the slot was freed. The json tags are the snapshot's one
+// encoding — the debug listener's /stats, the SIGUSR1 dump and the fleet
+// health rollup all use it — so renaming one breaks dashboards.
 type Stats struct {
-	ConnsTotal  uint64
-	ConnsActive int
-	Registers   uint64
-	Appends     uint64
-	Runs        uint64
+	ConnsTotal  uint64 `json:"conns_total"`
+	ConnsActive int    `json:"conns_active"`
+	Registers   uint64 `json:"registers"`
+	Appends     uint64 `json:"appends"`
+	Runs        uint64 `json:"runs"`
 	// RunsActive counts plans executing right now.
-	RunsActive int
+	RunsActive int `json:"runs_active"`
 	// Canceled counts runs aborted by a Cancel frame, a client disconnect,
 	// or server shutdown.
-	Canceled uint64
-	Errors   uint64
+	Canceled uint64 `json:"canceled"`
+	Errors   uint64 `json:"errors"`
 	// HedgedRuns and Failovers count runs the fleet coordinator marked as
 	// speculative hedges and replica failovers; ReplicaFetchBytes counts
 	// segment bytes shipped to or pulled from peer daemons.
-	HedgedRuns        uint64
-	Failovers         uint64
-	ReplicaFetchBytes uint64
+	HedgedRuns        uint64 `json:"hedged_runs"`
+	Failovers         uint64 `json:"failovers"`
+	ReplicaFetchBytes uint64 `json:"replica_fetch_bytes"`
 	// TableCount and ResidentBytes size the registry: how many tables are
 	// live and their estimated in-memory footprint (Table 5's "memory
 	// size", summed).
-	TableCount    int
-	ResidentBytes uint64
+	TableCount    int    `json:"table_count"`
+	ResidentBytes uint64 `json:"resident_bytes"`
 	// PlanCacheHits/Misses report the engine's compiled-plan cache: a proxy
 	// issuing repeated query shapes should see the hit counter climb.
-	PlanCacheHits, PlanCacheMisses uint64
+	PlanCacheHits   uint64 `json:"plan_cache_hits"`
+	PlanCacheMisses uint64 `json:"plan_cache_misses"`
 	// GroupRoutedRows counts the rows completed group-bys routed to their
 	// reducers by key hash instead of grouping them per map task: a wide
 	// group-by whose last run found about one row per group per task.
-	GroupRoutedRows uint64
+	GroupRoutedRows uint64 `json:"group_routed_rows"`
 	// Recovery reports what the durable store rebuilt at boot (zero without
 	// a -data-dir).
-	Recovery durable.RecoveryStats
+	Recovery durable.RecoveryStats `json:"recovery"`
 	// Residency reports the mapped-segment budget: bytes currently faulted
 	// in from mapped segments, the -max-resident watermark, and fault and
 	// eviction counters (zero without a -data-dir).
-	Residency store.ResidencyStats
-	Tables    []TableStat
+	Residency store.ResidencyStats `json:"residency"`
+	Tables    []TableStat          `json:"tables"`
 }
 
 // Stats returns a snapshot of the server's counters and table registry,
@@ -232,6 +233,7 @@ func (s *Server) Stats() Stats {
 	}
 	s.repMu.Unlock()
 	s.mu.RLock()
+	st.Tables = make([]TableStat, 0, len(s.tables))
 	for ref, t := range s.tables {
 		bytes := t.MemBytes()
 		ts := TableStat{Ref: ref, Rows: t.NumRows(), Parts: len(t.Parts), Bytes: bytes}
@@ -248,145 +250,6 @@ func (s *Server) Stats() Stats {
 	st.TableCount = len(st.Tables)
 	sort.Slice(st.Tables, func(a, b int) bool { return st.Tables[a].Ref < st.Tables[b].Ref })
 	return st
-}
-
-// String renders the snapshot as one human-readable block, the format the
-// -metrics flag prints on SIGUSR1.
-func (st Stats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "conns=%d active=%d registers=%d appends=%d runs=%d in-flight=%d canceled=%d errors=%d",
-		st.ConnsTotal, st.ConnsActive, st.Registers, st.Appends, st.Runs, st.RunsActive, st.Canceled, st.Errors)
-	if st.HedgedRuns > 0 || st.Failovers > 0 || st.ReplicaFetchBytes > 0 {
-		fmt.Fprintf(&b, "\nreplication: hedged=%d failovers=%d fetch=%s",
-			st.HedgedRuns, st.Failovers, fmtBytes(st.ReplicaFetchBytes))
-	}
-	fmt.Fprintf(&b, "\ntables=%d resident=%s plan-cache=%d/%d hit/miss",
-		st.TableCount, fmtBytes(st.ResidentBytes), st.PlanCacheHits, st.PlanCacheMisses)
-	if r := st.Recovery; r.Tables > 0 || r.Duration > 0 {
-		fmt.Fprintf(&b, "\nrecovered %d tables (%s, %s mapped, %d segments, %d wal records, %d torn tails) in %v",
-			r.Tables, fmtBytes(uint64(r.Bytes)), fmtBytes(uint64(r.MappedBytes)), r.Segments, r.WALRecords, r.TornTails, r.Duration)
-	}
-	if r := st.Residency; r.BudgetBytes > 0 || r.ColumnFaults > 0 {
-		fmt.Fprintf(&b, "\nresidency: %s resident (budget %s), %d column faults, %d evictions (%s reclaimed)",
-			fmtBytes(r.ResidentBytes), fmtBytes(r.BudgetBytes), r.ColumnFaults, r.Evictions, fmtBytes(r.EvictedBytes))
-	}
-	for _, t := range st.Tables {
-		fmt.Fprintf(&b, "\n  table %q: %d rows, %d partitions, %s", t.Ref, t.Rows, t.Parts, fmtBytes(t.Bytes))
-		if t.HedgedRuns > 0 || t.FailoverRuns > 0 || t.ShippedBytes > 0 || t.PulledBytes > 0 {
-			fmt.Fprintf(&b, " (hedged=%d failovers=%d shipped=%s pulled=%s)",
-				t.HedgedRuns, t.FailoverRuns, fmtBytes(t.ShippedBytes), fmtBytes(t.PulledBytes))
-		}
-	}
-	return b.String()
-}
-
-// MarshalJSON renders the snapshot with stable snake_case field names — the
-// contract for `seabed-server -metrics-format=json` and the debug listener's
-// /stats endpoint, so dashboards don't break when Go field names shift.
-func (st Stats) MarshalJSON() ([]byte, error) {
-	type tableJSON struct {
-		Ref   string `json:"ref"`
-		Rows  uint64 `json:"rows"`
-		Parts int    `json:"parts"`
-		Bytes uint64 `json:"bytes"`
-		// Per-table replica health: coordination runs and shipped bytes.
-		HedgedRuns   uint64 `json:"hedged_runs"`
-		FailoverRuns uint64 `json:"failover_runs"`
-		ShippedBytes uint64 `json:"shipped_bytes"`
-		PulledBytes  uint64 `json:"pulled_bytes"`
-	}
-	type recoveryJSON struct {
-		Tables          int     `json:"tables"`
-		Segments        int     `json:"segments"`
-		WALRecords      int     `json:"wal_records"`
-		TornTails       int     `json:"torn_tails"`
-		Bytes           int64   `json:"bytes"`
-		MappedBytes     int64   `json:"mapped_bytes"`
-		DurationSeconds float64 `json:"duration_seconds"`
-	}
-	type residencyJSON struct {
-		BudgetBytes   uint64 `json:"budget_bytes"`
-		ResidentBytes uint64 `json:"resident_bytes"`
-		ColumnFaults  uint64 `json:"column_faults"`
-		Evictions     uint64 `json:"evictions"`
-		EvictedBytes  uint64 `json:"evicted_bytes"`
-	}
-	out := struct {
-		ConnsTotal      uint64        `json:"conns_total"`
-		ConnsActive     int           `json:"conns_active"`
-		Registers       uint64        `json:"registers"`
-		Appends         uint64        `json:"appends"`
-		Runs            uint64        `json:"runs"`
-		RunsActive      int           `json:"runs_active"`
-		Canceled        uint64        `json:"canceled"`
-		Errors          uint64        `json:"errors"`
-		HedgedRuns      uint64        `json:"hedged_runs"`
-		Failovers       uint64        `json:"failovers"`
-		ReplicaFetch    uint64        `json:"replica_fetch_bytes"`
-		TableCount      int           `json:"table_count"`
-		ResidentBytes   uint64        `json:"resident_bytes"`
-		PlanCacheHits   uint64        `json:"plan_cache_hits"`
-		PlanCacheMisses uint64        `json:"plan_cache_misses"`
-		GroupRouted     uint64        `json:"group_routed_rows"`
-		Recovery        recoveryJSON  `json:"recovery"`
-		Residency       residencyJSON `json:"residency"`
-		Tables          []tableJSON   `json:"tables"`
-	}{
-		ConnsTotal:      st.ConnsTotal,
-		ConnsActive:     st.ConnsActive,
-		Registers:       st.Registers,
-		Appends:         st.Appends,
-		Runs:            st.Runs,
-		RunsActive:      st.RunsActive,
-		Canceled:        st.Canceled,
-		Errors:          st.Errors,
-		HedgedRuns:      st.HedgedRuns,
-		Failovers:       st.Failovers,
-		ReplicaFetch:    st.ReplicaFetchBytes,
-		TableCount:      st.TableCount,
-		ResidentBytes:   st.ResidentBytes,
-		PlanCacheHits:   st.PlanCacheHits,
-		PlanCacheMisses: st.PlanCacheMisses,
-		GroupRouted:     st.GroupRoutedRows,
-		Recovery: recoveryJSON{
-			Tables:          st.Recovery.Tables,
-			Segments:        st.Recovery.Segments,
-			WALRecords:      st.Recovery.WALRecords,
-			TornTails:       st.Recovery.TornTails,
-			Bytes:           st.Recovery.Bytes,
-			MappedBytes:     st.Recovery.MappedBytes,
-			DurationSeconds: st.Recovery.Duration.Seconds(),
-		},
-		Residency: residencyJSON{
-			BudgetBytes:   st.Residency.BudgetBytes,
-			ResidentBytes: st.Residency.ResidentBytes,
-			ColumnFaults:  st.Residency.ColumnFaults,
-			Evictions:     st.Residency.Evictions,
-			EvictedBytes:  st.Residency.EvictedBytes,
-		},
-		Tables: make([]tableJSON, 0, len(st.Tables)),
-	}
-	for _, t := range st.Tables {
-		out.Tables = append(out.Tables, tableJSON{
-			Ref: t.Ref, Rows: t.Rows, Parts: t.Parts, Bytes: t.Bytes,
-			HedgedRuns: t.HedgedRuns, FailoverRuns: t.FailoverRuns,
-			ShippedBytes: t.ShippedBytes, PulledBytes: t.PulledBytes,
-		})
-	}
-	return json.Marshal(out)
-}
-
-// fmtBytes renders a byte count with a binary unit.
-func fmtBytes(n uint64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.1fGiB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKiB", float64(n)/(1<<10))
-	}
-	return fmt.Sprintf("%dB", n)
 }
 
 // New returns a server executing plans on the given cluster.
@@ -546,17 +409,6 @@ func (s *Server) RegisterTable(ref string, t *store.Table) error {
 	s.tables[ref] = t
 	s.mu.Unlock()
 	return nil
-}
-
-// TableRefs returns the registered refs, for monitoring.
-func (s *Server) TableRefs() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	refs := make([]string, 0, len(s.tables))
-	for ref := range s.tables {
-		refs = append(refs, ref)
-	}
-	return refs
 }
 
 // lookup resolves a ref to its table.

@@ -159,12 +159,12 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 					t.Errorf("lookup %q: (%v, %v)", ref, tbl, err)
 					return
 				}
-				srv.TableRefs()
+				srv.Stats()
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := len(srv.TableRefs()); got != 4 {
+	if got := len(srv.Stats().Tables); got != 4 {
 		t.Fatalf("registry holds %d refs, want 4", got)
 	}
 }
@@ -436,7 +436,7 @@ func TestCloseThenServeAgainKeepsRegistry(t *testing.T) {
 			t.Fatalf("round %d: serve returned %v", round, err)
 		}
 	}
-	if len(srv.TableRefs()) != 1 {
+	if len(srv.Stats().Tables) != 1 {
 		t.Fatal("registry did not survive Close")
 	}
 }

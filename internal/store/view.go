@@ -257,15 +257,15 @@ func NewResidency(budget uint64) *Residency {
 // ResidencyStats is a point-in-time snapshot of the manager.
 type ResidencyStats struct {
 	// BudgetBytes is the configured watermark; 0 means unlimited.
-	BudgetBytes uint64
+	BudgetBytes uint64 `json:"budget_bytes"`
 	// ResidentBytes estimates the bytes currently materialized from views.
-	ResidentBytes uint64
+	ResidentBytes uint64 `json:"resident_bytes"`
 	// ColumnFaults counts columns materialized from backing segments.
-	ColumnFaults uint64
+	ColumnFaults uint64 `json:"column_faults"`
 	// Evictions counts partitions whose vectors were dropped under pressure.
-	Evictions uint64
+	Evictions uint64 `json:"evictions"`
 	// EvictedBytes totals the resident estimate reclaimed by evictions.
-	EvictedBytes uint64
+	EvictedBytes uint64 `json:"evicted_bytes"`
 }
 
 // Stats returns a snapshot of the manager's counters.
