@@ -19,39 +19,33 @@ import (
 func main() {
 	rows := flag.Int("rows", 50_000, "dataset size")
 	workers := flag.Int("workers", 8, "reducer buckets of the embedded cluster (embedded mode)")
-	addr := flag.String("addr", "", "address of a running seabed-server; empty runs an embedded cluster")
-	addrs := flag.String("addrs", "", "comma-separated addresses of N seabed-server shards (scatter-gather mode)")
-	replicas := flag.Int("replicas", 0, "with -addrs: replicate each identifier range on R daemons (failover and healing need R >= 2); 0 means 1, sharding without redundancy")
+	addr := flag.String("addr", "", "comma-separated addresses of one or more running seabed-servers, dialed as a fleet; empty runs an embedded cluster")
+	replicas := flag.Int("replicas", 0, "with -addr: replicate each identifier range on R daemons (failover and healing need R >= 2); 0 means 1, sharding without redundancy")
 	hedge := flag.Float64("hedge", 0, "with -replicas: hedge straggler sub-queries to a second replica once this fraction of ranges has completed, e.g. 0.9; 0 disables hedging")
 	flag.Parse()
-	if *addr != "" && *addrs != "" {
-		fmt.Fprintln(os.Stderr, "seabed-demo: -addr and -addrs are mutually exclusive")
+	if *replicas > 0 && *addr == "" {
+		fmt.Fprintln(os.Stderr, "seabed-demo: -replicas needs -addr")
 		os.Exit(2)
 	}
-	if *replicas > 0 && *addrs == "" {
-		fmt.Fprintln(os.Stderr, "seabed-demo: -replicas needs -addrs")
-		os.Exit(2)
-	}
-	if err := run(*rows, *workers, *addr, *addrs, *replicas, *hedge); err != nil {
+	if err := run(*rows, *workers, *addr, *replicas, *hedge); err != nil {
 		fmt.Fprintln(os.Stderr, "seabed-demo:", err)
 		os.Exit(1)
 	}
 }
 
-func run(rows, workers int, addr, addrs string, replicas int, hedge float64) error {
+func run(rows, workers int, addr string, replicas int, hedge float64) error {
 	ctx := context.Background()
-	// The engine is embedded in this process, one seabed-server daemon
-	// reached over TCP, or a sharded fleet of daemons — the rest of the demo
-	// is identical.
+	// The engine is embedded in this process or a fleet of one or more
+	// seabed-server daemons reached over TCP — the rest of the demo is
+	// identical.
 	var cluster seabed.ClusterBackend
 	var where string
-	switch {
-	case addrs != "":
+	if addr != "" {
 		if replicas == 0 {
 			replicas = 1
 		}
 		var list []string
-		for _, a := range strings.Split(addrs, ",") {
+		for _, a := range strings.Split(addr, ",") {
 			if a = strings.TrimSpace(a); a != "" {
 				list = append(list, a)
 			}
@@ -64,21 +58,12 @@ func run(rows, workers int, addr, addrs string, replicas int, hedge float64) err
 		cluster = fc
 		workers = fc.Workers()
 		where = fmt.Sprintf("%d-daemon fleet at %s, %d replicas per range, hedge quantile %v (%d workers total)",
-			fc.NumDaemons(), addrs, fc.Replicas(), hedge, workers)
+			fc.NumDaemons(), addr, fc.Replicas(), hedge, workers)
 		defer func() {
 			st := fc.Stats()
 			fmt.Printf("\nfleet mitigation counters: %d hedged sub-queries, %d failovers\n", st.Hedges, st.Failovers)
 		}()
-	case addr != "":
-		rc, err := seabed.DialCluster(addr)
-		if err != nil {
-			return err
-		}
-		defer rc.Close()
-		cluster = rc
-		workers = rc.Workers()
-		where = fmt.Sprintf("seabed-server at %s (%d workers)", addr, workers)
-	default:
+	} else {
 		cluster = seabed.NewCluster(seabed.ClusterConfig{Workers: workers})
 		where = fmt.Sprintf("%d workers (embedded)", workers)
 	}

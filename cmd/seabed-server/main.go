@@ -1,7 +1,8 @@
 // Command seabed-server runs Seabed's untrusted engine as a standalone
 // daemon: an engine.Cluster behind a TCP listener speaking the
 // internal/wire protocol. The trusted proxy (internal/client) connects via
-// internal/remote, uploads encrypted tables, and submits physical plans —
+// the fleet coordinator (internal/fleet; one daemon is a fleet of one),
+// uploads encrypted tables, and submits physical plans —
 // the server never sees a key or a plaintext row (§4).
 //
 // Usage:

@@ -68,7 +68,7 @@ func TestShardRestartRecoversDurableTables(t *testing.T) {
 	for i := range addrs {
 		addrs[i], _, _, stops[i] = startDurableShard(t, "127.0.0.1:0", filepath.Join(base, fmt.Sprint(i)), i, 3)
 	}
-	sc, err := seabed.DialShardedCluster(addrs...)
+	sc, err := seabed.DialFleet(addrs, seabed.FleetOptions{Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestKillRestartSIGKILLMidAppend(t *testing.T) {
 		addrs[i] = reservePort(t)
 		daemons[i] = spawnDaemon(t, bin, addrs[i], filepath.Join(base, fmt.Sprint(i)), i, shards)
 	}
-	sc, err := seabed.DialShardedCluster(addrs...)
+	sc, err := seabed.DialFleet(addrs, seabed.FleetOptions{Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,18 +9,17 @@ import (
 )
 
 // ClusterBackend abstracts the untrusted engine the proxy drives. The
-// in-process *engine.Cluster satisfies it directly; *remote.RemoteCluster
-// satisfies it across a TCP connection to a seabed-server; *fleet.Cluster
-// satisfies it across N seabed-servers, range-partitioning tables by row
-// identifier (each range on R replicas) and scatter-gathering queries. The
-// same proxy code therefore serves the paper's single-machine evaluation
-// setup, a real client/server deployment, and a horizontally sharded one
-// (§4, §4.5).
+// in-process *engine.Cluster satisfies it directly; *fleet.Cluster, the one
+// networked backend, satisfies it across N ≥ 1 seabed-servers,
+// range-partitioning tables by row identifier (each range on R replicas)
+// and scatter-gathering queries. One daemon is the fleet of one, so the
+// same proxy code serves the paper's single-machine evaluation setup, a
+// real client/server deployment, and a horizontally sharded one (§4, §4.5).
 //
 // Every request-shaped method takes a context and honors its cancellation
-// and deadline: the in-process engine aborts its worker pool, the remote
-// backends send a wire-protocol Cancel frame to their daemons and return
-// without waiting for the abandoned work.
+// and deadline: the in-process engine aborts its worker pool, the fleet
+// sends a wire-protocol Cancel frame to its daemons and returns without
+// waiting for the abandoned work.
 type ClusterBackend interface {
 	// Workers returns the cluster's worker count. The proxy uses it to size
 	// uploads and to drive the group-inflation heuristic (§4.5).
@@ -28,14 +27,14 @@ type ClusterBackend interface {
 	// RegisterTable makes an encrypted physical table addressable by ref on
 	// the engine. The proxy calls it after every Upload; re-registering a
 	// ref replaces its table. The in-process engine resolves tables by
-	// pointer and treats this as a no-op; a remote engine ships the table's
-	// bytes to the server; a sharded engine range-partitions the table by
-	// row identifier and ships each daemon only its slice.
+	// pointer and treats this as a no-op; a fleet range-partitions the table
+	// by row identifier and ships each daemon only its ranges (a fleet of
+	// one ships the whole table to its daemon).
 	RegisterTable(ctx context.Context, ref string, t *store.Table) error
 	// AppendTable extends a registered table with a batch of new rows whose
 	// identifiers continue the table's contiguously (§4.1: uploads are "a
-	// continuing process"). Only the batch crosses to a remote engine (a
-	// sharded engine routes each daemon its identifier slice of the batch);
+	// continuing process"). Only the batch crosses to a fleet, which routes
+	// each daemon its identifier slices of the batch;
 	// the in-process engine shares the proxy's table pointer and treats this
 	// as a no-op.
 	AppendTable(ctx context.Context, ref string, batch *store.Table) error

@@ -65,7 +65,7 @@ type tableEntry struct {
 }
 
 // NewProxy creates a proxy bound to a cluster backend — the in-process
-// *engine.Cluster, a *remote.RemoteCluster or a *fleet.Cluster.
+// *engine.Cluster or a *fleet.Cluster reaching one or more daemons.
 func NewProxy(master []byte, cluster ClusterBackend) (*Proxy, error) {
 	ring, err := NewKeyRing(master)
 	if err != nil {

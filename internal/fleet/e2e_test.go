@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -561,6 +562,84 @@ func TestFleetUnsyncedTableFails(t *testing.T) {
 	})
 }
 
+// factRows is the join fixture's fact table size: keys cycle through 0..9.
+const factRows = 600
+
+// registerJoinTables registers the join fixture on c: a fact table whose
+// keys cycle through 0..9, and a dimension table holding keys 0..4 (appends
+// add 5..9 one at a time, appendDimKey). It returns a fresh-plan builder for
+// the fact ⋈ dim COUNT(*) and a function running it.
+func registerJoinTables(t *testing.T, c *Cluster) (mkPlan func() *engine.Plan, count func() uint64) {
+	t.Helper()
+	keys := make([]uint64, factRows)
+	vals := make([]uint64, factRows)
+	for i := range keys {
+		keys[i] = uint64(i % 10)
+		vals[i] = 1
+	}
+	fact, err := store.Build("fact", []store.Column{
+		{Name: "k", Kind: store.U64, U64: keys},
+		{Name: "v", Kind: store.U64, U64: vals},
+	}, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RegisterTable(context.Background(), "fact", fact); err != nil {
+		t.Fatal(err)
+	}
+	dim, err := store.Build("dim", []store.Column{
+		{Name: "dk", Kind: store.U64, U64: []uint64{0, 1, 2, 3, 4}},
+		{Name: "w", Kind: store.U64, U64: []uint64{0, 0, 0, 0, 0}},
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RegisterTable(context.Background(), "dim", dim); err != nil {
+		t.Fatal(err)
+	}
+	mkPlan = func() *engine.Plan {
+		return &engine.Plan{
+			Table: fact,
+			Join:  &engine.Join{Right: dim, LeftCol: "k", RightCol: "dk", RightCols: []string{"w"}},
+			Aggs:  []engine.Agg{{Kind: engine.AggCount}},
+		}
+	}
+	count = func() uint64 {
+		t.Helper()
+		res, err := c.Run(context.Background(), mkPlan())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.View()[0].Aggs[0].U64
+	}
+	return mkPlan, count
+}
+
+// appendDimKey appends dimension key k (identifier k+1) to the join
+// fixture's dim table.
+func appendDimKey(t *testing.T, c *Cluster, k uint64) {
+	t.Helper()
+	batch, err := store.BuildFrom("dim", []store.Column{
+		{Name: "dk", Kind: store.U64, U64: []uint64{k}},
+		{Name: "w", Kind: store.U64, U64: []uint64{0}},
+	}, 1, k+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AppendTable(context.Background(), "dim", batch); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// registers sums the daemons' register frames.
+func registers(daemons []*daemon) uint64 {
+	var n uint64
+	for _, d := range daemons {
+		n += d.srv.Stats().Registers
+	}
+	return n
+}
+
 // TestFleetConcurrentJoinQueriesAndAppends races join queries against appends
 // to the join's right table. Join replication must serialize the
 // coordinator's copy-on-write snapshot — never a table mid-append — so this
@@ -569,50 +648,7 @@ func TestFleetUnsyncedTableFails(t *testing.T) {
 func TestFleetConcurrentJoinQueriesAndAppends(t *testing.T) {
 	eachR(t, func(t *testing.T, r int) {
 		c, daemons := dialTestFleet(t, r, uniformCfg)
-
-		const factRows = 600
-		keys := make([]uint64, factRows)
-		vals := make([]uint64, factRows)
-		for i := range keys {
-			keys[i] = uint64(i % 10)
-			vals[i] = 1
-		}
-		fact, err := store.Build("fact", []store.Column{
-			{Name: "k", Kind: store.U64, U64: keys},
-			{Name: "v", Kind: store.U64, U64: vals},
-		}, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.RegisterTable(context.Background(), "fact", fact); err != nil {
-			t.Fatal(err)
-		}
-		// Dimension starts with keys 0..4; appends add 5..9 one at a time.
-		dim, err := store.Build("dim", []store.Column{
-			{Name: "dk", Kind: store.U64, U64: []uint64{0, 1, 2, 3, 4}},
-			{Name: "w", Kind: store.U64, U64: []uint64{0, 0, 0, 0, 0}},
-		}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.RegisterTable(context.Background(), "dim", dim); err != nil {
-			t.Fatal(err)
-		}
-
-		mkPlan := func() *engine.Plan {
-			return &engine.Plan{
-				Table: fact,
-				Join:  &engine.Join{Right: dim, LeftCol: "k", RightCol: "dk", RightCols: []string{"w"}},
-				Aggs:  []engine.Agg{{Kind: engine.AggCount}},
-			}
-		}
-		count := func() uint64 {
-			res, err := c.Run(context.Background(), mkPlan())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.View()[0].Aggs[0].U64
-		}
+		mkPlan, count := registerJoinTables(t, c)
 		if got := count(); got != factRows/2 {
 			t.Fatalf("pre-append join count = %d, want %d", got, factRows/2)
 		}
@@ -643,16 +679,7 @@ func TestFleetConcurrentJoinQueriesAndAppends(t *testing.T) {
 			}()
 		}
 		for k := uint64(5); k < 10; k++ {
-			batch, err := store.BuildFrom("dim", []store.Column{
-				{Name: "dk", Kind: store.U64, U64: []uint64{k}},
-				{Name: "w", Kind: store.U64, U64: []uint64{0}},
-			}, 1, k+1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.AppendTable(context.Background(), "dim", batch); err != nil {
-				t.Fatal(err)
-			}
+			appendDimKey(t, c, k)
 		}
 		close(stop)
 		wg.Wait()
@@ -669,6 +696,61 @@ func TestFleetConcurrentJoinQueriesAndAppends(t *testing.T) {
 			t.Errorf("concurrent joins and appends marked daemons down: %v", down)
 		}
 	})
+}
+
+// TestFleetJoinAfterAppendShipsNothing: the first join broadcasts the
+// dimension table to every daemon, and an append then grows that broadcast
+// copy in place, so later joins re-register nothing and still see the
+// appended keys.
+func TestFleetJoinAfterAppendShipsNothing(t *testing.T) {
+	eachR(t, func(t *testing.T, r int) {
+		c, daemons := dialTestFleet(t, r, uniformCfg)
+		_, count := registerJoinTables(t, c)
+		if got := count(); got != factRows/2 {
+			t.Fatalf("first join count = %d, want %d", got, factRows/2)
+		}
+		shipped := registers(daemons)
+		for k := uint64(5); k < 7; k++ {
+			appendDimKey(t, c, k)
+			if got, want := count(), factRows/10*(k+1); got != want {
+				t.Fatalf("join count after appending key %d = %d, want %d", k, got, want)
+			}
+			if n := registers(daemons); n != shipped {
+				t.Fatalf("join after append %d registered %d tables, want 0 (a re-ship of the broadcast copy)", k, n-shipped)
+			}
+		}
+	})
+}
+
+// TestFleetOfOneHoldsJoinTableOnce: a one-daemon fleet's one range is the
+// whole table, so a join reads the dimension table's range ref and ships no
+// broadcast copy, before or after an append.
+func TestFleetOfOneHoldsJoinTableOnce(t *testing.T) {
+	daemons, addrs := startFleetDaemons(t, 1, engine.Config{Workers: workersPerDaemon})
+	c, err := Dial(addrs, Options{Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	_, count := registerJoinTables(t, c)
+	registered := registers(daemons)
+	if got := count(); got != factRows/2 {
+		t.Fatalf("join count = %d, want %d", got, factRows/2)
+	}
+	appendDimKey(t, c, 5)
+	if got, want := count(), uint64(factRows/10*6); got != want {
+		t.Fatalf("join count after append = %d, want %d", got, want)
+	}
+	if n := registers(daemons); n != registered {
+		t.Errorf("joins registered %d tables, want 0", n-registered)
+	}
+	var refs []string
+	for _, ts := range daemons[0].srv.Stats().Tables {
+		refs = append(refs, ts.Ref)
+	}
+	if !slices.Contains(refs, rangeRef("dim", 0)) || slices.Contains(refs, "dim"+fullSuffix) {
+		t.Errorf("daemon holds %v, want dim#r0 and no dim#all", refs)
+	}
 }
 
 // TestFleetStreamedScan asserts streaming equivalence: concatenating the

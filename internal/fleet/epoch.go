@@ -194,8 +194,8 @@ func splitRangeRef(ref string) (base string, k int, all, ok bool) {
 // adopt recovers placement from the daemons themselves: each daemon's table
 // inventory (segment lists) is parsed for per-range refs, and every range's
 // envelope must agree across the replicas serving it. Refs that are neither
-// per-range nor #all — a daemon a solo -addr client uploaded to, say — are
-// rejected, since the fleet cannot know their placement. A fleet of fresh daemons adopts an empty placement.
+// per-range nor #all (an older single-daemon proxy's) are rejected, since
+// the fleet cannot know their placement. Fresh daemons adopt an empty one.
 func (c *Cluster) adopt(ctx context.Context) error {
 	type seenRange struct {
 		env    engine.IDRange
@@ -211,7 +211,7 @@ func (c *Cluster) adopt(ctx context.Context) error {
 		for _, m := range ms {
 			base, k, all, ok := splitRangeRef(m.Ref)
 			if !ok {
-				return fmt.Errorf("fleet: adopt: daemon %d serves %q, which is not a fleet per-range ref — this daemon holds non-fleet tables; re-register them through the fleet", d, m.Ref)
+				return fmt.Errorf("fleet: adopt: daemon %d serves %q, which is not a fleet per-range ref — this daemon holds non-fleet tables; restart it over an empty data directory and re-register them through the fleet", d, m.Ref)
 			}
 			if all {
 				allShipped[base] = true

@@ -422,6 +422,11 @@ func (c *Cluster) RegisterTable(ctx context.Context, ref string, t *store.Table)
 		st.ranges[k].Lo, st.ranges[k].Hi = sub.Envelope()
 	}
 	c.mu.Lock()
+	for old, r := range c.refs {
+		if r == ref {
+			delete(c.refs, old) // the replaced table is no longer pinned
+		}
+	}
 	c.refs[t] = ref
 	c.tables[ref] = st
 	c.mu.Unlock()
@@ -469,6 +474,7 @@ func (c *Cluster) AppendTable(ctx context.Context, ref string, batch *store.Tabl
 	allShipped := st.allShipped
 	// Grow the coordinator's snapshot copy-on-write (the join-broadcast
 	// source). On a replayed batch the snapshot has the rows already — skip.
+	prev := st.full
 	if st.full != nil && batch.NumRows() > 0 && !st.full.Covers(batch.Parts[0].StartID, batch.EndID()) {
 		grown, err := st.full.WithAppended(batch)
 		if err != nil {
@@ -477,20 +483,24 @@ func (c *Cluster) AppendTable(ctx context.Context, ref string, batch *store.Tabl
 		}
 		st.full = grown
 	}
+	grown := st.full
 	c.mu.Unlock()
 
 	// Append-through: the broadcast #all copy on every daemon grows in the
 	// same call, so an adopted fleet's join tables stay fresh even though the
-	// coordinator holds no snapshot to re-ship.
+	// coordinator holds no snapshot to re-ship. Under shipMu, daemons that
+	// held the pre-append snapshot now hold the grown one: no re-ship.
 	if allShipped && batch.NumRows() > 0 {
+		st.shipMu.Lock()
+		defer st.shipMu.Unlock()
 		if err := c.eachDaemon(ctx, func(ctx context.Context, d int) error {
 			return c.daemons[d].AppendTable(ctx, ref+fullSuffix, batch)
 		}); err != nil {
 			return err
 		}
-		st.shipMu.Lock()
-		st.shipped = nil // conservatively re-derive on next ship
-		st.shipMu.Unlock()
+		if st.shipped == prev {
+			st.shipped = grown
+		}
 	}
 	return c.persistEpoch()
 }
@@ -499,7 +509,11 @@ func (c *Cluster) AppendTable(ctx context.Context, ref string, batch *store.Tabl
 // under its #all ref, if missing or stale. The first ship marks the table
 // allShipped in the epoch file; from then on AppendTable appends through, so
 // re-ships only happen when the snapshot diverged (e.g. a re-registration).
+// A fleet of one ships nothing: its one range is the whole table.
 func (c *Cluster) shipJoinTable(ctx context.Context, ref string, st *tableState) (string, error) {
+	if len(c.daemons) == 1 {
+		return rangeRef(ref, 0), nil
+	}
 	fullRef := ref + fullSuffix
 	st.shipMu.Lock()
 	defer st.shipMu.Unlock()

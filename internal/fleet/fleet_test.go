@@ -536,6 +536,58 @@ func TestAdoptionFromDaemons(t *testing.T) {
 	}
 }
 
+// TestAdoptionRefusesPlainRefs: a daemon holding a table under a plain ref
+// (registered by a bare connection, as a single-daemon proxy once did) is
+// refused at dial, since adoption cannot know that table's placement.
+func TestAdoptionRefusesPlainRefs(t *testing.T) {
+	_, addrs := startFleetDaemons(t, 1, engine.Config{})
+	rc, err := remote.Dial(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if err := rc.RegisterTable(context.Background(), "m@NoEnc", fleetTable(t)); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(addrs, Options{Replicas: 1})
+	if err == nil {
+		c.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), `serves "m@NoEnc", which is not a fleet per-range ref`) {
+		t.Fatalf("dial over a plain ref: err = %v, want a not-a-fleet-ref refusal", err)
+	}
+}
+
+// TestFleetReRegisterDropsOldTable: registering a ref twice leaves one
+// pointer-to-ref entry, queries over the newer table run, and the replaced
+// table no longer resolves, so the fleet pins no superseded version.
+func TestFleetReRegisterDropsOldTable(t *testing.T) {
+	_, addrs := startFleetDaemons(t, 3, engine.Config{})
+	c, err := Dial(addrs, Options{Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	older, newer := fleetTable(t), fleetTable(t)
+	for _, tbl := range []*store.Table{older, newer} {
+		if err := c.RegisterTable(context.Background(), "m@NoEnc", tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.mu.RLock()
+	n := len(c.refs)
+	c.mu.RUnlock()
+	if n != 1 {
+		t.Fatalf("refs after registering one ref twice = %d, want 1", n)
+	}
+	if got := mustGroups(t, c.Run, countPlan(newer)); got[0].Aggs[0].U64 != 90 {
+		t.Fatalf("count over the newer table = %d, want 90", got[0].Aggs[0].U64)
+	}
+	if _, err := c.Run(context.Background(), countPlan(older)); err == nil || !strings.Contains(err.Error(), "never registered") {
+		t.Fatalf("run over the replaced table: err = %v, want a never-registered error", err)
+	}
+}
+
 // TestHealthBoundsStatsBody: a daemon's /stats body is untrusted. One over
 // maxStatsBody, or one that is not a stats snapshot, leaves that daemon's
 // Stats nil while the wire probe still reports it live, and the rollup

@@ -1,17 +1,17 @@
 // Package remote implements the client side of the internal/wire protocol:
-// a RemoteCluster that satisfies the proxy's ClusterBackend interface
-// against a seabed-server daemon, so the trusted proxy can drive an
-// untrusted engine in another process or on another machine (§4) with no
-// change to the query path.
+// a RemoteCluster is one connection to a seabed-server daemon, through
+// which the trusted proxy drives an untrusted engine in another process or
+// on another machine (§4). The fleet coordinator (internal/fleet), the
+// proxy's one networked backend, composes one RemoteCluster — and therefore
+// one independent pool — per daemon and addresses each daemon's tables by
+// ref through RunRequest; seabed.DialCluster is the fleet of one.
 //
 // A RemoteCluster composes a Pool of TCP connections. Every request checks
 // a connection out for one request/response exchange, so concurrent
-// Proxy.Query calls fan out over parallel connections instead of queueing
-// behind one socket. Cancellation crosses the wire: when a request's
-// context dies, the pool fires a protocol Cancel frame at the daemon and
-// returns promptly, draining the abandoned exchange in the background of
-// the same call. The fleet coordinator (internal/fleet) composes one
-// RemoteCluster — and therefore one independent pool — per daemon.
+// queries fan out over parallel connections instead of queueing behind one
+// socket. Cancellation crosses the wire: when a request's context dies, the
+// pool fires a protocol Cancel frame at the daemon and returns promptly,
+// draining the abandoned exchange in the background of the same call.
 package remote
 
 import (
@@ -26,14 +26,17 @@ import (
 	"seabed/internal/wire"
 )
 
-// RemoteCluster is a ClusterBackend speaking the wire protocol over TCP.
+// RemoteCluster is one daemon connection speaking the wire protocol over
+// TCP. Its ClusterBackend half (refs, Run, RunStream) has one non-test
+// caller, the remote.run rung of benchmark/ladder.go, and goes with it.
 type RemoteCluster struct {
 	pool *Pool
 
-	// refs maps registered table pointers back to their server-side refs so
-	// plans (which carry pointers) can be rewritten to reference frames.
+	// refs maps each server-side ref to the table last registered under it
+	// (re-registering replaces it), so plans (which carry pointers) can be
+	// rewritten to reference frames.
 	refMu sync.RWMutex
-	refs  map[*store.Table]string
+	refs  map[string]*store.Table
 }
 
 // Dial connects to a seabed-server, performs the version handshake, and
@@ -43,7 +46,7 @@ func Dial(addr string) (*RemoteCluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RemoteCluster{pool: pool, refs: make(map[*store.Table]string)}, nil
+	return &RemoteCluster{pool: pool, refs: make(map[string]*store.Table)}, nil
 }
 
 // Workers implements ClusterBackend with the server's worker count.
@@ -70,7 +73,7 @@ func (r *RemoteCluster) RegisterTable(ctx context.Context, ref string, t *store.
 		return fmt.Errorf("remote: register %q: unexpected %v response", ref, respType)
 	}
 	r.refMu.Lock()
-	r.refs[t] = ref
+	r.refs[ref] = t
 	r.refMu.Unlock()
 	return nil
 }
@@ -95,12 +98,13 @@ func (r *RemoteCluster) AppendTable(ctx context.Context, ref string, batch *stor
 // refOf resolves a plan's table pointer to its server-side ref.
 func (r *RemoteCluster) refOf(t *store.Table) (string, error) {
 	r.refMu.RLock()
-	ref, ok := r.refs[t]
-	r.refMu.RUnlock()
-	if !ok {
-		return "", fmt.Errorf("remote: table %q was never registered with this cluster (call RegisterTable or Proxy.SyncTables)", t.Name)
+	defer r.refMu.RUnlock()
+	for ref, reg := range r.refs {
+		if reg == t {
+			return ref, nil
+		}
 	}
-	return ref, nil
+	return "", fmt.Errorf("remote: table %q was never registered with this cluster (call RegisterTable or Proxy.SyncTables)", t.Name)
 }
 
 // RunRequest executes a ref-addressed plan request on the server and returns

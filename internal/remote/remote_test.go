@@ -570,3 +570,34 @@ func TestSegmentPullBetweenDaemons(t *testing.T) {
 		t.Fatal("pull from a dead source succeeded")
 	}
 }
+
+// TestReRegisterReplacesRef: registering a ref twice leaves one entry in the
+// pointer-to-ref map, Run resolves the newer table, and the replaced table no
+// longer resolves — the map does not pin every version ever registered.
+func TestReRegisterReplacesRef(t *testing.T) {
+	rc := startServer(t)
+	ctx := context.Background()
+	older := mustTable(t)
+	newer, err := store.Build("x", []store.Column{{Name: "v", Kind: store.U64, U64: []uint64{1, 2, 3}}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tbl := range []*store.Table{older, newer} {
+		if err := rc.RegisterTable(ctx, "x", tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := rc.NumRefs(); n != 1 {
+		t.Fatalf("refs after registering one ref twice = %d, want 1", n)
+	}
+	res, err := rc.Run(ctx, &engine.Plan{Table: newer, Aggs: []engine.Agg{{Kind: engine.AggCount}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Metrics.RowsScanned != 3 {
+		t.Fatalf("run scanned %d rows, want the newer table's 3", res.Metrics.RowsScanned)
+	}
+	if _, err := rc.Run(ctx, &engine.Plan{Table: older, Aggs: []engine.Agg{{Kind: engine.AggCount}}}); err == nil || !strings.Contains(err.Error(), "never registered") {
+		t.Fatalf("run over the replaced table: err = %v, want a never-registered error", err)
+	}
+}

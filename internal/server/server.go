@@ -690,13 +690,15 @@ func (s *Server) serveConn(conn net.Conn, quit <-chan struct{}) {
 				s.reqErrors.Add(1)
 				s.logErr("request failed", "peer", peer, "type", f.t.String(), "err", wire.DecodeError(resp))
 			}
-			if err := wire.WriteFrame(conn, respType, resp); err != nil {
-				s.logErr("response write failed", "peer", peer, "err", err)
-				return
-			}
+			// Account before the write: a client that has read its reply
+			// must find its request counted when it scrapes /metrics.
 			s.bytesOut.Add(uint64(len(resp)) + 5)
 			if h := s.reqSeconds[f.t]; h != nil {
 				h.ObserveDuration(time.Since(f.at))
+			}
+			if err := wire.WriteFrame(conn, respType, resp); err != nil {
+				s.logErr("response write failed", "peer", peer, "err", err)
+				return
 			}
 			if !keep {
 				s.log("closing connection mid-run", "peer", peer)

@@ -111,7 +111,7 @@ func TestExplainAnalyzeShardedEndToEnd(t *testing.T) {
 	for i := range addrs {
 		addrs[i], _ = startSlowServer(t, 0, fmt.Sprintf("%d/3", i))
 	}
-	sc, err := seabed.DialShardedCluster(addrs...)
+	sc, err := seabed.DialFleet(addrs, seabed.FleetOptions{Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

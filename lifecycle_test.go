@@ -209,7 +209,7 @@ func TestCancelMidQuerySharded(t *testing.T) {
 	for i := range addrs {
 		addrs[i], servers[i] = startSlowServer(t, 20*time.Millisecond, fmt.Sprintf("%d/3", i))
 	}
-	sc, err := seabed.DialShardedCluster(addrs...)
+	sc, err := seabed.DialFleet(addrs, seabed.FleetOptions{Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestDeadlineCancelsAllShards(t *testing.T) {
 	for i := range addrs {
 		addrs[i], servers[i] = startSlowServer(t, 20*time.Millisecond, fmt.Sprintf("%d/3", i))
 	}
-	sc, err := seabed.DialShardedCluster(addrs...)
+	sc, err := seabed.DialFleet(addrs, seabed.FleetOptions{Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestUncancelledResultsIdenticalAcrossBackends(t *testing.T) {
 	for i := range shardAddrs {
 		shardAddrs[i], _ = startSlowServer(t, 0, fmt.Sprintf("%d/3", i))
 	}
-	sc, err := seabed.DialShardedCluster(shardAddrs...)
+	sc, err := seabed.DialFleet(shardAddrs, seabed.FleetOptions{Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestStreamedScanMatchesMaterialized(t *testing.T) {
 	for i := range shardAddrs {
 		shardAddrs[i], _ = startSlowServer(t, 0, fmt.Sprintf("%d/3", i))
 	}
-	sc, err := seabed.DialShardedCluster(shardAddrs...)
+	sc, err := seabed.DialFleet(shardAddrs, seabed.FleetOptions{Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

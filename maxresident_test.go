@@ -51,7 +51,7 @@ func TestMaxResidentServesLargerThanBudget(t *testing.T) {
 	// Seed the directory through an unbudgeted daemon and capture the
 	// reference answers while everything is heap-resident.
 	addr, _, _, stop := startBudgetedServer(t, "127.0.0.1:0", dir, 0)
-	sc, err := seabed.DialShardedCluster(addr)
+	sc, err := seabed.DialCluster(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,6 @@ import (
 	"seabed/internal/idlist"
 	"seabed/internal/obs"
 	"seabed/internal/planner"
-	"seabed/internal/remote"
 	"seabed/internal/schema"
 	"seabed/internal/server"
 	"seabed/internal/sqlparse"
@@ -75,11 +74,9 @@ type (
 	// goroutines (RealParallelism).
 	ClusterConfig = engine.Config
 	// ClusterBackend abstracts the engine the proxy drives: an in-process
-	// *Cluster or a *RemoteCluster reaching a seabed-server over TCP.
+	// *Cluster or a *FleetCluster reaching one or more seabed-server daemons
+	// over TCP.
 	ClusterBackend = client.ClusterBackend
-	// RemoteCluster is a ClusterBackend speaking the wire protocol to a
-	// seabed-server daemon.
-	RemoteCluster = remote.RemoteCluster
 	// FleetCluster is a ClusterBackend that range-partitions tables across N
 	// seabed-server daemons with R-way replication: queries fail over to a
 	// live replica when a daemon dies, stragglers are hedged to a second
@@ -189,27 +186,21 @@ const (
 // restartable.
 func OpenDurableStore(opts DurableOptions) (*DurableStore, error) { return durable.Open(opts) }
 
-// DialCluster connects to a running seabed-server and returns a backend
+// DialCluster connects to one running seabed-server and returns a backend
 // usable wherever an in-process *Cluster is: pass it to NewProxy to run the
 // whole Create Plan / Upload Data / Query Data flow against a remote engine.
-func DialCluster(addr string) (*RemoteCluster, error) { return remote.Dial(addr) }
-
-// DialShardedCluster connects to N running seabed-server daemons and returns
-// a sharded backend — the fleet at one replica per range: uploads
-// range-partition across the daemons by row identifier, queries scatter to
-// every range concurrently, and partial aggregates merge at the proxy (ASHE
-// bodies sum, identifier lists merge, Paillier ciphertexts multiply, group-by
-// partials reduce by key).
-func DialShardedCluster(addrs ...string) (*FleetCluster, error) {
-	return fleet.Dial(addrs, fleet.Options{Replicas: 1})
+// It is the fleet of one, DialFleet([]string{addr}, FleetOptions{Replicas: 1}).
+func DialCluster(addr string) (*FleetCluster, error) {
+	return fleet.Dial([]string{addr}, fleet.Options{Replicas: 1})
 }
 
 // DialFleet connects to N running seabed-server daemons and returns a
 // replicated fleet backend: every identifier range lives on
 // FleetOptions.Replicas daemons (chained declustering), queries fail over
 // and hedge across replicas, and FleetCluster.Heal rebuilds a dead daemon
-// from its neighbors without re-uploading. See the internal/fleet package
-// comment for the full model.
+// from its neighbors without re-uploading. Replicas: 1 is plain sharding:
+// queries scatter to every range and partial aggregates merge at the proxy.
+// See the internal/fleet package comment for the full model.
 func DialFleet(addrs []string, opts FleetOptions) (*FleetCluster, error) {
 	return fleet.Dial(addrs, opts)
 }
