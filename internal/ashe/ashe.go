@@ -31,9 +31,6 @@ import (
 	"seabed/internal/prf"
 )
 
-// KeySize is the column key length in bytes.
-const KeySize = prf.KeySize
-
 // Key is a per-column ASHE secret key. Seabed chooses a fresh key for every
 // encrypted column (§4.2).
 //

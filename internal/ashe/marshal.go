@@ -19,15 +19,3 @@ func (ct Ciphertext) Marshal(codec idlist.Codec) ([]byte, error) {
 	binary.LittleEndian.PutUint64(buf, ct.Body)
 	return append(buf, ids...), nil
 }
-
-// Unmarshal inverts Marshal.
-func Unmarshal(data []byte, codec idlist.Codec) (Ciphertext, error) {
-	if len(data) < 8 {
-		return Ciphertext{}, fmt.Errorf("ashe: unmarshal: short buffer (%d bytes)", len(data))
-	}
-	ids, err := codec.Decode(data[8:])
-	if err != nil {
-		return Ciphertext{}, fmt.Errorf("ashe: unmarshal: %v", err)
-	}
-	return Ciphertext{Body: binary.LittleEndian.Uint64(data), IDs: ids}, nil
-}

@@ -36,7 +36,7 @@ type Config struct {
 	// Workers is the cluster size for experiments that do not sweep it: the
 	// cost model's simulated cores and the engine's reducer-bucket count.
 	// Defaults to the paper's 100-core cluster for full runs and to
-	// engine.DefaultWorkers under Quick, so `go test -bench` partitions
+	// engine.DefaultWorkers under Quick, so a quick run partitions
 	// group-bys as an unconfigured engine.Config does.
 	Workers int
 	// Quick shrinks sweeps for use under `go test`.
@@ -176,11 +176,4 @@ func syntheticProxy(cfg Config, rows, groups int, modes ...translate.Mode) (*cli
 	synthCache[key] = proxy
 	fixMu.Unlock()
 	return proxy, nil
-}
-
-// ResetCaches clears cached fixtures (tests use it to bound memory).
-func ResetCaches() {
-	fixMu.Lock()
-	defer fixMu.Unlock()
-	synthCache = map[synthKey]*client.Proxy{}
 }

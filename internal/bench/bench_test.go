@@ -98,8 +98,15 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// resetCaches clears cached fixtures, to bound a test's memory.
+func resetCaches() {
+	fixMu.Lock()
+	defer fixMu.Unlock()
+	clear(synthCache)
+}
+
 func TestSyntheticProxyCache(t *testing.T) {
-	ResetCaches()
+	resetCaches()
 	cfg := testCfg()
 	a, err := syntheticProxy(cfg, 2000, 4, 1) // translate.Seabed == 1
 	if err != nil {
@@ -112,7 +119,7 @@ func TestSyntheticProxyCache(t *testing.T) {
 	if a != b {
 		t.Fatal("cache miss for identical fixture")
 	}
-	ResetCaches()
+	resetCaches()
 }
 
 func TestSeconds(t *testing.T) {

@@ -101,8 +101,8 @@ func TestStragglerInjection(t *testing.T) {
 // query in process, warmed by an untimed first run.
 func synthRun(t *testing.T, rows, parts int, sql string) *client.QueryResult {
 	t.Helper()
-	ResetCaches()
-	t.Cleanup(ResetCaches)
+	resetCaches()
+	t.Cleanup(resetCaches)
 	cfg := testCfg()
 	cfg.Workers = parts // syntheticProxy uploads one partition per worker
 	proxy, err := syntheticProxy(cfg, rows, 4, translate.Seabed)
@@ -281,8 +281,8 @@ func TestCompressAtDriverAblation(t *testing.T) {
 		{8, 10_315, 200_208, 0.03},
 		{32, 11_423, 200_704, 0.10},
 	} {
-		ResetCaches()
-		t.Cleanup(ResetCaches)
+		resetCaches()
+		t.Cleanup(resetCaches)
 		cfg := testCfg()
 		cfg.Workers = tc.tasks
 		proxy, err := syntheticProxy(cfg, 50_000, 10, translate.Seabed)

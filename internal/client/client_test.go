@@ -436,7 +436,10 @@ func TestQueryErrors(t *testing.T) {
 }
 
 func TestKeyRingDerivation(t *testing.T) {
-	ring := MustNewKeyRing([]byte("0123456789abcdef"))
+	ring, err := NewKeyRing([]byte("0123456789abcdef"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Different columns get different keys.
 	a := ring.Ashe("col1").EncryptBody(7, 1)
 	b := ring.Ashe("col2").EncryptBody(7, 1)

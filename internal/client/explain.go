@@ -21,35 +21,30 @@ import (
 // ordinary runQuery path (registered, killable, traced, recorded) and grafts
 // the measured per-operator counters onto each node. The result's rows carry
 // one "plan" text line each; ExplainText joins them back.
-func (p *Proxy) explainQuery(ctx context.Context, root *obs.Span, sql string, stmt *sqlparse.Statement, opts ...QueryOption) (*QueryResult, error) {
-	o := applyOptions(opts)
-	trSpan := root.StartChild("translate")
-	tr, err := translate.Translate(stmt.Query, p, p.ring, o.mode, translate.Options{
-		Workers:          p.cluster.Workers(),
-		ExpectedGroups:   o.expectedGroups,
-		DisableInflation: o.disableInflation,
-	})
-	trSpan.End()
-	if err != nil {
-		root.End()
-		return nil, err
-	}
-
-	var m *engine.Metrics
-	var qr *QueryResult
+func (p *Proxy) explainQuery(ctx context.Context, root *obs.Span, sql string, stmt *sqlparse.Statement, o queryOptions) (*QueryResult, error) {
+	var (
+		tr  *translate.Translation
+		m   *engine.Metrics
+		qr  *QueryResult
+		err error
+	)
 	if stmt.Analyze {
 		// Run for real. Streaming is forced off so every counter is final
 		// when the plan renders; the run registers in the live-query registry
 		// and records its trace like any other query. Its result — metrics,
-		// measured times, trace — is the EXPLAIN's, with the plan as its rows.
-		runOpts := append(append([]QueryOption(nil), opts...),
-			func(qo *queryOptions) { qo.stream = false })
-		if qr, err = p.runQuery(ctx, root, sql, stmt.Query, runOpts...); err != nil {
+		// measured times, trace — is the EXPLAIN's, with the plan it ran as
+		// its rows.
+		o.stream = false
+		if qr, tr, err = p.runQuery(ctx, root, sql, stmt.Query, o); err != nil {
 			return nil, err
 		}
 		m = &qr.Metrics
 	} else {
+		tr, err = p.translateQuery(root, stmt.Query, o)
 		root.End()
+		if err != nil {
+			return nil, err
+		}
 		qr = &QueryResult{trace: root}
 	}
 

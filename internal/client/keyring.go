@@ -41,15 +41,6 @@ func NewKeyRing(master []byte) (*KeyRing, error) {
 	return &KeyRing{master: append([]byte(nil), master...)}, nil
 }
 
-// MustNewKeyRing is like NewKeyRing but panics on error.
-func MustNewKeyRing(master []byte) *KeyRing {
-	k, err := NewKeyRing(master)
-	if err != nil {
-		panic(err)
-	}
-	return k
-}
-
 func (k *KeyRing) derive(domain, col string) []byte {
 	h := hmac.New(sha256.New, k.master)
 	h.Write([]byte(domain))

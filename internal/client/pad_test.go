@@ -22,7 +22,7 @@ import (
 	"seabed/internal/translate"
 )
 
-var padRing = MustNewKeyRing([]byte("pad-property-master-secret"))
+var padRing, _ = NewKeyRing([]byte("pad-property-master-secret")) // 26 bytes: NewKeyRing refuses only secrets under 16
 
 // padValue is the plaintext every fixture encrypts under identifier id.
 func padValue(id uint64) uint64 { return id*2654435761 + 7 }

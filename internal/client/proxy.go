@@ -261,19 +261,21 @@ func (p *Proxy) Query(ctx context.Context, sql string, opts ...QueryOption) (*Qu
 	if err != nil {
 		return nil, err
 	}
+	o := applyOptions(opts)
 	if stmt.Explain {
-		return p.explainQuery(ctx, root, sql, stmt, opts...)
+		return p.explainQuery(ctx, root, sql, stmt, o)
 	}
-	return p.runQuery(ctx, root, sql, stmt.Query, opts...)
+	qr, _, err := p.runQuery(ctx, root, sql, stmt.Query, o)
+	return qr, err
 }
 
 // runQuery executes a parsed statement under an open query trace. The trace
 // root spans parse (when Query minted it) through decrypt; it is finished —
 // ended, offered to TraceSink, slow-query-logged, and recorded by the
 // flight recorder — when the result is complete: at return for materialized
-// results, at drain for streams. sql is the registry fingerprint.
-func (p *Proxy) runQuery(ctx context.Context, root *obs.Span, sql string, q *sqlparse.Query, opts ...QueryOption) (qr *QueryResult, err error) {
-	o := applyOptions(opts)
+// results, at drain for streams. sql is the registry fingerprint. It returns
+// the translation it ran beside the result.
+func (p *Proxy) runQuery(ctx context.Context, root *obs.Span, sql string, q *sqlparse.Query, o queryOptions) (qr *QueryResult, tr *translate.Translation, err error) {
 	// kill is the per-query cancel the live-query registry holds: the kill
 	// endpoint cancels exactly this context, and every layer below — worker
 	// pool, wire exchange, shard scatter — aborts through it.
@@ -288,35 +290,16 @@ func (p *Proxy) runQuery(ctx context.Context, root *obs.Span, sql string, q *sql
 	}
 	p.queries.SetSlowThreshold(p.SlowQueryThreshold)
 	aq := p.queries.Start(root.TraceID(), sql, kill)
-	trSpan := root.StartChild("translate")
-	tr, err := translate.Translate(q, p, p.ring, o.mode, translate.Options{
-		Workers:          p.cluster.Workers(),
-		ExpectedGroups:   o.expectedGroups,
-		DisableInflation: o.disableInflation,
-	})
-	trSpan.End()
-	if err != nil {
+	if tr, err = p.translateQuery(root, q, o); err != nil {
 		cancel()
 		aq.Finish(err, "")
-		return nil, err
-	}
-	if o.selectivity > 0 && o.selectivity < 1 {
-		tr.Server.Filters = append(tr.Server.Filters, engine.Filter{
-			Kind: engine.FilterRandom, Prob: o.selectivity, Seed: o.selSeed,
-		})
-	}
-	if o.codec != nil {
-		tr.Server.Codec = o.codec
-	}
-	if o.forceInflate > 1 && tr.Server.GroupBy != nil {
-		tr.Server.GroupBy.Inflate = o.forceInflate
-		tr.Client.Inflated = true
+		return nil, nil, err
 	}
 
 	// Streaming scan: hand the plan to the backend's streaming path and
 	// return immediately; rows decrypt incrementally as Rows is consumed.
 	if o.stream && len(tr.Client.ScanCols) > 0 && !o.serverOnly {
-		return p.streamQuery(ctx, cancel, aq, tr, root), nil
+		return p.streamQuery(ctx, cancel, aq, tr, root), tr, nil
 	}
 	defer cancel()
 	var finMetrics *engine.Metrics
@@ -332,17 +315,17 @@ func (p *Proxy) runQuery(ctx context.Context, root *obs.Span, sql string, q *sql
 	res, err := p.cluster.Run(obs.ContextWithSpan(ctx, runSpan), tr.Server)
 	runSpan.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	finMetrics = &res.Metrics
 	if o.serverOnly {
-		return &QueryResult{Metrics: res.Metrics, ServerTime: runSpan.Duration(), trace: root}, nil
+		return &QueryResult{Metrics: res.Metrics, ServerTime: runSpan.Duration(), trace: root}, tr, nil
 	}
 	decSpan := root.StartChild("decrypt")
 	dec, err := Decrypt(tr, res, p.ring)
 	decSpan.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	aq.SetRows(uint64(len(dec.Rows)))
 	return &QueryResult{
@@ -352,7 +335,38 @@ func (p *Proxy) runQuery(ctx context.Context, root *obs.Span, sql string, q *sql
 		ServerTime: runSpan.Duration(),
 		ClientTime: dec.ClientTime,
 		trace:      root,
-	}, nil
+	}, tr, nil
+}
+
+// translateQuery compiles q the way a run of it executes, under a
+// "translate" span: translate.Translate with the query's options, then the
+// plan changes those options force — the §6.1 random selection, the codec
+// override and forced inflation. EXPLAIN translates through it too, so the
+// plan it shows is the plan that runs.
+func (p *Proxy) translateQuery(root *obs.Span, q *sqlparse.Query, o queryOptions) (*translate.Translation, error) {
+	trSpan := root.StartChild("translate")
+	defer trSpan.End()
+	tr, err := translate.Translate(q, p, p.ring, o.mode, translate.Options{
+		Workers:          p.cluster.Workers(),
+		ExpectedGroups:   o.expectedGroups,
+		DisableInflation: o.disableInflation,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if o.selectivity > 0 && o.selectivity < 1 {
+		tr.Server.Filters = append(tr.Server.Filters, engine.Filter{
+			Kind: engine.FilterRandom, Prob: o.selectivity, Seed: o.selSeed,
+		})
+	}
+	if o.codec != nil {
+		tr.Server.Codec = o.codec
+	}
+	if o.forceInflate > 1 && tr.Server.GroupBy != nil {
+		tr.Server.GroupBy.Inflate = o.forceInflate
+		tr.Client.Inflated = true
+	}
+	return tr, nil
 }
 
 // finishTrace closes a query's trace root and delivers it: to TraceSink when

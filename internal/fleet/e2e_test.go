@@ -802,6 +802,9 @@ func TestFleetStreamedScan(t *testing.T) {
 		if len(res.Scan) != 0 {
 			t.Errorf("streamed gather materialized %d rows, want 0", len(res.Scan))
 		}
+		if res.Metrics.FirstChunk <= 0 {
+			t.Errorf("merged stream metrics carry FirstChunk %v, want > 0", res.Metrics.FirstChunk)
+		}
 		if len(got) != len(want.Scan) {
 			t.Fatalf("streamed %d rows, materialized %d", len(got), len(want.Scan))
 		}

@@ -228,6 +228,3 @@ func CompareLeak(ct1, ct2 []byte) (cmp, inddiff int) {
 
 // Less reports whether ct1's plaintext is strictly smaller than ct2's.
 func Less(ct1, ct2 []byte) bool { return Compare(ct1, ct2) < 0 }
-
-// Leq reports whether ct1's plaintext is ≤ ct2's.
-func Leq(ct1, ct2 []byte) bool { return Compare(ct1, ct2) <= 0 }

@@ -242,8 +242,8 @@ func TestLeqLess(t *testing.T) {
 	if !Less(c5, c9) || Less(c9, c5) || Less(c5, c5) {
 		t.Fatal("Less misbehaves")
 	}
-	if !Leq(c5, c9) || !Leq(c5, c5) || Leq(c9, c5) {
-		t.Fatal("Leq misbehaves")
+	if Compare(c5, c9) > 0 || Compare(c5, c5) > 0 || Compare(c9, c5) <= 0 {
+		t.Fatal("Compare misorders for ≤")
 	}
 }
 

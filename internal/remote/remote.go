@@ -227,9 +227,6 @@ func (r *RemoteCluster) RunStream(ctx context.Context, pl *engine.Plan, sink eng
 	return r.runPlan(ctx, pl, sink)
 }
 
-// Addr returns the server address this cluster dials.
-func (r *RemoteCluster) Addr() string { return r.pool.Addr() }
-
 // Close releases the connection pool. In-flight requests finish on their
 // checked-out connections, which are then discarded.
 func (r *RemoteCluster) Close() error { return r.pool.Close() }

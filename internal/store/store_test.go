@@ -276,7 +276,7 @@ func TestImageRoundTrip(t *testing.T) {
 		}
 		for pi, p := range tbl.Parts {
 			q := back.Parts[pi]
-			if q.StartID != p.StartID || q.IsView() || len(q.Cols) != len(p.Cols) {
+			if q.StartID != p.StartID || q.view != nil || len(q.Cols) != len(p.Cols) {
 				t.Fatalf("%s: partition %d is %+v", name, pi, q)
 			}
 			for ci := range p.Cols {

@@ -192,10 +192,6 @@ func (p *Partition) MemBytes() uint64 {
 	return n
 }
 
-// IsView reports whether the partition lazily loads its columns from a
-// backing segment rather than owning heap vectors.
-func (p *Partition) IsView() bool { return p.view != nil }
-
 // Assemble builds a table directly from pre-built partitions — the
 // constructor of a decoded image, whose partitions are heap vectors aliasing
 // the image or segment-backed views rather than slices of full-length heap

@@ -40,8 +40,8 @@ func viewFixture(n int, startID uint64, res *Residency) (*Partition, *fakeLoader
 
 func TestViewPartitionLazyLoad(t *testing.T) {
 	p, l := viewFixture(64, 1, nil)
-	if !p.IsView() {
-		t.Fatal("IsView() = false for a view partition")
+	if p.view == nil {
+		t.Fatal("a view partition carries no view")
 	}
 	if p.NumRows() != 64 {
 		t.Fatalf("NumRows() = %d before any pin, want 64", p.NumRows())
@@ -160,8 +160,8 @@ func TestHeapPartitionPinIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := tbl.Parts[0]
-	if p.IsView() {
-		t.Fatal("heap partition reports IsView")
+	if p.view != nil {
+		t.Fatal("a heap partition carries a view")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		release, err := p.Pin(nil)
@@ -292,7 +292,7 @@ func TestViewConcurrentPinsAndAppends(t *testing.T) {
 						t.Errorf("pin: %v", err)
 						return
 					}
-					if idxs == nil && p.IsView() && p.Cols[0].U64[0] != p.StartID {
+					if idxs == nil && p.view != nil && p.Cols[0].U64[0] != p.StartID {
 						t.Errorf("pinned value = %d, want %d", p.Cols[0].U64[0], p.StartID)
 						release()
 						return

@@ -9,7 +9,6 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 
 	"seabed/internal/schema"
@@ -74,17 +73,4 @@ func ScaleRows(paperRows uint64, divisor uint64) int {
 		rows = 1000
 	}
 	return int(rows)
-}
-
-// fmtCount renders large counts compactly for experiment output.
-func fmtCount(n uint64) string {
-	switch {
-	case n >= 1_000_000_000:
-		return fmt.Sprintf("%.2fB", float64(n)/1e9)
-	case n >= 1_000_000:
-		return fmt.Sprintf("%.1fM", float64(n)/1e6)
-	case n >= 1_000:
-		return fmt.Sprintf("%.1fk", float64(n)/1e3)
-	}
-	return fmt.Sprintf("%d", n)
 }

@@ -241,19 +241,6 @@ func TestAdLogScaledMix(t *testing.T) {
 	}
 }
 
-func TestFmtCount(t *testing.T) {
-	for in, want := range map[uint64]string{
-		5:             "5",
-		1500:          "1.5k",
-		2_500_000:     "2.5M",
-		1_750_000_000: "1.75B",
-	} {
-		if got := fmtCount(in); got != want {
-			t.Errorf("fmtCount(%d) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 func TestTPCDSReference(t *testing.T) {
 	c := TPCDSReference
 	if c.Server+c.ClientPre+c.ClientPost+c.TwoRound != c.Total {

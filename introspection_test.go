@@ -103,6 +103,30 @@ func TestExplainRendersPlan(t *testing.T) {
 	}
 }
 
+// TestExplainAppliesQueryOptions: EXPLAIN translates a query the way its run
+// does, so the plan changes that query options force appear in the tree, and
+// EXPLAIN ANALYZE prints the plan it ran.
+func TestExplainAppliesQueryOptions(t *testing.T) {
+	proxy := lifecycleProxy(t, seabed.NewCluster(seabed.ClusterConfig{Workers: 4}))
+	for _, tc := range []struct {
+		opt  seabed.QueryOption
+		want string
+	}{
+		{seabed.WithForceInflate(3), "inflate=3"},
+		{seabed.WithSelectivity(0.5, 7), "Filter random: prob=0.5 seed=7"},
+	} {
+		for _, explain := range []string{"EXPLAIN ", "EXPLAIN ANALYZE "} {
+			res, err := proxy.Query(context.Background(), explain+"SELECT d, SUM(m) FROM big GROUP BY d", tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if text := res.ExplainText(); !strings.Contains(text, tc.want) {
+				t.Errorf("%soutput missing %q:\n%s", explain, tc.want, text)
+			}
+		}
+	}
+}
+
 // TestExplainAnalyzeShardedEndToEnd is the acceptance gate: EXPLAIN ANALYZE
 // against a 3-shard fleet prints the per-operator tree with real counters
 // merged across shards (carried in wire v8 result frames).
