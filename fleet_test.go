@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"net"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -232,15 +233,15 @@ func TestFleetFailoverAndHealEndToEnd(t *testing.T) {
 	// pieces lists what d ships for ref as (size, CRC) pairs: its committed
 	// segments, then its WAL tail's image, if it has one.
 	pieces := func(d *seabed.DurableStore, ref string) (ps []piece, tail bool) {
-		segs, pending, err := d.ShipManifest(ref)
+		paths, pending, err := d.Shipment(ref)
 		if err != nil {
-			t.Fatalf("manifest %q: %v", ref, err)
+			t.Fatalf("shipment of %q: %v", ref, err)
 		}
 		var imgs [][]byte
-		for _, name := range segs {
-			data, err := d.SegmentBytes(ref, name)
+		for _, path := range paths {
+			data, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatalf("segment %s of %q: %v", name, ref, err)
+				t.Fatalf("segment %s of %q: %v", path, ref, err)
 			}
 			imgs = append(imgs, data)
 		}

@@ -292,9 +292,9 @@ func (d *decrypter) asheSums(o *translate.Output, cols *engine.GroupCols) ([]uin
 // decodeSection decodes the columns' identifier section once, into the
 // scratch, for every ASHE sum: each part's list back to back into one block of
 // ranges and its runs, their tags mapped to these columns' groups, into
-// another (engine.IDPart.AppendRuns checks them). Before any PRF value is
-// computed it refuses identifier 0, naming the aggregate o that asked, and a
-// list that does not hold exactly the identifiers its runs hand out.
+// another (engine.IDPart.Decode checks both, refusing a list that does not
+// hold exactly the identifiers its runs hand out). Before any PRF value is
+// computed it refuses identifier 0, naming the aggregate o that asked.
 func (d *decrypter) decodeSection(o *translate.Output, cols *engine.GroupCols) error {
 	sc := d.scratchBuf()
 	sc.sec = section{lo: math.MaxUint64, sweepable: true}
@@ -303,28 +303,17 @@ func (d *decrypter) decodeSection(o *translate.Output, cols *engine.GroupCols) e
 	bounds := make([][2]int, len(cols.IDs)) // each part's ranges and runs end
 	for i := range cols.IDs {
 		p := &cols.IDs[i]
-		from := len(sc.ranges)
+		from, runsFrom := len(sc.ranges), len(sc.runs)
 		var err error
-		if sc.ranges, err = d.codec.AppendDecode(sc.ranges, p.List); err != nil {
-			return fmt.Errorf("client: decode id list: %v", err)
+		if sc.ranges, sc.runs, err = p.Decode(d.codec, sc.ranges, sc.runs); err != nil {
+			return fmt.Errorf("client: part %d: %v", i, err)
 		}
-		runsFrom := len(sc.runs)
-		if sc.runs, err = p.AppendRuns(sc.runs); err != nil {
-			return fmt.Errorf("client: %v", err)
-		}
-		list, held := sc.ranges[from:], uint64(0)
+		list := sc.ranges[from:]
 		for _, r := range list {
 			if r.Lo == 0 {
 				return &ReservedIDError{Where: fmt.Sprintf("aggregate %d (sum of %s)", o.Agg, o.SourceCol)}
 			}
-			if r.Lo > r.Hi || r.Span() > p.Selected-held {
-				return fmt.Errorf("client: identifier section part %d lists more than its %d identifiers (malformed or hostile result)", i, p.Selected)
-			}
-			held += r.Span()
 			sec.lo, sec.hi = min(sec.lo, r.Lo), max(sec.hi, r.Hi)
-		}
-		if held != p.Selected {
-			return fmt.Errorf("client: identifier section part %d lists %d of its %d identifiers (malformed or hostile result)", i, held, p.Selected)
 		}
 		sec.sweepable = sec.sweepable && ashe.Sweepable(list)
 		sec.values += 2 * ashe.Part{Ranges: list, Runs: sc.runs[runsFrom:], Group: p.WholeGroup()}.Pieces()

@@ -7,7 +7,7 @@
 // log-structured storage engines:
 //
 //   - Registered tables flush as immutable segment files, each the table's
-//     image (store's one table encoding, "SBSG" v3, specified in
+//     image (store's one table encoding, "SBSG" v4, specified in
 //     docs/FORMAT.md): a CRC'd directory header followed by 8-aligned
 //     column extents, each with its own CRC, so the file can be
 //     memory-mapped and served in place. Bit rot is detected at read time

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"seabed/internal/store"
 )
@@ -13,53 +12,33 @@ import (
 //
 // Every piece of a table a daemon ships is a table image: each committed
 // segment file as it lies on disk, and the uncompacted WAL tail as an image
-// built in memory. ShipManifest takes the pieces as one cut; SegmentBytes
-// serves one segment file. On the receiving daemon, InstallTable takes the
-// pieces as images, in order, and names none of them after its peer: it
-// checks that they assemble into one table before anything is written, then
-// commits each as a fresh segment of its own, the tail included. A healed
-// table's directory holds its source's bytes under local names and recovers
-// as any other does.
+// built in memory. Shipment takes the pieces as one cut. On the receiving
+// daemon, InstallTable takes the pieces as images, in order, and names none
+// of them after its peer: it checks that they assemble into one table before
+// anything is written, then commits each as a fresh segment of its own, the
+// tail included. A healed table's directory holds its source's bytes under
+// local names and recovers as any other does.
 
-// ShipManifest takes ref's shippable pieces as one cut, under the table lock
-// and reading no bytes: the names of its committed segments in install
+// Shipment takes ref's shippable pieces as one cut, under the table lock and
+// reading no bytes: the paths of its committed segment files in install
 // order, and the rows of its uncompacted WAL tail (nil when the WAL holds
-// none). Committed segments are immutable, so their bytes may be read
-// (SegmentBytes) after the lock is released; one that a later re-register
-// deleted is then refused by name.
-func (s *Store) ShipManifest(ref string) ([]string, *store.Table, error) {
+// none). Committed segments are immutable, so their files may be read after
+// the lock is released; one that a later re-register deleted is then
+// missing, and the read fails.
+func (s *Store) Shipment(ref string) (paths []string, tail *store.Table, err error) {
 	st, err := s.stateFor(ref, false)
 	if err != nil {
 		return nil, nil, err
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var tail *store.Table
 	if st.pending != nil && st.pending.NumRows() > 0 {
 		tail = st.pending.Snapshot()
 	}
-	return slices.Clone(st.segments), tail, nil
-}
-
-// SegmentBytes serves one committed segment's raw file bytes for shipping.
-// The name must be in ref's live segment set.
-func (s *Store) SegmentBytes(ref, name string) ([]byte, error) {
-	st, err := s.stateFor(ref, false)
-	if err != nil {
-		return nil, err
+	for _, name := range st.segments {
+		paths = append(paths, filepath.Join(s.opts.Dir, st.id, name))
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, seg := range st.segments {
-		if seg == name {
-			data, err := os.ReadFile(filepath.Join(s.opts.Dir, st.id, name))
-			if err != nil {
-				return nil, fmt.Errorf("durable: read segment for shipping: %w", err)
-			}
-			return data, nil
-		}
-	}
-	return nil, fmt.Errorf("durable: table %q has no live segment %q", ref, name)
+	return paths, tail, nil
 }
 
 // InstallTable installs a table shipped as images under ref: its source's

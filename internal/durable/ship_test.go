@@ -57,7 +57,7 @@ func TestEncodeDecodeSegmentRoundTrip(t *testing.T) {
 	}
 }
 
-// shipped is one piece as a listing describes it: size and CRC, no name.
+// shipped describes one shipped image by its size and CRC.
 type shipped struct {
 	size int64
 	crc  uint32
@@ -68,29 +68,42 @@ func piece(data []byte) shipped {
 	return shipped{int64(len(data)), crc32.ChecksumIEEE(data)}
 }
 
+// shipment reads ref's shipment on s: its committed segment files' bytes, in
+// order, and its WAL tail.
+func shipment(t *testing.T, s *Store, ref string) ([][]byte, *store.Table) {
+	t.Helper()
+	paths, tail, err := s.Shipment(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgs := make([][]byte, len(paths))
+	for i, path := range paths {
+		if imgs[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return imgs, tail
+}
+
 // installedPieces lists ref's committed segments on s as (size, CRC) pairs,
 // and fails if s also holds a WAL tail for it.
 func installedPieces(t *testing.T, s *Store, ref string) []shipped {
 	t.Helper()
-	segs, tail, err := s.ShipManifest(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
+	imgs, tail := shipment(t, s, ref)
 	if tail != nil {
 		t.Fatalf("%q has a wal tail of %d rows; an install commits every piece", ref, tail.NumRows())
 	}
-	out := make([]shipped, len(segs))
-	for i, name := range segs {
-		data, err := s.SegmentBytes(ref, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = piece(data)
+	out := make([]shipped, len(imgs))
+	for i, img := range imgs {
+		out[i] = piece(img)
 	}
 	return out
 }
 
-func TestShipManifestAndInstallRoundTrip(t *testing.T) {
+// TestShipmentAndInstallRoundTrip: a shipment is a durable table's committed
+// segment files and its WAL tail, and an install commits them, tail
+// included, as the receiver's own segments.
+func TestShipmentAndInstallRoundTrip(t *testing.T) {
 	srcDir, dstDir := t.TempDir(), t.TempDir()
 	src := openStore(t, srcDir, func(o *Options) { o.CompactBytes = 1 }) // compact every append
 	defer src.Close()
@@ -112,12 +125,9 @@ func TestShipManifestAndInstallRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	segs, tail, err := src.ShipManifest("big@NoEnc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 2 {
-		t.Fatalf("want >= 2 committed segments, got %v", segs)
+	imgs, tail := shipment(t, src, "big@NoEnc")
+	if len(imgs) < 2 {
+		t.Fatalf("want >= 2 committed segments, got %d", len(imgs))
 	}
 	tailImg := serialize(t, tail)
 	if !bytes.Equal(tailImg, serialize(t, tailBatch)) {
@@ -125,14 +135,6 @@ func TestShipManifestAndInstallRoundTrip(t *testing.T) {
 	}
 
 	// Ship: each segment's bytes, then the tail as one more image.
-	var imgs [][]byte
-	for _, name := range segs {
-		data, err := src.SegmentBytes("big@NoEnc", name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		imgs = append(imgs, data)
-	}
 	imgs = append(imgs, tailImg)
 	var want []shipped
 	for _, img := range imgs {

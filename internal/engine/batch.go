@@ -243,6 +243,18 @@ const (
 	denseMaxEntries     = 1 << 20
 )
 
+// denseSpan is the dense index's key span for a u64 grouping with
+// inflateN suffixes: keyBound when the plan declares one, else the default
+// span, either capped so keys × suffixes stays within denseMaxEntries. The
+// grouper sizes its index by it and EXPLAIN reports it.
+func denseSpan(keyBound, inflateN uint64) uint64 {
+	keys := uint64(denseDefaultEntries) / inflateN
+	if keyBound > 0 {
+		keys = keyBound
+	}
+	return min(keys, uint64(denseMaxEntries)/inflateN)
+}
+
 // Radix partitioning of hash-path probes. When the open-addressed slot
 // table outgrows radixMinTable entries, each batch's surviving keys are
 // counting-sorted by the top radixBits of their hash before probing: the
@@ -305,15 +317,8 @@ func (g *grouper) init(cp *compiledPlan, expect int) {
 		g.acc.reserve(expect + expect/4)
 	}
 	if kind == store.U64 {
-		keys := uint64(denseDefaultEntries) / g.inflateN
-		if kb := cp.pl.GroupBy.KeyBound; kb > 0 {
-			keys = kb
-		}
-		if max := uint64(denseMaxEntries) / g.inflateN; keys > max {
-			keys = max
-		}
-		g.denseKeys = keys
-		g.dense = make([]int32, keys*g.inflateN)
+		g.denseKeys = denseSpan(cp.pl.GroupBy.KeyBound, g.inflateN)
+		g.dense = make([]int32, g.denseKeys*g.inflateN)
 	}
 	g.horder = make([]int32, batchRows)
 }

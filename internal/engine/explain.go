@@ -104,17 +104,12 @@ func (pl *Plan) GroupPath() string {
 		inflateN = uint64(gb.Inflate)
 	}
 	if kind == store.U64 {
-		keys := uint64(denseDefaultEntries) / inflateN
 		bounded := ""
 		if gb.KeyBound > 0 {
-			keys = gb.KeyBound
 			bounded = ", KeyBound"
 		}
-		if max := uint64(denseMaxEntries) / inflateN; keys > max {
-			keys = max
-		}
 		return fmt.Sprintf("dense direct-index (%d keys × %d suffixes%s), hash fallback radix-partitioned ≥ %d slots",
-			keys, inflateN, bounded, radixMinTable)
+			denseSpan(gb.KeyBound, inflateN), inflateN, bounded, radixMinTable)
 	}
 	keyed := "byte"
 	if kind == store.Str {

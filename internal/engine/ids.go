@@ -89,6 +89,32 @@ func (p *IDPart) AppendRuns(dst []idlist.Run) ([]idlist.Run, error) {
 	return p.walkRuns(dst, true)
 }
 
+// Decode appends the part's list, decoded with codec, to ranges, and its
+// runs to runs as AppendRuns does, after checking the list: no range ends
+// below its start, and together the ranges hold exactly Selected
+// identifiers. Any further check of the identifiers is the caller's.
+func (p *IDPart) Decode(codec idlist.Codec, ranges []idlist.Range, runs []idlist.Run) ([]idlist.Range, []idlist.Run, error) {
+	from := len(ranges)
+	ranges, err := codec.AppendDecode(ranges, p.List)
+	if err != nil {
+		return ranges, runs, fmt.Errorf("engine: decode id list: %v", err)
+	}
+	if runs, err = p.AppendRuns(runs); err != nil {
+		return ranges, runs, err
+	}
+	held := uint64(0)
+	for _, r := range ranges[from:] {
+		if r.Lo > r.Hi || r.Span() > p.Selected-held {
+			return ranges, runs, fmt.Errorf("engine: identifier section part lists more than its %d identifiers (malformed or hostile result)", p.Selected)
+		}
+		held += r.Span()
+	}
+	if held != p.Selected {
+		return ranges, runs, fmt.Errorf("engine: identifier section part lists %d of its %d identifiers (malformed or hostile result)", held, p.Selected)
+	}
+	return ranges, runs, nil
+}
+
 // WholeGroup is the group in the holding columns that a part of one group,
 // which has no runs, hands all its identifiers to.
 func (p *IDPart) WholeGroup() int32 { return int32(p.group(0)) }
@@ -308,20 +334,7 @@ func (c *GroupCols) groupLists() (lists [][]byte, ok bool) {
 	for pi := range c.IDs {
 		p := &c.IDs[pi]
 		var err error
-		if ranges, err = c.Codec.AppendDecode(ranges[:0], p.List); err != nil {
-			return nil, false
-		}
-		if runs, err = p.AppendRuns(runs[:0]); err != nil {
-			return nil, false
-		}
-		total := uint64(0)
-		for _, r := range ranges {
-			if r.Lo > r.Hi || r.Span() > p.Selected-total {
-				return nil, false
-			}
-			total += r.Span()
-		}
-		if total != p.Selected {
+		if ranges, runs, err = p.Decode(c.Codec, ranges[:0], runs[:0]); err != nil {
 			return nil, false
 		}
 		var walk idlist.Pieces

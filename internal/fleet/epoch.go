@@ -204,7 +204,7 @@ func (c *Cluster) adopt(ctx context.Context) error {
 	ranges := make(map[string]map[int]seenRange)
 	allShipped := make(map[string]bool)
 	for d := range c.daemons {
-		ms, err := c.daemons[d].TableManifests(ctx, "")
+		ms, err := c.daemons[d].TableManifests(ctx)
 		if err != nil {
 			return fmt.Errorf("fleet: adopt: inventory daemon %d (%s): %w", d, c.addrs[d], err)
 		}

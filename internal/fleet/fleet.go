@@ -49,8 +49,8 @@
 // without an epoch file adopts the placement from the daemons themselves by
 // inventorying their per-range refs over MsgSegmentList. Heal rebuilds a
 // dead daemon from its neighbors: each range the daemon should host is
-// pulled daemon-to-daemon from a live replica (MsgSegmentFetch), every
-// segment checked against its source's listing, without the proxy
+// pulled daemon-to-daemon from a live replica (MsgSegmentFetch), its images
+// checked against its source's inventory entry, without the proxy
 // re-uploading anything; the healed daemon returns to service only once its
 // envelopes cover the placement's.
 package fleet

@@ -37,8 +37,8 @@ func (e *HealError) Unwrap() error { return e.Err }
 // empty disk); Heal inventories what it still serves, and for every range it
 // should host but does not — plus every missing #all join broadcast — orders
 // it to pull the table daemon-to-daemon from a live replica over the wire's
-// segment-shipping frames; the daemon checks every piece against its
-// source's listing. Tables the daemon still serves (a durable daemon that
+// segment-shipping frames; the daemon checks the images it fetches against
+// its source's inventory entry for the table. Tables the daemon still serves (a durable daemon that
 // recovered its own disk) are left untouched. The healed daemon's envelopes
 // must then cover the placement's, range by range (checkHealed); only then
 // is it marked up: queries route to it again and appends resume. A refusal
@@ -108,7 +108,7 @@ func (c *Cluster) Heal(ctx context.Context, i int) error {
 // envelopes reads daemon i's tables in one all-tables listing: ref →
 // identifier envelope.
 func (c *Cluster) envelopes(ctx context.Context, i int) (map[string]engine.IDRange, error) {
-	ms, err := c.daemons[i].TableManifests(ctx, "")
+	ms, err := c.daemons[i].TableManifests(ctx)
 	if err != nil {
 		return nil, err
 	}

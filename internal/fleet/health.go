@@ -101,7 +101,7 @@ func (c *Cluster) Health(ctx context.Context) FleetHealth {
 			pctx, cancel := context.WithTimeout(ctx, healthProbeTimeout)
 			defer cancel()
 			d := &h.Daemons[i]
-			manifests, err := c.daemons[i].TableManifests(pctx, "")
+			manifests, err := c.daemons[i].TableManifests(pctx)
 			if err != nil {
 				d.Err = err.Error()
 				return

@@ -175,16 +175,18 @@ func (p *Pool) put(conn net.Conn) {
 	p.mu.Unlock()
 }
 
-// RoundTrip sends one request frame and reads its single response frame.
-// Server-reported failures surface as a *ServerError carrying the server's
-// message; the response type is returned for the caller to validate.
+// RoundTrip sends one request frame and reads its single response frame; a
+// MsgResultChunk frame in its place is a protocol error. Server-reported
+// failures surface as a *ServerError carrying the server's message; the
+// response type is returned for the caller to validate.
 func (p *Pool) RoundTrip(ctx context.Context, reqType wire.MsgType, req []byte) (wire.MsgType, []byte, error) {
-	return p.Exchange(ctx, reqType, req, nil)
+	return p.Exchange(ctx, reqType, req, wire.MsgResultChunk, nil)
 }
 
 // Exchange runs one request over a pooled connection: the request frame,
-// zero or more MsgResultChunk frames delivered to onChunk, and the terminal
-// response frame, which it returns.
+// zero or more frames of type chunk delivered to onChunk (a run's
+// MsgResultChunk frames, a fetched table's MsgSegmentData frames), and the
+// terminal response frame, which it returns.
 //
 // Cancellation: when ctx dies mid-exchange, a best-effort MsgCancel frame is
 // sent and the exchange keeps draining (without delivering chunks) until the
@@ -197,7 +199,7 @@ func (p *Pool) RoundTrip(ctx context.Context, reqType wire.MsgType, req []byte) 
 // is retried once on a freshly dialed one. Once any frame has been read the
 // socket was demonstrably live and the request is not retriable: the server
 // may have partially executed it, and the caller may have observed chunks.
-func (p *Pool) Exchange(ctx context.Context, reqType wire.MsgType, req []byte, onChunk func(payload []byte) error) (wire.MsgType, []byte, error) {
+func (p *Pool) Exchange(ctx context.Context, reqType wire.MsgType, req []byte, chunk wire.MsgType, onChunk func(payload []byte) error) (wire.MsgType, []byte, error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			return 0, nil, err
@@ -206,7 +208,7 @@ func (p *Pool) Exchange(ctx context.Context, reqType wire.MsgType, req []byte, o
 		if err != nil {
 			return 0, nil, err
 		}
-		respType, payload, err, retriable := p.exchange(ctx, conn, reqType, req, onChunk)
+		respType, payload, err, retriable := p.exchange(ctx, conn, reqType, req, chunk, onChunk)
 		if err != nil {
 			if fromPool && retriable {
 				continue // stale pooled socket: retry on a fresh dial
@@ -224,7 +226,7 @@ func (p *Pool) Exchange(ctx context.Context, reqType wire.MsgType, req []byte, o
 // with the protocol in a clean state and closing it on transport errors.
 // retriable reports whether the caller may safely re-run the request on a
 // fresh connection.
-func (p *Pool) exchange(ctx context.Context, conn net.Conn, reqType wire.MsgType, req []byte, onChunk func([]byte) error) (_ wire.MsgType, _ []byte, err error, retriable bool) {
+func (p *Pool) exchange(ctx context.Context, conn net.Conn, reqType wire.MsgType, req []byte, chunk wire.MsgType, onChunk func([]byte) error) (_ wire.MsgType, _ []byte, err error, retriable bool) {
 	if err := wire.WriteFrame(conn, reqType, req); err != nil {
 		conn.Close()
 		return 0, nil, err, true
@@ -269,7 +271,7 @@ func (p *Pool) exchange(ctx context.Context, conn net.Conn, reqType wire.MsgType
 			return 0, nil, fmt.Errorf("remote: read %v response: %w", reqType, rerr), !frameRead
 		}
 		frameRead = true
-		if respType == wire.MsgResultChunk {
+		if respType == chunk {
 			// Chunks after cancellation or a sink failure drain silently.
 			if ctx.Err() != nil || sinkErr != nil {
 				continue

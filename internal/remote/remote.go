@@ -148,7 +148,7 @@ func (r *RemoteCluster) RunRequest(ctx context.Context, req *wire.PlanRequest, s
 		collected = append(collected, rows...)
 		return nil
 	}
-	respType, resp, err := r.pool.Exchange(ctx, wire.MsgRun, payload, onChunk)
+	respType, resp, err := r.pool.Exchange(ctx, wire.MsgRun, payload, wire.MsgResultChunk, onChunk)
 	if err != nil {
 		return nil, err
 	}

@@ -510,10 +510,38 @@ func mustTable(t *testing.T) *store.Table {
 	return tbl
 }
 
-// TestSegmentPullBetweenDaemons exercises the wire-v6 shipping path on
-// memory daemons: a table registered on daemon A is pulled by daemon B
-// directly from A, and B then serves the identical synthesized segment
-// bytes under the same CRC.
+// fetchTable fetches table ref from the daemon at addr as a pulling daemon
+// does: one exchange of image frames and a terminal inventory entry.
+func fetchTable(t *testing.T, addr, ref string) ([][]byte, []wire.TableManifest) {
+	t.Helper()
+	pool, err := remote.DialPool(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	var imgs [][]byte
+	typ, resp, err := pool.Exchange(context.Background(), wire.MsgSegmentFetch, wire.EncodeSegmentFetch(ref, ""),
+		wire.MsgSegmentData, func(img []byte) error {
+			imgs = append(imgs, img)
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ != wire.MsgSegmentList {
+		t.Fatalf("fetch of %q ends with a %v frame", ref, typ)
+	}
+	ms, err := wire.DecodeSegmentList(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return imgs, ms
+}
+
+// TestSegmentPullBetweenDaemons exercises the shipping path on memory
+// daemons: a table registered on daemon A is pulled by daemon B directly
+// from A, and B then inventories it as A does and ships the identical
+// image.
 func TestSegmentPullBetweenDaemons(t *testing.T) {
 	rcA := startServer(t)
 	rcB := startServer(t)
@@ -529,40 +557,33 @@ func TestSegmentPullBetweenDaemons(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// B has never seen the table: the manifest request must fail.
-	if _, err := rcB.TableManifests(ctx, "p@NoEnc"); err == nil {
-		t.Fatal("manifest of an unknown table succeeded")
+	// B has never seen the table: its inventory is empty.
+	if ms, err := rcB.TableManifests(ctx); err != nil || len(ms) != 0 {
+		t.Fatalf("inventory of an empty daemon = %+v, %v", ms, err)
 	}
 	if err := rcB.PullTable(ctx, "p@NoEnc", rcA.Addr()); err != nil {
 		t.Fatal(err)
 	}
 
-	wantMs, err := rcA.TableManifests(ctx, "p@NoEnc")
+	wantMs, err := rcA.TableManifests(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotMs, err := rcB.TableManifests(ctx, "p@NoEnc")
+	gotMs, err := rcB.TableManifests(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotMs, wantMs) {
-		t.Fatalf("pulled manifest diverged:\n got %+v\nwant %+v", gotMs, wantMs)
+		t.Fatalf("pulled inventory diverged:\n got %+v\nwant %+v", gotMs, wantMs)
 	}
-	if len(gotMs) != 1 || gotMs[0].Rows != 4 || gotMs[0].StartID != 1 || gotMs[0].EndID != 4 {
-		t.Fatalf("manifest envelope wrong: %+v", gotMs)
+	want := wire.TableManifest{Ref: "p@NoEnc", Rows: 4, StartID: 1, EndID: 4}
+	if len(gotMs) != 1 || gotMs[0] != want {
+		t.Fatalf("inventory %+v, want [%+v]", gotMs, want)
 	}
-	for _, si := range wantMs[0].Segments {
-		want, err := rcA.FetchSegment(ctx, "p@NoEnc", si.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := rcB.FetchSegment(ctx, "p@NoEnc", si.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("segment %s bytes diverged after pull", si.Name)
-		}
+	wantImgs, wantEntry := fetchTable(t, rcA.Addr(), "p@NoEnc")
+	gotImgs, gotEntry := fetchTable(t, rcB.Addr(), "p@NoEnc")
+	if len(gotImgs) != 1 || !reflect.DeepEqual(gotImgs, wantImgs) || !reflect.DeepEqual(gotEntry, wantEntry) {
+		t.Fatalf("daemons ship different images or entries after the pull: %+v vs %+v", gotEntry, wantEntry)
 	}
 
 	// Pulling from a dead source reports the dial failure, not a hang.

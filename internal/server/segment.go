@@ -3,9 +3,9 @@ package server
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
+	"os"
 	"slices"
 
 	"seabed/internal/remote"
@@ -15,31 +15,20 @@ import (
 
 // Segment shipping handlers: the daemon half of fleet replication. A daemon
 // answers MsgSegmentList with an inventory of its tables — refs, rows and
-// identifier envelopes — and, for one named table, the pieces a pull
-// fetches, each with its size and CRC. It serves one piece's bytes for a
-// MsgSegmentFetch, and for a fetch naming a source peer it pulls the table
+// identifier envelopes. It answers a MsgSegmentFetch for one table with the
+// table's images, one MsgSegmentData frame each, and then the table's
+// inventory entry; for a fetch naming a source peer it fetches the table
 // from that peer itself and installs it, so a fleet heals daemon-to-daemon
-// without the proxy re-uploading anything. Every piece is a table image: a
-// durable daemon ships its committed segment files as they lie on disk and
-// its WAL tail (wire.WALSegment) as an image built in memory; a memory-only
-// daemon ships the whole table as one image (wire.MemSegment). The puller
-// takes them all as images, whatever their names.
+// without the proxy re-uploading anything. A durable daemon ships its
+// committed segment files as they lie on disk and its WAL tail as an image
+// built in memory; a memory-only daemon ships the whole table as one image.
 
-// handleSegmentList answers a MsgSegmentList request. A named table's
-// manifest lists the pieces a pull fetches; the empty ref's answer lists
-// every table's ref, rows and envelope without pieces — an inventory, which
+// handleSegmentList answers a MsgSegmentList request, which is empty, with
+// every table's ref, rows and envelope, sorted by ref — an inventory, which
 // reads no table bytes.
 func (s *Server) handleSegmentList(payload []byte) (wire.MsgType, []byte) {
-	ref, err := wire.DecodeSegmentListReq(payload)
-	if err != nil {
-		return wire.MsgError, wire.EncodeError(err.Error())
-	}
-	if ref != "" {
-		m, err := s.shipManifest(ref)
-		if err != nil {
-			return wire.MsgError, wire.EncodeError(err.Error())
-		}
-		return wire.MsgSegmentList, wire.EncodeSegmentList([]wire.TableManifest{m})
+	if len(payload) > 0 {
+		return wire.MsgError, wire.EncodeError(fmt.Sprintf("server: segment-list request of %d bytes, want none", len(payload)))
 	}
 	s.mu.RLock()
 	ms := make([]wire.TableManifest, 0, len(s.tables))
@@ -51,106 +40,81 @@ func (s *Server) handleSegmentList(payload []byte) (wire.MsgType, []byte) {
 	return wire.MsgSegmentList, wire.EncodeSegmentList(ms)
 }
 
-// inventory is t's manifest without pieces: its ref, rows and identifier
-// envelope.
+// inventory is t's inventory entry: its ref, rows and identifier envelope.
 func inventory(ref string, t *store.Table) wire.TableManifest {
 	m := wire.TableManifest{Ref: ref, Rows: t.NumRows()}
 	m.StartID, m.EndID = t.Envelope()
 	return m
 }
 
-// shipManifest inventories one table with the pieces a pull fetches, in
-// install order: a durable table's committed segments and then its WAL tail,
-// if any rows are pending; a memory-only daemon's whole table as one image.
-// The registry's table and the durable cut are taken together under tableMu,
-// which keeps appends out, so the pieces hold the rows the inventory counts;
-// the bytes are read and checksummed after it is released.
-func (s *Server) shipManifest(ref string) (wire.TableManifest, error) {
+// handleSegmentFetch ships a table's images to w and answers its inventory
+// entry (empty From), or pulls and installs the table from the peer daemon
+// named by From.
+func (s *Server) handleSegmentFetch(w io.Writer, payload []byte) (wire.MsgType, []byte) {
+	ref, from, err := wire.DecodeSegmentFetch(payload)
+	switch {
+	case err != nil:
+	case from != "":
+		if err = s.pullTable(ref, from); err == nil {
+			return wire.MsgOK, nil
+		}
+	default:
+		var m wire.TableManifest
+		if m, err = s.shipTable(w, ref); err == nil {
+			return wire.MsgSegmentList, wire.EncodeSegmentList([]wire.TableManifest{m})
+		}
+	}
+	return wire.MsgError, wire.EncodeError(err.Error())
+}
+
+// shipTable writes table ref's images to w, one MsgSegmentData frame each,
+// in install order — a durable table's committed segment files and then its
+// WAL tail, if any rows are pending; a memory-only daemon's whole table as
+// one image — and returns the table's inventory entry. The registry's table
+// and the durable cut are taken together under tableMu, which keeps appends
+// out, so the images hold the rows the entry counts; each file is read, or
+// the image built, once, after it is released.
+func (s *Server) shipTable(w io.Writer, ref string) (wire.TableManifest, error) {
 	s.tableMu.Lock()
 	t, err := s.lookup(ref)
-	var segs []string
-	tail, tailName := t, wire.MemSegment
+	var paths []string
+	tail := t
 	if err == nil && s.durable != nil {
-		tailName = wire.WALSegment
-		segs, tail, err = s.durable.ShipManifest(ref)
+		paths, tail, err = s.durable.Shipment(ref)
 	}
 	s.tableMu.Unlock()
 	if err != nil {
 		return wire.TableManifest{}, err
 	}
-	m := inventory(ref, t)
-	piece := func(name string, data []byte) {
-		m.Segments = append(m.Segments, wire.SegmentInfo{Name: name, Size: uint64(len(data)), CRC: crc32.ChecksumIEEE(data)})
-	}
-	for _, name := range segs {
-		data, err := s.durable.SegmentBytes(ref, name)
+	var shipped uint64
+	send := func(img []byte, err error) error {
 		if err != nil {
+			return err
+		}
+		shipped += uint64(len(img))
+		s.bytesOut.Add(uint64(len(img)) + 5)
+		return wire.WriteFrame(w, wire.MsgSegmentData, img)
+	}
+	for _, path := range paths {
+		if err := send(os.ReadFile(path)); err != nil {
 			return wire.TableManifest{}, err
 		}
-		piece(name, data)
 	}
 	if tail != nil {
-		data, err := store.AppendImage(nil, tail)
-		if err != nil {
+		if err := send(store.AppendImage(nil, tail)); err != nil {
 			return wire.TableManifest{}, err
 		}
-		piece(tailName, data)
 	}
-	return m, nil
-}
-
-// handleSegmentFetch serves one segment's bytes (empty From), or pulls and
-// installs a whole table from the peer daemon named by From.
-func (s *Server) handleSegmentFetch(payload []byte) (wire.MsgType, []byte) {
-	ref, name, from, err := wire.DecodeSegmentFetch(payload)
-	if err != nil {
-		return wire.MsgError, wire.EncodeError(err.Error())
-	}
-	if from != "" {
-		if err := s.pullTable(ref, from); err != nil {
-			return wire.MsgError, wire.EncodeError(err.Error())
-		}
-		return wire.MsgOK, nil
-	}
-	data, err := s.segmentBytes(ref, name)
-	if err != nil {
-		return wire.MsgError, wire.EncodeError(err.Error())
-	}
-	s.replicaFetch.Add(uint64(len(data)))
-	s.repStat(ref).shippedBytes.Add(uint64(len(data)))
-	return wire.MsgSegmentData, wire.EncodeSegmentData(name, data)
-}
-
-// segmentBytes resolves one listed piece's bytes: a memory-only daemon's
-// table image, or a durable daemon's WAL-tail image or committed segment
-// file.
-func (s *Server) segmentBytes(ref, name string) ([]byte, error) {
-	switch {
-	case s.durable == nil && name == wire.MemSegment:
-		t, err := s.lookup(ref)
-		if err != nil {
-			return nil, err
-		}
-		return store.AppendImage(nil, t)
-	case s.durable == nil:
-		return nil, fmt.Errorf("server: memory-only daemon ships %q segments, not %q", wire.MemSegment, name)
-	case name == wire.WALSegment:
-		_, tail, err := s.durable.ShipManifest(ref)
-		if err != nil {
-			return nil, err
-		}
-		if tail == nil {
-			return nil, fmt.Errorf("server: table %q has no wal tail to ship", ref)
-		}
-		return store.AppendImage(nil, tail)
-	}
-	return s.durable.SegmentBytes(ref, name)
+	s.replicaFetch.Add(shipped)
+	s.repStat(ref).shippedBytes.Add(shipped)
+	return inventory(ref, t), nil
 }
 
 // PullError is a refused pull of table Ref from the peer daemon at From: the
-// peer could not be reached or does not serve Ref, a piece's size or CRC is
-// not the listed one, the pieces are not images of one table, or that
-// table's rows or envelope are not the listed ones. Nothing was installed.
+// peer could not be reached or does not serve Ref, a piece is not an image
+// (or fails its own CRCs), the images are not of one table, or that table's
+// rows or envelope are not the ones the peer's entry lists. Nothing was
+// installed.
 type PullError struct {
 	// Ref is the table pulled, From the peer's address.
 	Ref, From string
@@ -166,54 +130,54 @@ func (e *PullError) Error() string {
 // Unwrap returns why the pull was refused.
 func (e *PullError) Unwrap() error { return e.Err }
 
-// pullTable pulls table ref from the peer daemon at from and installs it. It
-// fetches ref's listing and then every listed piece in order, whatever its
-// name, refusing one whose size or CRC is not the listed one. The pieces are
-// images, and they must assemble in identifier order into a table holding the
-// listed rows and envelope (store.DecodeImages, run once) before anything is
-// installed: a durable daemon checks them inside durable.InstallTable, which
-// then commits them as fresh segments of its own and serves the table
-// mapped; a memory-only daemon keeps the decoded table. The table is
-// addressable in the registry when pullTable returns; any failure is a
-// *PullError. The pull runs synchronously on the requesting connection with
-// its own background context; the requester's deadline bounds how long it
-// waits, not how long the transfer runs.
+// pullTable pulls table ref from the peer daemon at from and installs it. One
+// MsgSegmentFetch exchange collects the peer's images and its inventory entry
+// for ref. The images must assemble in identifier order into a table holding
+// the entry's rows and envelope (store.DecodeImages, run once, which checks
+// each image's header and extent CRCs) before anything is installed: a
+// durable daemon checks them inside durable.InstallTable, which then commits
+// them as fresh segments of its own and serves the table mapped; a
+// memory-only daemon keeps the decoded table. The table is addressable in the
+// registry when pullTable returns; any failure is a *PullError. The pull
+// runs synchronously on the requesting connection with its own background
+// context; the requester's deadline bounds how long it waits, not how long
+// the transfer runs.
 func (s *Server) pullTable(ref, from string) (err error) {
 	defer func() {
 		if err != nil {
 			err = &PullError{Ref: ref, From: from, Err: err}
 		}
 	}()
-	src, err := remote.Dial(from)
+	src, err := remote.DialPool(from)
 	if err != nil {
 		return fmt.Errorf("dial source: %w", err)
 	}
 	defer src.Close()
-	ctx := context.Background()
-	ms, err := src.TableManifests(ctx, ref)
+	var imgs [][]byte
+	var pulled uint64
+	typ, resp, err := src.Exchange(context.Background(), wire.MsgSegmentFetch, wire.EncodeSegmentFetch(ref, ""),
+		wire.MsgSegmentData, func(img []byte) error {
+			imgs = append(imgs, img)
+			pulled += uint64(len(img))
+			return nil
+		})
+	if err != nil {
+		return err
+	}
+	if typ != wire.MsgSegmentList {
+		return fmt.Errorf("source ended its images with %v, not an inventory entry", typ)
+	}
+	ms, err := wire.DecodeSegmentList(resp)
 	if err != nil {
 		return err
 	}
 	if len(ms) != 1 || ms[0].Ref != ref {
-		return errors.New("source does not serve it")
+		return fmt.Errorf("source ended its images with %d inventory entries, not one for it", len(ms))
 	}
 	m := ms[0]
-	imgs := make([][]byte, len(m.Segments))
-	var pulled uint64
-	for i, si := range m.Segments {
-		sd, err := src.FetchSegment(ctx, ref, si.Name)
-		if err != nil {
-			return err
-		}
-		if size, crc := uint64(len(sd.Data)), crc32.ChecksumIEEE(sd.Data); size != si.Size || crc != si.CRC {
-			return fmt.Errorf("piece %q is %d bytes with CRC %08x, listed as %d bytes with CRC %08x", si.Name, size, crc, si.Size, si.CRC)
-		}
-		imgs[i] = sd.Data
-		pulled += si.Size
-	}
 	listed := func(tbl *store.Table) error {
-		if got := inventory(ref, tbl); got.Rows != m.Rows || got.StartID != m.StartID || got.EndID != m.EndID {
-			return fmt.Errorf("its pieces hold %d rows in [%d, %d], listed as %d rows in [%d, %d]",
+		if got := inventory(ref, tbl); got != m {
+			return fmt.Errorf("its images hold %d rows in [%d, %d], listed as %d rows in [%d, %d]",
 				got.Rows, got.StartID, got.EndID, m.Rows, m.StartID, m.EndID)
 		}
 		return nil

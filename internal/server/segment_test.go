@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,12 +33,12 @@ func shipServer(t *testing.T, durableDir string) (*Server, string) {
 	return srv, addr
 }
 
-// listing asks srv for ref's manifests as a peer would.
-func listing(t *testing.T, srv *Server, ref string) []wire.TableManifest {
+// inventoryOf asks srv for its inventory as a peer would.
+func inventoryOf(t *testing.T, srv *Server) []wire.TableManifest {
 	t.Helper()
-	typ, resp := srv.handleSegmentList(wire.EncodeSegmentListReq(ref))
+	typ, resp := srv.handleSegmentList(nil)
 	if typ != wire.MsgSegmentList {
-		t.Fatalf("list %q: %s", ref, wire.DecodeError(resp))
+		t.Fatalf("inventory: %s", wire.DecodeError(resp))
 	}
 	ms, err := wire.DecodeSegmentList(resp)
 	if err != nil {
@@ -45,26 +47,34 @@ func listing(t *testing.T, srv *Server, ref string) []wire.TableManifest {
 	return ms
 }
 
-// pieces fetches every piece m lists from srv, checking each against the
-// listing's size and CRC.
-func pieces(t *testing.T, srv *Server, m wire.TableManifest) [][]byte {
+// fetch asks srv for table ref as a puller would: the images it streams, one
+// MsgSegmentData frame each, and the terminal inventory entry.
+func fetch(t *testing.T, srv *Server, ref string) ([][]byte, wire.TableManifest) {
 	t.Helper()
+	var frames bytes.Buffer
+	typ, resp := srv.handleSegmentFetch(&frames, wire.EncodeSegmentFetch(ref, ""))
+	if typ != wire.MsgSegmentList {
+		t.Fatalf("fetch %q: %s", ref, wire.DecodeError(resp))
+	}
+	ms, err := wire.DecodeSegmentList(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) != 1 || ms[0].Ref != ref {
+		t.Fatalf("fetch %q ends with %+v, want its one entry", ref, ms)
+	}
 	var imgs [][]byte
-	for _, si := range m.Segments {
-		typ, resp := srv.handleSegmentFetch(wire.EncodeSegmentFetch(m.Ref, si.Name, ""))
-		if typ != wire.MsgSegmentData {
-			t.Fatalf("fetch %s of %q: %s", si.Name, m.Ref, wire.DecodeError(resp))
-		}
-		sd, err := wire.DecodeSegmentData(resp)
+	for frames.Len() > 0 {
+		typ, img, err := wire.ReadFrame(&frames)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if uint64(len(sd.Data)) != si.Size || crc32.ChecksumIEEE(sd.Data) != si.CRC {
-			t.Fatalf("piece %s of %q is not the listed one", si.Name, m.Ref)
+		if typ != wire.MsgSegmentData {
+			t.Fatalf("fetch %q streams a %v frame", ref, typ)
 		}
-		imgs = append(imgs, sd.Data)
+		imgs = append(imgs, img)
 	}
-	return imgs
+	return imgs, ms[0]
 }
 
 // registerShipFixture registers "a" (rows 1–100, then 10 appended rows: a
@@ -86,11 +96,11 @@ func registerShipFixture(t *testing.T, srv *Server) {
 	}
 }
 
-// TestSegmentListings: the all-tables listing is an inventory — refs, rows
-// and envelopes, no pieces — while a single-ref listing lists the pieces a
-// pull fetches. A durable daemon lists its committed segments, then its WAL
-// tail; every durable table, a registered empty range included, has at
-// least one committed segment. A memory-only daemon lists one table image.
+// TestSegmentListings: the listing is an inventory — refs, rows and
+// envelopes — and a fetch streams a table's images and ends with its entry.
+// A durable daemon ships its committed segments, then its WAL tail; every
+// durable table, a registered empty range included, has at least one
+// committed segment. A memory-only daemon ships one table image.
 func TestSegmentListings(t *testing.T) {
 	for _, kind := range []string{"memory", "durable"} {
 		t.Run(kind, func(t *testing.T) {
@@ -105,123 +115,108 @@ func TestSegmentListings(t *testing.T) {
 				{Ref: "a", Rows: 110, StartID: 1, EndID: 110},
 				{Ref: "e", Rows: 0, StartID: 1, EndID: 0},
 			}
-			if got := listing(t, srv, ""); !reflect.DeepEqual(got, want) {
+			if got := inventoryOf(t, srv); !reflect.DeepEqual(got, want) {
 				t.Fatalf("inventory %+v, want %+v", got, want)
+			}
+			if typ, _ := srv.handleSegmentList([]byte{0}); typ != wire.MsgError {
+				t.Fatalf("a segment-list request with a payload answered %v", typ)
 			}
 
 			for _, inv := range want {
-				ms := listing(t, srv, inv.Ref)
-				if len(ms) != 1 {
-					t.Fatalf("listing of %q has %d manifests", inv.Ref, len(ms))
+				imgs, m := fetch(t, srv, inv.Ref)
+				if m != inv {
+					t.Fatalf("fetch of %q ends with %+v, want %+v", inv.Ref, m, inv)
 				}
-				m := ms[0]
-				var names []string
-				for _, si := range m.Segments {
-					names = append(names, si.Name)
+				wantImgs := 1 // a memory table's image, or the empty range's segment
+				if kind == "durable" && inv.Ref == "a" {
+					wantImgs = 2 // a committed segment and the wal tail
 				}
-				switch {
-				case kind == "memory":
-					if !reflect.DeepEqual(names, []string{wire.MemSegment}) {
-						t.Fatalf("memory daemon lists %q for %q, want one %s", names, inv.Ref, wire.MemSegment)
-					}
-				case inv.Ref == "a":
-					if len(names) != 2 || !strings.HasPrefix(names[0], "seg-") || names[1] != wire.WALSegment {
-						t.Fatalf("durable daemon lists %q for %q, want a committed segment and the wal tail", names, inv.Ref)
-					}
-				default:
-					if len(names) != 1 || !strings.HasPrefix(names[0], "seg-") {
-						t.Fatalf("durable daemon lists %q for the empty range, want one committed segment", names)
-					}
+				if len(imgs) != wantImgs {
+					t.Fatalf("%s daemon ships %d images for %q, want %d", kind, len(imgs), inv.Ref, wantImgs)
 				}
-				tbl, err := store.DecodeImages(pieces(t, srv, m))
+				tbl, err := store.DecodeImages(imgs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := inventory(inv.Ref, tbl); !reflect.DeepEqual(got, inv) {
-					t.Fatalf("%q's pieces hold %+v, listed as %+v", inv.Ref, got, inv)
+				if got := inventory(inv.Ref, tbl); got != inv {
+					t.Fatalf("%q's images hold %+v, listed as %+v", inv.Ref, got, inv)
 				}
+			}
+			typ, _ := srv.handleSegmentFetch(&bytes.Buffer{}, wire.EncodeSegmentFetch("missing", ""))
+			if typ != wire.MsgError {
+				t.Fatalf("fetch of an unknown table answered %v", typ)
 			}
 		})
 	}
 }
 
-// TestSegmentListingIsOneCut: a single-ref listing taken while appends land
-// counts exactly the rows its pieces hold. A durable daemon's pieces are
-// read after the cut is taken, so the listed WAL tail must be the image of
-// the batches appended by the time of the counted rows, no more.
+// TestSegmentListingIsOneCut: a fetch that races appends ships images that
+// hold exactly the rows its terminal entry counts. The images are read and
+// built after the cut is taken, so they must be the cut's — a durable
+// daemon's WAL tail no longer than the counted rows — on memory-only and
+// durable daemons alike.
 func TestSegmentListingIsOneCut(t *testing.T) {
-	srv, _ := shipServer(t, t.TempDir())
-	if err := srv.RegisterTable("a", durableFixtureTable(t, 1, 100)); err != nil {
-		t.Fatal(err)
-	}
-	const batches = 40
-	var frames [][]byte
-	tails := map[uint64]uint32{} // rows listed → CRC of the tail holding them
-	var pending *store.Table
-	for i := range batches {
-		b := durableFixtureTable(t, uint64(101+10*i), 10)
-		payload, err := wire.EncodeAppend("a", b)
-		if err != nil {
+	for _, kind := range []string{"memory", "durable"} {
+		dir := ""
+		if kind == "durable" {
+			dir = t.TempDir()
+		}
+		srv, _ := shipServer(t, dir)
+		if err := srv.RegisterTable("a", durableFixtureTable(t, 1, 100)); err != nil {
 			t.Fatal(err)
 		}
-		frames = append(frames, payload)
-		if pending == nil {
-			pending = b.Snapshot()
-		} else if err := pending.AppendTable(b); err != nil {
-			t.Fatal(err)
+		const batches = 40
+		var frames [][]byte
+		for i := range batches {
+			payload, err := wire.EncodeAppend("a", durableFixtureTable(t, uint64(101+10*i), 10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, payload)
 		}
-		tails[pending.NumRows()+100] = crc32.ChecksumIEEE(serializeTable(t, pending))
-	}
 
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for _, payload := range frames {
-			if typ, resp := srv.handleAppend(payload); typ != wire.MsgOK {
-				t.Errorf("append: %s", wire.DecodeError(resp))
-				return
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for _, payload := range frames {
+				if typ, resp := srv.handleAppend(payload); typ != wire.MsgOK {
+					t.Errorf("append: %s", wire.DecodeError(resp))
+					return
+				}
+			}
+		}()
+		fetches := 0
+		for last := false; !last; fetches++ {
+			select {
+			case <-done:
+				last = true // one last fetch after every append
+			default:
+			}
+			imgs, m := fetch(t, srv, "a")
+			tbl, err := store.DecodeImages(imgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := inventory("a", tbl); got != m {
+				t.Fatalf("%s: fetch %d ends with %+v, but its images hold %+v", kind, fetches, m, got)
 			}
 		}
-	}()
-	defer func() { <-done }() // the appender stops before the store closes
-	for listed := false; !listed; {
-		select {
-		case <-done:
-			listed = true // one last listing after every append
-		default:
-		}
-		m := listing(t, srv, "a")[0]
-		n := len(m.Segments)
-		switch {
-		case m.Rows == 100 && n == 1:
-		case n == 2 && m.Segments[1].Name == wire.WALSegment && m.Segments[1].CRC == tails[m.Rows]:
-		default:
-			t.Fatalf("listing counts %d rows, but its pieces are %+v", m.Rows, m.Segments)
+		if tbl, _ := srv.lookup("a"); tbl.NumRows() != 100+10*batches {
+			t.Fatalf("%s: %d rows after the appends, want %d", kind, tbl.NumRows(), 100+10*batches)
 		}
 	}
 }
 
-// TestPullInstallsImages: a pulled table is its source's pieces. A durable
-// daemon commits each, the tail included, as a segment of its own, so its
-// listing is the source's pieces in (size, CRC) order with no tail; a
-// memory-only daemon serves the same table.
+// TestPullInstallsImages: a pulled table is its source's images. A durable
+// daemon commits each, the tail included, as a segment of its own, so it
+// ships the source's images byte for byte, with no tail; a memory-only
+// daemon serves the same table.
 func TestPullInstallsImages(t *testing.T) {
 	src, srcAddr := shipServer(t, t.TempDir())
 	registerShipFixture(t, src)
 	srcTable, err := src.lookup("a")
 	if err != nil {
 		t.Fatal(err)
-	}
-	type piece struct {
-		size uint64
-		crc  uint32
-	}
-	sizes := func(m wire.TableManifest) []piece {
-		var out []piece
-		for _, si := range m.Segments {
-			out = append(out, piece{si.Size, si.CRC})
-		}
-		return out
 	}
 	for _, kind := range []string{"memory", "durable"} {
 		dir := ""
@@ -238,23 +233,18 @@ func TestPullInstallsImages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var gotImg, wantImg []byte
-		if gotImg, err = store.AppendImage(nil, got); err != nil {
-			t.Fatal(err)
-		}
-		if wantImg, err = store.AppendImage(nil, srcTable); err != nil {
-			t.Fatal(err)
-		}
-		if string(gotImg) != string(wantImg) {
+		if !bytes.Equal(serializeTable(t, got), serializeTable(t, srcTable)) {
 			t.Fatalf("%s: pulled table differs from its source", kind)
 		}
 		if kind == "durable" {
-			want := sizes(listing(t, src, "a")[0])
-			if got := sizes(listing(t, dst, "a")[0]); !reflect.DeepEqual(got, want) {
-				t.Fatalf("installed segments %+v, want the source's pieces %+v", got, want)
+			for _, ref := range []string{"a", "e"} {
+				want, _ := fetch(t, src, ref)
+				if got, _ := fetch(t, dst, ref); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%q: installed segments are not the source's images", ref)
+				}
 			}
-			if got := listing(t, dst, ""); !reflect.DeepEqual(got, listing(t, src, "")) {
-				t.Fatalf("installed inventory %+v differs from the source's", got)
+			if got, want := inventoryOf(t, dst), inventoryOf(t, src); !reflect.DeepEqual(got, want) {
+				t.Fatalf("installed inventory %+v differs from the source's %+v", got, want)
 			}
 		}
 		if dst.Stats().ReplicaFetchBytes == 0 {
@@ -263,9 +253,9 @@ func TestPullInstallsImages(t *testing.T) {
 	}
 }
 
-// lyingSource serves one canned listing and canned pieces to whoever dials
-// it, as a peer daemon would, and is not bound to tell the truth.
-func lyingSource(t *testing.T, m wire.TableManifest, data map[string][]byte) string {
+// lyingSource answers every fetch with canned images and a canned entry, as
+// a peer daemon would, and is not bound to tell the truth.
+func lyingSource(t *testing.T, imgs [][]byte, m wire.TableManifest) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -285,16 +275,15 @@ func lyingSource(t *testing.T, m wire.TableManifest, data map[string][]byte) str
 				}
 				wire.WriteFrame(conn, wire.MsgWelcome, wire.EncodeWelcome(wire.Version, 1, 0, 0)) //nolint:errcheck // a failed write ends the pull
 				for {
-					typ, p, err := wire.ReadFrame(conn)
-					if err != nil {
+					if _, _, err := wire.ReadFrame(conn); err != nil {
 						return
 					}
-					resp := wire.EncodeSegmentList([]wire.TableManifest{m})
-					if typ == wire.MsgSegmentFetch {
-						_, name, _, _ := wire.DecodeSegmentFetch(p)
-						typ, resp = wire.MsgSegmentData, wire.EncodeSegmentData(name, data[name])
+					for _, img := range imgs {
+						if err := wire.WriteFrame(conn, wire.MsgSegmentData, img); err != nil {
+							return
+						}
 					}
-					if err := wire.WriteFrame(conn, typ, resp); err != nil {
+					if err := wire.WriteFrame(conn, wire.MsgSegmentList, wire.EncodeSegmentList([]wire.TableManifest{m})); err != nil {
 						return
 					}
 				}
@@ -304,35 +293,36 @@ func lyingSource(t *testing.T, m wire.TableManifest, data map[string][]byte) str
 	return ln.Addr().String()
 }
 
-// TestPullRefusesLyingSource: a peer whose pieces are not what it listed, or
-// are not images of one table, is refused with a *PullError naming it and
-// the ref, and nothing is installed — a durable daemon then reopens over its
-// directory without the table.
+// TestPullRefusesLyingSource: a peer whose images are not images of one
+// table, fail their own CRCs, or do not hold the rows and envelope its entry
+// lists is refused with a *PullError naming it and the ref, and nothing is
+// installed — a durable daemon then reopens over its directory without the
+// table.
 func TestPullRefusesLyingSource(t *testing.T) {
 	lo := serializeTable(t, durableFixtureTable(t, 1, 10))
 	hi := serializeTable(t, durableFixtureTable(t, 11, 10))
-	junk := []byte("SBSG, and then not an image at all")
-	info := func(name string, data []byte) wire.SegmentInfo {
-		return wire.SegmentInfo{Name: name, Size: uint64(len(data)), CRC: crc32.ChecksumIEEE(data)}
-	}
-	honest := wire.TableManifest{Ref: "x", Rows: 20, StartID: 1, EndID: 20,
-		Segments: []wire.SegmentInfo{info("one", lo), info("two", hi)}}
-	data := map[string][]byte{"one": lo, "two": hi, "junk": junk}
+	honest := wire.TableManifest{Ref: "x", Rows: 20, StartID: 1, EndID: 20}
 
-	cases := map[string]func(m *wire.TableManifest){
-		"size differs":   func(m *wire.TableManifest) { m.Segments[1].Size++ },
-		"crc differs":    func(m *wire.TableManifest) { m.Segments[1].CRC ^= 1 },
-		"rows differ":    func(m *wire.TableManifest) { m.Rows = 19 },
-		"envelope moved": func(m *wire.TableManifest) { m.StartID, m.EndID = 2, 21 },
-		"not an image":   func(m *wire.TableManifest) { m.Segments[1] = info("junk", junk) },
-		"out of order":   func(m *wire.TableManifest) { m.Segments[0], m.Segments[1] = m.Segments[1], m.Segments[0] },
+	// flipped is hi with one bit of its first column extent flipped: the
+	// extent starts at the header's length rounded up to 8 bytes.
+	flipped := slices.Clone(hi)
+	flipped[(binary.LittleEndian.Uint32(hi[8:])+7)&^7] ^= 1
+
+	cases := map[string]struct {
+		imgs [][]byte
+		m    wire.TableManifest
+		why  string // in the refusal, when the case pins it
+	}{
+		"rows differ":    {[][]byte{lo, hi}, wire.TableManifest{Ref: "x", Rows: 19, StartID: 1, EndID: 20}, ""},
+		"envelope moved": {[][]byte{lo, hi}, wire.TableManifest{Ref: "x", Rows: 20, StartID: 2, EndID: 21}, ""},
+		"another table":  {[][]byte{lo, hi}, wire.TableManifest{Ref: "y", Rows: 20, StartID: 1, EndID: 20}, ""},
+		"not an image":   {[][]byte{lo, []byte("SBSG, and then not an image at all")}, honest, ""},
+		"out of order":   {[][]byte{hi, lo}, honest, ""},
+		"flipped byte":   {[][]byte{lo, flipped}, honest, "checksum mismatch"},
 	}
-	for name, lie := range cases {
+	for name, c := range cases {
 		for _, kind := range []string{"memory", "durable"} {
-			m := honest
-			m.Segments = append([]wire.SegmentInfo(nil), honest.Segments...)
-			lie(&m)
-			from := lyingSource(t, m, data)
+			from := lyingSource(t, c.imgs, c.m)
 			dir := ""
 			if kind == "durable" {
 				dir = t.TempDir()
@@ -342,6 +332,9 @@ func TestPullRefusesLyingSource(t *testing.T) {
 			var pe *PullError
 			if !errors.As(err, &pe) || pe.Ref != "x" || pe.From != from {
 				t.Fatalf("%s, %s: pull returned %v, want a *PullError naming %q and %s", name, kind, err, "x", from)
+			}
+			if !strings.Contains(err.Error(), c.why) {
+				t.Fatalf("%s, %s: pull refused with %v, want %q", name, kind, err, c.why)
 			}
 			if _, err := dst.lookup("x"); err == nil {
 				t.Fatalf("%s, %s: refused table is in the registry", name, kind)
@@ -360,9 +353,9 @@ func TestPullRefusesLyingSource(t *testing.T) {
 		}
 	}
 
-	// The honest listing of the same pieces installs.
+	// The honest images and entry install.
 	dst, _ := shipServer(t, t.TempDir())
-	if err := dst.pullTable("x", lyingSource(t, honest, data)); err != nil {
+	if err := dst.pullTable("x", lyingSource(t, [][]byte{lo, hi}, honest)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -670,7 +670,7 @@ func (s *Server) serveConn(conn net.Conn, quit <-chan struct{}) {
 			case wire.MsgSegmentList:
 				respType, resp = s.handleSegmentList(f.payload)
 			case wire.MsgSegmentFetch:
-				respType, resp = s.handleSegmentFetch(f.payload)
+				respType, resp = s.handleSegmentFetch(conn, f.payload)
 			case wire.MsgCancel:
 				// Nothing in flight: the Cancel crossed our response on the
 				// wire. Cancels are never answered, so ignoring it keeps the

@@ -1,9 +1,9 @@
 package wire
 
 import (
-	"bytes"
-	"hash/crc32"
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 
 	"seabed/internal/engine"
@@ -11,16 +11,7 @@ import (
 
 func TestSegmentListRoundTrip(t *testing.T) {
 	ms := []TableManifest{
-		{
-			Ref:     "big@NoEnc#r0",
-			Rows:    1000,
-			StartID: 1,
-			EndID:   1000,
-			Segments: []SegmentInfo{
-				{Name: "seg-000001.seg", Size: 4096, CRC: 0xdeadbeef},
-				{Name: WALSegment, Size: 128, CRC: 7},
-			},
-		},
+		{Ref: "big@NoEnc#r0", Rows: 1000, StartID: 1, EndID: 1000},
 		{Ref: "empty@Seabed#r2", Rows: 0, StartID: 1, EndID: 0},
 	}
 	got, err := DecodeSegmentList(EncodeSegmentList(ms))
@@ -41,122 +32,88 @@ func TestSegmentListRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSegmentListReqRoundTrip(t *testing.T) {
-	for _, ref := range []string{"", "big@NoEnc#r1"} {
-		got, err := DecodeSegmentListReq(EncodeSegmentListReq(ref))
+func TestSegmentFetchRoundTrip(t *testing.T) {
+	for _, from := range []string{"", "127.0.0.1:7687"} {
+		ref, gotFrom, err := DecodeSegmentFetch(EncodeSegmentFetch("t@Seabed#r1", from))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != ref {
-			t.Fatalf("got %q want %q", got, ref)
+		if ref != "t@Seabed#r1" || gotFrom != from {
+			t.Fatalf("got %q %q, want %q %q", ref, gotFrom, "t@Seabed#r1", from)
 		}
 	}
 }
 
-func TestSegmentFetchRoundTrip(t *testing.T) {
-	ref, name, from, err := DecodeSegmentFetch(EncodeSegmentFetch("t@Seabed#r1", "seg-000002.seg", ""))
-	if err != nil {
-		t.Fatal(err)
+// hostileSegmentFrames are payloads each segment-frame decoder must refuse:
+// an inventory whose count runs past the payload, a string longer than what
+// follows it, and the protocol-14 forms of both frames — a listing entry
+// that still carries its pieces, a fetch that still names one — which the
+// current layouts leave as trailing bytes.
+func hostileSegmentFrames() map[string][]byte {
+	v14List := &enc{}
+	v14List.uint(1)
+	v14List.str("big@NoEnc#r0")
+	for _, v := range []uint64{1000, 1, 1000, 1} {
+		v14List.uint(v)
 	}
-	if ref != "t@Seabed#r1" || name != "seg-000002.seg" || from != "" {
-		t.Fatalf("got %q %q %q", ref, name, from)
+	v14List.str("seg-000001.seg")
+	v14List.uint(4096)
+	v14List.uint(0xdeadbeef)
+	v14Fetch := &enc{}
+	for _, s := range []string{"t@Seabed#r1", "seg-000002.seg", ""} {
+		v14Fetch.str(s)
 	}
-	ref, name, from, err = DecodeSegmentFetch(EncodeSegmentFetch("t@Seabed#r1", "", "127.0.0.1:7687"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref != "t@Seabed#r1" || name != "" || from != "127.0.0.1:7687" {
-		t.Fatalf("got %q %q %q", ref, name, from)
-	}
-}
-
-func TestSegmentDataRoundTripAndCorruption(t *testing.T) {
-	data := []byte("SBSG-ish segment bytes 0123456789")
-	p := EncodeSegmentData("seg-000001.seg", data)
-	sd, err := DecodeSegmentData(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sd.Name != "seg-000001.seg" || string(sd.Data) != string(data) {
-		t.Fatalf("round trip mismatch: %+v", sd)
-	}
-
-	// Flip one payload byte: the decoder must detect it via the CRC.
-	bad := append([]byte(nil), p...)
-	bad[len(bad)-1] ^= 0x40
-	if _, err := DecodeSegmentData(bad); err == nil {
-		t.Fatal("corrupted segment data decoded without error")
-	}
-
-	// Empty segments are legal and still checksummed.
-	sd, err = DecodeSegmentData(EncodeSegmentData(WALSegment, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sd.Name != WALSegment || len(sd.Data) != 0 {
-		t.Fatalf("empty round trip mismatch: %+v", sd)
-	}
-	if crc32.ChecksumIEEE(nil) != 0 {
-		t.Fatal("crc32 of empty input is expected to be zero")
+	return map[string][]byte{
+		"count past the payload": {0x05, 0x01, 'x', 0x01, 0x01, 0x01},
+		"huge count":             {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		"truncated string":       {0x05, 'a', 'b'},
+		"v14 listing":            v14List.buf,
+		"v14 fetch":              v14Fetch.buf,
 	}
 }
 
 func TestSegmentFramesRejectHostilePayloads(t *testing.T) {
 	cases := []struct {
-		name string
-		run  func(p []byte) error
+		name  string
+		valid []byte
+		run   func(p []byte) error
 	}{
-		{"list", func(p []byte) error { _, err := DecodeSegmentList(p); return err }},
-		{"list-req", func(p []byte) error { _, err := DecodeSegmentListReq(p); return err }},
-		{"fetch", func(p []byte) error { _, _, _, err := DecodeSegmentFetch(p); return err }},
-		{"data", func(p []byte) error { _, err := DecodeSegmentData(p); return err }},
-	}
-	payloads := [][]byte{
-		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // huge count/length
-		{0x05, 'a', 'b'}, // truncated string
-		{0x02, 0x01, 'x', 0x00, 0x00, 0x00, 0x00}, // short element list
+		{"list", EncodeSegmentList(nil), func(p []byte) error { _, err := DecodeSegmentList(p); return err }},
+		{"fetch", EncodeSegmentFetch("r", ""), func(p []byte) error { _, _, err := DecodeSegmentFetch(p); return err }},
 	}
 	for _, c := range cases {
-		for i, p := range payloads {
+		for name, p := range hostileSegmentFrames() {
 			if err := c.run(p); err == nil {
-				t.Errorf("%s: hostile payload %d decoded without error", c.name, i)
+				t.Errorf("%s: hostile payload %q decoded without error", c.name, name)
 			}
 		}
 		// Trailing garbage after a valid frame is rejected too.
-		valid := map[string][]byte{
-			"list":     EncodeSegmentList(nil),
-			"list-req": EncodeSegmentListReq("r"),
-			"fetch":    EncodeSegmentFetch("r", "n", ""),
-			"data":     EncodeSegmentData("n", []byte("x")),
-		}[c.name]
-		if err := c.run(append(valid, 0x00)); err == nil {
+		if err := c.run(append(c.valid, 0x00)); err == nil {
 			t.Errorf("%s: trailing byte accepted", c.name)
 		}
 	}
 }
 
-// FuzzSegmentFrames feeds hostile bytes to the four segment-shipping
-// decoders: a daemon decodes listings and segment data a peer sent it, and
-// list and fetch requests from whoever connects. None may panic, and whatever
-// one accepts must re-encode to a payload that decodes to an equal value —
-// values, not bytes: a varint in the input need not be minimal. The seeds are
-// the round-trip cases above and their truncations.
+// FuzzSegmentFrames feeds hostile bytes to the two segment-shipping
+// decoders: a daemon decodes inventories a peer sent it, and fetch requests
+// from whoever connects. None may panic, and whatever one accepts must
+// re-encode to a payload that decodes to an equal value — values, not bytes:
+// a varint in the input need not be minimal. The seeds are the round-trip
+// cases and hostile payloads above, and their truncations. (A fetched
+// image's own decoder, store.DecodeImage, is fuzzed as store.FuzzRead.)
 func FuzzSegmentFrames(f *testing.F) {
 	seeds := [][]byte{
 		EncodeSegmentList([]TableManifest{
-			{Ref: "big@NoEnc#r0", Rows: 1000, StartID: 1, EndID: 1000, Segments: []SegmentInfo{
-				{Name: "seg-000001.seg", Size: 4096, CRC: 0xdeadbeef},
-				{Name: WALSegment, Size: 128, CRC: 7},
-			}},
+			{Ref: "big@NoEnc#r0", Rows: 1000, StartID: 1, EndID: 1000},
 			{Ref: "empty@Seabed#r2", Rows: 0, StartID: 1, EndID: 0},
 		}),
 		EncodeSegmentList(nil),
-		EncodeSegmentListReq(""),
-		EncodeSegmentListReq("big@NoEnc#r1"),
-		EncodeSegmentFetch("t@Seabed#r1", "seg-000002.seg", ""),
-		EncodeSegmentFetch("t@Seabed#r1", "", "127.0.0.1:7687"),
-		EncodeSegmentData("seg-000001.seg", []byte("SBSG-ish segment bytes 0123456789")),
-		EncodeSegmentData(MemSegment, nil),
+		EncodeSegmentFetch("t@Seabed#r1", ""),
+		EncodeSegmentFetch("t@Seabed#r1", "127.0.0.1:7687"),
+	}
+	hostile := hostileSegmentFrames()
+	for _, name := range slices.Sorted(maps.Keys(hostile)) {
+		seeds = append(seeds, hostile[name])
 	}
 	for _, p := range seeds {
 		f.Add(p)
@@ -166,26 +123,15 @@ func FuzzSegmentFrames(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, p []byte) {
-		if ref, err := DecodeSegmentListReq(p); err == nil {
-			if again, err := DecodeSegmentListReq(EncodeSegmentListReq(ref)); err != nil || again != ref {
-				t.Fatalf("list request %q re-decodes to %q, %v", ref, again, err)
-			}
-		}
 		if ms, err := DecodeSegmentList(p); err == nil {
 			if again, err := DecodeSegmentList(EncodeSegmentList(ms)); err != nil || !reflect.DeepEqual(again, ms) {
 				t.Fatalf("listing %+v re-decodes to %+v, %v", ms, again, err)
 			}
 		}
-		if ref, name, from, err := DecodeSegmentFetch(p); err == nil {
-			r, n, fr, err := DecodeSegmentFetch(EncodeSegmentFetch(ref, name, from))
-			if err != nil || r != ref || n != name || fr != from {
-				t.Fatalf("fetch (%q, %q, %q) re-decodes to (%q, %q, %q), %v", ref, name, from, r, n, fr, err)
-			}
-		}
-		if sd, err := DecodeSegmentData(p); err == nil {
-			again, err := DecodeSegmentData(EncodeSegmentData(sd.Name, sd.Data))
-			if err != nil || again.Name != sd.Name || !bytes.Equal(again.Data, sd.Data) {
-				t.Fatalf("segment data %q re-decodes to %q, %v", sd.Name, again.Name, err)
+		if ref, from, err := DecodeSegmentFetch(p); err == nil {
+			r, fr, err := DecodeSegmentFetch(EncodeSegmentFetch(ref, from))
+			if err != nil || r != ref || fr != from {
+				t.Fatalf("fetch (%q, %q) re-decodes to (%q, %q), %v", ref, from, r, fr, err)
 			}
 		}
 	})

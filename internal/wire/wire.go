@@ -46,8 +46,8 @@ import (
 // it, the server's Welcome echoes it, and each side rejects a peer that names
 // any other — the server with a "protocol version %d, want %d" MsgError, the
 // client with a diagnosis naming the version the server answered. Changing a
-// frame means bumping Version and upgrading both sides (docs/FORMAT.md §4.6).
-const Version = 14
+// frame means bumping Version and upgrading both sides (docs/FORMAT.md §4.5).
+const Version = 15
 
 // checkVersion guards the codecs that take the connection's version as an
 // argument: nothing branches on it, and any value but Version is an error.
@@ -98,22 +98,20 @@ const (
 	// letting large scans stream instead of materializing in one frame.
 	MsgResultChunk
 	// MsgSegmentList is both the request and the response of a segment
-	// inventory exchange: the request names one table ref (empty = every
-	// table), the response enumerates per-table manifests — row counts and
-	// identifier envelopes, plus, for one named table, the segment names,
-	// sizes and CRCs a pull fetches (segment.go).
+	// inventory exchange: the request is empty, the response lists every
+	// table's ref, rows and identifier envelope (segment.go). It is also the
+	// terminal frame of a table fetch, holding that table's one entry.
 	MsgSegmentList
-	// MsgSegmentFetch requests segment bytes. With an empty From it asks
-	// the receiving daemon to serve one named segment of a table (answered by
-	// MsgSegmentData); with From set it instructs the receiving daemon to
-	// dial the peer at From, pull every listed segment of the table — each a
-	// table image — check them against the listing, and install the table
-	// (answered by MsgOK) — daemon-to-daemon healing with no proxy re-upload.
+	// MsgSegmentFetch names a table. With an empty From it asks the
+	// receiving daemon for the table (answered by MsgSegmentData frames and a
+	// terminal MsgSegmentList); with From set it instructs the receiving
+	// daemon to fetch the table from the peer at From, check the images, and
+	// install it (answered by MsgOK) — daemon-to-daemon healing with no proxy
+	// re-upload.
 	MsgSegmentFetch
-	// MsgSegmentData answers a single-segment MsgSegmentFetch: the
-	// segment name, a CRC-32 (IEEE) over the bytes, and the raw bytes. The
-	// decoder verifies the checksum, so a frame that decodes is end-to-end
-	// intact.
+	// MsgSegmentData carries one table image of a fetched table (server →
+	// client); the payload is the image. Its header and extent CRCs are the
+	// transfer's checksums.
 	MsgSegmentData
 )
 
