@@ -25,6 +25,7 @@ package ashe
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"seabed/internal/idlist"
@@ -160,27 +161,89 @@ func (k *Key) EncryptColumn(values []uint64, startID uint64) []uint64 {
 }
 
 // Part is one identifier section as a sweep reads it: the selected
-// identifiers, as ranges, and the runs that hand them out to groups in list
-// order (idlist.Run) — Runs[0].Len identifiers to group Runs[0].Group, the
-// next Runs[1].Len to Runs[1].Group, and so on. Every run holds at least one
+// identifiers, as ranges, and the runs that hand them out in list order
+// (idlist.Run) — Runs[0].Len identifiers to the sum of Runs[0].Group, the
+// next Runs[1].Len to that of Runs[1].Group, and so on, each Group read
+// through Remap when the part has one. Every run holds at least one
 // identifier, and the runs hold exactly the identifiers of Ranges. A part
-// without runs hands them all to Group.
+// without runs hands them all to the sum of Group.
 type Part struct {
 	Ranges []idlist.Range
 	Runs   []idlist.Run
 	Group  int32
+	Remap  []int32
 }
 
-// cursor is a sweep's walk over one part's pieces (idlist.Pieces). A piece
-// [lo, hi] of group g adds F(hi) − F(lo−1) to g's sum (§3.2); open marks a
-// piece whose F(lo−1) is already subtracted while its F(hi) waits for a later
-// window.
+// cursor is a sweep's walk over one part: the next identifier pos of range r,
+// the identifiers left of run number run (−1 before the walk starts) and the
+// sum g they add to. While open, prev is F(pos−1), whose subtraction the piece from pos
+// owes; a piece [lo, hi] adds F(hi) − F(lo−1) to its sum (§3.2), so a run that
+// ends inside its range leaves F(hi) as the next piece's F(lo−1), read once.
 type cursor struct {
-	idlist.Pieces
-	open bool
+	r, run    int
+	pos, left uint64
+	g         int32
+	prev      uint64
+	open      bool
 }
 
-// Pieces counts the part's pieces without computing a PRF value.
+// sweep adds to sums every piece of the part whose identifiers, and the one
+// before them, s holds: it stops at the first piece that ends past s, or at
+// the part's end — the end of its ranges, or of its runs if it has any. The
+// walk runs in locals, saved to the cursor when it stops.
+func (c *cursor) sweep(p *Part, s *prf.Span, sums []uint64) {
+	span := *s // held in registers: the stores to sums cannot reach it
+	end := span.End()
+	ranges, runs, remap := p.Ranges, p.Runs, p.Remap
+	r, run, pos, left, g, prev, open := c.r, c.run, c.pos, c.left, c.g, c.prev, c.open
+	next := func() {
+		if run++; run < len(runs) {
+			left, g = uint64(runs[run].Len), runs[run].Group
+			if remap != nil {
+				g = remap[g]
+			}
+		}
+	}
+	if run < 0 && len(ranges) > 0 { // the sweep's first window: start at the first run
+		pos, left, g = ranges[0].Lo, math.MaxUint64, p.Group
+		next()
+	}
+	for r < len(ranges) && (len(runs) == 0 || run < len(runs)) {
+		if !open {
+			if pos-1 > end {
+				break
+			}
+			prev, open = span.At(pos-1), true
+		}
+		hi := ranges[r].Hi
+		// The runs that end inside the range and the window, one keystream
+		// value each. pos−1 is in the window, so pos ≤ stop+1.
+		for stop := min(hi-1, end); run < len(runs) && left <= stop+1-pos; {
+			last := pos + left - 1
+			v := span.At(last)
+			sums[g] += v - prev
+			prev, pos = v, last+1
+			next()
+		}
+		if len(runs) > 0 && run == len(runs) || left-1 < hi-pos || hi > end {
+			break // the part's end, or a run that ends past the window
+		}
+		sums[g] += span.At(hi) - prev
+		left -= hi - pos + 1
+		open = false
+		if r++; r < len(ranges) {
+			pos = ranges[r].Lo
+		}
+		if left == 0 {
+			next()
+		}
+	}
+	c.r, c.run, c.pos, c.left, c.g, c.prev, c.open = r, run, pos, left, g, prev, open
+}
+
+// Pieces counts the part's pieces without computing a PRF value: the
+// stretches of identifiers that lie in one range and one run, each of which
+// SumPieces decrypts with two PRF values.
 func (p Part) Pieces() (n uint64) {
 	var c idlist.Pieces
 	for c.Reset(p.Ranges, p.Runs, p.Group); !c.Done(); n++ {
@@ -195,20 +258,20 @@ func (p Part) Pieces() (n uint64) {
 // group g, and gains F(hi) − F(lo−1) for each such piece [lo, hi] (§3.2),
 // which makes it the plaintext sum. F is computed once over [lo−1, hi], the
 // parts' union span, as one AES-CTR keystream read in ascending windows, and
-// each part keeps one cursor into its pieces, so p holds one window at a time
-// and a sweep costs the same however many groups share the parts. Parts may
-// interleave — appended batches spread one range of identifiers over every
-// shard — as long as each is Sweepable and inside [lo, hi], and every group a
-// run names indexes sums; the caller bounds the span (PadPays). Afterwards
-// p.Evals counts the span's values.
+// each part keeps one cursor, so p holds one window at a time and a sweep
+// costs the same however many groups share the parts; a run inside one range
+// costs one keystream read. Parts may interleave — appended batches spread
+// one range of identifiers over every shard — as long as each one's ranges
+// ascend without overlapping inside [lo, hi], and every sum a run names
+// indexes sums; the caller bounds the span (PadPays). Afterwards p.Evals
+// counts the span's values.
 func (k *Key) SumParts(p *Pad, sums []uint64, parts []Part, lo, hi uint64) {
 	if lo == 0 {
 		panic("ashe: identifier 0 is reserved")
 	}
 	p.cur = slices.Grow(p.cur[:0], len(parts))[:len(parts)]
-	for i := range parts {
-		p.cur[i] = cursor{}
-		p.cur[i].Reset(parts[i].Ranges, parts[i].Runs, parts[i].Group)
+	for i := range p.cur {
+		p.cur[i] = cursor{run: -1}
 	}
 	span := hi - lo + 2
 	windows := (span + sweepWindow - 1) / sweepWindow
@@ -217,26 +280,10 @@ func (k *Key) SumParts(p *Pad, sums []uint64, parts []Part, lo, hi uint64) {
 	p.lo, p.hi = lo, hi
 	k.f.Fill(s, lo-1, base+min(window-1, hi-base)) // no overflow near 2⁶⁴
 	for {
-		end := s.End()
 		for i := range p.cur {
-			c := &p.cur[i]
-			for !c.Done() {
-				plo, phi, g := c.Piece()
-				if !c.open {
-					if plo-1 > end {
-						break
-					}
-					sums[g] -= s.At(plo - 1)
-					c.open = true
-				}
-				if phi > end {
-					break
-				}
-				sums[g] += s.At(phi)
-				c.open = false
-				c.Next(plo, phi)
-			}
+			p.cur[i].sweep(&parts[i], s, sums)
 		}
+		end := s.End()
 		if end >= hi {
 			return
 		}
@@ -246,33 +293,25 @@ func (k *Key) SumParts(p *Pad, sums []uint64, parts []Part, lo, hi uint64) {
 
 // SumPieces decrypts the same sums as SumParts with two PRF values per piece,
 // computed one by one: what a sparse section costs less as (PadPays against
-// twice Pieces). Parts need not be Sweepable. It returns the number of
-// pieces.
+// twice Pieces). Their ranges may come in any order. It returns the number
+// of pieces.
 func (k *Key) SumPieces(sums []uint64, parts []Part) (pieces uint64) {
 	var c idlist.Pieces
-	for _, part := range parts {
+	for i := range parts {
+		part := &parts[i]
 		for c.Reset(part.Ranges, part.Runs, part.Group); !c.Done(); pieces++ {
 			lo, hi, g := c.Piece()
 			if lo == 0 {
 				panic("ashe: identifier 0 is reserved")
+			}
+			if len(part.Runs) > 0 && part.Remap != nil {
+				g = part.Remap[g]
 			}
 			sums[g] += k.f.RangeDelta(lo, hi)
 			c.Next(lo, hi)
 		}
 	}
 	return pieces
-}
-
-// Sweepable reports whether SumParts can read a part's list: its ranges
-// ascend without overlapping, so their endpoints Lo−1, Hi, Lo−1, Hi, … never
-// fall.
-func Sweepable(list []idlist.Range) bool {
-	for i, r := range list {
-		if r.Lo > r.Hi || i > 0 && r.Lo <= list[i-1].Hi {
-			return false
-		}
-	}
-	return true
 }
 
 // padIDsPerValue is the break-even between the two ways to compute the PRF

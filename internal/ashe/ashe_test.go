@@ -259,10 +259,11 @@ func sweepParts(rng *rand.Rand, n, nParts int, start, span uint64, stride, maxRu
 
 // TestSumPartsMatchesDecrypt: a sweep over parts decrypts every group to what
 // Decrypt gives its list, for 1, 24 and 16k groups and 1 to 3 parts whose
-// spans interleave, from identifier 1 (F(0)) or later, over spans shorter
-// than a window and crossing many, ending on odd and even identifiers, with
-// groups empty, singletons or runs; its evaluations are the span's; and the
-// pointwise walk (SumPieces) gives the same sums.
+// spans interleave, some with their runs' tags mapped to groups (Part.Remap),
+// from identifier 1 (F(0)) or later, over spans shorter than a window and
+// crossing many, ending on odd and even identifiers, with groups empty,
+// singletons or runs; its evaluations are the span's; and the pointwise walk
+// (SumPieces) gives the same sums.
 func TestSumPartsMatchesDecrypt(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var pad Pad
@@ -274,12 +275,26 @@ func TestSumPartsMatchesDecrypt(t *testing.T) {
 			span = 200_000
 		}
 		parts, lists := sweepParts(rng, n, 1+rng.Intn(3), start, span, 1+rng.Intn(4), 1+rng.Intn(6))
+		for i := range parts { // a merged result's part: its runs' tags read through a map
+			if len(parts[i].Runs) == 0 || rng.Intn(2) == 0 {
+				continue
+			}
+			remap, tag := make([]int32, n), make([]int32, n)
+			for t, g := range rng.Perm(n) {
+				remap[t], tag[g] = int32(g), int32(t)
+			}
+			runs := slices.Clone(parts[i].Runs)
+			for j := range runs {
+				runs[j].Group = tag[runs[j].Group]
+			}
+			parts[i].Runs, parts[i].Remap = runs, remap
+		}
 		lo, hi := uint64(1<<64-1), uint64(0)
 		for _, p := range parts {
-			if !Sweepable(p.Ranges) {
-				t.Fatalf("trial %d: a part is not sweepable: %v", trial, p.Ranges)
-			}
-			for _, r := range p.Ranges {
+			for i, r := range p.Ranges {
+				if r.Lo > r.Hi || i > 0 && r.Lo <= p.Ranges[i-1].Hi {
+					t.Fatalf("trial %d: a part's ranges do not ascend: %v", trial, p.Ranges)
+				}
 				lo, hi = min(lo, r.Lo), max(hi, r.Hi)
 			}
 		}
@@ -318,14 +333,6 @@ func TestSumPartsMatchesDecrypt(t *testing.T) {
 	}
 	if got := testKey.EncryptColumn([]uint64{1, 2, 3}, 1<<64-3); got[2] != testKey.EncryptBody(3, 1<<64-1) {
 		t.Fatalf("EncryptColumn ending at identifier 2⁶⁴−1: body %#x, want %#x", got[2], testKey.EncryptBody(3, 1<<64-1))
-	}
-	for _, list := range [][]idlist.Range{{{Lo: 5, Hi: 4}}, {{Lo: 1, Hi: 5}, {Lo: 5, Hi: 9}}, {{Lo: 7, Hi: 7}, {Lo: 3, Hi: 3}}, {{Lo: 2, Hi: 2}, {Lo: 2, Hi: 2}}} {
-		if Sweepable(list) {
-			t.Errorf("%v: sweepable, but its endpoints fall", list)
-		}
-	}
-	if !Sweepable([]idlist.Range{{Lo: 1, Hi: 4}, {Lo: 5, Hi: 5}, {Lo: 9, Hi: 12}}) {
-		t.Error("abutting ascending ranges: not sweepable")
 	}
 }
 

@@ -33,6 +33,14 @@ func salesFixture(t *testing.T) *Proxy {
 // modes.
 func salesProxy(t testing.TB, scale int, modes ...translate.Mode) *Proxy {
 	t.Helper()
+	return salesProxyClicks(t, scale, 50, modes...)
+}
+
+// salesProxyClicks is salesProxy with clicks drawn from [0, clicks). Above 50
+// clicks the plan is also asked to group by them, so clicks is a DET column: a
+// key as wide as the caller makes it.
+func salesProxyClicks(t testing.TB, scale, clickValues int, modes ...translate.Mode) *Proxy {
+	t.Helper()
 	rows := 4000 * scale
 	rng := rand.New(rand.NewSource(21))
 
@@ -60,7 +68,7 @@ func salesProxy(t testing.TB, scale int, modes ...translate.Mode) *Proxy {
 	for i := 0; i < rows; i++ {
 		genderCol[i] = genders[rng.Intn(2)]
 		revenue[i] = uint64(rng.Intn(10000))
-		clicks[i] = uint64(rng.Intn(50))
+		clicks[i] = uint64(rng.Intn(clickValues))
 		day[i] = uint64(rng.Intn(31) + 1)
 		hour[i] = uint64(rng.Intn(6))
 	}
@@ -86,6 +94,9 @@ func salesProxy(t testing.TB, scale int, modes ...translate.Mode) *Proxy {
 		"SELECT hour, SUM(revenue) FROM sales GROUP BY hour",
 		"SELECT MIN(revenue) FROM sales",
 		"SELECT MAX(revenue) FROM sales",
+	}
+	if clickValues > 50 {
+		samples = append(samples, "SELECT clicks, SUM(revenue) FROM sales GROUP BY clicks")
 	}
 
 	cluster := engine.NewCluster(engine.Config{Workers: 4})

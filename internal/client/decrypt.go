@@ -93,6 +93,9 @@ type decrypter struct {
 	// scratch is the pooled memory the ASHE columns decrypt in, taken at
 	// first use and returned by release.
 	scratch *padScratch
+	// block is where DET integers — group keys, scan cells — decrypt, one
+	// after another.
+	block [det.U64Size]byte
 }
 
 // cellFunc decrypts cell j of a scan row into v, which holds the column's
@@ -100,9 +103,10 @@ type decrypter struct {
 type cellFunc func(sr *engine.ScanRow, j int, v *Value) error
 
 // padScratch is the memory ASHE columns decrypt in: a pad, the identifier
-// section's parts decoded back to back — their lists' ranges, their runs and
-// the parts viewing them — and the group sums. A dense group-by's run to
-// megabytes, so they are pooled across queries.
+// section's parts' lists decoded back to back, the runs of parts that arrive
+// without them decoded (an in-process result's), the parts viewing both, and
+// the group sums. A dense group-by's run to megabytes, so they are pooled
+// across queries.
 type padScratch struct {
 	pad    ashe.Pad
 	ranges []idlist.Range
@@ -113,14 +117,12 @@ type padScratch struct {
 }
 
 // section is a result's identifier section as the ASHE sums read it: its parts
-// decoded, the union span [lo, hi] of their identifiers, whether every part's
-// list is Sweepable, and what computing its pieces' PRF values one by one
-// costs: two a piece (ashe.Part.Pieces).
+// decoded, the union span [lo, hi] of their identifiers, and whether the sums
+// decrypt against one sweep over it.
 type section struct {
-	parts     []ashe.Part
-	lo, hi    uint64
-	sweepable bool
-	values    uint64
+	parts  []ashe.Part
+	lo, hi uint64
+	swept  bool
 }
 
 var padPool = sync.Pool{New: func() any { return new(padScratch) }}
@@ -215,12 +217,14 @@ func Decrypt(tr *translate.Translation, res *engine.Result, ring *KeyRing) (*Res
 		}
 	}
 	n := cols.Len()
-	// Rows, their values and their keys come from one block each per result.
-	// Keys decrypt first: they fix the row order (by group key, for stable
-	// output), and the rows are then built in that order.
-	var keys []Value
+	// Rows come from one block per result, and their values and keys from
+	// another. Keys decrypt first: they fix the row order (by group key, for
+	// stable output), and the rows are then built in that order.
+	nOut := len(tr.Client.Outputs)
+	var keys, values []Value
 	if tr.Client.GroupKey != nil {
-		keys = make([]Value, n)
+		values = make([]Value, n*(nOut+1))
+		keys, values = values[:n:n], values[n:]
 		for g := range keys {
 			kv, err := d.groupKey(tr.Client.GroupKey, cols, g)
 			if err != nil {
@@ -228,10 +232,10 @@ func Decrypt(tr *translate.Translation, res *engine.Result, ring *KeyRing) (*Res
 			}
 			keys[g] = kv
 		}
+	} else {
+		values = make([]Value, n*nOut)
 	}
-	nOut := len(tr.Client.Outputs)
 	out.Rows = make([]Row, n)
-	values := make([]Value, n*nOut)
 	order, err := keyOrder(keys, n)
 	if err != nil {
 		return nil, err
@@ -257,11 +261,9 @@ func Decrypt(tr *translate.Translation, res *engine.Result, ring *KeyRing) (*Res
 
 // asheSums returns every group's decrypted sum of ASHE aggregate column agg,
 // decrypting the whole column the first time an output reads it (§3.2),
-// against the result's identifier section (decodeSection). The column
-// decrypts against one sweep of F over the section's span (ashe.SumParts)
-// when every part's list is sweepable — ascending, as every run writes them —
-// and ashe.PadPays says that costs less than the two PRF values per piece the
-// parts need pointwise (ashe.SumPieces).
+// against the result's identifier section (decodeSection): with one sweep of
+// F over the section's span (ashe.SumParts), or two PRF values a piece
+// (ashe.SumPieces).
 func (d *decrypter) asheSums(o *translate.Output, cols *engine.GroupCols) ([]uint64, error) {
 	col, n, sc := &cols.Aggs[o.Agg], cols.Len(), d.scratchBuf()
 	if d.sums == nil {
@@ -279,7 +281,7 @@ func (d *decrypter) asheSums(o *translate.Output, cols *engine.GroupCols) ([]uin
 	sec := d.sec
 	k, sums := d.ashe(o.SourceCol), sc.sums[o.Agg*n:(o.Agg+1)*n:(o.Agg+1)*n]
 	copy(sums, col.Lane[:n])
-	if sec.sweepable && sec.lo <= sec.hi && ashe.PadPays(sec.lo, sec.hi, sec.values) {
+	if sec.swept {
 		k.SumParts(&sc.pad, sums, sec.parts, sec.lo, sec.hi)
 		d.prfEvals += sc.pad.Evals()
 	} else {
@@ -289,43 +291,62 @@ func (d *decrypter) asheSums(o *translate.Output, cols *engine.GroupCols) ([]uin
 	return sums, nil
 }
 
-// decodeSection decodes the columns' identifier section once, into the
-// scratch, for every ASHE sum: each part's list back to back into one block of
-// ranges and its runs, their tags mapped to these columns' groups, into
-// another (engine.IDPart.Decode checks both, refusing a list that does not
-// hold exactly the identifiers its runs hand out). Before any PRF value is
-// computed it refuses identifier 0, naming the aggregate o that asked.
+// decodeSection readies the columns' identifier section once, in the
+// scratch, for every ASHE sum: each part's list decoded back to back into one
+// block of ranges (engine.IDPart.DecodeList, which refuses a list that does
+// not hold exactly the identifiers its runs hand out), beside its runs as
+// they arrived decoded (engine.IDPart.Tags). Before any PRF value is computed
+// it refuses identifier 0, naming the aggregate o that asked.
+//
+// The sums are swept when every part's list ascends, as every run writes
+// them, and ashe.PadPays says the sweep costs less than the two PRF values a
+// piece the parts need pointwise. A part's piece count lies between the larger
+// of its run and range counts and their sum less one (its last run and range
+// end together), so the pieces are counted only when PadPays answers
+// differently at the two bounds.
 func (d *decrypter) decodeSection(o *translate.Output, cols *engine.GroupCols) error {
 	sc := d.scratchBuf()
-	sc.sec = section{lo: math.MaxUint64, sweepable: true}
+	sc.sec = section{lo: math.MaxUint64}
 	sec := &sc.sec
-	sc.ranges, sc.runs = sc.ranges[:0], sc.runs[:0]
-	bounds := make([][2]int, len(cols.IDs)) // each part's ranges and runs end
+	sc.ranges, sc.runs, sc.parts = sc.ranges[:0], sc.runs[:0], sc.parts[:0]
+	ascending, fewest, most := true, uint64(0), uint64(0)
 	for i := range cols.IDs {
 		p := &cols.IDs[i]
-		from, runsFrom := len(sc.ranges), len(sc.runs)
+		from := len(sc.ranges)
 		var err error
-		if sc.ranges, sc.runs, err = p.Decode(d.codec, sc.ranges, sc.runs); err != nil {
+		var asc bool
+		if sc.ranges, asc, err = p.DecodeList(d.codec, sc.ranges); err != nil {
 			return fmt.Errorf("client: part %d: %v", i, err)
 		}
-		list := sc.ranges[from:]
-		for _, r := range list {
-			if r.Lo == 0 {
-				return &ReservedIDError{Where: fmt.Sprintf("aggregate %d (sum of %s)", o.Agg, o.SourceCol)}
-			}
-			sec.lo, sec.hi = min(sec.lo, r.Lo), max(sec.hi, r.Hi)
+		runs, err := p.Tags(&sc.runs)
+		if err != nil {
+			return fmt.Errorf("client: part %d: %v", i, err)
 		}
-		sec.sweepable = sec.sweepable && ashe.Sweepable(list)
-		sec.values += 2 * ashe.Part{Ranges: list, Runs: sc.runs[runsFrom:], Group: p.WholeGroup()}.Pieces()
-		bounds[i] = [2]int{len(sc.ranges), len(sc.runs)}
-	}
-	sc.parts = sc.parts[:0]
-	r0, u0 := 0, 0
-	for i, b := range bounds {
-		sc.parts = append(sc.parts, ashe.Part{Ranges: sc.ranges[r0:b[0]:b[0]], Runs: sc.runs[u0:b[1]:b[1]], Group: cols.IDs[i].WholeGroup()})
-		r0, u0 = b[0], b[1]
+		list := sc.ranges[from:len(sc.ranges):len(sc.ranges)]
+		if len(list) == 0 {
+			continue
+		}
+		// An ascending list's least identifier is its first.
+		if asc && list[0].Lo == 0 || !asc && slices.ContainsFunc(list, func(r idlist.Range) bool { return r.Lo == 0 }) {
+			return &ReservedIDError{Where: fmt.Sprintf("aggregate %d (sum of %s)", o.Agg, o.SourceCol)}
+		}
+		ascending = ascending && asc
+		sec.lo, sec.hi = min(sec.lo, list[0].Lo), max(sec.hi, list[len(list)-1].Hi)
+		ranges, nRuns := uint64(len(list)), uint64(len(runs))
+		fewest += max(ranges, nRuns)
+		most += ranges + max(nRuns, 1) - 1
+		sc.parts = append(sc.parts, ashe.Part{Ranges: list, Runs: runs, Group: p.WholeGroup(), Remap: p.Remap})
 	}
 	sec.parts = sc.parts
+	pays := func(pieces uint64) bool { return ascending && ashe.PadPays(sec.lo, sec.hi, 2*pieces) }
+	sec.swept = pays(fewest)
+	if !sec.swept && pays(most) {
+		pieces := uint64(0)
+		for _, part := range sec.parts {
+			pieces += part.Pieces()
+		}
+		sec.swept = pays(pieces)
+	}
 	d.sec = sec
 	return nil
 }
@@ -440,7 +461,7 @@ func (d *decrypter) groupKey(gk *translate.GroupKeyPlan, cols *engine.GroupCols,
 		}
 		return Value{Name: name, Kind: Str, Str: s}, nil
 	}
-	id, err := dk.DecryptU64(key)
+	id, err := dk.DecryptU64In(key, &d.block)
 	if err != nil {
 		return Value{}, fmt.Errorf("client: decrypt group key: %v", err)
 	}
@@ -485,7 +506,7 @@ func (d *decrypter) resolveScan(cols []translate.ScanCol) {
 		case sc.Det:
 			dk, dict := d.det(sc.SourceCol), sc.Dict
 			d.scanCell[i] = func(sr *engine.ScanRow, j int, v *Value) error {
-				id, err := dk.DecryptU64(sr.Bytes(j))
+				id, err := dk.DecryptU64In(sr.Bytes(j), &d.block)
 				if err != nil {
 					return fmt.Errorf("client: scan decrypt: %v", err)
 				}

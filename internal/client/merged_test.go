@@ -210,16 +210,17 @@ func TestDecryptRefusesDuplicateKeys(t *testing.T) {
 // BenchmarkMergeToDecrypt measures what a fleet query pays between its last
 // shard's frame and its rows: three framed sub-results decoded, merged by
 // engine.Merge and decrypted — the dashboard's wide filtered sum (one list of
-// tens of thousands of ranges) and its dense group-by (a sparse list per
-// group). The merged identifier lists go from the merge to the PRF without
-// passing through the codec.
+// tens of thousands of ranges), its dense group-by (6 groups, a run every
+// identifier or so) and heavy_groupby's wide one (16,384 DET-keyed groups over
+// 200,000 rows).
 func BenchmarkMergeToDecrypt(b *testing.B) {
-	p := salesProxy(b, 50, translate.Seabed) // 200,000 rows
+	p := salesProxyClicks(b, 50, 1<<14, translate.Seabed) // 200,000 rows
 	ctx := context.Background()
 	cl := engine.NewCluster(engine.Config{Workers: 12})
 	for _, shape := range []struct{ name, sql string }{
 		{"wide_sum", "SELECT SUM(revenue) FROM sales WHERE day > 8"},
 		{"dense_gb", "SELECT hour, SUM(revenue) FROM sales GROUP BY hour"},
+		{"wide_gb", "SELECT clicks, SUM(revenue) FROM sales GROUP BY clicks"},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
 			stmt, err := sqlparse.ParseStatement(shape.sql)

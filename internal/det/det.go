@@ -97,10 +97,17 @@ func (k *Key) EncryptU64Column(values []uint64) []byte {
 
 // DecryptU64 inverts EncryptU64, verifying the embedded pad.
 func (k *Key) DecryptU64(ct []byte) (uint64, error) {
+	var out [aes.BlockSize]byte
+	return k.DecryptU64In(ct, &out)
+}
+
+// DecryptU64In is DecryptU64 decrypting into out, which the caller keeps: the
+// cipher is an interface, so a block of DecryptU64's own is allocated a call,
+// and a caller decrypting a column of keys allocates it once.
+func (k *Key) DecryptU64In(ct []byte, out *[aes.BlockSize]byte) (uint64, error) {
 	if len(ct) != U64Size {
 		return 0, fmt.Errorf("det: u64 ciphertext must be %d bytes, got %d", U64Size, len(ct))
 	}
-	var out [aes.BlockSize]byte
 	k.block.Decrypt(out[:], ct)
 	if !bytes.Equal(out[:8], k.pad[:]) {
 		return 0, ErrCorrupt

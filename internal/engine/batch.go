@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"slices"
 	"time"
@@ -358,10 +359,15 @@ func (g *grouper) suffix(rowID uint64) int32 {
 // through one cache-resident region at a time. Only the probe order is
 // permuted — the slot vector stays in selection order, so accumulation
 // (and with it the survivors' slot order and min/max tie-breaking) is identical
-// to the reference evaluator's row order.
+// to the reference evaluator's row order. A Fixed key below the radix size
+// resolves in one pass (fixedKeys).
 func (ts *taskState) groupSlots(startID uint64) {
 	g := &ts.g
 	col := ts.pc.group
+	if col.Kind == store.Fixed && !g.radix(len(ts.b.sel)) {
+		ts.res.ops.GroupHash += uint64(ts.fixedKeys(startID, true))
+		return
+	}
 	miss := ts.hashPass(startID)
 	ts.res.ops.GroupDense += uint64(len(ts.b.sel) - miss)
 	ts.res.ops.GroupHash += uint64(miss)
@@ -369,7 +375,7 @@ func (ts *taskState) groupSlots(startID uint64) {
 		return
 	}
 	order := g.horder[:miss]
-	if len(g.t.table) >= radixMinTable && miss >= radixBuckets {
+	if g.radix(miss) {
 		ts.res.ops.RadixBatches++
 		var count [radixBuckets + 1]int32
 		for m := 0; m < miss; m++ {
@@ -396,12 +402,21 @@ func (ts *taskState) groupSlots(startID uint64) {
 	case store.Bytes:
 		probeKeys(g, col.Bytes, order)
 	case store.Fixed:
+		buf, w := col.Fixed, col.Width
 		for _, m := range order {
-			g.slots[g.hpos[m]] = slotKeyed(&g.t, col.BytesAt(int(g.hidx[m])), g.hsfx[m], g.hh[m])
+			lo := int(g.hidx[m]) * w
+			g.slots[g.hpos[m]] = slotKeyed(&g.t, buf[lo:lo+w:lo+w], g.hsfx[m], g.hh[m])
 		}
 	default:
 		probeKeys(g, col.Str, order)
 	}
+}
+
+// radix reports whether a batch with pending hashed keys probes the table in
+// hash-prefix order: when the table is large enough for its accesses to miss
+// the cache, and the batch large enough to fill the prefixes' runs.
+func (g *grouper) radix(pending int) bool {
+	return len(g.t.table) >= radixMinTable && pending >= radixBuckets
 }
 
 // hashPass is groupSlots' first pass: it resolves the survivors whose u64 key
@@ -415,7 +430,7 @@ func (ts *taskState) hashPass(startID uint64) int {
 	case store.Bytes:
 		return hashKeys(ts, col.Bytes, startID)
 	case store.Fixed:
-		return ts.hashFixedKeys(startID)
+		return ts.fixedKeys(startID, false)
 	default:
 		return hashKeys(ts, col.Str, startID)
 	}
@@ -482,9 +497,14 @@ func hashKeys[T ~string | ~[]byte](ts *taskState, col []T, startID uint64) int {
 	return len(ts.b.sel)
 }
 
-// hashFixedKeys is hashKeys for a Fixed column, whose keys are windows of one
-// flat buffer rather than elements of a slice.
-func (ts *taskState) hashFixedKeys(startID uint64) int {
+// fixedKeys is groupSlots' pass over Fixed keys — every DET and OPE value —
+// which are windows of one flat buffer rather than elements of a slice: each
+// survivor's key is hashed where it lies, a 16-byte key's two words mixed in
+// line (hashWords), or takes the hash a routed row carried. With probe the
+// key resolves to its slot on the spot, with no pending vectors; without, it
+// joins them, for a radix-ordered probe or a bucketed map task's routing. It
+// returns the number of keys.
+func (ts *taskState) fixedKeys(startID uint64, probe bool) int {
 	g := &ts.g
 	buf, w := ts.pc.group.Fixed, ts.pc.group.Width
 	for k, i := range ts.b.sel {
@@ -493,13 +513,22 @@ func (ts *taskState) hashFixedKeys(startID uint64) int {
 			idx = ts.b.joinAt(k)
 		}
 		sfx := g.suffix(startID + uint64(i))
-		g.hpos[k], g.hidx[k], g.hsfx[k] = int32(k), idx, sfx
-		if ts.carried != nil {
-			g.hh[k] = ts.carried[k]
-		} else {
-			lo := int(idx) * w
-			g.hh[k] = hashKey(buf[lo:lo+w], sfx)
+		lo := int(idx) * w
+		key := buf[lo : lo+w : lo+w]
+		var h uint64
+		switch {
+		case ts.carried != nil:
+			h = ts.carried[k]
+		case w == 16:
+			h = hashWords(binary.LittleEndian.Uint64(key), binary.LittleEndian.Uint64(key[8:]), sfx)
+		default:
+			h = hashKey(key, sfx)
 		}
+		if probe {
+			g.slots[k] = slotKeyed(&g.t, key, sfx, h)
+			continue
+		}
+		g.hpos[k], g.hidx[k], g.hsfx[k], g.hh[k] = int32(k), idx, sfx, h
 	}
 	return len(ts.b.sel)
 }

@@ -146,10 +146,14 @@ func hashU64(v uint64, sfx int32) uint64 {
 }
 
 // hashKey hashes a byte or string group key eight bytes at a time — DET
-// ciphertexts are two words — with the suffix and length mixed in. Each word
-// is one little-endian load: for a []byte key the conversion is the slice
-// itself, and a string key's eight bytes convert on the stack.
+// ciphertexts are two words, mixed without a loop (hashWords) — with the
+// suffix and length mixed in. Each word is one little-endian load: for a
+// []byte key the conversion is the slice itself, and a string key's eight
+// bytes convert on the stack.
 func hashKey[T ~string | ~[]byte](k T, sfx int32) uint64 {
+	if len(k) == 16 {
+		return hashWords(binary.LittleEndian.Uint64([]byte(k[:8])), binary.LittleEndian.Uint64([]byte(k[8:16])), sfx)
+	}
 	h := uint64(len(k)) ^ uint64(uint32(sfx))*0x9e3779b97f4a7c15
 	i := 0
 	for ; i+8 <= len(k); i += 8 {
@@ -160,6 +164,14 @@ func hashKey[T ~string | ~[]byte](k T, sfx int32) uint64 {
 		h = (h ^ uint64(k[i])) * 0x100000001b3
 	}
 	return splitmix64(h)
+}
+
+// hashWords is hashKey of the 16-byte key whose little-endian words are a
+// and b, mixed in line: every DET and OPE value is such a key.
+func hashWords(a, b uint64, sfx int32) uint64 {
+	h := (16 ^ uint64(uint32(sfx))*0x9e3779b97f4a7c15 ^ a) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>29 ^ b) * 0xbf58476d1ce4e5b9
+	return splitmix64(h ^ h>>29)
 }
 
 // slotTable interns group keys into slots: an open-addressed, linear-probing
@@ -217,7 +229,8 @@ func (t *slotTable) slotU64(v uint64, sfx int32, h uint64) int32 {
 }
 
 // slotKeyed is slotU64 for byte and string keys: a first sight copies the key
-// into the arena.
+// into the arena. A candidate is rejected on its kept hash before its key is
+// compared (holds).
 func slotKeyed[T ~string | ~[]byte](t *slotTable, key T, sfx int32, h uint64) int32 {
 	if t.used*2 >= len(t.table) {
 		t.grow()
@@ -232,10 +245,22 @@ func slotKeyed[T ~string | ~[]byte](t *slotTable, key T, sfx int32, h uint64) in
 			t.table[idx] = int32(len(t.hash))
 			return int32(len(t.hash) - 1)
 		}
-		if t.hash[s-1] == h && string(t.bytesAt(int(s-1))) == string(key) && t.suffixAt(int(s-1)) == sfx {
+		if t.hash[s-1] == h && holds(&t.groupKeys, int(s-1), key) && t.suffixAt(int(s-1)) == sfx {
 			return s - 1
 		}
 	}
+}
+
+// holds reports whether slot s's key is key: a 16-byte key, a DET or OPE
+// value, compared as two words.
+func holds[T ~string | ~[]byte](k *groupKeys, s int, key T) bool {
+	lo, hi := k.off[s], k.off[s+1]
+	if len(key) != 16 || hi-lo != 16 {
+		return string(k.arena[lo:hi]) == string(key)
+	}
+	a := k.arena[lo : lo+16 : lo+16]
+	return binary.LittleEndian.Uint64(a) == binary.LittleEndian.Uint64([]byte(key[:8])) &&
+		binary.LittleEndian.Uint64(a[8:]) == binary.LittleEndian.Uint64([]byte(key[8:16]))
 }
 
 // grow doubles the table and reinserts every resident slot at its new

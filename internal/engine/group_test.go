@@ -2,7 +2,10 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -145,6 +148,86 @@ func TestHashKeyPinned(t *testing.T) {
 		}
 		if got := hashKey(tc.key, tc.sfx); got != tc.want {
 			t.Errorf("hashKey(%q, %d) = %#x, want %#x", tc.key, tc.sfx, got, tc.want)
+		}
+	}
+}
+
+// hashKeyBytes is hashKey as it was before any key length had a path of its
+// own: eight bytes at a time, then a byte at a time, for every length.
+func hashKeyBytes(k []byte, sfx int32) uint64 {
+	h := uint64(len(k)) ^ uint64(uint32(sfx))*0x9e3779b97f4a7c15
+	i := 0
+	for ; i+8 <= len(k); i += 8 {
+		h = (h ^ binary.LittleEndian.Uint64(k[i:])) * 0xbf58476d1ce4e5b9
+		h ^= h >> 29
+	}
+	for ; i < len(k); i++ {
+		h = (h ^ uint64(k[i])) * 0x100000001b3
+	}
+	return splitmix64(h)
+}
+
+// TestFixedKeyProbe: the 16-byte key path — two words mixed in line
+// (hashWords), as the Fixed group columns of every DET and OPE key take it,
+// and hashKey's own — hashes every key bit for bit as the general loop does,
+// so slots, reducer buckets and routed buckets stay where they were; over
+// random keys, other widths too, and every suffix an inflated grouping draws
+// (grouper.suffix) besides −1 and the extremes. And the word compare numbers
+// keys as a map does, first seen first, through the table's growth, on
+// neighbours one bit apart, on keys that differ only in their suffix, and on
+// byte and string keys alike.
+func TestFixedKeyProbe(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for _, width := range []int{16, 8, 15, 17, 32} {
+		for _, inflate := range []int{0, 2, 7} {
+			g := grouper{inflate: inflate, seed: rng.Uint64()}
+			distinct := make([][]byte, 700) // past half of the smallest table: it grows
+			for i := range distinct {
+				distinct[i] = make([]byte, width)
+				rng.Read(distinct[i])
+				if i%3 == 1 {
+					copy(distinct[i], distinct[i-1])
+					distinct[i][rng.Intn(width)] ^= 1 << rng.Intn(8)
+				}
+			}
+			var byBytes, byString, collided slotTable
+			byBytes.init(store.Bytes, inflate > 0, 0)
+			byString.init(store.Str, inflate > 0, 0)
+			collided.init(store.Bytes, inflate > 0, 0)
+			type ks struct {
+				key string
+				sfx int32
+			}
+			want := map[ks]int32{}
+			for row := range 8000 {
+				key := distinct[rng.Intn(len(distinct))]
+				sfx := g.suffix(uint64(row) + 1)
+				if inflate > 0 && row%97 == 0 { // a table without inflation holds suffix −1 only
+					sfx = []int32{-1, 0, math.MaxInt32, math.MinInt32}[row%4]
+				}
+				h := hashKeyBytes(key, sfx)
+				if got, str := hashKey(key, sfx), hashKey(string(key), sfx); got != h || str != h {
+					t.Fatalf("width %d: hashKey(%x, %d) = %#x and %#x as a string, want %#x", width, key, sfx, got, str, h)
+				}
+				if width == 16 {
+					if got := hashWords(binary.LittleEndian.Uint64(key), binary.LittleEndian.Uint64(key[8:]), sfx); got != h {
+						t.Fatalf("hashWords(%x, %d) = %#x, want %#x", key, sfx, got, h)
+					}
+				}
+				s, ok := want[ks{string(key), sfx}]
+				if !ok {
+					s = int32(len(want))
+					want[ks{string(key), sfx}] = s
+				}
+				a, b := slotKeyed(&byBytes, key, sfx, h), slotKeyed(&byString, string(key), sfx, h)
+				c := slotKeyed(&collided, key, sfx, h&1) // every key hashed to 0 or 1: the compare decides
+				if a != s || b != s || c != s {
+					t.Fatalf("width %d, row %d: slot %d, %d as a string, %d hashed alike, want %d", width, row, a, b, c, s)
+				}
+			}
+			if byBytes.len() != len(want) || !reflect.DeepEqual(byBytes.arena, byString.arena) || len(byBytes.table) <= 1024 {
+				t.Fatalf("width %d, inflate %d: %d slots of %d keys, table of %d", width, inflate, byBytes.len(), len(want), len(byBytes.table))
+			}
 		}
 	}
 }

@@ -50,6 +50,9 @@ type IDPart struct {
 	// Remap maps a tag to its group in the holding columns; nil when the tags
 	// are those groups.
 	Remap []int32
+	// tagged is Runs decoded by DecodeRuns, one idlist.Run a packed run with
+	// its tag as Group; nil until then.
+	tagged []idlist.Run
 }
 
 // tagBits is the number of low bits a packed run of a part of groups groups
@@ -77,105 +80,121 @@ func appendRun(dst []byte, n uint64, tag int, bits uint) []byte {
 	return dst
 }
 
-// AppendRuns appends the part's runs to dst, each with its tag's group in the
-// holding columns, after checking them: every run's tag is below Groups, and
-// together they hold exactly Selected identifiers (a run holds at least one:
-// the packing has no way to say none). It appends one Run a packed run, and
-// refuses a run longer than idlist.MaxRun, so what it appends is bounded by
-// the bytes it reads; a part of one group has no runs, its identifiers all
-// WholeGroup's. Remap is the caller's to check against the holding columns
-// (GroupCols.CheckPlan).
-func (p *IDPart) AppendRuns(dst []idlist.Run) ([]idlist.Run, error) {
-	return p.walkRuns(dst, true)
+// DecodeRuns checks the part's runs and keeps them decoded, one idlist.Run a
+// packed run with its tag as Group, for Tags to hand out, so that no reader
+// walks the packed runs again: every run's tag is below Groups, and together
+// they hold exactly Selected identifiers (a run holds at least one: the
+// packing has no way to say none). It refuses a run longer than
+// idlist.MaxRun, so what it keeps is bounded by the bytes it reads; a part of
+// one group has no runs, its identifiers all WholeGroup's. Remap is the
+// caller's to check against the holding columns (GroupCols.CheckPlan).
+func (p *IDPart) DecodeRuns() error {
+	runs, err := p.walkRuns(nil)
+	if err == nil {
+		p.tagged = runs
+	}
+	return err
 }
 
-// Decode appends the part's list, decoded with codec, to ranges, and its
-// runs to runs as AppendRuns does, after checking the list: no range ends
-// below its start, and together the ranges hold exactly Selected
-// identifiers. Any further check of the identifiers is the caller's.
-func (p *IDPart) Decode(codec idlist.Codec, ranges []idlist.Range, runs []idlist.Run) ([]idlist.Range, []idlist.Run, error) {
-	from := len(ranges)
-	ranges, err := codec.AppendDecode(ranges, p.List)
+// Tags returns the part's runs, each with its tag as Group — Remap is the
+// reader's to apply: the runs DecodeRuns kept, or else the packed runs
+// decoded onto *scratch after DecodeRuns' checks, which is then grown.
+func (p *IDPart) Tags(scratch *[]idlist.Run) ([]idlist.Run, error) {
+	if p.tagged != nil {
+		return p.tagged, nil
+	}
+	from := len(*scratch)
+	runs, err := p.walkRuns(*scratch)
 	if err != nil {
-		return ranges, runs, fmt.Errorf("engine: decode id list: %v", err)
+		return nil, err
 	}
-	if runs, err = p.AppendRuns(runs); err != nil {
-		return ranges, runs, err
+	*scratch = runs
+	return runs[from:len(runs):len(runs)], nil
+}
+
+// DecodeList appends the part's list, decoded with codec, to ranges after
+// checking it: no range ends below its start, and together the ranges hold
+// exactly Selected identifiers. It reports whether the list ascends without
+// overlapping, as every run writes it. Any further check of the identifiers
+// is the caller's.
+func (p *IDPart) DecodeList(codec idlist.Codec, ranges []idlist.Range) (_ []idlist.Range, ascending bool, err error) {
+	from := len(ranges)
+	ranges, err = codec.AppendDecode(ranges, p.List)
+	if err != nil {
+		return ranges, false, fmt.Errorf("engine: decode id list: %v", err)
 	}
-	held := uint64(0)
-	for _, r := range ranges[from:] {
+	held, ascending := uint64(0), true
+	for i, r := range ranges[from:] {
 		if r.Lo > r.Hi || r.Span() > p.Selected-held {
-			return ranges, runs, fmt.Errorf("engine: identifier section part lists more than its %d identifiers (malformed or hostile result)", p.Selected)
+			return ranges, false, fmt.Errorf("engine: identifier section part lists more than its %d identifiers (malformed or hostile result)", p.Selected)
 		}
 		held += r.Span()
+		ascending = ascending && (i == 0 || r.Lo > ranges[from+i-1].Hi)
 	}
 	if held != p.Selected {
-		return ranges, runs, fmt.Errorf("engine: identifier section part lists %d of its %d identifiers (malformed or hostile result)", held, p.Selected)
+		return ranges, false, fmt.Errorf("engine: identifier section part lists %d of its %d identifiers (malformed or hostile result)", held, p.Selected)
 	}
-	return ranges, runs, nil
+	return ranges, ascending, nil
 }
 
 // WholeGroup is the group in the holding columns that a part of one group,
 // which has no runs, hands all its identifiers to.
 func (p *IDPart) WholeGroup() int32 { return int32(p.group(0)) }
 
-// Check checks the part's runs as AppendRuns does, keeping nothing.
-func (p *IDPart) Check() error {
-	_, err := p.walkRuns(nil, false)
-	return err
-}
-
-// walkRuns is AppendRuns, appending only with keep.
-func (p *IDPart) walkRuns(dst []idlist.Run, keep bool) ([]idlist.Run, error) {
+// walkRuns checks the part's packed runs and appends them to dst, tagged. A
+// run's word is read with one 8-byte load while eight bytes remain, and a run
+// of fewer than four identifiers — a wide group-by's every run, nearly — is
+// checked against the count left and nothing else.
+func (p *IDPart) walkRuns(dst []idlist.Run) ([]idlist.Run, error) {
 	if p.Groups <= 1 {
 		if len(p.Runs) > 0 {
-			return dst, fmt.Errorf("engine: identifier section of one group carries runs (malformed or hostile result)")
+			return nil, fmt.Errorf("engine: identifier section of one group carries runs (malformed or hostile result)")
 		}
 		return dst, nil
 	}
-	shift := tagBits(p.Groups)
+	groups, shift := p.Groups, tagBits(p.Groups)
 	width, mask, left := runWord(shift), uint64(1)<<shift-1, p.Selected
-	if keep { // a run takes a word at least
-		dst = slices.Grow(dst, len(p.Runs)/width)
-	}
-	for b := p.Runs; len(b) > 0; {
-		if len(b) < width {
-			return dst, fmt.Errorf("engine: identifier section: run cut short (malformed or hostile result)")
-		}
+	wordMask := uint64(1)<<(8*width) - 1
+	dst = slices.Grow(dst, len(p.Runs)/width) // a run takes a word at least
+	for b, i := p.Runs, 0; i < len(b); {
 		var w uint64
-		for i := range width {
-			w |= uint64(b[i]) << (8 * i)
+		switch {
+		case len(b)-i >= 8:
+			w = binary.LittleEndian.Uint64(b[i:]) & wordMask
+		case len(b)-i >= width:
+			for j := range width {
+				w |= uint64(b[i+j]) << (8 * j)
+			}
+		default:
+			return nil, fmt.Errorf("engine: identifier section: run cut short (malformed or hostile result)")
 		}
-		b = b[width:]
+		i += width
 		code, tag := w>>shift, int(w&mask)
-		if code > 3 || tag >= p.Groups {
-			return dst, fmt.Errorf("engine: identifier section: run word %#x: tag %d of %d groups, length code %d (malformed or hostile result)", w, tag, p.Groups, code)
+		if code > 3 || tag >= groups {
+			return nil, fmt.Errorf("engine: identifier section: run word %#x: tag %d of %d groups, length code %d (malformed or hostile result)", w, tag, groups, code)
 		}
 		n := code + 1
 		if code == 3 {
-			v, k := binary.Uvarint(b)
-			if k <= 0 {
-				return dst, fmt.Errorf("engine: identifier section: run cut short (malformed or hostile result)")
+			v, m := binary.Uvarint(b[i:])
+			if m <= 0 {
+				return nil, fmt.Errorf("engine: identifier section: run cut short (malformed or hostile result)")
 			}
-			b = b[k:]
+			i += m
 			if v > left || left-v < 4 {
-				return dst, fmt.Errorf("engine: identifier section: runs hold more than the %d identifiers selected (malformed or hostile result)", p.Selected)
+				return nil, fmt.Errorf("engine: identifier section: runs hold more than the %d identifiers selected (malformed or hostile result)", p.Selected)
 			}
-			n = v + 4
+			if n = v + 4; n > idlist.MaxRun {
+				return nil, fmt.Errorf("engine: identifier section: a run of %d identifiers, more than %d (malformed or hostile result)", n, uint64(idlist.MaxRun))
+			}
 		}
 		if n > left {
-			return dst, fmt.Errorf("engine: identifier section: runs hold more than the %d identifiers selected (malformed or hostile result)", p.Selected)
-		}
-		if n > idlist.MaxRun {
-			return dst, fmt.Errorf("engine: identifier section: a run of %d identifiers, more than %d (malformed or hostile result)", n, uint64(idlist.MaxRun))
+			return nil, fmt.Errorf("engine: identifier section: runs hold more than the %d identifiers selected (malformed or hostile result)", p.Selected)
 		}
 		left -= n
-		if keep {
-			dst = append(dst, idlist.Run{Len: uint32(n), Group: int32(p.group(tag))})
-		}
+		dst = append(dst, idlist.Run{Len: uint32(n), Group: int32(tag)})
 	}
 	if left > 0 {
-		return dst, fmt.Errorf("engine: identifier section: runs hold %d of the %d identifiers selected (malformed or hostile result)", p.Selected-left, p.Selected)
+		return nil, fmt.Errorf("engine: identifier section: runs hold %d of the %d identifiers selected (malformed or hostile result)", p.Selected-left, p.Selected)
 	}
 	return dst, nil
 }
@@ -330,16 +349,24 @@ func (c *GroupCols) groupLists() (lists [][]byte, ok bool) {
 	}
 	var pieces []piece
 	var ranges []idlist.Range
-	var runs []idlist.Run
+	var scratch []idlist.Run
 	for pi := range c.IDs {
 		p := &c.IDs[pi]
 		var err error
-		if ranges, runs, err = p.Decode(c.Codec, ranges[:0], runs[:0]); err != nil {
+		if ranges, _, err = p.DecodeList(c.Codec, ranges[:0]); err != nil {
+			return nil, false
+		}
+		scratch = scratch[:0]
+		runs, err := p.Tags(&scratch)
+		if err != nil {
 			return nil, false
 		}
 		var walk idlist.Pieces
 		for walk.Reset(ranges, runs, p.WholeGroup()); !walk.Done(); {
 			lo, hi, g := walk.Piece()
+			if len(runs) > 0 {
+				g = int32(p.group(int(g)))
+			}
 			pieces = append(pieces, piece{int(g), lo, hi})
 			walk.Next(lo, hi)
 		}

@@ -636,12 +636,13 @@ func BenchmarkRunGroupByBytesWide(b *testing.B) {
 
 // BenchmarkRunGroupByBytes is the sweep behind bucketRowsPerGroupTask: the
 // encrypted GROUP BY of BenchmarkRunGroupByBytesWide — 64 Ki rows on 8
-// partitions, so N ÷ (G × T) is 8192 ÷ G — at 1 Ki to 64 Ki groups, in each
+// partitions, so N ÷ (G × T) is 8192 ÷ G — at 256 to 64 Ki groups, in each
 // group-by strategy, pinned. Where the two rows/s cross is where the rule
-// switches.
+// switches. The 16- and 32-group cases are the dashboard's shape, a DET key
+// of a day's hours: small tables, many rows a group.
 func BenchmarkRunGroupByBytes(b *testing.B) {
 	const rows = 1 << 16
-	for groups := 1 << 8; groups <= 1<<16; groups <<= 1 {
+	for _, groups := range []int{16, 32, 1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14, 1 << 15, 1 << 16} {
 		tbl := detKeyFixture(b, rows, groups, 8, false)
 		for _, st := range []struct {
 			name     string

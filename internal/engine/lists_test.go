@@ -214,16 +214,19 @@ func groupIDs(t *testing.T, c *GroupCols, codec idlist.Codec) [][]idlist.Range {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs, err := p.AppendRuns(nil)
+		var scratch []idlist.Run
+		runs, err := p.Tags(&scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids := list.IDs()
 		if len(runs) == 0 { // a part of one group
-			runs = []idlist.Run{{Len: uint32(len(ids)), Group: p.WholeGroup()}}
+			byGroup[p.WholeGroup()] = append(byGroup[p.WholeGroup()], ids...)
+			ids = nil
 		}
 		for _, r := range runs {
-			byGroup[r.Group] = append(byGroup[r.Group], ids[:r.Len]...)
+			g := p.group(int(r.Group))
+			byGroup[g] = append(byGroup[g], ids[:r.Len]...)
 			ids = ids[r.Len:]
 		}
 		if len(ids) != 0 {
@@ -432,22 +435,58 @@ func BenchmarkTaskSectionInput(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendRuns measures reading a wide group-by's runs: one daemon's
+// TestDecodeListAscending: DecodeList reports a list whose ranges ascend
+// without overlapping — abutting ones included — as the sweep can read it,
+// and no other; an inverted range, or a list holding other than its part's
+// selected count, is refused.
+func TestDecodeListAscending(t *testing.T) {
+	for _, tc := range []struct {
+		list      []idlist.Range
+		ascending bool
+	}{
+		{[]idlist.Range{{Lo: 1, Hi: 4}, {Lo: 5, Hi: 5}, {Lo: 9, Hi: 12}}, true},
+		{[]idlist.Range{{Lo: 3, Hi: 3}}, true},
+		{[]idlist.Range{{Lo: 1, Hi: 5}, {Lo: 5, Hi: 9}}, false},
+		{[]idlist.Range{{Lo: 7, Hi: 7}, {Lo: 3, Hi: 3}}, false},
+		{[]idlist.Range{{Lo: 2, Hi: 2}, {Lo: 2, Hi: 2}}, false},
+	} {
+		l := idlist.View(tc.list)
+		enc, err := idlist.RangeVB.Encode(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := IDPart{Selected: l.Len(), List: enc, Groups: 1}
+		if got, ascending, err := p.DecodeList(idlist.RangeVB, nil); err != nil || ascending != tc.ascending || !slices.Equal(got, tc.list) {
+			t.Errorf("%v: decoded %v, ascending %v (%v); want ascending %v", tc.list, got, ascending, err, tc.ascending)
+		}
+		p.Selected++
+		if _, _, err := p.DecodeList(idlist.RangeVB, nil); err == nil {
+			t.Errorf("%v: decoded as %d identifiers", tc.list, p.Selected)
+		}
+	}
+	inverted, err := idlist.RangeVB.Encode(idlist.View([]idlist.Range{{Lo: 5, Hi: 4}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := (&IDPart{Selected: 1<<64 - 1, List: inverted, Groups: 1}).DecodeList(idlist.RangeVB, nil); err == nil {
+		t.Error("an inverted range decoded")
+	}
+}
+
+// BenchmarkDecodeRuns measures reading a wide group-by's runs: one daemon's
 // share of 200k rows over 16,384 groups, nearly every run one identifier —
-// what the result decoder checks and the client decodes.
-func BenchmarkAppendRuns(b *testing.B) {
+// what the result decoder checks and decodes, once, for the client.
+func BenchmarkDecodeRuns(b *testing.B) {
 	const groups, rows = 1 << 14, 66_667
 	var runs []byte
 	for i := range rows {
 		runs = appendRun(runs, 1, int(splitmix64(uint64(i))%groups), tagBits(groups))
 	}
-	p := IDPart{Selected: rows, Runs: runs, Groups: groups}
-	dst := make([]idlist.Run, 0, rows)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if dst, err = p.AppendRuns(dst[:0]); err != nil {
+		p := IDPart{Selected: rows, Runs: runs, Groups: groups}
+		if err := p.DecodeRuns(); err != nil {
 			b.Fatal(err)
 		}
 	}

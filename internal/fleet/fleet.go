@@ -67,6 +67,7 @@ import (
 	"seabed/internal/engine"
 	"seabed/internal/remote"
 	"seabed/internal/store"
+	"seabed/internal/wire"
 )
 
 // fullSuffix derives the ref under which a join table's whole contents are
@@ -412,8 +413,12 @@ func (c *Cluster) RegisterTable(ctx context.Context, ref string, t *store.Table)
 		return err
 	}
 	subs := t.SplitRanges(len(c.daemons))
+	payloads, err := encodeRanges(ref, subs)
+	if err != nil {
+		return err
+	}
 	if err := c.eachReplica(ctx, c.allRanges(), func(ctx context.Context, k, d int) error {
-		return c.daemons[d].RegisterTable(ctx, rangeRef(ref, k), subs[k])
+		return c.daemons[d].Upload(ctx, wire.MsgRegister, rangeRef(ref, k), payloads[k])
 	}); err != nil {
 		return err
 	}
@@ -451,11 +456,15 @@ func (c *Cluster) AppendTable(ctx context.Context, ref string, batch *store.Tabl
 		return fmt.Errorf("fleet: table ref %q was never registered with this fleet (call RegisterTable or Proxy.SyncTables)", ref)
 	}
 	subs := batch.SplitRanges(len(c.daemons))
+	payloads, err := encodeRanges(ref, subs)
+	if err != nil {
+		return err
+	}
 	if err := c.eachReplica(ctx, c.allRanges(), func(ctx context.Context, k, d int) error {
 		if subs[k].NumRows() == 0 {
 			return nil
 		}
-		return c.daemons[d].AppendTable(ctx, rangeRef(ref, k), subs[k])
+		return c.daemons[d].Upload(ctx, wire.MsgAppend, rangeRef(ref, k), payloads[k])
 	}); err != nil {
 		return err
 	}
@@ -493,8 +502,12 @@ func (c *Cluster) AppendTable(ctx context.Context, ref string, batch *store.Tabl
 	if allShipped && batch.NumRows() > 0 {
 		st.shipMu.Lock()
 		defer st.shipMu.Unlock()
+		payload, err := wire.EncodeAppend(ref+fullSuffix, batch)
+		if err != nil {
+			return err
+		}
 		if err := c.eachDaemon(ctx, func(ctx context.Context, d int) error {
-			return c.daemons[d].AppendTable(ctx, ref+fullSuffix, batch)
+			return c.daemons[d].Upload(ctx, wire.MsgAppend, ref+fullSuffix, payload)
 		}); err != nil {
 			return err
 		}
@@ -503,6 +516,21 @@ func (c *Cluster) AppendTable(ctx context.Context, ref string, batch *store.Tabl
 		}
 	}
 	return c.persistEpoch()
+}
+
+// encodeRanges encodes each range's slice of a table once, as the upload
+// frame every replica of the range receives: the image is copied and
+// checksummed once however many replicas hold it. Register and append frames
+// are laid out alike (wire.EncodeAppend).
+func encodeRanges(ref string, subs []*store.Table) ([][]byte, error) {
+	payloads := make([][]byte, len(subs))
+	for k, sub := range subs {
+		var err error
+		if payloads[k], err = wire.EncodeRegister(rangeRef(ref, k), sub); err != nil {
+			return nil, err
+		}
+	}
+	return payloads, nil
 }
 
 // shipJoinTable replicates a join table's full contents to every daemon
@@ -533,8 +561,12 @@ func (c *Cluster) shipJoinTable(ctx context.Context, ref string, st *tableState)
 	if err := c.requireFullFleet("join broadcast"); err != nil {
 		return "", err
 	}
+	payload, err := wire.EncodeRegister(fullRef, full)
+	if err != nil {
+		return "", err
+	}
 	if err := c.eachDaemon(ctx, func(ctx context.Context, d int) error {
-		return c.daemons[d].RegisterTable(ctx, fullRef, full)
+		return c.daemons[d].Upload(ctx, wire.MsgRegister, fullRef, payload)
 	}); err != nil {
 		return "", err
 	}

@@ -65,12 +65,8 @@ func (r *RemoteCluster) RegisterTable(ctx context.Context, ref string, t *store.
 	if err != nil {
 		return err
 	}
-	respType, _, err := r.pool.RoundTrip(ctx, wire.MsgRegister, payload)
-	if err != nil {
+	if err := r.Upload(ctx, wire.MsgRegister, ref, payload); err != nil {
 		return err
-	}
-	if respType != wire.MsgOK {
-		return fmt.Errorf("remote: register %q: unexpected %v response", ref, respType)
 	}
 	r.refMu.Lock()
 	r.refs[ref] = t
@@ -85,12 +81,20 @@ func (r *RemoteCluster) AppendTable(ctx context.Context, ref string, batch *stor
 	if err != nil {
 		return err
 	}
-	respType, _, err := r.pool.RoundTrip(ctx, wire.MsgAppend, payload)
+	return r.Upload(ctx, wire.MsgAppend, ref, payload)
+}
+
+// Upload sends an upload frame encoded for ref — a MsgRegister payload
+// (wire.EncodeRegister) or a MsgAppend one (wire.EncodeAppend) — and waits
+// for the daemon to acknowledge it. The payload is only read, so one encoded
+// image can go to every replica of its range concurrently.
+func (r *RemoteCluster) Upload(ctx context.Context, msg wire.MsgType, ref string, payload []byte) error {
+	respType, _, err := r.pool.RoundTrip(ctx, msg, payload)
 	if err != nil {
 		return err
 	}
 	if respType != wire.MsgOK {
-		return fmt.Errorf("remote: append %q: unexpected %v response", ref, respType)
+		return fmt.Errorf("remote: %v %q: unexpected %v response", msg, ref, respType)
 	}
 	return nil
 }

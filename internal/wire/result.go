@@ -230,8 +230,10 @@ func decodeSpans(d *dec) []obs.FlatSpan {
 // — ReadFrame allocates per frame, which satisfies this. Every length is
 // checked against the bytes present before anything is reserved, every lane
 // holds exactly one word per group, and every run of the identifier section
-// is checked (engine.IDPart.Check). The columns' codec is the one the frame
-// names, nil when this build has none by that name.
+// is checked and decoded, once (engine.IDPart.DecodeRuns): the runs are the
+// one thing decoded into memory of their own, a word a run. The columns'
+// codec is the one the frame names, nil when this build has none by that
+// name.
 func DecodeResult(p []byte, version uint64) (codecName string, res *engine.Result, spans []obs.FlatSpan, err error) {
 	if err := checkVersion(version, "decode result"); err != nil {
 		return "", nil, nil, err
@@ -354,9 +356,11 @@ func decodeGroupCols(d *dec) *engine.GroupCols {
 }
 
 // decodeIDs parses the identifier section (see encodeIDs): one part or more
-// when an aggregate is an ASHE sum, none otherwise, each part's list and runs
-// aliasing the payload and its runs checked — none cut short or tagged past
-// the groups, and the runs adding up to exactly its selected count.
+// when an aggregate is an ASHE sum, none otherwise, each part's list and
+// packed runs aliasing the payload, and its runs decoded as they are checked
+// (engine.IDPart.DecodeRuns) — none cut short or tagged past the groups, and
+// the runs adding up to exactly its selected count — into a buffer the part
+// keeps, which the client sweeps without walking the packed runs again.
 func decodeIDs(d *dec, c *engine.GroupCols) []engine.IDPart {
 	n := c.Len()
 	parts := d.uint()
@@ -381,7 +385,7 @@ func decodeIDs(d *dec, c *engine.GroupCols) []engine.IDPart {
 		if d.err != nil {
 			break
 		}
-		if err := p.Check(); err != nil {
+		if err := p.DecodeRuns(); err != nil {
 			d.err = fmt.Errorf("%v (part %d, before offset %d)", err, i, d.off)
 			break
 		}

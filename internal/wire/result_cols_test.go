@@ -10,9 +10,11 @@ import (
 	"math/big"
 	"math/bits"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -578,8 +580,10 @@ func FuzzDecodeResult(f *testing.F) {
 				}
 			}
 			for i := range c.IDs {
-				if p := &c.IDs[i]; p.Groups != n || p.Remap != nil || p.Check() != nil {
-					t.Fatalf("decoded identifier section part %d is not %d groups' checked runs", i, n)
+				var scratch []idlist.Run // a decoded part's runs are kept: Tags decodes none
+				p := &c.IDs[i]
+				if _, err := p.Tags(&scratch); p.Groups != n || p.Remap != nil || err != nil || len(scratch) > 0 {
+					t.Fatalf("decoded identifier section part %d is not %d groups' runs, checked and decoded", i, n)
 				}
 			}
 			if pl := mergePlan(codec, c, &sk.PublicKey); pl != nil {
@@ -840,6 +844,32 @@ func TestDecodeResultRejectsHostileFrames(t *testing.T) {
 	}
 }
 
+// TestDecodeResultRefusesHostileRuns: every checked-in seed whose identifier
+// section's runs lie — a tag past the groups, runs past or short of the
+// selected count, a run cut short or longer than a Run holds — is refused by
+// DecodeResult itself, by its run check, so that no merge or client ever
+// holds such a part.
+func TestDecodeResultRefusesHostileRuns(t *testing.T) {
+	paths, err := filepath.Glob("testdata/fuzz/FuzzDecodeResult/hostile-run*")
+	if err != nil || len(paths) != 5 {
+		t.Fatalf("%d run seeds (%v), want 5", len(paths), err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit := strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(string(data)), "go test fuzz v1\n[]byte("), ")")
+		frame, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if _, _, _, err := DecodeResult([]byte(frame), Version); err == nil || !strings.Contains(err.Error(), "engine: identifier section") {
+			t.Errorf("%s: DecodeResult answered %v, want the run check's refusal", filepath.Base(path), err)
+		}
+	}
+}
+
 // TestResultSeedsAreCheckedIn: every hostile frame and section frame above is
 // in the checked-in corpus (testdata/fuzz/FuzzDecodeResult, named after it),
 // byte for byte, so the CI fuzz smoke starts from the frames this file
@@ -866,7 +896,8 @@ func TestResultSeedsAreCheckedIn(t *testing.T) {
 		}
 		for i := range res.Cols.IDs { // a Run a packed run's word at most
 			p := &res.Cols.IDs[i]
-			if runs, err := p.AppendRuns(nil); err != nil || len(runs) > len(p.Runs) {
+			var scratch []idlist.Run
+			if runs, err := p.Tags(&scratch); err != nil || len(runs) > len(p.Runs) || len(scratch) > 0 {
 				t.Errorf("%s: part %d decodes to %d runs from %d bytes (%v)", h.name, i, len(runs), len(p.Runs), err)
 			}
 		}
