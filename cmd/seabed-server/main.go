@@ -34,7 +34,7 @@
 //	seabed-server -addr :7687 -shard 0/3 &
 //	seabed-server -addr :7688 -shard 1/3 &
 //	seabed-server -addr :7689 -shard 2/3 &
-//	seabed-demo -addrs localhost:7687,localhost:7688,localhost:7689
+//	seabed-demo -addr localhost:7687,localhost:7688,localhost:7689
 //
 // Adding -replicas on the client turns the same daemons into a replicated
 // fleet: each identifier range is registered on R daemons (chained
@@ -44,7 +44,7 @@
 // from its neighbors over the protocol's segment-shipping frames (no proxy
 // re-upload — the /stats and /metrics planes count the shipped bytes):
 //
-//	seabed-demo -addrs localhost:7687,localhost:7688,localhost:7689 -replicas 2 -hedge 0.9
+//	seabed-demo -addr localhost:7687,localhost:7688,localhost:7689 -replicas 2 -hedge 0.9
 //
 // On SIGUSR1 the daemon writes its stats snapshot to stderr as one JSON
 // line — `kill -USR1 $(pidof seabed-server)` shows whether shards stayed
@@ -55,8 +55,8 @@
 // recovery latency series), /stats (the SIGUSR1 snapshot as JSON), and
 // /debug/pprof/ (the standard Go profiles):
 //
-//	seabed-server -addr :7687 -debug-addr :7688
-//	curl -s localhost:7688/metrics | grep seabed_request_seconds
+//	seabed-server -addr :7687 -debug-addr :7697
+//	curl -s localhost:7697/metrics | grep seabed_request_seconds
 package main
 
 import (

@@ -7,7 +7,6 @@ import (
 	"math/big"
 	"slices"
 	"sync"
-	"time"
 
 	"seabed/internal/ashe"
 	"seabed/internal/det"
@@ -57,19 +56,15 @@ type Row struct {
 	Values []Value
 }
 
-// Result is a fully decrypted query result with its cost breakdown.
+// Result is a fully decrypted query result.
 type Result struct {
 	Rows []Row
-	// ClientTime is the measured decryption + post-processing time (§4.6).
-	ClientTime time.Duration
 	// PRFEvals counts the PRF values the decryption computed, the statistic
 	// §6.6 reports: two per piece decrypted pointwise — a stretch of
 	// identifiers in one range of a section's list and one of its runs
 	// (ashe.SumPieces), one range of an ungrouped result's list — and every
 	// value in a pad's span (ashe.Pad.Evals).
 	PRFEvals uint64
-	// Metrics echoes the server-side metrics.
-	Metrics engine.Metrics
 }
 
 // decrypter caches derived keys across rows.
@@ -187,18 +182,17 @@ func (d *decrypter) det(col string) *det.Key {
 // Decrypt executes the client plan over a server result (§4.6). The result's
 // identifier section — one part from a daemon or an in-process engine, one per
 // shard from a fleet's merge — arrives codec-encoded, and decoding it is part
-// of the measured client time, exactly as in the paper's cost breakdown.
+// of the client's share, exactly as in the paper's cost breakdown: the query's
+// decrypt span.
 func Decrypt(tr *translate.Translation, res *engine.Result, ring *KeyRing) (*Result, error) {
-	start := time.Now()
 	d := newDecrypter(ring, tr.Server.EffectiveCodec())
 	defer d.release()
-	out := &Result{Metrics: res.Metrics}
+	out := &Result{}
 
 	if len(tr.Client.ScanCols) > 0 {
 		if err := d.decryptScan(tr, res, out); err != nil {
 			return nil, err
 		}
-		out.ClientTime = time.Since(start)
 		out.PRFEvals = d.prfEvals
 		return out, nil
 	}
@@ -254,7 +248,6 @@ func Decrypt(tr *translate.Translation, res *engine.Result, ring *KeyRing) (*Res
 			row.Values[oi] = v
 		}
 	}
-	out.ClientTime = time.Since(start)
 	out.PRFEvals = d.prfEvals
 	return out, nil
 }

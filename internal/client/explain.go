@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"time"
 
 	"seabed/internal/engine"
 	"seabed/internal/obs"
@@ -48,7 +49,7 @@ func (p *Proxy) explainQuery(ctx context.Context, root *obs.Span, sql string, st
 		qr = &QueryResult{trace: root}
 	}
 
-	lines := p.renderExplain(stmt, tr, m)
+	lines := p.renderExplain(stmt, tr, m, qr.ServerTime)
 	qr.rows = make([]Row, len(lines))
 	for i, l := range lines {
 		qr.rows[i] = Row{Values: []Value{{Name: "plan", Kind: Str, Str: l}}}
@@ -75,8 +76,9 @@ func (r *QueryResult) ExplainText() string {
 // top-down in result order: output ← group ← aggregate ← filter ← join ←
 // scan (the engine probes the join before filtering, so the tree reads in
 // reverse execution order). m, when non-nil, is an ANALYZE run's merged
-// metrics; each operator line then carries its measured counters.
-func (p *Proxy) renderExplain(stmt *sqlparse.Statement, tr *translate.Translation, m *engine.Metrics) []string {
+// metrics and server its run span's duration; the header then carries both
+// and each operator line its measured counters.
+func (p *Proxy) renderExplain(stmt *sqlparse.Statement, tr *translate.Translation, m *engine.Metrics, server time.Duration) []string {
 	sp := tr.Server
 	var lines []string
 	depth := 0
@@ -103,8 +105,8 @@ func (p *Proxy) renderExplain(stmt *sqlparse.Statement, tr *translate.Translatio
 	if m != nil {
 		// shuffle: the map tasks' output as held, identifiers raw; result:
 		// the result as serialized — over a fleet, the shards' results added up.
-		attr("server=%v (measured) shuffle=%dB (map output as held) result=%dB (as serialized) map_tasks=%d reduce_tasks=%d",
-			m.ServerTime, m.ShuffleBytes, m.ResultBytes, m.MapTasks, m.ReduceTasks)
+		attr("server=%v (run span) shuffle=%dB (map output as held) result=%dB (as serialized) map_tasks=%d reduce_tasks=%d",
+			server, m.ShuffleBytes, m.ResultBytes, m.MapTasks, m.ReduceTasks)
 	}
 
 	if gb := sp.GroupBy; gb != nil {

@@ -330,10 +330,10 @@ func (p *Proxy) runQuery(ctx context.Context, root *obs.Span, sql string, q *sql
 	aq.SetRows(uint64(len(dec.Rows)))
 	return &QueryResult{
 		rows:       dec.Rows,
-		Metrics:    dec.Metrics,
+		Metrics:    res.Metrics,
 		PRFEvals:   dec.PRFEvals,
 		ServerTime: runSpan.Duration(),
-		ClientTime: dec.ClientTime,
+		ClientTime: decSpan.Duration(),
 		trace:      root,
 	}, tr, nil
 }
@@ -432,9 +432,10 @@ type QueryResult struct {
 	// ServerTime is the duration of the trace's run span: the backend's whole
 	// answer as the proxy waited for it, scatter, rpc and merge included.
 	ServerTime time.Duration
-	// ClientTime is the measured decryption and post-processing (§4.6). A
-	// streamed scan decrypts while it runs, so there ClientTime is the drain
-	// and overlaps ServerTime.
+	// ClientTime is the duration of the trace's decrypt span: decryption and
+	// post-processing (§4.6). A streamed scan decrypts while it runs, so there
+	// ClientTime is the drain, clocked by the stream itself, and overlaps
+	// ServerTime.
 	ClientTime time.Duration
 	// TotalTime is the duration of the trace's root span, parse to decrypt.
 	TotalTime time.Duration
@@ -442,7 +443,7 @@ type QueryResult struct {
 	// §6.6 reports: two per identifier range decrypted pointwise, and every
 	// value in a pad's span (ashe.Pad.Evals).
 	PRFEvals uint64
-	// Metrics echoes the server-side metrics.
+	// Metrics carries the backend's counts for the run.
 	Metrics engine.Metrics
 
 	rows   []Row

@@ -361,24 +361,12 @@ func (r ScanRow) Str(j int) string {
 	return ""
 }
 
-// Metrics reports the measured costs of a run. Every duration is wall-clock:
-// nothing here is modelled (internal/bench's cost model derives the paper's
-// cluster from MapTaskTimes and ReduceTaskTimes).
+// Metrics reports the measured counts of a run. Its stage times are the
+// run's trace spans (driver, map, reduce): what Metrics holds of a clock is
+// FirstChunk and the in-process cost-model inputs below, nothing modelled
+// (internal/bench's cost model derives the paper's cluster from MapTaskTimes,
+// ReduceTaskTimes and DriverTime).
 type Metrics struct {
-	// ServerTime is the wall of the whole run. On a merged result it is the
-	// coordinator's: fleet.Cluster sets it to its scatter+merge wall; Merge
-	// alone, which sees no scatter, reports the slowest shard's plus its own
-	// merge.
-	ServerTime time.Duration
-	// MapTime is the wall of the map stage, first task launched to last
-	// retired; ReduceTime that of a group-by's reducers (zero otherwise).
-	// Across a shard merge each takes the slowest shard's.
-	MapTime    time.Duration
-	ReduceTime time.Duration
-	// DriverTime is the driver's own work: compiling the plan, then folding an
-	// ungrouped plan's map tasks or gathering the reducers' columns (and a
-	// coordinator's shard merge, added by Merge).
-	DriverTime time.Duration
 	// ShuffleBytes is the size of the map tasks' output as they hold it: keys,
 	// row counts, accumulators and scan cells — or, in a group-by whose map
 	// tasks bucket rows (OpStats.GroupRouted), the buckets: 4 bytes a row, 4
@@ -406,24 +394,19 @@ type Metrics struct {
 	// RowsScanned and RowsSelected count input rows and filter survivors.
 	RowsScanned  uint64
 	RowsSelected uint64
-	// TaskMin/TaskP50/TaskMax summarize the per-map-task duration
-	// distribution — the §6.2 skew signal, bounded to three numbers per
-	// shard. Across a shard merge Min takes the minimum, Max the maximum, and
-	// P50 the worst per-shard median: a conservative straggler indicator that
-	// never under-reports skew.
-	TaskMin time.Duration
-	TaskP50 time.Duration
-	TaskMax time.Duration
 	// MapTaskTimes and ReduceTaskTimes are every task's measured duration, in
 	// task order: a reducer's covers its merge, or in a bucketed group-by the
-	// grouping of its bucket's rows. In-process only: they never cross the
+	// grouping of its bucket's rows. DriverTime is the driver's own work:
+	// compiling the plan, then folding an ungrouped plan's map tasks or
+	// gathering the reducers' columns. In-process only: they never cross the
 	// wire and a merged result carries none.
 	MapTaskTimes    []time.Duration
 	ReduceTaskTimes []time.Duration
+	DriverTime      time.Duration
 	// FirstChunk is the measured wall-clock time from the start of a
 	// streaming run (RunStream with a sink and a projection) to the first
 	// scan chunk delivered to the sink — the latency a client waits before
-	// rows begin flowing, as opposed to ServerTime's full run. Zero
+	// rows begin flowing, as opposed to the run span's full run. Zero
 	// for non-streaming runs and for streams that delivered no rows. Across
 	// a shard merge it takes the minimum non-zero value: the gather's caller
 	// saw rows as soon as the first shard produced any.

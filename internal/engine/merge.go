@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"time"
 )
 
 // This file exports the merge step of a scatter-gather deployment: a
@@ -58,18 +57,15 @@ func MergeResults(pl *Plan, partials []*Result) (*Result, error) {
 // public keys and merge kinds, and its Codec — which must be the codec the
 // shards actually used — is the merged columns'; no list is decoded. Shard
 // results must come from Partial plan executions (or
-// be median-free). Metrics are combined scatter-gather style: each stage time
-// and ServerTime take the slowest shard's (shards run in parallel),
-// byte/task/row counts sum — ResultBytes is therefore the shards' results
-// added up, the bytes that reached the coordinator — and the merge measured
-// here is added to DriverTime and ServerTime. Merge sees no scatter, so a
-// coordinator that clocked its own (fleet.Cluster) replaces ServerTime with
-// that wall.
+// be median-free). Metrics combine as counts: byte/task/row counts sum —
+// ResultBytes is therefore the shards' results added up, the bytes that
+// reached the coordinator — and FirstChunk takes the earliest shard's. Merge
+// takes no clock: a coordinator that times its merge does so with a span
+// (fleet's gather).
 func Merge(pl *Plan, partials []*Result) (*Result, error) {
-	start := time.Now()
 	out := &Result{}
-	for i, r := range partials {
-		mergeMetrics(&out.Metrics, &r.Metrics, i == 0)
+	for _, r := range partials {
+		mergeMetrics(&out.Metrics, &r.Metrics)
 	}
 	if len(pl.Project) > 0 {
 		total := 0
@@ -96,10 +92,6 @@ func Merge(pl *Plan, partials []*Result) (*Result, error) {
 			return nil, err
 		}
 	}
-
-	merge := time.Since(start)
-	out.Metrics.DriverTime += merge
-	out.Metrics.ServerTime += merge
 	return out, nil
 }
 
@@ -158,24 +150,9 @@ func mergeGroups(pl *Plan, sets []*GroupCols) (*GroupCols, error) {
 	return cols, nil
 }
 
-// mergeMetrics combines one shard's metrics into the accumulator: stage
-// times take the maximum (shards execute concurrently, so the gather waits
-// for the slowest), sizes and counts sum.
-func mergeMetrics(dst, src *Metrics, first bool) {
-	maxDur := func(d *time.Duration, s time.Duration) {
-		if first || s > *d {
-			*d = s
-		}
-	}
-	minDur := func(d *time.Duration, s time.Duration) {
-		if first || s < *d {
-			*d = s
-		}
-	}
-	maxDur(&dst.ServerTime, src.ServerTime)
-	maxDur(&dst.MapTime, src.MapTime)
-	maxDur(&dst.ReduceTime, src.ReduceTime)
-	maxDur(&dst.DriverTime, src.DriverTime)
+// mergeMetrics combines one shard's metrics into the accumulator: sizes and
+// counts sum, FirstChunk takes the earliest.
+func mergeMetrics(dst, src *Metrics) {
 	dst.ShuffleBytes += src.ShuffleBytes
 	dst.ShuffleListBytes += src.ShuffleListBytes
 	dst.ResultBytes += src.ResultBytes
@@ -184,9 +161,6 @@ func mergeMetrics(dst, src *Metrics, first bool) {
 	dst.ReduceTasks += src.ReduceTasks
 	dst.RowsScanned += src.RowsScanned
 	dst.RowsSelected += src.RowsSelected
-	minDur(&dst.TaskMin, src.TaskMin)
-	maxDur(&dst.TaskP50, src.TaskP50)
-	maxDur(&dst.TaskMax, src.TaskMax)
 	// FirstChunk takes the minimum non-zero value: the gather's caller saw
 	// rows as soon as the first shard delivered any. Zero means a shard
 	// streamed nothing and must not win the minimum.

@@ -54,7 +54,7 @@ func TestOpStatsMergeThreeShards(t *testing.T) {
 func TestMergeMetricsCarriesOps(t *testing.T) {
 	dst := Metrics{Ops: OpStats{Batches: 1, GroupTableLen: 10}}
 	src := Metrics{Ops: OpStats{Batches: 2, GroupTableLen: 7, ColumnFaults: 3}}
-	mergeMetrics(&dst, &src, false)
+	mergeMetrics(&dst, &src)
 	if dst.Ops.Batches != 3 || dst.Ops.GroupTableLen != 10 || dst.Ops.ColumnFaults != 3 {
 		t.Fatalf("mergeMetrics dropped ops counters: %+v", dst.Ops)
 	}

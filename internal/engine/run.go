@@ -274,17 +274,17 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 	}
 	metrics.MapTasks = len(results)
 	metrics.MapTaskTimes = durations
-	metrics.TaskMin, metrics.TaskP50, metrics.TaskMax = taskSample(durations)
-	metrics.MapTime = time.Since(mapStart)
+	mapTime := time.Since(mapStart)
 
 	// Phase 3 — reduce (group-by only): one reducer per non-empty bucket.
 	reduceStart := time.Now()
+	var reduceTime time.Duration
 	var mergers []*groupMerger
 	if grouped {
 		if mergers, err = c.reduceGroups(ctx, pl, cp, routed, results, &metrics); err != nil {
 			return nil, err
 		}
-		metrics.ReduceTime = time.Since(reduceStart)
+		reduceTime = time.Since(reduceStart)
 		unpin()
 		if cp != nil {
 			groups, merged := 0, 0
@@ -331,25 +331,27 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 	}
 	gatherTime := time.Since(gatherStart)
 	metrics.DriverTime = compileTime + gatherTime
-	metrics.ServerTime = time.Since(runStart)
 
 	out.Metrics = metrics
 	if sp := obs.SpanFromContext(ctx); sp != nil {
 		// Each stage as the interval a clock took. The driver works twice:
 		// before the map stage and after the last reducer.
 		sp.AddSpan("driver", compileStart, compileTime).SetAttr("phase", "compile")
-		mapSp := sp.AddSpan("map", mapStart, metrics.MapTime)
+		mapSp := sp.AddSpan("map", mapStart, mapTime)
 		mapSp.SetAttr("tasks", strconv.Itoa(metrics.MapTasks))
 		mapSp.SetAttr("rows_scanned", strconv.FormatUint(metrics.RowsScanned, 10))
 		mapSp.SetAttr("rows_selected", strconv.FormatUint(metrics.RowsSelected, 10))
-		mapSp.SetAttr("task_p50", metrics.TaskP50.String())
-		mapSp.SetAttr("task_max", metrics.TaskMax.String())
+		if n := len(durations); n > 0 { // the per-task skew signal of §6.2
+			sorted := slices.Sorted(slices.Values(durations))
+			mapSp.SetAttr("task_p50", sorted[n/2].String())
+			mapSp.SetAttr("task_max", sorted[n-1].String())
+		}
 		mapSp.SetAttr("shuffle_bytes", strconv.Itoa(metrics.ShuffleBytes))
 		if metrics.FirstChunk > 0 {
 			mapSp.SetAttr("first_chunk", metrics.FirstChunk.String())
 		}
 		if grouped {
-			sp.AddSpan("reduce", reduceStart, metrics.ReduceTime).SetAttr("tasks", strconv.Itoa(metrics.ReduceTasks))
+			sp.AddSpan("reduce", reduceStart, reduceTime).SetAttr("tasks", strconv.Itoa(metrics.ReduceTasks))
 		}
 		gatherSp := sp.AddSpan("driver", gatherStart, gatherTime)
 		gatherSp.SetAttr("phase", "gather")
@@ -375,18 +377,6 @@ func (pl *Plan) EffectiveCodec() idlist.Codec {
 // result carries an identifier section.
 func hasAshe(pl *Plan) bool {
 	return slices.ContainsFunc(pl.Aggs, func(a Agg) bool { return a.Kind == AggAsheSum })
-}
-
-// taskSample condenses the per-map-task duration distribution to the three
-// numbers Metrics retains (min/p50/max) — enough for scatter-span straggler
-// attribution without shipping every task's clock reading.
-func taskSample(durations []time.Duration) (min, p50, max time.Duration) {
-	if len(durations) == 0 {
-		return 0, 0, 0
-	}
-	sorted := append([]time.Duration(nil), durations...)
-	slices.Sort(sorted)
-	return sorted[0], sorted[len(sorted)/2], sorted[len(sorted)-1]
 }
 
 // RunStream executes a plan like Run, but delivers scan rows to sink in

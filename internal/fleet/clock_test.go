@@ -48,10 +48,6 @@ func TestOneClock(t *testing.T) {
 			if res.TotalTime > stopwatch {
 				t.Fatalf("total %v exceeds the caller's stopwatch %v", res.TotalTime, stopwatch)
 			}
-			// The backend's own ServerTime is a clock inside the proxy's.
-			if m := res.Metrics.ServerTime; m <= 0 || m > res.ServerTime {
-				t.Fatalf("backend reports a %v run inside a %v run span", m, res.ServerTime)
-			}
 			if sets := checkSpans(t, root, root); sets != tc.stageSets {
 				t.Fatalf("%d spans hold engine stages, want %d:\n%s", sets, tc.stageSets, root)
 			}

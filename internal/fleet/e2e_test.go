@@ -989,11 +989,6 @@ func TestFleetQueryTraceExposesStraggler(t *testing.T) {
 				t.Fatalf("daemon breakdown has no %q span:\n%s", name, root)
 			}
 		}
-		// The straggler signal also lands in the merged metrics sample.
-		if res.Metrics.TaskMax < res.Metrics.TaskMin || res.Metrics.TaskMax == 0 {
-			t.Fatalf("task sample (min %v, p50 %v, max %v) not populated",
-				res.Metrics.TaskMin, res.Metrics.TaskP50, res.Metrics.TaskMax)
-		}
 	})
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"seabed/internal/engine"
 	"seabed/internal/obs"
@@ -306,7 +305,6 @@ func (c *Cluster) RunStream(ctx context.Context, pl *engine.Plan, sink engine.Sc
 // run is Run and RunStream: scatter; then fan the ranges out concurrently
 // (no sink) or visit them in range order (a stream); then gather.
 func (c *Cluster) run(ctx context.Context, pl *engine.Plan, sink engine.ScanSink) (*engine.Result, error) {
-	start := time.Now()
 	_, reqs, err := c.scatterPlans(ctx, pl)
 	if err != nil {
 		return nil, err
@@ -320,7 +318,7 @@ func (c *Cluster) run(ctx context.Context, pl *engine.Plan, sink engine.ScanSink
 				return nil, err
 			}
 		}
-		return gather(pl, results, start)
+		return gather(ctx, pl, results)
 	}
 
 	// The hedge trigger: hedgeCh closes once `trigger` ranges have completed,
@@ -344,17 +342,16 @@ func (c *Cluster) run(ctx context.Context, pl *engine.Plan, sink engine.ScanSink
 	}); err != nil {
 		return nil, err
 	}
-	return gather(pl, results, start)
+	return gather(ctx, pl, results)
 }
 
-// gather merges the ranges' partials with engine.Merge and stamps the merged
-// result with the coordinator's own clock: ServerTime is the wall since start,
-// scatter and merge, not something composed from the daemons' reports.
-func gather(pl *engine.Plan, results []*engine.Result, start time.Time) (*engine.Result, error) {
-	out, err := engine.Merge(pl, results)
-	if err != nil {
-		return nil, err
+// gather merges the ranges' partials with engine.Merge. A traced query's
+// merge is a "gather" span under run, after the range spans: the
+// coordinator's share of the run on the run's one clock.
+func gather(ctx context.Context, pl *engine.Plan, results []*engine.Result) (*engine.Result, error) {
+	if run := obs.SpanFromContext(ctx); run != nil {
+		sp := run.StartChild("gather")
+		defer sp.End()
 	}
-	out.Metrics.ServerTime = time.Since(start)
-	return out, nil
+	return engine.Merge(pl, results)
 }

@@ -15,9 +15,9 @@ import (
 // EncodeResult serializes a MsgResult payload: the codec the engine actually
 // used (the client must decode the identifier section with the same one — the
 // in-process path communicates it by mutating the plan, the wire path carries
-// it here) followed by the result's group columns, an empty scan section,
-// metrics, and the daemon's span breakdown for the query trace (nil spans
-// encode as an empty list). version must be Version. Scan rows travel only in
+// it here) followed by the result's group columns, its counts (encodeMetrics),
+// and the daemon's span breakdown for the query trace (nil spans encode as an
+// empty list). version must be Version. Scan rows travel only in
 // MsgResultChunk frames, so a result that carries Scan rows is refused.
 func EncodeResult(codecName string, res *engine.Result, spans []obs.FlatSpan, version uint64) ([]byte, error) {
 	if err := checkVersion(version, "encode result"); err != nil {
@@ -45,7 +45,6 @@ func EncodeResult(codecName string, res *engine.Result, spans []obs.FlatSpan, ve
 	if err := encodeGroupCols(e, cols); err != nil {
 		return nil, err
 	}
-	e.uint(0) // the scan section: always empty
 	encodeMetrics(e, &res.Metrics)
 	encodeSpans(e, spans)
 	return e.buf, nil
@@ -222,18 +221,17 @@ func decodeSpans(d *dec) []obs.FlatSpan {
 	return spans
 }
 
-// DecodeResult parses a MsgResult payload; version must be Version. A frame
-// whose scan section holds any row is refused. The groups decode into a fixed
-// handful of allocations however many there are: res.Cols' lanes, key arena
-// and identifier section alias p (a lane is copied instead when p is not
-// 8-byte aligned), so the caller must leave p's backing array alone afterwards
-// — ReadFrame allocates per frame, which satisfies this. Every length is
-// checked against the bytes present before anything is reserved, every lane
-// holds exactly one word per group, and every run of the identifier section
-// is checked and decoded, once (engine.IDPart.DecodeRuns): the runs are the
-// one thing decoded into memory of their own, a word a run. The columns'
-// codec is the one the frame names, nil when this build has none by that
-// name.
+// DecodeResult parses a MsgResult payload; version must be Version. The
+// groups decode into a fixed handful of allocations however many there are:
+// res.Cols' lanes, key arena and identifier section alias p (a lane is copied
+// instead when p is not 8-byte aligned), so the caller must leave p's backing
+// array alone afterwards — ReadFrame allocates per frame, which satisfies
+// this. Every length is checked against the bytes present before anything is
+// reserved, every lane holds exactly one word per group, and every run of the
+// identifier section is checked and decoded, once (engine.IDPart.DecodeRuns):
+// the runs are the one thing decoded into memory of their own, a word a run.
+// The columns' codec is the one the frame names, nil when this build has none
+// by that name.
 func DecodeResult(p []byte, version uint64) (codecName string, res *engine.Result, spans []obs.FlatSpan, err error) {
 	if err := checkVersion(version, "decode result"); err != nil {
 		return "", nil, nil, err
@@ -243,9 +241,6 @@ func DecodeResult(p []byte, version uint64) (codecName string, res *engine.Resul
 	res = &engine.Result{Cols: decodeGroupCols(d)}
 	if res.Cols != nil {
 		res.Cols.Codec, _ = CodecByName(codecName)
-	}
-	if d.uint() != 0 { // scan rows travel only in chunk frames
-		d.invalid("scan row count")
 	}
 	decodeMetrics(d, &res.Metrics)
 	spans = decodeSpans(d)
@@ -530,21 +525,16 @@ func (d *dec) uints(what string) []uint64 {
 	return vs
 }
 
+// encodeMetrics appends a run's counts and its first-chunk latency. Stage
+// times travel as the span breakdown, and the in-process cost-model inputs
+// (task times, driver time, identifier-list sizes) not at all.
 func encodeMetrics(e *enc, m *engine.Metrics) {
-	e.int(int64(m.ServerTime))
-	e.int(int64(m.MapTime))
-	e.int(int64(m.ReduceTime))
-	e.int(int64(m.DriverTime))
 	e.int(int64(m.ShuffleBytes))
 	e.int(int64(m.ResultBytes))
 	e.int(int64(m.MapTasks))
 	e.int(int64(m.ReduceTasks))
 	e.uint(m.RowsScanned)
 	e.uint(m.RowsSelected)
-	// Per-task duration sample.
-	e.int(int64(m.TaskMin))
-	e.int(int64(m.TaskP50))
-	e.int(int64(m.TaskMax))
 	// Streamed-scan first-chunk latency.
 	e.int(int64(m.FirstChunk))
 	// Per-operator execution counters — EXPLAIN ANALYZE's payload.
@@ -562,19 +552,12 @@ func encodeMetrics(e *enc, m *engine.Metrics) {
 }
 
 func decodeMetrics(d *dec, m *engine.Metrics) {
-	m.ServerTime = time.Duration(d.int())
-	m.MapTime = time.Duration(d.int())
-	m.ReduceTime = time.Duration(d.int())
-	m.DriverTime = time.Duration(d.int())
 	m.ShuffleBytes = int(d.int())
 	m.ResultBytes = int(d.int())
 	m.MapTasks = int(d.int())
 	m.ReduceTasks = int(d.int())
 	m.RowsScanned = d.uint()
 	m.RowsSelected = d.uint()
-	m.TaskMin = time.Duration(d.int())
-	m.TaskP50 = time.Duration(d.int())
-	m.TaskMax = time.Duration(d.int())
 	m.FirstChunk = time.Duration(d.int())
 	m.Ops.Batches = d.uint()
 	m.Ops.DenseBatches = d.uint()

@@ -17,7 +17,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"seabed/internal/engine"
 	"seabed/internal/idlist"
@@ -110,20 +109,20 @@ func goldenResult(t testing.TB) *engine.Result {
 			Codec: idlist.VBDiff,
 		},
 		Metrics: engine.Metrics{
-			ServerTime: 9 * time.Millisecond, MapTime: 5 * time.Millisecond, ReduceTime: 2 * time.Millisecond,
-			DriverTime: time.Millisecond, ShuffleBytes: 1234, ResultBytes: 567,
+			ShuffleBytes: 1234, ResultBytes: 567,
 			MapTasks: 8, ReduceTasks: 3, RowsScanned: 1000, RowsSelected: 15,
-			TaskMin: time.Microsecond, TaskP50: 2 * time.Microsecond, TaskMax: 3 * time.Microsecond,
 			Ops: engine.OpStats{Batches: 8, GroupHash: 15, GroupSlots: 3, GroupTableLen: 1024, ColumnPins: 16},
 		},
 	}
 }
 
 // goldenFrame is what EncodeResult(idlist.VBDiff.Name(), goldenResult, nil,
-// Version) emits at v14, which moved the ASHE sums' identifiers out of the
-// aggregate columns into one identifier section after them; everything before
-// it is as captured at v10. Read against encodeGroupCols, the section after
-// the codec name ("vb+diff") is:
+// Version) emits at v16, which dropped the scan section's count and the seven
+// stage-time varints from the metrics; the codec name, the group section and
+// the identifier section are as captured at v14, which moved the ASHE sums'
+// identifiers out of the aggregate columns into one identifier section after
+// them (everything before it as at v10). Read against encodeGroupCols, the
+// section after the codec name ("vb+diff") is:
 //
 //	02 01 01 11 06 | 03 02 07 09 0a 04    2 groups, Bytes keys, inflated, keyLen
 //	                                      16 (+1), 6 aggregates and their kinds
@@ -141,14 +140,15 @@ func goldenResult(t testing.TB) *engine.Result {
 //	          tag and a 2-bit length code: 10 identifiers of group 0 (word 06,
 //	          code 3: uvarint 10 − 4 follows), then 1 of group 1 (word 01)
 //
-// then the scan section (00), the metrics (every engine.Metrics field that
-// crosses the wire, in encodeMetrics order) and the span count.
+// then the metrics (a413 ee08 10 06 e807 0f: the byte, task and row counts;
+// 00: no first chunk; the operator counters, in encodeMetrics order) and the
+// span count.
 const goldenFrame = "0776622b646966660201011106030207090a0400000000000a000000000000000100000000000000ffffffffffffffff0200" +
 	"0000000000003031323334353637383961626364656666656463626139383736353433323130efbefecacefaedfe07000000" +
 	"000000000a0000000000000001000000000000000500030908071f0201020000000000000000000000000000000000000003" +
 	"04ac0202000000000000000000000000000000000000000002010102020202050602323c0000000000000000000000000000" +
 	"00010a18c00000000000000000000000000000000001010100000000000000010b0c0b060202020202020638024803060601" +
-	"0080d1ca0880ade2048092f40180897aa413ee081006e8070fd00fa01ff02e0008000000000f00038008100000"
+	"a413ee081006e8070f0008000000000f00038008100000"
 
 // TestEncodeResultGolden pins the result frame's bytes, that the columnar
 // decoder reads them back to the same groups, and that an identifier list
@@ -533,7 +533,8 @@ func mergePlan(codec string, c *engine.GroupCols, pk *paillier.PublicKey) *engin
 // seed corpus is the valid frames above, truncations of the golden frame, the
 // hostile frames the unit tests reject and the section frames that decode
 // (sectionFrames), and (in testdata) the same, a frame that decodes but cannot
-// merge and one whose scan section holds a row, which the decoder refuses.
+// merge and one with a scan row in the scan section the result frame held up
+// to v15, which the decoder refuses (rowMajorFrame).
 func FuzzDecodeResult(f *testing.F) {
 	golden, err := hex.DecodeString(goldenFrame)
 	if err != nil {
@@ -637,11 +638,10 @@ func hostileResultFrames(t testing.TB) []hostileFrame {
 		build(e)
 		out = append(out, hostileFrame{name, e.buf})
 	}
-	add("scan projection count larger than the payload", func(e *enc) {
-		e.uint(0)       // no groups
-		e.uint(1)       // one scan row
-		e.uint(7)       // row id
-		e.uint(1 << 62) // hostile projection count
+	add("span count larger than the payload", func(e *enc) {
+		e.uint(0) // no groups
+		encodeMetrics(e, &engine.Metrics{})
+		e.uint(1 << 62)
 	})
 	add("group count larger than the payload could hold", func(e *enc) { e.uint(1 << 62) })
 	add("aggregate count larger than the payload", func(e *enc) {
@@ -785,7 +785,6 @@ func sectionFrameOf(codec idlist.Codec, groups int, aggs []engine.AggKind, write
 		e.lane(bodies)
 	}
 	write(e)
-	e.uint(0) // no scan rows
 	encodeMetrics(e, &engine.Metrics{})
 	e.uint(0) // no spans
 	return e.buf

@@ -18,7 +18,7 @@ func opsResult() *engine.Result {
 		Cols: &engine.GroupCols{KeyKind: store.U64, KeyU64: []uint64{7}, Rows: []uint64{3},
 			Aggs: []engine.AggCol{{Kind: engine.AggCount, Lane: []uint64{3}}}},
 		Metrics: engine.Metrics{
-			ServerTime: 5 * time.Millisecond, MapTasks: 4, ReduceTasks: 1,
+			MapTasks: 4, ReduceTasks: 1,
 			RowsScanned: 9000, RowsSelected: 1234,
 			FirstChunk: 2 * time.Millisecond,
 			Ops: engine.OpStats{

@@ -47,7 +47,7 @@ import (
 // any other — the server with a "protocol version %d, want %d" MsgError, the
 // client with a diagnosis naming the version the server answered. Changing a
 // frame means bumping Version and upgrading both sides (docs/FORMAT.md §4.5).
-const Version = 15
+const Version = 16
 
 // checkVersion guards the codecs that take the connection's version as an
 // argument: nothing branches on it, and any value but Version is an error.

@@ -258,8 +258,7 @@ func TestResultRoundTrip(t *testing.T) {
 			Codec: idlist.Default,
 		},
 		Metrics: engine.Metrics{
-			ServerTime: 123 * time.Millisecond, MapTime: 100 * time.Millisecond,
-			ReduceTime: 13 * time.Millisecond, DriverTime: 1 * time.Millisecond, ShuffleBytes: 4096, ResultBytes: 512,
+			ShuffleBytes: 4096, ResultBytes: 512,
 			MapTasks: 32, ReduceTasks: 4, RowsScanned: 1_000_000, RowsSelected: 993,
 		},
 	}
@@ -282,10 +281,11 @@ func TestResultRoundTrip(t *testing.T) {
 		t.Fatalf("result round trip:\n got %+v\nwant %+v", got, res)
 	}
 
-	// Per-task durations are in-process only: a result that carries them
+	// Task and driver times are in-process only: a result that carries them
 	// encodes to the same frame.
 	res.Metrics.MapTaskTimes = []time.Duration{time.Millisecond}
 	res.Metrics.ReduceTaskTimes = []time.Duration{time.Millisecond}
+	res.Metrics.DriverTime = time.Millisecond
 	if again, err := EncodeResult(idlist.Default.Name(), res, nil, Version); err != nil || !bytes.Equal(again, payload) {
 		t.Fatalf("task durations changed the result frame (err %v)", err)
 	}
@@ -296,16 +296,6 @@ func TestResultRoundTrip(t *testing.T) {
 // OOM the trusted proxy (the server is untrusted).
 func TestDecodeResultRejectsHostileCounts(t *testing.T) {
 	e := &enc{}
-	e.str("")       // codec name
-	e.uint(0)       // no groups
-	e.uint(1)       // one scan row
-	e.uint(7)       // row id
-	e.uint(1 << 62) // hostile projection count
-	if _, _, _, err := DecodeResult(e.buf, Version); err == nil {
-		t.Fatal("hostile scan-column count accepted")
-	}
-
-	e = &enc{}
 	e.str("")
 	e.uint(1 << 62) // hostile group count
 	if _, _, _, err := DecodeResult(e.buf, Version); err == nil {
@@ -376,9 +366,11 @@ func TestAppendFrameRoundTrip(t *testing.T) {
 // rowMajorSeed is the checked-in fuzz seed holding rowMajorFrame.
 const rowMajorSeed = "testdata/fuzz/FuzzDecodeResult/refused-row-major-scan-row"
 
-// rowMajorFrame is a result frame with one scan row in the row-major
+// rowMajorFrame is a v15 result frame with one scan row in the row-major
 // encoding the result frame's scan section once held: per row its
-// identifier, its width, and per cell a uvarint, a byte string and a string.
+// identifier, its width, and per cell a uvarint, a byte string and a string;
+// then the 25 varints of a zero run's v15 metrics. v16 has no scan section, so
+// the row's bytes read as metrics and the frame runs past its end.
 func rowMajorFrame() []byte {
 	e := &enc{}
 	e.str("") // codec name
@@ -389,7 +381,9 @@ func rowMajorFrame() []byte {
 	e.uint(42)
 	e.bytes(nil)
 	e.str("")
-	encodeMetrics(e, &engine.Metrics{})
+	for range 25 {
+		e.uint(0)
+	}
 	e.uint(0) // no spans
 	return e.buf
 }
@@ -397,8 +391,8 @@ func rowMajorFrame() []byte {
 // TestScanRowsTravelOnlyInChunks: scan rows cross the wire in chunk frames
 // and nowhere else. The chunk encoder refuses rows whose chunks' width or
 // kinds disagree with the plan's kinds; EncodeResult refuses a result that
-// carries scan rows; and DecodeResult refuses a frame whose scan section
-// counts any row — the row-major frame checked in as a fuzz seed among them.
+// carries scan rows; and DecodeResult refuses the row-major frame checked in
+// as a fuzz seed, by its trailing-bytes check.
 func TestScanRowsTravelOnlyInChunks(t *testing.T) {
 	_, kinds := chunkRows(0)
 	rows := chunkRowsFrom(1, 3)
@@ -429,13 +423,13 @@ func TestScanRowsTravelOnlyInChunks(t *testing.T) {
 	if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", frame); string(seed) != want {
 		t.Fatalf("%s is not the row-major frame; rewrite it as\n%s", rowMajorSeed, want)
 	}
-	if _, _, _, err := DecodeResult(frame, Version); err == nil || !strings.Contains(err.Error(), "scan row count") {
-		t.Fatalf("row-major scan row: DecodeResult returned %v, want a refused scan row count", err)
+	if _, _, _, err := DecodeResult(frame, Version); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+		t.Fatalf("row-major scan row: DecodeResult returned %v, want a refusal of its trailing bytes", err)
 	}
-	// The same frame with the count 0 and no row is a valid empty result.
+	// A frame of no groups, a zero run's metrics and no spans is a valid
+	// empty result.
 	e := &enc{}
 	e.str("")
-	e.uint(0)
 	e.uint(0)
 	encodeMetrics(e, &engine.Metrics{})
 	e.uint(0)
@@ -494,8 +488,8 @@ func TestCancelFrameType(t *testing.T) {
 	if MsgCancel.String() != "cancel" || MsgResultChunk.String() != "result-chunk" {
 		t.Fatalf("lifecycle frame names: %v, %v", MsgCancel, MsgResultChunk)
 	}
-	if Version != 15 {
-		t.Fatalf("protocol version = %d, want 15 (a bump must re-capture the golden frames)", Version)
+	if Version != 16 {
+		t.Fatalf("protocol version = %d, want 16 (a bump must re-capture the golden frames)", Version)
 	}
 	if MsgSegmentList.String() != "segment-list" || MsgSegmentFetch.String() != "segment-fetch" || MsgSegmentData.String() != "segment-data" {
 		t.Fatalf("segment frame names: %v, %v, %v", MsgSegmentList, MsgSegmentFetch, MsgSegmentData)

@@ -206,6 +206,87 @@ func TestExplainAnalyzeShardedEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTraceShape runs a grouped query and an ungrouped sum through the
+// in-process engine and through loopback fleets at R = 1 and R = 2, and checks
+// the proxy's trace of each as one clock's intervals: every child of run —
+// over a fleet, each "range k @ daemon d" and the coordinator's gather —
+// starts and ends inside run, gather starts no earlier than the last range
+// ends, and decrypt lies inside query. Orderings only: no duration is compared
+// with a constant.
+func TestTraceShape(t *testing.T) {
+	fleetOf := func(replicas int) seabed.ClusterBackend {
+		addrs := make([]string, 3)
+		for i := range addrs {
+			addrs[i], _ = startSlowServer(t, 0, fmt.Sprintf("%d/3", i))
+		}
+		fc, err := seabed.DialFleet(addrs, seabed.FleetOptions{Replicas: replicas})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { fc.Close() })
+		return fc
+	}
+	end := func(sp *seabed.TraceSpan) time.Time { return sp.Start().Add(sp.Duration()) }
+	inside := func(root, child, parent *seabed.TraceSpan) {
+		t.Helper()
+		if child.Start().Before(parent.Start()) || end(child).After(end(parent)) {
+			t.Fatalf("span %q [%v, +%v] leaves %q [%v, +%v]:\n%s", child.Name(), child.Start().Sub(root.Start()), child.Duration(),
+				parent.Name(), parent.Start().Sub(root.Start()), parent.Duration(), root)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		backend seabed.ClusterBackend
+		ranges  int // range spans under run: none in process, one a range at least over a fleet
+	}{
+		{"in-process", seabed.NewCluster(seabed.ClusterConfig{Workers: 4}), 0},
+		{"fleet R=1", fleetOf(1), 3},
+		{"fleet R=2", fleetOf(2), 3},
+	} {
+		proxy := lifecycleProxy(t, tc.backend)
+		for _, sql := range []string{"SELECT d, SUM(m) FROM big GROUP BY d", aggSQL} {
+			res, err := proxy.Query(context.Background(), sql)
+			if err != nil {
+				t.Fatalf("%s: %q: %v", tc.name, sql, err)
+			}
+			root := res.Trace()
+			run, dec := root.FindSpan("run"), root.FindSpan("decrypt")
+			if run == nil || dec == nil {
+				t.Fatalf("%s: %q: no run or decrypt span:\n%s", tc.name, sql, root)
+			}
+			inside(root, run, root)
+			inside(root, dec, root)
+			var gather *seabed.TraceSpan
+			var lastRange time.Time
+			ranges := 0
+			for _, c := range run.Children() {
+				inside(root, c, run)
+				switch {
+				case strings.HasPrefix(c.Name(), "range "):
+					ranges++
+					if end(c).After(lastRange) {
+						lastRange = end(c)
+					}
+				case c.Name() == "gather":
+					gather = c
+				}
+			}
+			if tc.ranges == 0 {
+				if ranges != 0 || gather != nil {
+					t.Fatalf("%s: %q: an in-process run holds range or gather spans:\n%s", tc.name, sql, root)
+				}
+				continue
+			}
+			if ranges < tc.ranges || gather == nil {
+				t.Fatalf("%s: %q: run holds %d range spans and gather %v, want %d and a gather:\n%s", tc.name, sql, ranges, gather != nil, tc.ranges, root)
+			}
+			if gather.Start().Before(lastRange) {
+				t.Fatalf("%s: %q: gather starts %v before the last range ends:\n%s", tc.name, sql, lastRange.Sub(gather.Start()), root)
+			}
+		}
+	}
+}
+
 // TestDebugKillProxyEndToEnd kills a stalled query through the proxy's
 // /debug/queries/kill and asserts the caller gets context.Canceled in under
 // a second.
