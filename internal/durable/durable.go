@@ -8,18 +8,17 @@
 //
 //   - Registered tables flush as immutable segment files, each the table's
 //     image (store's one table encoding, "SBSG" v4, specified in
-//     docs/FORMAT.md): a CRC'd directory header followed by 8-aligned
-//     column extents, each with its own CRC, so the file can be
-//     memory-mapped and served in place. Bit rot is detected at read time
-//     — header eagerly at Open, extents lazily at first fault — never
-//     served to a query. A file of any other format in a table directory
-//     fails Open with an error naming it.
+//     docs/FORMAT.md) exactly as the register frame carried it: a CRC'd
+//     directory header followed by 8-aligned column extents, each with its
+//     own CRC, so the file can be memory-mapped and served in place. Bit
+//     rot is detected at read time — header eagerly at Open, extents
+//     lazily at first fault — never served to a query. A file of any other
+//     format in a table directory fails Open with an error naming it.
 //   - Appends journal to a per-table write-ahead log before they are
 //     acknowledged (length-prefixed, checksummed records, each holding the
-//     batch's image; fsync per the configured policy). Past
-//     Options.CompactBytes the accumulated batches compact into a new
-//     segment and the log resets — segments already written are never
-//     rewritten.
+//     append frame's image; fsync per the configured policy). Past
+//     Options.CompactBytes the journaled images compact into a new segment
+//     and the log resets — segments already written are never rewritten.
 //   - A versioned manifest, replaced by atomic rename, is the commit
 //     point: it names the live segment set per table. Anything on disk the
 //     manifest doesn't reference is a leftover of a crashed operation and
@@ -44,8 +43,10 @@ package durable
 import (
 	"fmt"
 	"log/slog"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -155,10 +156,10 @@ type tableState struct {
 	segments []string
 	nextSeq  int
 	wal      *wal
-	// pending accumulates the batches journaled since the last segment —
-	// the exact contents the next compaction writes. Nil when the WAL holds
-	// nothing uncompacted.
-	pending *store.Table
+	// tail holds the images of the WAL records journaled since the last
+	// segment that carry rows, in order — what the next compaction joins
+	// into one segment. Nil when the WAL holds nothing uncompacted.
+	tail [][]byte
 	// endID is the last row identifier across segments and WAL, validating
 	// that journaled batches only ever move forward.
 	endID uint64
@@ -170,9 +171,9 @@ type Store struct {
 	opts Options
 
 	// WAL latency instruments (nil without Options.Metrics). mAppend brackets
-	// the whole journal write — serialize, record write, policy fsync — which
-	// is the latency an acknowledged append paid for durability; mFsync
-	// isolates the f.Sync call itself, the §6 disk-cost denominator.
+	// the whole journal write — record write and policy fsync — which is the
+	// latency an acknowledged append paid for durability; mFsync isolates the
+	// f.Sync call itself, the §6 disk-cost denominator.
 	mAppend *obs.Histogram
 	mFsync  *obs.Histogram
 
@@ -222,7 +223,7 @@ func Open(opts Options) (*Store, error) {
 	}
 	if opts.Metrics != nil {
 		s.mAppend = opts.Metrics.Histogram("seabed_wal_append_seconds",
-			"WAL journal latency per append: serialize, record write, and any policy fsync.", nil, nil)
+			"WAL journal latency per append: record write and any policy fsync.", nil, nil)
 		s.mFsync = opts.Metrics.Histogram("seabed_wal_fsync_seconds",
 			"WAL fsync latency.", nil, nil)
 	}
@@ -284,7 +285,7 @@ func (s *Store) recoverTable(mt manifestTable) (*tableState, *store.Table, Recov
 	stats.Bytes, stats.MappedBytes = mapped, mapped
 
 	walPath := filepath.Join(tdir, walName)
-	batches, goodBytes, torn, err := replayWAL(walPath)
+	records, goodBytes, torn, err := replayWAL(walPath)
 	if err != nil {
 		return nil, nil, stats, err
 	}
@@ -296,21 +297,19 @@ func (s *Store) recoverTable(mt manifestTable) (*tableState, *store.Table, Recov
 			return nil, nil, stats, fmt.Errorf("truncate torn wal: %w", err)
 		}
 	}
-	var pending *store.Table
-	for _, batch := range batches {
+	var tail [][]byte
+	for _, rec := range records {
 		// A record already covered by the segments was compacted in a run
 		// that crashed between the manifest commit and the WAL reset — the
 		// rows are in a segment, the record is a harmless leftover.
-		if batch.NumRows() > 0 && tbl.Covers(batch.Parts[0].StartID, batch.EndID()) {
+		if rec.batch.NumRows() > 0 && tbl.Covers(rec.batch.Parts[0].StartID, rec.batch.EndID()) {
 			continue
 		}
-		if err := tbl.AppendTable(batch); err != nil {
+		if err := tbl.AppendTable(rec.batch); err != nil {
 			return nil, nil, stats, fmt.Errorf("wal record does not continue the table: %w", err)
 		}
-		if pending == nil {
-			pending = batch.Snapshot()
-		} else if err := pending.AppendTable(batch); err != nil {
-			return nil, nil, stats, fmt.Errorf("wal records out of order: %w", err)
+		if rec.batch.NumRows() > 0 {
+			tail = append(tail, rec.img)
 		}
 		stats.WALRecords++
 	}
@@ -318,7 +317,7 @@ func (s *Store) recoverTable(mt manifestTable) (*tableState, *store.Table, Recov
 		id:       mt.ID,
 		segments: append([]string(nil), mt.Segments...),
 		nextSeq:  nextSegSeq(mt.Segments),
-		pending:  pending,
+		tail:     tail,
 		endID:    tbl.EndID(),
 	}
 	if err := s.openLog(st); err != nil {
@@ -392,17 +391,18 @@ func (s *Store) Recovery() RecoveryStats {
 // the server surfaces through Stats and the obs registry.
 func (s *Store) Residency() *store.Residency { return s.res }
 
-// Register durably stores a table under ref, replacing any previous
-// contents: the table flushes to a fresh segment, the manifest commits, and
-// the previous segments and WAL records become garbage. The table is only
-// addressable once Register returns, so an upload acknowledged by a durable
-// server is on disk.
-func (s *Store) Register(ref string, t *store.Table) error {
+// CommitImage durably stores the table image img under ref, replacing any
+// previous contents: img is written verbatim as a fresh segment, the manifest
+// commits, and the previous segments and WAL records become garbage, so an
+// upload acknowledged by a durable server is on disk. It parses img's
+// directory; the caller has checked the extents (store.DecodeImage).
+func (s *Store) CommitImage(ref string, img []byte) error {
 	if ref == "" {
 		return fmt.Errorf("durable: empty table ref")
 	}
-	if t == nil {
-		return fmt.Errorf("durable: nil table")
+	dir, err := store.ParseImage(img)
+	if err != nil {
+		return fmt.Errorf("durable: register %q: %w", ref, err)
 	}
 	st, err := s.stateFor(ref, true)
 	if err != nil {
@@ -413,7 +413,6 @@ func (s *Store) Register(ref string, t *store.Table) error {
 	if err := s.openLog(st); err != nil {
 		return err
 	}
-	tdir := filepath.Join(s.opts.Dir, st.id)
 	// Empty the WAL — by folding any journaled batches into a segment of
 	// the *old* contents — before the replacement commits. Ordering is the
 	// crash-safety argument: if the WAL were still holding records when the
@@ -428,31 +427,30 @@ func (s *Store) Register(ref string, t *store.Table) error {
 			return fmt.Errorf("durable: fold wal before re-register of %q: %w", ref, err)
 		}
 	}
-	seg := segName(st.nextSeq)
-	if _, err := writeSegment(filepath.Join(tdir, seg), t); err != nil {
-		return err
-	}
 	old := st.segments
-	if err := s.commitTable(st.id, ref, []string{seg}); err != nil {
+	if err := s.commitSegments(ref, st, nil, [][]byte{img}); err != nil {
 		return err
 	}
-	st.nextSeq++
-	st.segments = []string{seg}
-	st.pending = nil
-	st.endID = t.EndID()
+	st.tail = nil
+	_, _, st.endID = span(dir)
+	tdir := filepath.Join(s.opts.Dir, st.id)
 	for _, stale := range old {
 		os.Remove(filepath.Join(tdir, stale)) //nolint:errcheck // unreferenced; Open re-collects
 	}
 	return nil
 }
 
-// Append journals one batch of later rows for ref. Under FsyncAlways the
-// record is on stable storage when Append returns — the caller may then
-// acknowledge the append to its client. Past CompactBytes of journaled
-// records the batches compact into a new segment and the log resets.
-func (s *Store) Append(ref string, batch *store.Table) error {
-	if batch == nil {
-		return fmt.Errorf("durable: nil batch")
+// JournalImage journals the table image img, a batch of rows past the
+// table's last identifier, for ref as one WAL record, verbatim. Under
+// FsyncAlways the record is on stable storage when JournalImage returns, and
+// the caller may acknowledge the append. Past CompactBytes of journaled
+// records they compact into a new segment and the log resets. Like
+// CommitImage, it parses img's directory and leaves the extents to the caller,
+// who must leave img alone: the store holds it until that compaction.
+func (s *Store) JournalImage(ref string, img []byte) error {
+	dir, err := store.ParseImage(img)
+	if err != nil {
+		return fmt.Errorf("durable: append to %q: %w", ref, err)
 	}
 	st, err := s.stateFor(ref, false)
 	if err != nil {
@@ -460,28 +458,21 @@ func (s *Store) Append(ref string, batch *store.Table) error {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if batch.NumRows() > 0 && batch.Parts[0].StartID <= st.endID {
+	rows, start, end := span(dir)
+	if rows > 0 && start <= st.endID {
 		return fmt.Errorf("durable: append to %q rewinds identifiers (batch starts at %d, table ends at %d)",
-			ref, batch.Parts[0].StartID, st.endID)
+			ref, start, st.endID)
 	}
 	journalStart := time.Now()
-	img, err := store.AppendImage(nil, batch)
-	if err != nil {
-		return fmt.Errorf("durable: encode batch: %w", err)
-	}
 	if err := st.wal.append(img, s.opts.Fsync == FsyncAlways, s.opts.BatchBytes); err != nil {
 		return err
 	}
 	if s.mAppend != nil {
 		s.mAppend.ObserveDuration(time.Since(journalStart))
 	}
-	if batch.NumRows() > 0 {
-		if st.pending == nil {
-			st.pending = batch.Snapshot()
-		} else if err := st.pending.AppendTable(batch); err != nil {
-			return fmt.Errorf("durable: grow pending batches: %w", err)
-		}
-		st.endID = batch.EndID()
+	if rows > 0 {
+		st.tail = append(st.tail, img)
+		st.endID = end
 	}
 	// The append is durable the moment its WAL record is; compaction is an
 	// optimization, so a compaction failure (disk full writing the segment,
@@ -497,48 +488,68 @@ func (s *Store) Append(ref string, batch *store.Table) error {
 	return nil
 }
 
-// compactLocked folds the table's journaled batches into a new immutable
+// Register stores t under ref as CommitImage stores t's image.
+func (s *Store) Register(ref string, t *store.Table) error {
+	img, err := store.AppendImage(nil, t)
+	if err != nil {
+		return err
+	}
+	return s.CommitImage(ref, img)
+}
+
+// Append journals batch for ref as JournalImage journals batch's image.
+func (s *Store) Append(ref string, batch *store.Table) error {
+	img, err := store.AppendImage(nil, batch)
+	if err != nil {
+		return err
+	}
+	return s.JournalImage(ref, img)
+}
+
+// span returns an image directory's rows, its first partition's StartID and
+// its last row's identifier (Table.EndID's rule).
+func span(dir *store.ImageDir) (rows, start, end uint64) {
+	for i, p := range dir.Parts {
+		if i == 0 {
+			start = p.StartID
+		}
+		rows, end = rows+uint64(p.Rows), p.StartID+uint64(p.Rows)-1
+	}
+	return rows, start, end
+}
+
+// compactLocked joins the table's journaled images into a new immutable
 // segment and resets the WAL. st.mu is held. Crash windows are covered by
 // recovery: a segment without a manifest commit is an orphan; a manifest
 // commit without the WAL reset leaves covered records that replay detects
 // via identifier coverage and skips.
 func (s *Store) compactLocked(ref string, st *tableState) error {
-	if st.pending == nil || st.pending.NumRows() == 0 {
+	if len(st.tail) == 0 {
 		// Only empty or superseded records: nothing worth a segment.
 		return st.wal.reset()
 	}
-	tdir := filepath.Join(s.opts.Dir, st.id)
-	seg := segName(st.nextSeq)
-	n, err := writeSegment(filepath.Join(tdir, seg), st.pending)
+	img, err := joinImages(st.tail)
 	if err != nil {
+		return fmt.Errorf("durable: compact %q: %w", ref, err)
+	}
+	if err := s.commitSegments(ref, st, st.segments, [][]byte{img}); err != nil {
 		return err
 	}
-	segments := append(append([]string(nil), st.segments...), seg)
-	if err := s.commitTable(st.id, ref, segments); err != nil {
-		return err
-	}
-	st.nextSeq++
-	st.segments = segments
-	st.pending = nil
+	st.tail = nil
 	if err := st.wal.reset(); err != nil {
 		return err
 	}
-	s.log("wal compacted", "ref", ref, "segment", seg, "bytes", n, "segments", len(segments))
+	s.log("wal compacted", "ref", ref, "segment", st.segments[len(st.segments)-1], "bytes", len(img), "segments", len(st.segments))
 	return nil
 }
 
-// Sync forces outstanding FsyncBatch records to stable storage, across all
-// tables.
-func (s *Store) Sync() error {
-	for _, st := range s.states() {
-		st.mu.Lock()
-		err := st.wal.sync()
-		st.mu.Unlock()
-		if err != nil {
-			return err
-		}
+// joinImages joins a run of images, in identifier order, into one image.
+func joinImages(imgs [][]byte) ([]byte, error) {
+	t, err := store.DecodeImages(imgs)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return store.AppendImage(nil, t)
 }
 
 // Close syncs and closes every table's log and releases every segment
@@ -551,23 +562,10 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
+	states := slices.Collect(maps.Values(s.tables))
 	s.mu.Unlock()
-	first := s.closeLocked()
-	s.mapsMu.Lock()
-	maps := s.maps
-	s.maps = nil
-	s.mapsMu.Unlock()
-	for _, m := range maps {
-		if err := m.close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-func (s *Store) closeLocked() error {
 	var first error
-	for _, st := range s.states() {
+	for _, st := range states {
 		st.mu.Lock()
 		if st.wal != nil {
 			if err := st.wal.close(); err != nil && first == nil {
@@ -577,18 +575,16 @@ func (s *Store) closeLocked() error {
 		}
 		st.mu.Unlock()
 	}
-	return first
-}
-
-// states snapshots the table states under the store lock.
-func (s *Store) states() []*tableState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*tableState, 0, len(s.tables))
-	for _, st := range s.tables {
-		out = append(out, st)
+	s.mapsMu.Lock()
+	mapped := s.maps
+	s.maps = nil
+	s.mapsMu.Unlock()
+	for _, m := range mapped {
+		if err := m.close(); err != nil && first == nil {
+			first = err
+		}
 	}
-	return out
+	return first
 }
 
 // stateFor resolves ref's state, allocating a directory ID for a new ref

@@ -150,8 +150,8 @@ func TestFsyncAlwaysWritesThrough(t *testing.T) {
 	if err != nil || torn {
 		t.Fatalf("replay of live wal: torn=%v err=%v", torn, err)
 	}
-	if len(batches) != 1 || !bytes.Equal(serialize(t, batches[0]), serialize(t, batch)) {
-		t.Fatalf("live wal holds %d batches, want the acked one", len(batches))
+	if len(batches) != 1 || !bytes.Equal(batches[0].img, serialize(t, batch)) {
+		t.Fatalf("live wal holds %d records, want the acked batch's image", len(batches))
 	}
 }
 
@@ -509,7 +509,7 @@ func TestCompactionFailureDoesNotFailAppend(t *testing.T) {
 	if err := s.Register("x", want); err != nil {
 		t.Fatal(err)
 	}
-	// Squat on seg-000002.seg: writeSegment's os.Create fails on a dir.
+	// Squat on seg-000002.seg: the segment writer's os.Create fails on a dir.
 	obstruction := filepath.Join(tableDir(t, dir), segName(2))
 	if err := os.Mkdir(obstruction, 0o755); err != nil {
 		t.Fatal(err)

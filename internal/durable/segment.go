@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"seabed/internal/store"
 )
@@ -94,44 +95,57 @@ func (m *mappedSegment) close() error {
 	return munmapFile(data)
 }
 
-// writeSegment durably writes t's image as one segment file. The extents go
-// out first, in order, and the header is written over the hole left for it
-// once their CRCs are known; the padding between them is the file's own zero
-// fill. The file is fsynced, as is the parent directory, so the segment's
-// name survives with its contents. Returns the file's size.
-func writeSegment(path string, t *store.Table) (int64, error) {
-	l, err := store.LayoutImage(t)
-	if err != nil {
-		return 0, err
+// commitSegments is the one segment writer, for registers, compactions and
+// installs: it writes imgs verbatim as the table's next segment files, syncs
+// the table's directory, and commits the manifest naming keep followed by
+// them. st.mu is held. A failure before the commit leaves orphans for Open.
+func (s *Store) commitSegments(ref string, st *tableState, keep []string, imgs [][]byte) error {
+	tdir := filepath.Join(s.opts.Dir, st.id)
+	segments := slices.Clone(keep)
+	for i, img := range imgs {
+		name := segName(st.nextSeq + i)
+		if err := writeFile(filepath.Join(tdir, name), img); err != nil {
+			return fmt.Errorf("durable: write segment %s: %w", name, err)
+		}
+		segments = append(segments, name)
 	}
+	if err := syncDir(tdir); err != nil {
+		return err
+	}
+	if err := s.commitTable(st.id, ref, segments); err != nil {
+		return err
+	}
+	st.nextSeq += len(imgs)
+	st.segments = segments
+	return nil
+}
+
+// writeChunk bounds each write of a segment file. The page cache sizes its
+// folios by the writes that fill them and a mapping faults in whole folios,
+// so a segment written in one piece makes megabytes resident at a cold
+// column's first touch (on Linux 6.18 ext4, 50 MB against 19 MB on scan_cold).
+const writeChunk = 64 << 10
+
+// writeFile durably writes data to path: create, write in writeChunk pieces,
+// fsync, close.
+func writeFile(path string, data []byte) error {
 	f, err := os.Create(path)
 	if err != nil {
-		return 0, fmt.Errorf("durable: create segment: %w", err)
-	}
-	fail := func(err error) (int64, error) {
-		f.Close()
-		return 0, fmt.Errorf("durable: write segment: %w", err)
-	}
-	// The last extent's padding is past every write: size the file up front.
-	if err := f.Truncate(l.Size()); err != nil {
-		return fail(err)
-	}
-	if err := l.Emit(func(off int64, b []byte) error {
-		_, err := f.WriteAt(b, off)
 		return err
-	}); err != nil {
-		return fail(err)
+	}
+	for len(data) > 0 {
+		n := min(len(data), writeChunk)
+		if _, err := f.Write(data[:n]); err != nil {
+			f.Close()
+			return err
+		}
+		data = data[n:]
 	}
 	if err := f.Sync(); err != nil {
-		return fail(err)
+		f.Close()
+		return err
 	}
-	if err := f.Close(); err != nil {
-		return 0, fmt.Errorf("durable: close segment: %w", err)
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		return 0, err
-	}
-	return l.Size(), nil
+	return f.Close()
 }
 
 // openSegment maps one segment file into lazy view partitions and returns its

@@ -2,8 +2,8 @@ package durable
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
+	"slices"
 
 	"seabed/internal/store"
 )
@@ -11,8 +11,8 @@ import (
 // Segment shipping: the daemon-to-daemon replication surface.
 //
 // Every piece of a table a daemon ships is a table image: each committed
-// segment file as it lies on disk, and the uncompacted WAL tail as an image
-// built in memory. Shipment takes the pieces as one cut. On the receiving
+// segment file as it lies on disk, and the uncompacted WAL tail's images
+// joined into one. Shipment takes the pieces as one cut. On the receiving
 // daemon, InstallTable takes the pieces as images, in order, and names none
 // of them after its peer: it checks that they assemble into one table before
 // anything is written, then commits each as a fresh segment of its own, the
@@ -20,23 +20,26 @@ import (
 // local names and recovers as any other does.
 
 // Shipment takes ref's shippable pieces as one cut, under the table lock and
-// reading no bytes: the paths of its committed segment files in install
-// order, and the rows of its uncompacted WAL tail (nil when the WAL holds
-// none). Committed segments are immutable, so their files may be read after
-// the lock is released; one that a later re-register deleted is then
-// missing, and the read fails.
-func (s *Store) Shipment(ref string) (paths []string, tail *store.Table, err error) {
+// reading no file: the paths of its committed segment files in install order,
+// and its uncompacted WAL tail as one image (nil when the WAL holds no rows).
+// Committed segments are immutable, so their files may be read after the
+// lock is released; one that a later re-register deleted is then missing,
+// and the read fails.
+func (s *Store) Shipment(ref string) (paths []string, tail store.Image, err error) {
 	st, err := s.stateFor(ref, false)
 	if err != nil {
 		return nil, nil, err
 	}
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.pending != nil && st.pending.NumRows() > 0 {
-		tail = st.pending.Snapshot()
-	}
+	records := slices.Clone(st.tail)
 	for _, name := range st.segments {
 		paths = append(paths, filepath.Join(s.opts.Dir, st.id, name))
+	}
+	st.mu.Unlock()
+	if len(records) > 0 {
+		if tail, err = joinImages(records); err != nil {
+			return nil, nil, fmt.Errorf("durable: ship the wal tail of %q: %w", ref, err)
+		}
 	}
 	return paths, tail, nil
 }
@@ -71,43 +74,13 @@ func (s *Store) InstallTable(ref string, imgs [][]byte, check func(*store.Table)
 	if err := s.openLog(st); err != nil {
 		return nil, err
 	}
-	tdir := filepath.Join(s.opts.Dir, st.id)
-	names := make([]string, len(imgs))
-	for i, img := range imgs {
-		names[i] = segName(st.nextSeq + i)
-		if err := writeRawFile(filepath.Join(tdir, names[i]), img); err != nil {
-			return nil, fmt.Errorf("durable: install segment %s: %w", names[i], err)
-		}
-	}
-	if err := syncDir(tdir); err != nil {
+	if err := s.commitSegments(ref, st, nil, imgs); err != nil {
 		return nil, err
 	}
-	if err := s.commitTable(st.id, ref, names); err != nil {
-		return nil, err
-	}
-	st.segments = names
-	st.nextSeq += len(names)
-	tbl, _, err = s.openSegments(tdir, names)
+	tbl, _, err = s.openSegments(filepath.Join(s.opts.Dir, st.id), st.segments)
 	if err != nil {
 		return nil, fmt.Errorf("durable: open installed table %q: %w", ref, err)
 	}
 	st.endID = tbl.EndID()
 	return tbl, nil
-}
-
-// writeRawFile durably writes data to path: create, write, fsync, close.
-func writeRawFile(path string, data []byte) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -21,9 +20,10 @@ func decodeSegment(data []byte) (*store.Table, error) {
 	return m.open(store.NewResidency(0))
 }
 
-// TestEncodeDecodeSegmentRoundTrip: a table's image (WriteTo) is the segment
-// file writeSegment produces for it, byte for byte, and it opens as that
-// file's bytes are opened.
+// TestEncodeDecodeSegmentRoundTrip: a committed segment file is an image
+// byte for byte — a register's is the image CommitImage was handed, a
+// compaction's is the image of the journaled images joined — and an image
+// opens as a segment file's bytes are opened.
 func TestEncodeDecodeSegmentRoundTrip(t *testing.T) {
 	tbl := mkTable(t, "ship", 1, 500, 3)
 	data := serialize(t, tbl)
@@ -31,22 +31,41 @@ func TestEncodeDecodeSegmentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(serialize(t, got), serialize(t, tbl)) {
+	if !bytes.Equal(serialize(t, got), data) {
 		t.Fatal("decoded segment differs from source table")
 	}
 
-	// The image IS the file: writeSegment must emit the identical bytes.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "seg-000001.seg")
-	if _, err := writeSegment(path, tbl); err != nil {
+	s := openStore(t, t.TempDir())
+	defer s.Close()
+	if err := s.CommitImage("ship", data); err != nil {
 		t.Fatal(err)
 	}
-	fileBytes, err := os.ReadFile(path)
+	b1, b2 := mkTable(t, "ship", 501, 20, 1), mkTable(t, "ship", 521, 30, 2)
+	for _, b := range []*store.Table{b1, b2} {
+		if err := s.JournalImage("ship", serialize(t, b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.tables["ship"]
+	st.mu.Lock()
+	err = s.compactLocked("ship", st)
+	st.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(data, fileBytes) {
-		t.Fatal("WriteTo bytes differ from writeSegment file bytes")
+	joined := b1.Snapshot()
+	if err := joined.AppendTable(b2); err != nil {
+		t.Fatal(err)
+	}
+	want := [][]byte{data, serialize(t, joined)}
+	if imgs, tail := shipment(t, s, "ship"); len(imgs) != len(want) || tail != nil {
+		t.Fatalf("%d segments and a tail of %v after one compaction, want %d and none", len(imgs), tail, len(want))
+	} else {
+		for i := range imgs {
+			if !bytes.Equal(imgs[i], want[i]) {
+				t.Fatalf("segment %d is not the image it was written from", i+1)
+			}
+		}
 	}
 
 	// Corruption in the header fails decode immediately.
@@ -69,16 +88,22 @@ func piece(data []byte) shipped {
 }
 
 // shipment reads ref's shipment on s: its committed segment files' bytes, in
-// order, and its WAL tail.
+// order, and its WAL tail's image decoded (nil when it has none).
 func shipment(t *testing.T, s *Store, ref string) ([][]byte, *store.Table) {
 	t.Helper()
-	paths, tail, err := s.Shipment(ref)
+	paths, tailImg, err := s.Shipment(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	imgs := make([][]byte, len(paths))
 	for i, path := range paths {
 		if imgs[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var tail *store.Table
+	if tailImg != nil {
+		if tail, err = store.DecodeImage(tailImg); err != nil {
 			t.Fatal(err)
 		}
 	}

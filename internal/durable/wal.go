@@ -19,7 +19,7 @@ import (
 //
 //	u32 payload length (LE) | u32 CRC32-IEEE of payload (LE) | payload
 //
-// where the payload is the batch's table image (store.AppendImage) — the
+// where the payload is the append frame's table image, byte for byte — the
 // encoding of a segment file, so one parser reads both. Records are written
 // with a single write() and made durable per the store's fsync policy;
 // recovery replays intact records in order and truncates the log at the
@@ -141,14 +141,21 @@ func (w *wal) close() error {
 	return w.f.Close()
 }
 
+// walRecord is one replayed WAL record: its payload, and the batch that
+// payload decodes to, aliasing it.
+type walRecord struct {
+	img   []byte
+	batch *store.Table
+}
+
 // replayWAL reads the log at path, decoding every intact record in order.
-// It returns the decoded batches, the offset where intact records end, and
+// It returns the records, the offset where intact records end, and
 // whether a torn tail (incomplete or checksum-failing trailing record) was
 // found past that offset — the caller truncates the file there before
 // reopening it for appends. A missing file is an empty log. A record whose
 // checksum verifies but whose payload fails to decode is not a tear; it is
 // data corruption and replays as an error.
-func replayWAL(path string) (batches []*store.Table, goodBytes int64, torn bool, err error) {
+func replayWAL(path string) (records []walRecord, goodBytes int64, torn bool, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil, 0, false, nil
@@ -163,10 +170,10 @@ func replayWAL(path string) (batches []*store.Table, goodBytes int64, torn bool,
 		var hdr [walHeaderSize]byte
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			if err == io.EOF {
-				return batches, offset, false, nil // clean end
+				return records, offset, false, nil // clean end
 			}
 			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return batches, offset, true, nil // torn header
+				return records, offset, true, nil // torn header
 			}
 			// A real read failure (EIO, not a short file) is NOT a tear:
 			// truncating here would delete acknowledged records a retried
@@ -176,23 +183,23 @@ func replayWAL(path string) (batches []*store.Table, goodBytes int64, torn bool,
 		length := binary.LittleEndian.Uint32(hdr[0:4])
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
 		if length == 0 || length > walMaxRecord {
-			return batches, offset, true, nil // implausible length: a tear
+			return records, offset, true, nil // implausible length: a tear
 		}
 		payload, rerr := readCapped(br, int(length))
 		if rerr != nil {
 			if errors.Is(rerr, io.ErrUnexpectedEOF) || rerr == io.EOF {
-				return batches, offset, true, nil // torn payload
+				return records, offset, true, nil // torn payload
 			}
 			return nil, 0, false, fmt.Errorf("durable: read wal record at offset %d: %w", offset, rerr)
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
-			return batches, offset, true, nil
+			return records, offset, true, nil
 		}
 		batch, derr := store.DecodeImage(payload)
 		if derr != nil {
 			return nil, 0, false, fmt.Errorf("durable: wal record at offset %d of %s passed its checksum but failed to decode: %w", offset, path, derr)
 		}
-		batches = append(batches, batch)
+		records = append(records, walRecord{img: payload, batch: batch})
 		offset += walHeaderSize + int64(length)
 	}
 }

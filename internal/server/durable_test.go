@@ -2,7 +2,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"seabed/internal/durable"
@@ -25,6 +29,16 @@ func durableFixtureTable(t *testing.T, startID uint64, rows int) *store.Table {
 	return tbl
 }
 
+// imageOf is tbl's image, the form RegisterTable takes a table in.
+func imageOf(t *testing.T, tbl *store.Table) []byte {
+	t.Helper()
+	img, err := store.AppendImage(nil, tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
 // TestServerDurableRegistryRoundTrip drives the server's registry mutations
 // with a durable store attached and checks a second server mounting the
 // same directory recovers the registry — the restart path of a
@@ -39,7 +53,7 @@ func TestServerDurableRegistryRoundTrip(t *testing.T) {
 	srv.UseDurable(d)
 
 	tbl := durableFixtureTable(t, 1, 100)
-	if err := srv.RegisterTable("d#noenc", tbl); err != nil {
+	if err := srv.RegisterTable("d#noenc", imageOf(t, tbl)); err != nil {
 		t.Fatal(err)
 	}
 	batch := durableFixtureTable(t, 101, 40)
@@ -137,4 +151,137 @@ func TestStatsJSONSurfacesDurability(t *testing.T) {
 		got.Recovery.Tables != 2 || got.Recovery.WALRecords != 9 {
 		t.Fatalf("stats JSON %s decodes to %+v", b, got)
 	}
+}
+
+// TestDurableStoresFrameImages: a durable daemon stores the image an upload
+// frame carried, byte for byte — a register frame's as the committed segment
+// file, an append frame's as its WAL record's payload — and a compaction
+// writes the image of the journaled batches joined. A re-register, a
+// compaction and restarts recover the tables the frames carried.
+func TestDurableStoresFrameImages(t *testing.T) {
+	const ref = "d#noenc"
+	base, b1, b2, b3 := durableFixtureTable(t, 1, 100), durableFixtureTable(t, 101, 40),
+		durableFixtureTable(t, 141, 10), durableFixtureTable(t, 151, 20)
+	replacement, b4 := durableFixtureTable(t, 1, 60), durableFixtureTable(t, 61, 5)
+	// One record of b1's size stays in the WAL; a second compacts.
+	opts := durable.Options{Dir: t.TempDir(), CompactBytes: int64(8 + len(imageOf(t, b1)) + 1)}
+
+	var d *durable.Store
+	var srv *Server
+	restart := func() {
+		t.Helper()
+		if d != nil {
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var err error
+		if d, err = durable.Open(opts); err != nil {
+			t.Fatal(err)
+		}
+		srv = New(engine.NewCluster(engine.Config{Workers: 2}))
+		srv.UseDurable(d)
+	}
+	restart()
+	defer func() { d.Close() }() //nolint:errcheck // test teardown
+
+	// send delivers tbl in a register or append frame and returns a copy of
+	// the frame's image.
+	send := func(typ wire.MsgType, tbl *store.Table) []byte {
+		t.Helper()
+		payload, err := wire.EncodeRegister(ref, tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, img, err := wire.DecodeRegister(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img = bytes.Clone(img)
+		handle := srv.handleAppend
+		if typ == wire.MsgRegister {
+			handle = srv.handleRegister
+		}
+		if mt, resp := handle(payload); mt != wire.MsgOK {
+			t.Fatalf("%v of %d rows: %s", typ, tbl.NumRows(), wire.DecodeError(resp))
+		}
+		return img
+	}
+	// stored reads what the daemon holds for ref on disk: its committed
+	// segment files and its WAL records' payloads.
+	stored := func() (segs, records [][]byte) {
+		t.Helper()
+		paths, _, err := d.Shipment(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			seg, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			segs = append(segs, seg)
+		}
+		wal, err := os.ReadFile(filepath.Join(filepath.Dir(paths[0]), "wal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for len(wal) > 0 {
+			n := 8 + int(binary.LittleEndian.Uint32(wal))
+			records = append(records, wal[8:n])
+			wal = wal[n:]
+		}
+		return segs, records
+	}
+	check := func(what string, wantSegs, wantRecords [][]byte) {
+		t.Helper()
+		segs, records := stored()
+		if !slices.EqualFunc(segs, wantSegs, bytes.Equal) {
+			t.Fatalf("%s: the %d committed segments are not the %d images expected", what, len(segs), len(wantSegs))
+		}
+		if !slices.EqualFunc(records, wantRecords, bytes.Equal) {
+			t.Fatalf("%s: the %d wal records are not the %d images expected", what, len(records), len(wantRecords))
+		}
+	}
+	// holds checks the registry's table is want, byte for byte.
+	holds := func(what string, want *store.Table) {
+		t.Helper()
+		got, err := srv.lookup(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(imageOf(t, got), imageOf(t, want)) {
+			t.Fatalf("%s: the table holds %d rows, not the %d sent", what, got.NumRows(), want.NumRows())
+		}
+	}
+	grow := func(tbl *store.Table, batches ...*store.Table) *store.Table {
+		t.Helper()
+		tbl = tbl.Snapshot()
+		for _, b := range batches {
+			if err := tbl.AppendTable(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tbl
+	}
+
+	baseImg := send(wire.MsgRegister, base)
+	check("register", [][]byte{baseImg}, nil)
+	b1Img := send(wire.MsgAppend, b1)
+	check("append", [][]byte{baseImg}, [][]byte{b1Img})
+	send(wire.MsgAppend, b2) // the WAL passes CompactBytes and compacts
+	check("compaction", [][]byte{baseImg, imageOf(t, grow(b1, b2))}, nil)
+	b3Img := send(wire.MsgAppend, b3)
+	check("append after compaction", [][]byte{baseImg, imageOf(t, grow(b1, b2))}, [][]byte{b3Img})
+	restart()
+	holds("restart", grow(base, b1, b2, b3))
+	check("restart", [][]byte{baseImg, imageOf(t, grow(b1, b2))}, [][]byte{b3Img})
+
+	repImg := send(wire.MsgRegister, replacement)
+	check("re-register", [][]byte{repImg}, nil)
+	b4Img := send(wire.MsgAppend, b4)
+	check("append after re-register", [][]byte{repImg}, [][]byte{b4Img})
+	holds("re-register", grow(replacement, b4))
+	restart()
+	holds("restart after re-register", grow(replacement, b4))
 }

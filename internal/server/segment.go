@@ -20,8 +20,9 @@ import (
 // inventory entry; for a fetch naming a source peer it fetches the table
 // from that peer itself and installs it, so a fleet heals daemon-to-daemon
 // without the proxy re-uploading anything. A durable daemon ships its
-// committed segment files as they lie on disk and its WAL tail as an image
-// built in memory; a memory-only daemon ships the whole table as one image.
+// committed segment files as they lie on disk and its WAL tail as the one
+// image durable.Shipment joins it into; a memory-only daemon ships the whole
+// table as one image.
 
 // handleSegmentList answers a MsgSegmentList request, which is empty, with
 // every table's ref, rows and envelope, sorted by ref — an inventory, which
@@ -69,20 +70,24 @@ func (s *Server) handleSegmentFetch(w io.Writer, payload []byte) (wire.MsgType, 
 
 // shipTable writes table ref's images to w, one MsgSegmentData frame each,
 // in install order — a durable table's committed segment files and then its
-// WAL tail, if any rows are pending; a memory-only daemon's whole table as
-// one image — and returns the table's inventory entry. The registry's table
-// and the durable cut are taken together under tableMu, which keeps appends
-// out, so the images hold the rows the entry counts; each file is read, or
-// the image built, once, after it is released.
+// WAL tail's image, if any rows are journaled; a memory-only daemon's whole
+// table as one image — and returns the table's inventory entry. The
+// registry's table and the durable cut are taken together under tableMu,
+// which keeps appends out, so the images hold the rows the entry counts. The
+// WAL tail's image is joined inside the cut; each file is read, or a
+// memory-only daemon's image built, once, after it is released.
 func (s *Server) shipTable(w io.Writer, ref string) (wire.TableManifest, error) {
 	s.tableMu.Lock()
 	t, err := s.lookup(ref)
 	var paths []string
-	tail := t
+	var tail store.Image
 	if err == nil && s.durable != nil {
 		paths, tail, err = s.durable.Shipment(ref)
 	}
 	s.tableMu.Unlock()
+	if err == nil && s.durable == nil {
+		tail, err = store.AppendImage(nil, t)
+	}
 	if err != nil {
 		return wire.TableManifest{}, err
 	}
@@ -101,7 +106,7 @@ func (s *Server) shipTable(w io.Writer, ref string) (wire.TableManifest, error) 
 		}
 	}
 	if tail != nil {
-		if err := send(store.AppendImage(nil, tail)); err != nil {
+		if err := send(tail, nil); err != nil {
 			return wire.TableManifest{}, err
 		}
 	}

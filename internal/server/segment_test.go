@@ -81,7 +81,7 @@ func fetch(t *testing.T, srv *Server, ref string) ([][]byte, wire.TableManifest)
 // WAL tail on a durable daemon) and "e", a range registered empty past them.
 func registerShipFixture(t *testing.T, srv *Server) {
 	t.Helper()
-	if err := srv.RegisterTable("a", durableFixtureTable(t, 1, 100)); err != nil {
+	if err := srv.RegisterTable("a", imageOf(t, durableFixtureTable(t, 1, 100))); err != nil {
 		t.Fatal(err)
 	}
 	payload, err := wire.EncodeAppend("a", durableFixtureTable(t, 101, 10))
@@ -91,7 +91,7 @@ func registerShipFixture(t *testing.T, srv *Server) {
 	if typ, resp := srv.handleAppend(payload); typ != wire.MsgOK {
 		t.Fatalf("append: %s", wire.DecodeError(resp))
 	}
-	if err := srv.RegisterTable("e", durableFixtureTable(t, 111, 0)); err != nil {
+	if err := srv.RegisterTable("e", imageOf(t, durableFixtureTable(t, 111, 0))); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -162,7 +162,7 @@ func TestSegmentListingIsOneCut(t *testing.T) {
 			dir = t.TempDir()
 		}
 		srv, _ := shipServer(t, dir)
-		if err := srv.RegisterTable("a", durableFixtureTable(t, 1, 100)); err != nil {
+		if err := srv.RegisterTable("a", imageOf(t, durableFixtureTable(t, 1, 100))); err != nil {
 			t.Fatal(err)
 		}
 		const batches = 40

@@ -387,27 +387,30 @@ func (s *Server) UseDurable(d *durable.Store) {
 	})
 }
 
-// RegisterTable adds or replaces a table in the registry — durably first,
-// when a durable store is attached, so an acknowledged upload is on disk.
-// The wire path uses it for MsgRegister frames; embedders can call it
-// directly to preload tables.
-func (s *Server) RegisterTable(ref string, t *store.Table) error {
+// RegisterTable adds or replaces a table in the registry from its image
+// (store.AppendImage), decoded once — durably first, when a durable store is
+// attached, which writes img itself as the segment. The registry's table
+// aliases img, which the caller must leave alone. The wire path uses it for
+// MsgRegister frames; embedders can call it directly to preload tables.
+func (s *Server) RegisterTable(ref string, img []byte) error {
 	if ref == "" {
 		return errors.New("server: empty table ref")
 	}
-	if t == nil {
-		return errors.New("server: nil table")
+	t, err := store.DecodeImage(img)
+	if err != nil {
+		return fmt.Errorf("server: register %q: %w", ref, err)
 	}
 	s.tableMu.Lock()
 	defer s.tableMu.Unlock()
 	if s.durable != nil {
-		if err := s.durable.Register(ref, t); err != nil {
+		if err := s.durable.CommitImage(ref, img); err != nil {
 			return err
 		}
 	}
 	s.mu.Lock()
 	s.tables[ref] = t
 	s.mu.Unlock()
+	s.log("table registered", "ref", ref, "rows", t.NumRows(), "parts", len(t.Parts))
 	return nil
 }
 
@@ -770,21 +773,24 @@ func (s *Server) serveRun(conn net.Conn, quit <-chan struct{}, frames <-chan fra
 }
 
 func (s *Server) handleRegister(payload []byte) (wire.MsgType, []byte) {
-	ref, t, err := wire.DecodeRegister(payload)
+	ref, img, err := wire.DecodeRegister(payload)
+	if err == nil {
+		err = s.RegisterTable(ref, img)
+	}
 	if err != nil {
 		return wire.MsgError, wire.EncodeError(err.Error())
 	}
-	if err := s.RegisterTable(ref, t); err != nil {
-		return wire.MsgError, wire.EncodeError(err.Error())
-	}
-	s.log("table registered", "ref", ref, "rows", t.NumRows(), "parts", len(t.Parts))
 	return wire.MsgOK, nil
 }
 
 func (s *Server) handleAppend(payload []byte) (wire.MsgType, []byte) {
-	ref, batch, err := wire.DecodeAppend(payload)
+	ref, img, err := wire.DecodeAppend(payload)
 	if err != nil {
 		return wire.MsgError, wire.EncodeError(err.Error())
+	}
+	batch, err := store.DecodeImage(img)
+	if err != nil {
+		return wire.MsgError, wire.EncodeError(fmt.Sprintf("server: append to %q: %v", ref, err))
 	}
 	// tableMu makes the read-validate-journal-swap sequence atomic against
 	// other registry mutations without holding the registry lock across the
@@ -823,7 +829,7 @@ func (s *Server) handleAppend(payload []byte) (wire.MsgType, []byte) {
 	// durable first. A journal failure leaves the in-memory table unchanged
 	// and the client sees the error.
 	if s.durable != nil {
-		if err := s.durable.Append(ref, batch); err != nil {
+		if err := s.durable.JournalImage(ref, img); err != nil {
 			return wire.MsgError, wire.EncodeError(err.Error())
 		}
 	}

@@ -133,7 +133,7 @@ func TestRunAgainstUnknownRefAnswersError(t *testing.T) {
 // registrations, lookups, and plan runs (meaningful under -race).
 func TestRegistryConcurrentAccess(t *testing.T) {
 	srv, _ := startServer(t)
-	mkTable := func(n uint64) *store.Table {
+	mkImage := func(n uint64) []byte {
 		vals := make([]uint64, 100)
 		for i := range vals {
 			vals[i] = n
@@ -142,7 +142,7 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tbl
+		return imageOf(t, tbl)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -151,7 +151,7 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			ref := fmt.Sprintf("t%d@Seabed", g%4)
 			for i := 0; i < 20; i++ {
-				if err := srv.RegisterTable(ref, mkTable(uint64(g))); err != nil {
+				if err := srv.RegisterTable(ref, mkImage(uint64(g))); err != nil {
 					t.Error(err)
 					return
 				}
@@ -179,7 +179,7 @@ func TestAppendIdempotentReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.RegisterTable("t@Seabed", base); err != nil {
+	if err := srv.RegisterTable("t@Seabed", imageOf(t, base)); err != nil {
 		t.Fatal(err)
 	}
 	mkBatch := func(startID uint64, n int) []byte {
@@ -308,7 +308,7 @@ func TestAppendReplayOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.RegisterTable("t@Seabed", base); err != nil {
+	if err := srv.RegisterTable("t@Seabed", imageOf(t, base)); err != nil {
 		t.Fatal(err)
 	}
 	batch, err := store.BuildFrom("t", []store.Column{{Name: "v", Kind: store.U64, U64: []uint64{7, 8, 9}}}, 1, 101)
@@ -352,7 +352,7 @@ func TestCloseRacesInflightQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.RegisterTable("t@NoEnc", tbl); err != nil {
+	if err := srv.RegisterTable("t@NoEnc", imageOf(t, tbl)); err != nil {
 		t.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -416,7 +416,7 @@ func TestCloseThenServeAgainKeepsRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.RegisterTable("t@NoEnc", tbl); err != nil {
+	if err := srv.RegisterTable("t@NoEnc", imageOf(t, tbl)); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {

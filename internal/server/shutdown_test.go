@@ -39,7 +39,7 @@ func slowServer(t *testing.T, sleep time.Duration) (*Server, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.RegisterTable("t@NoEnc", tbl); err != nil {
+	if err := srv.RegisterTable("t@NoEnc", imageOf(t, tbl)); err != nil {
 		t.Fatal(err)
 	}
 	payload, err := wire.EncodePlan(&wire.PlanRequest{

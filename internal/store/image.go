@@ -44,12 +44,16 @@ import (
 //	each zero-padded to 8; the image ends with the last extent's padding
 //
 // ParseImage checks the header CRC, that every extent sits exactly where the
-// layout puts it inside the image, the width rule, and that every partition
-// has the first one's columns. Extent CRCs are checked by ImageExtent.Check:
-// eagerly by DecodeImage, at first fault by a mapped segment's view
-// partitions. No allocation is sized from a declared count: the directory
-// grows by append as its entries parse, and row counts are bounded by the
-// bytes present.
+// layout puts it inside the image, the width rule, that every partition has
+// the first one's columns, and that the padding after the header is zero.
+// Extent CRCs, and the zero padding after each extent, are checked by
+// ImageExtent.Check: eagerly by DecodeImage, at first fault by a mapped
+// segment's view partitions. An image that passes both is canonical:
+// AppendImage re-emits it byte for byte from what DecodeImage returns, so a
+// daemon that stores the bytes it was sent stores what it would have
+// written. No allocation is sized from a declared count: the directory grows
+// by append as its entries parse, and row counts are bounded by the bytes
+// present.
 
 const (
 	imageMagic   = "SBSG"
@@ -92,96 +96,92 @@ type ImageDir struct {
 	Parts []ImagePart
 }
 
-// ImageLayout is a table laid out as its image: every extent's place
-// (offset, size) and the image's size. Emit fills in the CRCs.
-type ImageLayout struct {
-	dir       ImageDir
-	parts     []*Partition
-	headerLen uint64
-	size      uint64
-}
-
 // align8 rounds n up to the next multiple of 8.
 func align8(n uint64) uint64 { return (n + 7) &^ 7 }
 
-// LayoutImage lays out t's image. A view partition is pinned resident while
-// its extents are sized, one partition at a time, so a table larger than a
-// residency budget lays out (and emits) within it.
-func LayoutImage(t *Table) (*ImageLayout, error) {
-	l := &ImageLayout{dir: ImageDir{Name: t.Name, Parts: make([]ImagePart, len(t.Parts))}, parts: t.Parts}
-	l.headerLen = uint64(4 + 4 + 4 + 4 + len(t.Name) + 4) // magic, version, headerLen, name, numParts
+// layoutImage lays out t's image: its directory, every extent placed (offset,
+// size) with its CRC still to fill in, the header's length and the image's
+// size. A view partition is pinned resident while its extents are sized, one
+// partition at a time, so a table larger than a residency budget lays out
+// within it.
+func layoutImage(t *Table) (dir ImageDir, headerLen, size uint64, err error) {
+	dir = ImageDir{Name: t.Name, Parts: make([]ImagePart, len(t.Parts))}
+	headerLen = uint64(4 + 4 + 4 + 4 + len(t.Name) + 4) // magic, version, headerLen, name, numParts
 	for pi, p := range t.Parts {
 		release, err := p.Pin(nil)
 		if err != nil {
-			return nil, fmt.Errorf("store: pin partition for its image: %w", err)
+			return dir, 0, 0, fmt.Errorf("store: pin partition for its image: %w", err)
 		}
-		l.headerLen += 8 + 8 + 4 // startID, rows, numCols
+		headerLen += 8 + 8 + 4 // startID, rows, numCols
 		pm := ImagePart{StartID: p.StartID, Rows: p.NumRows(), Cols: make([]ImageExtent, len(p.Cols))}
 		for i := range p.Cols {
 			c := &p.Cols[i]
-			l.headerLen += uint64(4+len(c.Name)) + 1 + 4 + 8 + 8 + 4 // name, kind, width, off, size, crc
+			headerLen += uint64(4+len(c.Name)) + 1 + 4 + 8 + 8 + 4 // name, kind, width, off, size, crc
 			pm.Cols[i] = ImageExtent{ColMeta: c.Meta(), Size: uint64(ColumnExtentSize(c))}
 		}
 		release()
-		l.dir.Parts[pi] = pm
+		dir.Parts[pi] = pm
 	}
-	l.headerLen += 4 // header CRC
-	l.size = align8(l.headerLen)
-	for pi := range l.dir.Parts {
-		for i := range l.dir.Parts[pi].Cols {
-			x := &l.dir.Parts[pi].Cols[i]
-			x.Off = l.size
-			l.size += align8(x.Size)
+	headerLen += 4 // header CRC
+	size = align8(headerLen)
+	for pi := range dir.Parts {
+		for i := range dir.Parts[pi].Cols {
+			x := &dir.Parts[pi].Cols[i]
+			x.Off = size
+			size += align8(x.Size)
 		}
 	}
-	return l, nil
+	return dir, headerLen, size, nil
 }
 
-// Size returns the image's length in bytes.
-func (l *ImageLayout) Size() int64 { return int64(l.size) }
-
-// Emit hands every extent, in image order, to put — once: a U64 or Fixed
-// column's in-memory vector is its extent and is checksummed and handed over
-// in place, only variable Bytes/Str columns are encoded, into one reused
-// buffer — and then the directory header at offset 0, which needed the
-// extents' CRCs. The padding between the pieces is not handed over: the
-// destination supplies the zeros. Each partition is pinned while its extents
-// are handed over.
-func (l *ImageLayout) Emit(put func(off int64, b []byte) error) error {
-	var scratch []byte
-	for pi, p := range l.parts {
-		if err := emitPart(p, l.dir.Parts[pi].Cols, &scratch, put); err != nil {
-			return err
+// AppendImage appends t's image to buf and returns the extended slice: the
+// one image writer. Each extent is written in place where the layout puts it
+// — a U64 or Fixed column's in-memory vector is its extent and is copied
+// over, Bytes/Str columns are encoded straight into the image — then
+// checksummed, and the directory header, which needed the CRCs, goes in
+// last at offset 0. Every padding byte is zero. Each partition is pinned
+// while its extents are written. The image's extents are 8-aligned relative
+// to its first byte, so a reader that receives it 8-aligned aliases its
+// vectors in place.
+func AppendImage(buf []byte, t *Table) ([]byte, error) {
+	dir, headerLen, size, err := layoutImage(t)
+	if err != nil {
+		return buf, err
+	}
+	base := len(buf)
+	buf = slices.Grow(buf, int(size))[:base+int(size)]
+	img := buf[base:]
+	for pi, p := range t.Parts {
+		if err := writeExtents(img, p, dir.Parts[pi].Cols); err != nil {
+			return buf[:base], err
 		}
 	}
-	head := l.dir.appendHeader(make([]byte, 0, l.headerLen), l.headerLen)
-	if uint64(len(head)) != l.headerLen {
-		return fmt.Errorf("store: image header sized %d, emitted %d", l.headerLen, len(head))
+	head := dir.appendHeader(img[:0], headerLen)
+	if uint64(len(head)) != headerLen {
+		return buf[:base], fmt.Errorf("store: image header sized %d, written %d", headerLen, len(head))
 	}
-	return put(0, head)
+	clear(img[headerLen:align8(headerLen)])
+	return buf, nil
 }
 
-// emitPart hands over one partition's extents, pinned, recording their CRCs.
-func emitPart(p *Partition, xs []ImageExtent, scratch *[]byte, put func(off int64, b []byte) error) error {
+// writeExtents writes one partition's extents into img, pinned, and records
+// their CRCs.
+func writeExtents(img []byte, p *Partition, xs []ImageExtent) error {
 	release, err := p.Pin(nil)
 	if err != nil {
 		return fmt.Errorf("store: pin partition for its image: %w", err)
 	}
 	defer release()
 	for i := range xs {
-		x, c := &xs[i], &p.Cols[i]
-		ext, ok := ExtentView(c)
-		if !ok {
-			*scratch = AppendColumnExtent((*scratch)[:0], c)
-			ext = *scratch
-		}
+		x := &xs[i]
+		// The extent's room is its capacity: an extent of the laid-out
+		// size is written in place, and any other size is an error.
+		ext := AppendColumnExtent(img[x.Off:x.Off:x.Off+x.Size], &p.Cols[i])
 		if uint64(len(ext)) != x.Size {
 			return fmt.Errorf("store: column %q extent is %d bytes, sized %d", x.Name, len(ext), x.Size)
 		}
 		x.CRC = crc32.ChecksumIEEE(ext)
-		if err := put(int64(x.Off), ext); err != nil {
-			return err
-		}
+		clear(img[x.Off+x.Size : x.Off+align8(x.Size)])
 	}
 	return nil
 }
@@ -212,24 +212,13 @@ func (d *ImageDir) appendHeader(buf []byte, headerLen uint64) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
 
-// AppendImage appends t's image to buf and returns the extended slice. The
-// image's extents are 8-aligned relative to its first byte, so a reader that
-// receives it 8-aligned aliases its vectors in place.
-func AppendImage(buf []byte, t *Table) ([]byte, error) {
-	l, err := LayoutImage(t)
-	if err != nil {
-		return buf, err
-	}
-	base := len(buf)
-	buf = slices.Grow(buf, int(l.size))[:base+int(l.size)]
-	img := buf[base:]
-	err = l.Emit(func(off int64, b []byte) error {
-		end := off + int64(len(b))
-		copy(img[off:], b)
-		clear(img[end:align8(uint64(end))])
-		return nil
-	})
-	return buf, err
+// Image is one table image's bytes, as AppendImage writes them.
+type Image []byte
+
+// WriteTo writes the image to w, implementing io.WriterTo.
+func (img Image) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(img)
+	return int64(n), err
 }
 
 // WriteTo writes the table's image. It returns the number of bytes written.
@@ -238,18 +227,17 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	n, err := w.Write(img)
-	return int64(n), err
+	return Image(img).WriteTo(w)
 }
 
 // DiskBytes returns the size of the table's image without emitting it (Table
 // 5's "disk size").
 func (t *Table) DiskBytes() uint64 {
-	l, err := LayoutImage(t)
+	_, _, size, err := layoutImage(t)
 	if err != nil {
 		return 0
 	}
-	return l.size
+	return size
 }
 
 // Read reads an image to its end and decodes it (DecodeImage). A reader that
@@ -313,10 +301,14 @@ func DecodeImages(imgs [][]byte) (*Table, error) {
 	return t, nil
 }
 
-// Check verifies the extent's CRC against data, the image it was parsed from.
+// Check verifies the extent's CRC, and that the padding after it is zero,
+// against data, the image it was parsed from.
 func (x *ImageExtent) Check(data []byte) error {
 	if crc32.ChecksumIEEE(data[x.Off:x.Off+x.Size]) != x.CRC {
 		return fmt.Errorf("store: column %q extent checksum mismatch (bit rot?)", x.Name)
+	}
+	if len(bytes.TrimLeft(data[x.Off+x.Size:x.Off+align8(x.Size)], "\x00")) > 0 {
+		return fmt.Errorf("store: column %q extent is followed by non-zero padding", x.Name)
 	}
 	return nil
 }
@@ -366,6 +358,9 @@ func ParseImage(data []byte) (*ImageDir, error) {
 		if rows > size { // any real row costs ≥ 1 byte somewhere
 			return nil, fmt.Errorf("store: partition %d declares %d rows in an image of %d bytes", p, rows, size)
 		}
+		if nCols == 0 && rows != 0 { // no extent would hold them
+			return nil, fmt.Errorf("store: partition %d declares %d rows and no columns", p, rows)
+		}
 		pm.Rows = int(rows)
 		for c := uint32(0); c < nCols && d.err == nil; c++ {
 			x := ImageExtent{ColMeta: ColMeta{Name: d.str(), Kind: Kind(d.u8()), Width: int(d.u32())}}
@@ -403,6 +398,9 @@ func ParseImage(data []byte) (*ImageDir, error) {
 	}
 	if next != size {
 		return nil, fmt.Errorf("store: image is %d bytes, its directory lays out %d", size, next)
+	}
+	if len(bytes.TrimLeft(data[headerLen:align8(headerLen)], "\x00")) > 0 {
+		return nil, errors.New("store: non-zero padding after the header")
 	}
 	// Partitions parse independently, so a hostile image can declare a
 	// different column set per partition. Every in-process constructor

@@ -138,8 +138,12 @@ func TestEncodeRegisterGolden(t *testing.T) {
 	if hex.EncodeToString(got) != goldenRegisterFrame {
 		t.Fatalf("register frame bytes changed:\n got %x\nwant %s", got, goldenRegisterFrame)
 	}
-	ref, back, err := DecodeRegister(got)
-	if err != nil || ref != "t@Seabed#r0" || !reflect.DeepEqual(back.Parts[0].Cols, tbl.Parts[0].Cols) {
-		t.Fatalf("golden register frame decoded to %q, %+v (%v)", ref, back, err)
+	ref, img, err := DecodeRegister(got)
+	if err != nil || ref != "t@Seabed#r0" {
+		t.Fatalf("golden register frame decoded to %q (%v)", ref, err)
+	}
+	back, err := store.DecodeImage(img)
+	if err != nil || !reflect.DeepEqual(back.Parts[0].Cols, tbl.Parts[0].Cols) {
+		t.Fatalf("golden register frame's image decoded to %+v (%v)", back, err)
 	}
 }

@@ -677,6 +677,28 @@ func hostileResultFrames(t testing.TB) []hostileFrame {
 		e.uint(0)       // no aggregates
 		e.lane([]uint64{1, 1})
 	})
+	add("metrics cut short", func(e *enc) {
+		e.uint(0)                   // no groups
+		e.buf = append(e.buf, 0x80) // the first metric's varint, cut
+	})
+	add("group key offsets out of order", func(e *enc) {
+		e.uint(3)
+		e.uint(uint64(store.Bytes))
+		e.bool(false)
+		e.uint(0) // keyLen: offsets
+		e.uint(0) // no aggregates
+		e.lane([]uint64{1, 1, 1})
+		e.blob([]uint64{0, 2, 1, 3}, []byte("abc"))
+	})
+	add("aggregate value count larger than the payload", func(e *enc) {
+		e.uint(4)
+		e.uint(0)
+		e.bool(false)
+		e.uint(1)
+		e.uint(uint64(engine.AggPaillierSum)) // values, not a lane
+		e.lane([]uint64{1, 1, 1, 1})          // rows
+		e.lane([]uint64{7, 8, 9, 10})         // keys; no value follows
+	})
 	add("suffix outside int32", func(e *enc) {
 		e.uint(1)
 		e.uint(0)
@@ -742,6 +764,12 @@ func hostileResultFrames(t testing.TB) []hostileFrame {
 	section("no identifier section for an ASHE sum", asheSum, func(e *enc) { e.uint(0) })
 	section("identifier section without an ASHE sum", []engine.AggKind{engine.AggCount}, func(e *enc) { runs(e, 3, [2]uint64{3, 0}) })
 	section("section part count larger than the payload", asheSum, func(e *enc) { e.uint(1 << 40) })
+	section("identifier runs longer than the payload", asheSum, func(e *enc) {
+		e.uint(1)
+		e.uint(3)
+		e.bytes(list)
+		e.uint(1 << 40) // the runs' byte length
+	})
 	out = append(out, hostileFrame{"run longer than a Run holds", sectionFrameOf(idlist.Default, 3, asheSum, func(e *enc) {
 		e.uint(1) // 2^64−1 identifiers in two runs
 		e.uint(1<<64 - 1)

@@ -11,9 +11,10 @@ import (
 // boundary, and the table's image (store.AppendImage) — the bytes a segment
 // file holds, and the bytes an HDFS upload would carry in the paper's
 // prototype (§6.1). The image runs to the end of the payload: the frame
-// header already carries the length. Because ReadFrame allocates each payload
-// and the image starts 8-aligned inside it, the decoded table's vectors alias
-// the frame instead of being copied out of it.
+// header already carries the length. The decoders return the image undecoded,
+// a slice of the payload: the daemon decodes it once and a durable daemon
+// writes it to disk. ReadFrame allocates each payload and the image starts
+// 8-aligned inside it, so the decoded vectors alias the frame.
 
 // EncodeRegister builds a MsgRegister payload.
 func EncodeRegister(ref string, t *store.Table) ([]byte, error) {
@@ -40,22 +41,19 @@ func EncodeAppend(ref string, batch *store.Table) ([]byte, error) {
 }
 
 // DecodeAppend parses a MsgAppend payload.
-func DecodeAppend(p []byte) (ref string, batch *store.Table, err error) {
+func DecodeAppend(p []byte) (ref string, img []byte, err error) {
 	return DecodeRegister(p)
 }
 
-// DecodeRegister parses a MsgRegister payload. The table's vectors alias p,
-// which the caller must leave alone afterwards.
-func DecodeRegister(p []byte) (ref string, t *store.Table, err error) {
+// DecodeRegister parses a MsgRegister payload into its ref and its image: the
+// rest of p from the 8-aligned offset after the ref, which the caller decodes
+// and must leave alone afterwards.
+func DecodeRegister(p []byte) (ref string, img []byte, err error) {
 	d := newDec(p)
 	ref = d.str()
 	d.align()
 	if d.err != nil {
 		return "", nil, fmt.Errorf("wire: decode register: %v", d.err)
 	}
-	t, err = store.DecodeImage(d.buf[d.off:])
-	if err != nil {
-		return "", nil, fmt.Errorf("wire: decode register: %v", err)
-	}
-	return ref, t, nil
+	return ref, d.buf[d.off:], nil
 }

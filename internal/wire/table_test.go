@@ -33,12 +33,13 @@ func registerTables(tb testing.TB) []*store.Table {
 // FuzzDecodeRegister feeds hostile bytes to the upload-frame decoder: a
 // daemon decodes register and append frames from clients the threat model
 // does not trust, and DecodeAppend is DecodeRegister — one layout, one
-// decoder — so both must fail cleanly and agree. Whatever decodes must
-// re-encode to a frame of the same length (the image is laid out
-// canonically) that decodes to the same ref. The seeds are the golden frame
-// and its truncations, frames of every column kind, an empty table and a
-// table of no partitions, and frames that lie in the ref's length or its
-// padding; the image's own lies are store.FuzzRead's.
+// decoder — so both must fail cleanly and agree. Whatever image decodes
+// (store.DecodeImage, as the daemon decodes it) must re-emit to its own bytes
+// exactly, since a durable daemon writes the image it was sent verbatim, and
+// re-encode to a frame carrying the same ref and image. The seeds are the
+// golden frame and its truncations, frames of every column kind, an empty
+// table and a table of no partitions, and frames that lie in the ref's
+// length or its padding; the image's own lies are store.FuzzRead's.
 func FuzzDecodeRegister(f *testing.F) {
 	golden, err := hex.DecodeString(goldenRegisterFrame)
 	if err != nil {
@@ -61,30 +62,35 @@ func FuzzDecodeRegister(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 't'}) // a ref claiming 4 GiB
 
 	f.Fuzz(func(t *testing.T, p []byte) {
-		ref, tbl, err := DecodeRegister(p)
-		aref, _, aerr := DecodeAppend(p)
-		if (err == nil) != (aerr == nil) || aref != ref {
+		ref, img, err := DecodeRegister(p)
+		aref, aimg, aerr := DecodeAppend(p)
+		if (err == nil) != (aerr == nil) || aref != ref || !bytes.Equal(aimg, img) {
 			t.Fatalf("DecodeRegister = %q, %v; DecodeAppend = %q, %v", ref, err, aref, aerr)
 		}
 		if err != nil || ref == "" {
 			return
 		}
-		again, err := EncodeRegister(ref, tbl)
+		tbl, err := store.DecodeImage(img)
+		if err != nil {
+			return
+		}
+		if again, err := store.AppendImage(nil, tbl); err != nil || !bytes.Equal(again, img) {
+			t.Fatalf("accepted an image that re-emits to other bytes (%v):\n got %x\nwant %x", err, again, img)
+		}
+		frame, err := EncodeRegister(ref, tbl)
 		if err != nil {
 			t.Fatalf("re-encode accepted frame: %v", err)
 		}
-		if len(again) != len(p) {
-			t.Fatalf("accepted a %d-byte frame that re-encodes to %d", len(p), len(again))
-		}
-		if ref2, _, err := DecodeRegister(again); err != nil || ref2 != ref {
+		if ref2, img2, err := DecodeRegister(frame); err != nil || ref2 != ref || !bytes.Equal(img2, img) {
 			t.Fatalf("re-encoded frame decodes to %q, %v", ref2, err)
 		}
 	})
 }
 
 // TestRegisterFrameAliases: the image starts 8-aligned in the payload, so a
-// payload received as ReadFrame allocates it is the decoded table's storage —
-// its U64 and Fixed vectors alias the frame, nothing is copied out.
+// payload received as ReadFrame allocates it is the storage of the table its
+// image decodes to — its U64 and Fixed vectors alias the frame, nothing is
+// copied out.
 func TestRegisterFrameAliases(t *testing.T) {
 	tbl := registerTables(t)[0]
 	p, err := EncodeRegister("t@Seabed#r0", tbl)
@@ -92,7 +98,11 @@ func TestRegisterFrameAliases(t *testing.T) {
 		t.Fatal(err)
 	}
 	p = bytes.Clone(p) // a fresh allocation, as ReadFrame's
-	_, back, err := DecodeRegister(p)
+	_, img, err := DecodeRegister(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := store.DecodeImage(img)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -354,7 +354,11 @@ func TestAppendFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, got, err := DecodeAppend(payload)
+	ref, img, err := DecodeAppend(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := store.DecodeImage(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +455,11 @@ func TestRegisterRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, got, err := DecodeRegister(payload)
+	ref, img, err := DecodeRegister(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := store.DecodeImage(img)
 	if err != nil {
 		t.Fatal(err)
 	}
