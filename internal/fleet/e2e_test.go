@@ -8,6 +8,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -512,6 +513,65 @@ func TestFleetGroupedSumsAcrossAppends(t *testing.T) {
 			}
 		}
 	})
+}
+
+// lastRun is a fleet that keeps the result of the last plan it ran.
+type lastRun struct {
+	*Cluster
+	res *engine.Result
+}
+
+// Run implements client.ClusterBackend.
+func (l *lastRun) Run(ctx context.Context, pl *engine.Plan) (*engine.Result, error) {
+	res, err := l.Cluster.Run(ctx, pl)
+	l.res = res
+	return res, err
+}
+
+// TestFleetDenseListsStayBitmapsAfterAppends: after eight appends, each split
+// across the three ranges, every range's identifiers are stretches that the
+// other ranges' stretches separate. A SUM selecting about 70 % of the rows
+// then decrypts to the in-process NoEnc answer, and each range's identifier
+// list still travels as the adaptive codec's bitmap (mode 1), in more than
+// one segment: the bitmap skips the words the other ranges hold, where a
+// bitmap of the range's whole span would lose to the deflated ranges.
+func TestFleetDenseListsStayBitmapsAfterAppends(t *testing.T) {
+	local := fixture(t) // appends grow the shared tables
+	c, _ := dialTestFleet(t, 2, uniformCfg)
+	fleet := &lastRun{Cluster: c}
+	twin := local.WithCluster(fleet)
+	if err := twin.SyncTables(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(53))
+	for range 8 {
+		if err := twin.Append(context.Background(), "sales", salesBatch(t, rng), translate.Seabed, translate.NoEnc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const sql = "SELECT SUM(revenue) FROM sales WHERE day > 9" // 22 of 31 days
+	want := mustRows(t, local, sql, translate.NoEnc)
+	if got := mustRows(t, twin, sql, translate.Seabed); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fleet Seabed rows differ from in-process NoEnc\n got %+v\nwant %+v", got, want)
+	}
+	parts := fleet.res.Cols.IDs
+	if len(parts) != numDaemons {
+		t.Fatalf("%d identifier parts, want one per range (%d)", len(parts), numDaemons)
+	}
+	for k, p := range parts {
+		if len(p.List) == 0 || p.List[0] != 1 {
+			t.Errorf("range %d: %d identifiers in %d bytes, not a bitmap (mode byte %v)", k, p.Selected, len(p.List), p.List[:min(len(p.List), 1)])
+			continue
+		}
+		// The first segment: base, words, words × 8 B; more segments follow
+		// it to the end of the list (docs/FORMAT.md §3.2).
+		body := p.List[1:]
+		_, n := binary.Uvarint(body)
+		words, m := binary.Uvarint(body[n:])
+		if rest := len(body) - n - m - 8*int(words); rest <= 0 {
+			t.Errorf("range %d: a bitmap of one segment, %d words over %d identifiers", k, words, p.Selected)
+		}
+	}
 }
 
 // TestFleetGroupInflation forces the §4.5 inflation path, whose suffixed

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -19,41 +20,62 @@ type selection struct {
 
 // selections returns the sweep over identifiers 1 … span: a random selection
 // at each percent from 1 to 99, every 2nd identifier, every 24th, and a
-// 13-identifier cycle of seven picks in four runs.
-func selections(span uint64, seed int64) []selection {
+// 13-identifier cycle of seven picks in four runs. Then, for each count a of
+// appends, the same sweep over span identifiers laid out as one range of a
+// three-daemon fleet after a appends of 2,000 rows: the last 667·a of them in
+// stretches of 667 every 2,000, the holes the other two ranges' shares.
+func selections(span uint64, seed int64, appends ...uint64) []selection {
 	rng := rand.New(rand.NewSource(seed))
 	var out []selection
-	pick := func(name string, share float64, keep func(id uint64) bool) {
-		var l List
-		for id := uint64(1); id <= span; id++ {
-			if keep(id) {
-				l.Append(id)
-			}
+	for _, a := range append([]uint64{0}, appends...) {
+		head, suffix := span-667*a, "" // the identifiers before the stretches
+		if a > 0 {
+			suffix = fmt.Sprintf(",%d-appends", a)
 		}
-		out = append(out, selection{name, share, l})
+		pick := func(name string, share float64, keep func(id uint64) bool) {
+			var l List
+			for i := uint64(1); i <= span; i++ {
+				id := i
+				if i > head {
+					id = head + 1 + (i-head-1)/667*2000 + (i-head-1)%667
+				}
+				if keep(id) {
+					l.Append(id)
+				}
+			}
+			out = append(out, selection{name + suffix, share, l})
+		}
+		for pct := 1; pct <= 99; pct++ {
+			pick(fmt.Sprintf("random-%d%%", pct), float64(pct)/100, func(uint64) bool { return rng.Intn(100) < pct })
+		}
+		const cycle13 = 0b1100100100111
+		pick("every-2nd", 0, func(id uint64) bool { return id%2 == 0 })
+		pick("every-24th", 0, func(id uint64) bool { return id%24 == 0 })
+		pick("13-cycle", 0, func(id uint64) bool { return cycle13>>(id%13)&1 == 1 })
 	}
-	for pct := 1; pct <= 99; pct++ {
-		pick(fmt.Sprintf("random-%d%%", pct), float64(pct)/100, func(uint64) bool { return rng.Intn(100) < pct })
-	}
-	const cycle13 = 0b1100100100111
-	pick("every-2nd", 0, func(id uint64) bool { return id%2 == 0 })
-	pick("every-24th", 0, func(id uint64) bool { return id%24 == 0 })
-	pick("13-cycle", 0, func(id uint64) bool { return cycle13>>(id%13)&1 == 1 })
 	return out
 }
 
 // TestDefaultDensity is the adaptive codec's table test: over random
 // selections of 1–99 % and periodic ones, from a span short enough that the
-// encoder deflates the whole list to one long enough that it samples, every
+// encoder deflates the whole list to one long enough that it samples, and
+// over the longer span laid out as a range after 10 and 57 appends, every
 // list round-trips to its own ranges, none comes out more than its mode byte
 // over RangeVBDiffDeflateFast's bytes, and a random selection of 20–80 %
-// comes out strictly smaller.
+// comes out strictly smaller. After appends, a random selection of 20–75 % is
+// a bitmap and strictly smaller: the segments' edge words cost the 57-append
+// layout 6 % (1,103 words where its identifiers fill 1,042), which leaves its
+// 80 % list's bitmap 4.9 % under the deflated ranges, inside bitmapMargin.
 func TestDefaultDensity(t *testing.T) {
 	if Default != Adaptive {
 		t.Fatalf("Default is %s, want %s", Default.Name(), Adaptive.Name())
 	}
 	for _, span := range []uint64{3_000, 66_667} {
-		for _, s := range selections(span, int64(span)) {
+		var appends []uint64
+		if span == 66_667 {
+			appends = []uint64{10, 57}
+		}
+		for _, s := range selections(span, int64(span), appends...) {
 			enc, err := Adaptive.Encode(s.l)
 			if err != nil {
 				t.Fatalf("span %d %s: %v", span, s.name, err)
@@ -69,8 +91,13 @@ func TestDefaultDensity(t *testing.T) {
 			if len(enc) > len(deflated)+1 {
 				t.Errorf("span %d %s: %d bytes, deflated ranges %d", span, s.name, len(enc), len(deflated))
 			}
-			if s.share >= 0.2 && s.share <= 0.8 && len(enc) >= len(deflated) {
+			holes := strings.HasSuffix(s.name, "appends")
+			dense := s.share >= 0.2 && s.share <= 0.8 && (!holes || s.share <= 0.75)
+			if dense && len(enc) >= len(deflated) {
 				t.Errorf("span %d %s: %d bytes, not under the deflated ranges' %d", span, s.name, len(enc), len(deflated))
+			}
+			if dense && holes && enc[0] != modeBitmap {
+				t.Errorf("span %d %s: mode %d, want the bitmap", span, s.name, enc[0])
 			}
 		}
 	}
@@ -105,26 +132,43 @@ func TestDefaultDeflateModeIsThePapers(t *testing.T) {
 
 // hostileBitmaps are adaptive lists no encoder writes: an unknown mode, a
 // word count past the payload, words that run past the last identifier,
-// trailing bytes, and identifier 0 — which decodes, and which the proxy then
-// refuses as reserved.
+// trailing bytes, a segment of no words, a skip of none, a later segment's
+// word count past the payload, a later segment or skip past the last
+// identifier, a partial segment header, and identifier 0 — which decodes,
+// and which the proxy then refuses as reserved.
 func hostileBitmaps() map[string][]byte {
 	header := func(base, words uint64) []byte {
 		return binary.AppendUvarint(binary.AppendUvarint([]byte{modeBitmap}, base), words)
 	}
 	word := binary.LittleEndian.AppendUint64(nil, 1)
+	// segment appends a segment of skip and words to b, and one word of it.
+	segment := func(b []byte, skip, words uint64) []byte {
+		return append(binary.AppendUvarint(binary.AppendUvarint(b, skip), words), word...)
+	}
+	first := append(header(1, 1), word...)
+	last3 := append(header(^uint64(0)-191, 1), word...) // three words fit from its base
 	return map[string][]byte{
-		"unknown mode":       {2, 0},
-		"words past payload": append(header(1, 1<<40), word...),
-		"overflow":           append(header(^uint64(0)-62, 1), word...),
-		"trailing bytes":     append(append(header(1, 1), word...), 0),
-		"identifier 0":       append(header(0, 1), word...),
+		"unknown mode":               {2, 0},
+		"words past payload":         append(header(1, 1<<40), word...),
+		"overflow":                   append(header(^uint64(0)-62, 1), word...),
+		"trailing bytes":             append(slices.Clip(first), 0),
+		"empty first segment":        header(1, 0),
+		"empty segment":              binary.AppendUvarint(binary.AppendUvarint(slices.Clip(first), 1), 0),
+		"skip of none":               segment(slices.Clip(first), 0, 1),
+		"segment words past payload": segment(slices.Clip(first), 1, 1<<40),
+		"segment overflow":           append(segment(slices.Clip(last3), 1, 2), word...),
+		"skip overflow":              segment(slices.Clip(last3), 1<<62, 1),
+		"partial skip":               append(slices.Clip(first), 0x80),
+		"partial segment header":     binary.AppendUvarint(slices.Clip(first), 1),
+		"identifier 0":               append(header(0, 1), word...),
 	}
 }
 
 // TestAdaptiveRefusesHostileBitmaps: each malformed bitmap fails to decode
 // and leaves the caller's ranges as they were; a well-formed bitmap from
 // identifier 0 decodes to [0] (the reserved identifier, for the proxy to
-// refuse), and one that ends exactly at the last identifier decodes.
+// refuse), and one that ends exactly at the last identifier decodes, in one
+// segment or two.
 func TestAdaptiveRefusesHostileBitmaps(t *testing.T) {
 	held := []Range{{Lo: 5, Hi: 9}}
 	for name, data := range hostileBitmaps() {
@@ -142,6 +186,12 @@ func TestAdaptiveRefusesHostileBitmaps(t *testing.T) {
 	last := binary.LittleEndian.AppendUint64(binary.AppendUvarint(binary.AppendUvarint([]byte{modeBitmap}, ^uint64(0)-63), 1), 1<<63)
 	if out, err := Adaptive.AppendDecode(nil, last); err != nil || !slices.Equal(out, []Range{{^uint64(0), ^uint64(0)}}) {
 		t.Errorf("bitmap ending at the last identifier: %v, %v", out, err)
+	}
+	base := ^uint64(0) - 191 // three words from base end at the last identifier
+	two := binary.LittleEndian.AppendUint64(binary.AppendUvarint(binary.AppendUvarint([]byte{modeBitmap}, base), 1), 1)
+	two = binary.LittleEndian.AppendUint64(binary.AppendUvarint(binary.AppendUvarint(two, 1), 1), 1<<63)
+	if out, err := Adaptive.AppendDecode(nil, two); err != nil || !slices.Equal(out, []Range{{base, base}, {^uint64(0), ^uint64(0)}}) {
+		t.Errorf("two segments ending at the last identifier: %v, %v", out, err)
 	}
 }
 
@@ -195,7 +245,9 @@ func TestFillAndWalkRuns(t *testing.T) {
 
 // BenchmarkDefaultDensity sweeps Default over selections of a
 // 66,667-identifier span — one daemon's share of the fleet benchmark's
-// 200k-row table — encoding and decoding one list per iteration. Per
+// 200k-row table — and of the same count laid out as that range after 10
+// and 57 appends (the cases named ",10-appends" and ",57-appends"),
+// encoding and decoding one list per iteration. Per
 // selection it reports the list's bytes under Default and under
 // RangeVBDiffDeflateFast, whether Default wrote the bitmap, and
 // est/deflated: the deflated size as the encoder estimates it from its
@@ -218,8 +270,25 @@ func TestFillAndWalkRuns(t *testing.T) {
 // sample's Huffman tables, but they deflate to a few hundred bytes, far
 // under any bitmap. A 72 % list encodes and decodes in ≈ 0.2 ms, against
 // ≈ 1.1 ms as deflated ranges.
+//
+// After appends (measured in-process against the one-segment encoder,
+// alternating, 41 pairs a case). After 57 appends a 72 % list's bitmap over
+// its span, 2,209 words, loses; its segments, 8,932 bytes, beat the
+// deflated ranges' 11,283 and encode and decode in ≈ 0.32 ms against
+// ≈ 1.14 ms; so do 20 % and 50 % (8,804 and 8,932 bytes, 0.18 and 0.23 ms,
+// against 9,491 and 13,509 bytes in 0.66 and 0.98 ms). After 10 appends the
+// span's bitmap of a 50 % or 72 % list (9,836 and 9,844 bytes) still wins and
+// is written as before; at 20 % and 80 % it loses, and segments (8,414 and
+// 8,438 bytes) are written in ≈ 0.27 and 0.22 ms against ≈ 0.97 and 0.92 ms
+// deflated. The 80 % list after 57 appends stays deflated: its segments'
+// edge words leave the bitmap under 5 % below the deflated ranges, inside
+// bitmapMargin, and it pays the sampled estimate it skipped before, 0.92 ms
+// against 0.79. The cases without holes keep their bytes; the measuring
+// pass, which a list pays only after the span's bitmap lost and while its
+// identifiers could still fit the budget, leaves each within 4.4 % of its
+// time before (15 %, 17 % and 83 % pay it whole).
 func BenchmarkDefaultDensity(b *testing.B) {
-	sweep := selections(66_667, 37)
+	sweep := selections(66_667, 37, 10, 57)
 	for _, s := range sweep {
 		if s.share != 0 && !slices.Contains([]int{1, 5, 10, 15, 17, 20, 30, 40, 50, 60, 70, 72, 80, 83, 85, 90, 95, 99}, int(math.Round(s.share*100))) {
 			continue

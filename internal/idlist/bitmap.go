@@ -67,16 +67,16 @@ func (bitmap) AppendDecode(dst []Range, data []byte) ([]Range, error) {
 			break
 		}
 	}
-	return appendRuns(dst, words, base), nil
+	return appendRuns(slices.Grow(dst, countRuns(words)), words, base), nil
 }
 
-// wordsOf reads a bitmap's base identifier and word count from data and
-// returns the words and the bytes after them, refusing a count past the
-// payload.
+// wordsOf reads a bitmap segment's header — its base identifier, or its
+// skip — and word count from data and returns the words and the bytes after
+// them, refusing a count past the payload.
 func wordsOf(name string, data []byte) (base uint64, words, rest []byte, err error) {
 	base, k := binary.Uvarint(data)
 	if k <= 0 {
-		return 0, nil, nil, fmt.Errorf("idlist: %s: bad base", name)
+		return 0, nil, nil, fmt.Errorf("idlist: %s: bad header", name)
 	}
 	data = data[k:]
 	n, k := binary.Uvarint(data)
@@ -139,11 +139,10 @@ func countRuns(b []byte) int {
 }
 
 // appendRuns appends the runs of set bits in the little-endian words of b to
-// dst, as ranges of base + bit position, after growing dst once by exactly
-// the number of runs. Runs are maximal, so no two ranges abut; the caller has
+// dst, as ranges of base + bit position, into the room the caller grew dst
+// by (countRuns). Runs are maximal, so no two ranges abut; the caller has
 // checked that no set bit lies past the last identifier.
 func appendRuns(dst []Range, b []byte, base uint64) []Range {
-	dst = slices.Grow(dst, countRuns(b))
 	open, lo := false, uint64(0)
 	for i := 0; i < len(b); i += 8 {
 		w, at := binary.LittleEndian.Uint64(b[i:]), base+uint64(i)*8

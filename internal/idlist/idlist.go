@@ -6,12 +6,12 @@
 //
 // The default codec for aggregation, Adaptive, departs from §6.4's choice —
 // ranges, VB, diff and Deflate(fast) — only for dense lists. §6.4 set bitmaps
-// aside because sparse lists bloat them; but a list that selects a large
-// share of its span at random is a short range every few identifiers, which
-// Deflate cannot code in much under a bit an identifier, while a word bitmap
-// spends exactly one. So each list travels as whichever of the two is
-// smaller (docs/FORMAT.md §3.2), the per-container choice of Roaring bitmaps
-// made per list.
+// aside because sparse lists bloat them; but a dense random selection is a
+// short range every few identifiers, which Deflate cannot code in much under
+// a bit an identifier, while a word bitmap — which skips the words that hold
+// none of the list's identifiers — spends one. Each list travels as whichever
+// of the two is smaller (docs/FORMAT.md §3.2), the per-container choice of
+// Roaring bitmaps made per list.
 //
 // A List is a multiset of 64-bit identifiers held as ordered inclusive
 // ranges. Multiset semantics matter: ASHE's homomorphic addition unions the

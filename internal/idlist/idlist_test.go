@@ -421,7 +421,9 @@ func TestViewAliasesWithoutCopy(t *testing.T) {
 // decodeBound is the most ranges codec c can decode from n bytes: a range
 // costs rangeVB two bytes at least, an identifier costs vbDiff one, a bitmap
 // word holds at most 32 runs, Deflate expands at most 1032-fold, and an
-// adaptive list is one of the last two.
+// adaptive list is one of the last two. A bitmap of many segments keeps the
+// bound of one: each segment's words hold at most 32 runs apiece, and the
+// headers between them are bytes that hold none.
 func decodeBound(c Codec, n int) int {
 	switch e := c.(codec).encoding.(type) {
 	case rangeVB:

@@ -30,8 +30,9 @@ import (
 //
 // Decoding aliases rather than copies wherever the platform allows: a U64
 // extent that is 8-byte-aligned on a little-endian host becomes the []uint64
-// vector itself, a Fixed extent always is the column's buffer (O(1), no
-// allocation, at any alignment), and Bytes/Str rows alias the blob heap. The
+// vector itself (an unaligned one is copied to a new vector in one block), a
+// Fixed extent always is the column's buffer (O(1), no allocation, at any
+// alignment), and Bytes/Str rows alias the blob heap. The
 // caller therefore must keep the backing buffer immutable and alive for as
 // long as the decoded column is reachable — exactly the contract a read-only
 // mmap or a received wire frame satisfies.
@@ -160,9 +161,13 @@ func DecodeColumnExtent(m ColMeta, rows int, data []byte) (Column, int, error) {
 			c.U64 = []uint64{}
 			return c, 0, nil
 		}
-		if hostLittleEndian && aligned8(data) {
+		switch {
+		case hostLittleEndian && aligned8(data):
 			c.U64 = unsafe.Slice((*uint64)(unsafe.Pointer(&data[0])), rows)
-		} else {
+		case hostLittleEndian: // one block copy, not a load and a store a value
+			c.U64 = make([]uint64, rows)
+			copy(unsafe.Slice((*byte)(unsafe.Pointer(&c.U64[0])), need), data)
+		default:
 			c.U64 = make([]uint64, rows)
 			for i := range c.U64 {
 				c.U64[i] = binary.LittleEndian.Uint64(data[8*i:])

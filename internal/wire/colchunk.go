@@ -22,8 +22,9 @@ import (
 //	         in a chunk of no rows, which has no value to take it from
 //	ids      row-identifier extent: rows × 8 bytes little-endian
 //	extents  one store column extent per projected column, in order, packed
-//	         (no alignment: wire buffers land at arbitrary offsets anyway,
-//	         and the decoder's copy fallback covers unaligned u64 extents)
+//	         (no alignment: after the header's few bytes the u64 extents,
+//	         the ids included, seldom start 8-aligned in the frame, and the
+//	         decoder copies each such extent to its vector in one block)
 //
 // The decoder decodes each extent once into one engine.ScanChunk that
 // aliases the frame — Bytes and Str values point into it, a Fixed column is
