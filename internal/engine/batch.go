@@ -64,6 +64,12 @@ func (cp *compiledPlan) newTaskState(part *store.Partition) *taskState {
 		ts.g.acc.grow(1)
 	default:
 		ts.g.init(cp, int(cp.hint.slots.Load()))
+		// A coded left-side key of a join-free plan, uninflated (groupSlots).
+		if !cp.groupCol.isRight() && ts.g.inflate == 0 && pl.Join == nil {
+			if d := part.Dict(cp.groupCol.idx); d != nil {
+				ts.pc.groupDict, ts.g.slotOf = d, make([]int32, d.Len())
+			}
+		}
 	}
 	return ts
 }
@@ -72,7 +78,7 @@ func (cp *compiledPlan) newTaskState(part *store.Partition) *taskState {
 // batch's selection and join vectors.
 func (cp *compiledPlan) bindTask(part *store.Partition) *taskState {
 	ts := &taskState{cp: cp, part: part, res: &mapResult{}}
-	cp.bindPart(part, &ts.pc)
+	cp.bindPart(part, &ts.pc, true)
 	ts.selBuf = make([]int32, batchRows)
 	if cp.pl.Join != nil {
 		ts.joinBuf = make([]int32, 0, batchRows)
@@ -153,8 +159,12 @@ func (ts *taskState) execute(ctx context.Context, i0, i1 int) error {
 		if ts.pc.leftKey != nil {
 			ts.probe()
 		}
-		for _, pred := range cp.preds {
-			pred(&ts.pc, &ts.b, startID)
+		for fi, pred := range cp.preds {
+			if codes := ts.pc.codes[fi]; codes != nil {
+				codedKernel(codes, ts.pc.pass[fi], &ts.b)
+			} else {
+				pred(&ts.pc, &ts.b, startID)
+			}
 			if len(ts.b.sel) == 0 {
 				break
 			}
@@ -191,8 +201,8 @@ func (ts *taskState) execute(ctx context.Context, i0, i1 int) error {
 // probe runs the broadcast-join hash probe over the batch: unmatched rows
 // drop from the selection vector (inner join), matched rows record their
 // right-table row in the join vector. The probe is typed by the key kind —
-// u64 keys hash directly and byte keys use Go's allocation-free
-// map[string]([]byte) lookup, so no per-row key materializes.
+// u64 keys hash directly, Fixed keys probe a fixedIndex, byte keys use Go's
+// allocation-free map[string]([]byte) lookup: no per-row key materializes.
 func (ts *taskState) probe() {
 	key := ts.cp
 	col := ts.pc.leftKey
@@ -208,10 +218,18 @@ func (ts *taskState) probe() {
 				join = append(join, j)
 			}
 		}
-	case store.Bytes, store.Fixed:
+	case store.Fixed:
+		x := key.joinFixed
+		for _, i := range ts.b.sel {
+			if j := x.find(col.BytesAt(int(i))); j >= 0 {
+				out = append(out, i)
+				join = append(join, j)
+			}
+		}
+	case store.Bytes:
 		h := key.joinStr
 		for _, i := range ts.b.sel {
-			if j, ok := h[string(col.BytesAt(int(i)))]; ok {
+			if j, ok := h[string(col.Bytes[i])]; ok {
 				out = append(out, i)
 				join = append(join, j)
 			}
@@ -288,6 +306,8 @@ type grouper struct {
 	inflateN  uint64
 	denseKeys uint64
 	dense     []int32
+	// slotOf maps a coded key's code to its slot+1 (0 = unseen).
+	slotOf []int32
 
 	// Per-batch scratch, sized to batchRows once: the resolved slot per
 	// survivor, and for the rows the dense index did not resolve their
@@ -360,11 +380,24 @@ func (g *grouper) suffix(rowID uint64) int32 {
 // permuted — the slot vector stays in selection order, so accumulation
 // (and with it the survivors' slot order and min/max tie-breaking) is identical
 // to the reference evaluator's row order. A Fixed key below the radix size
-// resolves in one pass (fixedKeys).
+// resolves in one pass (fixedKeys), or where coded once per code, as dense.
 func (ts *taskState) groupSlots(startID uint64) {
 	g := &ts.g
 	col := ts.pc.group
 	if col.Kind == store.Fixed && !g.radix(len(ts.b.sel)) {
+		if d := ts.pc.groupDict; d != nil {
+			for k, i := range ts.b.sel {
+				s := g.slotOf[d.Codes[i]]
+				if s == 0 {
+					v := d.Val(int(d.Codes[i]))
+					s = slotKeyed(&g.t, v, -1, hashKey(v, -1)) + 1
+					g.slotOf[d.Codes[i]] = s
+				}
+				g.slots[k] = s - 1
+			}
+			ts.res.ops.GroupDense += uint64(len(ts.b.sel))
+			return
+		}
 		ts.res.ops.GroupHash += uint64(ts.fixedKeys(startID, true))
 		return
 	}
@@ -585,7 +618,7 @@ func (cp *compiledPlan) groupBucket(ctx context.Context, tasks []*mapResult, b i
 			continue
 		}
 		ts.part = r.part
-		cp.bindPart(r.part, &ts.pc)
+		cp.bindPart(r.part, &ts.pc, false)
 		if cp.ashe {
 			bk.slots = make([]int32, 0, len(bk.rows))
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sync/atomic"
 
 	"seabed/internal/store"
@@ -50,13 +51,17 @@ type compiledPlan struct {
 	// right holds the join's flattened right-side columns by name; the join
 	// index maps key values to right-side row indices, typed by the key
 	// column's kind so u64 keys never round-trip through strings.
-	right   map[string]*store.Column
-	joinU64 map[uint64]int32
-	joinStr map[string]int32
+	right     map[string]*store.Column
+	joinU64   map[uint64]int32
+	joinFixed *fixedIndex
+	joinStr   map[string]int32
 
 	preds []predKernel
-	aggs  []aggKernel
-	hint  groupHint
+	// codeVal holds, per filter, its predicate on one value, where a map task
+	// may run it as a pass table over a coded column (execute); nil elsewhere.
+	codeVal []func(v []byte) bool
+	aggs    []aggKernel
+	hint    groupHint
 	// ashe is set when an aggregate is an ASHE sum: map tasks then keep their
 	// survivors' identifiers, and a group-by's each survivor's slot or bucket,
 	// for the result's identifier section (ids.go).
@@ -112,6 +117,10 @@ func (pl *Plan) compile(seed uint64) (*compiledPlan, error) {
 		cp.right, err = flattenRight(pl.Join.Right, pl.Join.RightCols, pl.Join.RightCol)
 		if err != nil {
 			return nil, err
+		}
+		if l, r := pl.Table.Parts[0].Col(pl.Join.LeftCol), cp.right[pl.Join.RightCol]; l != nil && (l.Kind != r.Kind || l.Width != r.Width) {
+			return nil, fmt.Errorf("engine: join keys %q and %q hold %v values of width %d and %v values of width %d",
+				pl.Join.LeftCol, pl.Join.RightCol, l.Kind, l.Width, r.Kind, r.Width)
 		}
 		cp.buildJoinIndex(cp.right[pl.Join.RightCol])
 	}
@@ -192,6 +201,7 @@ func (pl *Plan) compile(seed uint64) (*compiledPlan, error) {
 
 	// Lower filters and aggregates to kernels, now that every reference is
 	// resolved and each kernel can specialize on kind, operator, and side.
+	cp.codeVal = make([]func([]byte) bool, len(pl.Filters))
 	for fi := range pl.Filters {
 		k, err := cp.compileFilter(fi, &pl.Filters[fi])
 		if err != nil {
@@ -217,10 +227,10 @@ func (cp *compiledPlan) useLeft(idx int) {
 }
 
 // buildJoinIndex indexes the right table's key column, typed by its kind:
-// u64 keys hash directly, byte and string keys share one string-keyed map
-// (byte keys convert once here, at build — probes use Go's alloc-free
-// map[string] lookup on a []byte conversion). Duplicate keys keep the last
-// occurrence, matching the reference evaluator's hash build.
+// u64 keys hash directly, Fixed keys go into a fixedIndex, byte and string
+// keys share one string-keyed map (probes use Go's alloc-free map[string]
+// lookup on a []byte conversion). Duplicate keys keep the last occurrence,
+// matching the reference evaluator's hash build.
 func (cp *compiledPlan) buildJoinIndex(key *store.Column) {
 	switch key.Kind {
 	case store.U64:
@@ -228,7 +238,9 @@ func (cp *compiledPlan) buildJoinIndex(key *store.Column) {
 		for i, v := range key.U64 {
 			cp.joinU64[v] = int32(i)
 		}
-	case store.Bytes, store.Fixed:
+	case store.Fixed:
+		cp.joinFixed = newFixedIndex(key)
+	case store.Bytes:
 		cp.joinStr = make(map[string]int32, key.Len())
 		for i := 0; i < key.Len(); i++ {
 			cp.joinStr[string(key.BytesAt(i))] = int32(i)
@@ -241,19 +253,69 @@ func (cp *compiledPlan) buildJoinIndex(key *store.Column) {
 	}
 }
 
-// bindPart resolves the compiled references against one partition's columns.
-// This is the only per-partition work left at execution time: pointer
-// lookups by index, no name resolution and no kind dispatch.
-func (cp *compiledPlan) bindPart(part *store.Partition, pc *partCols) {
+// fixedIndex indexes a Fixed join key: linear probing over row+1 (0 = empty)
+// at the high bits of the key's seeded hash, keys compared where they lie. An
+// eighth full, most missing keys meet an empty entry first (at half load it
+// probed slower than Go's map); the seed keeps uploads from colliding it.
+type fixedIndex struct {
+	key   *store.Column
+	table []int32
+	shift uint
+	seed  int32
+}
+
+func newFixedIndex(key *store.Column) *fixedIndex {
+	bits := uint(4)
+	for 1<<bits < 8*key.Len() {
+		bits++
+	}
+	x := &fixedIndex{key: key, table: make([]int32, 1<<bits), shift: 64 - bits, seed: int32(rand.Uint32())}
+	for i := range key.Len() {
+		x.table[x.at(key.BytesAt(i))] = int32(i + 1) // a duplicate key's last row wins
+	}
+	return x
+}
+
+// at returns the table index holding key k, or the empty one where it goes.
+func (x *fixedIndex) at(k []byte) uint64 {
+	mask := uint64(len(x.table) - 1)
+	for idx := hashKey(k, x.seed) >> x.shift; ; idx = (idx + 1) & mask {
+		if r := x.table[idx]; r == 0 || sameKey(x.key.BytesAt(int(r-1)), k) {
+			return idx
+		}
+	}
+}
+
+// find returns the row whose key is k, or −1.
+func (x *fixedIndex) find(k []byte) int32 { return x.table[x.at(k)] - 1 }
+
+// bindPart resolves the compiled references against one partition's columns:
+// pointer lookups by index, no name resolution and no kind dispatch. With
+// coded, a filter with a codeVal on a coded column (store.Partition.Dict) gets
+// its pass table: the predicate once per distinct value.
+func (cp *compiledPlan) bindPart(part *store.Partition, pc *partCols, coded bool) {
 	at := func(ref colRef) *store.Column {
 		if ref.isRight() {
 			return ref.right // nil for FilterRandom / AggCount placeholders
 		}
 		return &part.Cols[ref.idx]
 	}
-	pc.filters = pc.filters[:0]
-	for _, ref := range cp.filters {
+	pc.filters, pc.codes, pc.pass = pc.filters[:0], pc.codes[:0], pc.pass[:0]
+	for fi, ref := range cp.filters {
 		pc.filters = append(pc.filters, at(ref))
+		var codes []uint16
+		var pass []uint8
+		if coded && cp.codeVal[fi] != nil {
+			if d := part.Dict(ref.idx); d != nil {
+				codes, pass = d.Codes, make([]uint8, d.Len())
+				for c := range pass {
+					if cp.codeVal[fi](d.Val(c)) {
+						pass[c] = 1
+					}
+				}
+			}
+		}
+		pc.codes, pc.pass = append(pc.codes, codes), append(pc.pass, pass)
 	}
 	pc.aggs = pc.aggs[:0]
 	pc.companions = pc.companions[:0]

@@ -121,8 +121,8 @@ func (pl *Plan) GroupPath() string {
 
 // JoinIndexKind names the hash index the broadcast join builds over the right
 // table, typed by the left key column's kind the way the probe kernel is:
-// u64 keys hash directly, byte and string keys use a string-keyed map. Empty
-// when the plan has no join.
+// u64 keys hash directly, Fixed keys (DET values) index in place, byte and
+// string keys use a string-keyed map. Empty when the plan has no join.
 func (pl *Plan) JoinIndexKind() string {
 	if pl.Join == nil {
 		return ""
@@ -134,7 +134,9 @@ func (pl *Plan) JoinIndexKind() string {
 	switch kind {
 	case store.U64:
 		return "u64-hash"
-	case store.Bytes, store.Fixed:
+	case store.Fixed:
+		return "fixed-hash"
+	case store.Bytes:
 		return "bytes-hash"
 	}
 	return "string-hash"

@@ -230,7 +230,7 @@ func (t *slotTable) slotU64(v uint64, sfx int32, h uint64) int32 {
 
 // slotKeyed is slotU64 for byte and string keys: a first sight copies the key
 // into the arena. A candidate is rejected on its kept hash before its key is
-// compared (holds).
+// compared (sameKey).
 func slotKeyed[T ~string | ~[]byte](t *slotTable, key T, sfx int32, h uint64) int32 {
 	if t.used*2 >= len(t.table) {
 		t.grow()
@@ -245,20 +245,18 @@ func slotKeyed[T ~string | ~[]byte](t *slotTable, key T, sfx int32, h uint64) in
 			t.table[idx] = int32(len(t.hash))
 			return int32(len(t.hash) - 1)
 		}
-		if t.hash[s-1] == h && holds(&t.groupKeys, int(s-1), key) && t.suffixAt(int(s-1)) == sfx {
+		if t.hash[s-1] == h && sameKey(t.bytesAt(int(s-1)), key) && t.suffixAt(int(s-1)) == sfx {
 			return s - 1
 		}
 	}
 }
 
-// holds reports whether slot s's key is key: a 16-byte key, a DET or OPE
-// value, compared as two words.
-func holds[T ~string | ~[]byte](k *groupKeys, s int, key T) bool {
-	lo, hi := k.off[s], k.off[s+1]
-	if len(key) != 16 || hi-lo != 16 {
-		return string(k.arena[lo:hi]) == string(key)
+// sameKey reports whether a is key: a 16-byte key, a DET or OPE value,
+// compared as two words.
+func sameKey[T ~string | ~[]byte](a []byte, key T) bool {
+	if len(key) != 16 || len(a) != 16 {
+		return string(a) == string(key)
 	}
-	a := k.arena[lo : lo+16 : lo+16]
 	return binary.LittleEndian.Uint64(a) == binary.LittleEndian.Uint64([]byte(key[:8])) &&
 		binary.LittleEndian.Uint64(a[8:]) == binary.LittleEndian.Uint64([]byte(key[8:16]))
 }

@@ -31,6 +31,11 @@ type partCols struct {
 	group      *store.Column
 	project    []*store.Column
 	leftKey    *store.Column
+	// Per filter, its column's codes and its answer per code (nil where not
+	// coded); the group key's dictionary where the grouper reads codes.
+	codes     [][]uint16
+	pass      [][]uint8
+	groupDict *store.Dict
 }
 
 // checkCipherCols holds a plan's ciphertext operators to the layout of the
@@ -210,6 +215,7 @@ func (cp *compiledPlan) compileFilter(fi int, f *Filter) (predKernel, error) {
 		want, neg := f.Bytes, f.Negate
 		if vectorizable && cp.pl.Table.Parts[0].Cols[cp.filters[fi].idx].Kind == store.Fixed {
 			w := len(want) // the column's width: checkCipherCols
+			cp.codeVal[fi] = func(v []byte) bool { return bytes.Equal(v, want) != neg }
 			return func(pc *partCols, b *batch, startID uint64) {
 				buf := pc.filters[fi].Fixed
 				out := b.sel[:0]
@@ -229,12 +235,16 @@ func (cp *compiledPlan) compileFilter(fi int, f *Filter) (predKernel, error) {
 		hi, lo := ope.Words(f.Bytes)
 		// pass[cmp+1]: the operator resolved once, not per row.
 		pass := [3]bool{cmpMatch(f.Op, -1), cmpMatch(f.Op, 0), cmpMatch(f.Op, 1)}
+		match := func(v []byte) bool {
+			rhi, rlo := ope.Words(v)
+			return pass[ope.CompareWords(rhi, rlo, hi, lo)+1]
+		}
 		if vectorizable {
+			cp.codeVal[fi] = match
 			return opeCmpKernel(fi, pass, hi, lo), nil
 		}
 		return rowPred(func(pc *partCols, i, j int32, rowID uint64) bool {
-			rhi, rlo := ope.Words(pc.filters[fi].BytesAt(int(pick(i, j, right))))
-			return pass[ope.CompareWords(rhi, rlo, hi, lo)+1]
+			return match(pc.filters[fi].BytesAt(int(pick(i, j, right))))
 		}), nil
 	}
 	return nil, fmt.Errorf("engine: unknown filter kind %d", f.Kind)
@@ -370,6 +380,19 @@ func opeCmpKernel(fi int, pass [3]bool, hi, lo uint64) predKernel {
 		}
 		b.sel = sel[:n]
 	}
+}
+
+// codedKernel runs a filter on a coded column in place of its kernel: a row's
+// answer is its code's entry in the pass table bindPart filled, 0 or 1, by
+// which the output advances after every row index is written.
+func codedKernel(codes []uint16, pass []uint8, b *batch) {
+	sel := b.sel
+	n := 0
+	for _, i := range sel {
+		sel[n] = i
+		n += int(pass[codes[i]])
+	}
+	b.sel = sel[:n]
 }
 
 // opeWordPair picks the words opeCmpKernel compares: a ciphertext's high word

@@ -12,6 +12,8 @@ package store
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 )
 
 // Kind is the physical type of a column vector.
@@ -159,6 +161,10 @@ type Partition struct {
 	// view, when non-nil, marks a lazily loaded partition: Cols' vectors may
 	// be absent until pinned and may be evicted while unpinned.
 	view *partView
+
+	// dicts holds the columns' dictionaries (dict.go), replaced under dictMu.
+	dictMu sync.Mutex
+	dicts  atomic.Pointer[[]*Dict]
 }
 
 // NumRows returns the number of rows in the partition. For a view partition
