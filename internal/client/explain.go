@@ -110,7 +110,12 @@ func (p *Proxy) renderExplain(stmt *sqlparse.Statement, tr *translate.Translatio
 	}
 
 	if gb := sp.GroupBy; gb != nil {
-		node("GroupBy %s: path=%s", gb.Col, sp.GroupPath())
+		path := sp.GroupPath()
+		if m != nil && sp.CodedGroupBy() && m.Ops.GroupDense > 0 && m.Ops.GroupHash == 0 {
+			// Every row grouped by code: a coded run reports its K as its table.
+			path = fmt.Sprintf("table-wide codes (K=%d)", m.Ops.GroupTableLen)
+		}
+		node("GroupBy %s: path=%s", gb.Col, path)
 		if gb.Inflate > 1 {
 			attr("inflate=%d (suffix-inflated groups, merged at client)", gb.Inflate)
 		}

@@ -99,7 +99,8 @@ func TestDecryptMergedResults(t *testing.T) {
 }
 
 // shardResults runs sql's plan, translated with opts, Partial on three
-// contiguous identifier ranges of its table, as a fleet's shards would.
+// contiguous identifier ranges of its table, each over a table of its own
+// range, as a fleet's shards would.
 func shardResults(t *testing.T, p *Proxy, cl *engine.Cluster, sql string, mode translate.Mode, opts translate.Options) (*translate.Translation, []*engine.Result) {
 	t.Helper()
 	stmt, err := sqlparse.ParseStatement(sql)
@@ -113,7 +114,7 @@ func shardResults(t *testing.T, p *Proxy, cl *engine.Cluster, sql string, mode t
 	var partials []*engine.Result
 	for _, sub := range tr.Server.Table.SplitRanges(3) {
 		scoped := *tr.Server
-		scoped.Partial, scoped.Range = true, &engine.IDRange{Lo: sub.Parts[0].StartID, Hi: sub.EndID()}
+		scoped.Table, scoped.Partial, scoped.Range = sub, true, &engine.IDRange{Lo: sub.Parts[0].StartID, Hi: sub.EndID()}
 		res, err := cl.Run(context.Background(), &scoped)
 		if err != nil {
 			t.Fatal(err)
@@ -128,9 +129,10 @@ func shardResults(t *testing.T, p *Proxy, cl *engine.Cluster, sql string, mode t
 // the shards first name them, and the rows Decrypt makes of it do not depend
 // on that order. The same three shard results are merged forward and in
 // reverse, for a DET-keyed ASHE group-by, a Paillier sum and an inflated
-// group-by that Decrypt deflates. The shards run on one worker, so each has
-// one reducer and lists its groups as its rows first name them — an order
-// that differs from shard to shard, which the merges must then disagree on.
+// group-by that Decrypt deflates. Each shard lists its groups as its rows
+// first name them — by code, where its table codes the key, or with one
+// worker, through its one reducer — an order that differs from shard to
+// shard, which the merges must then disagree on.
 func TestRowsIgnoreShardOrder(t *testing.T) {
 	p := salesFixture(t)
 	cl := engine.NewCluster(engine.Config{Workers: 1})
@@ -235,7 +237,7 @@ func BenchmarkMergeToDecrypt(b *testing.B) {
 			var frames [][]byte
 			for _, sub := range pl.Table.SplitRanges(3) {
 				scoped := *pl
-				scoped.Partial, scoped.Range = true, &engine.IDRange{Lo: sub.Parts[0].StartID, Hi: sub.EndID()}
+				scoped.Table, scoped.Partial, scoped.Range = sub, true, &engine.IDRange{Lo: sub.Parts[0].StartID, Hi: sub.EndID()}
 				res, err := cl.Run(ctx, &scoped)
 				if err != nil {
 					b.Fatal(err)

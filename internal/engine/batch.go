@@ -40,6 +40,12 @@ type taskState struct {
 	g    grouper
 	scan *ScanChunk
 
+	// codes is what the task reads of its run's codes (codes.go), nil where
+	// it reads none; lanes is the lane set a coded group-by's task adds into,
+	// taken from the run's pool for the task's duration.
+	codes *taskCodes
+	lanes *groupAcc
+
 	// A bucketed group-by's map task appends each survivor to route[b], the
 	// bucket of reducer b, instead of grouping it; a reducer grouping its
 	// bucket reads each batch's key hashes from carried instead of hashing
@@ -48,10 +54,11 @@ type taskState struct {
 	carried []uint64
 }
 
-// newTaskState binds the compiled plan to a partition and sizes the
-// workspace the plan's shape needs.
-func (cp *compiledPlan) newTaskState(part *store.Partition) *taskState {
-	ts := cp.bindTask(part)
+// newTaskState binds the compiled plan to a partition, with what it reads of
+// its run's codes (nil for none), and sizes the workspace the plan's shape
+// needs.
+func (cp *compiledPlan) newTaskState(part *store.Partition, tc *taskCodes) *taskState {
+	ts := cp.bindTask(part, tc)
 	pl := cp.pl
 	switch {
 	case len(pl.Project) > 0:
@@ -62,13 +69,15 @@ func (cp *compiledPlan) newTaskState(part *store.Partition) *taskState {
 		ts.g.t.appendU64(0, -1)
 		ts.g.acc.init(pl.Aggs)
 		ts.g.acc.grow(1)
+	case tc != nil && tc.lanes != nil:
+		// A coded group-by: a row's slot is its code, in the pool's lanes.
+		ts.g.slots = make([]int32, batchRows)
 	default:
 		ts.g.init(cp, int(cp.hint.slots.Load()))
-		// A coded left-side key of a join-free plan, uninflated (groupSlots).
-		if !cp.groupCol.isRight() && ts.g.inflate == 0 && pl.Join == nil {
-			if d := part.Dict(cp.groupCol.idx); d != nil {
-				ts.pc.groupDict, ts.g.slotOf = d, make([]int32, d.Len())
-			}
+		// A coded key resolves each code to its slot once (groupSlots), where
+		// its codes are no more than the partition's rows.
+		if tc != nil && tc.group != nil && tc.groupK <= part.NumRows() {
+			ts.g.slotOf = make([]int32, tc.groupK)
 		}
 	}
 	return ts
@@ -76,9 +85,9 @@ func (cp *compiledPlan) newTaskState(part *store.Partition) *taskState {
 
 // bindTask starts a map task's state: the plan bound to the partition, and the
 // batch's selection and join vectors.
-func (cp *compiledPlan) bindTask(part *store.Partition) *taskState {
-	ts := &taskState{cp: cp, part: part, res: &mapResult{}}
-	cp.bindPart(part, &ts.pc, true)
+func (cp *compiledPlan) bindTask(part *store.Partition, tc *taskCodes) *taskState {
+	ts := &taskState{cp: cp, part: part, res: &mapResult{}, codes: tc}
+	cp.bindPart(part, &ts.pc, tc)
 	ts.selBuf = make([]int32, batchRows)
 	if cp.pl.Join != nil {
 		ts.joinBuf = make([]int32, 0, batchRows)
@@ -90,8 +99,8 @@ func (cp *compiledPlan) bindTask(part *store.Partition) *taskState {
 // group-by's map task: the batch buffers, the key hashing, and one row bucket
 // per reducer, each sized for its share of the task's rows. The buckets share
 // one block per vector; a bucket that outgrows its share moves out on its own.
-func (cp *compiledPlan) newRouteState(part *store.Partition, buckets, rows int) *taskState {
-	ts := cp.bindTask(part)
+func (cp *compiledPlan) newRouteState(part *store.Partition, tc *taskCodes, buckets, rows int) *taskState {
+	ts := cp.bindTask(part, tc)
 	ts.g.initKeys(cp)
 	// A share is binomial: its mean and four deviations hold it but for
 	// about one bucket in thirty thousand.
@@ -160,8 +169,8 @@ func (ts *taskState) execute(ctx context.Context, i0, i1 int) error {
 			ts.probe()
 		}
 		for fi, pred := range cp.preds {
-			if codes := ts.pc.codes[fi]; codes != nil {
-				codedKernel(codes, ts.pc.pass[fi], &ts.b)
+			if ts.pc.codes != nil && ts.pc.codes[fi] != nil {
+				codedKernel(ts.pc.codes[fi], ts.pc.pass[fi], &ts.b)
 			} else {
 				pred(&ts.pc, &ts.b, startID)
 			}
@@ -188,6 +197,16 @@ func (ts *taskState) execute(ctx context.Context, i0, i1 int) error {
 			}
 		case ts.route != nil:
 			ts.routeRows(startID)
+		case ts.lanes != nil:
+			slots, codes := ts.g.slots[:survivors], ts.codes.group
+			for k, i := range ts.b.sel {
+				slots[k] = int32(codes[i])
+			}
+			ts.accumulate(ts.lanes, slots, startID)
+			ts.res.ops.GroupDense += uint64(survivors)
+			if cp.ashe {
+				ts.res.tags = append(ts.res.tags, slots...)
+			}
 		default:
 			ts.accumulateGroups(startID)
 			if cp.ashe {
@@ -219,6 +238,16 @@ func (ts *taskState) probe() {
 			}
 		}
 	case store.Fixed:
+		if ts.codes != nil && ts.codes.join != nil {
+			codes, rightOf := ts.codes.join, ts.codes.rightOf
+			for _, i := range ts.b.sel {
+				if j := rightOf[codes[i]]; j >= 0 {
+					out = append(out, i)
+					join = append(join, j)
+				}
+			}
+			break
+		}
 		x := key.joinFixed
 		for _, i := range ts.b.sel {
 			if j := x.find(col.BytesAt(int(i))); j >= 0 {
@@ -306,7 +335,8 @@ type grouper struct {
 	inflateN  uint64
 	denseKeys uint64
 	dense     []int32
-	// slotOf maps a coded key's code to its slot+1 (0 = unseen).
+	// slotOf maps a coded key's code to its slot+1 (0 = unseen): the codes
+	// are the task's (taskCodes.group).
 	slotOf []int32
 
 	// Per-batch scratch, sized to batchRows once: the resolved slot per
@@ -385,13 +415,14 @@ func (ts *taskState) groupSlots(startID uint64) {
 	g := &ts.g
 	col := ts.pc.group
 	if col.Kind == store.Fixed && !g.radix(len(ts.b.sel)) {
-		if d := ts.pc.groupDict; d != nil {
+		if g.slotOf != nil {
+			codes := ts.codes.group
 			for k, i := range ts.b.sel {
-				s := g.slotOf[d.Codes[i]]
+				s := g.slotOf[codes[i]]
 				if s == 0 {
-					v := d.Val(int(d.Codes[i]))
+					v := col.BytesAt(int(i))
 					s = slotKeyed(&g.t, v, -1, hashKey(v, -1)) + 1
-					g.slotOf[d.Codes[i]] = s
+					g.slotOf[codes[i]] = s
 				}
 				g.slots[k] = s - 1
 			}
@@ -618,7 +649,7 @@ func (cp *compiledPlan) groupBucket(ctx context.Context, tasks []*mapResult, b i
 			continue
 		}
 		ts.part = r.part
-		cp.bindPart(r.part, &ts.pc, false)
+		cp.bindPart(r.part, &ts.pc, nil)
 		if cp.ashe {
 			bk.slots = make([]int32, 0, len(bk.rows))
 		}
@@ -758,14 +789,16 @@ func (ts *taskState) projectScan(startID uint64) {
 // compilation are excluded from the measured task duration, matching the
 // reference evaluator's accounting.
 func (cp *compiledPlan) runMapTask(ctx context.Context, c *Cluster, part *store.Partition) (*mapResult, error) {
-	return cp.mapTask(ctx, c, part, false)
+	return cp.mapTask(ctx, c, part, false, nil)
 }
 
-// mapTask is runMapTask, or with route the map task of a bucketed group-by:
-// its survivors go to their reducers' buckets (routeRows) and the partition
-// stays pinned, for the reducers read its columns; the result's release
-// unpins it (run calls it once the reducers finish, on every path).
-func (cp *compiledPlan) mapTask(ctx context.Context, c *Cluster, part *store.Partition, route bool) (*mapResult, error) {
+// mapTask is runMapTask reading its run's codes tc (nil for none), or with
+// route the map task of a bucketed group-by: its survivors go to their
+// reducers' buckets (routeRows) and the partition stays pinned, for the
+// reducers read its columns; the result's release unpins it (run calls it
+// once the reducers finish, on every path). A coded group-by's task adds into
+// a lane set of its run's pool, and hands it back when it ends.
+func (cp *compiledPlan) mapTask(ctx context.Context, c *Cluster, part *store.Partition, route bool, tc *taskCodes) (*mapResult, error) {
 	if c.cfg.TaskSleep > 0 {
 		t := time.NewTimer(c.cfg.TaskSleep)
 		select {
@@ -791,9 +824,13 @@ func (cp *compiledPlan) mapTask(ctx context.Context, c *Cluster, part *store.Par
 	i0, i1 := rangeBounds(part, cp.pl.Range)
 	var ts *taskState
 	if route {
-		ts = cp.newRouteState(part, c.buckets(), i1-i0+1)
+		ts = cp.newRouteState(part, tc, c.buckets(), i1-i0+1)
 	} else {
-		ts = cp.newTaskState(part)
+		ts = cp.newTaskState(part, tc)
+	}
+	if tc != nil && tc.lanes != nil {
+		ts.lanes = <-tc.lanes.free
+		defer func() { tc.lanes.free <- ts.lanes }()
 	}
 	pinned := len(cp.leftIdxs)
 	if cp.leftIdxs == nil {
@@ -815,6 +852,7 @@ func (cp *compiledPlan) mapTask(ctx context.Context, c *Cluster, part *store.Par
 	case route:
 		ts.res.routed, ts.res.part, ts.res.release = ts.route, part, release
 		held = true
+	case ts.lanes != nil: // the lanes are the run's: the reduce folds the pool
 	case len(cp.pl.Project) == 0:
 		ts.g.fold(ts.res, cp, c.buckets())
 	case ts.scan != nil:

@@ -31,7 +31,8 @@ func (r colRef) isRight() bool { return r.idx < 0 }
 // compiledPlan is the once-per-Run compilation of a Plan: resolved column
 // references, a typed join index, and the predicate/accumulator kernels the
 // batch executor runs, shared by every map task of the run so that tasks on
-// different partitions never rebuild it. Only its sizing hint changes.
+// different partitions never rebuild it. Only its sizing hint and its
+// per-code tables (codeCaches) change.
 type compiledPlan struct {
 	pl   *Plan
 	seed uint64 // cluster seed, drives group inflation
@@ -58,10 +59,15 @@ type compiledPlan struct {
 
 	preds []predKernel
 	// codeVal holds, per filter, its predicate on one value, where a map task
-	// may run it as a pass table over a coded column (execute); nil elsewhere.
+	// may run it as a pass table over a coded column (codes.go); nil elsewhere.
 	codeVal []func(v []byte) bool
-	aggs    []aggKernel
-	hint    groupHint
+	// groupCodable is set when the group key may be coded: a left-side 16-byte
+	// Fixed key of a join-free plan, without inflation; laneGroup when, with
+	// every aggregate a lane, a coded key takes the coded path (codes.go).
+	groupCodable, laneGroup bool
+	codes                   codeCaches
+	aggs                    []aggKernel
+	hint                    groupHint
 	// ashe is set when an aggregate is an ASHE sum: map tasks then keep their
 	// survivors' identifiers, and a group-by's each survivor's slot or bucket,
 	// for the result's identifier section (ids.go).
@@ -82,13 +88,16 @@ type groupHint struct {
 // bucketRowsPerGroupTask is the rows per group per map task, N ÷ (G × T), below
 // which a group-by's map tasks bucket rows instead of grouping them: there a
 // task's table merges little, and its reducer interns every (task, group)
-// pair again. BenchmarkRunGroupByBytes places it: 64 Ki rows of 16-byte DET
-// keys with an ASHE sum, on 8 partitions and 4 reducers, so 8192 ÷ G rows per
-// group per task, each strategy in its steady state (2-core Xeon, two sweeps
-// of 3 × 60 runs). Per-task tables lead by 10–25 % at 32 and 16 rows per
-// group per task; at 8 the two are within 3 %; bucketed rows lead by 18–44 %
-// at 4, 2× at 1 and 1.8–2× at 0.5, wide_gb's shape. They cross near 8.
-const bucketRowsPerGroupTask = 8.0
+// pair again. It applies to raw keys only — a coded group-by has no tables
+// (codes.go) — so BenchmarkRunGroupByBytes' pinned strategies place it on raw
+// 16-byte DET keys: 64 Ki rows with an ASHE sum, on 8 partitions and 4
+// reducers, so 8192 ÷ G rows per group per task. In one test binary,
+// interleaved (21 rounds of 5 runs of each strategy a group count, 2-core
+// Xeon), bucketed over per-task time was, as median [quartiles]: 1.39
+// [1.29, 1.48] at 32 rows per group per task, 1.27 at 16, 1.15–1.19 at 8 and
+// 7, 1.11–1.14 at 6, 1.03–1.06 at 5, 0.91–1.01 at 4, 0.76 at 2, 0.59 at 1
+// and 0.60 at 0.5. They cross between 4 and 5.
+const bucketRowsPerGroupTask = 5.0
 
 // bucketed applies the rule to the plan's last run. A plan's first run has no
 // measure and keeps per-task tables; either strategy records the next one.
@@ -182,6 +191,7 @@ func (pl *Plan) compile(seed uint64) (*compiledPlan, error) {
 			return nil, err
 		}
 		cp.groupCol = ref
+		cp.groupCodable, cp.laneGroup = pl.codableGroup(), pl.CodedGroupBy()
 	}
 	for _, name := range pl.Project {
 		ref, err := resolve(name)
@@ -202,6 +212,7 @@ func (pl *Plan) compile(seed uint64) (*compiledPlan, error) {
 	// Lower filters and aggregates to kernels, now that every reference is
 	// resolved and each kernel can specialize on kind, operator, and side.
 	cp.codeVal = make([]func([]byte) bool, len(pl.Filters))
+	cp.codes.pass = make([]atomic.Pointer[[]uint8], len(pl.Filters))
 	for fi := range pl.Filters {
 		k, err := cp.compileFilter(fi, &pl.Filters[fi])
 		if err != nil {
@@ -290,32 +301,22 @@ func (x *fixedIndex) at(k []byte) uint64 {
 func (x *fixedIndex) find(k []byte) int32 { return x.table[x.at(k)] - 1 }
 
 // bindPart resolves the compiled references against one partition's columns:
-// pointer lookups by index, no name resolution and no kind dispatch. With
-// coded, a filter with a codeVal on a coded column (store.Partition.Dict) gets
-// its pass table: the predicate once per distinct value.
-func (cp *compiledPlan) bindPart(part *store.Partition, pc *partCols, coded bool) {
+// pointer lookups by index, no name resolution and no kind dispatch. A filter
+// that tc codes for the partition runs its pass table (codedKernel) in place
+// of its kernel; tc is nil where the task reads no codes.
+func (cp *compiledPlan) bindPart(part *store.Partition, pc *partCols, tc *taskCodes) {
 	at := func(ref colRef) *store.Column {
 		if ref.isRight() {
 			return ref.right // nil for FilterRandom / AggCount placeholders
 		}
 		return &part.Cols[ref.idx]
 	}
-	pc.filters, pc.codes, pc.pass = pc.filters[:0], pc.codes[:0], pc.pass[:0]
-	for fi, ref := range cp.filters {
+	pc.filters, pc.codes, pc.pass = pc.filters[:0], nil, nil
+	for _, ref := range cp.filters {
 		pc.filters = append(pc.filters, at(ref))
-		var codes []uint16
-		var pass []uint8
-		if coded && cp.codeVal[fi] != nil {
-			if d := part.Dict(ref.idx); d != nil {
-				codes, pass = d.Codes, make([]uint8, d.Len())
-				for c := range pass {
-					if cp.codeVal[fi](d.Val(c)) {
-						pass[c] = 1
-					}
-				}
-			}
-		}
-		pc.codes, pc.pass = append(pc.codes, codes), append(pc.pass, pass)
+	}
+	if tc != nil {
+		pc.codes, pc.pass = tc.filters, tc.pass
 	}
 	pc.aggs = pc.aggs[:0]
 	pc.companions = pc.companions[:0]

@@ -422,7 +422,7 @@ func TestDifferentialExecutors(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
-			assertSameResult(t, tc.name, vec, ref)
+			assertAnswer(t, tc.name, tc.plan(tbl, right), vec, ref)
 			vvec, err := c.Run(context.Background(), tc.plan(vtbl, vright))
 			if err != nil {
 				t.Fatalf("vectorized, view partitions: %v", err)
@@ -432,7 +432,7 @@ func TestDifferentialExecutors(t *testing.T) {
 				t.Fatalf("reference, view partitions: %v", err)
 			}
 			assertSameResult(t, tc.name+" (view vs heap)", vvec, vec)
-			assertSameResult(t, tc.name+" (view)", vvec, vref)
+			assertAnswer(t, tc.name+" (view)", tc.plan(vtbl, vright), vvec, vref)
 			if tc.plan(tbl, right).GroupBy != nil {
 				bothStrategies(t, c, tc.name, func() *Plan { return tc.plan(tbl, right) }, ref)
 				bothStrategies(t, c, tc.name+" (view)", func() *Plan { return tc.plan(vtbl, vright) }, vref)

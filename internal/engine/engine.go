@@ -370,7 +370,9 @@ type Metrics struct {
 	// ShuffleBytes is the size of the map tasks' output as they hold it: keys,
 	// row counts, accumulators and scan cells — or, in a group-by whose map
 	// tasks bucket rows (OpStats.GroupRouted), the buckets: 4 bytes a row, 4
-	// more with a join, 8 for the key hash — and what they keep for the
+	// more with a join, 8 for the key hash; in a coded group-by (codes.go),
+	// its lane sets: 8 bytes a code for the row count and each lane, a set
+	// per concurrently running task — and what they keep for the
 	// identifier section (ShuffleListBytes). Plain arithmetic — nothing is encoded to take it and nothing is
 	// shuffled — identical in both executors when both keep per-task tables,
 	// and additive across shards.
@@ -388,7 +390,8 @@ type Metrics struct {
 	// In-process only, like the task times below.
 	ShuffleListBytes int
 	ResultListBytes  int
-	// MapTasks and ReduceTasks count executed tasks.
+	// MapTasks and ReduceTasks count executed tasks; a coded group-by's
+	// reduce, one fold of its lane sets, is one task.
 	MapTasks    int
 	ReduceTasks int
 	// RowsScanned and RowsSelected count input rows and filter survivors.
@@ -432,16 +435,18 @@ type OpStats struct {
 	// hash probe and rows that found a partner (inner-join survivors).
 	JoinProbed  uint64
 	JoinMatched uint64
-	// GroupDense and GroupHash count group-key resolutions through the
-	// dense direct index vs the open-addressed table.
+	// GroupDense and GroupHash count group-key resolutions without a hash —
+	// the dense direct index, or a key's table-wide code (codes.go) — vs
+	// through the open-addressed table.
 	GroupDense uint64
 	GroupHash  uint64
 	// RadixBatches counts batches whose hash-path probes engaged radix
 	// partitioning (table ≥ radixMinTable and ≥ radixBuckets misses).
 	RadixBatches uint64
 	// GroupSlots totals distinct group slots across the tables that grouped
-	// rows — the map tasks', or a bucketed run's reducers' (occupancy);
-	// GroupTableLen is the largest open-addressed table capacity seen.
+	// rows — the map tasks', or a bucketed run's reducers' (occupancy), or a
+	// coded group-by's result groups; GroupTableLen is the largest
+	// open-addressed table capacity seen, or a coded group-by's K.
 	GroupSlots    uint64
 	GroupTableLen uint64
 	// GroupRouted counts rows a group-by's map tasks bucketed by key hash for

@@ -8,6 +8,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"seabed/internal/store"
 )
@@ -78,8 +79,30 @@ func (pl *Plan) GroupKeyKind() (kind store.Kind, ok bool) {
 	return 0, false
 }
 
+// codableGroup reports whether the plan's group key may be coded (codes.go):
+// a left-side 16-byte Fixed key — a DET(u64) or OPE value — of a join-free
+// plan, without inflation.
+func (pl *Plan) codableGroup() bool {
+	gb := pl.GroupBy
+	if gb == nil || pl.Join != nil || gb.Inflate > 1 || len(pl.Table.Parts) == 0 {
+		return false
+	}
+	c := pl.Table.Parts[0].Col(gb.Col)
+	return c != nil && c.Kind == store.Fixed && c.Width == 16
+}
+
+// CodedGroupBy reports whether the plan's group-by takes table-wide codes
+// where the daemon's codebook codes its key (codes.go): a codable key, and
+// every aggregate a lane.
+func (pl *Plan) CodedGroupBy() bool {
+	return pl.codableGroup() && !slices.ContainsFunc(pl.Aggs, func(a Agg) bool { return !LaneKind(a.Kind) })
+}
+
 // GroupPath predicts which grouping path the executor will take for this
-// plan, using the same sizing rules as the grouper. Every key kind resolves to
+// plan, using the same sizing rules as the grouper. A coded key's group-by
+// (CodedGroupBy) indexes a lane per distinct key by its code, with no table,
+// wherever the daemon's codebook codes every partition it reads, and takes the
+// slot table otherwise. Every other key kind resolves to
 // slots: plaintext u64 keys get a dense direct index over min(KeyBound or the
 // default span, the dense cap) keys times the inflation-suffix domain, with
 // the open-addressed slot table as the fallback; byte keys (DET ciphertexts)
@@ -115,8 +138,12 @@ func (pl *Plan) GroupPath() string {
 	if kind == store.Str {
 		keyed = "string"
 	}
-	return fmt.Sprintf("open-addressed slot table (%s keys in a per-task arena), radix-partitioned ≥ %d slots",
+	table := fmt.Sprintf("open-addressed slot table (%s keys in a per-task arena), radix-partitioned ≥ %d slots",
 		keyed, radixMinTable)
+	if pl.CodedGroupBy() {
+		return "table-wide codes (a lane per distinct key), or where a codebook refuses the key, " + table
+	}
+	return table
 }
 
 // JoinIndexKind names the hash index the broadcast join builds over the right

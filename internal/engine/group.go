@@ -16,7 +16,9 @@ import (
 // (AggCol): a flat []uint64 lane for each aggregate that has one, an AggValue
 // per slot for the rest (Paillier, OPE extremes, medians) — chosen by each
 // aggregate's kind, never by the plan. An ungrouped plan is the one-group case,
-// keyed U64 0. A group-by runs one of two ways, picked per run from the plan's
+// keyed U64 0. A group-by on a coded key with lane aggregates has no slot
+// table at all — its slots are the key's table-wide codes (codes.go). Any
+// other group-by runs one of two ways, picked per run from the plan's
 // last run (groupHint.bucketed). Where a map task sees each group many times,
 // the grouper (batch.go) fills a table per task; the task's columns travel to
 // the reducer as they are (taskGroups); reduceGroups, the driver's fold of an

@@ -85,7 +85,7 @@ func TestReducerBucketsAgree(t *testing.T) {
 
 			// A bucketed map task routes every row to the bucket its key's
 			// group goes to.
-			routed, err := cp.mapTask(ctx, c, tbl.Parts[0], true)
+			routed, err := cp.mapTask(ctx, c, tbl.Parts[0], true, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

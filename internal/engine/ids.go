@@ -417,8 +417,9 @@ func (c *GroupCols) groupLists() (lists [][]byte, ok bool) {
 // groups' numbers where the reducers merged them (taskGroups.remap, filled
 // here from each merge's dst); a task that bucketed its rows finds each row's
 // slot in its bucket, where the reducer left it (rowBucket.slots). mergers is
-// reduceGroups', by bucket.
-func groupSection(results []*mapResult, mergers []*groupMerger, routed bool, groups int, codec idlist.Codec) (IDPart, error) {
+// reduceGroups', by bucket. A coded group-by's tags are codes, which byCode
+// numbers (gatherCoded); it has no mergers.
+func groupSection(results []*mapResult, mergers []*groupMerger, routed bool, byCode []int32, groups int, codec idlist.Codec) (IDPart, error) {
 	offset := make([]int32, len(mergers))
 	at := int32(0)
 	for b, mg := range mergers {
@@ -433,11 +434,11 @@ func groupSection(results []*mapResult, mergers []*groupMerger, routed bool, gro
 	for _, r := range results {
 		ranges += len(r.ids)
 		survivors += len(r.tags)
-		if !routed {
+		if !routed && byCode == nil {
 			r.groups.remap = make([]int32, r.groups.keys.len())
 		}
 	}
-	if !routed {
+	if !routed && byCode == nil {
 		for b, mg := range mergers {
 			if mg == nil {
 				continue
@@ -458,13 +459,18 @@ func groupSection(results []*mapResult, mergers []*groupMerger, routed bool, gro
 	var next []int32 // a bucketed task's read position in each bucket
 	for _, r := range results {
 		tags := r.tags
-		if routed {
+		switch {
+		case byCode != nil:
+			for k, c := range tags {
+				tags[k] = byCode[c]
+			}
+		case routed:
 			next = append(next[:0], make([]int32, len(r.routed))...)
 			for k, b := range tags {
 				tags[k] = offset[b] + r.routed[b].slots[next[b]]
 				next[b]++
 			}
-		} else {
+		default:
 			remap := r.groups.remap
 			for k, s := range tags {
 				tags[k] = remap[s]

@@ -31,11 +31,10 @@ type partCols struct {
 	group      *store.Column
 	project    []*store.Column
 	leftKey    *store.Column
-	// Per filter, its column's codes and its answer per code (nil where not
-	// coded); the group key's dictionary where the grouper reads codes.
-	codes     [][]uint16
-	pass      [][]uint8
-	groupDict *store.Dict
+	// Per filter, its column's codes and its answer per code; nil, or nil
+	// entries, where the filter runs its kernel (codes.go).
+	codes [][]uint16
+	pass  [][]uint8
 }
 
 // checkCipherCols holds a plan's ciphertext operators to the layout of the
@@ -643,26 +642,31 @@ func (b *batch) joinAt(k int) int32 {
 
 // accumulateGroups folds the batch's survivors into their group accumulators
 // in two phases: resolve slots (groupSlots), growing the accumulators to any
-// new ones, then, for each aggregate, one loop over the (selection, slot)
-// pairs. A lane kind's is a tight per-kind
-// loop writing straight into the per-slot u64 lane — one cache-dense array per
-// aggregate, no per-row indirect call, whatever the key kind; the other kinds
-// call their row kernel on the slot's value. The AggKind switch runs once per
-// aggregate per batch, amortized to noise.
+// new ones, then accumulate.
 func (ts *taskState) accumulateGroups(startID uint64) {
 	ts.groupSlots(startID)
 	g := &ts.g
 	g.acc.grow(g.t.len())
+	ts.accumulate(&g.acc, g.slots[:len(ts.b.sel)], startID)
+}
+
+// accumulate folds the batch's survivors into acc at their slots, parallel
+// to the selection vector: for each aggregate, one loop over the (selection,
+// slot) pairs. A lane kind's is a tight per-kind loop writing straight into
+// the per-slot u64 lane — one cache-dense array per aggregate, no per-row
+// indirect call, whatever the key kind; the other kinds call their row kernel
+// on the slot's value. The AggKind switch runs once per aggregate per batch,
+// amortized to noise.
+func (ts *taskState) accumulate(acc *groupAcc, slots []int32, startID uint64) {
 	sel := ts.b.sel
-	slots := g.slots[:len(sel)]
-	rows := g.acc.rows
+	rows := acc.rows
 	for _, s := range slots {
 		rows[s]++
 	}
-	for ai := range g.acc.cols {
-		lane := g.acc.cols[ai].Lane
+	for ai := range acc.cols {
+		lane := acc.cols[ai].Lane
 		if lane == nil {
-			row, vals := ts.cp.aggs[ai].row, g.acc.cols[ai].Vals
+			row, vals := ts.cp.aggs[ai].row, acc.cols[ai].Vals
 			for k, i := range sel {
 				row(&ts.pc, &vals[slots[k]], i, ts.b.joinAt(k), startID+uint64(i))
 			}
@@ -670,7 +674,7 @@ func (ts *taskState) accumulateGroups(startID uint64) {
 		}
 		col := ts.pc.aggs[ai]
 		right := ts.cp.aggCols[ai].isRight()
-		switch g.acc.cols[ai].Kind {
+		switch acc.cols[ai].Kind {
 		case AggCount:
 			for _, s := range slots {
 				lane[s]++

@@ -82,7 +82,7 @@ func TestKernelU64FilterSumAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := cp.newTaskState(tbl.Parts[0])
+	ts := cp.newTaskState(tbl.Parts[0], nil)
 	ctx := context.Background()
 	n := tbl.Parts[0].NumRows()
 	if err := ts.execute(ctx, 0, n-1); err != nil { // warm up
@@ -117,7 +117,7 @@ func TestKernelU64JoinProbeAllocFree(t *testing.T) {
 	if cp.joinU64 == nil {
 		t.Fatal("u64 join key did not compile to a typed u64 index")
 	}
-	ts := cp.newTaskState(tbl.Parts[0])
+	ts := cp.newTaskState(tbl.Parts[0], nil)
 	ctx := context.Background()
 	n := tbl.Parts[0].NumRows()
 	if err := ts.execute(ctx, 0, n-1); err != nil {
@@ -148,7 +148,7 @@ func TestKernelU64GroupKeyAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := cp.newTaskState(tbl.Parts[0])
+	ts := cp.newTaskState(tbl.Parts[0], nil)
 	ctx := context.Background()
 	n := tbl.Parts[0].NumRows()
 	if err := ts.execute(ctx, 0, n-1); err != nil { // gives every group its slot
@@ -185,7 +185,7 @@ func TestKernelBytesGroupKeyAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := cp.newTaskState(tbl.Parts[0])
+	ts := cp.newTaskState(tbl.Parts[0], nil)
 	ctx := context.Background()
 	n := tbl.Parts[0].NumRows()
 	if err := ts.execute(ctx, 0, n-1); err != nil { // gives every group its slot
@@ -222,7 +222,7 @@ func TestGrouperMemoryTracksGroupsNotRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := cp.newTaskState(tbl.Parts[0])
+	ts := cp.newTaskState(tbl.Parts[0], nil)
 	if err := ts.execute(context.Background(), 0, rows-1); err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestGrouperSizedFromLastTask(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := cp.newTaskState(tbl.Parts[1])
+		ts := cp.newTaskState(tbl.Parts[1], nil)
 		g := &ts.g
 		caps := func() map[string]int {
 			return map[string]int{
@@ -309,7 +309,7 @@ func BenchmarkKernelFilterSumU64(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ts := cp.newTaskState(tbl.Parts[0])
+	ts := cp.newTaskState(tbl.Parts[0], nil)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -363,9 +363,8 @@ func BenchmarkKernelFilterDetEq(b *testing.B) {
 }
 
 // benchFilterCount runs one filter and a count over a one-column partition of
-// benchRows rows: the compiled kernel path alone. The partition's dictionary,
-// if its column has one, is set aside, so the raw kernel runs
-// (BenchmarkOpeFilter measures the coded one beside it).
+// benchRows rows: the compiled kernel path alone. The task reads no codes, so
+// the raw kernel runs (BenchmarkOpeFilter measures the coded one beside it).
 func benchFilterCount(b *testing.B, col store.Column, f Filter) {
 	tbl, err := store.Build("k", []store.Column{col}, 1)
 	if err != nil {
@@ -376,8 +375,7 @@ func benchFilterCount(b *testing.B, col store.Column, f Filter) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ts := cp.newTaskState(tbl.Parts[0])
-	ts.pc.codes[0] = nil
+	ts := cp.newTaskState(tbl.Parts[0], nil)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -617,32 +615,44 @@ func BenchmarkKernelGroupByBytesWideReference(b *testing.B) {
 // shuffle, reduce, gather — over 64 Ki rows in 16 Ki groups on 8 partitions,
 // on one Cluster reused across iterations, so the plan cache and the last run
 // it keeps behave as a daemon's do. One untimed run first leaves that last
-// run, so even a single timed iteration sees the steady state: at about half
-// a row per group per map task, bucketed rows.
+// run, so even a single timed iteration sees the steady state: coded, the
+// table's codebook (16 Ki values, under half its rows) and its lanes; raw,
+// with the strategy the run picks pinned, at about half a row per group per
+// map task bucketed rows.
 func BenchmarkRunGroupByBytesWide(b *testing.B) {
 	const rows = 1 << 16
 	tbl := detKeyFixture(b, rows, 1<<14, 8, false)
-	c := NewCluster(Config{Workers: 4})
-	ctx := context.Background()
-	if _, err := c.Run(ctx, wideBytesGroupByPlan(tbl)); err != nil {
-		b.Fatal(err)
+	for _, st := range []struct {
+		name     string
+		strategy groupStrategy
+	}{{"coded", groupAuto}, {"raw", groupBuckets}} {
+		b.Run(st.name, func(b *testing.B) {
+			c := NewCluster(Config{Workers: 4})
+			ctx := context.Background()
+			if _, err := c.run(ctx, wideBytesGroupByPlan(tbl), nil, nil, st.strategy); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.run(ctx, wideBytesGroupByPlan(tbl), nil, nil, st.strategy); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportRows(b, rows)
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Run(ctx, wideBytesGroupByPlan(tbl)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportRows(b, rows)
 }
 
 // BenchmarkRunGroupByBytes is the sweep behind bucketRowsPerGroupTask: the
 // encrypted GROUP BY of BenchmarkRunGroupByBytesWide — 64 Ki rows on 8
 // partitions, so N ÷ (G × T) is 8192 ÷ G — at 256 to 64 Ki groups, in each
-// group-by strategy, pinned. Where the two rows/s cross is where the rule
-// switches. The 16- and 32-group cases are the dashboard's shape, a DET key
-// of a day's hours: small tables, many rows a group.
+// raw group-by strategy, pinned, which group the raw 16-byte keys (a pinned
+// strategy reads no group codes): where the two rows/s cross is where the rule
+// switches. Beside them, coded: the run's own choice, table-wide codes up to
+// 32 Ki groups (half the rows), raw keys past. The 16- and 32-group cases are
+// the dashboard's shape, a DET key of a day's hours: small tables, many rows a
+// group.
 func BenchmarkRunGroupByBytes(b *testing.B) {
 	const rows = 1 << 16
 	for _, groups := range []int{16, 32, 1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14, 1 << 15, 1 << 16} {
@@ -650,7 +660,7 @@ func BenchmarkRunGroupByBytes(b *testing.B) {
 		for _, st := range []struct {
 			name     string
 			strategy groupStrategy
-		}{{"tables", groupTables}, {"buckets", groupBuckets}} {
+		}{{"tables", groupTables}, {"buckets", groupBuckets}, {"coded", groupAuto}} {
 			b.Run(fmt.Sprintf("groups=%d/%s", groups, st.name), func(b *testing.B) {
 				c := NewCluster(Config{Workers: 4})
 				ctx := context.Background()
@@ -845,7 +855,7 @@ func TestOpeFilterKernelTrits(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ts := cp.newTaskState(tbl.Parts[0])
+					ts := cp.newTaskState(tbl.Parts[0], nil)
 					b := batch{}
 					var want []int32
 					for i, r := range rows {

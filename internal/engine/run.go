@@ -148,9 +148,24 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 	if err != nil {
 		return nil, err
 	}
+	par := c.cfg.RealParallelism
+	if par <= 0 {
+		par = runtime.NumCPU()
+	}
+	parts := pl.Table.Parts
+	// The driver codes what the run reads through codes (codes.go) before
+	// the map stage, which fixes K for the run. A coded group-by never
+	// consults the last run's shape.
+	var codes *runCodes
+	if cp != nil {
+		if codes, err = cp.codeRun(parts, strategy == groupAuto, par); err != nil {
+			return nil, err
+		}
+	}
 	grouped := pl.GroupBy != nil
+	coded := codes != nil && codes.lanes != nil
 	routed := false
-	if grouped && cp != nil {
+	if grouped && cp != nil && !coded {
 		routed = strategy == groupBuckets || strategy == groupAuto && cp.hint.bucketed()
 	}
 	compileTime := time.Since(compileStart)
@@ -162,13 +177,8 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 	// still executing — the first chunk leaves as soon as partition 0
 	// finishes, not after the whole map stage.
 	mapStart := time.Now()
-	parts := pl.Table.Parts
 	results := make([]*mapResult, len(parts))
 	errs := make([]error, len(parts))
-	par := c.cfg.RealParallelism
-	if par <= 0 {
-		par = runtime.NumCPU()
-	}
 	mctx := ctx
 	var done []chan struct{}
 	var deliverErr error
@@ -237,8 +247,12 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if routed {
-				results[i], errs[i] = cp.mapTask(mctx, c, parts[i], true)
+			if cp != nil {
+				var tc *taskCodes
+				if codes != nil {
+					tc = &codes.parts[i]
+				}
+				results[i], errs[i] = cp.mapTask(mctx, c, parts[i], routed, tc)
 			} else {
 				results[i], errs[i] = runner.runMapTask(mctx, c, parts[i])
 			}
@@ -276,11 +290,18 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 	metrics.MapTaskTimes = durations
 	mapTime := time.Since(mapStart)
 
-	// Phase 3 — reduce (group-by only): one reducer per non-empty bucket.
+	// Phase 3 — reduce (group-by only): one reducer per non-empty bucket, or
+	// a coded group-by's one fold of its lane sets.
 	reduceStart := time.Now()
 	var reduceTime time.Duration
 	var mergers []*groupMerger
-	if grouped {
+	var lanes *groupAcc
+	if coded {
+		lanes = codes.lanes.fold()
+		reduceTime = time.Since(reduceStart)
+		metrics.ReduceTasks, metrics.ReduceTaskTimes = 1, []time.Duration{reduceTime}
+		metrics.ShuffleBytes += codes.lanes.bytes()
+	} else if grouped {
 		if mergers, err = c.reduceGroups(ctx, pl, cp, routed, results, &metrics); err != nil {
 			return nil, err
 		}
@@ -303,10 +324,19 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 	out := &Result{}
 	switch {
 	case grouped:
-		out.Cols = gatherGroups(mergers)
+		var byCode []int32
+		if coded {
+			var bytes int
+			out.Cols, byCode, bytes = gatherCoded(pl, lanes, codes.keys)
+			metrics.ResultBytes += bytes
+			metrics.Ops.GroupSlots += uint64(out.Cols.Len())
+			metrics.Ops.GroupTableLen = max(metrics.Ops.GroupTableLen, uint64(len(byCode)))
+		} else {
+			out.Cols = gatherGroups(mergers)
+		}
 		if out.Cols != nil && hasAshe(pl) {
 			var part IDPart
-			if part, err = groupSection(results, mergers, routed, out.Cols.Len(), codec); err != nil {
+			if part, err = groupSection(results, mergers, routed, byCode, out.Cols.Len(), codec); err != nil {
 				return nil, err
 			}
 			out.Cols.IDs = []IDPart{part}

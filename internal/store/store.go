@@ -162,9 +162,10 @@ type Partition struct {
 	// be absent until pinned and may be evicted while unpinned.
 	view *partView
 
-	// dicts holds the columns' dictionaries (dict.go), replaced under dictMu.
-	dictMu sync.Mutex
-	dicts  atomic.Pointer[[]*Dict]
+	// codes holds each column's codes under its codebook (codebook.go),
+	// replaced under codeMu.
+	codeMu sync.Mutex
+	codes  atomic.Pointer[[]*partCodes]
 }
 
 // NumRows returns the number of rows in the partition. For a view partition
@@ -208,6 +209,9 @@ type Table struct {
 	Name  string
 	Parts []*Partition
 	rows  uint64
+	// books is the lineage's codebooks (codebook.go): the tables grown from
+	// this one share them.
+	books atomic.Pointer[lineage]
 }
 
 // Build splits full-length columns into numParts contiguous partitions with
@@ -296,6 +300,7 @@ func (t *Table) WithAppended(other *Table) (*Table, error) {
 		return nil, err
 	}
 	grown := &Table{Name: t.Name, rows: t.rows + other.rows}
+	grown.books.Store(t.lineage())
 	grown.Parts = make([]*Partition, 0, len(t.Parts)+len(other.Parts))
 	grown.Parts = append(grown.Parts, t.Parts...)
 	grown.Parts = append(grown.Parts, other.Parts...)
@@ -367,7 +372,9 @@ func (t *Table) Envelope() (lo, hi uint64) {
 // snapshot never disturb the other, so a coordinator can hold a consistent
 // view of a table whose owner keeps growing it in place.
 func (t *Table) Snapshot() *Table {
-	return &Table{Name: t.Name, Parts: append([]*Partition(nil), t.Parts...), rows: t.rows}
+	s := &Table{Name: t.Name, Parts: append([]*Partition(nil), t.Parts...), rows: t.rows}
+	s.books.Store(t.lineage())
+	return s
 }
 
 // Covers reports whether every identifier in [lo, hi] is present in the

@@ -189,16 +189,32 @@ func TestExplainAnalyzeShardedEndToEnd(t *testing.T) {
 		t.Errorf("grouped run counted no grouped rows: %+v", res.Metrics.Ops)
 	}
 
-	// The same query over the encrypted table groups by DET ciphertexts: byte
-	// keys take the slot table like any other key, and the counters say so.
+	// The same query over the encrypted table groups by DET ciphertexts, which
+	// each daemon codes table-wide: every row's group is its code, in a lane
+	// per distinct key (31 of them), and the counters say so.
 	res, err = proxy.Query(context.Background(), "EXPLAIN ANALYZE SELECT d, SUM(m) FROM big GROUP BY d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text = res.ExplainText()
+	for _, want := range []string{"path=table-wide codes (K=31)\n", "rows grouped: dense=3000 hash=0"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("encrypted grouped EXPLAIN ANALYZE missing %q:\n%s", want, text)
+		}
+	}
+	if ops := res.Metrics.Ops; ops.GroupDense != 3000 || ops.GroupSlots != 3*31 || ops.GroupTableLen != 31 {
+		t.Errorf("coded rows missed the group counters: %+v", ops)
+	}
+
+	// Inflated, the same key takes the slot table: its rows hash.
+	res, err = proxy.Query(context.Background(), "EXPLAIN ANALYZE SELECT d, SUM(m) FROM big GROUP BY d", seabed.WithForceInflate(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	text = res.ExplainText()
 	for _, want := range []string{"path=open-addressed slot table (byte keys in a per-task arena), radix-partitioned ≥ 32768 slots\n", "rows grouped: dense=0 hash=3000"} {
 		if !strings.Contains(text, want) {
-			t.Errorf("encrypted grouped EXPLAIN ANALYZE missing %q:\n%s", want, text)
+			t.Errorf("inflated encrypted grouped EXPLAIN ANALYZE missing %q:\n%s", want, text)
 		}
 	}
 	if ops := res.Metrics.Ops; ops.GroupHash != 3000 || ops.GroupSlots == 0 || ops.GroupTableLen == 0 {
