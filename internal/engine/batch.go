@@ -74,11 +74,6 @@ func (cp *compiledPlan) newTaskState(part *store.Partition, tc *taskCodes) *task
 		ts.g.slots = make([]int32, batchRows)
 	default:
 		ts.g.init(cp, int(cp.hint.slots.Load()))
-		// A coded key resolves each code to its slot once (groupSlots), where
-		// its codes are no more than the partition's rows.
-		if tc != nil && tc.group != nil && tc.groupK <= part.NumRows() {
-			ts.g.slotOf = make([]int32, tc.groupK)
-		}
 	}
 	return ts
 }
@@ -335,9 +330,6 @@ type grouper struct {
 	inflateN  uint64
 	denseKeys uint64
 	dense     []int32
-	// slotOf maps a coded key's code to its slot+1 (0 = unseen): the codes
-	// are the task's (taskCodes.group).
-	slotOf []int32
 
 	// Per-batch scratch, sized to batchRows once: the resolved slot per
 	// survivor, and for the rows the dense index did not resolve their
@@ -410,25 +402,11 @@ func (g *grouper) suffix(rowID uint64) int32 {
 // permuted — the slot vector stays in selection order, so accumulation
 // (and with it the survivors' slot order and min/max tie-breaking) is identical
 // to the reference evaluator's row order. A Fixed key below the radix size
-// resolves in one pass (fixedKeys), or where coded once per code, as dense.
+// resolves in one pass (fixedKeys).
 func (ts *taskState) groupSlots(startID uint64) {
 	g := &ts.g
 	col := ts.pc.group
 	if col.Kind == store.Fixed && !g.radix(len(ts.b.sel)) {
-		if g.slotOf != nil {
-			codes := ts.codes.group
-			for k, i := range ts.b.sel {
-				s := g.slotOf[codes[i]]
-				if s == 0 {
-					v := col.BytesAt(int(i))
-					s = slotKeyed(&g.t, v, -1, hashKey(v, -1)) + 1
-					g.slotOf[codes[i]] = s
-				}
-				g.slots[k] = s - 1
-			}
-			ts.res.ops.GroupDense += uint64(len(ts.b.sel))
-			return
-		}
 		ts.res.ops.GroupHash += uint64(ts.fixedKeys(startID, true))
 		return
 	}

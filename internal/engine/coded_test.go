@@ -38,16 +38,16 @@ type codedBatch struct {
 
 // codedBatches grows one table: a base of four partitions, then appends. The
 // key codebook grows with the first append's 20 new keys; the third batch's
-// 2,048 fresh keys would take it past half the table's rows (60 + 2,048 >
-// 4,136 / 2), so that partition and every later one keep raw keys, while the
-// OPE column, with few values, stays coded throughout. (A table recovered
-// whole from that point on is a fresh lineage, whose first coding refuses
-// the key column outright.)
+// 2,048 fresh keys would take it past half the rows coded with it (60 +
+// 2,048 > (2,088 + 2,048) / 2), so that partition keeps raw keys, and the
+// fourth, with no new key, is coded again; the OPE column, with few values,
+// stays coded throughout. (A table recovered whole from the third batch on
+// is a fresh lineage, whose first coding refuses the key column outright.)
 var codedBatches = []codedBatch{
 	{4, 512, 0, 40, 30, true, true},
 	{1, 40, 40, 60, 36, false, true},
 	{1, 2048, 1000, 3048, 30, true, false},
-	{1, 40, 0, 60, 6, false, false},
+	{1, 40, 0, 60, 6, false, true},
 }
 
 // hostileOpe is the ciphertext of v with a code-3 trit at trit position p of
@@ -261,7 +261,7 @@ func assertAnswer(t *testing.T, name string, pl *Plan, vec, ref *Result) {
 func partsCoded(t *testing.T, tbl *store.Table, col string) []bool {
 	t.Helper()
 	i := tbl.Parts[0].ColIndex(col)
-	_, codes, err := tbl.Codebook(i).Code(tbl.Parts, i, int(tbl.NumRows()))
+	_, codes, err := tbl.Codebook(i).Code(tbl.Parts, i)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,8 +274,8 @@ func partsCoded(t *testing.T, tbl *store.Table, col string) []bool {
 
 // TestDifferentialCoded runs every coded case through the vectorized executor
 // and the reference evaluator over a table lineage as it grows by appends —
-// its key codebook growing, then full, so later partitions keep raw keys
-// beside coded ones — on heap partitions and on view partitions recovered
+// its key codebook growing, then leaving one partition raw beside coded
+// ones — on heap partitions and on view partitions recovered
 // from a segment, and each group-by in both raw strategies, pinned: every
 // answer must be the reference's. A lane-shaped group-by on a key every
 // partition codes takes the coded path, and one on a key with raw partitions,
@@ -320,8 +320,8 @@ func TestDifferentialCoded(t *testing.T) {
 		})
 	}
 
-	// The codebooks: the key column's codes every partition until the third
-	// batch filled it; the OPE column's every one; the unique column's none.
+	// The codebooks: the key column's codes every partition but the third
+	// batch's; the OPE column's every one; the unique column's none.
 	last := lineage[len(lineage)-1]
 	var wantK []bool
 	for _, b := range codedBatches {
@@ -449,7 +449,7 @@ func TestCodedAcrossEviction(t *testing.T) {
 		var now [][]*uint16
 		for _, col := range []string{"k", "o"} {
 			i := tbl.Parts[0].ColIndex(col)
-			_, codes, err := tbl.Codebook(i).Code(tbl.Parts, i, int(tbl.NumRows()))
+			_, codes, err := tbl.Codebook(i).Code(tbl.Parts, i)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,9 +9,10 @@ import (
 // This file holds a run's use of its table's codebooks (store.Codebook):
 // every 16-byte Fixed column a plan filters, groups or joins on is coded
 // table-wide, its distinct values numbered in first-sight order. Before its
-// map stage a run codes every partition it reads that is not coded yet, or
-// finds it coded; the codebook's size K is then fixed for the run, so no task
-// sees a code the run does not know.
+// map stage a run codes every partition of its table that is not coded yet —
+// all of them, not only those in its range, so a codebook's first coding
+// judges a whole table — or finds it coded; the codebook's size K is then
+// fixed for the run, so no task sees a code the run does not know.
 //
 // With codes, a predicate is a pass table over the K codes and a join probe
 // an array read (rightOf). A group-by on a coded key — a left-side key of a
@@ -20,9 +21,9 @@ import (
 // lanes taken from a pool of one lane set per concurrently running task, the
 // reduce adds the few sets, and the driver writes the groups any row reached
 // straight into the result's columns, in code order. No key is hashed, no row
-// is routed and no reducer builds a table. Other group-bys keep their raw
-// paths (group.go), where a coded partition still resolves each code to its
-// slot once (grouper.slotOf).
+// is routed and no reducer builds a table. Every other group-by — a
+// non-lane aggregate, inflation, a right-side key, or a key whose codebook
+// left a partition the run reads raw — takes the raw slot table (group.go).
 
 // runCodes is what the driver prepares of the codebooks for one run: each
 // partition's share, and for a coded group-by its lanes and key values.
@@ -37,10 +38,9 @@ type runCodes struct {
 type taskCodes struct {
 	filters [][]uint16 // per filter, the partition's codes where a pass table applies
 	pass    [][]uint8  // per filter, the pass table over the K codes
-	group   []uint16   // the group key's codes
-	groupK  int
-	join    []uint16 // the join's left key codes
-	rightOf []int32  // per code, its right row; −1 when none
+	group   []uint16   // the group key's codes, on the coded group-by path
+	join    []uint16   // the join's left key codes
+	rightOf []int32    // per code, its right row; −1 when none
 	lanes   *lanePool
 }
 
@@ -72,15 +72,15 @@ func perCode[T any](c *atomic.Pointer[[]T], vals []byte, f func(v []byte) T) []T
 	return out
 }
 
-// codeRun codes the columns the run reads through codes, over the partitions
-// it reads, and returns each partition's share; nil when the plan codes
+// codeRun codes the columns the run reads through codes, over the table's
+// partitions, and returns each partition's share; nil when the plan codes
 // nothing. auto is whether the group-by may take the coded path, which a
-// pinned strategy forbids. par is the run's task parallelism, which sizes the
-// lane pool.
+// pinned strategy forbids; only that path reads the group key's codes. par
+// is the run's task parallelism, which sizes the lane pool.
 func (cp *compiledPlan) codeRun(parts []*store.Partition, auto bool, par int) (*runCodes, error) {
 	pl := cp.pl
 	groupCol := -1
-	if auto && cp.groupCodable {
+	if auto && cp.laneGroup {
 		groupCol = cp.groupCol.idx
 	}
 	joinCol := -1
@@ -95,14 +95,12 @@ func (cp *compiledPlan) codeRun(parts []*store.Partition, auto bool, par int) (*
 		return nil, nil
 	}
 	// The partitions the run reads: those with rows in its range.
-	var read []*store.Partition
-	var at []int
+	var read []int
 	for i, p := range parts {
 		if i0, i1 := rangeBounds(p, pl.Range); i1 >= i0 {
-			read, at = append(read, p), append(at, i)
+			read = append(read, i)
 		}
 	}
-	rows := int(pl.Table.NumRows())
 	type coded struct {
 		vals  []byte
 		codes [][]uint16 // by partition of the table
@@ -114,14 +112,11 @@ func (cp *compiledPlan) codeRun(parts []*store.Partition, auto bool, par int) (*
 		}
 		var c coded
 		if book := pl.Table.Codebook(col); book != nil && len(read) > 0 {
-			vals, codes, err := book.Code(read, col, rows)
+			vals, codes, err := book.Code(parts, col)
 			if err != nil {
 				return c, err
 			}
-			c = coded{vals: vals, codes: make([][]uint16, len(parts))}
-			for k, i := range at {
-				c.codes[i] = codes[k]
-			}
+			c = coded{vals: vals, codes: codes}
 		}
 		byCol[col] = c
 		return c, nil
@@ -173,21 +168,15 @@ func (cp *compiledPlan) codeRun(parts []*store.Partition, auto bool, par int) (*
 		if err != nil {
 			return nil, err
 		}
-		if c.codes != nil {
-			k := len(c.vals) / 16
+		all := c.codes != nil
+		for _, i := range read {
+			all = all && c.codes[i] != nil
+		}
+		if all {
+			rc.keys = c.vals
+			rc.lanes = newLanePool(pl.Aggs, len(c.vals)/16, min(par, len(read)))
 			for i := range rc.parts {
-				rc.parts[i].group, rc.parts[i].groupK = c.codes[i], k
-			}
-			all := true
-			for _, i := range at {
-				all = all && c.codes[i] != nil
-			}
-			if all && cp.laneGroup {
-				rc.keys = c.vals
-				rc.lanes = newLanePool(pl.Aggs, k, min(par, len(read)))
-				for i := range rc.parts {
-					rc.parts[i].lanes = rc.lanes
-				}
+				rc.parts[i].group, rc.parts[i].lanes = c.codes[i], rc.lanes
 			}
 		}
 	}

@@ -61,13 +61,12 @@ type compiledPlan struct {
 	// codeVal holds, per filter, its predicate on one value, where a map task
 	// may run it as a pass table over a coded column (codes.go); nil elsewhere.
 	codeVal []func(v []byte) bool
-	// groupCodable is set when the group key may be coded: a left-side 16-byte
-	// Fixed key of a join-free plan, without inflation; laneGroup when, with
-	// every aggregate a lane, a coded key takes the coded path (codes.go).
-	groupCodable, laneGroup bool
-	codes                   codeCaches
-	aggs                    []aggKernel
-	hint                    groupHint
+	// laneGroup is set when a coded group key takes the coded path
+	// (codes.go, Plan.CodedGroupBy).
+	laneGroup bool
+	codes     codeCaches
+	aggs      []aggKernel
+	hint      groupHint
 	// ashe is set when an aggregate is an ASHE sum: map tasks then keep their
 	// survivors' identifiers, and a group-by's each survivor's slot or bucket,
 	// for the result's identifier section (ids.go).
@@ -96,8 +95,12 @@ type groupHint struct {
 // Xeon), bucketed over per-task time was, as median [quartiles]: 1.39
 // [1.29, 1.48] at 32 rows per group per task, 1.27 at 16, 1.15–1.19 at 8 and
 // 7, 1.11–1.14 at 6, 1.03–1.06 at 5, 0.91–1.01 at 4, 0.76 at 2, 0.59 at 1
-// and 0.60 at 0.5. They cross between 4 and 5.
-const bucketRowsPerGroupTask = 5.0
+// and 0.60 at 0.5. They cross between 4 and 5, below where an earlier sweep
+// on alternating binaries placed them (near 8). The rule stays at 8 until a
+// workload groups a raw key between the two and can show the move end to
+// end: no benchmark workload does, and from 5 to 7 the buckets it picks are
+// 3–19 % slower than per-task tables there.
+const bucketRowsPerGroupTask = 8.0
 
 // bucketed applies the rule to the plan's last run. A plan's first run has no
 // measure and keeps per-task tables; either strategy records the next one.
@@ -191,7 +194,7 @@ func (pl *Plan) compile(seed uint64) (*compiledPlan, error) {
 			return nil, err
 		}
 		cp.groupCol = ref
-		cp.groupCodable, cp.laneGroup = pl.codableGroup(), pl.CodedGroupBy()
+		cp.laneGroup = pl.CodedGroupBy()
 	}
 	for _, name := range pl.Project {
 		ref, err := resolve(name)

@@ -2,7 +2,7 @@ package store
 
 import (
 	"encoding/binary"
-	"math/rand/v2"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
@@ -27,14 +27,15 @@ import (
 const codeWidth = 16
 
 // codeMaxProbe bounds one value's probe run in a codebook's table, at most a
-// quarter full: honest ciphertexts never reach it, and values crafted to
-// collide abandon the coding instead of making it quadratic. The table's
-// seed is random per codebook, so an upload cannot aim at it either.
+// quarter full: honest ciphertexts never reach it, and values that collide
+// anyway leave their partition raw instead of making its coding quadratic.
+// The table hashes each value whole with Go's map hash (hash/maphash) under a
+// seed drawn per codebook, so an upload cannot know which values collide.
 const codeMaxProbe = 32
 
-// codeLimit is the most distinct values a codebook of a table of rows rows
-// holds: half its rows, so a column with a value per row is never coded, and
-// what 2-byte codes can name.
+// codeLimit is the most distinct values a codebook holds once it has coded
+// rows rows: half of them, so a column with a value per row is never coded,
+// and what 2-byte codes can name.
 func codeLimit(rows int) int { return min(rows/2, 1<<16-1) }
 
 // codings counts partition codings attempted, coded or not: a test hook.
@@ -46,19 +47,18 @@ var codings atomic.Uint64
 // into.
 type Codebook struct {
 	mu    sync.Mutex
-	seed  uint64
+	seed  maphash.Seed
 	vals  []byte  // 16 bytes a value; past the published length only under mu
 	table []int32 // code+1 at the high bits of the value's hash; 0 is empty
 	shift uint
-	coded int // partitions coded
-	// full stops coding: a partition would have pushed the codebook past its
-	// limit, so it and every partition after it stay raw — on the first
-	// coding, every partition of the column.
-	full bool
-	pub  atomic.Pointer[[]byte]
+	rows  int // rows of the partitions coded
+	// refused is set when the codebook's first coding crossed the limit: the
+	// column holds more than one value per two rows and is never coded.
+	refused bool
+	pub     atomic.Pointer[[]byte]
 }
 
-func newCodebook(seed uint64) *Codebook {
+func newCodebook(seed maphash.Seed) *Codebook {
 	b := &Codebook{seed: seed, table: make([]int32, 64), shift: 64 - 6}
 	b.pub.Store(new([]byte))
 	return b
@@ -124,7 +124,7 @@ func (t *Table) Codebook(col int) *Codebook {
 		l.books = append(l.books, make([]*Codebook, len(t.Parts[0].Cols)-len(l.books))...)
 	}
 	if l.books[col] == nil {
-		l.books[col] = newCodebook(rand.Uint64())
+		l.books[col] = newCodebook(maphash.MakeSeed())
 	}
 	return l.books[col]
 }
@@ -132,21 +132,35 @@ func (t *Table) Codebook(col int) *Codebook {
 // Code makes sure every partition of parts has column col coded under the
 // codebook, or marked raw under it, and returns the codebook's values — K
 // codes' worth, covering every code returned — with each partition's codes,
-// nil where it is raw. rows is the table's row count, which sets the limit.
-// A partition already seen is read without the lock; the others are coded in
-// order under it, each pinned for its one pass. A coding that would pass the
-// limit, or a probe run past codeMaxProbe, leaves that partition and every
-// later one raw; on the codebook's first coding it refuses the column
-// whole. The values and codes returned are read-only.
-func (b *Codebook) Code(parts []*Partition, col, rows int) (vals []byte, codes [][]uint16, err error) {
+// nil where it is raw. A partition already seen is read without the lock; the
+// others are coded in order under it, each pinned for its one pass.
+//
+// The limit is a property of the lineage's partitions, not of the table that
+// asks: codeLimit of the rows coded so far with the partition's own. A
+// partition whose new values would pass it stays raw, as does one with a
+// probe run past codeMaxProbe; later partitions are still tried, each once.
+// Partitions are coded in lineage order (an older table's are a prefix of a
+// newer one's), so which stay raw does not depend on which table asks. The
+// codebook's first coding is judged whole, against the rows of every
+// partition it codes: parts is a whole table (the engine codes every
+// partition of its table, not only its run's range), so one that passes the
+// limit is a table holding more than one value per two rows, and the column
+// is refused whole, for good. The values and codes returned are read-only.
+func (b *Codebook) Code(parts []*Partition, col int) (vals []byte, codes [][]uint16, err error) {
 	codes = make([][]uint16, len(parts))
 	if b.seen(parts, col, codes) {
 		return *b.pub.Load(), codes, nil
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	fresh := b.coded == 0 && !b.full
-	limit := codeLimit(rows)
+	fresh := b.rows == 0 && !b.refused
+	pending := 0
+	for _, p := range parts {
+		if pc := p.codesOf(col); pc == nil || pc.book != b {
+			pending += p.NumRows()
+		}
+	}
+	rows := b.rows
 	type coding struct {
 		p     *Partition
 		codes []uint16
@@ -158,22 +172,27 @@ func (b *Codebook) Code(parts []*Partition, col, rows int) (vals []byte, codes [
 			continue
 		}
 		var c []uint16
-		if !b.full {
+		if !b.refused {
 			release, err := p.Pin([]int{col})
 			if err != nil {
 				return nil, nil, err
 			}
-			c, _ = b.codeColumn(p.Cols[col].Fixed, limit)
+			limit := codeLimit(rows + p.NumRows())
+			if fresh {
+				limit = codeLimit(pending)
+			}
+			var over bool
+			c, _, over = b.codeColumn(p.Cols[col].Fixed, limit)
 			release()
-			if c == nil {
-				b.full = true
-				if fresh {
-					b.refuse()
-					for j := range done {
-						done[j].codes = nil
-					}
-					clear(codes)
+			if c != nil {
+				rows += len(c)
+			}
+			if over && fresh {
+				b.refuse()
+				for j := range done {
+					done[j].codes = nil
 				}
+				clear(codes)
 			}
 		}
 		done = append(done, coding{p, c})
@@ -183,10 +202,10 @@ func (b *Codebook) Code(parts []*Partition, col, rows int) (vals []byte, codes [
 	// values for every one of them.
 	vals = b.vals
 	b.pub.Store(&vals)
+	if !b.refused {
+		b.rows = rows
+	}
 	for _, d := range done {
-		if d.codes != nil {
-			b.coded++
-		}
 		d.p.setCodes(col, &partCodes{book: b, codes: d.codes})
 	}
 	return vals, codes, nil
@@ -205,14 +224,14 @@ func (b *Codebook) seen(parts []*Partition, col int, codes [][]uint16) bool {
 	return true
 }
 
-// refuse empties a codebook whose first coding failed, for good.
-func (b *Codebook) refuse() { b.vals, b.table = nil, nil }
+// refuse empties a codebook whose first coding passed the limit, for good.
+func (b *Codebook) refuse() { b.vals, b.table, b.refused = nil, nil, true }
 
 // codeColumn codes a column of 16-byte values, adding the values it has not
-// seen, or returns nil, adding none, when the codebook would pass limit or a
-// probe run passes codeMaxProbe. probes counts the table entries it read.
-// The caller holds mu.
-func (b *Codebook) codeColumn(buf []byte, limit int) (codes []uint16, probes int) {
+// seen, or returns nil, adding none, when the codebook would pass limit
+// (over) or a probe run passes codeMaxProbe. probes counts the table entries
+// it read. The caller holds mu.
+func (b *Codebook) codeColumn(buf []byte, limit int) (codes []uint16, probes int, over bool) {
 	codings.Add(1)
 	k0 := len(b.vals) / codeWidth
 	codes = make([]uint16, len(buf)/codeWidth)
@@ -220,7 +239,7 @@ func (b *Codebook) codeColumn(buf []byte, limit int) (codes []uint16, probes int
 		v := buf[i*codeWidth : (i+1)*codeWidth : (i+1)*codeWidth]
 		a, w := binary.LittleEndian.Uint64(v), binary.LittleEndian.Uint64(v[8:])
 		mask := uint64(len(b.table) - 1)
-		idx := codeHash(a^b.seed, w) >> b.shift
+		idx := maphash.Bytes(b.seed, v) >> b.shift
 		for run := 0; ; run++ {
 			probes++
 			e := b.table[idx]
@@ -228,7 +247,7 @@ func (b *Codebook) codeColumn(buf []byte, limit int) (codes []uint16, probes int
 				k := len(b.vals) / codeWidth
 				if k >= limit {
 					b.rollback(k0)
-					return nil, probes
+					return nil, probes, true
 				}
 				b.vals = append(b.vals, v...)
 				b.table[idx] = int32(k + 1)
@@ -244,12 +263,12 @@ func (b *Codebook) codeColumn(buf []byte, limit int) (codes []uint16, probes int
 			}
 			if run == codeMaxProbe {
 				b.rollback(k0)
-				return nil, probes
+				return nil, probes, false
 			}
 			idx = (idx + 1) & mask
 		}
 	}
-	return codes, probes
+	return codes, probes, false
 }
 
 // rollback drops the values from code k0 on, which no reader has been
@@ -270,17 +289,10 @@ func (b *Codebook) grow() {
 	b.shift--
 	mask := uint64(len(b.table) - 1)
 	for k := range len(b.vals) / codeWidth {
-		x := b.vals[k*codeWidth:]
-		idx := codeHash(binary.LittleEndian.Uint64(x)^b.seed, binary.LittleEndian.Uint64(x[8:])) >> b.shift
+		idx := maphash.Bytes(b.seed, b.vals[k*codeWidth:(k+1)*codeWidth]) >> b.shift
 		for b.table[idx] != 0 {
 			idx = (idx + 1) & mask
 		}
 		b.table[idx] = int32(k + 1)
 	}
-}
-
-// codeHash mixes a value's two words; the table indexes by its high bits.
-func codeHash(a, b uint64) uint64 {
-	h := (a ^ b*0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
-	return (h ^ h>>31) * 0x94d049bb133111eb
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"sync"
 	"testing"
@@ -39,7 +40,7 @@ func codedTableOf(t testing.TB, buf []byte, parts int, start uint64) *Table {
 // codeAll codes column 0 of every partition of tbl.
 func codeAll(t testing.TB, tbl *Table) ([]byte, [][]uint16) {
 	t.Helper()
-	vals, codes, err := tbl.Codebook(0).Code(tbl.Parts, 0, int(tbl.NumRows()))
+	vals, codes, err := tbl.Codebook(0).Code(tbl.Parts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,32 +114,42 @@ func TestCodebookCodes(t *testing.T) {
 	}
 }
 
-// TestCodebookHostileCollisions: values crafted to share the codebook
-// table's index abandon the coding once one value's probe run passes
-// codeMaxProbe — the probes counted are those of the run up to it, however
-// many rows follow, not a number that grows with the rows squared — and the
-// codebook holds none of them afterwards.
-func TestCodebookHostileCollisions(t *testing.T) {
-	const rows = 1 << 12
-	// Distinct values whose hash, under a known seed, has the same high 16
-	// bits — the same table index at every size the test reaches — more of
-	// them than a probe run may pass, then the same again to the end.
-	const seed = 0
-	rng := rand.New(rand.NewSource(51))
+// collidingValues returns n distinct 16-byte values whose hash under seed
+// has the same high 16 bits: the same table index at every size a codebook
+// of fewer than 16 Ki values reaches.
+func collidingValues(rng *rand.Rand, seed maphash.Seed, n int) []byte {
 	var buf []byte
-	for len(buf) < 16*(codeMaxProbe+8) {
-		a, b := rng.Uint64(), rng.Uint64()
-		if codeHash(a^seed, b)>>48 == 0 {
-			buf = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(buf, a), b)
+	v := make([]byte, 16)
+	for len(buf) < 16*n {
+		rng.Read(v)
+		if maphash.Bytes(seed, v)>>48 == 0 {
+			buf = append(buf, v...)
 		}
 	}
+	return buf
+}
+
+// TestCodebookHostileCollisions: values that share the codebook table's
+// index under its seed abandon the coding once one value's probe run passes
+// codeMaxProbe — the probes counted are those of the run up to it, however
+// many rows follow, not a number that grows with the rows squared — and the
+// codebook holds none of them afterwards. Only that partition stays raw: the
+// codebook goes on coding the next. The same values under another seed, as
+// every other codebook draws, code in a probe or few: an upload cannot
+// collide a codebook without its seed, which hashes both words of a value.
+func TestCodebookHostileCollisions(t *testing.T) {
+	const rows = 1 << 12
+	rng := rand.New(rand.NewSource(51))
+	seed := maphash.MakeSeed()
+	colliding := collidingValues(rng, seed, codeMaxProbe+8)
+	buf := colliding
 	for len(buf) < 16*rows {
 		buf = append(buf, buf[:min(len(buf), 16*rows-len(buf))]...)
 	}
 	book := newCodebook(seed)
-	codes, probes := book.codeColumn(buf, codeLimit(rows))
-	if codes != nil || len(book.vals) != 0 {
-		t.Fatal("colliding values were coded")
+	codes, probes, over := book.codeColumn(buf, codeLimit(rows))
+	if codes != nil || over || len(book.vals) != 0 {
+		t.Fatalf("colliding values: coded %v, over the limit %v, %d values kept", codes != nil, over, len(book.vals)/16)
 	}
 	// Value k (from 0) reads k+1 entries up to k = codeMaxProbe; the next one
 	// reads codeMaxProbe+1 occupied entries and the coding gives up.
@@ -151,9 +162,44 @@ func TestCodebookHostileCollisions(t *testing.T) {
 		}
 	}
 
+	// Through Code: the colliding partition stays raw, the honest ones before
+	// and after it code, and the codebook is not refused.
+	honest := codeColumnOf(rng, 2*rows, 100)
+	mixed := append(append(append([]byte(nil), honest[:16*rows]...), buf...), honest[16*rows:]...)
+	tbl := codedTableOf(t, mixed, 3, 1)
+	book = newCodebook(seed)
+	vals, got, err := book.Code(tbl.Parts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] == nil || got[1] != nil || got[2] == nil || book.refused {
+		t.Fatalf("coded %v, refused %v; want only the colliding partition raw", []bool{got[0] != nil, got[1] != nil, got[2] != nil}, book.refused)
+	}
+	checkCodes(t, &Table{Parts: []*Partition{tbl.Parts[0], tbl.Parts[2]}}, vals, [][]uint16{got[0], got[2]})
+
+	// Under another seed the same values code, each in a probe or few.
+	book = newCodebook(maphash.MakeSeed())
+	codes, probes, _ = book.codeColumn(buf, codeLimit(rows))
+	if codes == nil || probes > 2*rows {
+		t.Errorf("values colliding under one seed, under another: coded %v after %d probes", codes != nil, probes)
+	}
+
+	// Values whose words cancel in a hash that mixes the seed into one word
+	// only — a = X ^ w·0x9e3779b97f4a7c15 collides under every such seed —
+	// code too.
+	var cancel []byte
+	for range codeMaxProbe + 8 {
+		w := rng.Uint64()
+		cancel = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(cancel, 0x5eab^w*0x9e3779b97f4a7c15), w)
+	}
+	book = newCodebook(maphash.MakeSeed())
+	if codes, probes, _ = book.codeColumn(cancel, codeLimit(rows)); codes == nil || probes > 4*(codeMaxProbe+8) {
+		t.Errorf("values cancelling word against word: coded %v after %d probes", codes != nil, probes)
+	}
+
 	// The same number of honest distinct values codes, each in a probe or few.
 	book = newCodebook(seed)
-	codes, probes = book.codeColumn(codeColumnOf(rng, rows, codeLimit(rows)), codeLimit(rows))
+	codes, probes, _ = book.codeColumn(codeColumnOf(rng, rows, codeLimit(rows)), codeLimit(rows))
 	if codes == nil || probes > 2*rows {
 		t.Errorf("honest values at the limit: coded %v after %d probes", codes != nil, probes)
 	}
@@ -234,7 +280,7 @@ func TestCodebookConcurrentFirstUse(t *testing.T) {
 			defer wg.Done()
 			for k := range cols {
 				c := (k + g) % cols
-				_, codes, err := tbl.Codebook(c).Code(tbl.Parts, c, rows)
+				_, codes, err := tbl.Codebook(c).Code(tbl.Parts, c)
 				if err != nil {
 					t.Error(err)
 					return
@@ -317,28 +363,54 @@ func TestCodebookAppends(t *testing.T) {
 }
 
 // TestCodebookLimit: an appended partition that would take the codebook
-// past half the table's rows stays raw, and so does every later one; the
-// partitions coded before keep their codes.
+// past half the rows coded with it stays raw, the partitions coded before
+// keep their codes, and a later append that fits is coded. The outcome is
+// the lineage's: coding through the older, smaller table first, or only
+// through the newest, leaves the same partitions raw.
 func TestCodebookLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
-	base := codedTableOf(t, codeColumnOf(rng, 1000, 50), 2, 1)
-	wide := codedTableOf(t, codeColumnOf(rng, 1200, 1200), 1, 1001) // 50 + 1,200 > 2,200 / 2
-	narrow := codedTableOf(t, codeColumnOf(rng, 100, 2), 1, 2201)
-	codeAll(t, base)
-	grown, err := base.WithAppended(wide)
+	baseBuf := codeColumnOf(rng, 1000, 50)
+	wideBuf := codeColumnOf(rng, 1200, 1200) // 50 + 1,200 > (1,000 + 1,200) / 2
+	narrowBuf := codeColumnOf(rng, 100, 2)   // 50 + 2 ≤ (1,000 + 100) / 2
+	lineage := func() (base, grown, newest *Table) {
+		base = codedTableOf(t, baseBuf, 2, 1)
+		grown, err := base.WithAppended(codedTableOf(t, wideBuf, 1, 1001))
+		if err != nil {
+			t.Fatal(err)
+		}
+		newest, err = grown.WithAppended(codedTableOf(t, narrowBuf, 1, 2201))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return base, grown, newest
+	}
+	for _, older := range []bool{true, false} {
+		base, grown, newest := lineage()
+		codeAll(t, base)
+		if older {
+			if _, codes := codeAll(t, grown); codes[0] == nil || codes[1] == nil || codes[2] != nil {
+				t.Fatalf("past the limit: coded %v", []bool{codes[0] != nil, codes[1] != nil, codes[2] != nil})
+			}
+		}
+		vals, codes := codeAll(t, newest)
+		if len(vals) != 16*52 || codes[0] == nil || codes[1] == nil || codes[2] != nil || codes[3] == nil {
+			t.Errorf("older table first %v: %d values, coded %v", older, len(vals)/16,
+				[]bool{codes[0] != nil, codes[1] != nil, codes[2] != nil, codes[3] != nil})
+		}
+	}
+
+	// A first coding past the limit refuses the column whole: later appends
+	// that would fit stay raw too.
+	wide := codedTableOf(t, wideBuf, 2, 1)
+	if vals, codes := codeAll(t, wide); len(vals) != 0 || codes[0] != nil || codes[1] != nil {
+		t.Fatalf("a value per row coded: %d values", len(vals)/16)
+	}
+	grown, err := wide.WithAppended(codedTableOf(t, narrowBuf, 1, 1201))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, codes := codeAll(t, grown)
-	if codes[0] == nil || codes[1] == nil || codes[2] != nil {
-		t.Fatalf("past the limit: coded %v", []bool{codes[0] != nil, codes[1] != nil, codes[2] != nil})
-	}
-	if grown, err = grown.WithAppended(narrow); err != nil {
-		t.Fatal(err)
-	}
-	vals, codes := codeAll(t, grown)
-	if len(vals) != 16*50 || codes[0] == nil || codes[3] != nil {
-		t.Errorf("after a full codebook: %d values, the next append coded %v", len(vals)/16, codes[3] != nil)
+	if _, codes := codeAll(t, grown); codes[2] != nil || !grown.Codebook(0).refused {
+		t.Error("an append to a refused column was coded")
 	}
 }
 
