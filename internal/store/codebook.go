@@ -140,8 +140,8 @@ func (t *Table) Codebook(col int) *Codebook {
 // partition whose new values would pass it stays raw, as does one with a
 // probe run past codeMaxProbe; later partitions are still tried, each once.
 // Partitions are coded in lineage order (an older table's are a prefix of a
-// newer one's), so which stay raw does not depend on which table asks. The
-// codebook's first coding is judged whole, against the rows of every
+// newer one's), so past the first coding which stay raw does not depend on
+// which table asks. The codebook's first coding is judged whole, against the rows of every
 // partition it codes: parts is a whole table (the engine codes every
 // partition of its table, not only its run's range), so one that passes the
 // limit is a table holding more than one value per two rows, and the column
