@@ -362,7 +362,7 @@ func TestCodedRunsRaceAppends(t *testing.T) {
 	cases := codedCases(&sk.PublicKey)
 	tables := make(chan *store.Table, len(batches)+1)
 	tables <- base
-	var wg sync.WaitGroup
+	var wg, stale sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -376,7 +376,13 @@ func TestCodedRunsRaceAppends(t *testing.T) {
 			}
 			// A run on the older table codes its partitions as the grown one
 			// codes the new one.
-			go c.Run(ctx, &Plan{Table: cur, GroupBy: &GroupBy{Col: "k"}, Aggs: []Agg{{Kind: AggCount}}})
+			stale.Add(1)
+			go func(cur *store.Table) {
+				defer stale.Done()
+				if _, err := c.Run(ctx, &Plan{Table: cur, GroupBy: &GroupBy{Col: "k"}, Aggs: []Agg{{Kind: AggCount}}}); err != nil {
+					t.Error(err)
+				}
+			}(cur)
 			tables <- grown
 			cur = grown
 		}
@@ -410,6 +416,7 @@ func TestCodedRunsRaceAppends(t *testing.T) {
 		runs.Wait()
 	}
 	wg.Wait()
+	stale.Wait()
 }
 
 // TestCodedAcrossEviction serves the fixture's base as view partitions under
