@@ -109,9 +109,7 @@ type modelled struct {
 // run's driver then really encoded, as one list and, for a group-by, its runs
 // (ResultListBytes), so the model swaps one for the other. It leaves out the
 // codec's fixed cost per list (a Deflate header per task, about 20 bytes).
-// A bucketed group-by's map output holds rows beside those identifiers: it
-// models as the buckets plus the section. Metrics that carry no list sizes (a
-// remote run's) model as reported.
+// Metrics that carry no list sizes (a remote run's) model as reported.
 func workerShuffleBytes(m *engine.Metrics) int {
 	return m.ShuffleBytes - m.ShuffleListBytes + m.ResultListBytes
 }

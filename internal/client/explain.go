@@ -124,10 +124,8 @@ func (p *Proxy) renderExplain(stmt *sqlparse.Statement, tr *translate.Translatio
 		}
 		if m != nil {
 			total := m.Ops.GroupDense + m.Ops.GroupHash
-			// Rows a bucketed run routed to its reducers by key hash: counted
-			// where the run executed, so a daemon reports its own in /stats.
-			attr("rows grouped: dense=%d hash=%d (of %d), radix_batches=%d, bucketed=%d (in-process runs; a daemon's in its /stats)",
-				m.Ops.GroupDense, m.Ops.GroupHash, total, m.Ops.RadixBatches, m.Ops.GroupRouted)
+			attr("rows grouped: dense=%d hash=%d (of %d), radix_batches=%d",
+				m.Ops.GroupDense, m.Ops.GroupHash, total, m.Ops.RadixBatches)
 			attr("group_slots=%d table_len=%d (max across tasks)",
 				m.Ops.GroupSlots, m.Ops.GroupTableLen)
 		}

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"encoding/binary"
-	"math"
 	"slices"
 	"time"
 
@@ -45,20 +44,18 @@ type taskState struct {
 	// taken from the run's pool for the task's duration.
 	codes *taskCodes
 	lanes *groupAcc
-
-	// A bucketed group-by's map task appends each survivor to route[b], the
-	// bucket of reducer b, instead of grouping it; a reducer grouping its
-	// bucket reads each batch's key hashes from carried instead of hashing
-	// them again (groupBucket).
-	route   []rowBucket
-	carried []uint64
 }
 
 // newTaskState binds the compiled plan to a partition, with what it reads of
 // its run's codes (nil for none), and sizes the workspace the plan's shape
 // needs.
 func (cp *compiledPlan) newTaskState(part *store.Partition, tc *taskCodes) *taskState {
-	ts := cp.bindTask(part, tc)
+	ts := &taskState{cp: cp, part: part, res: &mapResult{}, codes: tc}
+	cp.bindPart(part, &ts.pc, tc)
+	ts.selBuf = make([]int32, batchRows)
+	if cp.pl.Join != nil {
+		ts.joinBuf = make([]int32, 0, batchRows)
+	}
 	pl := cp.pl
 	switch {
 	case len(pl.Project) > 0:
@@ -73,47 +70,7 @@ func (cp *compiledPlan) newTaskState(part *store.Partition, tc *taskCodes) *task
 		// A coded group-by: a row's slot is its code, in the pool's lanes.
 		ts.g.slots = make([]int32, batchRows)
 	default:
-		ts.g.init(cp, int(cp.hint.slots.Load()))
-	}
-	return ts
-}
-
-// bindTask starts a map task's state: the plan bound to the partition, and the
-// batch's selection and join vectors.
-func (cp *compiledPlan) bindTask(part *store.Partition, tc *taskCodes) *taskState {
-	ts := &taskState{cp: cp, part: part, res: &mapResult{}, codes: tc}
-	cp.bindPart(part, &ts.pc, tc)
-	ts.selBuf = make([]int32, batchRows)
-	if cp.pl.Join != nil {
-		ts.joinBuf = make([]int32, 0, batchRows)
-	}
-	return ts
-}
-
-// newRouteState binds the compiled plan to a partition for a bucketed
-// group-by's map task: the batch buffers, the key hashing, and one row bucket
-// per reducer, each sized for its share of the task's rows. The buckets share
-// one block per vector; a bucket that outgrows its share moves out on its own.
-func (cp *compiledPlan) newRouteState(part *store.Partition, tc *taskCodes, buckets, rows int) *taskState {
-	ts := cp.bindTask(part, tc)
-	ts.g.initKeys(cp)
-	// A share is binomial: its mean and four deviations hold it but for
-	// about one bucket in thirty thousand.
-	mean := float64(max(rows, 0)) / float64(buckets)
-	per := int(mean + 4*math.Sqrt(mean) + 1)
-	rowIdx, hash := make([]int32, buckets*per), make([]uint64, buckets*per)
-	var join []int32
-	if cp.pl.Join != nil {
-		join = make([]int32, buckets*per)
-	}
-	ts.route = make([]rowBucket, buckets)
-	for b := range ts.route {
-		lo, hi := b*per, (b+1)*per
-		bk := &ts.route[b]
-		bk.rows, bk.hash = rowIdx[lo:lo:hi], hash[lo:lo:hi]
-		if join != nil {
-			bk.join = join[lo:lo:hi]
-		}
+		ts.g.init(cp)
 	}
 	return ts
 }
@@ -190,8 +147,6 @@ func (ts *taskState) execute(ctx context.Context, i0, i1 int) error {
 			for ai := range cp.aggs {
 				cp.aggs[ai].bulk(&ts.pc, acc, &ts.b, startID)
 			}
-		case ts.route != nil:
-			ts.routeRows(startID)
 		case ts.lanes != nil:
 			slots, codes := ts.g.slots[:survivors], ts.codes.group
 			for k, i := range ts.b.sel {
@@ -345,13 +300,19 @@ type grouper struct {
 // init sizes the slot machinery: for u64 keys the dense index spans
 // min(KeyBound | default, cap/inflate) keys times the suffix domain; the
 // per-batch scratch is allocated once, so the steady-state batch loop
-// allocates nothing; and the table is sized for expect slots — what the plan's
-// last run held in a map task's table, or in a reducer's for a reducer — at
-// half load (1 Ki entries at least), the keys, hashes, accumulators and
-// identifier-list slots for those and a quarter more, so that a slightly
-// larger partition or bucket fits too.
-func (g *grouper) init(cp *compiledPlan, expect int) {
-	g.initKeys(cp)
+// allocates nothing; and the table is sized for the slots the plan's last run
+// held in a map task's table (groupHint.slots) at half load (1 Ki entries at
+// least), the keys, hashes, accumulators and identifier-list slots for those
+// and a quarter more, so that a slightly larger partition fits too.
+func (g *grouper) init(cp *compiledPlan) {
+	expect := int(cp.hint.slots.Load())
+	g.right = cp.groupCol.isRight()
+	g.seed = cp.seed
+	g.inflateN = 1
+	if cp.pl.GroupBy.Inflate > 1 {
+		g.inflate = cp.pl.GroupBy.Inflate
+		g.inflateN = uint64(g.inflate)
+	}
 	kind := groupColKind(cp)
 	g.t.init(kind, g.inflate > 0, expect)
 	g.acc.init(cp.pl.Aggs)
@@ -363,26 +324,12 @@ func (g *grouper) init(cp *compiledPlan, expect int) {
 		g.denseKeys = denseSpan(cp.pl.GroupBy.KeyBound, g.inflateN)
 		g.dense = make([]int32, g.denseKeys*g.inflateN)
 	}
-	g.horder = make([]int32, batchRows)
-}
-
-// initKeys readies what hashing a row's group key takes: the key's side, the
-// inflation suffix's parameters and the per-batch hash scratch. With no dense
-// index (denseKeys 0), hashPass hashes every survivor's key, which is all a
-// bucketed map task asks of it.
-func (g *grouper) initKeys(cp *compiledPlan) {
-	g.right = cp.groupCol.isRight()
-	g.seed = cp.seed
-	g.inflateN = 1
-	if cp.pl.GroupBy.Inflate > 1 {
-		g.inflate = cp.pl.GroupBy.Inflate
-		g.inflateN = uint64(g.inflate)
-	}
 	g.slots = make([]int32, batchRows)
 	g.hpos = make([]int32, batchRows)
 	g.hidx = make([]int32, batchRows)
 	g.hsfx = make([]int32, batchRows)
 	g.hh = make([]uint64, batchRows)
+	g.horder = make([]int32, batchRows)
 }
 
 // suffix is the inflation suffix of the row with identifier rowID (−1 when
@@ -463,8 +410,8 @@ func (g *grouper) radix(pending int) bool {
 
 // hashPass is groupSlots' first pass: it resolves the survivors whose u64 key
 // lies under the dense span and gathers every other survivor's position, key
-// row, suffix and key hash into the pending vectors — the hash taken from
-// ts.carried where the rows arrived with it. It returns the number pending.
+// row, suffix and key hash into the pending vectors. It returns the number
+// pending.
 func (ts *taskState) hashPass(startID uint64) int {
 	switch col := ts.pc.group; col.Kind {
 	case store.U64:
@@ -508,12 +455,7 @@ func (ts *taskState) hashU64Keys(startID uint64) (miss int) {
 			slots[k] = s - 1
 			continue
 		}
-		g.hpos[miss], g.hidx[miss], g.hsfx[miss] = int32(k), idx, sfx
-		if ts.carried != nil {
-			g.hh[miss] = ts.carried[k]
-		} else {
-			g.hh[miss] = hashU64(v, sfx)
-		}
+		g.hpos[miss], g.hidx[miss], g.hsfx[miss], g.hh[miss] = int32(k), idx, sfx, hashU64(v, sfx)
 		miss++
 	}
 	return miss
@@ -529,12 +471,7 @@ func hashKeys[T ~string | ~[]byte](ts *taskState, col []T, startID uint64) int {
 			idx = ts.b.joinAt(k)
 		}
 		sfx := g.suffix(startID + uint64(i))
-		g.hpos[k], g.hidx[k], g.hsfx[k] = int32(k), idx, sfx
-		if ts.carried != nil {
-			g.hh[k] = ts.carried[k]
-		} else {
-			g.hh[k] = hashKey(col[idx], sfx)
-		}
+		g.hpos[k], g.hidx[k], g.hsfx[k], g.hh[k] = int32(k), idx, sfx, hashKey(col[idx], sfx)
 	}
 	return len(ts.b.sel)
 }
@@ -542,9 +479,8 @@ func hashKeys[T ~string | ~[]byte](ts *taskState, col []T, startID uint64) int {
 // fixedKeys is groupSlots' pass over Fixed keys — every DET and OPE value —
 // which are windows of one flat buffer rather than elements of a slice: each
 // survivor's key is hashed where it lies, a 16-byte key's two words mixed in
-// line (hashWords), or takes the hash a routed row carried. With probe the
-// key resolves to its slot on the spot, with no pending vectors; without, it
-// joins them, for a radix-ordered probe or a bucketed map task's routing. It
+// line (hashWords). With probe the key resolves to its slot on the spot, with
+// no pending vectors; without, it joins them, for a radix-ordered probe. It
 // returns the number of keys.
 func (ts *taskState) fixedKeys(startID uint64, probe bool) int {
 	g := &ts.g
@@ -558,12 +494,9 @@ func (ts *taskState) fixedKeys(startID uint64, probe bool) int {
 		lo := int(idx) * w
 		key := buf[lo : lo+w : lo+w]
 		var h uint64
-		switch {
-		case ts.carried != nil:
-			h = ts.carried[k]
-		case w == 16:
+		if w == 16 {
 			h = hashWords(binary.LittleEndian.Uint64(key), binary.LittleEndian.Uint64(key[8:]), sfx)
-		default:
+		} else {
 			h = hashKey(key, sfx)
 		}
 		if probe {
@@ -581,81 +514,6 @@ func probeKeys[T ~string | ~[]byte](g *grouper, col []T, order []int32) {
 	for _, m := range order {
 		g.slots[g.hpos[m]] = slotKeyed(&g.t, col[g.hidx[m]], g.hsfx[m], g.hh[m])
 	}
-}
-
-// routeRows appends the batch's survivors to their reducers' buckets. Each
-// survivor's group key is hashed once, as a reducer's slot table hashes it
-// (hashPass, with no dense index to resolve it first); the hash modulo the
-// reducer count picks its bucket — reducerBucket's rule, so each reducer
-// groups exactly the keys a per-task run hands it — and travels with the row.
-// With an ASHE sum the task also records each survivor's bucket, in order,
-// for the identifier section.
-func (ts *taskState) routeRows(startID uint64) {
-	ts.hashPass(startID)
-	n := uint64(len(ts.route))
-	hh := ts.g.hh
-	for k, i := range ts.b.sel {
-		h := hh[k]
-		b := h % n
-		bk := &ts.route[b]
-		bk.rows = append(bk.rows, i)
-		bk.hash = append(bk.hash, h)
-		if ts.b.join != nil {
-			bk.join = append(bk.join, ts.b.join[k])
-		}
-		if ts.cp.ashe {
-			ts.res.tags = append(ts.res.tags, int32(b))
-		}
-	}
-	ts.res.ops.GroupRouted += uint64(len(ts.b.sel))
-}
-
-// groupBucket is reducer b of a bucketed group-by: one grouper over bucket
-// b's rows from every map task, in task order, with the accumulator kernels
-// bound to each task's partition in turn — its columns still pinned. With an
-// ASHE sum it hands back each row's slot beside the row (rowBucket.slots),
-// from which the driver numbers the row's group in the identifier section.
-// The grouper is sized once, for the slots a reducer of the plan last held.
-// The reducer polls ctx every cancelCheckRows rows, from its first.
-func (cp *compiledPlan) groupBucket(ctx context.Context, tasks []*mapResult, b int) (*groupMerger, *OpStats, error) {
-	ts := &taskState{cp: cp, res: &mapResult{}}
-	ts.g.init(cp, int(cp.hint.merged.Load()))
-	grouped, poll := 0, 0
-	for _, r := range tasks {
-		bk := &r.routed[b]
-		if len(bk.rows) == 0 {
-			continue
-		}
-		ts.part = r.part
-		cp.bindPart(r.part, &ts.pc, nil)
-		if cp.ashe {
-			bk.slots = make([]int32, 0, len(bk.rows))
-		}
-		for lo := 0; lo < len(bk.rows); lo += batchRows {
-			if grouped >= poll {
-				if err := ctx.Err(); err != nil {
-					return nil, nil, err
-				}
-				poll += cancelCheckRows
-			}
-			hi := min(lo+batchRows, len(bk.rows))
-			ts.b.sel, ts.b.join, ts.carried = bk.rows[lo:hi], nil, bk.hash[lo:hi]
-			if bk.join != nil {
-				ts.b.join = bk.join[lo:hi]
-			}
-			ts.accumulateGroups(r.part.StartID)
-			if cp.ashe {
-				bk.slots = append(bk.slots, ts.g.slots[:hi-lo]...)
-			}
-			grouped += hi - lo
-		}
-	}
-	ts.res.ops.GroupSlots = uint64(ts.g.t.len())
-	ts.res.ops.GroupTableLen = uint64(len(ts.g.t.table))
-	cp.hint.keyLen.Store(int64(ts.g.t.keyLen()))
-	mg := &groupMerger{pl: cp.pl, t: ts.g.t, acc: ts.g.acc}
-	mg.finishCols()
-	return mg, &ts.res.ops, nil
 }
 
 // groupColKind is the kind group keys take: the group column's, with Fixed
@@ -767,16 +625,13 @@ func (ts *taskState) projectScan(startID uint64) {
 // compilation are excluded from the measured task duration, matching the
 // reference evaluator's accounting.
 func (cp *compiledPlan) runMapTask(ctx context.Context, c *Cluster, part *store.Partition) (*mapResult, error) {
-	return cp.mapTask(ctx, c, part, false, nil)
+	return cp.mapTask(ctx, c, part, nil)
 }
 
-// mapTask is runMapTask reading its run's codes tc (nil for none), or with
-// route the map task of a bucketed group-by: its survivors go to their
-// reducers' buckets (routeRows) and the partition stays pinned, for the
-// reducers read its columns; the result's release unpins it (run calls it
-// once the reducers finish, on every path). A coded group-by's task adds into
-// a lane set of its run's pool, and hands it back when it ends.
-func (cp *compiledPlan) mapTask(ctx context.Context, c *Cluster, part *store.Partition, route bool, tc *taskCodes) (*mapResult, error) {
+// mapTask is runMapTask reading its run's codes tc (nil for none). A coded
+// group-by's task adds into a lane set of its run's pool, and hands it back
+// when it ends. The task's pins end with it, on every path.
+func (cp *compiledPlan) mapTask(ctx context.Context, c *Cluster, part *store.Partition, tc *taskCodes) (*mapResult, error) {
 	if c.cfg.TaskSleep > 0 {
 		t := time.NewTimer(c.cfg.TaskSleep)
 		select {
@@ -793,19 +648,9 @@ func (cp *compiledPlan) mapTask(ctx context.Context, c *Cluster, part *store.Par
 	if err != nil {
 		return nil, err
 	}
-	held := false
-	defer func() {
-		if !held {
-			release()
-		}
-	}()
+	defer release()
 	i0, i1 := rangeBounds(part, cp.pl.Range)
-	var ts *taskState
-	if route {
-		ts = cp.newRouteState(part, tc, c.buckets(), i1-i0+1)
-	} else {
-		ts = cp.newTaskState(part, tc)
-	}
+	ts := cp.newTaskState(part, tc)
 	if tc != nil && tc.lanes != nil {
 		ts.lanes = <-tc.lanes.free
 		defer func() { tc.lanes.free <- ts.lanes }()
@@ -818,7 +663,7 @@ func (cp *compiledPlan) mapTask(ctx context.Context, c *Cluster, part *store.Par
 	ts.res.ops.ColumnFaults = uint64(faulted)
 	ts.res.rowsScanned = uint64(i1 - i0 + 1)
 	if cp.ashe && cp.pl.GroupBy != nil {
-		// A survivor's slot or bucket a row at most, reserved once.
+		// A survivor's slot a row at most, reserved once.
 		ts.res.tags = make([]int32, 0, max(i1-i0+1, 0))
 	}
 
@@ -827,9 +672,6 @@ func (cp *compiledPlan) mapTask(ctx context.Context, c *Cluster, part *store.Par
 		return nil, err
 	}
 	switch {
-	case route:
-		ts.res.routed, ts.res.part, ts.res.release = ts.route, part, release
-		held = true
 	case ts.lanes != nil: // the lanes are the run's: the reduce folds the pool
 	case len(cp.pl.Project) == 0:
 		ts.g.fold(ts.res, cp, c.buckets())

@@ -20,10 +20,10 @@ import (
 // slot table at all: a row's slot is its code. Each map task adds into K-wide
 // lanes taken from a pool of one lane set per concurrently running task, the
 // reduce adds the few sets, and the driver writes the groups any row reached
-// straight into the result's columns, in code order. No key is hashed, no row
-// is routed and no reducer builds a table. Every other group-by — a
-// non-lane aggregate, inflation, a right-side key, or a key whose codebook
-// left a partition the run reads raw — takes the raw slot table (group.go).
+// straight into the result's columns, in code order. No key is hashed and no
+// reducer builds a table. Every other group-by — a non-lane aggregate,
+// inflation, a right-side key, or a key whose codebook left a partition the
+// run reads raw — takes the raw slot table (group.go).
 
 // runCodes is what the driver prepares of the codebooks for one run: each
 // partition's share, and for a coded group-by its lanes and key values.
@@ -75,8 +75,9 @@ func perCode[T any](c *atomic.Pointer[[]T], vals []byte, f func(v []byte) T) []T
 // codeRun codes the columns the run reads through codes, over the table's
 // partitions, and returns each partition's share; nil when the plan codes
 // nothing. auto is whether the group-by may take the coded path, which a
-// pinned strategy forbids; only that path reads the group key's codes. par
-// is the run's task parallelism, which sizes the lane pool.
+// test pinning the raw path (groupRaw) forbids; only that path reads the
+// group key's codes. par is the run's task parallelism, which sizes the lane
+// pool.
 func (cp *compiledPlan) codeRun(parts []*store.Partition, auto bool, par int) (*runCodes, error) {
 	pl := cp.pl
 	groupCol := -1

@@ -68,54 +68,17 @@ type compiledPlan struct {
 	aggs      []aggKernel
 	hint      groupHint
 	// ashe is set when an aggregate is an ASHE sum: map tasks then keep their
-	// survivors' identifiers, and a group-by's each survivor's slot or bucket,
-	// for the result's identifier section (ids.go).
+	// survivors' identifiers, and a group-by's each survivor's slot, for the
+	// result's identifier section (ids.go).
 	ashe bool
 }
 
-// groupHint is what a grouped plan's last run measured. Its sizes — the last
-// map task's slot count (grouper.fold), the mean key length, the slot count a
-// reducer last held — size the next run's vectors. Its shape — the rows the
-// run selected, its result groups and its map tasks — picks the next run's
-// strategy (bucketed). No result depends on either, and the reference
-// evaluator never reads them.
+// groupHint is what a grouped plan's last run measured: the last map task's
+// slot count (grouper.fold), the mean key length and the slot count a reducer
+// last held (reduceGroups), which size the next run's vectors. No result
+// depends on them, and the reference evaluator never reads them.
 type groupHint struct {
 	slots, keyLen, merged atomic.Int64
-	rows, groups, tasks   atomic.Int64
-}
-
-// bucketRowsPerGroupTask is the rows per group per map task, N ÷ (G × T), below
-// which a group-by's map tasks bucket rows instead of grouping them: there a
-// task's table merges little, and its reducer interns every (task, group)
-// pair again. It applies to raw keys only — a coded group-by has no tables
-// (codes.go) — so BenchmarkRunGroupByBytes' pinned strategies place it on raw
-// 16-byte DET keys: 64 Ki rows with an ASHE sum, on 8 partitions and 4
-// reducers, so 8192 ÷ G rows per group per task. In one test binary,
-// interleaved (21 rounds of 5 runs of each strategy a group count, 2-core
-// Xeon), bucketed over per-task time was, as median [quartiles]: 1.39
-// [1.29, 1.48] at 32 rows per group per task, 1.27 at 16, 1.15–1.19 at 8 and
-// 7, 1.11–1.14 at 6, 1.03–1.06 at 5, 0.91–1.01 at 4, 0.76 at 2, 0.59 at 1
-// and 0.60 at 0.5. They cross between 4 and 5, below where an earlier sweep
-// on alternating binaries placed them (near 8). The rule stays at 8 until a
-// workload groups a raw key between the two and can show the move end to
-// end: no benchmark workload does, and from 5 to 7 the buckets it picks are
-// 3–19 % slower than per-task tables there.
-const bucketRowsPerGroupTask = 8.0
-
-// bucketed applies the rule to the plan's last run. A plan's first run has no
-// measure and keeps per-task tables; either strategy records the next one.
-func (h *groupHint) bucketed() bool {
-	g, t := h.groups.Load(), h.tasks.Load()
-	return g > 0 && float64(h.rows.Load()) < bucketRowsPerGroupTask*float64(g)*float64(t)
-}
-
-// measure records a finished grouped run's shape and its reducers' largest
-// slot count.
-func (h *groupHint) measure(rows uint64, groups, tasks, merged int) {
-	h.rows.Store(int64(rows))
-	h.groups.Store(int64(groups))
-	h.tasks.Store(int64(tasks))
-	h.merged.Store(int64(merged))
 }
 
 // compile binds pl against its table's layout and lowers it to kernels.

@@ -111,11 +111,11 @@ func assertSameResult(t *testing.T, name string, vec, ref *Result) {
 	}
 }
 
-// assertSameGroups compares what two runs of one group-by in different
-// strategies must share: groups (keys, rows, lanes, values, encoded identifier
-// lists), the decrypted ASHE sums, and the result's bytes, rows and task
-// counts. Their map-output bytes differ by design — a bucketed run's are its
-// buckets' (Metrics.ShuffleBytes).
+// assertSameGroups compares what two runs of one group-by on different paths
+// must share: groups (keys, rows, lanes, values, encoded identifier lists),
+// the decrypted ASHE sums, and the result's bytes, rows and task counts. Their
+// map-output bytes differ by design — a coded run's are its lane sets'
+// (Metrics.ShuffleBytes).
 func assertSameGroups(t *testing.T, name string, pl *Plan, got, want *Result) {
 	t.Helper()
 	if !reflect.DeepEqual(got.View(), want.View()) {
@@ -151,29 +151,17 @@ func viewAsheSums(t *testing.T, pl *Plan, r *Result) [][]uint64 {
 	return out
 }
 
-// bothStrategies runs a group-by vectorized with per-task tables and with
-// bucketed rows, pinned, and checks each run against ref, the reference
-// evaluator's result, and the two against each other: the per-task run in
-// everything assertSameResult compares, the bucketed one in everything but
-// its map-output bytes. Every selected row of the bucketed run went through
-// a bucket, and none of the per-task run's did.
-func bothStrategies(t *testing.T, c *Cluster, name string, mk func() *Plan, ref *Result) (tables, buckets *Result) {
+// rawGroups runs a group-by vectorized with its key pinned to the raw slot
+// tables (groupRaw), a codable key's too, and checks it against ref, the
+// reference evaluator's result, in everything assertSameResult compares.
+func rawGroups(t *testing.T, c *Cluster, name string, mk func() *Plan, ref *Result) *Result {
 	t.Helper()
-	var err error
-	if tables, err = c.run(context.Background(), mk(), nil, nil, groupTables); err != nil {
-		t.Fatalf("%s: per-task tables: %v", name, err)
+	raw, err := c.run(context.Background(), mk(), nil, nil, groupRaw)
+	if err != nil {
+		t.Fatalf("%s: raw slot tables: %v", name, err)
 	}
-	if buckets, err = c.run(context.Background(), mk(), nil, nil, groupBuckets); err != nil {
-		t.Fatalf("%s: bucketed: %v", name, err)
-	}
-	assertSameResult(t, name+" (per-task tables)", tables, ref)
-	assertSameGroups(t, name+" (bucketed vs reference)", mk(), buckets, ref)
-	assertSameGroups(t, name+" (bucketed vs per-task tables)", mk(), buckets, tables)
-	if buckets.Metrics.Ops.GroupRouted != buckets.Metrics.RowsSelected || tables.Metrics.Ops.GroupRouted != 0 {
-		t.Errorf("%s: %d of %d rows bucketed, and %d in the per-task run", name,
-			buckets.Metrics.Ops.GroupRouted, buckets.Metrics.RowsSelected, tables.Metrics.Ops.GroupRouted)
-	}
-	return tables, buckets
+	assertSameResult(t, name+" (raw slot tables)", raw, ref)
+	return raw
 }
 
 // diffCase is one query of the differential suite, built over diffFixture's
@@ -434,8 +422,8 @@ func TestDifferentialExecutors(t *testing.T) {
 			assertSameResult(t, tc.name+" (view vs heap)", vvec, vec)
 			assertAnswer(t, tc.name+" (view)", tc.plan(vtbl, vright), vvec, vref)
 			if tc.plan(tbl, right).GroupBy != nil {
-				bothStrategies(t, c, tc.name, func() *Plan { return tc.plan(tbl, right) }, ref)
-				bothStrategies(t, c, tc.name+" (view)", func() *Plan { return tc.plan(vtbl, vright) }, vref)
+				rawGroups(t, c, tc.name, func() *Plan { return tc.plan(tbl, right) }, ref)
+				rawGroups(t, c, tc.name+" (view)", func() *Plan { return tc.plan(vtbl, vright) }, vref)
 			}
 		})
 	}
@@ -521,7 +509,6 @@ func TestDifferentialRadixGroupBy(t *testing.T) {
 				t.Errorf("%d groups, want %d (every wide key distinct)", len(vec.View()), rows)
 			}
 			assertSameResult(t, tc.name, vec, ref)
-			bothStrategies(t, c, tc.name, tc.plan, ref)
 		})
 	}
 }
@@ -562,7 +549,6 @@ func TestDifferentialInflationSuffixIsolation(t *testing.T) {
 			t.Fatalf("bound=%d reference: %v", bound, err)
 		}
 		assertSameResult(t, fmt.Sprintf("suffix-isolation/bound=%d", bound), vec, ref)
-		bothStrategies(t, c, fmt.Sprintf("suffix-isolation/bound=%d", bound), plan, ref)
 		if len(vec.View()) != 2*inflate {
 			t.Fatalf("bound=%d: %d groups, want %d (2 keys × %d suffixes)", bound, len(vec.View()), 2*inflate, inflate)
 		}
@@ -621,9 +607,6 @@ func TestDifferentialEmptyCases(t *testing.T) {
 				t.Fatalf("reference: %v", err)
 			}
 			assertSameResult(t, tc.name, vec, ref)
-			if tc.plan().GroupBy != nil {
-				bothStrategies(t, c, tc.name, tc.plan, ref)
-			}
 		})
 	}
 }
@@ -659,12 +642,10 @@ func detKeyFixture(tb testing.TB, rows, groups, parts int, withOpe bool) *store.
 // TestDifferentialDetKeys is the differential suite for the path every
 // encrypted GROUP BY takes: 16k groups keyed by 16-byte DET ciphertexts, in
 // lane-eligible and generic (OPE extreme + median) aggregate mixes, inflation
-// on and off, plaintext and encrypted measures, each in both group-by
-// strategies, pinned. The vectorized executor must match the reference
-// evaluator byte for byte — map-output bytes included where it keeps per-task
-// tables, as the reference does — and the strategies each other; and three
-// Partial range runs in the same strategy, folded by MergeResults, must match
-// one engine over the whole table.
+// on and off, plaintext and encrypted measures, each pinned to the raw slot
+// tables. The vectorized executor must match the reference evaluator byte for
+// byte, map-output bytes included; and three Partial range runs, folded by
+// MergeResults, must match one engine over the whole table.
 func TestDifferentialDetKeys(t *testing.T) {
 	const rows, groups, parts = 49152, 1 << 14, 6
 	tbl := detKeyFixture(t, rows, groups, parts, true)
@@ -691,43 +672,36 @@ func TestDifferentialDetKeys(t *testing.T) {
 				if err != nil {
 					t.Fatalf("reference: %v", err)
 				}
-				tables, buckets := bothStrategies(t, c, name, func() *Plan { return mk(tbl) }, ref)
-				for _, run := range []struct {
-					strategy groupStrategy
-					vec      *Result
-				}{{groupTables, tables}, {groupBuckets, buckets}} {
-					name := fmt.Sprintf("%s/strategy=%d", name, run.strategy)
-					vec := run.vec
-					if inflate == 0 && len(vec.View()) != groups {
-						t.Errorf("%s: %d groups, want %d", name, len(vec.View()), groups)
-					}
-					if vec.Metrics.Ops.GroupHash != rows || vec.Metrics.Ops.GroupSlots == 0 || vec.Metrics.Ops.GroupTableLen == 0 {
-						t.Errorf("%s: byte-keyed rows missed the group counters: %+v", name, vec.Metrics.Ops)
-					}
+				vec := rawGroups(t, c, name, func() *Plan { return mk(tbl) }, ref)
+				if inflate == 0 && len(vec.View()) != groups {
+					t.Errorf("%s: %d groups, want %d", name, len(vec.View()), groups)
+				}
+				if vec.Metrics.Ops.GroupHash != rows || vec.Metrics.Ops.GroupSlots == 0 || vec.Metrics.Ops.GroupTableLen == 0 {
+					t.Errorf("%s: byte-keyed rows missed the group counters: %+v", name, vec.Metrics.Ops)
+				}
 
-					// Task counts sum across shard runs, and a merged result's bytes
-					// are the shards' results added up (a group in three shards is
-					// counted three times: those bytes reached the coordinator); map
-					// output and rows must be what one engine over the whole table
-					// reports.
-					plan, partials, whole := shardRuns(t, c, tbl, mk, run.strategy)
-					merged, err := MergeResults(plan, partials)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(merged.View(), whole.View()) || !reflect.DeepEqual(whole.View(), vec.View()) {
-						t.Errorf("%s: merged shard groups diverge from one engine's", name)
-					}
-					shardBytes := 0
-					for _, p := range partials {
-						shardBytes += p.Metrics.ResultBytes
-					}
-					if merged.Metrics.ShuffleBytes != whole.Metrics.ShuffleBytes || merged.Metrics.ResultBytes != shardBytes ||
-						merged.Metrics.RowsSelected != whole.Metrics.RowsSelected {
-						t.Errorf("%s: merged metrics diverge: shuffle %d vs %d, result %d vs the shards' %d, selected %d vs %d", name,
-							merged.Metrics.ShuffleBytes, whole.Metrics.ShuffleBytes, merged.Metrics.ResultBytes, shardBytes,
-							merged.Metrics.RowsSelected, whole.Metrics.RowsSelected)
-					}
+				// Task counts sum across shard runs, and a merged result's bytes
+				// are the shards' results added up (a group in three shards is
+				// counted three times: those bytes reached the coordinator); map
+				// output and rows must be what one engine over the whole table
+				// reports.
+				plan, partials, whole := shardRuns(t, c, tbl, mk, groupRaw)
+				merged, err := MergeResults(plan, partials)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(merged.View(), whole.View()) || !reflect.DeepEqual(whole.View(), vec.View()) {
+					t.Errorf("%s: merged shard groups diverge from one engine's", name)
+				}
+				shardBytes := 0
+				for _, p := range partials {
+					shardBytes += p.Metrics.ResultBytes
+				}
+				if merged.Metrics.ShuffleBytes != whole.Metrics.ShuffleBytes || merged.Metrics.ResultBytes != shardBytes ||
+					merged.Metrics.RowsSelected != whole.Metrics.RowsSelected {
+					t.Errorf("%s: merged metrics diverge: shuffle %d vs %d, result %d vs the shards' %d, selected %d vs %d", name,
+						merged.Metrics.ShuffleBytes, whole.Metrics.ShuffleBytes, merged.Metrics.ResultBytes, shardBytes,
+						merged.Metrics.RowsSelected, whole.Metrics.RowsSelected)
 				}
 			})
 		}

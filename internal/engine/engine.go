@@ -368,14 +368,12 @@ func (r ScanRow) Str(j int) string {
 // ReduceTaskTimes and DriverTime).
 type Metrics struct {
 	// ShuffleBytes is the size of the map tasks' output as they hold it: keys,
-	// row counts, accumulators and scan cells — or, in a group-by whose map
-	// tasks bucket rows (OpStats.GroupRouted), the buckets: 4 bytes a row, 4
-	// more with a join, 8 for the key hash; in a coded group-by (codes.go),
-	// its lane sets: 8 bytes a code for the row count and each lane, a set
-	// per concurrently running task — and what they keep for the
-	// identifier section (ShuffleListBytes). Plain arithmetic — nothing is encoded to take it and nothing is
-	// shuffled — identical in both executors when both keep per-task tables,
-	// and additive across shards.
+	// row counts, accumulators and scan cells — or, in a coded group-by
+	// (codes.go), its lane sets: 8 bytes a code for the row count and each
+	// lane, a set per concurrently running task — and what they keep for the
+	// identifier section (ShuffleListBytes). Plain arithmetic — nothing is
+	// encoded to take it and nothing is shuffled — identical in both executors
+	// when both keep per-task tables, and additive across shards.
 	ShuffleBytes int
 	// ResultBytes is the serialized size of the result a run hands its caller
 	// (its identifier section as encoded); on a merged result, the sum of the
@@ -385,7 +383,7 @@ type Metrics struct {
 	// ShuffleListBytes and ResultListBytes are the identifier section's share
 	// of the two: what the map tasks kept for it — their survivors'
 	// identifiers raw at 16 bytes a range and, in a group-by, 4 bytes a
-	// survivor for its slot or bucket — and the section as encoded, list and
+	// survivor for its slot — and the section as encoded, list and
 	// runs. internal/bench models §4.5's worker-compressed shuffle from them.
 	// In-process only, like the task times below.
 	ShuffleListBytes int
@@ -398,11 +396,10 @@ type Metrics struct {
 	RowsScanned  uint64
 	RowsSelected uint64
 	// MapTaskTimes and ReduceTaskTimes are every task's measured duration, in
-	// task order: a reducer's covers its merge, or in a bucketed group-by the
-	// grouping of its bucket's rows. DriverTime is the driver's own work:
-	// compiling the plan, then folding an ungrouped plan's map tasks or
-	// gathering the reducers' columns. In-process only: they never cross the
-	// wire and a merged result carries none.
+	// task order: a reducer's covers its merge. DriverTime is the driver's
+	// own work: compiling the plan, then folding an ungrouped plan's map tasks
+	// or gathering the reducers' columns. In-process only: they never cross
+	// the wire and a merged result carries none.
 	MapTaskTimes    []time.Duration
 	ReduceTaskTimes []time.Duration
 	DriverTime      time.Duration
@@ -444,16 +441,11 @@ type OpStats struct {
 	// partitioning (table ≥ radixMinTable and ≥ radixBuckets misses).
 	RadixBatches uint64
 	// GroupSlots totals distinct group slots across the tables that grouped
-	// rows — the map tasks', or a bucketed run's reducers' (occupancy), or a
-	// coded group-by's result groups; GroupTableLen is the largest
+	// rows — the map tasks' (occupancy), or a coded group-by's result
+	// groups; GroupTableLen is the largest
 	// open-addressed table capacity seen, or a coded group-by's K.
 	GroupSlots    uint64
 	GroupTableLen uint64
-	// GroupRouted counts rows a group-by's map tasks bucketed by key hash for
-	// their reducers to group, instead of grouping them in a table of their
-	// own (0 when every task kept a table). In-process and per daemon: it does
-	// not cross the wire.
-	GroupRouted uint64
 	// ColumnPins counts columns pinned resident for map tasks;
 	// ColumnFaults counts the pins that had to materialize the column from
 	// its backing segment (store.Residency pressure attributed per query).
@@ -476,7 +468,6 @@ func (o *OpStats) merge(src *OpStats) {
 	if src.GroupTableLen > o.GroupTableLen {
 		o.GroupTableLen = src.GroupTableLen
 	}
-	o.GroupRouted += src.GroupRouted
 	o.ColumnPins += src.ColumnPins
 	o.ColumnFaults += src.ColumnFaults
 }

@@ -108,11 +108,8 @@ func (pl *Plan) CodedGroupBy() bool {
 // the open-addressed slot table as the fallback; byte keys (DET ciphertexts)
 // and string keys intern into the same table, key bytes in a per-task arena.
 // Table probes are radix-partitioned once the table outgrows radixMinTable.
-// Where those tables live is chosen per run, from the plan's last run
-// (groupHint.bucketed): in each map task, or — when that run found fewer than
-// bucketRowsPerGroupTask rows per group per map task — in each reducer, over
-// the rows the map tasks bucketed by key hash. A plan's first run keeps
-// per-task tables. Empty when the plan has no GROUP BY.
+// Each map task fills a table of its own, and each reducer merges its share
+// of every task's. Empty when the plan has no GROUP BY.
 func (pl *Plan) GroupPath() string {
 	gb := pl.GroupBy
 	if gb == nil {

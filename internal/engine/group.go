@@ -18,22 +18,18 @@ import (
 // aggregate's kind, never by the plan. An ungrouped plan is the one-group case,
 // keyed U64 0. A group-by on a coded key with lane aggregates has no slot
 // table at all — its slots are the key's table-wide codes (codes.go). Any
-// other group-by runs one of two ways, picked per run from the plan's
-// last run (groupHint.bucketed). Where a map task sees each group many times,
-// the grouper (batch.go) fills a table per task; the task's columns travel to
-// the reducer as they are (taskGroups); reduceGroups, the driver's fold of an
-// ungrouped plan and the coordinator's merge fold inputs of that one form
-// through groupMerger. Where it sees each group about once, the task's table
-// would merge nothing: the task buckets its rows by key hash instead
-// (rowBucket), and each reducer runs one grouper over its bucket's rows from
-// every task (groupBucket). Either way gatherGroups, the last step,
-// concatenates the reducers' slots into the result's columns (GroupCols,
-// cols.go) — the columns carried the rest of the way, in no key order.
+// other group-by fills a table per map task (the grouper, batch.go); the
+// task's columns travel to the reducer as they are (taskGroups);
+// reduceGroups, the driver's fold of an ungrouped plan and the coordinator's
+// merge fold inputs of that one form through groupMerger; and gatherGroups,
+// the last step, concatenates the reducers' slots into the result's columns
+// (GroupCols, cols.go) — the columns carried the rest of the way, in no key
+// order.
 //
 // No group keeps identifiers. A run's ASHE sums share one identifier section
-// (ids.go): each map task keeps its survivors' identifiers and each one's slot
-// or bucket, and the driver writes the section once the reducers have
-// numbered the groups.
+// (ids.go): each map task keeps its survivors' identifiers and each one's
+// slot, and the driver writes the section once the reducers have numbered the
+// groups.
 //
 // A slot that no row reached — an ungrouped plan's that selected nothing —
 // has row count 0, the identity of every fold: the merge skips it, and it
@@ -291,9 +287,8 @@ func (t *slotTable) grow() {
 // reducerBucket deterministically assigns slot s's key to one of n reducer
 // buckets: the key's hash modulo n — for a byte or string key the kept hash
 // when the table kept one, else hashKey, which is that same value. Both
-// executors, both strategies (a bucketed map task routes each row by the same
-// hash: routeRows) and every shard must agree on the assignment, so the hash
-// covers only the key's material and inflation suffix, never a table's layout.
+// executors and every shard must agree on the assignment, so the hash covers
+// only the key's material and inflation suffix, never a table's layout.
 func (k *groupKeys) reducerBucket(s, n int) int {
 	if n <= 1 {
 		return 0
@@ -473,20 +468,6 @@ func collapseOpeMedian(medOpe [][]byte, medIDs, medComp []uint64) (opeVal []byte
 	return opeVal, argID, comp
 }
 
-// --- the bucketed strategy's map output ---
-
-// rowBucket is one reducer's share of a bucketed group-by's map task: the
-// task's survivors whose key hashes to the reducer, in row order — each one's
-// row in the task's partition, its joined right-table row (nil without a
-// join), and its key's hash, which the reducer's slot table takes as it is.
-// The reducer hands back each row's slot in its table (slots), from which the
-// driver numbers the row's group in the identifier section.
-type rowBucket struct {
-	rows, join []int32
-	hash       []uint64
-	slots      []int32
-}
-
 // --- the merge input form ---
 
 // taskGroups is a set of groups with distinct keys and their accumulated
@@ -603,8 +584,6 @@ func (in groupSel) at(i int) int {
 // a run's map tasks (one merger per reducer bucket), the driver's fold of an
 // ungrouped plan's tasks and the coordinator's merge of shard results are all
 // this routine. Columns fold as columns (lanes add, values through foldValue).
-// A bucketed run's reducer, which merges nothing, hands its grouper's table
-// and accumulators to gatherGroups in the same form (groupBucket).
 type groupMerger struct {
 	pl  *Plan
 	t   slotTable

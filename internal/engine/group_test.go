@@ -13,8 +13,7 @@ import (
 )
 
 // TestReducerBucketsAgree: the vectorized and the reference map task, over
-// the same partition, send every group to the same reducer bucket, and a
-// bucketed map task every row to its group's — for u64
+// the same partition, send every group to the same reducer bucket — for u64
 // keys (under the dense span and past it), DET keys in a Fixed column,
 // variable-width DET bytes and strings, each with inflation off and on. The
 // vectorized task buckets its byte keys by the hash its table kept, the
@@ -82,46 +81,13 @@ func TestReducerBucketsAgree(t *testing.T) {
 			if len(got) < groups || !reflect.DeepEqual(got, want) {
 				t.Errorf("%s, inflate %d: the executors bucket %d and %d groups differently", col, inflate, len(got), len(want))
 			}
-
-			// A bucketed map task routes every row to the bucket its key's
-			// group goes to.
-			routed, err := cp.mapTask(ctx, c, tbl.Parts[0], true, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			routed.release()
-			var keys grouper
-			keys.initKeys(cp)
-			n := 0
-			for bk, rb := range routed.routed {
-				for _, i := range rb.rows {
-					key := fmt.Sprint(keys.suffix(tbl.Parts[0].StartID+uint64(i)), "/")
-					switch col {
-					case "u":
-						key += fmt.Sprint(u[i])
-					case "k":
-						key += string(tbl.Parts[0].Cols[1].BytesAt(int(i)))
-					case "b":
-						key += string(b[i])
-					default:
-						key += s[i]
-					}
-					if got[key] != bk {
-						t.Fatalf("%s, inflate %d: row %d routed to bucket %d, its group to %d", col, inflate, i, bk, got[key])
-					}
-					n++
-				}
-			}
-			if n != rows {
-				t.Errorf("%s, inflate %d: %d of %d rows routed", col, inflate, n, rows)
-			}
 		}
 	}
 }
 
 // TestHashKeyPinned pins hashKey's values, byte and string keys alike: the
-// hash picks a group's reducer (reducerBucket), which every executor, strategy
-// and shard must agree on, so a faster hashKey must not move one. The values
+// hash picks a group's reducer (reducerBucket), which every executor and
+// shard must agree on, so a faster hashKey must not move one. The values
 // are the byte-at-a-time hash's, before keys were read eight bytes at a load.
 func TestHashKeyPinned(t *testing.T) {
 	for _, tc := range []struct {
@@ -170,7 +136,7 @@ func hashKeyBytes(k []byte, sfx int32) uint64 {
 // TestFixedKeyProbe: the 16-byte key path — two words mixed in line
 // (hashWords), as the Fixed group columns of every DET and OPE key take it,
 // and hashKey's own — hashes every key bit for bit as the general loop does,
-// so slots, reducer buckets and routed buckets stay where they were; over
+// so slots and reducer buckets stay where they were; over
 // random keys, other widths too, and every suffix an inflated grouping draws
 // (grouper.suffix) besides −1 and the extremes. And the word compare numbers
 // keys as a map does, first seen first, through the table's growth, on

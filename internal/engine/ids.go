@@ -22,10 +22,9 @@ import (
 //
 // A daemon builds its section in the order rows already arrive. Each map task
 // keeps its survivors' identifiers as ranges and, in a group-by, each
-// survivor's slot in the task's table (or, in a task that buckets its rows,
-// the bucket); once the reducers have numbered the result's groups, the
-// driver walks the tasks in partition order through those numbers
-// (sectionWriter). The coordinator's merge and DeflateGroups keep each
+// survivor's slot in the task's table (or a coded group-by's, its code); once
+// the reducers have numbered the result's groups, the driver walks the tasks
+// in partition order through those numbers (sectionWriter). The coordinator's merge and DeflateGroups keep each
 // input's section encoded, as a part with the map from its tags to the merged
 // groups (IDPart.Remap); client.Decrypt decodes each part once and sweeps the
 // PRF over all of them.
@@ -413,68 +412,46 @@ func (c *GroupCols) groupLists() (lists [][]byte, ok bool) {
 // groupSection writes a grouped run's identifier section: every map task's
 // survivors, in partition order, each under its group's number in the
 // gathered columns, which number the reducers' groups bucket by bucket, each
-// reducer's in slot order (gatherGroups). A task that kept a table finds its
-// groups' numbers where the reducers merged them (taskGroups.remap, filled
-// here from each merge's dst); a task that bucketed its rows finds each row's
-// slot in its bucket, where the reducer left it (rowBucket.slots). mergers is
-// reduceGroups', by bucket. A coded group-by's tags are codes, which byCode
-// numbers (gatherCoded); it has no mergers.
-func groupSection(results []*mapResult, mergers []*groupMerger, routed bool, byCode []int32, groups int, codec idlist.Codec) (IDPart, error) {
-	offset := make([]int32, len(mergers))
-	at := int32(0)
-	for b, mg := range mergers {
-		offset[b] = at
-		if mg != nil {
-			at += int32(mg.t.len())
-		}
-	}
+// reducer's in slot order (gatherGroups). A task finds its groups' numbers
+// where the reducers merged them (taskGroups.remap, filled here from each
+// merge's dst). mergers is reduceGroups', by bucket. A coded group-by's tags
+// are codes, which byCode numbers (gatherCoded); it has no mergers.
+func groupSection(results []*mapResult, mergers []*groupMerger, byCode []int32, groups int, codec idlist.Codec) (IDPart, error) {
 	// Runs are at most one a survivor, each one word when survivors seldom
 	// share a run with their neighbours; one group writes none.
 	ranges, survivors := 0, 0
 	for _, r := range results {
 		ranges += len(r.ids)
 		survivors += len(r.tags)
-		if !routed && byCode == nil {
+		if byCode == nil {
 			r.groups.remap = make([]int32, r.groups.keys.len())
 		}
 	}
-	if !routed && byCode == nil {
-		for b, mg := range mergers {
-			if mg == nil {
-				continue
-			}
-			k := 0
-			for _, in := range mg.inputs {
-				for i := range in.len() {
-					in.set.remap[in.at(i)] = offset[b] + mg.dst[k]
-					k++
-				}
+	at := int32(0)
+	for _, mg := range mergers {
+		if mg == nil {
+			continue
+		}
+		k := 0
+		for _, in := range mg.inputs {
+			for i := range in.len() {
+				in.set.remap[in.at(i)] = at + mg.dst[k]
+				k++
 			}
 		}
+		at += int32(mg.t.len())
 	}
 	w := newSectionWriter(groups, ranges)
 	if groups > 1 {
 		w.runs = make([]byte, 0, survivors*runWord(w.bits))
 	}
-	var next []int32 // a bucketed task's read position in each bucket
 	for _, r := range results {
-		tags := r.tags
-		switch {
-		case byCode != nil:
-			for k, c := range tags {
-				tags[k] = byCode[c]
-			}
-		case routed:
-			next = append(next[:0], make([]int32, len(r.routed))...)
-			for k, b := range tags {
-				tags[k] = offset[b] + r.routed[b].slots[next[b]]
-				next[b]++
-			}
-		default:
-			remap := r.groups.remap
-			for k, s := range tags {
-				tags[k] = remap[s]
-			}
+		tags, number := r.tags, byCode
+		if number == nil {
+			number = r.groups.remap
+		}
+		for k, s := range tags {
+			tags[k] = number[s]
 		}
 		w.add(r.ids, tags)
 	}

@@ -617,15 +617,15 @@ func BenchmarkKernelGroupByBytesWideReference(b *testing.B) {
 // it keeps behave as a daemon's do. One untimed run first leaves that last
 // run, so even a single timed iteration sees the steady state: coded, the
 // table's codebook (16 Ki values, under half its rows) and its lanes; raw,
-// with the strategy the run picks pinned, at about half a row per group per
-// map task bucketed rows.
+// pinned to the raw slot tables, per-task tables at about half a row per
+// group per map task.
 func BenchmarkRunGroupByBytesWide(b *testing.B) {
 	const rows = 1 << 16
 	tbl := detKeyFixture(b, rows, 1<<14, 8, false)
 	for _, st := range []struct {
 		name     string
 		strategy groupStrategy
-	}{{"coded", groupAuto}, {"raw", groupBuckets}} {
+	}{{"coded", groupAuto}, {"raw", groupRaw}} {
 		b.Run(st.name, func(b *testing.B) {
 			c := NewCluster(Config{Workers: 4})
 			ctx := context.Background()
@@ -644,15 +644,13 @@ func BenchmarkRunGroupByBytesWide(b *testing.B) {
 	}
 }
 
-// BenchmarkRunGroupByBytes is the sweep behind bucketRowsPerGroupTask: the
-// encrypted GROUP BY of BenchmarkRunGroupByBytesWide — 64 Ki rows on 8
-// partitions, so N ÷ (G × T) is 8192 ÷ G — at 256 to 64 Ki groups, in each
-// raw group-by strategy, pinned, which group the raw 16-byte keys (a pinned
-// strategy reads no group codes): where the two rows/s cross is where the rule
-// switches. Beside them, coded: the run's own choice, table-wide codes up to
-// 32 Ki groups (half the rows), raw keys past. The 16- and 32-group cases are
-// the dashboard's shape, a DET key of a day's hours: small tables, many rows a
-// group.
+// BenchmarkRunGroupByBytes is the encrypted GROUP BY of
+// BenchmarkRunGroupByBytesWide — 64 Ki rows on 8 partitions, so N ÷ (G × T)
+// rows per group per map task is 8192 ÷ G — at 16 to 64 Ki groups, on both
+// paths: raw, pinned to the raw slot tables over the 16-byte keys, and coded,
+// the run's own choice, table-wide codes up to 32 Ki groups (half the rows),
+// raw keys past. The 16- and 32-group cases are the dashboard's shape, a DET
+// key of a day's hours: small tables, many rows a group.
 func BenchmarkRunGroupByBytes(b *testing.B) {
 	const rows = 1 << 16
 	for _, groups := range []int{16, 32, 1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14, 1 << 15, 1 << 16} {
@@ -660,7 +658,7 @@ func BenchmarkRunGroupByBytes(b *testing.B) {
 		for _, st := range []struct {
 			name     string
 			strategy groupStrategy
-		}{{"tables", groupTables}, {"buckets", groupBuckets}, {"coded", groupAuto}} {
+		}{{"raw", groupRaw}, {"coded", groupAuto}} {
 			b.Run(fmt.Sprintf("groups=%d/%s", groups, st.name), func(b *testing.B) {
 				c := NewCluster(Config{Workers: 4})
 				ctx := context.Background()

@@ -12,11 +12,11 @@ import (
 func TestOpStatsMergeThreeShards(t *testing.T) {
 	shards := []OpStats{
 		{Batches: 1, DenseBatches: 2, JoinProbed: 3, JoinMatched: 4, GroupDense: 5,
-			GroupHash: 6, RadixBatches: 7, GroupSlots: 8, GroupTableLen: 100, GroupRouted: 11, ColumnPins: 9, ColumnFaults: 10},
+			GroupHash: 6, RadixBatches: 7, GroupSlots: 8, GroupTableLen: 100, ColumnPins: 9, ColumnFaults: 10},
 		{Batches: 10, DenseBatches: 20, JoinProbed: 30, JoinMatched: 40, GroupDense: 50,
-			GroupHash: 60, RadixBatches: 70, GroupSlots: 80, GroupTableLen: 4096, GroupRouted: 110, ColumnPins: 90, ColumnFaults: 100},
+			GroupHash: 60, RadixBatches: 70, GroupSlots: 80, GroupTableLen: 4096, ColumnPins: 90, ColumnFaults: 100},
 		{Batches: 100, DenseBatches: 200, JoinProbed: 300, JoinMatched: 400, GroupDense: 500,
-			GroupHash: 600, RadixBatches: 700, GroupSlots: 800, GroupTableLen: 512, GroupRouted: 1100, ColumnPins: 900, ColumnFaults: 1000},
+			GroupHash: 600, RadixBatches: 700, GroupSlots: 800, GroupTableLen: 512, ColumnPins: 900, ColumnFaults: 1000},
 	}
 	var merged OpStats
 	for i := range shards {
@@ -24,7 +24,7 @@ func TestOpStatsMergeThreeShards(t *testing.T) {
 	}
 	want := OpStats{
 		Batches: 111, DenseBatches: 222, JoinProbed: 333, JoinMatched: 444, GroupDense: 555,
-		GroupHash: 666, RadixBatches: 777, GroupSlots: 888, GroupTableLen: 4096, GroupRouted: 1221, ColumnPins: 999, ColumnFaults: 1110,
+		GroupHash: 666, RadixBatches: 777, GroupSlots: 888, GroupTableLen: 4096, ColumnPins: 999, ColumnFaults: 1110,
 	}
 	if merged != want {
 		t.Fatalf("3-shard merge:\n got %+v\nwant %+v", merged, want)

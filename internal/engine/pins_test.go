@@ -3,17 +3,17 @@ package engine
 import (
 	"context"
 	"errors"
-	"sync"
+	"fmt"
 	"testing"
 
 	"seabed/internal/durable"
 	"seabed/internal/store"
 )
 
-// This file holds the bucketed group-by's lifecycle tests: its map tasks
-// leave their partitions pinned for the reducers, and every path out of the
-// run — success, a failed map task, a cancellation inside the reduce — must
-// release every pin, so the residency budget is overshot for one run at most.
+// This file holds the map tasks' pin tests: a task pins the columns it reads
+// for its own duration, and every path out of it — success, a failed fault, a
+// cancellation — releases them, so a run holds a daemon above its residency
+// budget by its in-flight tasks' pins at most.
 
 // pinBudget is the residency budget of these tests: below the columns one
 // wide group-by pins (pinnedRows rows of a 16-byte key and an 8-byte ASHE
@@ -47,11 +47,13 @@ func assertUnpinned(t *testing.T, name string, tbl *store.Table, res *store.Resi
 	}
 }
 
-// TestBucketedRunOverBudget runs a bucketed wide group-by over a durable
-// store whose residency budget is below the columns the run pins: the run
-// holds the daemon above its budget while it runs, returns the groups the
-// per-task strategy returns, and leaves no pin behind.
-func TestBucketedRunOverBudget(t *testing.T) {
+// TestGroupedRunWithinBudget runs a raw wide group-by twice over a durable
+// store whose residency budget is below the columns the run pins: a DET key
+// whose codebook refuses it, at a quarter of a row per group per map task.
+// With one map task at a time, each run leaves the daemon within its budget,
+// returns the reference's groups, and leaves no pin behind; the second run,
+// sized by the first, answers as the first did.
+func TestGroupedRunWithinBudget(t *testing.T) {
 	dir := t.TempDir()
 	heap := detKeyFixture(t, pinnedRows, 1<<13, pinnedParts, false)
 	s, err := durable.Open(durable.Options{Dir: dir})
@@ -74,28 +76,34 @@ func TestBucketedRunOverBudget(t *testing.T) {
 		t.Fatalf("the store serves %d partitions holding %d bytes, want %d views holding none", len(tbl.Parts), tbl.MemBytes(), pinnedParts)
 	}
 
-	c := NewCluster(Config{Workers: 4})
+	c := NewCluster(Config{Workers: 4, RealParallelism: 1})
 	ctx := context.Background()
-	mk := func() *Plan { return wideBytesGroupByPlan(tbl) }
 	ref, err := c.RunReference(ctx, wideBytesGroupByPlan(heap))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, buckets := bothStrategies(t, c, "over budget", mk, ref)
-	if buckets.Metrics.Ops.ColumnPins == 0 || len(tables.View()) != 1<<13 {
-		t.Fatalf("the bucketed run pinned %d columns for %d groups", buckets.Metrics.Ops.ColumnPins, len(tables.View()))
+	var first *Result
+	for run := range 2 {
+		pl := wideBytesGroupByPlan(tbl)
+		vec, err := c.Run(ctx, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("run %d", run)
+		if st := s.Residency().Stats(); st.ResidentBytes > pinBudget {
+			t.Errorf("%s left %d bytes resident, over the %d-byte budget", name, st.ResidentBytes, pinBudget)
+		}
+		if vec.Metrics.Ops.ColumnPins != 2*pinnedParts || len(vec.View()) != 1<<13 || isCoded(pl, vec) {
+			t.Fatalf("%s pinned %d columns for %d groups (%+v)", name, vec.Metrics.Ops.ColumnPins, len(vec.View()), vec.Metrics.Ops)
+		}
+		assertSameResult(t, name, vec, ref)
+		if first == nil {
+			first = vec
+		} else {
+			assertSameResult(t, name+" vs run 0", vec, first)
+		}
+		assertUnpinned(t, name, tbl, s.Residency())
 	}
-	assertUnpinned(t, "success", tbl, s.Residency())
-
-	// While it runs, a bucketed run holds every partition it read: the budget
-	// is overshot until the reducers finish, and by that run alone.
-	if _, err := c.run(ctx, mk(), nil, nil, groupBuckets); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Residency().Stats(); st.ResidentBytes <= pinBudget {
-		t.Errorf("a bucketed run left %d bytes resident, want its whole pinned set (over %d)", st.ResidentBytes, pinBudget)
-	}
-	assertUnpinned(t, "second success", tbl, s.Residency())
 }
 
 // viewTable serves heap's partitions as views charged to res; the partition
@@ -131,69 +139,56 @@ func (l heapLoader) LoadColumn(i int) (store.Column, error) {
 	return l.part.Cols[i], nil
 }
 
-// TestBucketedRunReleasesPinsOnTaskError: the last map task fails to fault
-// its columns in, after every other task has bucketed its rows and kept its
-// partition pinned for the reducers; the run fails and releases them all.
-func TestBucketedRunReleasesPinsOnTaskError(t *testing.T) {
+// TestRunReleasesPinsOnTaskError: the last map task fails to fault its
+// columns in, after every other task has grouped its rows; the run fails and
+// no pin survives it.
+func TestRunReleasesPinsOnTaskError(t *testing.T) {
 	heap := detKeyFixture(t, pinnedRows, 1<<13, pinnedParts, false)
 	res := store.NewResidency(pinBudget)
 	tbl := viewTable(t, heap, res, pinnedParts-1)
 	c := NewCluster(Config{Workers: 4, RealParallelism: 1})
-	_, err := c.run(context.Background(), wideBytesGroupByPlan(tbl), nil, nil, groupBuckets)
+	_, err := c.Run(context.Background(), wideBytesGroupByPlan(tbl))
 	if err == nil || err.Error() != "column unreadable" {
 		t.Fatalf("the run returned %v, want the failed task's error", err)
 	}
 	assertUnpinned(t, "task error", tbl, res)
 }
 
-// reduceCancel is a context that cancels itself inside a bucketed run's
-// reduce, on events rather than a clock. Its Err is nil until every
-// partition has faulted its columns in — with one map task at a time, the
-// last task has started, and a bucketed run's tasks keep their partitions
-// pinned, so none is evicted — then passes the run's own check after the map
-// stage and fails every later call, the reducers' first poll among them.
-type reduceCancel struct {
+// mapCancel is a context that cancels itself inside a run's map stage, on
+// events rather than a clock: its Err is nil until a partition holds columns
+// faulted in, and context.Canceled from then on.
+type mapCancel struct {
 	context.Context
 	parts []*store.Partition
-
-	mu    sync.Mutex
-	polls int // calls since every partition was resident
 }
 
-func (c *reduceCancel) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *mapCancel) Err() error {
 	for _, p := range c.parts {
-		if p.MemBytes() == 0 {
-			return nil
+		if p.MemBytes() != 0 {
+			return context.Canceled
 		}
 	}
-	c.polls++
-	if c.polls == 1 {
-		return nil
-	}
-	return context.Canceled
+	return nil
 }
 
-// TestBucketedRunReleasesPinsOnCancel cancels a bucketed run while its
-// reducers group: the run returns context.Canceled and no pin survives it.
-func TestBucketedRunReleasesPinsOnCancel(t *testing.T) {
+// TestRunReleasesPinsOnCancel cancels a grouped run once its first map task
+// has faulted its columns in: the run returns context.Canceled, launches no
+// further task once it sees the cancel, and no pin survives it.
+func TestRunReleasesPinsOnCancel(t *testing.T) {
 	heap := detKeyFixture(t, pinnedRows, 1<<13, pinnedParts, false)
 	res := store.NewResidency(pinBudget)
 	tbl := viewTable(t, heap, res, -1)
 	c := NewCluster(Config{Workers: 4, RealParallelism: 1})
-	ctx := &reduceCancel{Context: context.Background(), parts: tbl.Parts}
-	for i, p := range tbl.Parts {
-		if p.MemBytes() != 0 {
-			t.Fatalf("partition %d is resident before the run", i)
-		}
+	ctx := &mapCancel{Context: context.Background(), parts: tbl.Parts}
+	if err := ctx.Err(); err != nil {
+		t.Fatal("a partition is resident before the run")
 	}
-	_, err := c.run(ctx, wideBytesGroupByPlan(tbl), nil, nil, groupBuckets)
+	_, err := c.Run(ctx, wideBytesGroupByPlan(tbl))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("the run returned %v, want context.Canceled", err)
 	}
-	if ctx.polls < 2 {
-		t.Fatalf("the context was polled %d times once the map stage finished: no reducer polled it", ctx.polls)
+	if last := tbl.Parts[pinnedParts-1]; last.MemBytes() != 0 {
+		t.Fatalf("the last partition was faulted in after the cancel")
 	}
 	assertUnpinned(t, "cancel", tbl, res)
 }

@@ -20,13 +20,13 @@ import (
 // Correctness rests on two properties. First, a compiledPlan is immutable
 // after compile — map tasks only read it — so sharing one across
 // concurrent runs is safe. The exceptions are atomics: its groupHint, which
-// each grouped run overwrites with the sizes and the shape it finished at, so
-// the next run of the plan reserves its vectors once and picks its group-by
-// strategy — a stale or racing hint costs a regrowth or the slower strategy,
-// never a different result — and its per-code tables (codeCaches), each
-// replaced whole by a longer one computed from the same append-only
-// codebook, so a racing run computes the same entries twice at worst. Second, the fingerprint covers table
-// identity by pointer: tables grow copy-on-write everywhere (server appends,
+// each grouped run overwrites with the sizes it finished at, so the next run
+// of the plan reserves its vectors once — a stale or racing hint costs a
+// regrowth, never a different result — and its per-code tables
+// (codeCaches), each replaced whole by a longer one computed from the same
+// append-only codebook, so a racing run computes the same entries twice at
+// worst. Second, the fingerprint covers table identity by pointer: tables
+// grow copy-on-write everywhere (server appends,
 // coordinator snapshots), so a table that gained rows is a different pointer
 // and misses the cache, and a cached entry can never serve stale contents.
 // The retained reference evaluator bypasses the cache, keeping the

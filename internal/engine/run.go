@@ -75,20 +75,15 @@ func (c *Cluster) Run(ctx context.Context, pl *Plan) (*Result, error) {
 	return c.run(ctx, pl, nil, nil, groupAuto)
 }
 
-// groupStrategy is how a group-by's map tasks hand their rows to the reducers.
-// Run picks it per run (groupAuto); the package's tests and benchmarks pin it
-// to compare the two.
+// groupStrategy is how a group-by on a codable key groups. Run lets it take
+// table-wide codes wherever the codebook codes the key (groupAuto); the
+// package's tests and benchmarks pin the raw slot tables (groupRaw), every
+// other group-by's one path, to check and time the two against each other.
 type groupStrategy int
 
 const (
-	// groupAuto applies the rule to the plan's last run (groupHint.bucketed).
 	groupAuto groupStrategy = iota
-	// groupTables: each map task groups its rows in a table of its own, and
-	// each reducer merges its share of every task's groups.
-	groupTables
-	// groupBuckets: each map task buckets its rows by key hash, and each
-	// reducer groups its bucket's rows once (groupBucket).
-	groupBuckets
+	groupRaw
 )
 
 // run is the shared body behind Run and RunStream. A nil reference compiles
@@ -99,7 +94,7 @@ const (
 // to the sink as soon as that task retires (in partition order, so the stream
 // is globally identifier-ordered), the result's Scan stays nil, and
 // Metrics.FirstChunk records the wall-clock latency to the first delivered
-// chunk. strategy picks a group-by's.
+// chunk. strategy is groupRaw to keep a codable key off its codes.
 func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapRunner, error), sink ScanSink, strategy groupStrategy) (*Result, error) {
 	runStart := time.Now()
 	if pl.Table == nil {
@@ -154,8 +149,7 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 	}
 	parts := pl.Table.Parts
 	// The driver codes what the run reads through codes (codes.go) before
-	// the map stage, which fixes K for the run. A coded group-by never
-	// consults the last run's shape.
+	// the map stage, which fixes K for the run.
 	var codes *runCodes
 	if cp != nil {
 		if codes, err = cp.codeRun(parts, strategy == groupAuto, par); err != nil {
@@ -164,10 +158,6 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 	}
 	grouped := pl.GroupBy != nil
 	coded := codes != nil && codes.lanes != nil
-	routed := false
-	if grouped && cp != nil && !coded {
-		routed = strategy == groupBuckets || strategy == groupAuto && cp.hint.bucketed()
-	}
 	compileTime := time.Since(compileStart)
 
 	// Phase 2 — map stage: one task per partition, executed with bounded
@@ -222,20 +212,6 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 	}
 	sem := make(chan struct{}, par)
 	var wg sync.WaitGroup
-	// A bucketed run's map tasks leave their partitions pinned for the
-	// reducers; whatever path the run leaves by, every pin is released — after
-	// the reducers on success, at once on an error or a cancellation. Until
-	// then those partitions are safe from eviction, so the run may hold a
-	// daemon above its residency budget (store.Residency is a watermark).
-	unpin := func() {
-		for _, r := range results {
-			if r != nil && r.release != nil {
-				r.release()
-				r.release = nil
-			}
-		}
-	}
-	defer unpin()
 	for i := range parts {
 		// Abort the pool the moment the context dies: tasks already launched
 		// drain (they observe ctx themselves), unlaunched ones never start.
@@ -252,7 +228,7 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 				if codes != nil {
 					tc = &codes.parts[i]
 				}
-				results[i], errs[i] = cp.mapTask(mctx, c, parts[i], routed, tc)
+				results[i], errs[i] = cp.mapTask(mctx, c, parts[i], tc)
 			} else {
 				results[i], errs[i] = runner.runMapTask(mctx, c, parts[i])
 			}
@@ -291,7 +267,8 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 	mapTime := time.Since(mapStart)
 
 	// Phase 3 — reduce (group-by only): one reducer per non-empty bucket, or
-	// a coded group-by's one fold of its lane sets.
+	// a coded group-by's one fold of its lane sets. Every map task has
+	// released its pins by now: the reducers read only the tasks' groups.
 	reduceStart := time.Now()
 	var reduceTime time.Duration
 	var mergers []*groupMerger
@@ -302,21 +279,8 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 		metrics.ReduceTasks, metrics.ReduceTaskTimes = 1, []time.Duration{reduceTime}
 		metrics.ShuffleBytes += codes.lanes.bytes()
 	} else if grouped {
-		if mergers, err = c.reduceGroups(ctx, pl, cp, routed, results, &metrics); err != nil {
-			return nil, err
-		}
+		mergers = c.reduceGroups(pl, cp, results, &metrics)
 		reduceTime = time.Since(reduceStart)
-		unpin()
-		if cp != nil {
-			groups, merged := 0, 0
-			for _, mg := range mergers {
-				if mg != nil {
-					groups += mg.t.len()
-					merged = max(merged, mg.t.len())
-				}
-			}
-			cp.hint.measure(metrics.RowsSelected, groups, len(results), merged)
-		}
 	}
 
 	// Phase 4 — the driver puts the result together.
@@ -336,7 +300,7 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 		}
 		if out.Cols != nil && hasAshe(pl) {
 			var part IDPart
-			if part, err = groupSection(results, mergers, routed, byCode, out.Cols.Len(), codec); err != nil {
+			if part, err = groupSection(results, mergers, byCode, out.Cols.Len(), codec); err != nil {
 				return nil, err
 			}
 			out.Cols.IDs = []IDPart{part}
@@ -465,40 +429,30 @@ func foldSingle(pl *Plan, results []*mapResult, codec idlist.Codec, m *Metrics) 
 // map task, in task order, where the task left it. Per-task tables were
 // already partitioned by reducerBucket (taskGroups.partition), and the reducer
 // folds its share of each through a groupMerger, its keys reserved for the
-// slots a reducer of the plan last held. A bucketed run's tasks routed their
-// rows by the same rule, and the reducer groups its bucket's rows once
-// (groupBucket); its counters join the run's. Either way ReduceTaskTimes is
-// each reducer's wall, and the driver then gathers the result columns from
-// the returned reducers' blocks. cp is nil for the reference evaluator, which
-// never buckets.
-func (c *Cluster) reduceGroups(ctx context.Context, pl *Plan, cp *compiledPlan, routed bool, results []*mapResult, m *Metrics) ([]*groupMerger, error) {
+// slots a reducer of the plan last held; the largest reducer's slot count is
+// left for the next run (groupHint.merged). ReduceTaskTimes is each reducer's
+// wall, and the driver then gathers the result columns from the returned
+// reducers' blocks. cp is nil for the reference evaluator, which sizes
+// nothing from a last run.
+func (c *Cluster) reduceGroups(pl *Plan, cp *compiledPlan, results []*mapResult, m *Metrics) []*groupMerger {
 	nb := c.buckets()
-	sizes := make([]int, nb) // rows, or groups with repeats across tasks, per bucket
-	for _, mr := range results {
-		for b := range sizes {
-			if routed {
-				sizes[b] += len(mr.routed[b].rows)
-			} else {
-				sizes[b] += len(mr.groups.bucket(b))
-			}
-		}
-	}
 	active := make([]int, 0, nb)
-	for b, n := range sizes {
-		if n > 0 {
-			active = append(active, b)
+	for b := range nb {
+		for _, mr := range results {
+			if len(mr.groups.bucket(b)) > 0 {
+				active = append(active, b)
+				break
+			}
 		}
 	}
 	// A group-by that selected nothing still counts one (idle) reducer.
 	m.ReduceTasks = max(len(active), 1)
 
 	// Reduce per bucket, in parallel. Buckets are disjoint by construction —
-	// a key maps to exactly one bucket, and each map task's group (or rows)
-	// for it appear there alone — so reducers share no accumulator state.
+	// a key maps to exactly one bucket, and each map task's group for it
+	// appears there alone — so reducers share no accumulator state.
 	mergers := make([]*groupMerger, len(active))
-	ops := make([]*OpStats, len(active))
 	durations := make([]time.Duration, len(active))
-	errs := make([]error, len(active))
 	par := c.cfg.RealParallelism
 	if par <= 0 {
 		par = runtime.NumCPU()
@@ -516,35 +470,30 @@ func (c *Cluster) reduceGroups(ctx context.Context, pl *Plan, cp *compiledPlan, 
 			defer wg.Done()
 			defer func() { <-sem }()
 			start := time.Now()
-			if routed {
-				mergers[ri], ops[ri], errs[ri] = cp.groupBucket(ctx, results, b)
-			} else {
-				inputs := make([]groupSel, 0, len(results))
-				for _, mr := range results {
-					if sel := mr.groups.bucket(b); len(sel) > 0 {
-						inputs = append(inputs, groupSel{mr.groups, sel})
-					}
+			inputs := make([]groupSel, 0, len(results))
+			for _, mr := range results {
+				if sel := mr.groups.bucket(b); len(sel) > 0 {
+					inputs = append(inputs, groupSel{mr.groups, sel})
 				}
-				mg := mergeGroupSets(pl, inputs, last)
-				mg.finishCols()
-				mergers[ri] = mg
 			}
+			mg := mergeGroupSets(pl, inputs, last)
+			mg.finishCols()
+			mergers[ri] = mg
 			durations[ri] = time.Since(start)
 		}(ri, b)
 	}
 	wg.Wait()
 
 	byBucket := make([]*groupMerger, nb)
+	merged := 0
 	for ri, mg := range mergers {
-		if errs[ri] != nil {
-			return nil, errs[ri]
-		}
-		if ops[ri] != nil {
-			m.Ops.merge(ops[ri])
-		}
 		m.ResultBytes += mg.bytes
+		merged = max(merged, mg.t.len())
 		byBucket[active[ri]] = mg
 	}
+	if cp != nil {
+		cp.hint.merged.Store(int64(merged))
+	}
 	m.ReduceTaskTimes = durations
-	return byBucket, nil
+	return byBucket
 }

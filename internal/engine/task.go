@@ -27,18 +27,12 @@ type mapResult struct {
 	// plan's one group keyed 0 — a group-by's already partitioned by reducer
 	// bucket for the shuffle. A key appears at most once per task.
 	groups *taskGroups
-	// routed is a bucketed group-by's output instead: the task's survivors,
-	// one rowBucket per reducer, rows of part — whose columns stay pinned
-	// until release is called, once the reducers have grouped them.
-	routed []rowBucket
 	// ids and tags are what the task keeps for the identifier section when an
 	// aggregate is an ASHE sum: its survivors' identifiers, ascending, and in a
-	// group-by each survivor's slot in groups (or, routed, its bucket), in the
-	// same order.
+	// group-by each survivor's slot in groups (a coded group-by's, its code),
+	// in the same order.
 	ids     []idlist.Range
 	tags    []int32
-	part    *store.Partition
-	release func()
 	scan    []ScanRow // a scan's survivors: cursors into the task's one chunk
 	elapsed time.Duration
 	// bytes is the output's size as held (Metrics.ShuffleBytes' share),
@@ -148,20 +142,15 @@ func cmpU64(a, b uint64) int {
 }
 
 // sizeOutput prices a map task's output as the task holds it: plain arithmetic
-// over keys, row counts, accumulators and scan cells, or over a bucketed
-// task's rows, 4 bytes each for the row and the joined row and 8 for the hash;
-// and the identifiers it kept for the section, raw at 16 bytes a range and 4
-// a survivor's slot or bucket (listBytes). No list meets the codec here;
-// nothing is shuffled.
+// over keys, row counts, accumulators and scan cells, and the identifiers it
+// kept for the section, raw at 16 bytes a range and 4 a survivor's slot
+// (listBytes). No list meets the codec here; nothing is shuffled.
 func (pl *Plan) sizeOutput(res *mapResult) {
 	if res.groups != nil {
 		res.bytes = res.groups.heldBytes(pl)
 	}
 	res.listBytes = 16*len(res.ids) + 4*len(res.tags)
 	res.bytes += res.listBytes
-	for _, bk := range res.routed {
-		res.bytes += 4*len(bk.rows) + 4*len(bk.join) + 8*len(bk.hash)
-	}
 	if len(res.scan) > 0 { // a task's one chunk: 8 bytes a row, 8 and the value a cell
 		ch := res.scan[0].chunk
 		res.bytes += 8 * len(ch.IDs) * (1 + len(ch.Cols))

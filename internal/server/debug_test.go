@@ -116,11 +116,10 @@ func TestDebugHandlerStats(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var got struct {
-		ConnsTotal  uint64  `json:"conns_total"`
-		Runs        uint64  `json:"runs"`
-		TableCount  int     `json:"table_count"`
-		GroupRouted *uint64 `json:"group_routed_rows"`
-		Tables      []struct {
+		ConnsTotal uint64 `json:"conns_total"`
+		Runs       uint64 `json:"runs"`
+		TableCount int    `json:"table_count"`
+		Tables     []struct {
 			Ref  string `json:"ref"`
 			Rows uint64 `json:"rows"`
 		} `json:"tables"`
@@ -130,9 +129,6 @@ func TestDebugHandlerStats(t *testing.T) {
 	}
 	if got.ConnsTotal == 0 || got.Runs != 1 || got.TableCount != 1 {
 		t.Fatalf("stats = %+v, want 1 run over 1 table", got)
-	}
-	if got.GroupRouted == nil || *got.GroupRouted != 0 {
-		t.Fatalf("stats carry group_routed_rows %v, want 0 after one ungrouped run", got.GroupRouted)
 	}
 	if len(got.Tables) != 1 || got.Tables[0].Ref != "t@NoEnc" || got.Tables[0].Rows != 3 {
 		t.Fatalf("tables = %+v, want t@NoEnc with 3 rows", got.Tables)
@@ -180,7 +176,7 @@ func TestStatsJSONKeys(t *testing.T) {
 	slices.Sort(paths)
 	want := []string{
 		"appends", "canceled", "conns_active", "conns_total", "errors", "failovers",
-		"group_routed_rows", "hedged_runs", "plan_cache_hits", "plan_cache_misses",
+		"hedged_runs", "plan_cache_hits", "plan_cache_misses",
 		"recovery.bytes", "recovery.duration_ns", "recovery.mapped_bytes", "recovery.segments",
 		"recovery.tables", "recovery.torn_tails", "recovery.wal_records",
 		"registers", "replica_fetch_bytes",
@@ -192,52 +188,5 @@ func TestStatsJSONKeys(t *testing.T) {
 	}
 	if !slices.Equal(paths, want) {
 		t.Fatalf("stats JSON key paths\n got %v\nwant %v", paths, want)
-	}
-}
-
-// TestStatsCountRoutedRows: a group-by whose last run found about one row per
-// group per map task buckets its rows on the next run, and the daemon's Stats
-// count them — the one place a remote run's bucketed rows are seen.
-func TestStatsCountRoutedRows(t *testing.T) {
-	srv, addr := startServer(t)
-	conn := dialRaw(t, addr)
-	handshake(t, conn)
-	tbl, err := store.Build("g", []store.Column{
-		{Name: "k", Kind: store.U64, U64: []uint64{1, 2, 3, 4}},
-		{Name: "v", Kind: store.U64, U64: []uint64{5, 6, 7, 8}},
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg, err := wire.EncodeRegister("g@NoEnc", tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WriteFrame(conn, wire.MsgRegister, reg); err != nil {
-		t.Fatal(err)
-	}
-	if mt, _, err := wire.ReadFrame(conn); err != nil || mt != wire.MsgOK {
-		t.Fatalf("register: (%v, %v)", mt, err)
-	}
-	run, err := wire.EncodePlan(&wire.PlanRequest{
-		TableRef: "g@NoEnc",
-		Plan: &engine.Plan{GroupBy: &engine.GroupBy{Col: "k"},
-			Aggs: []engine.Agg{{Kind: engine.AggPlainSum, Col: "v"}}},
-	}, wire.Version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range 2 {
-		if err := wire.WriteFrame(conn, wire.MsgRun, run); err != nil {
-			t.Fatal(err)
-		}
-		if mt, _, err := wire.ReadFrame(conn); err != nil || mt != wire.MsgResult {
-			t.Fatalf("run %d: (%v, %v)", i, mt, err)
-		}
-	}
-	// The first run has no last run to go by and keeps per-task tables; the
-	// second finds one row per group in the one task, and buckets.
-	if got := srv.Stats().GroupRoutedRows; got != 4 {
-		t.Fatalf("Stats count %d bucketed rows after two runs, want 4", got)
 	}
 }

@@ -91,10 +91,6 @@ type Server struct {
 	// + trace flight recorder behind /debug/queries.
 	rowsScanned atomic.Uint64
 	queries     *obs.QueryLog
-	// groupRouted totals the rows completed group-bys bucketed by key hash
-	// for their reducers (engine.OpStats.GroupRouted), which no result frame
-	// carries.
-	groupRouted atomic.Uint64
 
 	// replication counters: runs the fleet coordinator marked as hedges or
 	// failovers, and segment bytes shipped to or pulled from peer daemons.
@@ -186,10 +182,6 @@ type Stats struct {
 	// issuing repeated query shapes should see the hit counter climb.
 	PlanCacheHits   uint64 `json:"plan_cache_hits"`
 	PlanCacheMisses uint64 `json:"plan_cache_misses"`
-	// GroupRoutedRows counts the rows completed group-bys routed to their
-	// reducers by key hash instead of grouping them per map task: a wide
-	// group-by whose last run found about one row per group per task.
-	GroupRoutedRows uint64 `json:"group_routed_rows"`
 	// Recovery reports what the durable store rebuilt at boot (zero without
 	// a -data-dir).
 	Recovery durable.RecoveryStats `json:"recovery"`
@@ -211,8 +203,6 @@ func (s *Server) Stats() Stats {
 		RunsActive: int(s.runsActive.Load()),
 		Canceled:   s.canceled.Load(),
 		Errors:     s.reqErrors.Load(),
-
-		GroupRoutedRows: s.groupRouted.Load(),
 
 		HedgedRuns:        s.hedgedRuns.Load(),
 		Failovers:         s.failovers.Load(),
@@ -940,7 +930,6 @@ func (s *Server) executeRun(ctx context.Context, cancel context.CancelFunc, conn
 		return wire.MsgError, wire.EncodeError(err.Error())
 	}
 	s.rowsScanned.Add(res.Metrics.RowsScanned)
-	s.groupRouted.Add(res.Metrics.Ops.GroupRouted)
 	if len(pl.Project) == 0 {
 		aq.SetRows(uint64(res.Cols.Len()))
 	}
