@@ -124,8 +124,7 @@ func (p *Proxy) renderExplain(stmt *sqlparse.Statement, tr *translate.Translatio
 		}
 		if m != nil {
 			total := m.Ops.GroupDense + m.Ops.GroupHash
-			attr("rows grouped: dense=%d hash=%d (of %d), radix_batches=%d",
-				m.Ops.GroupDense, m.Ops.GroupHash, total, m.Ops.RadixBatches)
+			attr("rows grouped: dense=%d hash=%d (of %d)", m.Ops.GroupDense, m.Ops.GroupHash, total)
 			attr("group_slots=%d table_len=%d (max across tasks)",
 				m.Ops.GroupSlots, m.Ops.GroupTableLen)
 		}

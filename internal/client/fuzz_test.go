@@ -19,28 +19,37 @@ import (
 // proxy does with them: wire.DecodeResult, engine.Merge under the query's
 // plan, and Decrypt. The daemons are untrusted, so every step past the
 // decoder must answer or refuse too: a result or an error, never a panic.
-// The queries are the dashboard's dense group-by (6 DET-keyed hours) and a
-// wide one (clicks, about 3,600 groups over 4,000 rows). The seeds are each
+// The queries are the dashboard's dense group-by (6 DET-keyed hours), a wide
+// one (clicks, about 3,600 groups over 4,000 rows), and the dense one
+// inflated (§4.5: 6 expected groups for 18 workers, 3 suffixes a key), whose
+// frames carry suffix lanes from the raw slot tables. The seeds are each
 // query's honest frames, every frame in FuzzDecodeResult's corpus alone, and
 // each corpus frame in place of one honest shard.
 func FuzzDecryptResults(f *testing.F) {
 	p := salesProxyClicks(f, 1, 1<<14, translate.Seabed)
 	cl := engine.NewCluster(engine.Config{Workers: 2})
-	queries := []string{
-		"SELECT hour, SUM(revenue) FROM sales GROUP BY hour",
-		"SELECT clicks, SUM(revenue) FROM sales GROUP BY clicks",
+	queries := []struct {
+		sql  string
+		opts translate.Options
+	}{
+		{"SELECT hour, SUM(revenue) FROM sales GROUP BY hour", translate.Options{Workers: cl.Workers()}},
+		{"SELECT clicks, SUM(revenue) FROM sales GROUP BY clicks", translate.Options{Workers: cl.Workers()}},
+		{"SELECT hour, SUM(revenue) FROM sales GROUP BY hour", translate.Options{Workers: 18, ExpectedGroups: 6}},
 	}
 	trs := make([]*translate.Translation, len(queries))
 	honest := make([][][]byte, len(queries))
-	for q, sql := range queries {
-		stmt, err := sqlparse.ParseStatement(sql)
+	for q, query := range queries {
+		stmt, err := sqlparse.ParseStatement(query.sql)
 		if err != nil {
 			f.Fatal(err)
 		}
-		if trs[q], err = translate.Translate(stmt.Query, p, p.Ring(), translate.Seabed, translate.Options{Workers: cl.Workers()}); err != nil {
+		if trs[q], err = translate.Translate(stmt.Query, p, p.Ring(), translate.Seabed, query.opts); err != nil {
 			f.Fatal(err)
 		}
 		pl := trs[q].Server
+		if inflated := pl.GroupBy.Inflate > 1; inflated != (query.opts.ExpectedGroups > 0) {
+			f.Fatalf("%s: GroupBy.Inflate %d with %d expected groups", query.sql, pl.GroupBy.Inflate, query.opts.ExpectedGroups)
+		}
 		for _, sub := range pl.Table.SplitRanges(3) {
 			scoped := *pl
 			scoped.Partial, scoped.Range = true, &engine.IDRange{Lo: sub.Parts[0].StartID, Hi: sub.EndID()}

@@ -253,18 +253,6 @@ func denseSpan(keyBound, inflateN uint64) uint64 {
 	return min(keys, uint64(denseMaxEntries)/inflateN)
 }
 
-// Radix partitioning of hash-path probes. When the open-addressed slot
-// table outgrows radixMinTable entries, each batch's surviving keys are
-// counting-sorted by the top radixBits of their hash before probing: the
-// table index is the hash's high bits, so probes within one radix run land
-// in the same 1/256th of the table — cache-resident bursts instead of
-// random per-row walks.
-const (
-	radixBits     = 8
-	radixBuckets  = 1 << radixBits
-	radixMinTable = 1 << 15
-)
-
 // grouper locates the accumulator for each surviving row's group. Every key
 // kind is slot-based: a key resolves to a small slot number — u64 keys under
 // the dense span through a direct index, every other key (wider u64 values,
@@ -286,15 +274,9 @@ type grouper struct {
 	denseKeys uint64
 	dense     []int32
 
-	// Per-batch scratch, sized to batchRows once: the resolved slot per
-	// survivor, and for the rows the dense index did not resolve their
-	// position in the batch, key row, suffix and hash, plus the probe order.
-	slots  []int32
-	hpos   []int32
-	hidx   []int32
-	hsfx   []int32
-	hh     []uint64
-	horder []int32
+	// slots is per-batch scratch, sized to batchRows once: the resolved slot
+	// per survivor.
+	slots []int32
 }
 
 // init sizes the slot machinery: for u64 keys the dense index spans
@@ -325,11 +307,6 @@ func (g *grouper) init(cp *compiledPlan) {
 		g.dense = make([]int32, g.denseKeys*g.inflateN)
 	}
 	g.slots = make([]int32, batchRows)
-	g.hpos = make([]int32, batchRows)
-	g.hidx = make([]int32, batchRows)
-	g.hsfx = make([]int32, batchRows)
-	g.hh = make([]uint64, batchRows)
-	g.horder = make([]int32, batchRows)
 }
 
 // suffix is the inflation suffix of the row with identifier rowID (−1 when
@@ -342,177 +319,93 @@ func (g *grouper) suffix(rowID uint64) int32 {
 }
 
 // groupSlots resolves each survivor's group key to a slot in g.slots,
-// parallel to the selection vector. u64 keys under the dense span index
-// directly; every other key is hashed, radix-partitioned by hash prefix when
-// the table is large, and probed in prefix order so table accesses burst
-// through one cache-resident region at a time. Only the probe order is
-// permuted — the slot vector stays in selection order, so accumulation
-// (and with it the survivors' slot order and min/max tie-breaking) is identical
-// to the reference evaluator's row order. A Fixed key below the radix size
-// resolves in one pass (fixedKeys).
+// parallel to the selection vector, in one pass in selection order: u64 keys
+// under the dense span index directly, and every other key is hashed where it
+// lies and probed in the slot table. Accumulation then follows the selection
+// order too, so its min/max tie-breaking is the reference evaluator's.
 func (ts *taskState) groupSlots(startID uint64) {
-	g := &ts.g
-	col := ts.pc.group
-	if col.Kind == store.Fixed && !g.radix(len(ts.b.sel)) {
-		ts.res.ops.GroupHash += uint64(ts.fixedKeys(startID, true))
-		return
-	}
-	miss := ts.hashPass(startID)
-	ts.res.ops.GroupDense += uint64(len(ts.b.sel) - miss)
-	ts.res.ops.GroupHash += uint64(miss)
-	if miss == 0 {
-		return
-	}
-	order := g.horder[:miss]
-	if g.radix(miss) {
-		ts.res.ops.RadixBatches++
-		var count [radixBuckets + 1]int32
-		for m := 0; m < miss; m++ {
-			count[(g.hh[m]>>(64-radixBits))+1]++
-		}
-		for b := 1; b <= radixBuckets; b++ {
-			count[b] += count[b-1]
-		}
-		for m := 0; m < miss; m++ {
-			b := g.hh[m] >> (64 - radixBits)
-			order[count[b]] = int32(m)
-			count[b]++
-		}
-	} else {
-		for m := range order {
-			order[m] = int32(m)
-		}
-	}
-	switch col.Kind {
-	case store.U64:
-		for _, m := range order {
-			g.slots[g.hpos[m]] = g.t.slotU64(col.U64[g.hidx[m]], g.hsfx[m], g.hh[m])
-		}
-	case store.Bytes:
-		probeKeys(g, col.Bytes, order)
-	case store.Fixed:
-		buf, w := col.Fixed, col.Width
-		for _, m := range order {
-			lo := int(g.hidx[m]) * w
-			g.slots[g.hpos[m]] = slotKeyed(&g.t, buf[lo:lo+w:lo+w], g.hsfx[m], g.hh[m])
-		}
-	default:
-		probeKeys(g, col.Str, order)
-	}
-}
-
-// radix reports whether a batch with pending hashed keys probes the table in
-// hash-prefix order: when the table is large enough for its accesses to miss
-// the cache, and the batch large enough to fill the prefixes' runs.
-func (g *grouper) radix(pending int) bool {
-	return len(g.t.table) >= radixMinTable && pending >= radixBuckets
-}
-
-// hashPass is groupSlots' first pass: it resolves the survivors whose u64 key
-// lies under the dense span and gathers every other survivor's position, key
-// row, suffix and key hash into the pending vectors. It returns the number
-// pending.
-func (ts *taskState) hashPass(startID uint64) int {
+	n := uint64(len(ts.b.sel))
 	switch col := ts.pc.group; col.Kind {
 	case store.U64:
-		return ts.hashU64Keys(startID)
-	case store.Bytes:
-		return hashKeys(ts, col.Bytes, startID)
+		dense := ts.u64Slots(col.U64, startID)
+		ts.res.ops.GroupDense += dense
+		ts.res.ops.GroupHash += n - dense
+		return
 	case store.Fixed:
-		return ts.fixedKeys(startID, false)
+		ts.fixedSlots(col, startID)
+	case store.Bytes:
+		keyedSlots(ts, col.Bytes, startID)
 	default:
-		return hashKeys(ts, col.Str, startID)
+		keyedSlots(ts, col.Str, startID)
 	}
+	ts.res.ops.GroupHash += n
 }
 
-// hashU64Keys is groupSlots' first pass for u64 keys: keys under the dense
-// span resolve on the spot, the rest are hashed into the pending vectors. It
-// returns the number pending.
-func (ts *taskState) hashU64Keys(startID uint64) (miss int) {
+// keyRow is the row survivor k's group key lies in: the survivor's own, i,
+// or for a right-side key its join match.
+func (ts *taskState) keyRow(k int, i int32) int32 {
+	if ts.g.right {
+		return ts.b.join[k]
+	}
+	return i
+}
+
+// u64Slots resolves u64 keys: a key under the dense span through the dense
+// index, any other through the slot table. It returns the number resolved
+// densely.
+func (ts *taskState) u64Slots(col []uint64, startID uint64) (dense uint64) {
 	g := &ts.g
-	col := ts.pc.group.U64
-	sel := ts.b.sel
-	slots := g.slots[:len(sel)]
-	dense, denseKeys, inflateN := g.dense, g.denseKeys, g.inflateN
-	for k, i := range sel {
-		idx := i
-		if g.right {
-			idx = ts.b.joinAt(k)
-		}
-		v := col[idx]
+	index, denseKeys, inflateN := g.dense, g.denseKeys, g.inflateN
+	for k, i := range ts.b.sel {
+		v := col[ts.keyRow(k, i)]
 		sfx := g.suffix(startID + uint64(i))
-		if v < denseKeys {
-			dk := v * inflateN
-			if sfx > 0 {
-				dk += uint64(sfx)
-			}
-			s := dense[dk]
-			if s == 0 {
-				g.t.appendU64(v, sfx)
-				s = int32(g.t.len())
-				dense[dk] = s
-			}
-			slots[k] = s - 1
+		if v >= denseKeys {
+			g.slots[k] = g.t.slotU64(v, sfx, hashU64(v, sfx))
 			continue
 		}
-		g.hpos[miss], g.hidx[miss], g.hsfx[miss], g.hh[miss] = int32(k), idx, sfx, hashU64(v, sfx)
-		miss++
+		dk := v * inflateN
+		if sfx > 0 {
+			dk += uint64(sfx)
+		}
+		s := index[dk]
+		if s == 0 {
+			g.t.appendU64(v, sfx)
+			s = int32(g.t.len())
+			index[dk] = s
+		}
+		g.slots[k] = s - 1
+		dense++
 	}
-	return miss
+	return dense
 }
 
-// hashKeys is groupSlots' first pass for byte and string keys: every survivor
-// is hashed into the pending vectors.
-func hashKeys[T ~string | ~[]byte](ts *taskState, col []T, startID uint64) int {
+// fixedSlots resolves Fixed keys — every DET and OPE value — which are
+// windows of one flat buffer rather than elements of a slice: each key is
+// hashed where it lies, a 16-byte key's two words mixed in line (hashWords).
+func (ts *taskState) fixedSlots(col *store.Column, startID uint64) {
 	g := &ts.g
+	buf, w := col.Fixed, col.Width
 	for k, i := range ts.b.sel {
-		idx := i
-		if g.right {
-			idx = ts.b.joinAt(k)
-		}
-		sfx := g.suffix(startID + uint64(i))
-		g.hpos[k], g.hidx[k], g.hsfx[k], g.hh[k] = int32(k), idx, sfx, hashKey(col[idx], sfx)
-	}
-	return len(ts.b.sel)
-}
-
-// fixedKeys is groupSlots' pass over Fixed keys — every DET and OPE value —
-// which are windows of one flat buffer rather than elements of a slice: each
-// survivor's key is hashed where it lies, a 16-byte key's two words mixed in
-// line (hashWords). With probe the key resolves to its slot on the spot, with
-// no pending vectors; without, it joins them, for a radix-ordered probe. It
-// returns the number of keys.
-func (ts *taskState) fixedKeys(startID uint64, probe bool) int {
-	g := &ts.g
-	buf, w := ts.pc.group.Fixed, ts.pc.group.Width
-	for k, i := range ts.b.sel {
-		idx := i
-		if g.right {
-			idx = ts.b.joinAt(k)
-		}
-		sfx := g.suffix(startID + uint64(i))
-		lo := int(idx) * w
+		lo := int(ts.keyRow(k, i)) * w
 		key := buf[lo : lo+w : lo+w]
+		sfx := g.suffix(startID + uint64(i))
 		var h uint64
 		if w == 16 {
 			h = hashWords(binary.LittleEndian.Uint64(key), binary.LittleEndian.Uint64(key[8:]), sfx)
 		} else {
 			h = hashKey(key, sfx)
 		}
-		if probe {
-			g.slots[k] = slotKeyed(&g.t, key, sfx, h)
-			continue
-		}
-		g.hpos[k], g.hidx[k], g.hsfx[k], g.hh[k] = int32(k), idx, sfx, h
+		g.slots[k] = slotKeyed(&g.t, key, sfx, h)
 	}
-	return len(ts.b.sel)
 }
 
-// probeKeys is groupSlots' last pass for byte and string keys: probe the
-// pending rows in the given order.
-func probeKeys[T ~string | ~[]byte](g *grouper, col []T, order []int32) {
-	for _, m := range order {
-		g.slots[g.hpos[m]] = slotKeyed(&g.t, col[g.hidx[m]], g.hsfx[m], g.hh[m])
+// keyedSlots resolves byte and string keys through the slot table.
+func keyedSlots[T ~string | ~[]byte](ts *taskState, col []T, startID uint64) {
+	g := &ts.g
+	for k, i := range ts.b.sel {
+		key := col[ts.keyRow(k, i)]
+		sfx := g.suffix(startID + uint64(i))
+		g.slots[k] = slotKeyed(&g.t, key, sfx, hashKey(key, sfx))
 	}
 }
 

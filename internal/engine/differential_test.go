@@ -46,8 +46,7 @@ func diffFixture(t *testing.T, rows, parts int) (*store.Table, *store.Table, *pa
 		vals[i] = uint64(i % 97)
 		dims[i] = uint64(i % 7)
 		// Distinct per row and spread far past the grouper's dense span, so
-		// wide group-bys drive the hashed (and, once the table outgrows
-		// radixMinTable, radix-partitioned) probe path.
+		// wide group-bys drive the slot table's hashed probes.
 		wide[i] = uint64(i)*0x9e3779b1 + 11
 		strs[i] = fmt.Sprintf("dim-%d", i%5)
 		asheCol[i] = asheKey.EncryptBody(vals[i], uint64(i)+1)
@@ -273,6 +272,28 @@ func differentialCases(pk *paillier.PublicKey) []diffCase {
 				Filters: []Filter{{Kind: FilterPlainCmp, Col: "v", Op: sqlparse.OpGt, U64: 90}},
 				Project: []string{"v", "rank"}}
 		}},
+		// Right-side u64 keys, read through each row's join match: ranks
+		// 100–144 under the default dense span, inflated, and with KeyBound
+		// 120, where ranks 100 and 111 index densely and 122–144 take the
+		// slot table.
+		{"noenc/join-group-right-u64", func(tbl, right *store.Table) *Plan {
+			return &Plan{Table: tbl,
+				Join:    &Join{Right: right, LeftCol: "d", RightCol: "rdim", RightCols: []string{"rank"}},
+				GroupBy: &GroupBy{Col: "rank"},
+				Aggs:    []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}, {Kind: AggPlainMax, Col: "v"}}}
+		}},
+		{"noenc/join-group-right-u64-bounded", func(tbl, right *store.Table) *Plan {
+			return &Plan{Table: tbl,
+				Join:    &Join{Right: right, LeftCol: "d", RightCol: "rdim", RightCols: []string{"rank"}},
+				GroupBy: &GroupBy{Col: "rank", KeyBound: 120},
+				Aggs:    []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}, {Kind: AggPlainMin, Col: "v"}}}
+		}},
+		{"noenc/join-group-right-u64-inflated", func(tbl, right *store.Table) *Plan {
+			return &Plan{Table: tbl,
+				Join:    &Join{Right: right, LeftCol: "d", RightCol: "rdim", RightCols: []string{"rank"}},
+				GroupBy: &GroupBy{Col: "rank", Inflate: 3},
+				Aggs:    []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}}}
+		}},
 
 		// --- Seabed: ASHE sums, DET/OPE filters, OPE extremes and medians ---
 		{"seabed/det-filter-ashe-sum", func(tbl, right *store.Table) *Plan {
@@ -452,15 +473,13 @@ func viewOf(tb testing.TB, tbl *store.Table) *store.Table {
 	return s.Tables()[tbl.Name]
 }
 
-// TestDifferentialRadixGroupBy drives the radix-partitioned probe path,
-// which needs enough distinct keys inside one map task for the
-// open-addressed table to outgrow radixMinTable: 2 partitions × 18000
-// distinct keys per task. Both lane (sum/count/ASHE) and generic (median)
-// accumulation run through the radix-ordered probes, and the results must
-// match the row-at-a-time reference exactly — including ASHE id-list
-// contents, which pin the selection-order (not probe-order) accumulation
-// guarantee.
-func TestDifferentialRadixGroupBy(t *testing.T) {
+// TestDifferentialWideTableGroupBy grows one map task's open-addressed table
+// past 2^15 entries — 2 partitions × 18000 distinct keys per task, so the
+// table doubles many times mid-task. Both lane (sum/count/ASHE) and generic
+// (median) accumulation run over it, and the results must match the
+// row-at-a-time reference exactly — including ASHE id-list contents, which
+// pin the selection-order accumulation guarantee.
+func TestDifferentialWideTableGroupBy(t *testing.T) {
 	const rows, parts = 36000, 2
 	vals := make([]uint64, rows)
 	wide := make([]uint64, rows)
@@ -470,7 +489,7 @@ func TestDifferentialRadixGroupBy(t *testing.T) {
 		wide[i] = uint64(i)*0x9e3779b1 + 11
 		asheCol[i] = asheKey.EncryptBody(vals[i], uint64(i)+1)
 	}
-	tbl, err := store.Build("radix", []store.Column{
+	tbl, err := store.Build("wide", []store.Column{
 		{Name: "v", Kind: store.U64, U64: vals},
 		{Name: "w", Kind: store.U64, U64: wide},
 		{Name: "v_ashe", Kind: store.U64, U64: asheCol},

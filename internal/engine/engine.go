@@ -437,8 +437,9 @@ type OpStats struct {
 	// through the open-addressed table.
 	GroupDense uint64
 	GroupHash  uint64
-	// RadixBatches counts batches whose hash-path probes engaged radix
-	// partitioning (table ≥ radixMinTable and ≥ radixBuckets misses).
+	// RadixBatches is no longer set by the engine, so it reads 0. It stays
+	// only as the result frame's eleventh counter (FORMAT.md §3) and as the
+	// benchmark's engine.radix_batches, until ROADMAP item 24(b) removes it.
 	RadixBatches uint64
 	// GroupSlots totals distinct group slots across the tables that grouped
 	// rows — the map tasks' (occupancy), or a coded group-by's result

@@ -107,7 +107,6 @@ func (pl *Plan) CodedGroupBy() bool {
 // default span, the dense cap) keys times the inflation-suffix domain, with
 // the open-addressed slot table as the fallback; byte keys (DET ciphertexts)
 // and string keys intern into the same table, key bytes in a per-task arena.
-// Table probes are radix-partitioned once the table outgrows radixMinTable.
 // Each map task fills a table of its own, and each reducer merges its share
 // of every task's. Empty when the plan has no GROUP BY.
 func (pl *Plan) GroupPath() string {
@@ -128,15 +127,14 @@ func (pl *Plan) GroupPath() string {
 		if gb.KeyBound > 0 {
 			bounded = ", KeyBound"
 		}
-		return fmt.Sprintf("dense direct-index (%d keys × %d suffixes%s), hash fallback radix-partitioned ≥ %d slots",
-			denseSpan(gb.KeyBound, inflateN), inflateN, bounded, radixMinTable)
+		return fmt.Sprintf("dense direct-index (%d keys × %d suffixes%s), hash fallback",
+			denseSpan(gb.KeyBound, inflateN), inflateN, bounded)
 	}
 	keyed := "byte"
 	if kind == store.Str {
 		keyed = "string"
 	}
-	table := fmt.Sprintf("open-addressed slot table (%s keys in a per-task arena), radix-partitioned ≥ %d slots",
-		keyed, radixMinTable)
+	table := fmt.Sprintf("open-addressed slot table (%s keys in a per-task arena)", keyed)
 	if pl.CodedGroupBy() {
 		return "table-wide codes (a lane per distinct key), or where a codebook refuses the key, " + table
 	}

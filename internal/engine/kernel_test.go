@@ -26,7 +26,7 @@ import (
 
 // kernelFixture builds a plaintext table: v = i%100, d = i%7, a 1024-value
 // dim column for dense group-by stress, and a distinct-per-row column whose
-// values spread far past the grouper's dense span for hashed/radix group-by
+// values spread far past the grouper's dense span for slot-table group-by
 // stress.
 func kernelFixture(tb testing.TB, rows, parts int) *store.Table {
 	tb.Helper()
@@ -171,8 +171,7 @@ func TestKernelU64GroupKeyAllocFree(t *testing.T) {
 // TestKernelBytesGroupKeyAllocFree asserts the same for the keys every
 // encrypted GROUP BY has: 16-byte DET ciphertexts intern into slots through
 // the shared table, key bytes in the task's arena, so once every group has a
-// slot the batch loop — hash, radix order, probe, lane accumulation —
-// allocates nothing.
+// slot the batch loop — hash, probe, lane accumulation — allocates nothing.
 func TestKernelBytesGroupKeyAllocFree(t *testing.T) {
 	const groups = 4096
 	tbl := detKeyFixture(t, 1<<14, groups, 1, false)
@@ -517,8 +516,8 @@ func BenchmarkKernelGroupByU64Reference(b *testing.B) {
 }
 
 // wideGroupByPlan groups on the distinct-per-row column: every key misses
-// the dense span, so the grouper's open-addressed table — radix-ordered once
-// it outgrows radixMinTable — carries the whole load.
+// the dense span, so the grouper's open-addressed table carries the whole
+// load.
 func wideGroupByPlan(tbl *store.Table) *Plan {
 	return &Plan{
 		Table:   tbl,
