@@ -170,8 +170,9 @@ func (ts *taskState) execute(ctx context.Context, i0, i1 int) error {
 // probe runs the broadcast-join hash probe over the batch: unmatched rows
 // drop from the selection vector (inner join), matched rows record their
 // right-table row in the join vector. The probe is typed by the key kind —
-// u64 keys hash directly, Fixed keys probe a fixedIndex, byte keys use Go's
-// allocation-free map[string]([]byte) lookup: no per-row key materializes.
+// u64 keys hash directly, a coded Fixed key reads its right row by code
+// (rightOf), and the other byte and string keys use Go's allocation-free
+// map[string]([]byte) lookup: no per-row key materializes.
 func (ts *taskState) probe() {
 	key := ts.cp
 	col := ts.pc.leftKey
@@ -187,7 +188,7 @@ func (ts *taskState) probe() {
 				join = append(join, j)
 			}
 		}
-	case store.Fixed:
+	case store.Fixed, store.Bytes:
 		if ts.codes != nil && ts.codes.join != nil {
 			codes, rightOf := ts.codes.join, ts.codes.rightOf
 			for _, i := range ts.b.sel {
@@ -198,17 +199,9 @@ func (ts *taskState) probe() {
 			}
 			break
 		}
-		x := key.joinFixed
-		for _, i := range ts.b.sel {
-			if j := x.find(col.BytesAt(int(i))); j >= 0 {
-				out = append(out, i)
-				join = append(join, j)
-			}
-		}
-	case store.Bytes:
 		h := key.joinStr
 		for _, i := range ts.b.sel {
-			if j, ok := h[string(col.Bytes[i])]; ok {
+			if j, ok := h[string(col.BytesAt(int(i)))]; ok {
 				out = append(out, i)
 				join = append(join, j)
 			}
@@ -284,7 +277,7 @@ type grouper struct {
 // per-batch scratch is allocated once, so the steady-state batch loop
 // allocates nothing; and the table is sized for the slots the plan's last run
 // held in a map task's table (groupHint.slots) at half load (1 Ki entries at
-// least), the keys, hashes, accumulators and identifier-list slots for those
+// least), the keys, accumulators and identifier-list slots for those
 // and a quarter more, so that a slightly larger partition fits too.
 func (g *grouper) init(cp *compiledPlan) {
 	expect := int(cp.hint.slots.Load())
@@ -567,7 +560,7 @@ func (cp *compiledPlan) mapTask(ctx context.Context, c *Cluster, part *store.Par
 	switch {
 	case ts.lanes != nil: // the lanes are the run's: the reduce folds the pool
 	case len(cp.pl.Project) == 0:
-		ts.g.fold(ts.res, cp, c.buckets())
+		ts.g.fold(ts.res, cp, c.cfg.Workers)
 	case ts.scan != nil:
 		ts.res.scan = ts.scan.Rows()
 	}

@@ -477,35 +477,65 @@ func TestCodedAcrossEviction(t *testing.T) {
 	}
 }
 
-// TestFixedJoinIndex holds the broadcast join's index over a Fixed key to a
-// Go map of the same keys: a duplicate key finds its last row, as the
-// reference evaluator's hash build does, and an absent key none. A join whose
-// keys hold values of different layouts is refused when the plan compiles.
+// TestFixedJoinIndex holds the broadcast join's index over a Fixed key — the
+// compiled plan's byte-key map, and the right row per code (rightOf) that a
+// run reads through the left key's codebook — to a Go map of the same keys: a
+// duplicate key finds its last row, as the reference evaluator's hash build
+// does, and an absent key −1. A join whose keys hold values of different
+// layouts is refused when the plan compiles.
 func TestFixedJoinIndex(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(51))
 	vals := make([]uint64, 3000)
 	for i := range vals {
 		vals[i] = uint64(rng.Intn(2000)) // about a third of the keys repeat
 	}
-	key := detFixed("rk", vals)
-	x := newFixedIndex(&key)
-	want := map[string]int32{}
-	for i := range vals {
-		want[string(key.BytesAt(i))] = int32(i)
+	// Every key and keys the right side lacks, each three times: a codebook
+	// refuses a column of more than one value per two rows.
+	probes := make([]uint64, 3*2100)
+	for i := range probes {
+		probes[i] = uint64(i % 2100)
 	}
-	for v := range uint64(2100) {
-		ct := detKey.EncryptU64(v)
-		j, ok := want[string(ct)]
-		if !ok {
-			j = -1
+	right, err := store.Build("r", []store.Column{detFixed("rk", vals)}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	left, err := store.Build("l", []store.Column{detFixed("lk", probes)}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int32{}
+	for i, v := range vals {
+		want[string(detKey.EncryptU64(v))] = int32(i)
+	}
+	cp, err := (&Plan{Table: left, Join: &Join{Right: right, LeftCol: "lk", RightCol: "rk"}, Aggs: []Agg{{Kind: AggCount}}}).compile(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cp.joinStr, want) {
+		t.Fatalf("the join index holds %d keys, want %d", len(cp.joinStr), len(want))
+	}
+	rc, err := cp.codeRun(left.Parts, true, 1)
+	if err != nil || rc == nil {
+		t.Fatal("the join key is not coded", err)
+	}
+	for pi, part := range left.Parts {
+		tc := &rc.parts[pi]
+		if tc.join == nil {
+			t.Fatalf("partition %d: the join key is not coded", pi)
 		}
-		if got := x.find(ct); got != j {
-			t.Fatalf("key of %d: row %d, want %d", v, got, j)
+		for row := range part.NumRows() {
+			j, ok := want[string(part.Cols[0].BytesAt(row))]
+			if !ok {
+				j = -1
+			}
+			if got := tc.rightOf[tc.join[row]]; got != j {
+				t.Fatalf("partition %d, row %d: right row %d, want %d", pi, row, got, j)
+			}
 		}
 	}
 
-	lineage, right := codedLineage(t)
-	_, err := (&Plan{Table: lineage[0], Join: &Join{Right: right, LeftCol: "v", RightCol: "rk"}, Aggs: []Agg{{Kind: AggCount}}}).compile(0)
+	lineage, codedRight := codedLineage(t)
+	_, err = (&Plan{Table: lineage[0], Join: &Join{Right: codedRight, LeftCol: "v", RightCol: "rk"}, Aggs: []Agg{{Kind: AggCount}}}).compile(0)
 	if err == nil {
 		t.Fatal("a join of a u64 key to a Fixed one compiled")
 	}

@@ -85,7 +85,7 @@ func (cp *compiledPlan) codeRun(parts []*store.Partition, auto bool, par int) (*
 		groupCol = cp.groupCol.idx
 	}
 	joinCol := -1
-	if cp.joinFixed != nil {
+	if cp.leftKeyIdx >= 0 && pl.Table.Parts[0].Cols[cp.leftKeyIdx].Kind == store.Fixed {
 		joinCol = cp.leftKeyIdx
 	}
 	uses := groupCol >= 0 || joinCol >= 0
@@ -158,7 +158,12 @@ func (cp *compiledPlan) codeRun(parts []*store.Partition, auto bool, par int) (*
 			return nil, err
 		}
 		if c.codes != nil {
-			rightOf := perCode(&cp.codes.rightOf, c.vals, cp.joinFixed.find)
+			rightOf := perCode(&cp.codes.rightOf, c.vals, func(v []byte) int32 {
+				if j, ok := cp.joinStr[string(v)]; ok {
+					return j
+				}
+				return -1
+			})
 			for i := range rc.parts {
 				rc.parts[i].join, rc.parts[i].rightOf = c.codes[i], rightOf
 			}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"sync/atomic"
 
 	"seabed/internal/store"
@@ -52,10 +51,9 @@ type compiledPlan struct {
 	// right holds the join's flattened right-side columns by name; the join
 	// index maps key values to right-side row indices, typed by the key
 	// column's kind so u64 keys never round-trip through strings.
-	right     map[string]*store.Column
-	joinU64   map[uint64]int32
-	joinFixed *fixedIndex
-	joinStr   map[string]int32
+	right   map[string]*store.Column
+	joinU64 map[uint64]int32
+	joinStr map[string]int32
 
 	preds []predKernel
 	// codeVal holds, per filter, its predicate on one value, where a map task
@@ -204,10 +202,10 @@ func (cp *compiledPlan) useLeft(idx int) {
 }
 
 // buildJoinIndex indexes the right table's key column, typed by its kind:
-// u64 keys hash directly, Fixed keys go into a fixedIndex, byte and string
-// keys share one string-keyed map (probes use Go's alloc-free map[string]
-// lookup on a []byte conversion). Duplicate keys keep the last occurrence,
-// matching the reference evaluator's hash build.
+// u64 keys hash directly, Fixed, byte and string keys share one string-keyed
+// map (probes use Go's alloc-free map[string] lookup on a []byte conversion).
+// Duplicate keys keep the last occurrence, matching the reference evaluator's
+// hash build.
 func (cp *compiledPlan) buildJoinIndex(key *store.Column) {
 	switch key.Kind {
 	case store.U64:
@@ -215,9 +213,7 @@ func (cp *compiledPlan) buildJoinIndex(key *store.Column) {
 		for i, v := range key.U64 {
 			cp.joinU64[v] = int32(i)
 		}
-	case store.Fixed:
-		cp.joinFixed = newFixedIndex(key)
-	case store.Bytes:
+	case store.Fixed, store.Bytes:
 		cp.joinStr = make(map[string]int32, key.Len())
 		for i := 0; i < key.Len(); i++ {
 			cp.joinStr[string(key.BytesAt(i))] = int32(i)
@@ -229,42 +225,6 @@ func (cp *compiledPlan) buildJoinIndex(key *store.Column) {
 		}
 	}
 }
-
-// fixedIndex indexes a Fixed join key: linear probing over row+1 (0 = empty)
-// at the high bits of the key's seeded hash, keys compared where they lie. An
-// eighth full, most missing keys meet an empty entry first (at half load it
-// probed slower than Go's map); the seed keeps uploads from colliding it.
-type fixedIndex struct {
-	key   *store.Column
-	table []int32
-	shift uint
-	seed  int32
-}
-
-func newFixedIndex(key *store.Column) *fixedIndex {
-	bits := uint(4)
-	for 1<<bits < 8*key.Len() {
-		bits++
-	}
-	x := &fixedIndex{key: key, table: make([]int32, 1<<bits), shift: 64 - bits, seed: int32(rand.Uint32())}
-	for i := range key.Len() {
-		x.table[x.at(key.BytesAt(i))] = int32(i + 1) // a duplicate key's last row wins
-	}
-	return x
-}
-
-// at returns the table index holding key k, or the empty one where it goes.
-func (x *fixedIndex) at(k []byte) uint64 {
-	mask := uint64(len(x.table) - 1)
-	for idx := hashKey(k, x.seed) >> x.shift; ; idx = (idx + 1) & mask {
-		if r := x.table[idx]; r == 0 || sameKey(x.key.BytesAt(int(r-1)), k) {
-			return idx
-		}
-	}
-}
-
-// find returns the row whose key is k, or −1.
-func (x *fixedIndex) find(k []byte) int32 { return x.table[x.at(k)] - 1 }
 
 // bindPart resolves the compiled references against one partition's columns:
 // pointer lookups by index, no name resolution and no kind dispatch. A filter

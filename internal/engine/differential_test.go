@@ -68,19 +68,26 @@ func diffFixture(t *testing.T, rows, parts int) (*store.Table, *store.Table, *pa
 		t.Fatal(err)
 	}
 
-	// Right side for broadcast joins: one row per dim value, keyed both as
-	// plaintext u64 and as DET bytes, with a payload column.
+	// Right side for broadcast joins: one row per dim value, keyed as
+	// plaintext u64, as DET bytes, as a string and as DET of that string,
+	// with a payload column.
 	const rdims = 5 // leave dims 5 and 6 unmatched so inner-join drops occur
 	rdim := make([]uint64, rdims)
 	rank := make([]uint64, rdims)
+	rstr := make([]string, rdims)
+	rstrDet := make([][]byte, rdims)
 	for i := 0; i < rdims; i++ {
 		rdim[i] = uint64(i)
 		rank[i] = uint64(100 + i*11)
+		rstr[i] = fmt.Sprintf("dim-%d", i+1) // dim-0 unmatched, dim-5 on no left row
+		rstrDet[i] = detKey.EncryptString(rstr[i])
 	}
 	right, err := store.Build("r", []store.Column{
 		{Name: "rdim", Kind: store.U64, U64: rdim},
 		detFixed("rdim_det", rdim),
 		{Name: "rank", Kind: store.U64, U64: rank},
+		{Name: "rs", Kind: store.Str, Str: rstr},
+		{Name: "rs_det", Kind: store.Bytes, Bytes: rstrDet},
 	}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -272,6 +279,11 @@ func differentialCases(pk *paillier.PublicKey) []diffCase {
 				Filters: []Filter{{Kind: FilterPlainCmp, Col: "v", Op: sqlparse.OpGt, U64: 90}},
 				Project: []string{"v", "rank"}}
 		}},
+		{"noenc/join-str-keys", func(tbl, right *store.Table) *Plan {
+			return &Plan{Table: tbl,
+				Join: &Join{Right: right, LeftCol: "s", RightCol: "rs", RightCols: []string{"rank"}},
+				Aggs: []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggPlainSum, Col: "rank"}, {Kind: AggCount}}}
+		}},
 		// Right-side u64 keys, read through each row's join match: ranks
 		// 100–144 under the default dense span, inflated, and with KeyBound
 		// 120, where ranks 100 and 111 index densely and 122–144 take the
@@ -363,6 +375,20 @@ func differentialCases(pk *paillier.PublicKey) []diffCase {
 			return &Plan{Table: tbl,
 				Filters: []Filter{{Kind: FilterDetEq, Col: "d_det", Bytes: detKey.EncryptU64(6)}},
 				Project: []string{"s_det", "d_det"}}
+		}},
+		// Joins on DET of strings probe the byte-key map, Bytes keys as they
+		// are, and group by the right side's key through each row's match.
+		{"seabed/join-det-str-keys", func(tbl, right *store.Table) *Plan {
+			return &Plan{Table: tbl,
+				Join:    &Join{Right: right, LeftCol: "s_det", RightCol: "rs_det", RightCols: []string{"rank"}},
+				Filters: []Filter{{Kind: FilterOpeCmp, Col: "v_ope", Op: sqlparse.OpLt, Bytes: opeKey.Encrypt(70)}},
+				Aggs:    []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggPlainSum, Col: "rank"}, {Kind: AggCount}}}
+		}},
+		{"seabed/join-det-str-keys-group-right", func(tbl, right *store.Table) *Plan {
+			return &Plan{Table: tbl,
+				Join:    &Join{Right: right, LeftCol: "s_det", RightCol: "rs_det", RightCols: []string{"rank"}},
+				GroupBy: &GroupBy{Col: "rs_det"},
+				Aggs:    []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggPlainMax, Col: "rank"}}}
 		}},
 		{"seabed/join-det-keys-group-right", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl,

@@ -82,7 +82,8 @@ type Cluster struct {
 	plans planCache
 }
 
-// NewCluster returns a Cluster, applying Config defaults.
+// NewCluster returns a Cluster, applying Config defaults: the one way to make
+// one, so its Workers is at least 1.
 func NewCluster(cfg Config) *Cluster {
 	if cfg.Workers <= 0 {
 		cfg.Workers = DefaultWorkers
@@ -92,10 +93,6 @@ func NewCluster(cfg Config) *Cluster {
 
 // Workers returns the reducer-bucket count (Config.Workers).
 func (c *Cluster) Workers() int { return c.cfg.Workers }
-
-// buckets is the reducer-bucket count a run partitions a group-by into: at
-// least one, whatever Config a zero Cluster carries.
-func (c *Cluster) buckets() int { return max(c.cfg.Workers, 1) }
 
 // RegisterTable satisfies the proxy's cluster-backend contract. The
 // in-process engine receives plans that reference tables by pointer, so

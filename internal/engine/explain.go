@@ -141,10 +141,11 @@ func (pl *Plan) GroupPath() string {
 	return table
 }
 
-// JoinIndexKind names the hash index the broadcast join builds over the right
+// JoinIndexKind names the index the broadcast join probes over the right
 // table, typed by the left key column's kind the way the probe kernel is:
-// u64 keys hash directly, Fixed keys (DET values) index in place, byte and
-// string keys use a string-keyed map. Empty when the plan has no join.
+// u64 keys hash directly, Fixed keys (DET values) read their right row by
+// table-wide code, or where a codebook refuses the key use the byte-key map
+// that byte and string keys use. Empty when the plan has no join.
 func (pl *Plan) JoinIndexKind() string {
 	if pl.Join == nil {
 		return ""
@@ -157,7 +158,7 @@ func (pl *Plan) JoinIndexKind() string {
 	case store.U64:
 		return "u64-hash"
 	case store.Fixed:
-		return "fixed-hash"
+		return "codes, else bytes-hash"
 	case store.Bytes:
 		return "bytes-hash"
 	}

@@ -61,17 +61,14 @@ func room[T any](s []T, n int) []T {
 
 // groupKeys stores one key per slot, a flat vector per component: the value
 // itself for u64 keys, a span of one shared byte arena for byte and string
-// keys, and the inflation suffix when the plan inflates groups. A slot table's
-// byte and string keys also carry their hash, which travels with a map task's
-// output so its reducer interns them without re-hashing.
+// keys, and the inflation suffix when the plan inflates groups.
 type groupKeys struct {
 	kind     store.Kind
 	inflated bool
 	u64      []uint64 // store.U64: the key per slot
 	off      []uint64 // other kinds: key s is arena[off[s]:off[s+1]]
 	arena    []byte
-	sfx      []int32  // inflation suffix per slot; unused (suffix −1) unless inflated
-	hash     []uint64 // other kinds: hashKey of slot s's key and suffix; nil when not kept
+	sfx      []int32 // inflation suffix per slot; unused (suffix −1) unless inflated
 }
 
 func (k *groupKeys) init(kind store.Kind, inflated bool) {
@@ -176,9 +173,8 @@ func hashWords(a, b uint64, sfx int32) uint64 {
 // table indexed by the hash's high bits and holding slot+1 (0 = empty), over
 // the groupKeys that map each slot back to its key. It doubles at half load;
 // used counts its entries, which a grouper's dense-indexed slots are not among.
-// Byte and string keys also keep their hash per slot (groupKeys.hash), so
-// probes reject on one word before comparing bytes and growth never re-reads
-// the arena.
+// A probe compares a candidate's key and suffix, and growth re-hashes the keys
+// the table holds.
 type slotTable struct {
 	groupKeys
 	table []int32
@@ -196,14 +192,6 @@ func (t *slotTable) init(kind store.Kind, inflated bool, expect int) {
 	}
 	t.table = make([]int32, 1<<bits)
 	t.shift = 64 - bits
-}
-
-// reserve makes room for n more slots with keys of about keyLen bytes each.
-func (t *slotTable) reserve(n, keyLen int) {
-	t.groupKeys.reserve(n, keyLen)
-	if t.kind != store.U64 {
-		t.hash = room(t.hash, n)
-	}
 }
 
 // slotU64 resolves a u64 key to its slot, adding one on first sight.
@@ -226,9 +214,8 @@ func (t *slotTable) slotU64(v uint64, sfx int32, h uint64) int32 {
 	}
 }
 
-// slotKeyed is slotU64 for byte and string keys: a first sight copies the key
-// into the arena. A candidate is rejected on its kept hash before its key is
-// compared (sameKey).
+// slotKeyed is slotU64 for byte and string keys, h being hashKey(key, sfx): a
+// first sight copies the key into the arena.
 func slotKeyed[T ~string | ~[]byte](t *slotTable, key T, sfx int32, h uint64) int32 {
 	if t.used*2 >= len(t.table) {
 		t.grow()
@@ -238,12 +225,11 @@ func slotKeyed[T ~string | ~[]byte](t *slotTable, key T, sfx int32, h uint64) in
 		s := t.table[idx]
 		if s == 0 {
 			appendKey(&t.groupKeys, key, sfx)
-			t.hash = append(room(t.hash, 1), h)
 			t.used++
-			t.table[idx] = int32(len(t.hash))
-			return int32(len(t.hash) - 1)
+			t.table[idx] = int32(t.len())
+			return int32(t.len() - 1)
 		}
-		if t.hash[s-1] == h && sameKey(t.bytesAt(int(s-1)), key) && t.suffixAt(int(s-1)) == sfx {
+		if sameKey(t.bytesAt(int(s-1)), key) && t.suffixAt(int(s-1)) == sfx {
 			return s - 1
 		}
 	}
@@ -260,7 +246,7 @@ func sameKey[T ~string | ~[]byte](a []byte, key T) bool {
 }
 
 // grow doubles the table and reinserts every resident slot at its new
-// high-bits position.
+// high-bits position, re-hashing its key.
 func (t *slotTable) grow() {
 	old := t.table
 	t.table = make([]int32, len(old)*2)
@@ -270,13 +256,7 @@ func (t *slotTable) grow() {
 		if s == 0 {
 			continue
 		}
-		var h uint64
-		if t.kind == store.U64 {
-			h = hashU64(t.u64[s-1], t.suffixAt(int(s-1)))
-		} else {
-			h = t.hash[s-1]
-		}
-		idx := h >> t.shift
+		idx := t.hashAt(int(s-1)) >> t.shift
 		for t.table[idx] != 0 {
 			idx = (idx + 1) & mask
 		}
@@ -284,25 +264,23 @@ func (t *slotTable) grow() {
 	}
 }
 
+// hashAt is slot s's key hashed with its suffix, as the slot table hashes it.
+func (k *groupKeys) hashAt(s int) uint64 {
+	if k.kind == store.U64 {
+		return hashU64(k.u64[s], k.suffixAt(s))
+	}
+	return hashKey(k.bytesAt(s), k.suffixAt(s))
+}
+
 // reducerBucket deterministically assigns slot s's key to one of n reducer
-// buckets: the key's hash modulo n — for a byte or string key the kept hash
-// when the table kept one, else hashKey, which is that same value. Both
-// executors and every shard must agree on the assignment, so the hash covers
-// only the key's material and inflation suffix, never a table's layout.
+// buckets: the key's hash modulo n. Both executors and every shard must agree
+// on the assignment, so the hash covers only the key's material and inflation
+// suffix, never a table's layout.
 func (k *groupKeys) reducerBucket(s, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	var h uint64
-	switch {
-	case k.kind == store.U64:
-		h = hashU64(k.u64[s], k.suffixAt(s))
-	case k.hash != nil:
-		h = k.hash[s]
-	default:
-		h = hashKey(k.bytesAt(s), k.suffixAt(s))
-	}
-	return int(h % uint64(n))
+	return int(k.hashAt(s) % uint64(n))
 }
 
 // --- accumulators ---
@@ -639,7 +617,7 @@ func mergeGroupSets(pl *Plan, inputs []groupSel, hint int) *groupMerger {
 }
 
 // intern resolves each group of in to its slot in dst, adding slots for keys
-// not seen before. A map task's byte keys arrive with the hash its table kept.
+// not seen before.
 func (m *groupMerger) intern(in groupSel, dst []int32) {
 	keys := &in.set.keys
 	for i := range dst {
@@ -651,13 +629,7 @@ func (m *groupMerger) intern(in groupSel, dst []int32) {
 			continue
 		}
 		key := keys.bytesAt(g)
-		var h uint64
-		if keys.hash != nil {
-			h = keys.hash[g]
-		} else {
-			h = hashKey(key, sfx)
-		}
-		dst[i] = slotKeyed(&m.t, key, sfx, h)
+		dst[i] = slotKeyed(&m.t, key, sfx, hashKey(key, sfx))
 	}
 }
 
@@ -713,12 +685,10 @@ func (m *groupMerger) finishCols() {
 }
 
 // gatherGroups writes the result columns from finished mergers whose key sets
-// are disjoint: every group of every merger, concatenated — mergers in order
-// (nil ones, reducers of empty buckets, skipped), each one's groups in slot
-// order — in no key order. A result's key order is its reader's: the client
+// are disjoint: every group of every merger, concatenated — mergers in order,
+// each one's groups in slot order — in no key order. A result's key order is its reader's: the client
 // orders rows by plaintext key, and Result.View by ciphertext key.
 func gatherGroups(ms []*groupMerger) *GroupCols {
-	ms = slices.DeleteFunc(slices.Clone(ms), func(m *groupMerger) bool { return m == nil })
 	total, arena := 0, 0
 	for _, m := range ms {
 		total += m.t.len()

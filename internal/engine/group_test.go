@@ -141,7 +141,10 @@ func hashKeyBytes(k []byte, sfx int32) uint64 {
 // (grouper.suffix) besides −1 and the extremes. And the word compare numbers
 // keys as a map does, first seen first, through the table's growth, on
 // neighbours one bit apart, on keys that differ only in their suffix, and on
-// byte and string keys alike.
+// byte and string keys alike. A third table is handed hashes of 0 and 1 in
+// place of hashKey's, so that only the compare tells keys apart; it is sized
+// for every row to be a new key, because growth re-hashes the keys it holds
+// with hashKey and would then place them where no fake hash probes.
 func TestFixedKeyProbe(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for _, width := range []int{16, 8, 15, 17, 32} {
@@ -159,7 +162,8 @@ func TestFixedKeyProbe(t *testing.T) {
 			var byBytes, byString, collided slotTable
 			byBytes.init(store.Bytes, inflate > 0, 0)
 			byString.init(store.Str, inflate > 0, 0)
-			collided.init(store.Bytes, inflate > 0, 0)
+			collided.init(store.Bytes, inflate > 0, 8000)
+			collidedLen := len(collided.table)
 			type ks struct {
 				key string
 				sfx int32
@@ -193,6 +197,9 @@ func TestFixedKeyProbe(t *testing.T) {
 			}
 			if byBytes.len() != len(want) || !reflect.DeepEqual(byBytes.arena, byString.arena) || len(byBytes.table) <= 1024 {
 				t.Fatalf("width %d, inflate %d: %d slots of %d keys, table of %d", width, inflate, byBytes.len(), len(want), len(byBytes.table))
+			}
+			if len(collided.table) != collidedLen {
+				t.Fatalf("width %d, inflate %d: the table of fake hashes grew", width, inflate)
 			}
 		}
 	}

@@ -414,7 +414,7 @@ func (c *GroupCols) groupLists() (lists [][]byte, ok bool) {
 // gathered columns, which number the reducers' groups bucket by bucket, each
 // reducer's in slot order (gatherGroups). A task finds its groups' numbers
 // where the reducers merged them (taskGroups.remap, filled here from each
-// merge's dst). mergers is reduceGroups', by bucket. A coded group-by's tags
+// merge's dst). mergers is reduceGroups', in bucket order. A coded group-by's tags
 // are codes, which byCode numbers (gatherCoded); it has no mergers.
 func groupSection(results []*mapResult, mergers []*groupMerger, byCode []int32, groups int, codec idlist.Codec) (IDPart, error) {
 	// Runs are at most one a survivor, each one word when survivors seldom
@@ -429,9 +429,6 @@ func groupSection(results []*mapResult, mergers []*groupMerger, byCode []int32, 
 	}
 	at := int32(0)
 	for _, mg := range mergers {
-		if mg == nil {
-			continue
-		}
 		k := 0
 		for _, in := range mg.inputs {
 			for i := range in.len() {

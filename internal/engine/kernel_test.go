@@ -233,7 +233,6 @@ func TestGrouperMemoryTracksGroupsNotRows(t *testing.T) {
 		"rows":      cap(g.acc.rows),
 		"lane":      cap(g.acc.cols[0].Lane),
 		"key spans": cap(g.t.off),
-		"hashes":    cap(g.t.hash),
 		"key arena": cap(g.t.arena) / 16,
 	} {
 		if c > 2*groups {
@@ -244,7 +243,7 @@ func TestGrouperMemoryTracksGroupsNotRows(t *testing.T) {
 
 // TestGrouperSizedFromLastTask: a map task of a compiled plan starts sized by
 // the plan's last task, so over a partition with as many groups as that one
-// its slot table never grows and none of its per-slot vectors — keys, hashes,
+// its slot table never grows and none of its per-slot vectors — keys,
 // row counts, lanes, values — reallocates.
 func TestGrouperSizedFromLastTask(t *testing.T) {
 	// Two partitions, each holding every group and, at 20 rows a group and
@@ -270,7 +269,6 @@ func TestGrouperSizedFromLastTask(t *testing.T) {
 				"table":     len(g.t.table),
 				"key spans": cap(g.t.off),
 				"key arena": cap(g.t.arena),
-				"hashes":    cap(g.t.hash),
 				"suffixes":  cap(g.t.sfx),
 				"rows":      cap(g.acc.rows),
 				"sum lane":  cap(g.acc.cols[0].Lane),

@@ -385,8 +385,8 @@ func hasAshe(pl *Plan) bool {
 // cursors into it. A sink error cancels the remaining map tasks and is
 // returned as-is.
 func (c *Cluster) RunStream(ctx context.Context, pl *Plan, sink ScanSink) (*Result, error) {
-	if sink == nil || len(pl.Project) == 0 {
-		return c.run(ctx, pl, nil, nil, groupAuto)
+	if len(pl.Project) == 0 {
+		sink = nil // no rows to stream
 	}
 	return c.run(ctx, pl, nil, sink, groupAuto)
 }
@@ -424,8 +424,8 @@ func foldSingle(pl *Plan, results []*mapResult, codec idlist.Codec, m *Metrics) 
 }
 
 // reduceGroups runs a group-by's reducers, one per non-empty bucket, on
-// goroutines bounded by RealParallelism, and returns them by bucket (nil for
-// an empty one). The shuffle moves nothing: reducer b reads its share of every
+// goroutines bounded by RealParallelism, and returns them in bucket order,
+// the empty buckets' left out. The shuffle moves nothing: reducer b reads its share of every
 // map task, in task order, where the task left it. Per-task tables were
 // already partitioned by reducerBucket (taskGroups.partition), and the reducer
 // folds its share of each through a groupMerger, its keys reserved for the
@@ -435,7 +435,7 @@ func foldSingle(pl *Plan, results []*mapResult, codec idlist.Codec, m *Metrics) 
 // reducers' blocks. cp is nil for the reference evaluator, which sizes
 // nothing from a last run.
 func (c *Cluster) reduceGroups(pl *Plan, cp *compiledPlan, results []*mapResult, m *Metrics) []*groupMerger {
-	nb := c.buckets()
+	nb := c.cfg.Workers
 	active := make([]int, 0, nb)
 	for b := range nb {
 		for _, mr := range results {
@@ -484,16 +484,14 @@ func (c *Cluster) reduceGroups(pl *Plan, cp *compiledPlan, results []*mapResult,
 	}
 	wg.Wait()
 
-	byBucket := make([]*groupMerger, nb)
 	merged := 0
-	for ri, mg := range mergers {
+	for _, mg := range mergers {
 		m.ResultBytes += mg.bytes
 		merged = max(merged, mg.t.len())
-		byBucket[active[ri]] = mg
 	}
 	if cp != nil {
 		cp.hint.merged.Store(int64(merged))
 	}
 	m.ReduceTaskTimes = durations
-	return byBucket
+	return mergers
 }
