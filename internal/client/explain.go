@@ -16,8 +16,8 @@ import (
 // explainQuery implements the EXPLAIN / EXPLAIN ANALYZE front door: it
 // translates the wrapped query exactly as a run would, renders the compiled
 // plan as an operator tree — encryption scheme per referenced column, the
-// kernel each filter and aggregate compiles to, the grouping path (dense
-// direct-index vs hashed, KeyBound, inflation), the join's index type, and
+// kernel each filter and aggregate compiles to, the grouping path (lanes vs
+// the slot table, KeyBound, inflation), the join's index type, and
 // the predicted shuffle volume — and, for ANALYZE, runs the query through the
 // ordinary runQuery path (registered, killable, traced, recorded) and grafts
 // the measured per-operator counters onto each node. The result's rows carry
@@ -111,20 +111,21 @@ func (p *Proxy) renderExplain(stmt *sqlparse.Statement, tr *translate.Translatio
 
 	if gb := sp.GroupBy; gb != nil {
 		path := sp.GroupPath()
-		if m != nil && sp.CodedGroupBy() && m.Ops.GroupDense > 0 && m.Ops.GroupHash == 0 {
-			// Every row grouped by code: a coded run reports its K as its table.
-			path = fmt.Sprintf("table-wide codes (K=%d)", m.Ops.GroupTableLen)
+		if m != nil && sp.LaneGroupBy() && m.Ops.GroupDense > 0 && m.Ops.GroupHash == 0 {
+			// Every row grouped by lane: a lane run reports its lane count as
+			// its table.
+			path = fmt.Sprintf("lanes (%d lanes)", m.Ops.GroupTableLen)
 		}
 		node("GroupBy %s: path=%s", gb.Col, path)
 		if gb.Inflate > 1 {
 			attr("inflate=%d (suffix-inflated groups, merged at client)", gb.Inflate)
 		}
 		if gb.KeyBound > 0 {
-			attr("key_bound=%d (planner-declared dense span)", gb.KeyBound)
+			attr("key_bound=%d (planner-declared key domain: a u64 key's lanes)", gb.KeyBound)
 		}
 		if m != nil {
 			total := m.Ops.GroupDense + m.Ops.GroupHash
-			attr("rows grouped: dense=%d hash=%d (of %d)", m.Ops.GroupDense, m.Ops.GroupHash, total)
+			attr("rows grouped: lanes=%d hash=%d (of %d)", m.Ops.GroupDense, m.Ops.GroupHash, total)
 			attr("group_slots=%d table_len=%d (max across tasks)",
 				m.Ops.GroupSlots, m.Ops.GroupTableLen)
 		}

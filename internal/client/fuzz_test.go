@@ -22,7 +22,8 @@ import (
 // The queries are the dashboard's dense group-by (6 DET-keyed hours), a wide
 // one (clicks, about 3,600 groups over 4,000 rows), and the dense one
 // inflated (§4.5: 6 expected groups for 18 workers, 3 suffixes a key), whose
-// frames carry suffix lanes from the raw slot tables. The seeds are each
+// frames carry suffix groups from the lane path, a lane per key code and
+// suffix. The seeds are each
 // query's honest frames, every frame in FuzzDecodeResult's corpus alone, and
 // each corpus frame in place of one honest shard.
 func FuzzDecryptResults(f *testing.F) {

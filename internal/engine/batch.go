@@ -2,7 +2,7 @@ package engine
 
 import (
 	"context"
-	"encoding/binary"
+	"errors"
 	"slices"
 	"time"
 
@@ -40,7 +40,7 @@ type taskState struct {
 	scan *ScanChunk
 
 	// codes is what the task reads of its run's codes (codes.go), nil where
-	// it reads none; lanes is the lane set a coded group-by's task adds into,
+	// it reads none; lanes is the lane set a lane group-by's task adds into,
 	// taken from the run's pool for the task's duration.
 	codes *taskCodes
 	lanes *groupAcc
@@ -67,8 +67,8 @@ func (cp *compiledPlan) newTaskState(part *store.Partition, tc *taskCodes) *task
 		ts.g.acc.init(pl.Aggs)
 		ts.g.acc.grow(1)
 	case tc != nil && tc.lanes != nil:
-		// A coded group-by: a row's slot is its code, in the pool's lanes.
-		ts.g.slots = make([]int32, batchRows)
+		// A lane group-by: a row's slot is its lane, in the pool's sets.
+		ts.g.bind(cp)
 	default:
 		ts.g.init(cp)
 	}
@@ -147,21 +147,15 @@ func (ts *taskState) execute(ctx context.Context, i0, i1 int) error {
 			for ai := range cp.aggs {
 				cp.aggs[ai].bulk(&ts.pc, acc, &ts.b, startID)
 			}
+		case ts.lanes != nil && !ts.laneSlots(startID):
+			return errLaneMiss
 		case ts.lanes != nil:
-			slots, codes := ts.g.slots[:survivors], ts.codes.group
-			for k, i := range ts.b.sel {
-				slots[k] = int32(codes[i])
-			}
-			ts.accumulate(ts.lanes, slots, startID)
-			ts.res.ops.GroupDense += uint64(survivors)
-			if cp.ashe {
-				ts.res.tags = append(ts.res.tags, slots...)
-			}
+			ts.accumulate(ts.lanes, ts.g.slots[:survivors], startID)
 		default:
 			ts.accumulateGroups(startID)
-			if cp.ashe {
-				ts.res.tags = append(ts.res.tags, ts.g.slots[:survivors]...)
-			}
+		}
+		if grouped && cp.ashe {
+			ts.res.tags = append(ts.res.tags, ts.g.slots[:survivors]...)
 		}
 	}
 	return nil
@@ -222,37 +216,12 @@ func (ts *taskState) probe() {
 
 // --- group-by path ---
 
-// Dense direct-index sizing for u64 group keys. Every u64 grouper starts
-// with denseDefaultEntries slots of key×suffix coverage, so small dimension
-// domains (the SPLASHE shape §4.5 optimizes) index directly even without a
-// planner-declared bound; a plan-declared GroupBy.KeyBound sizes the index
-// exactly. denseMaxEntries caps the allocation against huge or hostile
-// bounds — keys beyond the dense span fall back to the open-addressed table
-// and still group correctly.
-const (
-	denseDefaultEntries = 1 << 12
-	denseMaxEntries     = 1 << 20
-)
-
-// denseSpan is the dense index's key span for a u64 grouping with
-// inflateN suffixes: keyBound when the plan declares one, else the default
-// span, either capped so keys × suffixes stays within denseMaxEntries. The
-// grouper sizes its index by it and EXPLAIN reports it.
-func denseSpan(keyBound, inflateN uint64) uint64 {
-	keys := uint64(denseDefaultEntries) / inflateN
-	if keyBound > 0 {
-		keys = keyBound
-	}
-	return min(keys, uint64(denseMaxEntries)/inflateN)
-}
-
-// grouper locates the accumulator for each surviving row's group. Every key
-// kind is slot-based: a key resolves to a small slot number — u64 keys under
-// the dense span through a direct index, every other key (wider u64 values,
-// DET/OPE bytes, strings) through the shared open-addressed slotTable, whose
-// byte keys live in one per-task arena — and accumulation then runs per batch
-// over (selection, slot) pairs into the accumulators' columns (groupAcc). An
-// ungrouped plan's task keeps its one slot here too, without the table.
+// grouper locates the accumulator for each surviving row's group: a key
+// resolves to a small slot number through the open-addressed slotTable, byte
+// keys in one per-task arena, and accumulation runs per batch over
+// (selection, slot) pairs into the accumulators' columns (groupAcc). A lane
+// group-by's slots are lanes (codes.go): its task keeps no table here, an
+// ungrouped plan's one slot without one.
 type grouper struct {
 	t   slotTable
 	acc groupAcc
@@ -261,45 +230,35 @@ type grouper struct {
 	inflate int
 	seed    uint64
 
-	// u64 dense index: dense maps key*inflateN+suffix → slot+1 (0 = empty)
-	// for keys under denseKeys. Unused (denseKeys 0) for other key kinds.
-	inflateN  uint64
-	denseKeys uint64
-	dense     []int32
-
 	// slots is per-batch scratch, sized to batchRows once: the resolved slot
 	// per survivor.
 	slots []int32
 }
 
-// init sizes the slot machinery: for u64 keys the dense index spans
-// min(KeyBound | default, cap/inflate) keys times the suffix domain; the
-// per-batch scratch is allocated once, so the steady-state batch loop
-// allocates nothing; and the table is sized for the slots the plan's last run
-// held in a map task's table (groupHint.slots) at half load (1 Ki entries at
-// least), the keys, accumulators and identifier-list slots for those
-// and a quarter more, so that a slightly larger partition fits too.
-func (g *grouper) init(cp *compiledPlan) {
-	expect := int(cp.hint.slots.Load())
-	g.right = cp.groupCol.isRight()
-	g.seed = cp.seed
-	g.inflateN = 1
+// bind readies what both group-by paths read: the key's side, the suffixes,
+// and the per-batch scratch, allocated once.
+func (g *grouper) bind(cp *compiledPlan) {
+	g.right, g.seed = cp.groupCol.isRight(), cp.seed
 	if cp.pl.GroupBy.Inflate > 1 {
 		g.inflate = cp.pl.GroupBy.Inflate
-		g.inflateN = uint64(g.inflate)
 	}
-	kind := groupColKind(cp)
-	g.t.init(kind, g.inflate > 0, expect)
+	g.slots = make([]int32, batchRows)
+}
+
+// init readies the slot machinery: bind's, and the table sized for the slots
+// the plan's last run held in a map task's table (groupHint.slots) at half
+// load (1 Ki entries at least), the keys, accumulators and identifier-list
+// slots for those and a quarter more, so that a slightly larger partition
+// fits too.
+func (g *grouper) init(cp *compiledPlan) {
+	g.bind(cp)
+	expect := int(cp.hint.slots.Load())
+	g.t.init(keyKind(cp.pl.groupColumn().Kind), g.inflate > 0, expect)
 	g.acc.init(cp.pl.Aggs)
 	if expect > 0 {
 		g.t.reserve(expect+expect/4, int(cp.hint.keyLen.Load()))
 		g.acc.reserve(expect + expect/4)
 	}
-	if kind == store.U64 {
-		g.denseKeys = denseSpan(cp.pl.GroupBy.KeyBound, g.inflateN)
-		g.dense = make([]int32, g.denseKeys*g.inflateN)
-	}
-	g.slots = make([]int32, batchRows)
 }
 
 // suffix is the inflation suffix of the row with identifier rowID (−1 when
@@ -311,107 +270,87 @@ func (g *grouper) suffix(rowID uint64) int32 {
 	return int32(splitmix64(g.seed^rowID^0xa5a5) % uint64(g.inflate))
 }
 
+// errLaneMiss is a lane task's u64 key at or past KeyBound: the run goes raw.
+var errLaneMiss = errors.New("engine: a group key reached the plan's KeyBound")
+
+// laneSlots sets each survivor's lane in g.slots: its key's code — at its own
+// row, or a right key's at its join match — × the suffixes + its suffix. A
+// u64 key's code is its value: false at the first at or past KeyBound.
+func (ts *taskState) laneSlots(startID uint64) bool {
+	g, rows := &ts.g, ts.keyRows()
+	slots := g.slots[:len(rows)]
+	if codes := ts.codes.group; codes != nil {
+		for k, r := range rows {
+			slots[k] = int32(codes[r])
+		}
+	} else {
+		vals, bound := ts.pc.group.U64, ts.cp.pl.GroupBy.KeyBound
+		for k, r := range rows {
+			v := vals[r]
+			if v >= bound {
+				return false
+			}
+			slots[k] = int32(v)
+		}
+	}
+	if g.inflate > 0 {
+		n := int32(g.inflate)
+		for k, i := range ts.b.sel {
+			slots[k] = slots[k]*n + g.suffix(startID+uint64(i))
+		}
+	}
+	ts.res.ops.GroupDense += uint64(len(rows))
+	return true
+}
+
 // groupSlots resolves each survivor's group key to a slot in g.slots,
-// parallel to the selection vector, in one pass in selection order: u64 keys
-// under the dense span index directly, and every other key is hashed where it
-// lies and probed in the slot table. Accumulation then follows the selection
-// order too, so its min/max tie-breaking is the reference evaluator's.
+// parallel to the selection vector, in one pass in selection order: every key
+// is hashed where it lies — a Fixed key, a DET or OPE value off the lane path,
+// as a window of its column's one buffer — and probed in the slot table.
+// Accumulation then follows the selection order too, so its min/max
+// tie-breaking is the reference evaluator's.
 func (ts *taskState) groupSlots(startID uint64) {
-	n := uint64(len(ts.b.sel))
+	g, sel := &ts.g, ts.b.sel
 	switch col := ts.pc.group; col.Kind {
 	case store.U64:
-		dense := ts.u64Slots(col.U64, startID)
-		ts.res.ops.GroupDense += dense
-		ts.res.ops.GroupHash += n - dense
-		return
+		for k, r := range ts.keyRows() {
+			v, sfx := col.U64[r], g.suffix(startID+uint64(sel[k]))
+			g.slots[k] = g.t.slotU64(v, sfx, hashU64(v, sfx))
+		}
 	case store.Fixed:
-		ts.fixedSlots(col, startID)
+		for k, r := range ts.keyRows() {
+			key, sfx := col.BytesAt(int(r)), g.suffix(startID+uint64(sel[k]))
+			g.slots[k] = slotKeyed(&g.t, key, sfx, hashKey(key, sfx))
+		}
 	case store.Bytes:
 		keyedSlots(ts, col.Bytes, startID)
 	default:
 		keyedSlots(ts, col.Str, startID)
 	}
-	ts.res.ops.GroupHash += n
+	ts.res.ops.GroupHash += uint64(len(sel))
 }
 
-// keyRow is the row survivor k's group key lies in: the survivor's own, i,
-// or for a right-side key its join match.
-func (ts *taskState) keyRow(k int, i int32) int32 {
+// keyRows is the rows the survivors' group keys lie in, parallel to the
+// selection vector: their own, or a right-side key's join matches.
+func (ts *taskState) keyRows() []int32 {
 	if ts.g.right {
-		return ts.b.join[k]
+		return ts.b.join
 	}
-	return i
-}
-
-// u64Slots resolves u64 keys: a key under the dense span through the dense
-// index, any other through the slot table. It returns the number resolved
-// densely.
-func (ts *taskState) u64Slots(col []uint64, startID uint64) (dense uint64) {
-	g := &ts.g
-	index, denseKeys, inflateN := g.dense, g.denseKeys, g.inflateN
-	for k, i := range ts.b.sel {
-		v := col[ts.keyRow(k, i)]
-		sfx := g.suffix(startID + uint64(i))
-		if v >= denseKeys {
-			g.slots[k] = g.t.slotU64(v, sfx, hashU64(v, sfx))
-			continue
-		}
-		dk := v * inflateN
-		if sfx > 0 {
-			dk += uint64(sfx)
-		}
-		s := index[dk]
-		if s == 0 {
-			g.t.appendU64(v, sfx)
-			s = int32(g.t.len())
-			index[dk] = s
-		}
-		g.slots[k] = s - 1
-		dense++
-	}
-	return dense
-}
-
-// fixedSlots resolves Fixed keys — every DET and OPE value — which are
-// windows of one flat buffer rather than elements of a slice: each key is
-// hashed where it lies, a 16-byte key's two words mixed in line (hashWords).
-func (ts *taskState) fixedSlots(col *store.Column, startID uint64) {
-	g := &ts.g
-	buf, w := col.Fixed, col.Width
-	for k, i := range ts.b.sel {
-		lo := int(ts.keyRow(k, i)) * w
-		key := buf[lo : lo+w : lo+w]
-		sfx := g.suffix(startID + uint64(i))
-		var h uint64
-		if w == 16 {
-			h = hashWords(binary.LittleEndian.Uint64(key), binary.LittleEndian.Uint64(key[8:]), sfx)
-		} else {
-			h = hashKey(key, sfx)
-		}
-		g.slots[k] = slotKeyed(&g.t, key, sfx, h)
-	}
+	return ts.b.sel
 }
 
 // keyedSlots resolves byte and string keys through the slot table.
 func keyedSlots[T ~string | ~[]byte](ts *taskState, col []T, startID uint64) {
 	g := &ts.g
-	for k, i := range ts.b.sel {
-		key := col[ts.keyRow(k, i)]
-		sfx := g.suffix(startID + uint64(i))
+	for k, r := range ts.keyRows() {
+		key, sfx := col[r], g.suffix(startID+uint64(ts.b.sel[k]))
 		g.slots[k] = slotKeyed(&g.t, key, sfx, hashKey(key, sfx))
 	}
 }
 
-// groupColKind is the kind group keys take: the group column's, with Fixed
-// keys travelling as Bytes — once copied out of their column into a key arena
-// they are byte strings like any other, and result frames know three kinds.
-func groupColKind(cp *compiledPlan) store.Kind {
-	if cp.groupCol.isRight() {
-		return keyKind(cp.groupCol.right.Kind)
-	}
-	return keyKind(cp.pl.Table.Parts[0].Cols[cp.groupCol.idx].Kind)
-}
-
+// keyKind is the kind group keys of a column of kind k take: Fixed keys
+// travel as Bytes — once copied out of their column into a key arena they are
+// byte strings like any other, and result frames know three kinds.
 func keyKind(k store.Kind) store.Kind {
 	if k == store.Fixed {
 		return store.Bytes
@@ -514,7 +453,7 @@ func (cp *compiledPlan) runMapTask(ctx context.Context, c *Cluster, part *store.
 	return cp.mapTask(ctx, c, part, nil)
 }
 
-// mapTask is runMapTask reading its run's codes tc (nil for none). A coded
+// mapTask is runMapTask reading its run's codes tc (nil for none). A lane
 // group-by's task adds into a lane set of its run's pool, and hands it back
 // when it ends. The task's pins end with it, on every path.
 func (cp *compiledPlan) mapTask(ctx context.Context, c *Cluster, part *store.Partition, tc *taskCodes) (*mapResult, error) {

@@ -159,10 +159,11 @@ func codedRight(tb testing.TB) *store.Table {
 // constants below, equal to, between and above the stored values and one
 // with a code-3 trit; DET equality and its negation on present and absent
 // keys; lane-shaped group-bys on the DET and the OPE column, with and without
-// filters, which take the coded path where every partition is coded, and the
-// same inflated or on a refused key; the group-bys that keep their raw paths
-// under non-lane aggregates — Paillier, OPE extremes, medians — and on
-// right-side keys; and joins probed by code.
+// filters and inflation, which add into lanes where every partition is coded,
+// and the same on a refused key; the group-bys that keep their raw paths
+// under non-lane aggregates — Paillier, OPE extremes, medians; and joins
+// probed by code, grouped by a left key or by a right-side key that the right
+// table's codebook codes, inflated or not.
 func codedCases(pk *paillier.PublicKey) []diffCase {
 	var cases []diffCase
 	aggs := []Agg{{Kind: AggCount}, {Kind: AggPlainSum, Col: "v"}, {Kind: AggAsheSum, Col: "v_ashe"}}
@@ -224,6 +225,10 @@ func codedCases(pk *paillier.PublicKey) []diffCase {
 		// join_gb's shape: the left key probed by code, grouped by a right column.
 		return &Plan{Table: tbl, Join: &Join{Right: right, LeftCol: "k", RightCol: "rk", RightCols: []string{"tier"}},
 			GroupBy: &GroupBy{Col: "tier"}, Aggs: []Agg{{Kind: AggAsheSum, Col: "v_ashe"}}}
+	}}, diffCase{"join/group-by-right/inflate=3", func(tbl, right *store.Table) *Plan {
+		return &Plan{Table: tbl, Join: &Join{Right: right, LeftCol: "k", RightCol: "rk", RightCols: []string{"tier"}},
+			Filters: []Filter{rangeFilter},
+			GroupBy: &GroupBy{Col: "tier", Inflate: 3}, Aggs: []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggCount}}}
 	}}, diffCase{"join/group-by-left", func(tbl, right *store.Table) *Plan {
 		return &Plan{Table: tbl, Join: &Join{Right: right, LeftCol: "k", RightCol: "rk", RightCols: []string{"rv"}},
 			GroupBy: &GroupBy{Col: "k"}, Aggs: []Agg{{Kind: AggCount}, {Kind: AggPlainSum, Col: "rv"}}}
@@ -235,20 +240,27 @@ func codedCases(pk *paillier.PublicKey) []diffCase {
 	return cases
 }
 
-// isCoded reports whether r is a coded group-by's result (codes.go): a
-// lane-shaped plan whose every selected row grouped by code, in one fold.
-func isCoded(pl *Plan, r *Result) bool {
-	return pl.CodedGroupBy() && r.Metrics.RowsSelected > 0 &&
+// tookLanes reports whether r is a lane group-by's result (codes.go): a
+// lane-shaped plan whose every selected row grouped by lane, none through a
+// slot table, in one fold.
+func tookLanes(pl *Plan, r *Result) bool {
+	return pl.LaneGroupBy() && r.Metrics.RowsSelected > 0 && r.Metrics.Ops.GroupHash == 0 &&
 		r.Metrics.Ops.GroupDense == r.Metrics.RowsSelected && r.Metrics.ReduceTasks == 1
 }
 
+// tookSlots reports whether r is a group-by's result whose every selected row
+// grouped through the raw slot tables.
+func tookSlots(r *Result) bool {
+	return r.Metrics.Ops.GroupDense == 0 && r.Metrics.Ops.GroupHash == r.Metrics.RowsSelected
+}
+
 // assertAnswer compares a vectorized run with the reference evaluator's: a
-// coded group-by in everything but its map output and its one reduce (the
+// lane group-by in everything but its map output and its one reduce (the
 // lanes are the shuffle, and one fold the reduce), anything else in
 // everything assertSameResult compares.
 func assertAnswer(t *testing.T, name string, pl *Plan, vec, ref *Result) {
 	t.Helper()
-	if isCoded(pl, vec) {
+	if tookLanes(pl, vec) {
 		vec2 := *vec
 		vec2.Metrics.ReduceTasks = ref.Metrics.ReduceTasks
 		assertSameGroups(t, name, pl, &vec2, ref)
@@ -258,7 +270,7 @@ func assertAnswer(t *testing.T, name string, pl *Plan, vec, ref *Result) {
 }
 
 // partsCoded returns, per partition of tbl, whether column col is coded.
-func partsCoded(t *testing.T, tbl *store.Table, col string) []bool {
+func partsCoded(t testing.TB, tbl *store.Table, col string) []bool {
 	t.Helper()
 	i := tbl.Parts[0].ColIndex(col)
 	_, codes, err := tbl.Codebook(i).Code(tbl.Parts, i)
@@ -278,8 +290,9 @@ func partsCoded(t *testing.T, tbl *store.Table, col string) []bool {
 // ones — on heap partitions and on view partitions recovered
 // from a segment, and each group-by pinned to the raw slot tables too:
 // every answer must be the reference's. A lane-shaped group-by on a key every
-// partition codes takes the coded path, and one on a key with raw partitions,
-// or a refused key, the raw one.
+// partition codes adds into lanes, inflated or not, a right-side key through
+// the right table's codebook; one on a key with raw partitions, a refused key
+// or a right table whose codebook left a partition raw takes the slot table.
 func TestDifferentialCoded(t *testing.T) {
 	lineage, right := codedLineage(t)
 	views := make([]*store.Table, len(lineage))
@@ -311,13 +324,38 @@ func TestDifferentialCoded(t *testing.T) {
 						continue
 					}
 					rawGroups(t, c, name, func() *Plan { return tc.plan(tb.tbl, right) }, ref)
-					allCoded := pl.GroupBy.Col == "o" || pl.GroupBy.Col == "k" && stage < 2
-					if pl.CodedGroupBy() && isCoded(pl, vec) != allCoded {
-						t.Errorf("%s: coded path %v, want %v (%+v)", name, isCoded(pl, vec), allCoded, vec.Metrics.Ops)
+					col := pl.GroupBy.Col
+					lanes := pl.LaneGroupBy() && (col == "o" || col == "tier" || col == "k" && stage < 2)
+					if tookLanes(pl, vec) != lanes || !lanes && !tookSlots(vec) {
+						t.Errorf("%s: lanes %v, want %v (%+v)", name, tookLanes(pl, vec), lanes, vec.Metrics.Ops)
 					}
 				}
 			}
 		})
+	}
+
+	// A right table whose tier codebook left its appended partition raw: its
+	// right-side group-by takes the slot tables, inflated or not.
+	refused := refusedRight(t)
+	for _, inflate := range []int{0, 3} {
+		name := fmt.Sprintf("join/group-by-right-refused/inflate=%d", inflate)
+		mk := func() *Plan {
+			return &Plan{Table: lineage[1], Join: &Join{Right: refused, LeftCol: "k", RightCol: "rk", RightCols: []string{"tier"}},
+				GroupBy: &GroupBy{Col: "tier", Inflate: inflate}, Aggs: []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggCount}}}
+		}
+		ref, err := c.RunReference(ctx, mk())
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		pl := mk()
+		vec, err := c.Run(ctx, pl)
+		if err != nil {
+			t.Fatalf("%s: vectorized: %v", name, err)
+		}
+		assertAnswer(t, name, pl, vec, ref)
+		if !pl.LaneGroupBy() || !tookSlots(vec) {
+			t.Errorf("%s: did not take the slot tables (%+v)", name, vec.Metrics.Ops)
+		}
 	}
 
 	// The codebooks: the key column's codes every partition but the third
@@ -339,6 +377,36 @@ func TestDifferentialCoded(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refusedRight is codedRight with its tier column coded, grown by a
+// partition of 200 fresh tiers: past half the rows coded with it, so the
+// codebook leaves that partition raw beside the coded two.
+func refusedRight(tb testing.TB) *store.Table {
+	tb.Helper()
+	right := codedRight(tb)
+	col := right.Parts[0].ColIndex("tier")
+	if _, _, err := right.Codebook(col).Code(right.Parts, col); err != nil {
+		tb.Fatal(err)
+	}
+	const rows = 200
+	rk, tier, rv := make([]uint64, rows), make([]uint64, rows), make([]uint64, rows)
+	for i := range rows {
+		rk[i], tier[i], rv[i] = uint64(i%90), uint64(1000+i), uint64(i*5)
+	}
+	batch, err := store.BuildFrom("r", []store.Column{detFixed("rk", rk), detFixed("tier", tier),
+		{Name: "rv", Kind: store.U64, U64: rv}}, 1, uint64(right.NumRows())+1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	grown, err := right.WithAppended(batch)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if coded := partsCoded(tb, grown, "tier"); len(coded) != 3 || !coded[0] || !coded[1] || coded[2] {
+		tb.Fatalf("the tier column's partitions coded %v, want [true true false]", coded)
+	}
+	return grown
 }
 
 // TestCodedRunsRaceAppends runs coded queries on each table of a lineage

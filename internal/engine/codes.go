@@ -1,13 +1,15 @@
 package engine
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"seabed/internal/store"
 )
 
-// This file holds a run's use of its table's codebooks (store.Codebook):
-// every 16-byte Fixed column a plan filters, groups or joins on is coded
+// This file holds a run's use of codes: its table's codebooks
+// (store.Codebook), and the lanes of a group-by whose keys codes name. Every
+// 16-byte Fixed column a plan filters, groups or joins on is coded
 // table-wide, its distinct values numbered in first-sight order. Before its
 // map stage a run codes every partition of its table that is not coded yet —
 // all of them, not only those in its range, so a codebook's first coding
@@ -15,22 +17,21 @@ import (
 // fixed for the run, so no task sees a code the run does not know.
 //
 // With codes, a predicate is a pass table over the K codes and a join probe
-// an array read (rightOf). A group-by on a coded key — a left-side key of a
-// join-free plan, without inflation, whose aggregates all have lanes — has no
-// slot table at all: a row's slot is its code. Each map task adds into K-wide
-// lanes taken from a pool of one lane set per concurrently running task, the
-// reduce adds the few sets, and the driver writes the groups any row reached
-// straight into the result's columns, in code order. No key is hashed and no
-// reducer builds a table. Every other group-by — a non-lane aggregate,
-// inflation, a right-side key, or a key whose codebook left a partition the
-// run reads raw — takes the raw slot table (group.go).
+// an array read (rightOf). A group-by whose aggregates all have lanes, on a
+// key a code names — a 16-byte key's in its table's codebook (a right key's
+// in the right table's, codeRight), a u64 key's value under KeyBound — adds
+// into lanes, a row's lane its key's code × the suffixes + its suffix (§4.5),
+// with no key hashed and no reducer table: tasks add into lane sets from a
+// pool of one per running task, the reduce adds the few sets, and the driver
+// writes the groups any row reached in lane order. Every other group-by takes
+// the slot tables (group.go), as a run past KeyBound does (errLaneMiss).
 
-// runCodes is what the driver prepares of the codebooks for one run: each
-// partition's share, and for a coded group-by its lanes and key values.
+// runCodes is what the driver prepares of codes for one run: each
+// partition's share, and for a lane group-by its lanes and key values.
 type runCodes struct {
 	parts []taskCodes // by partition of the table
-	lanes *lanePool   // nil unless the group-by takes the coded path
-	keys  []byte      // the group key's K values, 16 bytes each
+	lanes *lanePool   // nil unless the group-by adds into lanes
+	keys  []byte      // the K key values, 16 bytes each; nil for a u64 key
 }
 
 // taskCodes is what one map task reads of its run's codes: nil slices where
@@ -38,7 +39,7 @@ type runCodes struct {
 type taskCodes struct {
 	filters [][]uint16 // per filter, the partition's codes where a pass table applies
 	pass    [][]uint8  // per filter, the pass table over the K codes
-	group   []uint16   // the group key's codes, on the coded group-by path
+	group   []uint16   // a lane group-by's key codes by key row (keyRows); nil for a u64 key
 	join    []uint16   // the join's left key codes
 	rightOf []int32    // per code, its right row; −1 when none
 	lanes   *lanePool
@@ -73,22 +74,22 @@ func perCode[T any](c *atomic.Pointer[[]T], vals []byte, f func(v []byte) T) []T
 }
 
 // codeRun codes the columns the run reads through codes, over the table's
-// partitions, and returns each partition's share; nil when the plan codes
-// nothing. auto is whether the group-by may take the coded path, which a
-// test pinning the raw path (groupRaw) forbids; only that path reads the
-// group key's codes. par is the run's task parallelism, which sizes the lane
-// pool.
+// partitions, and returns each partition's share and a lane group-by's lanes;
+// nil when the plan codes nothing. auto is whether the group-by may add into
+// lanes (groupRaw forbids it); par, the run's task parallelism, sizes the
+// lane pool.
 func (cp *compiledPlan) codeRun(parts []*store.Partition, auto bool, par int) (*runCodes, error) {
 	pl := cp.pl
+	lanes := auto && cp.laneGroup && !cp.laneMiss.Load()
 	groupCol := -1
-	if auto && cp.laneGroup {
+	if lanes && !cp.groupCol.isRight() && pl.Table.Parts[0].Cols[cp.groupCol.idx].Kind == store.Fixed {
 		groupCol = cp.groupCol.idx
 	}
 	joinCol := -1
 	if cp.leftKeyIdx >= 0 && pl.Table.Parts[0].Cols[cp.leftKeyIdx].Kind == store.Fixed {
 		joinCol = cp.leftKeyIdx
 	}
-	uses := groupCol >= 0 || joinCol >= 0
+	uses := lanes || joinCol >= 0
 	for _, f := range cp.codeVal {
 		uses = uses || f != nil
 	}
@@ -169,29 +170,68 @@ func (cp *compiledPlan) codeRun(parts []*store.Partition, auto bool, par int) (*
 			}
 		}
 	}
+	if !lanes || len(read) == 0 {
+		return rc, nil
+	}
+	// K and the key's codes: a left key's per partition, where the run reads
+	// no raw one; a right key's over the flattened right rows; a u64 key's
+	// bound, its values their own codes.
+	k, keys, byPart := pl.GroupBy.KeyBound, cp.rightKeys, [][]uint16(nil)
 	if groupCol >= 0 {
 		c, err := code(groupCol)
-		if err != nil {
-			return nil, err
+		if err != nil || c.codes == nil || slices.ContainsFunc(read, func(i int) bool { return c.codes[i] == nil }) {
+			return rc, err
 		}
-		all := c.codes != nil
-		for _, i := range read {
-			all = all && c.codes[i] != nil
-		}
-		if all {
-			rc.keys = c.vals
-			rc.lanes = newLanePool(pl.Aggs, len(c.vals)/16, min(par, len(read)))
-			for i := range rc.parts {
-				rc.parts[i].group, rc.parts[i].lanes = c.codes[i], rc.lanes
+		keys, byPart = c.vals, c.codes
+	}
+	if keys != nil {
+		k = uint64(len(keys) / 16)
+	}
+	if n := inflateN(pl.GroupBy); lanesFit(k, n) {
+		rc.keys, rc.lanes = keys, newLanePool(pl.Aggs, int(k*n), min(par, len(read)))
+		for i := range rc.parts {
+			rc.parts[i].lanes, rc.parts[i].group = rc.lanes, cp.rightCodes
+			if byPart != nil {
+				rc.parts[i].group = byPart[i]
 			}
 		}
 	}
 	return rc, nil
 }
 
-// lanePool is a coded group-by's lane sets: one per concurrently running map
-// task, each K slots wide, handed from task to task so that a set is zeroed
-// once a run, not once a task.
+// codeRight codes a right-side group key with the right table's own
+// codebook, once per compiled plan: each flattened right row's code and the K
+// values they name, which cannot go stale (the plan cache keys the right table
+// by pointer, and codes never change). A partition the codebook leaves raw,
+// or a u64 key's right value at or past the bound, sends the plan raw.
+func (cp *compiledPlan) codeRight() error {
+	key := cp.groupCol.right
+	if key.Kind == store.U64 {
+		bound := cp.pl.GroupBy.KeyBound
+		cp.laneGroup = !slices.ContainsFunc(key.U64, func(v uint64) bool { return v >= bound })
+		return nil
+	}
+	right := cp.pl.Join.Right
+	col := right.Parts[0].ColIndex(key.Name)
+	vals, codes, err := right.Codebook(col).Code(right.Parts, col) // a 16-byte key: LaneGroupBy
+	if err != nil {
+		return err
+	}
+	flat := make([]uint16, 0, key.Len())
+	for _, c := range codes {
+		if c == nil {
+			cp.laneGroup = false
+			return nil
+		}
+		flat = append(flat, c...)
+	}
+	cp.rightCodes, cp.rightKeys = flat, vals
+	return nil
+}
+
+// lanePool is a lane group-by's lane sets: one per concurrently running map
+// task, each a lane per key code and suffix, handed from task to task so that
+// a set is zeroed once a run, not once a task.
 type lanePool struct {
 	free chan *groupAcc
 	sets []*groupAcc
@@ -210,13 +250,13 @@ func newLanePool(aggs []Agg, k, n int) *lanePool {
 }
 
 // bytes is the lane sets' size: a row count and a lane per aggregate, 8
-// bytes a slot each.
+// bytes a lane each.
 func (p *lanePool) bytes() int {
 	acc := p.sets[0]
 	return len(p.sets) * 8 * len(acc.rows) * (1 + len(acc.cols))
 }
 
-// fold is the coded run's reduce: it adds every lane set into the first and
+// fold is a lane run's reduce: it adds every lane set into the first and
 // returns it.
 func (p *lanePool) fold() *groupAcc {
 	to := p.sets[0]
@@ -245,42 +285,55 @@ func (p *lanePool) fold() *groupAcc {
 	return to
 }
 
-// gatherCoded writes the groups any row reached, in code order, into the
-// result's columns — each one's key copied once, from the codebook's values —
-// and returns each code's group number (−1 where no row reached it) and the
-// groups' serialized size, the identifier section excepted, as finishCols
-// totals it.
+// gatherCoded writes the groups any row reached, in lane order, into the
+// result's columns — its key gathered from keys (a u64 key's is its code),
+// its suffix its lane's — and returns each lane's group number (−1 where no
+// row reached it) and the groups' size without the identifier section, as
+// finishCols totals it.
 func gatherCoded(pl *Plan, acc *groupAcc, keys []byte) (*GroupCols, []int32, int) {
-	byCode := make([]int32, len(acc.rows))
-	groups := 0
-	for c, n := range acc.rows {
-		byCode[c] = -1
-		if n > 0 {
-			byCode[c] = int32(groups)
-			groups++
+	n := int(inflateN(pl.GroupBy))
+	out := &GroupCols{KeyKind: store.U64}
+	byLane := make([]int32, len(acc.rows))
+	var code []int32 // per group, its key's code
+	for l, r := range acc.rows {
+		byLane[l] = -1
+		if r > 0 {
+			byLane[l] = int32(len(code))
+			code = append(code, int32(l/n))
+			if n > 1 {
+				out.Suffix = append(out.Suffix, int32(l%n))
+			}
 		}
 	}
+	groups := len(code)
 	if groups == 0 {
-		return nil, byCode, 0
+		return nil, byLane, 0
 	}
-	out := &GroupCols{KeyKind: store.Bytes, Rows: make([]uint64, groups), Aggs: newAggCols(pl.Aggs, groups),
-		KeyOff: make([]uint64, groups+1), KeyArena: make([]byte, 16*groups)}
-	for c, g := range byCode {
-		if g >= 0 {
-			out.Rows[g] = acc.rows[c]
-			copy(out.KeyArena[16*g:], keys[16*c:16*c+16])
+	pick := func(dst, src []uint64) []uint64 {
+		for l, g := range byLane {
+			if g >= 0 {
+				dst[g] = src[l]
+			}
+		}
+		return dst
+	}
+	out.Rows, out.Aggs = pick(make([]uint64, groups), acc.rows), newAggCols(pl.Aggs, groups)
+	if keys == nil {
+		for _, c := range code {
+			out.KeyU64 = append(out.KeyU64, uint64(c))
+		}
+	} else {
+		var col store.Column
+		gather(&col, &store.Column{Kind: store.Fixed, Width: 16, Fixed: keys}, code)
+		out.KeyKind, out.KeyArena, out.KeyOff = store.Bytes, col.Fixed, make([]uint64, groups+1)
+		for g := range groups {
 			out.KeyOff[g+1] = uint64(16 * (g + 1))
 		}
 	}
 	bytes := 8*groups + len(out.KeyArena)
 	for ai := range out.Aggs {
-		dst, src := out.Aggs[ai].Lane, acc.cols[ai].Lane
-		for c, g := range byCode {
-			if g >= 0 {
-				dst[g] = src[c]
-			}
-		}
+		pick(out.Aggs[ai].Lane, acc.cols[ai].Lane)
 		bytes += pl.finishCol(ai, &out.Aggs[ai], out.Rows)
 	}
-	return out, byCode, bytes
+	return out, byLane, bytes
 }

@@ -30,8 +30,8 @@ func (r colRef) isRight() bool { return r.idx < 0 }
 // compiledPlan is the once-per-Run compilation of a Plan: resolved column
 // references, a typed join index, and the predicate/accumulator kernels the
 // batch executor runs, shared by every map task of the run so that tasks on
-// different partitions never rebuild it. Only its sizing hint and its
-// per-code tables (codeCaches) change.
+// different partitions never rebuild it. Only its sizing hint, its per-code
+// tables (codeCaches) and its record of a lane miss (laneMiss) change.
 type compiledPlan struct {
 	pl   *Plan
 	seed uint64 // cluster seed, drives group inflation
@@ -59,12 +59,16 @@ type compiledPlan struct {
 	// codeVal holds, per filter, its predicate on one value, where a map task
 	// may run it as a pass table over a coded column (codes.go); nil elsewhere.
 	codeVal []func(v []byte) bool
-	// laneGroup is set when a coded group key takes the coded path
-	// (codes.go, Plan.CodedGroupBy).
-	laneGroup bool
-	codes     codeCaches
-	aggs      []aggKernel
-	hint      groupHint
+	// laneGroup is set when the group-by adds into lanes wherever a run names
+	// its keys by code (codes.go), with a right key's codes (codeRight);
+	// laneMiss once a u64 key reached KeyBound, which sends later runs raw.
+	laneGroup  bool
+	rightCodes []uint16
+	rightKeys  []byte
+	laneMiss   atomic.Bool
+	codes      codeCaches
+	aggs       []aggKernel
+	hint       groupHint
 	// ashe is set when an aggregate is an ASHE sum: map tasks then keep their
 	// survivors' identifiers, and a group-by's each survivor's slot, for the
 	// result's identifier section (ids.go).
@@ -155,7 +159,12 @@ func (pl *Plan) compile(seed uint64) (*compiledPlan, error) {
 			return nil, err
 		}
 		cp.groupCol = ref
-		cp.laneGroup = pl.CodedGroupBy()
+		cp.laneGroup = pl.LaneGroupBy()
+		if cp.laneGroup && ref.isRight() {
+			if err := cp.codeRight(); err != nil {
+				return nil, err
+			}
+		}
 	}
 	for _, name := range pl.Project {
 		ref, err := resolve(name)

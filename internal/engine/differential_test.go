@@ -45,8 +45,8 @@ func diffFixture(t *testing.T, rows, parts int) (*store.Table, *store.Table, *pa
 	for i := 0; i < rows; i++ {
 		vals[i] = uint64(i % 97)
 		dims[i] = uint64(i % 7)
-		// Distinct per row and spread far past the grouper's dense span, so
-		// wide group-bys drive the slot table's hashed probes.
+		// Distinct per row and spread far past any bound, so wide group-bys
+		// drive the slot table's hashed probes.
 		wide[i] = uint64(i)*0x9e3779b1 + 11
 		strs[i] = fmt.Sprintf("dim-%d", i%5)
 		asheCol[i] = asheKey.EncryptBody(vals[i], uint64(i)+1)
@@ -218,9 +218,10 @@ func differentialCases(pk *paillier.PublicKey) []diffCase {
 			return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "d", Inflate: 4},
 				Aggs: []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}}}
 		}},
-		// Bounded key domains: KeyBound sizes the dense flat-array path
-		// exactly (7), undershoots so keys 3..6 must fall back to the hashed
-		// path (3), and composes with inflation.
+		// Bounded key domains: KeyBound names the lanes exactly (7),
+		// undershoots so keys 3..6 send the run back to the slot table (3),
+		// composes with inflation, and passes the lane cap — alone or times
+		// the suffixes — so the plan takes the slot table.
 		{"noenc/group-by-bounded", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "d", KeyBound: 7},
 				Aggs: []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}, {Kind: AggPlainMin, Col: "v"}}}
@@ -231,6 +232,14 @@ func differentialCases(pk *paillier.PublicKey) []diffCase {
 		}},
 		{"noenc/group-by-bounded-inflated", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "d", KeyBound: 7, Inflate: 4},
+				Aggs: []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}}}
+		}},
+		{"noenc/group-by-bound-over-cap", func(tbl, right *store.Table) *Plan {
+			return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "d", KeyBound: laneCap + 1},
+				Aggs: []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}}}
+		}},
+		{"noenc/group-by-bounded-inflated-over-cap", func(tbl, right *store.Table) *Plan {
+			return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "d", KeyBound: 7, Inflate: laneCap / 4},
 				Aggs: []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}}}
 		}},
 		// Wide keys (every row distinct, values far past the dense span):
@@ -285,9 +294,10 @@ func differentialCases(pk *paillier.PublicKey) []diffCase {
 				Aggs: []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggPlainSum, Col: "rank"}, {Kind: AggCount}}}
 		}},
 		// Right-side u64 keys, read through each row's join match: ranks
-		// 100–144 under the default dense span, inflated, and with KeyBound
-		// 120, where ranks 100 and 111 index densely and 122–144 take the
-		// slot table.
+		// 100–144 with no bound, inflated, with KeyBound 120, which ranks
+		// 122–144 reach, so the plan takes the slot table when it compiles,
+		// and with KeyBound 145, which names lanes for them all, inflated or
+		// not.
 		{"noenc/join-group-right-u64", func(tbl, right *store.Table) *Plan {
 			return &Plan{Table: tbl,
 				Join:    &Join{Right: right, LeftCol: "d", RightCol: "rdim", RightCols: []string{"rank"}},
@@ -304,6 +314,18 @@ func differentialCases(pk *paillier.PublicKey) []diffCase {
 			return &Plan{Table: tbl,
 				Join:    &Join{Right: right, LeftCol: "d", RightCol: "rdim", RightCols: []string{"rank"}},
 				GroupBy: &GroupBy{Col: "rank", Inflate: 3},
+				Aggs:    []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}}}
+		}},
+		{"noenc/join-group-right-u64-bounded-exact", func(tbl, right *store.Table) *Plan {
+			return &Plan{Table: tbl,
+				Join:    &Join{Right: right, LeftCol: "d", RightCol: "rdim", RightCols: []string{"rank"}},
+				GroupBy: &GroupBy{Col: "rank", KeyBound: 145},
+				Aggs:    []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}, {Kind: AggPlainMin, Col: "v"}}}
+		}},
+		{"noenc/join-group-right-u64-bounded-inflated", func(tbl, right *store.Table) *Plan {
+			return &Plan{Table: tbl,
+				Join:    &Join{Right: right, LeftCol: "d", RightCol: "rdim", RightCols: []string{"rank"}},
+				GroupBy: &GroupBy{Col: "rank", KeyBound: 145, Inflate: 3},
 				Aggs:    []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}}}
 		}},
 
@@ -426,11 +448,33 @@ func differentialCases(pk *paillier.PublicKey) []diffCase {
 				Aggs: []Agg{{Kind: AggPaillierSum, Col: "v_pail", PK: pk}}}
 		}},
 		{"paillier/group-by-bounded", func(tbl, right *store.Table) *Plan {
-			// Paillier is not lane-eligible: the dense index resolves slots
-			// but accumulation runs the generic per-slot kernels.
+			// Paillier is not lane-eligible: the slot table resolves slots
+			// and accumulation runs the generic per-slot kernels.
 			return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "d", KeyBound: 7},
 				Aggs: []Agg{{Kind: AggPaillierSum, Col: "v_pail", PK: pk}, {Kind: AggCount}}}
 		}},
+	}
+}
+
+// laneCases names the group-bys of differentialCases that add into lanes
+// (codes.go); every other group-by groups its rows through the slot tables —
+// among them a bound that a key reaches, at compile or at run time, a bound
+// or suffix count past the lane cap, and a right key its codebook refuses.
+var laneCases = map[string]bool{
+	"noenc/group-by-bounded":                      true,
+	"noenc/group-by-bounded-inflated":             true,
+	"noenc/join-group-right-u64-bounded-exact":    true,
+	"noenc/join-group-right-u64-bounded-inflated": true,
+	"seabed/group-by-det":                         true,
+	"seabed/group-by-det-inflated":                true,
+}
+
+// assertGroupPath checks that a group-by's run took the path laneCases names
+// for it.
+func assertGroupPath(t *testing.T, name string, pl *Plan, r *Result, lanes bool) {
+	t.Helper()
+	if lanes && !tookLanes(pl, r) || !lanes && !tookSlots(r) {
+		t.Errorf("%s: took lanes %v, want %v (%+v, %d reducers)", name, tookLanes(pl, r), lanes, r.Metrics.Ops, r.Metrics.ReduceTasks)
 	}
 }
 
@@ -469,6 +513,8 @@ func TestDifferentialExecutors(t *testing.T) {
 			assertSameResult(t, tc.name+" (view vs heap)", vvec, vec)
 			assertAnswer(t, tc.name+" (view)", tc.plan(vtbl, vright), vvec, vref)
 			if tc.plan(tbl, right).GroupBy != nil {
+				assertGroupPath(t, tc.name, tc.plan(tbl, right), vec, laneCases[tc.name])
+				assertGroupPath(t, tc.name+" (view)", tc.plan(vtbl, vright), vvec, laneCases[tc.name])
 				rawGroups(t, c, tc.name, func() *Plan { return tc.plan(tbl, right) }, ref)
 				rawGroups(t, c, tc.name+" (view)", func() *Plan { return tc.plan(vtbl, vright) }, vref)
 			}
@@ -560,10 +606,11 @@ func TestDifferentialWideTableGroupBy(t *testing.T) {
 
 // TestDifferentialInflationSuffixIsolation is the regression test for suffix
 // aliasing: every row carries one of two group values while inflation splays
-// each into suffix sub-groups, so the dense index holds several cells per
-// key and any cross-suffix aliasing (two suffixes resolving to one slot, in
-// any batch) would corrupt counts. The suffix split must also agree exactly
-// with the reference evaluator's per-row assignment.
+// each into suffix sub-groups, so the slot table — or, under a bound, the
+// lanes — hold several cells per key and any cross-suffix aliasing (two
+// suffixes resolving to one slot, in any batch) would corrupt counts. The
+// suffix split must also agree exactly with the reference evaluator's per-row
+// assignment.
 func TestDifferentialInflationSuffixIsolation(t *testing.T) {
 	const rows, parts, inflate = 9000, 3, 3
 	vals := make([]uint64, rows)
@@ -580,7 +627,7 @@ func TestDifferentialInflationSuffixIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCluster(Config{Workers: 4, Seed: 11})
-	for _, bound := range []uint64{0, 6} { // default dense span and an exact KeyBound
+	for _, bound := range []uint64{0, 6} { // the slot table, and lanes under an exact KeyBound
 		plan := func() *Plan {
 			return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "d", Inflate: inflate, KeyBound: bound},
 				Aggs: []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}}}
@@ -593,7 +640,8 @@ func TestDifferentialInflationSuffixIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("bound=%d reference: %v", bound, err)
 		}
-		assertSameResult(t, fmt.Sprintf("suffix-isolation/bound=%d", bound), vec, ref)
+		assertAnswer(t, fmt.Sprintf("suffix-isolation/bound=%d", bound), plan(), vec, ref)
+		assertGroupPath(t, fmt.Sprintf("suffix-isolation/bound=%d", bound), plan(), vec, bound > 0)
 		if len(vec.View()) != 2*inflate {
 			t.Fatalf("bound=%d: %d groups, want %d (2 keys × %d suffixes)", bound, len(vec.View()), 2*inflate, inflate)
 		}
@@ -609,6 +657,47 @@ func TestDifferentialInflationSuffixIsolation(t *testing.T) {
 		}
 		if rowsTotal != rows {
 			t.Errorf("bound=%d: suffix groups cover %d rows, want %d", bound, rowsTotal, rows)
+		}
+	}
+}
+
+// TestLaneBoundMiss runs a group-by whose KeyBound (3) its keys (0..6)
+// pass. The run's lanes meet key 3, so it answers from the slot tables as
+// the reference does — its counters the raw run's alone, the lane attempt's
+// dropped — and the compiled plan records the miss, so the next run codes no
+// lanes and answers alike.
+func TestLaneBoundMiss(t *testing.T) {
+	tbl := kernelFixture(t, 1<<14, 4)
+	c := NewCluster(Config{Workers: 4, RealParallelism: 2})
+	ctx := context.Background()
+	mk := func() *Plan {
+		return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "d", KeyBound: 3},
+			Aggs: []Agg{{Kind: AggPlainSum, Col: "v"}, {Kind: AggCount}, {Kind: AggPlainMax, Col: "v"}}}
+	}
+	ref, err := c.RunReference(ctx, mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := c.compiled(mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cp.laneGroup || cp.laneMiss.Load() {
+		t.Fatalf("before its first run the plan takes lanes %v, missed %v", cp.laneGroup, cp.laneMiss.Load())
+	}
+	for run := range 2 {
+		name := fmt.Sprintf("run %d", run)
+		vec, err := c.Run(ctx, mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResult(t, name, vec, ref)
+		assertGroupPath(t, name, mk(), vec, false)
+		if !cp.laneMiss.Load() {
+			t.Fatalf("%s: the plan did not record its miss", name)
+		}
+		if rc, err := cp.codeRun(tbl.Parts, true, 2); err != nil || rc != nil && rc.lanes != nil {
+			t.Fatalf("%s: a later run would code lanes (%v)", name, err)
 		}
 	}
 }

@@ -206,12 +206,10 @@ type GroupBy struct {
 	Inflate int
 	// KeyBound, when > 0, declares that a plaintext U64 grouping column's
 	// values lie in [0, KeyBound) — true for SPLASHE dimension columns, whose
-	// values are dictionary indices the planner knows the size of. The
-	// executor then sizes a dense direct-index table over key×suffix and
-	// accumulates with zero hash probes. It is a sizing hint, never a
-	// correctness contract: keys at or above the bound (or a bound too large
-	// to index densely) fall back to the hashed path and still group
-	// correctly.
+	// values are dictionary indices the planner knows the size of. A key's
+	// value is then its code: a lane-shaped group-by adds into KeyBound ×
+	// suffix lanes (codes.go). It is a hint, never a correctness contract:
+	// a key at or above it sends the run to the slot table.
 	KeyBound uint64
 }
 
@@ -365,8 +363,8 @@ func (r ScanRow) Str(j int) string {
 // ReduceTaskTimes and DriverTime).
 type Metrics struct {
 	// ShuffleBytes is the size of the map tasks' output as they hold it: keys,
-	// row counts, accumulators and scan cells — or, in a coded group-by
-	// (codes.go), its lane sets: 8 bytes a code for the row count and each
+	// row counts, accumulators and scan cells — or, in a lane group-by
+	// (codes.go), its lane sets: 8 bytes a lane for the row count and each
 	// lane, a set per concurrently running task — and what they keep for the
 	// identifier section (ShuffleListBytes). Plain arithmetic — nothing is
 	// encoded to take it and nothing is shuffled — identical in both executors
@@ -385,7 +383,7 @@ type Metrics struct {
 	// In-process only, like the task times below.
 	ShuffleListBytes int
 	ResultListBytes  int
-	// MapTasks and ReduceTasks count executed tasks; a coded group-by's
+	// MapTasks and ReduceTasks count executed tasks; a lane group-by's
 	// reduce, one fold of its lane sets, is one task.
 	MapTasks    int
 	ReduceTasks int
@@ -429,19 +427,19 @@ type OpStats struct {
 	// hash probe and rows that found a partner (inner-join survivors).
 	JoinProbed  uint64
 	JoinMatched uint64
-	// GroupDense and GroupHash count group-key resolutions without a hash —
-	// the dense direct index, or a key's table-wide code (codes.go) — vs
-	// through the open-addressed table.
+	// GroupDense counts rows grouped by lane, with no hash (codes.go; the
+	// name is the retired dense index's), GroupHash rows grouped through the
+	// open-addressed slot table.
 	GroupDense uint64
 	GroupHash  uint64
 	// RadixBatches is no longer set by the engine, so it reads 0. It stays
 	// only as the result frame's eleventh counter (FORMAT.md §3) and as the
-	// benchmark's engine.radix_batches, until ROADMAP item 24(b) removes it.
+	// benchmark's engine.radix_batches, until ROADMAP item 3(e) removes it.
 	RadixBatches uint64
 	// GroupSlots totals distinct group slots across the tables that grouped
-	// rows — the map tasks' (occupancy), or a coded group-by's result
+	// rows — the map tasks' (occupancy), or a lane group-by's result
 	// groups; GroupTableLen is the largest
-	// open-addressed table capacity seen, or a coded group-by's K.
+	// open-addressed table capacity seen, or a lane group-by's lane count.
 	GroupSlots    uint64
 	GroupTableLen uint64
 	// ColumnPins counts columns pinned resident for map tasks;

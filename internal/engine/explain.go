@@ -3,8 +3,8 @@ package engine
 // This file is the engine's half of EXPLAIN: names for the kernel enums and
 // predictors for the executor choices (group path, join index, result size)
 // that the proxy's plan renderer reports. Everything here reads the plan and
-// the engine's own sizing constants — the same constants execute() consults —
-// so EXPLAIN never drifts from what a run would actually do.
+// the engine's own limits — the same predicate and cap a run consults — so
+// EXPLAIN never drifts from what a run would actually do.
 
 import (
 	"fmt"
@@ -59,86 +59,77 @@ func (k AggKind) String() string {
 	return fmt.Sprintf("AggKind(%d)", int(k))
 }
 
-// GroupKeyKind resolves the kind the grouping column's keys take (Fixed
-// columns group as Bytes, like groupColKind says), looking on the
-// scan table first and the join's right table second (grouping by a projected
-// right-side column). ok is false when the plan has no grouping or the column
-// resolves on neither side.
-func (pl *Plan) GroupKeyKind() (kind store.Kind, ok bool) {
-	if pl.GroupBy == nil {
-		return 0, false
-	}
-	if k, err := pl.Table.ColKind(pl.GroupBy.Col); err == nil {
-		return keyKind(k), true
-	}
-	if pl.Join != nil && pl.Join.Right != nil {
-		if k, err := pl.Join.Right.ColKind(pl.GroupBy.Col); err == nil {
-			return keyKind(k), true
-		}
-	}
-	return 0, false
+// laneCap is the most lanes a group-by adds into, K keys × suffixes: what
+// 2-byte codes name, a codebook's own limit. Past it a plan takes the slot
+// table.
+const laneCap = 1 << 16
+
+// inflateN is the group-by's suffix count: its Inflate, or 1.
+func inflateN(gb *GroupBy) uint64 {
+	return uint64(max(gb.Inflate, 1))
 }
 
-// codableGroup reports whether the plan's group key may be coded (codes.go):
-// a left-side 16-byte Fixed key — a DET(u64) or OPE value — of a join-free
-// plan, without inflation.
-func (pl *Plan) codableGroup() bool {
+// lanesFit reports whether k > 0 keys × n suffixes stay within laneCap,
+// checking each factor before the product: a client's plan frame may carry
+// any KeyBound and Inflate, and a wrapped product would size a small lane set.
+func lanesFit(k, n uint64) bool {
+	return k > 0 && n <= laneCap && k <= laneCap/n
+}
+
+// groupColumn is the group key's column in the first partition of its table,
+// the scan table's before the join's right table's as compile resolves it;
+// nil when neither holds it.
+func (pl *Plan) groupColumn() *store.Column {
+	if len(pl.Table.Parts) > 0 {
+		if c := pl.Table.Parts[0].Col(pl.GroupBy.Col); c != nil {
+			return c
+		}
+	}
+	if pl.Join != nil && pl.Join.Right != nil && len(pl.Join.Right.Parts) > 0 {
+		return pl.Join.Right.Parts[0].Col(pl.GroupBy.Col)
+	}
+	return nil
+}
+
+// LaneGroupBy reports whether the plan's group-by may add into lanes
+// (codes.go): every aggregate a lane, on a key a code names — a 16-byte Fixed
+// key on either side of a join, or a u64 key under its KeyBound — within
+// laneCap as far as the plan tells.
+func (pl *Plan) LaneGroupBy() bool {
 	gb := pl.GroupBy
-	if gb == nil || pl.Join != nil || gb.Inflate > 1 || len(pl.Table.Parts) == 0 {
+	if gb == nil || slices.ContainsFunc(pl.Aggs, func(a Agg) bool { return !LaneKind(a.Kind) }) {
 		return false
 	}
-	c := pl.Table.Parts[0].Col(gb.Col)
-	return c != nil && c.Kind == store.Fixed && c.Width == 16
+	switch c := pl.groupColumn(); {
+	case c == nil:
+		return false
+	case c.Kind == store.Fixed && c.Width == 16:
+		return lanesFit(1, inflateN(gb))
+	case c.Kind == store.U64:
+		return lanesFit(gb.KeyBound, inflateN(gb))
+	}
+	return false
 }
 
-// CodedGroupBy reports whether the plan's group-by takes table-wide codes
-// where the daemon's codebook codes its key (codes.go): a codable key, and
-// every aggregate a lane.
-func (pl *Plan) CodedGroupBy() bool {
-	return pl.codableGroup() && !slices.ContainsFunc(pl.Aggs, func(a Agg) bool { return !LaneKind(a.Kind) })
-}
-
-// GroupPath predicts which grouping path the executor will take for this
-// plan, using the same sizing rules as the grouper. A coded key's group-by
-// (CodedGroupBy) indexes a lane per distinct key by its code, with no table,
-// wherever the daemon's codebook codes every partition it reads, and takes the
-// slot table otherwise. Every other key kind resolves to
-// slots: plaintext u64 keys get a dense direct index over min(KeyBound or the
-// default span, the dense cap) keys times the inflation-suffix domain, with
-// the open-addressed slot table as the fallback; byte keys (DET ciphertexts)
-// and string keys intern into the same table, key bytes in a per-task arena.
-// Each map task fills a table of its own, and each reducer merges its share
-// of every task's. Empty when the plan has no GROUP BY.
+// GroupPath predicts which of the two grouping paths a run takes: lanes
+// (LaneGroupBy) wherever the run names every key by its code, else the
+// open-addressed slot table each map task fills and the reducers merge.
+// Empty when the plan has no GROUP BY.
 func (pl *Plan) GroupPath() string {
-	gb := pl.GroupBy
-	if gb == nil {
+	if pl.GroupBy == nil {
 		return ""
 	}
-	kind, ok := pl.GroupKeyKind()
-	if !ok {
+	c := pl.groupColumn()
+	if c == nil {
 		return "unknown key"
 	}
-	inflateN := uint64(1)
-	if gb.Inflate > 1 {
-		inflateN = uint64(gb.Inflate)
+	table := map[store.Kind]string{store.U64: "u64 keys", store.Bytes: "byte keys in a per-task arena",
+		store.Str: "string keys in a per-task arena"}[keyKind(c.Kind)]
+	table = "open-addressed slot table (" + table + ")"
+	if !pl.LaneGroupBy() {
+		return table
 	}
-	if kind == store.U64 {
-		bounded := ""
-		if gb.KeyBound > 0 {
-			bounded = ", KeyBound"
-		}
-		return fmt.Sprintf("dense direct-index (%d keys × %d suffixes%s), hash fallback",
-			denseSpan(gb.KeyBound, inflateN), inflateN, bounded)
-	}
-	keyed := "byte"
-	if kind == store.Str {
-		keyed = "string"
-	}
-	table := fmt.Sprintf("open-addressed slot table (%s keys in a per-task arena)", keyed)
-	if pl.CodedGroupBy() {
-		return "table-wide codes (a lane per distinct key), or where a codebook refuses the key, " + table
-	}
-	return table
+	return fmt.Sprintf("lanes (a lane per key code × %d suffixes), or where a key has no code, %s", inflateN(pl.GroupBy), table)
 }
 
 // JoinIndexKind names the index the broadcast join probes over the right

@@ -16,15 +16,12 @@ import (
 // (AggCol): a flat []uint64 lane for each aggregate that has one, an AggValue
 // per slot for the rest (Paillier, OPE extremes, medians) — chosen by each
 // aggregate's kind, never by the plan. An ungrouped plan is the one-group case,
-// keyed U64 0. A group-by on a coded key with lane aggregates has no slot
-// table at all — its slots are the key's table-wide codes (codes.go). Any
-// other group-by fills a table per map task (the grouper, batch.go); the
-// task's columns travel to the reducer as they are (taskGroups);
-// reduceGroups, the driver's fold of an ungrouped plan and the coordinator's
-// merge fold inputs of that one form through groupMerger; and gatherGroups,
-// the last step, concatenates the reducers' slots into the result's columns
-// (GroupCols, cols.go) — the columns carried the rest of the way, in no key
-// order.
+// keyed U64 0. A lane group-by's slots are lanes (codes.go); any other
+// group-by fills a table per map task (the grouper, batch.go), whose columns
+// travel to the reducers as they are (taskGroups). reduceGroups, the driver's
+// fold of an ungrouped plan and the coordinator's merge fold that one form
+// through groupMerger, and gatherGroups concatenates the reducers' slots into
+// the result's columns (GroupCols, cols.go), in no key order.
 //
 // No group keeps identifiers. A run's ASHE sums share one identifier section
 // (ids.go): each map task keeps its survivors' identifiers and each one's
@@ -171,15 +168,13 @@ func hashWords(a, b uint64, sfx int32) uint64 {
 
 // slotTable interns group keys into slots: an open-addressed, linear-probing
 // table indexed by the hash's high bits and holding slot+1 (0 = empty), over
-// the groupKeys that map each slot back to its key. It doubles at half load;
-// used counts its entries, which a grouper's dense-indexed slots are not among.
-// A probe compares a candidate's key and suffix, and growth re-hashes the keys
-// the table holds.
+// the groupKeys that map each slot back to its key: every slot is an entry.
+// It doubles at half load. A probe compares a candidate's key and suffix, and
+// growth re-hashes the keys the table holds.
 type slotTable struct {
 	groupKeys
 	table []int32
 	shift uint
-	used  int
 }
 
 // init readies a table expected to hold about expect keys (1 Ki entries at
@@ -196,7 +191,7 @@ func (t *slotTable) init(kind store.Kind, inflated bool, expect int) {
 
 // slotU64 resolves a u64 key to its slot, adding one on first sight.
 func (t *slotTable) slotU64(v uint64, sfx int32, h uint64) int32 {
-	if t.used*2 >= len(t.table) {
+	if t.len()*2 >= len(t.table) {
 		t.grow()
 	}
 	mask := uint64(len(t.table) - 1)
@@ -204,7 +199,6 @@ func (t *slotTable) slotU64(v uint64, sfx int32, h uint64) int32 {
 		s := t.table[idx]
 		if s == 0 {
 			t.appendU64(v, sfx)
-			t.used++
 			t.table[idx] = int32(len(t.u64))
 			return int32(len(t.u64) - 1)
 		}
@@ -217,7 +211,7 @@ func (t *slotTable) slotU64(v uint64, sfx int32, h uint64) int32 {
 // slotKeyed is slotU64 for byte and string keys, h being hashKey(key, sfx): a
 // first sight copies the key into the arena.
 func slotKeyed[T ~string | ~[]byte](t *slotTable, key T, sfx int32, h uint64) int32 {
-	if t.used*2 >= len(t.table) {
+	if t.len()*2 >= len(t.table) {
 		t.grow()
 	}
 	mask := uint64(len(t.table) - 1)
@@ -225,7 +219,6 @@ func slotKeyed[T ~string | ~[]byte](t *slotTable, key T, sfx int32, h uint64) in
 		s := t.table[idx]
 		if s == 0 {
 			appendKey(&t.groupKeys, key, sfx)
-			t.used++
 			t.table[idx] = int32(t.len())
 			return int32(t.len() - 1)
 		}

@@ -14,8 +14,8 @@ import (
 
 // TestReducerBucketsAgree: the vectorized and the reference map task, over
 // the same partition, send every group to the same reducer bucket — for u64
-// keys (under the dense span and past it), DET keys in a Fixed column,
-// variable-width DET bytes and strings, each with inflation off and on. The
+// keys, DET keys in a Fixed column, variable-width DET bytes and strings,
+// each with inflation off and on. The
 // vectorized task buckets its byte keys by the hash its table kept, the
 // reference by hashing the key afresh: a reducer merges one key's groups only
 // if the two agree, and so do the shards of a fleet.
@@ -24,7 +24,7 @@ func TestReducerBucketsAgree(t *testing.T) {
 	u, k, b, s := make([]uint64, rows), make([]uint64, rows), make([][]byte, rows), make([]string, rows)
 	for i := range rows {
 		g := uint64(i*7919) % groups
-		u[i] = g * 13 // about half under denseDefaultEntries, half hashed
+		u[i] = g * 13
 		k[i] = g
 		s[i] = fmt.Sprintf("dim-%d", g)
 		b[i] = detKey.EncryptString(s[i])

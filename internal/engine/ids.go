@@ -22,7 +22,7 @@ import (
 //
 // A daemon builds its section in the order rows already arrive. Each map task
 // keeps its survivors' identifiers as ranges and, in a group-by, each
-// survivor's slot in the task's table (or a coded group-by's, its code); once
+// survivor's slot in the task's table (or a lane group-by's, its lane); once
 // the reducers have numbered the result's groups, the driver walks the tasks
 // in partition order through those numbers (sectionWriter). The coordinator's merge and DeflateGroups keep each
 // input's section encoded, as a part with the map from its tags to the merged
@@ -414,16 +414,16 @@ func (c *GroupCols) groupLists() (lists [][]byte, ok bool) {
 // gathered columns, which number the reducers' groups bucket by bucket, each
 // reducer's in slot order (gatherGroups). A task finds its groups' numbers
 // where the reducers merged them (taskGroups.remap, filled here from each
-// merge's dst). mergers is reduceGroups', in bucket order. A coded group-by's tags
-// are codes, which byCode numbers (gatherCoded); it has no mergers.
-func groupSection(results []*mapResult, mergers []*groupMerger, byCode []int32, groups int, codec idlist.Codec) (IDPart, error) {
+// merge's dst). mergers is reduceGroups', in bucket order. A lane group-by's tags
+// are lanes, which byLane numbers (gatherCoded); it has no mergers.
+func groupSection(results []*mapResult, mergers []*groupMerger, byLane []int32, groups int, codec idlist.Codec) (IDPart, error) {
 	// Runs are at most one a survivor, each one word when survivors seldom
 	// share a run with their neighbours; one group writes none.
 	ranges, survivors := 0, 0
 	for _, r := range results {
 		ranges += len(r.ids)
 		survivors += len(r.tags)
-		if byCode == nil {
+		if byLane == nil {
 			r.groups.remap = make([]int32, r.groups.keys.len())
 		}
 	}
@@ -443,7 +443,7 @@ func groupSection(results []*mapResult, mergers []*groupMerger, byCode []int32, 
 		w.runs = make([]byte, 0, survivors*runWord(w.bits))
 	}
 	for _, r := range results {
-		tags, number := r.tags, byCode
+		tags, number := r.tags, byLane
 		if number == nil {
 			number = r.groups.remap
 		}

@@ -25,8 +25,8 @@ import (
 // pre-vectorization row-at-a-time loop). CI smokes them with -benchtime=1x.
 
 // kernelFixture builds a plaintext table: v = i%100, d = i%7, a 1024-value
-// dim column for dense group-by stress, and a distinct-per-row column whose
-// values spread far past the grouper's dense span for slot-table group-by
+// dim column w for small-domain group-by stress, and a distinct-per-row
+// column whose values spread far past any bound for slot-table group-by
 // stress.
 func kernelFixture(tb testing.TB, rows, parts int) *store.Table {
 	tb.Helper()
@@ -513,9 +513,36 @@ func BenchmarkKernelGroupByU64Reference(b *testing.B) {
 	reportRows(b, benchRows)
 }
 
-// wideGroupByPlan groups on the distinct-per-row column: every key misses
-// the dense span, so the grouper's open-addressed table carries the whole
-// load.
+// BenchmarkRunGroupByU64 is groupByPlan through Cluster.Run — map, reduce,
+// gather — over 256 Ki rows on 8 partitions, with w's 1,024 values declared
+// as KeyBound (bounded: the NoEnc shape of a SPLASHE dimension, adding into
+// lanes) and not (unbounded: the slot table), on one Cluster reused across
+// iterations, as a daemon's is.
+func BenchmarkRunGroupByU64(b *testing.B) {
+	tbl := kernelFixture(b, benchRows, 8)
+	for _, bound := range []uint64{1024, 0} {
+		b.Run(map[bool]string{true: "bounded", false: "unbounded"}[bound > 0], func(b *testing.B) {
+			mk := func() *Plan {
+				pl := groupByPlan(tbl)
+				pl.GroupBy.KeyBound = bound
+				return pl
+			}
+			c := NewCluster(Config{Workers: 4})
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if _, err := c.Run(ctx, mk()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportRows(b, benchRows)
+		})
+	}
+}
+
+// wideGroupByPlan groups on the distinct-per-row column, so the grouper's
+// open-addressed table carries the whole load.
 func wideGroupByPlan(tbl *store.Table) *Plan {
 	return &Plan{
 		Table:   tbl,

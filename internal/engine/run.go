@@ -75,10 +75,9 @@ func (c *Cluster) Run(ctx context.Context, pl *Plan) (*Result, error) {
 	return c.run(ctx, pl, nil, nil, groupAuto)
 }
 
-// groupStrategy is how a group-by on a codable key groups. Run lets it take
-// table-wide codes wherever the codebook codes the key (groupAuto); the
-// package's tests and benchmarks pin the raw slot tables (groupRaw), every
-// other group-by's one path, to check and time the two against each other.
+// groupStrategy is how a lane-shaped group-by groups. Run lets it add into
+// lanes wherever codes name its keys (groupAuto); a run past KeyBound, and
+// the package's tests and benchmarks, pin the raw slot tables (groupRaw).
 type groupStrategy int
 
 const (
@@ -94,7 +93,7 @@ const (
 // to the sink as soon as that task retires (in partition order, so the stream
 // is globally identifier-ordered), the result's Scan stays nil, and
 // Metrics.FirstChunk records the wall-clock latency to the first delivered
-// chunk. strategy is groupRaw to keep a codable key off its codes.
+// chunk. strategy is groupRaw to keep a lane-shaped group-by off its lanes.
 func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapRunner, error), sink ScanSink, strategy groupStrategy) (*Result, error) {
 	runStart := time.Now()
 	if pl.Table == nil {
@@ -157,7 +156,7 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 		}
 	}
 	grouped := pl.GroupBy != nil
-	coded := codes != nil && codes.lanes != nil
+	laned := codes != nil && codes.lanes != nil
 	compileTime := time.Since(compileStart)
 
 	// Phase 2 — map stage: one task per partition, executed with bounded
@@ -169,14 +168,17 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 	mapStart := time.Now()
 	results := make([]*mapResult, len(parts))
 	errs := make([]error, len(parts))
-	mctx := ctx
+	mctx, cancel := ctx, context.CancelFunc(func() {})
+	if sink != nil || laned {
+		// A stream's sink error, or a lane task's errLaneMiss, aborts the
+		// tasks still mapping.
+		mctx, cancel = context.WithCancel(ctx)
+		defer cancel()
+	}
 	var done []chan struct{}
 	var deliverErr error
 	deliverDone := make(chan struct{})
 	if sink != nil {
-		var cancel context.CancelFunc
-		mctx, cancel = context.WithCancel(ctx)
-		defer cancel()
 		done = make([]chan struct{}, len(parts))
 		for i := range done {
 			done[i] = make(chan struct{})
@@ -197,7 +199,7 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 					n := min(ScanChunkRows, len(scan))
 					if err := sink(scan[:n]); err != nil {
 						deliverErr = err
-						cancel() // abort tasks still mapping
+						cancel()
 						return
 					}
 					if metrics.FirstChunk == 0 {
@@ -228,7 +230,9 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 				if codes != nil {
 					tc = &codes.parts[i]
 				}
-				results[i], errs[i] = cp.mapTask(mctx, c, parts[i], tc)
+				if results[i], errs[i] = cp.mapTask(mctx, c, parts[i], tc); errs[i] == errLaneMiss {
+					cancel()
+				}
 			} else {
 				results[i], errs[i] = runner.runMapTask(mctx, c, parts[i])
 			}
@@ -245,8 +249,15 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Reaching here means mctx was never canceled (a sink error or parent
-	// cancellation returned above), so every task launched and completed.
+	if slices.Contains(errs, errLaneMiss) {
+		// A u64 key reached its bound. A group-by never streams, so the run
+		// starts again on the slot tables, its lanes' counters dropped.
+		cp.laneMiss.Store(true)
+		return c.run(ctx, pl, nil, nil, groupRaw)
+	}
+	// Reaching here means mctx was never canceled (a sink error, a lane miss
+	// or parent cancellation returned above), so every task launched and
+	// completed.
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -267,13 +278,13 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 	mapTime := time.Since(mapStart)
 
 	// Phase 3 — reduce (group-by only): one reducer per non-empty bucket, or
-	// a coded group-by's one fold of its lane sets. Every map task has
+	// a lane group-by's one fold of its lane sets. Every map task has
 	// released its pins by now: the reducers read only the tasks' groups.
 	reduceStart := time.Now()
 	var reduceTime time.Duration
 	var mergers []*groupMerger
 	var lanes *groupAcc
-	if coded {
+	if laned {
 		lanes = codes.lanes.fold()
 		reduceTime = time.Since(reduceStart)
 		metrics.ReduceTasks, metrics.ReduceTaskTimes = 1, []time.Duration{reduceTime}
@@ -288,19 +299,19 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 	out := &Result{}
 	switch {
 	case grouped:
-		var byCode []int32
-		if coded {
+		var byLane []int32
+		if laned {
 			var bytes int
-			out.Cols, byCode, bytes = gatherCoded(pl, lanes, codes.keys)
+			out.Cols, byLane, bytes = gatherCoded(pl, lanes, codes.keys)
 			metrics.ResultBytes += bytes
 			metrics.Ops.GroupSlots += uint64(out.Cols.Len())
-			metrics.Ops.GroupTableLen = max(metrics.Ops.GroupTableLen, uint64(len(byCode)))
+			metrics.Ops.GroupTableLen = max(metrics.Ops.GroupTableLen, uint64(len(byLane)))
 		} else {
 			out.Cols = gatherGroups(mergers)
 		}
 		if out.Cols != nil && hasAshe(pl) {
 			var part IDPart
-			if part, err = groupSection(results, mergers, byCode, out.Cols.Len(), codec); err != nil {
+			if part, err = groupSection(results, mergers, byLane, out.Cols.Len(), codec); err != nil {
 				return nil, err
 			}
 			out.Cols.IDs = []IDPart{part}

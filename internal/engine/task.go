@@ -29,7 +29,7 @@ type mapResult struct {
 	groups *taskGroups
 	// ids and tags are what the task keeps for the identifier section when an
 	// aggregate is an ASHE sum: its survivors' identifiers, ascending, and in a
-	// group-by each survivor's slot in groups (a coded group-by's, its code),
+	// group-by each survivor's slot in groups (a lane group-by's, its lane),
 	// in the same order.
 	ids     []idlist.Range
 	tags    []int32

@@ -298,10 +298,11 @@ func (t *translator) translateGroupBy(q *sqlparse.Query, plan *planner.Plan, tr 
 	default:
 		return fmt.Errorf("translate: GROUP BY on %q needs a plaintext or DET form", name)
 	}
-	// Declared key domain (dictionary size or schema cardinality) lets the
-	// executor run its dense flat-array group path. Harmless when the group
-	// column turns out to be strings or ciphertexts — the engine only
-	// consults the bound for u64 keys, and out-of-bound keys hash-fall-back.
+	// A declared key domain (dictionary size or schema cardinality) makes a
+	// u64 key's value its code: the executor adds into a lane per value
+	// (engine.GroupBy.KeyBound). Harmless when the group column turns out to
+	// be strings or ciphertexts — the engine only consults the bound for u64
+	// keys, and a run that meets a key past it groups on the slot table.
 	gb := &engine.GroupBy{Col: col, KeyBound: cp.KeyDomain()}
 	if !t.opts.DisableInflation && t.opts.ExpectedGroups > 0 && t.opts.Workers > t.opts.ExpectedGroups {
 		// §4.5: inflate the number of groups to the number of available

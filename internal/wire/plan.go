@@ -97,7 +97,8 @@ func EncodePlan(req *PlanRequest, version uint64) ([]byte, error) {
 	if pl.GroupBy != nil {
 		e.str(pl.GroupBy.Col)
 		e.uint(uint64(pl.GroupBy.Inflate))
-		// Key-domain bound: a sizing hint, never a correctness contract.
+		// Key-domain bound: a u64 key's lane count, a hint, never a
+		// correctness contract.
 		e.uint(pl.GroupBy.KeyBound)
 	}
 

@@ -172,21 +172,22 @@ func TestExplainAnalyzeShardedEndToEnd(t *testing.T) {
 		t.Error("ANALYZE run never entered the flight recorder")
 	}
 
-	// A grouped ANALYZE (NoEnc: plaintext group keys) shows the group path
-	// choice and the dense/hash split.
+	// A grouped ANALYZE (NoEnc: plaintext group keys, no declared bound)
+	// shows the group path choice and the lanes/hash split: u64 keys with no
+	// bound take the slot table.
 	res, err = proxy.Query(context.Background(),
 		"EXPLAIN ANALYZE SELECT d, SUM(m) FROM big GROUP BY d", seabed.WithMode(seabed.ModeNoEnc))
 	if err != nil {
 		t.Fatal(err)
 	}
 	text = res.ExplainText()
-	for _, want := range []string{"GroupBy d: path=", "rows grouped: dense=", "group_slots="} {
+	for _, want := range []string{"GroupBy d: path=open-addressed slot table (u64 keys)\n", "rows grouped: lanes=0 hash=3000", "group_slots="} {
 		if !strings.Contains(text, want) {
 			t.Errorf("grouped EXPLAIN ANALYZE missing %q:\n%s", want, text)
 		}
 	}
-	if res.Metrics.Ops.GroupDense+res.Metrics.Ops.GroupHash == 0 {
-		t.Errorf("grouped run counted no grouped rows: %+v", res.Metrics.Ops)
+	if res.Metrics.Ops.GroupDense != 0 || res.Metrics.Ops.GroupHash != 3000 {
+		t.Errorf("unbounded u64 rows missed the slot-table counters: %+v", res.Metrics.Ops)
 	}
 
 	// The same query over the encrypted table groups by DET ciphertexts, which
@@ -197,7 +198,7 @@ func TestExplainAnalyzeShardedEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	text = res.ExplainText()
-	for _, want := range []string{"path=table-wide codes (K=31)\n", "rows grouped: dense=3000 hash=0"} {
+	for _, want := range []string{"path=lanes (31 lanes)\n", "rows grouped: lanes=3000 hash=0"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("encrypted grouped EXPLAIN ANALYZE missing %q:\n%s", want, text)
 		}
@@ -206,19 +207,36 @@ func TestExplainAnalyzeShardedEndToEnd(t *testing.T) {
 		t.Errorf("coded rows missed the group counters: %+v", ops)
 	}
 
-	// Inflated, the same key takes the slot table: its rows hash.
+	// Inflated, the same key adds into a lane per code and suffix (§4.5):
+	// 31 keys × 3 suffixes, no row hashed.
 	res, err = proxy.Query(context.Background(), "EXPLAIN ANALYZE SELECT d, SUM(m) FROM big GROUP BY d", seabed.WithForceInflate(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	text = res.ExplainText()
-	for _, want := range []string{"path=open-addressed slot table (byte keys in a per-task arena)\n", "rows grouped: dense=0 hash=3000"} {
+	for _, want := range []string{"path=lanes (93 lanes)\n", "rows grouped: lanes=3000 hash=0"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("inflated encrypted grouped EXPLAIN ANALYZE missing %q:\n%s", want, text)
 		}
 	}
+	if ops := res.Metrics.Ops; ops.GroupDense != 3000 || ops.GroupHash != 0 || ops.GroupSlots == 0 || ops.GroupTableLen != 93 {
+		t.Errorf("inflated coded rows missed the group counters: %+v", ops)
+	}
+
+	// A non-lane aggregate (a plaintext median) keeps the slot table even
+	// where codes name the key: its rows hash.
+	res, err = proxy.Query(context.Background(), "EXPLAIN ANALYZE SELECT d, MEDIAN(m) FROM big GROUP BY d", seabed.WithMode(seabed.ModeNoEnc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text = res.ExplainText()
+	for _, want := range []string{"path=open-addressed slot table (u64 keys)\n", "rows grouped: lanes=0 hash=3000"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("median grouped EXPLAIN ANALYZE missing %q:\n%s", want, text)
+		}
+	}
 	if ops := res.Metrics.Ops; ops.GroupHash != 3000 || ops.GroupSlots == 0 || ops.GroupTableLen == 0 {
-		t.Errorf("byte-keyed rows missed the group counters: %+v", ops)
+		t.Errorf("median rows missed the slot-table counters: %+v", ops)
 	}
 }
 
