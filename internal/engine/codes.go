@@ -217,15 +217,11 @@ func (cp *compiledPlan) codeRight() error {
 	if err != nil {
 		return err
 	}
-	flat := make([]uint16, 0, key.Len())
-	for _, c := range codes {
-		if c == nil {
-			cp.laneGroup = false
-			return nil
-		}
-		flat = append(flat, c...)
+	if slices.ContainsFunc(codes, func(c []uint16) bool { return c == nil }) {
+		cp.laneGroup = false
+		return nil
 	}
-	cp.rightCodes, cp.rightKeys = flat, vals
+	cp.rightCodes, cp.rightKeys = slices.Concat(codes...), vals
 	return nil
 }
 

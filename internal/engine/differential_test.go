@@ -665,7 +665,8 @@ func TestDifferentialInflationSuffixIsolation(t *testing.T) {
 // pass. The run's lanes meet key 3, so it answers from the slot tables as
 // the reference does — its counters the raw run's alone, the lane attempt's
 // dropped — and the compiled plan records the miss, so the next run codes no
-// lanes and answers alike.
+// lanes and answers alike. A right-side key past its bound sends the plan raw
+// when it compiles.
 func TestLaneBoundMiss(t *testing.T) {
 	tbl := kernelFixture(t, 1<<14, 4)
 	c := NewCluster(Config{Workers: 4, RealParallelism: 2})
@@ -698,6 +699,18 @@ func TestLaneBoundMiss(t *testing.T) {
 		}
 		if rc, err := cp.codeRun(tbl.Parts, true, 2); err != nil || rc != nil && rc.lanes != nil {
 			t.Fatalf("%s: a later run would code lanes (%v)", name, err)
+		}
+	}
+
+	// A right-side u64 key meets its bound when the plan compiles, over the
+	// flattened right column: ranks 100–144 pass 120, so that plan takes the
+	// slot tables from its first run, and fit under 145.
+	left, right, _ := diffFixture(t, 1000, 2)
+	for bound, lanes := range map[uint64]bool{120: false, 145: true} {
+		cp, err := (&Plan{Table: left, Join: &Join{Right: right, LeftCol: "d", RightCol: "rdim", RightCols: []string{"rank"}},
+			GroupBy: &GroupBy{Col: "rank", KeyBound: bound}, Aggs: []Agg{{Kind: AggCount}}}).compile(0)
+		if err != nil || cp.laneGroup != lanes {
+			t.Errorf("KeyBound %d over ranks 100–144: lanes %v, want %v (%v)", bound, cp.laneGroup, lanes, err)
 		}
 	}
 }

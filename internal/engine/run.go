@@ -168,17 +168,14 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 	mapStart := time.Now()
 	results := make([]*mapResult, len(parts))
 	errs := make([]error, len(parts))
-	mctx, cancel := ctx, context.CancelFunc(func() {})
-	if sink != nil || laned {
-		// A stream's sink error, or a lane task's errLaneMiss, aborts the
-		// tasks still mapping.
-		mctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-	}
+	mctx := ctx
 	var done []chan struct{}
 	var deliverErr error
 	deliverDone := make(chan struct{})
 	if sink != nil {
+		var cancel context.CancelFunc
+		mctx, cancel = context.WithCancel(ctx)
+		defer cancel()
 		done = make([]chan struct{}, len(parts))
 		for i := range done {
 			done[i] = make(chan struct{})
@@ -199,7 +196,7 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 					n := min(ScanChunkRows, len(scan))
 					if err := sink(scan[:n]); err != nil {
 						deliverErr = err
-						cancel()
+						cancel() // abort tasks still mapping
 						return
 					}
 					if metrics.FirstChunk == 0 {
@@ -230,9 +227,7 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 				if codes != nil {
 					tc = &codes.parts[i]
 				}
-				if results[i], errs[i] = cp.mapTask(mctx, c, parts[i], tc); errs[i] == errLaneMiss {
-					cancel()
-				}
+				results[i], errs[i] = cp.mapTask(mctx, c, parts[i], tc)
 			} else {
 				results[i], errs[i] = runner.runMapTask(mctx, c, parts[i])
 			}
@@ -250,14 +245,14 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 		return nil, err
 	}
 	if slices.Contains(errs, errLaneMiss) {
-		// A u64 key reached its bound. A group-by never streams, so the run
-		// starts again on the slot tables, its lanes' counters dropped.
+		// A u64 key reached its bound, and each task that met one stopped
+		// there. A group-by never streams, so the run starts again on the
+		// slot tables, its lanes' counters dropped.
 		cp.laneMiss.Store(true)
 		return c.run(ctx, pl, nil, nil, groupRaw)
 	}
-	// Reaching here means mctx was never canceled (a sink error, a lane miss
-	// or parent cancellation returned above), so every task launched and
-	// completed.
+	// Reaching here means mctx was never canceled (a sink error or parent
+	// cancellation returned above), so every task launched and completed.
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
