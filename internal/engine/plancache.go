@@ -25,10 +25,11 @@ import (
 // regrowth, never a different result — and its per-code tables
 // (codeCaches), each replaced whole by a longer one computed from the same
 // append-only codebook, so a racing run computes the same entries twice at
-// worst; and its laneMiss, set once, which sends later runs raw. Second, the fingerprint covers table identity by pointer: tables
-// grow copy-on-write everywhere (server appends,
-// coordinator snapshots), so a table that gained rows is a different pointer
-// and misses the cache, and a cached entry can never serve stale contents.
+// worst; and its laneMiss, set once, which sends later runs raw. Second,
+// the fingerprint covers table identity by pointer: tables grow
+// copy-on-write everywhere (server appends, coordinator snapshots), so a
+// table that gained rows is a different pointer and misses the cache, and a
+// cached entry can never serve stale contents.
 // The retained reference evaluator bypasses the cache, keeping the
 // differential suite an independent oracle.
 

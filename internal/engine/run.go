@@ -249,7 +249,7 @@ func (c *Cluster) run(ctx context.Context, pl *Plan, reference func(*Plan) (mapR
 		// there. A group-by never streams, so the run starts again on the
 		// slot tables, its lanes' counters dropped.
 		cp.laneMiss.Store(true)
-		return c.run(ctx, pl, nil, nil, groupRaw)
+		return c.run(ctx, pl, reference, sink, groupRaw)
 	}
 	// Reaching here means mctx was never canceled (a sink error or parent
 	// cancellation returned above), so every task launched and completed.

@@ -223,8 +223,9 @@ func TestExplainAnalyzeShardedEndToEnd(t *testing.T) {
 		t.Errorf("inflated coded rows missed the group counters: %+v", ops)
 	}
 
-	// A non-lane aggregate (a plaintext median) keeps the slot table even
-	// where codes name the key: its rows hash.
+	// A non-lane aggregate (a plaintext median) groups on the slot table: its
+	// rows hash. (On a key codes name, it does too: TestDifferentialCoded's
+	// raw cases and paillier/group-by-bounded in TestDifferentialExecutors.)
 	res, err = proxy.Query(context.Background(), "EXPLAIN ANALYZE SELECT d, MEDIAN(m) FROM big GROUP BY d", seabed.WithMode(seabed.ModeNoEnc))
 	if err != nil {
 		t.Fatal(err)
